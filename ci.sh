@@ -14,6 +14,12 @@ run() {
     echo "==> ${name}: OK"
 }
 
+# The gate must leave the work tree as it found it (no phase may rewrite a
+# tracked file or drop an untracked one); compared again after the last
+# phase. Skipped outside a git work tree.
+tree_state() { git status --porcelain 2>/dev/null || true; }
+TREE_BEFORE=$(tree_state)
+
 run "fmt"   cargo fmt --all --check
 run "build" cargo build --release --offline
 run "lint"  cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -141,8 +147,9 @@ done
 # service legs: cumulative MatchDeltas over seeded update streams must
 # reconcile exactly with full recomputation after every batch, through
 # both the engine API and MatchService::apply_batch/submit_watch. Timing
-# leg: regenerates BENCH_PR10.json and fails if the amortized per-batch
-# delta work at batch 16 is not >= 10x below one full recount.
+# leg: fails if the amortized per-batch delta work at batch 16 is not
+# >= 10x below one full recount (simulated instructions; `--out=<path>`
+# additionally records the curve).
 run "smoke:delta" cargo run --release --offline -p stmatch-bench --bin delta_check
 
 # Atomics-annotation lint: every `Ordering::` use in the engine crate must
@@ -169,5 +176,12 @@ END { exit bad }
 ' crates/core/src/*.rs \
     || { echo "==> lint:atomics: FAILED — annotate the ordering invariant"; exit 1; }
 echo "==> lint:atomics: OK"
+
+if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
+    echo "==> tree: FAILED — ci.sh changed the work tree:"
+    diff <(echo "${TREE_BEFORE}") <(tree_state) || true
+    exit 1
+fi
+echo "==> tree: OK (git status unchanged)"
 
 echo "ci.sh: all phases passed"

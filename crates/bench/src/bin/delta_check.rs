@@ -15,8 +15,9 @@
 //!   per-batch deltas to a watcher through `apply_batch` while one-shot
 //!   submissions against the moving graph stay exact;
 //! * **timing** — an interleaved delta-vs-recompute stream on the
-//!   1024-vertex preferential-attachment fixture, recorded to
-//!   `BENCH_PR10.json` (or `--out=<path>`). The gate compares **simulated
+//!   1024-vertex preferential-attachment fixture, recorded as JSON only
+//!   when `--out=<path>` is given (`BENCH_PR10.json` is such a recording;
+//!   the default run leaves the work tree alone). The gate compares **simulated
 //!   SIMT instructions** — the simulator's work measure, as in the PR 8
 //!   scaling curve — and fails if the amortized per-batch delta work is
 //!   not at least 10x below one full recount at batch size 16.
@@ -60,10 +61,10 @@ fn fixture() -> Graph {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_PR10.json");
+    let mut out_path: Option<String> = None;
     for arg in std::env::args().skip(1) {
         if let Some(p) = arg.strip_prefix("--out=") {
-            out_path = p.to_string();
+            out_path = Some(p.to_string());
         } else {
             eprintln!("delta_check: unknown argument {arg:?} (usage: delta_check [--out=<path>])");
             std::process::exit(2);
@@ -72,7 +73,7 @@ fn main() {
     let mut ok = run_off();
     ok &= run_stream();
     ok &= run_service();
-    ok &= run_timing(&out_path);
+    ok &= run_timing(out_path.as_deref());
     if ok {
         println!("delta_check: all legs OK");
     } else {
@@ -196,8 +197,9 @@ fn run_stream() -> bool {
             }
             let post = overlay.snapshot();
             let delta = engine
-                .run_delta_plans(&pre, &post, &batch, &plans)
-                .expect("delta launch");
+                .run_delta_plans_metered(&pre, &post, &batch, &plans)
+                .expect("delta launch")
+                .0;
             running += delta.net();
             let full = engine.run(&post, &q).expect("recompute").count as i64;
             if running != full {
@@ -368,7 +370,7 @@ fn measure_stream(
 /// regime the O(batch)-vs-O(graph) claim is about. At batch 256 on this
 /// graph the batch is a sizable fraction of the edge set and recompute
 /// catches up — the curve records that crossover honestly.)
-fn run_timing(out_path: &str) -> bool {
+fn run_timing(out_path: Option<&str>) -> bool {
     let g = gen::preferential_attachment(1024, 4, 9).degree_ordered();
     let engine = Engine::new(EngineConfig::default().with_grid(grid()).with_delta(true));
     let q = catalog::triangle();
@@ -409,6 +411,9 @@ fn run_timing(out_path: &str) -> bool {
             ok = false;
         }
     }
+    let Some(out_path) = out_path else {
+        return ok;
+    };
     let curve = rows
         .iter()
         .map(|r| {

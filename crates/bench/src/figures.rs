@@ -10,12 +10,14 @@ use crate::tables::{LABEL_SEED, NUM_LABELS};
 /// labeled matching, with enough surviving candidates per level for the
 /// load-balance effects the figure is about.
 pub const ABLATION_LABELS: u32 = 2;
-use stmatch_core::{multi, Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig};
 use stmatch_graph::datasets::Dataset;
 use stmatch_pattern::catalog;
 
 /// Fig. 11: multi-device scaling. Labeled and unlabeled size-6 queries on
-/// the LiveJournal/Orkut/MiCo stand-ins, 1/2/4 devices; speedup is the
+/// the LiveJournal/Orkut/MiCo stand-ins, 1/2/4 devices — one shard grid
+/// per device over the static work-aware split of the outermost loop
+/// (cross-device stealing off, as in the paper); speedup is the
 /// single-device simulated time over the bottleneck device's simulated
 /// time.
 pub fn fig11(p: &RunParams, queries: &[usize]) {
@@ -32,17 +34,19 @@ pub fn fig11(p: &RunParams, queries: &[usize]) {
                 if labeled {
                     q = q.with_random_labels(NUM_LABELS, qi as u64);
                 }
-                let cfg = harness::default_stmatch_cfg(false, p);
-                let engine = Engine::new(cfg).with_timeout(p.timeout);
+                let mut cfg = harness::default_stmatch_cfg(false, p);
+                cfg.shard.cross_steal = false;
                 let mut cycles = Vec::new();
                 let mut counts = Vec::new();
                 let mut timed_out = false;
                 for devices in [1usize, 2, 4] {
-                    match multi::run_multi_device(&engine, &g, &q, devices) {
+                    cfg.shard.shards = devices;
+                    let engine = Engine::new(cfg).with_timeout(p.timeout);
+                    match engine.run_sharded(&g, &q) {
                         Ok(out) => {
-                            timed_out |= out.devices.iter().any(|d| d.timed_out);
-                            cycles.push(out.simulated_cycles());
-                            counts.push(out.count);
+                            timed_out |= out.outcome.timed_out;
+                            cycles.push(out.outcome.simulated_cycles());
+                            counts.push(out.outcome.count);
                         }
                         Err(_) => {
                             cycles.push(0);

@@ -70,9 +70,9 @@ pub struct EngineConfig {
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i):
     /// work-aware partitioning of the level-0 domain, cross-shard range
-    /// stealing, and shard-level fault recovery. Disabled by default: the
-    /// engine and `run_multi_device` then behave bit-identically to
-    /// pre-sharding revisions.
+    /// stealing, and shard-level fault recovery. `Engine::run_plan_sharded`
+    /// reads `shards`/`work_aware`/`cross_steal`; `enabled` (off by
+    /// default) routes the resident service's queries through it.
     pub shard: ShardTuning,
     /// Static plan verification before launch (see `stmatch_plan_verify`
     /// and DESIGN.md §4j): abstract-interpretation resource certificates,

@@ -41,7 +41,7 @@
 //! anchored enumeration can see.
 
 use crate::config::EngineConfig;
-use crate::engine::{AnchorCtx, Engine};
+use crate::engine::{Engine, Launch, Level0};
 use crate::pool::WarmSlot;
 use stmatch_gpusim::LaunchError;
 use stmatch_graph::{AppliedBatch, Graph, VertexId};
@@ -90,7 +90,7 @@ impl DeltaPlans {
 impl Engine {
     /// Compiles the anchored plan set for incremental matching of
     /// `pattern` under this engine's options (vertex-induced mode is
-    /// rejected at [`Engine::run_delta_plans`] time).
+    /// rejected at [`Engine::run_delta_plans_metered`] time).
     pub fn compile_delta(&self, pattern: &Pattern) -> DeltaPlans {
         let opts = PlanOptions {
             induced: false,
@@ -113,7 +113,8 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_delta_plans`] with one-shot plan compilation.
+    /// [`Engine::run_delta_plans_metered`] with one-shot plan compilation,
+    /// returning only the delta.
     pub fn run_delta(
         &self,
         pre: &Graph,
@@ -122,7 +123,7 @@ impl Engine {
         pattern: &Pattern,
     ) -> Result<MatchDelta, LaunchError> {
         let plans = self.compile_delta(pattern);
-        self.run_delta_plans(pre, post, batch, &plans)
+        Ok(self.run_delta_plans_metered(pre, post, batch, &plans)?.0)
     }
 
     /// Counts the embeddings `batch` destroyed (enumerated against `pre`,
@@ -130,24 +131,15 @@ impl Engine {
     /// after), in O(batch × affected neighborhoods) work — the graph size
     /// only enters through the degrees of the touched vertices.
     ///
+    /// Also returns the total simulated SIMT instructions the anchored
+    /// launches executed — the work measure the `smoke:delta` bench gate
+    /// compares against full recomputation (host wall-clock on the
+    /// simulator is dominated by per-launch scheduling, not by the
+    /// matching work the paper's claim is about).
+    ///
     /// Requires [`EngineConfig::delta`] to be enabled and edge-induced
     /// matching (see the module docs for why vertex-induced deltas cannot
     /// be anchored).
-    pub fn run_delta_plans(
-        &self,
-        pre: &Graph,
-        post: &Graph,
-        batch: &AppliedBatch,
-        plans: &DeltaPlans,
-    ) -> Result<MatchDelta, LaunchError> {
-        Ok(self.run_delta_plans_metered(pre, post, batch, plans)?.0)
-    }
-
-    /// [`Engine::run_delta_plans`] plus the total simulated SIMT
-    /// instructions its anchored launches executed — the work measure the
-    /// `smoke:delta` bench gate compares against full recomputation (host
-    /// wall-clock on the simulator is dominated by per-launch scheduling,
-    /// not by the matching work the paper's claim is about).
     pub fn run_delta_plans_metered(
         &self,
         pre: &Graph,
@@ -225,16 +217,18 @@ impl Engine {
         (a, b): (VertexId, VertexId),
         warm: &WarmSlot,
     ) -> Result<(u64, u64), LaunchError> {
-        let map: [VertexId; 2] = [a, b];
-        let pins: [(VertexId, VertexId); 2] = [(a, b), (b, a)];
-        let anchor = AnchorCtx {
-            map: &map,
-            pins: &pins,
+        let domain = Level0::Anchored {
+            ends: &[a, b],
+            pins: &[(a, b), (b, a)],
         };
         let mut total = 0u64;
         let mut instructions = 0u64;
         for (_, _, plan) in &plans.anchored {
-            let out = sub.run_anchored(view, plan, &anchor, Some(warm))?;
+            let out = sub.launch(&Launch {
+                warm: Some(warm),
+                domain,
+                ..Launch::new(view, plan)
+            })?;
             total += out.count;
             instructions += out.metrics.total().simt_instructions;
         }

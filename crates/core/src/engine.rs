@@ -24,7 +24,7 @@
 use crate::compile::CompiledPlan;
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
-use crate::kernel::WarpKernel;
+use crate::kernel::{KernelEnv, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
 use crate::recover::{self, DowngradeStep};
 use crate::steal::{Board, ShardRail, StealPayload};
@@ -87,12 +87,6 @@ pub struct MatchOutcome {
     /// hub-bitmap acceleration owns the set operations. A run that tiers
     /// up mid-launch reports the *final* tier.
     pub served_tier: Option<u8>,
-    /// The half-open range of level-0 *virtual* indices this run never
-    /// claimed, in the run's own index space (strided for partitioned
-    /// runs). `Some` only when the run stopped early (`timed_out`), so
-    /// partial counts are auditable: the caller knows exactly which slice
-    /// of the outermost loop the count omits.
-    pub l0_uncovered: Option<(usize, usize)>,
 }
 
 impl MatchOutcome {
@@ -147,38 +141,102 @@ struct LaunchStats {
     report: FaultReport,
     spill_events: u64,
     peak_cells: u64,
-    /// Next unclaimed level-0 virtual index when the launch ended.
-    cursor: usize,
-    /// End of the level-0 virtual domain the launch was responsible for.
-    domain: usize,
 }
 
-/// Per-shard execution context threaded into the launch path by the
-/// sharding driver ([`crate::shard`]): the cross-shard work rail, this
-/// grid's shard index on it, and the level-0 permutation mapping the
-/// rail's virtual indices back to vertex ids. A launch carrying one runs
-/// exactly one pass — stranded work goes to the rail (for sibling shards
-/// or the driver's recovery rounds) instead of a local salvage relaunch.
-pub(crate) struct ShardCtx<'a> {
-    /// The rail shared by every shard of the run.
-    pub rail: &'a Arc<ShardRail>,
-    /// This grid's shard index.
-    pub shard: usize,
-    /// Level-0 permutation: `map[virtual_index] = vertex_id`.
-    pub map: &'a [VertexId],
+/// One launch request: what to match, on which graph, and which resident
+/// resources to reuse. Every route — one-shot runs, enumeration, the
+/// service's cached queries, each shard of a sharded run, each anchored
+/// edge of a delta batch — builds one of these and hands it to
+/// [`Engine::launch`].
+///
+/// ```
+/// use stmatch_core::{Engine, EngineConfig, Launch};
+/// use stmatch_graph::gen;
+/// use stmatch_pattern::catalog;
+///
+/// let graph = gen::complete(6);
+/// let engine = Engine::new(EngineConfig::default());
+/// let plan = engine.compile(&catalog::triangle());
+/// let outcome = engine.launch(&Launch::new(&graph, &plan)).unwrap();
+/// assert_eq!(outcome.count, 20);
+/// ```
+#[derive(Clone, Copy)]
+pub struct Launch<'a> {
+    /// The data graph.
+    pub graph: &'a Graph,
+    /// The compiled matching plan.
+    pub plan: &'a MatchPlan,
+    /// Parked warp threads and recycled stack arenas to run on instead of
+    /// spawning/allocating per launch. Counts, metrics and fault semantics
+    /// are identical to a cold launch; if a degradation rung changes the
+    /// grid geometry away from the slot's, that attempt runs cold.
+    pub warm: Option<&'a WarmSlot>,
+    /// A caller-held [`CompiledPlan`] (lowered from `plan`) whose
+    /// tier/profile state persists across launches — how the resident
+    /// service serves cached queries at their promoted tier. `None`
+    /// lowers a fresh instance per launch when compilation is enabled.
+    pub compiled: Option<&'a CompiledPlan>,
+    /// Enumeration sink: warps append `k`-strided embedding records.
+    pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
+    /// Where level-0 work comes from.
+    pub(crate) domain: Level0<'a>,
 }
 
-/// Anchored-launch context threaded into the launch path by the delta
-/// engine ([`crate::delta`]): the level-0 domain collapses to the two
-/// endpoints of one updated data edge (`map`), and level 1 is pinned to
-/// the paired endpoint (`pins`, keyed by the matched level-0 vertex so
-/// pins survive stealing). Never combined with sharding — an anchored
-/// domain of two vertices has nothing to partition.
-pub(crate) struct AnchorCtx<'a> {
-    /// Level-0 domain: the anchor edge's endpoints, `[a, b]`.
-    pub map: &'a [VertexId],
-    /// Level-1 pins: `[(a, b), (b, a)]` — one entry per orientation.
-    pub pins: &'a [(VertexId, VertexId)],
+impl<'a> Launch<'a> {
+    /// A cold counting launch of `plan` over the whole of `graph`.
+    pub fn new(graph: &'a Graph, plan: &'a MatchPlan) -> Launch<'a> {
+        Launch {
+            graph,
+            plan,
+            warm: None,
+            compiled: None,
+            collector: None,
+            domain: Level0::Whole,
+        }
+    }
+}
+
+/// The level-0 domain of a launch: which outermost-loop iterations it owns
+/// and how a claimed virtual index becomes a data vertex.
+#[derive(Clone, Copy)]
+pub(crate) enum Level0<'a> {
+    /// Every vertex of the graph, identity-mapped, off the grid's own
+    /// chunk dispenser.
+    Whole,
+    /// One shard of a sharded run ([`crate::shard`]): the grid owns no
+    /// local range — every level-0 index comes off the cross-shard `rail`
+    /// as grid `shard`, and `order[virtual_index]` is the data vertex. Such
+    /// a launch runs exactly one pass: stranded work goes back to the rail
+    /// (for sibling shards or the driver's recovery rounds) instead of a
+    /// local salvage relaunch.
+    Rail {
+        rail: &'a Arc<ShardRail>,
+        shard: usize,
+        order: &'a [VertexId],
+    },
+    /// One updated data edge of a delta batch ([`crate::delta`]): level 0
+    /// collapses to the edge's endpoints `ends = [a, b]` and level 1 is
+    /// pinned to the paired endpoint (`pins = [(a, b), (b, a)]`, keyed by
+    /// the matched level-0 vertex so pins survive stealing), so the run
+    /// counts exactly the embeddings that place the plan's first two order
+    /// positions on that edge.
+    Anchored {
+        ends: &'a [VertexId],
+        pins: &'a [(VertexId, VertexId)],
+    },
+}
+
+/// A [`Launch`] resolved for one rung of the degradation ladder.
+struct Resolved<'a> {
+    /// What every warp's kernel borrows (the rung's config included).
+    env: KernelEnv<'a>,
+    /// The request's warm slot, if it serves this rung's geometry.
+    warm: Option<&'a WarmSlot>,
+    collector: Option<&'a Mutex<Vec<VertexId>>>,
+    /// Level-0 virtual indices the grid's own dispenser hands out.
+    l0_len: usize,
+    /// The cross-shard rail and this grid's index on it, for sharded runs.
+    rail: Option<(&'a Arc<ShardRail>, usize)>,
 }
 
 impl Engine {
@@ -235,33 +293,6 @@ impl Engine {
         self.timeout
     }
 
-    /// One sharded grid pass for the driver in [`crate::shard`]: level-0
-    /// work comes off the context's rail (not a local chunk dispenser),
-    /// and stranded payloads are handed back to the rail on exit.
-    pub(crate) fn run_sharded_pass(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        shard: &ShardCtx<'_>,
-    ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, 0, 1, None, None, None, Some(shard), None)
-    }
-
-    /// One anchored launch for the delta engine in [`crate::delta`]: the
-    /// level-0 domain is the anchor context's two endpoints and level 1 is
-    /// pinned to the paired endpoint, so the run counts exactly the
-    /// embeddings that place the plan's first two order positions on the
-    /// anchored data edge.
-    pub(crate) fn run_anchored(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        anchor: &AnchorCtx<'_>,
-        warm: Option<&WarmSlot>,
-    ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, 0, 1, None, warm, None, None, Some(anchor))
-    }
-
     /// Compiles the plan for `pattern` under this engine's options.
     pub fn compile(&self, pattern: &Pattern) -> MatchPlan {
         MatchPlan::compile(
@@ -295,8 +326,10 @@ impl Engine {
         plan: &MatchPlan,
     ) -> Result<Enumeration, LaunchError> {
         let collector = Mutex::new(Vec::new());
-        let outcome =
-            self.run_inner(graph, plan, 0, 1, Some(&collector), None, None, None, None)?;
+        let outcome = self.launch(&Launch {
+            collector: Some(&collector),
+            ..Launch::new(graph, plan)
+        })?;
         // Warps emit flat k-strided records; chunk them into per-embedding
         // vectors here, off the hot path.
         let k = plan.num_levels();
@@ -313,89 +346,35 @@ impl Engine {
         })
     }
 
-    /// Matches a pre-compiled plan (used by the bench harness to reuse
-    /// compilation across runs and by multi-device partitioning).
+    /// Matches a pre-compiled plan: [`Engine::launch`] of a cold whole-graph
+    /// request (used by the bench harness to reuse compilation across
+    /// runs).
     pub fn run_plan(&self, graph: &Graph, plan: &MatchPlan) -> Result<MatchOutcome, LaunchError> {
-        self.run_partition(graph, plan, 0, 1)
+        self.launch(&Launch::new(graph, plan))
     }
 
-    /// [`Engine::run_plan`] on a [`WarmSlot`]'s parked resources: the
-    /// launch reuses the slot's warp threads and recycled stack arenas
-    /// instead of spawning/allocating per query. Counts, metrics, and
-    /// fault semantics are identical to the cold path — if a degradation
-    /// rung changes the grid geometry away from the slot's, that attempt
-    /// silently falls back to a cold grid.
+    /// [`Engine::run_plan`] on a [`WarmSlot`]'s parked resources (see
+    /// [`Launch::warm`]).
     pub fn run_plan_warm(
         &self,
         graph: &Graph,
         plan: &MatchPlan,
         warm: &WarmSlot,
     ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, 0, 1, None, Some(warm), None, None, None)
+        self.launch(&Launch {
+            warm: Some(warm),
+            ..Launch::new(graph, plan)
+        })
     }
 
-    /// [`Engine::run_plan`] against a caller-held [`CompiledPlan`] whose
-    /// tier/profile state persists across runs. This is how the resident
-    /// service serves warm queries at their promoted tier: the profile
-    /// counter lives in the plan-cache entry, not the launch. The compiled
-    /// plan must have been lowered from `plan` (same canonical query).
-    pub fn run_plan_compiled(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        compiled: &CompiledPlan,
-    ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, 0, 1, None, None, Some(compiled), None, None)
-    }
-
-    /// [`Engine::run_plan_warm`] with a caller-held [`CompiledPlan`] (see
-    /// [`Engine::run_plan_compiled`]).
-    pub fn run_plan_warm_compiled(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        warm: &WarmSlot,
-        compiled: Option<&CompiledPlan>,
-    ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, 0, 1, None, Some(warm), compiled, None, None)
-    }
-
-    /// Matches only the level-0 vertices `v` with `v % devices == device` —
-    /// the outermost-loop partitioning used for multi-GPU execution
-    /// (§VIII-B: "duplicating the input graph and dividing the outermost
-    /// loop iterations across GPUs").
-    pub fn run_partition(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        device: usize,
-        devices: usize,
-    ) -> Result<MatchOutcome, LaunchError> {
-        self.run_inner(graph, plan, device, devices, None, None, None, None, None)
-    }
-
-    /// Degradation-ladder driver: attempts the launch at the configured
-    /// settings, and on a planning failure retries (with backoff, bounded
-    /// by the recovery policy) at the next rung of
-    /// [`recover::degrade`]'s count-invariant ladder.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        device: usize,
-        devices: usize,
-        collector: Option<&Mutex<Vec<VertexId>>>,
-        warm: Option<&WarmSlot>,
-        ext: Option<&CompiledPlan>,
-        shard: Option<&ShardCtx<'_>>,
-        anchor: Option<&AnchorCtx<'_>>,
-    ) -> Result<MatchOutcome, LaunchError> {
-        assert!(devices >= 1 && device < devices);
-        debug_assert!(
-            anchor.is_none() || shard.is_none(),
-            "anchored launches own a two-vertex domain; sharding it is meaningless"
-        );
+    /// Runs one [`Launch`] request — the single way into the kernel.
+    /// Resolves the request's optional resources against this engine's
+    /// configuration, then drives the degradation ladder: attempts the
+    /// launch at the configured settings, and on a planning failure
+    /// retries (with backoff, bounded by the recovery policy) at the next
+    /// rung of [`recover::degrade`]'s count-invariant ladder.
+    pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
+        let (graph, plan) = (req.graph, req.plan);
         self.cfg.validate();
         let mut cfg = self.cfg;
         // Resolve the hub-bitmap index once, outside the degradation loop:
@@ -413,12 +392,13 @@ impl Engine {
         // CompiledPlan (the service cache) pass it in; one-shot runs lower
         // a fresh instance here. Hub routing owns the set operations when
         // enabled, so compilation is skipped alongside it.
-        let owned_compiled = (cfg.compile.enabled && hubs.is_none() && ext.is_none()).then(|| {
-            CompiledPlan::lower(plan, cfg.compile)
-                .expect("plans produced by MatchPlan::compile always lower")
-        });
+        let owned_compiled = (cfg.compile.enabled && hubs.is_none() && req.compiled.is_none())
+            .then(|| {
+                CompiledPlan::lower(plan, cfg.compile)
+                    .expect("plans produced by MatchPlan::compile always lower")
+            });
         let compiled = if cfg.compile.enabled && hubs.is_none() {
-            ext.or(owned_compiled.as_ref())
+            req.compiled.or(owned_compiled.as_ref())
         } else {
             None
         };
@@ -427,7 +407,7 @@ impl Engine {
         // plan never changes; a downgrade invalidates only the slab-cap
         // premise, which the post-run audit guards against below). A clean
         // certificate's capacity bounds are published on the compiled plan
-        // so `WarpKernel::with_arena` can shape the slabs when
+        // so `WarpKernel::new` can shape the slabs when
         // `VerifyTuning::apply_hints` asks for it.
         let verification = cfg.verify.enabled.then(|| {
             let profile = stmatch_plan_verify::GraphProfile::of(graph);
@@ -444,13 +424,40 @@ impl Engine {
             }
             v
         });
+        // The one place the level-0 domain is decided: how many virtual
+        // indices the grid's own dispenser hands out, how the kernel maps
+        // an index to a data vertex (`None` = identity), the level-1 pins,
+        // and the rail a sharded grid draws from instead.
+        let (l0_len, l0_map, anchor_pins, rail) = match req.domain {
+            Level0::Whole => (graph.num_vertices(), None, None, None),
+            Level0::Rail { rail, shard, order } => (0, Some(order), None, Some((rail, shard))),
+            // Anchored launches enumerate from the updated edge's two
+            // endpoints only — the whole point of O(batch) delta cost.
+            Level0::Anchored { ends, pins } => (ends.len(), Some(ends), Some(pins), None),
+        };
         let mut downgrades: Vec<DowngradeStep> = Vec::new();
         loop {
+            let resolved = Resolved {
+                env: KernelEnv {
+                    graph,
+                    plan,
+                    cfg: &cfg,
+                    hubs,
+                    compiled,
+                    l0_map,
+                    anchor_pins,
+                    enumerate: req.collector.is_some(),
+                },
+                // A warm slot only serves launches at its exact geometry;
+                // after a geometry-changing downgrade the attempt runs cold.
+                warm: req.warm.filter(|w| w.grid_config() == cfg.grid),
+                collector: req.collector,
+                l0_len,
+                rail,
+            };
             // Planning failures happen before any warp runs, so retrying
             // here can never double-count (and never touches `collector`).
-            match self.attempt(
-                &cfg, graph, plan, hubs, compiled, device, devices, collector, warm, shard, anchor,
-            ) {
+            match self.attempt(&resolved) {
                 Ok(mut outcome) => {
                     outcome.downgrades = downgrades;
                     // Runtime audit of the static certificate: the launch
@@ -495,25 +502,14 @@ impl Engine {
 
     /// One launch attempt at a specific configuration: budget planning,
     /// then the (containment-wrapped, possibly multi-pass) launch.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        cfg: &EngineConfig,
-        graph: &Graph,
-        plan: &MatchPlan,
-        hubs: Option<&HubBitmapIndex>,
-        compiled: Option<&CompiledPlan>,
-        device: usize,
-        devices: usize,
-        collector: Option<&Mutex<Vec<VertexId>>>,
-        warm: Option<&WarmSlot>,
-        shard: Option<&ShardCtx<'_>>,
-        anchor: Option<&AnchorCtx<'_>>,
-    ) -> Result<MatchOutcome, LaunchError> {
+    fn attempt(&self, r: &Resolved<'_>) -> Result<MatchOutcome, LaunchError> {
+        let KernelEnv {
+            plan,
+            cfg,
+            compiled,
+            ..
+        } = r.env;
         let grid = Grid::new(cfg.grid)?;
-        // A warm slot only serves launches at its exact geometry; after a
-        // geometry-changing downgrade this attempt runs cold instead.
-        let warm = warm.filter(|w| w.grid_config() == cfg.grid);
         let k = plan.num_levels();
         let stop = cfg.effective_stop(k);
 
@@ -534,10 +530,7 @@ impl Engine {
         let num_warps = cfg.grid.total_warps();
         let stack_bytes = plan.num_sets() * cfg.unroll * cfg.max_degree_slab * 4 * num_warps;
         self.memory.try_alloc(stack_bytes)?;
-        let stats = self.launch(
-            cfg, graph, plan, hubs, compiled, &grid, stop, device, devices, collector, warm, shard,
-            anchor,
-        );
+        let stats = self.run_passes(r, &grid, stop);
         self.memory.free(stack_bytes);
         Ok(MatchOutcome {
             count: stats.metrics.matches(),
@@ -557,48 +550,13 @@ impl Engine {
             // Snapshot after the launch: a mid-run tier-up is reported at
             // the tier the plan ended up on.
             served_tier: compiled.map(|c| c.tier().index()),
-            l0_uncovered: (stats.timed_out && stats.cursor < stats.domain)
-                .then_some((stats.cursor, stats.domain)),
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        &self,
-        cfg: &EngineConfig,
-        graph: &Graph,
-        plan: &MatchPlan,
-        hubs: Option<&HubBitmapIndex>,
-        compiled: Option<&CompiledPlan>,
-        grid: &Grid,
-        stop: usize,
-        device: usize,
-        devices: usize,
-        collector: Option<&Mutex<Vec<VertexId>>>,
-        warm: Option<&WarmSlot>,
-        shard: Option<&ShardCtx<'_>>,
-        anchor: Option<&AnchorCtx<'_>>,
-    ) -> LaunchStats {
-        let n = graph.num_vertices();
-        // Device partitioning is *strided*: device d owns the vertices
-        // congruent to d modulo `devices`. With degree-ordered graphs a
-        // contiguous split would hand every hub to device 0; striding
-        // spreads the skew so all devices get comparable work (the paper
-        // "divides the outermost loop iterations across GPUs"). The board
-        // dispenses virtual indices; the kernel maps them to vertex ids.
-        // Sharded grids own no local range at all: every level-0 index
-        // comes off the cross-shard rail.
-        let device_count = if let Some(a) = anchor {
-            // Anchored launches enumerate from the updated edge's two
-            // endpoints only — the whole point of O(batch) delta cost.
-            a.map.len()
-        } else if shard.is_some() {
-            0
-        } else if n > device {
-            (n - device).div_ceil(devices)
-        } else {
-            0
-        };
+    /// Runs the grid over the resolved level-0 domain: one pass, plus
+    /// bounded salvage relaunches for work stranded by warp deaths.
+    fn run_passes(&self, r: &Resolved<'_>, grid: &Grid, stop: usize) -> LaunchStats {
+        let cfg = r.env.cfg;
         let deadline = self.timeout.map(|t| Instant::now() + t);
         let active_plan = self.faults.as_ref().filter(|p| !p.is_empty());
         // While a plan can kill warps, swallow the default panic-hook
@@ -625,11 +583,11 @@ impl Engine {
                 cfg.grid.num_blocks,
                 cfg.grid.warps_per_block,
                 stop,
-                (cursor, device_count),
+                (cursor, r.l0_len),
                 cfg.chunk_size,
             );
-            if let Some(sc) = shard {
-                board.attach_rail(Arc::clone(sc.rail), sc.shard);
+            if let Some((rail, shard)) = r.rail {
+                board.attach_rail(Arc::clone(rail), shard);
             }
             if !preload.is_empty() {
                 board.preload(std::mem::take(&mut preload));
@@ -638,27 +596,10 @@ impl Engine {
                 board.set_deadline(d);
             }
             let deaths: Mutex<Vec<WarpDeath>> = Mutex::new(Vec::new());
-            let arenas = warm.map(WarmSlot::arenas);
             let body = |warp: &mut stmatch_gpusim::Warp| {
-                self.warp_body(
-                    cfg,
-                    graph,
-                    plan,
-                    hubs,
-                    compiled,
-                    &board,
-                    faults,
-                    device,
-                    devices,
-                    anchor.map(|a| a.map).or_else(|| shard.map(|sc| sc.map)),
-                    anchor.map(|a| a.pins),
-                    collector,
-                    &deaths,
-                    arenas,
-                    warp,
-                );
+                self.warp_body(r, &board, faults, &deaths, warp);
             };
-            let (pass_metrics, escaped) = match warm {
+            let (pass_metrics, escaped) = match r.warm {
                 Some(w) => w.grid().launch_contained(&body),
                 None => grid.launch_contained(body),
             };
@@ -674,7 +615,7 @@ impl Engine {
             timed_out = timed_out || aborted;
             cursor = board.chunk_cursor();
             let leftovers = board.take_leftovers();
-            if let Some(sc) = shard {
+            if let Some((rail, shard)) = r.rail {
                 // Sharded grids run exactly one pass: stranded payloads go
                 // back to the rail, where live sibling shards (or the
                 // driver's recovery rounds, see `crate::shard`) pick them
@@ -683,17 +624,17 @@ impl Engine {
                 if aborted {
                     report.unrecovered += leftovers.len();
                 } else if !leftovers.is_empty() {
-                    sc.rail.push_requeue(leftovers);
+                    rail.push_requeue(leftovers);
                 }
                 if report.deaths.len() >= cfg.grid.total_warps() {
                     // The whole shard died; record it on the rail so the
                     // driver knows a recovery round may be needed even if
                     // siblings steal the orphaned range meanwhile.
-                    sc.rail.mark_shard_dead(sc.shard);
+                    rail.mark_shard_dead(shard);
                 }
                 break;
             }
-            let work_remains = !leftovers.is_empty() || cursor < device_count;
+            let work_remains = !leftovers.is_empty() || cursor < r.l0_len;
             if aborted || !work_remains {
                 // Timed-out (or containment-failed) runs are partial by
                 // contract; completed runs have nothing left to salvage.
@@ -717,8 +658,6 @@ impl Engine {
             report,
             spill_events,
             peak_cells,
-            cursor,
-            domain: device_count,
         }
     }
 
@@ -726,25 +665,16 @@ impl Engine {
     /// panic, the kernel's unfinished work is reclaimed and requeued, the
     /// board's liveness bookkeeping is repaired, and the death is
     /// recorded — survivors finish the traversal with exact counts.
-    #[allow(clippy::too_many_arguments)]
     fn warp_body(
         &self,
-        cfg: &EngineConfig,
-        graph: &Graph,
-        plan: &MatchPlan,
-        hubs: Option<&HubBitmapIndex>,
-        compiled: Option<&CompiledPlan>,
+        r: &Resolved<'_>,
         board: &Board,
         faults: Option<&FaultPlan>,
-        device: usize,
-        devices: usize,
-        l0_map: Option<&[VertexId]>,
-        anchor_pins: Option<&[(VertexId, VertexId)]>,
-        collector: Option<&Mutex<Vec<VertexId>>>,
         deaths: &Mutex<Vec<WarpDeath>>,
-        arenas: Option<&ArenaPool>,
         warp: &mut stmatch_gpusim::Warp,
     ) {
+        let cfg = r.env.cfg;
+        let arenas = r.warm.map(WarmSlot::arenas);
         let me = warp.id();
         // Which side of the idle protocol the warp is on, for death
         // bookkeeping (a busy death releases the busy count, an idle death
@@ -755,20 +685,7 @@ impl Engine {
             // Warm path: recycle a parked arena (reset, not reallocated)
             // instead of building fresh slabs for this query.
             let recycled = arenas.and_then(ArenaPool::checkout);
-            let mut k = WarpKernel::with_arena(
-                graph, plan, cfg, board, me, faults, hubs, recycled, compiled,
-            );
-            k.set_device_partition(device, devices);
-            if let Some(map) = l0_map {
-                k.set_level0_map(map);
-            }
-            if let Some(pins) = anchor_pins {
-                k.set_anchor_pins(pins);
-            }
-            if collector.is_some() {
-                k.enable_enumeration();
-            }
-            let kernel = kernel.insert(k);
+            let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
             'outer: loop {
                 if board.aborted() {
                     break;
@@ -924,7 +841,7 @@ impl Engine {
                 // reset at the next checkout makes torn state irrelevant.
                 p.give_back(k.take_arena());
             }
-            if let Some(c) = collector {
+            if let Some(c) = r.collector {
                 // Poison recovery as in steal.rs (tracked_lock applies it):
                 // embeddings are appended atomically per warp, so a
                 // panicking sibling cannot tear this vector. A dead warp's
@@ -1118,21 +1035,6 @@ mod tests {
         match Engine::new(cfg).run(&g, &p) {
             Err(LaunchError::SharedMemory(_)) => {}
             other => panic!("expected fail-fast overflow, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn partitions_sum_to_total() {
-        let g = gen::erdos_renyi(80, 320, 13);
-        let p = catalog::paper_query(1); // P5
-        let engine = Engine::new(EngineConfig::default().with_grid(small_grid()));
-        let plan = engine.compile(&p);
-        let total = engine.run_plan(&g, &plan).unwrap().count;
-        for devices in [2, 4] {
-            let sum: u64 = (0..devices)
-                .map(|d| engine.run_partition(&g, &plan, d, devices).unwrap().count)
-                .sum();
-            assert_eq!(sum, total, "devices={devices}");
         }
     }
 

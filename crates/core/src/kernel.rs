@@ -82,6 +82,41 @@ macro_rules! shape_dispatch {
     };
 }
 
+/// What every warp kernel of one launch attempt shares: the request
+/// resolved against one configuration (see `Engine::launch`).
+#[derive(Clone, Copy)]
+pub struct KernelEnv<'a> {
+    pub graph: &'a Graph,
+    pub plan: &'a MatchPlan,
+    pub cfg: &'a EngineConfig,
+    /// Hub-bitmap index, present iff `cfg.hub_bitmap.enabled` (the engine
+    /// resolves the graph's attached index or builds one per run). `None`
+    /// keeps every set operation on the classic element paths.
+    pub hubs: Option<&'a HubBitmapIndex>,
+    /// Compiled-plan tiers, present iff `cfg.compile.enabled`; ignored
+    /// when `hubs` is set (the tiers accelerate the classic element
+    /// engine). `None` keeps the per-claim plan walk.
+    pub compiled: Option<&'a CompiledPlan>,
+    /// Level-0 translation: virtual index `i` denotes data vertex
+    /// `l0_map[i]` (a sharded run's permutation, an anchored run's two
+    /// endpoints), or vertex `i` itself when `None`. Chunk ranges and
+    /// reclaimed payloads stay in virtual index space, so they are
+    /// portable across every grid sharing the same map.
+    pub l0_map: Option<&'a [VertexId]>,
+    /// Anchor pins for incremental (delta) runs: `(a, b)` entries meaning
+    /// "when `matched[0] == a`, the only valid level-1 candidate is `b`".
+    /// Keyed by the matched vertex, not the claim index, so the pin
+    /// survives work stealing (stolen payloads copy the matched prefix).
+    /// With a two-endpoint `l0_map = [a, b]` and pins `[(a, b), (b, a)]`
+    /// the kernel enumerates exactly the embeddings whose first two
+    /// matched positions are the anchored data edge, in both orientations.
+    pub anchor_pins: Option<&'a [(VertexId, VertexId)]>,
+    /// Materialize every match as a pattern-vertex-indexed embedding
+    /// (Fig. 3's `Output`) instead of only counting; drain with
+    /// [`WarpKernel::take_emitted`] after the run.
+    pub enumerate: bool,
+}
+
 /// Per-warp kernel state.
 pub struct WarpKernel<'a> {
     g: &'a Graph,
@@ -107,19 +142,9 @@ pub struct WarpKernel<'a> {
     /// Level at which the current work item entered (0 for chunks,
     /// `payload.target` for stolen work).
     entry: usize,
-    /// Level-0 vertex mapping for multi-device partitioning: virtual index
-    /// `i` denotes data vertex `l0_base + i * l0_stride`.
-    l0_base: usize,
-    l0_stride: usize,
-    /// Level-0 permutation for sharded runs: virtual index `i` (after the
-    /// base/stride mapping) denotes data vertex `l0_map[i]`. `None` keeps
-    /// the identity, bit-identical to pre-sharding revisions.
+    /// See [`KernelEnv::l0_map`].
     l0_map: Option<&'a [VertexId]>,
-    /// Anchor pins for incremental (delta) runs: `(a, b)` entries meaning
-    /// "when `matched[0] == a`, the only valid level-1 candidate is `b`".
-    /// Keyed by the matched vertex, not the claim index, so the pin
-    /// survives work stealing (stolen payloads copy the matched prefix).
-    /// `None` keeps every path bit-identical to pre-delta revisions.
+    /// See [`KernelEnv::anchor_pins`].
     anchor: Option<&'a [(VertexId, VertexId)]>,
     /// Ping/pong scratch for multi-op set chains; the final chain op
     /// writes straight into the arena, so these only hold intermediates.
@@ -162,7 +187,7 @@ pub struct WarpKernel<'a> {
     hubs: Option<&'a HubBitmapIndex>,
     /// Compiled-plan tiers, present iff `cfg.compile.enabled` and hub
     /// routing is off (the tiers accelerate the classic element engine;
-    /// see `engine::run_inner`). `None` keeps the per-claim plan walk,
+    /// see `Engine::launch`). `None` keeps the per-claim plan walk,
     /// bit-identical to pre-compilation revisions.
     compiled: Option<&'a CompiledPlan>,
     /// Claims recorded since the last profile flush to `compiled` (always
@@ -172,42 +197,32 @@ pub struct WarpKernel<'a> {
 }
 
 impl<'a> WarpKernel<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        g: &'a Graph,
-        plan: &'a MatchPlan,
-        cfg: &'a EngineConfig,
-        board: &'a Board,
-        warp_id: usize,
-        faults: Option<&'a FaultPlan>,
-        hubs: Option<&'a HubBitmapIndex>,
-    ) -> Self {
-        Self::with_arena(g, plan, cfg, board, warp_id, faults, hubs, None, None)
-    }
-
-    /// [`WarpKernel::new`] with an optional recycled [`StackArena`] (from a
-    /// resident service's pool). A recycled arena is reset to this kernel's
+    /// Builds warp `warp_id`'s kernel for one launch. A recycled
+    /// [`StackArena`] (from a warm slot's pool) is reset to this kernel's
     /// geometry before use, reusing its heap blocks — the warm-pool path
-    /// that amortizes the per-warp slab allocation across queries. `None`
-    /// allocates fresh, exactly as before.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_arena(
-        g: &'a Graph,
-        plan: &'a MatchPlan,
-        cfg: &'a EngineConfig,
+    /// that amortizes the per-warp slab allocation across queries; `None`
+    /// allocates fresh.
+    pub fn new(
+        env: &KernelEnv<'a>,
         board: &'a Board,
         warp_id: usize,
         faults: Option<&'a FaultPlan>,
-        hubs: Option<&'a HubBitmapIndex>,
         recycle: Option<StackArena>,
-        compiled: Option<&'a CompiledPlan>,
     ) -> Self {
+        let KernelEnv {
+            graph: g,
+            plan,
+            cfg,
+            hubs,
+            compiled,
+            ..
+        } = *env;
         let k = plan.num_levels();
         let unroll = cfg.unroll;
         // Tight slab capacity: every candidate list descends from some
         // neighbor list through shrinking ops, so no list outgrows the
         // graph's max degree. Budget accounting still reserves the paper's
-        // fixed `max_degree_slab` per slot (see `run_inner`); allocating
+        // fixed `max_degree_slab` per slot (see `Engine::attempt`); allocating
         // tighter just packs the slabs densely for the cache.
         let cap = cfg.max_degree_slab.min(g.max_degree().max(1));
         // Certificate-shaped slabs: a clean static verification may have
@@ -265,11 +280,9 @@ impl<'a> WarpKernel<'a> {
             emit_tail: Vec::new(),
             claims: 0,
             publishes: 0,
-            l0_base: 0,
-            l0_stride: 1,
-            l0_map: None,
-            anchor: None,
-            emit: None,
+            l0_map: env.l0_map,
+            anchor: env.anchor_pins,
+            emit: env.enumerate.then(Vec::new),
             pending_matches: 0,
             emit_mark: 0,
             inflight: None,
@@ -281,14 +294,7 @@ impl<'a> WarpKernel<'a> {
         }
     }
 
-    /// Switches the kernel from counting to enumerating: every match is
-    /// materialized as a pattern-vertex-indexed embedding (Fig. 3's
-    /// `Output`). Call [`WarpKernel::take_emitted`] after the run.
-    pub fn enable_enumeration(&mut self) {
-        self.emit = Some(Vec::new());
-    }
-
-    /// Drains the embeddings collected since enumeration was enabled, as a
+    /// Drains the embeddings collected under [`KernelEnv::enumerate`], as a
     /// flat buffer of `k`-strided records.
     pub fn take_emitted(&mut self) -> Vec<VertexId> {
         self.emit_mark = 0;
@@ -307,31 +313,6 @@ impl<'a> WarpKernel<'a> {
             emb[base + order.vertex_at(pos)] = self.matched[pos];
         }
         emb[base + order.vertex_at(k - 1)] = v;
-    }
-
-    /// Configures the strided level-0 partition for multi-device runs:
-    /// this kernel's virtual index `i` maps to vertex `base + i * stride`.
-    pub fn set_device_partition(&mut self, base: usize, stride: usize) {
-        debug_assert!(stride >= 1);
-        self.l0_base = base;
-        self.l0_stride = stride;
-    }
-
-    /// Installs the sharded level-0 permutation: virtual index `i` maps to
-    /// data vertex `map[i]`. Chunk ranges and reclaimed payloads stay in
-    /// virtual index space, so they are portable across every shard
-    /// sharing the same map.
-    pub fn set_level0_map(&mut self, map: &'a [VertexId]) {
-        self.l0_map = Some(map);
-    }
-
-    /// Installs the anchor pins for an incremental (delta) run: with a
-    /// two-endpoint level-0 map `[a, b]` and pins `[(a, b), (b, a)]`, the
-    /// kernel enumerates exactly the embeddings whose first two matched
-    /// positions are the anchored data edge, in both orientations (the
-    /// anchored plan's order places a pattern edge at positions 0/1).
-    pub fn set_anchor_pins(&mut self, pins: &'a [(VertexId, VertexId)]) {
-        self.anchor = Some(pins);
     }
 
     /// Per-level validity context, including the level-1 anchor pin when
@@ -609,10 +590,9 @@ impl<'a> WarpKernel<'a> {
                 warp.metrics_mut().simt_instructions += 256;
             }
             let v = if l == 0 {
-                let vi = self.l0_base + idx * self.l0_stride;
                 match self.l0_map {
-                    Some(map) => map[vi],
-                    None => vi as VertexId,
+                    Some(map) => map[idx],
+                    None => idx as VertexId,
                 }
             } else {
                 self.candidate_list(l, 0)[idx]
@@ -1383,7 +1363,7 @@ struct Validity<'p> {
     resid: Option<stmatch_graph::Label>,
     bounds: &'p [(usize, Bound)],
     /// Level-1 anchor pins of a delta run (see
-    /// [`WarpKernel::set_anchor_pins`]); `None` everywhere else.
+    /// [`KernelEnv::anchor_pins`]); `None` everywhere else.
     anchor: Option<&'p [(VertexId, VertexId)]>,
 }
 

@@ -46,7 +46,6 @@ pub mod delta;
 pub mod engine;
 pub mod fault;
 pub mod kernel;
-pub mod multi;
 pub mod pool;
 pub mod recover;
 pub mod service;
@@ -59,9 +58,8 @@ pub use config::{
     CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning, VerifyTuning,
 };
 pub use delta::{DeltaPlans, MatchDelta};
-pub use engine::{Engine, Enumeration, MatchOutcome};
+pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
-pub use multi::{run_multi_device, MultiDeviceOutcome, UncoveredRange};
 pub use pool::{ArenaPool, WarmSlot};
 pub use recover::{DowngradeStep, RecoveryPolicy, ShardStep};
 pub use service::{

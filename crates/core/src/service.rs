@@ -39,7 +39,7 @@
 use crate::compile::CompiledPlan;
 use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta};
-use crate::engine::{Engine, MatchOutcome};
+use crate::engine::{Engine, Launch, MatchOutcome};
 use crate::fault::FaultPlan;
 use crate::pool::WarmSlot;
 use crate::recover::RecoveryPolicy;
@@ -583,11 +583,11 @@ impl Inner {
                     .run_plan_sharded_weighted(&graph, plan, weights.as_deref())
                     .map(|s| s.outcome)
             } else {
-                match (warm, compiled) {
-                    (Some(w), _) => engine.run_plan_warm_compiled(&graph, plan, w, compiled),
-                    (None, Some(c)) => engine.run_plan_compiled(&graph, plan, c),
-                    (None, None) => engine.run_plan(&graph, plan),
-                }
+                engine.launch(&Launch {
+                    warm,
+                    compiled,
+                    ..Launch::new(&graph, plan)
+                })
             }
         }));
         match ran {
@@ -794,9 +794,10 @@ impl MatchService {
     /// the old snapshot; queries admitted after see the new one.
     ///
     /// Watcher deltas are computed and delivered *on the caller's
-    /// thread*, after the graph lock is released — a slow or panicking
-    /// watcher delays only its own `apply_batch` caller, never the
-    /// admission or query lanes.
+    /// thread*, after the graph lock is released — a slow watcher delays
+    /// only its own `apply_batch` caller, never the admission or query
+    /// lanes, and a panicking one is contained: the batch still returns
+    /// and every other watcher still gets its event.
     ///
     /// # Panics
     /// Panics if the service was not built with
@@ -822,19 +823,27 @@ impl MatchService {
         for w in &watchers {
             let engine = Engine::new(inner.cfg.engine);
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                engine.run_delta_plans(&pre, &post, &batch, &w.plans)
+                engine
+                    .run_delta_plans_metered(&pre, &post, &batch, &w.plans)
+                    .map(|(delta, _instructions)| delta)
             }));
             let delta = match ran {
                 Ok(Ok(d)) => Ok(d),
                 Ok(Err(e)) => Err(format!("launch failed: {e}")),
                 Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
             };
-            (w.cb)(WatchEvent {
+            let event = WatchEvent {
                 watch: w.id,
                 version: batch.version,
                 batch: batch.clone(),
                 delta,
-            });
+            };
+            // Contained like the launch above: one bad subscriber must not
+            // unwind into the updater (the graph is already swapped) or
+            // starve the later watchers of this batch. The watcher stays
+            // registered; its panic has no ticket to be reported on and is
+            // dropped.
+            let _ = catch_unwind(AssertUnwindSafe(|| (w.cb)(event)));
         }
         batch
     }

@@ -1,12 +1,13 @@
 //! Sharded multi-grid execution with shard-death recovery (DESIGN.md §4i).
 //!
 //! A *shard* is one independent grid working a slice of the level-0
-//! domain. Unlike the strided [`run_partition`](crate::Engine::
-//! run_partition) path — which fixes each device's slice at launch and
-//! cannot rebalance — shards share a [`ShardRail`]: every shard's slice
-//! lives on the rail as chunk ranges over one global *permutation* of the
-//! level-0 vertices, so ranges (and reclaimed stack payloads) stay
-//! portable across shards. Three mechanisms ride on that portability:
+//! domain — the paper's multi-GPU scheme (§VIII-B: "duplicating the input
+//! graph and dividing the outermost loop iterations across GPUs"), and the
+//! only multi-device path: `shards` is the device count. Shards share a
+//! [`ShardRail`]: every shard's slice lives on the rail as chunk ranges
+//! over one global *permutation* of the level-0 vertices, so ranges (and
+//! reclaimed stack payloads) stay portable across shards. Three
+//! mechanisms ride on that portability:
 //!
 //! * **Work-aware partitioning** ([`ShardPlan::work_aware`]): the domain
 //!   is split by the degree/triangle weight proxy of
@@ -17,7 +18,8 @@
 //! * **Cross-shard stealing**: a shard that drains its own slice steals
 //!   half the largest remaining slice over the rail
 //!   ([`ShardRail::claim`]), at a fixed +512 SIMT-instruction receive
-//!   cost per stolen chunk (the device-to-device copy analogue).
+//!   cost per stolen chunk (the device-to-device copy analogue). With
+//!   `cross_steal` off the split is static, as in the paper.
 //! * **Shard-death recovery**: when a whole shard grid dies (injected
 //!   via [`FaultPlan::shard_kill_at`](crate::fault::FaultPlan) or real),
 //!   its reclaimed payloads land back on the rail for live siblings; the
@@ -27,11 +29,13 @@
 //!   ([`RecoveryPolicy::shard_retries`](crate::RecoveryPolicy) rounds,
 //!   injection off), then one cold single-grid pass.
 //!
-//! Everything is gated behind [`EngineConfig::shard`](crate::EngineConfig)
-//! (off by default); the facade in [`crate::multi`] routes to this module
-//! when the knob is on.
+//! [`Engine::run_plan_sharded`] reads the shard count and balancing
+//! features from [`EngineConfig::shard`](crate::EngineConfig); its
+//! `enabled` flag only tells the resident service to route queries here.
+//! Each shard's grid is one [`Launch`](crate::Launch) over the crate-private
+//! `Level0::Rail` domain.
 
-use crate::engine::{Engine, MatchOutcome, ShardCtx};
+use crate::engine::{Engine, Launch, Level0, MatchOutcome};
 use crate::fault::{FaultPlan, FaultReport};
 use crate::recover::ShardStep;
 use crate::steal::{RailStats, ShardRail};
@@ -242,7 +246,7 @@ impl Engine {
     /// weights for the work-aware split (see
     /// [`ShardPlan::work_aware_with_weights`]); `None` recomputes them
     /// from the graph.
-    pub fn run_plan_sharded_weighted(
+    pub(crate) fn run_plan_sharded_weighted(
         &self,
         graph: &Graph,
         plan: &MatchPlan,
@@ -397,12 +401,14 @@ impl Engine {
                                 }
                             }
                         }
-                        let ctx = ShardCtx {
-                            rail,
-                            shard: sh,
-                            map: order,
-                        };
-                        e.run_sharded_pass(graph, plan, &ctx)
+                        e.launch(&Launch {
+                            domain: Level0::Rail {
+                                rail,
+                                shard: sh,
+                                order,
+                            },
+                            ..Launch::new(graph, plan)
+                        })
                     })
                 })
                 .collect();
@@ -445,7 +451,6 @@ fn merge_round(round: &[MatchOutcome], reproduce: Option<String>) -> MatchOutcom
         spill_events: 0,
         peak_slab_cells: 0,
         served_tier: first.served_tier,
-        l0_uncovered: None,
     };
     if let Some(r) = reproduce {
         report_mut(&mut merged).reproduce = Some(r);

@@ -449,7 +449,7 @@ pub struct Board {
 impl Board {
     /// Creates the board for a grid of `num_blocks × warps_per_block` warps
     /// over the level-0 vertex range `[start, end)` (a full graph uses
-    /// `(0, num_vertices)`; multi-device runs partition the range).
+    /// `(0, num_vertices)`; sharded grids pass `(0, 0)` and draw from the rail).
     pub fn new(
         num_blocks: usize,
         warps_per_block: usize,

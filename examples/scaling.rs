@@ -5,7 +5,7 @@
 //! cargo run --release --example scaling
 //! ```
 
-use stmatch_core::{multi, Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig};
 use stmatch_graph::datasets::Dataset;
 use stmatch_pattern::catalog;
 
@@ -20,11 +20,20 @@ fn main() {
     );
 
     // --- Multi-device scaling (Fig. 11) ---
-    let engine = Engine::new(EngineConfig::default());
-    let single = multi::run_multi_device(&engine, &graph, &query, 1).expect("launch");
+    // One shard grid per device over a static split of the outermost loop
+    // (no cross-device stealing, as in the paper).
+    let sharded = |devices: usize| {
+        let mut cfg = EngineConfig::default().with_shards(devices);
+        cfg.shard.cross_steal = false;
+        let out = Engine::new(cfg)
+            .run_sharded(&graph, &query)
+            .expect("launch");
+        out.outcome
+    };
+    let single = sharded(1);
     println!("multi-device scaling (simulated bottleneck time):");
     for devices in [1usize, 2, 4] {
-        let out = multi::run_multi_device(&engine, &graph, &query, devices).expect("launch");
+        let out = sharded(devices);
         assert_eq!(
             out.count, single.count,
             "partitioning must not change counts"

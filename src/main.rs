@@ -15,7 +15,7 @@
 
 use std::process::exit;
 use std::time::Duration;
-use stmatch_core::{multi, Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, io, Graph, GraphStats};
 use stmatch_pattern::{catalog, Pattern};
@@ -185,6 +185,10 @@ fn engine_config(opts: &Opts) -> EngineConfig {
     if let Some(w) = opts.warps {
         grid.warps_per_block = w;
     }
+    // `--devices N`: one shard grid per device over the paper's static
+    // split of the outermost loop (§VIII-B) — no cross-device stealing.
+    cfg.shard.shards = opts.devices.max(1);
+    cfg.shard.cross_steal = false;
     cfg.with_grid(grid)
 }
 
@@ -222,15 +226,15 @@ fn count(opts: &Opts) {
         return;
     }
     if opts.devices > 1 {
-        let out = multi::run_multi_device(&engine, &g, &p, opts.devices).unwrap_or_else(|e| {
+        let out = engine.run_sharded(&g, &p).unwrap_or_else(|e| {
             eprintln!("launch failed: {e}");
             exit(1);
         });
-        println!("{}", out.count);
+        println!("{}", out.outcome.count);
         eprintln!(
             "{} devices, bottleneck {:.2} Mcycles",
             opts.devices,
-            out.simulated_cycles() as f64 / 1e6
+            out.outcome.simulated_cycles() as f64 / 1e6
         );
         return;
     }

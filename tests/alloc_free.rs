@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use stmatch_core::kernel::WarpKernel;
+use stmatch_core::kernel::{KernelEnv, WarpKernel};
 use stmatch_core::steal::Board;
 use stmatch_core::EngineConfig;
 use stmatch_gpusim::{Grid, GridConfig};
@@ -84,7 +84,17 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     static STEADY_MATCHES: AtomicU64 = AtomicU64::new(0);
 
     let metrics = grid.launch(|warp| {
-        let mut kernel = WarpKernel::new(&g, &plan, &cfg, &board, warp.id(), None, hubs);
+        let env = KernelEnv {
+            graph: &g,
+            plan: &plan,
+            cfg: &cfg,
+            hubs,
+            compiled: None,
+            l0_map: None,
+            anchor_pins: None,
+            enumerate: false,
+        };
+        let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
 
         // Warmup pass: sizes every reusable scratch buffer.
         kernel.install_chunk(0, n);

@@ -9,7 +9,7 @@
 //! comparison has teeth: corrupting one opcode in an otherwise
 //! well-formed stream must change counts (and carries a reproduce line).
 
-use stmatch_core::{CompiledPlan, Engine, EngineConfig};
+use stmatch_core::{CompiledPlan, Engine, EngineConfig, Launch, WarmSlot};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::bytecode::{mutation, PlanBytecode};
@@ -158,9 +158,41 @@ fn seeded_opcode_swap_is_caught_by_golden_counts() {
     cfg.compile.enabled = true;
     let mutant = CompiledPlan::from_bytecode(bc, cfg.compile);
     let engine = Engine::new(cfg);
-    let got = engine.run_plan_compiled(&g, &plan, &mutant).unwrap().count;
+    let mut req = Launch::new(&g, &plan);
+    req.compiled = Some(&mutant);
+    let got = engine.launch(&req).unwrap().count;
     assert_ne!(
         got, baseline,
         "opcode swap escaped the golden count check ({reproduce})"
     );
+}
+
+/// The optional resources of a [`Launch`] are behaviorally invisible: a
+/// warm slot, a caller-held compiled plan, both, or neither give the same
+/// count and — under the steal-free schedule — the same instruction total.
+#[test]
+fn launch_resources_are_metric_identical() {
+    let g = unlabeled_graph();
+    let mut cfg = deterministic_cfg();
+    cfg.compile.enabled = true;
+    let engine = Engine::new(cfg);
+    let slot = WarmSlot::new(cfg.grid).unwrap();
+    for qi in [1, 6, 8] {
+        let plan = engine.compile(&catalog::paper_query(qi));
+        let held = CompiledPlan::lower(&plan, cfg.compile).unwrap();
+        let base = engine.launch(&Launch::new(&g, &plan)).unwrap();
+        for (warm, compiled) in [
+            (Some(&slot), None),
+            (None, Some(&held)),
+            (Some(&slot), Some(&held)),
+        ] {
+            let mut req = Launch::new(&g, &plan);
+            req.warm = warm;
+            req.compiled = compiled;
+            let out = engine.launch(&req).unwrap();
+            let tag = format!("q{qi} warm={} held={}", warm.is_some(), compiled.is_some());
+            assert_eq!(out.count, base.count, "{tag}");
+            assert_eq!(out.total_instructions(), base.total_instructions(), "{tag}");
+        }
+    }
 }

@@ -91,8 +91,9 @@ fn check_stream(base: Graph, queries: &[Pattern], seed: u64, batches: usize, ops
         let post = overlay.snapshot();
         for (i, q) in queries.iter().enumerate() {
             let delta = e
-                .run_delta_plans(&pre, &post, &batch, &plans[i])
-                .expect("delta run");
+                .run_delta_plans_metered(&pre, &post, &batch, &plans[i])
+                .expect("delta run")
+                .0;
             running[i] += delta.net();
             let full = e.run(&post, q).expect("recompute").count;
             assert_eq!(
@@ -216,8 +217,9 @@ fn prop_random_streams_reconcile() {
                 let batch = overlay.apply(&ops);
                 let post = overlay.snapshot();
                 let delta = e
-                    .run_delta_plans(&pre, &post, &batch, &plans)
-                    .map_err(|e| e.to_string())?;
+                    .run_delta_plans_metered(&pre, &post, &batch, &plans)
+                    .map_err(|e| e.to_string())?
+                    .0;
                 running += delta.net();
                 let full = e.run(&post, &q).map_err(|e| e.to_string())?.count;
                 if running != full as i64 {

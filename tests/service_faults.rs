@@ -4,13 +4,14 @@
 //! returning exact counts — the shared grids, arenas, and plan cache are
 //! never poisoned by a neighbour's death.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use stmatch_core::{
     Engine, EngineConfig, FaultPlan, MatchService, QueryOptions, ServiceConfig, ServiceError,
 };
 use stmatch_gpusim::GridConfig;
-use stmatch_graph::{gen, Graph};
+use stmatch_graph::{gen, EdgeOp, Graph};
 use stmatch_pattern::catalog;
 
 fn grid() -> GridConfig {
@@ -152,4 +153,47 @@ fn mixed_batch_keeps_per_query_outcomes() {
     let out = healthy.wait().expect("healthy");
     assert_eq!(out.count, oracle);
     assert!(out.fault.is_none());
+}
+
+/// A watcher whose callback panics on every event is contained like a
+/// panicking query: `apply_batch` still returns the batch, the watcher
+/// registered after it still receives this batch's exact delta, and the
+/// next batch is served the same way (the bad watcher stays registered).
+#[test]
+fn panicking_watch_callback_is_contained() {
+    let graph = fixture_graph();
+    let absent: Vec<(u32, u32)> = (0..48u32)
+        .flat_map(|u| (u + 1..48).map(move |v| (u, v)))
+        .filter(|&(u, v)| !graph.has_edge(u, v))
+        .take(2)
+        .collect();
+    let cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
+    let svc = MatchService::new(Arc::new(graph), ServiceConfig::new(cfg));
+    let q = catalog::triangle();
+    let mut running = svc.submit(&q, QueryOptions::default()).unwrap().count as i64;
+
+    let bad_calls = Arc::new(AtomicU64::new(0));
+    let calls = Arc::clone(&bad_calls);
+    svc.submit_watch(&q, move |_| {
+        // Relaxed: a plain call counter read after apply_batch returns on
+        // this same thread.
+        calls.fetch_add(1, Ordering::Relaxed);
+        panic!("bad subscriber");
+    });
+    let events = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&events);
+    svc.submit_watch(&q, move |e| sink.lock().unwrap().push(e));
+
+    for (i, &(u, v)) in absent.iter().enumerate() {
+        let batch = svc.apply_batch(&[EdgeOp::insert(u, v)]);
+        assert_eq!(batch.inserts, vec![(u, v)], "the batch is returned");
+        assert_eq!(bad_calls.load(Ordering::Relaxed), i as u64 + 1);
+        let seen = events.lock().unwrap();
+        assert_eq!(seen.len(), i + 1, "the later watcher is not starved");
+        assert_eq!(seen[i].version, batch.version);
+        running += seen[i].delta.clone().expect("delta computed").net();
+        drop(seen);
+        let full = svc.submit(&q, QueryOptions::default()).unwrap().count;
+        assert_eq!(running, full as i64, "delta of batch {i} is exact");
+    }
 }

@@ -2,7 +2,7 @@
 //! produce *exact* golden counts on both pinned fixture graphs when the
 //! domain is split across shard grids — clean, under whole-shard death
 //! (1-of-4 and 3-of-4 victims), through the shard recovery ladder, and
-//! via the `run_multi_device` facade (DESIGN.md §4i).
+//! as the static multi-device split `--devices N` runs (DESIGN.md §4i).
 //!
 //! The contract under test: a dying shard's reclaimed work lands on the
 //! shared [`ShardRail`] and is re-executed by survivors (or by the
@@ -10,7 +10,7 @@
 //! counted twice, and every shard-death report carries a deterministic
 //! reproduce line.
 
-use stmatch_core::{run_multi_device, Engine, EngineConfig, FaultPlan, RecoveryPolicy, ShardStep};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, RecoveryPolicy, ShardStep};
 use stmatch_gpusim::{GridConfig, SharedBudget};
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -255,58 +255,67 @@ fn contiguous_partitioning_is_count_invariant() {
     }
 }
 
-/// The multi-device facade routes through the shard driver when the knob
-/// is on — exact counts, full bookkeeping attached, nothing uncovered —
-/// and stays on the strided path (no shard bookkeeping) when it is off.
+/// The multi-device configuration (`--devices 4`: one shard per device,
+/// cross-device stealing off) is exact, reports every device, and stays
+/// exact with a reproduce line when a device dies — with no live thief,
+/// the dead device's slice is drained by the recovery ladder.
 #[test]
-fn multi_device_facade_routes_through_shards() {
+fn static_multi_device_split_is_exact_and_recovers() {
     let g = unlabeled_graph();
     let q = catalog::paper_query(6);
+    let mut cfg = sharded_cfg(4);
+    cfg.shard.cross_steal = false;
 
-    let on = Engine::new(
-        EngineConfig::default()
-            .with_grid(grid_2x2())
-            .with_shard(true),
-    );
-    let multi = run_multi_device(&on, &g, &q, 4).unwrap();
-    assert_eq!(multi.count, 2_884);
-    assert!(!multi.aborted);
-    assert!(multi.uncovered.is_empty());
-    let sharded = multi
-        .sharded
-        .as_ref()
-        .expect("knob on => shard bookkeeping");
-    assert_eq!(sharded.shards, 4);
-    assert_eq!(multi.devices.len(), 4);
+    let out = Engine::new(cfg).run_sharded(&g, &q).unwrap();
+    assert_eq!(out.outcome.count, 2_884);
+    assert_eq!(out.per_shard.len(), 4);
+    assert!(out.unfinished.is_empty());
+    assert_eq!(out.rail.cross_steals, 0, "the split is static");
 
-    // Facade + injected shard death: still exact, reproduce line intact.
-    let faulty = Engine::new(
-        EngineConfig::default()
-            .with_grid(grid_2x2())
-            .with_shard(true),
-    )
-    .with_fault_plan(FaultPlan::seeded_shard_kill(0xfade, 4, 1));
-    let multi = run_multi_device(&faulty, &g, &q, 4).unwrap();
-    assert_eq!(multi.count, 2_884);
-    assert!(!multi.aborted, "a fully recovered run is not aborted");
-    let sharded = multi.sharded.as_ref().unwrap();
-    if !sharded
-        .outcome
-        .fault
-        .as_ref()
-        .is_none_or(|f| f.deaths.is_empty())
-    {
-        assert!(sharded.reproduce.is_some());
+    let out = Engine::new(cfg)
+        .with_fault_plan(FaultPlan::seeded_shard_kill(0xfade, 4, 1))
+        .run_sharded(&g, &q)
+        .unwrap();
+    assert_eq!(out.outcome.count, 2_884);
+    assert!(out.unfinished.is_empty());
+    if let Some(report) = &out.outcome.fault {
+        assert!(report.fully_recovered());
+        if !report.deaths.is_empty() {
+            assert!(out.reproduce.is_some());
+        }
     }
+}
 
-    // Knob off: same count via the strided path, no shard bookkeeping.
-    let off = Engine::new(EngineConfig::default().with_grid(grid_2x2()));
-    assert!(
-        !off.config().shard.enabled,
-        "sharding must be off by default"
-    );
-    let multi = run_multi_device(&off, &g, &q, 4).unwrap();
-    assert_eq!(multi.count, 2_884);
-    assert!(multi.sharded.is_none());
-    assert!(multi.uncovered.is_empty());
+/// A sharded run cut short by its deadline is partial but auditable: it
+/// returns `Ok` flagged `timed_out`, counts no more than the full run, and
+/// lists the level-0 ranges it never claimed — disjoint, inside the
+/// domain.
+#[test]
+fn timed_out_sharded_run_lists_unfinished_ranges() {
+    // Warps read the clock every 4096 claims, so even a zero budget lets
+    // each warp work through its first claims: the domain must be wide
+    // enough (8000 roots, >= 7 claims each, against 4 single-warp grids)
+    // that most of it is still on the rail when the deadline is noticed.
+    let g = gen::preferential_attachment(8000, 3, 5).degree_ordered();
+    let q = catalog::triangle();
+    let full = Engine::new(EngineConfig::default().with_grid(grid_2x2()))
+        .run(&g, &q)
+        .unwrap()
+        .count;
+    let mut cfg = sharded_cfg(4);
+    cfg.grid.num_blocks = 1;
+    cfg.grid.warps_per_block = 1;
+    cfg.shard.cross_steal = false;
+    let out = Engine::new(cfg)
+        .with_timeout(std::time::Duration::ZERO)
+        .run_sharded(&g, &q)
+        .unwrap();
+    assert!(out.outcome.timed_out);
+    assert!(out.outcome.count <= full);
+    assert!(!out.unfinished.is_empty(), "the rail cannot have drained");
+    let mut ranges = out.unfinished.clone();
+    ranges.sort_unstable();
+    assert!(ranges.iter().all(|&(lo, hi)| lo < hi));
+    assert!(ranges.windows(2).all(|w| w[0].1 <= w[1].0), "{ranges:?}");
+    assert!(ranges.last().unwrap().1 <= g.num_vertices());
 }

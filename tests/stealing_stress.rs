@@ -3,7 +3,7 @@
 //! results must be deterministic run-to-run even though steal timing is
 //! scheduler-dependent.
 
-use stmatch_core::{multi, Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -111,11 +111,21 @@ fn one_warp_per_block_exercises_global_stealing_only() {
 fn device_partitioning_is_exact_for_many_device_counts() {
     let g = skewed();
     let p = catalog::triangle();
-    let engine = Engine::new(EngineConfig::full().with_grid(grid(2, 2)));
-    let want = engine.run(&g, &p).unwrap().count;
+    let cfg = EngineConfig::full().with_grid(grid(2, 2));
+    let want = Engine::new(cfg).run(&g, &p).unwrap().count;
+    // Non-power-of-two device counts, both static splits of the domain.
     for devices in [1usize, 2, 3, 5, 8] {
-        let out = multi::run_multi_device(&engine, &g, &p, devices).unwrap();
-        assert_eq!(out.count, want, "devices={devices}");
+        for work_aware in [false, true] {
+            let mut cfg = cfg.with_shards(devices);
+            cfg.shard.cross_steal = false;
+            cfg.shard.work_aware = work_aware;
+            let out = Engine::new(cfg).run_sharded(&g, &p).unwrap();
+            assert_eq!(
+                out.outcome.count, want,
+                "devices={devices} work_aware={work_aware}"
+            );
+            assert_eq!(out.per_shard.len(), devices);
+        }
     }
 }
 
