@@ -152,6 +152,20 @@ done
 # additionally records the curve).
 run "smoke:delta" cargo run --release --offline -p stmatch-bench --bin delta_check
 
+# Benchmark gate: `benchmark/` is its own workspace, so nothing above
+# compiles it and a break of the call surface it stands on (its README
+# lists it) would otherwise surface only at the benchmark pipeline. Build
+# it, run its unit tests (which also hold BENCHMARK.json equal to its
+# spec), and smoke both declared workloads: exit 0 means every count of the
+# run was checked against the independent oracle.
+BENCH=(--release --offline --manifest-path benchmark/Cargo.toml)
+run "bench:build" cargo build "${BENCH[@]}"
+run "bench:test"  cargo test -q "${BENCH[@]}"
+for w in census_sparse resident_tick; do
+    run "bench:smoke(${w})" cargo run --quiet "${BENCH[@]}" -- \
+        --workload "${w}" --quick --seconds 10 --trace 0
+done
+
 # Atomics-annotation lint: every `Ordering::` use in the engine crate must
 # carry a nearby comment naming its ordering and the invariant it upholds
 # (within the 10 preceding lines, or trailing on the use itself). Keeps

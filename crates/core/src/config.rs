@@ -81,8 +81,8 @@ pub struct EngineConfig {
     pub verify: VerifyTuning,
     /// Batch-dynamic incremental matching (see `delta` and DESIGN.md §4k):
     /// `Engine::run_delta` enumerates the match delta of an edge batch from
-    /// anchored launches over the affected frontier, and `MatchService`
-    /// gains `apply_batch`/`submit_watch`. Disabled by default: one-shot
+    /// anchored launches whose level-0 domain is the update set, and
+    /// `MatchService` gains `apply_batch`/`submit_watch`. Disabled by default: one-shot
     /// runs never consult this knob, so every existing path stays
     /// bit-identical.
     pub delta: DeltaTuning,
@@ -120,18 +120,20 @@ impl Default for EngineConfig {
 /// Off by default and consulted by **no** one-shot code path, so existing
 /// runs are bit-identical with the knob off. Delta mode itself is exact
 /// (oracle-tested against full recomputation), but it is a *different*
-/// workload: anchored two-vertex domains on tiny grids, with symmetry
-/// breaking replaced by automorphism division.
+/// workload: level-0 domains of update-edge endpoints on small grids, with
+/// symmetry breaking replaced by automorphism division.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaTuning {
     /// Arm incremental matching (default `false`). `Engine::run_delta`
     /// panics without it; the service only accepts `apply_batch` /
     /// `submit_watch` when its engine config has it on.
     pub enabled: bool,
-    /// Grid geometry for anchored delta launches. Each stage pins the
-    /// level-0 domain to the two endpoints of one updated edge, so the
-    /// default is a single warp — launching the full grid would park
-    /// dozens of warps per stage.
+    /// Grid geometry for anchored delta launches. A launch's level-0 domain
+    /// is one side of the batch — two indices per update edge, claimed as
+    /// chunks off the ordinary dispenser — and a batch makes two launches
+    /// per pattern edge, so the default is a single warp: a service-sized
+    /// grid would park dozens of warps on a few hundred indices. Wider
+    /// grids are exact too (stolen and requeued work carries its stage).
     pub grid: GridConfig,
     /// Service only: fold the overlay into a fresh CSR after this many
     /// applied batches (0 = never compact). Compaction re-indexes vertices

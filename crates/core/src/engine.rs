@@ -24,7 +24,7 @@
 use crate::compile::CompiledPlan;
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
-use crate::kernel::{KernelEnv, WarpKernel};
+use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
 use crate::recover::{self, DowngradeStep};
 use crate::steal::{Board, ShardRail, StealPayload};
@@ -145,8 +145,8 @@ struct LaunchStats {
 
 /// One launch request: what to match, on which graph, and which resident
 /// resources to reuse. Every route — one-shot runs, enumeration, the
-/// service's cached queries, each shard of a sharded run, each anchored
-/// edge of a delta batch — builds one of these and hands it to
+/// service's cached queries, each shard of a sharded run, each (batch side
+/// × anchored plan) of a delta batch — builds one of these and hands it to
 /// [`Engine::launch`].
 ///
 /// ```
@@ -214,15 +214,18 @@ pub(crate) enum Level0<'a> {
         shard: usize,
         order: &'a [VertexId],
     },
-    /// One updated data edge of a delta batch ([`crate::delta`]): level 0
-    /// collapses to the edge's endpoints `ends = [a, b]` and level 1 is
-    /// pinned to the paired endpoint (`pins = [(a, b), (b, a)]`, keyed by
-    /// the matched level-0 vertex so pins survive stealing), so the run
-    /// counts exactly the embeddings that place the plan's first two order
-    /// positions on that edge.
+    /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
+    /// the update set itself, two virtual indices per stage — the endpoints
+    /// of `edges[s]`, each matched on `views[s]` with level 1 pinned to the
+    /// other ([`Level0Map::Staged`]) — so one launch counts every embedding
+    /// that places the plan's first two order positions on a batch edge,
+    /// each against its own stage graph, and the warps claim stages as
+    /// chunks off the ordinary dispenser. `Launch::graph` is stage 0's view
+    /// (the side's graph, row for row); it only sizes the slabs. Hub routing
+    /// must be off: stage views carry no index.
     Anchored {
-        ends: &'a [VertexId],
-        pins: &'a [(VertexId, VertexId)],
+        edges: &'a [(VertexId, VertexId)],
+        views: &'a [Graph],
     },
 }
 
@@ -426,14 +429,25 @@ impl Engine {
         });
         // The one place the level-0 domain is decided: how many virtual
         // indices the grid's own dispenser hands out, how the kernel maps
-        // an index to a data vertex (`None` = identity), the level-1 pins,
-        // and the rail a sharded grid draws from instead.
-        let (l0_len, l0_map, anchor_pins, rail) = match req.domain {
-            Level0::Whole => (graph.num_vertices(), None, None, None),
-            Level0::Rail { rail, shard, order } => (0, Some(order), None, Some((rail, shard))),
-            // Anchored launches enumerate from the updated edge's two
-            // endpoints only — the whole point of O(batch) delta cost.
-            Level0::Anchored { ends, pins } => (ends.len(), Some(ends), Some(pins), None),
+        // an index to a data vertex, and the rail a sharded grid draws from
+        // instead.
+        let (l0_len, l0, rail) = match req.domain {
+            Level0::Whole => (graph.num_vertices(), Level0Map::Identity, None),
+            Level0::Rail { rail, shard, order } => {
+                (0, Level0Map::Order(order), Some((rail, shard)))
+            }
+            // Anchored launches enumerate from the update edges' endpoints
+            // only — the whole point of O(batch) delta cost.
+            Level0::Anchored { edges, views } => {
+                assert_eq!(edges.len(), views.len(), "one stage view per update edge");
+                // Level-0 indices travel in stolen prefixes as `VertexId`s.
+                assert!(
+                    edges.len() <= (VertexId::MAX / 2) as usize,
+                    "batch side too wide"
+                );
+                assert!(hubs.is_none(), "stage views carry no hub index");
+                (2 * edges.len(), Level0Map::Staged { edges, views }, None)
+            }
         };
         let mut downgrades: Vec<DowngradeStep> = Vec::new();
         loop {
@@ -444,8 +458,7 @@ impl Engine {
                     cfg: &cfg,
                     hubs,
                     compiled,
-                    l0_map,
-                    anchor_pins,
+                    l0,
                     enumerate: req.collector.is_some(),
                 },
                 // A warm slot only serves launches at its exact geometry;

@@ -82,10 +82,34 @@ macro_rules! shape_dispatch {
     };
 }
 
+/// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
+/// and reclaimed payloads stay in virtual index space, so they are portable
+/// across every grid sharing the same map.
+#[derive(Clone, Copy)]
+pub enum Level0Map<'a> {
+    /// Index `i` is vertex `i`.
+    Identity,
+    /// Index `i` is vertex `order[i]` (a sharded run's permutation).
+    Order(&'a [VertexId]),
+    /// One side of a delta batch: index `i` is endpoint `i % 2` of update
+    /// edge `edges[i / 2]`, matched on that stage's graph `views[i / 2]`
+    /// with level 1 pinned to the edge's other endpoint — so the run counts
+    /// exactly the embeddings whose first two matched positions are a batch
+    /// edge, in both orientations, each on its own stage view. The pin is
+    /// keyed by the index, not the vertex: one vertex may end many batch
+    /// edges.
+    Staged {
+        edges: &'a [(VertexId, VertexId)],
+        views: &'a [Graph],
+    },
+}
+
 /// What every warp kernel of one launch attempt shares: the request
 /// resolved against one configuration (see `Engine::launch`).
 #[derive(Clone, Copy)]
 pub struct KernelEnv<'a> {
+    /// The data graph (a staged run's warps move on to the stage views of
+    /// [`KernelEnv::l0`]; this one sizes the slabs).
     pub graph: &'a Graph,
     pub plan: &'a MatchPlan,
     pub cfg: &'a EngineConfig,
@@ -97,20 +121,8 @@ pub struct KernelEnv<'a> {
     /// when `hubs` is set (the tiers accelerate the classic element
     /// engine). `None` keeps the per-claim plan walk.
     pub compiled: Option<&'a CompiledPlan>,
-    /// Level-0 translation: virtual index `i` denotes data vertex
-    /// `l0_map[i]` (a sharded run's permutation, an anchored run's two
-    /// endpoints), or vertex `i` itself when `None`. Chunk ranges and
-    /// reclaimed payloads stay in virtual index space, so they are
-    /// portable across every grid sharing the same map.
-    pub l0_map: Option<&'a [VertexId]>,
-    /// Anchor pins for incremental (delta) runs: `(a, b)` entries meaning
-    /// "when `matched[0] == a`, the only valid level-1 candidate is `b`".
-    /// Keyed by the matched vertex, not the claim index, so the pin
-    /// survives work stealing (stolen payloads copy the matched prefix).
-    /// With a two-endpoint `l0_map = [a, b]` and pins `[(a, b), (b, a)]`
-    /// the kernel enumerates exactly the embeddings whose first two
-    /// matched positions are the anchored data edge, in both orientations.
-    pub anchor_pins: Option<&'a [(VertexId, VertexId)]>,
+    /// Level-0 translation.
+    pub l0: Level0Map<'a>,
     /// Materialize every match as a pattern-vertex-indexed embedding
     /// (Fig. 3's `Output`) instead of only counting; drain with
     /// [`WarpKernel::take_emitted`] after the run.
@@ -119,6 +131,8 @@ pub struct KernelEnv<'a> {
 
 /// Per-warp kernel state.
 pub struct WarpKernel<'a> {
+    /// The graph being matched: the launch's, or — in a staged run — the
+    /// view of the stage the current level-0 index belongs to.
     g: &'a Graph,
     plan: &'a MatchPlan,
     cfg: &'a EngineConfig,
@@ -142,10 +156,13 @@ pub struct WarpKernel<'a> {
     /// Level at which the current work item entered (0 for chunks,
     /// `payload.target` for stolen work).
     entry: usize,
-    /// See [`KernelEnv::l0_map`].
-    l0_map: Option<&'a [VertexId]>,
-    /// See [`KernelEnv::anchor_pins`].
-    anchor: Option<&'a [(VertexId, VertexId)]>,
+    /// See [`KernelEnv::l0`].
+    l0: Level0Map<'a>,
+    /// The level-0 virtual index `matched[0]` was resolved from; published
+    /// and stolen in its place (see [`StealPayload::matched`]).
+    l0_index: usize,
+    /// The level-1 pin of the current stage (staged runs only).
+    pin: Option<VertexId>,
     /// Ping/pong scratch for multi-op set chains; the final chain op
     /// writes straight into the arena, so these only hold intermediates.
     ping: Vec<Vec<VertexId>>,
@@ -280,8 +297,9 @@ impl<'a> WarpKernel<'a> {
             emit_tail: Vec::new(),
             claims: 0,
             publishes: 0,
-            l0_map: env.l0_map,
-            anchor: env.anchor_pins,
+            l0: env.l0,
+            l0_index: 0,
+            pin: None,
             emit: env.enumerate.then(Vec::new),
             pending_matches: 0,
             emit_mark: 0,
@@ -315,16 +333,40 @@ impl<'a> WarpKernel<'a> {
         emb[base + order.vertex_at(k - 1)] = v;
     }
 
-    /// Per-level validity context, including the level-1 anchor pin when
-    /// this is an anchored run. Pins exist only at level 1, so every other
+    /// Per-level validity context, including the level-1 pin of a staged
+    /// run's current stage. Pins exist only at level 1, so every other
     /// level resolves exactly as before.
     #[inline]
     fn validity(&self, l: usize) -> Validity<'a> {
         let mut vy = Validity::for_kernel(self.plan, self.compiled, l);
         if l == 1 {
-            vy.anchor = self.anchor;
+            vy.pin = self.pin;
         }
         vy
+    }
+
+    /// The data vertex of level-0 virtual index `idx`. A staged run also
+    /// moves onto that stage's view and level-1 pin, which then hold for
+    /// the index's whole subtree: level 0 is always shallow, so it is
+    /// claimed one index at a time and every deeper batch shares the stage.
+    #[inline]
+    fn enter_level0(&mut self, idx: usize) -> VertexId {
+        self.l0_index = idx;
+        match self.l0 {
+            Level0Map::Identity => idx as VertexId,
+            Level0Map::Order(order) => order[idx],
+            Level0Map::Staged { edges, views } => {
+                let (a, b) = edges[idx / 2];
+                let (v, pin) = if idx.is_multiple_of(2) {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                self.g = &views[idx / 2];
+                self.pin = Some(pin);
+                v
+            }
+        }
     }
 
     /// Periodic cooperative cancellation check on the claim paths: cheap
@@ -465,17 +507,21 @@ impl<'a> WarpKernel<'a> {
         self.installing = None;
     }
 
-    /// Installs stolen work: restores the matched prefix, recomputes the
-    /// candidate sets of every level up to the target (they are
+    /// Installs stolen work: restores the matched prefix (resolving its
+    /// level-0 index — and with it a staged run's view and pin), recomputes
+    /// the candidate sets of every level up to the target (they are
     /// deterministic functions of the prefix), and points the mirror at the
     /// stolen iteration range.
     pub fn install_payload(&mut self, warp: &mut Warp, p: &StealPayload) {
         debug_assert_eq!(p.matched.len(), p.target);
         self.installing = Some(p.clone());
         self.matched[..p.target].copy_from_slice(&p.matched);
+        if p.target >= 1 {
+            self.matched[0] = self.enter_level0(p.matched[0] as usize);
+        }
         for l in 1..=p.target {
             self.batch[l].clear();
-            self.batch[l].push(p.matched[l - 1]);
+            self.batch[l].push(self.matched[l - 1]);
             self.uiter[l] = 0;
             self.iter[l] = 0;
             let b = std::mem::take(&mut self.batch[l]);
@@ -590,10 +636,7 @@ impl<'a> WarpKernel<'a> {
                 warp.metrics_mut().simt_instructions += 256;
             }
             let v = if l == 0 {
-                match self.l0_map {
-                    Some(map) => map[idx],
-                    None => idx as VertexId,
-                }
+                self.enter_level0(idx)
             } else {
                 self.candidate_list(l, 0)[idx]
             };
@@ -686,7 +729,13 @@ impl<'a> WarpKernel<'a> {
                 None
             };
             let mut m = self.board.mirror(self.warp_id).lock();
-            m.matched[l - 1] = self.batch[l][0];
+            // Level 0 is published as its virtual index, the form a stolen
+            // prefix travels in.
+            m.matched[l - 1] = if l == 1 {
+                self.l0_index as VertexId
+            } else {
+                self.batch[l][0]
+            };
             if let Some(size) = size {
                 m.iter[l] = 0;
                 m.size[l] = size;
@@ -1317,9 +1366,9 @@ impl<'a> WarpKernel<'a> {
                     self.emit_match(v);
                 }
                 self.emit_tail = tail;
-            } else if vy.resid.is_some() || vy.anchor.is_some() {
-                // Residual label checks — and the level-1 anchor pin of a
-                // 2-vertex anchored run, which the closed form below does
+            } else if vy.resid.is_some() || vy.pin.is_some() {
+                // Residual label checks — and the level-1 pin of a
+                // 2-vertex staged run, which the closed form below does
                 // not model — need a per-element probe.
                 total += setops::count_with(warp, cl, |v| vy.check(g, matched, l, v));
             } else {
@@ -1362,9 +1411,9 @@ impl<'a> WarpKernel<'a> {
 struct Validity<'p> {
     resid: Option<stmatch_graph::Label>,
     bounds: &'p [(usize, Bound)],
-    /// Level-1 anchor pins of a delta run (see
-    /// [`KernelEnv::anchor_pins`]); `None` everywhere else.
-    anchor: Option<&'p [(VertexId, VertexId)]>,
+    /// The level-1 pin of a staged run's current stage (see
+    /// [`Level0Map::Staged`]); `None` everywhere else.
+    pin: Option<VertexId>,
 }
 
 impl<'p> Validity<'p> {
@@ -1373,7 +1422,7 @@ impl<'p> Validity<'p> {
         Validity {
             resid: plan.residual_label_check(l),
             bounds: plan.bounds(l),
-            anchor: None,
+            pin: None,
         }
     }
 
@@ -1388,7 +1437,7 @@ impl<'p> Validity<'p> {
             Some(c) => Validity {
                 resid: c.bytecode().level_meta(l).resid,
                 bounds: c.bytecode().bounds(l),
-                anchor: None,
+                pin: None,
             },
             None => Validity::new(plan, l),
         }
@@ -1417,15 +1466,9 @@ impl<'p> Validity<'p> {
                 return false;
             }
         }
-        if let Some(pins) = self.anchor {
-            // Anchored delta run: level 1 is pinned to the paired endpoint
-            // of whatever anchor vertex level 0 matched. The pin table has
-            // two entries (one per orientation), so a linear scan wins
-            // over any lookup structure.
-            debug_assert_eq!(l, 1, "anchor pins exist only at level 1");
-            return pins.iter().any(|&(a, b)| matched[0] == a && v == b);
-        }
-        true
+        // Staged delta run: level 1 admits only the other endpoint of the
+        // update edge level 0 was claimed from.
+        self.pin.is_none_or(|pin| v == pin)
     }
 }
 

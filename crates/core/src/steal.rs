@@ -73,7 +73,8 @@ pub struct MirrorState {
     /// End of the iteration range per shallow level (`iter == size` means
     /// drained).
     pub size: [usize; MAX_STOP],
-    /// Vertex currently matched at each shallow level.
+    /// What is currently matched at each shallow level, in the form a
+    /// stolen prefix travels in (see [`StealPayload::matched`]).
     pub matched: [VertexId; MAX_STOP],
 }
 
@@ -148,7 +149,12 @@ impl Mirror {
 pub struct StealPayload {
     /// Level whose candidate iterations were stolen.
     pub target: usize,
-    /// Matched vertices at levels `0..target`.
+    /// The matched prefix of levels `0..target`: `matched[0]` is the level-0
+    /// *virtual index* the prefix was claimed as — like level-0 ranges, it
+    /// stays in index space, and the installing kernel resolves it through
+    /// the launch's level-0 map (to a vertex; in a staged delta run, where
+    /// one vertex may end several update edges, also to the stage's view
+    /// and level-1 pin). Deeper entries are data vertices.
     pub matched: Vec<VertexId>,
     /// Stolen range `lo..hi` (indices into the candidate list at `target`;
     /// absolute vertex ids when `target == 0`).

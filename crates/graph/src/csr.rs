@@ -6,8 +6,10 @@
 //! batch touched. A patched graph ("view") answers every query through the
 //! same API — `neighbors` consults the patch first — so the whole engine
 //! stack runs on views unchanged, while constructing one costs O(touched),
-//! not O(graph). Views are produced by [`crate::delta::DeltaOverlay`];
-//! graphs built normally never carry a patch.
+//! not O(graph). Views are produced by [`crate::delta::DeltaOverlay`],
+//! [`Graph::without_edges`] and — a whole family sharing one versioned row
+//! table — [`Graph::staged_without_edges`]; graphs built normally never
+//! carry a patch.
 
 use crate::bitmap::HubBitmapIndex;
 use crate::Label;
@@ -31,6 +33,111 @@ pub(crate) struct GraphPatch {
     /// [`Graph::max_degree`]). Only sizes host-side slabs, so an upper
     /// bound is always safe.
     pub(crate) max_degree: usize,
+}
+
+/// One materialized row of a staged view family: `vertex`'s neighbor list
+/// as seen by every stage from `from_stage` up to its next version.
+#[derive(Debug, PartialEq, Eq)]
+struct RowVersion {
+    vertex: VertexId,
+    from_stage: u32,
+    /// `pool[start..end]` is the row.
+    start: usize,
+    end: usize,
+}
+
+/// The versioned row table shared by every view of one
+/// [`Graph::staged_without_edges`] family. A vertex's row changes only at
+/// the stages of its own edges, so the table holds two rows per removed
+/// edge — linear in the batch, however many stages there are.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct StagedRows {
+    /// The staged graph's own patch (`None` = plain CSR): answers for a
+    /// vertex with no version at or below the asking stage. Shared, never
+    /// copied.
+    under: Option<Arc<GraphPatch>>,
+    /// Sorted by `(vertex, from_stage)`: stage `s` reads the last version
+    /// of the vertex with `from_stage <= s`.
+    versions: Vec<RowVersion>,
+    /// Every version's row, concatenated.
+    pool: Vec<VertexId>,
+    /// Edge count of the staged graph (stage `s` has `s` fewer).
+    num_edges: usize,
+    /// The staged graph's degree bound; removal only shrinks rows.
+    max_degree: usize,
+}
+
+impl StagedRows {
+    #[inline]
+    fn row(&self, v: VertexId, stage: u32) -> Option<&[VertexId]> {
+        let after = self
+            .versions
+            .partition_point(|r| (r.vertex, r.from_stage) <= (v, stage));
+        match after.checked_sub(1).map(|i| &self.versions[i]) {
+            Some(r) if r.vertex == v => Some(&self.pool[r.start..r.end]),
+            _ => self.under.as_ref()?.rows.get(&v).map(|row| &**row),
+        }
+    }
+}
+
+/// How a view overrides rows of the shared CSR arrays.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Patch {
+    /// One replacement row per touched vertex (overlay snapshots and
+    /// [`Graph::without_edges`]).
+    Rows(Arc<GraphPatch>),
+    /// Stage `stage` of a [`Graph::staged_without_edges`] family.
+    Staged { rows: Arc<StagedRows>, stage: u32 },
+}
+
+impl Patch {
+    #[inline]
+    fn row(&self, v: VertexId) -> Option<&[VertexId]> {
+        match self {
+            Patch::Rows(p) => p.rows.get(&v).map(|row| &**row),
+            Patch::Staged { rows, stage } => rows.row(v, *stage),
+        }
+    }
+
+    fn num_edges(&self) -> usize {
+        match self {
+            Patch::Rows(p) => p.num_edges,
+            Patch::Staged { rows, stage } => rows.num_edges - *stage as usize,
+        }
+    }
+
+    fn max_degree(&self) -> usize {
+        match self {
+            Patch::Rows(p) => p.max_degree,
+            Patch::Staged { rows, .. } => rows.max_degree,
+        }
+    }
+
+    /// This view's replacement rows as one `Rows` table: the shared `Arc`
+    /// for a `Rows` patch, a flattened copy for a stage view (only reached
+    /// when a stage view is itself patched further).
+    fn as_rows(&self) -> Arc<GraphPatch> {
+        match self {
+            Patch::Rows(p) => Arc::clone(p),
+            Patch::Staged { rows, stage } => {
+                let mut flat = rows
+                    .under
+                    .as_ref()
+                    .map(|p| p.rows.clone())
+                    .unwrap_or_default();
+                // Ascending (vertex, from_stage): a later insert is the
+                // newer version and overwrites the older.
+                for r in rows.versions.iter().filter(|r| r.from_stage <= *stage) {
+                    flat.insert(r.vertex, rows.pool[r.start..r.end].into());
+                }
+                Arc::new(GraphPatch {
+                    rows: flat,
+                    num_edges: self.num_edges(),
+                    max_degree: rows.max_degree,
+                })
+            }
+        }
+    }
 }
 
 /// An undirected, vertex-labeled graph in CSR form.
@@ -61,7 +168,7 @@ pub struct Graph {
     /// probe checks the stamp — see [`Graph::has_edge`].
     version: u64,
     /// Replacement rows for batch-touched vertices (`None` = plain CSR).
-    patch: Option<Arc<GraphPatch>>,
+    patch: Option<Patch>,
     /// Optional hub-bitmap neighbor index (see [`crate::bitmap`]); derived
     /// data attached with [`Graph::with_hub_bitmap`] or built lazily (and
     /// exactly once, even under concurrent callers) by
@@ -100,6 +207,15 @@ impl Graph {
         version: u64,
         patched_index: Option<HubBitmapIndex>,
     ) -> Graph {
+        self.with_patch_of(Patch::Rows(Arc::new(patch)), version, patched_index)
+    }
+
+    fn with_patch_of(
+        &self,
+        patch: Patch,
+        version: u64,
+        patched_index: Option<HubBitmapIndex>,
+    ) -> Graph {
         Graph {
             row_ptr: Arc::clone(&self.row_ptr),
             col_idx: Arc::clone(&self.col_idx),
@@ -107,7 +223,7 @@ impl Graph {
             num_labels: self.num_labels,
             name: self.name.clone(),
             version,
-            patch: Some(Arc::new(patch)),
+            patch: Some(patch),
             hub_bitmap: match patched_index {
                 Some(idx) => OnceLock::from(idx),
                 None => OnceLock::new(),
@@ -141,7 +257,7 @@ impl Graph {
         let mut rows = self
             .patch
             .as_ref()
-            .map(|p| p.rows.clone())
+            .map(|p| p.as_rows().rows.clone())
             .unwrap_or_default();
         for (v, gone) in removed {
             let row: Arc<[VertexId]> = self
@@ -165,6 +281,85 @@ impl Graph {
             max_degree: self.max_degree(),
         };
         self.with_patch(patch, self.version, None)
+    }
+
+    /// One view per edge of an ordered batch side: element `s` is this graph
+    /// without `edges[..s]` — what stage `s` of exactly-once delta
+    /// enumeration matches `edges[s]` against — row for row equal to
+    /// [`Graph::without_edges`]`(&edges[..s])`. (The last edge is removed
+    /// from no view.) Where building each stage with `without_edges` costs
+    /// O(stages × touched), this materializes every changed row once into
+    /// one shared table ([`StagedRows`]: two rows per edge); each view is an
+    /// O(1) clone carrying its stage number, and this graph's own patch is
+    /// shared, not copied. Like `without_edges`, the views keep this graph's
+    /// version, carry no hub index, and expect every listed edge present,
+    /// distinct and loop-free.
+    pub fn staged_without_edges(&self, edges: &[(VertexId, VertexId)]) -> Vec<Graph> {
+        let Some((last, removed)) = edges.split_last() else {
+            return Vec::new();
+        };
+        // (vertex, first stage not seeing the edge, lost neighbor), grouped
+        // by vertex in stage order.
+        let mut lost: Vec<(VertexId, u32, VertexId)> = Vec::with_capacity(2 * removed.len());
+        for (s, &(u, v)) in removed.iter().enumerate() {
+            debug_assert_ne!(u, v, "self-loop in staged_without_edges");
+            lost.push((u, s as u32 + 1, v));
+            lost.push((v, s as u32 + 1, u));
+        }
+        lost.sort_unstable();
+        let mut versions: Vec<RowVersion> = Vec::with_capacity(lost.len());
+        let mut pool: Vec<VertexId> =
+            Vec::with_capacity(lost.iter().map(|&(v, ..)| self.degree(v)).sum());
+        for &(vertex, from_stage, gone) in &lost {
+            let start = pool.len();
+            let before = match versions.last() {
+                // The vertex's previous version is the row to shrink.
+                Some(prev) if prev.vertex == vertex => {
+                    for i in prev.start..prev.end {
+                        if pool[i] != gone {
+                            pool.push(pool[i]);
+                        }
+                    }
+                    prev.end - prev.start
+                }
+                _ => {
+                    let row = self.neighbors(vertex);
+                    pool.extend(row.iter().copied().filter(|&u| u != gone));
+                    row.len()
+                }
+            };
+            debug_assert_eq!(
+                pool.len() - start + 1,
+                before,
+                "staged_without_edges: edge {vertex}-{gone} is absent or duplicated"
+            );
+            versions.push(RowVersion {
+                vertex,
+                from_stage,
+                start,
+                end: pool.len(),
+            });
+        }
+        let rows = Arc::new(StagedRows {
+            under: self.patch.as_ref().map(Patch::as_rows),
+            versions,
+            pool,
+            num_edges: self.num_edges(),
+            max_degree: self.max_degree(),
+        });
+        let views: Vec<Graph> = (0..edges.len() as u32)
+            .map(|stage| {
+                let rows = Arc::clone(&rows);
+                self.with_patch_of(Patch::Staged { rows, stage }, self.version, None)
+            })
+            .collect();
+        debug_assert!(
+            views[removed.len()].has_edge(last.0, last.1),
+            "staged_without_edges: edge {}-{} is absent or duplicated",
+            last.0,
+            last.1
+        );
+        views
     }
 
     /// Topology version stamp: 0 for freshly built graphs; views produced
@@ -198,7 +393,7 @@ impl Graph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         match &self.patch {
-            Some(p) => p.num_edges,
+            Some(p) => p.num_edges(),
             None => self.col_idx.len() / 2,
         }
     }
@@ -219,7 +414,7 @@ impl Graph {
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         if let Some(p) = &self.patch {
-            if let Some(row) = p.rows.get(&v) {
+            if let Some(row) = p.row(v) {
                 return row;
             }
         }
@@ -231,7 +426,7 @@ impl Graph {
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
         if let Some(p) = &self.patch {
-            if let Some(row) = p.rows.get(&v) {
+            if let Some(row) = p.row(v) {
                 return row.len();
             }
         }
@@ -368,7 +563,7 @@ impl Graph {
     /// capacities, where an upper bound is always safe.
     pub fn max_degree(&self) -> usize {
         match &self.patch {
-            Some(p) => p.max_degree,
+            Some(p) => p.max_degree(),
             None => self.vertices().map(|v| self.degree(v)).max().unwrap_or(0),
         }
     }
@@ -399,17 +594,21 @@ impl Graph {
     }
 
     /// Approximate in-memory footprint in bytes (CSR arrays + labels +
-    /// patch rows + hub-bitmap index when attached).
+    /// patch rows — for a stage view, its whole family's table — +
+    /// hub-bitmap index when attached).
     pub fn memory_bytes(&self) -> usize {
+        let row_cells = |p: &GraphPatch| p.rows.values().map(|r| r.len()).sum::<usize>();
         self.row_ptr.len() * std::mem::size_of::<usize>()
             + self.col_idx.len() * std::mem::size_of::<VertexId>()
             + self.labels.len() * std::mem::size_of::<Label>()
-            + self.patch.as_ref().map_or(0, |p| {
-                p.rows
-                    .values()
-                    .map(|r| r.len() * std::mem::size_of::<VertexId>())
-                    .sum()
-            })
+            + std::mem::size_of::<VertexId>()
+                * match &self.patch {
+                    None => 0,
+                    Some(Patch::Rows(p)) => row_cells(p),
+                    Some(Patch::Staged { rows, .. }) => {
+                        rows.pool.len() + rows.under.as_deref().map_or(0, row_cells)
+                    }
+                }
             + self.hub_bitmap.get().map_or(0, |b| b.memory_bytes())
     }
 
@@ -658,6 +857,116 @@ mod tests {
             msg.contains("reproduce:"),
             "diagnostic must reproduce: {msg}"
         );
+    }
+
+    /// `views[s]` of `base.staged_without_edges(edges)` must be row for row
+    /// the `base.without_edges(&edges[..s])` it replaces.
+    fn assert_stages_equal_prefix_views(base: &crate::Graph, edges: &[(u32, u32)]) {
+        let views = base.staged_without_edges(edges);
+        assert_eq!(views.len(), edges.len(), "one view per edge");
+        for (s, view) in views.iter().enumerate() {
+            let want = base.without_edges(&edges[..s]);
+            assert_eq!(view.num_edges(), want.num_edges(), "stage {s}");
+            assert_eq!(
+                view.version(),
+                base.version(),
+                "stage {s} keeps the version"
+            );
+            assert!(
+                view.hub_bitmap().is_none(),
+                "stage views carry no hub index"
+            );
+            assert!(view.max_degree() >= view.vertices().map(|v| view.degree(v)).max().unwrap());
+            for v in base.vertices() {
+                assert_eq!(view.neighbors(v), want.neighbors(v), "stage {s} row {v}");
+                assert_eq!(view.degree(v), want.degree(v), "stage {s} degree {v}");
+                for u in base.vertices() {
+                    assert_eq!(
+                        view.has_edge(u, v),
+                        want.has_edge(u, v),
+                        "stage {s} ({u},{v})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A seeded batch side over `g`: every edge at the heaviest vertex (a
+    /// hub touched many times) plus a third of the rest, shuffled.
+    fn hub_heavy_edges(g: &crate::Graph, seed: u64) -> (u32, Vec<(u32, u32)>) {
+        let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+        let mut edges: Vec<(u32, u32)> = g
+            .edges()
+            .enumerate()
+            .filter(|&(i, (u, v))| u == hub || v == hub || i % 3 == 0)
+            .map(|(_, e)| e)
+            .collect();
+        let mut rng = seed | 1;
+        for i in (1..edges.len()).rev() {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            edges.swap(i, (rng % (i as u64 + 1)) as usize);
+        }
+        (hub, edges)
+    }
+
+    #[test]
+    fn staged_views_equal_prefix_views_on_a_plain_csr() {
+        for seed in [3u64, 17, 2022] {
+            let g = crate::gen::preferential_attachment(40, 3, seed).degree_ordered();
+            let (hub, edges) = hub_heavy_edges(&g, seed);
+            let touches = edges.iter().filter(|e| e.0 == hub || e.1 == hub).count();
+            assert!(touches >= 8, "fixture hub is in {touches} batch edges");
+            assert_stages_equal_prefix_views(&g, &edges);
+        }
+        let g = triangle_plus_tail();
+        assert!(g.staged_without_edges(&[]).is_empty());
+        assert_stages_equal_prefix_views(&g, &[(2, 3)]);
+    }
+
+    #[test]
+    fn staged_views_share_a_patched_base_and_serve_the_insert_order() {
+        use crate::delta::{DeltaOverlay, EdgeOp};
+        for seed in [5u64, 41] {
+            let g = crate::gen::preferential_attachment(40, 3, seed).degree_ordered();
+            let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+            // An overlay snapshot whose own patch rewrites the hub's row
+            // (and a few others) underneath the staged table.
+            let mut overlay = DeltaOverlay::new(g.clone());
+            let mut ops: Vec<EdgeOp> = g
+                .vertices()
+                .filter(|&v| v != hub && !g.has_edge(hub, v))
+                .take(6)
+                .map(|v| EdgeOp::insert(hub, v))
+                .collect();
+            ops.extend(g.edges().step_by(7).map(|(u, v)| EdgeOp::delete(u, v)));
+            overlay.apply(&ops);
+            let post = overlay.snapshot();
+            assert!(post.is_view(), "the base is itself patched");
+            let (hub, inserts) = hub_heavy_edges(&post, seed);
+            assert!(inserts.iter().filter(|e| e.0 == hub || e.1 == hub).count() >= 8);
+            assert_stages_equal_prefix_views(&post, &inserts);
+            // The insert side of a delta batch stages the reversed list:
+            // insert `i` is matched against `post` minus every later insert.
+            let reversed: Vec<(u32, u32)> = inserts.iter().rev().copied().collect();
+            let views = post.staged_without_edges(&reversed);
+            for i in 0..inserts.len() {
+                let view = &views[inserts.len() - 1 - i];
+                let want = post.without_edges(&inserts[i + 1..]);
+                assert_eq!(view.num_edges(), want.num_edges(), "insert {i}");
+                for v in post.vertices() {
+                    assert_eq!(view.neighbors(v), want.neighbors(v), "insert {i} row {v}");
+                }
+            }
+            // A stage view patched further flattens its family's table.
+            let mid = inserts.len() / 2;
+            let again = views[mid].without_edges(&reversed[mid..mid + 1]);
+            let want = post.without_edges(&reversed[..mid + 1]);
+            for v in post.vertices() {
+                assert_eq!(again.neighbors(v), want.neighbors(v), "re-patched row {v}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use stmatch_core::kernel::{KernelEnv, WarpKernel};
+use stmatch_core::kernel::{KernelEnv, Level0Map, WarpKernel};
 use stmatch_core::steal::Board;
 use stmatch_core::EngineConfig;
 use stmatch_gpusim::{Grid, GridConfig};
@@ -90,8 +90,7 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
             cfg: &cfg,
             hubs,
             compiled: None,
-            l0_map: None,
-            anchor_pins: None,
+            l0: Level0Map::Identity,
             enumerate: false,
         };
         let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);

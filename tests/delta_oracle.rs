@@ -1,13 +1,16 @@
 //! Incremental-matching oracle: on seeded update streams, cumulative
 //! [`MatchDelta`]s must reconcile with full recomputation *after every
-//! batch* — the exactness contract of DESIGN.md §4k. Runs the paper's
-//! full q1..q24 catalog on both golden fixture graphs (the same seeded
-//! generators `tests/golden_counts.rs` pins), plus adversarial batch
-//! shapes and a shrinking property over arbitrary graphs and streams.
+//! batch* — the exactness contract of DESIGN.md §4k — and each side of a
+//! delta must equal, on its own, the matches of the pre/post graph that use
+//! an update edge. Runs the paper's full q1..q24 catalog on both golden
+//! fixture graphs (the same seeded generators `tests/golden_counts.rs`
+//! pins), plus adversarial batch shapes and a shrinking property over
+//! arbitrary graphs and streams.
 
-use stmatch_core::{Engine, EngineConfig};
+use std::collections::BTreeSet;
+use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchDelta};
 use stmatch_gpusim::GridConfig;
-use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
+use stmatch_graph::{gen, AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{catalog, Pattern};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::{Rng, SplitMix64};
@@ -66,6 +69,40 @@ fn seeded_batch(overlay: &DeltaOverlay, rng: &mut SplitMix64, ops: usize) -> Vec
     out
 }
 
+/// Independent oracle for one side of a delta: the matches of `q` in `g`
+/// (full enumeration) that map some pattern edge onto one of `edges`.
+fn matches_using(e: &Engine, g: &Graph, q: &Pattern, edges: &[(u32, u32)]) -> u64 {
+    let edges: BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+    let all = e.enumerate_plan(g, &e.compile(q)).expect("enumeration");
+    let uses_update_edge = |emb: &Vec<u32>| {
+        (0..q.size()).any(|a| {
+            (a + 1..q.size()).any(|b| {
+                q.has_edge(a, b) && edges.contains(&(emb[a].min(emb[b]), emb[a].max(emb[b])))
+            })
+        })
+    };
+    all.embeddings
+        .iter()
+        .filter(|m| uses_update_edge(m))
+        .count() as u64
+}
+
+/// What `delta` must be, side by side: `removed` from `pre` and the net
+/// deletes, `added` from `post` and the net inserts.
+fn assert_sides_exact(
+    e: &Engine,
+    q: &Pattern,
+    (pre, post): (&Graph, &Graph),
+    batch: &AppliedBatch,
+    delta: MatchDelta,
+) {
+    let want = MatchDelta {
+        added: matches_using(e, post, q, &batch.inserts),
+        removed: matches_using(e, pre, q, &batch.deletes),
+    };
+    assert_eq!(delta, want, "query {} under batch {batch:?}", q.name());
+}
+
 /// Drives `batches` seeded batches over `base`, reconciling every
 /// query's running count (seeded from a full run on the base graph)
 /// against full recomputation on the post-batch snapshot after each
@@ -102,6 +139,12 @@ fn check_stream(base: Graph, queries: &[Pattern], seed: u64, batches: usize, ops
                 "query {} diverged at step {step} (batch {batch:?}, delta {delta:?})",
                 q.name(),
             );
+            // The net can hide two errors that cancel; each side has its
+            // own oracle. (Enumeration materializes every match, so only
+            // where the recount says that stays small.)
+            if full <= 200_000 {
+                assert_sides_exact(&e, q, (&pre, &post), &batch, delta);
+            }
         }
     }
 }
@@ -142,6 +185,51 @@ fn delete_only_stream_reports_no_additions() {
         assert_eq!(running, e.run(&post, &q).unwrap().count as i64);
     }
     assert_eq!(overlay.degree(hub), 0, "the hub was stripped bare");
+}
+
+/// One hub in 16 deletes and 16 inserts, among updates elsewhere: the hub
+/// names 16 stages per side, so a range stolen (or requeued from a dead
+/// warp) below level 0 is only exact if it carries its stage along. Run on
+/// a 1×4 delta grid with local stealing on, clean and under a seeded warp
+/// death mid-launch.
+#[test]
+fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
+    let base = gen::preferential_attachment(96, 4, 9).degree_ordered();
+    let hub = 0u32;
+    let mut ops: Vec<EdgeOp> = base.neighbors(hub)[..16]
+        .iter()
+        .map(|&v| EdgeOp::delete(hub, v))
+        .collect();
+    ops.extend(
+        (1..96u32)
+            .filter(|&v| !base.has_edge(hub, v))
+            .take(16)
+            .map(|v| EdgeOp::insert(hub, v)),
+    );
+    let mut overlay = DeltaOverlay::new(base);
+    ops.extend(seeded_batch(&overlay, &mut SplitMix64::new(0x57a2), 12));
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&ops);
+    let post = overlay.snapshot();
+    let hub_edges = |side: &[(u32, u32)]| side.iter().filter(|e| e.0 == hub || e.1 == hub).count();
+    assert!(hub_edges(&batch.deletes) >= 16 && hub_edges(&batch.inserts) >= 16);
+
+    let mut cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
+    cfg.delta.grid.warps_per_block = 4;
+    assert!(
+        cfg.local_steal && cfg.stop_level >= 2,
+        "level 1 is stealable"
+    );
+    for q in [catalog::triangle(), catalog::diamond(), catalog::path(4)] {
+        for seed in [None, Some(0x1d), Some(0xabc)] {
+            let mut e = Engine::new(cfg);
+            if let Some(seed) = seed {
+                e = e.with_fault_plan(FaultPlan::seeded(seed, 4, 1, 0));
+            }
+            let delta = e.run_delta(&pre, &post, &batch, &q).expect("delta");
+            assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
+        }
+    }
 }
 
 /// In-batch cancellation: inserting and deleting the same edge within
