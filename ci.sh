@@ -30,36 +30,51 @@ run "test"  cargo test -q --workspace --offline
 run "smoke:quickstart"   cargo run --release --offline --example quickstart
 run "smoke:motif_census" cargo run --release --offline --example motif_census
 
-# Hot-path drift gate: re-runs the BENCH_PR2 workloads and fails on any
+# Hot-path drift gate: re-runs the PR 2 hot-path workloads and fails on any
 # drift in golden counts or simulator metrics (instructions, utilization).
 run "smoke:hotpath" cargo run --release --offline -p stmatch-bench --bin hotpath_check
 
-# Hub-bitmap routing gate: every workload off-leg must stay bit-identical
-# to the classic engine (GOLDEN rows / pinned counts, zero bitmap
-# counters), the on legs must reproduce the exact counts, and the bitmap
-# paths must actually fire where the plans have hub-operand set ops (the
-# grep guards against a silently-dead phase: the binary must report
-# nonzero merged words).
-run "smoke:bitmap" cargo run --release --offline -p stmatch-bench --bin bitmap_check
-echo "==> smoke:bitmap(grep): expecting nonzero bitmap traffic"
-cargo run --release --offline -p stmatch-bench --bin bitmap_check 2>/dev/null \
-    | grep -Eq "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
-    || { echo "==> smoke:bitmap(grep): FAILED — totals line missing or zero"; exit 1; }
-echo "==> smoke:bitmap(grep): OK"
+# One run of a gate binary whose log must also carry a totals line with
+# nonzero traffic (guards against a silently dead phase): exit status and
+# grep are taken from the same captured run, as the --mutate legs do.
+run_and_grep() {
+    local name=$1 pattern=$2; shift 2
+    echo "==> ${name}: $*"
+    local log; log=$(mktemp)
+    if ! timeout --signal=KILL "${CAP}" "$@" >"${log}" 2>&1; then
+        cat "${log}"
+        echo "==> ${name}: FAILED"
+        exit 1
+    fi
+    cat "${log}"
+    if ! grep -Eq "${pattern}" "${log}"; then
+        echo "==> ${name}: FAILED — totals line missing or zero"
+        exit 1
+    fi
+    rm -f "${log}"
+    echo "==> ${name}: OK"
+}
 
-# Plan-compilation gate: every off-leg must stay bit-identical to the
-# pre-compilation engine (GOLDEN rows / pinned clique count, no tier
-# reported), every compiled leg must be metric-bit-identical to its off
-# leg, and tier routing must match the promotion policy (q8 cascades
-# reach tier 1 under profiling, q1 stays tier 0 until specialization is
-# forced, q6 never leaves bytecode). The grep guards against a silently
-# dead tier-1 path: the binary must report nonzero specialized runs.
-run "smoke:bytecode" cargo run --release --offline -p stmatch-bench --bin bytecode_check
-echo "==> smoke:bytecode(grep): expecting nonzero specialized traffic"
-cargo run --release --offline -p stmatch-bench --bin bytecode_check 2>/dev/null \
-    | grep -Eq "bytecode_check totals: specialized_runs=[0-9]*[1-9][0-9]* tier0_runs=[0-9]*[1-9][0-9]*" \
-    || { echo "==> smoke:bytecode(grep): FAILED — totals line missing or zero"; exit 1; }
-echo "==> smoke:bytecode(grep): OK"
+# Hub-bitmap routing gate. Off legs (routing off, index still attached):
+# the GOLDEN rows / pinned counts with zero bitmap counters. On legs: the
+# same counts, and instruction, probe-word, merge-word and merge-wave
+# totals equal to the rows pinned in the bin — rows are routed by the one
+# stream interpreter, so any drift in which operand, input or fused chain
+# gets a row shows here. The grep wants nonzero probe and merge traffic.
+run_and_grep "smoke:bitmap" \
+    "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
+    cargo run --release --offline -p stmatch-bench --bin bitmap_check
+
+# Tier gate. Off legs hold no tier state: the GOLDEN rows / pinned clique
+# count with `served_tier: None`. Every leg with tier state must be
+# metric-bit-identical to its off leg (all legs interpret the same stream;
+# tier 1 is a specialization of that loop), and tier routing must match the
+# promotion policy (q8 cascades reach tier 1 under profiling, q1 stays
+# tier 0 until specialization is forced, q6 never leaves the interpreter).
+# The grep wants nonzero specialized runs: a silently dead tier-1 path.
+run_and_grep "smoke:bytecode" \
+    "bytecode_check totals: specialized_runs=[0-9]*[1-9][0-9]* tier0_runs=[0-9]*[1-9][0-9]*" \
+    cargo run --release --offline -p stmatch-bench --bin bytecode_check
 
 # Fault-tolerance gate: q1/q6 under a seeded fault plan (one warp panic +
 # one warp stall); counts must stay exactly at the goldens, the death must

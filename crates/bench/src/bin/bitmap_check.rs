@@ -1,8 +1,9 @@
 //! CI smoke gate for hub-bitmap routing: runs q1/q6 on the hotpath
 //! graph, the 5-clique query on the dense ER clique workload, and the
-//! same query on `K_32` (whose `C(32, 5)` count is closed-form), once
-//! with bitmap routing **off** and once **on**, and fails (exit 1)
-//! unless
+//! same query on `K_32` (whose `C(32, 5)` count is closed-form) — there
+//! also without code motion, so that every level is a multi-op chain on
+//! hubs and runs fused — once with bitmap routing **off** and once **on**,
+//! and fails (exit 1) unless
 //!
 //! * the off legs reproduce the pinned behaviour exactly — for q1/q6 the
 //!   full [`stmatch_bench::hotpath::GOLDEN`] row (count, instructions,
@@ -10,12 +11,14 @@
 //!   the clique legs their pinned/analytic counts — with zero bitmap
 //!   counters;
 //! * the on legs produce the identical match counts;
-//! * the on legs route through the bitmap paths exactly where expected:
-//!   nonzero probe or merge counters on every workload with
-//!   hub-operand set ops (a silent fallback to the classic ladder would
-//!   pass the count checks while benchmarking nothing), and zero on q1,
-//!   whose 5-path plan is pure neighbor materializations with no
-//!   intersect/difference ops for a bitmap to serve.
+//! * the on legs reproduce their pinned [`ROUTED`] rows to the word:
+//!   total SIMT instructions, probe words, merge words and merge waves,
+//!   recorded from the plan-walking hub path before it was folded into
+//!   the stream interpreter. A silent fallback to the classic ladder, a
+//!   row routed to the wrong operand, or a fused chain that stops fusing
+//!   all move at least one of them; q1's row is all-zero on the bitmap
+//!   side (its 5-path plan is pure neighbor materializations with no
+//!   intersect/difference ops for a bitmap to serve).
 //!
 //! The final `bitmap_check totals:` line is grepped by `ci.sh`'s
 //! `smoke:bitmap` phase.
@@ -24,17 +27,30 @@ use stmatch_bench::hotpath;
 use stmatch_core::Engine;
 use stmatch_graph::gen;
 
+/// Pinned on-leg behaviour per workload: `(total instructions, probe
+/// words, merge words, merge waves)`. Regenerate from the `bitmap <name>:`
+/// lines this bin prints — only for an intentional cost-model or routing
+/// change, and say so in the commit message.
+const ROUTED: [(u64, u64, u64, u64); 5] = [
+    (7_230_441, 0, 0, 0),
+    (1_704_743, 99_498, 854_959, 37_479),
+    (2_451_043, 0, 3_268_120, 238_960),
+    (117_715, 0, 41_416, 9_464),
+    (295_464, 0, 118_296, 118_296),
+];
+
 fn main() {
     let pa = hotpath::graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
     let er = hotpath::clique_graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
     let k32 = gen::complete(32).with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
-    // (name, graph, query, pinned count (None = GOLDEN row), bitmap
-    // activity expected on the on leg)
-    let suite: [(&str, &stmatch_graph::Graph, usize, Option<u64>, bool); 4] = [
-        ("q1", &pa, 1, None, false),
+    // (name, graph, query, pinned count (None = GOLDEN row), code
+    // motion), in `ROUTED` order.
+    let suite: [(&str, &stmatch_graph::Graph, usize, Option<u64>, bool); 5] = [
+        ("q1", &pa, 1, None, true),
         ("q6", &pa, 6, None, true),
         ("clique", &er, 8, Some(hotpath::CLIQUE_COUNT), true),
         ("k32", &k32, 8, Some(201_376), true), // C(32, 5)
+        ("k32-chains", &k32, 8, Some(201_376), false),
     ];
 
     let mut failed = false;
@@ -43,13 +59,15 @@ fn main() {
         failed = true;
     };
     let (mut probe_words, mut merge_words, mut merge_waves) = (0u64, 0u64, 0u64);
-    for (name, g, qi, pinned, expect_bitmap) in suite {
+    for ((name, g, qi, pinned, code_motion), routed) in suite.into_iter().zip(ROUTED) {
         let q = hotpath::query(qi);
+        let mut cfg = hotpath::config();
+        cfg.code_motion = code_motion;
 
-        let off = Engine::new(hotpath::config()).run(g, &q).unwrap();
+        let off = Engine::new(cfg).run(g, &q).unwrap();
         match pinned {
-            // PA workloads: the disabled leg must be bit-identical to the
-            // pre-bitmap GOLDEN row, index attached or not.
+            // PA workloads: the disabled leg must reproduce the GOLDEN
+            // row, index attached or not.
             None => {
                 if let Err(e) = hotpath::check(qi, &off) {
                     fail(format!("{name} off-leg: {e}"));
@@ -65,9 +83,7 @@ fn main() {
             fail(format!("{name} off-leg moved bitmap counters"));
         }
 
-        let on = Engine::new(hotpath::config().with_hub_bitmap(true))
-            .run(g, &q)
-            .unwrap();
+        let on = Engine::new(cfg.with_hub_bitmap(true)).run(g, &q).unwrap();
         if on.count != off.count {
             fail(format!(
                 "{name} on-leg count {} != off-leg {}",
@@ -75,13 +91,16 @@ fn main() {
             ));
         }
         let t = on.metrics.total();
-        let routed = t.bitmap_probe_words + t.bitmap_merge_words > 0;
-        if expect_bitmap && !routed {
-            fail(format!("{name} on-leg never took a bitmap path"));
-        }
-        if !expect_bitmap && routed {
+        let got = (
+            on.total_instructions(),
+            t.bitmap_probe_words,
+            t.bitmap_merge_words,
+            t.bitmap_merge_waves,
+        );
+        if got != routed {
             fail(format!(
-                "{name} on-leg took a bitmap path (plan has no set ops)"
+                "{name} on-leg (instr, probe words, merge words, merge waves) \
+                 {got:?} != pinned {routed:?}"
             ));
         }
         probe_words += t.bitmap_probe_words;

@@ -1,22 +1,22 @@
-//! CI smoke gate for plan-bytecode compilation and the specialization
-//! tiers: runs q1/q6/q8 on the hotpath graph and q8 on the dense ER
-//! clique workload, once with compilation **off**, once **on** with a
-//! profile threshold the cascades cross mid-run, and once with forced
-//! specialization (`tier_up_after == 0`), and fails (exit 1) unless
+//! CI smoke gate for the execution tiers: runs q1/q6/q8 on the hotpath
+//! graph and q8 on the dense ER clique workload, once holding **no tier
+//! state** (the default), once with tier state and a profile threshold the
+//! cascades cross mid-run, and once with forced specialization
+//! (`tier_up_after == 0`), and fails (exit 1) unless
 //!
 //! * the off legs reproduce the pinned behaviour exactly — the full
-//!   [`stmatch_bench::hotpath::GOLDEN`] rows for the PA workloads
-//!   (count, instructions, utilization: a disabled knob must be
-//!   invisible) and the pinned clique count — with no tier reported;
-//! * every compiled leg is *metric-bit-identical* to its off leg: same
-//!   count, same total SIMT instructions, same lane utilization (the
-//!   bytecode interpreter and the tier-1 bodies replace plan walking,
-//!   not the cost-model-visible set operations);
+//!   [`stmatch_bench::hotpath::GOLDEN`] rows for the PA workloads (count,
+//!   instructions, utilization) and the pinned clique count — and report
+//!   `served_tier: None`;
+//! * every leg with tier state is *metric-bit-identical* to its off leg:
+//!   same count, same total SIMT instructions, same lane utilization
+//!   (every leg interprets the plan's own stream; the tier-1 bodies
+//!   specialize that loop, not the cost-model-visible set operations);
 //! * tier routing lands exactly where the policy says: under profiling,
 //!   the q8 cascades reach tier 1 (their claim loops cross the
 //!   threshold) while q1 (path: never auto-promoted) and q6 (general:
 //!   no tier-1 body) stay on tier 0; under forced specialization, q1
-//!   and q8 serve tier 1 and only q6 remains bytecode-dispatched.
+//!   and q8 serve tier 1 and only q6 remains interpreted.
 //!
 //! The final `bytecode_check totals:` line is grepped by `ci.sh`'s
 //! `smoke:bytecode` phase — nonzero specialized traffic proves the
@@ -90,8 +90,8 @@ fn main() {
 
         let off = Engine::new(hotpath::config()).run(g, &q).unwrap();
         match pinned {
-            // PA workloads: the disabled leg must be bit-identical to the
-            // pre-compilation GOLDEN row.
+            // PA workloads: the leg without tier state must reproduce the
+            // GOLDEN row.
             None => {
                 if let Err(e) = hotpath::check(qi, &off) {
                     fail(format!("{name} off-leg: {e}"));
@@ -104,7 +104,7 @@ fn main() {
         }
         if off.served_tier.is_some() {
             fail(format!(
-                "{name} off-leg reported tier {:?} with compilation off",
+                "{name} off-leg reported tier {:?} without tier state",
                 off.served_tier
             ));
         }

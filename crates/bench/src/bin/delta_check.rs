@@ -16,8 +16,8 @@
 //!   submissions against the moving graph stay exact;
 //! * **timing** — an interleaved delta-vs-recompute stream on the
 //!   1024-vertex preferential-attachment fixture, recorded as JSON only
-//!   when `--out=<path>` is given (`BENCH_PR10.json` is such a recording;
-//!   the default run leaves the work tree alone). The gate compares **simulated
+//!   when `--out=<path>` is given (PR 10's recording is summarized in
+//!   CHANGES.md; the default run leaves the work tree alone). The gate compares **simulated
 //!   SIMT instructions** — the simulator's work measure, as in the PR 8
 //!   scaling curve — and fails if the amortized per-batch delta work is
 //!   not at least 10x below one full recount at batch size 16.

@@ -15,10 +15,11 @@
 //!
 //! `--stress` runs the many-clients soak: 8 client threads × 25 queries
 //! each, every submission a randomly relabeled isomorphic copy of a
-//! golden query, counts verified under load — with plan compilation on,
+//! golden query, counts verified under load — with tier state on,
 //! so resident cascades tier up while their cache entries are being hit
-//! — and writes throughput, p50/p95 latency, and the tier counters to
-//! `BENCH_PR6.json` (or `--out=<path>`).
+//! — and prints throughput, p50/p95 latency, and the tier counters;
+//! `--out=<path>` additionally records them as JSON (PR 6's recording is
+//! summarized in CHANGES.md).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,12 +62,12 @@ const GOLDEN: &[(usize, u64)] = &[
 
 fn main() {
     let mut stress = false;
-    let mut out_path = String::from("BENCH_PR6.json");
+    let mut out_path: Option<String> = None;
     for arg in std::env::args().skip(1) {
         if arg == "--stress" {
             stress = true;
         } else if let Some(p) = arg.strip_prefix("--out=") {
-            out_path = p.to_string();
+            out_path = Some(p.to_string());
         } else {
             eprintln!(
                 "service_check: unknown argument {arg:?} \
@@ -80,7 +81,7 @@ fn main() {
     failed |= !gate_metric_exact();
     failed |= !gate_faults_and_deadlines();
     if stress {
-        failed |= !run_stress(&out_path);
+        failed |= !run_stress(out_path.as_deref());
     }
     if failed {
         eprintln!("service_check: FAILED");
@@ -265,13 +266,13 @@ fn relabel(p: &Pattern, rng: &mut SmallRng) -> Pattern {
 }
 
 /// Many-clients soak: throughput + latency percentiles, counts verified
-/// under load, results recorded to `out_path`.
-fn run_stress(out_path: &str) -> bool {
+/// under load, results recorded to `out_path` when one is given.
+fn run_stress(out_path: Option<&str>) -> bool {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 25;
     let workers = 4usize;
     let batch_max = 8usize;
-    // The soak runs with plan compilation on (default profile threshold):
+    // The soak runs with tier state on (default profile threshold):
     // resident cascades tier up under load while isomorphic relabelings
     // keep hitting their promoted cache entries, and the tier counters
     // land in the JSON below. Counts stay pinned to the same goldens as
@@ -342,6 +343,9 @@ fn run_stress(out_path: &str) -> bool {
         stats.tier_ups,
         stats.specialized_hits,
     );
+    let Some(out_path) = out_path else {
+        return mismatches == 0;
+    };
     let json = format!(
         "{{\n  \"bench\": \"service_stress\",\n  \"unix_time\": {unix},\n  \
          \"config\": {{\n    \"grid\": \"2x2 warps, 100 KiB shared\",\n    \

@@ -15,10 +15,11 @@
 //!   `FAULT_SEED=0x…` reproduce line.
 //!
 //! `--scaling` additionally runs the 1/2/4/8/16-shard efficiency sweep on
-//! a larger skewed preferential-attachment fixture and records the curve
-//! to `BENCH_PR8.json` (or `--out=<path>`), failing if counts drift
-//! across shard counts or the work-aware split loses to the contiguous
-//! baseline on bottleneck time.
+//! a larger skewed preferential-attachment fixture and prints the curve
+//! (`--out=<path>` additionally records it as JSON; PR 8's recording is
+//! summarized in CHANGES.md), failing if counts drift across shard counts
+//! or the work-aware split loses to the contiguous baseline on bottleneck
+//! time.
 //!
 //! Reproduce a kill-leg failure locally with the printed `FAULT_SEED=0x…`
 //! line: the seed fully determines which shards die and when.
@@ -57,12 +58,12 @@ fn fixture() -> Graph {
 
 fn main() {
     let mut scaling = false;
-    let mut out_path = String::from("BENCH_PR8.json");
+    let mut out_path: Option<String> = None;
     for arg in std::env::args().skip(1) {
         if arg == "--scaling" {
             scaling = true;
         } else if let Some(p) = arg.strip_prefix("--out=") {
-            out_path = p.to_string();
+            out_path = Some(p.to_string());
         } else {
             eprintln!(
                 "shard_check: unknown argument {arg:?} \
@@ -84,7 +85,7 @@ fn main() {
     };
     let mut failed = !run_gate(seed, default_seed);
     if scaling {
-        failed |= !run_scaling(&out_path);
+        failed |= !run_scaling(out_path.as_deref());
     }
     if failed {
         std::process::exit(1);
@@ -261,10 +262,10 @@ fn measure(g: &Graph, shards: usize, work_aware: bool, cross_steal: bool) -> (u6
 }
 
 /// 1/2/4/8/16-shard efficiency sweep on a 256-vertex skewed fixture,
-/// recorded to `out_path`. Bottleneck time is `simulated_cycles()` — the
+/// recorded to `out_path` when one is given. Bottleneck time is `simulated_cycles()` — the
 /// slowest warp of any shard — so the curve measures load balance, not
 /// host scheduling noise.
-fn run_scaling(out_path: &str) -> bool {
+fn run_scaling(out_path: Option<&str>) -> bool {
     let g = gen::preferential_attachment(256, 4, 9).degree_ordered();
     let weights = stats::level0_weights(&g);
     let base_count = measure(&g, 1, true, true).0;
@@ -323,6 +324,9 @@ fn run_scaling(out_path: &str) -> bool {
         );
         ok = false;
     }
+    let Some(out_path) = out_path else {
+        return ok;
+    };
     let json = format!(
         "{{\n  \"bench\": \"shard_scaling\",\n  \"unix_time\": {unix},\n  \
          \"config\": {{\n    \"fixture\": \"preferential_attachment(256, 4, 9) degree-ordered\",\n    \

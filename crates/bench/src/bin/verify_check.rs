@@ -29,7 +29,7 @@ use stmatch_plan_verify::{verify_plan, DiagKind, GraphProfile};
 
 /// `(query, edge-induced golden)` on the unlabeled fixture — the subset
 /// the dynamic leg runs end-to-end (a path, a general shape, and the
-/// cascade that exercises tier-1 specialization and shaped arenas).
+/// cascade whose certificate shapes the arenas).
 const GOLDEN: [(usize, u64); 3] = [(1, 119531), (6, 2884), (8, 4)];
 
 fn grid() -> GridConfig {
@@ -167,7 +167,6 @@ fn run_dynamic() -> bool {
         // Hints pass: shaped arenas must not move counts or spill.
         let hint_cfg = EngineConfig::default()
             .with_grid(grid())
-            .with_compile(true)
             .with_verify_hints();
         let hinted = Engine::new(hint_cfg).run(&g, &q).expect("hinted launch");
         if hinted.count != golden {

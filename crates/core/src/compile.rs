@@ -1,21 +1,22 @@
-//! Compiled-plan execution tiers (PR 7, DESIGN.md §4h).
+//! Compiled-plan execution tiers (DESIGN.md §4h).
 //!
-//! A [`CompiledPlan`] pairs a plan's lowered bytecode
-//! ([`stmatch_pattern::PlanBytecode`]) with the *profile state* that drives
-//! tier selection:
+//! Every launch interprets the instruction stream its [`MatchPlan`] owns
+//! ([`MatchPlan::bytecode`]); nothing here holds or produces bytecode. A
+//! [`CompiledPlan`] is the optional, heap-free *tier state* that rides
+//! beside a plan when `CompileTuning::enabled` is set:
 //!
-//! * **Tier 0 — bytecode.** The kernel executes the flat instruction stream
-//!   in a tight dispatch loop instead of re-interpreting [`MatchPlan`]
-//!   structure per claim.
+//! * **Tier 0 — the interpreter.** The kernel's one loop over
+//!   `instrs_at(level)`; what every launch without tier state runs, too.
 //! * **Tier 1 — specialized.** For the dominant stream shapes (the clique
 //!   cascade and path plans, [`SpecShape`]), monomorphized kernel bodies
-//!   const-generic over `(UNROLL, NUM_SETS)` replace the dispatch loop.
-//!   A plan reaches tier 1 through its profile counter: once the claim
-//!   loops that share this `CompiledPlan` have recorded
-//!   `CompileTuning::tier_up_after` claims, the plan is promoted. Because
-//!   the service's plan cache holds the `CompiledPlan` next to the
-//!   canonical-form entry, warm resident queries start straight at the
-//!   promoted tier on cache hit.
+//!   const-generic over `(UNROLL, NUM_SETS)` replace the interpreter —
+//!   on launches that route no hub-bitmap rows; a routed launch stays on
+//!   tier 0 whatever the state says. A plan reaches tier 1 through its
+//!   profile counter: once the claim loops that share this `CompiledPlan`
+//!   have recorded `CompileTuning::tier_up_after` claims, the plan is
+//!   promoted. Because the service's plan cache holds the `CompiledPlan`
+//!   next to the canonical-form entry, warm resident queries start
+//!   straight at the promoted tier on cache hit.
 //!
 //! Promotion policy: profile-driven tier-up applies to **cascades only** —
 //! they are the compute-bound shape where monomorphized unroll bounds pay.
@@ -35,14 +36,14 @@
 
 use crate::config::CompileTuning;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
-use stmatch_pattern::bytecode::{BytecodeError, PlanBytecode, SpecShape};
+use std::sync::Mutex;
+use stmatch_pattern::bytecode::SpecShape;
 use stmatch_pattern::MatchPlan;
 
 /// The execution tier a compiled plan is currently served at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// Flat-bytecode dispatch loop.
+    /// The instruction-stream interpreter.
     Bytecode,
     /// Monomorphized shape-specialized kernel body.
     Specialized,
@@ -59,12 +60,14 @@ impl Tier {
     }
 }
 
-/// A lowered plan plus shared tier/profile state. One instance is shared by
-/// every warp of a run — and, through the service plan cache, by every run
-/// of the same canonical query.
+/// Shared tier/profile state of one plan. One instance is shared by every
+/// warp of a run — and, through the service plan cache, by every run of the
+/// same canonical query. Holds no heap memory: a one-shot launch builds it
+/// on the stack.
 #[derive(Debug)]
 pub struct CompiledPlan {
-    bytecode: PlanBytecode,
+    /// The shape of the plan's stream: which tier-1 body, if any, serves it.
+    shape: SpecShape,
     tuning: CompileTuning,
     /// Total claims recorded by kernels executing this plan (relaxed;
     /// batched in from per-warp counters, never read on the fast path).
@@ -75,13 +78,6 @@ pub struct CompiledPlan {
     /// Number of tier transitions performed (0 or 1 today; a counter so
     /// cache stats can sum over entries and future tiers can extend it).
     tier_ups: AtomicU64,
-    /// Per-set slab-capacity bounds from a *clean* static verification
-    /// (`stmatch_plan_verify::Verification::footprint_caps`). Write-once:
-    /// the first verifier to certify the plan publishes its hint; later
-    /// launches of the same cached plan reuse it. Consulted only when
-    /// `VerifyTuning::apply_hints` is on — otherwise arenas keep the
-    /// uniform geometry and runs stay bit-identical.
-    footprint: OnceLock<Vec<u32>>,
     /// Guards tier transitions and stat reads (class `PlanTierUp`).
     tier_lock: Mutex<()>,
     /// simt-check object id: names this plan's `tier-state` shadow cell and
@@ -90,62 +86,27 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Lowers `plan` and attaches fresh profile state. The stream is
-    /// verified during lowering; a malformed encoding surfaces here as a
-    /// named [`BytecodeError`] instead of a debug assertion mid-claim.
-    pub fn lower(plan: &MatchPlan, tuning: CompileTuning) -> Result<CompiledPlan, BytecodeError> {
-        Ok(Self::from_bytecode(PlanBytecode::lower(plan)?, tuning))
-    }
-
-    /// Wraps an already-lowered stream. Public so the kill-test suite can
-    /// run deliberately corrupted (but well-formed) bytecode through the
-    /// full engine; production paths go through [`CompiledPlan::lower`].
-    pub fn from_bytecode(bytecode: PlanBytecode, tuning: CompileTuning) -> CompiledPlan {
-        let pre_specialize = tuning.tier_up_after == 0
-            && tuning.specialize
-            && bytecode.shape() != SpecShape::General;
+    /// Fresh profile state for `plan` under `tuning`; with
+    /// `tier_up_after == 0` a specializable plan starts at tier 1.
+    pub fn new(plan: &MatchPlan, tuning: CompileTuning) -> CompiledPlan {
+        let shape = plan.bytecode().shape();
+        let pre_specialize =
+            tuning.tier_up_after == 0 && tuning.specialize && shape != SpecShape::General;
         CompiledPlan {
-            bytecode,
+            shape,
             tuning,
             claims: AtomicU64::new(0),
             tier: AtomicU8::new(u8::from(pre_specialize)),
             tier_ups: AtomicU64::new(0),
-            footprint: OnceLock::new(),
             tier_lock: Mutex::new(()),
             check_id: simt_check::next_object_id(),
         }
     }
 
-    /// The lowered instruction stream.
-    #[inline]
-    pub fn bytecode(&self) -> &PlanBytecode {
-        &self.bytecode
-    }
-
     /// Detected specialization shape.
     #[inline]
     pub fn shape(&self) -> SpecShape {
-        self.bytecode.shape()
-    }
-
-    /// The tuning this plan was compiled under.
-    #[inline]
-    pub fn tuning(&self) -> CompileTuning {
-        self.tuning
-    }
-
-    /// Publishes per-set arena-capacity bounds from a clean verification.
-    /// Idempotent: the first hint wins (all verifiers of one canonical
-    /// plan compute the same bounds from the same graph profile, so a
-    /// lost race loses nothing).
-    pub fn set_footprint_hint(&self, caps: Vec<u32>) {
-        let _ = self.footprint.set(caps);
-    }
-
-    /// The published capacity hint, if a clean verification attached one.
-    #[inline]
-    pub fn footprint_hint(&self) -> Option<&[u32]> {
-        self.footprint.get().map(Vec::as_slice)
+        self.shape
     }
 
     /// Current tier, as seen by the dispatch loop: a relaxed snapshot.
@@ -238,7 +199,7 @@ mod tests {
 
     fn compiled(q: usize, tuning: CompileTuning) -> CompiledPlan {
         let plan = MatchPlan::compile(&catalog::paper_query(q), PlanOptions::default());
-        CompiledPlan::lower(&plan, tuning).expect("paper queries lower")
+        CompiledPlan::new(&plan, tuning)
     }
 
     #[test]

@@ -54,19 +54,21 @@ pub struct EngineConfig {
     /// simulator metrics.
     pub setops: SetOpTuning,
     /// Hub-bitmap index routing (see `stmatch_graph::bitmap` and
-    /// DESIGN.md §4f). Disabled by default: the engine then ignores any
-    /// index attached to the graph and behaves bit-identically to
-    /// pre-bitmap revisions.
+    /// DESIGN.md §4f): whether the stream interpreter's set operations
+    /// carry hub rows. Disabled by default: the engine then ignores any
+    /// index attached to the graph, and every simulated metric is the
+    /// element paths'.
     pub hub_bitmap: HubBitmapTuning,
     /// Bounds on automatic fault recovery: the degradation ladder taken on
     /// launch-planning failures and the salvage relaunches draining work
     /// requeued from dead warps (see `recover` and DESIGN.md §4d).
     /// [`RecoveryPolicy::disabled`] restores fail-fast launches.
     pub recovery: RecoveryPolicy,
-    /// Plan-compilation tiers (bytecode dispatch + profile-guided
-    /// specialization, see `compile` and DESIGN.md §4h). Disabled by
-    /// default: the kernel then walks the plan per claim exactly as
-    /// pre-compilation revisions did, bit-identically.
+    /// Execution tiers (see `compile` and DESIGN.md §4h). Every launch
+    /// interprets its plan's own lowered stream whatever this says; the
+    /// knob only adds tier state beside the plan — and with it
+    /// profile-guided promotion to the tier-1 specialized bodies and
+    /// `MatchOutcome::served_tier`. Disabled by default.
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i):
     /// work-aware partitioning of the level-0 domain, cross-shard range
@@ -210,19 +212,21 @@ impl Default for ShardTuning {
     }
 }
 
-/// Plan-compilation knob: whether the kernel executes lowered bytecode
-/// instead of walking the plan per claim, and when profile counters promote
-/// a plan to its monomorphized tier-1 body.
+/// Tier knob: whether launches hold tier state, and when its profile
+/// counters promote a plan to its monomorphized tier-1 body.
 ///
-/// Compilation never changes match results or simulated metrics — each
-/// bytecode instruction issues exactly the set-operation call the plan walk
-/// would have — so the tiers only change host-side dispatch cost.
+/// Lowered bytecode is not optional — `MatchPlan::compile*` lowers once and
+/// every launch interprets that stream — so nothing here selects an
+/// interpreter. Tiers never change match results or simulated metrics
+/// (tier 1 issues exactly the interpreter's set-operation calls); they only
+/// change host-side dispatch cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileTuning {
-    /// Execute plans through lowered bytecode (default `false`). Only the
-    /// classic element engine compiles; with hub-bitmap routing enabled the
-    /// kernel keeps plan-walking, so `compile` + `hub_bitmap` behaves
-    /// exactly like `hub_bitmap` alone.
+    /// Hold tier state and allow tier-1 promotion (default `false`).
+    /// Without it every launch is the interpreter's and
+    /// `MatchOutcome::served_tier` is `None`. With hub-bitmap routing
+    /// enabled too, the rows are routed by the interpreter, so the launch
+    /// reports tier 0 and is metric-exact against `hub_bitmap` alone.
     pub enabled: bool,
     /// Claims observed (across every run sharing the compiled plan, e.g.
     /// via the service's plan cache) before a specializable plan is
@@ -230,8 +234,8 @@ pub struct CompileTuning {
     /// specializable plans at tier 1.
     pub tier_up_after: u64,
     /// Allow tier-1 monomorphized bodies at all (default `true`). With
-    /// `false`, every compiled plan stays on the tier-0 dispatch loop —
-    /// the pure-bytecode measurement point of `BENCH_PR7.json`.
+    /// `false`, tier state is held but every launch stays on the tier-0
+    /// interpreter — the `bc` leg of PR 7's measurement (CHANGES.md).
     pub specialize: bool,
 }
 
@@ -245,13 +249,17 @@ impl Default for CompileTuning {
     }
 }
 
-/// Hub-bitmap index knob: whether the kernel routes set operations through
-/// bitmap rows, and which degree makes a vertex a hub.
+/// Hub-bitmap index knob: whether the stream interpreter routes bitmap rows
+/// into its set operations, and which degree makes a vertex a hub.
 ///
 /// When `enabled`, the engine uses the graph's attached
 /// [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex) or builds one at
-/// `hub_threshold` per run. Bitmap routing never changes match results —
-/// only host algorithms and the wave structure of bitmap merges.
+/// `hub_threshold` per run; the interpreter then hands each set operation
+/// the rows of its hub operands, of inputs that are a hub's neighbor list
+/// or a sealed bitmap result, and runs all-hub chains fused. Bitmap routing
+/// never changes match results — only host algorithms and the wave
+/// structure of bitmap merges. Composes with every other knob; anchored
+/// delta launches alone run without it (stage views carry no index).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HubBitmapTuning {
     /// Route set operations through hub-bitmap paths (default `false`).
@@ -343,7 +351,8 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with plan-compilation tiers switched on or off.
+    /// Returns a copy with tier state (and tier-1 promotion) switched on
+    /// or off; see [`CompileTuning::enabled`].
     pub fn with_compile(mut self, enabled: bool) -> Self {
         self.compile.enabled = enabled;
         self
@@ -408,9 +417,9 @@ impl EngineConfig {
             "delta grid must have at least one warp"
         );
         // `compile` needs no range check here: every CompileTuning value is
-        // admissible, and malformed *streams* are rejected at lower time by
-        // `PlanBytecode::verify` with a named BytecodeError (same fail-loud
-        // boundary as the unroll assertion above).
+        // admissible, and malformed *streams* are rejected when the plan is
+        // compiled, by `PlanBytecode::verify` with a named BytecodeError
+        // (same fail-loud boundary as the unroll assertion above).
     }
 }
 
@@ -434,8 +443,8 @@ mod tests {
         assert!(!c.hub_bitmap.enabled);
         assert_eq!(c.hub_bitmap.hub_threshold, 32);
         assert!(c.with_hub_bitmap(true).hub_bitmap.enabled);
-        // Compilation tiers also default off (bit-identical baseline);
-        // tier-1 promotion defaults to a profile threshold, not instant.
+        // Tier state also defaults off; tier-1 promotion defaults to a
+        // profile threshold, not instant.
         assert!(!c.compile.enabled);
         assert_eq!(c.compile.tier_up_after, 4096);
         assert!(c.compile.specialize);

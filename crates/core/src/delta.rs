@@ -153,15 +153,15 @@ impl StagedBatch {
             return Ok(None);
         }
         // Right-size the launches: a level-0 domain of 2 × batch indices
-        // has no use for a service-sized grid, and the auxiliary subsystems
-        // (hub routing — stage views carry no index —, sharding, static
-        // verification, bytecode tiering) are pure overhead at this scale.
+        // has no use for a service-sized grid, and hub routing (stage views
+        // carry no index), sharding and static verification are pure
+        // overhead at this scale. The launches interpret the anchored
+        // plans' own streams like any other.
         let mut dcfg: EngineConfig = *cfg;
         dcfg.grid = cfg.delta.grid;
         dcfg.hub_bitmap.enabled = false;
         dcfg.shard.enabled = false;
         dcfg.verify.enabled = false;
-        dcfg.compile.enabled = false;
         let mut sub = Engine::new(dcfg);
         if let Some(plan) = engine.fault_plan() {
             sub = sub.with_fault_plan(plan.clone());

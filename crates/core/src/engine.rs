@@ -21,7 +21,7 @@
 //!   ladder of [`recover::degrade`] and records each rung taken in
 //!   [`MatchOutcome::downgrades`].
 
-use crate::compile::CompiledPlan;
+use crate::compile::{CompiledPlan, Tier};
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
@@ -35,6 +35,7 @@ use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
+use stmatch_plan_verify::Verification;
 
 /// Result of an enumeration run: the embeddings plus the usual outcome.
 #[derive(Clone, Debug)]
@@ -81,11 +82,11 @@ pub struct MatchOutcome {
     /// debug builds audit this against the certificate's
     /// `ResourceCert::peak_cells` bound.
     pub peak_slab_cells: u64,
-    /// The execution tier the run's compiled plan sat at when the launch
-    /// completed (`0` = bytecode dispatch, `1` = shape-specialized), or
-    /// `None` when plan compilation was off — or routed around, as when
-    /// hub-bitmap acceleration owns the set operations. A run that tiers
-    /// up mid-launch reports the *final* tier.
+    /// The execution tier the launch was served at when it completed
+    /// (`0` = the stream interpreter, `1` = shape-specialized), or `None`
+    /// when it held no tier state (`CompileTuning::enabled` off). A run
+    /// that tiers up mid-launch reports the *final* tier; a launch that
+    /// routes hub-bitmap rows is always served by the interpreter.
     pub served_tier: Option<u8>,
 }
 
@@ -171,11 +172,16 @@ pub struct Launch<'a> {
     /// are identical to a cold launch; if a degradation rung changes the
     /// grid geometry away from the slot's, that attempt runs cold.
     pub warm: Option<&'a WarmSlot>,
-    /// A caller-held [`CompiledPlan`] (lowered from `plan`) whose
-    /// tier/profile state persists across launches — how the resident
-    /// service serves cached queries at their promoted tier. `None`
-    /// lowers a fresh instance per launch when compilation is enabled.
+    /// Caller-held tier/profile state for `plan` that persists across
+    /// launches — how the resident service serves cached queries at their
+    /// promoted tier. Read only when `CompileTuning::enabled` is set;
+    /// `None` then starts the launch on fresh state of its own. Either way
+    /// the launch interprets `plan`'s own stream.
     pub compiled: Option<&'a CompiledPlan>,
+    /// A static verification of `plan` against `graph` the caller already
+    /// holds (the service's cached verdict): used — for the capacity hints
+    /// and the runtime audit — in place of verifying again.
+    pub(crate) verified: Option<&'a Verification>,
     /// Enumeration sink: warps append `k`-strided embedding records.
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
@@ -190,6 +196,7 @@ impl<'a> Launch<'a> {
             plan,
             warm: None,
             compiled: None,
+            verified: None,
             collector: None,
             domain: Level0::Whole,
         }
@@ -390,29 +397,23 @@ impl Engine {
         } else {
             None
         };
-        // Lower the plan to bytecode once, outside the degradation loop
-        // (the ladder never changes the plan). Callers holding a persistent
-        // CompiledPlan (the service cache) pass it in; one-shot runs lower
-        // a fresh instance here. Hub routing owns the set operations when
-        // enabled, so compilation is skipped alongside it.
-        let owned_compiled = (cfg.compile.enabled && hubs.is_none() && req.compiled.is_none())
-            .then(|| {
-                CompiledPlan::lower(plan, cfg.compile)
-                    .expect("plans produced by MatchPlan::compile always lower")
-            });
-        let compiled = if cfg.compile.enabled && hubs.is_none() {
-            req.compiled.or(owned_compiled.as_ref())
-        } else {
-            None
-        };
+        // Tier state, when the knob asks for it: the caller's persistent
+        // instance (the service cache) or a fresh one on this frame. It
+        // holds no stream — every launch interprets `plan.bytecode()`.
+        let owned_compiled = (cfg.compile.enabled && req.compiled.is_none())
+            .then(|| CompiledPlan::new(plan, cfg.compile));
+        let compiled = req
+            .compiled
+            .filter(|_| cfg.compile.enabled)
+            .or(owned_compiled.as_ref());
         // Static pre-launch verification (DESIGN.md §4j): certify resource
         // bounds and plan soundness once, outside the degradation loop (the
         // plan never changes; a downgrade invalidates only the slab-cap
-        // premise, which the post-run audit guards against below). A clean
-        // certificate's capacity bounds are published on the compiled plan
-        // so `WarpKernel::new` can shape the slabs when
-        // `VerifyTuning::apply_hints` asks for it.
-        let verification = cfg.verify.enabled.then(|| {
+        // premise, which the post-run audit guards against below) — unless
+        // the caller already holds the verdict. A clean certificate's
+        // capacity bounds ride on the resolved launch so `WarpKernel::new`
+        // can shape the slabs when `VerifyTuning::apply_hints` asks for it.
+        let owned_verification = (cfg.verify.enabled && req.verified.is_none()).then(|| {
             let profile = stmatch_plan_verify::GraphProfile::of(graph);
             let slab_cap = cfg.max_degree_slab.min(graph.max_degree().max(1));
             let repro = format!(
@@ -421,12 +422,12 @@ impl Engine {
                 graph.name(),
                 graph.num_vertices(),
             );
-            let v = stmatch_plan_verify::verify_plan(plan, &profile, slab_cap, &repro);
-            if let (Some(caps), Some(c)) = (v.footprint_caps(), compiled) {
-                c.set_footprint_hint(caps);
-            }
-            v
+            stmatch_plan_verify::verify_plan(plan, &profile, slab_cap, &repro)
         });
+        let verification = req.verified.or(owned_verification.as_ref());
+        let slab_caps = verification
+            .filter(|_| cfg.verify.apply_hints)
+            .and_then(Verification::footprint_caps);
         // The one place the level-0 domain is decided: how many virtual
         // indices the grid's own dispenser hands out, how the kernel maps
         // an index to a data vertex, and the rail a sharded grid draws from
@@ -458,6 +459,7 @@ impl Engine {
                     cfg: &cfg,
                     hubs,
                     compiled,
+                    slab_caps: slab_caps.as_deref(),
                     l0,
                     enumerate: req.collector.is_some(),
                 },
@@ -477,10 +479,7 @@ impl Engine {
                     // ran at the certified slab capacity (no downgrades),
                     // so a spill under a spill-free cert — or a peak above
                     // the abstract bound — is a verifier soundness bug.
-                    if let Some(v) = verification
-                        .as_ref()
-                        .filter(|_| outcome.downgrades.is_empty())
-                    {
+                    if let Some(v) = verification.filter(|_| outcome.downgrades.is_empty()) {
                         if v.cert.spill_free {
                             debug_assert_eq!(
                                 outcome.spill_events, 0,
@@ -519,6 +518,7 @@ impl Engine {
         let KernelEnv {
             plan,
             cfg,
+            hubs,
             compiled,
             ..
         } = r.env;
@@ -561,8 +561,16 @@ impl Engine {
             spill_events: stats.spill_events,
             peak_slab_cells: stats.peak_cells,
             // Snapshot after the launch: a mid-run tier-up is reported at
-            // the tier the plan ended up on.
-            served_tier: compiled.map(|c| c.tier().index()),
+            // the tier the plan ended up on. Routed rows pin the launch to
+            // the interpreter whatever the (possibly shared) state says.
+            served_tier: compiled.map(|c| {
+                let tier = if hubs.is_some() {
+                    Tier::Bytecode
+                } else {
+                    c.tier()
+                };
+                tier.index()
+            }),
         })
     }
 
@@ -1139,22 +1147,37 @@ mod tests {
     }
 
     #[test]
-    fn compile_with_hub_bitmap_routes_to_hub_path() {
-        // Hub routing owns set operations; compilation must step aside so
-        // compile+bitmap behaves exactly like bitmap alone.
+    fn hub_routing_with_tier_state_stays_on_the_interpreter() {
+        // Routed rows and tier state compose: the hub path is the
+        // interpreter's, so a forced tier 1 must not take the launch off
+        // it, and the state must not move a single metric.
         let g = gen::preferential_attachment(300, 5, 11).degree_ordered();
         let p = catalog::paper_query(8);
         let mut bitmap_only = deterministic_cfg();
         bitmap_only.hub_bitmap.enabled = true;
         let base = Engine::new(bitmap_only).run(&g, &p).unwrap();
-        let mut both = deterministic_cfg();
-        both.hub_bitmap.enabled = true;
+        assert_eq!(base.served_tier, None);
+        // Everything the simulator counts (host nanos aside).
+        let sim = |o: &MatchOutcome| {
+            let t = o.metrics.total();
+            (
+                t.simt_instructions,
+                t.issued_lane_slots,
+                t.active_lane_slots,
+                t.bitmap_probe_words,
+                t.bitmap_merge_words,
+                t.bitmap_merge_waves,
+            )
+        };
+        let routed = sim(&base);
+        assert!(routed.3 + routed.4 > 0, "fixture never took a bitmap path");
+        let mut both = bitmap_only;
         both.compile.enabled = true;
         both.compile.tier_up_after = 0;
         let out = Engine::new(both).run(&g, &p).unwrap();
         assert_eq!(out.count, base.count);
-        assert_eq!(out.total_instructions(), base.total_instructions());
-        assert_eq!(out.served_tier, None, "hub routing disables compilation");
+        assert_eq!(sim(&out), routed);
+        assert_eq!(out.served_tier, Some(0), "routed launches report tier 0");
     }
 
     #[test]

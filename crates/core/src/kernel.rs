@@ -17,6 +17,14 @@
 //! candidate-set computations are combined into shared warp waves
 //! (Fig. 8). At the last level candidates are counted instead of iterated.
 //!
+//! What a level computes is read from the plan's own lowered stream
+//! ([`MatchPlan::bytecode`], the `row_ptr` / `set_ops` encoding of Fig. 9b)
+//! by one interpreter, [`WarpKernel::compute_sets`] — cold runs, warm runs,
+//! shards and anchored delta launches alike, with or without hub-bitmap
+//! rows routed into the set operations. The only other bodies are the two
+//! tier-1 specializations of that loop (`compile`), which serve unrouted
+//! launches of promoted plans and issue the same calls.
+//!
 //! All per-claim scratch (the unroll batches, ping/pong chain buffers, the
 //! raw-claim buffer, the emit tail) is owned by the kernel and reused, and
 //! set-operation outputs stream straight into the arena slabs — after the
@@ -49,15 +57,14 @@ use crate::setops;
 use crate::steal::{Board, StealPayload};
 use stmatch_gpusim::Warp;
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
-use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SpecShape};
-use stmatch_pattern::plan::{Base, ChainOp};
+use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SpecShape, NO_POS};
 use stmatch_pattern::symmetry::Bound;
-use stmatch_pattern::{LabelMask, MatchPlan, OpKind};
+use stmatch_pattern::{MatchPlan, OpKind, MAX_PATTERN_SIZE};
 
 /// Monomorphization table for the tier-1 shape bodies: one arm per
 /// `(UNROLL, NUM_SETS)` point, keyed on the live config and plan. Unrolls
 /// outside the power-of-two ladder or plans wider than the table fall back
-/// to the tier-0 dispatch loop (returning `false`), which is always
+/// to the tier-0 interpreter (returning `false`), which is always
 /// metric-identical — specialization is a strict fast path, never a
 /// semantic fork.
 macro_rules! shape_dispatch {
@@ -111,16 +118,24 @@ pub struct KernelEnv<'a> {
     /// The data graph (a staged run's warps move on to the stage views of
     /// [`KernelEnv::l0`]; this one sizes the slabs).
     pub graph: &'a Graph,
+    /// The plan whose own stream ([`MatchPlan::bytecode`]) the kernel
+    /// interprets.
     pub plan: &'a MatchPlan,
     pub cfg: &'a EngineConfig,
     /// Hub-bitmap index, present iff `cfg.hub_bitmap.enabled` (the engine
-    /// resolves the graph's attached index or builds one per run). `None`
-    /// keeps every set operation on the classic element paths.
+    /// resolves the graph's attached index or builds one per run): its rows
+    /// are routed into the interpreter's set operations. `None` keeps
+    /// every set operation on the classic element paths.
     pub hubs: Option<&'a HubBitmapIndex>,
-    /// Compiled-plan tiers, present iff `cfg.compile.enabled`; ignored
-    /// when `hubs` is set (the tiers accelerate the classic element
-    /// engine). `None` keeps the per-claim plan walk.
+    /// Tier/profile state, present iff `cfg.compile.enabled`; consulted
+    /// only when `hubs` is `None` (the tier-1 bodies route no rows).
     pub compiled: Option<&'a CompiledPlan>,
+    /// Per-set slab-capacity bounds of a clean static verification
+    /// (`Verification::footprint_caps`), present iff
+    /// `cfg.verify.apply_hints` and a certificate offers some: the arena is
+    /// shaped to them. Ignored when `hubs` is set (set-bit rows assume
+    /// uniform geometry).
+    pub slab_caps: Option<&'a [u32]>,
     /// Level-0 translation.
     pub l0: Level0Map<'a>,
     /// Materialize every match as a pattern-vertex-indexed embedding
@@ -135,6 +150,8 @@ pub struct WarpKernel<'a> {
     /// view of the stage the current level-0 index belongs to.
     g: &'a Graph,
     plan: &'a MatchPlan,
+    /// `plan`'s lowered stream and side tables: all the claim loop reads.
+    bc: &'a PlanBytecode,
     cfg: &'a EngineConfig,
     board: &'a Board,
     warp_id: usize,
@@ -197,18 +214,12 @@ pub struct WarpKernel<'a> {
     /// Injected fault plan, if any (testing/chaos only; `None` on every
     /// production path).
     faults: Option<&'a FaultPlan>,
-    /// Hub-bitmap index, present iff `cfg.hub_bitmap.enabled` (the engine
-    /// resolves the graph's attached index or builds one per run). `None`
-    /// keeps every set operation on the classic element paths,
-    /// bit-identical to pre-bitmap revisions.
+    /// See [`KernelEnv::hubs`].
     hubs: Option<&'a HubBitmapIndex>,
-    /// Compiled-plan tiers, present iff `cfg.compile.enabled` and hub
-    /// routing is off (the tiers accelerate the classic element engine;
-    /// see `Engine::launch`). `None` keeps the per-claim plan walk,
-    /// bit-identical to pre-compilation revisions.
+    /// [`KernelEnv::compiled`], dropped when `hubs` is set.
     compiled: Option<&'a CompiledPlan>,
     /// Claims recorded since the last profile flush to `compiled` (always
-    /// 0 when compilation is off). Batched so the shared profile counter
+    /// 0 without tier state). Batched so the shared profile counter
     /// stays off the per-claim fast path.
     unflushed: u64,
 }
@@ -232,6 +243,7 @@ impl<'a> WarpKernel<'a> {
             cfg,
             hubs,
             compiled,
+            slab_caps,
             ..
         } = *env;
         let k = plan.num_levels();
@@ -242,23 +254,17 @@ impl<'a> WarpKernel<'a> {
         // fixed `max_degree_slab` per slot (see `Engine::attempt`); allocating
         // tighter just packs the slabs densely for the cache.
         let cap = cfg.max_degree_slab.min(g.max_degree().max(1));
-        // Certificate-shaped slabs: a clean static verification may have
-        // published per-set capacity bounds on the compiled plan. The
-        // bounds are sound upper bounds on candidate-list sizes, so
-        // clamping each slab to `min(bound, cap)` packs the arena tighter
-        // without introducing a single new spill — a set either fit its
-        // bound (≤ shaped cap) or would have spilled at `cap` anyway.
-        // Bitmap-domain runs keep uniform geometry (set-bit rows assume
-        // it), matching the `compiled` gating below.
-        let shaped: Option<Vec<usize>> = if cfg.verify.apply_hints && hubs.is_none() {
-            compiled.and_then(|c| c.footprint_hint()).map(|caps| {
-                (0..plan.num_sets())
-                    .map(|s| caps.get(s).map_or(cap, |&b| (b as usize).clamp(1, cap)))
-                    .collect()
-            })
-        } else {
-            None
-        };
+        // Certificate-shaped slabs: the launch may carry per-set capacity
+        // bounds from a clean static verification. They are sound upper
+        // bounds on candidate-list sizes, so clamping each slab to
+        // `min(bound, cap)` packs the arena tighter without introducing a
+        // single new spill — a set either fit its bound (≤ shaped cap) or
+        // would have spilled at `cap` anyway.
+        let shaped: Option<Vec<usize>> = slab_caps.filter(|_| hubs.is_none()).map(|caps| {
+            (0..plan.num_sets())
+                .map(|s| caps.get(s).map_or(cap, |&b| (b as usize).clamp(1, cap)))
+                .collect()
+        });
         let mut storage = match (recycle, &shaped) {
             (Some(mut arena), Some(set_caps)) => {
                 arena.reset_shaped(set_caps, unroll, cap);
@@ -280,6 +286,7 @@ impl<'a> WarpKernel<'a> {
         WarpKernel {
             g,
             plan,
+            bc: plan.bytecode(),
             cfg,
             board,
             warp_id,
@@ -338,7 +345,7 @@ impl<'a> WarpKernel<'a> {
     /// level resolves exactly as before.
     #[inline]
     fn validity(&self, l: usize) -> Validity<'a> {
-        let mut vy = Validity::for_kernel(self.plan, self.compiled, l);
+        let mut vy = Validity::new(self.bc, l);
         if l == 1 {
             vy.pin = self.pin;
         }
@@ -395,7 +402,7 @@ impl<'a> WarpKernel<'a> {
 
     /// Drains the local claim batch into the shared compiled-plan profile
     /// (which may promote the plan to its specialized tier). No-op when
-    /// compilation is off.
+    /// the launch holds no tier state.
     fn flush_profile(&mut self) {
         if self.unflushed != 0 {
             if let Some(c) = self.compiled {
@@ -766,19 +773,7 @@ impl<'a> WarpKernel<'a> {
     /// current unroll slot.
     #[inline]
     fn candidate_location(&self, l: usize, u: usize) -> (usize, usize) {
-        let (cid, def_level) = match self.compiled {
-            // Compiled route: the bytecode's side table resolved the
-            // candidate id and definition level at lower time — one flat
-            // load instead of two plan-structure derefs per claim.
-            Some(c) => c.bytecode().candidate(l),
-            None => {
-                let cid = self
-                    .plan
-                    .candidate_set(l)
-                    .expect("levels >= 1 have candidate sets") as usize;
-                (cid, self.plan.sets()[cid].level as usize)
-            }
-        };
+        let (cid, def_level) = self.bc.candidate(l);
         let slot = if def_level == l {
             u
         } else {
@@ -794,303 +789,47 @@ impl<'a> WarpKernel<'a> {
         self.storage.slot(cid, slot)
     }
 
+    /// Set-computation entry: the tier-1 monomorphized body when the
+    /// launch holds tier state, routes no hub rows, and the plan is
+    /// promoted and specializable; the interpreter otherwise. The tier read
+    /// is one relaxed atomic load per level entry; a stale tier-0 snapshot
+    /// just interprets one more level, which is metric-identical.
+    fn compute_sets_dispatch(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
+        if let Some(c) = self.compiled {
+            if c.tier() == Tier::Specialized && self.compute_sets_specialized(warp, level, bat, c) {
+                return;
+            }
+        }
+        self.compute_sets(warp, level, bat);
+    }
+
     /// Computes every set of `level` for all slots of `bat`, as combined
-    /// warp-wide operations (Fig. 8) streaming straight into the arena.
+    /// warp-wide operations (Fig. 8) streaming straight into the arena: one
+    /// set-operation call per instruction of the plan's lowered stream.
     ///
     /// Slot source/input/operand slices live in fixed stack arrays (no
     /// per-set `Vec` collects), and only multi-op chains touch the
-    /// ping/pong scratch — a set's final operation always lands in its
-    /// arena slab via [`StackArena::split_for_write`], which the plan's
-    /// dependencies-precede-dependents invariant makes alias-free.
+    /// ping/pong scratch — a set's final instruction always lands in its
+    /// arena slab via [`StackArena::split_for_write`], which the stream's
+    /// dependencies-precede-dependents order makes alias-free.
+    ///
+    /// With a hub index attached, the same calls carry bitmap rows: an
+    /// operand that is a hub brings its row; an `ApplyFromSet` input brings
+    /// the hub row of the vertex whose neighbor list its dependency slab
+    /// equals ([`Instr::dep_pos`](stmatch_pattern::Instr)) or, failing that,
+    /// the slab's own sealed result row; and the slots of a neighbor-based
+    /// chain whose base and every step operand are hubs skip the element
+    /// stream and run the whole chain fused in the bitmap domain once its
+    /// last step has landed. Without an index every row is `None` and each
+    /// call is the classic element-path call.
     fn compute_sets(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
         let m = bat.len();
         debug_assert!(m >= 1 && m <= self.cfg.unroll);
         let g = self.g;
-        let plan = self.plan;
+        let hubs = self.hubs;
         let tuning = self.cfg.setops;
         // Small copy of the matched prefix so no closure needs `self`.
-        let mut matched = [0 as VertexId; stmatch_pattern::MAX_PATTERN_SIZE];
-        matched[..self.k].copy_from_slice(&self.matched);
-        let vertex_at = |pos: usize, u: usize| -> VertexId {
-            if pos == level - 1 {
-                bat[u]
-            } else {
-                matched[pos]
-            }
-        };
-        const EMPTY: &[VertexId] = &[];
-        const NO_BITS: Option<&[u64]> = None;
-        let hubs = self.hubs;
-        for sid in plan.sets_at_level(level) {
-            let def = &plan.sets()[sid];
-            let nops = def.ops.len();
-            // Slots whose whole op chain runs fused in the bitmap domain
-            // (base vertex and every chain operand are hubs); they skip
-            // the element-stream legs and are filled after the chain tail.
-            let mut fused = [false; MAX_UNROLL];
-            let mut fused_any = false;
-            let mut fused_pos = 0usize;
-            // `rest` = chain ops still to apply after the base step; the
-            // base step writes to the arena and short-circuits when it is
-            // also the final step.
-            let rest: &[ChainOp];
-            match def.base {
-                Base::Neighbors(pos) => {
-                    if nops > 0 {
-                        if let Some(hx) = hubs {
-                            fused_pos = pos as usize;
-                            for (u, f) in fused.iter_mut().enumerate().take(m) {
-                                *f = hx.is_hub(vertex_at(fused_pos, u))
-                                    && def
-                                        .ops
-                                        .iter()
-                                        .all(|op| hx.is_hub(vertex_at(op.pos as usize, u)));
-                                fused_any |= *f;
-                            }
-                        }
-                    }
-                    let mut sources = [EMPTY; MAX_UNROLL];
-                    for (u, s) in sources.iter_mut().enumerate().take(m) {
-                        if !fused[u] {
-                            *s = g.neighbors(vertex_at(pos as usize, u));
-                        }
-                    }
-                    if nops == 0 {
-                        let (_, mut sink) = self.storage.split_for_write(sid, m);
-                        setops::materialize_base_into(warp, g, &sources[..m], def.mask, &mut sink);
-                        continue;
-                    }
-                    setops::materialize_base_into(
-                        warp,
-                        g,
-                        &sources[..m],
-                        LabelMask::ALL,
-                        &mut self.ping[..m],
-                    );
-                    rest = &def.ops;
-                }
-                Base::Set(dep) => {
-                    let dep = dep as usize;
-                    let dep_def = &plan.sets()[dep];
-                    let dep_level = dep_def.level as usize;
-                    let op = def.ops.first().expect("set deps carry an op");
-                    let mask = if nops == 1 { def.mask } else { LabelMask::ALL };
-                    let mut operands = [EMPTY; MAX_UNROLL];
-                    let mut operand_bits = [NO_BITS; MAX_UNROLL];
-                    for (u, o) in operands.iter_mut().enumerate().take(m) {
-                        let ov = vertex_at(op.pos as usize, u);
-                        *o = g.neighbors(ov);
-                        if let Some(hx) = hubs {
-                            operand_bits[u] = hx.row(ov);
-                        }
-                    }
-                    // Input rows exist only when the dependency set is a
-                    // pure, unmasked neighbor materialization of a hub —
-                    // then slot contents equal that hub's row verbatim.
-                    let mut input_bits = [NO_BITS; MAX_UNROLL];
-                    if let (Some(hx), Base::Neighbors(dp)) = (hubs, dep_def.base) {
-                        if dep_def.ops.is_empty() && dep_def.mask.is_all() {
-                            for (u, ib) in input_bits.iter_mut().enumerate().take(m) {
-                                *ib = hx.row(vertex_at(dp as usize, u));
-                            }
-                        }
-                    }
-                    // Split the arena below `sid`: dependency sets are
-                    // readable while `sid`'s slots are written.
-                    let (read, mut sink) = self.storage.split_for_write(sid, m);
-                    let mut inputs = [EMPTY; MAX_UNROLL];
-                    for (u, inp) in inputs.iter_mut().enumerate().take(m) {
-                        let slot = if dep_level == level {
-                            u
-                        } else {
-                            self.uiter[dep_level]
-                        };
-                        *inp = read.slot(dep, slot);
-                        debug_assert!(
-                            input_bits[u].is_none()
-                                || *inp
-                                    == g.neighbors(vertex_at(
-                                        match dep_def.base {
-                                            Base::Neighbors(dp) => dp as usize,
-                                            Base::Set(_) => unreachable!(),
-                                        },
-                                        u
-                                    )),
-                            "input row attached to a slot that is not its hub's neighborhood"
-                        );
-                        // No purity row? A sealed arena row (the slot was
-                        // itself produced by a bitmap merge) serves the
-                        // same role, cascading word-parallel ops down
-                        // whole dependency chains — the deep levels of
-                        // clique-like queries.
-                        if input_bits[u].is_none() {
-                            if let Some(bits) = read.slot_bits(dep, slot) {
-                                debug_assert_eq!(
-                                    bits.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
-                                    inp.len(),
-                                    "sealed slot row disagrees with its element list"
-                                );
-                                input_bits[u] = Some(bits);
-                            }
-                        }
-                    }
-                    if nops == 1 {
-                        setops::apply_op_hub_into(
-                            warp,
-                            g,
-                            &inputs[..m],
-                            &input_bits[..m],
-                            &operands[..m],
-                            &operand_bits[..m],
-                            op.kind,
-                            mask,
-                            tuning,
-                            &mut sink,
-                        );
-                        continue;
-                    }
-                    setops::apply_op_hub_into(
-                        warp,
-                        g,
-                        &inputs[..m],
-                        &input_bits[..m],
-                        &operands[..m],
-                        &operand_bits[..m],
-                        op.kind,
-                        mask,
-                        tuning,
-                        &mut self.ping[..m],
-                    );
-                    rest = &def.ops[1..];
-                }
-            }
-            // Multi-op chain tail: intermediates ping→pong, the final op
-            // straight into the arena. Operand hub rows still upgrade the
-            // membership probes; inputs are scratch lists, so never rows.
-            let last = rest.len() - 1;
-            for (i, op) in rest.iter().enumerate() {
-                let mask = if i == last { def.mask } else { LabelMask::ALL };
-                let mut operands = [EMPTY; MAX_UNROLL];
-                let mut operand_bits = [NO_BITS; MAX_UNROLL];
-                for (u, o) in operands.iter_mut().enumerate().take(m) {
-                    let ov = vertex_at(op.pos as usize, u);
-                    *o = g.neighbors(ov);
-                    if let Some(hx) = hubs {
-                        operand_bits[u] = hx.row(ov);
-                    }
-                }
-                let mut inputs = [EMPTY; MAX_UNROLL];
-                for (u, inp) in inputs.iter_mut().enumerate().take(m) {
-                    *inp = self.ping[u].as_slice();
-                }
-                let input_bits = [NO_BITS; MAX_UNROLL];
-                if i == last {
-                    let (_, mut sink) = self.storage.split_for_write(sid, m);
-                    setops::apply_op_hub_into(
-                        warp,
-                        g,
-                        &inputs[..m],
-                        &input_bits[..m],
-                        &operands[..m],
-                        &operand_bits[..m],
-                        op.kind,
-                        mask,
-                        tuning,
-                        &mut sink,
-                    );
-                } else {
-                    setops::apply_op_hub_into(
-                        warp,
-                        g,
-                        &inputs[..m],
-                        &input_bits[..m],
-                        &operands[..m],
-                        &operand_bits[..m],
-                        op.kind,
-                        mask,
-                        tuning,
-                        &mut self.pong[..m],
-                    );
-                    std::mem::swap(&mut self.ping, &mut self.pong);
-                }
-            }
-            // Fused slots: the whole chain in the bitmap domain, ping/pong
-            // word scratch lent by the arena, final op extracted straight
-            // into the slot (re-`begin`s it after the empty classic leg).
-            if fused_any {
-                let hx = hubs.expect("fused slots imply an index");
-                let stride = hx.stride();
-                const NO_ROW: &[u64] = &[];
-                let mut chain = [(OpKind::Intersect, NO_ROW); stmatch_pattern::MAX_PATTERN_SIZE];
-                let (_, mut sink, bits_ping, bits_pong) =
-                    self.storage.split_for_write_bits(sid, m, stride);
-                for (u, &is_fused) in fused.iter().enumerate().take(m) {
-                    if !is_fused {
-                        continue;
-                    }
-                    let base_row = hx
-                        .row(vertex_at(fused_pos, u))
-                        .expect("fused base is a hub");
-                    for (ci, op) in def.ops.iter().enumerate() {
-                        chain[ci] = (
-                            op.kind,
-                            hx.row(vertex_at(op.pos as usize, u))
-                                .expect("fused operand is a hub"),
-                        );
-                    }
-                    setops::apply_chain_bits_into(
-                        warp,
-                        g,
-                        u,
-                        base_row,
-                        &chain[..nops],
-                        def.mask,
-                        bits_ping,
-                        bits_pong,
-                        &mut sink,
-                    );
-                }
-            }
-        }
-    }
-
-    /// Set-computation entry: routes to the plan walk (compilation off),
-    /// the tier-1 monomorphized body (promoted specializable plans), or
-    /// the tier-0 bytecode dispatch loop. The tier read is one relaxed
-    /// atomic load per level entry; a stale tier-0 snapshot just dispatches
-    /// one more level through bytecode, which is metric-identical.
-    fn compute_sets_dispatch(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
-        let Some(c) = self.compiled else {
-            self.compute_sets(warp, level, bat);
-            return;
-        };
-        if c.tier() == Tier::Specialized && self.compute_sets_specialized(warp, level, bat, c) {
-            return;
-        }
-        self.compute_sets_bc(warp, level, bat, c.bytecode());
-    }
-
-    /// Tier 0: executes `level`'s lowered instruction stream. Only
-    /// reachable with hub routing off (`self.compiled` is `None`
-    /// otherwise), so every instruction issues exactly the element-path
-    /// set-operation call — with identical operands, masks, staging and
-    /// arena splits — that [`WarpKernel::compute_sets`] would have derived
-    /// from the plan structure. Counts, simulator metrics and simt-check
-    /// shadow events are therefore bit-identical by construction; what the
-    /// stream removes is the per-claim interpretation itself (base-variant
-    /// match, op-vector walk, mask/staging decisions).
-    fn compute_sets_bc(
-        &mut self,
-        warp: &mut Warp,
-        level: usize,
-        bat: &[VertexId],
-        bc: &PlanBytecode,
-    ) {
-        let m = bat.len();
-        debug_assert!(m >= 1 && m <= self.cfg.unroll);
-        let g = self.g;
-        let tuning = self.cfg.setops;
-        let mut matched = [0 as VertexId; stmatch_pattern::MAX_PATTERN_SIZE];
+        let mut matched = [0 as VertexId; MAX_PATTERN_SIZE];
         matched[..self.k].copy_from_slice(&self.matched);
         let vertex_at = |pos: usize, u: usize| -> VertexId {
             if pos == level - 1 {
@@ -1102,40 +841,88 @@ impl<'a> WarpKernel<'a> {
         const EMPTY: &[VertexId] = &[];
         const NO_BITS: Option<&[u64]> = None;
         let no_bits = [NO_BITS; MAX_UNROLL];
-        for ins in bc.instrs_at(level) {
+        // Hub rows of the vertices at `pos`, one per slot.
+        let rows_at = |hx: &'a HubBitmapIndex, pos: usize| -> [Option<&'a [u64]>; MAX_UNROLL] {
+            std::array::from_fn(|u| {
+                if u < m {
+                    hx.row(vertex_at(pos, u))
+                } else {
+                    None
+                }
+            })
+        };
+        let prog = self.bc.instrs_at(level);
+        // The open neighbor-based chain: where it began and which slots run
+        // it fused (set by `BeginChain`, consumed by the chain's last step).
+        let mut chain_at = 0usize;
+        let mut fused = [false; MAX_UNROLL];
+        let mut fused_any = false;
+        for (i, ins) in prog.iter().enumerate() {
             let pos = ins.pos as usize;
+            let dst = ins.dst as usize;
+            let mut lists = [EMPTY; MAX_UNROLL];
+            for (u, l) in lists.iter_mut().enumerate().take(m) {
+                *l = g.neighbors(vertex_at(pos, u));
+            }
+            // Combines `inputs` with the neighbor lists at `pos` into `$out`.
+            macro_rules! apply {
+                ($inputs:expr, $input_bits:expr, $out:expr) => {{
+                    let operand_rows = hubs.map(|hx| rows_at(hx, pos));
+                    setops::apply_op_hub_into(
+                        warp,
+                        g,
+                        &$inputs[..m],
+                        &$input_bits[..m],
+                        &lists[..m],
+                        operand_rows.as_ref().map_or(&no_bits[..m], |r| &r[..m]),
+                        ins.kind,
+                        ins.mask,
+                        tuning,
+                        $out,
+                    )
+                }};
+            }
             match ins.code {
-                OpCode::MaterializeBase | OpCode::BeginChain => {
-                    let mut sources = [EMPTY; MAX_UNROLL];
-                    for (u, s) in sources.iter_mut().enumerate().take(m) {
-                        *s = g.neighbors(vertex_at(pos, u));
+                OpCode::MaterializeBase => {
+                    let (_, mut sink) = self.storage.split_for_write(dst, m);
+                    setops::materialize_base_into(warp, g, &lists[..m], ins.mask, &mut sink);
+                }
+                OpCode::BeginChain => {
+                    chain_at = i;
+                    fused_any = false;
+                    if let Some(hx) = hubs {
+                        let steps = prog[i + 1..]
+                            .iter()
+                            .take_while(|s| s.code == OpCode::ChainStep);
+                        for (u, f) in fused.iter_mut().enumerate().take(m) {
+                            *f = hx.is_hub(vertex_at(pos, u))
+                                && steps
+                                    .clone()
+                                    .all(|s| hx.is_hub(vertex_at(s.pos as usize, u)));
+                            if *f {
+                                lists[u] = EMPTY;
+                                fused_any = true;
+                            }
+                        }
                     }
-                    if ins.last {
-                        let (_, mut sink) = self.storage.split_for_write(ins.dst as usize, m);
-                        setops::materialize_base_into(warp, g, &sources[..m], ins.mask, &mut sink);
-                    } else {
-                        setops::materialize_base_into(
-                            warp,
-                            g,
-                            &sources[..m],
-                            ins.mask,
-                            &mut self.ping[..m],
-                        );
-                    }
+                    setops::materialize_base_into(
+                        warp,
+                        g,
+                        &lists[..m],
+                        ins.mask,
+                        &mut self.ping[..m],
+                    );
                 }
                 OpCode::ApplyFromSet => {
-                    let mut operands = [EMPTY; MAX_UNROLL];
-                    for (u, o) in operands.iter_mut().enumerate().take(m) {
-                        *o = g.neighbors(vertex_at(pos, u));
-                    }
+                    fused_any = false;
                     let dep = ins.dep as usize;
                     let dep_level = ins.dep_level as usize;
-                    // Split in both branches, exactly like the plan walk:
-                    // the split is also the shadow-store write event for
-                    // `dst`, and dependency slots are read through its
-                    // read view.
-                    let (read, mut sink) = self.storage.split_for_write(ins.dst as usize, m);
+                    // Split even when the result is staged: the split is
+                    // also the shadow-store write event for `dst`, and
+                    // dependency slots are read through its read view.
+                    let (read, mut sink) = self.storage.split_for_write(dst, m);
                     let mut inputs = [EMPTY; MAX_UNROLL];
+                    let mut input_rows = hubs.map(|_| no_bits);
                     for (u, inp) in inputs.iter_mut().enumerate().take(m) {
                         let slot = if dep_level == level {
                             u
@@ -1143,72 +930,78 @@ impl<'a> WarpKernel<'a> {
                             self.uiter[dep_level]
                         };
                         *inp = read.slot(dep, slot);
+                        let (Some(hx), Some(rows)) = (hubs, input_rows.as_mut()) else {
+                            continue;
+                        };
+                        if ins.dep_pos != NO_POS {
+                            let v = vertex_at(ins.dep_pos as usize, u);
+                            debug_assert_eq!(*inp, g.neighbors(v), "dep_pos names another list");
+                            rows[u] = hx.row(v);
+                        }
+                        // No hub row? A sealed arena row (the slot was
+                        // itself produced by a bitmap merge) serves the
+                        // same role, cascading word-parallel ops down whole
+                        // dependency chains — the deep levels of
+                        // clique-like queries.
+                        if rows[u].is_none() {
+                            rows[u] = read.slot_bits(dep, slot);
+                            debug_assert!(rows[u].is_none_or(|bits| inp.len()
+                                == bits.iter().map(|w| w.count_ones() as usize).sum::<usize>()));
+                        }
                     }
+                    let input_bits = input_rows.as_ref().unwrap_or(&no_bits);
                     if ins.last {
-                        setops::apply_op_hub_into(
-                            warp,
-                            g,
-                            &inputs[..m],
-                            &no_bits[..m],
-                            &operands[..m],
-                            &no_bits[..m],
-                            ins.kind,
-                            ins.mask,
-                            tuning,
-                            &mut sink,
-                        );
+                        apply!(inputs, input_bits, &mut sink);
                     } else {
-                        setops::apply_op_hub_into(
-                            warp,
-                            g,
-                            &inputs[..m],
-                            &no_bits[..m],
-                            &operands[..m],
-                            &no_bits[..m],
-                            ins.kind,
-                            ins.mask,
-                            tuning,
-                            &mut self.ping[..m],
-                        );
+                        apply!(inputs, input_bits, &mut self.ping[..m]);
                     }
                 }
+                // Inputs are scratch lists, so never rows; hub operands
+                // still upgrade the membership probes.
                 OpCode::ChainStep => {
-                    let mut operands = [EMPTY; MAX_UNROLL];
-                    for (u, o) in operands.iter_mut().enumerate().take(m) {
-                        *o = g.neighbors(vertex_at(pos, u));
-                    }
                     let mut inputs = [EMPTY; MAX_UNROLL];
                     for (u, inp) in inputs.iter_mut().enumerate().take(m) {
                         *inp = self.ping[u].as_slice();
                     }
-                    if ins.last {
-                        let (_, mut sink) = self.storage.split_for_write(ins.dst as usize, m);
-                        setops::apply_op_hub_into(
+                    if !ins.last {
+                        apply!(inputs, no_bits, &mut self.pong[..m]);
+                        std::mem::swap(&mut self.ping, &mut self.pong);
+                        continue;
+                    }
+                    {
+                        let (_, mut sink) = self.storage.split_for_write(dst, m);
+                        apply!(inputs, no_bits, &mut sink);
+                    }
+                    if !fused_any {
+                        continue;
+                    }
+                    // Fused slots: the whole chain in the bitmap domain,
+                    // ping/pong word scratch lent by the arena, final op
+                    // extracted straight into the slot (re-`begin`s it
+                    // after the empty element leg above).
+                    let hx = hubs.expect("fused slots imply an index");
+                    let base_pos = prog[chain_at].pos as usize;
+                    let steps = &prog[chain_at + 1..=i];
+                    const NO_ROW: &[u64] = &[];
+                    let mut chain = [(OpKind::Intersect, NO_ROW); MAX_PATTERN_SIZE];
+                    let (_, mut sink, bits_ping, bits_pong) =
+                        self.storage.split_for_write_bits(dst, m, hx.stride());
+                    for u in (0..m).filter(|&u| fused[u]) {
+                        let row = |pos: usize| hx.row(vertex_at(pos, u)).expect("fused on hubs");
+                        for (c, s) in chain.iter_mut().zip(steps) {
+                            *c = (s.kind, row(s.pos as usize));
+                        }
+                        setops::apply_chain_bits_into(
                             warp,
                             g,
-                            &inputs[..m],
-                            &no_bits[..m],
-                            &operands[..m],
-                            &no_bits[..m],
-                            ins.kind,
+                            u,
+                            row(base_pos),
+                            &chain[..steps.len()],
                             ins.mask,
-                            tuning,
+                            bits_ping,
+                            bits_pong,
                             &mut sink,
                         );
-                    } else {
-                        setops::apply_op_hub_into(
-                            warp,
-                            g,
-                            &inputs[..m],
-                            &no_bits[..m],
-                            &operands[..m],
-                            &no_bits[..m],
-                            ins.kind,
-                            ins.mask,
-                            tuning,
-                            &mut self.pong[..m],
-                        );
-                        std::mem::swap(&mut self.ping, &mut self.pong);
                     }
                 }
             }
@@ -1226,7 +1019,7 @@ impl<'a> WarpKernel<'a> {
         bat: &[VertexId],
         c: &CompiledPlan,
     ) -> bool {
-        let bc = c.bytecode();
+        let bc = self.bc;
         match c.shape() {
             SpecShape::Cascade => shape_dispatch!(self.cascade_level(warp, level, bat, bc)),
             SpecShape::Path => shape_dispatch!(self.path_level(warp, level, bat, bc)),
@@ -1311,7 +1104,7 @@ impl<'a> WarpKernel<'a> {
         debug_assert_eq!(bc.num_sets(), NUM_SETS);
         let g = self.g;
         const EMPTY: &[VertexId] = &[];
-        let mut matched = [0 as VertexId; stmatch_pattern::MAX_PATTERN_SIZE];
+        let mut matched = [0 as VertexId; MAX_PATTERN_SIZE];
         matched[..self.k].copy_from_slice(&self.matched);
         let prog = bc.instrs_at(level);
         debug_assert!(prog.len() <= NUM_SETS);
@@ -1390,11 +1183,7 @@ impl<'a> WarpKernel<'a> {
     #[inline]
     fn valid(&self, l: usize, v: VertexId) -> bool {
         if l == 0 {
-            let lbl = match self.compiled {
-                Some(c) => c.bytecode().level_meta(0).label,
-                None => self.plan.level_label(0),
-            };
-            if let Some(lbl) = lbl {
+            if let Some(lbl) = self.bc.level_meta(0).label {
                 if self.g.label(v) != lbl {
                     return false;
                 }
@@ -1418,28 +1207,11 @@ struct Validity<'p> {
 
 impl<'p> Validity<'p> {
     #[inline]
-    fn new(plan: &'p MatchPlan, l: usize) -> Self {
+    fn new(bc: &'p PlanBytecode, l: usize) -> Self {
         Validity {
-            resid: plan.residual_label_check(l),
-            bounds: plan.bounds(l),
+            resid: bc.level_meta(l).resid,
+            bounds: bc.bounds(l),
             pin: None,
-        }
-    }
-
-    /// Resolves the per-level context from the compiled plan's flat side
-    /// tables when compilation is on (one slice index instead of the plan's
-    /// per-level structure walk), from the plan otherwise. The bytecode
-    /// tables are snapshots of the same plan fields, so both routes yield
-    /// identical contexts.
-    #[inline]
-    fn for_kernel(plan: &'p MatchPlan, compiled: Option<&'p CompiledPlan>, l: usize) -> Self {
-        match compiled {
-            Some(c) => Validity {
-                resid: c.bytecode().level_meta(l).resid,
-                bounds: c.bytecode().bounds(l),
-                pin: None,
-            },
-            None => Validity::new(plan, l),
         }
     }
 

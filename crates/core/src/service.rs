@@ -337,11 +337,11 @@ impl PlanKey {
     }
 }
 
-/// One plan-cache entry: the canonical plan plus — when plan compilation
-/// is on — its persistent [`CompiledPlan`]. Holding the compiled plan in
-/// the cache is what makes tier promotion *resident*: the profile counter
-/// and tier survive across queries, so a warm hit is served straight at
-/// the promoted tier.
+/// One plan-cache entry: the canonical plan (with the stream every query
+/// on it interprets) plus — when `CompileTuning::enabled` is set — its
+/// persistent tier state. Holding that in the cache is what makes tier
+/// promotion *resident*: the profile counter and tier survive across
+/// queries, so a warm hit is served straight at the promoted tier.
 #[derive(Clone)]
 struct CachedPlan {
     plan: Arc<MatchPlan>,
@@ -455,22 +455,17 @@ impl Inner {
                 symmetry_breaking: self.cfg.engine.symmetry_breaking,
             },
         ));
-        // Bytecode lowering also runs outside the cache lock. With hub
-        // routing on the engine would ignore the compiled plan, so skip
-        // lowering entirely rather than cache dead tier state.
-        let compiled = (self.cfg.engine.compile.enabled && !self.cfg.engine.hub_bitmap.enabled)
-            .then(|| {
-                Arc::new(
-                    CompiledPlan::lower(&plan, self.cfg.engine.compile)
-                        .expect("plans produced by MatchPlan::compile always lower"),
-                )
-            });
+        // Resident tier state (the stream itself was lowered by the compile
+        // above, outside the cache lock).
+        let tuning = self.cfg.engine.compile;
+        let compiled = tuning
+            .enabled
+            .then(|| Arc::new(CompiledPlan::new(&plan, tuning)));
         // Static verification, once per canonical entry (DESIGN.md §4j):
         // the service's graph is resident and immutable, so the
-        // certificate computed here stays valid for every later hit.
-        // Clean certificates publish their capacity hint on the resident
-        // compiled plan, so warm hits launch with shaped arenas whenever
-        // `VerifyTuning::apply_hints` is on.
+        // certificate computed here stays valid for every later hit — each
+        // launch carries it (`Launch::verified`), so warm hits run with
+        // shaped arenas whenever `VerifyTuning::apply_hints` is on.
         // Delta mode never caches certificates: they are computed against
         // one topology and the graph changes under apply_batch, so a
         // cached verdict would silently go stale.
@@ -486,11 +481,12 @@ impl Inner {
                 pattern.name(),
                 self.graph.name(),
             );
-            let v = stmatch_plan_verify::verify_plan(&plan, self.graph_profile(), slab_cap, &repro);
-            if let (Some(caps), Some(c)) = (v.footprint_caps(), compiled.as_deref()) {
-                c.set_footprint_hint(caps);
-            }
-            Arc::new(v)
+            Arc::new(stmatch_plan_verify::verify_plan(
+                &plan,
+                self.graph_profile(),
+                slab_cap,
+                &repro,
+            ))
         });
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -545,12 +541,11 @@ impl Inner {
         let mut cfg = self.cfg.engine;
         cfg.induced = induced;
         if cfg.verify.enabled && !cfg.shard.enabled {
-            // Verification already ran once for this canonical entry (and
-            // published any capacity hint on the resident compiled plan);
-            // re-verifying per launch would only repeat it. The sharded
-            // route keeps the flag: its shard-cover check is per run.
-            // `apply_hints` stays as configured — the kernel gates arena
-            // shaping on it alone.
+            // Verification already ran once for this canonical entry and
+            // travels with the launch below; re-verifying per launch would
+            // only repeat it. The sharded route keeps the flag: its
+            // shard-cover check is per run. `apply_hints` stays as
+            // configured — the engine gates arena shaping on it alone.
             cfg.verify.enabled = false;
         }
         if let Some(r) = opts.recovery {
@@ -586,6 +581,7 @@ impl Inner {
                 engine.launch(&Launch {
                     warm,
                     compiled,
+                    verified: entry.verification.as_deref(),
                     ..Launch::new(&graph, plan)
                 })
             }
@@ -601,27 +597,6 @@ impl Inner {
                     Some(0) => drop(self.tier0_served.fetch_add(1, Ordering::Relaxed)),
                     Some(_) => drop(self.tier1_served.fetch_add(1, Ordering::Relaxed)),
                     None => {}
-                }
-                // Runtime audit of the cached certificate (mirrors the
-                // engine's own audit, which the served route skips): valid
-                // only when the launch ran at the certified slab capacity.
-                if let Some(v) = entry
-                    .verification
-                    .as_ref()
-                    .filter(|_| outcome.downgrades.is_empty())
-                {
-                    if v.cert.spill_free {
-                        debug_assert_eq!(
-                            outcome.spill_events, 0,
-                            "cached certificate claims spill-freedom but the run spilled"
-                        );
-                    }
-                    debug_assert!(
-                        outcome.peak_slab_cells <= v.cert.peak_cells(cfg.unroll),
-                        "runtime peak {} exceeds cached certified bound {}",
-                        outcome.peak_slab_cells,
-                        v.cert.peak_cells(cfg.unroll)
-                    );
                 }
                 if outcome.timed_out {
                     Err(ServiceError::DeadlineExceeded {

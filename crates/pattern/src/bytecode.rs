@@ -1,26 +1,30 @@
-//! Bytecode lowering of a [`MatchPlan`] (PR 7, DESIGN.md §4h).
+//! Bytecode lowering of a [`MatchPlan`] (DESIGN.md §4h).
 //!
 //! A [`MatchPlan`] describes each level's candidate sets as structured
-//! [`SetDef`]s: a base operand plus a chain of set operations. The engine's
-//! claim loop used to re-interpret that structure on every claim — match on
-//! the base variant, walk the op vector, re-derive ping/pong staging and the
-//! final masked write. [`PlanBytecode::lower`] performs that interpretation
-//! exactly once, producing a flat stream of fixed-width [`Instr`]s whose
-//! order *is* the execution order. The kernel's tier-0 dispatch loop then
-//! just walks `instrs_at(level)` and issues one set-operation call per
-//! instruction; tier-1 monomorphized bodies pattern-match the stream shape
-//! ([`SpecShape`]) instead of the plan.
+//! [`SetDef`](crate::plan::SetDef)s: a base operand plus a chain of set
+//! operations. [`PlanBytecode::lower`] interprets that structure exactly
+//! once — base variant, op chain, ping/pong staging, the final masked write —
+//! into a flat stream of fixed-width [`Instr`]s whose order *is* the
+//! execution order: the `row_ptr` / `set_ops` encoding of the paper's
+//! Fig. 9b. The stream is the plan's only executable form:
+//! `MatchPlan::compile*` lowers once and the plan owns the result
+//! ([`MatchPlan::bytecode`]), so every launch of every route interprets the
+//! same stream and none lowers. The kernel's interpreter walks
+//! `instrs_at(level)` and issues one set-operation call per instruction;
+//! tier-1 monomorphized bodies pattern-match the stream shape
+//! ([`SpecShape`]).
 //!
-//! The lowering is semantics-preserving by construction: each instruction
-//! corresponds 1:1 to a set-operation call the plan-walking interpreter
-//! would have made, with identical operands, masks and staging-buffer
-//! choices. The engine gates this with metric-bit-identity tests (counts,
-//! simulated instructions, lane utilization) over q1..q24.
+//! Everything a launch decides per set is in the stream, including what
+//! hub-bitmap routing needs: an [`OpCode::ApplyFromSet`] records whether its
+//! dependency slab is verbatim some matched vertex's neighbor list
+//! ([`Instr::dep_pos`]), and a chain's steps are contiguous, so "is every
+//! operand of this chain a hub" is a scan of the instructions that follow
+//! its [`OpCode::BeginChain`].
 //!
 //! Streams are validated at lower time by [`PlanBytecode::verify`] — a
 //! malformed stream (out-of-range set ids, forward dependencies, chains
 //! past [`MAX_PATTERN_SIZE`]) is rejected with a named [`BytecodeError`]
-//! instead of debug-asserting inside the dispatch loop.
+//! instead of debug-asserting inside the interpreter.
 
 use crate::pattern::MAX_PATTERN_SIZE;
 use crate::plan::{Base, LabelMask, MatchPlan, OpKind};
@@ -30,8 +34,11 @@ use stmatch_graph::Label;
 /// Sentinel for "no set reference" in [`Instr::dep`] and [`LevelMeta::cand`].
 pub const NO_SET: u16 = u16::MAX;
 
+/// Sentinel for "not a verbatim neighbor list" in [`Instr::dep_pos`].
+pub const NO_POS: u8 = u8::MAX;
+
 /// Instruction opcodes. Each maps to exactly one set-operation call shape in
-/// the kernel's dispatch loop.
+/// the kernel's interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCode {
     /// Materialize the (mask-filtered) neighbor list of the vertex at order
@@ -72,12 +79,42 @@ pub struct Instr {
     pub dep: u16,
     /// Level at which `dep` was computed (selects its unroll slot).
     pub dep_level: u8,
+    /// For `ApplyFromSet`: the order position `p` when `dep` was written by
+    /// an unmasked `MaterializeBase` of position `p` — its slab then equals
+    /// `N(vertex at p)` verbatim, so that vertex's hub row (if it has one)
+    /// denotes the input exactly. [`NO_POS`] otherwise.
+    pub dep_pos: u8,
     /// True on the final instruction of a set's program: the write that
     /// applies `mask` and lands in the arena.
     pub last: bool,
     /// Label filter for the produced elements ([`LabelMask::ALL`] on
     /// non-final steps).
     pub mask: LabelMask,
+}
+
+impl Instr {
+    /// An instruction whose only operand is `N(vertex at pos)`: no set
+    /// dependency. `write` is the mask of a final (arena) write, `None` for
+    /// a step that stages an unfiltered intermediate.
+    fn on_neighbors(
+        code: OpCode,
+        kind: OpKind,
+        pos: u8,
+        dst: u16,
+        write: Option<LabelMask>,
+    ) -> Instr {
+        Instr {
+            code,
+            kind,
+            pos,
+            dst,
+            dep: NO_SET,
+            dep_level: 0,
+            dep_pos: NO_POS,
+            last: write.is_some(),
+            mask: write.unwrap_or(LabelMask::ALL),
+        }
+    }
 }
 
 /// Per-level side table: everything the claim loop needs besides the
@@ -124,6 +161,9 @@ pub enum BytecodeError {
     DepOutOfRange { instr: usize, dep: u16 },
     /// The recorded `dep_level` disagrees with where `dep` was written.
     DepLevelMismatch { instr: usize, dep: u16 },
+    /// The recorded `dep_pos` disagrees with how `dep` was written: it must
+    /// name the position iff an unmasked `MaterializeBase` produced `dep`.
+    DepPosMismatch { instr: usize, dep: u16 },
     /// A neighbor-operand position is not strictly below its level.
     PosOutOfRange { instr: usize, pos: u8 },
     /// A set's program chains more ops than [`MAX_PATTERN_SIZE`].
@@ -162,6 +202,12 @@ impl std::fmt::Display for BytecodeError {
                 write!(
                     f,
                     "bytecode: instr {instr} records wrong dep_level for set {dep}"
+                )
+            }
+            BytecodeError::DepPosMismatch { instr, dep } => {
+                write!(
+                    f,
+                    "bytecode: instr {instr} records wrong dep_pos for set {dep}"
                 )
             }
             BytecodeError::PosOutOfRange { instr, pos } => {
@@ -234,7 +280,7 @@ pub struct PlanBytecode {
 impl PlanBytecode {
     /// Lowers `plan` into a verified instruction stream.
     ///
-    /// Encoding rules (mirroring the plan-walking interpreter exactly):
+    /// Encoding rules:
     ///
     /// | set definition            | emitted program                                  |
     /// |---------------------------|--------------------------------------------------|
@@ -249,7 +295,9 @@ impl PlanBytecode {
     pub fn lower(plan: &MatchPlan) -> Result<PlanBytecode, BytecodeError> {
         let k = plan.num_levels();
         let sets = plan.sets();
-        let mut instrs = Vec::new();
+        // Sized once: one instruction per op, plus at most an opener per
+        // set.
+        let mut instrs = Vec::with_capacity(sets.iter().map(|d| 1 + d.ops.len()).sum());
         let mut level_ptr = Vec::with_capacity(k + 1);
         for level in 0..k {
             level_ptr.push(instrs.len() as u32);
@@ -257,41 +305,48 @@ impl PlanBytecode {
                 let def = &sets[sid];
                 let dst = sid as u16;
                 match def.base {
-                    Base::Neighbors(pos) if def.ops.is_empty() => instrs.push(Instr {
-                        code: OpCode::MaterializeBase,
-                        kind: OpKind::Intersect,
-                        pos,
-                        dst,
-                        dep: NO_SET,
-                        dep_level: 0,
-                        last: true,
-                        mask: def.mask,
-                    }),
-                    Base::Neighbors(pos) => {
-                        instrs.push(Instr {
-                            code: OpCode::BeginChain,
-                            kind: OpKind::Intersect,
+                    Base::Neighbors(pos) if def.ops.is_empty() => {
+                        instrs.push(Instr::on_neighbors(
+                            OpCode::MaterializeBase,
+                            OpKind::Intersect,
                             pos,
                             dst,
-                            dep: NO_SET,
-                            dep_level: 0,
-                            last: false,
-                            mask: LabelMask::ALL,
-                        });
+                            Some(def.mask),
+                        ));
+                    }
+                    Base::Neighbors(pos) => {
+                        instrs.push(Instr::on_neighbors(
+                            OpCode::BeginChain,
+                            OpKind::Intersect,
+                            pos,
+                            dst,
+                            None,
+                        ));
                         Self::push_chain(&mut instrs, dst, def.mask, &def.ops);
                     }
                     Base::Set(dep) => {
                         let first = def.ops[0];
                         let one = def.ops.len() == 1;
+                        let dep_def = &sets[dep as usize];
+                        let dep_pos = match dep_def.base {
+                            Base::Neighbors(p)
+                                if dep_def.ops.is_empty() && dep_def.mask.is_all() =>
+                            {
+                                p
+                            }
+                            _ => NO_POS,
+                        };
                         instrs.push(Instr {
-                            code: OpCode::ApplyFromSet,
-                            kind: first.kind,
-                            pos: first.pos,
-                            dst,
                             dep,
-                            dep_level: sets[dep as usize].level,
-                            last: one,
-                            mask: if one { def.mask } else { LabelMask::ALL },
+                            dep_level: dep_def.level,
+                            dep_pos,
+                            ..Instr::on_neighbors(
+                                OpCode::ApplyFromSet,
+                                first.kind,
+                                first.pos,
+                                dst,
+                                one.then_some(def.mask),
+                            )
                         });
                         if !one {
                             Self::push_chain(&mut instrs, dst, def.mask, &def.ops[1..]);
@@ -303,7 +358,7 @@ impl PlanBytecode {
         level_ptr.push(instrs.len() as u32);
 
         let mut levels = Vec::with_capacity(k);
-        let mut bounds = Vec::new();
+        let mut bounds = Vec::with_capacity((0..k).map(|l| plan.bounds(l).len()).sum());
         let mut bound_ptr = Vec::with_capacity(k + 1);
         for l in 0..k {
             bound_ptr.push(bounds.len() as u32);
@@ -335,6 +390,20 @@ impl PlanBytecode {
         Ok(bc)
     }
 
+    /// The placeholder a [`MatchPlan`] holds while `compile` is still
+    /// assembling it; replaced by the real stream before the plan escapes.
+    pub(crate) fn unlowered() -> PlanBytecode {
+        PlanBytecode {
+            instrs: Vec::new(),
+            level_ptr: Vec::new(),
+            levels: Vec::new(),
+            bounds: Vec::new(),
+            bound_ptr: Vec::new(),
+            num_sets: 0,
+            shape: SpecShape::General,
+        }
+    }
+
     fn push_chain(
         instrs: &mut Vec<Instr>,
         dst: u16,
@@ -344,16 +413,13 @@ impl PlanBytecode {
         let n = ops.len();
         for (i, op) in ops.iter().enumerate() {
             let last = i + 1 == n;
-            instrs.push(Instr {
-                code: OpCode::ChainStep,
-                kind: op.kind,
-                pos: op.pos,
+            instrs.push(Instr::on_neighbors(
+                OpCode::ChainStep,
+                op.kind,
+                op.pos,
                 dst,
-                dep: NO_SET,
-                dep_level: 0,
-                last,
-                mask: if last { mask } else { LabelMask::ALL },
-            });
+                last.then_some(mask),
+            ));
         }
     }
 
@@ -373,6 +439,9 @@ impl PlanBytecode {
         // `written[s]` = Some(level) once set s's arena slab has been
         // produced; dependency reads must refer back to one of these.
         let mut written: Vec<Option<u8>> = vec![None; num_sets];
+        // `pure[s]` = p once an unmasked `MaterializeBase` of position p
+        // wrote set s: what a reader's `dep_pos` must say.
+        let mut pure = vec![NO_POS; num_sets];
         for level in 0..k {
             let (lo, hi) = (self.level_ptr[level], self.level_ptr[level + 1]);
             if lo > hi {
@@ -443,7 +512,13 @@ impl PlanBytecode {
                                     dep: ins.dep,
                                 });
                             }
-                        } else if ins.dep != NO_SET {
+                            if pure[dep] != ins.dep_pos {
+                                return Err(BytecodeError::DepPosMismatch {
+                                    instr: i,
+                                    dep: ins.dep,
+                                });
+                            }
+                        } else if ins.dep != NO_SET || ins.dep_pos != NO_POS {
                             return Err(BytecodeError::DepOutOfRange {
                                 instr: i,
                                 dep: ins.dep,
@@ -461,6 +536,9 @@ impl PlanBytecode {
                         return Err(BytecodeError::DuplicateWrite { set: ins.dst });
                     }
                     written[ins.dst as usize] = Some(level as u8);
+                    if ins.code == OpCode::MaterializeBase && ins.mask.is_all() {
+                        pure[ins.dst as usize] = ins.pos;
+                    }
                 }
             }
             if chain.is_some() {
@@ -585,19 +663,20 @@ impl PlanBytecode {
 }
 
 /// Seeded-mutation hooks for the kill-test suite (tests only, mirroring
-/// `service::mutation`): each helper produces a *well-formed but
-/// semantically wrong* stream — it still passes [`PlanBytecode::verify`], so
-/// only the golden-count/metric gates can catch it. Never called from
-/// production paths.
+/// `service::mutation`): the sanctioned back door into a plan's own stream.
+/// Each helper leaves a *well-formed but semantically wrong* stream — it
+/// still passes [`PlanBytecode::verify`], so only the golden-count/metric
+/// gates can catch it. Never called from production paths.
 pub mod mutation {
-    use super::{OpCode, PlanBytecode, SpecShape};
-    use crate::plan::OpKind;
+    use super::{OpCode, SpecShape};
+    use crate::plan::{MatchPlan, OpKind};
 
-    /// Swaps the [`OpKind`] of the first combining instruction
-    /// (`Intersect` ↔ `Difference`), modelling an encoder that writes the
-    /// wrong opcode. Returns false when the stream has no combining
-    /// instruction to corrupt (pure materialization plans).
-    pub fn swap_first_op_kind(bc: &mut PlanBytecode) -> bool {
+    /// Swaps the [`OpKind`] of the first combining instruction of `plan`'s
+    /// own stream (`Intersect` ↔ `Difference`), modelling an encoder that
+    /// writes the wrong opcode. Returns false when the stream has no
+    /// combining instruction to corrupt (pure materialization plans).
+    pub fn swap_first_op_kind(plan: &mut MatchPlan) -> bool {
+        let bc = &mut plan.bytecode;
         for ins in &mut bc.instrs {
             if matches!(ins.code, OpCode::ApplyFromSet | OpCode::ChainStep) {
                 ins.kind = match ins.kind {
@@ -620,10 +699,19 @@ mod tests {
     use crate::catalog;
     use crate::plan::{MatchPlan, PlanOptions};
 
+    /// A compiled paper query and (a copy of) the stream it owns.
     fn lower_query(q: usize) -> (MatchPlan, PlanBytecode) {
         let plan = MatchPlan::compile(&catalog::paper_query(q), PlanOptions::default());
-        let bc = PlanBytecode::lower(&plan).expect("lowering a compiled plan");
+        let bc = plan.bytecode().clone();
         (plan, bc)
+    }
+
+    #[test]
+    fn the_plan_owns_exactly_what_lowering_it_yields() {
+        for q in 1..=24 {
+            let (plan, bc) = lower_query(q);
+            assert_eq!(PlanBytecode::lower(&plan), Ok(bc), "q{q}");
+        }
     }
 
     #[test]
@@ -760,6 +848,43 @@ mod tests {
     }
 
     #[test]
+    fn dep_pos_names_exactly_the_verbatim_neighbor_lists() {
+        // q8's cascade: level 2 intersects the unmasked N(v0) slab, deeper
+        // levels intersect results of intersections.
+        let (_, bc) = lower_query(8);
+        let deps: Vec<u8> = bc
+            .instrs
+            .iter()
+            .filter(|x| x.code == OpCode::ApplyFromSet)
+            .map(|x| x.dep_pos)
+            .collect();
+        assert_eq!(deps, [0, NO_POS, NO_POS]);
+        // A masked materialization is a subset of the neighbor list, never
+        // the list itself.
+        let labeled = catalog::triangle().with_labels(&[1, 1, 1]);
+        let plan = MatchPlan::compile(&labeled, PlanOptions::default());
+        assert!(plan.bytecode().instrs.iter().all(|x| x.dep_pos == NO_POS));
+        // The verifier holds the stream to it, both ways.
+        let (_, mut bc) = lower_query(8);
+        let first = bc
+            .instrs
+            .iter()
+            .position(|x| x.code == OpCode::ApplyFromSet)
+            .expect("cascade");
+        bc.instrs[first].dep_pos = NO_POS;
+        assert!(matches!(
+            bc.verify(),
+            Err(BytecodeError::DepPosMismatch { .. })
+        ));
+        bc.instrs[first].dep_pos = 0;
+        bc.instrs[first + 1].dep_pos = 0;
+        assert!(matches!(
+            bc.verify(),
+            Err(BytecodeError::DepPosMismatch { .. })
+        ));
+    }
+
+    #[test]
     fn verifier_rejects_position_at_or_above_level() {
         let (_, mut bc) = lower_query(8);
         bc.instrs[0].pos = MAX_PATTERN_SIZE as u8; // level-1 instr: pos must be 0
@@ -804,32 +929,17 @@ mod tests {
             })
             .unwrap();
         let end = bc.level_ptr[level + 1] as usize;
-        let tail = Instr {
-            code: OpCode::ChainStep,
-            kind: OpKind::Intersect,
-            pos: 0,
-            dst,
-            dep: NO_SET,
-            dep_level: 0,
-            last: false,
-            mask: LabelMask::ALL,
-        };
+        let tail = Instr::on_neighbors(OpCode::ChainStep, OpKind::Intersect, 0, dst, None);
         // Re-open the chain at the end of the level and run it past the cap.
         let mut overlong = bc.clone();
         let insert_at = end;
-        let mut prog = vec![
-            Instr {
-                code: OpCode::BeginChain,
-                kind: OpKind::Intersect,
-                pos: 0,
-                dst,
-                dep: NO_SET,
-                dep_level: 0,
-                last: false,
-                mask: LabelMask::ALL,
-            };
-            1
-        ];
+        let mut prog = vec![Instr::on_neighbors(
+            OpCode::BeginChain,
+            OpKind::Intersect,
+            0,
+            dst,
+            None,
+        )];
         prog.extend(std::iter::repeat_n(tail, MAX_PATTERN_SIZE + 1));
         let n = prog.len() as u32;
         overlong.instrs.splice(insert_at..insert_at, prog);
@@ -879,9 +989,9 @@ mod tests {
 
     #[test]
     fn mutation_swaps_exactly_one_opcode_and_stays_well_formed() {
-        let (_, mut bc) = lower_query(8);
-        let before = bc.clone();
-        assert!(mutation::swap_first_op_kind(&mut bc));
+        let (mut plan, before) = lower_query(8);
+        assert!(mutation::swap_first_op_kind(&mut plan));
+        let bc = plan.bytecode();
         assert_eq!(bc.verify(), Ok(()), "mutated stream must still verify");
         let diffs: Vec<usize> = before
             .instrs
@@ -893,7 +1003,7 @@ mod tests {
             .collect();
         assert_eq!(diffs.len(), 1, "exactly one instruction changed");
         // Pure path plans have nothing to corrupt.
-        let (_, mut path) = lower_query(1);
+        let (mut path, _) = lower_query(1);
         assert!(!mutation::swap_first_op_kind(&mut path));
     }
 }

@@ -15,6 +15,7 @@
 //! filter (Fig. 10b), which keeps the number of sets (and hence the warp
 //! stack's shared-memory footprint) small.
 
+use crate::bytecode::PlanBytecode;
 use crate::order::MatchOrder;
 use crate::symmetry::{self, Bound};
 use crate::Pattern;
@@ -156,6 +157,9 @@ pub struct MatchPlan {
     bounds: Vec<Vec<(usize, Bound)>>,
     /// Required data-vertex label per level (None when unlabeled).
     level_labels: Vec<Option<Label>>,
+    /// The executable form of everything above, lowered once by
+    /// `compile*` (see [`MatchPlan::bytecode`]).
+    pub(crate) bytecode: PlanBytecode,
 }
 
 impl MatchPlan {
@@ -284,7 +288,7 @@ impl MatchPlan {
             vec![Vec::new(); k]
         };
 
-        MatchPlan {
+        let mut plan = MatchPlan {
             pattern: pattern.clone(),
             order,
             options,
@@ -293,7 +297,11 @@ impl MatchPlan {
             cand,
             bounds,
             level_labels,
-        }
+            bytecode: PlanBytecode::unlowered(),
+        };
+        plan.bytecode =
+            PlanBytecode::lower(&plan).expect("a plan built by compile_with_order always lowers");
+        plan
     }
 
     /// Builds the code-motion set DAG: a trie over chain prefixes.
@@ -532,6 +540,16 @@ impl MatchPlan {
     #[inline]
     pub fn induced(&self) -> bool {
         self.options.induced
+    }
+
+    /// The plan's executable form: the instruction stream and per-level
+    /// side tables every launch interprets, lowered exactly once when the
+    /// plan was compiled. The [`mutation`] helpers below corrupt the
+    /// structured plan *without* re-lowering, which is why the static
+    /// verifier lowers afresh instead of trusting this stream.
+    #[inline]
+    pub fn bytecode(&self) -> &PlanBytecode {
+        &self.bytecode
     }
 
     /// Emits the compact dependence-graph encoding of Fig. 9b: `row_ptr`

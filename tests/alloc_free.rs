@@ -90,6 +90,7 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
             cfg: &cfg,
             hubs,
             compiled: None,
+            slab_caps: None,
             l0: Level0Map::Identity,
             enumerate: false,
         };

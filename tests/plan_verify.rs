@@ -16,11 +16,14 @@
 //!   set/level/vertex that was corrupted, with a `reproduce:` line;
 //! * service — [`MatchService`] verifies once per canonical cache entry,
 //!   exposes verified/diagnostic counters in `cache_stats`, and hands
-//!   the cached certificate back through `verification()`.
+//!   the cached certificate back through `verification()`;
+//! * hints — `with_verify_hints()` alone shapes the warp arenas to the
+//!   certificate's capacity bounds, whatever the other knobs say.
 
 use std::sync::Arc;
+use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::shard::{self, ShardPlan};
-use stmatch_core::{Engine, EngineConfig, MatchService, QueryOptions, ServiceConfig};
+use stmatch_core::{Engine, EngineConfig, MatchService, QueryOptions, ServiceConfig, WarmSlot};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
@@ -256,4 +259,42 @@ fn service_verification_is_opt_in() {
     assert_eq!(stats.verified, 0);
     assert_eq!(stats.diagnostics, 0);
     assert!(svc.verification(&catalog::triangle()).is_none());
+}
+
+/// `with_verify_hints()` needs no other knob: with tier state off (the
+/// default) a hinted run still packs its arenas to the certificate's
+/// per-set bounds — strictly fewer slab cells than the uniform geometry —
+/// and stays spill-free on the exact count. The warm slot is only the
+/// window: it hands back the arenas the launch ran on.
+#[test]
+fn capacity_hints_shape_the_arena_without_tier_state() {
+    // K5 cascade on a skewed graph: deeper sets certify well below Δ.
+    let g = gen::rmat(6, 4, 11).degree_ordered();
+    let q = catalog::paper_query(8);
+    let want = reference::count(&g, &q, RefOptions::default());
+    let cells_after = |cfg: EngineConfig| {
+        assert!(!cfg.compile.enabled, "the point is: no tier state");
+        let engine = Engine::new(cfg);
+        let slot = WarmSlot::new(cfg.grid).unwrap();
+        let out = engine
+            .run_plan_warm(&g, &engine.compile(&q), &slot)
+            .unwrap();
+        assert_eq!(out.count, want);
+        assert_eq!(out.spill_events, 0);
+        let arena = slot
+            .arenas()
+            .checkout()
+            .expect("the launch parked its arenas");
+        arena.slab_cells()
+    };
+    let uniform = cells_after(EngineConfig::default().with_grid(grid()));
+    let hinted = cells_after(
+        EngineConfig::default()
+            .with_grid(grid())
+            .with_verify_hints(),
+    );
+    assert!(
+        hinted < uniform,
+        "hinted arena has {hinted} slab cells, uniform {uniform}: the hints were dropped"
+    );
 }
