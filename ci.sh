@@ -30,9 +30,13 @@ run "test"  cargo test -q --workspace --offline
 run "smoke:quickstart"   cargo run --release --offline --example quickstart
 run "smoke:motif_census" cargo run --release --offline --example motif_census
 
+# Every gate below is a module of one binary, `check <gate>` (built once by
+# the first phase that runs it); none measures wall time or writes a file.
+CHECK=(cargo run --release --offline -p stmatch-bench --bin check --)
+
 # Hot-path drift gate: re-runs the PR 2 hot-path workloads and fails on any
 # drift in golden counts or simulator metrics (instructions, utilization).
-run "smoke:hotpath" cargo run --release --offline -p stmatch-bench --bin hotpath_check
+run "smoke:hotpath" "${CHECK[@]}" hotpath
 
 # One run of a gate binary whose log must also carry a totals line with
 # nonzero traffic (guards against a silently dead phase): exit status and
@@ -63,7 +67,7 @@ run_and_grep() {
 # gets a row shows here. The grep wants nonzero probe and merge traffic.
 run_and_grep "smoke:bitmap" \
     "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
-    cargo run --release --offline -p stmatch-bench --bin bitmap_check
+    "${CHECK[@]}" bitmap
 
 # Tier gate. Off legs hold no tier state: the GOLDEN rows / pinned clique
 # count with `served_tier: None`. Every leg with tier state must be
@@ -74,12 +78,12 @@ run_and_grep "smoke:bitmap" \
 # The grep wants nonzero specialized runs: a silently dead tier-1 path.
 run_and_grep "smoke:bytecode" \
     "bytecode_check totals: specialized_runs=[0-9]*[1-9][0-9]* tier0_runs=[0-9]*[1-9][0-9]*" \
-    cargo run --release --offline -p stmatch-bench --bin bytecode_check
+    "${CHECK[@]}" bytecode
 
 # Fault-tolerance gate: q1/q6 under a seeded fault plan (one warp panic +
 # one warp stall); counts must stay exactly at the goldens, the death must
-# be contained and recovered, and the run must finish well under its cap.
-run "smoke:faults" cargo run --release --offline -p stmatch-bench --bin faults_check
+# be contained and recovered (a hang is killed by this phase's cap).
+run "smoke:faults" "${CHECK[@]}" faults
 
 # Concurrency-analysis gate: q1/q6 clean, seeded-fault, and sharded runs
 # with every simt-check checker enabled must stay free of error
@@ -87,15 +91,14 @@ run "smoke:faults" cargo run --release --offline -p stmatch-bench --bin faults_c
 # exits 1 on findings, so the mutation legs invert its exit code and then
 # grep for the expected diagnostic (a timeout kill must not pass as a
 # catch).
-run "smoke:check" cargo run --release --offline -p stmatch-bench --bin simt_check
+run "smoke:check" "${CHECK[@]}" simt
 for mut in lock-drop:"data race" lock-invert:"cycle" cache-drop:"data race" \
            rail-drop:"data race on rail"; do
     name=${mut%%:*}; expect=${mut#*:}
     echo "==> smoke:check(mutate=${name}): expecting a caught mutation"
     log=$(mktemp)
     if timeout --signal=KILL "${CAP}" \
-        cargo run --release --offline -p stmatch-bench --bin simt_check -- \
-        "--mutate=${name}" >"${log}" 2>&1; then
+        "${CHECK[@]}" simt "--mutate=${name}" >"${log}" 2>&1; then
         cat "${log}"
         echo "==> smoke:check(mutate=${name}): FAILED — mutation escaped"
         exit 1
@@ -109,35 +112,34 @@ for mut in lock-drop:"data race" lock-invert:"cycle" cache-drop:"data race" \
     echo "==> smoke:check(mutate=${name}): OK"
 done
 
-# Sharded-execution gate: with the knob off the engine must stay
-# bit-identical to the baseline (golden counts, zero rail metrics); a
-# clean 4-shard run and the seeded 1-of-4 / 3-of-4 shard-kill legs must
-# land the exact goldens with the dead shards' work recovered over the
-# rail and a deterministic FAULT_SEED reproduce line on every report.
-run "smoke:shard" cargo run --release --offline -p stmatch-bench --bin shard_check
+# Sharded-execution gate: a plain run nobody sharded lands the goldens with
+# zero rail metrics; a clean 4-shard run and the seeded 1-of-4 / 3-of-4
+# shard-kill legs must land the exact goldens with the dead shards' work
+# recovered over the rail and a deterministic FAULT_SEED reproduce line on
+# every report.
+run "smoke:shard" "${CHECK[@]}" shard
 
 # Resident-service gate: cold/cache-hit submissions must reproduce the
 # golden counts, a naive-schedule cache hit must be metric-exact against
 # the cold engine, and injected deaths / expired deadlines must fail
 # per-query while the shared pool keeps serving exact counts.
-run "smoke:service" cargo run --release --offline -p stmatch-bench --bin service_check
+run "smoke:service" "${CHECK[@]}" service
 
 # Static-verifier gate (DESIGN.md §4j). Clean leg: q1..q24 on both golden
 # fixtures must verify with zero diagnostics (false positives fail CI),
-# and certified-spill-free plans must run with zero spills and a runtime
-# peak under the certificate's bound. Mutation legs: each seeded plan
+# and launches carrying their verdict must run certified-spill-free plans
+# with zero spills and a runtime peak under the certificate's bound. Mutation legs: each seeded plan
 # corruption must be CAUGHT — the bin exits 1 printing the named
 # diagnostic, so the legs invert its exit code and grep for the expected
 # text (a timeout kill must not pass as a catch).
-run "smoke:verify" cargo run --release --offline -p stmatch-bench --bin verify_check
+run "smoke:verify" "${CHECK[@]}" verify
 for mut in dead-set:"dead set" drop-bound:"drops the symmetry bound" \
            shard-overlap:"covered twice"; do
     name=${mut%%:*}; expect=${mut#*:}
     echo "==> smoke:verify(mutate=${name}): expecting a caught mutation"
     log=$(mktemp)
     if timeout --signal=KILL "${CAP}" \
-        cargo run --release --offline -p stmatch-bench --bin verify_check -- \
-        "--mutate=${name}" >"${log}" 2>&1; then
+        "${CHECK[@]}" verify "--mutate=${name}" >"${log}" 2>&1; then
         cat "${log}"
         echo "==> smoke:verify(mutate=${name}): FAILED — mutation escaped"
         exit 1
@@ -156,16 +158,13 @@ for mut in dead-set:"dead set" drop-bound:"drops the symmetry bound" \
     echo "==> smoke:verify(mutate=${name}): OK"
 done
 
-# Incremental-matching gate (DESIGN.md §4k). Off leg: the delta knob
-# defaults off and flipping it leaves full runs bit-identical (golden
-# counts, identical instruction totals with stealing disabled). Stream and
-# service legs: cumulative MatchDeltas over seeded update streams must
-# reconcile exactly with full recomputation after every batch, through
-# both the engine API and MatchService::apply_batch/submit_watch. Timing
+# Incremental-matching gate (DESIGN.md §4k). Stream and service legs:
+# cumulative MatchDeltas over seeded update streams must reconcile exactly
+# with full recomputation after every batch, through both a default-config
+# engine's run_delta API and MatchService::apply_batch/submit_watch. Work
 # leg: fails if the amortized per-batch delta work at batch 16 is not
-# >= 10x below one full recount (simulated instructions; `--out=<path>`
-# additionally records the curve).
-run "smoke:delta" cargo run --release --offline -p stmatch-bench --bin delta_check
+# >= 10x below one full recount (simulated instructions).
+run "smoke:delta" "${CHECK[@]}" delta
 
 # Benchmark gate: `benchmark/` is its own workspace, so nothing above
 # compiles it and a break of the call surface it stands on (its README

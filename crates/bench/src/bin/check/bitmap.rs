@@ -1,9 +1,10 @@
-//! CI smoke gate for hub-bitmap routing: runs q1/q6 on the hotpath
+//! `check bitmap` (`ci.sh` phase `smoke:bitmap`), the gate for hub-bitmap
+//! routing: runs q1/q6 on the hotpath
 //! graph, the 5-clique query on the dense ER clique workload, and the
 //! same query on `K_32` (whose `C(32, 5)` count is closed-form) — there
 //! also without code motion, so that every level is a multi-op chain on
 //! hubs and runs fused — once with bitmap routing **off** and once **on**,
-//! and fails (exit 1) unless
+//! and fails unless
 //!
 //! * the off legs reproduce the pinned behaviour exactly — for q1/q6 the
 //!   full [`stmatch_bench::hotpath::GOLDEN`] row (count, instructions,
@@ -23,13 +24,14 @@
 //! The final `bitmap_check totals:` line is grepped by `ci.sh`'s
 //! `smoke:bitmap` phase.
 
+use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::Engine;
 use stmatch_graph::gen;
 
 /// Pinned on-leg behaviour per workload: `(total instructions, probe
 /// words, merge words, merge waves)`. Regenerate from the `bitmap <name>:`
-/// lines this bin prints — only for an intentional cost-model or routing
+/// lines this gate prints — only for an intentional cost-model or routing
 /// change, and say so in the commit message.
 const ROUTED: [(u64, u64, u64, u64); 5] = [
     (7_230_441, 0, 0, 0),
@@ -39,7 +41,10 @@ const ROUTED: [(u64, u64, u64, u64); 5] = [
     (295_464, 0, 118_296, 118_296),
 ];
 
-fn main() {
+pub fn run(args: &[String]) -> ExitCode {
+    if let Err(code) = crate::flag("bitmap", args, &[]) {
+        return code;
+    }
     let pa = hotpath::graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
     let er = hotpath::clique_graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
     let k32 = gen::complete(32).with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
@@ -55,7 +60,7 @@ fn main() {
 
     let mut failed = false;
     let mut fail = |msg: String| {
-        eprintln!("bitmap_check DRIFT: {msg}");
+        eprintln!("bitmap DRIFT: {msg}");
         failed = true;
     };
     let (mut probe_words, mut merge_words, mut merge_waves) = (0u64, 0u64, 0u64);
@@ -121,7 +126,5 @@ fn main() {
         "bitmap_check totals: probe_words={probe_words} merge_words={merge_words} \
          merge_waves={merge_waves}"
     );
-    if failed {
-        std::process::exit(1);
-    }
+    crate::exit_code(!failed)
 }

@@ -1,8 +1,9 @@
-//! CI smoke gate for the execution tiers: runs q1/q6/q8 on the hotpath
+//! `check bytecode` (`ci.sh` phase `smoke:bytecode`), the gate for the
+//! execution tiers: runs q1/q6/q8 on the hotpath
 //! graph and q8 on the dense ER clique workload, once holding **no tier
 //! state** (the default), once with tier state and a profile threshold the
 //! cascades cross mid-run, and once with forced specialization
-//! (`tier_up_after == 0`), and fails (exit 1) unless
+//! (`tier_up_after == 0`), and fails unless
 //!
 //! * the off legs reproduce the pinned behaviour exactly — the full
 //!   [`stmatch_bench::hotpath::GOLDEN`] rows for the PA workloads (count,
@@ -22,6 +23,7 @@
 //! `smoke:bytecode` phase — nonzero specialized traffic proves the
 //! tier-1 bodies actually ran rather than silently falling back.
 
+use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::{Engine, EngineConfig, MatchOutcome};
 
@@ -48,7 +50,10 @@ type Workload<'g> = (
     u8,
 );
 
-fn main() {
+pub fn run(args: &[String]) -> ExitCode {
+    if let Err(code) = crate::flag("bytecode", args, &[]) {
+        return code;
+    }
     let pa = hotpath::graph();
     let er = hotpath::clique_graph();
     let suite: [Workload; 4] = [
@@ -60,7 +65,7 @@ fn main() {
 
     let mut failed = false;
     let mut fail = |msg: String| {
-        eprintln!("bytecode_check DRIFT: {msg}");
+        eprintln!("bytecode DRIFT: {msg}");
         failed = true;
     };
     let metrics_match = |leg: &MatchOutcome, off: &MatchOutcome| -> Result<(), String> {
@@ -137,7 +142,5 @@ fn main() {
         }
     }
     println!("bytecode_check totals: specialized_runs={specialized_runs} tier0_runs={tier0_runs}");
-    if failed {
-        std::process::exit(1);
-    }
+    crate::exit_code(!failed)
 }

@@ -1,22 +1,24 @@
-//! CI smoke gate for the hot path: runs the three `hotpath` workloads
-//! once each and fails (exit 1) if match counts, total SIMT instructions,
-//! or lane utilization drift from the values recorded in
-//! [`stmatch_bench::hotpath::GOLDEN`]. Wall time is *not* checked — this
-//! gate pins simulated behaviour, not host speed.
+//! `check hotpath` (`ci.sh` phase `smoke:hotpath`): runs the three
+//! `hotpath` workloads once each and fails if match counts, total SIMT
+//! instructions, or lane utilization drift from the values recorded in
+//! [`stmatch_bench::hotpath::GOLDEN`] — this gate pins simulated
+//! behaviour, not host speed.
 //!
 //! `--print` emits the current values as a `GOLDEN` table, for
 //! regeneration after an intentional cost-model change.
 
+use std::process::ExitCode;
 use stmatch_bench::hotpath;
 
-fn main() {
-    let print = std::env::args().any(|a| a == "--print");
+pub fn run(args: &[String]) -> ExitCode {
+    let print = match crate::flag("hotpath", args, &["--print"]) {
+        Ok(f) => f.is_some(),
+        Err(code) => return code,
+    };
     let g = hotpath::graph();
-    let mut failed = false;
+    let mut ok = true;
     for qi in hotpath::QUERIES {
-        let t = std::time::Instant::now();
         let out = hotpath::run_once(&g, qi);
-        let wall = t.elapsed().as_secs_f64() * 1e3;
         if print {
             println!(
                 "    Golden {{\n        query: {qi},\n        count: {},\n        \
@@ -25,23 +27,20 @@ fn main() {
                 out.total_instructions(),
                 out.metrics.lane_utilization()
             );
-            eprintln!("q{qi}: {wall:.1}ms wall");
             continue;
         }
         match hotpath::check(qi, &out) {
             Ok(()) => println!(
-                "hotpath q{qi}: OK (count {}, {} instr, util {:.4}, {wall:.1}ms)",
+                "hotpath q{qi}: OK (count {}, {} instr, util {:.4})",
                 out.count,
                 out.total_instructions(),
                 out.metrics.lane_utilization()
             ),
             Err(e) => {
                 eprintln!("hotpath DRIFT: {e}");
-                failed = true;
+                ok = false;
             }
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    crate::exit_code(ok)
 }

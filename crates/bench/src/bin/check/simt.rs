@@ -1,5 +1,5 @@
-//! CI gate for the `simt-check` concurrency analysis layer (`ci.sh` phase
-//! `smoke:check`).
+//! `check simt` (`ci.sh` phase `smoke:check`), the gate for the
+//! `simt-check` concurrency analysis layer.
 //!
 //! Default mode runs q1 and q6 on the golden fixture — clean and under the
 //! seeded fault plan — with every checker enabled, prints any diagnostics,
@@ -18,52 +18,37 @@
 //! which checkers run; the reproduce line printed with every diagnostic
 //! uses the same syntax.
 
-use std::time::{Duration, Instant};
-
+use crate::{fixture, GOLDEN};
 use simt_check::{CheckConfig, Diagnostic, Severity};
+use std::process::ExitCode;
 use stmatch_core::steal::{mutation, Board, ShardRail};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
-use stmatch_gpusim::{GridConfig, SharedBudget};
-use stmatch_graph::gen;
 use stmatch_pattern::catalog;
-
-/// `(query, pinned clean count)` — same fixture and goldens as
-/// `faults_check`.
-const GOLDEN: [(usize, u64); 2] = [(1, 119531), (6, 2884)];
-
-/// Per-run wall cap: the instrumented runs take tens of milliseconds;
-/// anything near the cap means the instrumentation deadlocked the engine.
-const WALL_CAP: Duration = Duration::from_secs(60);
 
 const FAULT_SEED: u64 = 0x1d;
 
-fn main() {
-    let mut mutate: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.strip_prefix("--mutate=") {
-            Some(m @ ("lock-drop" | "lock-invert" | "cache-drop" | "rail-drop")) => {
-                mutate = Some(m.to_string())
-            }
-            _ => {
-                eprintln!(
-                    "simt_check: unknown argument {arg:?} (usage: simt_check \
-                     [--mutate=lock-drop|--mutate=lock-invert|--mutate=cache-drop|\
-                     --mutate=rail-drop])"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+const MUTATIONS: [&str; 4] = [
+    "--mutate=lock-drop",
+    "--mutate=lock-invert",
+    "--mutate=cache-drop",
+    "--mutate=rail-drop",
+];
+
+pub fn run(args: &[String]) -> ExitCode {
+    let mutate = match crate::flag("simt", args, &MUTATIONS) {
+        Ok(f) => f.map(|f| f.trim_start_matches("--mutate=")),
+        Err(code) => return code,
+    };
     let cfg = match CheckConfig::from_env("SIMT_CHECK") {
         Some(Ok(c)) => c,
         Some(Err(e)) => {
-            eprintln!("simt_check: {e}");
-            std::process::exit(2);
+            eprintln!("check simt: {e}");
+            return ExitCode::from(2);
         }
         None => CheckConfig::all(),
     };
     match mutate {
-        Some(m) => run_mutation(&m, cfg),
+        Some(m) => run_mutation(m, cfg),
         None => run_clean_gate(cfg),
     }
 }
@@ -75,19 +60,15 @@ fn print_diags(diags: &[Diagnostic]) {
 }
 
 /// Clean + seeded-fault runs must produce zero error diagnostics.
-fn run_clean_gate(cfg: CheckConfig) {
+fn run_clean_gate(cfg: CheckConfig) -> ExitCode {
     simt_check::enable(cfg);
     simt_check::set_reproduce(format!(
-        "SIMT_CHECK={} cargo run --release -p stmatch-bench --bin simt_check",
+        "SIMT_CHECK={} cargo run --release -p stmatch-bench --bin check -- simt",
         cfg.spec()
     ));
-    let grid = GridConfig {
-        num_blocks: 2,
-        warps_per_block: 4,
-        shared_mem_per_block: SharedBudget::RTX3090_BYTES,
-    };
+    let grid = crate::grid(2, 4);
     let ecfg = EngineConfig::full().with_grid(grid);
-    let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
+    let g = fixture();
     let plan = FaultPlan::seeded(FAULT_SEED, grid.total_warps(), 1, 1);
 
     let mut failed = false;
@@ -98,9 +79,7 @@ fn run_clean_gate(cfg: CheckConfig) {
             if let Some(p) = fault {
                 engine = engine.with_fault_plan(p);
             }
-            let t = Instant::now();
             let out = engine.run(&g, &q).expect("launch");
-            let wall = t.elapsed();
             if out.count != golden {
                 eprintln!(
                     "check q{qi} {label}: count {} != golden {golden}",
@@ -108,19 +87,12 @@ fn run_clean_gate(cfg: CheckConfig) {
                 );
                 failed = true;
             }
-            if wall > WALL_CAP {
-                eprintln!("check q{qi} {label}: took {wall:?} (cap {WALL_CAP:?})");
-                failed = true;
-            }
         }
     }
     // Sharded sweep: four grids trading work over the ShardRail (rank 8),
     // clean and under a seeded whole-shard kill. The checker must stay
     // silent while the cross-shard steal and requeue paths run hot.
-    let scfg = EngineConfig::full()
-        .with_grid(grid)
-        .with_shard(true)
-        .with_shards(4);
+    let scfg = EngineConfig::full().with_grid(grid).with_shards(4);
     let kill = FaultPlan::seeded_shard_kill(FAULT_SEED, 4, 1);
     for (qi, golden) in GOLDEN {
         let q = catalog::paper_query(qi);
@@ -129,18 +101,12 @@ fn run_clean_gate(cfg: CheckConfig) {
             if let Some(p) = fault {
                 engine = engine.with_fault_plan(p);
             }
-            let t = Instant::now();
             let out = engine.run_sharded(&g, &q).expect("sharded launch");
-            let wall = t.elapsed();
             if out.outcome.count != golden {
                 eprintln!(
                     "check q{qi} {label}: count {} != golden {golden}",
                     out.outcome.count
                 );
-                failed = true;
-            }
-            if wall > WALL_CAP {
-                eprintln!("check q{qi} {label}: took {wall:?} (cap {WALL_CAP:?})");
                 failed = true;
             }
         }
@@ -157,21 +123,21 @@ fn run_clean_gate(cfg: CheckConfig) {
         );
         failed = true;
     }
-    if failed {
-        std::process::exit(1);
+    if !failed {
+        println!(
+            "check: OK (q1/q6 clean+faulty+sharded under SIMT_CHECK={}, {} warning(s), 0 errors)",
+            cfg.spec(),
+            diags.len() - errors
+        );
     }
-    println!(
-        "check: OK (q1/q6 clean+faulty+sharded under SIMT_CHECK={}, {} warning(s), 0 errors)",
-        cfg.spec(),
-        diags.len() - errors
-    );
+    crate::exit_code(!failed)
 }
 
 /// Replays one seeded mutation; exit 1 = caught (CI inverts), 0 = escaped.
-fn run_mutation(which: &str, cfg: CheckConfig) {
+fn run_mutation(which: &str, cfg: CheckConfig) -> ExitCode {
     simt_check::enable(cfg);
     simt_check::set_reproduce(format!(
-        "SIMT_CHECK={} cargo run --release -p stmatch-bench --bin simt_check -- --mutate={which}",
+        "SIMT_CHECK={} cargo run --release -p stmatch-bench --bin check -- simt --mutate={which}",
         cfg.spec()
     ));
     match which {
@@ -220,13 +186,9 @@ fn run_mutation(which: &str, cfg: CheckConfig) {
             // follows has no happens-before edge to it (the mpsc reply is
             // invisible to the checker) — a data race on plan-cache[id].
             let svc = stmatch_core::MatchService::new(
-                std::sync::Arc::new(gen::preferential_attachment(48, 4, 3).degree_ordered()),
-                stmatch_core::ServiceConfig::new(EngineConfig::full().with_grid(GridConfig {
-                    num_blocks: 2,
-                    warps_per_block: 4,
-                    shared_mem_per_block: SharedBudget::RTX3090_BYTES,
-                }))
-                .with_workers(1),
+                std::sync::Arc::new(fixture()),
+                stmatch_core::ServiceConfig::new(EngineConfig::full().with_grid(crate::grid(2, 4)))
+                    .with_workers(1),
             );
             let out = svc
                 .submit(&catalog::paper_query(8), Default::default())
@@ -237,7 +199,7 @@ fn run_mutation(which: &str, cfg: CheckConfig) {
                 &catalog::paper_query(7),
             );
         }
-        _ => unreachable!("argument parser bounds the mutation names"),
+        _ => unreachable!("`MUTATIONS` bounds the mutation names"),
     }
     let diags = simt_check::drain();
     let errors = diags
@@ -247,7 +209,8 @@ fn run_mutation(which: &str, cfg: CheckConfig) {
     print_diags(&diags);
     if errors > 0 {
         println!("mutation {which}: caught ({errors} error diagnostic(s))");
-        std::process::exit(1);
+    } else {
+        println!("mutation {which}: ESCAPED — the checker stayed silent");
     }
-    println!("mutation {which}: ESCAPED — the checker stayed silent");
+    crate::exit_code(errors == 0)
 }

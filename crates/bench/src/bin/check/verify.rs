@@ -1,5 +1,5 @@
-//! CI smoke gate for the static plan verifier (`ci.sh` phase
-//! `smoke:verify`).
+//! `check verify` (`ci.sh` phase `smoke:verify`), the gate for the static
+//! plan verifier.
 //!
 //! Default mode runs two legs:
 //!
@@ -7,11 +7,12 @@
 //!   fixture graphs in edge-induced, vertex-induced, and labeled form,
 //!   must verify with *zero* diagnostics and a usable resource
 //!   certificate (no false positives, the verifier's prime directive);
-//! * **dynamic** — a golden subset actually runs with verification on
-//!   (and, in a second pass, with certificate capacity hints shaping the
-//!   arenas): counts must stay on the pinned goldens, certified
-//!   spill-free plans must record zero `spill_events`, and the runtime
-//!   `peak_slab_cells` must stay under the certificate's bound.
+//! * **dynamic** — a golden subset actually runs carrying its verdict
+//!   (`Engine::verify` attached through `Launch::verified`, so the
+//!   certificate's capacity bounds shape the arenas): counts must stay on
+//!   the pinned goldens, certified spill-free plans must record zero
+//!   `spill_events`, and the runtime `peak_slab_cells` must stay under the
+//!   certificate's bound.
 //!
 //! `--mutate=dead-set|drop-bound|shard-overlap` runs one seeded plan
 //! mutation instead: the verifier must catch it *by name* — the leg
@@ -19,9 +20,10 @@
 //! exits nonzero, which `ci.sh` inverts and greps. A mutation the
 //! verifier misses exits zero, failing the inverted gate.
 
+use crate::{fixture as unlabeled, report};
+use std::process::ExitCode;
 use stmatch_core::shard::{self, ShardPlan};
-use stmatch_core::{Engine, EngineConfig};
-use stmatch_gpusim::{GridConfig, SharedBudget};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
 use stmatch_pattern::plan::{mutation, MatchPlan, PlanOptions};
@@ -32,42 +34,25 @@ use stmatch_plan_verify::{verify_plan, DiagKind, GraphProfile};
 /// cascade whose certificate shapes the arenas).
 const GOLDEN: [(usize, u64); 3] = [(1, 119531), (6, 2884), (8, 4)];
 
-fn grid() -> GridConfig {
-    GridConfig {
-        num_blocks: 2,
-        warps_per_block: 2,
-        shared_mem_per_block: SharedBudget::RTX3090_BYTES,
-    }
-}
-
-fn unlabeled() -> Graph {
-    gen::preferential_attachment(48, 4, 3).degree_ordered()
-}
+const MUTATIONS: [&str; 3] = [
+    "--mutate=dead-set",
+    "--mutate=drop-bound",
+    "--mutate=shard-overlap",
+];
 
 fn labeled() -> Graph {
     gen::assign_random_labels(&gen::rmat(6, 4, 11).degree_ordered(), 10, 2022)
 }
 
-fn main() {
-    let mut mutate: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        if let Some(m) = arg.strip_prefix("--mutate=") {
-            mutate = Some(m.to_string());
-        } else {
-            eprintln!(
-                "verify_check: unknown argument {arg:?} \
-                 (usage: verify_check [--mutate=dead-set|drop-bound|shard-overlap])"
-            );
-            std::process::exit(2);
-        }
-    }
-    let ok = match mutate.as_deref() {
+pub fn run(args: &[String]) -> ExitCode {
+    let mutate = match crate::flag("verify", args, &MUTATIONS) {
+        Ok(f) => f.map(|f| f.trim_start_matches("--mutate=")),
+        Err(code) => return code,
+    };
+    crate::exit_code(match mutate {
         None => run_clean() && run_dynamic(),
         Some(m) => run_mutation(m),
-    };
-    if !ok {
-        std::process::exit(1);
-    }
+    })
 }
 
 /// Zero-false-positive sweep: q1..q24 × both fixtures × all plan modes.
@@ -94,7 +79,7 @@ fn run_clean() -> bool {
                         ..PlanOptions::default()
                     },
                 );
-                let repro = "cargo run -p stmatch-bench --bin verify_check";
+                let repro = "cargo run -p stmatch-bench --bin check -- verify";
                 let v = verify_plan(&plan, &prof, 4096, repro);
                 for d in &v.diagnostics {
                     errs.push(format!("induced={induced}: false positive: {d}"));
@@ -111,7 +96,7 @@ fn run_clean() -> bool {
                 }
                 bound = bound.max(v.cert.peak_cells(8));
             }
-            ok &= report(&format!("q{qi} {fname}"), "clean", &errs, || {
+            ok &= report(&format!("verify q{qi} {fname} clean"), &errs, || {
                 format!("0 diagnostics, peak bound {bound} cells @ unroll 8")
             });
         }
@@ -119,23 +104,16 @@ fn run_clean() -> bool {
     ok
 }
 
-/// Runs the golden subset with verification on, auditing the certificate
-/// against runtime spill/peak counters, then re-runs with capacity hints
-/// applied and checks counts stay pinned.
+/// Runs the golden subset with each launch carrying its verdict (so the
+/// certificate shapes the arenas), auditing the certificate against the
+/// runtime spill/peak counters.
 fn run_dynamic() -> bool {
     let g = unlabeled();
-    let prof = GraphProfile::of(&g);
+    let engine = Engine::new(EngineConfig::default().with_grid(crate::grid(2, 2)));
     let mut ok = true;
     for (qi, golden) in GOLDEN {
-        let q = catalog::paper_query(qi);
-        let plan = MatchPlan::compile(&q, PlanOptions::default());
-        let slab_cap = 4096usize.min(prof.max_degree.max(1));
-        let v = verify_plan(
-            &plan,
-            &prof,
-            slab_cap,
-            "cargo run -p stmatch-bench --bin verify_check",
-        );
+        let plan = engine.compile(&catalog::paper_query(qi));
+        let v = engine.verify(&g, &plan);
         let mut errs = Vec::new();
         if !v.is_clean() {
             errs.push(format!(
@@ -143,8 +121,9 @@ fn run_dynamic() -> bool {
                 v.diagnostics.len()
             ));
         }
-        let base_cfg = EngineConfig::default().with_grid(grid()).with_verify(true);
-        let out = Engine::new(base_cfg).run(&g, &q).expect("verified launch");
+        let mut request = Launch::new(&g, &plan);
+        request.verified = Some(&v);
+        let out = engine.launch(&request).expect("verified launch");
         if out.count != golden {
             errs.push(format!("verified count {} != golden {golden}", out.count));
         }
@@ -154,7 +133,7 @@ fn run_dynamic() -> bool {
                 out.spill_events
             ));
         }
-        let bound = v.cert.peak_cells(base_cfg.unroll);
+        let bound = v.cert.peak_cells(engine.config().unroll);
         if out.peak_slab_cells > bound {
             errs.push(format!(
                 "runtime peak {} exceeds certified bound {bound}",
@@ -164,21 +143,7 @@ fn run_dynamic() -> bool {
         if out.peak_slab_cells == 0 && out.count > 0 {
             errs.push("peak tracking recorded nothing on a matching run".to_string());
         }
-        // Hints pass: shaped arenas must not move counts or spill.
-        let hint_cfg = EngineConfig::default()
-            .with_grid(grid())
-            .with_verify_hints();
-        let hinted = Engine::new(hint_cfg).run(&g, &q).expect("hinted launch");
-        if hinted.count != golden {
-            errs.push(format!("hinted count {} != golden {golden}", hinted.count));
-        }
-        if v.cert.spill_free && hinted.spill_events != 0 {
-            errs.push(format!(
-                "{} spills after applying certificate capacity hints",
-                hinted.spill_events
-            ));
-        }
-        ok &= report(&format!("q{qi}"), "dynamic", &errs, || {
+        ok &= report(&format!("verify q{qi} dynamic"), &errs, || {
             format!(
                 "count {}, peak {}/{} cells, {} spills",
                 out.count, out.peak_slab_cells, bound, out.spill_events
@@ -193,7 +158,7 @@ fn run_dynamic() -> bool {
 fn run_mutation(which: &str) -> bool {
     let g = unlabeled();
     let prof = GraphProfile::of(&g);
-    let repro = format!("cargo run -p stmatch-bench --bin verify_check -- --mutate={which}");
+    let repro = format!("cargo run -p stmatch-bench --bin check -- verify --mutate={which}");
     let diags = match which {
         "dead-set" => {
             let mut plan = MatchPlan::compile(&catalog::paper_query(6), PlanOptions::default());
@@ -262,25 +227,10 @@ fn run_mutation(which: &str) -> bool {
             }
             diags
         }
-        other => {
-            eprintln!("verify_check: unknown mutation {other:?}");
-            std::process::exit(2);
-        }
+        _ => unreachable!("`MUTATIONS` bounds the mutation names"),
     };
     for d in &diags {
         println!("verify CAUGHT: {d}");
     }
     false // caught: exit 1; ci.sh inverts this into a pass
-}
-
-fn report(what: &str, leg: &str, errs: &[String], detail: impl Fn() -> String) -> bool {
-    if errs.is_empty() {
-        println!("verify {what} {leg}: OK ({})", detail());
-        true
-    } else {
-        for e in errs {
-            eprintln!("verify {what} {leg} DRIFT: {e}");
-        }
-        false
-    }
 }

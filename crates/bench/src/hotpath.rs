@@ -14,7 +14,7 @@
 //! drop across host-side optimizations, but match counts, total SIMT
 //! instructions, and lane utilization are deterministic for this
 //! steal-free config and must not drift (see `ci.sh`'s hotpath smoke
-//! phase and `--bin hotpath_check`).
+//! phase and `check hotpath`).
 
 use stmatch_core::{Engine, EngineConfig, MatchOutcome};
 use stmatch_gpusim::GridConfig;
@@ -36,7 +36,7 @@ pub const CLIQUE_M: usize = CLIQUE_N * 50;
 
 /// 5-clique count on [`clique_graph`], pinned from the classic
 /// (bitmap-off) engine and cross-checked against the bitmap paths by
-/// `--bin bitmap_check` (which also keeps an analytic `C(32, 5)` leg on
+/// `check bitmap` (which also keeps an analytic `C(32, 5)` leg on
 /// `K_32` so the pin itself is anchored to closed-form ground truth).
 pub const CLIQUE_COUNT: u64 = 766_243;
 
@@ -82,7 +82,7 @@ pub struct Golden {
 }
 
 /// Recorded behaviour of the three workloads (deterministic for the
-/// steal-free config). Regenerate with `--bin hotpath_check -- --print`
+/// steal-free config). Regenerate with `--bin check -- hotpath --print`
 /// **only** when an intentional cost-model or planner change lands, and
 /// say so in the commit message.
 pub const GOLDEN: [Golden; 3] = [

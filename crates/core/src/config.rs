@@ -72,21 +72,14 @@ pub struct EngineConfig {
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i):
     /// work-aware partitioning of the level-0 domain, cross-shard range
-    /// stealing, and shard-level fault recovery. `Engine::run_plan_sharded`
-    /// reads `shards`/`work_aware`/`cross_steal`; `enabled` (off by
-    /// default) routes the resident service's queries through it.
+    /// stealing, and shard-level fault recovery. Calling
+    /// `Engine::run_plan_sharded` is the request; the resident service
+    /// routes its queries there iff `shards > 1`.
     pub shard: ShardTuning,
-    /// Static plan verification before launch (see `stmatch_plan_verify`
-    /// and DESIGN.md §4j): abstract-interpretation resource certificates,
-    /// bytecode liveness, and plan soundness checks. Disabled by default:
-    /// the engine then launches exactly as pre-verifier revisions did.
-    pub verify: VerifyTuning,
     /// Batch-dynamic incremental matching (see `delta` and DESIGN.md §4k):
-    /// `Engine::run_delta` enumerates the match delta of an edge batch from
-    /// anchored launches whose level-0 domain is the update set, and
-    /// `MatchService` gains `apply_batch`/`submit_watch`. Disabled by default: one-shot
-    /// runs never consult this knob, so every existing path stays
-    /// bit-identical.
+    /// how `Engine::run_delta`'s anchored launches are shaped, and whether
+    /// a `MatchService` keeps a mutable overlay
+    /// (`apply_batch`/`submit_watch`).
     pub delta: DeltaTuning,
 }
 
@@ -109,26 +102,24 @@ impl Default for EngineConfig {
             recovery: RecoveryPolicy::default(),
             compile: CompileTuning::default(),
             shard: ShardTuning::default(),
-            verify: VerifyTuning::default(),
             delta: DeltaTuning::default(),
         }
     }
 }
 
-/// Incremental-matching knob: whether `Engine::run_delta` and the service's
-/// `apply_batch`/`submit_watch` surface are armed, and how delta launches
-/// are shaped.
+/// Incremental-matching tuning: how delta launches are shaped, and whether
+/// a resident service keeps a mutable overlay.
 ///
-/// Off by default and consulted by **no** one-shot code path, so existing
-/// runs are bit-identical with the knob off. Delta mode itself is exact
-/// (oracle-tested against full recomputation), but it is a *different*
-/// workload: level-0 domains of update-edge endpoints on small grids, with
-/// symmetry breaking replaced by automorphism division.
+/// No engine path reads `enabled`: calling `Engine::run_delta` is the
+/// request. Delta mode is exact (oracle-tested against full
+/// recomputation), but it is a *different* workload: level-0 domains of
+/// update-edge endpoints on small grids, with symmetry breaking replaced by
+/// automorphism division.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaTuning {
-    /// Arm incremental matching (default `false`). `Engine::run_delta`
-    /// panics without it; the service only accepts `apply_batch` /
-    /// `submit_watch` when its engine config has it on.
+    /// Service only: keep a delta overlay over the resident graph, so the
+    /// service accepts `apply_batch` / `submit_watch` (default `false`:
+    /// the graph is immutable and shared as is).
     pub enabled: bool,
     /// Grid geometry for anchored delta launches. A launch's level-0 domain
     /// is one side of the batch — two indices per update edge, claimed as
@@ -157,40 +148,16 @@ impl Default for DeltaTuning {
     }
 }
 
-/// Static-verification knob: whether launches run the plan verifier first,
-/// and whether the resource certificate's per-set capacity hints reshape
-/// the warp arenas.
-///
-/// Verification never changes match results. With `apply_hints` off the
-/// run is bit-identical to an unverified one (the certificate only adds
-/// debug assertions and outcome metadata); with it on, only host-side slab
-/// packing changes — the simulated metrics stay identical because slab
-/// geometry is invisible to the instruction stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerifyTuning {
-    /// Run the static verifier before each launch (default `false`). A
-    /// plan with soundness diagnostics still launches — the verifier
-    /// reports, the caller decides — but the certificate is recorded and
-    /// audited against runtime spill/peak counters in debug builds.
-    pub enabled: bool,
-    /// Apply the certificate's per-set capacity bounds when sizing the
-    /// warp arenas (default `false`). Only certificates from *clean*
-    /// verifications are applied; any diagnostic disables shaping for
-    /// that run.
-    pub apply_hints: bool,
-}
-
-/// Sharding knob: whether a run is split over several concurrently running
-/// grids ("shards"), how many, and which balancing features are on.
+/// Sharding tuning: how many concurrently running grids ("shards") a
+/// sharded run is split over, and which balancing features are on.
 ///
 /// Sharding never changes match results — the shards partition the level-0
 /// domain exactly, and shard-death recovery is count-invariant (see
 /// `shard` and DESIGN.md §4i).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTuning {
-    /// Route runs through the sharded multi-grid driver (default `false`).
-    pub enabled: bool,
-    /// Number of shards (concurrent grids) per run (default 4).
+    /// Number of shards (concurrent grids) per sharded run (default 1).
+    /// The resident service serves queries sharded iff this exceeds 1.
     pub shards: usize,
     /// Partition the level-0 domain by per-vertex work weights
     /// (degree/intersection skew) instead of contiguous equal slices
@@ -204,8 +171,7 @@ pub struct ShardTuning {
 impl Default for ShardTuning {
     fn default() -> Self {
         ShardTuning {
-            enabled: false,
-            shards: 4,
+            shards: 1,
             work_aware: true,
             cross_steal: true,
         }
@@ -358,36 +324,16 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with static plan verification switched on or off.
-    pub fn with_verify(mut self, enabled: bool) -> Self {
-        self.verify.enabled = enabled;
-        self
-    }
-
-    /// Returns a copy with verification on *and* certificate capacity
-    /// hints applied to arena sizing.
-    pub fn with_verify_hints(mut self) -> Self {
-        self.verify.enabled = true;
-        self.verify.apply_hints = true;
-        self
-    }
-
-    /// Returns a copy with incremental (delta) matching switched on or off.
+    /// Returns a copy whose resident service keeps (or not) a delta
+    /// overlay; see [`DeltaTuning::enabled`].
     pub fn with_delta(mut self, enabled: bool) -> Self {
         self.delta.enabled = enabled;
         self
     }
 
-    /// Returns a copy with sharded execution switched on or off.
-    pub fn with_shard(mut self, enabled: bool) -> Self {
-        self.shard.enabled = enabled;
-        self
-    }
-
-    /// Returns a copy with sharded execution on at the given shard count.
+    /// Returns a copy with the given shard count for sharded runs.
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        self.shard.enabled = true;
         self.shard.shards = shards;
         self
     }
@@ -449,23 +395,14 @@ mod tests {
         assert_eq!(c.compile.tier_up_after, 4096);
         assert!(c.compile.specialize);
         assert!(c.with_compile(true).compile.enabled);
-        // Sharding also defaults off (bit-identical baseline) with the
-        // balancing features armed for when it is switched on.
-        assert!(!c.shard.enabled);
-        assert_eq!(c.shard.shards, 4);
+        // One shard by default (the service then stays on the single-grid
+        // route), with the balancing features armed for wider runs.
+        assert_eq!(c.shard.shards, 1);
         assert!(c.shard.work_aware);
         assert!(c.shard.cross_steal);
-        assert!(c.with_shard(true).shard.enabled);
         assert_eq!(c.with_shards(8).shard.shards, 8);
-        // Static verification defaults off (bit-identical baseline);
-        // capacity hints are a second, independent opt-in.
-        assert!(!c.verify.enabled);
-        assert!(!c.verify.apply_hints);
-        assert!(c.with_verify(true).verify.enabled);
-        assert!(!c.with_verify(true).verify.apply_hints);
-        assert!(c.with_verify_hints().verify.apply_hints);
-        // Incremental matching defaults off (bit-identical baseline: no
-        // one-shot path consults the knob) with a one-warp anchored grid.
+        // A resident service keeps no overlay by default; anchored delta
+        // launches run on a one-warp grid.
         assert!(!c.delta.enabled);
         assert_eq!(c.delta.grid.num_blocks, 1);
         assert_eq!(c.delta.grid.warps_per_block, 1);

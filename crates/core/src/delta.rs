@@ -129,9 +129,9 @@ impl StagedBatch {
     /// Stages `batch` between `pre` (the graph before it) and `post` (the
     /// graph after). `None` when the batch netted out: nothing to launch.
     ///
-    /// Requires [`EngineConfig::delta`] to be enabled and edge-induced
-    /// matching (see the module docs for why vertex-induced deltas cannot
-    /// be anchored). `engine`'s fault plan, if any, applies to every launch.
+    /// Requires edge-induced matching (see the module docs for why
+    /// vertex-induced deltas cannot be anchored). `engine`'s fault plan, if
+    /// any, applies to every launch.
     pub(crate) fn new(
         engine: &Engine,
         pre: &Graph,
@@ -139,10 +139,6 @@ impl StagedBatch {
         batch: &AppliedBatch,
     ) -> Result<Option<StagedBatch>, LaunchError> {
         let cfg = engine.config();
-        assert!(
-            cfg.delta.enabled,
-            "incremental matching requires EngineConfig::with_delta(true)"
-        );
         assert!(
             !cfg.induced,
             "incremental matching is edge-induced only: deleting an edge can \
@@ -153,15 +149,12 @@ impl StagedBatch {
             return Ok(None);
         }
         // Right-size the launches: a level-0 domain of 2 × batch indices
-        // has no use for a service-sized grid, and hub routing (stage views
-        // carry no index), sharding and static verification are pure
-        // overhead at this scale. The launches interpret the anchored
-        // plans' own streams like any other.
+        // has no use for a service-sized grid, and stage views carry no hub
+        // index to route. The launches interpret the anchored plans' own
+        // streams like any other.
         let mut dcfg: EngineConfig = *cfg;
         dcfg.grid = cfg.delta.grid;
         dcfg.hub_bitmap.enabled = false;
-        dcfg.shard.enabled = false;
-        dcfg.verify.enabled = false;
         let mut sub = Engine::new(dcfg);
         if let Some(plan) = engine.fault_plan() {
             sub = sub.with_fault_plan(plan.clone());
@@ -273,9 +266,9 @@ impl Engine {
     /// launches executed — the work measure the `smoke:delta` bench gate
     /// compares against full recomputation.
     ///
-    /// Requires [`EngineConfig::delta`] to be enabled and edge-induced
-    /// matching (see the module docs for why vertex-induced deltas cannot
-    /// be anchored).
+    /// Requires edge-induced matching (see the module docs for why
+    /// vertex-induced deltas cannot be anchored); launches run on
+    /// [`EngineConfig::delta`]`.grid`.
     pub fn run_delta_plans_metered(
         &self,
         pre: &Graph,
@@ -301,7 +294,7 @@ mod tests {
     use stmatch_testkit::rng::SplitMix64;
 
     fn engine() -> Engine {
-        Engine::new(EngineConfig::default().with_delta(true))
+        Engine::new(EngineConfig::default())
     }
 
     /// Oracle: applying `ops` to a PA graph, the delta must reconcile the
@@ -549,7 +542,7 @@ mod tests {
         let want = engine().run_delta(&pre, &post, &batch, &q).expect("delta");
         assert!(want.added > 0 && want.removed > 0, "fixture is non-trivial");
 
-        let mut cfg = EngineConfig::default().with_delta(true);
+        let mut cfg = EngineConfig::default();
         cfg.delta.grid.warps_per_block = 4;
         let deaths = (0..4).fold(FaultPlan::new(), |plan, w| plan.panic_at(w, 3));
         let e = Engine::new(cfg).with_fault_plan(deaths);
@@ -579,9 +572,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "edge-induced only")]
     fn induced_mode_is_rejected() {
-        let mut cfg = EngineConfig::default().with_delta(true);
-        cfg.induced = true;
-        let e = Engine::new(cfg);
+        let e = Engine::new(EngineConfig::default().induced(true));
         let g = fixture();
         let mut overlay = DeltaOverlay::new(g);
         let pre = overlay.snapshot();
@@ -591,14 +582,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "with_delta")]
-    fn delta_disabled_is_rejected() {
-        let e = Engine::new(EngineConfig::default());
-        let g = fixture();
-        let mut overlay = DeltaOverlay::new(g);
-        let pre = overlay.snapshot();
-        let batch = overlay.apply(&[EdgeOp::insert(0, 31)]);
-        let post = overlay.snapshot();
-        let _ = e.run_delta(&pre, &post, &batch, &catalog::triangle());
+    fn a_default_config_engine_serves_deltas() {
+        // Calling `run_delta` is the request: `engine()` is
+        // `EngineConfig::default()`, and no knob arms it.
+        check_against_recompute(fixture(), &[EdgeOp::insert(0, 31)], &catalog::triangle());
     }
 }

@@ -78,9 +78,9 @@ pub struct MatchOutcome {
     /// `arena`); nonzero after slab-shrinking downgrades on dense graphs.
     pub spill_events: u64,
     /// Largest per-warp high-water mark of live candidate cells across
-    /// the run's stack arenas (see `arena`). With static verification on,
-    /// debug builds audit this against the certificate's
-    /// `ResourceCert::peak_cells` bound.
+    /// the run's stack arenas (see `arena`). When the launch carries a
+    /// verdict ([`Launch::verified`]), debug builds audit this against the
+    /// certificate's `ResourceCert::peak_cells` bound.
     pub peak_slab_cells: u64,
     /// The execution tier the launch was served at when it completed
     /// (`0` = the stream interpreter, `1` = shape-specialized), or `None`
@@ -178,10 +178,13 @@ pub struct Launch<'a> {
     /// `None` then starts the launch on fresh state of its own. Either way
     /// the launch interprets `plan`'s own stream.
     pub compiled: Option<&'a CompiledPlan>,
-    /// A static verification of `plan` against `graph` the caller already
-    /// holds (the service's cached verdict): used — for the capacity hints
-    /// and the runtime audit — in place of verifying again.
-    pub(crate) verified: Option<&'a Verification>,
+    /// A static verification of `plan` against `graph`
+    /// ([`Engine::verify`]; the service attaches its cached verdict). The
+    /// launch runs on certificate-shaped slabs whenever the verdict's
+    /// `footprint_caps()` offers some, and debug builds audit the run's
+    /// spill and peak counters against the certificate. A verdict computed
+    /// for another graph can make lists spill to the heap, never miscount.
+    pub verified: Option<&'a Verification>,
     /// Enumeration sink: warps append `k`-strided embedding records.
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
@@ -315,6 +318,40 @@ impl Engine {
         )
     }
 
+    /// Statically verifies `plan` against `graph` (DESIGN.md §4j): resource
+    /// certificate at this engine's slab capacity, bytecode liveness, plan
+    /// soundness. Nothing verifies unless the caller asks; attach the
+    /// verdict to a launch through [`Launch::verified`].
+    ///
+    /// ```
+    /// use stmatch_core::{Engine, EngineConfig, Launch};
+    /// use stmatch_graph::gen;
+    /// use stmatch_pattern::catalog;
+    ///
+    /// let graph = gen::complete(6);
+    /// let engine = Engine::new(EngineConfig::default());
+    /// let plan = engine.compile(&catalog::triangle());
+    /// let verdict = engine.verify(&graph, &plan);
+    /// assert!(verdict.is_clean());
+    /// let mut request = Launch::new(&graph, &plan);
+    /// request.verified = Some(&verdict);
+    /// assert_eq!(engine.launch(&request).unwrap().count, 20);
+    /// ```
+    pub fn verify(&self, graph: &Graph, plan: &MatchPlan) -> Verification {
+        let slab_cap = self.cfg.max_degree_slab.min(graph.max_degree().max(1));
+        let repro = format!(
+            "Engine::verify on graph '{}' ({} vertices), slab_cap {slab_cap}",
+            graph.name(),
+            graph.num_vertices(),
+        );
+        stmatch_plan_verify::verify_plan(
+            plan,
+            &stmatch_plan_verify::GraphProfile::of(graph),
+            slab_cap,
+            &repro,
+        )
+    }
+
     /// Matches `pattern` in `graph` and returns the count plus metrics.
     pub fn run(&self, graph: &Graph, pattern: &Pattern) -> Result<MatchOutcome, LaunchError> {
         let plan = self.compile(pattern);
@@ -406,28 +443,9 @@ impl Engine {
             .compiled
             .filter(|_| cfg.compile.enabled)
             .or(owned_compiled.as_ref());
-        // Static pre-launch verification (DESIGN.md §4j): certify resource
-        // bounds and plan soundness once, outside the degradation loop (the
-        // plan never changes; a downgrade invalidates only the slab-cap
-        // premise, which the post-run audit guards against below) — unless
-        // the caller already holds the verdict. A clean certificate's
-        // capacity bounds ride on the resolved launch so `WarpKernel::new`
-        // can shape the slabs when `VerifyTuning::apply_hints` asks for it.
-        let owned_verification = (cfg.verify.enabled && req.verified.is_none()).then(|| {
-            let profile = stmatch_plan_verify::GraphProfile::of(graph);
-            let slab_cap = cfg.max_degree_slab.min(graph.max_degree().max(1));
-            let repro = format!(
-                "Engine::run on graph '{}' ({} vertices) with \
-                 EngineConfig::with_verify(true), slab_cap {slab_cap}",
-                graph.name(),
-                graph.num_vertices(),
-            );
-            stmatch_plan_verify::verify_plan(plan, &profile, slab_cap, &repro)
-        });
-        let verification = req.verified.or(owned_verification.as_ref());
-        let slab_caps = verification
-            .filter(|_| cfg.verify.apply_hints)
-            .and_then(Verification::footprint_caps);
+        // A verdict the caller attached shapes the slabs wherever its clean
+        // certificate shrinks one, and is audited after the run below.
+        let slab_caps = req.verified.and_then(Verification::footprint_caps);
         // The one place the level-0 domain is decided: how many virtual
         // indices the grid's own dispenser hands out, how the kernel maps
         // an index to a data vertex, and the rail a sharded grid draws from
@@ -478,8 +496,9 @@ impl Engine {
                     // Runtime audit of the static certificate: the launch
                     // ran at the certified slab capacity (no downgrades),
                     // so a spill under a spill-free cert — or a peak above
-                    // the abstract bound — is a verifier soundness bug.
-                    if let Some(v) = verification.filter(|_| outcome.downgrades.is_empty()) {
+                    // the abstract bound — is a verifier soundness bug (or
+                    // a verdict attached to the wrong plan or graph).
+                    if let Some(v) = req.verified.filter(|_| outcome.downgrades.is_empty()) {
                         if v.cert.spill_free {
                             debug_assert_eq!(
                                 outcome.spill_events, 0,
@@ -533,8 +552,9 @@ impl Engine {
         shared.try_alloc("Csize", plan.num_sets() * cfg.unroll * 4 * wpb)?;
         // iter/uiter/level cursors per warp.
         shared.try_alloc("iter+uiter+level", (2 * k + 1) * 8 * wpb)?;
-        // Compact dependence encoding (Fig. 9b), shared by the block.
-        shared.try_alloc("set_ops+row_ptr", plan.compact().byte_size())?;
+        // Dependence encoding (Fig. 9b), shared by the block: a u32 row
+        // pointer per level (plus the end) and a 4-byte op triple per set.
+        shared.try_alloc("set_ops+row_ptr", (k + 1 + plan.num_sets()) * 4)?;
         // Steal mirrors: cursors + matched prefix for the stealable levels.
         shared.try_alloc("steal mirrors", (3 * stop * 8 + 8) * wpb)?;
         let shared_bytes = shared.used();

@@ -131,10 +131,10 @@ pub struct KernelEnv<'a> {
     /// only when `hubs` is `None` (the tier-1 bodies route no rows).
     pub compiled: Option<&'a CompiledPlan>,
     /// Per-set slab-capacity bounds of a clean static verification
-    /// (`Verification::footprint_caps`), present iff
-    /// `cfg.verify.apply_hints` and a certificate offers some: the arena is
-    /// shaped to them. Ignored when `hubs` is set (set-bit rows assume
-    /// uniform geometry).
+    /// (`Verification::footprint_caps`), present iff the launch carries a
+    /// verdict (`Launch::verified`) whose certificate offers some: the
+    /// arena is shaped to them. Ignored when `hubs` is set (set-bit rows
+    /// assume uniform geometry).
     pub slab_caps: Option<&'a [u32]>,
     /// Level-0 translation.
     pub l0: Level0Map<'a>,

@@ -54,9 +54,7 @@ pub mod shard;
 pub mod steal;
 
 pub use compile::{CompiledPlan, Tier};
-pub use config::{
-    CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning, VerifyTuning,
-};
+pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning};
 pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};

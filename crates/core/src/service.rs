@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use stmatch_gpusim::LaunchError;
 use stmatch_graph::{AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{iso, MatchPlan, Pattern, PlanOptions};
-use stmatch_plan_verify::{GraphProfile, Verification};
+use stmatch_plan_verify::Verification;
 
 /// Admission lane of a query. High-priority requests dequeue ahead of
 /// every queued normal request, with one guardrail: a drain that would
@@ -193,8 +193,8 @@ pub struct CacheStats {
     /// whose promoted tier paid off on a later submission.
     pub specialized_hits: u64,
     /// Cache entries that went through static verification (at most one
-    /// verification per canonical entry; zero when
-    /// `EngineConfig::verify` is off).
+    /// verification per canonical entry; zero until somebody asks
+    /// [`MatchService::verification`]).
     pub verified: u64,
     /// Total diagnostics those verifications raised (0 = every cached
     /// plan is certified clean).
@@ -346,11 +346,11 @@ impl PlanKey {
 struct CachedPlan {
     plan: Arc<MatchPlan>,
     compiled: Option<Arc<CompiledPlan>>,
-    /// Static verification verdict, computed exactly once per canonical
-    /// entry when `EngineConfig::verify` is on (the graph is resident, so
-    /// the certificate stays valid for the service's lifetime). Served
-    /// runs skip engine-side re-verification and audit against this.
-    verification: Option<Arc<Verification>>,
+    /// Static verification verdict, filled at most once per canonical
+    /// entry, by the first [`MatchService::verification`] ask (the graph is
+    /// resident, so the certificate stays valid for the service's
+    /// lifetime). Every later launch of the entry carries it.
+    verification: Arc<OnceLock<Arc<Verification>>>,
 }
 
 /// State shared between clients and workers.
@@ -372,9 +372,6 @@ struct Inner {
     /// once per canonical entry; see `CachedPlan::verification`).
     verified: AtomicU64,
     diags: AtomicU64,
-    /// Degree profile of the shared graph, computed at most once for the
-    /// service's lifetime (the graph is immutable).
-    profile: OnceLock<GraphProfile>,
     /// The mutable topology — `Some` iff `EngineConfig::delta` is
     /// enabled. Without it the service is the classic immutable-graph
     /// resident service, bit for bit.
@@ -423,18 +420,10 @@ impl Inner {
         }
     }
 
-    /// The shared graph's degree profile (for the static verifier),
-    /// computed on first use.
-    fn graph_profile(&self) -> &GraphProfile {
-        self.profile.get_or_init(|| GraphProfile::of(&self.graph))
-    }
-
     /// Cached-or-compiled plan for `pattern`. The fast path is one lock
-    /// acquisition and a map probe; the miss path compiles (and, with the
-    /// verify knob on, statically verifies) outside the lock and inserts
-    /// through the entry API, so two racers compiling the same canonical
-    /// form still land exactly one entry — and the verified/diagnostic
-    /// counters tick only for the entry that lands.
+    /// acquisition and a map probe; the miss path compiles outside the lock
+    /// and inserts through the entry API, so two racers compiling the same
+    /// canonical form still land exactly one entry.
     fn plan_for(&self, pattern: &Pattern, induced: bool) -> CachedPlan {
         let key = PlanKey::new(pattern, induced);
         {
@@ -461,54 +450,19 @@ impl Inner {
         let compiled = tuning
             .enabled
             .then(|| Arc::new(CompiledPlan::new(&plan, tuning)));
-        // Static verification, once per canonical entry (DESIGN.md §4j):
-        // the service's graph is resident and immutable, so the
-        // certificate computed here stays valid for every later hit — each
-        // launch carries it (`Launch::verified`), so warm hits run with
-        // shaped arenas whenever `VerifyTuning::apply_hints` is on.
-        // Delta mode never caches certificates: they are computed against
-        // one topology and the graph changes under apply_batch, so a
-        // cached verdict would silently go stale.
-        let verification = (self.cfg.engine.verify.enabled && self.dynamic.is_none()).then(|| {
-            let slab_cap = self
-                .cfg
-                .engine
-                .max_degree_slab
-                .min(self.graph.max_degree().max(1));
-            let repro = format!(
-                "MatchService::submit of pattern '{}' (induced={induced}) on graph '{}' \
-                 with EngineConfig::with_verify(true), slab_cap {slab_cap}",
-                pattern.name(),
-                self.graph.name(),
-            );
-            Arc::new(stmatch_plan_verify::verify_plan(
-                &plan,
-                self.graph_profile(),
-                slab_cap,
-                &repro,
-            ))
-        });
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock_cache();
         simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
         match cache.entry(key) {
             Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(slot) => {
-                if let Some(v) = &verification {
-                    // Relaxed: statistics tied to the entry that landed;
-                    // readers see them via cache_stats' tracked lock.
-                    self.verified.fetch_add(1, Ordering::Relaxed);
-                    self.diags
-                        .fetch_add(v.diagnostics.len() as u64, Ordering::Relaxed);
-                }
-                slot.insert(CachedPlan {
+            Entry::Vacant(slot) => slot
+                .insert(CachedPlan {
                     plan,
                     compiled,
-                    verification,
+                    verification: Arc::default(),
                 })
-                .clone()
-            }
+                .clone(),
         }
     }
 
@@ -540,14 +494,6 @@ impl Inner {
         let (graph, weights) = self.resolve_graph();
         let mut cfg = self.cfg.engine;
         cfg.induced = induced;
-        if cfg.verify.enabled && !cfg.shard.enabled {
-            // Verification already ran once for this canonical entry and
-            // travels with the launch below; re-verifying per launch would
-            // only repeat it. The sharded route keeps the flag: its
-            // shard-cover check is per run. `apply_hints` stays as
-            // configured — the engine gates arena shaping on it alone.
-            cfg.verify.enabled = false;
-        }
         if let Some(r) = opts.recovery {
             cfg.recovery = r;
         }
@@ -567,7 +513,7 @@ impl Inner {
             engine = engine.with_fault_plan(f);
         }
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if cfg.shard.enabled {
+            if cfg.shard.shards > 1 {
                 // Sharded route: the driver builds one grid per shard, so
                 // the worker's single-grid warm slot cannot serve it; the
                 // merged outcome keeps the service's count/metrics shape.
@@ -581,7 +527,7 @@ impl Inner {
                 engine.launch(&Launch {
                     warm,
                     compiled,
-                    verified: entry.verification.as_deref(),
+                    verified: entry.verification.get().map(Arc::as_ref),
                     ..Launch::new(&graph, plan)
                 })
             }
@@ -647,7 +593,7 @@ impl MatchService {
                 graph.ensure_hub_bitmap(cfg.engine.hub_bitmap.hub_threshold);
             }
             let mut overlay = DeltaOverlay::new((*graph).clone());
-            if cfg.engine.shard.enabled && cfg.engine.shard.work_aware {
+            if cfg.engine.shard.shards > 1 && cfg.engine.shard.work_aware {
                 // Sharded queries split by level-0 weights; track them on
                 // the overlay so each batch adjusts the touched vertices
                 // instead of recomputing O(graph) per query.
@@ -674,7 +620,6 @@ impl MatchService {
             tier1_served: AtomicU64::new(0),
             verified: AtomicU64::new(0),
             diags: AtomicU64::new(0),
-            profile: OnceLock::new(),
             dynamic,
         });
         let workers = (0..cfg.workers.max(1))
@@ -750,14 +695,31 @@ impl MatchService {
         }
     }
 
-    /// The static verification verdict cached for `pattern` (under the
-    /// service's default `induced` semantics), creating — and verifying —
-    /// the cache entry if it does not exist yet. `None` when
-    /// `EngineConfig::verify` is off.
+    /// Statically verifies `pattern`'s cached plan (under the service's
+    /// default `induced` semantics) against the resident graph and returns
+    /// the verdict, creating the cache entry if it does not exist yet. The
+    /// first ask verifies ([`Engine::verify`]); the verdict then stays on
+    /// the canonical entry, every later launch of that entry carries it
+    /// ([`Launch::verified`]), and later asks return it. `None` for
+    /// delta-enabled services: a certificate is computed against one
+    /// topology and the graph moves under `apply_batch`.
     pub fn verification(&self, pattern: &Pattern) -> Option<Arc<Verification>> {
-        self.inner
-            .plan_for(pattern, self.inner.cfg.engine.induced)
-            .verification
+        let inner = &self.inner;
+        if inner.dynamic.is_some() {
+            return None;
+        }
+        let entry = inner.plan_for(pattern, inner.cfg.engine.induced);
+        let verdict = entry.verification.get_or_init(|| {
+            let v = Engine::new(inner.cfg.engine).verify(&inner.graph, &entry.plan);
+            // Relaxed: pure statistics, ticked once per entry (the OnceLock
+            // runs one initializer) and read by cache_stats only.
+            inner.verified.fetch_add(1, Ordering::Relaxed);
+            inner
+                .diags
+                .fetch_add(v.diagnostics.len() as u64, Ordering::Relaxed);
+            Arc::new(v)
+        });
+        Some(Arc::clone(verdict))
     }
 
     /// Applies one batch of edge updates to the service graph
@@ -975,7 +937,7 @@ pub mod mutation {
                 CachedPlan {
                     plan,
                     compiled: None,
-                    verification: None,
+                    verification: Arc::default(),
                 },
             );
     }
@@ -1209,6 +1171,34 @@ mod tests {
             svc.submit(&q, QueryOptions::default()).unwrap().count,
             expected
         );
+    }
+
+    #[test]
+    fn the_shard_count_is_the_route() {
+        let graph = Arc::new(gen::preferential_attachment(100, 4, 5).degree_ordered());
+        let q = catalog::paper_query(6);
+        let expected = Engine::new(small_cfg().engine)
+            .run(&graph, &q)
+            .unwrap()
+            .count;
+        // Serve on a slot of our own to watch it: the single-grid route
+        // parks its arenas there, the sharded driver builds its own grids
+        // and leaves it untouched.
+        for (shards, single_grid) in [(1, true), (2, false)] {
+            let mut cfg = small_cfg();
+            cfg.engine = cfg.engine.with_shards(shards);
+            let svc = MatchService::new(Arc::clone(&graph), cfg);
+            let slot = WarmSlot::new(cfg.engine.grid).unwrap();
+            let out = svc
+                .inner
+                .execute(Some(&slot), &q, &QueryOptions::default(), Instant::now())
+                .unwrap();
+            assert_eq!(out.count, expected, "{shards} shard(s)");
+            assert_eq!(slot.arenas().parked() > 0, single_grid, "{shards} shard(s)");
+            if single_grid {
+                assert_eq!(out.metrics.total().shard_steal_receives, 0);
+            }
+        }
     }
 
     fn delta_cfg() -> ServiceConfig {

@@ -29,11 +29,11 @@
 //!   ([`RecoveryPolicy::shard_retries`](crate::RecoveryPolicy) rounds,
 //!   injection off), then one cold single-grid pass.
 //!
-//! [`Engine::run_plan_sharded`] reads the shard count and balancing
-//! features from [`EngineConfig::shard`](crate::EngineConfig); its
-//! `enabled` flag only tells the resident service to route queries here.
-//! Each shard's grid is one [`Launch`](crate::Launch) over the crate-private
-//! `Level0::Rail` domain.
+//! Calling [`Engine::run_plan_sharded`] is the request; it reads the shard
+//! count and balancing features from
+//! [`EngineConfig::shard`](crate::EngineConfig), and the resident service
+//! routes queries here iff that count exceeds 1. Each shard's grid is one
+//! [`Launch`](crate::Launch) over the crate-private `Level0::Rail` domain.
 
 use crate::engine::{Engine, Launch, Level0, MatchOutcome};
 use crate::fault::{FaultPlan, FaultReport};
@@ -265,27 +265,16 @@ impl Engine {
             ShardPlan::contiguous(graph, shards)
         };
         let reproduce = self.fault_plan().and_then(FaultPlan::shard_reproduce_line);
-        if cfg.verify.enabled {
-            // Static coverage certificate for the split (DESIGN.md §4j):
-            // both built-in partitioners tile the domain by construction,
-            // so any diagnostic here is a partitioning bug — fail loudly
-            // in debug builds before a wrong count escapes.
-            let diags = splan.verify_cover(
-                graph.num_vertices(),
-                &format!(
-                    "Engine::run_plan_sharded on graph '{}' with {} shards, \
-                     work_aware={}, EngineConfig::with_verify(true)",
-                    graph.name(),
-                    shards,
-                    tuning.work_aware,
-                ),
-            );
-            debug_assert!(
-                diags.is_empty(),
-                "shard plan fails exactly-once coverage: {}",
-                diags[0]
-            );
-        }
+        // Both built-in partitioners tile the domain by construction, so a
+        // coverage diagnostic (DESIGN.md §4j) is a partitioning bug: fail
+        // loudly in debug builds before a wrong count escapes.
+        debug_assert!(
+            splan
+                .verify_cover(graph.num_vertices(), "Engine::run_plan_sharded")
+                .is_empty(),
+            "shard plan ({shards} shards, work_aware={}) fails exactly-once coverage",
+            tuning.work_aware
+        );
 
         let rail = Arc::new(ShardRail::new(
             &splan.cuts,

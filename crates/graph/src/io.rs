@@ -37,10 +37,68 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// The loaders keep the file's own vertex ids (no remapping), so the graph
+/// they build is sized by the largest id, not by the input: a file may name
+/// ids up to `ID_SLACK_PER_RECORD × records + ID_SLACK_BASE` and no
+/// further. SNAP's ids are sparse but honest — soc-Wiki-Vote numbers its
+/// 7 115 vertices up to 8 297 over 103 689 edge lines, and any file whose
+/// ids are a small multiple of its vertex count passes, since every
+/// non-isolated vertex costs at least half a record — so 64 ids per record
+/// leaves such files more than an order of magnitude of room, while
+/// `e 0 4294967295` (one record) no longer asks for 48 GiB of label and
+/// degree vectors. The base lets a hand-written toy file use ids below
+/// 1 024 freely.
+const ID_SLACK_PER_RECORD: usize = 64;
+const ID_SLACK_BASE: usize = 1024;
+
+/// The largest vertex id parsed so far and the line that named it.
+#[derive(Default)]
+struct MaxId(Option<(VertexId, usize)>);
+
+impl MaxId {
+    fn see(&mut self, id: VertexId, line: usize) {
+        if self.0.is_none_or(|(max, _)| id > max) {
+            self.0 = Some((id, line));
+        }
+    }
+
+    /// Builds the graph of the parsed records — after rejecting a largest id
+    /// implausible for that many records, before any structure sized by it
+    /// exists.
+    fn build(
+        &self,
+        labels: Vec<(VertexId, u32)>,
+        edges: Vec<(VertexId, VertexId)>,
+    ) -> Result<Graph, IoError> {
+        let records = labels.len() + edges.len();
+        let limit = records
+            .saturating_mul(ID_SLACK_PER_RECORD)
+            .saturating_add(ID_SLACK_BASE);
+        if let Some((max, line)) = self.0.filter(|&(max, _)| max as usize >= limit) {
+            return Err(IoError::Parse {
+                line,
+                message: format!(
+                    "vertex id {max} is implausible for a file of {records} records \
+                     (ids must stay below {limit}: the graph is sized by its largest id)"
+                ),
+            });
+        }
+        let mut builder = GraphBuilder::with_capacity(0, edges.len());
+        for (id, label) in labels {
+            builder.set_label(id, label);
+        }
+        for (u, v) in edges {
+            builder.add_edge(u, v);
+        }
+        Ok(builder.build())
+    }
+}
+
 /// Parses a SNAP-style edge list from a reader.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
     let reader = BufReader::new(reader);
-    let mut builder = GraphBuilder::new(0);
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut max_id = MaxId::default();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -61,9 +119,10 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
         };
         let u = parse(it.next(), "source vertex")?;
         let v = parse(it.next(), "target vertex")?;
-        builder.add_edge(u, v);
+        max_id.see(u.max(v), idx + 1);
+        edges.push((u, v));
     }
-    Ok(builder.build())
+    max_id.build(Vec::new(), edges)
 }
 
 /// Loads a SNAP edge-list file.
@@ -75,7 +134,9 @@ pub fn load_edge_list(path: impl AsRef<Path>) -> Result<Graph, IoError> {
 /// Parses an `.lg` labeled graph from a reader.
 pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
     let reader = BufReader::new(reader);
-    let mut builder = GraphBuilder::new(0);
+    let mut labels: Vec<(VertexId, u32)> = Vec::new();
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut max_id = MaxId::default();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
@@ -96,7 +157,8 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
                 let label: u32 = toks[2]
                     .parse()
                     .map_err(|e| bad(format!("bad label: {e}")))?;
-                builder.set_label(id, label);
+                max_id.see(id, idx + 1);
+                labels.push((id, label));
             }
             "e" => {
                 if toks.len() < 3 {
@@ -104,12 +166,13 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
                 }
                 let u: VertexId = toks[1].parse().map_err(|e| bad(format!("bad u: {e}")))?;
                 let v: VertexId = toks[2].parse().map_err(|e| bad(format!("bad v: {e}")))?;
-                builder.add_edge(u, v);
+                max_id.see(u.max(v), idx + 1);
+                edges.push((u, v));
             }
             other => return Err(bad(format!("unknown record type `{other}`"))),
         }
     }
-    Ok(builder.build())
+    max_id.build(labels, edges)
 }
 
 /// Loads an `.lg` file.
@@ -166,5 +229,50 @@ mod tests {
     #[test]
     fn lg_rejects_unknown_record() {
         assert!(read_lg("x 1 2\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn hostile_vertex_id_is_rejected_before_anything_is_sized_by_it() {
+        // 15 bytes that used to ask the builder for a 16 GiB label vector
+        // and a 32 GiB degree vector; a completed call is the proof that
+        // nothing was allocated.
+        for (err, want_line) in [
+            (read_lg("e 0 4294967295\n".as_bytes()).unwrap_err(), 1),
+            (read_edge_list("0 4294967295\n".as_bytes()).unwrap_err(), 1),
+            (
+                read_lg("v 0 1\nv 4000000000 1\n".as_bytes()).unwrap_err(),
+                2,
+            ),
+        ] {
+            match err {
+                IoError::Parse { line, message } => {
+                    assert_eq!(line, want_line);
+                    assert!(message.contains("implausible"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_but_honest_ids_still_load() {
+        // soc-Wiki-Vote's shape: ids run to about twice the vertex count.
+        let text: String = (0..500u32)
+            .map(|i| format!("{} {}\n", 2 * i, 2 * i + 2))
+            .collect();
+        let g = read_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 1001);
+        assert_eq!(g.num_edges(), 500);
+        let lg: String = (0..500u32)
+            .map(|i| format!("v {} 3\ne {} {}\n", 2 * i, 2 * i, 2 * i + 2))
+            .collect();
+        let g = read_lg(lg.as_bytes()).unwrap();
+        assert_eq!(g.num_vertices(), 1001);
+        assert_eq!(g.label(998), 3);
+        // A toy file may use small ids freely.
+        assert_eq!(
+            read_lg("e 0 1000\n".as_bytes()).unwrap().num_vertices(),
+            1001
+        );
     }
 }

@@ -551,45 +551,10 @@ impl MatchPlan {
     pub fn bytecode(&self) -> &PlanBytecode {
         &self.bytecode
     }
-
-    /// Emits the compact dependence-graph encoding of Fig. 9b: `row_ptr`
-    /// (set counts per level) and per-set triples
-    /// `(operand position, is_intersection, dependency)`.
-    ///
-    /// Only meaningful for code-motion plans, where each set has at most one
-    /// chained op. `dependency` is `u16::MAX` when the base is a raw
-    /// neighbor list.
-    pub fn compact(&self) -> CompactPlan {
-        let set_ops = self
-            .sets
-            .iter()
-            .map(|s| {
-                let (pos, kind) = match (&s.base, s.ops.first()) {
-                    (Base::Neighbors(p), None) => (*p, OpKind::Intersect),
-                    (Base::Set(_), Some(op)) => (op.pos, op.kind),
-                    // Naive plans carry multi-op sets; report the first op.
-                    (Base::Neighbors(p), Some(_)) => (*p, OpKind::Intersect),
-                    (Base::Set(_), None) => unreachable!("set dep without op"),
-                };
-                CompactSetOp {
-                    operand_pos: pos,
-                    intersect: kind == OpKind::Intersect,
-                    dep: match s.base {
-                        Base::Set(d) => d,
-                        Base::Neighbors(_) => u16::MAX,
-                    },
-                }
-            })
-            .collect();
-        CompactPlan {
-            row_ptr: self.level_ptr.clone(),
-            set_ops,
-        }
-    }
 }
 
 /// Seeded-mutation hooks for the verifier kill-test suite (tests and the
-/// `verify_check` bench legs only, mirroring `bytecode::mutation`): each
+/// `check verify` gate legs only, mirroring `bytecode::mutation`): each
 /// helper produces a *structurally well-formed but wrong* plan — it still
 /// lowers and passes `PlanBytecode::verify`, so only the static analyses of
 /// `stmatch-plan-verify` (or the golden counts) can catch it. Never called
@@ -629,36 +594,6 @@ pub mod mutation {
             }
         }
         None
-    }
-}
-
-/// One entry of the compact encoding (Fig. 9b `set_ops`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CompactSetOp {
-    /// Order position whose matched vertex's neighbor list is the operand.
-    pub operand_pos: u8,
-    /// Intersection (true) or difference (false).
-    pub intersect: bool,
-    /// Index of the dependency set, or `u16::MAX` for a raw neighbor base.
-    pub dep: u16,
-}
-
-/// The compact per-level dependence encoding (Fig. 9b): tens of bytes,
-/// suitable for a GPU's shared memory.
-#[derive(Clone, Debug)]
-pub struct CompactPlan {
-    /// `row_ptr[l]..row_ptr[l+1]` indexes `set_ops` for level `l`.
-    pub row_ptr: Vec<usize>,
-    /// One op triple per set.
-    pub set_ops: Vec<CompactSetOp>,
-}
-
-impl CompactPlan {
-    /// Size of the encoding in bytes (the paper: "the two arrays take only
-    /// tens of bytes").
-    pub fn byte_size(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<u32>()
-            + self.set_ops.len() * std::mem::size_of::<CompactSetOp>()
     }
 }
 
@@ -814,13 +749,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_encoding_is_small() {
-        // The paper: the compact arrays take "only tens of bytes".
+    fn lowered_encoding_is_small() {
+        // The paper: the `row_ptr` / `set_ops` arrays of Fig. 9b take "only
+        // tens of bytes". The lowered stream is that encoding plus its side
+        // tables; for the 7-clique it stays a sliver of a block's shared
+        // memory.
         let plan = MatchPlan::compile(&catalog::paper_query(24), opts(false, true));
-        let compact = plan.compact();
-        assert!(compact.byte_size() < 200, "{} bytes", compact.byte_size());
-        assert_eq!(compact.set_ops.len(), plan.num_sets());
-        assert_eq!(*compact.row_ptr.last().unwrap(), plan.num_sets());
+        let bytes = plan.bytecode().byte_size();
+        assert!(bytes < 512, "{bytes} bytes");
+        assert_eq!(plan.bytecode().num_sets(), plan.num_sets());
     }
 
     #[test]

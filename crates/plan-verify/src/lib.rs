@@ -154,12 +154,12 @@ mod tests {
         let prof = GraphProfile::of(&g);
         let mut plan = MatchPlan::compile(&catalog::paper_query(6), PlanOptions::default());
         let dead = mutation::insert_dead_set(&mut plan);
-        let v = verify_plan(&plan, &prof, 4096, "verify_check --mutate dead-set");
+        let v = verify_plan(&plan, &prof, 4096, "check verify --mutate=dead-set");
         assert!(v
             .diagnostics
             .iter()
             .any(|d| matches!(d.kind, DiagKind::DeadSet { set, .. } if set == dead)));
-        assert!(v.diagnostics[0].reproduce.contains("--mutate dead-set"));
+        assert!(v.diagnostics[0].reproduce.contains("--mutate=dead-set"));
 
         let mut plan = MatchPlan::compile(&catalog::paper_query(8), PlanOptions::default());
         let (level, pos) = mutation::drop_symmetry_bound(&mut plan).unwrap();

@@ -144,7 +144,7 @@ impl CheckConfig {
 /// The single global flag byte. Every instrumentation hook in `gpu-sim` and
 /// `core` gates on one relaxed load of this static, so a disabled checker
 /// costs one predictable branch per hook — the "zero-cost no-op statics"
-/// contract. `hotpath_check` verifies metrics stay bit-identical with
+/// contract. `check hotpath` verifies metrics stay bit-identical with
 /// checkers off.
 static FLAGS: AtomicU8 = AtomicU8::new(0);
 

@@ -4,31 +4,37 @@
 //! verifier must catch seeded plan corruptions *by name*, not merely
 //! "something looks off".
 //!
-//! Three legs:
+//! Verification is a request, not a knob: `Engine::verify` produces the
+//! verdict, `Launch::verified` attaches it, `MatchService::verification`
+//! asks the service for one. Four legs:
 //!
-//! * property — on seeded random graphs × catalog patterns, the runtime
-//!   `peak_slab_cells` never exceeds `ResourceCert::peak_cells(unroll)`,
-//!   and a `spill_free` certificate implies zero `spill_events`. Small
-//!   `max_degree_slab` values are drawn too, exercising certificates
-//!   that (soundly) refuse the spill-free claim;
+//! * property — on seeded random graphs × catalog patterns, a launch
+//!   carrying its verdict keeps the runtime `peak_slab_cells` within
+//!   `ResourceCert::peak_cells(unroll)`, and a `spill_free` certificate
+//!   implies zero `spill_events`. Small `max_degree_slab` values are drawn
+//!   too, exercising certificates that (soundly) refuse the spill-free
+//!   claim;
 //! * mutation kill tests — `insert_dead_set`, `drop_symmetry_bound`, and
 //!   `overlap_cut` must each surface a diagnostic naming the exact
 //!   set/level/vertex that was corrupted, with a `reproduce:` line;
-//! * service — [`MatchService`] verifies once per canonical cache entry,
-//!   exposes verified/diagnostic counters in `cache_stats`, and hands
-//!   the cached certificate back through `verification()`;
-//! * hints — `with_verify_hints()` alone shapes the warp arenas to the
-//!   certificate's capacity bounds, whatever the other knobs say.
+//! * service — [`MatchService`] verifies an entry on the first
+//!   `verification()` ask and never otherwise, keeps the verdict on the
+//!   canonical cache entry, and counts it in `cache_stats`;
+//! * shaping — an attached verdict shapes the warp arenas to the
+//!   certificate's capacity bounds, and a verdict for the wrong graph
+//!   cannot move a count.
 
 use std::sync::Arc;
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::shard::{self, ShardPlan};
-use stmatch_core::{Engine, EngineConfig, MatchService, QueryOptions, ServiceConfig, WarmSlot};
+use stmatch_core::{
+    Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WarmSlot,
+};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
 use stmatch_pattern::plan::{mutation, MatchPlan, PlanOptions};
-use stmatch_plan_verify::{verify_plan, DiagKind, GraphProfile};
+use stmatch_plan_verify::{verify_plan, DiagKind, GraphProfile, Verification};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::Rng;
 
@@ -60,6 +66,20 @@ fn make_pattern(idx: usize) -> stmatch_pattern::Pattern {
     }
 }
 
+/// One launch of `plan` carrying `verdict`, on `warm` when given.
+fn launch_verified(
+    engine: &Engine,
+    g: &Graph,
+    plan: &MatchPlan,
+    verdict: &Verification,
+    warm: Option<&WarmSlot>,
+) -> Result<stmatch_core::MatchOutcome, stmatch_core::LaunchError> {
+    let mut request = Launch::new(g, plan);
+    request.verified = Some(verdict);
+    request.warm = warm;
+    engine.launch(&request)
+}
+
 /// Certificate vs reality: the static peak bound dominates the runtime
 /// high-water mark, and spill-freedom is never claimed falsely — across
 /// random graphs, catalog plans, and slab capacities small enough to
@@ -82,21 +102,20 @@ fn runtime_peak_never_exceeds_certified_bound() {
         |&(n, density, seed, pidx, slab)| {
             let g = make_graph(n, density, seed);
             let p = make_pattern(pidx);
-            let plan = MatchPlan::compile(&p, PlanOptions::default());
-            let mut cfg = EngineConfig::default().with_grid(grid()).with_verify(true);
+            let mut cfg = EngineConfig::default().with_grid(grid());
             cfg.max_degree_slab = slab.max(2);
-            // Mirror the engine's effective slab sizing so the checked
-            // certificate is the one the launch actually runs under.
-            let slab_cap = cfg.max_degree_slab.min(g.max_degree().max(1));
-            let profile = GraphProfile::of(&g);
-            let v = verify_plan(&plan, &profile, slab_cap, "tests/plan_verify.rs property");
+            let engine = Engine::new(cfg);
+            let plan = engine.compile(&p);
+            // The engine certifies at its own effective slab sizing, so the
+            // verdict is the one the launch actually runs under.
+            let v = engine.verify(&g, &plan);
             if !v.diagnostics.is_empty() {
                 return Err(format!(
                     "false positive on a catalog plan: {}",
                     v.diagnostics[0]
                 ));
             }
-            let out = Engine::new(cfg).run(&g, &p).map_err(|e| e.to_string())?;
+            let out = launch_verified(&engine, &g, &plan, &v, None).map_err(|e| e.to_string())?;
             let bound = v.cert.peak_cells(cfg.unroll);
             if out.peak_slab_cells > bound {
                 return Err(format!(
@@ -107,9 +126,10 @@ fn runtime_peak_never_exceeds_certified_bound() {
             }
             if v.cert.spill_free && out.spill_events != 0 {
                 return Err(format!(
-                    "{}: {} spills under a spill-free certificate (slab_cap {slab_cap})",
+                    "{}: {} spills under a spill-free certificate (slab_cap {})",
                     p.name(),
-                    out.spill_events
+                    out.spill_events,
+                    v.cert.slab_cap
                 ));
             }
             Ok(())
@@ -201,10 +221,10 @@ fn mutation_overlapping_shard_cut_is_caught_by_name() {
     assert!(clean.is_empty(), "clean shard plan flagged: {clean:?}");
 }
 
-/// The service verifies once per canonical cache entry: repeated and
-/// equivalent submissions reuse the cached certificate, the counters in
-/// `cache_stats` track entries (not submissions), and `verification()`
-/// hands the certificate out.
+/// The service verifies when asked, once per canonical cache entry: later
+/// submissions and asks reuse the cached verdict, the counters in
+/// `cache_stats` track entries (not submissions or asks), and an entry
+/// nobody asked about is never verified.
 #[test]
 fn service_verifies_once_per_canonical_plan() {
     let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
@@ -214,87 +234,125 @@ fn service_verifies_once_per_canonical_plan() {
         .count;
     let svc = MatchService::new(
         Arc::new(g),
-        ServiceConfig::new(
-            EngineConfig::default()
-                .with_grid(grid())
-                .with_compile(true)
-                .with_verify(true),
-        )
-        .with_workers(2),
+        ServiceConfig::new(EngineConfig::default().with_grid(grid()).with_compile(true))
+            .with_workers(2),
     );
     let q = catalog::paper_query(6);
+    let v = svc
+        .verification(&q)
+        .expect("the resident graph is immutable");
+    assert!(v.is_clean());
+    assert!(v.cert.spill_free);
     for _ in 0..3 {
         let out = svc.submit(&q, QueryOptions::default()).unwrap();
         assert_eq!(out.count, expected, "verified service run drifted");
         assert_eq!(out.spill_events, 0, "certified-clean plan spilled");
     }
+    // Asking for the certificate again must not re-verify.
+    let again = svc.verification(&q).expect("still resident");
+    assert!(
+        Arc::ptr_eq(&v, &again),
+        "the verdict lives on the cache entry"
+    );
     let stats = svc.cache_stats();
     assert_eq!(stats.verified, 1, "one canonical entry → one verification");
     assert_eq!(stats.diagnostics, 0, "clean plan raised diagnostics");
-    let v = svc.verification(&q).expect("verify knob is on");
-    assert!(v.is_clean());
-    assert!(v.cert.spill_free);
-    // Asking for the certificate again must not re-verify.
-    let _ = svc.verification(&q);
-    assert_eq!(svc.cache_stats().verified, 1);
-    // A different canonical plan gets its own verification.
+    // A different canonical plan is verified only once somebody asks.
     let _ = svc
         .submit(&catalog::triangle(), QueryOptions::default())
         .unwrap();
+    assert_eq!(svc.cache_stats().verified, 1);
+    let _ = svc.verification(&catalog::triangle());
     assert_eq!(svc.cache_stats().verified, 2);
 }
 
-/// With the knob off (the default) nothing is verified and the stats
-/// stay zero — verification is strictly opt-in.
+/// A service nobody asks verifies nothing and its stats stay zero; a
+/// delta-enabled one declines the ask — its topology moves under the
+/// certificate.
 #[test]
 fn service_verification_is_opt_in() {
-    let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
-    let svc = MatchService::new(
-        Arc::new(g),
-        ServiceConfig::new(EngineConfig::default().with_grid(grid())).with_workers(1),
-    );
+    let g = Arc::new(gen::preferential_attachment(48, 4, 3).degree_ordered());
+    let cfg = ServiceConfig::new(EngineConfig::default().with_grid(grid())).with_workers(1);
+    let svc = MatchService::new(Arc::clone(&g), cfg);
     svc.submit(&catalog::triangle(), QueryOptions::default())
         .unwrap();
     let stats = svc.cache_stats();
     assert_eq!(stats.verified, 0);
     assert_eq!(stats.diagnostics, 0);
+
+    let mut dynamic = cfg;
+    dynamic.engine = dynamic.engine.with_delta(true);
+    let svc = MatchService::new(g, dynamic);
     assert!(svc.verification(&catalog::triangle()).is_none());
+    assert_eq!(svc.cache_stats().verified, 0);
 }
 
-/// `with_verify_hints()` needs no other knob: with tier state off (the
-/// default) a hinted run still packs its arenas to the certificate's
-/// per-set bounds — strictly fewer slab cells than the uniform geometry —
-/// and stays spill-free on the exact count. The warm slot is only the
-/// window: it hands back the arenas the launch ran on.
+/// An attached verdict needs no knob: with tier state off (the default) the
+/// launch packs its arenas to the certificate's per-set bounds — strictly
+/// fewer slab cells than the uniform geometry — and stays spill-free on the
+/// exact count. The warm slot is only the window: it hands back the arenas
+/// the launch ran on.
 #[test]
 fn capacity_hints_shape_the_arena_without_tier_state() {
     // K5 cascade on a skewed graph: deeper sets certify well below Δ.
     let g = gen::rmat(6, 4, 11).degree_ordered();
     let q = catalog::paper_query(8);
     let want = reference::count(&g, &q, RefOptions::default());
-    let cells_after = |cfg: EngineConfig| {
-        assert!(!cfg.compile.enabled, "the point is: no tier state");
-        let engine = Engine::new(cfg);
-        let slot = WarmSlot::new(cfg.grid).unwrap();
-        let out = engine
-            .run_plan_warm(&g, &engine.compile(&q), &slot)
-            .unwrap();
+    let engine = Engine::new(EngineConfig::default().with_grid(grid()));
+    assert!(
+        !engine.config().compile.enabled,
+        "the point is: no tier state"
+    );
+    let plan = engine.compile(&q);
+    let verdict = engine.verify(&g, &plan);
+    assert!(verdict.cert.spill_free);
+    let cells_after = |attached: Option<&Verification>| {
+        let slot = WarmSlot::new(grid()).unwrap();
+        let out = match attached {
+            Some(v) => launch_verified(&engine, &g, &plan, v, Some(&slot)),
+            None => engine.run_plan_warm(&g, &plan, &slot),
+        }
+        .unwrap();
         assert_eq!(out.count, want);
         assert_eq!(out.spill_events, 0);
+        assert!(out.peak_slab_cells <= verdict.cert.peak_cells(engine.config().unroll));
         let arena = slot
             .arenas()
             .checkout()
             .expect("the launch parked its arenas");
         arena.slab_cells()
     };
-    let uniform = cells_after(EngineConfig::default().with_grid(grid()));
-    let hinted = cells_after(
-        EngineConfig::default()
-            .with_grid(grid())
-            .with_verify_hints(),
-    );
+    let uniform = cells_after(None);
+    let hinted = cells_after(Some(&verdict));
     assert!(
         hinted < uniform,
         "hinted arena has {hinted} slab cells, uniform {uniform}: the hints were dropped"
     );
+}
+
+/// A verdict computed for a *different*, denser graph still shapes the
+/// slabs (clamped to this graph's capacity): lists may spill to the heap,
+/// the count may not move.
+#[test]
+fn a_verdict_for_another_graph_never_miscounts() {
+    let g = gen::rmat(6, 4, 11).degree_ordered();
+    let denser = gen::rmat(7, 8, 11).degree_ordered();
+    assert!(denser.max_degree() > g.max_degree());
+    let engine = Engine::new(EngineConfig::default().with_grid(grid()));
+    for q in [catalog::paper_query(6), catalog::paper_query(8)] {
+        let plan = engine.compile(&q);
+        let foreign = engine.verify(&denser, &plan);
+        assert!(
+            foreign.footprint_caps().is_some(),
+            "{}: the foreign certificate shapes nothing, the leg is vacuous",
+            q.name()
+        );
+        let out = launch_verified(&engine, &g, &plan, &foreign, None).unwrap();
+        assert_eq!(
+            out.count,
+            reference::count(&g, &q, RefOptions::default()),
+            "{}",
+            q.name()
+        );
+    }
 }

@@ -68,7 +68,6 @@ const GOLDEN: &[(usize, u64, u64)] = &[
 fn sharded_cfg(shards: usize) -> EngineConfig {
     EngineConfig::default()
         .with_grid(grid_2x2())
-        .with_shard(true)
         .with_shards(shards)
 }
 
