@@ -22,7 +22,9 @@ TREE_BEFORE=$(tree_state)
 
 run "fmt"   cargo fmt --all --check
 run "build" cargo build --release --offline
-run "lint"  cargo clippy --workspace --all-targets --offline -- -D warnings
+# Every target kind the workspace has; `--all-targets` would add `--benches`
+# and build each lib and bin a second time as a bench harness nobody runs.
+run "lint"  cargo clippy --workspace --lib --bins --tests --examples --offline -- -D warnings
 run "test"  cargo test -q --workspace --offline
 
 # Example smoke runs: the two cheapest examples, release profile (already
@@ -211,5 +213,10 @@ if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     exit 1
 fi
 echo "==> tree: OK (git status unchanged)"
+
+# ROADMAP aim 2's success metric, from the gate's own log: `.rs` lines of the
+# engine crate and of the workspace outside `benchmark/`.
+rs_lines() { find "$@" -name '*.rs' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l; }
+echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .)"
 
 echo "ci.sh: all phases passed"

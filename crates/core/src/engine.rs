@@ -28,7 +28,6 @@ use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
 use crate::recover::{self, DowngradeStep};
 use crate::steal::{Board, ShardRail, StealPayload};
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -717,120 +716,20 @@ impl Engine {
         let cfg = r.env.cfg;
         let arenas = r.warm.map(WarmSlot::arenas);
         let me = warp.id();
-        // Which side of the idle protocol the warp is on, for death
-        // bookkeeping (a busy death releases the busy count, an idle death
-        // must clear its idle bit instead).
-        let busy = Cell::new(true);
         let mut kernel: Option<WarpKernel> = None;
         let caught = catch_unwind(AssertUnwindSafe(|| {
             // Warm path: recycle a parked arena (reset, not reallocated)
             // instead of building fresh slabs for this query.
             let recycled = arenas.and_then(ArenaPool::checkout);
             let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
-            'outer: loop {
-                if board.aborted() {
-                    break;
-                }
-                // --- Busy phase: acquire and run work. ---
-                if let Some((clo, chi, stolen)) = board.claim_chunk_tagged() {
-                    if stolen {
-                        // Fixed cost model: a cross-shard range travels
-                        // over the rail (device-to-device copy), dearer
-                        // than a same-grid global steal.
-                        warp.metrics_mut().shard_steal_receives += 1;
-                        warp.metrics_mut().simt_instructions += 512;
-                    }
-                    let t = Instant::now();
-                    kernel.install_chunk(clo, chi);
-                    kernel.run(warp);
-                    warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                    continue;
-                }
-                if let Some(p) = board.claim_requeued_busy() {
-                    warp.metrics_mut().requeue_claims += 1;
-                    // Same fixed cost model as a global-steal receive: the
-                    // payload travels through global memory.
-                    warp.metrics_mut().simt_instructions += 256;
-                    let t = Instant::now();
-                    kernel.install_payload(warp, &p);
-                    kernel.run(warp);
-                    warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                    continue;
-                }
-                if let Some(p) = board.claim_rail_requeued() {
-                    // A payload reclaimed from a dead sibling shard: the
-                    // stack crosses the rail, at cross-shard cost.
-                    warp.metrics_mut().requeue_claims += 1;
-                    warp.metrics_mut().shard_steal_receives += 1;
-                    warp.metrics_mut().simt_instructions += 512;
-                    let t = Instant::now();
-                    kernel.install_payload(warp, &p);
-                    kernel.run(warp);
-                    warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                    continue;
-                }
-                if cfg.local_steal {
-                    warp.metrics_mut().local_steal_attempts += 1;
-                    if let Some(p) = board.try_local_steal(me) {
-                        warp.metrics_mut().local_steals += 1;
-                        // Fixed cost model: intra-block stack copy.
-                        warp.metrics_mut().simt_instructions += 32;
-                        let t = Instant::now();
-                        kernel.install_payload(warp, &p);
-                        kernel.run(warp);
-                        warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                        continue;
-                    }
-                }
-                if !cfg.local_steal && !cfg.global_steal {
-                    break; // naive mode: exit on chunk exhaustion
-                }
-                // --- Idle phase: spin for stealable or pushed work. ---
-                board.mark_idle(me);
-                busy.set(false);
-                let idle_start = Instant::now();
-                loop {
-                    // Poll the deadline here too: with every busy warp
-                    // stalled or dead, kernel-side polling alone would
-                    // leave idle spinners waiting out the hang.
-                    if board.finished() || board.check_deadline() {
-                        warp.metrics_mut().idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                        break 'outer;
-                    }
-                    if board.chunks_remain() || (cfg.local_steal && board.any_local_victim(me)) {
-                        board.mark_busy(me);
-                        busy.set(true);
-                        warp.metrics_mut().idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                        continue 'outer;
-                    }
-                    if cfg.global_steal {
-                        if let Some(p) = board.try_claim_global(me) {
-                            // try_claim_global marked us busy already.
-                            busy.set(true);
-                            warp.metrics_mut().idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                            warp.metrics_mut().global_steal_receives += 1;
-                            warp.metrics_mut().simt_instructions += 256;
-                            let t = Instant::now();
-                            kernel.install_payload(warp, &p);
-                            kernel.run(warp);
-                            warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                            continue 'outer;
-                        }
-                    }
-                    if let Some(p) = board.try_claim_requeued(me) {
-                        // try_claim_requeued marked us busy already.
-                        busy.set(true);
-                        warp.metrics_mut().idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                        warp.metrics_mut().requeue_claims += 1;
-                        warp.metrics_mut().simt_instructions += 256;
-                        let t = Instant::now();
-                        kernel.install_payload(warp, &p);
-                        kernel.run(warp);
-                        warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
-                        continue 'outer;
-                    }
-                    std::thread::yield_now();
-                }
+            while let Some((work, src)) =
+                board.acquire(me, cfg.local_steal, cfg.global_steal, warp.metrics_mut())
+            {
+                src.note(warp.metrics_mut());
+                let t = Instant::now();
+                kernel.install(warp, &work);
+                kernel.run(warp);
+                warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
             }
         }));
         if let Err(payload) = caught {
@@ -845,7 +744,7 @@ impl Engine {
                     .unwrap_or_default();
                 let n = reclaimed.len();
                 board.requeue_dead(reclaimed);
-                board.mark_dead(me, busy.get());
+                board.mark_dead(me);
                 n
             }));
             match contained {

@@ -54,7 +54,7 @@ use crate::compile::{CompiledPlan, Tier};
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops;
-use crate::steal::{Board, StealPayload};
+use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::Warp;
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SpecShape, NO_POS};
@@ -462,64 +462,30 @@ impl<'a> WarpKernel<'a> {
         if let Some(p) = self.installing.take() {
             // Died mid-install: the mirror is half-written and the payload
             // itself is still the authoritative description of the work.
-            for l in 0..crate::steal::MAX_STOP {
-                m.iter[l] = 0;
-                m.size[l] = 0;
-            }
+            m.clear();
             self.inflight = None;
             out.push(p);
             return out;
         }
         for l in 0..self.stop {
             if m.iter[l] < m.size[l] {
-                out.push(StealPayload {
-                    target: l,
-                    matched: m.matched[..l].to_vec(),
-                    lo: m.iter[l],
-                    hi: m.size[l],
-                });
+                out.push(m.payload(l, m.iter[l], m.size[l]));
             }
-            m.iter[l] = 0;
-            m.size[l] = 0;
         }
+        m.clear();
         if let Some((l, idx)) = self.inflight.take() {
-            out.push(StealPayload {
-                target: l,
-                matched: m.matched[..l].to_vec(),
-                lo: idx,
-                hi: idx + 1,
-            });
+            out.push(m.payload(l, idx, idx + 1));
         }
         out
     }
 
-    /// Installs a fresh level-0 chunk `[lo, hi)` of the vertex universe.
-    pub fn install_chunk(&mut self, lo: usize, hi: usize) {
-        // `Vec::new()` does not allocate, so the marker is free on the
-        // chunk path.
-        self.installing = Some(StealPayload {
-            target: 0,
-            matched: Vec::new(),
-            lo,
-            hi,
-        });
-        let mut m = self.board.mirror(self.warp_id).lock();
-        for l in 0..crate::steal::MAX_STOP {
-            m.iter[l] = 0;
-            m.size[l] = 0;
-        }
-        m.iter[0] = lo;
-        m.size[0] = hi;
-        self.entry = 0;
-        self.installing = None;
-    }
-
-    /// Installs stolen work: restores the matched prefix (resolving its
-    /// level-0 index — and with it a staged run's view and pin), recomputes
-    /// the candidate sets of every level up to the target (they are
-    /// deterministic functions of the prefix), and points the mirror at the
-    /// stolen iteration range.
-    pub fn install_payload(&mut self, warp: &mut Warp, p: &StealPayload) {
+    /// Installs a work item — a level-0 chunk (`target == 0`, empty prefix:
+    /// only the mirror moves) or a stolen/requeued stack: restores the
+    /// matched prefix (resolving its level-0 index — and with it a staged
+    /// run's view and pin), recomputes the candidate sets of every level up
+    /// to the target (they are deterministic functions of the prefix), and
+    /// points the mirror at the iteration range.
+    pub fn install(&mut self, warp: &mut Warp, p: &StealPayload) {
         debug_assert_eq!(p.matched.len(), p.target);
         self.installing = Some(p.clone());
         self.matched[..p.target].copy_from_slice(&p.matched);
@@ -536,10 +502,7 @@ impl<'a> WarpKernel<'a> {
             self.batch[l] = b;
         }
         let mut m = self.board.mirror(self.warp_id).lock();
-        for l in 0..crate::steal::MAX_STOP {
-            m.iter[l] = 0;
-            m.size[l] = 0;
-        }
+        m.clear();
         m.matched[..p.target].copy_from_slice(&p.matched);
         m.iter[p.target] = p.lo;
         m.size[p.target] = p.hi;
@@ -637,10 +600,7 @@ impl<'a> WarpKernel<'a> {
                 && l < self.cfg.detect_level
                 && self.board.try_push_global(self.warp_id)
             {
-                warp.metrics_mut().global_steal_pushes += 1;
-                // Fixed cost model: pushing a stack through global memory
-                // costs a burst of instructions.
-                warp.metrics_mut().simt_instructions += 256;
+                Source::GlobalPush.note(warp.metrics_mut());
             }
             let v = if l == 0 {
                 self.enter_level0(idx)

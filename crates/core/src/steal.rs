@@ -19,6 +19,11 @@
 //!   of their shallowest remaining range into the target block's
 //!   `global_stks` slot (Fig. 6).
 //!
+//! A warp's whole acquisition order — level-0 chunk, requeued and stolen
+//! stacks, the idle wait — is [`Board::acquire`]; every item it hands out
+//! is a [`StealPayload`] tagged with its [`Source`], whose
+//! [`cost`](Source::cost) is the fixed cost model of moving it.
+//!
 //! # Lock hierarchy (declared, checked by simt-check)
 //!
 //! Every lock in the stealing/containment machinery has a class and a
@@ -59,6 +64,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+use stmatch_gpusim::WarpMetrics;
 use stmatch_graph::VertexId;
 
 /// Upper bound on `StopLevel` (how deep the stealable region may reach).
@@ -68,7 +74,8 @@ pub const MAX_STOP: usize = 4;
 #[derive(Clone, Debug)]
 pub struct MirrorState {
     /// Next unclaimed iteration index per shallow level. At level 0 these
-    /// are absolute vertex ids of the warp's current chunk.
+    /// are level-0 *virtual indices* of the warp's current chunk (resolved
+    /// to vertices by the launch's level-0 map, like `matched[0]`).
     pub iter: [usize; MAX_STOP],
     /// End of the iteration range per shallow level (`iter == size` means
     /// drained).
@@ -91,6 +98,23 @@ impl MirrorState {
     #[inline]
     pub fn remaining(&self, level: usize) -> usize {
         self.size[level].saturating_sub(self.iter[level])
+    }
+
+    /// Drains every level (concurrent stealers see an empty victim).
+    pub(crate) fn clear(&mut self) {
+        self.iter = [0; MAX_STOP];
+        self.size = [0; MAX_STOP];
+    }
+
+    /// The iterations `lo..hi` at `level` under this mirror's matched
+    /// prefix, as a work item.
+    pub(crate) fn payload(&self, level: usize, lo: usize, hi: usize) -> StealPayload {
+        StealPayload {
+            target: level,
+            matched: self.matched[..level].to_vec(),
+            lo,
+            hi,
+        }
     }
 }
 
@@ -157,23 +181,78 @@ pub struct StealPayload {
     /// and level-1 pin). Deeper entries are data vertices.
     pub matched: Vec<VertexId>,
     /// Stolen range `lo..hi` (indices into the candidate list at `target`;
-    /// absolute vertex ids when `target == 0`).
+    /// level-0 virtual indices when `target == 0`: [`StealPayload::chunk`]).
     pub lo: usize,
     /// End of the stolen range.
     pub hi: usize,
 }
 
-/// A chunk granted by the cross-shard rail.
+impl StealPayload {
+    /// The level-0 range `[lo, hi)` as a work item: no prefix to restore,
+    /// and (`Vec::new()` being allocation-free) free to build.
+    pub fn chunk(lo: usize, hi: usize) -> StealPayload {
+        StealPayload {
+            target: 0,
+            matched: Vec::new(),
+            lo,
+            hi,
+        }
+    }
+}
+
+/// Where a work item came from, and with it what moving it costs and which
+/// counter records it. The charges exist nowhere else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RailGrant {
-    /// Start of the granted level-0 range (virtual index into the shard
-    /// plan's level-0 order).
-    pub lo: usize,
-    /// End of the granted range.
-    pub hi: usize,
-    /// True when serving this claim required stealing a range from another
-    /// shard (charged the cross-shard latency by the caller).
-    pub stolen: bool,
+pub enum Source {
+    /// A level-0 chunk off the board's dispenser or the warp's own shard
+    /// queue: free, uncounted.
+    Chunk,
+    /// A level-0 chunk the rail served by stealing from another shard.
+    RailSteal,
+    /// A dead warp's stack (or a salvage preload) off the board's requeue.
+    Requeue,
+    /// A dead sibling *shard*'s stack off the rail.
+    RailRequeue,
+    /// Half of a block sibling's shallowest range (§V-A).
+    LocalSteal,
+    /// A stack pushed into this block's global slot (§V-B), received.
+    GlobalSteal,
+    /// The same transfer, charged to the busy warp that pushed it
+    /// ([`Board::try_push_global`]).
+    GlobalPush,
+}
+
+impl Source {
+    /// Simulated instructions charged for the transfer: a short burst for
+    /// an intra-block stack copy, a longer one for a stack through global
+    /// memory (either side), dearest for a device-to-device copy over the
+    /// rail.
+    pub const fn cost(self) -> u64 {
+        match self {
+            Source::Chunk => 0,
+            Source::LocalSteal => 32,
+            Source::Requeue | Source::GlobalSteal | Source::GlobalPush => 256,
+            Source::RailSteal | Source::RailRequeue => 512,
+        }
+    }
+
+    /// Charges [`Source::cost`] to `m` and bumps the counter(s) that record
+    /// this kind of transfer.
+    pub fn note(self, m: &mut WarpMetrics) {
+        m.simt_instructions += self.cost();
+        match self {
+            Source::Chunk => {}
+            Source::RailSteal => m.shard_steal_receives += 1,
+            Source::Requeue => m.requeue_claims += 1,
+            Source::RailRequeue => {
+                m.requeue_claims += 1;
+                m.shard_steal_receives += 1;
+            }
+            Source::LocalSteal => m.local_steals += 1,
+            Source::GlobalSteal => m.global_steal_receives += 1,
+            Source::GlobalPush => m.global_steal_pushes += 1,
+        }
+    }
 }
 
 /// Counters published by the rail, read after the sharded run joins.
@@ -310,15 +389,11 @@ impl ShardRail {
     /// Claims the next chunk for `shard`: its own queue first, then (when
     /// cross-shard stealing is on) the tail half of the most-loaded other
     /// shard's last range — Fig. 5's divide-and-copy lifted one level up,
-    /// between grids instead of between warps.
-    pub fn claim(&self, shard: usize) -> Option<RailGrant> {
+    /// between grids instead of between warps ([`Source::RailSteal`]).
+    pub fn claim(&self, shard: usize) -> Option<(StealPayload, Source)> {
         let mut st = self.lock_state();
         if let Some((lo, hi)) = Self::carve(&mut st.queues[shard], self.chunk_size) {
-            return Some(RailGrant {
-                lo,
-                hi,
-                stolen: false,
-            });
+            return Some((StealPayload::chunk(lo, hi), Source::Chunk));
         }
         if !self.cross_steal {
             return None;
@@ -341,11 +416,7 @@ impl ShardRail {
         st.stats.cross_steals += 1;
         let (lo, hi) =
             Self::carve(&mut st.queues[shard], self.chunk_size).expect("just moved a range here");
-        Some(RailGrant {
-            lo,
-            hi,
-            stolen: true,
-        })
+        Some((StealPayload::chunk(lo, hi), Source::RailSteal))
     }
 
     /// Claims one reclaimed payload off the rail.
@@ -569,18 +640,97 @@ impl Board {
         self.stop
     }
 
-    /// Claims the next level-0 chunk `[lo, hi)` of the vertex universe
-    /// (Fig. 4's `getCandidates` at level 0).
-    pub fn claim_chunk(&self) -> Option<(usize, usize)> {
-        self.claim_chunk_tagged().map(|(lo, hi, _)| (lo, hi))
+    /// The per-warp driver's one acquisition point (§V): blocks until warp
+    /// `me` owns a work item and returns it with its [`Source`], or `None`
+    /// when the warp should exit (launch finished or cancelled, or — both
+    /// steal levels off — level 0 exhausted). First hit wins; the warp is
+    /// *busy* through step 4 and again once a step-6/7 claim succeeds:
+    ///
+    /// 1. a level-0 chunk — own dispenser, or the rail (own shard queue,
+    ///    else a cross-shard range steal);
+    /// 2. a stack on the board's requeue (dead warps, salvage preload);
+    /// 3. a stack on the rail's requeue (dead sibling shards);
+    /// 4. `local_steal`: half of a block sibling's shallowest range;
+    /// 5. both steal levels off: exit. Otherwise mark idle and poll:
+    ///    `finished()` or the deadline → exit; chunks remain or a local
+    ///    victim appeared → mark busy, restart from 1;
+    /// 6. `global_steal`: a stack pushed to the block's global slot;
+    /// 7. the board's requeue again (a death can land work after step 2).
+    ///
+    /// `m` gets what belongs to acquiring, not to the item acquired:
+    /// `local_steal_attempts` and `idle_nanos`. Charging the item is the
+    /// caller's [`Source::note`].
+    pub fn acquire(
+        &self,
+        me: usize,
+        local_steal: bool,
+        global_steal: bool,
+        m: &mut WarpMetrics,
+    ) -> Option<(StealPayload, Source)> {
+        'outer: loop {
+            if self.aborted() {
+                return None;
+            }
+            // --- Busy phase: acquire work. ---
+            if let Some(chunk) = self.claim_chunk() {
+                return Some(chunk);
+            }
+            if let Some(p) = self.claim_requeued_busy() {
+                return Some((p, Source::Requeue));
+            }
+            // Rail payloads are outside this board's `pending` count; the
+            // termination test sees them through `chunks_remain`.
+            if let Some(p) = self.rail.as_ref().and_then(|(rail, _)| rail.pop_requeue()) {
+                return Some((p, Source::RailRequeue));
+            }
+            if local_steal {
+                m.local_steal_attempts += 1;
+                if let Some(p) = self.try_local_steal(me) {
+                    return Some((p, Source::LocalSteal));
+                }
+            }
+            if !local_steal && !global_steal {
+                return None; // naive mode: exit on chunk exhaustion
+            }
+            // --- Idle phase: spin for stealable or pushed work. ---
+            self.mark_idle(me);
+            let idle_start = Instant::now();
+            loop {
+                // Poll the deadline here too: with every busy warp
+                // stalled or dead, kernel-side polling alone would
+                // leave idle spinners waiting out the hang.
+                if self.finished() || self.check_deadline() {
+                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
+                    return None;
+                }
+                if self.chunks_remain() || (local_steal && self.any_local_victim(me)) {
+                    self.mark_busy(me);
+                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
+                    continue 'outer;
+                }
+                if global_steal {
+                    // try_claim_global marks us busy.
+                    if let Some(p) = self.try_claim_global(me) {
+                        m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
+                        return Some((p, Source::GlobalSteal));
+                    }
+                }
+                // try_claim_requeued marks us busy.
+                if let Some(p) = self.try_claim_requeued(me) {
+                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
+                    return Some((p, Source::Requeue));
+                }
+                std::thread::yield_now();
+            }
+        }
     }
 
-    /// [`Board::claim_chunk`], additionally reporting whether serving the
-    /// claim required a cross-shard steal (always false for boards without
-    /// a rail) so the caller can charge the cross-shard latency.
-    pub fn claim_chunk_tagged(&self) -> Option<(usize, usize, bool)> {
+    /// Claims the next chunk of the level-0 domain (Fig. 4's
+    /// `getCandidates` at level 0): off the rail when attached, else off
+    /// the board's own dispenser.
+    fn claim_chunk(&self) -> Option<(StealPayload, Source)> {
         if let Some((rail, shard)) = &self.rail {
-            return rail.claim(*shard).map(|g| (g.lo, g.hi, g.stolen));
+            return rail.claim(*shard);
         }
         loop {
             // Relaxed CAS loop: the dispenser is a pure counter — chunk
@@ -600,13 +750,13 @@ impl Board {
                 .compare_exchange_weak(lo, hi, Ordering::Relaxed, Ordering::Relaxed)
                 .is_ok()
             {
-                return Some((lo, hi, false));
+                return Some((StealPayload::chunk(lo, hi), Source::Chunk));
             }
         }
     }
 
     /// True while unclaimed level-0 chunks remain.
-    pub fn chunks_remain(&self) -> bool {
+    fn chunks_remain(&self) -> bool {
         if let Some((rail, shard)) = &self.rail {
             // Rail work (own queue, stealable victims, reclaimed payloads)
             // is not counted in `pending`; the termination test sees it
@@ -618,14 +768,6 @@ impl Board {
         // issues a real `claim_chunk` (CAS) and learns the truth; spurious
         // non-termination for one spin iteration, never missed work.
         self.chunk_next.load(Ordering::Relaxed) < self.num_vertices
-    }
-
-    /// Claims a payload reclaimed from a dead *shard* off the cross-shard
-    /// rail (the caller already counts as busy; rail payloads are outside
-    /// this board's `pending` count — see [`Board::chunks_remain`]).
-    pub fn claim_rail_requeued(&self) -> Option<StealPayload> {
-        let (rail, _) = self.rail.as_ref()?;
-        rail.pop_requeue()
     }
 
     /// Marks warp `id` idle (sets its bitmap bit, decrements the busy
@@ -644,7 +786,7 @@ impl Board {
     }
 
     /// Marks warp `id` busy again (clears its bit, increments busy).
-    pub fn mark_busy(&self, id: usize) {
+    fn mark_busy(&self, id: usize) {
         let block = id / self.warps_per_block;
         let bit = 1u32 << (id % self.warps_per_block);
         // SeqCst, and busy rises *before* the idle bit clears: a warp in
@@ -656,7 +798,7 @@ impl Board {
 
     /// Termination test for idle warps: nothing busy, nothing pending,
     /// no chunks left.
-    pub fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         // SeqCst loads: both counters participate in the single total
         // order established by the SeqCst updates above, so once this
         // conjunction is observed true it is globally true (claims bump
@@ -669,7 +811,7 @@ impl Board {
     /// Quick unsynchronized test whether any block sibling of `me` has
     /// stealable work (used by idle spinners to decide whether a full steal
     /// attempt is worthwhile).
-    pub fn any_local_victim(&self, me: usize) -> bool {
+    fn any_local_victim(&self, me: usize) -> bool {
         let block = me / self.warps_per_block;
         let base = block * self.warps_per_block;
         (base..base + self.warps_per_block).any(|w| {
@@ -683,7 +825,7 @@ impl Board {
 
     /// Local stealing (§V-A): picks the sibling with the most remaining
     /// shallow work and takes half of its shallowest remaining range.
-    pub fn try_local_steal(&self, me: usize) -> Option<StealPayload> {
+    fn try_local_steal(&self, me: usize) -> Option<StealPayload> {
         let block = me / self.warps_per_block;
         let base = block * self.warps_per_block;
         // Pass 1: score victims. Shallower targets dominate (their subtrees
@@ -722,12 +864,14 @@ impl Board {
         debug_assert!(rem >= 2);
         let take = rem / 2;
         m.size[level] -= take;
-        StealPayload {
-            target: level,
-            matched: m.matched[..level].to_vec(),
-            lo: m.size[level],
-            hi: m.size[level] + take,
-        }
+        m.payload(level, m.size[level], m.size[level] + take)
+    }
+
+    /// A block's `is_idle` word when every one of its warps is idle. A
+    /// right shift of the all-ones word, not `(1 << n) - 1`: the paper's
+    /// block shape is `n == 32`, where the left shift overflows.
+    fn full_idle_mask(&self) -> u32 {
+        u32::MAX >> (32 - self.warps_per_block)
     }
 
     /// Global-steal detection + push (§V-B): called by a busy warp (`me`)
@@ -736,7 +880,7 @@ impl Board {
     /// remaining range is pushed there. Returns true if a push happened.
     pub fn try_push_global(&self, me: usize) -> bool {
         let my_block = me / self.warps_per_block;
-        let full = (1u32 << self.warps_per_block) - 1;
+        let full = self.full_idle_mask();
         for b in 0..self.is_idle.len() {
             // SeqCst: the idle-bitmap read must sit in the same total
             // order as mark_idle/mark_busy so a block observed fully idle
@@ -822,18 +966,21 @@ impl Board {
         self.lock_requeue().extend(payloads);
     }
 
-    /// Records the death of warp `me`. `was_busy` says which side of the
-    /// idle protocol the warp died on: busy warps release their busy count,
-    /// idle warps release their idle bit (a dead warp must never read as
-    /// idle, or its block could receive global pushes no one will claim).
-    /// When the block's last live warp dies, any payload stranded in the
-    /// block's global slot is moved to the requeue.
-    pub fn mark_dead(&self, me: usize, was_busy: bool) {
+    /// Records the death of warp `me`. Which side of the idle protocol the
+    /// warp died on is read off its own idle bit (only the warp itself ever
+    /// flips it, and no step between the bit and the busy count can
+    /// unwind): busy warps release their busy count, idle warps release
+    /// their idle bit (a dead warp must never read as idle, or its block
+    /// could receive global pushes no one will claim). When the block's
+    /// last live warp dies, any payload stranded in the block's global slot
+    /// is moved to the requeue.
+    pub fn mark_dead(&self, me: usize) {
         let block = me / self.warps_per_block;
         let bit = 1u32 << (me % self.warps_per_block);
         // SeqCst throughout: death bookkeeping joins the same total order
         // as the idle/busy/pending protocol (a dead warp must never read
         // as idle or busy to the termination test or the push detector).
+        let was_busy = self.is_idle[block].load(Ordering::SeqCst) & bit == 0;
         self.deaths.fetch_add(1, Ordering::SeqCst);
         self.alive[block].fetch_sub(1, Ordering::SeqCst);
         if was_busy {
@@ -862,7 +1009,7 @@ impl Board {
 
     /// Claims a requeued work item from the busy phase (the caller already
     /// counts as busy).
-    pub fn claim_requeued_busy(&self) -> Option<StealPayload> {
+    fn claim_requeued_busy(&self) -> Option<StealPayload> {
         let p = self.lock_requeue().pop()?;
         // SeqCst: the claimer is already busy, so pending may drop without
         // a busy handoff — `finished()` still cannot pass while this warp
@@ -874,7 +1021,7 @@ impl Board {
     /// Claims a requeued work item from the idle phase, transitioning the
     /// caller busy before releasing the pending count (same ordering as
     /// [`Board::try_claim_global`]).
-    pub fn try_claim_requeued(&self, me: usize) -> Option<StealPayload> {
+    fn try_claim_requeued(&self, me: usize) -> Option<StealPayload> {
         let p = self.lock_requeue().pop()?;
         self.mark_busy(me);
         // SeqCst: pending participates in the global termination protocol
@@ -1007,7 +1154,7 @@ pub mod mutation {
     /// must report it.
     pub fn push_global_inverted(board: &Board, me: usize) -> bool {
         let my_block = me / board.warps_per_block;
-        let full = (1u32 << board.warps_per_block) - 1;
+        let full = board.full_idle_mask();
         // WRONG: mirror lock (rank 30) taken first and held across the
         // slot acquisition (rank 10).
         let mut m = board.mirrors[me].lock();
@@ -1061,8 +1208,8 @@ mod tests {
     fn chunks_partition_the_universe() {
         let b = board();
         let mut seen = Vec::new();
-        while let Some((lo, hi)) = b.claim_chunk() {
-            seen.push((lo, hi));
+        while let Some((c, _)) = b.claim_chunk() {
+            seen.push((c.lo, c.hi));
         }
         assert_eq!(seen.len(), 10);
         assert_eq!(seen.first(), Some(&(0, 10)));
@@ -1149,21 +1296,96 @@ mod tests {
 
     #[test]
     fn global_push_requires_fully_idle_block() {
-        let b = board();
-        {
-            let mut m = b.mirror(0).lock();
-            m.size[0] = 40;
+        // 32 is the paper's block shape: it fills the whole `is_idle` word.
+        for wpb in [2, 32] {
+            let b = Board::new(2, wpb, 2, (0, 100), 10);
+            b.mirror(0).lock().size[0] = 40;
+            assert!(!b.try_push_global(0), "no idle block yet");
+            for w in wpb..2 * wpb - 1 {
+                b.mark_idle(w);
+            }
+            assert!(!b.try_push_global(0), "block 1 one warp short of idle");
+            b.mark_idle(2 * wpb - 1);
+            assert!(b.try_push_global(0), "wpb={wpb}");
+            // Slot now full; a second push is refused.
+            assert!(!b.try_push_global(0));
+            let p = b.try_claim_global(wpb).unwrap();
+            assert_eq!((p.lo, p.hi), (20, 40));
+            assert!(b.try_claim_global(wpb + 1).is_none());
         }
-        assert!(!b.try_push_global(0), "no idle block yet");
-        b.mark_idle(2);
-        assert!(!b.try_push_global(0), "block 1 only half idle");
+    }
+
+    #[test]
+    fn source_table_is_the_cost_model() {
+        // (source, cost, counters bumped: [shard_steal_receives,
+        // requeue_claims, local_steals, global_steal_receives,
+        // global_steal_pushes]) — the whole fixed cost model; a schedule
+        // that charges in simulated cycles inherits exactly this.
+        let table = [
+            (Source::Chunk, 0, [0, 0, 0, 0, 0]),
+            (Source::RailSteal, 512, [1, 0, 0, 0, 0]),
+            (Source::Requeue, 256, [0, 1, 0, 0, 0]),
+            (Source::RailRequeue, 512, [1, 1, 0, 0, 0]),
+            (Source::LocalSteal, 32, [0, 0, 1, 0, 0]),
+            (Source::GlobalSteal, 256, [0, 0, 0, 1, 0]),
+            (Source::GlobalPush, 256, [0, 0, 0, 0, 1]),
+        ];
+        for (src, cost, [rail, requeue, local, receive, push]) in table {
+            let mut got = WarpMetrics::default();
+            src.note(&mut got);
+            let want = WarpMetrics {
+                simt_instructions: cost,
+                shard_steal_receives: rail,
+                requeue_claims: requeue,
+                local_steals: local,
+                global_steal_receives: receive,
+                global_steal_pushes: push,
+                ..WarpMetrics::default()
+            };
+            assert_eq!((src.cost(), got), (cost, want), "{src:?}");
+        }
+    }
+
+    /// One `acquire` with both steal levels on: `(source, lo, hi)` served.
+    fn serve(b: &Board, me: usize, m: &mut WarpMetrics) -> Option<(Source, usize, usize)> {
+        let (p, src) = b.acquire(me, true, true, m)?;
+        Some((src, p.lo, p.hi))
+    }
+
+    #[test]
+    fn acquire_serves_a_plain_board_in_protocol_order() {
+        // Warp 0 drives; warps 1 and 3 are parked idle, and warp 1's mirror
+        // holds stealable work from the start — so each earlier source wins
+        // *although* a later one is available.
+        let mut m = WarpMetrics::default();
+        let mut b = Board::new(2, 2, 2, (0, 10), 10);
+        b.preload(vec![StealPayload::chunk(50, 60)]);
+        b.mark_idle(1);
         b.mark_idle(3);
+        b.mirror(1).lock().size[0] = 8;
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::Chunk, 0, 10)));
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::Requeue, 50, 60)));
+        assert_eq!(m.local_steal_attempts, 0, "no steal attempt so far");
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::LocalSteal, 4, 8)));
+        b.mirror(1).lock().size[0] = 0;
+        // Global slot: block 1 goes fully idle, warp 0 pushes half of its
+        // running range there; warp 2 wakes, finds nothing in its busy
+        // phase, and reaches the slot from the idle phase.
+        b.mark_idle(2);
+        b.mirror(0).lock().size[0] = 40;
         assert!(b.try_push_global(0));
-        // Slot now full; a second push is refused.
-        assert!(!b.try_push_global(0));
-        let p = b.try_claim_global(2).unwrap();
-        assert_eq!((p.lo, p.hi), (20, 40));
-        assert!(b.try_claim_global(3).is_none());
+        b.mirror(0).lock().size[0] = 0;
+        b.mark_busy(2);
+        let mut m2 = WarpMetrics::default();
+        assert_eq!(serve(&b, 2, &mut m2), Some((Source::GlobalSteal, 20, 40)));
+        assert_eq!(m2.local_steal_attempts, 1, "busy phase ran first");
+        // Warp 2 parks again; nothing is left anywhere, so warp 0 goes idle
+        // last and is the one warp that observes termination.
+        b.mark_idle(2);
+        assert!(!b.finished());
+        assert_eq!(serve(&b, 0, &mut m), None);
+        assert!(b.finished());
+        assert_eq!(m.local_steal_attempts, 2);
     }
 
     #[test]
@@ -1196,13 +1418,8 @@ mod tests {
         }
         assert!(b.finished());
         b.mark_busy(0);
-        b.requeue_dead(vec![StealPayload {
-            target: 0,
-            matched: vec![],
-            lo: 3,
-            hi: 7,
-        }]);
-        b.mark_dead(0, true);
+        b.requeue_dead(vec![StealPayload::chunk(3, 7)]);
+        b.mark_dead(0);
         assert_eq!(b.death_count(), 1);
         assert!(!b.finished(), "requeued work must block termination");
         let p = b.try_claim_requeued(1).expect("claimable");
@@ -1224,8 +1441,8 @@ mod tests {
         b.mark_idle(3);
         assert!(b.try_push_global(0));
         // ...then both of its warps die before claiming it.
-        b.mark_dead(2, false);
-        b.mark_dead(3, false);
+        b.mark_dead(2);
+        b.mark_dead(3);
         let p = b.try_claim_requeued(1).expect("stranded payload reclaimed");
         assert_eq!((p.lo, p.hi), (20, 40));
         assert!(b.try_claim_global(2).is_none(), "slot was drained");
@@ -1240,8 +1457,8 @@ mod tests {
         }
         b.mark_idle(2);
         b.mark_idle(3);
-        b.mark_dead(2, false);
-        b.mark_dead(3, false);
+        b.mark_dead(2);
+        b.mark_dead(3);
         assert!(!b.try_push_global(0), "dead block must not receive pushes");
     }
 
@@ -1249,7 +1466,7 @@ mod tests {
     fn dead_idle_warp_never_reads_idle() {
         let b = board();
         b.mark_idle(2);
-        b.mark_dead(2, false);
+        b.mark_dead(2);
         b.mark_idle(3);
         {
             let mut m = b.mirror(0).lock();
@@ -1270,12 +1487,7 @@ mod tests {
                 lo: 0,
                 hi: 2,
             },
-            StealPayload {
-                target: 0,
-                matched: vec![],
-                lo: 5,
-                hi: 6,
-            },
+            StealPayload::chunk(5, 6),
         ]);
         let left = b.take_leftovers();
         assert_eq!(left.len(), 2);
@@ -1288,20 +1500,22 @@ mod tests {
         assert!(b2.claim_requeued_busy().is_none());
     }
 
+    /// One rail claim as `(lo, hi, source)`.
+    fn grant(rail: &ShardRail, shard: usize) -> Option<(usize, usize, Source)> {
+        rail.claim(shard).map(|(p, src)| (p.lo, p.hi, src))
+    }
+
     #[test]
     fn rail_serves_own_range_then_steals() {
         let rail = ShardRail::new(&[0, 50, 100], 10, true);
         // Shard 0 drains its own range first, chunk by chunk.
         for lo in (0..50).step_by(10) {
-            let g = rail.claim(0).unwrap();
-            assert_eq!((g.lo, g.hi, g.stolen), (lo, lo + 10, false));
+            assert_eq!(grant(&rail, 0), Some((lo, lo + 10, Source::Chunk)));
         }
         // Next claim steals the tail half of shard 1's untouched range.
-        let g = rail.claim(0).unwrap();
-        assert_eq!((g.lo, g.hi, g.stolen), (75, 85, true));
+        assert_eq!(grant(&rail, 0), Some((75, 85, Source::RailSteal)));
         // The follow-up claim continues from the moved range, un-stolen.
-        let g = rail.claim(0).unwrap();
-        assert_eq!((g.lo, g.hi, g.stolen), (85, 95, false));
+        assert_eq!(grant(&rail, 0), Some((85, 95, Source::Chunk)));
         assert_eq!(rail.stats().cross_steals, 1);
         // Everything is eventually claimed exactly once.
         let mut covered = [false; 100];
@@ -1309,8 +1523,8 @@ mod tests {
             covered[lo..hi].fill(true);
         }
         for shard in [0, 1] {
-            while let Some(g) = rail.claim(shard) {
-                for c in covered.iter_mut().take(g.hi).skip(g.lo) {
+            while let Some((lo, hi, _)) = grant(&rail, shard) {
+                for c in covered.iter_mut().take(hi).skip(lo) {
                     assert!(!*c, "claimed twice");
                     *c = true;
                 }
@@ -1337,12 +1551,7 @@ mod tests {
         while rail.claim(0).is_some() {}
         assert!(!rail.has_claimable(0));
         rail.mark_shard_dead(0);
-        rail.push_requeue(vec![StealPayload {
-            target: 0,
-            matched: vec![],
-            lo: 3,
-            hi: 7,
-        }]);
+        rail.push_requeue(vec![StealPayload::chunk(3, 7)]);
         assert!(rail.has_claimable(0), "requeued payload must be claimable");
         let p = rail.pop_requeue().unwrap();
         assert_eq!((p.lo, p.hi), (3, 7));
@@ -1353,50 +1562,45 @@ mod tests {
     }
 
     #[test]
-    fn rail_attached_board_claims_through_rail() {
-        let rail = Arc::new(ShardRail::new(&[0, 20, 40], 10, true));
-        let mut b0 = Board::new(2, 2, 2, (0, 0), 10);
-        b0.attach_rail(rail.clone(), 0);
-        assert!(b0.chunks_remain());
-        assert_eq!(b0.claim_chunk_tagged(), Some((0, 10, false)));
-        assert_eq!(b0.claim_chunk(), Some((10, 20)));
-        // Own range drained: the next claim crosses into shard 1.
-        let (lo, hi, stolen) = b0.claim_chunk_tagged().unwrap();
-        assert!(stolen);
-        assert!(lo >= 20 && hi <= 40);
-        while b0.claim_chunk().is_some() {}
-        assert!(!b0.chunks_remain());
-        // A payload pushed by a dying sibling shard reaches this board.
-        rail.push_requeue(vec![StealPayload {
-            target: 0,
-            matched: vec![],
-            lo: 1,
-            hi: 2,
-        }]);
-        assert!(b0.chunks_remain(), "rail payload must block termination");
-        assert!(b0.claim_rail_requeued().is_some());
-        assert!(!b0.chunks_remain());
+    fn acquire_serves_a_rail_attached_board_through_the_rail() {
+        // Shard 0 of 2, warp 0 driving; warp 1's mirror is stealable from
+        // the start and a dead sibling's payload already sits on the rail.
+        let mut m = WarpMetrics::default();
+        let rail = Arc::new(ShardRail::new(&[0, 10, 30], 10, true));
+        rail.push_requeue(vec![StealPayload::chunk(70, 80)]);
+        let mut b = Board::new(1, 2, 2, (0, 0), 10);
+        b.attach_rail(rail.clone(), 0);
+        b.mirror(1).lock().size[0] = 8;
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::Chunk, 0, 10)));
+        // Own queue drained: the grant is the tail half of shard 1's range.
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::RailSteal, 20, 30)));
+        while rail.claim(1).is_some() {}
+        assert!(b.chunks_remain(), "rail payload must block termination");
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::RailRequeue, 70, 80)));
+        assert!(!b.chunks_remain());
+        assert_eq!(serve(&b, 0, &mut m), Some((Source::LocalSteal, 4, 8)));
+        b.mirror(1).lock().size[0] = 0;
+        b.mark_idle(1);
+        assert!(!b.finished());
+        assert_eq!(serve(&b, 0, &mut m), None);
+        assert!(b.finished());
+        let stats = rail.stats();
+        assert_eq!((stats.cross_steals, stats.requeue_claims), (1, 1));
     }
 
     #[test]
     fn rail_from_parts_distributes_leftovers() {
         let rail = ShardRail::from_parts(2, 5, false, vec![(0, 5), (7, 9), (9, 9)], Vec::new());
         assert_eq!(rail.num_shards(), 2);
-        assert_eq!(
-            rail.claim(0).map(|g| (g.lo, g.hi, g.stolen)),
-            Some((0, 5, false))
-        );
-        assert_eq!(
-            rail.claim(1).map(|g| (g.lo, g.hi, g.stolen)),
-            Some((7, 9, false))
-        );
+        assert_eq!(grant(&rail, 0), Some((0, 5, Source::Chunk)));
+        assert_eq!(grant(&rail, 1), Some((7, 9, Source::Chunk)));
         assert!(rail.claim(0).is_none(), "empty range was dropped");
     }
 
     #[test]
     fn concurrent_chunk_claims_never_overlap() {
         let b = std::sync::Arc::new(Board::new(1, 4, 1, (0, 10_000), 7));
-        let ranges: Vec<(usize, usize)> = std::thread::scope(|s| {
+        let ranges: Vec<(StealPayload, Source)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let b = b.clone();
@@ -1415,8 +1619,8 @@ mod tests {
                 .collect()
         });
         let mut covered = vec![false; 10_000];
-        for (lo, hi) in ranges {
-            for (v, c) in covered.iter_mut().enumerate().take(hi).skip(lo) {
+        for (r, _) in ranges {
+            for (v, c) in covered.iter_mut().enumerate().take(r.hi).skip(r.lo) {
                 assert!(!*c, "vertex {v} claimed twice");
                 *c = true;
             }

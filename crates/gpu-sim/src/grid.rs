@@ -1,7 +1,7 @@
 //! Grid launch: mapping warps onto OS threads.
 
 use crate::memory::SharedOverflow;
-use crate::metrics::GridMetrics;
+use crate::metrics::{GridMetrics, WarpMetrics};
 use crate::warp::Warp;
 use std::time::Instant;
 
@@ -148,23 +148,7 @@ impl Grid {
             let handles: Vec<_> = (0..total)
                 .map(|id| {
                     let kernel = &kernel;
-                    scope.spawn(move || {
-                        simt_check::register_warp(id);
-                        let mut warp = Warp::new(id, id / wpb, id % wpb);
-                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            kernel(&mut warp)
-                        }));
-                        // The exit hook runs after catch_unwind, so even a
-                        // contained (e.g. fault-injected) warp publishes its
-                        // clock to the join point — dead warps must not look
-                        // racy to salvage relaunches.
-                        simt_check::warp_exit();
-                        let panic = caught.err().map(|payload| WarpPanic {
-                            warp: id,
-                            message: describe_panic(payload.as_ref()),
-                        });
-                        (warp.into_metrics(), panic)
-                    })
+                    scope.spawn(move || run_warp(id, wpb, kernel))
                 })
                 .collect();
             handles
@@ -175,20 +159,51 @@ impl Grid {
         // Join point: every warp's history happens-before whatever the
         // launching thread does next (leftover preload, metrics, goldens).
         simt_check::launch_end();
-        let mut warps = Vec::with_capacity(total);
-        let mut panics = Vec::new();
-        for (m, p) in results {
-            warps.push(m);
-            panics.extend(p);
-        }
-        let metrics = GridMetrics {
-            warps,
-            elapsed_nanos: start.elapsed().as_nanos() as u64,
-            kernel_launches: 1,
-            contained_panics: panics.len() as u64,
-        };
-        (metrics, panics)
+        gather(start, results.into_iter())
     }
+}
+
+/// What one warp reports back from a launch.
+type WarpResult = (WarpMetrics, Option<WarpPanic>);
+
+/// One warp's share of a launch, on whichever thread hosts it: registers
+/// the warp with the race checker, runs `kernel` under `catch_unwind`, and
+/// returns the warp's counters — kept up to the panic if it died — with the
+/// panic record, if any.
+fn run_warp(id: usize, wpb: usize, kernel: &(dyn Fn(&mut Warp) + Sync)) -> WarpResult {
+    simt_check::register_warp(id);
+    let mut warp = Warp::new(id, id / wpb, id % wpb);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(&mut warp)));
+    // The exit hook runs after catch_unwind, so even a contained (e.g.
+    // fault-injected) warp publishes its clock to the join point — dead
+    // warps must not look racy to salvage relaunches.
+    simt_check::warp_exit();
+    let panic = caught.err().map(|payload| WarpPanic {
+        warp: id,
+        message: describe_panic(payload.as_ref()),
+    });
+    (warp.into_metrics(), panic)
+}
+
+/// A launch's result: per-warp results in warp-id order folded into the
+/// grid metrics and the panic records.
+fn gather(
+    start: Instant,
+    results: impl ExactSizeIterator<Item = WarpResult>,
+) -> (GridMetrics, Vec<WarpPanic>) {
+    let mut warps = Vec::with_capacity(results.len());
+    let mut panics = Vec::new();
+    for (m, p) in results {
+        warps.push(m);
+        panics.extend(p);
+    }
+    let metrics = GridMetrics {
+        warps,
+        elapsed_nanos: start.elapsed().as_nanos() as u64,
+        kernel_launches: 1,
+        contained_panics: panics.len() as u64,
+    };
+    (metrics, panics)
 }
 
 /// One launch's work order for a warm worker: the kernel to run plus the
@@ -197,7 +212,7 @@ impl Grid {
 enum Job {
     Run(
         &'static (dyn Fn(&mut Warp) + Sync),
-        std::sync::mpsc::Sender<(usize, crate::metrics::WarpMetrics, Option<WarpPanic>)>,
+        std::sync::mpsc::Sender<(usize, WarpResult)>,
     ),
     Exit,
 }
@@ -236,20 +251,9 @@ impl WarmGrid {
                     for job in rx {
                         match job {
                             Job::Run(kernel, done) => {
-                                simt_check::register_warp(id);
-                                let mut warp = Warp::new(id, id / wpb, id % wpb);
-                                let caught =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        kernel(&mut warp)
-                                    }));
-                                simt_check::warp_exit();
-                                let panic = caught.err().map(|payload| WarpPanic {
-                                    warp: id,
-                                    message: describe_panic(payload.as_ref()),
-                                });
                                 // A dropped receiver means the launcher is
                                 // gone (poisoned/unwinding); nothing to do.
-                                let _ = done.send((id, warp.into_metrics(), panic));
+                                let _ = done.send((id, run_warp(id, wpb, kernel)));
                             }
                             Job::Exit => break,
                         }
@@ -296,30 +300,19 @@ impl WarmGrid {
                 .expect("warm warp worker exited prematurely");
         }
         drop(done_tx);
-        let mut results: Vec<Option<(crate::metrics::WarpMetrics, Option<WarpPanic>)>> =
-            (0..total).map(|_| None).collect();
+        let mut results: Vec<Option<WarpResult>> = (0..total).map(|_| None).collect();
         for _ in 0..total {
-            let (id, m, p) = done_rx
+            let (id, r) = done_rx
                 .recv()
                 .expect("warm warp worker died outside catch_unwind");
-            results[id] = Some((m, p));
+            results[id] = Some(r);
         }
         // Join point, as in Grid::launch_contained.
         simt_check::launch_end();
-        let mut warps = Vec::with_capacity(total);
-        let mut panics = Vec::new();
-        for r in results {
-            let (m, p) = r.expect("every warp reports exactly once");
-            warps.push(m);
-            panics.extend(p);
-        }
-        let metrics = GridMetrics {
-            warps,
-            elapsed_nanos: start.elapsed().as_nanos() as u64,
-            kernel_launches: 1,
-            contained_panics: panics.len() as u64,
-        };
-        (metrics, panics)
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("every warp reports exactly once"));
+        gather(start, results)
     }
 }
 

@@ -1,7 +1,7 @@
-//! Hermetic test and bench toolkit for the STMatch workspace.
+//! Hermetic test toolkit for the STMatch workspace.
 //!
 //! The build environment has no crates.io access, so everything the test
-//! suite and bench harness need lives in-tree:
+//! suite and the generators need lives in-tree:
 //!
 //! * [`rng`] — a deterministic [`SplitMix64`](rng::SplitMix64) seeder
 //!   feeding a [`Xoshiro256StarStar`](rng::Xoshiro256StarStar) generator,
@@ -11,17 +11,12 @@
 //!   generation (`TESTKIT_CASES` / `TESTKIT_SEED` env vars), shrinking by
 //!   halving for integer and vector inputs, and failure reports that print
 //!   the reproducing seed.
-//! * [`bench`] — a criterion-free bench timer (warmup + N timed samples,
-//!   median/p95/mean/min, JSON-lines output) exposing enough of the
-//!   criterion API (`Criterion`, `BenchmarkId`, `criterion_group!`,
-//!   `criterion_main!`) that the paper-figure benches compile unchanged in
-//!   structure.
 //!
 //! Everything here is `std`-only and fully deterministic given a seed, so
-//! the BENCH_*.json trajectories and golden-count fixtures are
-//! reproducible run-to-run and machine-to-machine.
+//! the golden-count fixtures are reproducible run-to-run and
+//! machine-to-machine. Nothing here times anything: `benchmark/` times,
+//! `repro` reproduces the paper's tables, `check` gates.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use stmatch_core::kernel::{KernelEnv, Level0Map, WarpKernel};
-use stmatch_core::steal::Board;
+use stmatch_core::steal::{Board, StealPayload};
 use stmatch_core::EngineConfig;
 use stmatch_gpusim::{Grid, GridConfig};
 use stmatch_graph::gen;
@@ -95,15 +95,19 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
             enumerate: false,
         };
         let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
+        // The whole level-0 domain as one work item, the shape every chunk
+        // reaches the kernel in (allocation-free to build, and so is the
+        // clone `install` keeps while it runs).
+        let whole = StealPayload::chunk(0, n);
 
         // Warmup pass: sizes every reusable scratch buffer.
-        kernel.install_chunk(0, n);
+        kernel.install(warp, &whole);
         kernel.run(warp);
         let warm_matches = warp.metrics_mut().matches_found;
 
         // Steady-state pass over the identical workload: must be heap-free.
         let before = ALLOCS.load(Ordering::Relaxed);
-        kernel.install_chunk(0, n);
+        kernel.install(warp, &whole);
         kernel.run(warp);
         let after = ALLOCS.load(Ordering::Relaxed);
 

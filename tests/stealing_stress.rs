@@ -194,3 +194,20 @@ fn metrics_are_internally_consistent() {
     // Simulated cycles are bounded by the total instruction count.
     assert!(out.simulated_cycles() <= out.total_instructions());
 }
+
+#[test]
+fn the_papers_block_shape_counts_exactly() {
+    // 32 warps fill a block's whole `is_idle` word: the push detector's
+    // "fully idle" mask must not be computed by shifting a `u32` by 32
+    // (a debug build killed every warp at its first shallow claim and
+    // counted 0; a release build wrapped the mask to "nobody idle").
+    let g = gen::preferential_attachment(200, 4, 3);
+    let p = catalog::triangle();
+    let want = Engine::new(EngineConfig::default()).run(&g, &p).unwrap();
+    assert!(want.count > 0, "workload must be non-trivial");
+    let got = Engine::new(EngineConfig::default().with_grid(grid(2, 32)))
+        .run(&g, &p)
+        .unwrap();
+    assert_eq!(got.count, want.count);
+    assert!(got.fault.is_none(), "{:?}", got.fault);
+}
