@@ -74,7 +74,7 @@ pub fn run(args: &[String]) -> ExitCode {
             // PA workloads: the disabled leg must reproduce the GOLDEN
             // row, index attached or not.
             None => {
-                if let Err(e) = hotpath::check(qi, &off) {
+                if let Err(e) = hotpath::check(qi, hotpath::Leg::Plain, &off) {
                     fail(format!("{name} off-leg: {e}"));
                 }
             }

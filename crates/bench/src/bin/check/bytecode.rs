@@ -98,7 +98,7 @@ pub fn run(args: &[String]) -> ExitCode {
             // PA workloads: the leg without tier state must reproduce the
             // GOLDEN row.
             None => {
-                if let Err(e) = hotpath::check(qi, &off) {
+                if let Err(e) = hotpath::check(qi, hotpath::Leg::Plain, &off) {
                     fail(format!("{name} off-leg: {e}"));
                 }
             }

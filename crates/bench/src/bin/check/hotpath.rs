@@ -1,5 +1,5 @@
-//! `check hotpath` (`ci.sh` phase `smoke:hotpath`): runs the three
-//! `hotpath` workloads once each and fails if match counts, total SIMT
+//! `check hotpath` (`ci.sh` phase `smoke:hotpath`): runs the `hotpath`
+//! suite once each and fails if match counts, total SIMT
 //! instructions, or lane utilization drift from the values recorded in
 //! [`stmatch_bench::hotpath::GOLDEN`] — this gate pins simulated
 //! behaviour, not host speed.
@@ -15,23 +15,23 @@ pub fn run(args: &[String]) -> ExitCode {
         Ok(f) => f.is_some(),
         Err(code) => return code,
     };
-    let g = hotpath::graph();
     let mut ok = true;
-    for qi in hotpath::QUERIES {
-        let out = hotpath::run_once(&g, qi);
+    for (qi, leg) in hotpath::SUITE {
+        let out = hotpath::run_once(qi, leg);
         if print {
             println!(
-                "    Golden {{\n        query: {qi},\n        count: {},\n        \
-                 total_instructions: {},\n        lane_utilization: {},\n    }},",
+                "    Golden {{\n        query: {qi},\n        leg: Leg::{leg:?},\n        \
+                 count: {},\n        total_instructions: {},\n        \
+                 lane_utilization: {},\n    }},",
                 out.count,
                 out.total_instructions(),
                 out.metrics.lane_utilization()
             );
             continue;
         }
-        match hotpath::check(qi, &out) {
+        match hotpath::check(qi, leg, &out) {
             Ok(()) => println!(
-                "hotpath q{qi}: OK (count {}, {} instr, util {:.4})",
+                "hotpath q{qi} {leg:?}: OK (count {}, {} instr, util {:.4})",
                 out.count,
                 out.total_instructions(),
                 out.metrics.lane_utilization()

@@ -1,10 +1,13 @@
 //! The hot-path benchmark workloads (PR 2's allocation-free claim path).
 //!
-//! Three paper queries — q1 (5-path, unroll-heavy shallow work), q6
+//! Four paper queries — q1 (5-path, unroll-heavy shallow work), q6
 //! (bowtie, mixed intersect chains), q8 (5-clique, deep intersection
-//! chains) — on one seeded preferential-attachment graph with the hub
-//! skew of the paper's datasets. The engine config keeps the full hot
-//! path active (unroll 8, code motion) but disables both stealing levels:
+//! chains), q3 (the house: an `ApplyFromSet` and a `MaterializeBase` in
+//! one level) — on one seeded preferential-attachment graph with the hub
+//! skew of the paper's datasets; q3 also runs labeled (label-masked set
+//! writes) and vertex-induced (difference ops), see [`Leg`]. The engine
+//! config keeps the full hot path active (unroll 8, code motion) but
+//! disables both stealing levels:
 //! steal timing is host-scheduler-dependent and would perturb both the
 //! wall-time medians and the fixed-cost-model instruction counters, while
 //! the claim/`compute_sets`/set-op path — the thing this bench watches —
@@ -16,13 +19,33 @@
 //! steal-free config and must not drift (see `ci.sh`'s hotpath smoke
 //! phase and `check hotpath`).
 
+use crate::tables;
 use stmatch_core::{Engine, EngineConfig, MatchOutcome};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
 
-/// Queries of the hotpath suite (paper indices).
-pub const QUERIES: [usize; 3] = [1, 6, 8];
+/// How a suite entry runs its query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Leg {
+    /// Unlabeled, edge-induced — the only leg the other gates share.
+    Plain,
+    /// Seeded random labels on the query and on the fixture, the way
+    /// `tables.rs` builds Table 3.
+    Labeled,
+    /// Unlabeled, vertex-induced.
+    Induced,
+}
+
+/// The hotpath suite: `(paper query, leg)`.
+pub const SUITE: [(usize, Leg); 6] = [
+    (1, Leg::Plain),
+    (6, Leg::Plain),
+    (8, Leg::Plain),
+    (3, Leg::Plain),
+    (3, Leg::Labeled),
+    (3, Leg::Induced),
+];
 
 /// Vertices of the dense clique workload graph (PR 5's bitmap stressor).
 pub const CLIQUE_N: usize = 256;
@@ -45,7 +68,7 @@ pub const CLIQUE_COUNT: u64 = 766_243;
 /// the disabled-engine legs ignore the attached index entirely.
 pub const BITMAP_THRESHOLD: usize = 16;
 
-/// The seeded hub-skewed data graph all three workloads run on.
+/// The seeded hub-skewed data graph every workload runs on.
 pub fn graph() -> Graph {
     gen::preferential_attachment(420, 8, 7).degree_ordered()
 }
@@ -71,59 +94,91 @@ pub fn config() -> EngineConfig {
     cfg
 }
 
-/// One workload's pinned behaviour: `(query, count, total_instructions)`.
-/// Lane utilization is derived and checked to 1e-9.
+/// One workload's pinned behaviour: `(query, leg, count,
+/// total_instructions)`. Lane utilization is derived and checked to 1e-9.
 #[derive(Clone, Copy, Debug)]
 pub struct Golden {
     pub query: usize,
+    pub leg: Leg,
     pub count: u64,
     pub total_instructions: u64,
     pub lane_utilization: f64,
 }
 
-/// Recorded behaviour of the three workloads (deterministic for the
-/// steal-free config). Regenerate with `--bin check -- hotpath --print`
-/// **only** when an intentional cost-model or planner change lands, and
-/// say so in the commit message.
-pub const GOLDEN: [Golden; 3] = [
+/// Recorded behaviour of the suite (deterministic for the steal-free
+/// config). Regenerate with `--bin check -- hotpath --print` **only** when
+/// an intentional cost-model or planner change lands, and say so in the
+/// commit message.
+pub const GOLDEN: [Golden; 6] = [
     Golden {
         query: 1,
+        leg: Leg::Plain,
         count: 54844163,
         total_instructions: 7230441,
         lane_utilization: 0.5700081870303623,
     },
     Golden {
         query: 6,
+        leg: Leg::Plain,
         count: 559194,
         total_instructions: 2169011,
         lane_utilization: 0.7525314958812046,
     },
     Golden {
         query: 8,
+        leg: Leg::Plain,
         count: 769,
         total_instructions: 35769,
         lane_utilization: 0.43357732239411234,
     },
+    Golden {
+        query: 3,
+        leg: Leg::Plain,
+        count: 1500436,
+        total_instructions: 1604299,
+        lane_utilization: 0.7742047530584681,
+    },
+    Golden {
+        query: 3,
+        leg: Leg::Labeled,
+        count: 1023,
+        total_instructions: 10624,
+        lane_utilization: 0.6228474344283168,
+    },
+    Golden {
+        query: 3,
+        leg: Leg::Induced,
+        count: 330032,
+        total_instructions: 858212,
+        lane_utilization: 0.7301357409222469,
+    },
 ];
 
-/// The query pattern for one suite entry.
+/// The query pattern of a [`Leg::Plain`] suite entry.
 pub fn query(qi: usize) -> Pattern {
     catalog::paper_query(qi)
 }
 
-/// Runs one workload once and returns its outcome.
-pub fn run_once(graph: &Graph, qi: usize) -> MatchOutcome {
-    let engine = Engine::new(config());
-    engine.run(graph, &query(qi)).unwrap()
+/// Runs one suite entry once on its fixture and returns its outcome.
+pub fn run_once(qi: usize, leg: Leg) -> MatchOutcome {
+    let (g, q) = match leg {
+        Leg::Labeled => (
+            gen::assign_random_labels(&graph(), tables::NUM_LABELS, tables::LABEL_SEED),
+            query(qi).with_random_labels(tables::NUM_LABELS, qi as u64),
+        ),
+        Leg::Plain | Leg::Induced => (graph(), query(qi)),
+    };
+    let engine = Engine::new(config().induced(leg == Leg::Induced));
+    engine.run(&g, &q).unwrap()
 }
 
 /// Checks one outcome against its golden row; returns an error string
 /// describing the first drift found.
-pub fn check(qi: usize, out: &MatchOutcome) -> Result<(), String> {
+pub fn check(qi: usize, leg: Leg, out: &MatchOutcome) -> Result<(), String> {
     let golden = GOLDEN
         .iter()
-        .find(|g| g.query == qi)
-        .ok_or_else(|| format!("q{qi} not in GOLDEN"))?;
+        .find(|g| g.query == qi && g.leg == leg)
+        .ok_or_else(|| format!("q{qi} {leg:?} not in GOLDEN"))?;
     if out.count != golden.count {
         return Err(format!(
             "q{qi} count drifted: got {}, golden {}",

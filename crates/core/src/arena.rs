@@ -439,6 +439,20 @@ impl SetSink for ArenaWriter<'_> {
         *self.live += 1;
     }
 
+    /// Declines lists that may outgrow the slab: a spilling slot keeps the
+    /// per-element `push` and its migration.
+    #[inline]
+    fn lend(&mut self, slot: usize, n: usize) -> Option<&mut [VertexId]> {
+        debug_assert_eq!(self.len[slot], 0);
+        (n <= self.cap).then(|| &mut self.data[slot * self.cap..][..n])
+    }
+
+    #[inline]
+    fn commit(&mut self, slot: usize, kept: usize) {
+        self.len[slot] = kept as u32;
+        *self.live += kept as u64;
+    }
+
     #[inline]
     fn extend(&mut self, slot: usize, values: &[VertexId]) {
         let n = self.len[slot] as usize;

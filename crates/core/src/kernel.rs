@@ -26,7 +26,7 @@
 //! launches of promoted plans and issue the same calls.
 //!
 //! All per-claim scratch (the unroll batches, ping/pong chain buffers, the
-//! raw-claim buffer, the emit tail) is owned by the kernel and reused, and
+//! emit tail) is owned by the kernel and reused, and
 //! set-operation outputs stream straight into the arena slabs — after the
 //! first passes warm the scratch capacities, the steady-state claim loop
 //! performs no heap allocation (see `tests/alloc_free.rs`).
@@ -184,8 +184,6 @@ pub struct WarpKernel<'a> {
     /// writes straight into the arena, so these only hold intermediates.
     ping: Vec<Vec<VertexId>>,
     pong: Vec<Vec<VertexId>>,
-    /// Claimed-but-unfiltered candidates scratch.
-    raw: Vec<VertexId>,
     /// Valid last-level candidates scratch (enumeration only).
     emit_tail: Vec<VertexId>,
     /// Claims so far (deadline polls every 4096; also the fault-injection
@@ -300,7 +298,6 @@ impl<'a> WarpKernel<'a> {
             entry: 0,
             ping: vec![Vec::new(); unroll],
             pong: vec![Vec::new(); unroll],
-            raw: Vec::with_capacity(unroll),
             emit_tail: Vec::new(),
             claims: 0,
             publishes: 0,
@@ -640,32 +637,16 @@ impl<'a> WarpKernel<'a> {
             }
             let start = self.iter[l];
             let take = (cl_len - start).min(self.cfg.unroll);
-            self.raw.clear();
-            {
-                // Disjoint field borrows: raw (mut) vs storage (shared).
-                let raw = &mut self.raw;
-                let storage = &self.storage;
-                raw.extend_from_slice(&storage.slot(cid, slot)[start..start + take]);
-            }
             self.iter[l] += take;
-            let raw = std::mem::take(&mut self.raw);
-            self.batch[l + 1].clear();
-            // Validity filtering as one warp wave over the claimed batch.
-            let mut keep = [false; MAX_UNROLL];
-            {
-                let g = self.g;
-                let matched = &self.matched;
-                warp.simt_for(raw.len(), |i| {
-                    keep[i] = vy.check(g, matched, l, raw[i]);
-                });
-            }
-            for (i, &v) in raw.iter().enumerate() {
-                if keep[i] {
-                    self.batch[l + 1].push(v);
-                }
-            }
-            self.raw = raw;
-            if !self.batch[l + 1].is_empty() {
+            // Validity filtering as one warp wave over the claimed batch,
+            // straight from the slab (disjoint fields: storage vs batch).
+            warp.simt_for(take, |_| {});
+            let (g, matched) = (self.g, &self.matched);
+            let claimed = &self.storage.slot(cid, slot)[start..start + take];
+            let next = &mut self.batch[l + 1];
+            next.clear();
+            next.extend(claimed.iter().filter(|&&v| vy.check(g, matched, v)));
+            if !next.is_empty() {
                 return true;
             }
         }
@@ -1088,9 +1069,14 @@ impl<'a> WarpKernel<'a> {
     /// candidates of every slot instead of iterating them (Fig. 3 line 16).
     ///
     /// The counting path exploits sortedness: the symmetry bounds select a
-    /// contiguous window of the candidate list (two `partition_point`s per
-    /// bound) and injectivity subtracts the `≤ l` matched vertices found
-    /// by binary search — `O(l log n)` per slot instead of a linear scan.
+    /// contiguous window of the candidate list (one `partition_point` per
+    /// bound) and injectivity subtracts the matched vertices of the level's
+    /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions found
+    /// in it by binary search — `O(popcount(inj) · log n)` per slot instead
+    /// of a linear scan. A lifted candidate list (computed at an earlier
+    /// level) is one list for the whole batch, and only position `l - 1`
+    /// moves with the slot: the other positions are located in it once per
+    /// batch and each slot compares their indices against its window.
     /// The simulated cost is unchanged: the warp still issues the same
     /// count-pass waves over every element (`simt_for`), exactly as the
     /// per-element path would.
@@ -1098,6 +1084,21 @@ impl<'a> WarpKernel<'a> {
         let l = self.k - 1;
         let slots = self.batch[l].len();
         let vy = self.validity(l);
+        let closed_form = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
+        // What the closed form looks up per slot, and where the rest sits.
+        let mut search = vy.inj;
+        let mut found = [0usize; MAX_PATTERN_SIZE];
+        let mut n_found = 0usize;
+        if closed_form && self.bc.candidate(l).1 != l {
+            search &= 1 << (l - 1);
+            let shared = self.candidate_list(l, 0);
+            for pos in positions(vy.inj & !search) {
+                if let Ok(i) = shared.binary_search(&self.matched[pos]) {
+                    found[n_found] = i;
+                    n_found += 1;
+                }
+            }
+        }
         let mut total = 0u64;
         for u in 0..slots {
             self.matched[l - 1] = self.batch[l][u];
@@ -1109,7 +1110,7 @@ impl<'a> WarpKernel<'a> {
                 let mut tail = std::mem::take(&mut self.emit_tail);
                 tail.clear();
                 total += setops::count_with(warp, cl, |v| {
-                    let ok = vy.check(g, matched, l, v);
+                    let ok = vy.check(g, matched, v);
                     if ok {
                         tail.push(v);
                     }
@@ -1119,17 +1120,17 @@ impl<'a> WarpKernel<'a> {
                     self.emit_match(v);
                 }
                 self.emit_tail = tail;
-            } else if vy.resid.is_some() || vy.pin.is_some() {
+            } else if !closed_form {
                 // Residual label checks — and the level-1 pin of a
                 // 2-vertex staged run, which the closed form below does
                 // not model — need a per-element probe.
-                total += setops::count_with(warp, cl, |v| vy.check(g, matched, l, v));
+                total += setops::count_with(warp, cl, |v| vy.check(g, matched, v));
             } else {
                 warp.simt_for(cl.len(), |_| {});
-                let n = count_valid_sorted(cl, matched, l, vy.bounds);
+                let n = count_valid_sorted(cl, matched, vy.bounds, search, &found[..n_found]);
                 debug_assert_eq!(
                     n,
-                    cl.iter().filter(|&&v| vy.check(g, matched, l, v)).count() as u64
+                    cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64
                 );
                 total += n;
             }
@@ -1149,27 +1150,45 @@ impl<'a> WarpKernel<'a> {
                 }
             }
         }
-        self.validity(l).check(self.g, &self.matched, l, v)
+        self.validity(l).check(self.g, &self.matched, v)
     }
 }
 
-/// Per-level validity context: the residual-label requirement and
-/// symmetry-bound list, resolved once per claim/count pass instead of per
-/// candidate element (these lookups sit inside million-element loops).
+/// Per-level validity context: the residual-label requirement, the
+/// injectivity mask and the symmetry-bound list, resolved once per
+/// claim/count pass instead of per candidate element (these lookups sit
+/// inside million-element loops).
 #[derive(Clone, Copy)]
 struct Validity<'p> {
     resid: Option<stmatch_graph::Label>,
+    /// [`LevelMeta::inj`](stmatch_pattern::bytecode::LevelMeta::inj): the
+    /// positions a candidate can collide with.
+    inj: u8,
     bounds: &'p [(usize, Bound)],
     /// The level-1 pin of a staged run's current stage (see
     /// [`Level0Map::Staged`]); `None` everywhere else.
     pin: Option<VertexId>,
 }
 
+/// The positions named by an injectivity mask, ascending.
+#[inline]
+fn positions(mut mask: u8) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let pos = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            pos
+        })
+    })
+}
+
 impl<'p> Validity<'p> {
     #[inline]
     fn new(bc: &'p PlanBytecode, l: usize) -> Self {
+        let meta = bc.level_meta(l);
         Validity {
-            resid: bc.level_meta(l).resid,
+            resid: meta.resid,
+            inj: meta.inj,
             bounds: bc.bounds(l),
             pin: None,
         }
@@ -1178,16 +1197,14 @@ impl<'p> Validity<'p> {
     /// Injectivity, residual-label and symmetry-bound check against the
     /// matched prefix.
     #[inline]
-    fn check(&self, g: &Graph, matched: &[VertexId], l: usize, v: VertexId) -> bool {
+    fn check(&self, g: &Graph, matched: &[VertexId], v: VertexId) -> bool {
         if let Some(lbl) = self.resid {
             if g.label(v) != lbl {
                 return false;
             }
         }
-        for &m in &matched[..l] {
-            if m == v {
-                return false;
-            }
+        if positions(self.inj).any(|pos| matched[pos] == v) {
+            return false;
         }
         for &(pos, bound) in self.bounds {
             let ok = match bound {
@@ -1207,12 +1224,15 @@ impl<'p> Validity<'p> {
 /// Valid-candidate count of a strictly sorted candidate list, in closed
 /// form: every symmetry bound (`v < matched[pos]` / `v > matched[pos]`)
 /// clips a contiguous window of the sorted list, and injectivity removes
-/// the matched vertices that land inside the window.
+/// the matched vertices that land inside the window — those at the `search`
+/// positions are looked up in it, those the caller already located sit at
+/// the list indices `found`.
 fn count_valid_sorted(
     cl: &[VertexId],
     matched: &[VertexId],
-    l: usize,
     bounds: &[(usize, Bound)],
+    search: u8,
+    found: &[usize],
 ) -> u64 {
     let mut lo = 0usize;
     let mut hi = cl.len();
@@ -1227,11 +1247,9 @@ fn count_valid_sorted(
         return 0;
     }
     let window = &cl[lo..hi];
-    let mut dup = 0u64;
-    for &m in &matched[..l] {
-        if window.binary_search(&m).is_ok() {
-            dup += 1;
-        }
-    }
-    window.len() as u64 - dup
+    let dup = positions(search)
+        .filter(|&pos| window.binary_search(&matched[pos]).is_ok())
+        .count()
+        + found.iter().filter(|&&i| lo <= i && i < hi).count();
+    (window.len() - dup) as u64
 }

@@ -11,16 +11,21 @@
 //! one-set-at-a-time operation whose lane utilization is bounded by the
 //! data graph's (usually small) degrees — the effect Fig. 13 quantifies.
 //!
-//! **Adaptive membership probes.** The *simulated* cost model charges one
-//! lane instruction per streamed element regardless of how the host
-//! resolves membership, so the host is free to pick the cheapest real
-//! algorithm per slot without perturbing any simulator metric:
+//! **Data per slot, cost from lengths.** That stream is the *simulated*
+//! machine's, and its cost is a pure function of the slot lengths: one scan
+//! over the sizes, `⌈Σ|A_u| / 32⌉` waves, one ballot per wave.
+//! [`stream_accounting`] is that cost model and the only place an element
+//! stream is charged. The host moves the data separately, one tight
+//! membership loop per slot writing survivors straight into the slot's
+//! output ([`SetSink::lend`] / [`SetSink::commit`]), and is free to pick
+//! the cheapest real algorithm per slot without perturbing any simulator
+//! metric:
 //!
 //! * [`SetOpAlgo::BinarySearch`] — `O(log |B|)` per element; the
 //!   always-correct default for mid-range size ratios.
 //! * [`SetOpAlgo::Merge`] — a monotone cursor walked linearly; `O(|A|+|B|)`
 //!   total, best when `|B|` is comparable to `|A|`. Correct because each
-//!   slot's elements stream in ascending order.
+//!   slot's elements are visited in ascending order.
 //! * [`SetOpAlgo::Gallop`] — exponential search from the monotone cursor,
 //!   then binary search inside the bracket; best when `|B| ≫ |A|`.
 //!
@@ -33,11 +38,11 @@
 //! [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex), two further
 //! algorithms become available through [`choose_algo_hub`]:
 //!
-//! * [`SetOpAlgo::BitmapProbe`] — the operand is a hub row; each streamed
+//! * [`SetOpAlgo::BitmapProbe`] — the operand is a hub row; each input
 //!   element resolves membership with one O(1) word probe. This is still
-//!   an element stream, so wave/scan/ballot accounting stays **identical**
-//!   to the classic paths (only the host cost and the
-//!   `bitmap_probe_words` counter change).
+//!   an element-domain slot, so wave/scan/ballot accounting stays
+//!   **identical** to the classic paths (only the host cost and the
+//!   `bitmap_probe_words` counter, `|A|` per slot, change).
 //! * [`SetOpAlgo::BitmapMerge`] — both sides are bitmap rows; the op is a
 //!   stream of word ANDs, 32 words per wave, survivors extracted from the
 //!   result words. This path deliberately changes the simulated wave
@@ -51,8 +56,8 @@
 //! [`StackArena::split_for_write_bits`](crate::arena::StackArena::split_for_write_bits)).
 //! See DESIGN.md §4f for the encoding and the accounting contract.
 //!
-//! **Sinks.** Outputs stream through the [`SetSink`] trait so callers
-//! choose where survivors land: plain `[Vec<VertexId>]` buffers (the
+//! **Sinks.** Outputs land through the [`SetSink`] trait so callers
+//! choose where survivors go: plain `[Vec<VertexId>]` buffers (the
 //! baselines, tests) or the flat stack arena's
 //! [`ArenaWriter`](crate::arena::ArenaWriter) (the kernel's
 //! allocation-free hot path).
@@ -63,11 +68,26 @@ use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::{LabelMask, OpKind};
 
 /// Destination of a combined set operation: one output list per unroll
-/// slot. `begin(u, hint)` resets slot `u` before its first `push`; pushes
-/// arrive in ascending element order per slot.
+/// slot. `begin(u, hint)` resets slot `u`; its survivors then arrive in
+/// ascending order, a whole slot at a time — either written in place
+/// through [`SetSink::lend`] + [`SetSink::commit`] (the element-domain
+/// loops) or `push`ed one by one (bitmap extractions, and slots whose sink
+/// declined the lend). The sink sees data only: what the operation costs on
+/// the simulated machine is charged from the slot lengths, elsewhere.
 pub trait SetSink {
     fn begin(&mut self, slot: usize, capacity_hint: usize);
     fn push(&mut self, slot: usize, value: VertexId);
+
+    /// Lends the first `n` cells of `slot`, which must be empty (fresh from
+    /// `begin`), for writing in place — or declines (`None`) when the sink
+    /// cannot hold `n` contiguous cells, and the caller `push`es instead.
+    /// The cells' contents are unspecified; the caller writes a prefix and
+    /// [`SetSink::commit`]s its length.
+    fn lend(&mut self, slot: usize, n: usize) -> Option<&mut [VertexId]>;
+
+    /// Makes the first `kept` cells of the preceding [`SetSink::lend`] the
+    /// slot's elements.
+    fn commit(&mut self, slot: usize, kept: usize);
 
     /// Bulk append, equivalent to pushing every value in order; sinks
     /// override this with a block copy for the unfiltered-copy fast path.
@@ -102,6 +122,18 @@ impl SetSink for [Vec<VertexId>] {
     #[inline]
     fn push(&mut self, slot: usize, value: VertexId) {
         self[slot].push(value);
+    }
+
+    #[inline]
+    fn lend(&mut self, slot: usize, n: usize) -> Option<&mut [VertexId]> {
+        debug_assert!(self[slot].is_empty());
+        self[slot].resize(n, 0);
+        Some(&mut self[slot])
+    }
+
+    #[inline]
+    fn commit(&mut self, slot: usize, kept: usize) {
+        self[slot].truncate(kept);
     }
 
     #[inline]
@@ -284,7 +316,8 @@ pub fn materialize_base(
     materialize_base_into(warp, g, sources, mask, outs)
 }
 
-/// [`materialize_base`] streaming into any [`SetSink`].
+/// [`materialize_base`] writing into any [`SetSink`]: a block copy per
+/// slot, or a label filter where `mask` restricts.
 pub fn materialize_base_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
     g: &Graph,
@@ -294,22 +327,13 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
 ) {
     for (u, src) in sources.iter().enumerate() {
         out.begin(u, src.len());
-    }
-    if mask.is_all() {
-        // Unfiltered copy: move the data with one block copy per slot and
-        // replay the stream's wave accounting verbatim — the per-element
-        // closure below touches no warp state, so metrics are identical.
-        for (u, src) in sources.iter().enumerate() {
+        if mask.is_all() {
             out.extend(u, src);
+        } else {
+            filter_slot(out, u, src, |v| mask.allows(g.label(v)));
         }
-        stream_accounting(warp, sources);
-        return;
     }
-    stream_slots(warp, sources, |_warp, slot, value| {
-        if mask.allows(g.label(value)) {
-            out.push(slot, value);
-        }
-    });
+    stream_accounting(warp, sources.iter().map(|s| s.len()));
 }
 
 /// Computes `outs[u] = inputs[u] (∩ | −) operands[u]` filtered by `mask`,
@@ -338,12 +362,12 @@ pub fn apply_op(
     )
 }
 
-/// [`apply_op`] streaming into any [`SetSink`], with explicit tuning.
+/// [`apply_op`] writing into any [`SetSink`], with explicit tuning.
 ///
-/// The algorithm choice is per slot and purely host-side: wave, scan,
-/// ballot, and survivor-rank accounting are identical across the three
-/// paths (the simulated probe costs one lane instruction either way), so
-/// simulator metrics are bit-identical regardless of tuning. Without
+/// The algorithm choice is per slot and purely host-side: the simulated
+/// cost is charged from the input lengths alone (the simulated probe costs
+/// one lane instruction whichever way the host resolves it), so simulator
+/// metrics are bit-identical regardless of tuning. Without
 /// bitmap rows this is exactly [`apply_op_hub_into`] with no rows
 /// attached, and it delegates there.
 #[allow(clippy::too_many_arguments)]
@@ -379,10 +403,12 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
 /// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
 /// rows from the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
 /// only for lists that *are* hub neighborhoods). [`choose_algo_hub`] picks
-/// per slot; element-domain slots (everything but `BitmapMerge`) stream
-/// together with classic Fig. 8 accounting, and `BitmapMerge` slots stream
-/// their words as a separate combined word stream (scan + 32-word waves +
-/// ballot), mirroring the element stream one level up.
+/// per slot; each element-domain slot (everything but `BitmapMerge`) runs
+/// its own membership loop and together they are charged as one combined
+/// Fig. 8 stream over their input lengths ([`stream_accounting`]), and
+/// `BitmapMerge` slots stream their words as a separate combined word
+/// stream (scan + 32-word waves + ballot), mirroring the element stream
+/// one level up.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_op_hub_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -400,16 +426,13 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
     debug_assert_eq!(inputs.len(), input_bits.len());
     debug_assert_eq!(inputs.len(), operand_bits.len());
     debug_assert!(inputs.len() <= WARP_SIZE);
-    const EMPTY: &[VertexId] = &[];
     let mut algo = [SetOpAlgo::BinarySearch; WARP_SIZE];
-    let mut cursor = [0usize; WARP_SIZE];
-    // Element-domain slots, compacted so `stream_slots` sees exactly the
-    // wave structure the classic path would give these slots alone.
-    let mut elem_inputs = [EMPTY; WARP_SIZE];
-    let mut elem_map = [0usize; WARP_SIZE];
-    let mut n_elem = 0usize;
     let mut any_merge = false;
-    for (u, (inp, ops)) in inputs.iter().zip(operands).enumerate() {
+    // Survivor test, given the membership answer.
+    let want = kind == OpKind::Intersect;
+    let pass =
+        |v: VertexId, found: bool| found == want && (mask.is_all() || mask.allows(g.label(v)));
+    for (u, (&inp, &ops)) in inputs.iter().zip(operands).enumerate() {
         out.begin(u, inp.len());
         let stride = input_bits[u].map_or(usize::MAX, <[u64]>::len);
         algo[u] = choose_algo_hub(
@@ -422,57 +445,83 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
         );
         if algo[u] == SetOpAlgo::BitmapMerge {
             any_merge = true;
-        } else {
-            elem_inputs[n_elem] = inp;
-            elem_map[n_elem] = u;
-            n_elem += 1;
+            continue;
+        }
+        if ops.is_empty() {
+            // Empty operand: ∩ drops everything, − keeps everything.
+            filter_slot(out, u, inp, |v| pass(v, false));
+            continue;
+        }
+        match algo[u] {
+            SetOpAlgo::BinarySearch => {
+                filter_slot(out, u, inp, |v| pass(v, ops.binary_search(&v).is_ok()))
+            }
+            SetOpAlgo::Merge => {
+                let mut c = 0usize;
+                filter_slot(out, u, inp, |v| {
+                    while c < ops.len() && ops[c] < v {
+                        c += 1;
+                    }
+                    pass(v, c < ops.len() && ops[c] == v)
+                })
+            }
+            SetOpAlgo::Gallop => {
+                let mut c = 0usize;
+                filter_slot(out, u, inp, |v| {
+                    c = gallop_to(ops, c, v);
+                    pass(v, c < ops.len() && ops[c] == v)
+                })
+            }
+            SetOpAlgo::BitmapProbe => {
+                let bits = operand_bits[u].expect("probe requires operand bits");
+                warp.metrics_mut().bitmap_probe_words += inp.len() as u64;
+                filter_slot(out, u, inp, |v| pass(v, word_probe(bits, v)))
+            }
+            SetOpAlgo::BitmapMerge => unreachable!("merge slots stream words, not elements"),
         }
     }
-    stream_slots(warp, &elem_inputs[..n_elem], |warp, ei, value| {
-        let slot = elem_map[ei];
-        let ops = operands[slot];
-        let found = if ops.is_empty() {
-            // Empty operand: ∩ drops everything, − keeps everything.
-            false
-        } else {
-            match algo[slot] {
-                SetOpAlgo::BinarySearch => ops.binary_search(&value).is_ok(),
-                SetOpAlgo::Merge => {
-                    let c = &mut cursor[slot];
-                    while *c < ops.len() && ops[*c] < value {
-                        *c += 1;
-                    }
-                    *c < ops.len() && ops[*c] == value
-                }
-                SetOpAlgo::Gallop => {
-                    let c = &mut cursor[slot];
-                    *c = gallop_to(ops, *c, value);
-                    *c < ops.len() && ops[*c] == value
-                }
-                SetOpAlgo::BitmapProbe => {
-                    warp.metrics_mut().bitmap_probe_words += 1;
-                    word_probe(
-                        operand_bits[slot].expect("probe requires operand bits"),
-                        value,
-                    )
-                }
-                SetOpAlgo::BitmapMerge => unreachable!("merge slots stream words, not elements"),
-            }
-        };
-        let keep = match kind {
-            OpKind::Intersect => found,
-            OpKind::Difference => !found,
-        };
-        // One extra lane instruction for the label check on labeled runs.
-        if keep && (mask.is_all() || mask.allows(g.label(value))) {
-            // Output offset = popc of lower survivor lanes (Fig. 8); with
-            // in-order lane simulation a push lands at exactly that offset.
-            let _ = warp.rank_in_mask(0, 0);
-            out.push(slot, value);
-        }
-    });
+    // Element-domain slots only, compacted: exactly the wave structure the
+    // classic path would give these slots alone.
+    let element_domain = inputs.iter().zip(&algo);
+    stream_accounting(
+        warp,
+        element_domain
+            .filter(|(_, &a)| a != SetOpAlgo::BitmapMerge)
+            .map(|(inp, _)| inp.len()),
+    );
     if any_merge {
         merge_bitmap_slots(warp, g, input_bits, operand_bits, &algo, kind, mask, out);
+    }
+}
+
+/// One slot's data movement: the elements of `inp` that `keep` admits
+/// become `out`'s `slot`, in order — compacted in place at a running offset
+/// when the sink lends the slot's cells, pushed one by one when it declines.
+/// `keep` sees the elements in ascending order (what makes monotone-cursor
+/// probes correct).
+#[inline]
+fn filter_slot<S: SetSink + ?Sized>(
+    out: &mut S,
+    slot: usize,
+    inp: &[VertexId],
+    mut keep: impl FnMut(VertexId) -> bool,
+) {
+    match out.lend(slot, inp.len()) {
+        Some(cells) => {
+            let mut n = 0usize;
+            for &v in inp {
+                cells[n] = v;
+                n += usize::from(keep(v));
+            }
+            out.commit(slot, n);
+        }
+        None => {
+            for &v in inp {
+                if keep(v) {
+                    out.push(slot, v);
+                }
+            }
+        }
     }
 }
 
@@ -545,7 +594,6 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
                 c &= c - 1;
                 let value = (w as VertexId) * 64 + bit;
                 if mask.is_all() || mask.allows(g.label(value)) {
-                    let _ = warp.rank_in_mask(0, 0);
                     out.push(slot, value);
                 }
             }
@@ -571,8 +619,8 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
 ///
 /// Accounting contract (DESIGN.md §4f): every op — including the final
 /// extraction — costs `ceil(stride/32)` word waves (one SIMT instruction
-/// plus one ballot each, `stride` active lanes total), and each survivor
-/// costs one `rank_in_mask` compaction, mirroring the element stream.
+/// plus one ballot each, `stride` active lanes total); survivor compaction
+/// is the ballot's, as in the element stream.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -627,7 +675,6 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
                             c &= c - 1;
                             let value = (w as VertexId) * 64 + bit;
                             if mask.is_all() || mask.allows(g.label(value)) {
-                                let _ = warp.rank_in_mask(0, 0);
                                 out.push(slot, value);
                             }
                         }
@@ -645,96 +692,35 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     }
 }
 
-/// Issues exactly the waves [`stream_slots`] would issue for `slots` —
-/// size prefix-scan, full waves, one ballot per wave — without visiting
-/// the elements. Used by fast paths that move data with block copies but
-/// must keep the simulated accounting identical.
-fn stream_accounting(warp: &mut Warp, slots: &[&[VertexId]]) {
-    assert!(
-        slots.len() <= WARP_SIZE,
-        "combined set op over {} slots exceeds the warp width {}",
-        slots.len(),
-        WARP_SIZE
-    );
-    let total: usize = slots.iter().map(|s| s.len()).sum();
+/// The cost model of one combined element stream (Fig. 8), a function of
+/// the slot lengths alone: a size prefix-scan mapping lanes to `(set index,
+/// offset)` when more than one slot streams, then `⌈Σ len / 32⌉` waves of
+/// per-lane membership probes / copies, each closed by the ballot that
+/// compacts its survivors. How the host moved the data never enters.
+fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>) {
+    let mut sizes = [0u32; WARP_SIZE];
+    let mut slots = 0usize;
+    let mut total = 0usize;
+    for len in lens {
+        // The Fig. 8 lane mapping assigns one slot size per scan lane; more
+        // slots than lanes would silently drop sizes from the prefix scan.
+        // `EngineConfig::validate` bounds unroll at WARP_SIZE for this
+        // reason.
+        assert!(
+            slots < WARP_SIZE,
+            "combined set op over more slots than the warp width {WARP_SIZE}"
+        );
+        sizes[slots] = len as u32;
+        slots += 1;
+        total += len;
+    }
     if total == 0 {
         return;
     }
-    if slots.len() > 1 {
-        let mut sizes = [0u32; WARP_SIZE];
-        for (i, s) in slots.iter().enumerate() {
-            sizes[i] = s.len() as u32;
-        }
+    if slots > 1 {
         let _ = warp.exclusive_scan(&mut sizes);
     }
-    let waves = total.div_ceil(WARP_SIZE);
-    for wave in 0..waves {
-        let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
-        let active = if in_wave == WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << in_wave) - 1
-        };
-        warp.wave(active, |_| {});
-        let _ = warp.ballot(active);
-    }
-}
-
-/// Streams the concatenated elements of all slots through SIMT waves,
-/// invoking `f(warp, slot, value)` per element, with Fig. 8 accounting:
-/// a size prefix-scan per batch, full waves of 32 lanes, and one ballot
-/// per wave for the output compaction. Within a slot, elements stream in
-/// ascending order (what makes monotone-cursor probes correct).
-fn stream_slots<F: FnMut(&mut Warp, usize, VertexId)>(
-    warp: &mut Warp,
-    slots: &[&[VertexId]],
-    mut f: F,
-) {
-    // The Fig. 8 lane mapping assigns one slot size per scan lane; more
-    // slots than lanes would silently drop sizes from the prefix scan.
-    // `EngineConfig::validate` bounds unroll at WARP_SIZE for this reason.
-    assert!(
-        slots.len() <= WARP_SIZE,
-        "combined set op over {} slots exceeds the warp width {}",
-        slots.len(),
-        WARP_SIZE
-    );
-    let total: usize = slots.iter().map(|s| s.len()).sum();
-    if total == 0 {
-        return;
-    }
-    if slots.len() > 1 {
-        // size_scan: one warp scan maps lanes to (set_idx, set_ofs).
-        let mut sizes = [0u32; WARP_SIZE];
-        for (i, s) in slots.iter().enumerate() {
-            sizes[i] = s.len() as u32;
-        }
-        let _ = warp.exclusive_scan(&mut sizes);
-    }
-    let waves = total.div_ceil(WARP_SIZE);
-    let mut slot = 0usize;
-    let mut ofs = 0usize;
-    for wave in 0..waves {
-        let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
-        let active = if in_wave == WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << in_wave) - 1
-        };
-        // Issue the wave: per-lane membership probe / copy.
-        warp.wave(active, |_| {});
-        for _ in 0..in_wave {
-            while ofs >= slots[slot].len() {
-                slot += 1;
-                ofs = 0;
-            }
-            let value = slots[slot][ofs];
-            f(warp, slot, value);
-            ofs += 1;
-        }
-        // bsearch_res ballot for output compaction.
-        let _ = warp.ballot(active);
-    }
+    warp.stream(total);
 }
 
 /// Counts elements of `set` that satisfy a per-element predicate, as one

@@ -121,6 +121,32 @@ impl Warp {
         }
     }
 
+    /// Charges a stream of `total` elements, one per lane: `⌈total/32⌉`
+    /// full-prefix waves (the last one `total mod 32` lanes wide), each
+    /// closed by its ballot — exactly the [`Warp::wave`] + [`Warp::ballot`]
+    /// pairs it stands for, in closed form. The lanes do no work here (the
+    /// caller moves the data); while a simt-check checker is listening the
+    /// pairs are issued one by one instead, so every per-wave hook (site
+    /// occupancy, mask tracking, epoch ticks) fires as before, attributed
+    /// to this call's site.
+    #[inline]
+    #[track_caller]
+    pub fn stream(&mut self, total: usize) {
+        let waves = total.div_ceil(WARP_SIZE);
+        if !simt_check::any_on() {
+            self.metrics.simt_instructions += 2 * waves as u64;
+            self.metrics.issued_lane_slots += (waves * WARP_SIZE) as u64;
+            self.metrics.active_lane_slots += total as u64;
+            return;
+        }
+        for wave in 0..waves {
+            let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
+            let active = u32::MAX >> (WARP_SIZE - in_wave);
+            self.wave(active, |_| {});
+            let _ = self.ballot(active);
+        }
+    }
+
     /// `__ballot_sync`: collects one predicate bit per lane. The caller
     /// supplies the bits (lanes are simulated in-thread); the warp accounts
     /// one SIMT instruction.
@@ -149,8 +175,8 @@ impl Warp {
         bits
     }
 
-    /// `__popc`: population count (free on hardware, counted as one
-    /// instruction here for symmetry).
+    /// `__popc`: population count. Free on hardware and free here: it
+    /// charges no instruction.
     #[inline]
     pub fn popc(&mut self, mask: u32) -> u32 {
         mask.count_ones()
@@ -262,6 +288,22 @@ mod tests {
         assert_eq!(lanes, vec![0, 5, 7]);
         assert_eq!(w.metrics().active_lane_slots, 3);
         assert_eq!(w.metrics().issued_lane_slots, 32);
+    }
+
+    #[test]
+    fn stream_is_its_wave_ballot_pairs_in_closed_form() {
+        for total in [0usize, 1, 31, 32, 33, 64, 1000] {
+            let mut closed = test_warp();
+            closed.stream(total);
+            let mut pairs = test_warp();
+            for wave in 0..total.div_ceil(WARP_SIZE) {
+                let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
+                let active = u32::MAX >> (WARP_SIZE - in_wave);
+                pairs.wave(active, |_| {});
+                pairs.ballot(active);
+            }
+            assert_eq!(closed.metrics(), pairs.metrics(), "total {total}");
+        }
     }
 
     #[test]

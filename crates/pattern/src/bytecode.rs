@@ -21,10 +21,12 @@
 //! operand of this chain a hub" is a scan of the instructions that follow
 //! its [`OpCode::BeginChain`].
 //!
-//! Streams are validated at lower time by [`PlanBytecode::verify`] — a
-//! malformed stream (out-of-range set ids, forward dependencies, chains
-//! past [`MAX_PATTERN_SIZE`]) is rejected with a named [`BytecodeError`]
-//! instead of debug-asserting inside the interpreter.
+//! Streams are validated at lower time by the walk behind
+//! [`PlanBytecode::verify`] (which also derives each level's injectivity
+//! mask, [`LevelMeta::inj`]) — a malformed stream (out-of-range set ids,
+//! forward dependencies, chains past [`MAX_PATTERN_SIZE`]) is rejected with
+//! a named [`BytecodeError`] instead of debug-asserting inside the
+//! interpreter.
 
 use crate::pattern::MAX_PATTERN_SIZE;
 use crate::plan::{Base, LabelMask, MatchPlan, OpKind};
@@ -131,6 +133,16 @@ pub struct LevelMeta {
     /// Label needing an exact match-time check because the mask cannot
     /// represent it (see `MatchPlan::residual_label_check`).
     pub resid: Option<Label>,
+    /// Injectivity mask: bit `j` is set for each position `j < level` whose
+    /// matched vertex a candidate of this level can still equal — the only
+    /// positions the validity check must probe. Position `j` is exempt when
+    /// the candidate set is (transitively, through its dependencies) an
+    /// intersection with `N(matched[j])` — graphs carry no self-loops, so
+    /// `matched[j]` is not in it — or when the level holds a symmetry bound
+    /// on `j`, whose strict inequality already excludes `matched[j]`.
+    /// Derived from the stream and the bounds themselves, never from the
+    /// pattern, and re-derived by [`PlanBytecode::verify`].
+    pub inj: u8,
 }
 
 /// Shapes the tier-1 specializer recognizes. Detected once at lower time
@@ -181,6 +193,9 @@ pub enum BytecodeError {
     MaskedIntermediate { instr: usize },
     /// A level's candidate reference is out of range or computed too late.
     CandidateOutOfRange { level: usize },
+    /// A level's recorded injectivity mask is not the one its stream and
+    /// bounds derive.
+    InjMismatch { level: usize },
 }
 
 impl std::fmt::Display for BytecodeError {
@@ -245,6 +260,12 @@ impl std::fmt::Display for BytecodeError {
             }
             BytecodeError::CandidateOutOfRange { level } => {
                 write!(f, "bytecode: level {level} candidate reference invalid")
+            }
+            BytecodeError::InjMismatch { level } => {
+                write!(
+                    f,
+                    "bytecode: level {level} records an injectivity mask its stream does not derive"
+                )
             }
         }
     }
@@ -372,6 +393,7 @@ impl PlanBytecode {
                 cand_level,
                 label: plan.level_label(l),
                 resid: plan.residual_label_check(l),
+                inj: 0,
             });
         }
         bound_ptr.push(bounds.len() as u32);
@@ -386,8 +408,17 @@ impl PlanBytecode {
             shape: SpecShape::General,
         };
         bc.shape = bc.detect_shape();
-        bc.verify()?;
+        bc.rederive_inj()?;
         Ok(bc)
+    }
+
+    /// Records the injectivity masks the (validated) stream derives.
+    fn rederive_inj(&mut self) -> Result<(), BytecodeError> {
+        let inj = self.walk()?;
+        for (meta, inj) in self.levels.iter_mut().zip(inj) {
+            meta.inj = inj;
+        }
+        Ok(())
     }
 
     /// The placeholder a [`MatchPlan`] holds while `compile` is still
@@ -425,8 +456,19 @@ impl PlanBytecode {
 
     /// Validates the stream with a small abstract machine: walks every level
     /// tracking the open-chain state and the set of already-written slabs,
-    /// rejecting the first structural violation by name.
+    /// rejecting the first structural violation by name, and holds every
+    /// level's recorded [`LevelMeta::inj`] to the mask the walk derives.
     pub fn verify(&self) -> Result<(), BytecodeError> {
+        let inj = self.walk()?;
+        match (0..self.levels.len()).find(|&l| self.levels[l].inj != inj[l]) {
+            Some(level) => Err(BytecodeError::InjMismatch { level }),
+            None => Ok(()),
+        }
+    }
+
+    /// The abstract machine behind [`PlanBytecode::verify`]; a structurally
+    /// valid stream yields its per-level injectivity masks.
+    fn walk(&self) -> Result<[u8; MAX_PATTERN_SIZE], BytecodeError> {
         let k = self.levels.len();
         let num_sets = self.num_sets as usize;
         if self.level_ptr.len() != k + 1
@@ -436,19 +478,37 @@ impl PlanBytecode {
         {
             return Err(BytecodeError::LevelPtrNotMonotonic { level: 0 });
         }
-        // `written[s]` = Some(level) once set s's arena slab has been
-        // produced; dependency reads must refer back to one of these.
-        let mut written: Vec<Option<u8>> = vec![None; num_sets];
-        // `pure[s]` = p once an unmasked `MaterializeBase` of position p
-        // wrote set s: what a reader's `dep_pos` must say.
-        let mut pure = vec![NO_POS; num_sets];
+        /// What the walk knows of one set's slab.
+        #[derive(Clone, Copy)]
+        struct Slab {
+            /// `Some(level)` once the set's arena slab has been produced;
+            /// dependency reads must refer back to one of these.
+            written: Option<u8>,
+            /// `p` once an unmasked `MaterializeBase` of position p wrote
+            /// the set: what a reader's `dep_pos` must say.
+            pure: u8,
+            /// The positions j with slab ⊆ N(matched[j]): every neighbor
+            /// list the set's program starts from or intersects, plus those
+            /// of the set it reads. A difference only shrinks the slab.
+            within: u8,
+        }
+        let mut slabs = vec![
+            Slab {
+                written: None,
+                pure: NO_POS,
+                within: 0,
+            };
+            num_sets
+        ];
         for level in 0..k {
             let (lo, hi) = (self.level_ptr[level], self.level_ptr[level + 1]);
             if lo > hi {
                 return Err(BytecodeError::LevelPtrNotMonotonic { level });
             }
-            // Open-chain state: Some((dst, steps so far)).
+            // Open-chain state: Some((dst, steps so far)), and the
+            // `within` of the value the open program has built so far.
             let mut chain: Option<(u16, usize)> = None;
+            let mut acc = 0u8;
             for i in lo as usize..hi as usize {
                 let ins = self.instrs[i];
                 if ins.dst as usize >= num_sets {
@@ -482,6 +542,9 @@ impl PlanBytecode {
                         } else {
                             Some((dst, steps + 1))
                         };
+                        if ins.kind == OpKind::Intersect {
+                            acc |= 1 << ins.pos;
+                        }
                     }
                     code => {
                         if chain.is_some() {
@@ -495,7 +558,7 @@ impl PlanBytecode {
                                     dep: ins.dep,
                                 });
                             }
-                            match written[dep] {
+                            match slabs[dep].written {
                                 // Same-level deps are legal (within a level,
                                 // dependencies precede dependents).
                                 Some(at) if at as usize <= level => {}
@@ -506,23 +569,29 @@ impl PlanBytecode {
                                     })
                                 }
                             }
-                            if written[dep] != Some(ins.dep_level) {
+                            if slabs[dep].written != Some(ins.dep_level) {
                                 return Err(BytecodeError::DepLevelMismatch {
                                     instr: i,
                                     dep: ins.dep,
                                 });
                             }
-                            if pure[dep] != ins.dep_pos {
+                            if slabs[dep].pure != ins.dep_pos {
                                 return Err(BytecodeError::DepPosMismatch {
                                     instr: i,
                                     dep: ins.dep,
                                 });
+                            }
+                            acc = slabs[dep].within;
+                            if ins.kind == OpKind::Intersect {
+                                acc |= 1 << ins.pos;
                             }
                         } else if ins.dep != NO_SET || ins.dep_pos != NO_POS {
                             return Err(BytecodeError::DepOutOfRange {
                                 instr: i,
                                 dep: ins.dep,
                             });
+                        } else {
+                            acc = 1 << ins.pos;
                         }
                         let opens = matches!(code, OpCode::BeginChain)
                             || (code == OpCode::ApplyFromSet && !ins.last);
@@ -532,12 +601,14 @@ impl PlanBytecode {
                     }
                 }
                 if ins.last {
-                    if written[ins.dst as usize].is_some() {
+                    let slab = &mut slabs[ins.dst as usize];
+                    if slab.written.is_some() {
                         return Err(BytecodeError::DuplicateWrite { set: ins.dst });
                     }
-                    written[ins.dst as usize] = Some(level as u8);
+                    slab.written = Some(level as u8);
+                    slab.within = acc;
                     if ins.code == OpCode::MaterializeBase && ins.mask.is_all() {
-                        pure[ins.dst as usize] = ins.pos;
+                        slab.pure = ins.pos;
                     }
                 }
             }
@@ -545,19 +616,22 @@ impl PlanBytecode {
                 return Err(BytecodeError::UnterminatedChain { level });
             }
         }
-        if let Some(s) = written.iter().position(Option::is_none) {
+        if let Some(s) = slabs.iter().position(|s| s.written.is_none()) {
             return Err(BytecodeError::MissingWrite { set: s as u16 });
         }
+        let mut inj = [0u8; MAX_PATTERN_SIZE];
         for (l, meta) in self.levels.iter().enumerate().skip(1) {
             let cand = meta.cand as usize;
             if cand >= num_sets
-                || written[cand] != Some(meta.cand_level)
+                || slabs[cand].written != Some(meta.cand_level)
                 || meta.cand_level as usize > l
             {
                 return Err(BytecodeError::CandidateOutOfRange { level: l });
             }
+            let bounded = self.bounds(l).iter().fold(0u8, |m, &(pos, _)| m | 1 << pos);
+            inj[l] = ((1u8 << l) - 1) & !slabs[cand].within & !bounded;
         }
-        Ok(())
+        Ok(inj)
     }
 
     fn detect_shape(&self) -> SpecShape {
@@ -686,6 +760,10 @@ pub mod mutation {
                 // A corrupted cascade no longer matches its detected shape;
                 // demote so tier-1 cannot paper over the wrong opcode.
                 bc.shape = SpecShape::General;
+                // The masks follow the stream: an intersection turned
+                // difference loses its exemption.
+                bc.rederive_inj()
+                    .expect("one swapped kind stays well-formed");
                 return true;
             }
         }
@@ -882,6 +960,71 @@ mod tests {
             bc.verify(),
             Err(BytecodeError::DepPosMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn inj_probes_only_positions_a_candidate_can_equal() {
+        let inj = |bc: &PlanBytecode| -> Vec<u8> {
+            (0..bc.num_levels()).map(|l| bc.level_meta(l).inj).collect()
+        };
+        // q1, the 5-path matched centre-out: the last level iterates the
+        // (lifted) N(v2) under a symmetry bound on v3, so only v0 and v1
+        // can collide.
+        let (_, bc) = lower_query(1);
+        assert_eq!(bc.level_meta(4).inj, 0b0011);
+        // A clique level intersects the neighbor lists of every earlier
+        // position: nothing to probe, anywhere.
+        let (_, bc) = lower_query(8);
+        assert_eq!(inj(&bc), [0; 5]);
+        // Vertex-induced square, matched around the cycle with symmetry
+        // breaking off: v2 comes from N(v1) − N(v0) and v3 from
+        // (N(v0) − N(v1)) ∩ N(v2). A subtracted neighbor list exempts
+        // nothing, so each keeps its one non-adjacent position.
+        let plan = MatchPlan::compile(
+            &catalog::square(),
+            PlanOptions {
+                induced: true,
+                symmetry_breaking: false,
+                ..PlanOptions::default()
+            },
+        );
+        assert_eq!(inj(plan.bytecode()), [0, 0, 0b001, 0b010]);
+    }
+
+    #[test]
+    fn inj_follows_the_stream_and_the_verifier_holds_it() {
+        // Turning the 5-clique's first intersection (level 2, with N(v1))
+        // into a difference loses position 1's exemption there and at every
+        // level whose candidate descends from that set, and gains none.
+        // (Symmetry breaking off: q8's bounds exempt every position anyway.)
+        let mut plan = MatchPlan::compile(
+            &catalog::paper_query(8),
+            PlanOptions {
+                symmetry_breaking: false,
+                ..PlanOptions::default()
+            },
+        );
+        let before = plan.bytecode().clone();
+        assert!((0..5).all(|l| before.level_meta(l).inj == 0));
+        assert!(mutation::swap_first_op_kind(&mut plan));
+        let after = plan.bytecode();
+        let swapped = after
+            .instrs
+            .iter()
+            .find(|i| i.kind == OpKind::Difference)
+            .expect("one swapped instruction");
+        for l in 0..after.num_levels() {
+            let (was, now) = (before.level_meta(l).inj, after.level_meta(l).inj);
+            assert_eq!(was & !now, 0, "level {l} gained an exemption");
+            assert_eq!(now & (1 << swapped.pos) != 0, l >= 2, "level {l}");
+        }
+        // A recorded mask the stream does not derive is rejected, whether
+        // it probes too little or too much.
+        let (_, mut bc) = lower_query(1);
+        bc.levels[4].inj = 0;
+        assert_eq!(bc.verify(), Err(BytecodeError::InjMismatch { level: 4 }));
+        bc.levels[4].inj = 0b1111;
+        assert_eq!(bc.verify(), Err(BytecodeError::InjMismatch { level: 4 }));
     }
 
     #[test]

@@ -1,26 +1,43 @@
-//! Property tests for the adaptive set-operation kernels: the three
-//! host-side membership algorithms (binary search, linear merge, galloping
-//! search) plus the ratio-driven auto selection must all produce exactly
-//! the output of a scalar reference, with bit-identical simulator metrics,
-//! across slot counts and input/operand size ratios — including the
-//! empty-operand short-circuit and the arena sink's spill fallback.
+//! Property tests for the adaptive set-operation kernels: every host-side
+//! membership algorithm (binary search, linear merge, galloping search,
+//! bitmap probe) plus the ratio-driven auto selection must produce exactly
+//! the output of a scalar reference — for both op kinds, with and without a
+//! label mask, into every kind of sink — and charge exactly the closed form
+//! of the input lengths, whatever moved the data: the contract *data per
+//! slot, cost from lengths* (DESIGN.md §4c).
 //!
-//! The hub-bitmap paths ride the same harness: `BitmapProbe` must match
-//! the classic paths' outputs *and* metric tuple (it is an element-stream
-//! algorithm), while `BitmapMerge` and the auto hub routing must match
-//! outputs (their wave structure differs by design — see DESIGN.md §4f).
-//! On failure the testkit harness shrinks the case and prints a seeded
-//! reproduce line.
+//! The sinks are plain vectors, an arena whose slabs hold every input (the
+//! in-place `lend`/`commit` path) and an arena whose slab capacity is below
+//! the input lengths (the lend is declined: per-element `push`, and the
+//! spill migration once survivors outgrow the slab).
+//!
+//! `BitmapMerge` and the auto hub routing ride the same harness but must
+//! match outputs only (their wave structure differs by design — see
+//! DESIGN.md §4f). On failure the testkit harness shrinks the case and
+//! prints a seeded reproduce line.
 
 use std::sync::Mutex;
 
 use stmatch_core::arena::StackArena;
-use stmatch_core::setops::{apply_op_hub_into, apply_op_into, choose_algo, SetOpAlgo, SetOpTuning};
+use stmatch_core::setops::{apply_op_hub_into, choose_algo, SetOpAlgo, SetOpTuning};
 use stmatch_gpusim::{Grid, GridConfig, Warp, WarpMetrics};
-use stmatch_graph::{gen, Graph, VertexId};
+use stmatch_graph::builder::graph_from_edges;
+use stmatch_graph::{Graph, Label, VertexId};
 use stmatch_pattern::{LabelMask, OpKind};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::Rng;
+
+/// Generated values stay below this; [`STRIDE`] words cover it.
+const UNIVERSE: usize = 2048;
+const STRIDE: usize = UNIVERSE / 64;
+const NUM_LABELS: Label = 3;
+
+/// An edgeless graph over the whole universe with `v % NUM_LABELS` labels:
+/// the set operations only ever ask it for labels.
+fn labeled_universe() -> Graph {
+    graph_from_edges(UNIVERSE, &[])
+        .relabeled((0..UNIVERSE as Label).map(|v| v % NUM_LABELS).collect())
+}
 
 fn with_warp<F: Fn(&mut Warp) + Sync>(f: F) -> WarpMetrics {
     let grid = Grid::new(GridConfig {
@@ -40,8 +57,15 @@ fn normalize(raw: &[VertexId]) -> Vec<VertexId> {
     v
 }
 
-/// Scalar reference: per-slot intersection/difference by `contains`.
-fn reference(input: &[VertexId], ops: &[VertexId], kind: OpKind) -> Vec<VertexId> {
+/// Scalar reference: per-slot intersection/difference by `contains`, then
+/// the label filter.
+fn reference(
+    g: &Graph,
+    input: &[VertexId],
+    ops: &[VertexId],
+    kind: OpKind,
+    mask: LabelMask,
+) -> Vec<VertexId> {
     input
         .iter()
         .copied()
@@ -49,169 +73,141 @@ fn reference(input: &[VertexId], ops: &[VertexId], kind: OpKind) -> Vec<VertexId
             OpKind::Intersect => ops.contains(v),
             OpKind::Difference => !ops.contains(v),
         })
+        .filter(|&v| mask.allows(g.label(v)))
         .collect()
 }
 
-/// Runs one combined op over `slots` under `tuning` into plain vectors,
-/// returning the outputs and the warp metrics.
-fn run_vec(
+/// Where a run's survivors land.
+#[derive(Clone, Copy, Debug)]
+enum Sink {
+    /// Plain `[Vec<VertexId>]` buffers.
+    Vecs,
+    /// A [`StackArena`] with this slab capacity per slot.
+    Arena { cap: usize },
+}
+
+/// Which bitmap rows a run attaches (all slots alike).
+#[derive(Clone, Copy, Debug, Default)]
+struct Rows {
+    input: bool,
+    operand: bool,
+}
+
+type Slots = [(Vec<VertexId>, Vec<VertexId>)];
+
+/// Runs one combined op over `slots` and returns the outputs and the warp
+/// metrics.
+fn run(
     g: &Graph,
-    slots: &[(Vec<VertexId>, Vec<VertexId>)],
+    slots: &Slots,
     kind: OpKind,
+    mask: LabelMask,
     tuning: SetOpTuning,
+    rows: Rows,
+    sink: Sink,
 ) -> (Vec<Vec<VertexId>>, WarpMetrics) {
-    let out = Mutex::new(Vec::new());
-    let m = with_warp(|w| {
-        let inputs: Vec<&[VertexId]> = slots.iter().map(|(a, _)| a.as_slice()).collect();
-        let operands: Vec<&[VertexId]> = slots.iter().map(|(_, b)| b.as_slice()).collect();
-        let mut outs: Vec<Vec<VertexId>> = vec![Vec::new(); slots.len()];
-        apply_op_into(
-            w,
-            g,
-            &inputs,
-            &operands,
-            kind,
-            LabelMask::ALL,
-            tuning,
-            &mut outs[..],
-        );
-        *out.lock().unwrap() = outs;
-    });
-    (out.into_inner().unwrap(), m)
-}
-
-/// Same op streamed into a deliberately tiny-capacity [`StackArena`] so
-/// most outputs take the spill path; returns the slot contents.
-fn run_arena(
-    g: &Graph,
-    slots: &[(Vec<VertexId>, Vec<VertexId>)],
-    kind: OpKind,
-    tuning: SetOpTuning,
-) -> Vec<Vec<VertexId>> {
-    let out = Mutex::new(Vec::new());
-    with_warp(|w| {
-        let inputs: Vec<&[VertexId]> = slots.iter().map(|(a, _)| a.as_slice()).collect();
-        let operands: Vec<&[VertexId]> = slots.iter().map(|(_, b)| b.as_slice()).collect();
-        let mut arena = StackArena::new(1, slots.len(), 2);
-        let (_, mut sink) = arena.split_for_write(0, slots.len());
-        apply_op_into(
-            w,
-            g,
-            &inputs,
-            &operands,
-            kind,
-            LabelMask::ALL,
-            tuning,
-            &mut sink,
-        );
-        // ArenaWriter's Drop folds peak stats back into the arena, so the
-        // writer must end before the slots are read out.
-        drop(sink);
-        *out.lock().unwrap() = (0..slots.len())
-            .map(|u| arena.slot(0, u).to_vec())
-            .collect();
-    });
-    out.into_inner().unwrap()
-}
-
-/// Packs a sorted set into hub-bitmap row words of the given stride.
-fn bits_of(vals: &[VertexId], stride: usize) -> Vec<u64> {
-    let mut words = vec![0u64; stride];
-    for &v in vals {
-        words[(v >> 6) as usize] |= 1u64 << (v & 63);
-    }
-    words
-}
-
-/// Runs one combined op through [`apply_op_hub_into`] with bitmap rows
-/// attached per `give_input_bits`/`give_operand_bits`, returning outputs
-/// and metrics. Values must stay below `stride * 64`.
-fn run_vec_hub(
-    g: &Graph,
-    slots: &[(Vec<VertexId>, Vec<VertexId>)],
-    kind: OpKind,
-    tuning: SetOpTuning,
-    stride: usize,
-    give_input_bits: bool,
-    give_operand_bits: bool,
-) -> (Vec<Vec<VertexId>>, WarpMetrics) {
-    let a_bits: Vec<Vec<u64>> = slots.iter().map(|(a, _)| bits_of(a, stride)).collect();
-    let b_bits: Vec<Vec<u64>> = slots.iter().map(|(_, b)| bits_of(b, stride)).collect();
+    let a_bits: Vec<Vec<u64>> = slots.iter().map(|(a, _)| bits_of(a)).collect();
+    let b_bits: Vec<Vec<u64>> = slots.iter().map(|(_, b)| bits_of(b)).collect();
     let out = Mutex::new(Vec::new());
     let m = with_warp(|w| {
         let inputs: Vec<&[VertexId]> = slots.iter().map(|(a, _)| a.as_slice()).collect();
         let operands: Vec<&[VertexId]> = slots.iter().map(|(_, b)| b.as_slice()).collect();
         let input_bits: Vec<Option<&[u64]>> = a_bits
             .iter()
-            .map(|b| give_input_bits.then_some(b.as_slice()))
+            .map(|b| rows.input.then_some(b.as_slice()))
             .collect();
         let operand_bits: Vec<Option<&[u64]>> = b_bits
             .iter()
-            .map(|b| give_operand_bits.then_some(b.as_slice()))
+            .map(|b| rows.operand.then_some(b.as_slice()))
             .collect();
-        let mut outs: Vec<Vec<VertexId>> = vec![Vec::new(); slots.len()];
-        apply_op_hub_into(
-            w,
-            g,
-            &inputs,
-            &input_bits,
-            &operands,
-            &operand_bits,
-            kind,
-            LabelMask::ALL,
-            tuning,
-            &mut outs[..],
-        );
-        *out.lock().unwrap() = outs;
+        macro_rules! apply {
+            ($sink:expr) => {
+                apply_op_hub_into(
+                    w,
+                    g,
+                    &inputs,
+                    &input_bits,
+                    &operands,
+                    &operand_bits,
+                    kind,
+                    mask,
+                    tuning,
+                    $sink,
+                )
+            };
+        }
+        *out.lock().unwrap() = match sink {
+            Sink::Vecs => {
+                let mut outs: Vec<Vec<VertexId>> = vec![Vec::new(); slots.len()];
+                apply!(&mut outs[..]);
+                outs
+            }
+            Sink::Arena { cap } => {
+                let mut arena = StackArena::new(1, slots.len(), cap);
+                {
+                    // ArenaWriter's Drop folds peak stats back into the
+                    // arena, so the writer must end before the slots are
+                    // read out.
+                    let (_, mut writer) = arena.split_for_write(0, slots.len());
+                    apply!(&mut writer);
+                }
+                (0..slots.len())
+                    .map(|u| arena.slot(0, u).to_vec())
+                    .collect()
+            }
+        };
     });
     (out.into_inner().unwrap(), m)
 }
 
-const TUNINGS: [(&str, SetOpTuning); 4] = [
-    (
-        "auto",
-        SetOpTuning {
-            merge_ratio: 4,
-            gallop_ratio: 64,
-            bitmap_ratio: 1,
-            force: None,
-        },
-    ),
-    (
-        "bsearch",
-        SetOpTuning {
-            merge_ratio: 4,
-            gallop_ratio: 64,
-            bitmap_ratio: 1,
-            force: Some(SetOpAlgo::BinarySearch),
-        },
-    ),
-    (
-        "merge",
-        SetOpTuning {
-            merge_ratio: 4,
-            gallop_ratio: 64,
-            bitmap_ratio: 1,
-            force: Some(SetOpAlgo::Merge),
-        },
-    ),
-    (
-        "gallop",
-        SetOpTuning {
-            merge_ratio: 4,
-            gallop_ratio: 64,
-            bitmap_ratio: 1,
-            force: Some(SetOpAlgo::Gallop),
-        },
-    ),
+/// Packs a sorted set into a hub-bitmap row.
+fn bits_of(vals: &[VertexId]) -> Vec<u64> {
+    let mut words = vec![0u64; STRIDE];
+    for &v in vals {
+        words[(v >> 6) as usize] |= 1u64 << (v & 63);
+    }
+    words
+}
+
+/// `(simt_instructions, issued_lane_slots, active_lane_slots)` of one
+/// combined element stream over inputs of these lengths (Fig. 8): a
+/// five-step size scan when more than one slot streams, then
+/// `⌈total / 32⌉` waves, each closed by a ballot.
+fn closed_form(slots: &Slots) -> (u64, u64, u64) {
+    let total: u64 = slots.iter().map(|(a, _)| a.len() as u64).sum();
+    if total == 0 {
+        return (0, 0, 0);
+    }
+    let scan = if slots.len() > 1 { 5 } else { 0 };
+    let waves = total.div_ceil(32);
+    (scan + 2 * waves, 32 * (scan + waves), 32 * scan + total)
+}
+
+fn tuning(force: Option<SetOpAlgo>) -> SetOpTuning {
+    SetOpTuning {
+        force,
+        ..SetOpTuning::default()
+    }
+}
+
+const TUNINGS: [(&str, Option<SetOpAlgo>); 4] = [
+    ("auto", None),
+    ("bsearch", Some(SetOpAlgo::BinarySearch)),
+    ("merge", Some(SetOpAlgo::Merge)),
+    ("gallop", Some(SetOpAlgo::Gallop)),
 ];
 
-/// All four tunings agree with the scalar reference — and with each
-/// other's simulated cost — on random multi-slot workloads spanning the
-/// size ratios that trigger each algorithm (empty, ≈1×, ≈8×, ≈200×).
+/// Slab capacity that holds every generated input (the lend is granted) and
+/// one below most of them (declined; survivors beyond it spill).
+const SINKS: [Sink; 3] = [Sink::Vecs, Sink::Arena { cap: 64 }, Sink::Arena { cap: 2 }];
+
+/// Every element-domain algorithm agrees with the scalar reference and
+/// charges the closed form of the input lengths — on random multi-slot
+/// workloads spanning the size ratios that trigger each algorithm (empty,
+/// ≈1×, ≈8×, ≈200×), for both kinds, masked or not, into every sink.
 #[test]
 fn all_paths_match_scalar_reference() {
-    let g = gen::complete(2); // labels unused (mask ALL)
+    let g = labeled_universe();
     forall(
         "setops_paths_agree",
         |rng| {
@@ -226,13 +222,12 @@ fn all_paths_match_scalar_reference() {
                         2 => a_len.max(1) * 8,
                         _ => a_len.max(1) * 200,
                     };
-                    let a: Vec<VertexId> = (0..a_len)
-                        .map(|_| rng.gen_range(0u64..2000) as VertexId)
-                        .collect();
-                    let b: Vec<VertexId> = (0..b_len)
-                        .map(|_| rng.gen_range(0u64..2000) as VertexId)
-                        .collect();
-                    (a, b)
+                    let mut draw = |n: usize| -> Vec<VertexId> {
+                        (0..n)
+                            .map(|_| rng.gen_range(0u64..2000) as VertexId)
+                            .collect()
+                    };
+                    (draw(a_len), draw(b_len))
                 })
                 .collect::<Vec<_>>()
         },
@@ -241,81 +236,60 @@ fn all_paths_match_scalar_reference() {
                 .iter()
                 .map(|(a, b)| (normalize(a), normalize(b)))
                 .collect();
+            let cost = closed_form(&slots);
             for kind in [OpKind::Intersect, OpKind::Difference] {
-                let mut metrics: Vec<(u64, u64, u64)> = Vec::new();
-                for (name, tuning) in TUNINGS {
-                    let (outs, m) = run_vec(&g, &slots, kind, tuning);
-                    for (u, (a, b)) in slots.iter().enumerate() {
-                        let want = reference(a, b, kind);
-                        if outs[u] != want {
-                            return Err(format!(
-                                "{name} {kind:?} slot {u}: got {:?}, want {want:?}",
-                                outs[u]
-                            ));
-                        }
-                    }
-                    metrics.push((
-                        m.simt_instructions,
-                        m.issued_lane_slots,
-                        m.active_lane_slots,
-                    ));
-                    let arena_outs = run_arena(&g, &slots, kind, tuning);
-                    for (u, (a, b)) in slots.iter().enumerate() {
-                        let want = reference(a, b, kind);
-                        if arena_outs[u] != want {
-                            return Err(format!(
-                                "{name} {kind:?} slot {u} via arena: got {:?}, want {want:?}",
-                                arena_outs[u]
-                            ));
-                        }
-                    }
-                }
-                if metrics.windows(2).any(|p| p[0] != p[1]) {
-                    return Err(format!(
-                        "{kind:?} metrics diverge across algorithms: {metrics:?}"
-                    ));
-                }
-                // Hub-bitmap legs. Values are < 2000, so stride 32 words
-                // (universe 2048) covers every generated set.
-                let stride = 32;
-                for (name, force, give_input_bits) in [
-                    // Probe is an element-stream algorithm: outputs *and*
-                    // the metric tuple must match the classic paths.
-                    ("bitmap-probe", Some(SetOpAlgo::BitmapProbe), false),
-                    // Merge deliberately restructures waves (word wavefronts
-                    // instead of element waves): outputs only.
-                    ("bitmap-merge", Some(SetOpAlgo::BitmapMerge), true),
-                    // Auto routing with rows on both sides picks merge or
-                    // probe per slot; outputs must still agree.
-                    ("bitmap-auto", None, true),
-                ] {
-                    let tuning = SetOpTuning {
-                        merge_ratio: 4,
-                        gallop_ratio: 64,
-                        bitmap_ratio: 1,
-                        force,
+                for mask in [LabelMask::ALL, LabelMask::single(1)] {
+                    let want: Vec<Vec<VertexId>> = slots
+                        .iter()
+                        .map(|(a, b)| reference(&g, a, b, kind, mask))
+                        .collect();
+                    // (name, forced algorithm, rows, element-domain?) — the
+                    // probe is an element-domain algorithm, so it owes the
+                    // closed form too; merge deliberately restructures
+                    // waves (word wavefronts), and auto routing with rows on
+                    // both sides picks merge or probe per slot: outputs only.
+                    let operand_rows = Rows {
+                        input: false,
+                        operand: true,
                     };
-                    let (outs, m) =
-                        run_vec_hub(&g, &slots, kind, tuning, stride, give_input_bits, true);
-                    for (u, (a, b)) in slots.iter().enumerate() {
-                        let want = reference(a, b, kind);
-                        if outs[u] != want {
-                            return Err(format!(
-                                "{name} {kind:?} slot {u}: got {:?}, want {want:?}",
-                                outs[u]
-                            ));
+                    let both_rows = Rows {
+                        input: true,
+                        operand: true,
+                    };
+                    let classic = TUNINGS.map(|(n, f)| (n, f, Rows::default(), true));
+                    let hub = [
+                        (
+                            "bitmap-probe",
+                            Some(SetOpAlgo::BitmapProbe),
+                            operand_rows,
+                            true,
+                        ),
+                        (
+                            "bitmap-merge",
+                            Some(SetOpAlgo::BitmapMerge),
+                            both_rows,
+                            false,
+                        ),
+                        ("bitmap-auto", None, both_rows, false),
+                    ];
+                    for (name, force, rows, element_domain) in classic.into_iter().chain(hub) {
+                        for sink in SINKS {
+                            let (outs, m) = run(&g, &slots, kind, mask, tuning(force), rows, sink);
+                            let leg = format!("{name} {kind:?} {mask:?} {sink:?}");
+                            if outs != want {
+                                return Err(format!("{leg}: got {outs:?}, want {want:?}"));
+                            }
+                            let charged = (
+                                m.simt_instructions,
+                                m.issued_lane_slots,
+                                m.active_lane_slots,
+                            );
+                            if element_domain && charged != cost {
+                                return Err(format!(
+                                    "{leg}: charged {charged:?}, closed form {cost:?}"
+                                ));
+                            }
                         }
-                    }
-                    let tuple = (
-                        m.simt_instructions,
-                        m.issued_lane_slots,
-                        m.active_lane_slots,
-                    );
-                    if name == "bitmap-probe" && tuple != metrics[0] {
-                        return Err(format!(
-                            "{name} {kind:?} metrics {tuple:?} != classic {:?}",
-                            metrics[0]
-                        ));
                     }
                 }
             }
@@ -328,7 +302,7 @@ fn all_paths_match_scalar_reference() {
 /// through each algorithm, and the routed result still matches.
 #[test]
 fn threshold_extremes_route_every_algorithm() {
-    let g = gen::complete(2);
+    let g = labeled_universe();
     let a: Vec<VertexId> = (0..60).step_by(3).collect();
     let b: Vec<VertexId> = (0..120).step_by(2).collect();
     for (tuning, expect) in [
@@ -365,8 +339,14 @@ fn threshold_extremes_route_every_algorithm() {
     ] {
         assert_eq!(choose_algo(a.len(), b.len(), tuning), expect);
         for kind in [OpKind::Intersect, OpKind::Difference] {
-            let (outs, _) = run_vec(&g, &[(a.clone(), b.clone())], kind, tuning);
-            assert_eq!(outs[0], reference(&a, &b, kind), "{expect:?} {kind:?}");
+            let slots = [(a.clone(), b.clone())];
+            let all = LabelMask::ALL;
+            let (outs, _) = run(&g, &slots, kind, all, tuning, Rows::default(), Sink::Vecs);
+            assert_eq!(
+                outs[0],
+                reference(&g, &a, &b, kind, all),
+                "{expect:?} {kind:?}"
+            );
         }
     }
 }
@@ -375,17 +355,30 @@ fn threshold_extremes_route_every_algorithm() {
 /// mixed with non-empty slots in the same combined stream.
 #[test]
 fn empty_operand_mixed_slots_agree() {
-    let g = gen::complete(2);
+    let g = labeled_universe();
     let slots: Vec<(Vec<VertexId>, Vec<VertexId>)> = vec![
         (vec![1, 4, 9], vec![]),
         (vec![], vec![2, 3]),
         (vec![5, 6, 7], vec![6]),
     ];
     for kind in [OpKind::Intersect, OpKind::Difference] {
-        for (name, tuning) in TUNINGS {
-            let (outs, _) = run_vec(&g, &slots, kind, tuning);
+        for (name, force) in TUNINGS {
+            let all = LabelMask::ALL;
+            let (outs, _) = run(
+                &g,
+                &slots,
+                kind,
+                all,
+                tuning(force),
+                Rows::default(),
+                Sink::Vecs,
+            );
             for (u, (a, b)) in slots.iter().enumerate() {
-                assert_eq!(outs[u], reference(a, b, kind), "{name} {kind:?} slot {u}");
+                assert_eq!(
+                    outs[u],
+                    reference(&g, a, b, kind, all),
+                    "{name} {kind:?} slot {u}"
+                );
             }
         }
     }
