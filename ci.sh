@@ -26,6 +26,9 @@ run "build" cargo build --release --offline
 # and build each lib and bin a second time as a bench harness nobody runs.
 run "lint"  cargo clippy --workspace --lib --bins --tests --examples --offline -- -D warnings
 run "test"  cargo test -q --workspace --offline
+# The kernel's host-side shortcuts are cross-checked per element only under
+# debug_assert; this suite's hard asserts hold their counts in release too.
+run "test:release" cargo test -q --release --offline --test closed_form_routes
 
 # Example smoke runs: the two cheapest examples, release profile (already
 # built above), each under the cap.

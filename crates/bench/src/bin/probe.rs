@@ -1,11 +1,16 @@
 //! `probe` — where does the host time of a simulated instruction go?
 //!
-//! `probe <q,...> [--rounds N]` runs the given paper queries on the
-//! `hotpath` fixture (steal-free config, so every round does the same work)
-//! `N` times under a SIGPROF instruction-pointer sampler and prints the 30
-//! functions holding the largest shares of the samples, each with its three
-//! hottest `file:line`s. `perf` is not in the image; this is the profiler
-//! ROADMAP's host-cost item asks for first.
+//! `probe <q,...> [--rounds N] [--lines N] [--each]` runs the given paper
+//! queries on the `hotpath` fixture (steal-free config, so every round does
+//! the same work) `--rounds` times (default 20) under a SIGPROF
+//! instruction-pointer sampler and prints the 30 functions holding the
+//! largest shares of the samples, each with its `--lines` (default 3)
+//! hottest `file:line`s — one table over the union of the queries, or with
+//! `--each` one table per query from the same run. Shares are comparable
+//! across builds only per query: a change that speeds one query up shrinks
+//! its weight in a union table and moves every other line's share. `perf`
+//! is not in the image; this is the profiler ROADMAP's host-cost item asks
+//! for first.
 //!
 //! The sampler is `setitimer(ITIMER_PROF)` asking for 1 kHz of process CPU
 //! time (the kernel tick caps it, typically at 250 Hz); the handler stores
@@ -85,9 +90,11 @@ mod sampler {
         assert_eq!(rc, 0, "setitimer failed");
     }
 
-    /// Runs `work` with the sampler armed and returns the sampled
-    /// instruction pointers plus the number dropped for lack of room.
+    /// Runs `work` with the sampler armed and returns the instruction
+    /// pointers sampled during it plus the number dropped for lack of room.
     pub fn sample(work: impl FnOnce()) -> (Vec<usize>, usize) {
+        // Relaxed: the timer is disarmed, no handler runs.
+        TAKEN.store(0, Ordering::Relaxed);
         let act = SigAction {
             handler: on_sigprof as *const () as usize,
             mask: [0; 16],
@@ -113,46 +120,76 @@ mod sampler {
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn main() -> std::process::ExitCode {
-    use std::collections::HashMap;
-    use std::io::Write;
-    use std::process::{Command, ExitCode, Stdio};
+    use std::process::ExitCode;
     use stmatch_bench::hotpath;
     use stmatch_core::Engine;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut queries: Vec<usize> = Vec::new();
     let mut rounds = 20usize;
+    let mut lines = 3usize;
+    let mut each = false;
     let mut it = args.iter();
     let mut usage_ok = true;
     while let Some(a) = it.next() {
-        let parsed = if a == "--rounds" {
-            it.next().and_then(|n| n.parse().ok()).map(|n| rounds = n)
-        } else {
-            a.split(',')
+        let mut number =
+            |into: &mut usize| it.next().and_then(|n| n.parse().ok()).map(|n| *into = n);
+        let parsed = match a.as_str() {
+            "--rounds" => number(&mut rounds),
+            "--lines" => number(&mut lines),
+            "--each" => {
+                each = true;
+                Some(())
+            }
+            _ => a
+                .split(',')
                 .map(|q| q.trim_start_matches('q').parse().ok())
                 .collect::<Option<Vec<usize>>>()
                 .filter(|qs| qs.iter().all(|q| (1..=24).contains(q)))
-                .map(|qs| queries.extend(qs))
+                .map(|qs| queries.extend(qs)),
         };
         usage_ok &= parsed.is_some();
     }
     if !usage_ok || queries.is_empty() {
-        eprintln!("usage: probe <q,...> [--rounds N]   (paper queries 1..=24)");
+        eprintln!(
+            "usage: probe <q,...> [--rounds N] [--lines N] [--each]   (paper queries 1..=24)"
+        );
         return ExitCode::from(2);
     }
 
     let g = hotpath::graph();
     let engine = Engine::new(hotpath::config());
-    let (ips, dropped) = sampler::sample(|| {
-        for _ in 0..rounds {
-            for &qi in &queries {
-                let out = engine
-                    .run(&g, &hotpath::query(qi))
-                    .expect("hotpath query runs");
-                std::hint::black_box(out.count);
-            }
+    let run = |qi: usize| {
+        let out = engine
+            .run(&g, &hotpath::query(qi))
+            .expect("hotpath query runs");
+        std::hint::black_box(out.count);
+    };
+    if each {
+        for &qi in &queries {
+            let (ips, dropped) = sampler::sample(|| (0..rounds).for_each(|_| run(qi)));
+            report(&ips, dropped, &format!("{rounds} round(s) of q{qi}"), lines);
         }
-    });
+    } else {
+        let (ips, dropped) =
+            sampler::sample(|| (0..rounds).for_each(|_| queries.iter().for_each(|&qi| run(qi))));
+        report(
+            &ips,
+            dropped,
+            &format!("{rounds} round(s) of q{queries:?}"),
+            lines,
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+/// Symbolises one sample set and prints its table: the 30 hottest functions,
+/// each with its `lines` hottest `file:line`s.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn report(ips: &[usize], dropped: usize, what: &str, lines: usize) {
+    use std::collections::HashMap;
+    use std::io::Write;
+    use std::process::{Command, Stdio};
 
     // Offsets into the executable's image; samples outside it (libc, vdso)
     // are pooled.
@@ -173,7 +210,7 @@ fn main() -> std::process::ExitCode {
     let base = ranges.iter().map(|r| r.0).min().unwrap_or(0);
     let mut by_offset: HashMap<usize, usize> = HashMap::new();
     let mut outside = 0usize;
-    for ip in &ips {
+    for ip in ips {
         if ranges.iter().any(|&(lo, hi)| (lo..hi).contains(ip)) {
             *by_offset.entry(ip - base).or_default() += 1;
         } else {
@@ -258,21 +295,20 @@ fn main() -> std::process::ExitCode {
     let share = |n: usize| 100.0 * n as f64 / total.max(1) as f64;
     println!(
         "probe: {total} samples ({dropped} dropped, {outside} outside the image) over \
-         {rounds} round(s) of q{queries:?}; share, function, its hottest lines"
+         {what}; share, function, its hottest lines"
     );
     let mut funcs: Vec<_> = by_func.into_iter().collect();
     funcs.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
-    for (func, (n, lines)) in funcs.iter().take(30) {
-        let mut lines: Vec<_> = lines.iter().collect();
-        lines.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-        let hottest: Vec<String> = lines
+    for (func, (n, at)) in funcs.iter().take(30) {
+        let mut at: Vec<_> = at.iter().collect();
+        at.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
+        let hottest: Vec<String> = at
             .iter()
-            .take(3)
+            .take(lines)
             .map(|(at, n)| format!("{at} {:.1}", share(**n)))
             .collect();
         println!("{:6.2} %  {func}  ({})", share(*n), hottest.join(", "));
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]

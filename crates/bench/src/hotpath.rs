@@ -38,13 +38,15 @@ pub enum Leg {
 }
 
 /// The hotpath suite: `(paper query, leg)`.
-pub const SUITE: [(usize, Leg); 6] = [
+pub const SUITE: [(usize, Leg); 8] = [
     (1, Leg::Plain),
     (6, Leg::Plain),
     (8, Leg::Plain),
     (3, Leg::Plain),
     (3, Leg::Labeled),
     (3, Leg::Induced),
+    (2, Leg::Plain),
+    (4, Leg::Plain),
 ];
 
 /// Vertices of the dense clique workload graph (PR 5's bitmap stressor).
@@ -109,7 +111,7 @@ pub struct Golden {
 /// config). Regenerate with `--bin check -- hotpath --print` **only** when
 /// an intentional cost-model or planner change lands, and say so in the
 /// commit message.
-pub const GOLDEN: [Golden; 6] = [
+pub const GOLDEN: [Golden; 8] = [
     Golden {
         query: 1,
         leg: Leg::Plain,
@@ -151,6 +153,20 @@ pub const GOLDEN: [Golden; 6] = [
         count: 330032,
         total_instructions: 858212,
         lane_utilization: 0.7301357409222469,
+    },
+    Golden {
+        query: 2,
+        leg: Leg::Plain,
+        count: 1007981,
+        total_instructions: 3302006,
+        lane_utilization: 0.7645688795363221,
+    },
+    Golden {
+        query: 4,
+        leg: Leg::Plain,
+        count: 9448934,
+        total_instructions: 1095976,
+        lane_utilization: 0.6524347575974826,
     },
 ];
 

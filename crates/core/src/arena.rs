@@ -65,6 +65,11 @@ pub struct StackArena {
     /// allocate.
     bits_ping: Vec<u64>,
     bits_pong: Vec<u64>,
+    /// The heap block behind the kernel's marker rows (`kernel::Marker`),
+    /// parked here between launches so a recycled arena brings it along:
+    /// [`StackArena::take_marker_words`] hands it out zeroed,
+    /// [`StackArena::put_marker_words`] takes it back.
+    marker_words: Vec<u64>,
     /// Per-slot result bitmap rows (`words_stride` words each), filled by
     /// the bitmap set-op paths through [`SetSink::put_word`] /
     /// [`SetSink::seal_bits`] so dependent sets can run in the bitmap
@@ -153,6 +158,7 @@ impl StackArena {
             events: 0,
             bits_ping: Vec::new(),
             bits_pong: Vec::new(),
+            marker_words: Vec::new(),
             words: Vec::new(),
             words_valid: vec![false; slots],
             words_stride: 0,
@@ -209,6 +215,22 @@ impl StackArena {
     pub fn enable_set_bits(&mut self, stride: usize) {
         self.words = vec![0; self.words_valid.len() * stride];
         self.words_stride = stride;
+    }
+
+    /// Hands out the parked marker block as `words` zeroed words (a
+    /// construction-time allocation when the block is absent or too small,
+    /// none when a recycled arena brought one along; zero words never
+    /// allocates).
+    pub fn take_marker_words(&mut self, words: usize) -> Vec<u64> {
+        let mut block = std::mem::take(&mut self.marker_words);
+        block.clear();
+        block.resize(words, 0);
+        block
+    }
+
+    /// Parks a marker block for the arena's next kernel.
+    pub fn put_marker_words(&mut self, block: Vec<u64>) {
+        self.marker_words = block;
     }
 
     /// The sealed result bitmap row of slot `(set, u)`, if its last

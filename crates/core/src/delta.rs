@@ -92,6 +92,11 @@ impl DeltaPlans {
     pub fn num_plans(&self) -> usize {
         self.anchored.len()
     }
+
+    /// The anchored plans, one per pattern edge.
+    pub fn plans(&self) -> impl Iterator<Item = &MatchPlan> {
+        self.anchored.iter().map(|(_, _, plan)| plan)
+    }
 }
 
 /// One side of a batch, staged: stage `s` matches update edge `edges[s]`

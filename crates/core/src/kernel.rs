@@ -56,6 +56,7 @@ use crate::fault::FaultPlan;
 use crate::setops;
 use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::Warp;
+use stmatch_graph::bitmap::word_probe;
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SpecShape, NO_POS};
 use stmatch_pattern::symmetry::Bound;
@@ -162,14 +163,16 @@ pub struct WarpKernel<'a> {
     /// The warp's flat candidate-set slab (the paper's `C` array).
     storage: StackArena,
     /// `batch[l]` = candidate vertices claimed for position `l-1` (the
-    /// unroll slots of level `l`); `batch[0]` unused.
-    batch: Vec<Vec<VertexId>>,
+    /// unroll slots of level `l`); `batch[0]` unused. Like the cursors
+    /// below, fixed arrays inside the kernel: the per-level state is the
+    /// paper's shared memory, not heap.
+    batch: [Batch; MAX_PATTERN_SIZE + 1],
     /// Current unroll slot per level.
-    uiter: Vec<usize>,
+    uiter: [usize; MAX_PATTERN_SIZE + 1],
     /// Next candidate index within the current slot per level.
-    iter: Vec<usize>,
+    iter: [usize; MAX_PATTERN_SIZE + 1],
     /// Vertex currently matched at each position.
-    matched: Vec<VertexId>,
+    matched: [VertexId; MAX_PATTERN_SIZE],
     /// Level at which the current work item entered (0 for chunks,
     /// `payload.target` for stolen work).
     entry: usize,
@@ -184,6 +187,12 @@ pub struct WarpKernel<'a> {
     /// writes straight into the arena, so these only hold intermediates.
     ping: Vec<Vec<VertexId>>,
     pong: Vec<Vec<VertexId>>,
+    /// Bitmap rows of the loop-invariant neighbor lists that lifted
+    /// intersections re-read (see [`Marker`]).
+    marker: Marker<'a>,
+    /// What the last-level closed form remembers of a lifted candidate list
+    /// (see [`LiftedCursor`]).
+    lifted: LiftedCursor,
     /// Valid last-level candidates scratch (enumeration only).
     emit_tail: Vec<VertexId>,
     /// Claims so far (deadline polls every 4096; also the fault-injection
@@ -281,23 +290,32 @@ impl<'a> WarpKernel<'a> {
             // path allocation-free.
             storage.enable_set_bits(hx.stride());
         }
+        let bc = plan.bytecode();
+        // With an index routed, input rows come from it (hub rows, sealed
+        // result rows) exactly as before; the marker serves the launches
+        // that carry no rows at all.
+        let marked = if hubs.is_none() { bc.marked() } else { 0 };
+        let stride = g.num_vertices().div_ceil(64);
+        let words = storage.take_marker_words(marked.count_ones() as usize * stride);
         WarpKernel {
             g,
             plan,
-            bc: plan.bytecode(),
+            bc,
             cfg,
             board,
             warp_id,
             k,
             stop: board.stop(),
             storage,
-            batch: vec![Vec::with_capacity(unroll); k + 1],
-            uiter: vec![0; k + 1],
-            iter: vec![0; k + 1],
-            matched: vec![0; k],
+            batch: [Batch::EMPTY; MAX_PATTERN_SIZE + 1],
+            uiter: [0; MAX_PATTERN_SIZE + 1],
+            iter: [0; MAX_PATTERN_SIZE + 1],
+            matched: [0; MAX_PATTERN_SIZE],
             entry: 0,
             ping: vec![Vec::new(); unroll],
             pong: vec![Vec::new(); unroll],
+            marker: Marker::new(marked, stride, words),
+            lifted: LiftedCursor::default(),
             emit_tail: Vec::new(),
             claims: 0,
             publishes: 0,
@@ -440,6 +458,8 @@ impl<'a> WarpKernel<'a> {
     /// leaving a zero-capacity placeholder behind. Call only when the
     /// kernel is done running.
     pub fn take_arena(&mut self) -> StackArena {
+        self.storage
+            .put_marker_words(std::mem::take(&mut self.marker).words);
         std::mem::replace(&mut self.storage, StackArena::new(0, 1, 0))
     }
 
@@ -494,9 +514,7 @@ impl<'a> WarpKernel<'a> {
             self.batch[l].push(self.matched[l - 1]);
             self.uiter[l] = 0;
             self.iter[l] = 0;
-            let b = std::mem::take(&mut self.batch[l]);
-            self.compute_sets_dispatch(warp, l, &b);
-            self.batch[l] = b;
+            self.compute_sets_dispatch(warp, l);
         }
         let mut m = self.board.mirror(self.warp_id).lock();
         m.clear();
@@ -620,7 +638,7 @@ impl<'a> WarpKernel<'a> {
             if self.cancelled() {
                 return false;
             }
-            if self.uiter[l] >= self.batch[l].len() {
+            if self.uiter[l] >= self.batch[l].len {
                 return false;
             }
             let (cid, slot) = self.candidate_location(l, self.uiter[l]);
@@ -630,8 +648,8 @@ impl<'a> WarpKernel<'a> {
                 // moves the matched vertex at position l-1 (Fig. 7 line 22).
                 self.uiter[l] += 1;
                 self.iter[l] = 0;
-                if self.uiter[l] < self.batch[l].len() {
-                    self.matched[l - 1] = self.batch[l][self.uiter[l]];
+                if self.uiter[l] < self.batch[l].len {
+                    self.matched[l - 1] = self.batch[l].slots[self.uiter[l]];
                 }
                 continue;
             }
@@ -645,8 +663,12 @@ impl<'a> WarpKernel<'a> {
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
             let next = &mut self.batch[l + 1];
             next.clear();
-            next.extend(claimed.iter().filter(|&&v| vy.check(g, matched, v)));
-            if !next.is_empty() {
+            for &v in claimed {
+                if vy.check(g, matched, v) {
+                    next.push(v);
+                }
+            }
+            if next.len != 0 {
                 return true;
             }
         }
@@ -656,13 +678,11 @@ impl<'a> WarpKernel<'a> {
     /// first slot, computes all of the level's sets for every slot, and
     /// publishes the stealable state when `l` is shallow.
     fn begin_level(&mut self, warp: &mut Warp, l: usize) {
-        debug_assert!(!self.batch[l].is_empty());
+        debug_assert!(self.batch[l].len != 0);
         self.uiter[l] = 0;
         self.iter[l] = 0;
-        self.matched[l - 1] = self.batch[l][0];
-        let b = std::mem::take(&mut self.batch[l]);
-        self.compute_sets_dispatch(warp, l, &b);
-        self.batch[l] = b;
+        self.matched[l - 1] = self.batch[l].slots[0];
+        self.compute_sets_dispatch(warp, l);
         // One mirror lock publishes the whole stealable view of the level:
         // `matched[l-1]`, plus level `l`'s iteration range when `l` itself
         // is shallow. Publishing after `compute_sets` is safe: a stealer
@@ -682,7 +702,7 @@ impl<'a> WarpKernel<'a> {
             m.matched[l - 1] = if l == 1 {
                 self.l0_index as VertexId
             } else {
-                self.batch[l][0]
+                self.batch[l].slots[0]
             };
             if let Some(size) = size {
                 m.iter[l] = 0;
@@ -735,7 +755,13 @@ impl<'a> WarpKernel<'a> {
     /// promoted and specializable; the interpreter otherwise. The tier read
     /// is one relaxed atomic load per level entry; a stale tier-0 snapshot
     /// just interprets one more level, which is metric-identical.
-    fn compute_sets_dispatch(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
+    fn compute_sets_dispatch(&mut self, warp: &mut Warp, level: usize) {
+        if self.bc.instrs_at(level).is_empty() {
+            // The level's candidate was lifted to an earlier level.
+            return;
+        }
+        let batch = self.batch[level];
+        let bat = batch.as_slice();
         if let Some(c) = self.compiled {
             if c.tier() == Tier::Specialized && self.compute_sets_specialized(warp, level, bat, c) {
                 return;
@@ -761,8 +787,15 @@ impl<'a> WarpKernel<'a> {
     /// the slab's own sealed result row; and the slots of a neighbor-based
     /// chain whose base and every step operand are hubs skip the element
     /// stream and run the whole chain fused in the bitmap domain once its
-    /// last step has landed. Without an index every row is `None` and each
-    /// call is the classic element-path call.
+    /// last step has landed.
+    ///
+    /// Without an index the only rows are the kernel's own: an intersection
+    /// whose input is a lifted verbatim neighbor list
+    /// ([`Instr::lifted_list_pos`](stmatch_pattern::Instr::lifted_list_pos))
+    /// brings that list's [`Marker`] row as the input row of every slot, so
+    /// slots whose operand is the shorter side stream it against the row
+    /// instead of walking the long list again. Every other call is the
+    /// classic element-path call.
     fn compute_sets(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
         let m = bat.len();
         debug_assert!(m >= 1 && m <= self.cfg.unroll);
@@ -770,8 +803,7 @@ impl<'a> WarpKernel<'a> {
         let hubs = self.hubs;
         let tuning = self.cfg.setops;
         // Small copy of the matched prefix so no closure needs `self`.
-        let mut matched = [0 as VertexId; MAX_PATTERN_SIZE];
-        matched[..self.k].copy_from_slice(&self.matched);
+        let matched = self.matched;
         let vertex_at = |pos: usize, u: usize| -> VertexId {
             if pos == level - 1 {
                 bat[u]
@@ -863,7 +895,20 @@ impl<'a> WarpKernel<'a> {
                     // dependency slots are read through its read view.
                     let (read, mut sink) = self.storage.split_for_write(dst, m);
                     let mut inputs = [EMPTY; MAX_UNROLL];
-                    let mut input_rows = hubs.map(|_| no_bits);
+                    // One lifted list serves the whole batch: its marker
+                    // row is every slot's input row (no index routed).
+                    let mut input_rows = match ins.lifted_list_pos(level) {
+                        Some(p) if hubs.is_none() => {
+                            let list = g.neighbors(matched[p]);
+                            debug_assert_eq!(
+                                read.slot(dep, self.uiter[dep_level]),
+                                list,
+                                "dep_pos names another list"
+                            );
+                            Some([Some(self.marker.row(p, list)); MAX_UNROLL])
+                        }
+                        _ => hubs.map(|_| no_bits),
+                    };
                     for (u, inp) in inputs.iter_mut().enumerate().take(m) {
                         let slot = if dep_level == level {
                             u
@@ -1045,8 +1090,7 @@ impl<'a> WarpKernel<'a> {
         debug_assert_eq!(bc.num_sets(), NUM_SETS);
         let g = self.g;
         const EMPTY: &[VertexId] = &[];
-        let mut matched = [0 as VertexId; MAX_PATTERN_SIZE];
-        matched[..self.k].copy_from_slice(&self.matched);
+        let matched = self.matched;
         let prog = bc.instrs_at(level);
         debug_assert!(prog.len() <= NUM_SETS);
         for ins in prog {
@@ -1069,39 +1113,32 @@ impl<'a> WarpKernel<'a> {
     /// candidates of every slot instead of iterating them (Fig. 3 line 16).
     ///
     /// The counting path exploits sortedness: the symmetry bounds select a
-    /// contiguous window of the candidate list (one `partition_point` per
-    /// bound) and injectivity subtracts the matched vertices of the level's
-    /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions found
-    /// in it by binary search — `O(popcount(inj) · log n)` per slot instead
-    /// of a linear scan. A lifted candidate list (computed at an earlier
-    /// level) is one list for the whole batch, and only position `l - 1`
-    /// moves with the slot: the other positions are located in it once per
-    /// batch and each slot compares their indices against its window.
+    /// contiguous window of the candidate list and injectivity subtracts the
+    /// matched vertices of the level's
+    /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions that sit
+    /// inside it. A list computed at this level is a fresh list per slot and
+    /// is searched per slot ([`count_valid_sorted`]: one `partition_point`
+    /// per bound, one binary search per `inj` position). A lifted list
+    /// (computed at an earlier level) is a loop invariant: one list for
+    /// every slot of every batch under the same matched prefix, with only
+    /// position `l - 1` moving — and moving upwards. It is searched once per
+    /// prefix and then walked ([`LiftedCursor`]): a slot costs a few
+    /// compares.
     /// The simulated cost is unchanged: the warp still issues the same
     /// count-pass waves over every element (`simt_for`), exactly as the
     /// per-element path would.
     fn count_last_level(&mut self, warp: &mut Warp) {
         let l = self.k - 1;
-        let slots = self.batch[l].len();
+        let slots = self.batch[l].len;
         let vy = self.validity(l);
         let closed_form = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
-        // What the closed form looks up per slot, and where the rest sits.
-        let mut search = vy.inj;
-        let mut found = [0usize; MAX_PATTERN_SIZE];
-        let mut n_found = 0usize;
         if closed_form && self.bc.candidate(l).1 != l {
-            search &= 1 << (l - 1);
-            let shared = self.candidate_list(l, 0);
-            for pos in positions(vy.inj & !search) {
-                if let Ok(i) = shared.binary_search(&self.matched[pos]) {
-                    found[n_found] = i;
-                    n_found += 1;
-                }
-            }
+            self.pending_matches += self.count_lifted(warp, l, &vy);
+            return;
         }
         let mut total = 0u64;
         for u in 0..slots {
-            self.matched[l - 1] = self.batch[l][u];
+            self.matched[l - 1] = self.batch[l].slots[u];
             let (cid, slot) = self.candidate_location(l, u);
             let g = self.g;
             let matched = &self.matched;
@@ -1127,7 +1164,10 @@ impl<'a> WarpKernel<'a> {
                 total += setops::count_with(warp, cl, |v| vy.check(g, matched, v));
             } else {
                 warp.simt_for(cl.len(), |_| {});
-                let n = count_valid_sorted(cl, matched, vy.bounds, search, &found[..n_found]);
+                // Not a debug_assert: a release build would otherwise wrap
+                // the subtraction into ~2^64 matches.
+                let n = count_valid_sorted(cl, matched, &vy)
+                    .unwrap_or_else(|| closed_form_underflow(l, matched, cl));
                 debug_assert_eq!(
                     n,
                     cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64
@@ -1136,6 +1176,34 @@ impl<'a> WarpKernel<'a> {
             }
         }
         self.pending_matches += total;
+    }
+
+    /// The closed-form count of a batch whose candidate list is lifted: one
+    /// list for every slot, keyed and searched once per matched prefix, then
+    /// walked by the slots' ascending vertices ([`LiftedCursor`]).
+    fn count_lifted(&mut self, warp: &mut Warp, l: usize, vy: &Validity<'a>) -> u64 {
+        let (cid, slot) = self.candidate_location(l, 0);
+        let cl = self.storage.slot(cid, slot);
+        self.lifted
+            .rekey(cl, self.l0_index, &self.matched[..l - 1], vy);
+        let mut total = 0u64;
+        for u in 0..self.batch[l].len {
+            let m = self.batch[l].slots[u];
+            self.matched[l - 1] = m;
+            warp.simt_for(cl.len(), |_| {});
+            let n = self
+                .lifted
+                .count(cl, m)
+                .unwrap_or_else(|| closed_form_underflow(l, &self.matched, cl));
+            debug_assert_eq!(
+                n,
+                cl.iter()
+                    .filter(|&&v| vy.check(self.g, &self.matched, v))
+                    .count() as u64
+            );
+            total += n;
+        }
+        total
     }
 
     /// Validity of candidate `v` at position `l`: label (level 0 only —
@@ -1221,22 +1289,213 @@ impl<'p> Validity<'p> {
     }
 }
 
+/// One level's claimed unroll slots: up to `MAX_UNROLL` vertices, in place.
+#[derive(Clone, Copy)]
+struct Batch {
+    slots: [VertexId; MAX_UNROLL],
+    len: usize,
+}
+
+impl Batch {
+    const EMPTY: Batch = Batch {
+        slots: [0; MAX_UNROLL],
+        len: 0,
+    };
+
+    #[inline]
+    fn as_slice(&self) -> &[VertexId] {
+        &self.slots[..self.len]
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    #[inline]
+    fn push(&mut self, v: VertexId) {
+        self.slots[self.len] = v;
+        self.len += 1;
+    }
+}
+
+/// The row the graph does not carry: per marked position `p`
+/// ([`PlanBytecode::marked`]), one `⌈n/64⌉`-word bitmap row holding the bits
+/// of the neighbor list `N(matched[p])` that lifted intersections re-read —
+/// a loop invariant of every level below the one that fixes `matched[p]`.
+/// Rows are rebuilt lazily, at the consumer: [`Marker::row`] compares the
+/// identity of the list it is asked for with the one it holds, so a moved
+/// vertex, another stage view's row for the same vertex and a freshly
+/// installed stack all re-key it without being told. The words are lent by
+/// the warp's arena, so a warm pool recycles them.
+#[derive(Default)]
+struct Marker<'a> {
+    /// One `stride`-word row per set bit of `positions`, in position order.
+    words: Vec<u64>,
+    stride: usize,
+    positions: u8,
+    /// `lists[p]`: the neighbor list whose bits position `p`'s row holds
+    /// (empty: an all-zero row).
+    lists: [&'a [VertexId]; MAX_PATTERN_SIZE],
+}
+
+impl<'a> Marker<'a> {
+    /// `words` must hold `positions.count_ones() * stride` zeroed words.
+    fn new(positions: u8, stride: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), positions.count_ones() as usize * stride);
+        debug_assert!(words.iter().all(|&w| w == 0));
+        Marker {
+            words,
+            stride,
+            positions,
+            lists: [&[]; MAX_PATTERN_SIZE],
+        }
+    }
+
+    /// Position `p`'s row, holding exactly the bits of `list`. Neighbor
+    /// lists are immutable for the launch lifetime (staged views included),
+    /// so pointer and length identify one: an unchanged list costs one
+    /// compare, a changed one is re-marked sparsely — the old list's words
+    /// cleared by walking it again, the new one's set.
+    fn row(&mut self, p: usize, list: &'a [VertexId]) -> &[u64] {
+        debug_assert!(self.positions >> p & 1 == 1, "position {p} is not marked");
+        let rank = (self.positions & ((1 << p) - 1)).count_ones() as usize;
+        let row = &mut self.words[rank * self.stride..][..self.stride];
+        let old = std::mem::replace(&mut self.lists[p], list);
+        if !std::ptr::eq(old, list) {
+            for &v in old {
+                row[(v >> 6) as usize] = 0;
+            }
+            for &v in list {
+                row[(v >> 6) as usize] |= 1u64 << (v & 63);
+            }
+        }
+        debug_assert!(list.iter().all(|&v| word_probe(row, v)));
+        debug_assert_eq!(
+            row.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+            list.len()
+        );
+        row
+    }
+}
+
+/// What the last-level closed form remembers of a *lifted* candidate list.
+/// The list is a function of the stage view and the matched prefix below
+/// `l - 1` — the key — so everything that does not depend on the slot's own
+/// vertex `matched[l - 1]` is found once per key: the window left by the
+/// bounds on other positions and the list indices of the other injectivity
+/// positions' vertices. The slot's own vertex only ever asks where it would
+/// sit in the list, and it ascends through a batch and across the batches
+/// of one prefix, so one lower-bound cursor answers by moving forwards; it
+/// restarts when the vertex goes down (a requeued range) and is dropped
+/// with the rest when the key changes.
+#[derive(Clone, Copy, Default)]
+struct LiftedCursor {
+    /// False until the first lifted count.
+    keyed: bool,
+    /// The key: level-0 virtual index (a staged run's view) and
+    /// `matched[..here]`, `here = l - 1` being the slot's own position.
+    l0_index: usize,
+    prefix: [VertexId; MAX_PATTERN_SIZE],
+    /// What the level asks of position `l - 1` itself: `v < m`, `v > m`
+    /// (symmetry bounds) and `v != m` (injectivity).
+    less: bool,
+    greater: bool,
+    distinct: bool,
+    /// Window of the list clipped by the bounds on positions other than
+    /// `l - 1`.
+    lo: usize,
+    hi: usize,
+    /// List indices, inside the window, of the matched vertices at the
+    /// level's `inj` positions other than `l - 1`.
+    found: [usize; MAX_PATTERN_SIZE],
+    n_found: usize,
+    /// `cursor` is the first list index whose element is `≥ at`.
+    cursor: usize,
+    at: VertexId,
+}
+
+impl LiftedCursor {
+    /// Makes the cached searches those of `cl` under `prefix` on the view of
+    /// `l0_index`; a no-op while the key stands.
+    fn rekey(&mut self, cl: &[VertexId], l0_index: usize, prefix: &[VertexId], vy: &Validity<'_>) {
+        let here = prefix.len();
+        // (Element by element: a slice compare is a call, and this runs
+        // once per batch over three or four vertices.)
+        let same = |held: &[VertexId]| held.iter().zip(prefix).all(|(a, b)| a == b);
+        if self.keyed && self.l0_index == l0_index && same(&self.prefix) {
+            return;
+        }
+        self.keyed = true;
+        let on_here = |kind: Bound| vy.bounds.contains(&(here, kind));
+        (self.less, self.greater) = (on_here(Bound::Less), on_here(Bound::Greater));
+        self.distinct = vy.inj >> here & 1 == 1;
+        self.l0_index = l0_index;
+        self.prefix[..here].copy_from_slice(prefix);
+        (self.lo, self.hi) = (0, cl.len());
+        for &(pos, bound) in vy.bounds.iter().filter(|b| b.0 != here) {
+            match bound {
+                Bound::Less => self.hi = self.hi.min(cl.partition_point(|&v| v < prefix[pos])),
+                Bound::Greater => self.lo = self.lo.max(cl.partition_point(|&v| v <= prefix[pos])),
+            }
+        }
+        self.n_found = 0;
+        for pos in positions(vy.inj & !(1 << here)) {
+            if let Ok(i) = cl.binary_search(&prefix[pos]) {
+                if self.lo <= i && i < self.hi {
+                    self.found[self.n_found] = i;
+                    self.n_found += 1;
+                }
+            }
+        }
+        (self.cursor, self.at) = (0, 0);
+    }
+
+    /// Valid-candidate count of `cl` (the keyed list) for the slot whose
+    /// vertex at position `l - 1` is `m`; `None` when the subtraction would
+    /// underflow. One cursor position `c` (first `cl[c] ≥ m`) yields both
+    /// bound kinds on `l - 1` (`v < m` ends the window at `c`, `v > m`
+    /// starts it past a hit) and the injectivity hit there (`cl[c] == m`).
+    #[inline]
+    fn count(&mut self, cl: &[VertexId], m: VertexId) -> Option<u64> {
+        debug_assert!(self.keyed);
+        // Forwards only, so one key's slots walk the list at most once
+        // between restarts — no more than materializing it cost.
+        let mut c = if m < self.at { 0 } else { self.cursor };
+        while c < cl.len() && cl[c] < m {
+            c += 1;
+        }
+        (self.cursor, self.at) = (c, m);
+        let hit = c < cl.len() && cl[c] == m;
+        let hi = if self.less { self.hi.min(c) } else { self.hi };
+        let lo = if self.greater {
+            self.lo.max(c + usize::from(hit))
+        } else {
+            self.lo
+        };
+        if lo >= hi {
+            return Some(0);
+        }
+        let inside = |i: usize| lo <= i && i < hi;
+        let dup = self.found[..self.n_found]
+            .iter()
+            .filter(|&&i| inside(i))
+            .count()
+            + usize::from(self.distinct && hit && inside(c));
+        (hi - lo).checked_sub(dup).map(|n| n as u64)
+    }
+}
+
 /// Valid-candidate count of a strictly sorted candidate list, in closed
 /// form: every symmetry bound (`v < matched[pos]` / `v > matched[pos]`)
 /// clips a contiguous window of the sorted list, and injectivity removes
-/// the matched vertices that land inside the window — those at the `search`
-/// positions are looked up in it, those the caller already located sit at
-/// the list indices `found`.
-fn count_valid_sorted(
-    cl: &[VertexId],
-    matched: &[VertexId],
-    bounds: &[(usize, Bound)],
-    search: u8,
-    found: &[usize],
-) -> u64 {
+/// the matched vertices of the `inj` positions that land inside the window.
+/// `None` when the subtraction would underflow (a list that is not a
+/// strictly sorted set).
+fn count_valid_sorted(cl: &[VertexId], matched: &[VertexId], vy: &Validity<'_>) -> Option<u64> {
     let mut lo = 0usize;
     let mut hi = cl.len();
-    for &(pos, bound) in bounds {
+    for &(pos, bound) in vy.bounds {
         let m = matched[pos];
         match bound {
             Bound::Less => hi = hi.min(cl.partition_point(|&v| v < m)),
@@ -1244,12 +1503,242 @@ fn count_valid_sorted(
         }
     }
     if lo >= hi {
-        return 0;
+        return Some(0);
     }
     let window = &cl[lo..hi];
-    let dup = positions(search)
+    let dup = positions(vy.inj)
         .filter(|&pos| window.binary_search(&matched[pos]).is_ok())
-        .count()
-        + found.iter().filter(|&&i| lo <= i && i < hi).count();
-    (window.len() - dup) as u64
+        .count();
+    window.len().checked_sub(dup).map(|n| n as u64)
+}
+
+/// The closed-form last-level count went negative: fail the launch loudly
+/// rather than report a wrapped count.
+#[cold]
+fn closed_form_underflow(l: usize, matched: &[VertexId], cl: &[VertexId]) -> ! {
+    panic!(
+        "last-level closed form underflow at level {l}: more matched vertices than \
+         elements inside the bound window (the candidate list is not a strictly sorted \
+         set, or the matched prefix repeats a vertex)\n  reproduce: count the \
+         `Validity::check` survivors of candidate list {cl:?} under matched prefix {:?}",
+        &matched[..l]
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Engine;
+    use stmatch_gpusim::{Grid, GridConfig};
+    use stmatch_graph::gen;
+    use stmatch_pattern::catalog;
+
+    /// A row's set bits, ascending.
+    fn bits(row: &[u64]) -> Vec<VertexId> {
+        let bit = |v: &VertexId| word_probe(row, *v);
+        (0..row.len() as VertexId * 64).filter(bit).collect()
+    }
+
+    #[test]
+    fn the_marker_follows_the_list_it_is_asked_for() {
+        let g = gen::preferential_attachment(96, 4, 9).degree_ordered();
+        let stride = g.num_vertices().div_ceil(64);
+        // Positions 0 and 2 marked: two rows, in position order.
+        let mut m = Marker::new(0b101, stride, vec![0; 2 * stride]);
+        let (a, b) = (g.neighbors(0), g.neighbors(1));
+        assert_ne!(a, b);
+        assert_eq!(bits(m.row(0, a)), a);
+        assert_eq!(bits(m.row(2, b)), b);
+        // The vertex at a position moves: its row is re-keyed, the other
+        // position's row is left alone.
+        assert_eq!(bits(m.row(0, b)), b);
+        assert_eq!(bits(m.row(2, b)), b);
+        assert_eq!(bits(m.row(0, &[])), []);
+        // Two stage views give one vertex different rows (the deletes share
+        // an endpoint): same vertex, other list, and the marker follows.
+        let hub: VertexId = 0;
+        let lost = [(hub, a[0]), (hub, a[1]), (hub, a[2])];
+        let views = g.staged_without_edges(&lost);
+        for view in &views {
+            let row = view.neighbors(hub);
+            assert_eq!(bits(m.row(0, row)), row);
+        }
+        assert_ne!(views[0].neighbors(hub), views[2].neighbors(hub));
+        // An equal list elsewhere in memory is a different identity, and
+        // re-marking it lands on the same bits.
+        let copy = views[2].neighbors(hub).to_vec();
+        assert_eq!(bits(m.row(0, &copy)), copy);
+    }
+
+    /// Runs `body` with warp 0's kernel for `plan` on `g`, on a one-warp
+    /// steal-free grid, and returns the matches the warp committed.
+    fn with_kernel(
+        g: &Graph,
+        plan: &MatchPlan,
+        body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
+    ) -> u64 {
+        let mut cfg = EngineConfig::default().with_grid(GridConfig {
+            num_blocks: 1,
+            warps_per_block: 1,
+            shared_mem_per_block: 100 * 1024,
+        });
+        cfg.local_steal = false;
+        cfg.global_steal = false;
+        let stop = cfg.effective_stop(plan.num_levels());
+        let board = Board::new(1, 1, stop, (0, g.num_vertices()), cfg.chunk_size);
+        let env = KernelEnv {
+            graph: g,
+            plan,
+            cfg: &cfg,
+            hubs: None,
+            compiled: None,
+            slab_caps: None,
+            l0: Level0Map::Identity,
+            enumerate: false,
+        };
+        let grid = Grid::new(cfg.grid).unwrap();
+        let metrics = grid.launch(|warp| {
+            let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
+            body(&mut kernel, warp);
+        });
+        metrics.matches()
+    }
+
+    /// Marker rows and the last-level cursor outlive a work item, so a
+    /// kernel that is handed its work in an unhelpful order — level-0
+    /// indices descending, every stolen level-1 range upper half first —
+    /// must re-key both at each `install` and restart the cursor when a
+    /// range brings the vertices back down. The pieces tile the whole-graph
+    /// run exactly. (A debug build also cross-checks every marker row and
+    /// every closed-form count against the per-element reference.)
+    #[test]
+    fn installed_work_rekeys_the_marker_and_the_cursor() {
+        let g = gen::preferential_attachment(64, 5, 21).degree_ordered();
+        let n = g.num_vertices();
+        // q1: lifted last level under a bound on `l - 1`; q4: lifted last
+        // level with no such bound; q3, q6, q2: marked intersections (q2
+        // with both bound kinds at the last level).
+        for q in [1, 4, 3, 6, 2] {
+            let plan = Engine::new(EngineConfig::default()).compile(&catalog::paper_query(q));
+            let lifted =
+                plan.bytecode().candidate(plan.num_levels() - 1).1 != plan.num_levels() - 1;
+            assert!(
+                lifted || plan.bytecode().marked() != 0,
+                "q{q} exercises neither"
+            );
+            let whole = with_kernel(&g, &plan, |kernel, warp| {
+                kernel.install(warp, &StealPayload::chunk(0, n));
+                kernel.run(warp);
+            });
+            assert!(whole > 0, "q{q}");
+            let pieces = with_kernel(&g, &plan, |kernel, warp| {
+                for idx in (0..n).rev() {
+                    let stolen = |lo, hi| StealPayload {
+                        target: 1,
+                        matched: vec![idx as VertexId],
+                        lo,
+                        hi,
+                    };
+                    // An empty range installs the prefix (and computes level
+                    // 1's sets), which is how the range's length is known.
+                    kernel.install(warp, &stolen(0, 0));
+                    let len = kernel.candidate_list(1, 0).len();
+                    for (lo, hi) in [(len / 2, len), (0, len / 2)] {
+                        kernel.install(warp, &stolen(lo, hi));
+                        kernel.run(warp);
+                    }
+                }
+            });
+            assert_eq!(pieces, whole, "q{q}");
+        }
+    }
+
+    /// Brute-force count of the candidates `vy` admits.
+    fn survivors(vy: &Validity<'_>, cl: &[VertexId], matched: &[VertexId]) -> Option<u64> {
+        let g = gen::complete(2); // only asked for labels, and `resid` is off
+        Some(cl.iter().filter(|&&v| vy.check(&g, matched, v)).count() as u64)
+    }
+
+    #[test]
+    fn the_cursor_restarts_on_a_descending_vertex_and_is_dropped_with_its_key() {
+        let cl: Vec<VertexId> = (2..40).step_by(2).collect();
+        // Level 3 (`here` = 2): v > matched[0], and at `here` itself either
+        // bound kind or plain injectivity.
+        for (bounds, inj) in [
+            (vec![(0, Bound::Greater), (2, Bound::Less)], 0b010u8),
+            (vec![(0, Bound::Greater), (2, Bound::Greater)], 0b010),
+            (vec![(0, Bound::Greater)], 0b110),
+        ] {
+            let vy = Validity {
+                resid: None,
+                inj,
+                bounds: &bounds,
+                pin: None,
+            };
+            let mut cur = LiftedCursor::default();
+            let mut matched = [6, 10, 0, 0];
+            cur.rekey(&cl, 0, &matched[..2], &vy);
+            // Ascending vertices (hits and misses, past both ends), then
+            // back down: every count is the brute-force one.
+            for m in [1, 2, 3, 12, 12, 13, 38, 50, 7, 0, 20] {
+                matched[2] = m;
+                let was = cur.cursor;
+                assert_eq!(
+                    cur.count(&cl, m),
+                    survivors(&vy, &cl, &matched),
+                    "{bounds:?} m={m}"
+                );
+                assert!(
+                    cur.cursor >= was || m < 50,
+                    "only a descent moves the cursor back"
+                );
+            }
+            // The key stands: nothing is searched again, the cursor stays.
+            let held = cur.cursor;
+            assert!(held > 0);
+            cur.rekey(&cl, 0, &matched[..2], &vy);
+            assert_eq!(cur.cursor, held);
+            // Another prefix or another stage view is another list (the
+            // list is a function of the key): dropped.
+            for (l0, prefix, list) in [
+                (0, [4, 10], &cl[..]),
+                (1, [4, 10], &cl[3..]),
+                (1, [4, 14], &cl[..5]),
+            ] {
+                matched[..2].copy_from_slice(&prefix);
+                cur.rekey(list, l0, &prefix, &vy);
+                assert_eq!(cur.cursor, 0);
+                for m in [9, 12, 30] {
+                    matched[2] = m;
+                    assert_eq!(cur.count(list, m), survivors(&vy, list, &matched));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_closed_form_refuses_to_wrap() {
+        // A matched prefix that repeats a vertex finds it twice in a
+        // one-element window: 1 - 2 must be `None`, not 2^64 - 1.
+        let vy = Validity {
+            resid: None,
+            inj: 0b011,
+            bounds: &[],
+            pin: None,
+        };
+        let (cl, matched) = ([5], [5, 5, 9]);
+        assert_eq!(count_valid_sorted(&cl, &matched, &vy), None);
+        let mut cur = LiftedCursor::default();
+        cur.rekey(&cl, 0, &matched[..2], &vy);
+        assert_eq!(cur.count(&cl, 9), None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "reproduce: count the `Validity::check` survivors of candidate list [5] \
+                               under matched prefix [5, 5]"
+    )]
+    fn an_underflow_fails_the_launch_by_name() {
+        closed_form_underflow(2, &[5, 5, 9], &[5]);
+    }
 }

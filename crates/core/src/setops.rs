@@ -34,15 +34,21 @@
 //! knob). An empty operand short-circuits the probe entirely: intersection
 //! drops every element, difference keeps every element.
 //!
-//! **Hub-bitmap paths.** When the graph carries a
-//! [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex), two further
-//! algorithms become available through [`choose_algo_hub`]:
+//! **Bitmap-row paths.** A slot may bring a bitmap row for either side:
+//! rows of the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
+//! and sealed arena result rows when the launch routes an index, or — with
+//! no index — the kernel's per-warp *marker* row of a loop-invariant
+//! neighbor list that a lifted intersection re-reads (DESIGN.md §4c; marker
+//! rows only ever sit on the input side). Two further algorithms become
+//! available through [`choose_algo_hub`]:
 //!
-//! * [`SetOpAlgo::BitmapProbe`] — the operand is a hub row; each input
-//!   element resolves membership with one O(1) word probe. This is still
-//!   an element-domain slot, so wave/scan/ballot accounting stays
-//!   **identical** to the classic paths (only the host cost and the
-//!   `bitmap_probe_words` counter, `|A|` per slot, change).
+//! * [`SetOpAlgo::BitmapProbe`] — one O(1) word probe per streamed element,
+//!   streaming the *shorter* side against the other side's row: the input
+//!   against the operand's row (`bitmap_probe_words` counts these, `|A|` per
+//!   slot), or, for an intersection whose operand is shorter than its input,
+//!   the operand against the input's row. Either way this is still an
+//!   element-domain slot of `|A|` lanes, so wave/scan/ballot accounting
+//!   stays **identical** to the classic paths — only the host cost changes.
 //! * [`SetOpAlgo::BitmapMerge`] — both sides are bitmap rows; the op is a
 //!   stream of word ANDs, 32 words per wave, survivors extracted from the
 //!   result words. This path deliberately changes the simulated wave
@@ -151,8 +157,9 @@ pub enum SetOpAlgo {
     Merge,
     /// Galloping (exponential) search from the monotone cursor.
     Gallop,
-    /// O(1) word probe of each streamed element against the operand's
-    /// hub-bitmap row. Requires operand bits; chosen by
+    /// O(1) word probe of each streamed element against the other side's
+    /// bitmap row: the input against the operand's row, or the (shorter)
+    /// operand of an intersection against the input's row. Chosen by
     /// [`choose_algo_hub`] only.
     BitmapProbe,
     /// Word-parallel bitmap ∩/∖ bitmap, 32 words per wave. Requires bits
@@ -232,7 +239,7 @@ pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetO
     }
 }
 
-/// [`choose_algo`] extended with the hub-bitmap paths. `stride_words` is
+/// [`choose_algo`] extended with the bitmap-row paths. `stride_words` is
 /// the bitmap row length in words; `has_input_bits` / `has_operand_bits`
 /// say which side of the op has a row available. Exact rules (asserted by
 /// `choose_algo_hub_crossovers_match_docs`):
@@ -241,12 +248,19 @@ pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetO
 ///   [`SetOpAlgo::BitmapMerge`] needs both rows, falling back to
 ///   [`SetOpAlgo::BitmapProbe`] with only an operand row and to the
 ///   classic ladder (force cleared) with neither; a forced `BitmapProbe`
-///   needs an operand row. Forced classic algorithms pass through.
+///   needs an operand row. Forced classic algorithms pass through. A forced
+///   algorithm never streams the operand.
 /// * Both rows present and `stride_words ≤ |A| + |B|` → `BitmapMerge`:
 ///   word-ANDing the rows touches no more words than the lists have
 ///   elements.
 /// * Operand row present and `|B| ≥ bitmap_ratio · |A|` (inclusive,
-///   saturating) → `BitmapProbe`.
+///   saturating) → `BitmapProbe`: the input streams against the operand's
+///   row.
+/// * Input row present, `kind` is `Intersect` and `|B| < |A|` →
+///   `BitmapProbe` too, the other way round ([`streams_operand`]): an
+///   intersection is symmetric, so the shorter operand streams and the
+///   input only answers probes. A difference must visit every input
+///   element and stays on the ladder.
 /// * Otherwise → the classic [`choose_algo`] ladder.
 pub fn choose_algo_hub(
     input_len: usize,
@@ -254,6 +268,7 @@ pub fn choose_algo_hub(
     stride_words: usize,
     has_input_bits: bool,
     has_operand_bits: bool,
+    kind: OpKind,
     t: SetOpTuning,
 ) -> SetOpAlgo {
     if let Some(f) = t.force {
@@ -271,11 +286,28 @@ pub fn choose_algo_hub(
     }
     if has_input_bits && has_operand_bits && stride_words <= input_len + operand_len {
         SetOpAlgo::BitmapMerge
-    } else if has_operand_bits && operand_len >= input_len.saturating_mul(t.bitmap_ratio) {
+    } else if (has_operand_bits && operand_len >= input_len.saturating_mul(t.bitmap_ratio))
+        || streams_operand(input_len, operand_len, has_input_bits, kind, t)
+    {
         SetOpAlgo::BitmapProbe
     } else {
         choose_algo(input_len, operand_len, t)
     }
+}
+
+/// Which side a [`SetOpAlgo::BitmapProbe`] slot streams: true when it walks
+/// the operand and probes the input's row — an unforced intersection whose
+/// operand is the shorter list and whose input has a row. Otherwise the
+/// probe walks the input against the operand's row.
+#[inline]
+fn streams_operand(
+    input_len: usize,
+    operand_len: usize,
+    has_input_bits: bool,
+    kind: OpKind,
+    t: SetOpTuning,
+) -> bool {
+    t.force.is_none() && has_input_bits && kind == OpKind::Intersect && operand_len < input_len
 }
 
 /// First index `i ≥ lo` with `ops[i] ≥ value`, found by exponential
@@ -397,12 +429,13 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     )
 }
 
-/// [`apply_op_into`] with optional hub-bitmap rows per slot.
+/// [`apply_op_into`] with optional bitmap rows per slot.
 ///
 /// `input_bits[u]` / `operand_bits[u]`, when `Some`, must denote exactly
 /// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
 /// rows from the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
-/// only for lists that *are* hub neighborhoods). [`choose_algo_hub`] picks
+/// only for lists that *are* hub neighborhoods, sealed arena rows, or its
+/// own marker of the list the input equals). [`choose_algo_hub`] picks
 /// per slot; each element-domain slot (everything but `BitmapMerge`) runs
 /// its own membership loop and together they are charged as one combined
 /// Fig. 8 stream over their input lengths ([`stream_accounting`]), and
@@ -441,6 +474,7 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
             stride,
             input_bits[u].is_some(),
             operand_bits[u].is_some(),
+            kind,
             tuning,
         );
         if algo[u] == SetOpAlgo::BitmapMerge {
@@ -448,8 +482,11 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
             continue;
         }
         if ops.is_empty() {
-            // Empty operand: ∩ drops everything, − keeps everything.
-            filter_slot(out, u, inp, |v| pass(v, false));
+            // Empty operand: ∩ drops everything (the slot stays as `begin`
+            // left it), − keeps everything.
+            if !want {
+                filter_slot(out, u, inp, |v| pass(v, false));
+            }
             continue;
         }
         match algo[u] {
@@ -457,6 +494,13 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
                 filter_slot(out, u, inp, |v| pass(v, ops.binary_search(&v).is_ok()))
             }
             SetOpAlgo::Merge => {
+                // ∩ keeps nothing past the operand's last element: stop
+                // there instead of walking the rest of the input.
+                let last = ops[ops.len() - 1];
+                let inp = match kind {
+                    OpKind::Intersect => &inp[..inp.partition_point(|&v| v <= last)],
+                    OpKind::Difference => inp,
+                };
                 let mut c = 0usize;
                 filter_slot(out, u, inp, |v| {
                     while c < ops.len() && ops[c] < v {
@@ -471,6 +515,15 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
                     c = gallop_to(ops, c, v);
                     pass(v, c < ops.len() && ops[c] == v)
                 })
+            }
+            SetOpAlgo::BitmapProbe
+                if streams_operand(inp.len(), ops.len(), input_bits[u].is_some(), kind, tuning) =>
+            {
+                // A ∩ B = B ∩ A: the shorter operand streams, ascending,
+                // against the input's row. Charged below as `|A|` lanes like
+                // any other element-domain slot.
+                let bits = input_bits[u].expect("streams_operand implies an input row");
+                filter_slot(out, u, ops, |v| pass(v, word_probe(bits, v)))
             }
             SetOpAlgo::BitmapProbe => {
                 let bits = operand_bits[u].expect("probe requires operand bits");
@@ -946,41 +999,60 @@ mod tests {
 
     #[test]
     fn choose_algo_hub_crossovers_match_docs() {
+        use OpKind::{Difference, Intersect};
         use SetOpAlgo::*;
         let t = SetOpTuning::default(); // bitmap_ratio = 1
-                                        // (|A|, |B|, stride, in_bits, op_bits, expected)
-        const TABLE: &[(usize, usize, usize, bool, bool, SetOpAlgo)] = &[
+        type Row = (usize, usize, usize, bool, bool, OpKind, SetOpAlgo);
+        // (|A|, |B|, stride, in_bits, op_bits, kind, expected)
+        const TABLE: &[Row] = &[
             // Both rows: merge iff stride ≤ |A| + |B| (inclusive).
-            (60, 60, 120, true, true, BitmapMerge),
-            (60, 60, 121, true, true, BitmapProbe), // stride too wide; probe still wins
+            (60, 60, 120, true, true, Intersect, BitmapMerge),
+            (60, 60, 121, true, true, Intersect, BitmapProbe), // stride too wide; probe still wins
             // Operand row only: probe iff |B| ≥ bitmap_ratio·|A| (inclusive).
-            (50, 50, 10, false, true, BitmapProbe),
-            (50, 49, 10, false, true, Merge), // |B| < |A| falls to the classic ladder
+            (50, 50, 10, false, true, Intersect, BitmapProbe),
+            (50, 50, 10, false, true, Difference, BitmapProbe),
+            (50, 49, 10, false, true, Intersect, Merge), // |B| < |A| falls to the classic ladder
             // No rows: the classic ladder verbatim.
-            (100, 400, 10, false, false, Merge),
-            (100, 401, 10, false, false, BinarySearch),
-            (100, 6400, 10, false, false, Gallop),
-            // Input row alone never helps (the probe needs the operand).
-            (50, 49, 2, true, false, Merge),
+            (100, 400, 10, false, false, Intersect, Merge),
+            (100, 401, 10, false, false, Intersect, BinarySearch),
+            (100, 6400, 10, false, false, Intersect, Gallop),
+            // Input row only: an intersection with a shorter operand streams
+            // the operand against it; a difference cannot, and neither can an
+            // operand at least as long as the input.
+            (50, 49, 2, true, false, Intersect, BitmapProbe),
+            (50, 49, 2, true, false, Difference, Merge),
+            (50, 50, 2, true, false, Intersect, Merge),
+            (50, 1, 2, true, false, Intersect, BitmapProbe),
         ];
-        for &(a, b, s, ib, ob, want) in TABLE {
+        for &(a, b, s, ib, ob, kind, want) in TABLE {
             assert_eq!(
-                choose_algo_hub(a, b, s, ib, ob, t),
+                choose_algo_hub(a, b, s, ib, ob, kind, t),
                 want,
-                "choose_algo_hub({a}, {b}, {s}, {ib}, {ob})"
+                "choose_algo_hub({a}, {b}, {s}, {ib}, {ob}, {kind:?})"
             );
         }
+        // Only the input-row probe streams the operand.
+        assert!(streams_operand(50, 49, true, Intersect, t));
+        assert!(!streams_operand(50, 49, false, Intersect, t));
         // Forced bitmap choices degrade to what the rows support.
+        let hub = |a, b, s, ib, ob, t| choose_algo_hub(a, b, s, ib, ob, Intersect, t);
         let fm = SetOpTuning::forced(BitmapMerge);
-        assert_eq!(choose_algo_hub(9, 9, 500, true, true, fm), BitmapMerge);
-        assert_eq!(choose_algo_hub(9, 9, 500, false, true, fm), BitmapProbe);
-        assert_eq!(choose_algo_hub(9, 9, 500, false, false, fm), Merge);
+        assert_eq!(hub(9, 9, 500, true, true, fm), BitmapMerge);
+        assert_eq!(hub(9, 9, 500, false, true, fm), BitmapProbe);
+        assert_eq!(hub(9, 9, 500, false, false, fm), Merge);
         let fp = SetOpTuning::forced(BitmapProbe);
-        assert_eq!(choose_algo_hub(9, 9, 1, true, true, fp), BitmapProbe);
-        assert_eq!(choose_algo_hub(9, 900, 1, true, false, fp), Gallop);
-        // Forced classic algorithms ignore available rows.
+        assert_eq!(hub(9, 9, 1, true, true, fp), BitmapProbe);
+        assert_eq!(hub(9, 900, 1, true, false, fp), Gallop);
+        // Forced classic algorithms ignore available rows, and no forced
+        // algorithm streams the operand.
         let fg = SetOpTuning::forced(Gallop);
-        assert_eq!(choose_algo_hub(9, 9, 1, true, true, fg), Gallop);
+        assert_eq!(hub(9, 9, 1, true, true, fg), Gallop);
+        assert_eq!(
+            hub(50, 49, 2, true, false, SetOpTuning::forced(Merge)),
+            Merge
+        );
+        assert_eq!(hub(50, 49, 2, true, false, fp), Merge);
+        assert!(!streams_operand(50, 49, true, Intersect, fp));
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! Streams are validated at lower time by the walk behind
 //! [`PlanBytecode::verify`] (which also derives each level's injectivity
-//! mask, [`LevelMeta::inj`]) — a malformed stream (out-of-range set ids,
+//! mask, [`LevelMeta::inj`], and the positions whose neighbor lists are
+//! re-read as lifted intersection inputs, [`PlanBytecode::marked`]) — a
+//! malformed stream (out-of-range set ids,
 //! forward dependencies, chains past [`MAX_PATTERN_SIZE`]) is rejected with
 //! a named [`BytecodeError`] instead of debug-asserting inside the
 //! interpreter.
@@ -95,6 +97,21 @@ pub struct Instr {
 }
 
 impl Instr {
+    /// The order position `p` when this instruction, run at `level`,
+    /// intersects a *lifted verbatim* input: `N(matched[p])` materialized at
+    /// an earlier level ([`Instr::dep_pos`] set, `dep_level < level`), hence
+    /// one list for every slot of every batch until `matched[p]` moves — the
+    /// loop invariant the kernel keeps a marker row for. `None` for every
+    /// other instruction.
+    #[inline]
+    pub fn lifted_list_pos(&self, level: usize) -> Option<usize> {
+        (self.code == OpCode::ApplyFromSet
+            && self.kind == OpKind::Intersect
+            && self.dep_pos != NO_POS
+            && (self.dep_level as usize) < level)
+            .then_some(self.dep_pos as usize)
+    }
+
     /// An instruction whose only operand is `N(vertex at pos)`: no set
     /// dependency. `write` is the mask of a final (arena) write, `None` for
     /// a step that stages an unfiltered intermediate.
@@ -196,6 +213,8 @@ pub enum BytecodeError {
     /// A level's recorded injectivity mask is not the one its stream and
     /// bounds derive.
     InjMismatch { level: usize },
+    /// The recorded marked-position mask is not the one the stream derives.
+    MarkedMismatch,
 }
 
 impl std::fmt::Display for BytecodeError {
@@ -267,6 +286,12 @@ impl std::fmt::Display for BytecodeError {
                     "bytecode: level {level} records an injectivity mask its stream does not derive"
                 )
             }
+            BytecodeError::MarkedMismatch => {
+                write!(
+                    f,
+                    "bytecode: records a marked-position mask its stream does not derive"
+                )
+            }
         }
     }
 }
@@ -294,6 +319,10 @@ pub struct PlanBytecode {
     bound_ptr: Vec<u32>,
     /// Number of sets the arena must hold (`NUM_SETS`).
     num_sets: u16,
+    /// Bit `p` is set when some instruction's [`Instr::lifted_list_pos`] is
+    /// `p`. Derived from the stream, never from the pattern, and re-derived
+    /// by [`PlanBytecode::verify`].
+    marked: u8,
     /// Detected specialization shape.
     shape: SpecShape,
 }
@@ -405,19 +434,22 @@ impl PlanBytecode {
             bounds,
             bound_ptr,
             num_sets: plan.num_sets() as u16,
+            marked: 0,
             shape: SpecShape::General,
         };
         bc.shape = bc.detect_shape();
-        bc.rederive_inj()?;
+        bc.rederive()?;
         Ok(bc)
     }
 
-    /// Records the injectivity masks the (validated) stream derives.
-    fn rederive_inj(&mut self) -> Result<(), BytecodeError> {
-        let inj = self.walk()?;
+    /// Records the injectivity masks and the marked positions the
+    /// (validated) stream derives.
+    fn rederive(&mut self) -> Result<(), BytecodeError> {
+        let (inj, marked) = self.walk()?;
         for (meta, inj) in self.levels.iter_mut().zip(inj) {
             meta.inj = inj;
         }
+        self.marked = marked;
         Ok(())
     }
 
@@ -431,6 +463,7 @@ impl PlanBytecode {
             bounds: Vec::new(),
             bound_ptr: Vec::new(),
             num_sets: 0,
+            marked: 0,
             shape: SpecShape::General,
         }
     }
@@ -457,18 +490,23 @@ impl PlanBytecode {
     /// Validates the stream with a small abstract machine: walks every level
     /// tracking the open-chain state and the set of already-written slabs,
     /// rejecting the first structural violation by name, and holds every
-    /// level's recorded [`LevelMeta::inj`] to the mask the walk derives.
+    /// level's recorded [`LevelMeta::inj`] and the recorded
+    /// [`PlanBytecode::marked`] to the masks the walk derives.
     pub fn verify(&self) -> Result<(), BytecodeError> {
-        let inj = self.walk()?;
-        match (0..self.levels.len()).find(|&l| self.levels[l].inj != inj[l]) {
-            Some(level) => Err(BytecodeError::InjMismatch { level }),
-            None => Ok(()),
+        let (inj, marked) = self.walk()?;
+        if let Some(level) = (0..self.levels.len()).find(|&l| self.levels[l].inj != inj[l]) {
+            return Err(BytecodeError::InjMismatch { level });
         }
+        if self.marked != marked {
+            return Err(BytecodeError::MarkedMismatch);
+        }
+        Ok(())
     }
 
     /// The abstract machine behind [`PlanBytecode::verify`]; a structurally
-    /// valid stream yields its per-level injectivity masks.
-    fn walk(&self) -> Result<[u8; MAX_PATTERN_SIZE], BytecodeError> {
+    /// valid stream yields its per-level injectivity masks and its
+    /// marked-position mask.
+    fn walk(&self) -> Result<([u8; MAX_PATTERN_SIZE], u8), BytecodeError> {
         let k = self.levels.len();
         let num_sets = self.num_sets as usize;
         if self.level_ptr.len() != k + 1
@@ -500,6 +538,7 @@ impl PlanBytecode {
             };
             num_sets
         ];
+        let mut marked = 0u8;
         for level in 0..k {
             let (lo, hi) = (self.level_ptr[level], self.level_ptr[level + 1]);
             if lo > hi {
@@ -585,6 +624,9 @@ impl PlanBytecode {
                             if ins.kind == OpKind::Intersect {
                                 acc |= 1 << ins.pos;
                             }
+                            if let Some(p) = ins.lifted_list_pos(level) {
+                                marked |= 1 << p;
+                            }
                         } else if ins.dep != NO_SET || ins.dep_pos != NO_POS {
                             return Err(BytecodeError::DepOutOfRange {
                                 instr: i,
@@ -631,7 +673,7 @@ impl PlanBytecode {
             let bounded = self.bounds(l).iter().fold(0u8, |m, &(pos, _)| m | 1 << pos);
             inj[l] = ((1u8 << l) - 1) & !slabs[cand].within & !bounded;
         }
-        Ok(inj)
+        Ok((inj, marked))
     }
 
     fn detect_shape(&self) -> SpecShape {
@@ -719,6 +761,14 @@ impl PlanBytecode {
         self.num_sets as usize
     }
 
+    /// The order positions whose neighbor lists some instruction re-reads
+    /// as a lifted intersection input (bit `p` ⇔ position `p`; see
+    /// [`Instr::lifted_list_pos`]): the rows a launch's marker needs.
+    #[inline]
+    pub fn marked(&self) -> u8 {
+        self.marked
+    }
+
     /// Detected tier-1 shape.
     #[inline]
     pub fn shape(&self) -> SpecShape {
@@ -761,9 +811,8 @@ pub mod mutation {
                 // demote so tier-1 cannot paper over the wrong opcode.
                 bc.shape = SpecShape::General;
                 // The masks follow the stream: an intersection turned
-                // difference loses its exemption.
-                bc.rederive_inj()
-                    .expect("one swapped kind stays well-formed");
+                // difference loses its exemption (and its marker).
+                bc.rederive().expect("one swapped kind stays well-formed");
                 return true;
             }
         }
@@ -960,6 +1009,34 @@ mod tests {
             bc.verify(),
             Err(BytecodeError::DepPosMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn marked_names_the_lifted_verbatim_intersection_inputs() {
+        // q3, the house: level 2 intersects N(v0) — materialized at level
+        // 1, so lifted and verbatim — with N(v1).
+        let (_, bc) = lower_query(3);
+        let lifted: Vec<(usize, usize)> = (0..bc.num_levels())
+            .flat_map(|l| {
+                let at = move |i: &Instr| i.lifted_list_pos(l).map(|p| (l, p));
+                bc.instrs_at(l).iter().filter_map(at)
+            })
+            .collect();
+        assert!(!lifted.is_empty());
+        let mask = lifted.iter().fold(0u8, |m, &(_, p)| m | 1 << p);
+        assert_eq!(bc.marked(), mask);
+        // q1 is all `MaterializeBase`: nothing to mark. q8's cascade reads
+        // N(v0) at level 2 and results of intersections below.
+        assert_eq!(lower_query(1).1.marked(), 0);
+        assert_eq!(lower_query(8).1.marked(), 0b1);
+        // A difference never takes the symmetric route, so it marks nothing;
+        // the mask follows the stream and the verifier holds it.
+        let mut plan = MatchPlan::compile(&catalog::paper_query(8), PlanOptions::default());
+        assert!(mutation::swap_first_op_kind(&mut plan));
+        assert_eq!(plan.bytecode().marked(), 0);
+        let (_, mut bc) = lower_query(8);
+        bc.marked = 0b10;
+        assert_eq!(bc.verify(), Err(BytecodeError::MarkedMismatch));
     }
 
     #[test]

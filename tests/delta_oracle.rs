@@ -232,6 +232,49 @@ fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
     }
 }
 
+/// Deletes that share an endpoint, on the default one-warp delta grid: the
+/// stages of one side run back to back on one kernel, each on its own view,
+/// so the shared endpoint is the same matched vertex with a different
+/// neighbor row from one stage to the next — and wherever an anchored plan
+/// re-reads that row as a lifted intersection input, the kernel's marker has
+/// to follow the row, not the vertex.
+#[test]
+fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
+    let base = gen::preferential_attachment(96, 4, 9).degree_ordered();
+    let hub = 0u32;
+    let ops: Vec<EdgeOp> = base.neighbors(hub)[..6]
+        .iter()
+        .map(|&v| EdgeOp::delete(hub, v))
+        .collect();
+    let mut overlay = DeltaOverlay::new(base);
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&ops);
+    let post = overlay.snapshot();
+    assert_eq!(batch.deletes.len(), 6);
+    assert!(batch.deletes.iter().all(|e| e.0 == hub || e.1 == hub));
+    let e = engine();
+    assert_eq!(e.config().delta.grid.total_warps(), 1);
+    for q in [
+        catalog::triangle(),
+        catalog::diamond(),
+        catalog::paper_query(3),
+        catalog::paper_query(6),
+    ] {
+        let plans = e.compile_delta(&q);
+        assert!(
+            plans.plans().any(|p| p.bytecode().marked() != 0),
+            "{}: no anchored plan re-reads a lifted neighbor list",
+            q.name()
+        );
+        let delta = e
+            .run_delta_plans_metered(&pre, &post, &batch, &plans)
+            .expect("delta")
+            .0;
+        assert_eq!(delta.added, 0);
+        assert_sides_exact(&e, &q, (&pre, &post), &batch, delta);
+    }
+}
+
 /// In-batch cancellation: inserting and deleting the same edge within
 /// one batch (in both orders, alongside a real update) nets to exactly
 /// the real update's delta.

@@ -13,7 +13,14 @@
 //!
 //! `BitmapMerge` and the auto hub routing ride the same harness but must
 //! match outputs only (their wave structure differs by design — see
-//! DESIGN.md §4f). On failure the testkit harness shrinks the case and
+//! DESIGN.md §4f).
+//!
+//! The symmetric leg: with a row on the *input* side only, an intersection
+//! whose operand is the shorter list streams the operand against that row —
+//! same output, and still the closed form of the *input* lengths. A forced
+//! algorithm never takes that route; the harness proves it by handing the
+//! forced legs input rows that are all zeroes (an op that read them would
+//! keep nothing). On failure the testkit harness shrinks the case and
 //! prints a seeded reproduce line.
 
 use std::sync::Mutex;
@@ -91,6 +98,9 @@ enum Sink {
 struct Rows {
     input: bool,
     operand: bool,
+    /// The input rows are attached but hold no bits: whoever reads one
+    /// keeps nothing. Only for legs that must not read them.
+    poisoned_input: bool,
 }
 
 type Slots = [(Vec<VertexId>, Vec<VertexId>)];
@@ -106,7 +116,10 @@ fn run(
     rows: Rows,
     sink: Sink,
 ) -> (Vec<Vec<VertexId>>, WarpMetrics) {
-    let a_bits: Vec<Vec<u64>> = slots.iter().map(|(a, _)| bits_of(a)).collect();
+    let a_bits: Vec<Vec<u64>> = slots
+        .iter()
+        .map(|(a, _)| bits_of(if rows.poisoned_input { &[] } else { a }))
+        .collect();
     let b_bits: Vec<Vec<u64>> = slots.iter().map(|(_, b)| bits_of(b)).collect();
     let out = Mutex::new(Vec::new());
     let m = with_warp(|w| {
@@ -215,12 +228,14 @@ fn all_paths_match_scalar_reference() {
             (0..nslots)
                 .map(|_| {
                     let a_len = rng.gen_range(0u64..40) as usize;
-                    // Ratio class drives which algorithm `auto` picks.
-                    let b_len = match rng.gen_range(0u64..4) {
+                    // Ratio class drives which algorithm `auto` picks; the
+                    // short class puts the operand on the short side.
+                    let b_len = match rng.gen_range(0u64..5) {
                         0 => 0,
                         1 => a_len.max(1),
                         2 => a_len.max(1) * 8,
-                        _ => a_len.max(1) * 200,
+                        3 => a_len.max(1) * 200,
+                        _ => a_len / 4 + 1,
                     };
                     let mut draw = |n: usize| -> Vec<VertexId> {
                         (0..n)
@@ -249,14 +264,46 @@ fn all_paths_match_scalar_reference() {
                     // waves (word wavefronts), and auto routing with rows on
                     // both sides picks merge or probe per slot: outputs only.
                     let operand_rows = Rows {
-                        input: false,
                         operand: true,
+                        ..Rows::default()
                     };
                     let both_rows = Rows {
                         input: true,
                         operand: true,
+                        ..Rows::default()
+                    };
+                    let input_rows = Rows {
+                        input: true,
+                        ..Rows::default()
+                    };
+                    let poisoned = Rows {
+                        poisoned_input: true,
+                        ..input_rows
                     };
                     let classic = TUNINGS.map(|(n, f)| (n, f, Rows::default(), true));
+                    // An input row alone: auto streams whichever side is
+                    // shorter (∩ only) and owes the closed form of the input
+                    // lengths either way; forced algorithms ignore the row.
+                    let symmetric = [
+                        ("input-row-auto", None, input_rows, true),
+                        (
+                            "input-row-bsearch",
+                            Some(SetOpAlgo::BinarySearch),
+                            poisoned,
+                            true,
+                        ),
+                        ("input-row-merge", Some(SetOpAlgo::Merge), poisoned, true),
+                        ("input-row-gallop", Some(SetOpAlgo::Gallop), poisoned, true),
+                        (
+                            "input-row-probe",
+                            Some(SetOpAlgo::BitmapProbe),
+                            Rows {
+                                operand: true,
+                                ..poisoned
+                            },
+                            true,
+                        ),
+                    ];
                     let hub = [
                         (
                             "bitmap-probe",
@@ -272,7 +319,8 @@ fn all_paths_match_scalar_reference() {
                         ),
                         ("bitmap-auto", None, both_rows, false),
                     ];
-                    for (name, force, rows, element_domain) in classic.into_iter().chain(hub) {
+                    let legs = classic.into_iter().chain(symmetric).chain(hub);
+                    for (name, force, rows, element_domain) in legs {
                         for sink in SINKS {
                             let (outs, m) = run(&g, &slots, kind, mask, tuning(force), rows, sink);
                             let leg = format!("{name} {kind:?} {mask:?} {sink:?}");
@@ -381,5 +429,75 @@ fn empty_operand_mixed_slots_agree() {
                 );
             }
         }
+    }
+}
+
+/// The symmetric route is taken exactly where the docs say: an unforced
+/// intersection whose operand is shorter than an input that has a row. A
+/// row that holds no bits makes the route observable (whoever reads it keeps
+/// nothing), and `bitmap_probe_words` keeps counting operand-row probes
+/// only.
+#[test]
+fn a_shorter_operand_streams_against_the_input_row() {
+    let g = labeled_universe();
+    let a: Vec<VertexId> = (0..60).collect();
+    let short: Vec<VertexId> = vec![3, 10, 59, 70];
+    let long: Vec<VertexId> = (0..120).step_by(2).collect();
+    let all = LabelMask::ALL;
+    let exact = Rows {
+        input: true,
+        ..Rows::default()
+    };
+    let poisoned = Rows {
+        poisoned_input: true,
+        ..exact
+    };
+    let auto = SetOpTuning::default();
+    use OpKind::{Difference, Intersect};
+
+    // Taken: same output, the closed form of |A| = 60 lanes, no probe words.
+    let slots = [(a.clone(), short.clone())];
+    for sink in SINKS {
+        let (outs, m) = run(&g, &slots, Intersect, all, auto, exact, sink);
+        assert_eq!(outs[0], [3, 10, 59], "{sink:?}");
+        let charged = (
+            m.simt_instructions,
+            m.issued_lane_slots,
+            m.active_lane_slots,
+        );
+        assert_eq!(charged, closed_form(&slots), "{sink:?}");
+        assert_eq!(m.bitmap_probe_words, 0);
+    }
+    let (outs, _) = run(&g, &slots, Intersect, all, auto, poisoned, Sink::Vecs);
+    assert!(outs[0].is_empty(), "the input row was not what answered");
+
+    // Not taken: a difference, an operand at least as long as the input, and
+    // every forced algorithm leave the input row unread.
+    let unread = [
+        (Difference, short.clone(), auto),
+        (Intersect, long.clone(), auto),
+        (Intersect, a.clone(), auto),
+        (Intersect, short.clone(), tuning(Some(SetOpAlgo::Merge))),
+        (
+            Intersect,
+            short.clone(),
+            tuning(Some(SetOpAlgo::BinarySearch)),
+        ),
+        (Intersect, short.clone(), tuning(Some(SetOpAlgo::Gallop))),
+        (
+            Intersect,
+            short.clone(),
+            tuning(Some(SetOpAlgo::BitmapProbe)),
+        ),
+        (
+            Intersect,
+            short.clone(),
+            tuning(Some(SetOpAlgo::BitmapMerge)),
+        ),
+    ];
+    for (kind, b, t) in unread {
+        let slots = [(a.clone(), b.clone())];
+        let (outs, _) = run(&g, &slots, kind, all, t, poisoned, Sink::Vecs);
+        assert_eq!(outs[0], reference(&g, &a, &b, kind, all), "{kind:?} {t:?}");
     }
 }
