@@ -39,15 +39,12 @@ run "smoke:motif_census" cargo run --release --offline --example motif_census
 # the first phase that runs it); none measures wall time or writes a file.
 CHECK=(cargo run --release --offline -p stmatch-bench --bin check --)
 
-# Hot-path drift gate: re-runs the PR 2 hot-path workloads and fails on any
-# drift in golden counts or simulator metrics (instructions, utilization).
-run "smoke:hotpath" "${CHECK[@]}" hotpath
-
-# One run of a gate binary whose log must also carry a totals line with
-# nonzero traffic (guards against a silently dead phase): exit status and
-# grep are taken from the same captured run, as the --mutate legs do.
+# One run of a gate binary whose log must also carry the given lines —
+# one extended regex per line of `patterns`, each of which must match
+# (guards against a silently dead phase): exit status and greps are taken
+# from the same captured run, as the --mutate legs do.
 run_and_grep() {
-    local name=$1 pattern=$2; shift 2
+    local name=$1 patterns=$2; shift 2
     echo "==> ${name}: $*"
     local log; log=$(mktemp)
     if ! timeout --signal=KILL "${CAP}" "$@" >"${log}" 2>&1; then
@@ -56,13 +53,25 @@ run_and_grep() {
         exit 1
     fi
     cat "${log}"
-    if ! grep -Eq "${pattern}" "${log}"; then
-        echo "==> ${name}: FAILED — totals line missing or zero"
-        exit 1
-    fi
+    local pattern
+    while IFS= read -r pattern; do
+        if ! grep -Eq "${pattern}" "${log}"; then
+            echo "==> ${name}: FAILED — no line matches '${pattern}'"
+            exit 1
+        fi
+    done <<<"${patterns}"
     rm -f "${log}"
     echo "==> ${name}: OK"
 }
+
+# Hot-path drift gate: re-runs the PR 2 hot-path workloads and fails on any
+# drift in golden counts or simulator metrics (instructions, utilization).
+# The greps hold the per-site attribution: q1 counts a lifted list (a
+# nonzero count pass), q8's last level computes its own list (none).
+run_and_grep "smoke:hotpath" \
+    "hotpath q1 Plain: OK .* count_pass=[1-9][0-9]* steal=
+hotpath q8 Plain: OK .* count_pass=0 steal=" \
+    "${CHECK[@]}" hotpath
 
 # Hub-bitmap routing gate. Off legs (routing off, index still attached):
 # the GOLDEN rows / pinned counts with zero bitmap counters. On legs: the

@@ -255,9 +255,11 @@ fn run_batch(
                     walk_prefix(levels_ref, l - 1, *node, &mut prefix);
                     warp.simt_for(l, |_| {});
                     extend_one(graph, plan, warp, l, &prefix, &mut scratch);
-                    warp.simt_for(scratch[0].len(), |_| {});
                     let residual = plan.residual_label_check(l);
                     if last {
+                        // The list was produced by this step's own stream:
+                        // the validity predicate rides in its lanes (the
+                        // engine's last-level rule, DESIGN.md §4c).
                         let mut c = 0u64;
                         for &v in &scratch[0] {
                             if residual.is_some_and(|lbl| graph.label(v) != lbl) {
@@ -269,6 +271,8 @@ fn run_batch(
                         }
                         matches.fetch_add(c, Ordering::Relaxed);
                     } else {
+                        // Validity pass over the materialized survivors.
+                        warp.simt_for(scratch[0].len(), |_| {});
                         let before = out.len();
                         for &v in &scratch[0] {
                             if residual.is_some_and(|lbl| graph.label(v) != lbl) {

@@ -157,9 +157,11 @@ pub fn run_plan(
                     // Row fetch from the global-memory table.
                     warp.simt_for(width, |_| {});
                     extend_row(graph, plan, warp, l, prefix, &mut scratch);
-                    warp.simt_for(scratch[0].len(), |_| {});
                     let residual = plan.residual_label_check(l);
                     if last {
+                        // The list was produced by this step's own stream:
+                        // the validity predicate rides in its lanes (the
+                        // engine's last-level rule, DESIGN.md §4c).
                         let mut c = 0u64;
                         for &v in &scratch[0] {
                             if residual.is_some_and(|lbl| graph.label(v) != lbl) {
@@ -171,6 +173,8 @@ pub fn run_plan(
                         }
                         matches.fetch_add(c, Ordering::Relaxed);
                     } else {
+                        // Validity pass over the materialized survivors.
+                        warp.simt_for(scratch[0].len(), |_| {});
                         let before = out.len();
                         for &v in &scratch[0] {
                             if residual.is_some_and(|lbl| graph.label(v) != lbl) {

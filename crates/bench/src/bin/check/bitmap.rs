@@ -13,13 +13,15 @@
 //!   counters;
 //! * the on legs produce the identical match counts;
 //! * the on legs reproduce their pinned [`ROUTED`] rows to the word:
-//!   total SIMT instructions, probe words, merge words and merge waves,
-//!   recorded from the plan-walking hub path before it was folded into
-//!   the stream interpreter. A silent fallback to the classic ladder, a
-//!   row routed to the wrong operand, or a fused chain that stops fusing
-//!   all move at least one of them; q1's row is all-zero on the bitmap
-//!   side (its 5-path plan is pure neighbor materializations with no
-//!   intersect/difference ops for a bitmap to serve).
+//!   total SIMT instructions, probe words, merge words and merge waves —
+//!   the three bitmap counters as recorded from the plan-walking hub path
+//!   before it was folded into the stream interpreter, the instruction
+//!   totals as the kernel's current cost model gives them. A silent
+//!   fallback to the classic ladder, a row routed to the wrong operand, or
+//!   a fused chain that stops fusing all move at least one of them; q1's
+//!   row is all-zero on the bitmap side (its 5-path plan is pure neighbor
+//!   materializations with no intersect/difference ops for a bitmap to
+//!   serve).
 //!
 //! The final `bitmap_check totals:` line is grepped by `ci.sh`'s
 //! `smoke:bitmap` phase.
@@ -34,11 +36,11 @@ use stmatch_graph::gen;
 /// lines this gate prints — only for an intentional cost-model or routing
 /// change, and say so in the commit message.
 const ROUTED: [(u64, u64, u64, u64); 5] = [
-    (7_230_441, 0, 0, 0),
-    (1_704_743, 99_498, 854_959, 37_479),
-    (2_451_043, 0, 3_268_120, 238_960),
-    (117_715, 0, 41_416, 9_464),
-    (295_464, 0, 118_296, 118_296),
+    (5_007_046, 0, 0, 0),
+    (1_387_882, 99_498, 854_959, 37_479),
+    (1_815_031, 0, 3_268_120, 238_960),
+    (81_755, 0, 41_416, 9_464),
+    (259_504, 0, 118_296, 118_296),
 ];
 
 pub fn run(args: &[String]) -> ExitCode {

@@ -136,16 +136,22 @@ pub fn fig12(p: &RunParams, queries: &[usize]) {
     }
 }
 
+/// Fig. 13's sweep: the paper's 1..8 and on to `MAX_UNROLL`, so the knee
+/// shows.
+const FIG13_UNROLLS: [usize; 6] = [1, 2, 4, 8, 16, 32];
+
 /// Fig. 13: SIMT lane utilization vs unroll size.
 pub fn fig13(p: &RunParams, queries: &[usize]) {
     let ds = Dataset::Enron;
     let g = ds.load_labeled(ABLATION_LABELS, LABEL_SEED);
+    let mut header = vec!["query".to_string()];
+    header.extend(FIG13_UNROLLS.map(|u| format!("u={u}")));
     let mut rows = Vec::new();
     for &qi in queries {
         let q = catalog::paper_query(qi).with_random_labels(ABLATION_LABELS, qi as u64);
         let plans = QueryPlans::compile(&q, false);
         let mut row = vec![format!("q{qi}")];
-        for unroll in [1usize, 2, 4, 8] {
+        for unroll in FIG13_UNROLLS {
             let cfg = harness::default_stmatch_cfg(false, p).with_unroll(unroll);
             let engine = Engine::new(cfg).with_timeout(p.timeout);
             match engine.run_plan(&g, &plans.motion) {
@@ -160,7 +166,7 @@ pub fn fig13(p: &RunParams, queries: &[usize]) {
             "Fig 13: lane utilization vs unroll size, {} labeled",
             ds.name()
         ),
-        &["query", "u=1", "u=2", "u=4", "u=8"],
+        &header.iter().map(String::as_str).collect::<Vec<_>>(),
         &rows,
     );
 }

@@ -110,63 +110,72 @@ pub struct Golden {
 /// Recorded behaviour of the suite (deterministic for the steal-free
 /// config). Regenerate with `--bin check -- hotpath --print` **only** when
 /// an intentional cost-model or planner change lands, and say so in the
-/// commit message.
+/// commit message. The comment above each row is the split of its
+/// instruction total by charging site, printed by the same command.
 pub const GOLDEN: [Golden; 8] = [
+    // set_op=455478 claim=685996 count_pass=3865572 steal=0
     Golden {
         query: 1,
         leg: Leg::Plain,
         count: 54844163,
-        total_instructions: 7230441,
-        lane_utilization: 0.5700081870303623,
+        total_instructions: 5007046,
+        lane_utilization: 0.8318133192944098,
     },
+    // set_op=1785389 claim=66761 count_pass=0 steal=0
     Golden {
         query: 6,
         leg: Leg::Plain,
         count: 559194,
-        total_instructions: 2169011,
-        lane_utilization: 0.7525314958812046,
+        total_instructions: 1852150,
+        lane_utilization: 0.9269113856307429,
     },
+    // set_op=23004 claim=11650 count_pass=0 steal=0
     Golden {
         query: 8,
         leg: Leg::Plain,
         count: 769,
-        total_instructions: 35769,
-        lane_utilization: 0.43357732239411234,
+        total_instructions: 34654,
+        lane_utilization: 0.4478142022965082,
     },
+    // set_op=1329435 claim=44278 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Plain,
         count: 1500436,
-        total_instructions: 1604299,
-        lane_utilization: 0.7742047530584681,
+        total_instructions: 1373713,
+        lane_utilization: 0.9298627799111759,
     },
+    // set_op=8280 claim=1526 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Labeled,
         count: 1023,
-        total_instructions: 10624,
-        lane_utilization: 0.6228474344283168,
+        total_instructions: 9806,
+        lane_utilization: 0.6907156054576464,
     },
+    // set_op=709716 claim=31510 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Induced,
         count: 330032,
-        total_instructions: 858212,
-        lane_utilization: 0.7301357409222469,
+        total_instructions: 741226,
+        lane_utilization: 0.8980657440471532,
     },
+    // set_op=2736303 claim=107103 count_pass=0 steal=0
     Golden {
         query: 2,
         leg: Leg::Plain,
         count: 1007981,
-        total_instructions: 3302006,
-        lane_utilization: 0.7645688795363221,
+        total_instructions: 2843406,
+        lane_utilization: 0.921627198312629,
     },
+    // set_op=451480 claim=224687 count_pass=355937 steal=0
     Golden {
         query: 4,
         leg: Leg::Plain,
         count: 9448934,
-        total_instructions: 1095976,
-        lane_utilization: 0.6524347575974826,
+        total_instructions: 1032104,
+        lane_utilization: 0.700450751482917,
     },
 ];
 

@@ -622,7 +622,8 @@ impl<'a> WarpKernel<'a> {
             } else {
                 self.candidate_list(l, 0)[idx]
             };
-            warp.simt_for(1, |_| {});
+            let waves = warp.simt_for(1, |_| {});
+            warp.metrics_mut().claim_instructions += waves;
             if self.valid(l, v) {
                 return Some(v);
             }
@@ -658,7 +659,8 @@ impl<'a> WarpKernel<'a> {
             self.iter[l] += take;
             // Validity filtering as one warp wave over the claimed batch,
             // straight from the slab (disjoint fields: storage vs batch).
-            warp.simt_for(take, |_| {});
+            let waves = warp.simt_for(take, |_| {});
+            warp.metrics_mut().claim_instructions += waves;
             let (g, matched) = (self.g, &self.matched);
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
             let next = &mut self.batch[l + 1];
@@ -1124,16 +1126,21 @@ impl<'a> WarpKernel<'a> {
     /// position `l - 1` moving — and moving upwards. It is searched once per
     /// prefix and then walked ([`LiftedCursor`]): a slot costs a few
     /// compares.
-    /// The simulated cost is unchanged: the warp still issues the same
-    /// count-pass waves over every element (`simt_for`), exactly as the
-    /// per-element path would.
+    ///
+    /// What the batch costs on the simulated machine is charged once, up
+    /// front, by [`charge_last_level`], from the list's provenance and
+    /// lengths alone: whichever route the host takes below — closed form,
+    /// per-element [`Validity::check`], enumeration — the warp has issued the
+    /// same instructions over the same lanes.
     fn count_last_level(&mut self, warp: &mut Warp) {
         let l = self.k - 1;
         let slots = self.batch[l].len;
         let vy = self.validity(l);
+        let lifted = self.bc.candidate(l).1 != l;
+        charge_last_level(warp, lifted, slots, self.candidate_list(l, 0).len());
         let closed_form = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
-        if closed_form && self.bc.candidate(l).1 != l {
-            self.pending_matches += self.count_lifted(warp, l, &vy);
+        if closed_form && lifted {
+            self.pending_matches += self.count_lifted(l, &vy);
             return;
         }
         let mut total = 0u64;
@@ -1146,13 +1153,8 @@ impl<'a> WarpKernel<'a> {
             if self.emit.is_some() {
                 let mut tail = std::mem::take(&mut self.emit_tail);
                 tail.clear();
-                total += setops::count_with(warp, cl, |v| {
-                    let ok = vy.check(g, matched, v);
-                    if ok {
-                        tail.push(v);
-                    }
-                    ok
-                });
+                tail.extend(cl.iter().filter(|&&v| vy.check(g, matched, v)));
+                total += tail.len() as u64;
                 for &v in &tail {
                     self.emit_match(v);
                 }
@@ -1161,9 +1163,8 @@ impl<'a> WarpKernel<'a> {
                 // Residual label checks — and the level-1 pin of a
                 // 2-vertex staged run, which the closed form below does
                 // not model — need a per-element probe.
-                total += setops::count_with(warp, cl, |v| vy.check(g, matched, v));
+                total += cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64;
             } else {
-                warp.simt_for(cl.len(), |_| {});
                 // Not a debug_assert: a release build would otherwise wrap
                 // the subtraction into ~2^64 matches.
                 let n = count_valid_sorted(cl, matched, &vy)
@@ -1181,7 +1182,7 @@ impl<'a> WarpKernel<'a> {
     /// The closed-form count of a batch whose candidate list is lifted: one
     /// list for every slot, keyed and searched once per matched prefix, then
     /// walked by the slots' ascending vertices ([`LiftedCursor`]).
-    fn count_lifted(&mut self, warp: &mut Warp, l: usize, vy: &Validity<'a>) -> u64 {
+    fn count_lifted(&mut self, l: usize, vy: &Validity<'a>) -> u64 {
         let (cid, slot) = self.candidate_location(l, 0);
         let cl = self.storage.slot(cid, slot);
         self.lifted
@@ -1190,7 +1191,6 @@ impl<'a> WarpKernel<'a> {
         for u in 0..self.batch[l].len {
             let m = self.batch[l].slots[u];
             self.matched[l - 1] = m;
-            warp.simt_for(cl.len(), |_| {});
             let n = self
                 .lifted
                 .count(cl, m)
@@ -1219,6 +1219,30 @@ impl<'a> WarpKernel<'a> {
             }
         }
         self.validity(l).check(self.g, &self.matched, v)
+    }
+}
+
+/// The simulated cost of one batch's last level — the only place it is
+/// charged. It is a function of whether the candidate list is lifted, the
+/// batch's `slots` and the list's length `n`, and of nothing else:
+///
+/// * A **lifted** list (computed at an earlier level) is one list of `n`
+///   elements shared by every slot, counted in **one combined pass**: lane
+///   `j` takes slot `j / n`, element `j mod n`, so the pass is `⌈slots·n/32⌉`
+///   instructions over `slots·n` active lanes. All slots share one length,
+///   so no prefix scan maps lanes to slots; each lane keeps a private tally,
+///   so no ballot closes a wave.
+/// * A list computed **at** the last level gets **no pass of its own**: its
+///   survivors were in the lanes of the level's final set-operation stream,
+///   and the validity predicate (bounds, injectivity compares, residual
+///   label) rides in that stream's lane instruction, which
+///   `setops::stream_accounting` already charged per streamed element — the
+///   convention that charges a whole membership probe as one lane
+///   instruction (Fig. 3 line 16 counts from the sets just computed).
+fn charge_last_level(warp: &mut Warp, lifted: bool, slots: usize, n: usize) {
+    if lifted {
+        let waves = warp.simt_for(slots * n, |_| {});
+        warp.metrics_mut().count_pass_instructions += waves;
     }
 }
 
@@ -1529,7 +1553,7 @@ fn closed_form_underflow(l: usize, matched: &[VertexId], cl: &[VertexId]) -> ! {
 mod tests {
     use super::*;
     use crate::Engine;
-    use stmatch_gpusim::{Grid, GridConfig};
+    use stmatch_gpusim::{Grid, GridConfig, WarpMetrics};
     use stmatch_graph::gen;
     use stmatch_pattern::catalog;
 
@@ -1570,13 +1594,8 @@ mod tests {
         assert_eq!(bits(m.row(0, &copy)), copy);
     }
 
-    /// Runs `body` with warp 0's kernel for `plan` on `g`, on a one-warp
-    /// steal-free grid, and returns the matches the warp committed.
-    fn with_kernel(
-        g: &Graph,
-        plan: &MatchPlan,
-        body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
-    ) -> u64 {
+    /// One warp, no stealing.
+    fn one_warp() -> EngineConfig {
         let mut cfg = EngineConfig::default().with_grid(GridConfig {
             num_blocks: 1,
             warps_per_block: 1,
@@ -1584,6 +1603,17 @@ mod tests {
         });
         cfg.local_steal = false;
         cfg.global_steal = false;
+        cfg
+    }
+
+    /// Runs `body` with warp 0's kernel for `plan` on `g` under `cfg` (a
+    /// [`one_warp`] config) and returns the warp's counters.
+    fn with_kernel(
+        g: &Graph,
+        plan: &MatchPlan,
+        cfg: EngineConfig,
+        body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
+    ) -> WarpMetrics {
         let stop = cfg.effective_stop(plan.num_levels());
         let board = Board::new(1, 1, stop, (0, g.num_vertices()), cfg.chunk_size);
         let env = KernelEnv {
@@ -1601,7 +1631,15 @@ mod tests {
             let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
             body(&mut kernel, warp);
         });
-        metrics.matches()
+        metrics.total()
+    }
+
+    /// Runs the whole of `g` through one kernel.
+    fn whole_graph(g: &Graph, plan: &MatchPlan, cfg: EngineConfig) -> WarpMetrics {
+        with_kernel(g, plan, cfg, |kernel, warp| {
+            kernel.install(warp, &StealPayload::chunk(0, g.num_vertices()));
+            kernel.run(warp);
+        })
     }
 
     /// Marker rows and the last-level cursor outlive a work item, so a
@@ -1626,12 +1664,9 @@ mod tests {
                 lifted || plan.bytecode().marked() != 0,
                 "q{q} exercises neither"
             );
-            let whole = with_kernel(&g, &plan, |kernel, warp| {
-                kernel.install(warp, &StealPayload::chunk(0, n));
-                kernel.run(warp);
-            });
+            let whole = whole_graph(&g, &plan, one_warp()).matches_found;
             assert!(whole > 0, "q{q}");
-            let pieces = with_kernel(&g, &plan, |kernel, warp| {
+            let pieces = with_kernel(&g, &plan, one_warp(), |kernel, warp| {
                 for idx in (0..n).rev() {
                     let stolen = |lo, hi| StealPayload {
                         target: 1,
@@ -1649,7 +1684,91 @@ mod tests {
                     }
                 }
             });
-            assert_eq!(pieces, whole, "q{q}");
+            assert_eq!(pieces.matches_found, whole, "q{q}");
+        }
+    }
+
+    /// The simulated last level is [`charge_last_level`]'s closed form, and
+    /// the kernel charges nothing else there.
+    #[test]
+    fn the_last_level_is_charged_from_provenance_and_lengths() {
+        let charged = |lifted: bool| {
+            let grid = Grid::new(one_warp().grid).unwrap();
+            let m = grid
+                .launch(|warp| charge_last_level(warp, lifted, 5, 40))
+                .total();
+            assert_eq!(m.simt_instructions, m.count_pass_instructions);
+            (
+                m.simt_instructions,
+                m.active_lane_slots,
+                m.issued_lane_slots,
+            )
+        };
+        // A lifted list of 40 under 5 slots: one pass of 200 lanes, where a
+        // pass per slot would be 5 × 2 waves of 40.
+        assert_eq!(charged(true), (7, 200, 224));
+        assert_eq!(charged(false), (0, 0, 0));
+
+        // In the kernel. Wedges on a 40-leaf star, level 1 deep and claimed
+        // five at a time: the centre's 40 leaves are 8 batches, each
+        // counting the lifted list N(centre) in one 7-wave pass; each leaf's
+        // own subtree is one slot over the one-element N(leaf).
+        let mut cfg = one_warp().with_unroll(5);
+        (cfg.stop_level, cfg.detect_level) = (1, 1);
+        let wedge = Engine::new(cfg).compile(&catalog::wedge());
+        assert_eq!(wedge.bytecode().candidate(2).1, 1, "lifted to level 1");
+        let m = whole_graph(&gen::star(40), &wedge, cfg);
+        assert_eq!(m.matches_found, 40 * 39 / 2);
+        assert_eq!(m.count_pass_instructions, 8 * 7 + 40);
+
+        // Triangles compute N(v0) ∩ N(v1) at the last level: the count
+        // rides in that stream, and every instruction of the run is a
+        // set-operation or a claim instruction.
+        let triangle = Engine::new(one_warp()).compile(&catalog::triangle());
+        assert_eq!(triangle.bytecode().candidate(2).1, 2, "computed at level 2");
+        let m = whole_graph(&gen::complete(9), &triangle, one_warp());
+        assert_eq!(m.matches_found, 9 * 8 * 7 / 6);
+        assert_eq!(m.count_pass_instructions, 0);
+        assert_eq!(
+            m.simt_instructions,
+            m.set_op_instructions + m.claim_instructions
+        );
+    }
+
+    /// `WarpMetrics`' split covers the total: set operations, claims and
+    /// count passes, plus what moving work cost — nothing on a steal-free
+    /// grid, the [`Source`] charges of the steals counted on a stealing one.
+    #[test]
+    fn the_instruction_split_sums_to_the_total() {
+        let g = gen::preferential_attachment(64, 5, 21).degree_ordered();
+        for (warps, stealing) in [(2, false), (4, true)] {
+            let mut cfg = EngineConfig::default().with_grid(GridConfig {
+                num_blocks: 1,
+                warps_per_block: warps,
+                shared_mem_per_block: 100 * 1024,
+            });
+            cfg.local_steal = stealing;
+            cfg.global_steal = stealing;
+            for q in [1, 3, 6] {
+                let out = Engine::new(cfg).run(&g, &catalog::paper_query(q)).unwrap();
+                let t = out.metrics.total();
+                let moved = Source::LocalSteal.cost() * t.local_steals
+                    + Source::GlobalSteal.cost() * t.global_steal_receives
+                    + Source::GlobalPush.cost() * t.global_steal_pushes;
+                assert!(stealing || moved == 0, "q{q}");
+                assert!(
+                    t.count_pass_instructions > 0 || q != 1,
+                    "q1 counts a lifted list"
+                );
+                assert_eq!(
+                    t.set_op_instructions
+                        + t.claim_instructions
+                        + t.count_pass_instructions
+                        + moved,
+                    t.simt_instructions,
+                    "q{q} stealing {stealing}"
+                );
+            }
         }
     }
 

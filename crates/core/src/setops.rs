@@ -612,6 +612,7 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
     if total == 0 {
         return;
     }
+    let before = warp.metrics().simt_instructions;
     if n > 1 {
         let mut sizes = [0u32; WARP_SIZE];
         for (s, row) in a_rows.iter().enumerate().take(n) {
@@ -656,6 +657,7 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
         warp.metrics_mut().bitmap_merge_waves += 1;
     }
     warp.metrics_mut().bitmap_merge_words += total as u64;
+    book_set_op(warp, before);
     if mask.is_all() {
         for &slot in slot_of.iter().take(n) {
             out.seal_bits(slot);
@@ -689,6 +691,7 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     assert!(!ops.is_empty(), "a fused chain needs at least one operand");
     let stride = base_bits.len();
     debug_assert!(ping.len() >= stride && pong.len() >= stride);
+    let before = warp.metrics().simt_instructions;
     out.begin(slot, 0);
     for (i, &(kind, b)) in ops.iter().enumerate() {
         debug_assert_eq!(b.len(), stride);
@@ -740,6 +743,7 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
         }
         warp.metrics_mut().bitmap_merge_words += stride as u64;
     }
+    book_set_op(warp, before);
     if mask.is_all() {
         out.seal_bits(slot);
     }
@@ -770,27 +774,21 @@ fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>) {
     if total == 0 {
         return;
     }
+    let before = warp.metrics().simt_instructions;
     if slots > 1 {
         let _ = warp.exclusive_scan(&mut sizes);
     }
     warp.stream(total);
+    book_set_op(warp, before);
 }
 
-/// Counts elements of `set` that satisfy a per-element predicate, as one
-/// warp-wide pass (used at the last level, where candidates are counted
-/// rather than iterated).
-pub fn count_with<F: FnMut(VertexId) -> bool>(
-    warp: &mut Warp,
-    set: &[VertexId],
-    mut pred: F,
-) -> u64 {
-    let mut count = 0u64;
-    warp.simt_for(set.len(), |i| {
-        if pred(set[i]) {
-            count += 1;
-        }
-    });
-    count
+/// Attributes what `warp` issued since its instruction counter read `before`
+/// to set operations ([`WarpMetrics::set_op_instructions`](stmatch_gpusim::WarpMetrics)):
+/// called once at the end of each of the three charging routines above.
+#[inline]
+fn book_set_op(warp: &mut Warp, before: u64) {
+    let m = warp.metrics_mut();
+    m.set_op_instructions += m.simt_instructions - before;
 }
 
 #[cfg(test)]
@@ -949,17 +947,6 @@ mod tests {
             assert!(outs[0].windows(2).all(|p| p[0] < p[1]));
             assert_eq!(outs[0].len(), 34);
         });
-    }
-
-    #[test]
-    fn count_with_accounts_lanes() {
-        let set: Vec<VertexId> = (0..40).collect();
-        let m = with_warp(move |w| {
-            let c = count_with(w, &set, |v| v % 2 == 0);
-            assert_eq!(c, 20);
-        });
-        assert_eq!(m.issued_lane_slots, 64);
-        assert_eq!(m.active_lane_slots, 40);
     }
 
     #[test]

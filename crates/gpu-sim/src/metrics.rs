@@ -8,6 +8,15 @@
 pub struct WarpMetrics {
     /// SIMT instructions issued (waves).
     pub simt_instructions: u64,
+    /// The share of `simt_instructions` issued by set operations: size
+    /// scans, element streams with their ballots, bitmap word waves.
+    pub set_op_instructions: u64,
+    /// The share issued by the validity waves of shallow and deep claims.
+    pub claim_instructions: u64,
+    /// The share issued by last-level count passes. What the three shares
+    /// leave of `simt_instructions` is work-transfer charges (steals,
+    /// requeues, rail copies).
+    pub count_pass_instructions: u64,
     /// Lane slots issued (`32 ×` waves).
     pub issued_lane_slots: u64,
     /// Lane slots that did useful work.
@@ -55,6 +64,9 @@ impl WarpMetrics {
     /// Merges another warp's counters into this one.
     pub fn merge(&mut self, other: &WarpMetrics) {
         self.simt_instructions += other.simt_instructions;
+        self.set_op_instructions += other.set_op_instructions;
+        self.claim_instructions += other.claim_instructions;
+        self.count_pass_instructions += other.count_pass_instructions;
         self.issued_lane_slots += other.issued_lane_slots;
         self.active_lane_slots += other.active_lane_slots;
         self.local_steal_attempts += other.local_steal_attempts;
@@ -220,6 +232,26 @@ mod tests {
         assert_eq!(a.bitmap_probe_words, 10);
         assert_eq!(a.bitmap_merge_words, 32);
         assert_eq!(a.bitmap_merge_waves, 3);
+    }
+
+    #[test]
+    fn merge_accumulates_the_instruction_split() {
+        let mut a = WarpMetrics {
+            set_op_instructions: 5,
+            claim_instructions: 2,
+            count_pass_instructions: 7,
+            ..WarpMetrics::default()
+        };
+        let b = a;
+        a.merge(&b);
+        assert_eq!(
+            (
+                a.set_op_instructions,
+                a.claim_instructions,
+                a.count_pass_instructions
+            ),
+            (10, 4, 14)
+        );
     }
 
     #[test]

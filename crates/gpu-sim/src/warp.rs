@@ -77,14 +77,15 @@ impl Warp {
 
     /// Executes a data-parallel operation over `n` work items in waves of
     /// [`WARP_SIZE`]: issues `ceil(n/32)` SIMT instructions (`n` active lane
-    /// slots out of `32 * ceil(n/32)` issued).
+    /// slots out of `32 * ceil(n/32)` issued) and returns how many, for
+    /// callers that attribute them.
     ///
     /// This is the primitive behind parallel copies and the per-lane binary
     /// searches of `getCandidates`.
     #[inline]
-    pub fn simt_for<F: FnMut(usize)>(&mut self, n: usize, mut f: F) {
+    pub fn simt_for<F: FnMut(usize)>(&mut self, n: usize, mut f: F) -> u64 {
         if n == 0 {
-            return;
+            return 0;
         }
         let waves = n.div_ceil(WARP_SIZE);
         self.metrics.simt_instructions += waves as u64;
@@ -93,6 +94,7 @@ impl Warp {
         for i in 0..n {
             f(i);
         }
+        waves as u64
     }
 
     /// Executes one wave with an explicit active-lane mask; `f` is called

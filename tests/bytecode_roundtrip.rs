@@ -4,9 +4,12 @@
 //!
 //! The reference is a **pinned table**: `(count, total SIMT instructions,
 //! active lane slots, issued lane slots)` for q1..q24 on both golden
-//! fixture graphs under the deterministic steal-free schedule, recorded at
-//! the last commit that still had the plan-walking interpreter, by that
-//! interpreter (default configuration there). The default launch, tier 0
+//! fixture graphs under the deterministic steal-free schedule. The counts
+//! were recorded at the last commit that still had the plan-walking
+//! interpreter, by that interpreter, and have not moved since; the three
+//! cost columns are the default launch's under the current cost model
+//! (regenerated with the last-level rule of DESIGN.md §4c, every total at
+//! or under the one it replaced). The default launch, tier 0
 //! with tier state (`specialize = false`), forced tier 1
 //! (`tier_up_after = 0`) and a launch on an index-carrying graph with hub
 //! routing off must each reproduce the table to the lane slot. A randomized
@@ -93,52 +96,52 @@ fn run(cfg: EngineConfig, g: &Graph, q: &Pattern) -> Fingerprint {
 const PINNED: [[Fingerprint; 24]; 2] = [
     // unlabeled
     [
-        (119531, 42405, 452144, 1300064),
-        (5176, 18324, 286694, 476384),
-        (9200, 11701, 166858, 299264),
-        (34587, 14107, 187095, 395776),
-        (1486, 2654, 23360, 65728),
-        (2884, 13710, 191566, 354240),
-        (88, 1472, 9149, 37600),
-        (4, 1440, 10107, 36064),
-        (915277, 348758, 3834662, 10727936),
-        (31430, 104197, 1698256, 2705920),
-        (967, 21636, 343329, 572672),
-        (258862, 113676, 1691090, 3215840),
-        (155617, 31124, 254236, 980480),
-        (621, 8470, 115680, 219680),
-        (3, 1460, 10133, 36704),
+        (119531, 24408, 452144, 724160),
+        (5176, 14138, 271060, 342432),
+        (9200, 8752, 153965, 204896),
+        (34587, 13190, 187095, 366432),
+        (1486, 2631, 23360, 64992),
+        (2884, 10345, 182119, 246560),
+        (88, 1418, 9149, 35872),
+        (4, 1423, 10087, 35520),
+        (915277, 202090, 3834662, 6034560),
+        (31430, 79536, 1602441, 1916768),
+        (967, 18815, 338850, 482400),
+        (258862, 106782, 1691090, 2995232),
+        (155617, 15514, 254236, 480960),
+        (621, 7431, 113211, 186432),
+        (3, 1457, 10133, 36608),
         (0, 1448, 10114, 36192),
-        (6605944, 2728650, 30171014, 83850048),
-        (186933, 618696, 10181350, 16042752),
-        (1783390, 912361, 13871924, 25806624),
-        (129, 11126, 155666, 283104),
-        (1294, 17282, 260211, 452672),
-        (78, 19184, 270858, 502048),
+        (6605944, 1602486, 30171014, 47812800),
+        (186933, 472049, 9599368, 11350048),
+        (1783390, 864126, 13871924, 24263104),
+        (129, 10528, 154699, 263968),
+        (1294, 14924, 254413, 377216),
+        (78, 19120, 270858, 500000),
         (0, 1448, 10114, 36192),
         (0, 1448, 10114, 36192),
     ],
     // labeled
     [
-        (92, 297, 2913, 7968),
+        (92, 287, 2913, 7648),
         (0, 171, 1103, 4416),
         (0, 85, 111, 2400),
-        (12, 128, 425, 3328),
+        (12, 124, 425, 3200),
         (0, 142, 286, 3392),
-        (7, 149, 799, 4000),
+        (7, 142, 792, 3776),
         (0, 104, 203, 2752),
         (0, 104, 164, 2752),
-        (4, 135, 743, 3648),
-        (2, 131, 947, 3584),
-        (0, 151, 855, 3872),
-        (14, 142, 806, 3808),
+        (4, 133, 743, 3584),
+        (2, 129, 945, 3520),
+        (0, 148, 852, 3776),
+        (14, 138, 806, 3680),
         (3, 133, 441, 3360),
         (0, 91, 121, 2528),
         (0, 110, 144, 2880),
         (0, 108, 202, 2816),
         (0, 86, 142, 2432),
         (0, 113, 713, 3168),
-        (12, 465, 5686, 11936),
+        (12, 459, 5686, 11744),
         (0, 88, 139, 2432),
         (0, 85, 117, 2400),
         (0, 101, 179, 2656),

@@ -9,20 +9,53 @@
 //! equals the independent oracle's *and* the number of embeddings the
 //! `enumerate` route emits — which probes every last-level candidate
 //! individually and never takes the closed form.
+//!
+//! The *simulated* last level has no routes at all (DESIGN.md §4c,
+//! "Last-level counting"): its charge is a function of the candidate list's
+//! provenance and lengths, so whichever way the host counts — closed form,
+//! per-element probe, enumeration — a steal-free run reports the same
+//! instructions and the same lanes, and unrolling fills those lanes at the
+//! last level as it does everywhere else.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, MatchOutcome};
 use stmatch_gpusim::GridConfig;
-use stmatch_graph::gen;
+use stmatch_graph::datasets::Dataset;
+use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
+
+fn fixtures() -> [Graph; 2] {
+    [
+        gen::preferential_attachment(36, 3, 3).degree_ordered(),
+        gen::erdos_renyi(30, 75, 5).degree_ordered(),
+    ]
+}
+
+/// One block of two warps, no stealing: every simulator total is exact.
+fn steal_free() -> EngineConfig {
+    let mut cfg = EngineConfig::default().with_grid(GridConfig {
+        num_blocks: 1,
+        warps_per_block: 2,
+        shared_mem_per_block: 100 * 1024,
+    });
+    cfg.local_steal = false;
+    cfg.global_steal = false;
+    cfg
+}
+
+/// What a run cost on the simulated machine.
+fn charge(out: &MatchOutcome) -> (u64, u64, u64) {
+    let t = out.metrics.total();
+    (
+        t.simt_instructions,
+        t.active_lane_slots,
+        t.issued_lane_slots,
+    )
+}
 
 #[test]
 fn every_route_agrees_with_the_oracle_and_with_enumeration() {
-    let fixtures = [
-        gen::preferential_attachment(36, 3, 3).degree_ordered(),
-        gen::erdos_renyi(30, 75, 5).degree_ordered(),
-    ];
-    for g in &fixtures {
+    for g in &fixtures() {
         for q in 1..=24 {
             let pattern = catalog::paper_query(q);
             let want = reference::count(g, &pattern, RefOptions::default());
@@ -52,5 +85,72 @@ fn every_route_agrees_with_the_oracle_and_with_enumeration() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn the_simulated_charge_does_not_depend_on_the_route() {
+    let engine = Engine::new(steal_free());
+    for g in &fixtures() {
+        let n = g.num_vertices();
+        // One label everywhere filters nothing, so both labelings below
+        // compute the lists of the same plan; label 64 is beyond what a
+        // label mask can hold, which leaves every level a residual check
+        // and the last level on the per-element route.
+        let [masked, residual] = [5, 64].map(|label| g.relabeled(vec![label; n]));
+        for q in 1..=24 {
+            let pattern = catalog::paper_query(q);
+            let leg = format!("q{q} on {}", g.name());
+            let plan = engine.compile(&pattern);
+            let counted = engine.run_plan(g, &plan).expect("count run");
+            let listed = engine.enumerate_plan(g, &plan).expect("enumeration");
+            assert_eq!(counted.count, listed.outcome.count, "{leg}");
+            assert_eq!(
+                charge(&counted),
+                charge(&listed.outcome),
+                "{leg}: closed form vs enumeration"
+            );
+            let [masked, residual] = [(&masked, 5), (&residual, 64)].map(|(g, label)| {
+                let labeled = pattern.clone().with_labels(&vec![label; pattern.size()]);
+                let out = engine.run(g, &labeled).expect("labeled run");
+                assert_eq!(out.count, counted.count, "{leg} labeled {label}");
+                charge(&out)
+            });
+            assert_eq!(masked, residual, "{leg}: closed form vs residual probe");
+        }
+    }
+}
+
+#[test]
+fn unrolling_pays_at_the_last_level() {
+    // q1 counts a lifted list: eight slots share the waves one slot leaves
+    // mostly empty (the golden PA fixture of `tests/golden_counts.rs`).
+    let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
+    let count_pass = |unroll| {
+        let out = Engine::new(steal_free().with_unroll(unroll))
+            .run(&g, &catalog::paper_query(1))
+            .expect("q1");
+        assert_eq!(out.count, 119_531);
+        out.metrics.total().count_pass_instructions
+    };
+    assert!(count_pass(8) < count_pass(1));
+    // Fig. 13 as code: lane utilization of the figure's labeled size-6
+    // queries on its dataset does not fall as the unroll size grows (labels
+    // as `repro fig13` draws them: two labels, the tables' seed).
+    let enron = Dataset::Enron.load_labeled(2, 2022);
+    for q in [11, 14] {
+        let pattern = catalog::paper_query(q).with_random_labels(2, q as u64);
+        let utilization: Vec<f64> = [1, 2, 4, 8]
+            .into_iter()
+            .map(|unroll| {
+                let engine = Engine::new(steal_free().with_unroll(unroll));
+                let out = engine.run(&enron, &pattern).expect("fig13 cell");
+                out.metrics.lane_utilization()
+            })
+            .collect();
+        assert!(
+            utilization.windows(2).all(|w| w[0] <= w[1]),
+            "q{q}: {utilization:?}"
+        );
     }
 }
