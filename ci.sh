@@ -83,17 +83,6 @@ run_and_grep "smoke:bitmap" \
     "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
     "${CHECK[@]}" bitmap
 
-# Tier gate. Off legs hold no tier state: the GOLDEN rows / pinned clique
-# count with `served_tier: None`. Every leg with tier state must be
-# metric-bit-identical to its off leg (all legs interpret the same stream;
-# tier 1 is a specialization of that loop), and tier routing must match the
-# promotion policy (q8 cascades reach tier 1 under profiling, q1 stays
-# tier 0 until specialization is forced, q6 never leaves the interpreter).
-# The grep wants nonzero specialized runs: a silently dead tier-1 path.
-run_and_grep "smoke:bytecode" \
-    "bytecode_check totals: specialized_runs=[0-9]*[1-9][0-9]* tier0_runs=[0-9]*[1-9][0-9]*" \
-    "${CHECK[@]}" bytecode
-
 # Fault-tolerance gate: q1/q6 under a seeded fault plan (one warp panic +
 # one warp stall); counts must stay exactly at the goldens, the death must
 # be contained and recovered (a hang is killed by this phase's cap).
@@ -227,8 +216,10 @@ fi
 echo "==> tree: OK (git status unchanged)"
 
 # ROADMAP aim 2's success metric, from the gate's own log: `.rs` lines of the
-# engine crate and of the workspace outside `benchmark/`.
+# engine crate, of the workspace outside `benchmark/` and of the kernel, and
+# the `.enabled` sites left in the engine crate (ROADMAP item 1's count).
 rs_lines() { find "$@" -name '*.rs' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l; }
-echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .)"
+enabled_sites=$(cat crates/core/src/*.rs | grep -c '\.enabled' || true)
+echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .) kernel.rs=$(rs_lines crates/core/src/kernel.rs) enabled-sites=${enabled_sites}"
 
 echo "ci.sh: all phases passed"

@@ -8,7 +8,6 @@
 //! anything.
 
 mod bitmap;
-mod bytecode;
 mod delta;
 mod faults;
 mod hotpath;
@@ -92,14 +91,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((gate, flags)) = args.split_first() else {
         eprintln!(
-            "usage: check <bitmap|bytecode|delta|faults|hotpath|service|shard|simt|verify> \
+            "usage: check <bitmap|delta|faults|hotpath|service|shard|simt|verify> \
              [--mutate=<name>] [--scaling] [--print]"
         );
         return ExitCode::from(2);
     };
     let run = match gate.as_str() {
         "bitmap" => bitmap::run,
-        "bytecode" => bytecode::run,
         "delta" => delta::run,
         "faults" => faults::run,
         "hotpath" => hotpath::run,

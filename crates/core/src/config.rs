@@ -64,11 +64,7 @@ pub struct EngineConfig {
     /// requeued from dead warps (see `recover` and DESIGN.md §4d).
     /// [`RecoveryPolicy::disabled`] restores fail-fast launches.
     pub recovery: RecoveryPolicy,
-    /// Execution tiers (see `compile` and DESIGN.md §4h). Every launch
-    /// interprets its plan's own lowered stream whatever this says; the
-    /// knob only adds tier state beside the plan — and with it
-    /// profile-guided promotion to the tier-1 specialized bodies and
-    /// `MatchOutcome::served_tier`. Disabled by default.
+    /// Inert; see [`CompileTuning`].
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i):
     /// work-aware partitioning of the level-0 domain, cross-shard range
@@ -178,30 +174,13 @@ impl Default for ShardTuning {
     }
 }
 
-/// Tier knob: whether launches hold tier state, and when its profile
-/// counters promote a plan to its monomorphized tier-1 body.
-///
-/// Lowered bytecode is not optional — `MatchPlan::compile*` lowers once and
-/// every launch interprets that stream — so nothing here selects an
-/// interpreter. Tiers never change match results or simulated metrics
-/// (tier 1 issues exactly the interpreter's set-operation calls); they only
-/// change host-side dispatch cost.
+/// Inert, kept for `benchmark/`: no engine or service path reads any field
+/// (one interpreter runs every plan's lowered stream, DESIGN.md §4h).
+/// Deleted with the benchmark's `compile.*` legs by ROADMAP item 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileTuning {
-    /// Hold tier state and allow tier-1 promotion (default `false`).
-    /// Without it every launch is the interpreter's and
-    /// `MatchOutcome::served_tier` is `None`. With hub-bitmap routing
-    /// enabled too, the rows are routed by the interpreter, so the launch
-    /// reports tier 0 and is metric-exact against `hub_bitmap` alone.
     pub enabled: bool,
-    /// Claims observed (across every run sharing the compiled plan, e.g.
-    /// via the service's plan cache) before a specializable plan is
-    /// promoted to tier 1 (default 4096). `0` skips profiling and starts
-    /// specializable plans at tier 1.
     pub tier_up_after: u64,
-    /// Allow tier-1 monomorphized bodies at all (default `true`). With
-    /// `false`, tier state is held but every launch stays on the tier-0
-    /// interpreter — the `bc` leg of PR 7's measurement (CHANGES.md).
     pub specialize: bool,
 }
 
@@ -317,8 +296,7 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with tier state (and tier-1 promotion) switched on
-    /// or off; see [`CompileTuning::enabled`].
+    /// Inert; see [`CompileTuning`].
     pub fn with_compile(mut self, enabled: bool) -> Self {
         self.compile.enabled = enabled;
         self
@@ -362,10 +340,9 @@ impl EngineConfig {
             self.delta.grid.num_blocks >= 1 && self.delta.grid.warps_per_block >= 1,
             "delta grid must have at least one warp"
         );
-        // `compile` needs no range check here: every CompileTuning value is
-        // admissible, and malformed *streams* are rejected when the plan is
-        // compiled, by `PlanBytecode::verify` with a named BytecodeError
-        // (same fail-loud boundary as the unroll assertion above).
+        // Malformed *streams* are rejected when the plan is compiled, by
+        // `PlanBytecode::verify` with a named BytecodeError (same fail-loud
+        // boundary as the unroll assertion above).
     }
 }
 
@@ -389,8 +366,7 @@ mod tests {
         assert!(!c.hub_bitmap.enabled);
         assert_eq!(c.hub_bitmap.hub_threshold, 32);
         assert!(c.with_hub_bitmap(true).hub_bitmap.enabled);
-        // Tier state also defaults off; tier-1 promotion defaults to a
-        // profile threshold, not instant.
+        // Inert, but `benchmark/` builds its legs from these defaults.
         assert!(!c.compile.enabled);
         assert_eq!(c.compile.tier_up_after, 4096);
         assert!(c.compile.specialize);

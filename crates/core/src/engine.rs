@@ -21,7 +21,6 @@
 //!   ladder of [`recover::degrade`] and records each rung taken in
 //!   [`MatchOutcome::downgrades`].
 
-use crate::compile::{CompiledPlan, Tier};
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
@@ -81,11 +80,9 @@ pub struct MatchOutcome {
     /// verdict ([`Launch::verified`]), debug builds audit this against the
     /// certificate's `ResourceCert::peak_cells` bound.
     pub peak_slab_cells: u64,
-    /// The execution tier the launch was served at when it completed
-    /// (`0` = the stream interpreter, `1` = shape-specialized), or `None`
-    /// when it held no tier state (`CompileTuning::enabled` off). A run
-    /// that tiers up mid-launch reports the *final* tier; a launch that
-    /// routes hub-bitmap rows is always served by the interpreter.
+    /// Always `None`: one interpreter serves every launch. Inert, kept for
+    /// `benchmark/`'s `compile.served_tier` leg; deleted with
+    /// [`CompileTuning`](crate::config::CompileTuning) by ROADMAP item 2.
     pub served_tier: Option<u8>,
 }
 
@@ -171,12 +168,6 @@ pub struct Launch<'a> {
     /// are identical to a cold launch; if a degradation rung changes the
     /// grid geometry away from the slot's, that attempt runs cold.
     pub warm: Option<&'a WarmSlot>,
-    /// Caller-held tier/profile state for `plan` that persists across
-    /// launches — how the resident service serves cached queries at their
-    /// promoted tier. Read only when `CompileTuning::enabled` is set;
-    /// `None` then starts the launch on fresh state of its own. Either way
-    /// the launch interprets `plan`'s own stream.
-    pub compiled: Option<&'a CompiledPlan>,
     /// A static verification of `plan` against `graph`
     /// ([`Engine::verify`]; the service attaches its cached verdict). The
     /// launch runs on certificate-shaped slabs whenever the verdict's
@@ -197,7 +188,6 @@ impl<'a> Launch<'a> {
             graph,
             plan,
             warm: None,
-            compiled: None,
             verified: None,
             collector: None,
             domain: Level0::Whole,
@@ -433,15 +423,6 @@ impl Engine {
         } else {
             None
         };
-        // Tier state, when the knob asks for it: the caller's persistent
-        // instance (the service cache) or a fresh one on this frame. It
-        // holds no stream — every launch interprets `plan.bytecode()`.
-        let owned_compiled = (cfg.compile.enabled && req.compiled.is_none())
-            .then(|| CompiledPlan::new(plan, cfg.compile));
-        let compiled = req
-            .compiled
-            .filter(|_| cfg.compile.enabled)
-            .or(owned_compiled.as_ref());
         // A verdict the caller attached shapes the slabs wherever its clean
         // certificate shrinks one, and is audited after the run below.
         let slab_caps = req.verified.and_then(Verification::footprint_caps);
@@ -475,7 +456,6 @@ impl Engine {
                     plan,
                     cfg: &cfg,
                     hubs,
-                    compiled,
                     slab_caps: slab_caps.as_deref(),
                     l0,
                     enumerate: req.collector.is_some(),
@@ -533,13 +513,7 @@ impl Engine {
     /// One launch attempt at a specific configuration: budget planning,
     /// then the (containment-wrapped, possibly multi-pass) launch.
     fn attempt(&self, r: &Resolved<'_>) -> Result<MatchOutcome, LaunchError> {
-        let KernelEnv {
-            plan,
-            cfg,
-            hubs,
-            compiled,
-            ..
-        } = r.env;
+        let KernelEnv { plan, cfg, .. } = r.env;
         let grid = Grid::new(cfg.grid)?;
         let k = plan.num_levels();
         let stop = cfg.effective_stop(k);
@@ -561,9 +535,12 @@ impl Engine {
         // --- Global memory: fixed stack slabs (paper §VIII-A). ---
         let num_warps = cfg.grid.total_warps();
         let stack_bytes = plan.num_sets() * cfg.unroll * cfg.max_degree_slab * 4 * num_warps;
-        self.memory.try_alloc(stack_bytes)?;
+        // Beside them, the marker rows every warp of an unrouted launch
+        // holds; `MatchOutcome::stack_bytes` stays the paper's formula.
+        let reserved = stack_bytes + r.env.marker_bytes() * num_warps;
+        self.memory.try_alloc(reserved)?;
         let stats = self.run_passes(r, &grid, stop);
-        self.memory.free(stack_bytes);
+        self.memory.free(reserved);
         Ok(MatchOutcome {
             count: stats.metrics.matches(),
             metrics: stats.metrics,
@@ -579,17 +556,7 @@ impl Engine {
             downgrades: Vec::new(),
             spill_events: stats.spill_events,
             peak_slab_cells: stats.peak_cells,
-            // Snapshot after the launch: a mid-run tier-up is reported at
-            // the tier the plan ended up on. Routed rows pin the launch to
-            // the interpreter whatever the (possibly shared) state says.
-            served_tier: compiled.map(|c| {
-                let tier = if hubs.is_some() {
-                    Tier::Bytecode
-                } else {
-                    c.tier()
-                };
-                tier.index()
-            }),
+            served_tier: None,
         })
     }
 
@@ -934,6 +901,32 @@ mod tests {
     }
 
     #[test]
+    fn memory_budget_covers_marker_rows() {
+        // q3 marks a position, so every warp of an unrouted launch holds a
+        // marker row beside its stack slabs: a budget of the slabs alone
+        // must refuse the launch (no ladder rung shrinks a marker row).
+        let g = gen::erdos_renyi(200, 800, 3);
+        let p = catalog::paper_query(3);
+        let mut cfg = EngineConfig::default().with_grid(small_grid());
+        cfg.recovery = crate::recover::RecoveryPolicy::disabled();
+        let engine = Engine::new(cfg);
+        let plan = engine.compile(&p);
+        assert_ne!(plan.bytecode().marked(), 0);
+        let free = engine.run_plan(&g, &plan).unwrap();
+        let rows = plan.bytecode().marked().count_ones() as usize;
+        let marker_bytes = rows * g.num_vertices().div_ceil(64) * 8 * cfg.grid.total_warps();
+        match Engine::with_memory_budget(cfg, free.stack_bytes).run_plan(&g, &plan) {
+            Err(LaunchError::GlobalMemory(_)) => {}
+            other => panic!("expected OOM, got {other:?}"),
+        }
+        let fits = Engine::with_memory_budget(cfg, free.stack_bytes + marker_bytes)
+            .run_plan(&g, &plan)
+            .unwrap();
+        assert_eq!(fits.count, free.count);
+        assert_eq!(fits.stack_bytes, free.stack_bytes);
+    }
+
+    #[test]
     fn shared_memory_overflow_fails_launch() {
         let g = gen::complete(5);
         let cfg = EngineConfig {
@@ -1010,93 +1003,6 @@ mod tests {
         let engine = Engine::new(EngineConfig::default().with_grid(small_grid()));
         let en = engine.enumerate(&g, &p).unwrap();
         assert_eq!(en.embeddings, vec![vec![1], vec![2], vec![3], vec![4]]);
-    }
-
-    /// Steals off, unrolling on: the deterministic schedule under which
-    /// instruction totals are reproducible across runs (steal timing would
-    /// otherwise perturb batch composition), with the warp-wave batching
-    /// the compiled tiers must reproduce still fully exercised.
-    fn deterministic_cfg() -> EngineConfig {
-        EngineConfig {
-            local_steal: false,
-            global_steal: false,
-            ..EngineConfig::default().with_grid(small_grid())
-        }
-    }
-
-    #[test]
-    fn compiled_tiers_preserve_counts_and_metrics() {
-        let g = gen::preferential_attachment(300, 5, 11).degree_ordered();
-        for q in [1, 6, 8] {
-            let p = catalog::paper_query(q);
-            let base = Engine::new(deterministic_cfg()).run(&g, &p).unwrap();
-            assert_eq!(base.served_tier, None, "q{q}: compile off reports no tier");
-            // Tier 0 only: bytecode dispatch must be invisible in metrics.
-            let mut cfg = deterministic_cfg();
-            cfg.compile.enabled = true;
-            cfg.compile.specialize = false;
-            let bc = Engine::new(cfg).run(&g, &p).unwrap();
-            assert_eq!(bc.count, base.count, "q{q} tier-0 count");
-            assert_eq!(
-                bc.total_instructions(),
-                base.total_instructions(),
-                "q{q} tier-0 instructions"
-            );
-            assert_eq!(
-                bc.metrics.total().lane_utilization(),
-                base.metrics.total().lane_utilization(),
-                "q{q} tier-0 lanes"
-            );
-            assert_eq!(bc.served_tier, Some(0), "q{q} stays tier 0");
-            // Forced specialization (threshold 0): q1 path and q8 cascade
-            // get tier-1 bodies, q6 (general) stays on bytecode.
-            let mut cfg = deterministic_cfg();
-            cfg.compile.enabled = true;
-            cfg.compile.tier_up_after = 0;
-            let spec = Engine::new(cfg).run(&g, &p).unwrap();
-            assert_eq!(spec.count, base.count, "q{q} tier-1 count");
-            assert_eq!(
-                spec.total_instructions(),
-                base.total_instructions(),
-                "q{q} tier-1 instructions"
-            );
-            let expect = if q == 6 { Some(0) } else { Some(1) };
-            assert_eq!(spec.served_tier, expect, "q{q} routing");
-        }
-    }
-
-    #[test]
-    fn hub_routing_with_tier_state_stays_on_the_interpreter() {
-        // Routed rows and tier state compose: the hub path is the
-        // interpreter's, so a forced tier 1 must not take the launch off
-        // it, and the state must not move a single metric.
-        let g = gen::preferential_attachment(300, 5, 11).degree_ordered();
-        let p = catalog::paper_query(8);
-        let mut bitmap_only = deterministic_cfg();
-        bitmap_only.hub_bitmap.enabled = true;
-        let base = Engine::new(bitmap_only).run(&g, &p).unwrap();
-        assert_eq!(base.served_tier, None);
-        // Everything the simulator counts (host nanos aside).
-        let sim = |o: &MatchOutcome| {
-            let t = o.metrics.total();
-            (
-                t.simt_instructions,
-                t.issued_lane_slots,
-                t.active_lane_slots,
-                t.bitmap_probe_words,
-                t.bitmap_merge_words,
-                t.bitmap_merge_waves,
-            )
-        };
-        let routed = sim(&base);
-        assert!(routed.3 + routed.4 > 0, "fixture never took a bitmap path");
-        let mut both = bitmap_only;
-        both.compile.enabled = true;
-        both.compile.tier_up_after = 0;
-        let out = Engine::new(both).run(&g, &p).unwrap();
-        assert_eq!(out.count, base.count);
-        assert_eq!(sim(&out), routed);
-        assert_eq!(out.served_tier, Some(0), "routed launches report tier 0");
     }
 
     #[test]

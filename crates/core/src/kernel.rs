@@ -21,9 +21,7 @@
 //! ([`MatchPlan::bytecode`], the `row_ptr` / `set_ops` encoding of Fig. 9b)
 //! by one interpreter, [`WarpKernel::compute_sets`] — cold runs, warm runs,
 //! shards and anchored delta launches alike, with or without hub-bitmap
-//! rows routed into the set operations. The only other bodies are the two
-//! tier-1 specializations of that loop (`compile`), which serve unrouted
-//! launches of promoted plans and issue the same calls.
+//! rows routed into the set operations.
 //!
 //! All per-claim scratch (the unroll batches, ping/pong chain buffers, the
 //! emit tail) is owned by the kernel and reused, and
@@ -50,7 +48,6 @@
 //! through a commit watermark (`emit_mark`).
 
 use crate::arena::StackArena;
-use crate::compile::{CompiledPlan, Tier};
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops;
@@ -58,37 +55,9 @@ use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::Warp;
 use stmatch_graph::bitmap::word_probe;
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
-use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SpecShape, NO_POS};
+use stmatch_pattern::bytecode::{OpCode, PlanBytecode, NO_POS};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, OpKind, MAX_PATTERN_SIZE};
-
-/// Monomorphization table for the tier-1 shape bodies: one arm per
-/// `(UNROLL, NUM_SETS)` point, keyed on the live config and plan. Unrolls
-/// outside the power-of-two ladder or plans wider than the table fall back
-/// to the tier-0 interpreter (returning `false`), which is always
-/// metric-identical — specialization is a strict fast path, never a
-/// semantic fork.
-macro_rules! shape_dispatch {
-    ($self:ident . $method:ident ($warp:ident, $level:ident, $bat:ident, $bc:ident)) => {
-        shape_dispatch!(@arms $self.$method($warp, $level, $bat, $bc);
-            (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7),
-            (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
-            (4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (4, 7),
-            (8, 1), (8, 2), (8, 3), (8, 4), (8, 5), (8, 6), (8, 7),
-            (16, 1), (16, 2), (16, 3), (16, 4), (16, 5), (16, 6), (16, 7),
-            (32, 1), (32, 2), (32, 3), (32, 4), (32, 5), (32, 6), (32, 7))
-    };
-    (@arms $self:ident . $method:ident ($warp:ident, $level:ident, $bat:ident, $bc:ident);
-     $(($u:literal, $n:literal)),+) => {
-        match ($self.cfg.unroll, $bc.num_sets()) {
-            $(($u, $n) => {
-                $self.$method::<$u, $n>($warp, $level, $bat, $bc);
-                true
-            })+
-            _ => false,
-        }
-    };
-}
 
 /// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
 /// and reclaimed payloads stay in virtual index space, so they are portable
@@ -128,9 +97,6 @@ pub struct KernelEnv<'a> {
     /// are routed into the interpreter's set operations. `None` keeps
     /// every set operation on the classic element paths.
     pub hubs: Option<&'a HubBitmapIndex>,
-    /// Tier/profile state, present iff `cfg.compile.enabled`; consulted
-    /// only when `hubs` is `None` (the tier-1 bodies route no rows).
-    pub compiled: Option<&'a CompiledPlan>,
     /// Per-set slab-capacity bounds of a clean static verification
     /// (`Verification::footprint_caps`), present iff the launch carries a
     /// verdict (`Launch::verified`) whose certificate offers some: the
@@ -143,6 +109,28 @@ pub struct KernelEnv<'a> {
     /// (Fig. 3's `Output`) instead of only counting; drain with
     /// [`WarpKernel::take_emitted`] after the run.
     pub enumerate: bool,
+}
+
+impl KernelEnv<'_> {
+    /// The positions whose [`Marker`] rows each warp of this launch holds
+    /// and the length of one row in words. With an index routed, input rows
+    /// come from it (hub rows, sealed result rows); the marker serves the
+    /// launches that carry no rows at all.
+    fn marker_rows(&self) -> (u8, usize) {
+        let marked = if self.hubs.is_none() {
+            self.plan.bytecode().marked()
+        } else {
+            0
+        };
+        (marked, self.graph.num_vertices().div_ceil(64))
+    }
+
+    /// Global-memory bytes of marker rows per warp, which the launch budget
+    /// reserves beside the stack slabs.
+    pub fn marker_bytes(&self) -> usize {
+        let (marked, stride) = self.marker_rows();
+        marked.count_ones() as usize * stride * 8
+    }
 }
 
 /// Per-warp kernel state.
@@ -223,12 +211,6 @@ pub struct WarpKernel<'a> {
     faults: Option<&'a FaultPlan>,
     /// See [`KernelEnv::hubs`].
     hubs: Option<&'a HubBitmapIndex>,
-    /// [`KernelEnv::compiled`], dropped when `hubs` is set.
-    compiled: Option<&'a CompiledPlan>,
-    /// Claims recorded since the last profile flush to `compiled` (always
-    /// 0 without tier state). Batched so the shared profile counter
-    /// stays off the per-claim fast path.
-    unflushed: u64,
 }
 
 impl<'a> WarpKernel<'a> {
@@ -249,7 +231,6 @@ impl<'a> WarpKernel<'a> {
             plan,
             cfg,
             hubs,
-            compiled,
             slab_caps,
             ..
         } = *env;
@@ -291,11 +272,7 @@ impl<'a> WarpKernel<'a> {
             storage.enable_set_bits(hx.stride());
         }
         let bc = plan.bytecode();
-        // With an index routed, input rows come from it (hub rows, sealed
-        // result rows) exactly as before; the marker serves the launches
-        // that carry no rows at all.
-        let marked = if hubs.is_none() { bc.marked() } else { 0 };
-        let stride = g.num_vertices().div_ceil(64);
+        let (marked, stride) = env.marker_rows();
         let words = storage.take_marker_words(marked.count_ones() as usize * stride);
         WarpKernel {
             g,
@@ -329,8 +306,6 @@ impl<'a> WarpKernel<'a> {
             installing: None,
             faults,
             hubs,
-            compiled: if hubs.is_none() { compiled } else { None },
-            unflushed: 0,
         }
     }
 
@@ -398,31 +373,13 @@ impl<'a> WarpKernel<'a> {
     #[inline]
     fn cancelled(&mut self) -> bool {
         self.claims = self.claims.wrapping_add(1);
-        if self.compiled.is_some() {
-            self.unflushed += 1;
-        }
         if let Some(f) = self.faults {
             f.at_claim(self.warp_id, self.claims);
         }
         if self.claims.is_multiple_of(4096) {
-            // Piggyback the profile flush on the existing slow poll so
-            // deep-level claim storms still feed the tier-up counter
-            // without adding fast-path cost (commit() covers the rest).
-            self.flush_profile();
             self.board.check_deadline()
         } else {
             self.board.aborted()
-        }
-    }
-
-    /// Drains the local claim batch into the shared compiled-plan profile
-    /// (which may promote the plan to its specialized tier). No-op when
-    /// the launch holds no tier state.
-    fn flush_profile(&mut self) {
-        if self.unflushed != 0 {
-            if let Some(c) = self.compiled {
-                c.note_claims(std::mem::take(&mut self.unflushed));
-            }
         }
     }
 
@@ -439,7 +396,6 @@ impl<'a> WarpKernel<'a> {
             self.emit_mark = emb.len();
         }
         self.inflight = None;
-        self.flush_profile();
     }
 
     /// Candidate-list spill events (slab overflows) observed so far.
@@ -514,7 +470,7 @@ impl<'a> WarpKernel<'a> {
             self.batch[l].push(self.matched[l - 1]);
             self.uiter[l] = 0;
             self.iter[l] = 0;
-            self.compute_sets_dispatch(warp, l);
+            self.compute_sets(warp, l);
         }
         let mut m = self.board.mirror(self.warp_id).lock();
         m.clear();
@@ -684,7 +640,7 @@ impl<'a> WarpKernel<'a> {
         self.uiter[l] = 0;
         self.iter[l] = 0;
         self.matched[l - 1] = self.batch[l].slots[0];
-        self.compute_sets_dispatch(warp, l);
+        self.compute_sets(warp, l);
         // One mirror lock publishes the whole stealable view of the level:
         // `matched[l-1]`, plus level `l`'s iteration range when `l` itself
         // is shallow. Publishing after `compute_sets` is safe: a stealer
@@ -752,27 +708,7 @@ impl<'a> WarpKernel<'a> {
         self.storage.slot(cid, slot)
     }
 
-    /// Set-computation entry: the tier-1 monomorphized body when the
-    /// launch holds tier state, routes no hub rows, and the plan is
-    /// promoted and specializable; the interpreter otherwise. The tier read
-    /// is one relaxed atomic load per level entry; a stale tier-0 snapshot
-    /// just interprets one more level, which is metric-identical.
-    fn compute_sets_dispatch(&mut self, warp: &mut Warp, level: usize) {
-        if self.bc.instrs_at(level).is_empty() {
-            // The level's candidate was lifted to an earlier level.
-            return;
-        }
-        let batch = self.batch[level];
-        let bat = batch.as_slice();
-        if let Some(c) = self.compiled {
-            if c.tier() == Tier::Specialized && self.compute_sets_specialized(warp, level, bat, c) {
-                return;
-            }
-        }
-        self.compute_sets(warp, level, bat);
-    }
-
-    /// Computes every set of `level` for all slots of `bat`, as combined
+    /// Computes every set of `level` for all slots of its batch, as combined
     /// warp-wide operations (Fig. 8) streaming straight into the arena: one
     /// set-operation call per instruction of the plan's lowered stream.
     ///
@@ -798,7 +734,14 @@ impl<'a> WarpKernel<'a> {
     /// slots whose operand is the shorter side stream it against the row
     /// instead of walking the long list again. Every other call is the
     /// classic element-path call.
-    fn compute_sets(&mut self, warp: &mut Warp, level: usize, bat: &[VertexId]) {
+    fn compute_sets(&mut self, warp: &mut Warp, level: usize) {
+        let prog = self.bc.instrs_at(level);
+        if prog.is_empty() {
+            // The level's candidate was lifted to an earlier level.
+            return;
+        }
+        let batch = self.batch[level];
+        let bat = batch.as_slice();
         let m = bat.len();
         debug_assert!(m >= 1 && m <= self.cfg.unroll);
         let g = self.g;
@@ -826,7 +769,6 @@ impl<'a> WarpKernel<'a> {
                 }
             })
         };
-        let prog = self.bc.instrs_at(level);
         // The open neighbor-based chain: where it began and which slots run
         // it fused (set by `BeginChain`, consumed by the chain's last step).
         let mut chain_at = 0usize;
@@ -993,121 +935,6 @@ impl<'a> WarpKernel<'a> {
                     }
                 }
             }
-        }
-    }
-
-    /// Tier 1: routes to the monomorphized body for the plan's detected
-    /// shape, keyed on the live `(unroll, num_sets)` point. Returns `false`
-    /// (caller falls back to tier 0) for general shapes or points outside
-    /// the dispatch table.
-    fn compute_sets_specialized(
-        &mut self,
-        warp: &mut Warp,
-        level: usize,
-        bat: &[VertexId],
-        c: &CompiledPlan,
-    ) -> bool {
-        let bc = self.bc;
-        match c.shape() {
-            SpecShape::Cascade => shape_dispatch!(self.cascade_level(warp, level, bat, bc)),
-            SpecShape::Path => shape_dispatch!(self.path_level(warp, level, bat, bc)),
-            SpecShape::General => false,
-        }
-    }
-
-    /// Tier-1 body for the clique cascade: every level is exactly one
-    /// instruction — materialize `N(bat[u])` at level 1, intersect the
-    /// previous level's candidate with `N(bat[u])` below. Monomorphizing
-    /// `UNROLL` shrinks the slot arrays from `MAX_UNROLL`-sized scratch to
-    /// their exact size and fixes the lane-loop trip counts at compile
-    /// time; `NUM_SETS` pins the instantiation to one plan width so each
-    /// body's arena geometry is static. Calls the same set-operation
-    /// kernels as tier 0 with identical arguments — metrics stay
-    /// bit-identical.
-    fn cascade_level<const UNROLL: usize, const NUM_SETS: usize>(
-        &mut self,
-        warp: &mut Warp,
-        level: usize,
-        bat: &[VertexId],
-        bc: &PlanBytecode,
-    ) {
-        let m = bat.len();
-        debug_assert!(m >= 1 && m <= UNROLL);
-        debug_assert_eq!(bc.num_sets(), NUM_SETS);
-        let g = self.g;
-        const EMPTY: &[VertexId] = &[];
-        const NO_BITS: Option<&[u64]> = None;
-        let &[ins] = bc.instrs_at(level) else {
-            unreachable!("cascade levels lower to exactly one instruction");
-        };
-        let dst = ins.dst as usize;
-        debug_assert!(dst < NUM_SETS);
-        // Cascade operands always sit at position `level - 1`: the batch.
-        let mut sources = [EMPTY; UNROLL];
-        for (u, s) in sources.iter_mut().enumerate().take(m) {
-            *s = g.neighbors(bat[u]);
-        }
-        if ins.code == OpCode::MaterializeBase {
-            let (_, mut sink) = self.storage.split_for_write(dst, m);
-            setops::materialize_base_into(warp, g, &sources[..m], ins.mask, &mut sink);
-            return;
-        }
-        let tuning = self.cfg.setops;
-        // The dependency is the previous level's candidate: one shared
-        // slot for the whole batch (`dep_level == level - 1 != level`).
-        let dep_slot = self.uiter[ins.dep_level as usize];
-        let no_bits = [NO_BITS; UNROLL];
-        let (read, mut sink) = self.storage.split_for_write(dst, m);
-        let mut inputs = [EMPTY; UNROLL];
-        for inp in inputs.iter_mut().take(m) {
-            *inp = read.slot(ins.dep as usize, dep_slot);
-        }
-        setops::apply_op_hub_into(
-            warp,
-            g,
-            &inputs[..m],
-            &no_bits[..m],
-            &sources[..m],
-            &no_bits[..m],
-            ins.kind,
-            ins.mask,
-            tuning,
-            &mut sink,
-        );
-    }
-
-    /// Tier-1 body for path/star plans: every instruction is a chain-free
-    /// neighbor materialization (levels can be empty when code motion
-    /// lifted their candidate to an earlier level). Same monomorphization
-    /// rationale as [`WarpKernel::cascade_level`].
-    fn path_level<const UNROLL: usize, const NUM_SETS: usize>(
-        &mut self,
-        warp: &mut Warp,
-        level: usize,
-        bat: &[VertexId],
-        bc: &PlanBytecode,
-    ) {
-        let m = bat.len();
-        debug_assert!(m >= 1 && m <= UNROLL);
-        debug_assert_eq!(bc.num_sets(), NUM_SETS);
-        let g = self.g;
-        const EMPTY: &[VertexId] = &[];
-        let matched = self.matched;
-        let prog = bc.instrs_at(level);
-        debug_assert!(prog.len() <= NUM_SETS);
-        for ins in prog {
-            let pos = ins.pos as usize;
-            let mut sources = [EMPTY; UNROLL];
-            for (u, s) in sources.iter_mut().enumerate().take(m) {
-                let v = if pos == level - 1 {
-                    bat[u]
-                } else {
-                    matched[pos]
-                };
-                *s = g.neighbors(v);
-            }
-            let (_, mut sink) = self.storage.split_for_write(ins.dst as usize, m);
-            setops::materialize_base_into(warp, g, &sources[..m], ins.mask, &mut sink);
         }
     }
 
@@ -1621,7 +1448,6 @@ mod tests {
             plan,
             cfg: &cfg,
             hubs: None,
-            compiled: None,
             slab_caps: None,
             l0: Level0Map::Identity,
             enumerate: false,

@@ -40,7 +40,6 @@
 //! ```
 
 pub mod arena;
-pub mod compile;
 pub mod config;
 pub mod delta;
 pub mod engine;
@@ -53,7 +52,6 @@ pub mod setops;
 pub mod shard;
 pub mod steal;
 
-pub use compile::{CompiledPlan, Tier};
 pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning};
 pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};

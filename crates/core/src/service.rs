@@ -36,7 +36,6 @@
 //! goes through the tracked lock — and kill the seeded
 //! [`mutation::cache_insert_without_lock`] by name.
 
-use crate::compile::CompiledPlan;
 use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta, StagedBatch};
 use crate::engine::{Engine, Launch, MatchOutcome};
@@ -171,9 +170,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Plan-cache hit/miss/occupancy counters, plus the execution-tier
-/// counters of the resident compiled plans (all zero when
-/// `EngineConfig::compile` is off).
+/// Plan-cache hit/miss/occupancy counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -183,15 +180,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries resident — at most one per (canonical form, induced).
     pub entries: usize,
-    /// Tier promotions performed by resident compiled plans: how many
-    /// cache entries crossed their profile threshold and now serve the
-    /// shape-specialized body to every subsequent hit.
-    pub tier_ups: u64,
-    /// Queries served at tier 0 (bytecode dispatch).
-    pub tier0_served: u64,
-    /// Queries served at tier 1 — specialization hits: warm cache entries
-    /// whose promoted tier paid off on a later submission.
-    pub specialized_hits: u64,
     /// Cache entries that went through static verification (at most one
     /// verification per canonical entry; zero until somebody asks
     /// [`MatchService::verification`]).
@@ -338,14 +326,10 @@ impl PlanKey {
 }
 
 /// One plan-cache entry: the canonical plan (with the stream every query
-/// on it interprets) plus — when `CompileTuning::enabled` is set — its
-/// persistent tier state. Holding that in the cache is what makes tier
-/// promotion *resident*: the profile counter and tier survive across
-/// queries, so a warm hit is served straight at the promoted tier.
+/// on it interprets) and its verdict.
 #[derive(Clone)]
 struct CachedPlan {
     plan: Arc<MatchPlan>,
-    compiled: Option<Arc<CompiledPlan>>,
     /// Static verification verdict, filled at most once per canonical
     /// entry, by the first [`MatchService::verification`] ask (the graph is
     /// resident, so the certificate stays valid for the service's
@@ -365,9 +349,6 @@ struct Inner {
     shutdown: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Queries served at each tier (from `MatchOutcome::served_tier`).
-    tier0_served: AtomicU64,
-    tier1_served: AtomicU64,
     /// Cache entries verified / diagnostics raised (verification runs
     /// once per canonical entry; see `CachedPlan::verification`).
     verified: AtomicU64,
@@ -444,12 +425,6 @@ impl Inner {
                 symmetry_breaking: self.cfg.engine.symmetry_breaking,
             },
         ));
-        // Resident tier state (the stream itself was lowered by the compile
-        // above, outside the cache lock).
-        let tuning = self.cfg.engine.compile;
-        let compiled = tuning
-            .enabled
-            .then(|| Arc::new(CompiledPlan::new(&plan, tuning)));
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock_cache();
@@ -459,7 +434,6 @@ impl Inner {
             Entry::Vacant(slot) => slot
                 .insert(CachedPlan {
                     plan,
-                    compiled,
                     verification: Arc::default(),
                 })
                 .clone(),
@@ -487,7 +461,6 @@ impl Inner {
         };
         let entry = self.plan_for(pattern, induced);
         let plan = &entry.plan;
-        let compiled = entry.compiled.as_deref();
         // Resolve the topology once, up front (rank-1 lock, released
         // immediately): the query runs against this snapshot even if a
         // batch lands mid-flight.
@@ -526,7 +499,6 @@ impl Inner {
             } else {
                 engine.launch(&Launch {
                     warm,
-                    compiled,
                     verified: entry.verification.get().map(Arc::as_ref),
                     ..Launch::new(&graph, plan)
                 })
@@ -538,12 +510,6 @@ impl Inner {
             ))),
             Ok(Err(e)) => Err(ServiceError::Launch(e)),
             Ok(Ok(outcome)) => {
-                match outcome.served_tier {
-                    // Relaxed: pure statistics, read by cache_stats only.
-                    Some(0) => drop(self.tier0_served.fetch_add(1, Ordering::Relaxed)),
-                    Some(_) => drop(self.tier1_served.fetch_add(1, Ordering::Relaxed)),
-                    None => {}
-                }
                 if outcome.timed_out {
                     Err(ServiceError::DeadlineExceeded {
                         partial: Some(Box::new(outcome)),
@@ -616,8 +582,6 @@ impl MatchService {
             shutdown: AtomicBool::new(false),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            tier0_served: AtomicU64::new(0),
-            tier1_served: AtomicU64::new(0),
             verified: AtomicU64::new(0),
             diags: AtomicU64::new(0),
             dynamic,
@@ -667,27 +631,14 @@ impl MatchService {
     /// tracked cache lock, which publishes the workers' cache history to
     /// the calling thread.
     pub fn cache_stats(&self) -> CacheStats {
-        // Clone the compiled plans *out* of the cache lock before touching
-        // their tier state: `CompiledPlan::profile` takes a `PlanTierUp`
-        // lock (rank 3), which the declared hierarchy forbids acquiring
-        // under `ServicePlanCache` (rank 4).
-        let (entries, compiled) = {
-            let cache = self.inner.lock_cache();
-            let compiled: Vec<Arc<CompiledPlan>> =
-                cache.values().filter_map(|e| e.compiled.clone()).collect();
-            (cache.len(), compiled)
-        };
-        let tier_ups = compiled.iter().map(|c| c.profile().1).sum();
-        // Relaxed: all six counters are pure statistics; the tracked
+        let entries = self.inner.lock_cache().len();
+        // Relaxed: all four counters are pure statistics; the tracked
         // cache lock above already ordered this thread after the workers'
         // cache (and counter) updates.
         CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
             entries,
-            tier_ups,
-            tier0_served: self.inner.tier0_served.load(Ordering::Relaxed),
-            specialized_hits: self.inner.tier1_served.load(Ordering::Relaxed),
             verified: self.inner.verified.load(Ordering::Relaxed),
             // Relaxed: statistics snapshot; the tracked cache lock above
             // already ordered us after every entry that landed.
@@ -936,7 +887,6 @@ pub mod mutation {
                 key,
                 CachedPlan {
                     plan,
-                    compiled: None,
                     verification: Arc::default(),
                 },
             );
@@ -985,49 +935,6 @@ mod tests {
         assert_eq!(stats.entries, 1, "isomorphic patterns share an entry");
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-    }
-
-    #[test]
-    fn resident_tier_promotion_survives_across_submissions() {
-        // Enough edges that one q8 run records well over the tier-up
-        // threshold in claims; later hits must then be served specialized.
-        let graph = Arc::new(gen::preferential_attachment(200, 5, 3).degree_ordered());
-        let mut cfg = small_cfg();
-        cfg.engine.compile.enabled = true;
-        cfg.engine.compile.tier_up_after = 64;
-        let svc = MatchService::new(Arc::clone(&graph), cfg);
-        let q = catalog::paper_query(8);
-        let baseline = svc.submit(&q, QueryOptions::default()).unwrap().count;
-        for _ in 0..3 {
-            assert_eq!(
-                svc.submit(&q, QueryOptions::default()).unwrap().count,
-                baseline
-            );
-        }
-        let stats = svc.cache_stats();
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.tier_ups, 1, "the resident cascade promoted once");
-        assert!(
-            stats.specialized_hits >= 3,
-            "warm hits served at the promoted tier (got {})",
-            stats.specialized_hits
-        );
-        assert_eq!(
-            stats.tier0_served + stats.specialized_hits,
-            4,
-            "every query was served at some tier"
-        );
-        // A path query through the same service stays on tier 0 (the
-        // promotion policy is cascade-only).
-        let path = catalog::paper_query(1);
-        let c1 = svc.submit(&path, QueryOptions::default()).unwrap().count;
-        assert_eq!(
-            svc.submit(&path, QueryOptions::default()).unwrap().count,
-            c1
-        );
-        let stats = svc.cache_stats();
-        assert_eq!(stats.tier_ups, 1, "the path entry never promotes");
-        assert_eq!(stats.tier0_served, 2);
     }
 
     #[test]

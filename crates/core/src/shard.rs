@@ -439,7 +439,7 @@ fn merge_round(round: &[MatchOutcome], reproduce: Option<String>) -> MatchOutcom
         downgrades: Vec::new(),
         spill_events: 0,
         peak_slab_cells: 0,
-        served_tier: first.served_tier,
+        served_tier: None,
     };
     if let Some(r) = reproduce {
         report_mut(&mut merged).reproduce = Some(r);

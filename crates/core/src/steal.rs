@@ -35,7 +35,6 @@
 //! |------|--------------|--------------------------------------------|---------------------|
 //! | 1    | `ServiceGraph` | `service::Inner::dynamic` (delta graph state, PR 10) | — (outermost; held only to fold a batch or clone out the current snapshot/watcher list, never across a launch, a compile, or another lock) |
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
-//! | 3    | `PlanTierUp` | `compile::CompiledPlan` tier transitions (PR 7) | — (leaf: taken from claim loops and stat sweeps holding nothing) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
 //! | 6    | `ServiceArenaPool` | `pool::ArenaPool` (reusable warp arenas) | — (never held across engine locks) |
 //! | 8    | `ShardRail`  | `ShardRail::state` (cross-shard work rail) | — (leaf: queried from claim loops holding nothing; the death path releases every board lock before pushing to the rail) |

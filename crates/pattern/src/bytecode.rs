@@ -10,9 +10,7 @@
 //! `MatchPlan::compile*` lowers once and the plan owns the result
 //! ([`MatchPlan::bytecode`]), so every launch of every route interprets the
 //! same stream and none lowers. The kernel's interpreter walks
-//! `instrs_at(level)` and issues one set-operation call per instruction;
-//! tier-1 monomorphized bodies pattern-match the stream shape
-//! ([`SpecShape`]).
+//! `instrs_at(level)` and issues one set-operation call per instruction.
 //!
 //! Everything a launch decides per set is in the stream, including what
 //! hub-bitmap routing needs: an [`OpCode::ApplyFromSet`] records whether its
@@ -162,20 +160,6 @@ pub struct LevelMeta {
     pub inj: u8,
 }
 
-/// Shapes the tier-1 specializer recognizes. Detected once at lower time
-/// from the instruction stream itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpecShape {
-    /// One single-`Intersect` `ApplyFromSet` per level, each consuming the
-    /// previous level's candidate — the clique cascade (q8 and friends).
-    Cascade,
-    /// Every instruction is a chain-free `MaterializeBase` with an all-pass
-    /// mask — path/star plans whose levels need no combining ops.
-    Path,
-    /// Anything else; served by the tier-0 dispatch loop.
-    General,
-}
-
 /// Named lower-time validation failures (satellite: mirrors
 /// `EngineConfig::validate()`'s style — reject early, by name, instead of
 /// debug-asserting per claim).
@@ -323,8 +307,6 @@ pub struct PlanBytecode {
     /// `p`. Derived from the stream, never from the pattern, and re-derived
     /// by [`PlanBytecode::verify`].
     marked: u8,
-    /// Detected specialization shape.
-    shape: SpecShape,
 }
 
 impl PlanBytecode {
@@ -435,9 +417,7 @@ impl PlanBytecode {
             bound_ptr,
             num_sets: plan.num_sets() as u16,
             marked: 0,
-            shape: SpecShape::General,
         };
-        bc.shape = bc.detect_shape();
         bc.rederive()?;
         Ok(bc)
     }
@@ -464,7 +444,6 @@ impl PlanBytecode {
             bound_ptr: Vec::new(),
             num_sets: 0,
             marked: 0,
-            shape: SpecShape::General,
         }
     }
 
@@ -676,48 +655,6 @@ impl PlanBytecode {
         Ok((inj, marked))
     }
 
-    fn detect_shape(&self) -> SpecShape {
-        let k = self.levels.len();
-        if self
-            .levels
-            .iter()
-            .any(|m| m.resid.is_some() || m.label.is_some())
-        {
-            return SpecShape::General;
-        }
-        let is_cascade = k >= 3
-            && (1..k).all(|l| {
-                let prog = self.instrs_at(l);
-                let [ins] = prog else { return false };
-                let meta = self.levels[l];
-                if ins.dst != meta.cand || meta.cand_level as usize != l || !ins.mask.is_all() {
-                    return false;
-                }
-                if l == 1 {
-                    ins.code == OpCode::MaterializeBase && ins.pos == 0
-                } else {
-                    ins.code == OpCode::ApplyFromSet
-                        && ins.kind == OpKind::Intersect
-                        && ins.last
-                        && ins.pos as usize == l - 1
-                        && ins.dep == self.levels[l - 1].cand
-                        && ins.dep_level as usize == l - 1
-                }
-            });
-        if is_cascade {
-            return SpecShape::Cascade;
-        }
-        let is_path = !self.instrs.is_empty()
-            && self
-                .instrs
-                .iter()
-                .all(|ins| ins.code == OpCode::MaterializeBase && ins.mask.is_all());
-        if is_path {
-            return SpecShape::Path;
-        }
-        SpecShape::General
-    }
-
     /// The instructions to execute when entering `level`.
     #[inline]
     pub fn instrs_at(&self, level: usize) -> &[Instr] {
@@ -769,12 +706,6 @@ impl PlanBytecode {
         self.marked
     }
 
-    /// Detected tier-1 shape.
-    #[inline]
-    pub fn shape(&self) -> SpecShape {
-        self.shape
-    }
-
     /// Resident footprint of the stream plus side tables, for budget
     /// accounting and diagnostics.
     pub fn byte_size(&self) -> usize {
@@ -792,7 +723,7 @@ impl PlanBytecode {
 /// still passes [`PlanBytecode::verify`], so only the golden-count/metric
 /// gates can catch it. Never called from production paths.
 pub mod mutation {
-    use super::{OpCode, SpecShape};
+    use super::OpCode;
     use crate::plan::{MatchPlan, OpKind};
 
     /// Swaps the [`OpKind`] of the first combining instruction of `plan`'s
@@ -807,9 +738,6 @@ pub mod mutation {
                     OpKind::Intersect => OpKind::Difference,
                     OpKind::Difference => OpKind::Intersect,
                 };
-                // A corrupted cascade no longer matches its detected shape;
-                // demote so tier-1 cannot paper over the wrong opcode.
-                bc.shape = SpecShape::General;
                 // The masks follow the stream: an intersection turned
                 // difference loses its exemption (and its marker).
                 bc.rederive().expect("one swapped kind stays well-formed");
@@ -904,33 +832,6 @@ mod tests {
                 assert_eq!(writes, want, "q{q} level {level} write order");
             }
         }
-    }
-
-    #[test]
-    fn shapes_detected_for_dominant_plans() {
-        // q8 is the 5-clique: a pure intersect cascade.
-        let (_, bc) = lower_query(8);
-        assert_eq!(bc.shape(), SpecShape::Cascade);
-        // q1 is the 5-path: all levels materialize plain neighbor lists.
-        let (_, bc) = lower_query(1);
-        assert_eq!(bc.shape(), SpecShape::Path);
-        // Triangle (3-clique) is the smallest cascade.
-        let plan = MatchPlan::compile(&catalog::triangle(), PlanOptions::default());
-        assert_eq!(
-            PlanBytecode::lower(&plan).unwrap().shape(),
-            SpecShape::Cascade
-        );
-        // q6 mixes intersections and differences: general.
-        let (_, bc) = lower_query(6);
-        assert_eq!(bc.shape(), SpecShape::General);
-    }
-
-    #[test]
-    fn labeled_plans_are_never_specialized() {
-        let p = catalog::triangle().with_labels(&[1, 1, 1]);
-        let plan = MatchPlan::compile(&p, PlanOptions::default());
-        let bc = PlanBytecode::lower(&plan).unwrap();
-        assert_eq!(bc.shape(), SpecShape::General);
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub enum LockClass {
     /// across a kernel launch, while engine locks are taken deep inside
     /// one — so "service before engine" is the only safe order.
     ServiceAdmission,
-    /// A compiled plan's tier-transition lock (`compile::CompiledPlan`).
-    /// Ranked below the plan cache: tier-ups fire from kernel claim loops
-    /// holding nothing, while stat sweeps clone entries *out* of the cache
-    /// before reading tier state — so this lock is never requested while
-    /// `ServicePlanCache` is held.
-    PlanTierUp,
     /// The match service's canonical-form plan cache (`service::Inner::cache`).
     ServicePlanCache,
     /// A pool worker's reusable-arena pool (`pool::ArenaPool`).
@@ -77,7 +71,6 @@ impl LockClass {
         match self {
             LockClass::ServiceGraph => 1,
             LockClass::ServiceAdmission => 2,
-            LockClass::PlanTierUp => 3,
             LockClass::ServicePlanCache => 4,
             LockClass::ServiceArenaPool => 6,
             LockClass::ShardRail => 8,
@@ -94,7 +87,6 @@ impl LockClass {
         match self {
             LockClass::ServiceGraph => "ServiceGraph",
             LockClass::ServiceAdmission => "ServiceAdmission",
-            LockClass::PlanTierUp => "PlanTierUp",
             LockClass::ServicePlanCache => "ServicePlanCache",
             LockClass::ServiceArenaPool => "ServiceArenaPool",
             LockClass::ShardRail => "ShardRail",
@@ -106,11 +98,10 @@ impl LockClass {
         }
     }
 
-    fn all() -> [LockClass; 11] {
+    fn all() -> [LockClass; 10] {
         [
             LockClass::ServiceGraph,
             LockClass::ServiceAdmission,
-            LockClass::PlanTierUp,
             LockClass::ServicePlanCache,
             LockClass::ServiceArenaPool,
             LockClass::ShardRail,
@@ -125,7 +116,7 @@ impl LockClass {
 
 /// The declared hierarchy, lowest rank first — rendered into diagnostics so
 /// a violation message carries the rule it broke.
-pub const DECLARED_HIERARCHY: &str = "ServiceGraph(1) < ServiceAdmission(2) < PlanTierUp(3) < \
+pub const DECLARED_HIERARCHY: &str = "ServiceGraph(1) < ServiceAdmission(2) < \
      ServicePlanCache(4) < ServiceArenaPool(6) < ShardRail(8) < GlobalSlot(10) < \
      Requeue(20) < Mirror(30) < DeathLog(40) < Collector(50)";
 

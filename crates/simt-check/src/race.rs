@@ -16,7 +16,6 @@
 //! | `board[i].requeue`   | board instance `i`'s reclaimed-work queue |
 //! | `arena[a].set[s]` | set slab `s` of stack-arena instance `a`     |
 //! | `plan-cache[s]` | the canonical-form plan cache of service instance `s` |
-//! | `tier-state[p]` | compiled plan `p`'s execution tier + tier-up counter |
 //! | `rail[r]`       | the cross-shard work rail of sharded run instance `r` |
 //!
 //! Board/arena/service instance ids come from [`crate::next_object_id`],
@@ -43,7 +42,6 @@ enum CellKind {
     Requeue,
     ArenaSet,
     PlanCache,
-    TierState,
     Rail,
 }
 
@@ -96,20 +94,6 @@ impl Cell {
         }
     }
 
-    /// The execution-tier state (current tier + tier-up counter) of
-    /// compiled plan instance `plan` (from [`crate::next_object_id`]).
-    /// Written only under the `PlanTierUp` lock; the claim loop's
-    /// fast-path tier *reads* are relaxed atomic loads and deliberately
-    /// un-instrumented — they are racy-by-design snapshots, not accesses
-    /// the shadow store should flag.
-    pub fn tier_state(plan: u32) -> Cell {
-        Cell {
-            kind: CellKind::TierState,
-            a: plan,
-            b: 0,
-        }
-    }
-
     /// The cross-shard work rail of sharded run instance `rail_id`
     /// (from [`crate::next_object_id`]).
     pub fn rail(rail_id: u32) -> Cell {
@@ -129,7 +113,6 @@ impl std::fmt::Display for Cell {
             CellKind::Requeue => write!(f, "board[{}].requeue", self.a),
             CellKind::ArenaSet => write!(f, "arena[{}].set[{}]", self.a, self.b),
             CellKind::PlanCache => write!(f, "plan-cache[{}]", self.a),
-            CellKind::TierState => write!(f, "tier-state[{}]", self.a),
             CellKind::Rail => write!(f, "rail[{}]", self.a),
         }
     }

@@ -89,7 +89,6 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
             plan: &plan,
             cfg: &cfg,
             hubs,
-            compiled: None,
             slab_caps: None,
             l0: Level0Map::Identity,
             enumerate: false,

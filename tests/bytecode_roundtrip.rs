@@ -9,22 +9,20 @@
 //! interpreter, by that interpreter, and have not moved since; the three
 //! cost columns are the default launch's under the current cost model
 //! (regenerated with the last-level rule of DESIGN.md §4c, every total at
-//! or under the one it replaced). The default launch, tier 0
-//! with tier state (`specialize = false`), forced tier 1
-//! (`tier_up_after = 0`) and a launch on an index-carrying graph with hub
-//! routing off must each reproduce the table to the lane slot. A randomized
-//! `testkit` leg extends the tier-0 / tier-1 equality to arbitrary graphs
-//! and checks counts against the independent reference matcher, and a
-//! seeded-mutation leg proves the comparison has teeth: corrupting one
-//! opcode of an otherwise well-formed stream must change counts (and
-//! carries a reproduce line).
+//! or under the one it replaced). The default launch and a launch on an
+//! index-carrying graph with hub routing off must each reproduce the table
+//! to the lane slot. A randomized `testkit` leg checks the default launch's
+//! counts for q1..q24 on arbitrary graphs against the independent reference
+//! matcher, and a seeded-mutation leg proves the comparison has teeth:
+//! corrupting one opcode of an otherwise well-formed stream must change
+//! counts (and carries a reproduce line).
 //!
 //! Regenerate the table — only for an intentional cost-model or planner
 //! change, and say so in the commit message — with
 //! `BYTECODE_ROUNDTRIP_PRINT=1 cargo test --test bytecode_roundtrip pinned -- --nocapture`.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{CompiledPlan, Engine, EngineConfig, Launch, MatchOutcome, WarmSlot};
+use stmatch_core::{Engine, EngineConfig, MatchOutcome, WarmSlot};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::bytecode::mutation;
@@ -48,20 +46,6 @@ fn deterministic_cfg() -> EngineConfig {
     let mut cfg = EngineConfig::default().with_grid(grid());
     cfg.local_steal = false;
     cfg.global_steal = false;
-    cfg
-}
-
-/// Tier state held, tier 1 never taken.
-fn tier0_cfg() -> EngineConfig {
-    let mut cfg = deterministic_cfg().with_compile(true);
-    cfg.compile.specialize = false;
-    cfg
-}
-
-/// Tier 1 from the first claim, wherever a specialized body exists.
-fn forced_tier1_cfg() -> EngineConfig {
-    let mut cfg = deterministic_cfg().with_compile(true);
-    cfg.compile.tier_up_after = 0;
     cfg
 }
 
@@ -178,8 +162,6 @@ fn every_launch_flavour_reproduces_the_pinned_reference() {
             let want = pinned[qi - 1];
             for (leg, cfg, graph) in [
                 ("default", deterministic_cfg(), g),
-                ("tier 0", tier0_cfg(), g),
-                ("forced tier 1", forced_tier1_cfg(), g),
                 ("index attached, routing off", deterministic_cfg(), &indexed),
             ] {
                 assert_eq!(
@@ -196,9 +178,9 @@ fn every_launch_flavour_reproduces_the_pinned_reference() {
 }
 
 #[test]
-fn tiers_are_metric_identical_and_exact_on_random_graphs() {
+fn default_launch_matches_the_reference_on_random_graphs() {
     forall(
-        "tiers_are_metric_identical_and_exact_on_random_graphs",
+        "default_launch_matches_the_reference_on_random_graphs",
         |rng| {
             (
                 rng.gen_range(8usize..40),
@@ -211,21 +193,10 @@ fn tiers_are_metric_identical_and_exact_on_random_graphs() {
             let n = n.clamp(2, 40);
             let g = gen::erdos_renyi(n, n * density.min(3), seed);
             let q = catalog::paper_query(qi.clamp(1, 24));
-            let tier0 = run(tier0_cfg(), &g, &q);
-            let tier1 = run(forced_tier1_cfg(), &g, &q);
-            if tier0 != tier1 {
-                return Err(format!(
-                    "{}: tier 0 {tier0:?} != forced tier 1 {tier1:?}",
-                    q.name()
-                ));
-            }
+            let (got, ..) = run(deterministic_cfg(), &g, &q);
             let want = reference::count(&g, &q, RefOptions::default());
-            if tier0.0 != want {
-                return Err(format!(
-                    "{}: count {} != reference {want}",
-                    q.name(),
-                    tier0.0
-                ));
+            if got != want {
+                return Err(format!("{}: count {got} != reference {want}", q.name()));
             }
             Ok(())
         },
@@ -260,31 +231,23 @@ fn seeded_opcode_swap_is_caught_by_golden_counts() {
     );
 }
 
-/// The optional resources of a [`Launch`] are behaviorally invisible: a
-/// warm slot, caller-held tier state, both, or neither give the same
-/// count and — under the steal-free schedule — the same instruction total.
+/// A [`WarmSlot`] is behaviorally invisible: the same count and — under
+/// the steal-free schedule — the same instruction total as a cold launch.
 #[test]
 fn launch_resources_are_metric_identical() {
     let g = unlabeled_graph();
-    let cfg = deterministic_cfg().with_compile(true);
+    let cfg = deterministic_cfg();
     let engine = Engine::new(cfg);
     let slot = WarmSlot::new(cfg.grid).unwrap();
     for qi in [1, 6, 8] {
         let plan = engine.compile(&catalog::paper_query(qi));
-        let held = CompiledPlan::new(&plan, cfg.compile);
-        let base = engine.launch(&Launch::new(&g, &plan)).unwrap();
-        for (warm, compiled) in [
-            (Some(&slot), None),
-            (None, Some(&held)),
-            (Some(&slot), Some(&held)),
-        ] {
-            let mut req = Launch::new(&g, &plan);
-            req.warm = warm;
-            req.compiled = compiled;
-            let out = engine.launch(&req).unwrap();
-            let tag = format!("q{qi} warm={} held={}", warm.is_some(), compiled.is_some());
-            assert_eq!(out.count, base.count, "{tag}");
-            assert_eq!(out.total_instructions(), base.total_instructions(), "{tag}");
-        }
+        let base = engine.run_plan(&g, &plan).unwrap();
+        let out = engine.run_plan_warm(&g, &plan, &slot).unwrap();
+        assert_eq!(out.count, base.count, "q{qi} warm");
+        assert_eq!(
+            out.total_instructions(),
+            base.total_instructions(),
+            "q{qi} warm"
+        );
     }
 }

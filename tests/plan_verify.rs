@@ -287,22 +287,17 @@ fn service_verification_is_opt_in() {
     assert_eq!(svc.cache_stats().verified, 0);
 }
 
-/// An attached verdict needs no knob: with tier state off (the default) the
-/// launch packs its arenas to the certificate's per-set bounds — strictly
-/// fewer slab cells than the uniform geometry — and stays spill-free on the
-/// exact count. The warm slot is only the window: it hands back the arenas
-/// the launch ran on.
+/// An attached verdict needs no knob: the launch packs its arenas to the
+/// certificate's per-set bounds — strictly fewer slab cells than the
+/// uniform geometry — and stays spill-free on the exact count. The warm
+/// slot is only the window: it hands back the arenas the launch ran on.
 #[test]
-fn capacity_hints_shape_the_arena_without_tier_state() {
+fn capacity_hints_shape_the_arena() {
     // K5 cascade on a skewed graph: deeper sets certify well below Δ.
     let g = gen::rmat(6, 4, 11).degree_ordered();
     let q = catalog::paper_query(8);
     let want = reference::count(&g, &q, RefOptions::default());
     let engine = Engine::new(EngineConfig::default().with_grid(grid()));
-    assert!(
-        !engine.config().compile.enabled,
-        "the point is: no tier state"
-    );
     let plan = engine.compile(&q);
     let verdict = engine.verify(&g, &plan);
     assert!(verdict.cert.spill_free);
