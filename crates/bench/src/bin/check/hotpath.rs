@@ -10,23 +10,31 @@
 //! Either way every row carries the split of its instruction total by
 //! charging site (`set_op` / `claim` / `count_pass`, and `steal` for what
 //! they leave: the work-transfer charges, 0 on this steal-free suite) — the
-//! first thing to read when a total moves. `ci.sh` greps q1's and q8's
-//! `count_pass`.
+//! first thing to read when a total moves — and the slot table it ran
+//! under: each level's claim width and the arena slots they add up to
+//! against the `NUM_SETS × UNROLL` budget (`widths=[…] slots=Σ/budget`).
+//! `ci.sh` greps q1's and q8's `count_pass`, q1's last claim width and
+//! every row's slots.
 
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::MatchOutcome;
+use stmatch_pattern::SlotTable;
 
-/// `out`'s instruction total by charging site.
-fn split(out: &MatchOutcome) -> String {
+/// `out`'s instruction total by charging site, and the slot table the run
+/// claimed and stored under.
+fn split(out: &MatchOutcome, table: &SlotTable) -> String {
     let t = out.metrics.total();
     let sites = t.set_op_instructions + t.claim_instructions + t.count_pass_instructions;
     format!(
-        "set_op={} claim={} count_pass={} steal={}",
+        "set_op={} claim={} count_pass={} steal={} widths={:?} slots={}/{}",
         t.set_op_instructions,
         t.claim_instructions,
         t.count_pass_instructions,
-        t.simt_instructions - sites
+        t.simt_instructions - sites,
+        table.widths(),
+        table.total(),
+        table.budget()
     )
 }
 
@@ -37,13 +45,20 @@ pub fn run(args: &[String]) -> ExitCode {
     };
     let mut ok = true;
     for (qi, leg) in hotpath::SUITE {
-        let out = hotpath::run_once(qi, leg);
+        let (g, q, engine) = hotpath::entry(qi, leg);
+        let plan = engine.compile(&q);
+        let table = engine.slot_table(&plan);
+        if table.total() > table.budget() {
+            eprintln!("hotpath DRIFT: q{qi} {leg:?} slots {table:?} exceed their budget");
+            ok = false;
+        }
+        let out = engine.run_plan(&g, &plan).unwrap();
         if print {
             println!(
                 "    // {}\n    Golden {{\n        query: {qi},\n        leg: Leg::{leg:?},\n        \
                  count: {},\n        total_instructions: {},\n        \
                  lane_utilization: {},\n    }},",
-                split(&out),
+                split(&out, &table),
                 out.count,
                 out.total_instructions(),
                 out.metrics.lane_utilization()
@@ -56,7 +71,7 @@ pub fn run(args: &[String]) -> ExitCode {
                 out.count,
                 out.total_instructions(),
                 out.metrics.lane_utilization(),
-                split(&out)
+                split(&out, &table)
             ),
             Err(e) => {
                 eprintln!("hotpath DRIFT: {e}");

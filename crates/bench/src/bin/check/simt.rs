@@ -25,7 +25,10 @@ use stmatch_core::steal::{mutation, Board, ShardRail};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
 use stmatch_pattern::catalog;
 
-const FAULT_SEED: u64 = 0x1d;
+/// `check faults`' default plan (warp 0 dies at its 2nd claim), and the
+/// shard-kill seed (shard 0 at its 3rd).
+const FAULT_SEED: u64 = 0x16c8;
+const SHARD_KILL_SEED: u64 = 0x1d;
 
 const MUTATIONS: [&str; 4] = [
     "--mutate=lock-drop",
@@ -93,7 +96,7 @@ fn run_clean_gate(cfg: CheckConfig) -> ExitCode {
     // clean and under a seeded whole-shard kill. The checker must stay
     // silent while the cross-shard steal and requeue paths run hot.
     let scfg = EngineConfig::full().with_grid(grid).with_shards(4);
-    let kill = FaultPlan::seeded_shard_kill(FAULT_SEED, 4, 1);
+    let kill = FaultPlan::seeded_shard_kill(SHARD_KILL_SEED, 4, 1);
     for (qi, golden) in GOLDEN {
         let q = catalog::paper_query(qi);
         for (label, fault) in [("sharded", None), ("shard-kill", Some(kill.clone()))] {

@@ -113,69 +113,69 @@ pub struct Golden {
 /// commit message. The comment above each row is the split of its
 /// instruction total by charging site, printed by the same command.
 pub const GOLDEN: [Golden; 8] = [
-    // set_op=455478 claim=685996 count_pass=3865572 steal=0
+    // set_op=375034 claim=261344 count_pass=3703907 steal=0
     Golden {
         query: 1,
         leg: Leg::Plain,
         count: 54844163,
-        total_instructions: 5007046,
-        lane_utilization: 0.8318133192944098,
+        total_instructions: 4340285,
+        lane_utilization: 0.9471335062473645,
     },
-    // set_op=1785389 claim=66761 count_pass=0 steal=0
+    // set_op=1630246 claim=34206 count_pass=0 steal=0
     Golden {
         query: 6,
         leg: Leg::Plain,
         count: 559194,
-        total_instructions: 1852150,
-        lane_utilization: 0.9269113856307429,
+        total_instructions: 1664452,
+        lane_utilization: 0.9605707094642477,
     },
-    // set_op=23004 claim=11650 count_pass=0 steal=0
+    // set_op=21665 claim=11298 count_pass=0 steal=0
     Golden {
         query: 8,
         leg: Leg::Plain,
         count: 769,
-        total_instructions: 34654,
-        lane_utilization: 0.4478142022965082,
+        total_instructions: 32963,
+        lane_utilization: 0.4366520309638755,
     },
-    // set_op=1329435 claim=44278 count_pass=0 steal=0
+    // set_op=1209652 claim=22440 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Plain,
         count: 1500436,
-        total_instructions: 1373713,
-        lane_utilization: 0.9298627799111759,
+        total_instructions: 1232092,
+        lane_utilization: 0.9624882064023688,
     },
-    // set_op=8280 claim=1526 count_pass=0 steal=0
+    // set_op=6691 claim=1248 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Labeled,
         count: 1023,
-        total_instructions: 9806,
-        lane_utilization: 0.6907156054576464,
+        total_instructions: 7939,
+        lane_utilization: 0.6617828062866882,
     },
-    // set_op=709716 claim=31510 count_pass=0 steal=0
+    // set_op=661143 claim=22454 count_pass=0 steal=0
     Golden {
         query: 3,
         leg: Leg::Induced,
         count: 330032,
-        total_instructions: 741226,
-        lane_utilization: 0.8980657440471532,
+        total_instructions: 683597,
+        lane_utilization: 0.9146566287078025,
     },
-    // set_op=2736303 claim=107103 count_pass=0 steal=0
+    // set_op=2542628 claim=65997 count_pass=0 steal=0
     Golden {
         query: 2,
         leg: Leg::Plain,
         count: 1007981,
-        total_instructions: 2843406,
-        lane_utilization: 0.921627198312629,
+        total_instructions: 2608625,
+        lane_utilization: 0.9485142131205527,
     },
-    // set_op=451480 claim=224687 count_pass=355937 steal=0
+    // set_op=375078 claim=194178 count_pass=351399 steal=0
     Golden {
         query: 4,
         leg: Leg::Plain,
         count: 9448934,
-        total_instructions: 1032104,
-        lane_utilization: 0.700450751482917,
+        total_instructions: 920655,
+        lane_utilization: 0.7108223390797275,
     },
 ];
 
@@ -184,8 +184,8 @@ pub fn query(qi: usize) -> Pattern {
     catalog::paper_query(qi)
 }
 
-/// Runs one suite entry once on its fixture and returns its outcome.
-pub fn run_once(qi: usize, leg: Leg) -> MatchOutcome {
+/// One suite entry's fixture, query and engine.
+pub fn entry(qi: usize, leg: Leg) -> (Graph, Pattern, Engine) {
     let (g, q) = match leg {
         Leg::Labeled => (
             gen::assign_random_labels(&graph(), tables::NUM_LABELS, tables::LABEL_SEED),
@@ -193,8 +193,7 @@ pub fn run_once(qi: usize, leg: Leg) -> MatchOutcome {
         ),
         Leg::Plain | Leg::Induced => (graph(), query(qi)),
     };
-    let engine = Engine::new(config().induced(leg == Leg::Induced));
-    engine.run(&g, &q).unwrap()
+    (g, q, Engine::new(config().induced(leg == Leg::Induced)))
 }
 
 /// Checks one outcome against its golden row; returns an error string

@@ -1,14 +1,18 @@
 //! The flat warp-stack arena — the paper's fixed
-//! `C[NUM_SETS][UNROLL][MAX_DEGREE]` global-memory slabs (§VIII-A, Fig. 7).
+//! `C[NUM_SETS][UNROLL][MAX_DEGREE]` global-memory slabs (§VIII-A, Fig. 7),
+//! with the `UNROLL` axis sized per set.
 //!
 //! One contiguous `Vec<VertexId>` holds every candidate-set slot of one
-//! warp's stack: slot `(set, u)` owns the `cap`-element slab starting at
-//! `(set * unroll + u) * cap`, and a `Csize`-style length array records how
-//! much of each slab is live. This is exactly the geometry the engine
-//! already reports as `MatchOutcome::stack_bytes`
-//! (`NUM_SETS × UNROLL × MAX_DEGREE × 4` bytes per warp), so the
-//! accounting and the allocation now agree — and, unlike the previous
-//! `Vec<Vec<VertexId>>` storage, the steady-state claim path never touches
+//! warp's stack. The geometry is per set: a [`SlotTable`] says how many
+//! slots each set owns — one for a set of a stealable level, the claim
+//! width of its parent level for a deep one
+//! ([`PlanBytecode::slot_table`](stmatch_pattern::PlanBytecode::slot_table))
+//! — and slot `(set, u)` is the `cap`-element slab `u` slabs past the set's
+//! first; a `Csize`-style length array records how much of each slab is
+//! live. The table never hands out more than `NUM_SETS × UNROLL` slots, so
+//! what the engine reports as `MatchOutcome::stack_bytes`
+//! (`NUM_SETS × UNROLL × MAX_DEGREE × 4` bytes per warp) bounds the
+//! allocation from above — and the steady-state claim path never touches
 //! the heap: writes land in the pre-sized slab through [`ArenaWriter`].
 //!
 //! **Overflow policy (graceful fallback).** A candidate list longer than
@@ -28,26 +32,19 @@
 
 use crate::setops::SetSink;
 use stmatch_graph::VertexId;
+use stmatch_pattern::bytecode::{SlotTable, MAX_SETS};
 
 /// One warp's candidate-set storage: a flat slab plus per-slot lengths.
 pub struct StackArena {
-    /// The contiguous slab; slot `(set, u)` owns
-    /// `data[slot_off[set * unroll + u] ..][..slot_cap[set * unroll + u]]`.
+    /// The contiguous slab; see [`Geometry`] for who owns which cells.
     data: Vec<VertexId>,
-    /// `Csize`: live length per slot. `len > slot_cap` means the slot
+    /// `Csize`: live length per flat slot. `len > cap` means the slot
     /// spilled.
     len: Vec<u32>,
-    /// Heap-side overflow per slot; holds the *entire* list when spilled.
+    /// Heap-side overflow per flat slot; holds the *entire* list when
+    /// spilled.
     spill: Vec<Vec<VertexId>>,
-    /// Start offset of each slot's slab in `data` (uniform arenas:
-    /// `i * cap`; shaped arenas: prefix sums of the per-set capacities).
-    slot_off: Vec<usize>,
-    /// Capacity of each slot's slab. All `unroll` slots of one set share a
-    /// capacity, so set-op writers keep a scalar cap.
-    slot_cap: Vec<usize>,
-    /// The uniform (largest) slab capacity the arena was shaped from.
-    cap: usize,
-    unroll: usize,
+    geo: Geometry,
     /// Candidate cells currently live across every slot (slab + spill
     /// elements), and the high-water mark since construction/reset. The
     /// peak is folded in at [`ArenaWriter`] drop — once per set rewrite,
@@ -91,68 +88,81 @@ pub struct StackArena {
     check_id: u32,
 }
 
-/// Resolves slot `i`'s live list given the split-out arena parts.
-#[inline]
-fn view<'s>(
-    data: &'s [VertexId],
-    len: &[u32],
-    spill: &'s [Vec<VertexId>],
-    off: &[usize],
-    cap: &[usize],
-    i: usize,
-) -> &'s [VertexId] {
-    let n = len[i] as usize;
-    if n <= cap[i] {
-        &data[off[i]..off[i] + n]
-    } else {
-        &spill[i]
-    }
+/// Where every slot lives, per set and in fixed arrays: set `s` owns the
+/// flat slots `slots.base(s)..` (the index into every per-slot array) and
+/// the cells `off[s]..`, one `cap[s]`-cell slab per slot. All slots of one
+/// set share a capacity, so set-op writers keep a scalar cap.
+#[derive(Clone, Copy)]
+struct Geometry {
+    slots: SlotTable,
+    off: [usize; MAX_SETS],
+    cap: [usize; MAX_SETS],
 }
 
-/// Per-slot offsets for `num_sets × unroll` slots under per-set capacities
-/// (`set_caps[set]` cells for each of the set's `unroll` slots), plus the
-/// total cell count.
-fn shape_offsets(set_caps: &[usize], unroll: usize) -> (Vec<usize>, Vec<usize>, usize) {
-    let slots = set_caps.len().max(1) * unroll;
-    let mut off = Vec::with_capacity(slots);
-    let mut cap = Vec::with_capacity(slots);
-    let mut at = 0usize;
-    for set in 0..set_caps.len().max(1) {
-        let c = set_caps.get(set).copied().unwrap_or(0);
-        for _ in 0..unroll {
-            off.push(at);
-            cap.push(c);
-            at += c;
+impl Geometry {
+    /// The geometry of `slots` under per-set capacities (`set_caps[s]` cells
+    /// for each slot of set `s`), plus the total cell count.
+    fn shaped(slots: &SlotTable, set_caps: &[usize]) -> (Geometry, usize) {
+        debug_assert_eq!(set_caps.len(), slots.num_sets());
+        let (mut off, mut cap) = ([0; MAX_SETS], [0; MAX_SETS]);
+        let mut at = 0usize;
+        for (s, &c) in set_caps.iter().enumerate() {
+            (off[s], cap[s]) = (at, c);
+            at += slots.slots(s) * c;
+        }
+        let slots = *slots;
+        (Geometry { slots, off, cap }, at)
+    }
+
+    /// Flat index of slot `(set, u)`.
+    #[inline]
+    fn idx(&self, set: usize, u: usize) -> usize {
+        debug_assert!(u < self.slots.slots(set), "set {set} has no slot {u}");
+        self.slots.base(set) + u
+    }
+
+    /// The live list of slot `(set, u)` given the split-out arena parts.
+    #[inline]
+    fn view<'s>(
+        &self,
+        data: &'s [VertexId],
+        len: &[u32],
+        spill: &'s [Vec<VertexId>],
+        set: usize,
+        u: usize,
+    ) -> &'s [VertexId] {
+        let i = self.idx(set, u);
+        let n = len[i] as usize;
+        if n <= self.cap[set] {
+            let at = self.off[set] + u * self.cap[set];
+            &data[at..at + n]
+        } else {
+            &spill[i]
         }
     }
-    (off, cap, at)
 }
 
 impl StackArena {
-    /// Allocates the slab for `num_sets × unroll` slots of `cap` vertices.
-    /// This is the *only* allocation of the arena's lifetime (absent
-    /// spills); it happens once per warp per launch.
-    pub fn new(num_sets: usize, unroll: usize, cap: usize) -> StackArena {
-        Self::new_shaped(&vec![cap; num_sets.max(1)], unroll, cap)
+    /// Allocates the slab for `slots`' slots of `cap` vertices each. This
+    /// is the *only* allocation of the arena's lifetime (absent spills); it
+    /// happens once per warp per launch.
+    pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
+        Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()])
     }
 
-    /// Allocates a *shaped* arena: set `s`'s `unroll` slots each get
-    /// `set_caps[s]` cells instead of the uniform `cap`. This is the
-    /// consumer of the verifier's footprint hint — certified per-set bounds
-    /// shrink the slab below `NUM_SETS × UNROLL × MAX_DEGREE` without
-    /// changing spill behavior (a sound bound never overflows early).
-    /// `uniform_cap` records the capacity the shape was derived from.
-    pub fn new_shaped(set_caps: &[usize], unroll: usize, uniform_cap: usize) -> StackArena {
-        let (slot_off, slot_cap, cells) = shape_offsets(set_caps, unroll);
-        let slots = slot_cap.len();
+    /// Allocates a *shaped* arena: each slot of set `s` gets `set_caps[s]`
+    /// cells instead of the uniform `cap`. This is the consumer of the
+    /// verifier's footprint hint — certified per-set bounds shrink the slab
+    /// below `NUM_SETS × UNROLL × MAX_DEGREE` without changing spill
+    /// behavior (a sound bound never overflows early).
+    pub fn new_shaped(slots: &SlotTable, set_caps: &[usize]) -> StackArena {
+        let (geo, cells) = Geometry::shaped(slots, set_caps);
+        let n = slots.total();
         StackArena {
             data: vec![0; cells],
-            len: vec![0; slots],
-            spill: vec![Vec::new(); slots],
-            slot_off,
-            slot_cap,
-            cap: uniform_cap,
-            unroll,
+            len: vec![0; n],
+            spill: vec![Vec::new(); n],
+            geo,
             live_cells: 0,
             peak_cells: 0,
             events: 0,
@@ -160,7 +170,7 @@ impl StackArena {
             bits_pong: Vec::new(),
             marker_words: Vec::new(),
             words: Vec::new(),
-            words_valid: vec![false; slots],
+            words_valid: vec![false; n],
             words_stride: 0,
             check_id: simt_check::next_object_id(),
         }
@@ -177,35 +187,26 @@ impl StackArena {
     /// its successive owners. Spill-event and set-bits state reset to the
     /// post-construction state so a recycled kernel's metrics are
     /// indistinguishable from a cold one's.
-    pub fn reset(&mut self, num_sets: usize, unroll: usize, cap: usize) {
-        self.reset_shaped(&vec![cap; num_sets.max(1)], unroll, cap);
-    }
-
-    /// [`StackArena::reset`] with per-set capacities (see
-    /// [`StackArena::new_shaped`]).
-    pub fn reset_shaped(&mut self, set_caps: &[usize], unroll: usize, uniform_cap: usize) {
-        let (slot_off, slot_cap, cells) = shape_offsets(set_caps, unroll);
-        let slots = slot_cap.len();
+    pub fn reset(&mut self, slots: &SlotTable, set_caps: &[usize]) {
+        let (geo, cells) = Geometry::shaped(slots, set_caps);
+        let n = slots.total();
         self.data.clear();
         self.data.resize(cells, 0);
         self.len.clear();
-        self.len.resize(slots, 0);
-        self.spill.truncate(slots);
+        self.len.resize(n, 0);
+        self.spill.truncate(n);
         for s in &mut self.spill {
             s.clear();
         }
-        self.spill.resize_with(slots, Vec::new);
-        self.slot_off = slot_off;
-        self.slot_cap = slot_cap;
-        self.cap = uniform_cap;
-        self.unroll = unroll;
+        self.spill.resize_with(n, Vec::new);
+        self.geo = geo;
         self.live_cells = 0;
         self.peak_cells = 0;
         self.events = 0;
         self.words.clear();
         self.words_stride = 0;
         self.words_valid.clear();
-        self.words_valid.resize(slots, false);
+        self.words_valid.resize(n, false);
     }
 
     /// Sizes the per-slot result bitmap storage for rows of `stride` u64
@@ -237,7 +238,7 @@ impl StackArena {
     /// rewrite went through a bitmap path with an unfiltered extraction.
     #[inline]
     pub fn set_bits(&self, set: usize, u: usize) -> Option<&[u64]> {
-        let i = self.idx(set, u);
+        let i = self.geo.idx(set, u);
         (self.words_stride > 0 && self.words_valid[i])
             .then(|| &self.words[i * self.words_stride..(i + 1) * self.words_stride])
     }
@@ -265,37 +266,24 @@ impl StackArena {
         self.data.len()
     }
 
-    #[inline]
-    fn idx(&self, set: usize, u: usize) -> usize {
-        debug_assert!(u < self.unroll);
-        set * self.unroll + u
-    }
-
     /// The live candidate list of slot `(set, u)`.
     #[inline]
     #[track_caller]
     pub fn slot(&self, set: usize, u: usize) -> &[VertexId] {
         simt_check::note_read(simt_check::Cell::arena(self.check_id, set));
-        view(
-            &self.data,
-            &self.len,
-            &self.spill,
-            &self.slot_off,
-            &self.slot_cap,
-            self.idx(set, u),
-        )
+        self.geo.view(&self.data, &self.len, &self.spill, set, u)
     }
 
     /// True if slot `(set, u)` outgrew its slab and lives on the heap.
     #[inline]
     pub fn spilled(&self, set: usize, u: usize) -> bool {
-        let i = self.idx(set, u);
-        self.len[i] as usize > self.slot_cap[i]
+        self.len[self.geo.idx(set, u)] as usize > self.geo.cap[set]
     }
 
     /// Splits the arena at `set`: a read view over every slot of sets
     /// `< set` (the only sets a plan allows as operands) and a write sink
-    /// over slots `(set, 0..m)`.
+    /// over slots `(set, 0..m)`. Panics when the set owns fewer than `m`
+    /// slots (the sink would reach into the next set's).
     #[track_caller]
     pub fn split_for_write(&mut self, set: usize, m: usize) -> (ArenaRead<'_>, ArenaWriter<'_>) {
         let (r, w, _, _) = self.split_for_write_bits(set, m, 0);
@@ -315,7 +303,11 @@ impl StackArena {
         m: usize,
         stride: usize,
     ) -> (ArenaRead<'_>, ArenaWriter<'_>, &mut [u64], &mut [u64]) {
-        debug_assert!(m >= 1 && m <= self.unroll);
+        assert!(
+            m >= 1 && m <= self.geo.slots.slots(set),
+            "a batch of {m} does not fit set {set}'s {} slots",
+            self.geo.slots.slots(set)
+        );
         if self.bits_ping.len() < stride {
             self.bits_ping.resize(stride, 0);
             self.bits_pong.resize(stride, 0);
@@ -323,10 +315,10 @@ impl StackArena {
         // One shadow write event covers the whole rewrite of `set`'s slots
         // (the writer half streams into them exclusively until dropped).
         simt_check::note_write(simt_check::Cell::arena(self.check_id, set));
-        let at = set * self.unroll;
-        let set_cap = self.slot_cap[at];
+        let at = self.geo.slots.base(set);
+        let set_cap = self.geo.cap[set];
         let ws_stride = self.words_stride;
-        let (rd, wd) = self.data.split_at_mut(self.slot_off[at]);
+        let (rd, wd) = self.data.split_at_mut(self.geo.off[set]);
         let (rl, wl) = self.len.split_at_mut(at);
         let (rs, ws) = self.spill.split_at_mut(at);
         let (rw, ww) = self.words.split_at_mut(at * ws_stride);
@@ -336,9 +328,7 @@ impl StackArena {
                 data: rd,
                 len: rl,
                 spill: rs,
-                off: &self.slot_off[..at],
-                cap: &self.slot_cap[..at],
-                unroll: self.unroll,
+                geo: &self.geo,
                 words: rw,
                 words_valid: rv,
                 words_stride: ws_stride,
@@ -366,9 +356,7 @@ pub struct ArenaRead<'a> {
     data: &'a [VertexId],
     len: &'a [u32],
     spill: &'a [Vec<VertexId>],
-    off: &'a [usize],
-    cap: &'a [usize],
-    unroll: usize,
+    geo: &'a Geometry,
     words: &'a [u64],
     words_valid: &'a [bool],
     words_stride: usize,
@@ -379,15 +367,7 @@ impl ArenaRead<'_> {
     /// split point.
     #[inline]
     pub fn slot(&self, set: usize, u: usize) -> &[VertexId] {
-        debug_assert!(u < self.unroll);
-        view(
-            self.data,
-            self.len,
-            self.spill,
-            self.off,
-            self.cap,
-            set * self.unroll + u,
-        )
+        self.geo.view(self.data, self.len, self.spill, set, u)
     }
 
     /// The sealed result bitmap row of slot `(set, u)`, if its last
@@ -396,8 +376,7 @@ impl ArenaRead<'_> {
     /// so dependents may intersect against it word-parallel.
     #[inline]
     pub fn slot_bits(&self, set: usize, u: usize) -> Option<&[u64]> {
-        debug_assert!(u < self.unroll);
-        let i = set * self.unroll + u;
+        let i = self.geo.idx(set, u);
         (self.words_stride > 0 && self.words_valid[i])
             .then(|| &self.words[i * self.words_stride..(i + 1) * self.words_stride])
     }
@@ -522,7 +501,7 @@ mod tests {
 
     #[test]
     fn write_then_read_roundtrip() {
-        let mut a = StackArena::new(3, 2, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[2; 3]), 4);
         {
             let (_, mut w) = a.split_for_write(1, 2);
             fill(&mut w, 0, &[5, 6, 7]);
@@ -536,7 +515,7 @@ mod tests {
 
     #[test]
     fn rewrite_resets_previous_contents() {
-        let mut a = StackArena::new(1, 1, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 1]), 4);
         {
             let (_, mut w) = a.split_for_write(0, 1);
             fill(&mut w, 0, &[1, 2, 3, 4]);
@@ -550,7 +529,7 @@ mod tests {
 
     #[test]
     fn read_view_sees_lower_sets_during_write() {
-        let mut a = StackArena::new(2, 1, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
         {
             let (_, mut w) = a.split_for_write(0, 1);
             fill(&mut w, 0, &[2, 4, 6]);
@@ -565,7 +544,7 @@ mod tests {
 
     #[test]
     fn overflow_spills_transparently_and_recovers() {
-        let mut a = StackArena::new(1, 1, 3);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 1]), 3);
         {
             let (_, mut w) = a.split_for_write(0, 1);
             fill(&mut w, 0, &[1, 2, 3, 4, 5, 6]);
@@ -584,7 +563,7 @@ mod tests {
 
     #[test]
     fn bits_scratch_is_lent_alongside_the_split() {
-        let mut a = StackArena::new(2, 1, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
         {
             let (_, mut w) = a.split_for_write(0, 1);
             fill(&mut w, 0, &[1, 2]);
@@ -607,7 +586,7 @@ mod tests {
 
     #[test]
     fn bits_scratch_grows_monotonically_and_never_shrinks() {
-        let mut a = StackArena::new(1, 1, 2);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 1]), 2);
         {
             let (_, _, ping, pong) = a.split_for_write_bits(0, 1, 5);
             assert_eq!((ping.len(), pong.len()), (5, 5));
@@ -623,7 +602,7 @@ mod tests {
 
     #[test]
     fn sealed_set_bits_survive_until_the_next_rewrite() {
-        let mut a = StackArena::new(2, 1, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
         assert_eq!(a.set_bits(0, 0), None); // storage off by default
         a.enable_set_bits(2);
         {
@@ -649,7 +628,7 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_construction() {
-        let mut a = StackArena::new(2, 2, 3);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[2; 2]), 3);
         a.enable_set_bits(2);
         {
             let (_, mut w) = a.split_for_write(1, 2);
@@ -659,7 +638,7 @@ mod tests {
         }
         assert_eq!(a.spill_events(), 1);
         let id_before = a.check_id;
-        a.reset(3, 1, 4);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4; 3]);
         assert_eq!(a.check_id, id_before, "identity survives recycling");
         assert_eq!(a.spill_events(), 0);
         assert_eq!(a.set_bits(0, 0), None, "set-bits storage back off");
@@ -678,13 +657,104 @@ mod tests {
 
     #[test]
     fn zero_sets_still_constructs() {
-        let a = StackArena::new(0, 4, 8);
-        assert_eq!(a.slot(0, 0), &[] as &[VertexId]);
+        let a = StackArena::new(&SlotTable::with_slots(&[]), 8);
+        assert_eq!(a.slab_cells(), 0);
+    }
+
+    /// Slot counts are per set: one for a shallow set, a batch's worth for
+    /// a deep one.
+    #[test]
+    fn each_set_owns_its_own_number_of_slots() {
+        let table = SlotTable::with_slots(&[1, 3, 1, 2]);
+        let mut a = StackArena::new(&table, 4);
+        assert_eq!(a.slab_cells(), 7 * 4);
+        a.enable_set_bits(1);
+        // Every slot gets its own list and row, written out of order.
+        for set in [3, 0, 2, 1] {
+            let m = table.slots(set);
+            let (_, mut w) = a.split_for_write(set, m);
+            for u in 0..m {
+                let v = (10 * set + u) as VertexId;
+                fill(&mut w, u, &[v, v + 100]);
+                w.put_word(u, 0, 1 << v);
+                w.seal_bits(u);
+            }
+        }
+        let want = |set: usize, u: usize| {
+            let v = (10 * set + u) as VertexId;
+            ([v, v + 100], [1u64 << v])
+        };
+        // The read view below the last set resolves each (set, u) to the
+        // slab and the row that slot was written through.
+        {
+            let (r, _) = a.split_for_write(3, 1);
+            for set in 0..3 {
+                for u in 0..table.slots(set) {
+                    let (list, row) = want(set, u);
+                    assert_eq!(r.slot(set, u), list, "set {set} slot {u}");
+                    assert_eq!(r.slot_bits(set, u), Some(&row[..]), "set {set} slot {u}");
+                }
+            }
+        }
+        // A narrower batch rewrites a prefix of the set's slots only.
+        {
+            let (_, mut w) = a.split_for_write(1, 2);
+            fill(&mut w, 0, &[7]);
+            fill(&mut w, 1, &[8]);
+        }
+        assert_eq!(a.slot(1, 0), &[7]);
+        assert_eq!(a.slot(1, 1), &[8]);
+        assert_eq!(a.slot(1, 2), want(1, 2).0);
+        assert_eq!(a.slot(2, 0), want(2, 0).0);
+        assert_eq!(a.set_bits(1, 0), None);
+        assert_eq!(a.set_bits(1, 2), Some(&want(1, 2).1[..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "a batch of 2 does not fit set 0's 1 slots")]
+    fn a_batch_wider_than_the_set_is_refused() {
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1, 4]), 4);
+        let _ = a.split_for_write(0, 2);
+    }
+
+    #[test]
+    fn a_spill_migrates_in_the_slot_that_overflowed() {
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1, 3]), 2);
+        {
+            let (_, mut w) = a.split_for_write(1, 3);
+            fill(&mut w, 0, &[1, 2]);
+            fill(&mut w, 1, &[3, 4, 5, 6]);
+            fill(&mut w, 2, &[7]);
+        }
+        assert_eq!(a.spill_events(), 1);
+        assert!(!a.spilled(1, 0) && a.spilled(1, 1) && !a.spilled(1, 2));
+        assert_eq!(a.slot(1, 0), &[1, 2]);
+        assert_eq!(a.slot(1, 1), &[3, 4, 5, 6]);
+        assert_eq!(a.slot(1, 2), &[7]);
+    }
+
+    #[test]
+    fn reset_to_another_table_reuses_the_heap_blocks() {
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1, 1, 8, 8]), 16);
+        let blocks = |a: &StackArena| (a.data.as_ptr(), a.len.as_ptr(), a.spill.as_ptr());
+        let (before, cells) = (blocks(&a), a.data.capacity());
+        // Fewer slots in another arrangement: the same blocks, re-cut.
+        let table = SlotTable::with_slots(&[1, 4, 1, 4, 2]);
+        a.reset(&table, &[16; 5]);
+        assert_eq!(blocks(&a), before);
+        assert_eq!(a.data.capacity(), cells);
+        assert_eq!(a.slab_cells(), 12 * 16);
+        {
+            let (_, mut w) = a.split_for_write(3, 4);
+            fill(&mut w, 3, &[5, 6]);
+        }
+        assert_eq!(a.slot(3, 3), &[5, 6]);
+        assert_eq!(a.slot(4, 1), &[] as &[VertexId]);
     }
 
     #[test]
     fn peak_cells_track_the_high_water_mark() {
-        let mut a = StackArena::new(2, 1, 4);
+        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
         assert_eq!(a.peak_slab_cells(), 0);
         {
             let (_, mut w) = a.split_for_write(0, 1);
@@ -707,13 +777,13 @@ mod tests {
             fill(&mut w, 0, &[1, 2, 3, 4, 5, 6]);
         }
         assert_eq!(a.peak_slab_cells(), 7);
-        a.reset(2, 1, 4);
+        a.reset(&SlotTable::with_slots(&[1; 2]), &[4; 2]);
         assert_eq!(a.peak_slab_cells(), 0);
     }
 
     #[test]
     fn shaped_arena_packs_per_set_capacities() {
-        let mut a = StackArena::new_shaped(&[2, 5], 2, 5);
+        let mut a = StackArena::new_shaped(&SlotTable::with_slots(&[2; 2]), &[2, 5]);
         assert_eq!(a.slab_cells(), 2 * 2 + 5 * 2);
         {
             let (_, mut w) = a.split_for_write(0, 2);
@@ -738,7 +808,7 @@ mod tests {
         assert_eq!(a.slot(0, 0), &[1, 2, 3]);
         assert_eq!(a.spill_events(), 1);
         // A shaped reset recycles into a uniform geometry and back.
-        a.reset_shaped(&[4, 1, 3], 1, 4);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4, 1, 3]);
         assert_eq!(a.slab_cells(), 8);
         assert_eq!(a.spill_events(), 0);
         {

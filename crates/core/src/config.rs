@@ -4,10 +4,12 @@ use crate::recover::RecoveryPolicy;
 use crate::setops::SetOpTuning;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
 
-/// Largest supported unroll size. The combined set operations map one
-/// unroll slot's size per prefix-scan lane (Fig. 8), so a batch can never
-/// span more slots than the warp has lanes.
-pub const MAX_UNROLL: usize = WARP_SIZE;
+/// Largest supported unroll size, and the widest claim a level's slot
+/// table may grant. The combined set operations map one unroll slot's size
+/// per prefix-scan lane (Fig. 8), so a batch can never span more slots than
+/// the warp has lanes.
+pub const MAX_UNROLL: usize = stmatch_pattern::bytecode::MAX_UNROLL;
+const _: () = assert!(MAX_UNROLL == WARP_SIZE);
 
 /// Configuration of the STMatch engine.
 ///
@@ -17,8 +19,13 @@ pub const MAX_UNROLL: usize = WARP_SIZE;
 pub struct EngineConfig {
     /// Grid geometry (blocks × warps per block).
     pub grid: GridConfig,
-    /// Loop-unrolling size: how many iterations' set operations are combined
-    /// into one warp-wide operation (Fig. 7/8). 1 disables unrolling.
+    /// Loop-unrolling size (Fig. 7/8): the *floor* of how many iterations a
+    /// deep level claims at once — their set operations combined into one
+    /// warp-wide operation — and, as `NUM_SETS × unroll` slots, the arena's
+    /// byte budget. Each level's actual width is the widest the budget
+    /// affords (`PlanBytecode::slot_table`, DESIGN.md §4): up to
+    /// [`MAX_UNROLL`] where the claimed batch writes no set. 1 disables
+    /// unrolling at every level.
     pub unroll: usize,
     /// Levels `< stop_level` are stealable (Algorithm 2's `StopLevel`).
     pub stop_level: usize,

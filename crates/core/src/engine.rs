@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
-use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
+use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
 
 /// Result of an enumeration run: the embeddings plus the usual outcome.
@@ -341,6 +341,15 @@ impl Engine {
         )
     }
 
+    /// The claim widths and per-set arena slots `plan`'s kernels run with
+    /// under this engine's configuration: what a certificate's
+    /// [`peak_cells`](stmatch_plan_verify::ResourceCert::peak_cells) is
+    /// taken over.
+    pub fn slot_table(&self, plan: &MatchPlan) -> SlotTable {
+        let stop = self.cfg.effective_stop(plan.num_levels());
+        plan.bytecode().slot_table(self.cfg.unroll, stop)
+    }
+
     /// Matches `pattern` in `graph` and returns the count plus metrics.
     pub fn run(&self, graph: &Graph, pattern: &Pattern) -> Result<MatchOutcome, LaunchError> {
         let plan = self.compile(pattern);
@@ -485,10 +494,10 @@ impl Engine {
                             );
                         }
                         debug_assert!(
-                            outcome.peak_slab_cells <= v.cert.peak_cells(cfg.unroll),
+                            outcome.peak_slab_cells <= v.cert.peak_cells(&self.slot_table(plan)),
                             "runtime peak {} exceeds certified bound {}",
                             outcome.peak_slab_cells,
-                            v.cert.peak_cells(cfg.unroll)
+                            v.cert.peak_cells(&self.slot_table(plan))
                         );
                     }
                     return Ok(outcome);

@@ -3,9 +3,9 @@
 //! One [`WarpKernel`] instance runs per warp. Its state is the explicit
 //! call stack of the paper:
 //!
-//! * `storage` — the candidate sets `C[NUM_SETS][UNROLL][·]`, one flat
-//!   pre-sized slab per warp ("global memory" in the paper; see
-//!   [`StackArena`]),
+//! * `storage` — the candidate sets `C[NUM_SETS][·][·]`, one flat
+//!   pre-sized slab per warp with a slot per set and batch member ("global
+//!   memory" in the paper; see [`StackArena`]),
 //! * `iter`/`uiter`/`batch` — the per-level loop cursors ("shared memory"
 //!   in the paper),
 //! * the warp's [`Mirror`](crate::steal::Mirror) — the stealable region:
@@ -13,8 +13,9 @@
 //!
 //! Levels below `StopLevel` claim one iteration at a time through the
 //! mirror (so concurrent stealers can take the tail of the range); deeper
-//! levels iterate privately and claim `UNROLL` iterations at once, whose
-//! candidate-set computations are combined into shared warp waves
+//! levels iterate privately and claim a batch of iterations at once — as
+//! wide as the plan's [`SlotTable`] grants the level, `UNROLL` at least —
+//! whose candidate-set computations are combined into shared warp waves
 //! (Fig. 8). At the last level candidates are counted instead of iterated.
 //!
 //! What a level computes is read from the plan's own lowered stream
@@ -55,7 +56,7 @@ use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::Warp;
 use stmatch_graph::bitmap::word_probe;
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
-use stmatch_pattern::bytecode::{OpCode, PlanBytecode, NO_POS};
+use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS, NO_POS};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, OpKind, MAX_PATTERN_SIZE};
 
@@ -148,6 +149,9 @@ pub struct WarpKernel<'a> {
     k: usize,
     /// Effective stop level (stealable shallow depth).
     stop: usize,
+    /// How many raw iterations each level claims at once, and the arena
+    /// slots that affords each set (`bc.slot_table(cfg.unroll, stop)`).
+    slots: SlotTable,
     /// The warp's flat candidate-set slab (the paper's `C` array).
     storage: StackArena,
     /// `batch[l]` = candidate vertices claimed for position `l-1` (the
@@ -172,7 +176,9 @@ pub struct WarpKernel<'a> {
     /// The level-1 pin of the current stage (staged runs only).
     pin: Option<VertexId>,
     /// Ping/pong scratch for multi-op set chains; the final chain op
-    /// writes straight into the arena, so these only hold intermediates.
+    /// writes straight into the arena, so these only hold intermediates:
+    /// one row per member of the widest batch whose level stages one
+    /// ([`SlotTable::staged`]), none for a chain-free plan.
     ping: Vec<Vec<VertexId>>,
     pong: Vec<Vec<VertexId>>,
     /// Bitmap rows of the loop-invariant neighbor lists that lifted
@@ -183,9 +189,11 @@ pub struct WarpKernel<'a> {
     lifted: LiftedCursor,
     /// Valid last-level candidates scratch (enumeration only).
     emit_tail: Vec<VertexId>,
-    /// Claims so far (deadline polls every 4096; also the fault-injection
-    /// ordinal — "die at the Nth claim").
+    /// Claims so far: the fault-injection ordinal ("die at the Nth claim").
     claims: u64,
+    /// Raw iterations claimed since the clock was last read (see
+    /// [`WarpKernel::cancelled`]).
+    unpolled: usize,
     /// Mirror publishes so far (the fault-injection ordinal for
     /// poisoned-publish faults).
     publishes: u64,
@@ -235,7 +243,9 @@ impl<'a> WarpKernel<'a> {
             ..
         } = *env;
         let k = plan.num_levels();
-        let unroll = cfg.unroll;
+        let bc = plan.bytecode();
+        let stop = board.stop();
+        let slots = bc.slot_table(cfg.unroll, stop);
         // Tight slab capacity: every candidate list descends from some
         // neighbor list through shrinking ops, so no list outgrows the
         // graph's max degree. Budget accounting still reserves the paper's
@@ -248,22 +258,19 @@ impl<'a> WarpKernel<'a> {
         // `min(bound, cap)` packs the arena tighter without introducing a
         // single new spill — a set either fit its bound (≤ shaped cap) or
         // would have spilled at `cap` anyway.
-        let shaped: Option<Vec<usize>> = slab_caps.filter(|_| hubs.is_none()).map(|caps| {
-            (0..plan.num_sets())
-                .map(|s| caps.get(s).map_or(cap, |&b| (b as usize).clamp(1, cap)))
-                .collect()
-        });
-        let mut storage = match (recycle, &shaped) {
-            (Some(mut arena), Some(set_caps)) => {
-                arena.reset_shaped(set_caps, unroll, cap);
+        let mut set_caps = [cap; MAX_SETS];
+        if let Some(caps) = slab_caps.filter(|_| hubs.is_none()) {
+            for (shaped, &bound) in set_caps.iter_mut().zip(caps) {
+                *shaped = (bound as usize).clamp(1, cap);
+            }
+        }
+        let set_caps = &set_caps[..slots.num_sets()];
+        let mut storage = match recycle {
+            Some(mut arena) => {
+                arena.reset(&slots, set_caps);
                 arena
             }
-            (Some(mut arena), None) => {
-                arena.reset(plan.num_sets(), unroll, cap);
-                arena
-            }
-            (None, Some(set_caps)) => StackArena::new_shaped(set_caps, unroll, cap),
-            (None, None) => StackArena::new(plan.num_sets(), unroll, cap),
+            None => StackArena::new_shaped(&slots, set_caps),
         };
         if let Some(hx) = hubs {
             // Result-row storage so bitmap-domain results cascade to
@@ -271,7 +278,6 @@ impl<'a> WarpKernel<'a> {
             // path allocation-free.
             storage.enable_set_bits(hx.stride());
         }
-        let bc = plan.bytecode();
         let (marked, stride) = env.marker_rows();
         let words = storage.take_marker_words(marked.count_ones() as usize * stride);
         WarpKernel {
@@ -282,19 +288,21 @@ impl<'a> WarpKernel<'a> {
             board,
             warp_id,
             k,
-            stop: board.stop(),
+            stop,
+            slots,
             storage,
             batch: [Batch::EMPTY; MAX_PATTERN_SIZE + 1],
             uiter: [0; MAX_PATTERN_SIZE + 1],
             iter: [0; MAX_PATTERN_SIZE + 1],
             matched: [0; MAX_PATTERN_SIZE],
             entry: 0,
-            ping: vec![Vec::new(); unroll],
-            pong: vec![Vec::new(); unroll],
+            ping: vec![Vec::new(); slots.staged()],
+            pong: vec![Vec::new(); slots.staged()],
             marker: Marker::new(marked, stride, words),
             lifted: LiftedCursor::default(),
             emit_tail: Vec::new(),
             claims: 0,
+            unpolled: 0,
             publishes: 0,
             l0: env.l0,
             l0_index: 0,
@@ -367,16 +375,19 @@ impl<'a> WarpKernel<'a> {
     }
 
     /// Periodic cooperative cancellation check on the claim paths: cheap
-    /// flag read per claim, a real clock read every few thousand claims.
-    /// Also the claim-ordinal fault-injection point (may panic or stall
-    /// when a plan is attached).
+    /// flag read per claim, a real clock read every few thousand claimed
+    /// raw iterations — iterations, not claims, so how long a cancelled run
+    /// lingers does not grow with the width of its claims. Also the
+    /// claim-ordinal fault-injection point (may panic or stall when a plan
+    /// is attached).
     #[inline]
     fn cancelled(&mut self) -> bool {
         self.claims = self.claims.wrapping_add(1);
         if let Some(f) = self.faults {
             f.at_claim(self.warp_id, self.claims);
         }
-        if self.claims.is_multiple_of(4096) {
+        if self.unpolled >= 4096 {
+            self.unpolled = 0;
             self.board.check_deadline()
         } else {
             self.board.aborted()
@@ -416,7 +427,10 @@ impl<'a> WarpKernel<'a> {
     pub fn take_arena(&mut self) -> StackArena {
         self.storage
             .put_marker_words(std::mem::take(&mut self.marker).words);
-        std::mem::replace(&mut self.storage, StackArena::new(0, 1, 0))
+        std::mem::replace(
+            &mut self.storage,
+            StackArena::new(&SlotTable::with_slots(&[]), 0),
+        )
     }
 
     /// Death reclaim: rolls the open transaction back (uncommitted tally
@@ -560,6 +574,7 @@ impl<'a> WarpKernel<'a> {
                     // published (or the subtree commits), this index exists
                     // nowhere else — on death it is requeued verbatim.
                     self.inflight = Some((l, i));
+                    self.unpolled += 1;
                     Some(i)
                 } else {
                     None
@@ -586,9 +601,10 @@ impl<'a> WarpKernel<'a> {
         }
     }
 
-    /// Deep claim: up to `UNROLL` raw iterations from the current slot,
-    /// validity-filtered into `batch[l + 1]` (slots never mix: all unroll
-    /// candidates share one matched path).
+    /// Deep claim: up to the level's width ([`SlotTable::width`]) of raw
+    /// iterations from the current slot, validity-filtered into
+    /// `batch[l + 1]` (slots never mix: all unroll candidates share one
+    /// matched path).
     fn claim_deep(&mut self, warp: &mut Warp, l: usize) -> bool {
         let vy = self.validity(l);
         loop {
@@ -611,8 +627,9 @@ impl<'a> WarpKernel<'a> {
                 continue;
             }
             let start = self.iter[l];
-            let take = (cl_len - start).min(self.cfg.unroll);
+            let take = (cl_len - start).min(self.slots.width(l));
             self.iter[l] += take;
+            self.unpolled += take;
             // Validity filtering as one warp wave over the claimed batch,
             // straight from the slab (disjoint fields: storage vs batch).
             let waves = warp.simt_for(take, |_| {});
@@ -743,7 +760,7 @@ impl<'a> WarpKernel<'a> {
         let batch = self.batch[level];
         let bat = batch.as_slice();
         let m = bat.len();
-        debug_assert!(m >= 1 && m <= self.cfg.unroll);
+        debug_assert!(m >= 1 && m <= self.slots.width(level - 1));
         let g = self.g;
         let hubs = self.hubs;
         let tuning = self.cfg.setops;
@@ -1535,17 +1552,33 @@ mod tests {
         assert_eq!(charged(true), (7, 200, 224));
         assert_eq!(charged(false), (0, 0, 0));
 
-        // In the kernel. Wedges on a 40-leaf star, level 1 deep and claimed
-        // five at a time: the centre's 40 leaves are 8 batches, each
-        // counting the lifted list N(centre) in one 7-wave pass; each leaf's
-        // own subtree is one slot over the one-element N(leaf).
+        // In the kernel. Wedges on a 40-leaf star, level 1 deep: its child
+        // level computes no set (the last level counts the lifted
+        // N(centre)), so it claims a full warp whatever the unroll size and
+        // the centre's 40 leaves are two batches, 32 slots and 8 — one claim
+        // wave each, and one combined pass of ⌈32·40/32⌉ and ⌈8·40/32⌉ waves.
         let mut cfg = one_warp().with_unroll(5);
         (cfg.stop_level, cfg.detect_level) = (1, 1);
         let wedge = Engine::new(cfg).compile(&catalog::wedge());
         assert_eq!(wedge.bytecode().candidate(2).1, 1, "lifted to level 1");
-        let m = whole_graph(&gen::star(40), &wedge, cfg);
+        assert_eq!(wedge.bytecode().slot_table(5, 1).widths(), [1, 32]);
+        let star = gen::star(40);
+        let centre = with_kernel(&star, &wedge, cfg, |kernel, warp| {
+            kernel.install(warp, &StealPayload::chunk(0, 1));
+            kernel.run(warp);
+        });
+        assert_eq!(centre.matches_found, 40 * 39 / 2);
+        assert_eq!(centre.claim_instructions, 1 + 2);
+        assert_eq!(centre.count_pass_instructions, 40 + 10);
+        assert_eq!(
+            centre.simt_instructions,
+            centre.set_op_instructions + 3 + 50,
+            "nothing else is charged"
+        );
+        // Each leaf's own subtree is one slot over the one-element N(leaf).
+        let m = whole_graph(&star, &wedge, cfg);
         assert_eq!(m.matches_found, 40 * 39 / 2);
-        assert_eq!(m.count_pass_instructions, 8 * 7 + 40);
+        assert_eq!(m.count_pass_instructions, 40 + 10 + 40);
 
         // Triangles compute N(v0) ∩ N(v1) at the last level: the count
         // rides in that stream, and every instruction of the run is a

@@ -122,14 +122,15 @@ impl WarmSlot {
 mod tests {
     use super::*;
     use stmatch_gpusim::SharedBudget;
+    use stmatch_pattern::SlotTable;
 
     #[test]
     fn arena_pool_caps_and_recycles() {
         let pool = ArenaPool::new(2);
         assert!(pool.checkout().is_none());
-        pool.give_back(StackArena::new(2, 2, 8));
-        pool.give_back(StackArena::new(2, 2, 8));
-        pool.give_back(StackArena::new(2, 2, 8)); // beyond cap: dropped
+        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
+        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
+        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8)); // beyond cap: dropped
         assert_eq!(pool.parked(), 2);
         let a = pool.checkout().unwrap();
         assert_eq!(pool.parked(), 1);

@@ -39,6 +39,17 @@ pub const NO_SET: u16 = u16::MAX;
 /// Sentinel for "not a verbatim neighbor list" in [`Instr::dep_pos`].
 pub const NO_POS: u8 = u8::MAX;
 
+/// Most raw iterations one claim takes: the combined set operations map one
+/// unroll slot's size per prefix-scan lane (Fig. 8), so a batch never spans
+/// more slots than the warp has lanes.
+pub const MAX_UNROLL: usize = 32;
+
+/// Most sets a stream may write, so per-set tables ([`SlotTable`]) are fixed
+/// arrays. The code-motion trie of a [`MAX_PATTERN_SIZE`]-vertex pattern has
+/// at most `8 · 7 / 2 = 28` nodes (one per chain prefix); the rest is slack
+/// for the sanctioned mutations that add a set.
+pub const MAX_SETS: usize = 32;
+
 /// Instruction opcodes. Each maps to exactly one set-operation call shape in
 /// the kernel's interpreter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,6 +178,8 @@ pub struct LevelMeta {
 pub enum BytecodeError {
     /// `level_ptr` must be monotonically non-decreasing and span the stream.
     LevelPtrNotMonotonic { level: usize },
+    /// The stream writes more than [`MAX_SETS`] sets.
+    TooManySets { sets: u16 },
     /// An instruction's destination set id is outside `0..num_sets`.
     SetOutOfRange { instr: usize, set: u16 },
     /// An `ApplyFromSet` dependency is out of range or not yet computed
@@ -206,6 +219,9 @@ impl std::fmt::Display for BytecodeError {
         match *self {
             BytecodeError::LevelPtrNotMonotonic { level } => {
                 write!(f, "bytecode: level_ptr not monotonic at level {level}")
+            }
+            BytecodeError::TooManySets { sets } => {
+                write!(f, "bytecode: {sets} sets exceed MAX_SETS ({MAX_SETS})")
             }
             BytecodeError::SetOutOfRange { instr, set } => {
                 write!(f, "bytecode: instr {instr} targets out-of-range set {set}")
@@ -495,6 +511,11 @@ impl PlanBytecode {
         {
             return Err(BytecodeError::LevelPtrNotMonotonic { level: 0 });
         }
+        if num_sets > MAX_SETS {
+            return Err(BytecodeError::TooManySets {
+                sets: self.num_sets,
+            });
+        }
         /// What the walk knows of one set's slab.
         #[derive(Clone, Copy)]
         struct Slab {
@@ -706,6 +727,68 @@ impl PlanBytecode {
         self.marked
     }
 
+    /// How wide each level claims and how many arena slots each set owns
+    /// when the stream runs at unroll size `unroll` with levels below `stop`
+    /// stealable — the one place the kernel, the arena, the engine's
+    /// accounting and the static verifier learn either (DESIGN.md §4,
+    /// "Unrolling"). `unroll` is the floor of every deep width and, as
+    /// `num_sets × unroll` slots, the arena's budget; 1 means no unrolling.
+    ///
+    /// * A level below `stop` claims 1: it goes through the steal mirror one
+    ///   iteration at a time, so the sets of every level `≤ stop` are only
+    ///   ever computed for one slot — and own one.
+    /// * A deep level whose child level has an empty program (its candidate
+    ///   was lifted) claims [`MAX_UNROLL`]: the batch is written nowhere, so
+    ///   filling the warp costs no slot.
+    /// * Every other deep level claims the largest uniform `w` in
+    ///   `unroll..=MAX_UNROLL` whose slots — `w` per set its child level
+    ///   writes — still fit the budget beside the one-slot sets.
+    pub fn slot_table(&self, unroll: usize, stop: usize) -> SlotTable {
+        debug_assert!((1..=MAX_UNROLL).contains(&unroll) && stop >= 1);
+        let k = self.levels.len();
+        let num_sets = self.num_sets as usize;
+        let deep_sets = (stop + 1..k)
+            .map(|l| self.instrs_at(l).iter().filter(|i| i.last).count())
+            .sum::<usize>();
+        let budget = num_sets * unroll;
+        let shared = (budget - (num_sets - deep_sets))
+            .checked_div(deep_sets)
+            .map_or(unroll, |w| w.min(MAX_UNROLL));
+        let mut width = [0u8; MAX_PATTERN_SIZE];
+        for (l, w) in width.iter_mut().enumerate().take(k.saturating_sub(1)) {
+            *w = if l < stop || unroll == 1 {
+                1
+            } else if self.instrs_at(l + 1).is_empty() {
+                MAX_UNROLL as u8
+            } else {
+                shared as u8
+            };
+        }
+        // A set owns a slot per member of the batch its level is computed
+        // for: its parent level's claim.
+        let mut slots = [1usize; MAX_SETS];
+        let mut staged = 0;
+        for l in 1..k {
+            let batch = width[l - 1];
+            for ins in self.instrs_at(l) {
+                if ins.last {
+                    slots[ins.dst as usize] = batch as usize;
+                } else {
+                    staged = staged.max(batch);
+                }
+            }
+        }
+        let table = SlotTable {
+            width,
+            levels: k as u8,
+            budget: budget as u16,
+            staged,
+            ..SlotTable::with_slots(&slots[..num_sets])
+        };
+        debug_assert!(table.total() <= budget);
+        table
+    }
+
     /// Resident footprint of the stream plus side tables, for budget
     /// accounting and diagnostics.
     pub fn byte_size(&self) -> usize {
@@ -714,6 +797,92 @@ impl PlanBytecode {
             + self.levels.len() * std::mem::size_of::<LevelMeta>()
             + self.bounds.len() * std::mem::size_of::<(usize, Bound)>()
             + self.bound_ptr.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Claim width per level and arena slots per set
+/// ([`PlanBytecode::slot_table`]): fixed arrays, no heap, `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlotTable {
+    /// `width[l]`: raw iterations level `l` claims at once, for the levels
+    /// that claim (`0..levels - 1`; the last level is counted).
+    width: [u8; MAX_PATTERN_SIZE],
+    /// Set `s` owns the flat slots `base[s]..base[s + 1]`.
+    base: [u16; MAX_SETS + 1],
+    levels: u8,
+    num_sets: u16,
+    /// `num_sets × unroll`: what a uniform `C[NUM_SETS][UNROLL]` would hold.
+    budget: u16,
+    /// Widest batch of a level whose program stages an intermediate (a
+    /// non-`last` instruction): the ping/pong rows a kernel needs. Zero for
+    /// chain-free streams.
+    staged: u8,
+}
+
+impl SlotTable {
+    /// A table of the given slots per set and no levels: the geometry of an
+    /// arena that serves no stream (unit tests, placeholders).
+    pub fn with_slots(slots: &[usize]) -> SlotTable {
+        assert!(slots.len() <= MAX_SETS && slots.iter().all(|&n| n <= MAX_UNROLL));
+        let mut base = [0; MAX_SETS + 1];
+        for (s, &n) in slots.iter().enumerate() {
+            base[s + 1] = base[s] + n as u16;
+        }
+        SlotTable {
+            width: [0; MAX_PATTERN_SIZE],
+            base,
+            levels: 0,
+            num_sets: slots.len() as u16,
+            budget: base[slots.len()],
+            staged: 0,
+        }
+    }
+
+    /// Raw iterations `level` claims at once.
+    #[inline]
+    pub fn width(&self, level: usize) -> usize {
+        self.width[level] as usize
+    }
+
+    /// The claim widths of the levels that claim, outermost first.
+    pub fn widths(&self) -> &[u8] {
+        &self.width[..(self.levels as usize).saturating_sub(1)]
+    }
+
+    /// Sets the table covers.
+    #[inline]
+    pub fn num_sets(&self) -> usize {
+        self.num_sets as usize
+    }
+
+    /// Flat index of `set`'s first slot.
+    #[inline]
+    pub fn base(&self, set: usize) -> usize {
+        self.base[set] as usize
+    }
+
+    /// Slots `set` owns: the widest batch its level is ever computed for.
+    #[inline]
+    pub fn slots(&self, set: usize) -> usize {
+        (self.base[set + 1] - self.base[set]) as usize
+    }
+
+    /// Slots of every set together (`≤` [`SlotTable::budget`]).
+    #[inline]
+    pub fn total(&self) -> usize {
+        self.base[self.num_sets as usize] as usize
+    }
+
+    /// The uniform geometry's slot count, `num_sets × unroll`.
+    #[inline]
+    pub fn budget(&self) -> usize {
+        self.budget as usize
+    }
+
+    /// Widest batch whose level stages an intermediate (0: none does).
+    #[inline]
+    pub fn staged(&self) -> usize {
+        self.staged as usize
     }
 }
 
@@ -832,6 +1001,93 @@ mod tests {
                 assert_eq!(writes, want, "q{q} level {level} write order");
             }
         }
+    }
+
+    #[test]
+    fn slot_tables_fill_the_budget_and_never_exceed_it() {
+        for q in 1..=24 {
+            let (_, bc) = lower_query(q);
+            let k = bc.num_levels();
+            let def_level = |set: usize| {
+                let writes = |l: &usize| {
+                    bc.instrs_at(*l)
+                        .iter()
+                        .any(|i| i.last && i.dst == set as u16)
+                };
+                (0..k).find(writes).expect("every set is written")
+            };
+            for unroll in [1, 2, 4, 8, 16, 32] {
+                for stop in [1, 2] {
+                    let t = bc.slot_table(unroll, stop);
+                    let leg = format!("q{q} unroll {unroll} stop {stop}: {t:?}");
+                    assert_eq!(t.num_sets(), bc.num_sets(), "{leg}");
+                    assert_eq!(t.budget(), bc.num_sets() * unroll, "{leg}");
+                    assert!(t.total() <= t.budget(), "{leg}");
+                    assert_eq!(t.widths().len(), k - 1, "{leg}");
+                    let mut staged = 0;
+                    for (l, &w) in t.widths().iter().enumerate() {
+                        let w = w as usize;
+                        let child = bc.instrs_at(l + 1);
+                        if l < stop || unroll == 1 {
+                            assert_eq!(w, 1, "{leg}: level {l}");
+                        } else if child.is_empty() {
+                            assert_eq!(w, MAX_UNROLL, "{leg}: level {l} writes nothing");
+                        } else {
+                            assert!((unroll..=MAX_UNROLL).contains(&w), "{leg}: level {l}");
+                        }
+                        if child.iter().any(|i| !i.last) {
+                            staged = staged.max(w);
+                        }
+                    }
+                    assert_eq!(t.staged(), staged, "{leg}");
+                    // A set owns as many slots as the batch it is computed
+                    // for is wide: its parent level's claim.
+                    let mut base = 0;
+                    for set in 0..bc.num_sets() {
+                        assert_eq!(t.base(set), base, "{leg}: set {set}");
+                        assert_eq!(
+                            t.slots(set),
+                            t.width(def_level(set) - 1),
+                            "{leg}: set {set}"
+                        );
+                        base += t.slots(set);
+                    }
+                    assert_eq!(t.total(), base, "{leg}");
+                    // The shared width is the widest the budget affords:
+                    // one more slot per deep set would not fit.
+                    let deep = (0..bc.num_sets()).filter(|&s| def_level(s) > stop).count();
+                    let shared = (stop..k - 1)
+                        .filter(|&l| !bc.instrs_at(l + 1).is_empty())
+                        .map(|l| t.width(l))
+                        .max();
+                    if let Some(w) = shared.filter(|&w| w < MAX_UNROLL && unroll > 1) {
+                        assert!(
+                            t.total() + deep > t.budget(),
+                            "{leg}: {w} is not the widest"
+                        );
+                    }
+                }
+            }
+        }
+        // q1 at the defaults: three neighbor lists, the last level's lifted —
+        // its parent claims a full warp for free, and the one deep set takes
+        // what the two one-slot sets leave of 3 × 8.
+        let t = lower_query(1).1.slot_table(8, 2);
+        assert_eq!(t.widths(), [1, 1, 22, 32]);
+        assert_eq!((t.slots(0), t.slots(1), t.slots(2)), (1, 1, 22));
+        assert_eq!((t.total(), t.budget(), t.staged()), (24, 24, 0));
+    }
+
+    #[test]
+    fn verifier_rejects_more_sets_than_a_slot_table_holds() {
+        let (_, mut bc) = lower_query(8);
+        bc.num_sets = MAX_SETS as u16 + 1;
+        assert_eq!(
+            bc.verify(),
+            Err(BytecodeError::TooManySets {
+                sets: MAX_SETS as u16 + 1
+            })
+        );
     }
 
     #[test]

@@ -24,6 +24,6 @@ pub mod pattern;
 pub mod plan;
 pub mod symmetry;
 
-pub use bytecode::{BytecodeError, Instr, OpCode, PlanBytecode};
+pub use bytecode::{BytecodeError, Instr, OpCode, PlanBytecode, SlotTable};
 pub use pattern::{Pattern, MAX_PATTERN_SIZE};
 pub use plan::{LabelMask, MatchPlan, OpKind, PlanOptions, SetDef};

@@ -18,6 +18,7 @@
 
 use stmatch_graph::Graph;
 use stmatch_pattern::plan::{Base, MatchPlan, OpKind};
+use stmatch_pattern::SlotTable;
 
 /// How many of the graph's largest degrees the profile retains. Sets that
 /// intersect more than this many distinct positions are bounded by the
@@ -85,13 +86,19 @@ impl ResourceCert {
         self.set_bounds.iter().copied().max().unwrap_or(0)
     }
 
-    /// Worst-case total cells live across one warp's arena at `unroll`:
-    /// every (set, slot) pair simultaneously at its bound. Runtime
-    /// `MatchOutcome::peak_slab_cells` must never exceed this.
-    pub fn peak_cells(&self, unroll: usize) -> u64 {
+    /// Worst-case total cells live across one warp's arena under `slots`
+    /// (the launch's [`PlanBytecode::slot_table`]): every slot of every set
+    /// simultaneously at the set's bound. Runtime
+    /// `MatchOutcome::peak_slab_cells` must never exceed this. (`Σ bound ×
+    /// unroll` is no bound: a deep set may own more than `unroll` slots.)
+    ///
+    /// [`PlanBytecode::slot_table`]: stmatch_pattern::PlanBytecode::slot_table
+    pub fn peak_cells(&self, slots: &SlotTable) -> u64 {
+        debug_assert_eq!(slots.num_sets(), self.set_bounds.len());
         self.set_bounds
             .iter()
-            .map(|&b| b as u64 * unroll as u64)
+            .enumerate()
+            .map(|(s, &b)| b as u64 * slots.slots(s) as u64)
             .sum()
     }
 
@@ -199,8 +206,12 @@ mod tests {
         let tight = certify(&plan, &prof, 4);
         assert!(!tight.spill_free);
         assert_eq!(tight.max_set_bound(), 100);
-        // peak_cells scales linearly in unroll.
-        assert_eq!(spacious.peak_cells(8), 8 * spacious.peak_cells(1));
+        // peak_cells weighs each set's bound by the slots the set owns.
+        let bounds = &spacious.set_bounds;
+        assert_eq!(bounds.len(), 1);
+        let slots = |n| SlotTable::with_slots(&[n]);
+        assert_eq!(spacious.peak_cells(&slots(1)), bounds[0] as u64);
+        assert_eq!(spacious.peak_cells(&slots(32)), 32 * bounds[0] as u64);
     }
 
     #[test]

@@ -80,30 +80,30 @@ fn run(cfg: EngineConfig, g: &Graph, q: &Pattern) -> Fingerprint {
 const PINNED: [[Fingerprint; 24]; 2] = [
     // unlabeled
     [
-        (119531, 24408, 452144, 724160),
-        (5176, 14138, 271060, 342432),
-        (9200, 8752, 153965, 204896),
-        (34587, 13190, 187095, 366432),
-        (1486, 2631, 23360, 64992),
-        (2884, 10345, 182119, 246560),
-        (88, 1418, 9149, 35872),
-        (4, 1423, 10087, 35520),
-        (915277, 202090, 3834662, 6034560),
-        (31430, 79536, 1602441, 1916768),
-        (967, 18815, 338850, 482400),
-        (258862, 106782, 1691090, 2995232),
-        (155617, 15514, 254236, 480960),
-        (621, 7431, 113211, 186432),
-        (3, 1457, 10133, 36608),
-        (0, 1448, 10114, 36192),
-        (6605944, 1602486, 30171014, 47812800),
-        (186933, 472049, 9599368, 11350048),
-        (1783390, 864126, 13871924, 24263104),
-        (129, 10528, 154699, 263968),
-        (1294, 14924, 254413, 377216),
-        (78, 19120, 270858, 500000),
-        (0, 1448, 10114, 36192),
-        (0, 1448, 10114, 36192),
+        (119531, 19686, 417264, 577280),
+        (5176, 12629, 240500, 298592),
+        (9200, 7369, 123405, 163776),
+        (34587, 11555, 152215, 317600),
+        (1486, 2609, 23040, 64384),
+        (2884, 7801, 128359, 172224),
+        (88, 1408, 8989, 35584),
+        (4, 1413, 9927, 35232),
+        (915277, 165198, 3612422, 4888608),
+        (31430, 74766, 1513161, 1779776),
+        (967, 17382, 301890, 439264),
+        (258862, 96056, 1468850, 2677280),
+        (155617, 11511, 254076, 352960),
+        (621, 7376, 112891, 184960),
+        (3, 1447, 9973, 36320),
+        (0, 1438, 9954, 35904),
+        (6605944, 1343832, 29063014, 39721344),
+        (186933, 442203, 9089608, 10521248),
+        (1783390, 808878, 12763924, 22622720),
+        (129, 9929, 144779, 247904),
+        (1294, 14769, 254093, 373376),
+        (78, 18510, 265418, 483360),
+        (0, 1438, 9954, 35904),
+        (0, 1438, 9954, 35904),
     ],
     // labeled
     [

@@ -4,7 +4,8 @@
 //! This suite holds their *counts* with hard asserts, so it means the same
 //! thing under `cargo test --release` (ci.sh runs it there too): for every
 //! paper query, on a hub-skewed and on a uniform fixture, with unrolling off
-//! and on, steal-free on two warps and stealing on a 1×4 grid (work items
+//! and at unroll 2, 8 and 32 (per-level claim widths from 2 up to the whole
+//! warp), steal-free on two warps and stealing on a 1×4 grid (work items
 //! installed mid-list, in whatever order the race hands them out), the count
 //! equals the independent oracle's *and* the number of embeddings the
 //! `enumerate` route emits — which probes every last-level candidate
@@ -59,7 +60,7 @@ fn every_route_agrees_with_the_oracle_and_with_enumeration() {
         for q in 1..=24 {
             let pattern = catalog::paper_query(q);
             let want = reference::count(g, &pattern, RefOptions::default());
-            for unroll in [1, 8] {
+            for unroll in [1, 2, 8, 32] {
                 for stealing in [false, true] {
                     let mut cfg =
                         EngineConfig::default()

@@ -10,7 +10,9 @@
 //!
 //! * property — on seeded random graphs × catalog patterns, a launch
 //!   carrying its verdict keeps the runtime `peak_slab_cells` within
-//!   `ResourceCert::peak_cells(unroll)`, and a `spill_free` certificate
+//!   `ResourceCert::peak_cells` over the launch's slot table (and one
+//!   pinned case holds the peak *above* the uniform `Σ bound × unroll`), and
+//!   a `spill_free` certificate
 //!   implies zero `spill_events`. Small `max_degree_slab` values are drawn
 //!   too, exercising certificates that (soundly) refuse the spill-free
 //!   claim;
@@ -31,6 +33,7 @@ use stmatch_core::{
     Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WarmSlot,
 };
 use stmatch_gpusim::GridConfig;
+use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
 use stmatch_pattern::plan::{mutation, MatchPlan, PlanOptions};
@@ -116,7 +119,7 @@ fn runtime_peak_never_exceeds_certified_bound() {
                 ));
             }
             let out = launch_verified(&engine, &g, &plan, &v, None).map_err(|e| e.to_string())?;
-            let bound = v.cert.peak_cells(cfg.unroll);
+            let bound = v.cert.peak_cells(&engine.slot_table(&plan));
             if out.peak_slab_cells > bound {
                 return Err(format!(
                     "{}: runtime peak {} cells exceeds certified bound {bound}",
@@ -287,6 +290,48 @@ fn service_verification_is_opt_in() {
     assert_eq!(svc.cache_stats().verified, 0);
 }
 
+/// The peak bound weighs each set by the slots it owns, not by `unroll`: a
+/// deep set may own more. A hub adjacent to everyone beside a 7-clique
+/// (Δ = 39, every other degree ≤ 7), the tailed triangle without code
+/// motion at unroll 2: `N(v0)` and `N(v0) ∩ N(v1)` belong to stealable
+/// levels and own one slot each, which leaves the tail's candidates —
+/// `N(v0)` again, recomputed at the last level for every member of the
+/// batch — four. With the hub at `v0` that is five copies of its list live
+/// at once: more than `Σ bound × unroll` allows, within `Σ bound × slots`.
+#[test]
+fn a_set_wider_than_unroll_is_bounded_by_its_own_slots() {
+    let n = 40;
+    let hub = (1..n).map(|v| (0, v));
+    let clique = (1..8).flat_map(|a| (a + 1..8).map(move |b| (a, b)));
+    let g = graph_from_edges(n as usize, &hub.chain(clique).collect::<Vec<_>>());
+    let mut cfg = EngineConfig::default()
+        .with_unroll(2)
+        .with_grid(GridConfig {
+            num_blocks: 1,
+            warps_per_block: 1,
+            shared_mem_per_block: 100 * 1024,
+        });
+    (cfg.code_motion, cfg.local_steal, cfg.global_steal) = (false, false, false);
+    let engine = Engine::new(cfg);
+    let q = catalog::tailed_triangle();
+    let plan = engine.compile(&q);
+    let table = engine.slot_table(&plan);
+    assert_eq!(table.widths(), [1, 1, 4]);
+    assert_eq!((table.total(), table.budget()), (6, 6));
+    let v = engine.verify(&g, &plan);
+    assert!(v.is_clean());
+    let uniform: u64 = v.cert.set_bounds.iter().map(|&b| 2 * b as u64).sum();
+    let bound = v.cert.peak_cells(&table);
+    // The launch audits its own peak against `bound` (debug builds).
+    let out = launch_verified(&engine, &g, &plan, &v, None).unwrap();
+    assert_eq!(out.count, reference::count(&g, &q, RefOptions::default()));
+    assert!(
+        uniform < out.peak_slab_cells && out.peak_slab_cells <= bound,
+        "uniform {uniform}, peak {}, bound {bound}",
+        out.peak_slab_cells
+    );
+}
+
 /// An attached verdict needs no knob: the launch packs its arenas to the
 /// certificate's per-set bounds — strictly fewer slab cells than the
 /// uniform geometry — and stays spill-free on the exact count. The warm
@@ -310,7 +355,7 @@ fn capacity_hints_shape_the_arena() {
         .unwrap();
         assert_eq!(out.count, want);
         assert_eq!(out.spill_events, 0);
-        assert!(out.peak_slab_cells <= verdict.cert.peak_cells(engine.config().unroll));
+        assert!(out.peak_slab_cells <= verdict.cert.peak_cells(&engine.slot_table(&plan)));
         let arena = slot
             .arenas()
             .checkout()

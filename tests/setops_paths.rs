@@ -30,7 +30,7 @@ use stmatch_core::setops::{apply_op_hub_into, choose_algo, SetOpAlgo, SetOpTunin
 use stmatch_gpusim::{Grid, GridConfig, Warp, WarpMetrics};
 use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{Graph, Label, VertexId};
-use stmatch_pattern::{LabelMask, OpKind};
+use stmatch_pattern::{LabelMask, OpKind, SlotTable};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::Rng;
 
@@ -156,7 +156,7 @@ fn run(
                 outs
             }
             Sink::Arena { cap } => {
-                let mut arena = StackArena::new(1, slots.len(), cap);
+                let mut arena = StackArena::new(&SlotTable::with_slots(&[slots.len()]), cap);
                 {
                     // ArenaWriter's Drop folds peak stats back into the
                     // arena, so the writer must end before the slots are

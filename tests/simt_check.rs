@@ -154,7 +154,7 @@ fn fault_injection_produces_no_diagnostics() {
     let q = catalog::paper_query(1);
 
     // Seeded plan: one panic + one stall (the smoke:faults scenario).
-    let plan = FaultPlan::seeded(0x1d, grid().total_warps(), 1, 1);
+    let plan = FaultPlan::seeded(0x16c8, grid().total_warps(), 1, 1);
     let r = Engine::new(cfg)
         .with_fault_plan(plan)
         .run(&g, &q)
@@ -401,7 +401,7 @@ fn service_concurrent_submissions_produce_no_diagnostics() {
         s.spawn(move || {
             // A fault-injected neighbour: deaths contained per query.
             let opts = stmatch_core::QueryOptions {
-                fault_plan: Some(FaultPlan::seeded(0x1d, grid().total_warps(), 1, 1)),
+                fault_plan: Some(FaultPlan::seeded(0x16c8, grid().total_warps(), 1, 1)),
                 ..Default::default()
             };
             let out = svc_ref
