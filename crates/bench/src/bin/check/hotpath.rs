@@ -12,26 +12,31 @@
 //! they leave: the work-transfer charges, 0 on this steal-free suite) — the
 //! first thing to read when a total moves — and the slot table it ran
 //! under: each level's claim width and the arena slots they add up to
-//! against the `NUM_SETS × UNROLL` budget (`widths=[…] slots=Σ/budget`).
-//! `ci.sh` greps q1's and q8's `count_pass`, q1's last claim width and
-//! every row's slots.
+//! against the `NUM_SETS × UNROLL` budget (`widths=[…] slots=Σ/budget`) —
+//! and, between the two, the fused tails it formed: streams issued over
+//! whole parent batches and the count lanes they fed (`tail=streams/lanes`,
+//! `0/0` where the plan forms none). `ci.sh` greps q1's and q8's
+//! `count_pass`, q1's, q4's and q8's `tail`, q1's last claim width and every
+//! row's slots.
 
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::MatchOutcome;
 use stmatch_pattern::SlotTable;
 
-/// `out`'s instruction total by charging site, and the slot table the run
-/// claimed and stored under.
+/// `out`'s instruction total by charging site, its fused tails, and the slot
+/// table the run claimed and stored under.
 fn split(out: &MatchOutcome, table: &SlotTable) -> String {
     let t = out.metrics.total();
     let sites = t.set_op_instructions + t.claim_instructions + t.count_pass_instructions;
     format!(
-        "set_op={} claim={} count_pass={} steal={} widths={:?} slots={}/{}",
+        "set_op={} claim={} count_pass={} steal={} tail={}/{} widths={:?} slots={}/{}",
         t.set_op_instructions,
         t.claim_instructions,
         t.count_pass_instructions,
         t.simt_instructions - sites,
+        out.tail[0],
+        out.tail[1],
         table.widths(),
         table.total(),
         table.budget()

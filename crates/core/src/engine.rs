@@ -80,6 +80,11 @@ pub struct MatchOutcome {
     /// verdict ([`Launch::verified`]), debug builds audit this against the
     /// certificate's `ResourceCert::peak_cells` bound.
     pub peak_slab_cells: u64,
+    /// Fused tails (DESIGN.md §4c, "Last-level counting"): the streams the
+    /// kernels issued over whole parent batches of the last claim level and
+    /// the closed-form count lanes those fed; `[0, 0]` when the plan forms
+    /// no tail. `check hotpath` prints it.
+    pub tail: [u64; 2],
     /// Always `None`: one interpreter serves every launch. Inert, kept for
     /// `benchmark/`'s `compile.served_tier` leg; deleted with
     /// [`CompileTuning`](crate::config::CompileTuning) by ROADMAP item 2.
@@ -138,6 +143,7 @@ struct LaunchStats {
     report: FaultReport,
     spill_events: u64,
     peak_cells: u64,
+    tail: [u64; 2],
 }
 
 /// One launch request: what to match, on which graph, and which resident
@@ -565,6 +571,7 @@ impl Engine {
             downgrades: Vec::new(),
             spill_events: stats.spill_events,
             peak_slab_cells: stats.peak_cells,
+            tail: stats.tail,
             served_tier: None,
         })
     }
@@ -588,6 +595,7 @@ impl Engine {
         let mut metrics = GridMetrics::default();
         let mut spill_events = 0u64;
         let mut peak_cells = 0u64;
+        let mut tail = [0u64; 2];
         let mut timed_out = false;
         // Salvage state threaded between passes: where the level-0 range
         // stops and which reclaimed payloads are still unfinished.
@@ -627,6 +635,9 @@ impl Engine {
             }
             spill_events += board.spill_count();
             peak_cells = peak_cells.max(board.peak_count());
+            for (sum, n) in tail.iter_mut().zip(board.tail_count()) {
+                *sum += n;
+            }
             let aborted = board.aborted();
             timed_out = timed_out || aborted;
             cursor = board.chunk_cursor();
@@ -674,6 +685,7 @@ impl Engine {
             report,
             spill_events,
             peak_cells,
+            tail,
         }
     }
 
@@ -748,6 +760,7 @@ impl Engine {
         if let Some(k) = kernel.as_mut() {
             board.add_spills(k.spill_events());
             board.add_peak(k.peak_slab_cells());
+            board.add_tail(k.tail_stats());
             if let Some(p) = arenas {
                 // Return the arena for the next query on this slot — after
                 // the board bookkeeping above, before the collector leaf

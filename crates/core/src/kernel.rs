@@ -48,13 +48,15 @@
 //! subtree, nothing more. Emitted embeddings follow the same protocol
 //! through a commit watermark (`emit_mark`).
 
+mod marker;
+
+use self::marker::Marker;
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops;
 use crate::steal::{Board, Source, StealPayload};
-use stmatch_gpusim::Warp;
-use stmatch_graph::bitmap::word_probe;
+use stmatch_gpusim::{Warp, WARP_SIZE};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS, NO_POS};
 use stmatch_pattern::symmetry::Bound;
@@ -187,6 +189,11 @@ pub struct WarpKernel<'a> {
     /// What the last-level closed form remembers of a lifted candidate list
     /// (see [`LiftedCursor`]).
     lifted: LiftedCursor,
+    /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
+    /// last level counts a lifted list in closed form, its parent is deep.
+    tail: bool,
+    /// Tail streams issued and the count lanes they fed (`check hotpath`).
+    tail_stats: [u64; 2],
     /// Valid last-level candidates scratch (enumeration only).
     emit_tail: Vec<VertexId>,
     /// Claims so far: the fault-injection ordinal ("die at the Nth claim").
@@ -278,6 +285,11 @@ impl<'a> WarpKernel<'a> {
             // path allocation-free.
             storage.enable_set_bits(hx.stride());
         }
+        let last = k - 1;
+        let tail = !env.enumerate
+            && k >= stop + 2
+            && bc.candidate(last).1 != last
+            && bc.level_meta(last).resid.is_none();
         let (marked, stride) = env.marker_rows();
         let words = storage.take_marker_words(marked.count_ones() as usize * stride);
         WarpKernel {
@@ -300,6 +312,8 @@ impl<'a> WarpKernel<'a> {
             pong: vec![Vec::new(); slots.staged()],
             marker: Marker::new(marked, stride, words),
             lifted: LiftedCursor::default(),
+            tail,
+            tail_stats: [0; 2],
             emit_tail: Vec::new(),
             claims: 0,
             unpolled: 0,
@@ -421,6 +435,11 @@ impl<'a> WarpKernel<'a> {
         self.storage.peak_slab_cells()
     }
 
+    /// Tail streams issued and count lanes fed ([`WarpKernel::count_tail`]).
+    pub fn tail_stats(&self) -> [u64; 2] {
+        self.tail_stats
+    }
+
     /// Surrenders the kernel's arena for recycling (warm-pool path),
     /// leaving a zero-capacity placeholder behind. Call only when the
     /// kernel is done running.
@@ -526,6 +545,8 @@ impl<'a> WarpKernel<'a> {
             if l + 1 == self.k - 1 {
                 self.count_last_level(warp);
                 // Stay at level l; keep claiming.
+            } else if self.tail && l + 1 == self.k - 2 {
+                self.count_tail(warp);
             } else {
                 l += 1;
             }
@@ -961,31 +982,30 @@ impl<'a> WarpKernel<'a> {
     /// The counting path exploits sortedness: the symmetry bounds select a
     /// contiguous window of the candidate list and injectivity subtracts the
     /// matched vertices of the level's
-    /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions that sit
-    /// inside it. A list computed at this level is a fresh list per slot and
-    /// is searched per slot ([`count_valid_sorted`]: one `partition_point`
-    /// per bound, one binary search per `inj` position). A lifted list
-    /// (computed at an earlier level) is a loop invariant: one list for
-    /// every slot of every batch under the same matched prefix, with only
-    /// position `l - 1` moving — and moving upwards. It is searched once per
-    /// prefix and then walked ([`LiftedCursor`]): a slot costs a few
-    /// compares.
+    /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions inside it.
+    /// A list computed at this level is a fresh list per slot, searched per
+    /// slot ([`count_valid_sorted`]); a lifted one is searched once per prefix
+    /// and then walked ([`LiftedCursor`]) — here only under a shallow parent
+    /// level, a deep one runs [`WarpKernel::count_tail`].
     ///
-    /// What the batch costs on the simulated machine is charged once, up
-    /// front, by [`charge_last_level`], from the list's provenance and
-    /// lengths alone: whichever route the host takes below — closed form,
-    /// per-element [`Validity::check`], enumeration — the warp has issued the
-    /// same instructions over the same lanes.
+    /// On the simulated machine a list computed at this level gets no pass:
+    /// its survivors were lanes of the level's final set-operation stream,
+    /// which `setops::stream_accounting` charged per streamed element, and the
+    /// validity predicate rides in that lane instruction. A lifted list costs
+    /// count lanes (private tallies, no ballot): one per slot in closed form —
+    /// the shallow parent claimed and checked the slot on its own — and one
+    /// per (slot, element) when `enumerate`, a residual label or a pin has to
+    /// touch every element.
     fn count_last_level(&mut self, warp: &mut Warp) {
         let l = self.k - 1;
         let slots = self.batch[l].len;
         let vy = self.validity(l);
         let lifted = self.bc.candidate(l).1 != l;
-        charge_last_level(warp, lifted, slots, self.candidate_list(l, 0).len());
         let closed_form = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
-        if closed_form && lifted {
-            self.pending_matches += self.count_lifted(l, &vy);
-            return;
+        if lifted {
+            let n = self.candidate_list(l, 0).len();
+            let waves = warp.simt_for(if closed_form { slots } else { slots * n }, |_| {});
+            warp.metrics_mut().count_pass_instructions += waves;
         }
         let mut total = 0u64;
         for u in 0..slots {
@@ -1009,45 +1029,67 @@ impl<'a> WarpKernel<'a> {
                 // not model — need a per-element probe.
                 total += cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64;
             } else {
-                // Not a debug_assert: a release build would otherwise wrap
-                // the subtraction into ~2^64 matches.
-                let n = count_valid_sorted(cl, matched, &vy)
-                    .unwrap_or_else(|| closed_form_underflow(l, matched, cl));
-                debug_assert_eq!(
-                    n,
-                    cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64
-                );
-                total += n;
+                let n = if lifted {
+                    self.lifted.rekey(cl, self.l0_index, &matched[..l - 1], &vy);
+                    self.lifted.count(cl, matched[l - 1])
+                } else {
+                    count_valid_sorted(cl, matched, &vy)
+                };
+                total += closed_form_count(n, g, matched, cl, &vy, l);
             }
         }
         self.pending_matches += total;
     }
 
-    /// The closed-form count of a batch whose candidate list is lifted: one
-    /// list for every slot, keyed and searched once per matched prefix, then
-    /// walked by the slots' ascending vertices ([`LiftedCursor`]).
-    fn count_lifted(&mut self, l: usize, vy: &Validity<'a>) -> u64 {
-        let (cid, slot) = self.candidate_location(l, 0);
-        let cl = self.storage.slot(cid, slot);
-        self.lifted
-            .rekey(cl, self.l0_index, &self.matched[..l - 1], vy);
-        let mut total = 0u64;
-        for u in 0..self.batch[l].len {
-            let m = self.batch[l].slots[u];
-            self.matched[l - 1] = m;
-            let n = self
-                .lifted
-                .count(cl, m)
-                .unwrap_or_else(|| closed_form_underflow(l, &self.matched, cl));
-            debug_assert_eq!(
-                n,
-                cl.iter()
-                    .filter(|&&v| vy.check(self.g, &self.matched, v))
-                    .count() as u64
-            );
-            total += n;
+    /// The fused tail: the last level counts a lifted list in closed form and
+    /// its parent level `l = k - 2` is deep, so the pair is one loop nest that
+    /// computes no set, and it runs here for all of `batch[l]` at once instead
+    /// of a `claim_deep` → `begin_level` → `count_last_level` round trip per
+    /// claim. Each slot moves `matched[l - 1]`, re-keys the [`LiftedCursor`]
+    /// and walks its level-`l` list once; every element that passes
+    /// [`Validity::check`] adds its last-level count, found by the cursor.
+    /// `cancelled` is polled per (slot, claim-width chunk), like the claims
+    /// this replaces; [`charge_tail`] charges the warp once, from lengths.
+    fn count_tail(&mut self, warp: &mut Warp) {
+        let l = self.k - 2;
+        let (vy, vz) = (self.validity(l), self.validity(l + 1));
+        let width = self.slots.width(l);
+        let m = self.batch[l].len;
+        let (mut streamed, mut survivors, mut total) = (0usize, 0usize, 0u64);
+        'batch: for u in 0..m {
+            self.uiter[l] = u;
+            self.matched[l - 1] = self.batch[l].slots[u];
+            let (cid, slot) = self.candidate_location(l, u);
+            let (last_cid, last_slot) = self.candidate_location(l + 1, 0);
+            let cl = self.storage.slot(last_cid, last_slot);
+            self.lifted
+                .rekey(cl, self.l0_index, &self.matched[..l], &vz);
+            let len = self.storage.slot(cid, slot).len();
+            for start in (0..len).step_by(width) {
+                let take = (len - start).min(width);
+                self.unpolled += take;
+                if self.cancelled() {
+                    break 'batch;
+                }
+                streamed += take;
+                let g = self.g;
+                let cl = self.storage.slot(last_cid, last_slot);
+                for &v in &self.storage.slot(cid, slot)[start..start + take] {
+                    if vy.check(g, &self.matched, v) {
+                        self.matched[l] = v;
+                        survivors += 1;
+                        let n = self.lifted.count(cl, v);
+                        total += closed_form_count(n, g, &self.matched, cl, &vz, l + 1);
+                    }
+                }
+            }
         }
-        total
+        let p = vz.bounds.iter().filter(|b| b.0 != l).count()
+            + (vz.inj & !(1 << l)).count_ones() as usize;
+        let here = self.bc.candidate(l).1 == l;
+        self.tail_stats[0] += charge_tail(warp, width, here, m, p, streamed, survivors);
+        self.tail_stats[1] += survivors as u64;
+        self.pending_matches += total;
     }
 
     /// Validity of candidate `v` at position `l`: label (level 0 only —
@@ -1066,28 +1108,54 @@ impl<'a> WarpKernel<'a> {
     }
 }
 
-/// The simulated cost of one batch's last level — the only place it is
-/// charged. It is a function of whether the candidate list is lifted, the
-/// batch's `slots` and the list's length `n`, and of nothing else:
-///
-/// * A **lifted** list (computed at an earlier level) is one list of `n`
-///   elements shared by every slot, counted in **one combined pass**: lane
-///   `j` takes slot `j / n`, element `j mod n`, so the pass is `⌈slots·n/32⌉`
-///   instructions over `slots·n` active lanes. All slots share one length,
-///   so no prefix scan maps lanes to slots; each lane keeps a private tally,
-///   so no ballot closes a wave.
-/// * A list computed **at** the last level gets **no pass of its own**: its
-///   survivors were in the lanes of the level's final set-operation stream,
-///   and the validity predicate (bounds, injectivity compares, residual
-///   label) rides in that stream's lane instruction, which
-///   `setops::stream_accounting` already charged per streamed element — the
-///   convention that charges a whole membership probe as one lane
-///   instruction (Fig. 3 line 16 counts from the sets just computed).
-fn charge_last_level(warp: &mut Warp, lifted: bool, slots: usize, n: usize) {
-    if lifted {
-        let waves = warp.simt_for(slots * n, |_| {});
-        warp.metrics_mut().count_pass_instructions += waves;
+/// The simulated cost of one parent batch's fused tail
+/// ([`WarpKernel::count_tail`]) — the only place it is charged, from lengths
+/// alone: the batch's `m` slots, whether their level-`(k-2)` lists were
+/// computed at that level (`here`), the `p` per-prefix searches of the last
+/// level's key (its bounds and `inj` positions other than `k - 2`), the
+/// `streamed` elements of those lists and their `survivors`. Four steps
+/// (DESIGN.md §4c): (1) a size scan mapping lanes to `(slot, element)`, iff
+/// `m > 1` and `here` — a lifted list has one length for every slot; (2) a
+/// key wave of `m·p` lanes; (3) one stream over all `streamed` elements
+/// (Fig. 8: a wave and its ballot per 32), validity as the predicate; (4) one
+/// count lane per survivor — it finds its place in the sorted lifted list and
+/// subtracts its hits: one lane instruction, as a membership probe is, and a
+/// lane-private tally. Steps 1 and 3 are claim instructions, 2 and 4
+/// count-pass instructions. At `width` 1 (no unrolling) every raw candidate
+/// is its own one-lane stream and every survivor its own count instruction.
+/// Returns the streams issued.
+fn charge_tail(
+    warp: &mut Warp,
+    width: usize,
+    here: bool,
+    m: usize,
+    p: usize,
+    streamed: usize,
+    survivors: usize,
+) -> u64 {
+    if streamed == 0 {
+        // Nothing to map or key, as in `setops::stream_accounting`.
+        return 0;
     }
+    let before = warp.metrics().simt_instructions;
+    if m > 1 && here {
+        let _ = warp.exclusive_scan(&mut [0; WARP_SIZE]);
+    }
+    // Unrolled, the whole batch is one stream and one count wave; not
+    // unrolled, every element and every survivor is its own.
+    let span = if width == 1 { 1 } else { usize::MAX };
+    for _ in (0..streamed).step_by(span) {
+        warp.stream(streamed.min(span));
+    }
+    let claimed = warp.metrics().simt_instructions - before;
+    let mut counted = warp.simt_for(m * p, |_| {});
+    for _ in (0..survivors).step_by(span) {
+        counted += warp.simt_for(survivors.min(span), |_| {});
+    }
+    let metrics = warp.metrics_mut();
+    metrics.claim_instructions += claimed;
+    metrics.count_pass_instructions += counted;
+    streamed.div_ceil(span) as u64
 }
 
 /// Per-level validity context: the residual-label requirement, the
@@ -1187,76 +1255,15 @@ impl Batch {
     }
 }
 
-/// The row the graph does not carry: per marked position `p`
-/// ([`PlanBytecode::marked`]), one `⌈n/64⌉`-word bitmap row holding the bits
-/// of the neighbor list `N(matched[p])` that lifted intersections re-read —
-/// a loop invariant of every level below the one that fixes `matched[p]`.
-/// Rows are rebuilt lazily, at the consumer: [`Marker::row`] compares the
-/// identity of the list it is asked for with the one it holds, so a moved
-/// vertex, another stage view's row for the same vertex and a freshly
-/// installed stack all re-key it without being told. The words are lent by
-/// the warp's arena, so a warm pool recycles them.
-#[derive(Default)]
-struct Marker<'a> {
-    /// One `stride`-word row per set bit of `positions`, in position order.
-    words: Vec<u64>,
-    stride: usize,
-    positions: u8,
-    /// `lists[p]`: the neighbor list whose bits position `p`'s row holds
-    /// (empty: an all-zero row).
-    lists: [&'a [VertexId]; MAX_PATTERN_SIZE],
-}
-
-impl<'a> Marker<'a> {
-    /// `words` must hold `positions.count_ones() * stride` zeroed words.
-    fn new(positions: u8, stride: usize, words: Vec<u64>) -> Self {
-        debug_assert_eq!(words.len(), positions.count_ones() as usize * stride);
-        debug_assert!(words.iter().all(|&w| w == 0));
-        Marker {
-            words,
-            stride,
-            positions,
-            lists: [&[]; MAX_PATTERN_SIZE],
-        }
-    }
-
-    /// Position `p`'s row, holding exactly the bits of `list`. Neighbor
-    /// lists are immutable for the launch lifetime (staged views included),
-    /// so pointer and length identify one: an unchanged list costs one
-    /// compare, a changed one is re-marked sparsely — the old list's words
-    /// cleared by walking it again, the new one's set.
-    fn row(&mut self, p: usize, list: &'a [VertexId]) -> &[u64] {
-        debug_assert!(self.positions >> p & 1 == 1, "position {p} is not marked");
-        let rank = (self.positions & ((1 << p) - 1)).count_ones() as usize;
-        let row = &mut self.words[rank * self.stride..][..self.stride];
-        let old = std::mem::replace(&mut self.lists[p], list);
-        if !std::ptr::eq(old, list) {
-            for &v in old {
-                row[(v >> 6) as usize] = 0;
-            }
-            for &v in list {
-                row[(v >> 6) as usize] |= 1u64 << (v & 63);
-            }
-        }
-        debug_assert!(list.iter().all(|&v| word_probe(row, v)));
-        debug_assert_eq!(
-            row.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
-            list.len()
-        );
-        row
-    }
-}
-
 /// What the last-level closed form remembers of a *lifted* candidate list.
 /// The list is a function of the stage view and the matched prefix below
 /// `l - 1` — the key — so everything that does not depend on the slot's own
 /// vertex `matched[l - 1]` is found once per key: the window left by the
 /// bounds on other positions and the list indices of the other injectivity
 /// positions' vertices. The slot's own vertex only ever asks where it would
-/// sit in the list, and it ascends through a batch and across the batches
-/// of one prefix, so one lower-bound cursor answers by moving forwards; it
-/// restarts when the vertex goes down (a requeued range) and is dropped
-/// with the rest when the key changes.
+/// sit in the list, and it ascends through the survivors of one prefix, so
+/// one lower-bound cursor answers by moving forwards; it restarts when the
+/// vertex goes down (a requeued range) and is dropped with its key.
 #[derive(Clone, Copy, Default)]
 struct LiftedCursor {
     /// False until the first lifted count.
@@ -1380,6 +1387,26 @@ fn count_valid_sorted(cl: &[VertexId], matched: &[VertexId], vy: &Validity<'_>) 
     window.len().checked_sub(dup).map(|n| n as u64)
 }
 
+/// Unwraps the closed-form count `n` of `cl` at last level `l`: an underflow
+/// fails the launch (a release build would otherwise wrap into ~2^64
+/// matches), and a debug build holds `n` to the per-element reference.
+#[inline]
+fn closed_form_count(
+    n: Option<u64>,
+    g: &Graph,
+    matched: &[VertexId],
+    cl: &[VertexId],
+    vy: &Validity<'_>,
+    l: usize,
+) -> u64 {
+    let n = n.unwrap_or_else(|| closed_form_underflow(l, matched, cl));
+    debug_assert_eq!(
+        n,
+        cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64
+    );
+    n
+}
+
 /// The closed-form last-level count went negative: fail the launch loudly
 /// rather than report a wrapped count.
 #[cold]
@@ -1400,43 +1427,6 @@ mod tests {
     use stmatch_gpusim::{Grid, GridConfig, WarpMetrics};
     use stmatch_graph::gen;
     use stmatch_pattern::catalog;
-
-    /// A row's set bits, ascending.
-    fn bits(row: &[u64]) -> Vec<VertexId> {
-        let bit = |v: &VertexId| word_probe(row, *v);
-        (0..row.len() as VertexId * 64).filter(bit).collect()
-    }
-
-    #[test]
-    fn the_marker_follows_the_list_it_is_asked_for() {
-        let g = gen::preferential_attachment(96, 4, 9).degree_ordered();
-        let stride = g.num_vertices().div_ceil(64);
-        // Positions 0 and 2 marked: two rows, in position order.
-        let mut m = Marker::new(0b101, stride, vec![0; 2 * stride]);
-        let (a, b) = (g.neighbors(0), g.neighbors(1));
-        assert_ne!(a, b);
-        assert_eq!(bits(m.row(0, a)), a);
-        assert_eq!(bits(m.row(2, b)), b);
-        // The vertex at a position moves: its row is re-keyed, the other
-        // position's row is left alone.
-        assert_eq!(bits(m.row(0, b)), b);
-        assert_eq!(bits(m.row(2, b)), b);
-        assert_eq!(bits(m.row(0, &[])), []);
-        // Two stage views give one vertex different rows (the deletes share
-        // an endpoint): same vertex, other list, and the marker follows.
-        let hub: VertexId = 0;
-        let lost = [(hub, a[0]), (hub, a[1]), (hub, a[2])];
-        let views = g.staged_without_edges(&lost);
-        for view in &views {
-            let row = view.neighbors(hub);
-            assert_eq!(bits(m.row(0, row)), row);
-        }
-        assert_ne!(views[0].neighbors(hub), views[2].neighbors(hub));
-        // An equal list elsewhere in memory is a different identity, and
-        // re-marking it lands on the same bits.
-        let copy = views[2].neighbors(hub).to_vec();
-        assert_eq!(bits(m.row(0, &copy)), copy);
-    }
 
     /// One warp, no stealing.
     fn one_warp() -> EngineConfig {
@@ -1531,67 +1521,111 @@ mod tests {
         }
     }
 
-    /// The simulated last level is [`charge_last_level`]'s closed form, and
-    /// the kernel charges nothing else there.
+    /// `m`'s claim and count-pass instructions, and that set operations are
+    /// all it was charged beside them.
+    fn sites(m: &WarpMetrics) -> (u64, u64) {
+        let sites = (m.claim_instructions, m.count_pass_instructions);
+        assert_eq!(
+            m.simt_instructions,
+            m.set_op_instructions + sites.0 + sites.1
+        );
+        sites
+    }
+
+    /// The simulated tail is [`charge_tail`]'s four steps, and the kernel
+    /// charges nothing else there.
     #[test]
     fn the_last_level_is_charged_from_provenance_and_lengths() {
-        let charged = |lifted: bool| {
+        // Three slots of a 40-element list, 100 survivors, two searches per
+        // prefix: `(claim, count_pass)` instructions, `(active, issued)` lanes.
+        let charged = |width: usize, here: bool| {
             let grid = Grid::new(one_warp().grid).unwrap();
-            let m = grid
-                .launch(|warp| charge_last_level(warp, lifted, 5, 40))
-                .total();
-            assert_eq!(m.simt_instructions, m.count_pass_instructions);
-            (
-                m.simt_instructions,
-                m.active_lane_slots,
-                m.issued_lane_slots,
-            )
+            let tail =
+                |warp: &mut Warp| assert!(charge_tail(warp, width, here, 3, 2, 120, 100) > 0);
+            let m = grid.launch(tail).total();
+            (sites(&m), (m.active_lane_slots, m.issued_lane_slots))
         };
-        // A lifted list of 40 under 5 slots: one pass of 200 lanes, where a
-        // pass per slot would be 5 × 2 waves of 40.
-        assert_eq!(charged(true), (7, 200, 224));
-        assert_eq!(charged(false), (0, 0, 0));
+        // Lifted: no scan, 4 waves with a ballot each; a key wave of 6 lanes,
+        // 4 count waves. Computed at the level: the size scan on top. No
+        // unrolling: a stream per element, a count instruction per survivor.
+        assert_eq!(charged(32, false), ((8, 1 + 4), (226, 288)));
+        assert_eq!(charged(32, true), ((5 + 8, 5), (226 + 160, 288 + 160)));
+        assert_eq!(charged(1, false), ((240, 1 + 100), (226, 32 * 221)));
 
-        // In the kernel. Wedges on a 40-leaf star, level 1 deep: its child
-        // level computes no set (the last level counts the lifted
-        // N(centre)), so it claims a full warp whatever the unroll size and
-        // the centre's 40 leaves are two batches, 32 slots and 8 — one claim
-        // wave each, and one combined pass of ⌈32·40/32⌉ and ⌈8·40/32⌉ waves.
-        let mut cfg = one_warp().with_unroll(5);
-        (cfg.stop_level, cfg.detect_level) = (1, 1);
-        let wedge = Engine::new(cfg).compile(&catalog::wedge());
-        assert_eq!(wedge.bytecode().candidate(2).1, 1, "lifted to level 1");
-        assert_eq!(wedge.bytecode().slot_table(5, 1).widths(), [1, 32]);
+        // In the kernel. Wedges on a 40-leaf star, level 1 deep: the last
+        // level counts the lifted N(centre), so the centre's subtree is one
+        // shallow claim and one tail — a stream of 40 (2 waves, 2 ballots),
+        // 40 survivors in 2 count waves, no key (the only bound is on
+        // position 1) — and each leaf's streams the one-element N(leaf) and
+        // counts under its one survivor. Without unrolling every element is
+        // its own stream and every survivor its own instruction.
         let star = gen::star(40);
-        let centre = with_kernel(&star, &wedge, cfg, |kernel, warp| {
-            kernel.install(warp, &StealPayload::chunk(0, 1));
-            kernel.run(warp);
-        });
-        assert_eq!(centre.matches_found, 40 * 39 / 2);
-        assert_eq!(centre.claim_instructions, 1 + 2);
-        assert_eq!(centre.count_pass_instructions, 40 + 10);
-        assert_eq!(
-            centre.simt_instructions,
-            centre.set_op_instructions + 3 + 50,
-            "nothing else is charged"
-        );
-        // Each leaf's own subtree is one slot over the one-element N(leaf).
-        let m = whole_graph(&star, &wedge, cfg);
-        assert_eq!(m.matches_found, 40 * 39 / 2);
-        assert_eq!(m.count_pass_instructions, 40 + 10 + 40);
+        for (unroll, widths, centre, whole) in [
+            (5, [1, 32], (1 + 4, 2), (41 + 4 + 80, 2 + 40)),
+            (1, [1, 1], (1 + 80, 40), (41 + 80 + 80, 40 + 40)),
+        ] {
+            let mut cfg = one_warp().with_unroll(unroll);
+            (cfg.stop_level, cfg.detect_level) = (1, 1);
+            let wedge = Engine::new(cfg).compile(&catalog::wedge());
+            assert_eq!(wedge.bytecode().candidate(2).1, 1, "lifted to level 1");
+            assert_eq!(wedge.bytecode().slot_table(unroll, 1).widths(), widths);
+            let m = with_kernel(&star, &wedge, cfg, |kernel, warp| {
+                kernel.install(warp, &StealPayload::chunk(0, 1));
+                kernel.run(warp);
+            });
+            assert_eq!(
+                (m.matches_found, sites(&m)),
+                (780, centre),
+                "unroll {unroll}"
+            );
+            let m = whole_graph(&star, &wedge, cfg);
+            assert_eq!(
+                (m.matches_found, sites(&m)),
+                (780, whole),
+                "unroll {unroll}"
+            );
+        }
 
-        // Triangles compute N(v0) ∩ N(v1) at the last level: the count
-        // rides in that stream, and every instruction of the run is a
-        // set-operation or a claim instruction.
+        // Triangles compute N(v0) ∩ N(v1) at the last level: the count rides
+        // in that stream, no count-pass instruction is issued.
         let triangle = Engine::new(one_warp()).compile(&catalog::triangle());
         assert_eq!(triangle.bytecode().candidate(2).1, 2, "computed at level 2");
         let m = whole_graph(&gen::complete(9), &triangle, one_warp());
-        assert_eq!(m.matches_found, 9 * 8 * 7 / 6);
-        assert_eq!(m.count_pass_instructions, 0);
-        assert_eq!(
-            m.simt_instructions,
-            m.set_op_instructions + m.claim_instructions
-        );
+        assert_eq!((m.matches_found, sites(&m).1), (9 * 8 * 7 / 6, 0));
+    }
+
+    /// One parent batch whose slots hold an empty list, a list longer than a
+    /// wave and one-element lists: tailed triangles from a hub 0 whose
+    /// neighbours are 1 (nothing in common with 0), 2 (adjacent to 3..=40
+    /// too) and 3..=40 (2 in common). The tail streams them together and
+    /// counts what the per-element reference counts (a debug build holds
+    /// every survivor's count to it inside `count_tail`).
+    #[test]
+    fn a_tail_spans_slots_of_any_length() {
+        let mut edges: Vec<(VertexId, VertexId)> = (1..=40).map(|v| (0, v)).collect();
+        edges.extend((3..=40).map(|v| (2, v)));
+        let g = stmatch_graph::builder::graph_from_edges(41, &edges);
+        let mut cfg = one_warp();
+        (cfg.stop_level, cfg.detect_level) = (1, 1);
+        let plan = Engine::new(cfg).compile(&catalog::tailed_triangle());
+        let bc = plan.bytecode();
+        assert_eq!((bc.candidate(2).1, bc.candidate(3).1), (2, 1));
+        assert_eq!(bc.slot_table(cfg.unroll, 1).widths(), [1, 15, 32]);
+        // The hub's subtree: a shallow claim, N(0) claimed as 15 + 15 + 10
+        // slots, one tail each — scan and stream of 0 + 38 + 13 elements,
+        // then twice scan and one wave — 38 survivors, all under slot 2, and
+        // a key wave per tail (the last level's `inj` names position 1).
+        let hub = with_kernel(&g, &plan, cfg, |kernel, warp| {
+            kernel.install(warp, &StealPayload::chunk(0, 1));
+            kernel.run(warp);
+            assert_eq!(kernel.tail_stats(), [3, 38]);
+        });
+        let tails = ((5 + 4) + 2 * (5 + 2), (1 + 2) + 1 + 1);
+        assert_eq!(sites(&hub), (1 + 3 + tails.0, tails.1));
+        // 38 triangles {0, 2, j}: the tail on any other neighbour of 0 — or,
+        // over the whole graph, of 2 (37 others) or of j (none).
+        assert_eq!(hub.matches_found, 38 * 38);
+        assert_eq!(whole_graph(&g, &plan, cfg).matches_found, 38 * (38 + 37));
     }
 
     /// `WarpMetrics`' split covers the total: set operations, claims and

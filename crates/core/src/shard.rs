@@ -439,6 +439,7 @@ fn merge_round(round: &[MatchOutcome], reproduce: Option<String>) -> MatchOutcom
         downgrades: Vec::new(),
         spill_events: 0,
         peak_slab_cells: 0,
+        tail: [0; 2],
         served_tier: None,
     };
     if let Some(r) = reproduce {
@@ -468,6 +469,9 @@ fn merge_into(merged: &mut MatchOutcome, round: &[MatchOutcome]) {
         // Max, not sum: the peak is a per-warp high-water mark, and the
         // merged outcome reports the worst warp across every shard.
         merged.peak_slab_cells = merged.peak_slab_cells.max(o.peak_slab_cells);
+        for (sum, n) in merged.tail.iter_mut().zip(o.tail) {
+            *sum += n;
+        }
         if let Some(f) = &o.fault {
             let r = report_mut(merged);
             r.deaths.extend(f.deaths.iter().cloned());

@@ -507,6 +507,9 @@ pub struct Board {
     /// at exit — the runtime half of the static verifier's resource audit
     /// (see `arena` and `stmatch_plan_verify`).
     peak_cells: AtomicU64,
+    /// Fused-tail streams and count lanes reported by the kernels at exit
+    /// (`WarpKernel::tail_stats`).
+    tail: [AtomicU64; 2],
     /// Level-0 chunk dispenser: next unclaimed vertex id.
     chunk_next: AtomicUsize,
     num_vertices: usize,
@@ -555,6 +558,7 @@ impl Board {
             requeue: Mutex::new(Vec::new()),
             spills: AtomicUsize::new(0),
             peak_cells: AtomicU64::new(0),
+            tail: [AtomicU64::new(0), AtomicU64::new(0)],
             chunk_next: AtomicUsize::new(start),
             num_vertices: end,
             chunk_size,
@@ -1108,6 +1112,20 @@ impl Board {
     pub fn peak_count(&self) -> u64 {
         // Relaxed: see add_peak.
         self.peak_cells.load(Ordering::Relaxed)
+    }
+
+    /// Accumulates one kernel's fused-tail `[streams, count lanes]`.
+    pub fn add_tail(&self, stats: [u64; 2]) {
+        for (sum, n) in self.tail.iter().zip(stats) {
+            // Relaxed: pure statistic — same contract as add_spills.
+            sum.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Fused-tail `[streams, count lanes]` reported so far.
+    pub fn tail_count(&self) -> [u64; 2] {
+        // Relaxed: see add_tail.
+        [0, 1].map(|i| self.tail[i].load(Ordering::Relaxed))
     }
 }
 

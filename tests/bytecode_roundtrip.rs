@@ -80,52 +80,52 @@ fn run(cfg: EngineConfig, g: &Graph, q: &Pattern) -> Fingerprint {
 const PINNED: [[Fingerprint; 24]; 2] = [
     // unlabeled
     [
-        (119531, 19686, 417264, 577280),
+        (119531, 9857, 169772, 223776),
         (5176, 12629, 240500, 298592),
         (9200, 7369, 123405, 163776),
-        (34587, 11555, 152215, 317600),
-        (1486, 2609, 23040, 64384),
+        (34587, 9421, 178212, 233312),
+        (1486, 2781, 29308, 67968),
         (2884, 7801, 128359, 172224),
-        (88, 1408, 8989, 35584),
+        (88, 1425, 11373, 35488),
         (4, 1413, 9927, 35232),
-        (915277, 165198, 3612422, 4888608),
+        (915277, 87978, 1681622, 2074560),
         (31430, 74766, 1513161, 1779776),
         (967, 17382, 301890, 439264),
-        (258862, 96056, 1468850, 2677280),
-        (155617, 11511, 254076, 352960),
+        (258862, 89326, 1887396, 2316864),
+        (155617, 4802, 72723, 107104),
         (621, 7376, 112891, 184960),
-        (3, 1447, 9973, 36320),
+        (3, 1482, 10927, 37024),
         (0, 1438, 9954, 35904),
-        (6605944, 1343832, 29063014, 39721344),
+        (6605944, 771132, 14914086, 18544768),
         (186933, 442203, 9089608, 10521248),
-        (1783390, 808878, 12763924, 22622720),
+        (1783390, 819375, 17629990, 21630592),
         (129, 9929, 144779, 247904),
         (1294, 14769, 254093, 373376),
-        (78, 18510, 265418, 483360),
+        (78, 21151, 328912, 542784),
         (0, 1438, 9954, 35904),
         (0, 1438, 9954, 35904),
     ],
     // labeled
     [
-        (92, 287, 2913, 7648),
+        (92, 272, 2917, 6880),
         (0, 171, 1103, 4416),
         (0, 85, 111, 2400),
-        (12, 124, 425, 3200),
+        (12, 128, 417, 3264),
         (0, 142, 286, 3392),
         (7, 142, 792, 3776),
         (0, 104, 203, 2752),
         (0, 104, 164, 2752),
-        (4, 133, 743, 3584),
+        (4, 130, 771, 3424),
         (2, 129, 945, 3520),
         (0, 148, 852, 3776),
-        (14, 138, 806, 3680),
-        (3, 133, 441, 3360),
+        (14, 141, 968, 3744),
+        (3, 131, 450, 3264),
         (0, 91, 121, 2528),
         (0, 110, 144, 2880),
         (0, 108, 202, 2816),
         (0, 86, 142, 2432),
         (0, 113, 713, 3168),
-        (12, 459, 5686, 11744),
+        (12, 487, 6049, 12384),
         (0, 88, 139, 2432),
         (0, 85, 117, 2400),
         (0, 101, 179, 2656),

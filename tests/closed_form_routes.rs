@@ -11,12 +11,17 @@
 //! `enumerate` route emits — which probes every last-level candidate
 //! individually and never takes the closed form.
 //!
-//! The *simulated* last level has no routes at all (DESIGN.md §4c,
-//! "Last-level counting"): its charge is a function of the candidate list's
-//! provenance and lengths, so whichever way the host counts — closed form,
-//! per-element probe, enumeration — a steal-free run reports the same
-//! instructions and the same lanes, and unrolling fills those lanes at the
-//! last level as it does everywhere else.
+//! The *simulated* charge is a function of the plan, the list lengths and
+//! whether every last-level element must be touched (DESIGN.md §4c,
+//! "Last-level counting"). Where the last level computes its own list, or
+//! its parent level is stealable, there is nothing to choose: closed form,
+//! per-element probe and enumeration report the same instructions over the
+//! same lanes on a steal-free run. Where the last level's list is lifted and
+//! its parent level is deep, a counting run fuses the two levels into a tail
+//! and a run that must touch every element cannot — the two closed-form legs
+//! agree with each other, the two per-element legs agree with each other, and
+//! all of them computed the same sets. Unrolling fills the lanes at the last
+//! level as it does everywhere else.
 
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::{Engine, EngineConfig, MatchOutcome};
@@ -90,34 +95,73 @@ fn every_route_agrees_with_the_oracle_and_with_enumeration() {
 }
 
 #[test]
-fn the_simulated_charge_does_not_depend_on_the_route() {
-    let engine = Engine::new(steal_free());
+fn the_simulated_charge_depends_on_the_route_only_where_a_tail_forms() {
+    let cfg = steal_free();
+    let engine = Engine::new(cfg);
+    let set_ops = |out: &MatchOutcome| out.metrics.total().set_op_instructions;
     for g in &fixtures() {
         let n = g.num_vertices();
         // One label everywhere filters nothing, so both labelings below
         // compute the lists of the same plan; label 64 is beyond what a
         // label mask can hold, which leaves every level a residual check
         // and the last level on the per-element route.
-        let [masked, residual] = [5, 64].map(|label| g.relabeled(vec![label; n]));
+        let [masked_g, residual_g] = [5, 64].map(|label| g.relabeled(vec![label; n]));
         for q in 1..=24 {
             let pattern = catalog::paper_query(q);
             let leg = format!("q{q} on {}", g.name());
             let plan = engine.compile(&pattern);
             let counted = engine.run_plan(g, &plan).expect("count run");
-            let listed = engine.enumerate_plan(g, &plan).expect("enumeration");
-            assert_eq!(counted.count, listed.outcome.count, "{leg}");
-            assert_eq!(
-                charge(&counted),
-                charge(&listed.outcome),
-                "{leg}: closed form vs enumeration"
-            );
-            let [masked, residual] = [(&masked, 5), (&residual, 64)].map(|(g, label)| {
-                let labeled = pattern.clone().with_labels(&vec![label; pattern.size()]);
-                let out = engine.run(g, &labeled).expect("labeled run");
+            let listed = engine
+                .enumerate_plan(g, &plan)
+                .expect("enumeration")
+                .outcome;
+            assert_eq!(counted.count, listed.count, "{leg}");
+            let relabeled = |label| pattern.clone().with_labels(&vec![label; pattern.size()]);
+            let [masked, residual] = [(&masked_g, 5), (&residual_g, 64)].map(|(g, label)| {
+                let out = engine.run(g, &relabeled(label)).expect("labeled run");
                 assert_eq!(out.count, counted.count, "{leg} labeled {label}");
-                charge(&out)
+                out
             });
-            assert_eq!(masked, residual, "{leg}: closed form vs residual probe");
+            // A tail forms where the last level's list is lifted and its
+            // parent level is deep — and only on a run free to count.
+            let k = plan.num_levels();
+            let lifted = plan.bytecode().candidate(k - 1).1 != k - 1;
+            let tail = lifted && k >= cfg.effective_stop(k) + 2;
+            for out in [&counted, &masked] {
+                assert!(tail || out.tail == [0, 0], "{leg}: {:?}", out.tail);
+                assert!(!tail || out.count == 0 || out.tail[1] > 0, "{leg}");
+            }
+            assert_eq!((listed.tail, residual.tail), ([0, 0], [0, 0]), "{leg}");
+            if !tail {
+                assert_eq!(
+                    charge(&counted),
+                    charge(&listed),
+                    "{leg}: closed form vs enumeration"
+                );
+                assert_eq!(
+                    charge(&masked),
+                    charge(&residual),
+                    "{leg}: closed form vs residual probe"
+                );
+                continue;
+            }
+            // Whatever the route, a plan computes the same sets; and the two
+            // routes that touch every element — a residual probe, an
+            // enumeration — charge the same.
+            assert_eq!(set_ops(&counted), set_ops(&listed), "{leg}: set operations");
+            assert_eq!(
+                set_ops(&masked),
+                set_ops(&residual),
+                "{leg}: set operations"
+            );
+            let listed = engine
+                .enumerate(&masked_g, &relabeled(5))
+                .expect("labeled enumeration");
+            assert_eq!(
+                charge(&listed.outcome),
+                charge(&residual),
+                "{leg}: per-element routes"
+            );
         }
     }
 }
