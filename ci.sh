@@ -66,18 +66,23 @@ run_and_grep() {
 
 # Hot-path drift gate: re-runs the PR 2 hot-path workloads and fails on any
 # drift in golden counts or simulator metrics (instructions, utilization).
-# The greps hold the per-site attribution: q1 counts a lifted list (a
-# nonzero count pass), q8's last level computes its own list (none); the
-# fused tail: q1 and q4 count a lifted list under a deep parent level (tail
-# streams and count lanes), q8 forms none — and the slot table: q1's last
-# claim fills the warp (its child level writes no set), q8's two deep levels
+# The greps hold the per-site attribution: q1 and q4 count a lifted list
+# under a deep parent level — fused tails (streams and the survivors they
+# counted) whose key waves are a nonzero count pass; q8, q3, q6 and q2
+# compute their last-level list at the last level and count it in that
+# level's own final stream, so a regression that re-routes them through a
+# pass or a tail fails here by name — and the slot table: q1's last claim
+# fills the warp (its child level writes no set), q8's two deep levels
 # share one width. The gate itself fails any row whose slots exceed the
 # NUM_SETS x UNROLL budget; the greps hold that the field it checked is on
 # the rows.
 run_and_grep "smoke:hotpath" \
     "hotpath q1 Plain: OK .* count_pass=[1-9][0-9]* steal=0 tail=[1-9][0-9]*/[1-9][0-9]* widths=\[1, 1, [0-9]+, 32\] slots=[0-9]+/[0-9]+\)
-hotpath q4 Plain: OK .* tail=[1-9][0-9]*/[1-9][0-9]* widths=
-hotpath q8 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=\[1, 1, ([0-9]+), \1\] slots=[0-9]+/[0-9]+\)" \
+hotpath q4 Plain: OK .* count_pass=[1-9][0-9]* steal=0 tail=[1-9][0-9]*/[1-9][0-9]* widths=
+hotpath q8 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=\[1, 1, ([0-9]+), \1\] slots=[0-9]+/[0-9]+\)
+hotpath q3 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=
+hotpath q6 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=
+hotpath q2 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=" \
     "${CHECK[@]}" hotpath
 
 # Hub-bitmap routing gate. Off legs (routing off, index still attached):

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-use stmatch_core::setops;
+use stmatch_core::setops::{self, SetOpTuning};
 use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::plan::Base;
@@ -254,7 +254,7 @@ fn run_batch(
                     // per-subgraph cost of losing the loop hierarchy.
                     walk_prefix(levels_ref, l - 1, *node, &mut prefix);
                     warp.simt_for(l, |_| {});
-                    extend_one(graph, plan, warp, l, &prefix, &mut scratch);
+                    extend_one(graph, plan, warp, l, &prefix, last, &mut scratch);
                     let residual = plan.residual_label_check(l);
                     if last {
                         // The list was produced by this step's own stream:
@@ -366,13 +366,16 @@ fn walk_prefix(levels: &[Vec<TrieNode>], level: usize, node: TrieNode, prefix: &
 }
 
 /// Evaluates the candidate chain of `level` for one embedding (the full
-/// chain each time: no code motion). Result lands in `scratch[0]`.
+/// chain each time: no code motion). Result lands in `scratch[0]`; when it
+/// is only `counted` (the last step), its final operation issues no
+/// ballots, as the engine's last level does (DESIGN.md §4c).
 fn extend_one(
     graph: &Graph,
     plan: &MatchPlan,
     warp: &mut Warp,
     level: usize,
     prefix: &[VertexId],
+    counted: bool,
     scratch: &mut [Vec<VertexId>; 2],
 ) {
     let cid = plan.candidate_set(level).expect("level >= 1") as usize;
@@ -388,25 +391,25 @@ fn extend_one(
     };
     {
         let (a, _b) = scratch.split_at_mut(1);
-        setops::materialize_base(warp, graph, &[src], base_mask, &mut a[..1]);
+        let counted = counted && def.ops.is_empty();
+        setops::materialize_base_into(warp, graph, &[src], base_mask, counted, &mut a[..1]);
     }
     for (i, op) in def.ops.iter().enumerate() {
-        let mask = if i + 1 == def.ops.len() {
-            def.mask
-        } else {
-            LabelMask::ALL
-        };
+        let last = i + 1 == def.ops.len();
+        let mask = if last { def.mask } else { LabelMask::ALL };
         let operand = graph.neighbors(prefix[op.pos as usize]);
         let (a, b) = scratch.split_at_mut(1);
         {
             let input: &[VertexId] = &a[0];
-            setops::apply_op(
+            setops::apply_op_into(
                 warp,
                 graph,
                 &[input],
                 &[operand],
                 op.kind,
                 mask,
+                SetOpTuning::default(),
+                counted && last,
                 &mut b[..1],
             );
         }

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-use stmatch_core::setops;
+use stmatch_core::setops::{self, SetOpTuning};
 use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::plan::Base;
@@ -156,7 +156,7 @@ pub fn run_plan(
                     let prefix = &table_ref[row * width..(row + 1) * width];
                     // Row fetch from the global-memory table.
                     warp.simt_for(width, |_| {});
-                    extend_row(graph, plan, warp, l, prefix, &mut scratch);
+                    extend_row(graph, plan, warp, l, prefix, last, &mut scratch);
                     let residual = plan.residual_label_check(l);
                     if last {
                         // The list was produced by this step's own stream:
@@ -262,12 +262,15 @@ pub fn run_plan(
 }
 
 /// Candidate generation for one row: full chain evaluation (no motion).
+/// When the result is only `counted` (the last step), its final operation
+/// issues no ballots, as the engine's last level does (DESIGN.md §4c).
 fn extend_row(
     graph: &Graph,
     plan: &MatchPlan,
     warp: &mut Warp,
     level: usize,
     prefix: &[VertexId],
+    counted: bool,
     scratch: &mut [Vec<VertexId>; 2],
 ) {
     let cid = plan.candidate_set(level).expect("level >= 1") as usize;
@@ -283,25 +286,25 @@ fn extend_row(
     };
     {
         let (a, _) = scratch.split_at_mut(1);
-        setops::materialize_base(warp, graph, &[src], base_mask, &mut a[..1]);
+        let counted = counted && def.ops.is_empty();
+        setops::materialize_base_into(warp, graph, &[src], base_mask, counted, &mut a[..1]);
     }
     for (i, op) in def.ops.iter().enumerate() {
-        let mask = if i + 1 == def.ops.len() {
-            def.mask
-        } else {
-            LabelMask::ALL
-        };
+        let last = i + 1 == def.ops.len();
+        let mask = if last { def.mask } else { LabelMask::ALL };
         let operand = graph.neighbors(prefix[op.pos as usize]);
         let (a, b) = scratch.split_at_mut(1);
         {
             let input: &[VertexId] = &a[0];
-            setops::apply_op(
+            setops::apply_op_into(
                 warp,
                 graph,
                 &[input],
                 &[operand],
                 op.kind,
                 mask,
+                SetOpTuning::default(),
+                counted && last,
                 &mut b[..1],
             );
         }

@@ -14,7 +14,7 @@
 //! under: each level's claim width and the arena slots they add up to
 //! against the `NUM_SETS × UNROLL` budget (`widths=[…] slots=Σ/budget`) —
 //! and, between the two, the fused tails it formed: streams issued over
-//! whole parent batches and the count lanes they fed (`tail=streams/lanes`,
+//! whole parent batches and the survivors they counted (`tail=streams/survivors`,
 //! `0/0` where the plan forms none). `ci.sh` greps q1's and q8's
 //! `count_pass`, q1's, q4's and q8's `tail`, q1's last claim width and every
 //! row's slots.

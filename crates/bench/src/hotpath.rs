@@ -113,69 +113,69 @@ pub struct Golden {
 /// commit message. The comment above each row is the split of its
 /// instruction total by charging site, printed by the same command.
 pub const GOLDEN: [Golden; 8] = [
-    // set_op=375034 claim=317560 count_pass=160807 steal=0 tail=11340/4421592 widths=[1, 1, 22, 32] slots=24/24
+    // set_op=375034 claim=167986 count_pass=17301 steal=0 tail=11340/4421592 widths=[1, 1, 22, 32] slots=24/24
     Golden {
         query: 1,
         leg: Leg::Plain,
         count: 54844163,
-        total_instructions: 853401,
-        lane_utilization: 0.9286800293888047,
+        total_instructions: 560321,
+        lane_utilization: 0.9164491455880115,
     },
-    // set_op=1630246 claim=34206 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 22] slots=24/24
+    // set_op=878748 claim=34206 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 22] slots=24/24
     Golden {
         query: 6,
         leg: Leg::Plain,
         count: 559194,
-        total_instructions: 1664452,
+        total_instructions: 912954,
         lane_utilization: 0.9605707094642477,
     },
-    // set_op=21665 claim=11298 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
+    // set_op=20861 claim=11298 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
     Golden {
         query: 8,
         leg: Leg::Plain,
         count: 769,
-        total_instructions: 32963,
+        total_instructions: 32159,
         lane_utilization: 0.4366520309638755,
     },
-    // set_op=1209652 claim=22440 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 29] slots=32/32
+    // set_op=646666 claim=22440 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 29] slots=32/32
     Golden {
         query: 3,
         leg: Leg::Plain,
         count: 1500436,
-        total_instructions: 1232092,
+        total_instructions: 669106,
         lane_utilization: 0.9624882064023688,
     },
-    // set_op=6691 claim=1248 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 32] slots=36/40
+    // set_op=5125 claim=1248 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 32] slots=36/40
     Golden {
         query: 3,
         leg: Leg::Labeled,
         count: 1023,
-        total_instructions: 7939,
+        total_instructions: 6373,
         lane_utilization: 0.6617828062866882,
     },
-    // set_op=661143 claim=22454 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 17, 17] slots=55/56
+    // set_op=412757 claim=22454 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 17, 17] slots=55/56
     Golden {
         query: 3,
         leg: Leg::Induced,
         count: 330032,
-        total_instructions: 683597,
+        total_instructions: 435211,
         lane_utilization: 0.9146566287078025,
     },
-    // set_op=2542628 claim=65997 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
+    // set_op=1438171 claim=65997 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
     Golden {
         query: 2,
         leg: Leg::Plain,
         count: 1007981,
-        total_instructions: 2608625,
+        total_instructions: 1504168,
         lane_utilization: 0.9485142131205527,
     },
-    // set_op=375078 claim=122880 count_pass=30468 steal=0 tail=11340/208688 widths=[1, 1, 22, 32] slots=24/24
+    // set_op=375078 claim=98761 count_pass=17301 steal=0 tail=11340/208688 widths=[1, 1, 22, 32] slots=24/24
     Golden {
         query: 4,
         leg: Leg::Plain,
         count: 9448934,
-        total_instructions: 528426,
-        lane_utilization: 0.8829449045038462,
+        total_instructions: 491140,
+        lane_utilization: 0.8983322706773263,
     },
 ];
 

@@ -82,7 +82,7 @@ pub struct MatchOutcome {
     pub peak_slab_cells: u64,
     /// Fused tails (DESIGN.md §4c, "Last-level counting"): the streams the
     /// kernels issued over whole parent batches of the last claim level and
-    /// the closed-form count lanes those fed; `[0, 0]` when the plan forms
+    /// the survivors those counted in closed form; `[0, 0]` when the plan forms
     /// no tail. `check hotpath` prints it.
     pub tail: [u64; 2],
     /// Always `None`: one interpreter serves every launch. Inert, kept for

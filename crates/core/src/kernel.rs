@@ -54,7 +54,7 @@ use self::marker::Marker;
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
-use crate::setops;
+use crate::setops::{self, materialize_base_into};
 use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::{Warp, WARP_SIZE};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
@@ -192,7 +192,7 @@ pub struct WarpKernel<'a> {
     /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
     /// last level counts a lifted list in closed form, its parent is deep.
     tail: bool,
-    /// Tail streams issued and the count lanes they fed (`check hotpath`).
+    /// Tail streams issued and the survivors they counted (`check hotpath`).
     tail_stats: [u64; 2],
     /// Valid last-level candidates scratch (enumeration only).
     emit_tail: Vec<VertexId>,
@@ -435,7 +435,7 @@ impl<'a> WarpKernel<'a> {
         self.storage.peak_slab_cells()
     }
 
-    /// Tail streams issued and count lanes fed ([`WarpKernel::count_tail`]).
+    /// Tail streams issued and survivors counted ([`WarpKernel::count_tail`]).
     pub fn tail_stats(&self) -> [u64; 2] {
         self.tail_stats
     }
@@ -772,12 +772,18 @@ impl<'a> WarpKernel<'a> {
     /// slots whose operand is the shorter side stream it against the row
     /// instead of walking the long list again. Every other call is the
     /// classic element-path call.
+    ///
+    /// The one place that decides a set operation only counts (its
+    /// `counted` bit, no ballots): a counting launch's last-level candidate,
+    /// whose survivors Fig. 3 line 16 adds up and never iterates.
     fn compute_sets(&mut self, warp: &mut Warp, level: usize) {
         let prog = self.bc.instrs_at(level);
         if prog.is_empty() {
             // The level's candidate was lifted to an earlier level.
             return;
         }
+        let counted_set =
+            (self.emit.is_none() && level == self.k - 1).then(|| self.bc.candidate(level).0);
         let batch = self.batch[level];
         let bat = batch.as_slice();
         let m = bat.len();
@@ -815,6 +821,7 @@ impl<'a> WarpKernel<'a> {
         for (i, ins) in prog.iter().enumerate() {
             let pos = ins.pos as usize;
             let dst = ins.dst as usize;
+            let counted = ins.last && counted_set == Some(dst);
             let mut lists = [EMPTY; MAX_UNROLL];
             for (u, l) in lists.iter_mut().enumerate().take(m) {
                 *l = g.neighbors(vertex_at(pos, u));
@@ -833,6 +840,7 @@ impl<'a> WarpKernel<'a> {
                         ins.kind,
                         ins.mask,
                         tuning,
+                        counted,
                         $out,
                     )
                 }};
@@ -840,7 +848,7 @@ impl<'a> WarpKernel<'a> {
             match ins.code {
                 OpCode::MaterializeBase => {
                     let (_, mut sink) = self.storage.split_for_write(dst, m);
-                    setops::materialize_base_into(warp, g, &lists[..m], ins.mask, &mut sink);
+                    materialize_base_into(warp, g, &lists[..m], ins.mask, counted, &mut sink);
                 }
                 OpCode::BeginChain => {
                     chain_at = i;
@@ -860,11 +868,12 @@ impl<'a> WarpKernel<'a> {
                             }
                         }
                     }
-                    setops::materialize_base_into(
+                    materialize_base_into(
                         warp,
                         g,
                         &lists[..m],
                         ins.mask,
+                        false,
                         &mut self.ping[..m],
                     );
                 }
@@ -966,6 +975,7 @@ impl<'a> WarpKernel<'a> {
                             row(base_pos),
                             &chain[..steps.len()],
                             ins.mask,
+                            counted,
                             bits_ping,
                             bits_pong,
                             &mut sink,
@@ -989,13 +999,13 @@ impl<'a> WarpKernel<'a> {
     /// level, a deep one runs [`WarpKernel::count_tail`].
     ///
     /// On the simulated machine a list computed at this level gets no pass:
-    /// its survivors were lanes of the level's final set-operation stream,
-    /// which `setops::stream_accounting` charged per streamed element, and the
-    /// validity predicate rides in that lane instruction. A lifted list costs
-    /// count lanes (private tallies, no ballot): one per slot in closed form —
-    /// the shallow parent claimed and checked the slot on its own — and one
-    /// per (slot, element) when `enumerate`, a residual label or a pin has to
-    /// touch every element.
+    /// its survivors were lanes of the level's final set-operation stream — a
+    /// counting one ([`Warp::count_stream`], no ballots) unless enumerating —
+    /// and the validity predicate rides in that lane instruction. A lifted
+    /// list costs count lanes (private tallies, no ballot): one per slot in
+    /// closed form — the shallow parent claimed and checked the slot on its
+    /// own — and one per (slot, element) when `enumerate`, a residual label
+    /// or a pin has to touch every element.
     fn count_last_level(&mut self, warp: &mut Warp) {
         let l = self.k - 1;
         let slots = self.batch[l].len;
@@ -1087,7 +1097,7 @@ impl<'a> WarpKernel<'a> {
         let p = vz.bounds.iter().filter(|b| b.0 != l).count()
             + (vz.inj & !(1 << l)).count_ones() as usize;
         let here = self.bc.candidate(l).1 == l;
-        self.tail_stats[0] += charge_tail(warp, width, here, m, p, streamed, survivors);
+        self.tail_stats[0] += charge_tail(warp, width, here, m, p, streamed);
         self.tail_stats[1] += survivors as u64;
         self.pending_matches += total;
     }
@@ -1112,18 +1122,18 @@ impl<'a> WarpKernel<'a> {
 /// ([`WarpKernel::count_tail`]) — the only place it is charged, from lengths
 /// alone: the batch's `m` slots, whether their level-`(k-2)` lists were
 /// computed at that level (`here`), the `p` per-prefix searches of the last
-/// level's key (its bounds and `inj` positions other than `k - 2`), the
-/// `streamed` elements of those lists and their `survivors`. Four steps
-/// (DESIGN.md §4c): (1) a size scan mapping lanes to `(slot, element)`, iff
-/// `m > 1` and `here` — a lifted list has one length for every slot; (2) a
-/// key wave of `m·p` lanes; (3) one stream over all `streamed` elements
-/// (Fig. 8: a wave and its ballot per 32), validity as the predicate; (4) one
-/// count lane per survivor — it finds its place in the sorted lifted list and
-/// subtracts its hits: one lane instruction, as a membership probe is, and a
-/// lane-private tally. Steps 1 and 3 are claim instructions, 2 and 4
-/// count-pass instructions. At `width` 1 (no unrolling) every raw candidate
-/// is its own one-lane stream and every survivor its own count instruction.
-/// Returns the streams issued.
+/// level's key (its bounds and `inj` positions other than `k - 2`) and the
+/// `streamed` elements of those lists. Three steps (DESIGN.md §4c): (1) a
+/// size scan mapping lanes to `(slot, element)`, iff `m > 1` and `here` — a
+/// lifted list has one length for every slot; (2) a key wave of `m·p` lanes;
+/// (3) one counting stream over all `streamed` elements: each lane tests its
+/// element's validity and, if it holds, finds the element's place in the
+/// sorted lifted list and subtracts its hits — one lane instruction, as a
+/// membership probe is — into a lane-private tally, so nothing is compacted
+/// and no wave closes with a ballot ([`Warp::count_stream`]). Steps 1 and 3
+/// are claim instructions, 2 count-pass instructions. At `width` 1 (no
+/// unrolling) every raw candidate is its own one-lane instruction. Returns
+/// the streams issued.
 fn charge_tail(
     warp: &mut Warp,
     width: usize,
@@ -1131,7 +1141,6 @@ fn charge_tail(
     m: usize,
     p: usize,
     streamed: usize,
-    survivors: usize,
 ) -> u64 {
     if streamed == 0 {
         // Nothing to map or key, as in `setops::stream_accounting`.
@@ -1141,20 +1150,16 @@ fn charge_tail(
     if m > 1 && here {
         let _ = warp.exclusive_scan(&mut [0; WARP_SIZE]);
     }
-    // Unrolled, the whole batch is one stream and one count wave; not
-    // unrolled, every element and every survivor is its own.
+    let keyed = warp.simt_for(m * p, |_| {});
+    // Unrolled, the whole batch is one stream; not unrolled, every raw
+    // candidate is its own.
     let span = if width == 1 { 1 } else { usize::MAX };
     for _ in (0..streamed).step_by(span) {
-        warp.stream(streamed.min(span));
-    }
-    let claimed = warp.metrics().simt_instructions - before;
-    let mut counted = warp.simt_for(m * p, |_| {});
-    for _ in (0..survivors).step_by(span) {
-        counted += warp.simt_for(survivors.min(span), |_| {});
+        warp.count_stream(streamed.min(span));
     }
     let metrics = warp.metrics_mut();
-    metrics.claim_instructions += claimed;
-    metrics.count_pass_instructions += counted;
+    metrics.claim_instructions += metrics.simt_instructions - before - keyed;
+    metrics.count_pass_instructions += keyed;
     streamed.div_ceil(span) as u64
 }
 
@@ -1532,37 +1537,35 @@ mod tests {
         sites
     }
 
-    /// The simulated tail is [`charge_tail`]'s four steps, and the kernel
+    /// The simulated tail is [`charge_tail`]'s three steps, and the kernel
     /// charges nothing else there.
     #[test]
     fn the_last_level_is_charged_from_provenance_and_lengths() {
-        // Three slots of a 40-element list, 100 survivors, two searches per
-        // prefix: `(claim, count_pass)` instructions, `(active, issued)` lanes.
+        // Three slots of a 40-element list, two searches per prefix:
+        // `(claim, count_pass)` instructions, `(active, issued)` lanes.
         let charged = |width: usize, here: bool| {
             let grid = Grid::new(one_warp().grid).unwrap();
-            let tail =
-                |warp: &mut Warp| assert!(charge_tail(warp, width, here, 3, 2, 120, 100) > 0);
+            let tail = |warp: &mut Warp| assert!(charge_tail(warp, width, here, 3, 2, 120) > 0);
             let m = grid.launch(tail).total();
             (sites(&m), (m.active_lane_slots, m.issued_lane_slots))
         };
-        // Lifted: no scan, 4 waves with a ballot each; a key wave of 6 lanes,
-        // 4 count waves. Computed at the level: the size scan on top. No
-        // unrolling: a stream per element, a count instruction per survivor.
-        assert_eq!(charged(32, false), ((8, 1 + 4), (226, 288)));
-        assert_eq!(charged(32, true), ((5 + 8, 5), (226 + 160, 288 + 160)));
-        assert_eq!(charged(1, false), ((240, 1 + 100), (226, 32 * 221)));
+        // Lifted: no scan, 4 counting waves (no ballot) and a key wave of 6
+        // lanes. Computed at the level: the size scan on top. No unrolling: a
+        // one-lane instruction per element.
+        assert_eq!(charged(32, false), ((4, 1), (126, 160)));
+        assert_eq!(charged(32, true), ((5 + 4, 1), (126 + 160, 160 + 160)));
+        assert_eq!(charged(1, false), ((120, 1), (126, 32 * 121)));
 
         // In the kernel. Wedges on a 40-leaf star, level 1 deep: the last
         // level counts the lifted N(centre), so the centre's subtree is one
-        // shallow claim and one tail — a stream of 40 (2 waves, 2 ballots),
-        // 40 survivors in 2 count waves, no key (the only bound is on
-        // position 1) — and each leaf's streams the one-element N(leaf) and
-        // counts under its one survivor. Without unrolling every element is
-        // its own stream and every survivor its own instruction.
+        // shallow claim and one tail — a counting stream of 40 (2 waves), no
+        // key (the only bound is on position 1) — and each leaf's streams
+        // and counts the one-element N(leaf). Without unrolling every element
+        // is its own instruction.
         let star = gen::star(40);
         for (unroll, widths, centre, whole) in [
-            (5, [1, 32], (1 + 4, 2), (41 + 4 + 80, 2 + 40)),
-            (1, [1, 1], (1 + 80, 40), (41 + 80 + 80, 40 + 40)),
+            (5, [1, 32], (1 + 2, 0), (41 + 2 + 40, 0)),
+            (1, [1, 1], (1 + 40, 0), (41 + 40 + 40, 0)),
         ] {
             let mut cfg = one_warp().with_unroll(unroll);
             (cfg.stop_level, cfg.detect_level) = (1, 1);
@@ -1612,15 +1615,16 @@ mod tests {
         assert_eq!((bc.candidate(2).1, bc.candidate(3).1), (2, 1));
         assert_eq!(bc.slot_table(cfg.unroll, 1).widths(), [1, 15, 32]);
         // The hub's subtree: a shallow claim, N(0) claimed as 15 + 15 + 10
-        // slots, one tail each — scan and stream of 0 + 38 + 13 elements,
-        // then twice scan and one wave — 38 survivors, all under slot 2, and
-        // a key wave per tail (the last level's `inj` names position 1).
+        // slots, one tail each — scan and a counting stream of 0 + 38 + 13
+        // elements (2 waves), then twice scan and one wave — 38 survivors,
+        // all under slot 2, counted in their own lanes, and a key wave per
+        // tail (the last level's `inj` names position 1).
         let hub = with_kernel(&g, &plan, cfg, |kernel, warp| {
             kernel.install(warp, &StealPayload::chunk(0, 1));
             kernel.run(warp);
             assert_eq!(kernel.tail_stats(), [3, 38]);
         });
-        let tails = ((5 + 4) + 2 * (5 + 2), (1 + 2) + 1 + 1);
+        let tails = ((5 + 2) + 2 * (5 + 1), 1 + 1 + 1);
         assert_eq!(sites(&hub), (1 + 3 + tails.0, tails.1));
         // 38 triangles {0, 2, j}: the tail on any other neighbour of 0 — or,
         // over the whole graph, of 2 (37 others) or of j (none).

@@ -13,7 +13,13 @@
 //!
 //! **Data per slot, cost from lengths.** That stream is the *simulated*
 //! machine's, and its cost is a pure function of the slot lengths: one scan
-//! over the sizes, `⌈Σ|A_u| / 32⌉` waves, one ballot per wave.
+//! over the sizes, `⌈Σ|A_u| / 32⌉` waves, one ballot per wave. An operation
+//! whose survivors are only *counted* — the `counted` bit every entry point
+//! takes, set by the kernel for a counting launch's last-level candidate
+//! (Fig. 3 line 16 adds `|C|`, it never iterates it) and by the baselines'
+//! last step — compacts nothing, so its waves close with no ballot: each
+//! lane probes, tests validity and adds to a lane-private tally
+//! ([`Warp::count_stream`]). The output still lands in the sink.
 //! [`stream_accounting`] is that cost model and the only place an element
 //! stream is charged. The host moves the data separately, one tight
 //! membership loop per slot writing survivors straight into the slot's
@@ -335,26 +341,16 @@ fn gallop_to(ops: &[VertexId], lo: usize, value: VertexId) -> usize {
     base + 1 + ops[base + 1..limit].partition_point(|&x| x < value)
 }
 
-/// Copies `sources[u]` into `outs[u]` keeping only vertices admitted by
-/// `mask`, for all slots in one combined lane stream.
-pub fn materialize_base(
-    warp: &mut Warp,
-    g: &Graph,
-    sources: &[&[VertexId]],
-    mask: LabelMask,
-    outs: &mut [Vec<VertexId>],
-) {
-    debug_assert_eq!(sources.len(), outs.len());
-    materialize_base_into(warp, g, sources, mask, outs)
-}
-
-/// [`materialize_base`] writing into any [`SetSink`]: a block copy per
-/// slot, or a label filter where `mask` restricts.
+/// Copies `sources[u]` into slot `u` of `out` keeping only vertices admitted
+/// by `mask`, for all slots in one combined lane stream (ballot-free when
+/// `counted`): a block copy per slot, or a label filter where `mask`
+/// restricts.
 pub fn materialize_base_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
     g: &Graph,
     sources: &[&[VertexId]],
     mask: LabelMask,
+    counted: bool,
     out: &mut S,
 ) {
     for (u, src) in sources.iter().enumerate() {
@@ -365,36 +361,13 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
             filter_slot(out, u, src, |v| mask.allows(g.label(v)));
         }
     }
-    stream_accounting(warp, sources.iter().map(|s| s.len()));
+    stream_accounting(warp, sources.iter().map(|s| s.len()), counted);
 }
 
-/// Computes `outs[u] = inputs[u] (∩ | −) operands[u]` filtered by `mask`,
-/// for all slots in one combined lane stream, with default adaptive
-/// tuning. Inputs and operands must be sorted ascending; outputs are
-/// sorted ascending.
-pub fn apply_op(
-    warp: &mut Warp,
-    g: &Graph,
-    inputs: &[&[VertexId]],
-    operands: &[&[VertexId]],
-    kind: OpKind,
-    mask: LabelMask,
-    outs: &mut [Vec<VertexId>],
-) {
-    debug_assert_eq!(inputs.len(), outs.len());
-    apply_op_into(
-        warp,
-        g,
-        inputs,
-        operands,
-        kind,
-        mask,
-        SetOpTuning::default(),
-        outs,
-    )
-}
-
-/// [`apply_op`] writing into any [`SetSink`], with explicit tuning.
+/// Computes slot `u` of `out` as `inputs[u] (∩ | −) operands[u]` filtered
+/// by `mask`, for all slots in one combined lane stream — compacting, or
+/// ballot-free when its survivors are only `counted` (module docs). Inputs
+/// and operands must be sorted ascending; outputs are sorted ascending.
 ///
 /// The algorithm choice is per slot and purely host-side: the simulated
 /// cost is charged from the input lengths alone (the simulated probe costs
@@ -411,6 +384,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     kind: OpKind,
     mask: LabelMask,
     tuning: SetOpTuning,
+    counted: bool,
     out: &mut S,
 ) {
     const NO_BITS: Option<&[u64]> = None;
@@ -425,6 +399,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
         kind,
         mask,
         tuning,
+        counted,
         out,
     )
 }
@@ -441,7 +416,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
 /// Fig. 8 stream over their input lengths ([`stream_accounting`]), and
 /// `BitmapMerge` slots stream their words as a separate combined word
 /// stream (scan + 32-word waves + ballot), mirroring the element stream
-/// one level up.
+/// one level up. `counted` drops the ballots of both streams.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_op_hub_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -453,6 +428,7 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
     kind: OpKind,
     mask: LabelMask,
     tuning: SetOpTuning,
+    counted: bool,
     out: &mut S,
 ) {
     debug_assert_eq!(inputs.len(), operands.len());
@@ -541,9 +517,20 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
         element_domain
             .filter(|(_, &a)| a != SetOpAlgo::BitmapMerge)
             .map(|(inp, _)| inp.len()),
+        counted,
     );
     if any_merge {
-        merge_bitmap_slots(warp, g, input_bits, operand_bits, &algo, kind, mask, out);
+        merge_bitmap_slots(
+            warp,
+            g,
+            input_bits,
+            operand_bits,
+            &algo,
+            kind,
+            mask,
+            counted,
+            out,
+        );
     }
 }
 
@@ -580,8 +567,9 @@ fn filter_slot<S: SetSink + ?Sized>(
 
 /// Streams the `BitmapMerge` slots of one combined op as a word stream:
 /// a prefix scan over word counts (when more than one merge slot), waves
-/// of 32 words with low-bit-contiguous active masks, one ballot per wave,
-/// survivors extracted in ascending order from each result word.
+/// of 32 words with low-bit-contiguous active masks, one ballot per wave
+/// unless the survivors are only `counted`, survivors extracted in
+/// ascending order from each result word.
 #[allow(clippy::too_many_arguments)]
 fn merge_bitmap_slots<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -591,76 +579,64 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
     algo: &[SetOpAlgo; WARP_SIZE],
     kind: OpKind,
     mask: LabelMask,
+    counted: bool,
     out: &mut S,
 ) {
-    const NO_WORDS: &[u64] = &[];
-    let mut slot_of = [0usize; WARP_SIZE];
-    let mut a_rows = [NO_WORDS; WARP_SIZE];
-    let mut b_rows = [NO_WORDS; WARP_SIZE];
+    let merged = || (0..input_bits.len()).filter(|&u| algo[u] == SetOpAlgo::BitmapMerge);
+    let mut sizes = [0u32; WARP_SIZE];
     let mut n = 0usize;
     let mut total = 0usize;
-    for u in 0..input_bits.len() {
-        if algo[u] == SetOpAlgo::BitmapMerge {
-            slot_of[n] = u;
-            a_rows[n] = input_bits[u].expect("BitmapMerge requires input bits");
-            b_rows[n] = operand_bits[u].expect("BitmapMerge requires operand bits");
-            debug_assert_eq!(a_rows[n].len(), b_rows[n].len());
-            total += a_rows[n].len();
-            n += 1;
+    for u in merged() {
+        let a = input_bits[u].expect("BitmapMerge requires input bits");
+        let b = operand_bits[u].expect("BitmapMerge requires operand bits");
+        debug_assert_eq!(a.len(), b.len());
+        // One word AND (or ANDN) per lane.
+        for (w, (&x, &y)) in a.iter().zip(b).enumerate() {
+            let c = match kind {
+                OpKind::Intersect => x & y,
+                OpKind::Difference => x & !y,
+            };
+            extract_word(g, mask, out, u, w, c);
         }
+        sizes[n] = a.len() as u32;
+        n += 1;
+        total += a.len();
     }
     if total == 0 {
         return;
     }
     let before = warp.metrics().simt_instructions;
     if n > 1 {
-        let mut sizes = [0u32; WARP_SIZE];
-        for (s, row) in a_rows.iter().enumerate().take(n) {
-            sizes[s] = row.len() as u32;
-        }
         let _ = warp.exclusive_scan(&mut sizes);
     }
-    let waves = total.div_ceil(WARP_SIZE);
-    let mut si = 0usize;
-    let mut w = 0usize;
-    for wave in 0..waves {
-        let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
-        let active = if in_wave == WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << in_wave) - 1
-        };
-        // One word AND (or ANDN) per lane.
-        warp.wave(active, |_| {});
-        for _ in 0..in_wave {
-            while w >= a_rows[si].len() {
-                si += 1;
-                w = 0;
-            }
-            let slot = slot_of[si];
-            let mut c = match kind {
-                OpKind::Intersect => a_rows[si][w] & b_rows[si][w],
-                OpKind::Difference => a_rows[si][w] & !b_rows[si][w],
-            };
-            out.put_word(slot, w, c);
-            while c != 0 {
-                let bit = c.trailing_zeros();
-                c &= c - 1;
-                let value = (w as VertexId) * 64 + bit;
-                if mask.is_all() || mask.allows(g.label(value)) {
-                    out.push(slot, value);
-                }
-            }
-            w += 1;
-        }
-        let _ = warp.ballot(active);
-        warp.metrics_mut().bitmap_merge_waves += 1;
-    }
-    warp.metrics_mut().bitmap_merge_words += total as u64;
+    charge_stream(warp, total, counted);
+    let m = warp.metrics_mut();
+    m.bitmap_merge_waves += total.div_ceil(WARP_SIZE) as u64;
+    m.bitmap_merge_words += total as u64;
     book_set_op(warp, before);
     if mask.is_all() {
-        for &slot in slot_of.iter().take(n) {
-            out.seal_bits(slot);
+        merged().for_each(|u| out.seal_bits(u));
+    }
+}
+
+/// Delivers result word `w` of a bitmap-domain op to `slot`: the word
+/// itself, then its set bits, ascending, as the vertices `mask` admits.
+#[inline]
+fn extract_word<S: SetSink + ?Sized>(
+    g: &Graph,
+    mask: LabelMask,
+    out: &mut S,
+    slot: usize,
+    w: usize,
+    mut c: u64,
+) {
+    out.put_word(slot, w, c);
+    while c != 0 {
+        let bit = c.trailing_zeros();
+        c &= c - 1;
+        let value = (w as VertexId) * 64 + bit;
+        if mask.is_all() || mask.allows(g.label(value)) {
+            out.push(slot, value);
         }
     }
 }
@@ -675,7 +651,9 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
 /// Accounting contract (DESIGN.md §4f): every op — including the final
 /// extraction — costs `ceil(stride/32)` word waves (one SIMT instruction
 /// plus one ballot each, `stride` active lanes total); survivor compaction
-/// is the ballot's, as in the element stream.
+/// is the ballot's, as in the element stream — so when the result is only
+/// `counted`, the final op's waves issue no ballot (the popcount of its
+/// words is the count). The steps before it keep theirs.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -684,6 +662,7 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     base_bits: &[u64],
     ops: &[(OpKind, &[u64])],
     mask: LabelMask,
+    counted: bool,
     ping: &mut [u64],
     pong: &mut [u64],
     out: &mut S,
@@ -706,42 +685,20 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
         } else {
             (&*pong, (!is_last).then_some(&mut *ping))
         };
-        let waves = stride.div_ceil(WARP_SIZE);
-        let mut w = 0usize;
-        for wave in 0..waves {
-            let in_wave = (stride - wave * WARP_SIZE).min(WARP_SIZE);
-            let active = if in_wave == WARP_SIZE {
-                u32::MAX
-            } else {
-                (1u32 << in_wave) - 1
+        for w in 0..stride {
+            let c = match kind {
+                OpKind::Intersect => src[w] & b[w],
+                OpKind::Difference => src[w] & !b[w],
             };
-            warp.wave(active, |_| {});
-            for _ in 0..in_wave {
-                let c = match kind {
-                    OpKind::Intersect => src[w] & b[w],
-                    OpKind::Difference => src[w] & !b[w],
-                };
-                match &mut dst {
-                    Some(d) => d[w] = c,
-                    None => {
-                        out.put_word(slot, w, c);
-                        let mut c = c;
-                        while c != 0 {
-                            let bit = c.trailing_zeros();
-                            c &= c - 1;
-                            let value = (w as VertexId) * 64 + bit;
-                            if mask.is_all() || mask.allows(g.label(value)) {
-                                out.push(slot, value);
-                            }
-                        }
-                    }
-                }
-                w += 1;
+            match &mut dst {
+                Some(d) => d[w] = c,
+                None => extract_word(g, mask, out, slot, w, c),
             }
-            let _ = warp.ballot(active);
-            warp.metrics_mut().bitmap_merge_waves += 1;
         }
-        warp.metrics_mut().bitmap_merge_words += stride as u64;
+        charge_stream(warp, stride, counted && is_last);
+        let m = warp.metrics_mut();
+        m.bitmap_merge_waves += stride.div_ceil(WARP_SIZE) as u64;
+        m.bitmap_merge_words += stride as u64;
     }
     book_set_op(warp, before);
     if mask.is_all() {
@@ -753,8 +710,9 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
 /// the slot lengths alone: a size prefix-scan mapping lanes to `(set index,
 /// offset)` when more than one slot streams, then `⌈Σ len / 32⌉` waves of
 /// per-lane membership probes / copies, each closed by the ballot that
-/// compacts its survivors. How the host moved the data never enters.
-fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>) {
+/// compacts its survivors — or, when they are only `counted`, by nothing.
+/// How the host moved the data never enters.
+fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>, counted: bool) {
     let mut sizes = [0u32; WARP_SIZE];
     let mut slots = 0usize;
     let mut total = 0usize;
@@ -778,8 +736,21 @@ fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>) {
     if slots > 1 {
         let _ = warp.exclusive_scan(&mut sizes);
     }
-    warp.stream(total);
+    charge_stream(warp, total, counted);
     book_set_op(warp, before);
+}
+
+/// One combined stream of `total` lanes: compacting ([`Warp::stream`]), or
+/// ballot-free when its survivors are only `counted` ([`Warp::count_stream`]).
+/// The simt-check wave site is the caller's.
+#[inline]
+#[track_caller]
+fn charge_stream(warp: &mut Warp, total: usize, counted: bool) {
+    if counted {
+        warp.count_stream(total);
+    } else {
+        warp.stream(total);
+    }
 }
 
 /// Attributes what `warp` issued since its instruction counter read `before`
@@ -795,6 +766,20 @@ fn book_set_op(warp: &mut Warp, before: u64) {
 mod tests {
     use super::*;
     use stmatch_graph::gen;
+
+    /// One compacting combined operation into heap vectors, default tuning.
+    fn apply_op(
+        warp: &mut Warp,
+        g: &Graph,
+        inputs: &[&[VertexId]],
+        operands: &[&[VertexId]],
+        kind: OpKind,
+        mask: LabelMask,
+        outs: &mut [Vec<VertexId>],
+    ) {
+        let tuning = SetOpTuning::default();
+        apply_op_into(warp, g, inputs, operands, kind, mask, tuning, false, outs)
+    }
 
     // Helper that runs `f` on a real warp inside a 1-warp grid launch and
     // returns the warp's metrics.
@@ -922,10 +907,63 @@ mod tests {
         let g = gen::complete(6).relabeled(vec![0, 1, 0, 1, 0, 1]);
         let src: Vec<VertexId> = vec![0, 1, 2, 3, 4, 5];
         let _ = with_warp(move |w| {
-            let mut outs = vec![Vec::new()];
-            materialize_base(w, &g, &[&src], LabelMask::single(1), &mut outs);
+            let mut outs = [Vec::new()];
+            materialize_base_into(w, &g, &[&src], LabelMask::single(1), false, &mut outs[..]);
             assert_eq!(outs[0], vec![1, 3, 5]);
         });
+    }
+
+    #[test]
+    fn a_counted_operation_issues_no_ballot_and_moves_the_same_data() {
+        // Three slots, 20 + 30 + 0 elements: scan + 2 waves either way; a
+        // compacting operation closes each wave with a ballot, a counted one
+        // does not. Same lanes, same output — word streams alike.
+        let g = gen::complete(2);
+        let ins: Vec<Vec<VertexId>> = vec![(0..40).step_by(2).collect(), (0..30).collect(), vec![]];
+        let ops: Vec<VertexId> = (0..40).step_by(3).collect();
+        let stride = 40usize.div_ceil(64);
+        let rows: Vec<Vec<u64>> = ins.iter().map(|s| bits_of(s, stride)).collect();
+        let op_row = bits_of(&ops, stride);
+        for (algo, scan) in [(SetOpAlgo::BinarySearch, 5), (SetOpAlgo::BitmapMerge, 5)] {
+            let run = |counted: bool| {
+                let out = std::sync::Mutex::new(Vec::new());
+                let m = with_warp(|w| {
+                    let mut outs = vec![Vec::new(); 3];
+                    let in_refs: Vec<&[VertexId]> = ins.iter().map(|v| v.as_slice()).collect();
+                    let in_bits: Vec<Option<&[u64]>> = rows.iter().map(|r| Some(&r[..])).collect();
+                    apply_op_hub_into(
+                        w,
+                        &g,
+                        &in_refs,
+                        &in_bits,
+                        &[&ops[..]; 3],
+                        &[Some(&op_row[..]); 3],
+                        OpKind::Intersect,
+                        LabelMask::ALL,
+                        SetOpTuning::forced(algo),
+                        counted,
+                        &mut outs[..],
+                    );
+                    *out.lock().unwrap() = outs;
+                });
+                (out.into_inner().unwrap(), m)
+            };
+            let ((compacted, c), (counted, n)) = (run(false), run(true));
+            assert_eq!(counted, compacted, "{algo:?}: host output");
+            let waves = if algo == SetOpAlgo::BitmapMerge { 1 } else { 2 };
+            assert_eq!(n.simt_instructions, scan + waves, "{algo:?}");
+            assert_eq!(c.simt_instructions, scan + 2 * waves, "{algo:?}");
+            assert_eq!(n.set_op_instructions, n.simt_instructions);
+            assert_eq!(
+                (n.active_lane_slots, n.issued_lane_slots),
+                (c.active_lane_slots, c.issued_lane_slots),
+                "{algo:?}: lanes"
+            );
+            assert_eq!(
+                (n.bitmap_merge_words, n.bitmap_merge_waves),
+                (c.bitmap_merge_words, c.bitmap_merge_waves)
+            );
+        }
     }
 
     #[test]
@@ -1062,6 +1100,7 @@ mod tests {
                         kind,
                         LabelMask::ALL,
                         SetOpTuning::forced(algo),
+                        false,
                         &mut outs[..],
                     );
                     *out.lock().unwrap() = outs.remove(0);
@@ -1163,6 +1202,7 @@ mod tests {
                         kind,
                         LabelMask::ALL,
                         tuning,
+                        false,
                         &mut outs[..],
                     );
                     *out.lock().unwrap() = outs.remove(0);
@@ -1205,6 +1245,7 @@ mod tests {
                     kind,
                     LabelMask::ALL,
                     SetOpTuning::forced(SetOpAlgo::BitmapMerge),
+                    false,
                     &mut merged[..],
                 );
                 assert_eq!(merged[0], classic[0], "{kind:?} merge diverged");
@@ -1237,6 +1278,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::ALL,
                 SetOpTuning::forced(SetOpAlgo::BitmapMerge),
+                false,
                 &mut outs[..],
             );
             assert_eq!(outs[0], vec![1, 129]);
@@ -1282,6 +1324,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::ALL,
                 SetOpTuning::default(),
+                false,
                 &mut hub[..],
             );
             assert_eq!(hub, classic);
@@ -1309,6 +1352,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::single(1),
                 SetOpTuning::forced(SetOpAlgo::BitmapMerge),
+                false,
                 &mut outs[..],
             );
             let want: Vec<VertexId> = b.iter().copied().filter(|&v| v % 2 == 1).collect();
@@ -1378,6 +1422,7 @@ mod tests {
                     (OpKind::Intersect, rows[3].as_slice()),
                 ],
                 LabelMask::ALL,
+                false,
                 &mut ping,
                 &mut pong,
                 &mut outs[..],

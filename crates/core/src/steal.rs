@@ -507,7 +507,7 @@ pub struct Board {
     /// at exit — the runtime half of the static verifier's resource audit
     /// (see `arena` and `stmatch_plan_verify`).
     peak_cells: AtomicU64,
-    /// Fused-tail streams and count lanes reported by the kernels at exit
+    /// Fused-tail streams and the survivors they counted, reported by the kernels at exit
     /// (`WarpKernel::tail_stats`).
     tail: [AtomicU64; 2],
     /// Level-0 chunk dispenser: next unclaimed vertex id.
@@ -1114,7 +1114,7 @@ impl Board {
         self.peak_cells.load(Ordering::Relaxed)
     }
 
-    /// Accumulates one kernel's fused-tail `[streams, count lanes]`.
+    /// Accumulates one kernel's fused-tail `[streams, survivors]`.
     pub fn add_tail(&self, stats: [u64; 2]) {
         for (sum, n) in self.tail.iter().zip(stats) {
             // Relaxed: pure statistic — same contract as add_spills.
@@ -1122,7 +1122,7 @@ impl Board {
         }
     }
 
-    /// Fused-tail `[streams, count lanes]` reported so far.
+    /// Fused-tail `[streams, survivors]` reported so far.
     pub fn tail_count(&self) -> [u64; 2] {
         // Relaxed: see add_tail.
         [0, 1].map(|i| self.tail[i].load(Ordering::Relaxed))

@@ -125,12 +125,13 @@ impl Warp {
 
     /// Charges a stream of `total` elements, one per lane: `⌈total/32⌉`
     /// full-prefix waves (the last one `total mod 32` lanes wide), each
-    /// closed by its ballot — exactly the [`Warp::wave`] + [`Warp::ballot`]
-    /// pairs it stands for, in closed form. The lanes do no work here (the
-    /// caller moves the data); while a simt-check checker is listening the
-    /// pairs are issued one by one instead, so every per-wave hook (site
-    /// occupancy, mask tracking, epoch ticks) fires as before, attributed
-    /// to this call's site.
+    /// closed by the ballot that compacts its survivors — exactly the
+    /// [`Warp::wave`] + [`Warp::ballot`] pairs it stands for, in closed
+    /// form. The lanes do no work here (the caller moves the data); while a
+    /// simt-check checker is listening the pairs are issued one by one
+    /// instead, so every per-wave hook (site occupancy, mask tracking, epoch
+    /// ticks) fires as before, attributed to this call's site. A stream
+    /// whose survivors are only counted is [`Warp::count_stream`].
     #[inline]
     #[track_caller]
     pub fn stream(&mut self, total: usize) {
@@ -142,11 +143,40 @@ impl Warp {
             return;
         }
         for wave in 0..waves {
-            let in_wave = (total - wave * WARP_SIZE).min(WARP_SIZE);
-            let active = u32::MAX >> (WARP_SIZE - in_wave);
+            let active = Self::prefix_mask(total, wave);
             self.wave(active, |_| {});
             let _ = self.ballot(active);
         }
+    }
+
+    /// [`Warp::stream`] without the ballots: `⌈total/32⌉` full-prefix waves
+    /// whose lanes each keep a private tally, so nothing is compacted and
+    /// nothing closes a wave — Fig. 3 line 16 adds `|C|`, it never iterates
+    /// it. While a checker listens the waves are issued one by one (site
+    /// occupancy at the caller's site), and the warp reconverges after the
+    /// last one without a charged instruction, so a following scan is not
+    /// issued while diverged.
+    #[inline]
+    #[track_caller]
+    pub fn count_stream(&mut self, total: usize) {
+        let waves = total.div_ceil(WARP_SIZE);
+        if !simt_check::any_on() {
+            self.metrics.simt_instructions += waves as u64;
+            self.metrics.issued_lane_slots += (waves * WARP_SIZE) as u64;
+            self.metrics.active_lane_slots += total as u64;
+            return;
+        }
+        for wave in 0..waves {
+            self.wave(Self::prefix_mask(total, wave), |_| {});
+        }
+        self.div_mask = u32::MAX;
+    }
+
+    /// Active mask of wave `wave` of a `total`-element stream: its first
+    /// `min(32, total − 32·wave)` lanes.
+    #[inline]
+    fn prefix_mask(total: usize, wave: usize) -> u32 {
+        u32::MAX >> (WARP_SIZE - (total - wave * WARP_SIZE).min(WARP_SIZE))
     }
 
     /// `__ballot_sync`: collects one predicate bit per lane. The caller
@@ -305,6 +335,32 @@ mod tests {
                 pairs.ballot(active);
             }
             assert_eq!(closed.metrics(), pairs.metrics(), "total {total}");
+        }
+    }
+
+    #[test]
+    fn count_stream_is_its_waves_in_closed_form_and_a_stream_less_its_ballots() {
+        for total in [0usize, 1, 31, 32, 33, 64, 1000] {
+            let mut closed = test_warp();
+            closed.count_stream(total);
+            let mut waves = test_warp();
+            for wave in 0..total.div_ceil(WARP_SIZE) {
+                waves.wave(Warp::prefix_mask(total, wave), |_| {});
+            }
+            assert_eq!(closed.metrics(), waves.metrics(), "total {total}");
+            let mut compacted = test_warp();
+            compacted.stream(total);
+            let (c, s) = (closed.metrics(), compacted.metrics());
+            assert_eq!(
+                s.simt_instructions - c.simt_instructions,
+                total.div_ceil(WARP_SIZE) as u64,
+                "total {total}"
+            );
+            assert_eq!(
+                (c.active_lane_slots, c.issued_lane_slots),
+                (s.active_lane_slots, s.issued_lane_slots),
+                "total {total}"
+            );
         }
     }
 

@@ -80,52 +80,52 @@ fn run(cfg: EngineConfig, g: &Graph, q: &Pattern) -> Fingerprint {
 const PINNED: [[Fingerprint; 24]; 2] = [
     // unlabeled
     [
-        (119531, 9857, 169772, 223776),
-        (5176, 12629, 240500, 298592),
-        (9200, 7369, 123405, 163776),
-        (34587, 9421, 178212, 233312),
-        (1486, 2781, 29308, 67968),
-        (2884, 7801, 128359, 172224),
-        (88, 1425, 11373, 35488),
-        (4, 1413, 9927, 35232),
-        (915277, 87978, 1681622, 2074560),
-        (31430, 74766, 1513161, 1779776),
-        (967, 17382, 301890, 439264),
-        (258862, 89326, 1887396, 2316864),
-        (155617, 4802, 72723, 107104),
-        (621, 7376, 112891, 184960),
-        (3, 1482, 10927, 37024),
-        (0, 1438, 9954, 35904),
-        (6605944, 771132, 14914086, 18544768),
-        (186933, 442203, 9089608, 10521248),
-        (1783390, 819375, 17629990, 21630592),
-        (129, 9929, 144779, 247904),
-        (1294, 14769, 254093, 373376),
-        (78, 21151, 328912, 542784),
+        (119531, 7547, 140372, 188832),
+        (5176, 9845, 240500, 298592),
+        (9200, 5530, 123405, 163776),
+        (34587, 8617, 174956, 223584),
+        (1486, 2688, 29192, 66912),
+        (2884, 5794, 128359, 172224),
+        (88, 1385, 11257, 34848),
+        (4, 1397, 9927, 35232),
+        (915277, 67844, 1442560, 1773280),
+        (31430, 57683, 1513161, 1779776),
+        (967, 15808, 301890, 439264),
+        (258862, 81347, 1861516, 2206592),
+        (155617, 3010, 48257, 80928),
+        (621, 6849, 112891, 184960),
+        (3, 1456, 10907, 36608),
+        (0, 1434, 9954, 35904),
+        (6605944, 606109, 13083532, 16114208),
+        (186933, 339730, 9089608, 10521248),
+        (1783390, 746775, 17441410, 20635424),
+        (129, 9201, 144779, 247904),
+        (1294, 13591, 254093, 373376),
+        (78, 20187, 328566, 537024),
         (0, 1438, 9954, 35904),
         (0, 1438, 9954, 35904),
     ],
     // labeled
     [
-        (92, 272, 2917, 6880),
-        (0, 171, 1103, 4416),
+        (92, 254, 2877, 6592),
+        (0, 170, 1103, 4416),
         (0, 85, 111, 2400),
-        (12, 128, 417, 3264),
+        (12, 124, 411, 3200),
         (0, 142, 286, 3392),
-        (7, 142, 792, 3776),
+        (7, 138, 792, 3776),
         (0, 104, 203, 2752),
         (0, 104, 164, 2752),
-        (4, 130, 771, 3424),
-        (2, 129, 945, 3520),
-        (0, 148, 852, 3776),
-        (14, 141, 968, 3744),
-        (3, 131, 450, 3264),
+        (4, 127, 763, 3392),
+        (2, 127, 945, 3520),
+        (0, 145, 852, 3776),
+        (14, 139, 961, 3712),
+        (3, 129, 447, 3232),
         (0, 91, 121, 2528),
         (0, 110, 144, 2880),
         (0, 108, 202, 2816),
         (0, 86, 142, 2432),
         (0, 113, 713, 3168),
-        (12, 487, 6049, 12384),
+        (12, 471, 6034, 12128),
         (0, 88, 139, 2432),
         (0, 85, 117, 2400),
         (0, 101, 179, 2656),

@@ -12,16 +12,18 @@
 //! individually and never takes the closed form.
 //!
 //! The *simulated* charge is a function of the plan, the list lengths and
-//! whether every last-level element must be touched (DESIGN.md §4c,
-//! "Last-level counting"). Where the last level computes its own list, or
-//! its parent level is stealable, there is nothing to choose: closed form,
-//! per-element probe and enumeration report the same instructions over the
-//! same lanes on a steal-free run. Where the last level's list is lifted and
-//! its parent level is deep, a counting run fuses the two levels into a tail
-//! and a run that must touch every element cannot — the two closed-form legs
-//! agree with each other, the two per-element legs agree with each other, and
-//! all of them computed the same sets. Unrolling fills the lanes at the last
-//! level as it does everywhere else.
+//! whether the run counts or must touch every last-level element (DESIGN.md
+//! §4c, "Last-level counting"). Where the last level computes its own list,
+//! or its parent level is stealable, nothing is fused: the two counting legs
+//! (closed form, per-element probe) report the same instructions over the
+//! same lanes on a steal-free run, and enumeration issues those very lanes
+//! too — it only adds the ballots that compact the last level's final
+//! stream, which a counting run does not issue. Where the last level's list
+//! is lifted and its parent level is deep, a counting run fuses the two
+//! levels into a tail and a run that must touch every element cannot — the
+//! two closed-form legs agree with each other, the two per-element legs
+//! agree with each other, and all of them computed the same sets. Unrolling
+//! fills the lanes at the last level as it does everywhere else.
 
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::{Engine, EngineConfig, MatchOutcome};
@@ -95,10 +97,19 @@ fn every_route_agrees_with_the_oracle_and_with_enumeration() {
 }
 
 #[test]
-fn the_simulated_charge_depends_on_the_route_only_where_a_tail_forms() {
+fn counting_drops_only_the_last_levels_ballots_where_no_tail_forms() {
     let cfg = steal_free();
     let engine = Engine::new(cfg);
     let set_ops = |out: &MatchOutcome| out.metrics.total().set_op_instructions;
+    let lanes_and_passes = |out: &MatchOutcome| {
+        let t = out.metrics.total();
+        (
+            t.active_lane_slots,
+            t.issued_lane_slots,
+            t.claim_instructions,
+            t.count_pass_instructions,
+        )
+    };
     for g in &fixtures() {
         let n = g.num_vertices();
         // One label everywhere filters nothing, so both labelings below
@@ -134,15 +145,25 @@ fn the_simulated_charge_depends_on_the_route_only_where_a_tail_forms() {
             assert_eq!((listed.tail, residual.tail), ([0, 0], [0, 0]), "{leg}");
             if !tail {
                 assert_eq!(
-                    charge(&counted),
-                    charge(&listed),
-                    "{leg}: closed form vs enumeration"
-                );
-                assert_eq!(
                     charge(&masked),
                     charge(&residual),
                     "{leg}: closed form vs residual probe"
                 );
+                // Enumeration issues the counting run's lanes, claims and
+                // count passes; what it adds issues no lane at the
+                // set-operation site, so it is ballots — one per wave of the
+                // last level's final stream: none where the last level
+                // computes no set, at least one per 32 matches where it does
+                // (every match is a lane).
+                let (a, b) = (lanes_and_passes(&counted), lanes_and_passes(&listed));
+                assert_eq!(a, b, "{leg}: lanes");
+                let extra = charge(&listed).0 - charge(&counted).0;
+                assert_eq!(extra, set_ops(&listed) - set_ops(&counted), "{leg}");
+                if lifted {
+                    assert_eq!(extra, 0, "{leg}: no last-level stream");
+                } else {
+                    assert!(extra >= counted.count.div_ceil(32), "{leg}: {extra}");
+                }
                 continue;
             }
             // Whatever the route, a plan computes the same sets; and the two

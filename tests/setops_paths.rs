@@ -145,6 +145,7 @@ fn run(
                     kind,
                     mask,
                     tuning,
+                    false,
                     $sink,
                 )
             };

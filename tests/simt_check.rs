@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use simt_check::{CheckConfig, Diagnostic, Severity};
 use stmatch_core::steal::{mutation, Board};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
-use stmatch_gpusim::{GridConfig, SharedBudget};
+use stmatch_gpusim::{Grid, GridConfig, SharedBudget};
 use stmatch_graph::gen;
 use stmatch_pattern::catalog;
 
@@ -222,6 +222,43 @@ fn skewed_fixture_trips_subwarp_lint_at_setops_site() {
     assert!(
         hits.iter().all(|d| d.severity == Severity::Warning),
         "sub-warp utilization is advisory, not an error"
+    );
+}
+
+/// A counting stream (`Warp::count_stream`: no ballot closes its waves) is
+/// seen wave by wave at its caller's site, and the warp reconverges after it
+/// without a charged instruction — so the scan that follows is not issued
+/// while diverged, and no error fires.
+#[test]
+fn a_counting_stream_reports_its_site_and_reconverges() {
+    let _g = serial();
+    simt_check::enable(CheckConfig {
+        races: false,
+        deadlock: false,
+        ..CheckConfig::all()
+    });
+    let grid = Grid::new(GridConfig {
+        num_blocks: 1,
+        warps_per_block: 1,
+        shared_mem_per_block: 0,
+    })
+    .expect("grid");
+    let m = grid.launch(|w| {
+        for _ in 0..8 {
+            w.count_stream(1); // one one-lane wave, left diverged
+        }
+        let _ = w.exclusive_scan(&mut [0; 32]);
+    });
+    let diags = simt_check::drain();
+    simt_check::disable();
+    assert_eq!(m.warps[0].simt_instructions, 8 + 5, "no ballots");
+    assert!(errors(&diags).is_empty(), "{:?}", errors(&diags));
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == "subwarp-util" && d.message.contains("simt_check.rs")),
+        "the half-empty waves are attributed to this file: {:?}",
+        diags.iter().map(Diagnostic::render).collect::<Vec<_>>()
     );
 }
 
