@@ -1,6 +1,7 @@
 //! `check hotpath` (`ci.sh` phase `smoke:hotpath`): runs the `hotpath`
 //! suite once each and fails if match counts, total SIMT
-//! instructions, or lane utilization drift from the values recorded in
+//! instructions, lane utilization or the fused tails' `[streams,
+//! survivors]` drift from the values recorded in
 //! [`stmatch_bench::hotpath::GOLDEN`] — this gate pins simulated
 //! behaviour, not host speed.
 //!
@@ -62,11 +63,12 @@ pub fn run(args: &[String]) -> ExitCode {
             println!(
                 "    // {}\n    Golden {{\n        query: {qi},\n        leg: Leg::{leg:?},\n        \
                  count: {},\n        total_instructions: {},\n        \
-                 lane_utilization: {},\n    }},",
+                 lane_utilization: {},\n        tail: {:?},\n    }},",
                 split(&out, &table),
                 out.count,
                 out.total_instructions(),
-                out.metrics.lane_utilization()
+                out.metrics.lane_utilization(),
+                out.tail
             );
             continue;
         }

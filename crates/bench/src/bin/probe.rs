@@ -8,9 +8,11 @@
 //! hottest `file:line`s — one table over the union of the queries, or with
 //! `--each` one table per query from the same run. Shares are comparable
 //! across builds only per query: a change that speeds one query up shrinks
-//! its weight in a union table and moves every other line's share. `perf`
-//! is not in the image; this is the profiler ROADMAP's host-cost item asks
-//! for first.
+//! its weight in a union table and moves every other line's share — so a
+//! header first prints each query's best wall over the rounds and its share
+//! of the sampled wall, and a union table cannot hide which query holds the
+//! host time. `perf` is not in the image; this is the profiler ROADMAP's
+//! host-cost item asks for first.
 //!
 //! The sampler is `setitimer(ITIMER_PROF)` asking for 1 kHz of process CPU
 //! time (the kernel tick caps it, typically at 250 Hz); the handler stores
@@ -159,26 +161,36 @@ fn main() -> std::process::ExitCode {
 
     let g = hotpath::graph();
     let engine = Engine::new(hotpath::config());
-    let run = |qi: usize| {
+    // Per query (by its place in `queries`), every round's wall in ms.
+    let mut walls = vec![Vec::with_capacity(rounds); queries.len()];
+    let mut run = |i: usize| {
+        let start = std::time::Instant::now();
         let out = engine
-            .run(&g, &hotpath::query(qi))
+            .run(&g, &hotpath::query(queries[i]))
             .expect("hotpath query runs");
+        walls[i].push(start.elapsed().as_secs_f64() * 1e3);
         std::hint::black_box(out.count);
     };
+    let mut tables = Vec::new();
     if each {
-        for &qi in &queries {
-            let (ips, dropped) = sampler::sample(|| (0..rounds).for_each(|_| run(qi)));
-            report(&ips, dropped, &format!("{rounds} round(s) of q{qi}"), lines);
+        for (i, &qi) in queries.iter().enumerate() {
+            let (ips, dropped) = sampler::sample(|| (0..rounds).for_each(|_| run(i)));
+            tables.push((ips, dropped, format!("{rounds} round(s) of q{qi}")));
         }
     } else {
         let (ips, dropped) =
-            sampler::sample(|| (0..rounds).for_each(|_| queries.iter().for_each(|&qi| run(qi))));
-        report(
-            &ips,
-            dropped,
-            &format!("{rounds} round(s) of q{queries:?}"),
-            lines,
-        );
+            sampler::sample(|| (0..rounds).for_each(|_| (0..queries.len()).for_each(&mut run)));
+        tables.push((ips, dropped, format!("{rounds} round(s) of q{queries:?}")));
+    }
+    let sampled: f64 = walls.iter().flatten().sum();
+    println!("probe: wall per query over {rounds} round(s) — best, share of the sampled wall");
+    for (qi, w) in queries.iter().zip(&walls) {
+        let best = w.iter().copied().fold(f64::INFINITY, f64::min);
+        let share = 100.0 * w.iter().sum::<f64>() / sampled.max(f64::MIN_POSITIVE);
+        println!("  q{qi:<3} {best:9.3} ms  {share:5.1} %");
+    }
+    for (ips, dropped, what) in &tables {
+        report(ips, *dropped, what, lines);
     }
     ExitCode::SUCCESS
 }

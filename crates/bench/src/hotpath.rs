@@ -97,7 +97,10 @@ pub fn config() -> EngineConfig {
 }
 
 /// One workload's pinned behaviour: `(query, leg, count,
-/// total_instructions)`. Lane utilization is derived and checked to 1e-9.
+/// total_instructions)`, and the fused tails it formed — `[streams,
+/// survivors]` (`MatchOutcome::tail`), so a host rewrite that miscounts the
+/// survivors but lands on the same count still drifts. Lane utilization is
+/// derived and checked to 1e-9.
 #[derive(Clone, Copy, Debug)]
 pub struct Golden {
     pub query: usize,
@@ -105,6 +108,7 @@ pub struct Golden {
     pub count: u64,
     pub total_instructions: u64,
     pub lane_utilization: f64,
+    pub tail: [u64; 2],
 }
 
 /// Recorded behaviour of the suite (deterministic for the steal-free
@@ -120,6 +124,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 54844163,
         total_instructions: 560321,
         lane_utilization: 0.9164491455880115,
+        tail: [11340, 4421592],
     },
     // set_op=878748 claim=34206 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 22] slots=24/24
     Golden {
@@ -128,6 +133,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 559194,
         total_instructions: 912954,
         lane_utilization: 0.9605707094642477,
+        tail: [0, 0],
     },
     // set_op=20861 claim=11298 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
     Golden {
@@ -136,6 +142,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 769,
         total_instructions: 32159,
         lane_utilization: 0.4366520309638755,
+        tail: [0, 0],
     },
     // set_op=646666 claim=22440 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 29] slots=32/32
     Golden {
@@ -144,6 +151,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 1500436,
         total_instructions: 669106,
         lane_utilization: 0.9624882064023688,
+        tail: [0, 0],
     },
     // set_op=5125 claim=1248 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 32] slots=36/40
     Golden {
@@ -152,6 +160,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 1023,
         total_instructions: 6373,
         lane_utilization: 0.6617828062866882,
+        tail: [0, 0],
     },
     // set_op=412757 claim=22454 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 17, 17] slots=55/56
     Golden {
@@ -160,6 +169,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 330032,
         total_instructions: 435211,
         lane_utilization: 0.9146566287078025,
+        tail: [0, 0],
     },
     // set_op=1438171 claim=65997 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
     Golden {
@@ -168,6 +178,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 1007981,
         total_instructions: 1504168,
         lane_utilization: 0.9485142131205527,
+        tail: [0, 0],
     },
     // set_op=375078 claim=98761 count_pass=17301 steal=0 tail=11340/208688 widths=[1, 1, 22, 32] slots=24/24
     Golden {
@@ -176,6 +187,7 @@ pub const GOLDEN: [Golden; 8] = [
         count: 9448934,
         total_instructions: 491140,
         lane_utilization: 0.8983322706773263,
+        tail: [11340, 208688],
     },
 ];
 
@@ -221,6 +233,12 @@ pub fn check(qi: usize, leg: Leg, out: &MatchOutcome) -> Result<(), String> {
         return Err(format!(
             "q{qi} lane_utilization drifted: got {util}, golden {}",
             golden.lane_utilization
+        ));
+    }
+    if out.tail != golden.tail {
+        return Err(format!(
+            "q{qi} tail [streams, survivors] drifted: got {:?}, golden {:?}",
+            out.tail, golden.tail
         ));
     }
     Ok(())

@@ -24,6 +24,12 @@
 //! zero-allocation guarantee applies only while candidate lists fit their
 //! slabs — size `EngineConfig::max_degree_slab` accordingly.
 //!
+//! **The rank row rides in the same block.** A kernel that counts a lifted
+//! last-level list in closed form asks for its rank row's cells at
+//! construction; they follow the slabs in `data`, so the row costs no heap
+//! block of its own and a warm pool recycles it with the slabs.
+//! [`StackArena::lists_and_row`] lends them beside a read view of every slot.
+//!
 //! Set-operation *outputs* never alias their inputs: a set's operands are
 //! sets with strictly smaller ids (dependencies precede dependents in the
 //! plan), so [`StackArena::split_for_write`] hands out a read view of the
@@ -36,8 +42,10 @@ use stmatch_pattern::bytecode::{SlotTable, MAX_SETS};
 
 /// One warp's candidate-set storage: a flat slab plus per-slot lengths.
 pub struct StackArena {
-    /// The contiguous slab; see [`Geometry`] for who owns which cells.
+    /// The contiguous slab; see [`Geometry`] for who owns which cells. The
+    /// cells from `row_at` on are the kernel's rank row.
     data: Vec<VertexId>,
+    row_at: usize,
     /// `Csize`: live length per flat slot. `len > cap` means the slot
     /// spilled.
     len: Vec<u32>,
@@ -147,19 +155,21 @@ impl StackArena {
     /// is the *only* allocation of the arena's lifetime (absent spills); it
     /// happens once per warp per launch.
     pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
-        Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()])
+        Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()], 0)
     }
 
     /// Allocates a *shaped* arena: each slot of set `s` gets `set_caps[s]`
     /// cells instead of the uniform `cap`. This is the consumer of the
     /// verifier's footprint hint — certified per-set bounds shrink the slab
     /// below `NUM_SETS × UNROLL × MAX_DEGREE` without changing spill
-    /// behavior (a sound bound never overflows early).
-    pub fn new_shaped(slots: &SlotTable, set_caps: &[usize]) -> StackArena {
+    /// behavior (a sound bound never overflows early). `row_cells` zeroed
+    /// cells follow the slabs in the same block (the kernel's rank row).
+    pub fn new_shaped(slots: &SlotTable, set_caps: &[usize], row_cells: usize) -> StackArena {
         let (geo, cells) = Geometry::shaped(slots, set_caps);
         let n = slots.total();
         StackArena {
-            data: vec![0; cells],
+            data: vec![0; cells + row_cells],
+            row_at: cells,
             len: vec![0; n],
             spill: vec![Vec::new(); n],
             geo,
@@ -187,11 +197,12 @@ impl StackArena {
     /// its successive owners. Spill-event and set-bits state reset to the
     /// post-construction state so a recycled kernel's metrics are
     /// indistinguishable from a cold one's.
-    pub fn reset(&mut self, slots: &SlotTable, set_caps: &[usize]) {
+    pub fn reset(&mut self, slots: &SlotTable, set_caps: &[usize], row_cells: usize) {
         let (geo, cells) = Geometry::shaped(slots, set_caps);
         let n = slots.total();
         self.data.clear();
-        self.data.resize(cells, 0);
+        self.data.resize(cells + row_cells, 0);
+        self.row_at = cells;
         self.len.clear();
         self.len.resize(n, 0);
         self.spill.truncate(n);
@@ -260,10 +271,10 @@ impl StackArena {
     }
 
     /// Total cells the arena's flat slab allocates (the footprint the
-    /// shaped constructor shrinks).
+    /// shaped constructor shrinks), the rank row's excluded.
     #[inline]
     pub fn slab_cells(&self) -> usize {
-        self.data.len()
+        self.row_at
     }
 
     /// The live candidate list of slot `(set, u)`.
@@ -272,6 +283,25 @@ impl StackArena {
     pub fn slot(&self, set: usize, u: usize) -> &[VertexId] {
         simt_check::note_read(simt_check::Cell::arena(self.check_id, set));
         self.geo.view(&self.data, &self.len, &self.spill, set, u)
+    }
+
+    /// A read view of every slot beside the rank row's cells, which the
+    /// caller may rewrite while it reads the lists.
+    #[inline]
+    pub fn lists_and_row(&mut self) -> (ArenaRead<'_>, &mut [VertexId]) {
+        let (data, row) = self.data.split_at_mut(self.row_at);
+        (
+            ArenaRead {
+                data,
+                len: &self.len,
+                spill: &self.spill,
+                geo: &self.geo,
+                words: &self.words,
+                words_valid: &self.words_valid,
+                words_stride: self.words_stride,
+            },
+            row,
+        )
     }
 
     /// True if slot `(set, u)` outgrew its slab and lives on the heap.
@@ -638,7 +668,7 @@ mod tests {
         }
         assert_eq!(a.spill_events(), 1);
         let id_before = a.check_id;
-        a.reset(&SlotTable::with_slots(&[1; 3]), &[4; 3]);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4; 3], 0);
         assert_eq!(a.check_id, id_before, "identity survives recycling");
         assert_eq!(a.spill_events(), 0);
         assert_eq!(a.set_bits(0, 0), None, "set-bits storage back off");
@@ -653,6 +683,27 @@ mod tests {
             fill(&mut w, 0, &[4, 8]);
         }
         assert_eq!(a.slot(2, 0), &[4, 8]);
+    }
+
+    /// The rank row's cells follow the slabs in the one block: lent beside
+    /// a read view of every slot, outside `slab_cells`, zeroed by a reset.
+    #[test]
+    fn the_row_rides_past_the_slabs() {
+        let table = SlotTable::with_slots(&[1, 2]);
+        let mut a = StackArena::new_shaped(&table, &[3, 3], 8);
+        let block = a.data.as_ptr();
+        assert_eq!(a.slab_cells(), 9);
+        {
+            let (_, mut w) = a.split_for_write(1, 2);
+            fill(&mut w, 1, &[4, 5, 6]);
+        }
+        let (r, row) = a.lists_and_row();
+        row.fill(7);
+        assert_eq!(r.slot(1, 1), &[4, 5, 6]);
+        assert_eq!(row.len(), 8);
+        a.reset(&table, &[3, 3], 8);
+        assert_eq!(a.data.as_ptr(), block, "no new block");
+        assert_eq!(a.lists_and_row().1, &[0; 8]);
     }
 
     #[test]
@@ -740,7 +791,7 @@ mod tests {
         let (before, cells) = (blocks(&a), a.data.capacity());
         // Fewer slots in another arrangement: the same blocks, re-cut.
         let table = SlotTable::with_slots(&[1, 4, 1, 4, 2]);
-        a.reset(&table, &[16; 5]);
+        a.reset(&table, &[16; 5], 0);
         assert_eq!(blocks(&a), before);
         assert_eq!(a.data.capacity(), cells);
         assert_eq!(a.slab_cells(), 12 * 16);
@@ -777,13 +828,13 @@ mod tests {
             fill(&mut w, 0, &[1, 2, 3, 4, 5, 6]);
         }
         assert_eq!(a.peak_slab_cells(), 7);
-        a.reset(&SlotTable::with_slots(&[1; 2]), &[4; 2]);
+        a.reset(&SlotTable::with_slots(&[1; 2]), &[4; 2], 0);
         assert_eq!(a.peak_slab_cells(), 0);
     }
 
     #[test]
     fn shaped_arena_packs_per_set_capacities() {
-        let mut a = StackArena::new_shaped(&SlotTable::with_slots(&[2; 2]), &[2, 5]);
+        let mut a = StackArena::new_shaped(&SlotTable::with_slots(&[2; 2]), &[2, 5], 0);
         assert_eq!(a.slab_cells(), 2 * 2 + 5 * 2);
         {
             let (_, mut w) = a.split_for_write(0, 2);
@@ -808,7 +859,7 @@ mod tests {
         assert_eq!(a.slot(0, 0), &[1, 2, 3]);
         assert_eq!(a.spill_events(), 1);
         // A shaped reset recycles into a uniform geometry and back.
-        a.reset(&SlotTable::with_slots(&[1; 3]), &[4, 1, 3]);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4, 1, 3], 0);
         assert_eq!(a.slab_cells(), 8);
         assert_eq!(a.spill_events(), 0);
         {

@@ -83,7 +83,7 @@ pub struct MatchOutcome {
     /// Fused tails (DESIGN.md §4c, "Last-level counting"): the streams the
     /// kernels issued over whole parent batches of the last claim level and
     /// the survivors those counted in closed form; `[0, 0]` when the plan forms
-    /// no tail. `check hotpath` prints it.
+    /// no tail. `check hotpath` prints and pins it.
     pub tail: [u64; 2],
     /// Always `None`: one interpreter serves every launch. Inert, kept for
     /// `benchmark/`'s `compile.served_tier` leg; deleted with
@@ -550,9 +550,10 @@ impl Engine {
         // --- Global memory: fixed stack slabs (paper §VIII-A). ---
         let num_warps = cfg.grid.total_warps();
         let stack_bytes = plan.num_sets() * cfg.unroll * cfg.max_degree_slab * 4 * num_warps;
-        // Beside them, the marker rows every warp of an unrouted launch
-        // holds; `MatchOutcome::stack_bytes` stays the paper's formula.
-        let reserved = stack_bytes + r.env.marker_bytes() * num_warps;
+        // Beside them, the rows every warp holds (marker rows on an
+        // unrouted launch, the rank row of a lifted last level);
+        // `MatchOutcome::stack_bytes` stays the paper's formula.
+        let reserved = stack_bytes + r.env.row_bytes(stop) * num_warps;
         self.memory.try_alloc(reserved)?;
         let stats = self.run_passes(r, &grid, stop);
         self.memory.free(reserved);

@@ -16,7 +16,10 @@
 //! levels iterate privately and claim a batch of iterations at once — as
 //! wide as the plan's [`SlotTable`] grants the level, `UNROLL` at least —
 //! whose candidate-set computations are combined into shared warp waves
-//! (Fig. 8). At the last level candidates are counted instead of iterated.
+//! (Fig. 8). At the last level candidates are counted instead of iterated:
+//! a list computed there is clipped to its valid window ([`Clip`]); a lifted
+//! one is counted against the warp's [`RankRow`], one rank per slot — or, in
+//! a fused tail, per element of whichever of the pair is not in the row.
 //!
 //! What a level computes is read from the plan's own lowered stream
 //! ([`MatchPlan::bytecode`], the `row_ptr` / `set_ops` encoding of Fig. 9b)
@@ -48,9 +51,13 @@
 //! subtree, nothing more. Emitted embeddings follow the same protocol
 //! through a commit watermark (`emit_mark`).
 
+mod last_level;
 mod marker;
+mod rank;
 
+use self::last_level::{closed_form, count_valid_sorted, Against, Clip, TailSlot};
 use self::marker::Marker;
+use self::rank::RankRow;
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
@@ -128,12 +135,60 @@ impl KernelEnv<'_> {
         (marked, self.graph.num_vertices().div_ceil(64))
     }
 
-    /// Global-memory bytes of marker rows per warp, which the launch budget
-    /// reserves beside the stack slabs.
-    pub fn marker_bytes(&self) -> usize {
+    /// Global-memory bytes of rows per warp under StopLevel `stop` — marker
+    /// rows and the rank row — which the launch budget reserves beside the
+    /// stack slabs.
+    pub fn row_bytes(&self, stop: usize) -> usize {
         let (marked, stride) = self.marker_rows();
+        let ranked = self.last_levels(stop).1 != Row::None;
         marked.count_ones() as usize * stride * 8
+            + usize::from(ranked) * RankRow::cells(self.graph.num_vertices()) * 4
     }
+
+    /// Whether levels `k − 2` and `k − 1` run fused under StopLevel `stop`
+    /// ([`WarpKernel::count_tail`]: the last level counts a lifted list in
+    /// closed form and its parent is deep), and which list the warp's rank
+    /// row holds. Under a shallow parent it is the lifted list W. In a tail,
+    /// the one of W and the parent's list V defined at the shallower level
+    /// (W on a tie), so it is rebuilt for fewer slots — but V only while its
+    /// valid elements are a window less exclusions, without a residual label
+    /// or a staged pin to test element by element. V and W the same slot of
+    /// one set need no row (DESIGN.md §4c).
+    fn last_levels(&self, stop: usize) -> (bool, Row) {
+        let bc = self.plan.bytecode();
+        let last = self.plan.num_levels() - 1;
+        let (w_set, w_def) = bc.candidate(last);
+        if self.enumerate || w_def == last || bc.level_meta(last).resid.is_some() {
+            return (false, Row::None);
+        }
+        if last < stop + 1 {
+            return (false, Row::Last);
+        }
+        let (v_set, v_def) = bc.candidate(last - 1);
+        let pinned = last == 2 && matches!(self.l0, Level0Map::Staged { .. });
+        let row = if bc.level_meta(last - 1).resid.is_some() || pinned {
+            Row::Last
+        } else if v_set == w_set {
+            Row::None
+        } else if v_def < w_def {
+            Row::Parent
+        } else {
+            Row::Last
+        };
+        (true, row)
+    }
+}
+
+/// The list a warp's [`RankRow`] holds ([`KernelEnv::last_levels`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// None: nothing lifted is counted in closed form, or a tail's two lists
+    /// are one.
+    None,
+    /// The fused tail's level-`(k − 2)` list V.
+    Parent,
+    /// The lifted last-level list W.
+    Last,
 }
 
 /// Per-warp kernel state.
@@ -186,9 +241,10 @@ pub struct WarpKernel<'a> {
     /// Bitmap rows of the loop-invariant neighbor lists that lifted
     /// intersections re-read (see [`Marker`]).
     marker: Marker<'a>,
-    /// What the last-level closed form remembers of a lifted candidate list
-    /// (see [`LiftedCursor`]).
-    lifted: LiftedCursor,
+    /// The rank row of a lifted last level's counts, its cells lent by
+    /// `storage`; `row` says which list it holds.
+    rank: RankRow,
+    row: Row,
     /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
     /// last level counts a lifted list in closed form, its parent is deep.
     tail: bool,
@@ -272,12 +328,17 @@ impl<'a> WarpKernel<'a> {
             }
         }
         let set_caps = &set_caps[..slots.num_sets()];
+        let (tail, row) = env.last_levels(stop);
+        let row_cells = match row {
+            Row::None => 0,
+            _ => RankRow::cells(g.num_vertices()),
+        };
         let mut storage = match recycle {
             Some(mut arena) => {
-                arena.reset(&slots, set_caps);
+                arena.reset(&slots, set_caps, row_cells);
                 arena
             }
-            None => StackArena::new_shaped(&slots, set_caps),
+            None => StackArena::new_shaped(&slots, set_caps, row_cells),
         };
         if let Some(hx) = hubs {
             // Result-row storage so bitmap-domain results cascade to
@@ -285,11 +346,6 @@ impl<'a> WarpKernel<'a> {
             // path allocation-free.
             storage.enable_set_bits(hx.stride());
         }
-        let last = k - 1;
-        let tail = !env.enumerate
-            && k >= stop + 2
-            && bc.candidate(last).1 != last
-            && bc.level_meta(last).resid.is_none();
         let (marked, stride) = env.marker_rows();
         let words = storage.take_marker_words(marked.count_ones() as usize * stride);
         WarpKernel {
@@ -311,7 +367,8 @@ impl<'a> WarpKernel<'a> {
             ping: vec![Vec::new(); slots.staged()],
             pong: vec![Vec::new(); slots.staged()],
             marker: Marker::new(marked, stride, words),
-            lifted: LiftedCursor::default(),
+            rank: RankRow::default(),
+            row,
             tail,
             tail_stats: [0; 2],
             emit_tail: Vec::new(),
@@ -994,9 +1051,10 @@ impl<'a> WarpKernel<'a> {
     /// matched vertices of the level's
     /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions inside it.
     /// A list computed at this level is a fresh list per slot, searched per
-    /// slot ([`count_valid_sorted`]); a lifted one is searched once per prefix
-    /// and then walked ([`LiftedCursor`]) — here only under a shallow parent
-    /// level, a deep one runs [`WarpKernel::count_tail`].
+    /// slot ([`count_valid_sorted`]); a lifted one — here only under a shallow
+    /// parent level, a deep one runs [`WarpKernel::count_tail`] — is clipped
+    /// ([`Clip`]) at the slot's own vertex by one rank in the warp's
+    /// [`RankRow`] of it.
     ///
     /// On the simulated machine a list computed at this level gets no pass:
     /// its survivors were lanes of the level's final set-operation stream — a
@@ -1010,11 +1068,12 @@ impl<'a> WarpKernel<'a> {
         let l = self.k - 1;
         let slots = self.batch[l].len;
         let vy = self.validity(l);
-        let lifted = self.bc.candidate(l).1 != l;
-        let closed_form = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
+        let def = self.bc.candidate(l).1;
+        let lifted = def != l;
+        let closed = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
         if lifted {
             let n = self.candidate_list(l, 0).len();
-            let waves = warp.simt_for(if closed_form { slots } else { slots * n }, |_| {});
+            let waves = warp.simt_for(if closed { slots } else { slots * n }, |_| {});
             warp.metrics_mut().count_pass_instructions += waves;
         }
         let mut total = 0u64;
@@ -1022,30 +1081,33 @@ impl<'a> WarpKernel<'a> {
             self.matched[l - 1] = self.batch[l].slots[u];
             let (cid, slot) = self.candidate_location(l, u);
             let g = self.g;
-            let matched = &self.matched;
-            let cl = self.storage.slot(cid, slot);
             if self.emit.is_some() {
                 let mut tail = std::mem::take(&mut self.emit_tail);
                 tail.clear();
-                tail.extend(cl.iter().filter(|&&v| vy.check(g, matched, v)));
+                let cl = self.storage.slot(cid, slot);
+                tail.extend(cl.iter().filter(|&&v| vy.check(g, &self.matched, v)));
                 total += tail.len() as u64;
                 for &v in &tail {
                     self.emit_match(v);
                 }
                 self.emit_tail = tail;
-            } else if !closed_form {
+            } else if !closed {
                 // Residual label checks — and the level-1 pin of a
                 // 2-vertex staged run, which the closed form below does
                 // not model — need a per-element probe.
-                total += cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64;
+                total += vy.count(g, &self.matched, self.storage.slot(cid, slot));
+            } else if lifted {
+                debug_assert!(self.row == Row::Last);
+                let (read, cells) = self.storage.lists_and_row();
+                let (cl, matched) = (read.slot(cid, slot), &self.matched);
+                let mut ranks = self.rank.of(cells, cl, cid, self.l0_index, &matched[..def]);
+                let (c, hit) = ranks.rank(matched[l - 1]);
+                let n = Clip::new(cl.len(), matched, &vy, l - 1, |x| ranks.rank(x)).count(c, hit);
+                total += closed_form(n, l, matched, cl, || vy.count(g, matched, cl));
             } else {
-                let n = if lifted {
-                    self.lifted.rekey(cl, self.l0_index, &matched[..l - 1], &vy);
-                    self.lifted.count(cl, matched[l - 1])
-                } else {
-                    count_valid_sorted(cl, matched, &vy)
-                };
-                total += closed_form_count(n, g, matched, cl, &vy, l);
+                let (cl, matched) = (self.storage.slot(cid, slot), &self.matched);
+                let n = count_valid_sorted(cl, matched, &vy);
+                total += closed_form(n, l, matched, cl, || vy.count(g, matched, cl));
             }
         }
         self.pending_matches += total;
@@ -1055,26 +1117,25 @@ impl<'a> WarpKernel<'a> {
     /// its parent level `l = k - 2` is deep, so the pair is one loop nest that
     /// computes no set, and it runs here for all of `batch[l]` at once instead
     /// of a `claim_deep` → `begin_level` → `count_last_level` round trip per
-    /// claim. Each slot moves `matched[l - 1]`, re-keys the [`LiftedCursor`]
-    /// and walks its level-`l` list once; every element that passes
-    /// [`Validity::check`] adds its last-level count, found by the cursor.
-    /// `cancelled` is polled per (slot, claim-width chunk), like the claims
-    /// this replaces; [`charge_tail`] charges the warp once, from lengths.
+    /// claim. Each slot moves `matched[l - 1]` and counts the pairs of its
+    /// level-`l` list V and the last level's list W that validity admits
+    /// against the warp's [`RankRow`] of one of them ([`TailSlot::count`]).
+    /// `cancelled` is polled per (slot, claim-width chunk of V), like the
+    /// claims this replaces; [`charge_tail`] charges the warp once, from
+    /// lengths.
     fn count_tail(&mut self, warp: &mut Warp) {
         let l = self.k - 2;
         let (vy, vz) = (self.validity(l), self.validity(l + 1));
         let width = self.slots.width(l);
         let m = self.batch[l].len;
-        let (mut streamed, mut survivors, mut total) = (0usize, 0usize, 0u64);
+        let (v_def, w_def) = (self.bc.candidate(l).1, self.bc.candidate(l + 1).1);
+        let (mut streamed, mut survivors, mut total) = (0usize, 0u64, 0u64);
         'batch: for u in 0..m {
             self.uiter[l] = u;
             self.matched[l - 1] = self.batch[l].slots[u];
-            let (cid, slot) = self.candidate_location(l, u);
-            let (last_cid, last_slot) = self.candidate_location(l + 1, 0);
-            let cl = self.storage.slot(last_cid, last_slot);
-            self.lifted
-                .rekey(cl, self.l0_index, &self.matched[..l], &vz);
-            let len = self.storage.slot(cid, slot).len();
+            let (v_cid, v_slot) = self.candidate_location(l, u);
+            let (w_cid, w_slot) = self.candidate_location(l + 1, 0);
+            let len = self.storage.slot(v_cid, v_slot).len();
             for start in (0..len).step_by(width) {
                 let take = (len - start).min(width);
                 self.unpolled += take;
@@ -1082,23 +1143,28 @@ impl<'a> WarpKernel<'a> {
                     break 'batch;
                 }
                 streamed += take;
-                let g = self.g;
-                let cl = self.storage.slot(last_cid, last_slot);
-                for &v in &self.storage.slot(cid, slot)[start..start + take] {
-                    if vy.check(g, &self.matched, v) {
-                        self.matched[l] = v;
-                        survivors += 1;
-                        let n = self.lifted.count(cl, v);
-                        total += closed_form_count(n, g, &self.matched, cl, &vz, l + 1);
-                    }
-                }
             }
+            let (g, l0_index) = (self.g, self.l0_index);
+            let (read, cells) = self.storage.lists_and_row();
+            let (v, w) = (read.slot(v_cid, v_slot), read.slot(w_cid, w_slot));
+            let matched = &self.matched;
+            let against = match self.row {
+                Row::Parent => {
+                    Against::V(self.rank.of(cells, v, v_cid, l0_index, &matched[..v_def]))
+                }
+                Row::Last => Against::W(self.rank.of(cells, w, w_cid, l0_index, &matched[..w_def])),
+                Row::None => Against::Itself,
+            };
+            let slot = TailSlot { v, w, vy, vz, l };
+            let (s, n) = slot.count(g, matched, against);
+            survivors += s;
+            total += closed_form(n, l, matched, v, || slot.reference(g, matched));
         }
         let p = vz.bounds.iter().filter(|b| b.0 != l).count()
             + (vz.inj & !(1 << l)).count_ones() as usize;
         let here = self.bc.candidate(l).1 == l;
         self.tail_stats[0] += charge_tail(warp, width, here, m, p, streamed);
-        self.tail_stats[1] += survivors as u64;
+        self.tail_stats[1] += survivors;
         self.pending_matches += total;
     }
 
@@ -1228,6 +1294,11 @@ impl<'p> Validity<'p> {
         // update edge level 0 was claimed from.
         self.pin.is_none_or(|pin| v == pin)
     }
+
+    /// The elements of `cl` that pass [`Validity::check`].
+    fn count(&self, g: &Graph, matched: &[VertexId], cl: &[VertexId]) -> u64 {
+        cl.iter().filter(|&&v| self.check(g, matched, v)).count() as u64
+    }
 }
 
 /// One level's claimed unroll slots: up to `MAX_UNROLL` vertices, in place.
@@ -1258,171 +1329,6 @@ impl Batch {
         self.slots[self.len] = v;
         self.len += 1;
     }
-}
-
-/// What the last-level closed form remembers of a *lifted* candidate list.
-/// The list is a function of the stage view and the matched prefix below
-/// `l - 1` — the key — so everything that does not depend on the slot's own
-/// vertex `matched[l - 1]` is found once per key: the window left by the
-/// bounds on other positions and the list indices of the other injectivity
-/// positions' vertices. The slot's own vertex only ever asks where it would
-/// sit in the list, and it ascends through the survivors of one prefix, so
-/// one lower-bound cursor answers by moving forwards; it restarts when the
-/// vertex goes down (a requeued range) and is dropped with its key.
-#[derive(Clone, Copy, Default)]
-struct LiftedCursor {
-    /// False until the first lifted count.
-    keyed: bool,
-    /// The key: level-0 virtual index (a staged run's view) and
-    /// `matched[..here]`, `here = l - 1` being the slot's own position.
-    l0_index: usize,
-    prefix: [VertexId; MAX_PATTERN_SIZE],
-    /// What the level asks of position `l - 1` itself: `v < m`, `v > m`
-    /// (symmetry bounds) and `v != m` (injectivity).
-    less: bool,
-    greater: bool,
-    distinct: bool,
-    /// Window of the list clipped by the bounds on positions other than
-    /// `l - 1`.
-    lo: usize,
-    hi: usize,
-    /// List indices, inside the window, of the matched vertices at the
-    /// level's `inj` positions other than `l - 1`.
-    found: [usize; MAX_PATTERN_SIZE],
-    n_found: usize,
-    /// `cursor` is the first list index whose element is `≥ at`.
-    cursor: usize,
-    at: VertexId,
-}
-
-impl LiftedCursor {
-    /// Makes the cached searches those of `cl` under `prefix` on the view of
-    /// `l0_index`; a no-op while the key stands.
-    fn rekey(&mut self, cl: &[VertexId], l0_index: usize, prefix: &[VertexId], vy: &Validity<'_>) {
-        let here = prefix.len();
-        // (Element by element: a slice compare is a call, and this runs
-        // once per batch over three or four vertices.)
-        let same = |held: &[VertexId]| held.iter().zip(prefix).all(|(a, b)| a == b);
-        if self.keyed && self.l0_index == l0_index && same(&self.prefix) {
-            return;
-        }
-        self.keyed = true;
-        let on_here = |kind: Bound| vy.bounds.contains(&(here, kind));
-        (self.less, self.greater) = (on_here(Bound::Less), on_here(Bound::Greater));
-        self.distinct = vy.inj >> here & 1 == 1;
-        self.l0_index = l0_index;
-        self.prefix[..here].copy_from_slice(prefix);
-        (self.lo, self.hi) = (0, cl.len());
-        for &(pos, bound) in vy.bounds.iter().filter(|b| b.0 != here) {
-            match bound {
-                Bound::Less => self.hi = self.hi.min(cl.partition_point(|&v| v < prefix[pos])),
-                Bound::Greater => self.lo = self.lo.max(cl.partition_point(|&v| v <= prefix[pos])),
-            }
-        }
-        self.n_found = 0;
-        for pos in positions(vy.inj & !(1 << here)) {
-            if let Ok(i) = cl.binary_search(&prefix[pos]) {
-                if self.lo <= i && i < self.hi {
-                    self.found[self.n_found] = i;
-                    self.n_found += 1;
-                }
-            }
-        }
-        (self.cursor, self.at) = (0, 0);
-    }
-
-    /// Valid-candidate count of `cl` (the keyed list) for the slot whose
-    /// vertex at position `l - 1` is `m`; `None` when the subtraction would
-    /// underflow. One cursor position `c` (first `cl[c] ≥ m`) yields both
-    /// bound kinds on `l - 1` (`v < m` ends the window at `c`, `v > m`
-    /// starts it past a hit) and the injectivity hit there (`cl[c] == m`).
-    #[inline]
-    fn count(&mut self, cl: &[VertexId], m: VertexId) -> Option<u64> {
-        debug_assert!(self.keyed);
-        // Forwards only, so one key's slots walk the list at most once
-        // between restarts — no more than materializing it cost.
-        let mut c = if m < self.at { 0 } else { self.cursor };
-        while c < cl.len() && cl[c] < m {
-            c += 1;
-        }
-        (self.cursor, self.at) = (c, m);
-        let hit = c < cl.len() && cl[c] == m;
-        let hi = if self.less { self.hi.min(c) } else { self.hi };
-        let lo = if self.greater {
-            self.lo.max(c + usize::from(hit))
-        } else {
-            self.lo
-        };
-        if lo >= hi {
-            return Some(0);
-        }
-        let inside = |i: usize| lo <= i && i < hi;
-        let dup = self.found[..self.n_found]
-            .iter()
-            .filter(|&&i| inside(i))
-            .count()
-            + usize::from(self.distinct && hit && inside(c));
-        (hi - lo).checked_sub(dup).map(|n| n as u64)
-    }
-}
-
-/// Valid-candidate count of a strictly sorted candidate list, in closed
-/// form: every symmetry bound (`v < matched[pos]` / `v > matched[pos]`)
-/// clips a contiguous window of the sorted list, and injectivity removes
-/// the matched vertices of the `inj` positions that land inside the window.
-/// `None` when the subtraction would underflow (a list that is not a
-/// strictly sorted set).
-fn count_valid_sorted(cl: &[VertexId], matched: &[VertexId], vy: &Validity<'_>) -> Option<u64> {
-    let mut lo = 0usize;
-    let mut hi = cl.len();
-    for &(pos, bound) in vy.bounds {
-        let m = matched[pos];
-        match bound {
-            Bound::Less => hi = hi.min(cl.partition_point(|&v| v < m)),
-            Bound::Greater => lo = lo.max(cl.partition_point(|&v| v <= m)),
-        }
-    }
-    if lo >= hi {
-        return Some(0);
-    }
-    let window = &cl[lo..hi];
-    let dup = positions(vy.inj)
-        .filter(|&pos| window.binary_search(&matched[pos]).is_ok())
-        .count();
-    window.len().checked_sub(dup).map(|n| n as u64)
-}
-
-/// Unwraps the closed-form count `n` of `cl` at last level `l`: an underflow
-/// fails the launch (a release build would otherwise wrap into ~2^64
-/// matches), and a debug build holds `n` to the per-element reference.
-#[inline]
-fn closed_form_count(
-    n: Option<u64>,
-    g: &Graph,
-    matched: &[VertexId],
-    cl: &[VertexId],
-    vy: &Validity<'_>,
-    l: usize,
-) -> u64 {
-    let n = n.unwrap_or_else(|| closed_form_underflow(l, matched, cl));
-    debug_assert_eq!(
-        n,
-        cl.iter().filter(|&&v| vy.check(g, matched, v)).count() as u64
-    );
-    n
-}
-
-/// The closed-form last-level count went negative: fail the launch loudly
-/// rather than report a wrapped count.
-#[cold]
-fn closed_form_underflow(l: usize, matched: &[VertexId], cl: &[VertexId]) -> ! {
-    panic!(
-        "last-level closed form underflow at level {l}: more matched vertices than \
-         elements inside the bound window (the candidate list is not a strictly sorted \
-         set, or the matched prefix repeats a vertex)\n  reproduce: count the \
-         `Validity::check` survivors of candidate list {cl:?} under matched prefix {:?}",
-        &matched[..l]
-    )
 }
 
 #[cfg(test)]
@@ -1480,49 +1386,55 @@ mod tests {
         })
     }
 
-    /// Marker rows and the last-level cursor outlive a work item, so a
-    /// kernel that is handed its work in an unhelpful order — level-0
-    /// indices descending, every stolen level-1 range upper half first —
-    /// must re-key both at each `install` and restart the cursor when a
-    /// range brings the vertices back down. The pieces tile the whole-graph
-    /// run exactly. (A debug build also cross-checks every marker row and
+    /// Marker rows and the rank row outlive a work item, so a kernel that is
+    /// handed its work in an unhelpful order — level-0 indices descending,
+    /// every stolen level-1 range upper half first — must re-key both at each
+    /// `install`. The pieces tile the whole-graph run exactly, with the
+    /// last level's parent deep (a tail) and stealable (one rank per slot).
+    /// (A debug build also cross-checks every marker row, every rank row and
     /// every closed-form count against the per-element reference.)
     #[test]
-    fn installed_work_rekeys_the_marker_and_the_cursor() {
+    fn installed_work_rekeys_the_marker_and_the_row() {
         let g = gen::preferential_attachment(64, 5, 21).degree_ordered();
         let n = g.num_vertices();
-        // q1: lifted last level under a bound on `l - 1`; q4: lifted last
-        // level with no such bound; q3, q6, q2: marked intersections (q2
-        // with both bound kinds at the last level).
-        for q in [1, 4, 3, 6, 2] {
+        // q1: a lifted last level under a bound on `l - 1`, V's row; q4: no
+        // such bound, W's row; q7: V and W one list; q13: both lists lifted;
+        // q3, q6, q2: marked intersections (q2 with both bound kinds at the
+        // last level).
+        for q in [1, 4, 7, 13, 3, 6, 2] {
             let plan = Engine::new(EngineConfig::default()).compile(&catalog::paper_query(q));
-            let lifted =
-                plan.bytecode().candidate(plan.num_levels() - 1).1 != plan.num_levels() - 1;
+            let k = plan.num_levels();
+            let lifted = plan.bytecode().candidate(k - 1).1 != k - 1;
             assert!(
                 lifted || plan.bytecode().marked() != 0,
                 "q{q} exercises neither"
             );
-            let whole = whole_graph(&g, &plan, one_warp()).matches_found;
-            assert!(whole > 0, "q{q}");
-            let pieces = with_kernel(&g, &plan, one_warp(), |kernel, warp| {
-                for idx in (0..n).rev() {
-                    let stolen = |lo, hi| StealPayload {
-                        target: 1,
-                        matched: vec![idx as VertexId],
-                        lo,
-                        hi,
-                    };
-                    // An empty range installs the prefix (and computes level
-                    // 1's sets), which is how the range's length is known.
-                    kernel.install(warp, &stolen(0, 0));
-                    let len = kernel.candidate_list(1, 0).len();
-                    for (lo, hi) in [(len / 2, len), (0, len / 2)] {
-                        kernel.install(warp, &stolen(lo, hi));
-                        kernel.run(warp);
+            for stop in [2, (k - 1).min(crate::steal::MAX_STOP)] {
+                let mut cfg = one_warp();
+                cfg.stop_level = stop;
+                let whole = whole_graph(&g, &plan, cfg).matches_found;
+                assert!(whole > 0, "q{q}");
+                let pieces = with_kernel(&g, &plan, cfg, |kernel, warp| {
+                    for idx in (0..n).rev() {
+                        let stolen = |lo, hi| StealPayload {
+                            target: 1,
+                            matched: vec![idx as VertexId],
+                            lo,
+                            hi,
+                        };
+                        // An empty range installs the prefix (and computes
+                        // level 1's sets), which is how the range's length
+                        // is known.
+                        kernel.install(warp, &stolen(0, 0));
+                        let len = kernel.candidate_list(1, 0).len();
+                        for (lo, hi) in [(len / 2, len), (0, len / 2)] {
+                            kernel.install(warp, &stolen(lo, hi));
+                            kernel.run(warp);
+                        }
                     }
-                }
-            });
-            assert_eq!(pieces.matches_found, whole, "q{q}");
+                });
+                assert_eq!(pieces.matches_found, whole, "q{q} stop {stop}");
+            }
         }
     }
 
@@ -1667,94 +1579,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Brute-force count of the candidates `vy` admits.
-    fn survivors(vy: &Validity<'_>, cl: &[VertexId], matched: &[VertexId]) -> Option<u64> {
-        let g = gen::complete(2); // only asked for labels, and `resid` is off
-        Some(cl.iter().filter(|&&v| vy.check(&g, matched, v)).count() as u64)
-    }
-
-    #[test]
-    fn the_cursor_restarts_on_a_descending_vertex_and_is_dropped_with_its_key() {
-        let cl: Vec<VertexId> = (2..40).step_by(2).collect();
-        // Level 3 (`here` = 2): v > matched[0], and at `here` itself either
-        // bound kind or plain injectivity.
-        for (bounds, inj) in [
-            (vec![(0, Bound::Greater), (2, Bound::Less)], 0b010u8),
-            (vec![(0, Bound::Greater), (2, Bound::Greater)], 0b010),
-            (vec![(0, Bound::Greater)], 0b110),
-        ] {
-            let vy = Validity {
-                resid: None,
-                inj,
-                bounds: &bounds,
-                pin: None,
-            };
-            let mut cur = LiftedCursor::default();
-            let mut matched = [6, 10, 0, 0];
-            cur.rekey(&cl, 0, &matched[..2], &vy);
-            // Ascending vertices (hits and misses, past both ends), then
-            // back down: every count is the brute-force one.
-            for m in [1, 2, 3, 12, 12, 13, 38, 50, 7, 0, 20] {
-                matched[2] = m;
-                let was = cur.cursor;
-                assert_eq!(
-                    cur.count(&cl, m),
-                    survivors(&vy, &cl, &matched),
-                    "{bounds:?} m={m}"
-                );
-                assert!(
-                    cur.cursor >= was || m < 50,
-                    "only a descent moves the cursor back"
-                );
-            }
-            // The key stands: nothing is searched again, the cursor stays.
-            let held = cur.cursor;
-            assert!(held > 0);
-            cur.rekey(&cl, 0, &matched[..2], &vy);
-            assert_eq!(cur.cursor, held);
-            // Another prefix or another stage view is another list (the
-            // list is a function of the key): dropped.
-            for (l0, prefix, list) in [
-                (0, [4, 10], &cl[..]),
-                (1, [4, 10], &cl[3..]),
-                (1, [4, 14], &cl[..5]),
-            ] {
-                matched[..2].copy_from_slice(&prefix);
-                cur.rekey(list, l0, &prefix, &vy);
-                assert_eq!(cur.cursor, 0);
-                for m in [9, 12, 30] {
-                    matched[2] = m;
-                    assert_eq!(cur.count(list, m), survivors(&vy, list, &matched));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn the_closed_form_refuses_to_wrap() {
-        // A matched prefix that repeats a vertex finds it twice in a
-        // one-element window: 1 - 2 must be `None`, not 2^64 - 1.
-        let vy = Validity {
-            resid: None,
-            inj: 0b011,
-            bounds: &[],
-            pin: None,
-        };
-        let (cl, matched) = ([5], [5, 5, 9]);
-        assert_eq!(count_valid_sorted(&cl, &matched, &vy), None);
-        let mut cur = LiftedCursor::default();
-        cur.rekey(&cl, 0, &matched[..2], &vy);
-        assert_eq!(cur.count(&cl, 9), None);
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "reproduce: count the `Validity::check` survivors of candidate list [5] \
-                               under matched prefix [5, 5]"
-    )]
-    fn an_underflow_fails_the_launch_by_name() {
-        closed_form_underflow(2, &[5, 5, 9], &[5]);
     }
 }

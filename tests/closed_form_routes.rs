@@ -1,5 +1,5 @@
 //! The host-side shortcuts of the kernel — the last-level closed form with
-//! its lifted-list cursor, the marker rows and the symmetric probe they
+//! its rank row, the marker rows and the symmetric probe they
 //! feed — are cross-checked element by element only under `debug_assert`.
 //! This suite holds their *counts* with hard asserts, so it means the same
 //! thing under `cargo test --release` (ci.sh runs it there too): for every
