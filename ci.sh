@@ -225,6 +225,22 @@ END { exit bad }
     || { echo "==> lint:atomics: FAILED — annotate the ordering invariant"; exit 1; }
 echo "==> lint:atomics: OK"
 
+# Charge lint: every simulated instruction and lane slot is added by the cost
+# table (`Warp::charge`, crates/gpu-sim/src/cost.rs), which books each charge
+# to one site of the split; no file outside gpu-sim's sources may `+=` the
+# instruction total, its split or the lane counters.
+echo "==> lint:charges: scanning for charges outside the cost table"
+charges=$(find . -name '*.rs' -not -path '*/target/*' -not -path './.bench_build/*' \
+    -not -path './crates/gpu-sim/src/*' -print0 | xargs -0 grep -HnE \
+    '\b(simt_instructions|(set_op|claim|count_pass)_instructions|(issued|active)_lane_slots)[[:space:]]*\+=' \
+    || true)
+if [ -n "${charges}" ]; then
+    echo "${charges}"
+    echo "==> lint:charges: FAILED — charge through Warp::charge"
+    exit 1
+fi
+echo "==> lint:charges: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true
@@ -233,12 +249,12 @@ fi
 echo "==> tree: OK (git status unchanged)"
 
 # ROADMAP aim 2's success metric, from the gate's own log: `.rs` lines of the
-# engine crate, of the workspace outside `benchmark/` and of the kernel with
-# its modules (`kernel.rs` + `kernel/*.rs`, so code moved into a module cannot
-# hide growth), and the `.enabled` sites left in the engine crate (ROADMAP
-# item 1's count).
+# engine crate, of the workspace outside `benchmark/`, of the kernel with its
+# modules (`kernel.rs` + `kernel/*.rs`, so code moved into a module cannot
+# hide growth) and of the simulator crate's sources, and the `.enabled` sites
+# left in the engine crate (ROADMAP item 1's count).
 rs_lines() { find "$@" -name '*.rs' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l; }
 enabled_sites=$(cat crates/core/src/*.rs | grep -c '\.enabled' || true)
-echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .) kernel=$(rs_lines crates/core/src/kernel.rs crates/core/src/kernel) enabled-sites=${enabled_sites}"
+echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .) kernel=$(rs_lines crates/core/src/kernel.rs crates/core/src/kernel) gpu-sim=$(rs_lines crates/gpu-sim/src) enabled-sites=${enabled_sites}"
 
 echo "ci.sh: all phases passed"

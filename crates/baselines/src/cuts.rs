@@ -18,14 +18,12 @@
 //!   extension re-evaluates the whole constraint chain of its level
 //!   (compiled with `code_motion = false`).
 
+use crate::extend::step;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-use stmatch_core::setops::{self, SetOpTuning};
-use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory, Warp};
+use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory};
 use stmatch_graph::{Graph, VertexId};
-use stmatch_pattern::plan::Base;
-use stmatch_pattern::symmetry::Bound;
-use stmatch_pattern::{LabelMask, MatchPlan, Pattern, PlanOptions};
+use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
 
 /// Simulated cost of one kernel launch, in SIMT instructions. A real launch
 /// plus grid synchronization costs ~5 µs of fixed overhead; at ~1 GHz warp
@@ -251,44 +249,19 @@ fn run_batch(
                 for (i, node) in chunk.iter().enumerate() {
                     let node_idx = (at + i) as u32;
                     // Recover the matched prefix by walking parents — the
-                    // per-subgraph cost of losing the loop hierarchy.
+                    // per-subgraph cost of losing the loop hierarchy — and
+                    // extend it, storing two words per trie node.
                     walk_prefix(levels_ref, l - 1, *node, &mut prefix);
-                    warp.simt_for(l, |_| {});
-                    extend_one(graph, plan, warp, l, &prefix, last, &mut scratch);
-                    let residual = plan.residual_label_check(l);
+                    let push = |vertex| {
+                        out.push(TrieNode {
+                            parent: node_idx,
+                            vertex,
+                        })
+                    };
+                    let valid = step(graph, plan, warp, &prefix[..l], last, 2, &mut scratch, push);
                     if last {
-                        // The list was produced by this step's own stream:
-                        // the validity predicate rides in its lanes (the
-                        // engine's last-level rule, DESIGN.md §4c).
-                        let mut c = 0u64;
-                        for &v in &scratch[0] {
-                            if residual.is_some_and(|lbl| graph.label(v) != lbl) {
-                                continue;
-                            }
-                            if valid(&prefix, plan.bounds(l), l, v) {
-                                c += 1;
-                            }
-                        }
-                        matches.fetch_add(c, Ordering::Relaxed);
+                        matches.fetch_add(valid, Ordering::Relaxed);
                     } else {
-                        // Validity pass over the materialized survivors.
-                        warp.simt_for(scratch[0].len(), |_| {});
-                        let before = out.len();
-                        for &v in &scratch[0] {
-                            if residual.is_some_and(|lbl| graph.label(v) != lbl) {
-                                continue;
-                            }
-                            if valid(&prefix, plan.bounds(l), l, v) {
-                                out.push(TrieNode {
-                                    parent: node_idx,
-                                    vertex: v,
-                                });
-                            }
-                        }
-                        // Materialization traffic: two words per trie node
-                        // stored to global memory — the cost the
-                        // stack-based design avoids.
-                        warp.simt_for(2 * (out.len() - before), |_| {});
                         // Device allocation in page-sized bursts.
                         if out.len() >= 1024 {
                             if memory.try_alloc(out.len() * NODE_BYTES).is_err() {
@@ -363,78 +336,6 @@ fn walk_prefix(levels: &[Vec<TrieNode>], level: usize, node: TrieNode, prefix: &
         cur = parent;
         l -= 1;
     }
-}
-
-/// Evaluates the candidate chain of `level` for one embedding (the full
-/// chain each time: no code motion). Result lands in `scratch[0]`; when it
-/// is only `counted` (the last step), its final operation issues no
-/// ballots, as the engine's last level does (DESIGN.md §4c).
-fn extend_one(
-    graph: &Graph,
-    plan: &MatchPlan,
-    warp: &mut Warp,
-    level: usize,
-    prefix: &[VertexId],
-    counted: bool,
-    scratch: &mut [Vec<VertexId>; 2],
-) {
-    let cid = plan.candidate_set(level).expect("level >= 1") as usize;
-    let def = &plan.sets()[cid];
-    let Base::Neighbors(pos) = def.base else {
-        panic!("cuTS-like engine requires a code-motion-free plan");
-    };
-    let src = graph.neighbors(prefix[pos as usize]);
-    let base_mask = if def.ops.is_empty() {
-        def.mask
-    } else {
-        LabelMask::ALL
-    };
-    {
-        let (a, _b) = scratch.split_at_mut(1);
-        let counted = counted && def.ops.is_empty();
-        setops::materialize_base_into(warp, graph, &[src], base_mask, counted, &mut a[..1]);
-    }
-    for (i, op) in def.ops.iter().enumerate() {
-        let last = i + 1 == def.ops.len();
-        let mask = if last { def.mask } else { LabelMask::ALL };
-        let operand = graph.neighbors(prefix[op.pos as usize]);
-        let (a, b) = scratch.split_at_mut(1);
-        {
-            let input: &[VertexId] = &a[0];
-            setops::apply_op_into(
-                warp,
-                graph,
-                &[input],
-                &[operand],
-                op.kind,
-                mask,
-                SetOpTuning::default(),
-                counted && last,
-                &mut b[..1],
-            );
-        }
-        scratch.swap(0, 1);
-    }
-}
-
-/// Injectivity + symmetry bounds.
-#[inline]
-fn valid(prefix: &[VertexId], bounds: &[(usize, Bound)], level: usize, v: VertexId) -> bool {
-    for &m in &prefix[..level] {
-        if m == v {
-            return false;
-        }
-    }
-    for &(pos, b) in bounds {
-        let ok = match b {
-            Bound::Less => v < prefix[pos],
-            Bound::Greater => v > prefix[pos],
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //! counter over the outermost loop, Dryadic's first-two-level
 //! distribution collapsed to level 0 + chunking).
 
+use crate::extend::valid;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::plan::Base;
-use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{LabelMask, MatchPlan, OpKind, Pattern, PlanOptions};
 
 /// Configuration for the CPU engine.
@@ -204,7 +204,7 @@ impl<'a> Worker<'a> {
                 if residual.is_some_and(|l| self.g.label(v) != l) {
                     continue;
                 }
-                if valid(&self.matched, bounds, level, v) {
+                if valid(&self.matched[..level], bounds, v) {
                     local += 1;
                 }
             }
@@ -220,7 +220,7 @@ impl<'a> Worker<'a> {
             if residual.is_some_and(|l| self.g.label(v) != l) {
                 continue;
             }
-            if valid(&self.matched, self.plan.bounds(level), level, v) {
+            if valid(&self.matched[..level], self.plan.bounds(level), v) {
                 self.matched[level] = v;
                 self.extend(level + 1);
             }
@@ -313,26 +313,6 @@ fn scalar_op(
             out.push(v);
         }
     }
-}
-
-/// Injectivity + symmetry bounds against the matched prefix.
-#[inline]
-fn valid(matched: &[VertexId], bounds: &[(usize, Bound)], level: usize, v: VertexId) -> bool {
-    for &m in &matched[..level] {
-        if m == v {
-            return false;
-        }
-    }
-    for &(pos, b) in bounds {
-        let ok = match b {
-            Bound::Less => v < matched[pos],
-            Bound::Greater => v > matched[pos],
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -11,14 +11,12 @@
 //! * label filtering drives candidate generation (GSI targets labeled
 //!   matching).
 
+use crate::extend::step;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-use stmatch_core::setops::{self, SetOpTuning};
-use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory, Warp};
+use stmatch_gpusim::{Grid, GridConfig, GridMetrics, MemoryBudget, OutOfMemory};
 use stmatch_graph::{Graph, VertexId};
-use stmatch_pattern::plan::Base;
-use stmatch_pattern::symmetry::Bound;
-use stmatch_pattern::{LabelMask, MatchPlan, Pattern, PlanOptions};
+use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
 
 /// Configuration of the GSI-like engine.
 #[derive(Clone, Copy, Debug)]
@@ -153,41 +151,26 @@ pub fn run_plan(
                     break;
                 }
                 for row in at..(at + 32).min(rows) {
+                    // Fetch the row from the global-memory table and extend
+                    // it, storing a full row per emitted embedding.
                     let prefix = &table_ref[row * width..(row + 1) * width];
-                    // Row fetch from the global-memory table.
-                    warp.simt_for(width, |_| {});
-                    extend_row(graph, plan, warp, l, prefix, last, &mut scratch);
-                    let residual = plan.residual_label_check(l);
+                    let push = |v| {
+                        out.extend_from_slice(prefix);
+                        out.push(v);
+                    };
+                    let valid = step(
+                        graph,
+                        plan,
+                        warp,
+                        prefix,
+                        last,
+                        width + 1,
+                        &mut scratch,
+                        push,
+                    );
                     if last {
-                        // The list was produced by this step's own stream:
-                        // the validity predicate rides in its lanes (the
-                        // engine's last-level rule, DESIGN.md §4c).
-                        let mut c = 0u64;
-                        for &v in &scratch[0] {
-                            if residual.is_some_and(|lbl| graph.label(v) != lbl) {
-                                continue;
-                            }
-                            if valid(prefix, plan.bounds(l), v) {
-                                c += 1;
-                            }
-                        }
-                        matches.fetch_add(c, Ordering::Relaxed);
+                        matches.fetch_add(valid, Ordering::Relaxed);
                     } else {
-                        // Validity pass over the materialized survivors.
-                        warp.simt_for(scratch[0].len(), |_| {});
-                        let before = out.len();
-                        for &v in &scratch[0] {
-                            if residual.is_some_and(|lbl| graph.label(v) != lbl) {
-                                continue;
-                            }
-                            if valid(prefix, plan.bounds(l), v) {
-                                out.extend_from_slice(prefix);
-                                out.push(v);
-                            }
-                        }
-                        // Materialization traffic: a full row per emitted
-                        // embedding stored to global memory.
-                        warp.simt_for(out.len() - before, |_| {});
                         if out.len() >= 4096 {
                             if memory.try_alloc(out.len() * 4).is_err() {
                                 oom_hit.store(1, Ordering::Relaxed);
@@ -259,75 +242,6 @@ pub fn run_plan(
         peak_memory: memory.peak(),
         timed_out,
     })
-}
-
-/// Candidate generation for one row: full chain evaluation (no motion).
-/// When the result is only `counted` (the last step), its final operation
-/// issues no ballots, as the engine's last level does (DESIGN.md §4c).
-fn extend_row(
-    graph: &Graph,
-    plan: &MatchPlan,
-    warp: &mut Warp,
-    level: usize,
-    prefix: &[VertexId],
-    counted: bool,
-    scratch: &mut [Vec<VertexId>; 2],
-) {
-    let cid = plan.candidate_set(level).expect("level >= 1") as usize;
-    let def = &plan.sets()[cid];
-    let Base::Neighbors(pos) = def.base else {
-        panic!("GSI-like engine requires a code-motion-free plan");
-    };
-    let src = graph.neighbors(prefix[pos as usize]);
-    let base_mask = if def.ops.is_empty() {
-        def.mask
-    } else {
-        LabelMask::ALL
-    };
-    {
-        let (a, _) = scratch.split_at_mut(1);
-        let counted = counted && def.ops.is_empty();
-        setops::materialize_base_into(warp, graph, &[src], base_mask, counted, &mut a[..1]);
-    }
-    for (i, op) in def.ops.iter().enumerate() {
-        let last = i + 1 == def.ops.len();
-        let mask = if last { def.mask } else { LabelMask::ALL };
-        let operand = graph.neighbors(prefix[op.pos as usize]);
-        let (a, b) = scratch.split_at_mut(1);
-        {
-            let input: &[VertexId] = &a[0];
-            setops::apply_op_into(
-                warp,
-                graph,
-                &[input],
-                &[operand],
-                op.kind,
-                mask,
-                SetOpTuning::default(),
-                counted && last,
-                &mut b[..1],
-            );
-        }
-        scratch.swap(0, 1);
-    }
-}
-
-/// Injectivity + symmetry bounds against a full row prefix.
-#[inline]
-fn valid(prefix: &[VertexId], bounds: &[(usize, Bound)], v: VertexId) -> bool {
-    if prefix.contains(&v) {
-        return false;
-    }
-    for &(pos, b) in bounds {
-        let ok = match b {
-            Bound::Less => v < prefix[pos],
-            Bound::Greater => v > prefix[pos],
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]

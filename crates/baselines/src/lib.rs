@@ -18,5 +18,6 @@
 
 pub mod cuts;
 pub mod dryadic;
+mod extend;
 pub mod gsi;
 pub mod reference;

@@ -243,3 +243,69 @@ pub fn check(qi: usize, leg: Leg, out: &MatchOutcome) -> Result<(), String> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stmatch_baselines::{cuts, gsi};
+    use stmatch_gpusim::GridMetrics;
+
+    fn one_warp() -> GridConfig {
+        GridConfig {
+            num_blocks: 1,
+            warps_per_block: 1,
+            shared_mem_per_block: 100 * 1024,
+        }
+    }
+
+    /// `[simt_instructions, active_lane_slots, issued_lane_slots,
+    /// simulated_cycles]`.
+    fn totals(metrics: &GridMetrics, simulated_cycles: u64) -> [u64; 4] {
+        let t = metrics.total();
+        let (active, issued) = (t.active_lane_slots, t.issued_lane_slots);
+        [t.simt_instructions, active, issued, simulated_cycles]
+    }
+
+    /// The comparators' simulated totals on the hotpath fixture. One warp
+    /// makes them schedule-independent (`simulated_cycles` is a per-launch
+    /// max), so a change to how `cuts_like` or `gsi_like` is charged moves
+    /// a pinned number instead of a Table II(a) / III ratio nobody pins.
+    #[test]
+    fn the_comparators_are_charged_as_pinned() {
+        const CUTS: [(usize, [u64; 4]); 3] = [
+            (1, [11820884, 152350534, 370179264, 11837268]),
+            (3, [2354801, 37828530, 52941600, 2371185]),
+            (6, [3219805, 50710321, 72625216, 3236189]),
+        ];
+        const GSI: [(usize, [u64; 4]); 2] = [
+            (1, [56024, 651388, 1650912, 72408]),
+            (3, [21996, 232269, 511904, 38380]),
+        ];
+        for (qi, pinned) in CUTS {
+            let (g, q, _) = entry(qi, Leg::Plain);
+            let cfg = cuts::CutsConfig {
+                grid: one_warp(),
+                ..cuts::CutsConfig::default()
+            };
+            let out = cuts::run(&g, &q, cfg).unwrap();
+            assert_eq!(
+                totals(&out.metrics, out.simulated_cycles),
+                pinned,
+                "cuts q{qi}"
+            );
+        }
+        for (qi, pinned) in GSI {
+            let (g, q, _) = entry(qi, Leg::Labeled);
+            let cfg = gsi::GsiConfig {
+                grid: one_warp(),
+                ..gsi::GsiConfig::default()
+            };
+            let out = gsi::run(&g, &q, cfg).unwrap();
+            assert_eq!(
+                totals(&out.metrics, out.simulated_cycles),
+                pinned,
+                "gsi q{qi}"
+            );
+        }
+    }
+}

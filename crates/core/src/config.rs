@@ -183,7 +183,7 @@ impl Default for ShardTuning {
 
 /// Inert, kept for `benchmark/`: no engine or service path reads any field
 /// (one interpreter runs every plan's lowered stream, DESIGN.md §4h).
-/// Deleted with the benchmark's `compile.*` legs by ROADMAP item 2.
+/// Deleted with the benchmark's `compile.*` legs by ROADMAP item 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompileTuning {
     pub enabled: bool,

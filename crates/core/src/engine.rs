@@ -72,8 +72,9 @@ pub struct MatchOutcome {
     /// Degradation-ladder rungs taken to make the launch fit its budgets
     /// (empty for runs that launched at the configured settings).
     pub downgrades: Vec<DowngradeStep>,
-    /// Candidate-list slab overflows that spilled to the heap (see
-    /// `arena`); nonzero after slab-shrinking downgrades on dense graphs.
+    /// The kernel counters of `metrics.total()`, kept as fields for
+    /// `benchmark/`. Candidate-list slab overflows that spilled to the heap
+    /// (see `arena`); nonzero after slab-shrinking downgrades on dense graphs.
     pub spill_events: u64,
     /// Largest per-warp high-water mark of live candidate cells across
     /// the run's stack arenas (see `arena`). When the launch carries a
@@ -87,7 +88,7 @@ pub struct MatchOutcome {
     pub tail: [u64; 2],
     /// Always `None`: one interpreter serves every launch. Inert, kept for
     /// `benchmark/`'s `compile.served_tier` leg; deleted with
-    /// [`CompileTuning`](crate::config::CompileTuning) by ROADMAP item 2.
+    /// [`CompileTuning`](crate::config::CompileTuning) by ROADMAP item 1.
     pub served_tier: Option<u8>,
 }
 
@@ -141,9 +142,6 @@ struct LaunchStats {
     metrics: GridMetrics,
     timed_out: bool,
     report: FaultReport,
-    spill_events: u64,
-    peak_cells: u64,
-    tail: [u64; 2],
 }
 
 /// One launch request: what to match, on which graph, and which resident
@@ -557,8 +555,9 @@ impl Engine {
         self.memory.try_alloc(reserved)?;
         let stats = self.run_passes(r, &grid, stop);
         self.memory.free(reserved);
+        let total = stats.metrics.total();
         Ok(MatchOutcome {
-            count: stats.metrics.matches(),
+            count: total.matches_found,
             metrics: stats.metrics,
             shared_bytes_per_block: shared_bytes,
             stack_bytes,
@@ -570,9 +569,9 @@ impl Engine {
                 Some(stats.report)
             },
             downgrades: Vec::new(),
-            spill_events: stats.spill_events,
-            peak_slab_cells: stats.peak_cells,
-            tail: stats.tail,
+            spill_events: total.spill_events,
+            peak_slab_cells: total.peak_slab_cells,
+            tail: [total.tail_streams, total.tail_survivors],
             served_tier: None,
         })
     }
@@ -594,9 +593,6 @@ impl Engine {
             ..FaultReport::default()
         };
         let mut metrics = GridMetrics::default();
-        let mut spill_events = 0u64;
-        let mut peak_cells = 0u64;
-        let mut tail = [0u64; 2];
         let mut timed_out = false;
         // Salvage state threaded between passes: where the level-0 range
         // stops and which reclaimed payloads are still unfinished.
@@ -628,16 +624,17 @@ impl Engine {
                 Some(w) => w.grid().launch_contained(&body),
                 None => grid.launch_contained(body),
             };
-            metrics.merge(&pass_metrics);
+            // The first pass's metrics are the run's, moved rather than
+            // merged into an empty copy; a salvage pass adds to them.
+            if metrics.warps.is_empty() {
+                metrics = pass_metrics;
+            } else {
+                metrics.merge(&pass_metrics);
+            }
             report.escaped_panics += escaped.len();
             for d in deaths.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 report.requeued += d.requeued;
                 report.deaths.push(d);
-            }
-            spill_events += board.spill_count();
-            peak_cells = peak_cells.max(board.peak_count());
-            for (sum, n) in tail.iter_mut().zip(board.tail_count()) {
-                *sum += n;
             }
             let aborted = board.aborted();
             timed_out = timed_out || aborted;
@@ -684,9 +681,6 @@ impl Engine {
             metrics,
             timed_out,
             report,
-            spill_events,
-            peak_cells,
-            tail,
         }
     }
 
@@ -714,7 +708,7 @@ impl Engine {
             while let Some((work, src)) =
                 board.acquire(me, cfg.local_steal, cfg.global_steal, warp.metrics_mut())
             {
-                src.note(warp.metrics_mut());
+                src.note(warp);
                 let t = Instant::now();
                 kernel.install(warp, &work);
                 kernel.run(warp);
@@ -759,12 +753,13 @@ impl Engine {
             }
         }
         if let Some(k) = kernel.as_mut() {
-            board.add_spills(k.spill_events());
-            board.add_peak(k.peak_slab_cells());
-            board.add_tail(k.tail_stats());
+            let m = warp.metrics_mut();
+            m.spill_events = k.spill_events();
+            m.peak_slab_cells = k.peak_slab_cells();
+            [m.tail_streams, m.tail_survivors] = k.tail_stats();
             if let Some(p) = arenas {
                 // Return the arena for the next query on this slot — after
-                // the board bookkeeping above, before the collector leaf
+                // its counters are read above, before the collector leaf
                 // lock below (both respect the declared hierarchy: the
                 // pool lock ranks below every engine lock and is never
                 // held across one). Dead warps return theirs too: the

@@ -63,7 +63,7 @@ use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops::{self, materialize_base_into};
 use crate::steal::{Board, Source, StealPayload};
-use stmatch_gpusim::{Warp, WARP_SIZE};
+use stmatch_gpusim::{Cost, Site, Warp};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS, NO_POS};
 use stmatch_pattern::symmetry::Bound;
@@ -664,15 +664,14 @@ impl<'a> WarpKernel<'a> {
                 && l < self.cfg.detect_level
                 && self.board.try_push_global(self.warp_id)
             {
-                Source::GlobalPush.note(warp.metrics_mut());
+                Source::GlobalPush.note(warp);
             }
             let v = if l == 0 {
                 self.enter_level0(idx)
             } else {
                 self.candidate_list(l, 0)[idx]
             };
-            let waves = warp.simt_for(1, |_| {});
-            warp.metrics_mut().claim_instructions += waves;
+            warp.charge(Site::Claim, Cost::Lanes(1));
             if self.valid(l, v) {
                 return Some(v);
             }
@@ -710,8 +709,7 @@ impl<'a> WarpKernel<'a> {
             self.unpolled += take;
             // Validity filtering as one warp wave over the claimed batch,
             // straight from the slab (disjoint fields: storage vs batch).
-            let waves = warp.simt_for(take, |_| {});
-            warp.metrics_mut().claim_instructions += waves;
+            warp.charge(Site::Claim, Cost::Lanes(take));
             let (g, matched) = (self.g, &self.matched);
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
             let next = &mut self.batch[l + 1];
@@ -887,7 +885,7 @@ impl<'a> WarpKernel<'a> {
             macro_rules! apply {
                 ($inputs:expr, $input_bits:expr, $out:expr) => {{
                     let operand_rows = hubs.map(|hx| rows_at(hx, pos));
-                    setops::apply_op_hub_into(
+                    setops::apply_op_into(
                         warp,
                         g,
                         &$inputs[..m],
@@ -1058,7 +1056,7 @@ impl<'a> WarpKernel<'a> {
     ///
     /// On the simulated machine a list computed at this level gets no pass:
     /// its survivors were lanes of the level's final set-operation stream — a
-    /// counting one ([`Warp::count_stream`], no ballots) unless enumerating —
+    /// counting [`Cost::Stream`] (no ballots) unless enumerating —
     /// and the validity predicate rides in that lane instruction. A lifted
     /// list costs count lanes (private tallies, no ballot): one per slot in
     /// closed form — the shallow parent claimed and checked the slot on its
@@ -1073,8 +1071,8 @@ impl<'a> WarpKernel<'a> {
         let closed = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
         if lifted {
             let n = self.candidate_list(l, 0).len();
-            let waves = warp.simt_for(if closed { slots } else { slots * n }, |_| {});
-            warp.metrics_mut().count_pass_instructions += waves;
+            let lanes = if closed { slots } else { slots * n };
+            warp.charge(Site::CountPass, Cost::Lanes(lanes));
         }
         let mut total = 0u64;
         for u in 0..slots {
@@ -1189,17 +1187,17 @@ impl<'a> WarpKernel<'a> {
 /// alone: the batch's `m` slots, whether their level-`(k-2)` lists were
 /// computed at that level (`here`), the `p` per-prefix searches of the last
 /// level's key (its bounds and `inj` positions other than `k - 2`) and the
-/// `streamed` elements of those lists. Three steps (DESIGN.md §4c): (1) a
-/// size scan mapping lanes to `(slot, element)`, iff `m > 1` and `here` — a
-/// lifted list has one length for every slot; (2) a key wave of `m·p` lanes;
-/// (3) one counting stream over all `streamed` elements: each lane tests its
-/// element's validity and, if it holds, finds the element's place in the
-/// sorted lifted list and subtracts its hits — one lane instruction, as a
-/// membership probe is — into a lane-private tally, so nothing is compacted
-/// and no wave closes with a ballot ([`Warp::count_stream`]). Steps 1 and 3
-/// are claim instructions, 2 count-pass instructions. At `width` 1 (no
-/// unrolling) every raw candidate is its own one-lane instruction. Returns
-/// the streams issued.
+/// `streamed` elements of those lists. Two cost-table entries (DESIGN.md
+/// §4c): a key wave of `m·p` [`Cost::Lanes`] (count pass), and one counting
+/// [`Cost::Stream`] over all `streamed` elements (claim) whose size scan
+/// maps lanes to `(slot, element)` — over `m` slots iff `here`, since a
+/// lifted list has one length for every slot. In the stream each lane tests
+/// its element's validity and, if it holds, finds the element's place in
+/// the sorted lifted list and subtracts its hits — one lane instruction, as
+/// a membership probe is — into a lane-private tally, so nothing is
+/// compacted and no wave closes with a ballot. At `width` 1 (no unrolling)
+/// every raw candidate is its own one-lane stream. Returns the streams
+/// issued.
 fn charge_tail(
     warp: &mut Warp,
     width: usize,
@@ -1209,23 +1207,25 @@ fn charge_tail(
     streamed: usize,
 ) -> u64 {
     if streamed == 0 {
-        // Nothing to map or key, as in `setops::stream_accounting`.
+        // Nothing to map or key, as for any empty stream.
         return 0;
     }
-    let before = warp.metrics().simt_instructions;
-    if m > 1 && here {
-        let _ = warp.exclusive_scan(&mut [0; WARP_SIZE]);
+    warp.charge(Site::CountPass, Cost::Lanes(m * p));
+    let span = if width == 1 { 1 } else { streamed };
+    // Only the first stream maps the batch's slots.
+    let mut slots = if here { m } else { 1 };
+    for start in (0..streamed).step_by(span) {
+        let lanes = span.min(streamed - start);
+        warp.charge(
+            Site::Claim,
+            Cost::Stream {
+                slots,
+                lanes,
+                counted: true,
+            },
+        );
+        slots = 1;
     }
-    let keyed = warp.simt_for(m * p, |_| {});
-    // Unrolled, the whole batch is one stream; not unrolled, every raw
-    // candidate is its own.
-    let span = if width == 1 { 1 } else { usize::MAX };
-    for _ in (0..streamed).step_by(span) {
-        warp.count_stream(streamed.min(span));
-    }
-    let metrics = warp.metrics_mut();
-    metrics.claim_instructions += metrics.simt_instructions - before - keyed;
-    metrics.count_pass_instructions += keyed;
     streamed.div_ceil(span) as u64
 }
 
@@ -1449,7 +1449,7 @@ mod tests {
         sites
     }
 
-    /// The simulated tail is [`charge_tail`]'s three steps, and the kernel
+    /// The simulated tail is [`charge_tail`]'s two entries, and the kernel
     /// charges nothing else there.
     #[test]
     fn the_last_level_is_charged_from_provenance_and_lengths() {
@@ -1561,9 +1561,10 @@ mod tests {
             for q in [1, 3, 6] {
                 let out = Engine::new(cfg).run(&g, &catalog::paper_query(q)).unwrap();
                 let t = out.metrics.total();
-                let moved = Source::LocalSteal.cost() * t.local_steals
-                    + Source::GlobalSteal.cost() * t.global_steal_receives
-                    + Source::GlobalPush.cost() * t.global_steal_pushes;
+                let burst = |src: Source| src.cost().map_or(0, |b| Cost::Transfer(b).price().0);
+                let moved = burst(Source::LocalSteal) * t.local_steals
+                    + burst(Source::GlobalSteal) * t.global_steal_receives
+                    + burst(Source::GlobalPush) * t.global_steal_pushes;
                 assert!(stealing || moved == 0, "q{q}");
                 assert!(
                     t.count_pass_instructions > 0 || q != 1,

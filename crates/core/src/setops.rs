@@ -6,26 +6,26 @@
 //! variants process the sets of several unroll slots in a single stream of
 //! waves (Fig. 8): a prefix sum over set sizes maps each lane to a
 //! `(set index, offset)` pair, lanes probe their own operand, a ballot
-//! collects the survivors and `popc`-ranking compacts them into the
-//! output sets. With unroll size 1 the same code degrades to the naive
+//! collects the survivors and each lane's rank in the ballot mask compacts
+//! them into the output sets. With unroll size 1 the same code degrades to the naive
 //! one-set-at-a-time operation whose lane utilization is bounded by the
 //! data graph's (usually small) degrees — the effect Fig. 13 quantifies.
 //!
 //! **Data per slot, cost from lengths.** That stream is the *simulated*
-//! machine's, and its cost is a pure function of the slot lengths: one scan
-//! over the sizes, `⌈Σ|A_u| / 32⌉` waves, one ballot per wave. An operation
-//! whose survivors are only *counted* — the `counted` bit every entry point
-//! takes, set by the kernel for a counting launch's last-level candidate
-//! (Fig. 3 line 16 adds `|C|`, it never iterates it) and by the baselines'
-//! last step — compacts nothing, so its waves close with no ballot: each
-//! lane probes, tests validity and adds to a lane-private tally
-//! ([`Warp::count_stream`]). The output still lands in the sink.
-//! [`stream_accounting`] is that cost model and the only place an element
-//! stream is charged. The host moves the data separately, one tight
-//! membership loop per slot writing survivors straight into the slot's
-//! output ([`SetSink::lend`] / [`SetSink::commit`]), and is free to pick
-//! the cheapest real algorithm per slot without perturbing any simulator
-//! metric:
+//! machine's, and its cost is a pure function of the slot lengths: the cost
+//! table's [`Cost::Stream`] entry — one scan over the sizes, `⌈Σ|A_u| / 32⌉`
+//! waves, one ballot per wave. An operation whose survivors are only
+//! *counted* — the `counted` bit every entry point takes, set by the kernel
+//! for a counting launch's last-level candidate (Fig. 3 line 16 adds `|C|`,
+//! it never iterates it) and by the baselines' last step — compacts
+//! nothing, so its waves close with no ballot: each lane probes, tests
+//! validity and adds to a lane-private tally. The output still lands in the
+//! sink. Each entry point charges its stream once, through
+//! [`Warp::charge`] at [`Site::SetOp`]. The host moves the data separately,
+//! one tight membership loop per slot writing survivors straight into the
+//! slot's output ([`SetSink::lend`] / [`SetSink::commit`]), and is free to
+//! pick the cheapest real algorithm per slot without perturbing any
+//! simulator metric:
 //!
 //! * [`SetOpAlgo::BinarySearch`] — `O(log |B|)` per element; the
 //!   always-correct default for mid-range size ratios.
@@ -35,10 +35,11 @@
 //! * [`SetOpAlgo::Gallop`] — exponential search from the monotone cursor,
 //!   then binary search inside the bracket; best when `|B| ≫ |A|`.
 //!
-//! [`choose_algo`] picks per slot from the size ratio using the
-//! [`SetOpTuning`] thresholds (an [`EngineConfig`](crate::config::EngineConfig)
-//! knob). An empty operand short-circuits the probe entirely: intersection
-//! drops every element, difference keeps every element.
+//! [`choose_algo`] picks per slot from the size ratio ([`MERGE_RATIO`],
+//! [`GALLOP_RATIO`]) unless [`SetOpTuning::force`] pins one (an
+//! [`EngineConfig`](crate::config::EngineConfig) knob). An empty operand
+//! short-circuits the probe entirely: intersection drops every element,
+//! difference keeps every element.
 //!
 //! **Bitmap-row paths.** A slot may bring a bitmap row for either side:
 //! rows of the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
@@ -74,7 +75,7 @@
 //! [`ArenaWriter`](crate::arena::ArenaWriter) (the kernel's
 //! allocation-free hot path).
 
-use stmatch_gpusim::{Warp, WARP_SIZE};
+use stmatch_gpusim::{Cost, Site, Warp, WARP_SIZE};
 use stmatch_graph::bitmap::word_probe;
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::{LabelMask, OpKind};
@@ -173,41 +174,29 @@ pub enum SetOpAlgo {
     BitmapMerge,
 }
 
-/// Size-ratio thresholds for [`choose_algo`] / [`choose_algo_hub`]. With
-/// `|A|` the input length and `|B|` the operand length: merge when
-/// `|B| ≤ merge_ratio·|A|`, gallop when `|B| ≥ gallop_ratio·|A|`, binary
-/// search between; a hub operand row upgrades to a bitmap probe when
-/// `|B| ≥ bitmap_ratio·|A|`. `force` pins one algorithm for every slot
-/// (tests, ablations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SetOpTuning {
-    pub merge_ratio: usize,
-    pub gallop_ratio: usize,
-    /// Minimum `|B| / |A|` ratio for [`SetOpAlgo::BitmapProbe`] when the
-    /// operand has a hub-bitmap row (default 1: probe whenever the
-    /// operand is at least as long as the input).
-    pub bitmap_ratio: usize,
-    pub force: Option<SetOpAlgo>,
-}
+/// [`choose_algo`] merges when the operand is at most this many times as
+/// long as the input.
+pub const MERGE_RATIO: usize = 4;
+/// [`choose_algo`] gallops when the operand is at least this many times as
+/// long as the input, and binary-searches between the two ratios.
+pub const GALLOP_RATIO: usize = 64;
+/// [`choose_algo_hub`] probes an operand's hub-bitmap row when
+/// `|B| ≥ BITMAP_RATIO·|A|`: whenever the operand is at least as long as
+/// the input.
+pub const BITMAP_RATIO: usize = 1;
 
-impl Default for SetOpTuning {
-    fn default() -> Self {
-        SetOpTuning {
-            merge_ratio: 4,
-            gallop_ratio: 64,
-            bitmap_ratio: 1,
-            force: None,
-        }
-    }
+/// Host-side algorithm choice for [`choose_algo`] / [`choose_algo_hub`]:
+/// the size-ratio rules, or `force`d to one algorithm for every slot
+/// (tests, ablations).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SetOpTuning {
+    pub force: Option<SetOpAlgo>,
 }
 
 impl SetOpTuning {
     /// A tuning that pins every slot to `algo` (bypasses the ratio test).
     pub fn forced(algo: SetOpAlgo) -> Self {
-        SetOpTuning {
-            force: Some(algo),
-            ..SetOpTuning::default()
-        }
+        SetOpTuning { force: Some(algo) }
     }
 }
 
@@ -219,26 +208,25 @@ impl SetOpTuning {
 /// * `force` set: that algorithm, unconditionally. Prefer
 ///   [`choose_algo_hub`] for the bitmap variants — it degrades a forced
 ///   bitmap choice to what the available rows actually support.
-/// * `|B| ≤ merge_ratio · |A|` → [`SetOpAlgo::Merge`]. The bound is
-///   **inclusive**: with the default `merge_ratio = 4`, `(100, 400)`
-///   merges and `(100, 401)` binary-searches.
-/// * `|B| ≥ gallop_ratio · |A|` → [`SetOpAlgo::Gallop`], also inclusive:
-///   with the default `gallop_ratio = 64`, `(100, 6399)` binary-searches
-///   and `(100, 6400)` gallops.
+/// * `|B| ≤ MERGE_RATIO · |A|` → [`SetOpAlgo::Merge`]. The bound is
+///   **inclusive**: with `MERGE_RATIO = 4`, `(100, 400)` merges and
+///   `(100, 401)` binary-searches.
+/// * `|B| ≥ GALLOP_RATIO · |A|` → [`SetOpAlgo::Gallop`], also inclusive:
+///   with `GALLOP_RATIO = 64`, `(100, 6399)` binary-searches and
+///   `(100, 6400)` gallops.
 /// * otherwise → [`SetOpAlgo::BinarySearch`].
 ///
-/// Products saturate, so a ratio of `usize::MAX` disables its rule for
-/// any `|A| ≥ 1`. An empty input (`|A| = 0`) classifies as `Merge` when
-/// `|B| = 0` and `Gallop` otherwise — vacuous either way, since nothing
-/// streams.
+/// Products saturate rather than wrap. An empty input (`|A| = 0`)
+/// classifies as `Merge` when `|B| = 0` and `Gallop` otherwise — vacuous
+/// either way, since nothing streams.
 #[inline]
 pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetOpAlgo {
     if let Some(f) = t.force {
         return f;
     }
-    if operand_len <= input_len.saturating_mul(t.merge_ratio) {
+    if operand_len <= input_len.saturating_mul(MERGE_RATIO) {
         SetOpAlgo::Merge
-    } else if operand_len >= input_len.saturating_mul(t.gallop_ratio) {
+    } else if operand_len >= input_len.saturating_mul(GALLOP_RATIO) {
         SetOpAlgo::Gallop
     } else {
         SetOpAlgo::BinarySearch
@@ -259,7 +247,7 @@ pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetO
 /// * Both rows present and `stride_words ≤ |A| + |B|` → `BitmapMerge`:
 ///   word-ANDing the rows touches no more words than the lists have
 ///   elements.
-/// * Operand row present and `|B| ≥ bitmap_ratio · |A|` (inclusive,
+/// * Operand row present and `|B| ≥ BITMAP_RATIO · |A|` (inclusive,
 ///   saturating) → `BitmapProbe`: the input streams against the operand's
 ///   row.
 /// * Input row present, `kind` is `Intersect` and `|B| < |A|` →
@@ -284,7 +272,7 @@ pub fn choose_algo_hub(
                 if has_operand_bits {
                     SetOpAlgo::BitmapProbe
                 } else {
-                    choose_algo(input_len, operand_len, SetOpTuning { force: None, ..t })
+                    choose_algo(input_len, operand_len, SetOpTuning::default())
                 }
             }
             _ => f,
@@ -292,7 +280,7 @@ pub fn choose_algo_hub(
     }
     if has_input_bits && has_operand_bits && stride_words <= input_len + operand_len {
         SetOpAlgo::BitmapMerge
-    } else if (has_operand_bits && operand_len >= input_len.saturating_mul(t.bitmap_ratio))
+    } else if (has_operand_bits && operand_len >= input_len.saturating_mul(BITMAP_RATIO))
         || streams_operand(input_len, operand_len, has_input_bits, kind, t)
     {
         SetOpAlgo::BitmapProbe
@@ -361,7 +349,16 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
             filter_slot(out, u, src, |v| mask.allows(g.label(v)));
         }
     }
-    stream_accounting(warp, sources.iter().map(|s| s.len()), counted);
+    let lanes = sources.iter().map(|s| s.len()).sum();
+    let slots = sources.len();
+    warp.charge(
+        Site::SetOp,
+        Cost::Stream {
+            slots,
+            lanes,
+            counted,
+        },
+    );
 }
 
 /// Computes slot `u` of `out` as `inputs[u] (∩ | −) operands[u]` filtered
@@ -372,39 +369,7 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
 /// The algorithm choice is per slot and purely host-side: the simulated
 /// cost is charged from the input lengths alone (the simulated probe costs
 /// one lane instruction whichever way the host resolves it), so simulator
-/// metrics are bit-identical regardless of tuning. Without
-/// bitmap rows this is exactly [`apply_op_hub_into`] with no rows
-/// attached, and it delegates there.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_op_into<S: SetSink + ?Sized>(
-    warp: &mut Warp,
-    g: &Graph,
-    inputs: &[&[VertexId]],
-    operands: &[&[VertexId]],
-    kind: OpKind,
-    mask: LabelMask,
-    tuning: SetOpTuning,
-    counted: bool,
-    out: &mut S,
-) {
-    const NO_BITS: Option<&[u64]> = None;
-    let none = [NO_BITS; WARP_SIZE];
-    apply_op_hub_into(
-        warp,
-        g,
-        inputs,
-        &none[..inputs.len()],
-        operands,
-        &none[..operands.len()],
-        kind,
-        mask,
-        tuning,
-        counted,
-        out,
-    )
-}
-
-/// [`apply_op_into`] with optional bitmap rows per slot.
+/// metrics are bit-identical regardless of tuning.
 ///
 /// `input_bits[u]` / `operand_bits[u]`, when `Some`, must denote exactly
 /// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
@@ -413,12 +378,12 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
 /// own marker of the list the input equals). [`choose_algo_hub`] picks
 /// per slot; each element-domain slot (everything but `BitmapMerge`) runs
 /// its own membership loop and together they are charged as one combined
-/// Fig. 8 stream over their input lengths ([`stream_accounting`]), and
-/// `BitmapMerge` slots stream their words as a separate combined word
-/// stream (scan + 32-word waves + ballot), mirroring the element stream
-/// one level up. `counted` drops the ballots of both streams.
+/// Fig. 8 stream over their input lengths, and `BitmapMerge` slots stream
+/// their words as a separate combined word stream (scan + 32-word waves +
+/// ballot), mirroring the element stream one level up. `counted` drops the
+/// ballots of both streams.
 #[allow(clippy::too_many_arguments)]
-pub fn apply_op_hub_into<S: SetSink + ?Sized>(
+pub fn apply_op_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
     g: &Graph,
     inputs: &[&[VertexId]],
@@ -509,15 +474,24 @@ pub fn apply_op_hub_into<S: SetSink + ?Sized>(
             SetOpAlgo::BitmapMerge => unreachable!("merge slots stream words, not elements"),
         }
     }
-    // Element-domain slots only, compacted: exactly the wave structure the
-    // classic path would give these slots alone.
-    let element_domain = inputs.iter().zip(&algo);
-    stream_accounting(
-        warp,
-        element_domain
-            .filter(|(_, &a)| a != SetOpAlgo::BitmapMerge)
-            .map(|(inp, _)| inp.len()),
-        counted,
+    // Element-domain slots only: exactly the wave structure the classic
+    // path would give these slots alone.
+    let (mut slots, mut lanes) = (0, 0);
+    for (inp, _) in inputs
+        .iter()
+        .zip(&algo)
+        .filter(|(_, &a)| a != SetOpAlgo::BitmapMerge)
+    {
+        slots += 1;
+        lanes += inp.len();
+    }
+    warp.charge(
+        Site::SetOp,
+        Cost::Stream {
+            slots,
+            lanes,
+            counted,
+        },
     );
     if any_merge {
         merge_bitmap_slots(
@@ -583,9 +557,7 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
     out: &mut S,
 ) {
     let merged = || (0..input_bits.len()).filter(|&u| algo[u] == SetOpAlgo::BitmapMerge);
-    let mut sizes = [0u32; WARP_SIZE];
-    let mut n = 0usize;
-    let mut total = 0usize;
+    let (mut slots, mut lanes) = (0, 0);
     for u in merged() {
         let a = input_bits[u].expect("BitmapMerge requires input bits");
         let b = operand_bits[u].expect("BitmapMerge requires operand bits");
@@ -598,22 +570,23 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
             };
             extract_word(g, mask, out, u, w, c);
         }
-        sizes[n] = a.len() as u32;
-        n += 1;
-        total += a.len();
+        slots += 1;
+        lanes += a.len();
     }
-    if total == 0 {
+    if lanes == 0 {
         return;
     }
-    let before = warp.metrics().simt_instructions;
-    if n > 1 {
-        let _ = warp.exclusive_scan(&mut sizes);
-    }
-    charge_stream(warp, total, counted);
+    warp.charge(
+        Site::SetOp,
+        Cost::Stream {
+            slots,
+            lanes,
+            counted,
+        },
+    );
     let m = warp.metrics_mut();
-    m.bitmap_merge_waves += total.div_ceil(WARP_SIZE) as u64;
-    m.bitmap_merge_words += total as u64;
-    book_set_op(warp, before);
+    m.bitmap_merge_waves += lanes.div_ceil(WARP_SIZE) as u64;
+    m.bitmap_merge_words += lanes as u64;
     if mask.is_all() {
         merged().for_each(|u| out.seal_bits(u));
     }
@@ -670,7 +643,6 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     assert!(!ops.is_empty(), "a fused chain needs at least one operand");
     let stride = base_bits.len();
     debug_assert!(ping.len() >= stride && pong.len() >= stride);
-    let before = warp.metrics().simt_instructions;
     out.begin(slot, 0);
     for (i, &(kind, b)) in ops.iter().enumerate() {
         debug_assert_eq!(b.len(), stride);
@@ -695,71 +667,22 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
                 None => extract_word(g, mask, out, slot, w, c),
             }
         }
-        charge_stream(warp, stride, counted && is_last);
+        let counted = counted && is_last;
+        warp.charge(
+            Site::SetOp,
+            Cost::Stream {
+                slots: 1,
+                lanes: stride,
+                counted,
+            },
+        );
         let m = warp.metrics_mut();
         m.bitmap_merge_waves += stride.div_ceil(WARP_SIZE) as u64;
         m.bitmap_merge_words += stride as u64;
     }
-    book_set_op(warp, before);
     if mask.is_all() {
         out.seal_bits(slot);
     }
-}
-
-/// The cost model of one combined element stream (Fig. 8), a function of
-/// the slot lengths alone: a size prefix-scan mapping lanes to `(set index,
-/// offset)` when more than one slot streams, then `⌈Σ len / 32⌉` waves of
-/// per-lane membership probes / copies, each closed by the ballot that
-/// compacts its survivors — or, when they are only `counted`, by nothing.
-/// How the host moved the data never enters.
-fn stream_accounting(warp: &mut Warp, lens: impl Iterator<Item = usize>, counted: bool) {
-    let mut sizes = [0u32; WARP_SIZE];
-    let mut slots = 0usize;
-    let mut total = 0usize;
-    for len in lens {
-        // The Fig. 8 lane mapping assigns one slot size per scan lane; more
-        // slots than lanes would silently drop sizes from the prefix scan.
-        // `EngineConfig::validate` bounds unroll at WARP_SIZE for this
-        // reason.
-        assert!(
-            slots < WARP_SIZE,
-            "combined set op over more slots than the warp width {WARP_SIZE}"
-        );
-        sizes[slots] = len as u32;
-        slots += 1;
-        total += len;
-    }
-    if total == 0 {
-        return;
-    }
-    let before = warp.metrics().simt_instructions;
-    if slots > 1 {
-        let _ = warp.exclusive_scan(&mut sizes);
-    }
-    charge_stream(warp, total, counted);
-    book_set_op(warp, before);
-}
-
-/// One combined stream of `total` lanes: compacting ([`Warp::stream`]), or
-/// ballot-free when its survivors are only `counted` ([`Warp::count_stream`]).
-/// The simt-check wave site is the caller's.
-#[inline]
-#[track_caller]
-fn charge_stream(warp: &mut Warp, total: usize, counted: bool) {
-    if counted {
-        warp.count_stream(total);
-    } else {
-        warp.stream(total);
-    }
-}
-
-/// Attributes what `warp` issued since its instruction counter read `before`
-/// to set operations ([`WarpMetrics::set_op_instructions`](stmatch_gpusim::WarpMetrics)):
-/// called once at the end of each of the three charging routines above.
-#[inline]
-fn book_set_op(warp: &mut Warp, before: u64) {
-    let m = warp.metrics_mut();
-    m.set_op_instructions += m.simt_instructions - before;
 }
 
 #[cfg(test)]
@@ -767,7 +690,25 @@ mod tests {
     use super::*;
     use stmatch_graph::gen;
 
-    /// One compacting combined operation into heap vectors, default tuning.
+    const NO_ROWS: [Option<&[u64]>; WARP_SIZE] = [None; WARP_SIZE];
+
+    /// One compacting combined operation into heap vectors, no bitmap rows.
+    fn apply_op_tuned(
+        warp: &mut Warp,
+        g: &Graph,
+        (inputs, operands): (&[&[VertexId]], &[&[VertexId]]),
+        kind: OpKind,
+        mask: LabelMask,
+        tuning: SetOpTuning,
+        outs: &mut [Vec<VertexId>],
+    ) {
+        let rows = &NO_ROWS[..inputs.len()];
+        apply_op_into(
+            warp, g, inputs, rows, operands, rows, kind, mask, tuning, false, outs,
+        )
+    }
+
+    /// [`apply_op_tuned`] with the default tuning.
     fn apply_op(
         warp: &mut Warp,
         g: &Graph,
@@ -778,7 +719,7 @@ mod tests {
         outs: &mut [Vec<VertexId>],
     ) {
         let tuning = SetOpTuning::default();
-        apply_op_into(warp, g, inputs, operands, kind, mask, tuning, false, outs)
+        apply_op_tuned(warp, g, (inputs, operands), kind, mask, tuning, outs)
     }
 
     // Helper that runs `f` on a real warp inside a 1-warp grid launch and
@@ -931,7 +872,7 @@ mod tests {
                     let mut outs = vec![Vec::new(); 3];
                     let in_refs: Vec<&[VertexId]> = ins.iter().map(|v| v.as_slice()).collect();
                     let in_bits: Vec<Option<&[u64]>> = rows.iter().map(|r| Some(&r[..])).collect();
-                    apply_op_hub_into(
+                    apply_op_into(
                         w,
                         &g,
                         &in_refs,
@@ -990,8 +931,8 @@ mod tests {
     #[test]
     fn choose_algo_crossovers_match_docs() {
         // Table-driven mirror of the `choose_algo` rustdoc: every row is a
-        // crossover the docs promise. Tuning edits that move a boundary
-        // must update both places.
+        // crossover the docs promise. Ratio edits that move a boundary must
+        // update both places.
         use SetOpAlgo::*;
         let t = SetOpTuning::default(); // merge ≤ 4×, gallop ≥ 64×, both inclusive
         const TABLE: &[(usize, usize, SetOpAlgo)] = &[
@@ -1012,12 +953,8 @@ mod tests {
         for &(a, b, want) in TABLE {
             assert_eq!(choose_algo(a, b, t), want, "choose_algo({a}, {b})");
         }
-        // Saturating products disable a rule rather than wrapping.
-        let never_gallop = SetOpTuning {
-            gallop_ratio: usize::MAX,
-            ..t
-        };
-        assert_eq!(choose_algo(2, usize::MAX - 1, never_gallop), BinarySearch);
+        // Products saturate rather than wrap: a huge input still merges.
+        assert_eq!(choose_algo(usize::MAX / 2, usize::MAX, t), Merge);
         // Forces pass through verbatim.
         assert_eq!(choose_algo(1, 1_000_000, SetOpTuning::forced(Merge)), Merge);
     }
@@ -1026,14 +963,14 @@ mod tests {
     fn choose_algo_hub_crossovers_match_docs() {
         use OpKind::{Difference, Intersect};
         use SetOpAlgo::*;
-        let t = SetOpTuning::default(); // bitmap_ratio = 1
+        let t = SetOpTuning::default(); // BITMAP_RATIO = 1
         type Row = (usize, usize, usize, bool, bool, OpKind, SetOpAlgo);
         // (|A|, |B|, stride, in_bits, op_bits, kind, expected)
         const TABLE: &[Row] = &[
             // Both rows: merge iff stride ≤ |A| + |B| (inclusive).
             (60, 60, 120, true, true, Intersect, BitmapMerge),
             (60, 60, 121, true, true, Intersect, BitmapProbe), // stride too wide; probe still wins
-            // Operand row only: probe iff |B| ≥ bitmap_ratio·|A| (inclusive).
+            // Operand row only: probe iff |B| ≥ BITMAP_RATIO·|A| (inclusive).
             (50, 50, 10, false, true, Intersect, BitmapProbe),
             (50, 50, 10, false, true, Difference, BitmapProbe),
             (50, 49, 10, false, true, Intersect, Merge), // |B| < |A| falls to the classic ladder
@@ -1092,16 +1029,15 @@ mod tests {
                 let out = std::sync::Mutex::new(Vec::new());
                 let m = with_warp(|w| {
                     let mut outs = vec![Vec::new()];
-                    apply_op_into(
+                    let tuning = SetOpTuning::forced(algo);
+                    apply_op_tuned(
                         w,
                         &g,
-                        &[&a],
-                        &[&b],
+                        (&[&a], &[&b]),
                         kind,
                         LabelMask::ALL,
-                        SetOpTuning::forced(algo),
-                        false,
-                        &mut outs[..],
+                        tuning,
+                        &mut outs,
                     );
                     *out.lock().unwrap() = outs.remove(0);
                 });
@@ -1192,7 +1128,7 @@ mod tests {
                         SetOpAlgo::BinarySearch
                     });
                     let op_bits = if probe { Some(b_bits.as_slice()) } else { None };
-                    apply_op_hub_into(
+                    apply_op_into(
                         w,
                         &g,
                         &[&a],
@@ -1235,7 +1171,7 @@ mod tests {
                 let mut classic = vec![Vec::new()];
                 apply_op(w, &g, &[&a], &[&b], kind, LabelMask::ALL, &mut classic);
                 let mut merged = [Vec::new()];
-                apply_op_hub_into(
+                apply_op_into(
                     w,
                     &g,
                     &[&a],
@@ -1268,7 +1204,7 @@ mod tests {
         let (a_bits, b_bits) = (bits_of(&a, stride), bits_of(&b, stride));
         let m = with_warp(move |w| {
             let mut outs = [Vec::new(), Vec::new()];
-            apply_op_hub_into(
+            apply_op_into(
                 w,
                 &g,
                 &[&a, &a],
@@ -1314,7 +1250,7 @@ mod tests {
                 &mut classic,
             );
             let mut hub = vec![Vec::new(), Vec::new()];
-            apply_op_hub_into(
+            apply_op_into(
                 w,
                 &g,
                 &[&a0, &a1],
@@ -1342,7 +1278,7 @@ mod tests {
         let (a_bits, b_bits) = (bits_of(&a, stride), bits_of(&b, stride));
         let _ = with_warp(move |w| {
             let mut outs = [Vec::new()];
-            apply_op_hub_into(
+            apply_op_into(
                 w,
                 &g,
                 &[&a],

@@ -465,13 +465,6 @@ fn merge_into(merged: &mut MatchOutcome, round: &[MatchOutcome]) {
         round_elapsed = round_elapsed.max(o.metrics.elapsed_nanos);
         merged.timed_out |= o.timed_out;
         merged.downgrades.extend(o.downgrades.iter().copied());
-        merged.spill_events += o.spill_events;
-        // Max, not sum: the peak is a per-warp high-water mark, and the
-        // merged outcome reports the worst warp across every shard.
-        merged.peak_slab_cells = merged.peak_slab_cells.max(o.peak_slab_cells);
-        for (sum, n) in merged.tail.iter_mut().zip(o.tail) {
-            *sum += n;
-        }
         if let Some(f) = &o.fault {
             let r = report_mut(merged);
             r.deaths.extend(f.deaths.iter().cloned());
@@ -483,6 +476,12 @@ fn merge_into(merged: &mut MatchOutcome, round: &[MatchOutcome]) {
     }
     // Shards of one round run in parallel; successive rounds serialize.
     merged.metrics.elapsed_nanos += round_elapsed;
+    // Over every warp of every shard: spills and tails sum, the peak is the
+    // worst warp's.
+    let total = merged.metrics.total();
+    merged.spill_events = total.spill_events;
+    merged.peak_slab_cells = total.peak_slab_cells;
+    merged.tail = [total.tail_streams, total.tail_survivors];
 }
 
 #[cfg(test)]

@@ -60,10 +60,10 @@
 //! held.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use stmatch_gpusim::WarpMetrics;
+use stmatch_gpusim::{Burst, Cost, Site, Warp, WarpMetrics};
 use stmatch_graph::VertexId;
 
 /// Upper bound on `StopLevel` (how deep the stealable region may reach).
@@ -222,23 +222,26 @@ pub enum Source {
 }
 
 impl Source {
-    /// Simulated instructions charged for the transfer: a short burst for
-    /// an intra-block stack copy, a longer one for a stack through global
+    /// The transfer burst the move costs (`None`: free): a short one for an
+    /// intra-block stack copy, a longer one for a stack through global
     /// memory (either side), dearest for a device-to-device copy over the
-    /// rail.
-    pub const fn cost(self) -> u64 {
+    /// rail. The amounts are the cost table's ([`Cost::Transfer`]).
+    pub const fn cost(self) -> Option<Burst> {
         match self {
-            Source::Chunk => 0,
-            Source::LocalSteal => 32,
-            Source::Requeue | Source::GlobalSteal | Source::GlobalPush => 256,
-            Source::RailSteal | Source::RailRequeue => 512,
+            Source::Chunk => None,
+            Source::LocalSteal => Some(Burst::Block),
+            Source::Requeue | Source::GlobalSteal | Source::GlobalPush => Some(Burst::Global),
+            Source::RailSteal | Source::RailRequeue => Some(Burst::Device),
         }
     }
 
-    /// Charges [`Source::cost`] to `m` and bumps the counter(s) that record
-    /// this kind of transfer.
-    pub fn note(self, m: &mut WarpMetrics) {
-        m.simt_instructions += self.cost();
+    /// Charges [`Source::cost`] to `warp` and bumps the counter(s) that
+    /// record this kind of transfer.
+    pub fn note(self, warp: &mut Warp) {
+        if let Some(burst) = self.cost() {
+            warp.charge(Site::Transfer, Cost::Transfer(burst));
+        }
+        let m = warp.metrics_mut();
         match self {
             Source::Chunk => {}
             Source::RailSteal => m.shard_steal_receives += 1,
@@ -500,16 +503,6 @@ pub struct Board {
     /// any warp. Counted in `pending` so `finished()` cannot fire while a
     /// dead warp's work sits unclaimed.
     requeue: Mutex<Vec<StealPayload>>,
-    /// Candidate-list spill events reported by the kernels at exit
-    /// (arena slabs outgrown; see `arena`).
-    spills: AtomicUsize,
-    /// Max per-warp peak of live candidate cells reported by the kernels
-    /// at exit — the runtime half of the static verifier's resource audit
-    /// (see `arena` and `stmatch_plan_verify`).
-    peak_cells: AtomicU64,
-    /// Fused-tail streams and the survivors they counted, reported by the kernels at exit
-    /// (`WarpKernel::tail_stats`).
-    tail: [AtomicU64; 2],
     /// Level-0 chunk dispenser: next unclaimed vertex id.
     chunk_next: AtomicUsize,
     num_vertices: usize,
@@ -556,9 +549,6 @@ impl Board {
                 .collect(),
             deaths: AtomicUsize::new(0),
             requeue: Mutex::new(Vec::new()),
-            spills: AtomicUsize::new(0),
-            peak_cells: AtomicU64::new(0),
-            tail: [AtomicU64::new(0), AtomicU64::new(0)],
             chunk_next: AtomicUsize::new(start),
             num_vertices: end,
             chunk_size,
@@ -1084,49 +1074,6 @@ impl Board {
         self.pending.fetch_add(payloads.len(), Ordering::SeqCst);
         *self.lock_requeue() = payloads;
     }
-
-    /// Accumulates candidate-list spill events observed by a kernel.
-    pub fn add_spills(&self, n: u64) {
-        if n > 0 {
-            // Relaxed: pure statistic, read after join for reporting.
-            self.spills.fetch_add(n as usize, Ordering::Relaxed);
-        }
-    }
-
-    /// Total spill events reported so far.
-    pub fn spill_count(&self) -> u64 {
-        // Relaxed: see add_spills.
-        self.spills.load(Ordering::Relaxed) as u64
-    }
-
-    /// Max-combines one warp's peak of live candidate cells.
-    pub fn add_peak(&self, n: u64) {
-        if n > 0 {
-            // Relaxed: pure statistic (a monotone max), read after join
-            // for reporting — same contract as add_spills.
-            self.peak_cells.fetch_max(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Largest per-warp peak of live candidate cells reported so far.
-    pub fn peak_count(&self) -> u64 {
-        // Relaxed: see add_peak.
-        self.peak_cells.load(Ordering::Relaxed)
-    }
-
-    /// Accumulates one kernel's fused-tail `[streams, survivors]`.
-    pub fn add_tail(&self, stats: [u64; 2]) {
-        for (sum, n) in self.tail.iter().zip(stats) {
-            // Relaxed: pure statistic — same contract as add_spills.
-            sum.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Fused-tail `[streams, survivors]` reported so far.
-    pub fn tail_count(&self) -> [u64; 2] {
-        // Relaxed: see add_tail.
-        [0, 1].map(|i| self.tail[i].load(Ordering::Relaxed))
-    }
 }
 
 /// Seeded concurrency-bug mutations for the `simt_check` kill gate.
@@ -1334,24 +1281,30 @@ mod tests {
 
     #[test]
     fn source_table_is_the_cost_model() {
-        // (source, cost, counters bumped: [shard_steal_receives,
+        // (source, burst, counters bumped: [shard_steal_receives,
         // requeue_claims, local_steals, global_steal_receives,
-        // global_steal_pushes]) — the whole fixed cost model; a schedule
+        // global_steal_pushes]) — the whole fixed cost model, with the
+        // bursts' amounts pinned by the cost table's own test; a schedule
         // that charges in simulated cycles inherits exactly this.
         let table = [
-            (Source::Chunk, 0, [0, 0, 0, 0, 0]),
-            (Source::RailSteal, 512, [1, 0, 0, 0, 0]),
-            (Source::Requeue, 256, [0, 1, 0, 0, 0]),
-            (Source::RailRequeue, 512, [1, 1, 0, 0, 0]),
-            (Source::LocalSteal, 32, [0, 0, 1, 0, 0]),
-            (Source::GlobalSteal, 256, [0, 0, 0, 1, 0]),
-            (Source::GlobalPush, 256, [0, 0, 0, 0, 1]),
+            (Source::Chunk, None, [0, 0, 0, 0, 0]),
+            (Source::RailSteal, Some(Burst::Device), [1, 0, 0, 0, 0]),
+            (Source::Requeue, Some(Burst::Global), [0, 1, 0, 0, 0]),
+            (Source::RailRequeue, Some(Burst::Device), [1, 1, 0, 0, 0]),
+            (Source::LocalSteal, Some(Burst::Block), [0, 0, 1, 0, 0]),
+            (Source::GlobalSteal, Some(Burst::Global), [0, 0, 0, 1, 0]),
+            (Source::GlobalPush, Some(Burst::Global), [0, 0, 0, 0, 1]),
         ];
-        for (src, cost, [rail, requeue, local, receive, push]) in table {
-            let mut got = WarpMetrics::default();
-            src.note(&mut got);
+        let grid = stmatch_gpusim::Grid::new(stmatch_gpusim::GridConfig {
+            num_blocks: 1,
+            warps_per_block: 1,
+            shared_mem_per_block: 0,
+        })
+        .unwrap();
+        for (src, burst, [rail, requeue, local, receive, push]) in table {
+            let got = grid.launch(|w| src.note(w)).warps[0];
             let want = WarpMetrics {
-                simt_instructions: cost,
+                simt_instructions: burst.map_or(0, |b| Cost::Transfer(b).price().0),
                 shard_steal_receives: rail,
                 requeue_claims: requeue,
                 local_steals: local,
@@ -1359,7 +1312,7 @@ mod tests {
                 global_steal_pushes: push,
                 ..WarpMetrics::default()
             };
-            assert_eq!((src.cost(), got), (cost, want), "{src:?}");
+            assert_eq!((src.cost(), got), (burst, want), "{src:?}");
         }
     }
 

@@ -5,9 +5,11 @@
 //! STMatch's design decisions are about, without the silicon:
 //!
 //! * [`Warp`] — the smallest scheduling unit: 32 SIMT lanes executed as
-//!   vector waves with per-lane activity accounting, plus the warp
-//!   primitives (`ballot`, `popc`, exclusive scan) used by the combined set
-//!   operation of Fig. 8.
+//!   vector waves with per-lane activity accounting.
+//! * [`cost`] — the cost table: every simulated instruction is a [`Cost`]
+//!   entry charged through [`Warp::charge`] and booked to one [`Site`] —
+//!   lane waves, Fig. 8's combined set operation (size scan, waves, one
+//!   ballot per wave) and fixed transfer bursts.
 //! * Threadblocks group warps around a byte-budgeted shared-memory arena
 //!   ([`SharedBudget`]); exceeding it fails the launch, exactly like CUDA —
 //!   which is what motivates the paper's merged multi-label sets.
@@ -21,11 +23,13 @@
 //!   utilization (Fig. 13), warp occupancy, steal counters, kernel-launch
 //!   counts.
 
+pub mod cost;
 pub mod grid;
 pub mod memory;
 pub mod metrics;
 pub mod warp;
 
+pub use cost::{Burst, Cost, Site};
 pub use grid::{describe_panic, Grid, GridConfig, LaunchError, WarmGrid, WarpPanic};
 pub use memory::{MemoryBudget, OutOfMemory, SharedBudget};
 pub use metrics::{GridMetrics, WarpMetrics};

@@ -2,8 +2,8 @@
 
 /// Counters accumulated by one warp during a kernel.
 ///
-/// The SIMT counters are maintained by [`crate::Warp`]'s vector primitives;
-/// the steal/match counters are incremented by the matching engines.
+/// The SIMT counters are maintained by [`crate::Warp::charge`] alone; the
+/// steal/match and kernel counters are written by the matching engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarpMetrics {
     /// SIMT instructions issued (waves).
@@ -14,8 +14,8 @@ pub struct WarpMetrics {
     /// The share issued by the validity waves of shallow and deep claims.
     pub claim_instructions: u64,
     /// The share issued by last-level count passes. What the three shares
-    /// leave of `simt_instructions` is work-transfer charges (steals,
-    /// requeues, rail copies).
+    /// leave of `simt_instructions` is transfer charges
+    /// ([`Site::Transfer`](crate::Site::Transfer)).
     pub count_pass_instructions: u64,
     /// Lane slots issued (`32 ×` waves).
     pub issued_lane_slots: u64,
@@ -44,6 +44,16 @@ pub struct WarpMetrics {
     pub bitmap_merge_words: u64,
     /// SIMT waves issued by word-parallel merges (32 words per wave).
     pub bitmap_merge_waves: u64,
+    /// Candidate-list slab overflows that spilled to the heap.
+    pub spill_events: u64,
+    /// High-water mark of live candidate cells in the warp's stack arena.
+    /// Merges by max: a grid reports its worst warp.
+    pub peak_slab_cells: u64,
+    /// Fused-tail streams: counting streams over a whole parent batch of the
+    /// last claim level.
+    pub tail_streams: u64,
+    /// Survivors the fused tails counted in closed form.
+    pub tail_survivors: u64,
     /// Nanoseconds spent doing useful matching work.
     pub busy_nanos: u64,
     /// Nanoseconds spent idle (spinning for work).
@@ -79,6 +89,10 @@ impl WarpMetrics {
         self.bitmap_probe_words += other.bitmap_probe_words;
         self.bitmap_merge_words += other.bitmap_merge_words;
         self.bitmap_merge_waves += other.bitmap_merge_waves;
+        self.spill_events += other.spill_events;
+        self.peak_slab_cells = self.peak_slab_cells.max(other.peak_slab_cells);
+        self.tail_streams += other.tail_streams;
+        self.tail_survivors += other.tail_survivors;
         self.busy_nanos += other.busy_nanos;
         self.idle_nanos += other.idle_nanos;
     }
@@ -252,6 +266,31 @@ mod tests {
             ),
             (10, 4, 14)
         );
+    }
+
+    #[test]
+    fn merge_sums_kernel_counters_but_takes_the_peak() {
+        let mut a = WarpMetrics {
+            spill_events: 1,
+            peak_slab_cells: 40,
+            tail_streams: 2,
+            tail_survivors: 9,
+            ..WarpMetrics::default()
+        };
+        a.merge(&WarpMetrics {
+            spill_events: 2,
+            peak_slab_cells: 30,
+            tail_streams: 1,
+            tail_survivors: 5,
+            ..WarpMetrics::default()
+        });
+        let kernel = [
+            a.spill_events,
+            a.peak_slab_cells,
+            a.tail_streams,
+            a.tail_survivors,
+        ];
+        assert_eq!(kernel, [3, 40, 3, 14]);
     }
 
     #[test]

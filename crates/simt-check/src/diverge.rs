@@ -1,17 +1,17 @@
 //! SIMT divergence lints.
 //!
-//! The software warp (`stmatch-gpu-sim`'s `Warp`) tracks a current
-//! active-lane mask: a `wave(active, ..)` narrows the mask to `active`, the
-//! `ballot` that closes the wave reconverges it to all 32 lanes. The lints
+//! The software warp (`stmatch-gpu-sim`'s `Warp`, charging a stream of its
+//! cost table) tracks a current active-lane mask: a wave narrows the mask to
+//! its active lanes, the ballot that closes the wave reconverges it to all
+//! 32 lanes. The lints
 //! enforce the CUDA `__ballot_sync` contract on that state machine:
 //!
 //! * `ballot(bits)` with `bits` naming lanes inactive under a divergent
 //!   mask is undefined behavior on hardware (non-participating lanes in a
 //!   sync intrinsic) — hard diagnostic, listing the offending lanes.
-//! * `exclusive_scan` is a full-warp cooperative primitive; invoking it
-//!   while diverged is the same class of UB — hard diagnostic.
-//! * `shfl` reading from a source lane that is inactive under a divergent
-//!   mask yields garbage on hardware — hard diagnostic.
+//! * the size scan of a combined stream is a full-warp cooperative
+//!   primitive; issuing it while diverged is the same class of UB — hard
+//!   diagnostic.
 //!
 //! Separately, every `wave` call site accumulates occupancy statistics
 //! (waves issued, lane slots issued vs active); [`crate::drain`] turns
@@ -94,8 +94,8 @@ pub fn on_ballot(loc: &'static Location<'static>, bits: u32, mask: u32, warp: us
     }
 }
 
-/// Checks an `exclusive_scan` (full-warp cooperative primitive) issued
-/// under mask `mask`.
+/// Checks a size scan (full-warp cooperative primitive) issued under mask
+/// `mask`.
 pub fn on_scan(loc: &'static Location<'static>, mask: u32, warp: usize) {
     if mask != FULL_MASK {
         let site = site_of(loc);
@@ -108,23 +108,6 @@ pub fn on_scan(loc: &'static Location<'static>, mask: u32, warp: usize) {
                  (current mask {mask:#010x}, inactive lanes {}) — all 32 lanes must \
                  participate in a scan wave",
                 lanes_of(!mask)
-            ),
-        );
-    }
-}
-
-/// Checks a `shfl` reading from `src_lane` under mask `mask`.
-pub fn on_shfl(loc: &'static Location<'static>, src_lane: usize, mask: u32, warp: usize) {
-    if mask != FULL_MASK && src_lane < 32 && mask & (1 << src_lane) == 0 {
-        let site = site_of(loc);
-        crate::report(
-            Severity::Error,
-            "shfl-mask",
-            format!("{site}:{mask:#x}:{src_lane}"),
-            format!(
-                "shfl at {site} (warp {warp}) reads lane {src_lane}, which is inactive \
-                 under the divergent mask {mask:#010x} — on hardware the read value \
-                 is undefined",
             ),
         );
     }

@@ -23,7 +23,7 @@
 //!    created each edge.
 //!
 //! 3. **SIMT divergence lints** ([`diverge`]): the software warp tracks its
-//!    current active-lane mask. A ballot/shfl/scan that involves lanes
+//!    current active-lane mask. A ballot or scan that involves lanes
 //!    inactive under a divergent mask mirrors real-GPU undefined behavior
 //!    (`__ballot_sync` with non-participating lanes) and is a hard
 //!    diagnostic. Per call site, wave occupancy is accumulated and
@@ -230,7 +230,7 @@ pub enum Severity {
 pub struct Diagnostic {
     pub severity: Severity,
     /// Stable machine-grepable code: `race`, `lock-cycle`, `lock-order`,
-    /// `ballot-mask`, `shfl-mask`, `scan-mask`, `subwarp-util`,
+    /// `ballot-mask`, `scan-mask`, `subwarp-util`,
     /// `budget-underflow`.
     pub code: &'static str,
     pub message: String,

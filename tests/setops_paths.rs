@@ -26,7 +26,8 @@
 use std::sync::Mutex;
 
 use stmatch_core::arena::StackArena;
-use stmatch_core::setops::{apply_op_hub_into, choose_algo, SetOpAlgo, SetOpTuning};
+use stmatch_core::setops::{apply_op_into, choose_algo, SetOpAlgo, SetOpTuning};
+use stmatch_core::setops::{GALLOP_RATIO, MERGE_RATIO};
 use stmatch_gpusim::{Grid, GridConfig, Warp, WarpMetrics};
 use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{Graph, Label, VertexId};
@@ -135,7 +136,7 @@ fn run(
             .collect();
         macro_rules! apply {
             ($sink:expr) => {
-                apply_op_hub_into(
+                apply_op_into(
                     w,
                     g,
                     &inputs,
@@ -198,10 +199,7 @@ fn closed_form(slots: &Slots) -> (u64, u64, u64) {
 }
 
 fn tuning(force: Option<SetOpAlgo>) -> SetOpTuning {
-    SetOpTuning {
-        force,
-        ..SetOpTuning::default()
-    }
+    SetOpTuning { force }
 }
 
 const TUNINGS: [(&str, Option<SetOpAlgo>); 4] = [
@@ -347,50 +345,29 @@ fn all_paths_match_scalar_reference() {
     );
 }
 
-/// Forcing the thresholds (rather than the `force` override) routes slots
-/// through each algorithm, and the routed result still matches.
+/// Each classic algorithm, forced or reached by an operand at its size-ratio
+/// crossover, is the one routed, and the routed result still matches.
 #[test]
 fn threshold_extremes_route_every_algorithm() {
     let g = labeled_universe();
     let a: Vec<VertexId> = (0..60).step_by(3).collect();
-    let b: Vec<VertexId> = (0..120).step_by(2).collect();
-    for (tuning, expect) in [
-        // merge_ratio 0 + gallop_ratio 1: everything non-trivial gallops.
-        (
-            SetOpTuning {
-                merge_ratio: 0,
-                gallop_ratio: 1,
-                bitmap_ratio: 1,
-                force: None,
-            },
-            SetOpAlgo::Gallop,
-        ),
-        // Huge merge_ratio: everything merges.
-        (
-            SetOpTuning {
-                merge_ratio: usize::MAX,
-                gallop_ratio: usize::MAX,
-                bitmap_ratio: 1,
-                force: None,
-            },
-            SetOpAlgo::Merge,
-        ),
-        // merge_ratio 0 + huge gallop_ratio: everything binary-searches.
-        (
-            SetOpTuning {
-                merge_ratio: 0,
-                gallop_ratio: usize::MAX,
-                bitmap_ratio: 1,
-                force: None,
-            },
-            SetOpAlgo::BinarySearch,
-        ),
+    let operand = |len: usize| -> Vec<VertexId> { (0..len as VertexId).collect() };
+    for (b_len, expect) in [
+        (MERGE_RATIO * a.len(), SetOpAlgo::Merge),
+        (MERGE_RATIO * a.len() + 1, SetOpAlgo::BinarySearch),
+        (GALLOP_RATIO * a.len(), SetOpAlgo::Gallop),
     ] {
-        assert_eq!(choose_algo(a.len(), b.len(), tuning), expect);
+        let b = operand(b_len);
+        let forced = tuning(Some(expect));
+        assert_eq!(
+            choose_algo(a.len(), b.len(), SetOpTuning::default()),
+            expect
+        );
+        assert_eq!(choose_algo(a.len(), 0, forced), expect);
         for kind in [OpKind::Intersect, OpKind::Difference] {
             let slots = [(a.clone(), b.clone())];
             let all = LabelMask::ALL;
-            let (outs, _) = run(&g, &slots, kind, all, tuning, Rows::default(), Sink::Vecs);
+            let (outs, _) = run(&g, &slots, kind, all, forced, Rows::default(), Sink::Vecs);
             assert_eq!(
                 outs[0],
                 reference(&g, &a, &b, kind, all),

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use simt_check::{CheckConfig, Diagnostic, Severity};
 use stmatch_core::steal::{mutation, Board};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
-use stmatch_gpusim::{Grid, GridConfig, SharedBudget};
+use stmatch_gpusim::{Cost, Grid, GridConfig, SharedBudget, Site};
 use stmatch_graph::gen;
 use stmatch_pattern::catalog;
 
@@ -225,10 +225,10 @@ fn skewed_fixture_trips_subwarp_lint_at_setops_site() {
     );
 }
 
-/// A counting stream (`Warp::count_stream`: no ballot closes its waves) is
-/// seen wave by wave at its caller's site, and the warp reconverges after it
-/// without a charged instruction — so the scan that follows is not issued
-/// while diverged, and no error fires.
+/// A counting stream (`Cost::Stream` with `counted`: no ballot closes its
+/// waves) is seen wave by wave at the site that charged it, and the warp
+/// reconverges after it without a charged instruction — so the scan that
+/// opens the next stream is not issued while diverged, and no error fires.
 #[test]
 fn a_counting_stream_reports_its_site_and_reconverges() {
     let _g = serial();
@@ -244,10 +244,17 @@ fn a_counting_stream_reports_its_site_and_reconverges() {
     })
     .expect("grid");
     let m = grid.launch(|w| {
-        for _ in 0..8 {
-            w.count_stream(1); // one one-lane wave, left diverged
+        for i in 0..8 {
+            // One one-lane wave, left diverged; the last stream opens with
+            // a two-slot scan.
+            let slots = if i == 7 { 2 } else { 1 };
+            let counted = Cost::Stream {
+                slots,
+                lanes: 1,
+                counted: true,
+            };
+            w.charge(Site::SetOp, counted);
         }
-        let _ = w.exclusive_scan(&mut [0; 32]);
     });
     let diags = simt_check::drain();
     simt_check::disable();
