@@ -90,12 +90,14 @@ hotpath q6 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=
 hotpath q2 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=" \
     "${CHECK[@]}" hotpath
 
-# Hub-bitmap routing gate. Off legs (routing off, index still attached):
-# the GOLDEN rows / pinned counts with zero bitmap counters. On legs: the
-# same counts, and instruction, probe-word, merge-word and merge-wave
-# totals equal to the rows pinned in the bin — rows are routed by the one
-# stream interpreter, so any drift in which operand, input or fused chain
-# gets a row shows here. The grep wants nonzero probe and merge traffic.
+# Hub-bitmap routing gate. Routing follows the graph: off legs run on the
+# plain graphs and must land the GOLDEN rows / pinned counts with zero
+# bitmap counters; on legs run on the same graphs carrying an index and
+# must land the same counts, and instruction, probe-word, merge-word and
+# merge-wave totals equal to the rows pinned in the bin — rows are routed
+# by the one stream interpreter, so any drift in which operand, input or
+# fused chain gets a row shows here. The grep wants nonzero probe and
+# merge traffic.
 run_and_grep "smoke:bitmap" \
     "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
     "${CHECK[@]}" bitmap
@@ -240,6 +242,17 @@ if [ -n "${charges}" ]; then
     exit 1
 fi
 echo "==> lint:charges: OK"
+
+# Index lint: hub rows follow the graph (DESIGN.md §4f) — the caller
+# attaches a hub-bitmap index, the engine and the service never build one.
+echo "==> lint:index: scanning crates/core/src for index builds"
+builds=$(grep -rnE 'HubBitmapIndex::build|ensure_hub_bitmap' crates/core/src || true)
+if [ -n "${builds}" ]; then
+    echo "${builds}"
+    echo "==> lint:index: FAILED — attach the index to the graph (Graph::with_hub_bitmap)"
+    exit 1
+fi
+echo "==> lint:index: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

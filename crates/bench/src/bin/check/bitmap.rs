@@ -3,14 +3,15 @@
 //! graph, the 5-clique query on the dense ER clique workload, and the
 //! same query on `K_32` (whose `C(32, 5)` count is closed-form) — there
 //! also without code motion, so that every level is a multi-op chain on
-//! hubs and runs fused — once with bitmap routing **off** and once **on**,
-//! and fails unless
+//! hubs and runs fused — once on the plain graph (**off**: no index, so
+//! no hub rows) and once on the same graph carrying a hub-bitmap index
+//! (**on**: the index a graph carries is the routing decision), and fails
+//! unless
 //!
 //! * the off legs reproduce the pinned behaviour exactly — for q1/q6 the
 //!   full [`stmatch_bench::hotpath::GOLDEN`] row (count, instructions,
-//!   utilization: the attached-but-disabled index must be invisible), for
-//!   the clique legs their pinned/analytic counts — with zero bitmap
-//!   counters;
+//!   utilization), for the clique legs their pinned/analytic counts — with
+//!   zero bitmap counters;
 //! * the on legs produce the identical match counts;
 //! * the on legs reproduce their pinned [`ROUTED`] rows to the word:
 //!   total SIMT instructions, probe words, merge words and merge waves —
@@ -29,7 +30,7 @@
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::Engine;
-use stmatch_graph::gen;
+use stmatch_graph::{gen, Graph};
 
 /// Pinned on-leg behaviour per workload: `(total instructions, probe
 /// words, merge words, merge waves)`. Regenerate from the `bitmap <name>:`
@@ -47,12 +48,12 @@ pub fn run(args: &[String]) -> ExitCode {
     if let Err(code) = crate::flag("bitmap", args, &[]) {
         return code;
     }
-    let pa = hotpath::graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
-    let er = hotpath::clique_graph().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
-    let k32 = gen::complete(32).with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
+    let pa = hotpath::graph();
+    let er = hotpath::clique_graph();
+    let k32 = gen::complete(32);
     // (name, graph, query, pinned count (None = GOLDEN row), code
     // motion), in `ROUTED` order.
-    let suite: [(&str, &stmatch_graph::Graph, usize, Option<u64>, bool); 5] = [
+    let suite: [(&str, &Graph, usize, Option<u64>, bool); 5] = [
         ("q1", &pa, 1, None, true),
         ("q6", &pa, 6, None, true),
         ("clique", &er, 8, Some(hotpath::CLIQUE_COUNT), true),
@@ -67,14 +68,14 @@ pub fn run(args: &[String]) -> ExitCode {
     };
     let (mut probe_words, mut merge_words, mut merge_waves) = (0u64, 0u64, 0u64);
     for ((name, g, qi, pinned, code_motion), routed) in suite.into_iter().zip(ROUTED) {
+        let indexed = g.clone().with_hub_bitmap(hotpath::BITMAP_THRESHOLD);
         let q = hotpath::query(qi);
         let mut cfg = hotpath::config();
         cfg.code_motion = code_motion;
 
         let off = Engine::new(cfg).run(g, &q).unwrap();
         match pinned {
-            // PA workloads: the disabled leg must reproduce the GOLDEN
-            // row, index attached or not.
+            // PA workloads: the off leg must reproduce the GOLDEN row.
             None => {
                 if let Err(e) = hotpath::check(qi, hotpath::Leg::Plain, &off) {
                     fail(format!("{name} off-leg: {e}"));
@@ -90,7 +91,7 @@ pub fn run(args: &[String]) -> ExitCode {
             fail(format!("{name} off-leg moved bitmap counters"));
         }
 
-        let on = Engine::new(cfg.with_hub_bitmap(true)).run(g, &q).unwrap();
+        let on = Engine::new(cfg).run(&indexed, &q).unwrap();
         if on.count != off.count {
             fail(format!(
                 "{name} on-leg count {} != off-leg {}",

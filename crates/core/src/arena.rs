@@ -221,8 +221,8 @@ impl StackArena {
     }
 
     /// Sizes the per-slot result bitmap storage for rows of `stride` u64
-    /// words. Called once at kernel construction when hub-bitmap routing
-    /// is on; like [`StackArena::new`] this is a construction-time
+    /// words. Called once at kernel construction when the graph carries a
+    /// hub-bitmap index; like [`StackArena::new`] this is a construction-time
     /// allocation, so the steady-state claim path stays allocation-free.
     pub fn enable_set_bits(&mut self, stride: usize) {
         self.words = vec![0; self.words_valid.len() * stride];

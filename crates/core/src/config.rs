@@ -53,18 +53,15 @@ pub struct EngineConfig {
     /// a candidate list outgrows them, like the paper's CPU-memory
     /// overflow for hubs (see `arena`).
     pub max_degree_slab: usize,
-    /// Size-ratio thresholds steering the adaptive set-operation kernels
-    /// (binary search / linear merge / galloping search, plus the
-    /// hub-bitmap probe/merge paths when [`EngineConfig::hub_bitmap`] is
-    /// enabled). Host-side only for the element-stream algorithms: tuning
-    /// never changes results, and only the bitmap-merge paths change
-    /// simulator metrics.
+    /// Pins every set operation to one algorithm (`force`; tests and
+    /// ablations). Unforced, the size ratios
+    /// `setops::{MERGE_RATIO, GALLOP_RATIO, BITMAP_RATIO}` pick between
+    /// linear merge, binary search, galloping search and — on a graph that
+    /// carries a hub-bitmap index — the bitmap probe/merge paths. Forcing
+    /// never changes results; only the bitmap-merge paths change simulator
+    /// metrics.
     pub setops: SetOpTuning,
-    /// Hub-bitmap index routing (see `stmatch_graph::bitmap` and
-    /// DESIGN.md §4f): whether the stream interpreter's set operations
-    /// carry hub rows. Disabled by default: the engine then ignores any
-    /// index attached to the graph, and every simulated metric is the
-    /// element paths'.
+    /// Inert; see [`HubBitmapTuning`].
     pub hub_bitmap: HubBitmapTuning,
     /// Bounds on automatic fault recovery: the degradation ladder taken on
     /// launch-planning failures and the salvage relaunches draining work
@@ -201,33 +198,20 @@ impl Default for CompileTuning {
     }
 }
 
-/// Hub-bitmap index knob: whether the stream interpreter routes bitmap rows
-/// into its set operations, and which degree makes a vertex a hub.
-///
-/// When `enabled`, the engine uses the graph's attached
-/// [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex) or builds one at
-/// `hub_threshold` per run; the interpreter then hands each set operation
-/// the rows of its hub operands, of inputs that are a hub's neighbor list
-/// or a sealed bitmap result, and runs all-hub chains fused. Bitmap routing
-/// never changes match results — only host algorithms and the wave
-/// structure of bitmap merges. Composes with every other knob; anchored
-/// delta launches alone run without it (stage views carry no index).
+/// Inert, kept for `benchmark/`: no engine or service path reads it.
+/// Hub rows follow the graph — a launch routes them into its set operations
+/// iff the graph carries a
+/// [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex), attached by the
+/// caller with `Graph::with_hub_bitmap(threshold)` (DESIGN.md §4f).
+/// `hub_threshold` (32) is only a default a caller may pass there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HubBitmapTuning {
-    /// Route set operations through hub-bitmap paths (default `false`).
-    pub enabled: bool,
-    /// Vertices with `degree > hub_threshold` (strict) get bitmap rows
-    /// when the engine builds the index itself (default 32). Ignored when
-    /// the graph already carries an index.
     pub hub_threshold: usize,
 }
 
 impl Default for HubBitmapTuning {
     fn default() -> Self {
-        HubBitmapTuning {
-            enabled: false,
-            hub_threshold: 32,
-        }
+        HubBitmapTuning { hub_threshold: 32 }
     }
 }
 
@@ -297,9 +281,8 @@ impl EngineConfig {
         self
     }
 
-    /// Returns a copy with hub-bitmap routing switched on or off.
-    pub fn with_hub_bitmap(mut self, enabled: bool) -> Self {
-        self.hub_bitmap.enabled = enabled;
+    /// Inert; see [`HubBitmapTuning`].
+    pub fn with_hub_bitmap(self, _enabled: bool) -> Self {
         self
     }
 
@@ -369,11 +352,9 @@ mod tests {
         // to the Engine, never to the config).
         assert!(c.recovery.max_downgrades > 0);
         assert!(c.recovery.salvage_relaunches > 0);
-        // Bitmap routing defaults off so baselines stay bit-identical.
-        assert!(!c.hub_bitmap.enabled);
-        assert_eq!(c.hub_bitmap.hub_threshold, 32);
-        assert!(c.with_hub_bitmap(true).hub_bitmap.enabled);
         // Inert, but `benchmark/` builds its legs from these defaults.
+        assert_eq!(c.hub_bitmap.hub_threshold, 32);
+        assert_eq!(c.with_hub_bitmap(true), c);
         assert!(!c.compile.enabled);
         assert_eq!(c.compile.tier_up_after, 4096);
         assert!(c.compile.specialize);

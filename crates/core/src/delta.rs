@@ -154,12 +154,11 @@ impl StagedBatch {
             return Ok(None);
         }
         // Right-size the launches: a level-0 domain of 2 × batch indices
-        // has no use for a service-sized grid, and stage views carry no hub
-        // index to route. The launches interpret the anchored plans' own
-        // streams like any other.
+        // has no use for a service-sized grid. Stage views carry no hub
+        // index, so the launches interpret the anchored plans' own streams
+        // on the element paths.
         let mut dcfg: EngineConfig = *cfg;
         dcfg.grid = cfg.delta.grid;
-        dcfg.hub_bitmap.enabled = false;
         let mut sub = Engine::new(dcfg);
         if let Some(plan) = engine.fault_plan() {
             sub = sub.with_fault_plan(plan.clone());

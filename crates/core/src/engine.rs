@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
-use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
+use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
 
@@ -224,8 +224,8 @@ pub(crate) enum Level0<'a> {
     /// that places the plan's first two order positions on a batch edge,
     /// each against its own stage graph, and the warps claim stages as
     /// chunks off the ordinary dispenser. `Launch::graph` is stage 0's view
-    /// (the side's graph, row for row); it only sizes the slabs. Hub routing
-    /// must be off: stage views carry no index.
+    /// (the side's graph, row for row); it only sizes the slabs. Stage views
+    /// carry no hub index, so these launches never route hub rows.
     Anchored {
         edges: &'a [(VertexId, VertexId)],
         views: &'a [Graph],
@@ -426,16 +426,6 @@ impl Engine {
         let (graph, plan) = (req.graph, req.plan);
         self.cfg.validate();
         let mut cfg = self.cfg;
-        // Resolve the hub-bitmap index once, outside the degradation loop:
-        // the ladder only shrinks launch geometry, never the graph, so
-        // rebuilding per rung would waste the (host-side) build.
-        let owned_hubs = (cfg.hub_bitmap.enabled && graph.hub_bitmap().is_none())
-            .then(|| HubBitmapIndex::build(graph, cfg.hub_bitmap.hub_threshold));
-        let hubs = if cfg.hub_bitmap.enabled {
-            owned_hubs.as_ref().or_else(|| graph.hub_bitmap())
-        } else {
-            None
-        };
         // A verdict the caller attached shapes the slabs wherever its clean
         // certificate shrinks one, and is audited after the run below.
         let slab_caps = req.verified.and_then(Verification::footprint_caps);
@@ -457,7 +447,10 @@ impl Engine {
                     edges.len() <= (VertexId::MAX / 2) as usize,
                     "batch side too wide"
                 );
-                assert!(hubs.is_none(), "stage views carry no hub index");
+                assert!(
+                    graph.hub_bitmap().is_none(),
+                    "stage views carry no hub index"
+                );
                 (2 * edges.len(), Level0Map::Staged { edges, views }, None)
             }
         };
@@ -468,7 +461,6 @@ impl Engine {
                     graph,
                     plan,
                     cfg: &cfg,
-                    hubs,
                     slab_caps: slab_caps.as_deref(),
                     l0,
                     enumerate: req.collector.is_some(),

@@ -102,16 +102,11 @@ pub struct KernelEnv<'a> {
     /// interprets.
     pub plan: &'a MatchPlan,
     pub cfg: &'a EngineConfig,
-    /// Hub-bitmap index, present iff `cfg.hub_bitmap.enabled` (the engine
-    /// resolves the graph's attached index or builds one per run): its rows
-    /// are routed into the interpreter's set operations. `None` keeps
-    /// every set operation on the classic element paths.
-    pub hubs: Option<&'a HubBitmapIndex>,
     /// Per-set slab-capacity bounds of a clean static verification
     /// (`Verification::footprint_caps`), present iff the launch carries a
     /// verdict (`Launch::verified`) whose certificate offers some: the
-    /// arena is shaped to them. Ignored when `hubs` is set (set-bit rows
-    /// assume uniform geometry).
+    /// arena is shaped to them. Ignored when the graph carries a hub index
+    /// (set-bit rows assume uniform geometry).
     pub slab_caps: Option<&'a [u32]>,
     /// Level-0 translation.
     pub l0: Level0Map<'a>,
@@ -127,7 +122,7 @@ impl KernelEnv<'_> {
     /// come from it (hub rows, sealed result rows); the marker serves the
     /// launches that carry no rows at all.
     fn marker_rows(&self) -> (u8, usize) {
-        let marked = if self.hubs.is_none() {
+        let marked = if self.graph.hub_bitmap().is_none() {
             self.plan.bytecode().marked()
         } else {
             0
@@ -280,7 +275,9 @@ pub struct WarpKernel<'a> {
     /// Injected fault plan, if any (testing/chaos only; `None` on every
     /// production path).
     faults: Option<&'a FaultPlan>,
-    /// See [`KernelEnv::hubs`].
+    /// The launch graph's hub-bitmap index, if it carries one: its rows are
+    /// routed into the interpreter's set operations. `None` keeps every set
+    /// operation on the classic element paths.
     hubs: Option<&'a HubBitmapIndex>,
 }
 
@@ -301,10 +298,11 @@ impl<'a> WarpKernel<'a> {
             graph: g,
             plan,
             cfg,
-            hubs,
             slab_caps,
             ..
         } = *env;
+        // Hub rows follow the graph: routed iff it carries an index.
+        let hubs = g.hub_bitmap();
         let k = plan.num_levels();
         let bc = plan.bytecode();
         let stop = board.stop();
@@ -1365,7 +1363,6 @@ mod tests {
             graph: g,
             plan,
             cfg: &cfg,
-            hubs: None,
             slab_caps: None,
             l0: Level0Map::Identity,
             enumerate: false,

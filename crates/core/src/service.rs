@@ -7,9 +7,10 @@
 //! pattern queries against the *same* graph repays none of that setup.
 //! [`MatchService`] keeps the expensive state resident (DESIGN.md §4g):
 //!
-//! * **Shared graph** — the service holds an immutable `Arc<Graph>`; the
-//!   hub-bitmap index is built lazily exactly once via
-//!   [`Graph::ensure_hub_bitmap`] and shared by every query thereafter.
+//! * **Shared graph** — the service holds an immutable `Arc<Graph>`. A
+//!   hub-bitmap index, if the caller attached one
+//!   ([`Graph::with_hub_bitmap`]), travels with it: every query routes hub
+//!   rows, and every delta snapshot carries a word-patched copy.
 //! * **Canonical plan cache** — compiled [`MatchPlan`]s are cached keyed
 //!   by [`iso::canonical_form`], so relabeled/isomorphic submissions hit
 //!   the same entry (counts are isomorphism-invariant). Compilation runs
@@ -470,14 +471,6 @@ impl Inner {
         if let Some(r) = opts.recovery {
             cfg.recovery = r;
         }
-        if cfg.hub_bitmap.enabled {
-            // Shared-index handoff: built at most once for the service's
-            // lifetime, then every engine below sees graph.hub_bitmap().
-            // Delta snapshots already carry a word-patched copy of the
-            // base index (stamped with their version), so this is a no-op
-            // for them.
-            graph.ensure_hub_bitmap(cfg.hub_bitmap.hub_threshold);
-        }
         let mut engine = Engine::new(cfg);
         if let Some(r) = remaining {
             engine = engine.with_timeout(r);
@@ -552,12 +545,6 @@ impl MatchService {
     pub fn new(graph: Arc<Graph>, cfg: ServiceConfig) -> MatchService {
         cfg.engine.validate();
         let dynamic = cfg.engine.delta.enabled.then(|| {
-            if cfg.engine.hub_bitmap.enabled {
-                // Build the shared index on the base *before* the first
-                // snapshot, so every snapshot carries a version-stamped
-                // patched copy instead of rebuilding from scratch.
-                graph.ensure_hub_bitmap(cfg.engine.hub_bitmap.hub_threshold);
-            }
             let mut overlay = DeltaOverlay::new((*graph).clone());
             if cfg.engine.shard.shards > 1 && cfg.engine.shard.work_aware {
                 // Sharded queries split by level-0 weights; track them on

@@ -14,7 +14,7 @@
 use crate::bitmap::HubBitmapIndex;
 use crate::Label;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Vertex identifier. `u32` keeps the warp stacks compact (the paper stores
 /// candidate sets as 32-bit node ids in GPU global memory).
@@ -170,10 +170,10 @@ pub struct Graph {
     /// Replacement rows for batch-touched vertices (`None` = plain CSR).
     patch: Option<Patch>,
     /// Optional hub-bitmap neighbor index (see [`crate::bitmap`]); derived
-    /// data attached with [`Graph::with_hub_bitmap`] or built lazily (and
-    /// exactly once, even under concurrent callers) by
-    /// [`Graph::ensure_hub_bitmap`]; absent by default.
-    hub_bitmap: OnceLock<HubBitmapIndex>,
+    /// data attached with [`Graph::with_hub_bitmap`], absent by default.
+    /// The engine routes hub rows into its set operations iff the graph it
+    /// runs on carries one.
+    hub_bitmap: Option<HubBitmapIndex>,
 }
 
 impl Graph {
@@ -193,7 +193,7 @@ impl Graph {
             name,
             version: 0,
             patch: None,
-            hub_bitmap: OnceLock::new(),
+            hub_bitmap: None,
         }
     }
 
@@ -224,10 +224,7 @@ impl Graph {
             name: self.name.clone(),
             version,
             patch: Some(patch),
-            hub_bitmap: match patched_index {
-                Some(idx) => OnceLock::from(idx),
-                None => OnceLock::new(),
-            },
+            hub_bitmap: patched_index,
         }
     }
 
@@ -239,8 +236,9 @@ impl Graph {
     /// be present; self-loops and duplicates are the caller's bug.
     ///
     /// The view keeps this graph's version (it is a *hypothetical* stage
-    /// graph, not a new topology) and carries no hub index — delta
-    /// launches run with hub routing off, so none is ever probed.
+    /// graph, not a new topology) and, unless `edges` is empty (this graph
+    /// is returned as is), carries no hub index, so launches on it run the
+    /// element paths.
     pub fn without_edges(&self, edges: &[(VertexId, VertexId)]) -> Graph {
         if edges.is_empty() {
             return self.clone();
@@ -460,7 +458,7 @@ impl Graph {
     /// wrong count.
     #[inline]
     fn checked_index(&self) -> Option<&HubBitmapIndex> {
-        let idx = self.hub_bitmap.get()?;
+        let idx = self.hub_bitmap.as_ref()?;
         if idx.version() != self.version {
             panic!(
                 "stale hub-bitmap probe on graph '{}': index stamped for \
@@ -508,26 +506,14 @@ impl Graph {
     /// covering every vertex with `degree > threshold`. Replaces any index
     /// already attached.
     pub fn with_hub_bitmap(mut self, threshold: usize) -> Self {
-        self.hub_bitmap = OnceLock::from(HubBitmapIndex::build(&self, threshold));
+        self.hub_bitmap = Some(HubBitmapIndex::build(&self, threshold));
         self
-    }
-
-    /// Returns the attached hub-bitmap index, building it at `threshold`
-    /// first if none is attached yet. Thread-safe and idempotent: under
-    /// concurrent callers exactly one build runs and every caller sees the
-    /// same index — this is the shared-index handoff a resident service
-    /// uses so one `Arc<Graph>` serves many queries without per-query
-    /// index builds. (If an index is already attached, its threshold wins;
-    /// `threshold` is only used for a fresh build.)
-    pub fn ensure_hub_bitmap(&self, threshold: usize) -> &HubBitmapIndex {
-        self.hub_bitmap
-            .get_or_init(|| HubBitmapIndex::build(self, threshold))
     }
 
     /// The attached hub-bitmap index, if any.
     #[inline]
     pub fn hub_bitmap(&self) -> Option<&HubBitmapIndex> {
-        self.hub_bitmap.get()
+        self.hub_bitmap.as_ref()
     }
 
     /// The bitmap row of `v` when an index is attached and `v` is a hub.
@@ -609,7 +595,7 @@ impl Graph {
                         rows.pool.len() + rows.under.as_deref().map_or(0, row_cells)
                     }
                 }
-            + self.hub_bitmap.get().map_or(0, |b| b.memory_bytes())
+            + self.hub_bitmap.as_ref().map_or(0, |b| b.memory_bytes())
     }
 
     /// Returns a new graph whose vertex ids are permuted so that vertices are
@@ -636,7 +622,7 @@ impl Graph {
         let g = builder.build().with_name(self.name.clone());
         // Vertex ids changed, so a carried index must be rebuilt (same
         // threshold) rather than copied.
-        match self.hub_bitmap.get() {
+        match &self.hub_bitmap {
             Some(idx) => g.with_hub_bitmap(idx.threshold()),
             None => g,
         }
@@ -665,7 +651,7 @@ pub mod mutation {
             "mutation needs a genuine version mismatch"
         );
         let mut g = view.clone();
-        g.hub_bitmap = OnceLock::from(idx);
+        g.hub_bitmap = Some(idx);
         g
     }
 }
@@ -803,30 +789,6 @@ mod tests {
         for v in ordered.vertices() {
             assert_eq!(idx.is_hub(v), ordered.degree(v) > 6);
         }
-    }
-
-    #[test]
-    fn ensure_hub_bitmap_builds_once_under_concurrency() {
-        let g = std::sync::Arc::new(crate::gen::preferential_attachment(80, 4, 5));
-        assert!(g.hub_bitmap().is_none());
-        let addrs: Vec<usize> = std::thread::scope(|s| {
-            (0..8)
-                .map(|_| {
-                    let g = g.clone();
-                    s.spawn(move || g.ensure_hub_bitmap(6) as *const _ as usize)
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        // Every thread got the same index instance, and the threshold of
-        // the winning build stuck.
-        assert!(addrs.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(g.hub_bitmap().unwrap().threshold(), 6);
-        // An already-attached index wins over a later ensure at a
-        // different threshold.
-        assert_eq!(g.ensure_hub_bitmap(3).threshold(), 6);
     }
 
     #[test]

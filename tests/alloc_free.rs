@@ -43,11 +43,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Runs warmup + steady-state passes of `paper_query(6)` over a PA graph,
 /// returning `(steady_allocs, steady_matches, grid_total_matches,
 /// bitmap_probe_words + bitmap_merge_words)`. When `bitmap` is set, the
-/// graph carries a hub-bitmap index and the kernel routes through the
+/// graph carries a hub-bitmap index, so the kernel routes through the
 /// bitmap set-op paths (including the arena's lent word scratch).
 fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     // Steal-free single-warp geometry: the claim loop is the whole kernel.
-    let mut cfg = EngineConfig {
+    let cfg = EngineConfig {
         grid: GridConfig {
             num_blocks: 1,
             warps_per_block: 1,
@@ -57,7 +57,6 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
         global_steal: false,
         ..EngineConfig::default()
     };
-    cfg.hub_bitmap.enabled = bitmap;
     cfg.validate();
 
     let mut g = gen::preferential_attachment(120, 6, 11).degree_ordered();
@@ -67,7 +66,6 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
         g = g.with_hub_bitmap(6);
     }
     let n = g.num_vertices();
-    let hubs = g.hub_bitmap();
 
     // A pattern whose plan exercises multi-op chains and the unrolled deep
     // levels (so the ping/pong scratch and every arena set slot are live).
@@ -88,7 +86,6 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
             graph: &g,
             plan: &plan,
             cfg: &cfg,
-            hubs,
             slab_caps: None,
             l0: Level0Map::Identity,
             enumerate: false,
@@ -146,13 +143,10 @@ fn steady_state_run_does_not_allocate() {
                 steady_matches, classic_matches,
                 "bitmap routing changed match counts"
             );
-            assert!(
-                bitmap_words > 0,
-                "bitmap-enabled run never took a bitmap path"
-            );
+            assert!(bitmap_words > 0, "indexed run never took a bitmap path");
         } else {
             classic_matches = steady_matches;
-            assert_eq!(bitmap_words, 0, "bitmap counters moved while disabled");
+            assert_eq!(bitmap_words, 0, "bitmap counters moved without an index");
         }
     }
 }

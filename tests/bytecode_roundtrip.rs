@@ -9,9 +9,8 @@
 //! interpreter, by that interpreter, and have not moved since; the three
 //! cost columns are the default launch's under the current cost model
 //! (regenerated with the last-level rule of DESIGN.md §4c, every total at
-//! or under the one it replaced). The default launch and a launch on an
-//! index-carrying graph with hub routing off must each reproduce the table
-//! to the lane slot. A randomized `testkit` leg checks the default launch's
+//! or under the one it replaced). The default launch must reproduce the
+//! table to the lane slot. A randomized `testkit` leg checks the default launch's
 //! counts for q1..q24 on arbitrary graphs against the independent reference
 //! matcher, and a seeded-mutation leg proves the comparison has teeth:
 //! corrupting one opcode of an otherwise well-formed stream must change
@@ -142,9 +141,6 @@ fn every_launch_flavour_reproduces_the_pinned_reference() {
         ("labeled", labeled_graph(), true),
     ];
     for ((gname, g, labeled), pinned) in fixtures.iter().zip(&PINNED) {
-        // Low threshold: most of either fixture's vertices get rows, all of
-        // which the routing-off leg must ignore.
-        let indexed = g.clone().with_hub_bitmap(4);
         if print {
             println!("    // {gname}\n    [");
         }
@@ -154,22 +150,17 @@ fn every_launch_flavour_reproduces_the_pinned_reference() {
             } else {
                 catalog::paper_query(qi)
             };
+            let got = run(deterministic_cfg(), g, &q);
             if print {
-                let (c, i, a, s) = run(deterministic_cfg(), g, &q);
+                let (c, i, a, s) = got;
                 println!("        ({c}, {i}, {a}, {s}),");
                 continue;
             }
-            let want = pinned[qi - 1];
-            for (leg, cfg, graph) in [
-                ("default", deterministic_cfg(), g),
-                ("index attached, routing off", deterministic_cfg(), &indexed),
-            ] {
-                assert_eq!(
-                    run(cfg, graph, &q),
-                    want,
-                    "q{qi} on {gname}, {leg}: drifted from the pinned plan-walk reference"
-                );
-            }
+            assert_eq!(
+                got,
+                pinned[qi - 1],
+                "q{qi} on {gname}: drifted from the pinned plan-walk reference"
+            );
         }
         if print {
             println!("    ],");

@@ -14,9 +14,13 @@
 //! *some* rows means an engine bug, not a generator change (the graph
 //! shape assertions below tell the two apart).
 
-use stmatch_core::{Engine, EngineConfig};
+use std::sync::Arc;
+use stmatch_baselines::reference::{self, RefOptions};
+use stmatch_core::{
+    Engine, EngineConfig, MatchOutcome, MatchService, QueryOptions, ServiceConfig, WarmSlot,
+};
 use stmatch_gpusim::GridConfig;
-use stmatch_graph::{gen, Graph};
+use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::catalog;
 
 fn grid() -> GridConfig {
@@ -130,19 +134,17 @@ fn clique_counts_in_complete_graphs_are_binomial() {
     }
 }
 
-/// Hub-bitmap routing is count-invariant: the full unlabeled sweep with a
-/// low hub threshold (so bitmap probes, merges, and fused chains all fire)
-/// reproduces every golden number exactly.
+/// Hub-bitmap routing is count-invariant: the full unlabeled sweep on the
+/// fixture carrying an index at a low hub threshold (so bitmap probes,
+/// merges, and fused chains all fire) reproduces every golden number
+/// exactly.
 #[test]
 fn unlabeled_counts_survive_hub_bitmap_routing() {
     let g = unlabeled_graph().with_hub_bitmap(6);
     for &(qi, edge_induced, vertex_induced, _) in GOLDEN {
         let q = catalog::paper_query(qi);
         for (induced, want) in [(false, edge_induced), (true, vertex_induced)] {
-            let mut cfg = EngineConfig::default()
-                .with_grid(grid())
-                .with_hub_bitmap(true);
-            cfg.induced = induced;
+            let cfg = EngineConfig::default().with_grid(grid()).induced(induced);
             let got = Engine::new(cfg).run(&g, &q).unwrap().count;
             assert_eq!(got, want, "bitmap q{qi} induced={induced}");
         }
@@ -156,34 +158,100 @@ fn labeled_counts_survive_hub_bitmap_routing() {
     let g = labeled_graph().with_hub_bitmap(6);
     for &(qi, _, _, want) in GOLDEN {
         let q = catalog::paper_query(qi).with_random_labels(10, qi as u64);
-        let got = Engine::new(
-            EngineConfig::default()
-                .with_grid(grid())
-                .with_hub_bitmap(true),
-        )
-        .run(&g, &q)
-        .unwrap()
-        .count;
+        let got = Engine::new(EngineConfig::default().with_grid(grid()))
+            .run(&g, &q)
+            .unwrap()
+            .count;
         assert_eq!(got, want, "bitmap labeled q{qi}");
     }
 }
 
 /// Bitmap routing with code motion disabled: candidate sets are recomputed
 /// at every level through multi-op chains, which is the heaviest consumer
-/// of the fused bitmap-chain path. Counts must still be exact, and the
-/// engine must build its own index (none attached) from the config
-/// threshold.
+/// of the fused bitmap-chain path. Counts must still be exact.
 #[test]
 fn counts_survive_hub_bitmap_without_code_motion() {
-    let g = unlabeled_graph(); // no attached index: engine builds at threshold
+    let g = unlabeled_graph().with_hub_bitmap(6);
     for &(qi, edge_induced, _, _) in &GOLDEN[..8] {
         let q = catalog::paper_query(qi);
-        let mut cfg = EngineConfig::default()
-            .with_grid(grid())
-            .with_hub_bitmap(true);
+        let mut cfg = EngineConfig::default().with_grid(grid());
         cfg.code_motion = false;
-        cfg.hub_bitmap.hub_threshold = 6;
         let got = Engine::new(cfg).run(&g, &q).unwrap().count;
         assert_eq!(got, edge_induced, "bitmap no-motion q{qi}");
     }
+}
+
+/// Hub rows follow the graph: under `EngineConfig::default()`, with no knob
+/// naming the index, every route runs the bitmap paths on the fixture that
+/// carries one — a cold launch, a warm slot, a sharded run, a static
+/// service, and a delta service's snapshot after one batch and after a
+/// compaction — and the element paths on the same fixture without one, at
+/// the same exact count. An anchored delta over the indexed base (whose
+/// stage views carry no index) matches a full recount.
+#[test]
+fn hub_rows_follow_the_graph_on_every_route() {
+    let (qi, want) = (6, GOLDEN[5].1);
+    let q = catalog::paper_query(qi);
+    let cfg = EngineConfig::default().with_grid(grid());
+    let engine = Engine::new(cfg);
+    let plan = engine.compile(&q);
+    let plain = unlabeled_graph();
+    let indexed = plain.clone().with_hub_bitmap(6);
+    // A batch through the top hub (vertex 0 of the degree-ordered fixture):
+    // one of its edges goes and a non-neighbor joins it, so the snapshot's
+    // index must be word-patched, and compaction must rebuild it.
+    let joined = plain.vertices().find(|&v| v != 0 && !plain.has_edge(0, v));
+    let ops = [
+        EdgeOp::delete(0, plain.neighbors(0)[0]),
+        EdgeOp::insert(0, joined.expect("the hub has a non-neighbor")),
+    ];
+    let bitmap_words = |o: &MatchOutcome| {
+        let t = o.metrics.total();
+        t.bitmap_probe_words + t.bitmap_merge_words + t.bitmap_merge_waves
+    };
+    for (g, routed) in [(&plain, false), (&indexed, true)] {
+        let warm = WarmSlot::new(cfg.grid).unwrap();
+        let sharded = Engine::new(cfg.with_shards(2)).run_plan_sharded(g, &plan);
+        let service = MatchService::new(Arc::new(g.clone()), ServiceConfig::new(cfg));
+        let mut routes = vec![
+            ("cold", engine.run_plan(g, &plan).unwrap(), want),
+            (
+                "warm slot",
+                engine.run_plan_warm(g, &plan, &warm).unwrap(),
+                want,
+            ),
+            ("sharded", sharded.unwrap().outcome, want),
+            (
+                "service",
+                service.submit(&q, QueryOptions::default()).unwrap(),
+                want,
+            ),
+        ];
+        for (route, compact_every) in [("delta service", 64), ("compacted delta service", 1)] {
+            let mut dcfg = cfg.with_delta(true);
+            dcfg.delta.compact_every = compact_every;
+            let service = MatchService::new(Arc::new(g.clone()), ServiceConfig::new(dcfg));
+            service.apply_batch(&ops);
+            let post = service.current_graph();
+            assert_eq!(post.is_view(), compact_every != 1, "{route}");
+            assert_eq!(post.hub_bitmap().is_some(), routed, "{route}");
+            let recount = reference::count(&post, &q, RefOptions::default());
+            let out = service.submit(&q, QueryOptions::default()).unwrap();
+            routes.push((route, out, recount));
+        }
+        for (route, out, want) in routes {
+            assert_eq!(out.count, want, "{route}, index attached: {routed}");
+            assert_eq!(
+                bitmap_words(&out) > 0,
+                routed,
+                "{route}: hub rows must be routed iff the graph carries an index"
+            );
+        }
+    }
+    let mut overlay = DeltaOverlay::new(indexed.clone());
+    let batch = overlay.apply(&ops);
+    let post = overlay.snapshot();
+    let delta = engine.run_delta(&indexed, &post, &batch, &q).unwrap();
+    let recount = engine.run(&post, &q).unwrap().count;
+    assert_eq!(want as i64 + delta.net(), recount as i64);
 }

@@ -108,7 +108,7 @@ fn clean_queries_produce_no_diagnostics() {
     );
 }
 
-/// All checkers with hub-bitmap routing enabled: the bitmap probe, the
+/// All checkers on a graph carrying a hub-bitmap index: the bitmap probe, the
 /// word-wave merge, and the fused chain paths issue their own `wave` /
 /// `ballot` sequences, so they must satisfy the divergence lint's ballot
 /// ⊆ active contract and perturb no counts. Runs both with and without
@@ -120,7 +120,7 @@ fn hub_bitmap_paths_produce_no_diagnostics() {
     simt_check::enable(CheckConfig::all());
     let g = fixture().with_hub_bitmap(6);
     for motion in [true, false] {
-        let mut cfg = EngineConfig::full().with_grid(grid()).with_hub_bitmap(true);
+        let mut cfg = EngineConfig::full().with_grid(grid());
         cfg.code_motion = motion;
         for &(qi, want) in GOLDEN {
             let got = Engine::new(cfg)
