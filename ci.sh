@@ -45,6 +45,32 @@ run_and_grep() {
     echo "==> ${name}: OK"
 }
 
+# Codegen-level gate, before anything is built: `.cargo/config.toml` compiles
+# x86_64 at x86-64-v3 (README, "Building offline"), and a CPU without one of
+# its flags would die of SIGILL in the first binary a phase runs. Check the
+# flags and fail by name instead. An explicit RUSTFLAGS or
+# CARGO_ENCODED_RUSTFLAGS replaces the config's flags, so it skips the check.
+echo "==> host:isa: checking the CPU for the x86-64-v3 build"
+if [ "$(uname -m)" != x86_64 ]; then
+    echo "==> host:isa: OK (not x86_64: built for the target's default CPU)"
+elif [ -n "${RUSTFLAGS+x}" ] || [ -n "${CARGO_ENCODED_RUSTFLAGS+x}" ]; then
+    echo "==> host:isa: OK (RUSTFLAGS set: the config's level is not used)"
+elif [ ! -r /proc/cpuinfo ]; then
+    echo "==> host:isa: OK (no /proc/cpuinfo to read: unchecked)"
+else
+    missing=""
+    for flag in avx2 bmi1 bmi2 fma f16c abm movbe popcnt; do
+        grep -qw "${flag}" /proc/cpuinfo || missing="${missing} ${flag}"
+    done
+    if [ -n "${missing}" ]; then
+        echo "==> host:isa: FAILED — the CPU lacks${missing}, which the x86-64-v3 build"
+        echo "    (.cargo/config.toml) needs; build for baseline x86-64 instead:"
+        echo "    RUSTFLAGS=\"-C target-cpu=x86-64\" ./ci.sh"
+        exit 1
+    fi
+    echo "==> host:isa: OK (avx2 bmi1 bmi2 fma f16c abm movbe popcnt)"
+fi
+
 run "fmt"   cargo fmt --all --check
 run "build" cargo build --release --offline
 # Every target kind the workspace has; `--all-targets` would add `--benches`

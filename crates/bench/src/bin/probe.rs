@@ -12,7 +12,10 @@
 //! header first prints each query's best wall over the rounds and its share
 //! of the sampled wall, and a union table cannot hide which query holds the
 //! host time. `perf` is not in the image; this is the profiler ROADMAP's
-//! host-cost item asks for first.
+//! host-cost item asks for first. Above the walls, `built for:` names the
+//! target features the binary was compiled with (`+popcnt +bmi2 +avx2` at
+//! the workspace's x86-64-v3): a profile or a before/after pair compares
+//! only between builds at one level.
 //!
 //! The sampler is `setitimer(ITIMER_PROF)` asking for 1 kHz of process CPU
 //! time (the kernel tick caps it, typically at 250 Hz); the handler stores
@@ -183,6 +186,17 @@ fn main() -> std::process::ExitCode {
         tables.push((ips, dropped, format!("{rounds} round(s) of q{queries:?}")));
     }
     let sampled: f64 = walls.iter().flatten().sum();
+    // The codegen level: walls and shares compare only between builds at one
+    // level (`-popcnt` is a software popcount in the rank row).
+    let built_for: Vec<String> = [
+        ("popcnt", cfg!(target_feature = "popcnt")),
+        ("bmi2", cfg!(target_feature = "bmi2")),
+        ("avx2", cfg!(target_feature = "avx2")),
+    ]
+    .into_iter()
+    .map(|(name, on)| format!("{}{name}", if on { '+' } else { '-' }))
+    .collect();
+    println!("probe: built for: {}", built_for.join(" "));
     println!("probe: wall per query over {rounds} round(s) — best, share of the sampled wall");
     for (qi, w) in queries.iter().zip(&walls) {
         let best = w.iter().copied().fold(f64::INFINITY, f64::min);

@@ -200,6 +200,31 @@ mod tests {
         }
     }
 
+    /// The workspace builds at x86-64-v3 (`.cargo/config.toml`), where a rank
+    /// is one `bzhi` + `popcnt`; a lost or shadowed config falls back to a
+    /// software popcount without a word. An explicit `RUSTFLAGS` picks its
+    /// own level and skips the check.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn the_rank_row_is_built_for_a_hardware_popcount() {
+        if option_env!("RUSTFLAGS").is_some() || option_env!("CARGO_ENCODED_RUSTFLAGS").is_some() {
+            return;
+        }
+        let missing: Vec<&str> = [
+            ("popcnt", cfg!(target_feature = "popcnt")),
+            ("bmi2", cfg!(target_feature = "bmi2")),
+            ("avx2", cfg!(target_feature = "avx2")),
+        ]
+        .into_iter()
+        .filter_map(|(name, on)| (!on).then_some(name))
+        .collect();
+        assert!(
+            missing.is_empty(),
+            "built without {missing:?}: cargo did not read the repo's .cargo/config.toml \
+             (it reads config from the working directory up, not from --manifest-path)"
+        );
+    }
+
     #[test]
     fn a_rekey_touches_the_lists_and_the_queries_not_the_row() {
         // A row 1000 words long for lists of a dozen elements.

@@ -57,6 +57,10 @@ impl GraphBuilder {
     }
 
     /// Finalizes into a CSR [`Graph`]: deduplicates edges, sorts adjacency.
+    ///
+    /// # Panics
+    /// Panics if a label is `Label::MAX` (the label count, `max + 1`, would
+    /// not fit a `u32`).
     pub fn build(self) -> Graph {
         let n = self.num_vertices;
         let mut edges = self.edges;

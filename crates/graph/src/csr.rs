@@ -176,6 +176,18 @@ pub struct Graph {
     hub_bitmap: Option<HubBitmapIndex>,
 }
 
+/// `max(label) + 1`, the label count a graph carrying `labels` reports.
+///
+/// # Panics
+/// Panics if a label is `Label::MAX`: its count does not fit a `u32`, and a
+/// wrapped 0 would report the graph unlabeled.
+fn label_count(labels: &[Label]) -> u32 {
+    let max = labels.iter().copied().max().unwrap_or(0);
+    max.checked_add(1).unwrap_or_else(|| {
+        panic!("label {max} leaves no room for the label count (labels must stay below {max})")
+    })
+}
+
 impl Graph {
     pub(crate) fn from_parts(
         row_ptr: Vec<usize>,
@@ -184,7 +196,7 @@ impl Graph {
         name: String,
     ) -> Self {
         debug_assert_eq!(row_ptr.len(), labels.len() + 1);
-        let num_labels = labels.iter().copied().max().unwrap_or(0) + 1;
+        let num_labels = label_count(&labels);
         Graph {
             row_ptr: Arc::new(row_ptr),
             col_idx: Arc::new(col_idx),
@@ -557,10 +569,11 @@ impl Graph {
     /// Returns a copy of this graph with labels replaced by `labels`.
     ///
     /// # Panics
-    /// Panics if `labels.len() != num_vertices()`.
+    /// Panics if `labels.len() != num_vertices()`, or if a label is
+    /// `Label::MAX` (the label count, `max + 1`, would not fit a `u32`).
     pub fn relabeled(&self, labels: Vec<Label>) -> Graph {
         assert_eq!(labels.len(), self.num_vertices(), "label count mismatch");
-        let num_labels = labels.iter().copied().max().unwrap_or(0) + 1;
+        let num_labels = label_count(&labels);
         Graph {
             row_ptr: Arc::clone(&self.row_ptr),
             col_idx: Arc::clone(&self.col_idx),
@@ -738,6 +751,12 @@ mod tests {
         let back = labeled.unlabeled();
         assert!(!back.is_labeled());
         assert_eq!(back.num_edges(), g.num_edges());
+    }
+
+    #[test]
+    #[should_panic(expected = "label 4294967295 leaves no room for the label count")]
+    fn a_label_with_no_room_for_the_count_panics_by_name() {
+        triangle_plus_tail().relabeled(vec![0, 0, u32::MAX, 0]);
     }
 
     #[test]

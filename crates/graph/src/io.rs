@@ -7,7 +7,7 @@
 //! * **`.lg` labeled graph** (as used by the STMatch artifact and many graph
 //!   mining systems): `v <id> <label>` and `e <u> <v> [elabel]` lines.
 
-use crate::{Graph, GraphBuilder, VertexId};
+use crate::{Graph, GraphBuilder, Label, VertexId};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -67,7 +67,7 @@ impl MaxId {
     /// exists.
     fn build(
         &self,
-        labels: Vec<(VertexId, u32)>,
+        labels: Vec<(VertexId, Label)>,
         edges: Vec<(VertexId, VertexId)>,
     ) -> Result<Graph, IoError> {
         let records = labels.len() + edges.len();
@@ -134,7 +134,7 @@ pub fn load_edge_list(path: impl AsRef<Path>) -> Result<Graph, IoError> {
 /// Parses an `.lg` labeled graph from a reader.
 pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
     let reader = BufReader::new(reader);
-    let mut labels: Vec<(VertexId, u32)> = Vec::new();
+    let mut labels: Vec<(VertexId, Label)> = Vec::new();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_id = MaxId::default();
     for (idx, line) in reader.lines().enumerate() {
@@ -154,9 +154,15 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
                     return Err(bad("vertex line needs `v <id> <label>`".into()));
                 }
                 let id: VertexId = toks[1].parse().map_err(|e| bad(format!("bad id: {e}")))?;
-                let label: u32 = toks[2]
+                let label: Label = toks[2]
                     .parse()
                     .map_err(|e| bad(format!("bad label: {e}")))?;
+                if label == Label::MAX {
+                    return Err(bad(format!(
+                        "label {label} leaves no room for the label count \
+                         (labels must stay below {label}: the count is the largest label + 1)"
+                    )));
+                }
                 max_id.see(id, idx + 1);
                 labels.push((id, label));
             }
@@ -252,6 +258,23 @@ mod tests {
                 other => panic!("expected a parse error, got {other}"),
             }
         }
+    }
+
+    #[test]
+    fn hostile_label_is_rejected_before_the_label_count_wraps() {
+        // `max + 1` used to overflow: a debug build panicked, a release
+        // build reported a labeled graph as unlabeled (`num_labels() == 0`).
+        match read_lg("v 0 4294967295\ne 0 1\n".as_bytes()).unwrap_err() {
+            IoError::Parse { line, message } => {
+                assert_eq!(line, 1);
+                assert!(message.contains("label 4294967295"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other}"),
+        }
+        // The largest label that leaves room still loads.
+        let g = read_lg("v 0 4294967294\ne 0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.num_labels(), u32::MAX);
+        assert!(g.is_labeled());
     }
 
     #[test]
