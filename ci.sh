@@ -102,18 +102,23 @@ CHECK=(cargo run --release --offline -p stmatch-bench --bin check --)
 # counted) whose key waves are a nonzero count pass; q8, q3, q6 and q2
 # compute their last-level list at the last level and count it in that
 # level's own final stream, so a regression that re-routes them through a
-# pass or a tail fails here by name — and the slot table: q1's last claim
-# fills the warp (its child level writes no set), q8's two deep levels
-# share one width. The gate itself fails any row whose slots exceed the
-# NUM_SETS x UNROLL budget; the greps hold that the field it checked is on
-# the rows.
+# tail fails here by name, and q8's and q2's count pass stays empty (q3 and
+# q6 key a lifted claim level there) — and the streamed side: q2, q3 and q6
+# intersect a lifted N(v0) that carries a marker row, so a shorter operand
+# streams against it and is what is charged (a nonzero operand share), while
+# q1 has no combining operation at all; a regression that charges the input
+# side again fails by name, not only as a total drift. And the slot table:
+# q1's last claim fills the warp (its child level writes no set), q8's two
+# deep levels share one width. The gate itself fails any row whose slots
+# exceed the NUM_SETS x UNROLL budget; the greps hold that the field it
+# checked is on the rows.
 run_and_grep "smoke:hotpath" \
-    "hotpath q1 Plain: OK .* count_pass=[1-9][0-9]* steal=0 tail=[1-9][0-9]*/[1-9][0-9]* widths=\[1, 1, [0-9]+, 32\] slots=[0-9]+/[0-9]+\)
-hotpath q4 Plain: OK .* count_pass=[1-9][0-9]* steal=0 tail=[1-9][0-9]*/[1-9][0-9]* widths=
-hotpath q8 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=\[1, 1, ([0-9]+), \1\] slots=[0-9]+/[0-9]+\)
-hotpath q3 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=
-hotpath q6 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=
-hotpath q2 Plain: OK .* count_pass=0 steal=0 tail=0/0 widths=" \
+    "hotpath q1 Plain: OK .* count_pass=[1-9][0-9]*@[0-9.]+ steal=0 tail=[1-9][0-9]*/[1-9][0-9]* streamed=0/[0-9]+ widths=\[1, 1, [0-9]+, 32\] slots=[0-9]+/[0-9]+\)
+hotpath q4 Plain: OK .* count_pass=[1-9][0-9]*@[0-9.]+ steal=0 tail=[1-9][0-9]*/[1-9][0-9]* streamed=
+hotpath q8 Plain: OK .* count_pass=0@- steal=0 tail=0/0 streamed=[0-9]+/[0-9]+ widths=\[1, 1, ([0-9]+), \1\] slots=[0-9]+/[0-9]+\)
+hotpath q3 Plain: OK .* steal=0 tail=0/0 streamed=[1-9][0-9]*/[0-9]+ widths=
+hotpath q6 Plain: OK .* steal=0 tail=0/0 streamed=[1-9][0-9]*/[0-9]+ widths=
+hotpath q2 Plain: OK .* count_pass=0@- steal=0 tail=0/0 streamed=[1-9][0-9]*/[0-9]+ widths=" \
     "${CHECK[@]}" hotpath
 
 # Hub-bitmap routing gate. Routing follows the graph: off legs run on the
@@ -256,11 +261,11 @@ echo "==> lint:atomics: OK"
 # Charge lint: every simulated instruction and lane slot is added by the cost
 # table (`Warp::charge`, crates/gpu-sim/src/cost.rs), which books each charge
 # to one site of the split; no file outside gpu-sim's sources may `+=` the
-# instruction total, its split or the lane counters.
+# instruction total, the lane totals or any site's share of either.
 echo "==> lint:charges: scanning for charges outside the cost table"
 charges=$(find . -name '*.rs' -not -path '*/target/*' -not -path './.bench_build/*' \
     -not -path './crates/gpu-sim/src/*' -print0 | xargs -0 grep -HnE \
-    '\b(simt_instructions|(set_op|claim|count_pass)_instructions|(issued|active)_lane_slots)[[:space:]]*\+=' \
+    '\b(simt_instructions|((set_op|claim|count_pass)_)?(issued|active)_lane_slots|(set_op|claim|count_pass)_instructions)[[:space:]]*\+=' \
     || true)
 if [ -n "${charges}" ]; then
     echo "${charges}"

@@ -3,7 +3,7 @@
 //! validity test every comparator applies.
 
 use stmatch_core::setops::{self, SetOpTuning};
-use stmatch_gpusim::{Cost, Site, Warp};
+use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::plan::Base;
 use stmatch_pattern::symmetry::Bound;
@@ -13,16 +13,17 @@ use stmatch_pattern::{LabelMask, MatchPlan};
 /// first), by pattern level `prefix.len()` and returns how many candidates
 /// are valid.
 ///
-/// Three charges besides the set operations, each under its site: fetching
-/// the prefix (a trie walk or a table row, one lane per vertex; transfer);
-/// a validity pass over the materialized survivors (claim); storing each
-/// valid extension as `node_words` words of global memory (transfer) — the
-/// cost the stack-based design avoids. The level's whole candidate chain is
-/// evaluated each time (no loop hierarchy, so no code motion). On the
-/// `last` level nothing is stored: the chain's final operation is a
-/// counting stream and the validity predicate rides in its lanes (the
-/// engine's last-level rule, DESIGN.md §4c). Elsewhere `emit` receives each
-/// valid candidate, ascending.
+/// Two charges besides the set operations, both transfers: fetching the
+/// prefix (a trie walk or a table row, one lane per vertex) and storing each
+/// valid extension as `node_words` words of global memory — the cost the
+/// stack-based design avoids. The level's whole candidate chain is
+/// evaluated each time (no loop hierarchy, so no code motion). Validity is
+/// a lane predicate of the chain's final operation: on the `last` level that
+/// operation is a counting stream and nothing is stored (the engine's
+/// last-level rule, DESIGN.md §4c); elsewhere the materialized list has no
+/// reader but the validity test, so the ballot that compacts it keeps
+/// exactly the valid candidates (the engine's claim-only rule), and `emit`
+/// receives each of them, ascending.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step(
     graph: &Graph,
@@ -47,8 +48,22 @@ pub(crate) fn step(
     } else {
         LabelMask::ALL
     };
-    let counted = last && def.ops.is_empty();
-    setops::materialize_base_into(warp, graph, &[src], base_mask, counted, &mut scratch[..1]);
+    let close = |final_op: bool| {
+        if last && final_op {
+            Close::Counted
+        } else {
+            Close::Compacted
+        }
+    };
+    let base_close = close(def.ops.is_empty());
+    setops::materialize_base_into(
+        warp,
+        graph,
+        &[src],
+        base_mask,
+        base_close,
+        &mut scratch[..1],
+    );
     for (i, op) in def.ops.iter().enumerate() {
         let final_op = i + 1 == def.ops.len();
         let mask = if final_op { def.mask } else { LabelMask::ALL };
@@ -64,7 +79,7 @@ pub(crate) fn step(
             op.kind,
             mask,
             SetOpTuning::default(),
-            last && final_op,
+            close(final_op),
             std::slice::from_mut(out),
         );
         scratch.swap(0, 1);
@@ -76,7 +91,6 @@ pub(crate) fn step(
     if last {
         return scratch[0].iter().filter(|&&v| admits(v)).count() as u64;
     }
-    warp.charge(Site::Claim, Cost::Lanes(scratch[0].len()));
     let mut kept = 0;
     for &v in &scratch[0] {
         if admits(v) {

@@ -9,35 +9,50 @@
 //! regeneration after an intentional cost-model change.
 //!
 //! Either way every row carries the split of its instruction total by
-//! charging site (`set_op` / `claim` / `count_pass`, and `steal` for what
-//! they leave: the work-transfer charges, 0 on this steal-free suite) — the
-//! first thing to read when a total moves — and the slot table it ran
-//! under: each level's claim width and the arena slots they add up to
-//! against the `NUM_SETS × UNROLL` budget (`widths=[…] slots=Σ/budget`) —
-//! and, between the two, the fused tails it formed: streams issued over
-//! whole parent batches and the survivors they counted (`tail=streams/survivors`,
-//! `0/0` where the plan forms none). `ci.sh` greps q1's and q8's
-//! `count_pass`, q1's, q4's and q8's `tail`, q1's last claim width and every
-//! row's slots.
+//! charging site (`set_op` / `claim` / `count_pass`, each with the lane
+//! utilization of what it issued after an `@` — `@-` where it issued no lane
+//! — and `steal` for what they leave: the work-transfer charges, 0 on this
+//! steal-free suite) — the first thing to read when a total or the
+//! utilization moves — and the slot table it ran under: each level's claim
+//! width and the arena slots they add up to against the `NUM_SETS × UNROLL`
+//! budget (`widths=[…] slots=Σ/budget`) — and, between the two, the fused
+//! tails it formed: streams issued over whole parent batches and the
+//! survivors they counted (`tail=streams/survivors`, `0/0` where the plan
+//! forms none), and the lanes of its combining set operations
+//! (`streamed=operand/element`: the lanes of slots that streamed their
+//! shorter operand against the input's row, of all element lanes). `ci.sh`
+//! greps q1's and q8's `count_pass`, q1's, q4's and q8's `tail`, the
+//! operand share of q1, q2, q3 and q6, q1's last claim width and every row's
+//! slots.
 
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
 use stmatch_core::MatchOutcome;
+use stmatch_gpusim::Site;
 use stmatch_pattern::SlotTable;
 
-/// `out`'s instruction total by charging site, its fused tails, and the slot
-/// table the run claimed and stored under.
+/// `out`'s instruction total and lane utilization by charging site, its
+/// fused tails, its streamed lanes, and the slot table the run claimed and
+/// stored under.
 fn split(out: &MatchOutcome, table: &SlotTable) -> String {
     let t = out.metrics.total();
-    let sites = t.set_op_instructions + t.claim_instructions + t.count_pass_instructions;
+    let site = |s: Site| {
+        let [n, issued, active] = t.at(s);
+        match issued {
+            0 => format!("{n}@-"),
+            _ => format!("{n}@{:.3}", active as f64 / issued as f64),
+        }
+    };
     format!(
-        "set_op={} claim={} count_pass={} steal={} tail={}/{} widths={:?} slots={}/{}",
-        t.set_op_instructions,
-        t.claim_instructions,
-        t.count_pass_instructions,
-        t.simt_instructions - sites,
+        "set_op={} claim={} count_pass={} steal={} tail={}/{} streamed={}/{} widths={:?} slots={}/{}",
+        site(Site::SetOp),
+        site(Site::Claim),
+        site(Site::CountPass),
+        t.at(Site::Transfer)[0],
         out.tail[0],
         out.tail[1],
+        t.operand_lanes,
+        t.element_lanes,
         table.widths(),
         table.total(),
         table.budget()

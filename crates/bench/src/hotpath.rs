@@ -117,76 +117,76 @@ pub struct Golden {
 /// commit message. The comment above each row is the split of its
 /// instruction total by charging site, printed by the same command.
 pub const GOLDEN: [Golden; 8] = [
-    // set_op=375034 claim=167986 count_pass=17301 steal=0 tail=11340/4421592 widths=[1, 1, 22, 32] slots=24/24
+    // set_op=375498@0.957 claim=149994@0.961 count_pass=17301@0.635 steal=0 tail=11340/4421592 streamed=0/0 widths=[1, 1, 22, 32] slots=24/24
     Golden {
         query: 1,
         leg: Leg::Plain,
         count: 54844163,
-        total_instructions: 560321,
-        lane_utilization: 0.9164491455880115,
+        total_instructions: 542793,
+        lane_utilization: 0.9440867645791495,
         tail: [11340, 4421592],
     },
-    // set_op=878748 claim=34206 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 22] slots=24/24
+    // set_op=326842@0.954 claim=420@0.031 count_pass=2435@0.217 steal=0 tail=0/0 streamed=5478923/6264698 widths=[1, 1, 32, 22] slots=24/24
     Golden {
         query: 6,
         leg: Leg::Plain,
         count: 559194,
-        total_instructions: 912954,
-        lane_utilization: 0.9605707094642477,
+        total_instructions: 329697,
+        lane_utilization: 0.946726504177277,
         tail: [0, 0],
     },
-    // set_op=20861 claim=11298 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
+    // set_op=22766@0.689 claim=420@0.031 count_pass=0@- steal=0 tail=0/0 streamed=48096/102327 widths=[1, 1, 15, 15] slots=32/32
     Golden {
         query: 8,
         leg: Leg::Plain,
         count: 769,
-        total_instructions: 32159,
-        lane_utilization: 0.4366520309638755,
+        total_instructions: 23186,
+        lane_utilization: 0.6649314692982456,
         tail: [0, 0],
     },
-    // set_op=646666 claim=22440 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 29] slots=32/32
+    // set_op=257008@0.957 claim=420@0.031 count_pass=2415@0.219 steal=0 tail=0/0 streamed=4459110/5507284 widths=[1, 1, 32, 29] slots=32/32
     Golden {
         query: 3,
         leg: Leg::Plain,
         count: 1500436,
-        total_instructions: 669106,
-        lane_utilization: 0.9624882064023688,
+        total_instructions: 259843,
+        lane_utilization: 0.9482453022040219,
         tail: [0, 0],
     },
-    // set_op=5125 claim=1248 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 32, 32] slots=36/40
+    // set_op=5125@0.829 claim=420@0.031 count_pass=172@0.110 steal=0 tail=0/0 streamed=0/49069 widths=[1, 1, 32, 32] slots=36/40
     Golden {
         query: 3,
         leg: Leg::Labeled,
         count: 1023,
-        total_instructions: 6373,
-        lane_utilization: 0.6617828062866882,
+        total_instructions: 5717,
+        lane_utilization: 0.730222972972973,
         tail: [0, 0],
     },
-    // set_op=412757 claim=22454 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 17, 17] slots=55/56
+    // set_op=409233@0.955 claim=420@0.031 count_pass=0@- steal=0 tail=0/0 streamed=48096/8656759 widths=[1, 1, 17, 17] slots=55/56
     Golden {
         query: 3,
         leg: Leg::Induced,
         count: 330032,
-        total_instructions: 435211,
-        lane_utilization: 0.9146566287078025,
+        total_instructions: 409653,
+        lane_utilization: 0.953908889229301,
         tail: [0, 0],
     },
-    // set_op=1438171 claim=65997 count_pass=0 steal=0 tail=0/0 widths=[1, 1, 15, 15] slots=32/32
+    // set_op=668214@0.951 claim=420@0.031 count_pass=0@- steal=0 tail=0/0 streamed=9728231/9814647 widths=[1, 1, 15, 15] slots=32/32
     Golden {
         query: 2,
         leg: Leg::Plain,
         count: 1007981,
-        total_instructions: 1504168,
-        lane_utilization: 0.9485142131205527,
+        total_instructions: 668634,
+        lane_utilization: 0.9503110882173976,
         tail: [0, 0],
     },
-    // set_op=375078 claim=98761 count_pass=17301 steal=0 tail=11340/208688 widths=[1, 1, 22, 32] slots=24/24
+    // set_op=248982@0.937 claim=80769@0.926 count_pass=17301@0.635 steal=0 tail=11340/208688 streamed=1243519/2578130 widths=[1, 1, 22, 32] slots=24/24
     Golden {
         query: 4,
         leg: Leg::Plain,
         count: 9448934,
-        total_instructions: 491140,
-        lane_utilization: 0.8983322706773263,
+        total_instructions: 347052,
+        lane_utilization: 0.9128084419469084,
         tail: [11340, 208688],
     },
 ];
@@ -273,13 +273,13 @@ mod tests {
     #[test]
     fn the_comparators_are_charged_as_pinned() {
         const CUTS: [(usize, [u64; 4]); 3] = [
-            (1, [11820884, 152350534, 370179264, 11837268]),
-            (3, [2354801, 37828530, 52941600, 2371185]),
-            (6, [3219805, 50710321, 72625216, 3236189]),
+            (1, [11568102, 147547356, 362090240, 11584486]),
+            (3, [2339722, 37566732, 52459072, 2356106]),
+            (6, [3197459, 50278866, 71910144, 3213843]),
         ];
         const GSI: [(usize, [u64; 4]); 2] = [
-            (1, [56024, 651388, 1650912, 72408]),
-            (3, [21996, 232269, 511904, 38380]),
+            (1, [52821, 632973, 1548416, 69205]),
+            (3, [21424, 227898, 493600, 37808]),
         ];
         for (qi, pinned) in CUTS {
             let (g, q, _) = entry(qi, Leg::Plain);

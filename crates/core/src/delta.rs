@@ -472,22 +472,24 @@ mod tests {
     /// own failure output, when DESIGN.md §4c's last-level rule dropped the
     /// count passes over lists computed at the last level, and the two
     /// four-vertex totals again when their anchored plans' lifted last levels
-    /// became fused tails, and all three when a counting last level stopped
-    /// issuing ballots); the deltas are the invariant.
+    /// became fused tails, all three when a counting last level stopped
+    /// issuing ballots, and all three again when an intersection was charged
+    /// its streamed side and a claim stopped re-testing what its producing
+    /// stream had tested); the deltas are the invariant.
     #[test]
     fn instruction_totals_match_the_per_edge_launches_they_replaced() {
         let small = gen::preferential_attachment(48, 4, 3).degree_ordered();
         let labeled = gen::assign_random_labels(&gen::rmat(7, 4, 11).degree_ordered(), 3, 2022);
         let cases = [
-            (small, 16, 1, catalog::triangle(), (8, 11), 1260),
-            (wide_fixture(), 128, 2, catalog::diamond(), (124, 80), 20203),
+            (small, 16, 1, catalog::triangle(), (8, 11), 588),
+            (wide_fixture(), 128, 2, catalog::diamond(), (124, 80), 10691),
             (
                 labeled,
                 32,
                 3,
                 catalog::tailed_triangle().with_random_labels(3, 5),
                 (16, 205),
-                1179,
+                799,
             ),
         ];
         for (g, n, seed, q, (added, removed), instructions) in cases {

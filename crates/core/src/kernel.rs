@@ -63,7 +63,7 @@ use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops::{self, materialize_base_into};
 use crate::steal::{Board, Source, StealPayload};
-use stmatch_gpusim::{Cost, Site, Warp};
+use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS, NO_POS};
 use stmatch_pattern::symmetry::Bound;
@@ -186,6 +186,52 @@ enum Row {
     Last,
 }
 
+/// What the levels that claim are charged for the validity of what they
+/// claim (DESIGN.md §4c, "Claims"), as level masks. A claim tests its
+/// candidates on the host either way; this is only who pays on the device.
+struct ClaimCost {
+    /// A validity wave per claim: level 0, shallow lifted levels and lifted
+    /// levels with a residual label.
+    waves: u8,
+    /// Deep lifted levels without a residual label: one key wave per batch
+    /// places each slot's window and exclusions in the lifted list, and the
+    /// claims read valid candidates off them.
+    keyed: u8,
+    /// Levels whose candidate set is computed at the level but read by more
+    /// than the level's claims: the set's final stream closes each wave with
+    /// a second ballot, of its lanes' validity ([`Close::Masked`]). Where the
+    /// claims are the set's only reader ([`PlanBytecode::claim_only`]) its
+    /// one ballot compacts exactly the valid candidates, for nothing.
+    masked: u8,
+}
+
+impl ClaimCost {
+    /// Classifies the levels that claim under StopLevel `stop`: every level
+    /// but the last and, where a fused tail forms (`tail`), the level it
+    /// counts instead.
+    fn new(bc: &PlanBytecode, stop: usize, tail: bool) -> ClaimCost {
+        let k = bc.num_levels();
+        let mut c = ClaimCost {
+            waves: 1,
+            keyed: 0,
+            masked: 0,
+        };
+        for l in (1..k - 1).filter(|&l| !(tail && l == k - 2)) {
+            let bit = 1 << l;
+            if bc.candidate(l).1 == l {
+                if bc.claim_only() & bit == 0 {
+                    c.masked |= bit;
+                }
+            } else if l >= stop && bc.level_meta(l).resid.is_none() {
+                c.keyed |= bit;
+            } else {
+                c.waves |= bit;
+            }
+        }
+        c
+    }
+}
+
 /// Per-warp kernel state.
 pub struct WarpKernel<'a> {
     /// The graph being matched: the launch's, or — in a staged run — the
@@ -243,6 +289,8 @@ pub struct WarpKernel<'a> {
     /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
     /// last level counts a lifted list in closed form, its parent is deep.
     tail: bool,
+    /// What the levels that claim are charged for validity.
+    claim_cost: ClaimCost,
     /// Tail streams issued and the survivors they counted (`check hotpath`).
     tail_stats: [u64; 2],
     /// Valid last-level candidates scratch (enumeration only).
@@ -368,6 +416,7 @@ impl<'a> WarpKernel<'a> {
             rank: RankRow::default(),
             row,
             tail,
+            claim_cost: ClaimCost::new(bc, stop, tail),
             tail_stats: [0; 2],
             emit_tail: Vec::new(),
             claims: 0,
@@ -549,6 +598,7 @@ impl<'a> WarpKernel<'a> {
     pub fn install(&mut self, warp: &mut Warp, p: &StealPayload) {
         debug_assert_eq!(p.matched.len(), p.target);
         self.installing = Some(p.clone());
+        self.marker.begin_item();
         self.matched[..p.target].copy_from_slice(&p.matched);
         if p.target >= 1 {
             self.matched[0] = self.enter_level0(p.matched[0] as usize);
@@ -625,7 +675,8 @@ impl<'a> WarpKernel<'a> {
         }
     }
 
-    /// Shallow claim: one validity-checked candidate through the mirror.
+    /// Shallow claim: one validity-checked candidate through the mirror
+    /// (charged a validity wave only where [`ClaimCost::waves`] says).
     fn claim_shallow(&mut self, warp: &mut Warp, l: usize) -> Option<VertexId> {
         // Claim boundary: the previously claimed iteration's subtree (if
         // any) is fully explored, and everything not yet started lives in
@@ -669,7 +720,9 @@ impl<'a> WarpKernel<'a> {
             } else {
                 self.candidate_list(l, 0)[idx]
             };
-            warp.charge(Site::Claim, Cost::Lanes(1));
+            if self.claim_cost.waves >> l & 1 == 1 {
+                warp.charge(Site::Claim, Cost::Lanes(1));
+            }
             if self.valid(l, v) {
                 return Some(v);
             }
@@ -679,7 +732,8 @@ impl<'a> WarpKernel<'a> {
     /// Deep claim: up to the level's width ([`SlotTable::width`]) of raw
     /// iterations from the current slot, validity-filtered into
     /// `batch[l + 1]` (slots never mix: all unroll candidates share one
-    /// matched path).
+    /// matched path) — one validity wave over the batch where
+    /// [`ClaimCost::waves`] says, else free.
     fn claim_deep(&mut self, warp: &mut Warp, l: usize) -> bool {
         let vy = self.validity(l);
         loop {
@@ -705,9 +759,11 @@ impl<'a> WarpKernel<'a> {
             let take = (cl_len - start).min(self.slots.width(l));
             self.iter[l] += take;
             self.unpolled += take;
-            // Validity filtering as one warp wave over the claimed batch,
-            // straight from the slab (disjoint fields: storage vs batch).
-            warp.charge(Site::Claim, Cost::Lanes(take));
+            // Validity filtering straight from the slab (disjoint fields:
+            // storage vs batch).
+            if self.claim_cost.waves >> l & 1 == 1 {
+                warp.charge(Site::Claim, Cost::Lanes(take));
+            }
             let (g, matched) = (self.g, &self.matched);
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
             let next = &mut self.batch[l + 1];
@@ -724,7 +780,8 @@ impl<'a> WarpKernel<'a> {
     }
 
     /// Enters level `l`: resets its cursors, fixes `matched[l-1]` to the
-    /// first slot, computes all of the level's sets for every slot, and
+    /// first slot, computes all of the level's sets for every slot, charges
+    /// the batch's key wave where the level is [`ClaimCost::keyed`], and
     /// publishes the stealable state when `l` is shallow.
     fn begin_level(&mut self, warp: &mut Warp, l: usize) {
         debug_assert!(self.batch[l].len != 0);
@@ -732,6 +789,14 @@ impl<'a> WarpKernel<'a> {
         self.iter[l] = 0;
         self.matched[l - 1] = self.batch[l].slots[0];
         self.compute_sets(warp, l);
+        if self.claim_cost.keyed >> l & 1 == 1 && !self.candidate_list(l, 0).is_empty() {
+            // Per slot, the window the bounds leave of the lifted list and
+            // the places of the `inj` positions' vertices in it: what the
+            // claims then read valid candidates off, wave-free.
+            let vy = self.validity(l);
+            let keys = vy.bounds.len() + vy.inj.count_ones() as usize;
+            warp.charge(Site::CountPass, Cost::Lanes(self.batch[l].len * keys));
+        }
         // One mirror lock publishes the whole stealable view of the level:
         // `matched[l-1]`, plus level `l`'s iteration range when `l` itself
         // is shallow. Publishing after `compute_sets` is safe: a stealer
@@ -822,21 +887,29 @@ impl<'a> WarpKernel<'a> {
     /// whose input is a lifted verbatim neighbor list
     /// ([`Instr::lifted_list_pos`](stmatch_pattern::Instr::lifted_list_pos))
     /// brings that list's [`Marker`] row as the input row of every slot, so
-    /// slots whose operand is the shorter side stream it against the row
-    /// instead of walking the long list again. Every other call is the
-    /// classic element-path call.
+    /// slots whose operand is the shorter side stream it against the row —
+    /// and are charged its lanes — instead of walking the long list again.
+    /// Every other call is the classic element-path call.
     ///
-    /// The one place that decides a set operation only counts (its
-    /// `counted` bit, no ballots): a counting launch's last-level candidate,
-    /// whose survivors Fig. 3 line 16 adds up and never iterates.
+    /// The one place that decides how a set operation's waves close
+    /// ([`Close`]): a counting launch's last-level candidate only counts (no
+    /// ballots) — Fig. 3 line 16 adds its survivors up and never iterates
+    /// them; the candidate of a [`ClaimCost::masked`] level adds a validity
+    /// ballot; every other write compacts.
     fn compute_sets(&mut self, warp: &mut Warp, level: usize) {
         let prog = self.bc.instrs_at(level);
         if prog.is_empty() {
             // The level's candidate was lifted to an earlier level.
             return;
         }
-        let counted_set =
-            (self.emit.is_none() && level == self.k - 1).then(|| self.bc.candidate(level).0);
+        let cand = self.bc.candidate(level).0;
+        let last_close = if self.emit.is_none() && level == self.k - 1 {
+            Close::Counted
+        } else if self.claim_cost.masked >> level & 1 == 1 {
+            Close::Masked
+        } else {
+            Close::Compacted
+        };
         let batch = self.batch[level];
         let bat = batch.as_slice();
         let m = bat.len();
@@ -874,7 +947,11 @@ impl<'a> WarpKernel<'a> {
         for (i, ins) in prog.iter().enumerate() {
             let pos = ins.pos as usize;
             let dst = ins.dst as usize;
-            let counted = ins.last && counted_set == Some(dst);
+            let close = if ins.last && dst == cand {
+                last_close
+            } else {
+                Close::Compacted
+            };
             let mut lists = [EMPTY; MAX_UNROLL];
             for (u, l) in lists.iter_mut().enumerate().take(m) {
                 *l = g.neighbors(vertex_at(pos, u));
@@ -893,7 +970,7 @@ impl<'a> WarpKernel<'a> {
                         ins.kind,
                         ins.mask,
                         tuning,
-                        counted,
+                        close,
                         $out,
                     )
                 }};
@@ -901,7 +978,7 @@ impl<'a> WarpKernel<'a> {
             match ins.code {
                 OpCode::MaterializeBase => {
                     let (_, mut sink) = self.storage.split_for_write(dst, m);
-                    materialize_base_into(warp, g, &lists[..m], ins.mask, counted, &mut sink);
+                    materialize_base_into(warp, g, &lists[..m], ins.mask, close, &mut sink);
                 }
                 OpCode::BeginChain => {
                     chain_at = i;
@@ -926,7 +1003,7 @@ impl<'a> WarpKernel<'a> {
                         g,
                         &lists[..m],
                         ins.mask,
-                        false,
+                        Close::Compacted,
                         &mut self.ping[..m],
                     );
                 }
@@ -949,7 +1026,7 @@ impl<'a> WarpKernel<'a> {
                                 list,
                                 "dep_pos names another list"
                             );
-                            Some([Some(self.marker.row(p, list)); MAX_UNROLL])
+                            Some([Some(self.marker.row(warp, p, list)); MAX_UNROLL])
                         }
                         _ => hubs.map(|_| no_bits),
                     };
@@ -1028,7 +1105,7 @@ impl<'a> WarpKernel<'a> {
                             row(base_pos),
                             &chain[..steps.len()],
                             ins.mask,
-                            counted,
+                            close,
                             bits_ping,
                             bits_pong,
                             &mut sink,
@@ -1219,7 +1296,7 @@ fn charge_tail(
             Cost::Stream {
                 slots,
                 lanes,
-                counted: true,
+                close: Close::Counted,
             },
         );
         slots = 1;
@@ -1335,7 +1412,7 @@ mod tests {
     use crate::Engine;
     use stmatch_gpusim::{Grid, GridConfig, WarpMetrics};
     use stmatch_graph::gen;
-    use stmatch_pattern::catalog;
+    use stmatch_pattern::{catalog, Pattern};
 
     /// One warp, no stealing.
     fn one_warp() -> EngineConfig {
@@ -1524,21 +1601,121 @@ mod tests {
         assert_eq!((bc.candidate(2).1, bc.candidate(3).1), (2, 1));
         assert_eq!(bc.slot_table(cfg.unroll, 1).widths(), [1, 15, 32]);
         // The hub's subtree: a shallow claim, N(0) claimed as 15 + 15 + 10
-        // slots, one tail each — scan and a counting stream of 0 + 38 + 13
-        // elements (2 waves), then twice scan and one wave — 38 survivors,
-        // all under slot 2, counted in their own lanes, and a key wave per
-        // tail (the last level's `inj` names position 1).
+        // slots — free: N(0) was computed at level 1, so its stream tested
+        // their validity — one tail each — scan and a counting stream of
+        // 0 + 38 + 13 elements (2 waves), then twice scan and one wave — 38
+        // survivors, all under slot 2, counted in their own lanes, and a key
+        // wave per tail (the last level's `inj` names position 1).
         let hub = with_kernel(&g, &plan, cfg, |kernel, warp| {
             kernel.install(warp, &StealPayload::chunk(0, 1));
             kernel.run(warp);
             assert_eq!(kernel.tail_stats(), [3, 38]);
         });
         let tails = ((5 + 2) + 2 * (5 + 1), 1 + 1 + 1);
-        assert_eq!(sites(&hub), (1 + 3 + tails.0, tails.1));
+        assert_eq!(sites(&hub), (1 + tails.0, tails.1));
+        // The set operations: N(0)'s 40 elements in two waves, each closed by
+        // a compacting ballot and a validity ballot (level 3 reads N(0) too);
+        // N(0)'s marker row keyed once, 80 lanes; and each batch's N(0) ∩
+        // N(v1), streaming the shorter N(v1) against that row — 1 + 39 + 13·2
+        // lanes (scan, three waves, three ballots), then 15·2 and 10·2.
+        let level2 = (5 + 3 + 3) + 2 * (5 + 1 + 1);
+        assert_eq!(hub.set_op_instructions, (2 + 2 * 2) + 3 + level2);
         // 38 triangles {0, 2, j}: the tail on any other neighbour of 0 — or,
         // over the whole graph, of 2 (37 others) or of j (none).
         assert_eq!(hub.matches_found, 38 * 38);
         assert_eq!(whole_graph(&g, &plan, cfg).matches_found, 38 * (38 + 37));
+    }
+
+    /// Each claim kind (DESIGN.md §4c, "Claims"), totalled by hand on
+    /// fixtures small enough to follow, one warp, level 1 already deep.
+    #[test]
+    fn every_claim_kind_is_charged_by_its_rule() {
+        let mut cfg = one_warp();
+        (cfg.stop_level, cfg.detect_level) = (1, 1);
+        let engine = Engine::new(cfg);
+
+        // The square on the 4-cycle 0-1-2-3, one match (0, 1, 2, 3). Level 1
+        // claims v1 > v0 from N(v0), level 2 claims v2 > v0 from N(v1), and
+        // level 3 counts N(v0) ∩ N(v2).
+        let c4 = stmatch_graph::builder::graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let square = engine.compile(&catalog::square());
+        let bc = square.bytecode();
+        assert_eq!((bc.claim_only(), bc.marked()), (0b1100, 0b1));
+        let m = whole_graph(&c4, &square, cfg);
+        assert_eq!(m.matches_found, 1);
+        // Level 0: one wave per vertex. Levels 1 and 2 compute their lists,
+        // whose streams tested validity: their claims are free.
+        assert_eq!(sites(&m), (4, 0));
+        // Level 1's N(v0) is also level 3's input: each of its one-wave
+        // streams closes with a compacting and a validity ballot. Level 2's
+        // N(v1) has no reader but its claims, so its one ballot compacts the
+        // valid candidates: N(1) and N(3) under v0 = 0 (a scan, a wave, a
+        // ballot), N(2) under 1, N(3) under 2. N(0) and N(1) key a marker
+        // row, four lanes each. Level 3 counts three two-lane streams.
+        let (level1, level2, marker, level3) = (4 * 3, (5 + 2) + 2 + 2, 2, 3);
+        assert_eq!(m.set_op_instructions, level1 + level2 + marker + level3);
+
+        // A 4-leaf star on the 6-leaf star: C(6, 4) matches. Levels 2, 3 and
+        // 4 iterate the lifted N(v0), each above the level before it.
+        let (star, g) = (
+            Pattern::new(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]),
+            gen::star(6),
+        );
+        let plan = engine.compile(&star);
+        assert!((2..5).all(|l| plan.bytecode().candidate(l).1 == 1));
+        let m = whole_graph(&g, &plan, cfg);
+        assert_eq!(m.matches_found, 15);
+        // N(v0) is read past level 1: 7 one-wave streams of three
+        // instructions. Level 2 is lifted and deep: one key wave per batch
+        // (one bound) — six keys under the centre, one under each leaf — and
+        // free claims. Levels 3 and 4 are a tail per level-3 batch: 5, 4, 3,
+        // 2 and 1 slots of six elements each, one counting wave and one key
+        // wave of two keys a slot each.
+        assert_eq!(m.set_op_instructions, 7 * 3);
+        assert_eq!(sites(&m), (7 + 5, (1 + 6) + 5));
+
+        // A residual label keeps every lifted claim on its validity waves and
+        // every last-level element in a count pass: level 2 claims six
+        // six-lane batches under the centre and a lane under each leaf;
+        // level 3 — no tail under a residual last level — one six-lane claim
+        // for each of the 5 + 4 + 3 + 2 + 1 level-3 slots; level 4 counts the
+        // 4, 3, 2, 1, 3, 2, 1, 2, 1 and 1 slots of the ten level-4 batches
+        // six lanes each, one wave a batch.
+        let labeled = engine.compile(&star.with_labels(&[64; 5]));
+        let m = whole_graph(&g.relabeled(vec![64; 7]), &labeled, cfg);
+        assert_eq!(m.matches_found, 15);
+        assert_eq!(m.set_op_instructions, 7 * 3);
+        assert_eq!(sites(&m), (7 + (6 + 6) + 15, 10));
+    }
+
+    /// A marker row's re-key is charged from its new list at its first use in
+    /// each work item, so what the rows cost does not depend on which warp
+    /// ran which chunk before: q22 marks positions 0 and 1, and a chunk can
+    /// begin under the `N(v1)` the warp's last chunk ended with. Every grid
+    /// of a steal-free run lands on the same totals.
+    #[test]
+    fn marker_rows_cost_the_same_on_any_grid() {
+        let g = gen::preferential_attachment(64, 5, 21).degree_ordered();
+        let q = catalog::paper_query(22);
+        for chunk in [1, 3] {
+            let [one, four] = [1, 4].map(|warps| {
+                let mut cfg = EngineConfig::default().with_grid(GridConfig {
+                    num_blocks: 1,
+                    warps_per_block: warps,
+                    shared_mem_per_block: 100 * 1024,
+                });
+                (cfg.local_steal, cfg.global_steal, cfg.chunk_size) = (false, false, chunk);
+                let out = Engine::new(cfg).run(&g, &q).unwrap();
+                assert_eq!(out.count, 1100);
+                let t = out.metrics.total();
+                (t.simt_instructions, t.active_lane_slots)
+            });
+            assert_eq!(one, four, "chunk {chunk}");
+        }
+        assert_eq!(
+            Engine::new(one_warp()).compile(&q).bytecode().marked(),
+            0b11
+        );
     }
 
     /// `WarpMetrics`' split covers the total: set operations, claims and

@@ -13,19 +13,21 @@
 //!
 //! **Data per slot, cost from lengths.** That stream is the *simulated*
 //! machine's, and its cost is a pure function of the slot lengths: the cost
-//! table's [`Cost::Stream`] entry — one scan over the sizes, `⌈Σ|A_u| / 32⌉`
-//! waves, one ballot per wave. An operation whose survivors are only
-//! *counted* — the `counted` bit every entry point takes, set by the kernel
-//! for a counting launch's last-level candidate (Fig. 3 line 16 adds `|C|`,
-//! it never iterates it) and by the baselines' last step — compacts
-//! nothing, so its waves close with no ballot: each lane probes, tests
-//! validity and adds to a lane-private tally. The output still lands in the
-//! sink. Each entry point charges its stream once, through
-//! [`Warp::charge`] at [`Site::SetOp`]. The host moves the data separately,
-//! one tight membership loop per slot writing survivors straight into the
-//! slot's output ([`SetSink::lend`] / [`SetSink::commit`]), and is free to
-//! pick the cheapest real algorithm per slot without perturbing any
-//! simulator metric:
+//! table's [`Cost::Stream`] entry — one scan over the sizes, `⌈Σ|S_u| / 32⌉`
+//! waves over the streamed side `S_u` of each slot, each wave closed as the
+//! [`Close`] every entry point takes says. An operation whose survivors are
+//! only *counted* ([`Close::Counted`], set by the kernel for a counting
+//! launch's last-level candidate — Fig. 3 line 16 adds `|C|`, it never
+//! iterates it — and by the baselines' last step) compacts nothing, so its
+//! waves close with no ballot: each lane probes, tests validity and adds to
+//! a lane-private tally. One whose set a claim iterates beside other readers
+//! ([`Close::Masked`]) issues a second ballot per wave, of its lanes'
+//! validity. The output lands in the sink either way. Each entry point
+//! charges its stream once, through [`Warp::charge`] at [`Site::SetOp`].
+//! The host moves the data separately, one tight membership loop per slot
+//! writing survivors straight into the slot's output ([`SetSink::lend`] /
+//! [`SetSink::commit`]), and is free to pick the cheapest real algorithm per
+//! slot without perturbing any simulator metric:
 //!
 //! * [`SetOpAlgo::BinarySearch`] — `O(log |B|)` per element; the
 //!   always-correct default for mid-range size ratios.
@@ -53,9 +55,13 @@
 //!   streaming the *shorter* side against the other side's row: the input
 //!   against the operand's row (`bitmap_probe_words` counts these, `|A|` per
 //!   slot), or, for an intersection whose operand is shorter than its input,
-//!   the operand against the input's row. Either way this is still an
-//!   element-domain slot of `|A|` lanes, so wave/scan/ballot accounting
-//!   stays **identical** to the classic paths — only the host cost changes.
+//!   the operand against the input's row ([`streams_operand`]). Either way
+//!   this is still an element-domain slot of one lane per streamed element.
+//!   Which side streams is decided from the lengths, the input row's
+//!   presence and the op kind alone — never from the tuning — so the classic
+//!   paths charge the same slot the same lanes: the operand's `|B|` for an
+//!   intersection whose input has a row and whose operand is shorter, the
+//!   input's `|A|` otherwise. Only the host cost changes.
 //! * [`SetOpAlgo::BitmapMerge`] — both sides are bitmap rows; the op is a
 //!   stream of word ANDs, 32 words per wave, survivors extracted from the
 //!   result words. This path deliberately changes the simulated wave
@@ -75,7 +81,7 @@
 //! [`ArenaWriter`](crate::arena::ArenaWriter) (the kernel's
 //! allocation-free hot path).
 
-use stmatch_gpusim::{Cost, Site, Warp, WARP_SIZE};
+use stmatch_gpusim::{Close, Cost, Site, Warp, WARP_SIZE};
 use stmatch_graph::bitmap::word_probe;
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::{LabelMask, OpKind};
@@ -243,7 +249,8 @@ pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetO
 ///   [`SetOpAlgo::BitmapProbe`] with only an operand row and to the
 ///   classic ladder (force cleared) with neither; a forced `BitmapProbe`
 ///   needs an operand row. Forced classic algorithms pass through. A forced
-///   algorithm never streams the operand.
+///   algorithm is host-only: it never streams the operand, and the slot is
+///   charged what [`streams_operand`] decides all the same.
 /// * Both rows present and `stride_words ≤ |A| + |B|` → `BitmapMerge`:
 ///   word-ANDing the rows touches no more words than the lists have
 ///   elements.
@@ -281,7 +288,7 @@ pub fn choose_algo_hub(
     if has_input_bits && has_operand_bits && stride_words <= input_len + operand_len {
         SetOpAlgo::BitmapMerge
     } else if (has_operand_bits && operand_len >= input_len.saturating_mul(BITMAP_RATIO))
-        || streams_operand(input_len, operand_len, has_input_bits, kind, t)
+        || streams_operand(input_len, operand_len, has_input_bits, kind)
     {
         SetOpAlgo::BitmapProbe
     } else {
@@ -289,19 +296,21 @@ pub fn choose_algo_hub(
     }
 }
 
-/// Which side a [`SetOpAlgo::BitmapProbe`] slot streams: true when it walks
-/// the operand and probes the input's row — an unforced intersection whose
-/// operand is the shorter list and whose input has a row. Otherwise the
-/// probe walks the input against the operand's row.
+/// Which side of an element-domain slot streams on the simulated machine:
+/// true when the lanes walk the operand and probe the input's row — an
+/// intersection whose operand is the shorter list and whose input has a row
+/// (a bitmap probe is one word load, the price of any lane's membership
+/// test). Decided from the lengths, the row's presence and the kind alone:
+/// the slot is charged `|B|` lanes when true, `|A|` otherwise, whichever
+/// algorithm the host runs. An unforced host streams the same side.
 #[inline]
-fn streams_operand(
+pub fn streams_operand(
     input_len: usize,
     operand_len: usize,
     has_input_bits: bool,
     kind: OpKind,
-    t: SetOpTuning,
 ) -> bool {
-    t.force.is_none() && has_input_bits && kind == OpKind::Intersect && operand_len < input_len
+    has_input_bits && kind == OpKind::Intersect && operand_len < input_len
 }
 
 /// First index `i ≥ lo` with `ops[i] ≥ value`, found by exponential
@@ -330,15 +339,15 @@ fn gallop_to(ops: &[VertexId], lo: usize, value: VertexId) -> usize {
 }
 
 /// Copies `sources[u]` into slot `u` of `out` keeping only vertices admitted
-/// by `mask`, for all slots in one combined lane stream (ballot-free when
-/// `counted`): a block copy per slot, or a label filter where `mask`
+/// by `mask`, for all slots in one combined lane stream whose waves close as
+/// `close` says: a block copy per slot, or a label filter where `mask`
 /// restricts.
 pub fn materialize_base_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
     g: &Graph,
     sources: &[&[VertexId]],
     mask: LabelMask,
-    counted: bool,
+    close: Close,
     out: &mut S,
 ) {
     for (u, src) in sources.iter().enumerate() {
@@ -356,20 +365,21 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
         Cost::Stream {
             slots,
             lanes,
-            counted,
+            close,
         },
     );
 }
 
 /// Computes slot `u` of `out` as `inputs[u] (∩ | −) operands[u]` filtered
-/// by `mask`, for all slots in one combined lane stream — compacting, or
-/// ballot-free when its survivors are only `counted` (module docs). Inputs
-/// and operands must be sorted ascending; outputs are sorted ascending.
+/// by `mask`, for all slots in one combined lane stream whose waves close as
+/// `close` says (module docs). Inputs and operands must be sorted ascending;
+/// outputs are sorted ascending.
 ///
 /// The algorithm choice is per slot and purely host-side: the simulated
-/// cost is charged from the input lengths alone (the simulated probe costs
-/// one lane instruction whichever way the host resolves it), so simulator
-/// metrics are bit-identical regardless of tuning.
+/// cost is charged from the lengths of the side each slot streams
+/// ([`streams_operand`]) — the simulated probe costs one lane instruction
+/// whichever way the host resolves it — so simulator metrics are
+/// bit-identical regardless of tuning.
 ///
 /// `input_bits[u]` / `operand_bits[u]`, when `Some`, must denote exactly
 /// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
@@ -378,10 +388,10 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
 /// own marker of the list the input equals). [`choose_algo_hub`] picks
 /// per slot; each element-domain slot (everything but `BitmapMerge`) runs
 /// its own membership loop and together they are charged as one combined
-/// Fig. 8 stream over their input lengths, and `BitmapMerge` slots stream
-/// their words as a separate combined word stream (scan + 32-word waves +
-/// ballot), mirroring the element stream one level up. `counted` drops the
-/// ballots of both streams.
+/// Fig. 8 stream over their streamed sides' lengths, and `BitmapMerge` slots
+/// stream their words as a separate combined word stream (scan + 32-word
+/// waves + ballots), mirroring the element stream one level up. `close`
+/// closes the waves of both streams.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_op_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -393,7 +403,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     kind: OpKind,
     mask: LabelMask,
     tuning: SetOpTuning,
-    counted: bool,
+    close: Close,
     out: &mut S,
 ) {
     debug_assert_eq!(inputs.len(), operands.len());
@@ -402,6 +412,9 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     debug_assert!(inputs.len() <= WARP_SIZE);
     let mut algo = [SetOpAlgo::BinarySearch; WARP_SIZE];
     let mut any_merge = false;
+    // The element stream: its slots, its lanes and the lanes of slots that
+    // stream their operand.
+    let (mut slots, mut lanes, mut operand_lanes) = (0, 0, 0);
     // Survivor test, given the membership answer.
     let want = kind == OpKind::Intersect;
     let pass =
@@ -421,6 +434,14 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
         if algo[u] == SetOpAlgo::BitmapMerge {
             any_merge = true;
             continue;
+        }
+        let short = streams_operand(inp.len(), ops.len(), input_bits[u].is_some(), kind);
+        slots += 1;
+        if short {
+            lanes += ops.len();
+            operand_lanes += ops.len();
+        } else {
+            lanes += inp.len();
         }
         if ops.is_empty() {
             // Empty operand: ∩ drops everything (the slot stays as `begin`
@@ -457,12 +478,9 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
                     pass(v, c < ops.len() && ops[c] == v)
                 })
             }
-            SetOpAlgo::BitmapProbe
-                if streams_operand(inp.len(), ops.len(), input_bits[u].is_some(), kind, tuning) =>
-            {
+            SetOpAlgo::BitmapProbe if short && tuning.force.is_none() => {
                 // A ∩ B = B ∩ A: the shorter operand streams, ascending,
-                // against the input's row. Charged below as `|A|` lanes like
-                // any other element-domain slot.
+                // against the input's row.
                 let bits = input_bits[u].expect("streams_operand implies an input row");
                 filter_slot(out, u, ops, |v| pass(v, word_probe(bits, v)))
             }
@@ -474,25 +492,17 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
             SetOpAlgo::BitmapMerge => unreachable!("merge slots stream words, not elements"),
         }
     }
-    // Element-domain slots only: exactly the wave structure the classic
-    // path would give these slots alone.
-    let (mut slots, mut lanes) = (0, 0);
-    for (inp, _) in inputs
-        .iter()
-        .zip(&algo)
-        .filter(|(_, &a)| a != SetOpAlgo::BitmapMerge)
-    {
-        slots += 1;
-        lanes += inp.len();
-    }
     warp.charge(
         Site::SetOp,
         Cost::Stream {
             slots,
             lanes,
-            counted,
+            close,
         },
     );
+    let m = warp.metrics_mut();
+    m.element_lanes += lanes as u64;
+    m.operand_lanes += operand_lanes as u64;
     if any_merge {
         merge_bitmap_slots(
             warp,
@@ -502,7 +512,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
             &algo,
             kind,
             mask,
-            counted,
+            close,
             out,
         );
     }
@@ -541,9 +551,8 @@ fn filter_slot<S: SetSink + ?Sized>(
 
 /// Streams the `BitmapMerge` slots of one combined op as a word stream:
 /// a prefix scan over word counts (when more than one merge slot), waves
-/// of 32 words with low-bit-contiguous active masks, one ballot per wave
-/// unless the survivors are only `counted`, survivors extracted in
-/// ascending order from each result word.
+/// of 32 words with low-bit-contiguous active masks, closed as `close`
+/// says, survivors extracted in ascending order from each result word.
 #[allow(clippy::too_many_arguments)]
 fn merge_bitmap_slots<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -553,7 +562,7 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
     algo: &[SetOpAlgo; WARP_SIZE],
     kind: OpKind,
     mask: LabelMask,
-    counted: bool,
+    close: Close,
     out: &mut S,
 ) {
     let merged = || (0..input_bits.len()).filter(|&u| algo[u] == SetOpAlgo::BitmapMerge);
@@ -581,7 +590,7 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
         Cost::Stream {
             slots,
             lanes,
-            counted,
+            close,
         },
     );
     let m = warp.metrics_mut();
@@ -624,9 +633,9 @@ fn extract_word<S: SetSink + ?Sized>(
 /// Accounting contract (DESIGN.md §4f): every op — including the final
 /// extraction — costs `ceil(stride/32)` word waves (one SIMT instruction
 /// plus one ballot each, `stride` active lanes total); survivor compaction
-/// is the ballot's, as in the element stream — so when the result is only
-/// `counted`, the final op's waves issue no ballot (the popcount of its
-/// words is the count). The steps before it keep theirs.
+/// is the ballot's, as in the element stream — so the final op's waves
+/// close as `close` says (no ballot when the result is only counted: the
+/// popcount of its words is the count). The steps before it compact.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -635,7 +644,7 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
     base_bits: &[u64],
     ops: &[(OpKind, &[u64])],
     mask: LabelMask,
-    counted: bool,
+    close: Close,
     ping: &mut [u64],
     pong: &mut [u64],
     out: &mut S,
@@ -667,13 +676,12 @@ pub fn apply_chain_bits_into<S: SetSink + ?Sized>(
                 None => extract_word(g, mask, out, slot, w, c),
             }
         }
-        let counted = counted && is_last;
         warp.charge(
             Site::SetOp,
             Cost::Stream {
                 slots: 1,
                 lanes: stride,
-                counted,
+                close: if is_last { close } else { Close::Compacted },
             },
         );
         let m = warp.metrics_mut();
@@ -703,8 +711,9 @@ mod tests {
         outs: &mut [Vec<VertexId>],
     ) {
         let rows = &NO_ROWS[..inputs.len()];
+        let close = Close::Compacted;
         apply_op_into(
-            warp, g, inputs, rows, operands, rows, kind, mask, tuning, false, outs,
+            warp, g, inputs, rows, operands, rows, kind, mask, tuning, close, outs,
         )
     }
 
@@ -849,24 +858,27 @@ mod tests {
         let src: Vec<VertexId> = vec![0, 1, 2, 3, 4, 5];
         let _ = with_warp(move |w| {
             let mut outs = [Vec::new()];
-            materialize_base_into(w, &g, &[&src], LabelMask::single(1), false, &mut outs[..]);
+            let (mask, close) = (LabelMask::single(1), Close::Compacted);
+            materialize_base_into(w, &g, &[&src], mask, close, &mut outs[..]);
             assert_eq!(outs[0], vec![1, 3, 5]);
         });
     }
 
     #[test]
     fn a_counted_operation_issues_no_ballot_and_moves_the_same_data() {
-        // Three slots, 20 + 30 + 0 elements: scan + 2 waves either way; a
-        // compacting operation closes each wave with a ballot, a counted one
-        // does not. Same lanes, same output — word streams alike.
+        // Three slots of 20, 30 and 0 elements, each with a row, against a
+        // 14-element operand: the shorter side streams, 14 + 14 + 0 lanes —
+        // a scan and one wave. A word stream over the 1-word rows: a scan and
+        // one wave of 3 words. Each wave closes with no ballot when counted,
+        // one when compacted, two when masked: same lanes, same output.
         let g = gen::complete(2);
         let ins: Vec<Vec<VertexId>> = vec![(0..40).step_by(2).collect(), (0..30).collect(), vec![]];
         let ops: Vec<VertexId> = (0..40).step_by(3).collect();
         let stride = 40usize.div_ceil(64);
         let rows: Vec<Vec<u64>> = ins.iter().map(|s| bits_of(s, stride)).collect();
         let op_row = bits_of(&ops, stride);
-        for (algo, scan) in [(SetOpAlgo::BinarySearch, 5), (SetOpAlgo::BitmapMerge, 5)] {
-            let run = |counted: bool| {
+        for (algo, lanes) in [(SetOpAlgo::BinarySearch, 28), (SetOpAlgo::BitmapMerge, 3)] {
+            let run = |close: Close| {
                 let out = std::sync::Mutex::new(Vec::new());
                 let m = with_warp(|w| {
                     let mut outs = vec![Vec::new(); 3];
@@ -882,28 +894,37 @@ mod tests {
                         OpKind::Intersect,
                         LabelMask::ALL,
                         SetOpTuning::forced(algo),
-                        counted,
+                        close,
                         &mut outs[..],
                     );
                     *out.lock().unwrap() = outs;
                 });
                 (out.into_inner().unwrap(), m)
             };
-            let ((compacted, c), (counted, n)) = (run(false), run(true));
-            assert_eq!(counted, compacted, "{algo:?}: host output");
-            let waves = if algo == SetOpAlgo::BitmapMerge { 1 } else { 2 };
-            assert_eq!(n.simt_instructions, scan + waves, "{algo:?}");
-            assert_eq!(c.simt_instructions, scan + 2 * waves, "{algo:?}");
-            assert_eq!(n.set_op_instructions, n.simt_instructions);
-            assert_eq!(
-                (n.active_lane_slots, n.issued_lane_slots),
-                (c.active_lane_slots, c.issued_lane_slots),
-                "{algo:?}: lanes"
-            );
-            assert_eq!(
-                (n.bitmap_merge_words, n.bitmap_merge_waves),
-                (c.bitmap_merge_words, c.bitmap_merge_waves)
-            );
+            let (want, c) = run(Close::Compacted);
+            assert_eq!(c.active_lane_slots, 5 * 32 + lanes, "{algo:?}");
+            let element = if algo == SetOpAlgo::BitmapMerge {
+                0
+            } else {
+                lanes
+            };
+            assert_eq!((c.element_lanes, c.operand_lanes), (element, element));
+            for (close, ballots) in [(Close::Counted, 0), (Close::Masked, 2)] {
+                let (outs, m) = run(close);
+                assert_eq!(outs, want, "{algo:?} {close:?}: host output");
+                assert_eq!(m.simt_instructions, 5 + 1 + ballots, "{algo:?} {close:?}");
+                assert_eq!(m.set_op_instructions, m.simt_instructions);
+                assert_eq!(
+                    (m.active_lane_slots, m.issued_lane_slots),
+                    (c.active_lane_slots, c.issued_lane_slots),
+                    "{algo:?} {close:?}: lanes"
+                );
+                assert_eq!(
+                    (m.bitmap_merge_words, m.bitmap_merge_waves),
+                    (c.bitmap_merge_words, c.bitmap_merge_waves)
+                );
+            }
+            assert_eq!(c.simt_instructions, 5 + 1 + 1, "{algo:?}");
         }
     }
 
@@ -993,9 +1014,12 @@ mod tests {
                 "choose_algo_hub({a}, {b}, {s}, {ib}, {ob}, {kind:?})"
             );
         }
-        // Only the input-row probe streams the operand.
-        assert!(streams_operand(50, 49, true, Intersect, t));
-        assert!(!streams_operand(50, 49, false, Intersect, t));
+        // Only an intersection with an input row and a shorter operand
+        // streams the operand.
+        assert!(streams_operand(50, 49, true, Intersect));
+        assert!(!streams_operand(50, 49, false, Intersect));
+        assert!(!streams_operand(50, 49, true, Difference));
+        assert!(!streams_operand(50, 50, true, Intersect));
         // Forced bitmap choices degrade to what the rows support.
         let hub = |a, b, s, ib, ob, t| choose_algo_hub(a, b, s, ib, ob, Intersect, t);
         let fm = SetOpTuning::forced(BitmapMerge);
@@ -1006,7 +1030,8 @@ mod tests {
         assert_eq!(hub(9, 9, 1, true, true, fp), BitmapProbe);
         assert_eq!(hub(9, 900, 1, true, false, fp), Gallop);
         // Forced classic algorithms ignore available rows, and no forced
-        // algorithm streams the operand.
+        // algorithm streams the operand on the host (the slot is charged as
+        // `streams_operand` says all the same).
         let fg = SetOpTuning::forced(Gallop);
         assert_eq!(hub(9, 9, 1, true, true, fg), Gallop);
         assert_eq!(
@@ -1014,7 +1039,6 @@ mod tests {
             Merge
         );
         assert_eq!(hub(50, 49, 2, true, false, fp), Merge);
-        assert!(!streams_operand(50, 49, true, Intersect, fp));
     }
 
     #[test]
@@ -1138,7 +1162,7 @@ mod tests {
                         kind,
                         LabelMask::ALL,
                         tuning,
-                        false,
+                        Close::Compacted,
                         &mut outs[..],
                     );
                     *out.lock().unwrap() = outs.remove(0);
@@ -1181,7 +1205,7 @@ mod tests {
                     kind,
                     LabelMask::ALL,
                     SetOpTuning::forced(SetOpAlgo::BitmapMerge),
-                    false,
+                    Close::Compacted,
                     &mut merged[..],
                 );
                 assert_eq!(merged[0], classic[0], "{kind:?} merge diverged");
@@ -1214,7 +1238,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::ALL,
                 SetOpTuning::forced(SetOpAlgo::BitmapMerge),
-                false,
+                Close::Compacted,
                 &mut outs[..],
             );
             assert_eq!(outs[0], vec![1, 129]);
@@ -1260,7 +1284,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::ALL,
                 SetOpTuning::default(),
-                false,
+                Close::Compacted,
                 &mut hub[..],
             );
             assert_eq!(hub, classic);
@@ -1288,7 +1312,7 @@ mod tests {
                 OpKind::Intersect,
                 LabelMask::single(1),
                 SetOpTuning::forced(SetOpAlgo::BitmapMerge),
-                false,
+                Close::Compacted,
                 &mut outs[..],
             );
             let want: Vec<VertexId> = b.iter().copied().filter(|&v| v % 2 == 1).collect();
@@ -1358,7 +1382,7 @@ mod tests {
                     (OpKind::Intersect, rows[3].as_slice()),
                 ],
                 LabelMask::ALL,
-                false,
+                Close::Compacted,
                 &mut ping,
                 &mut pong,
                 &mut outs[..],

@@ -801,9 +801,10 @@ impl Board {
             && !self.chunks_remain()
     }
 
-    /// Quick unsynchronized test whether any block sibling of `me` has
-    /// stealable work (used by idle spinners to decide whether a full steal
-    /// attempt is worthwhile).
+    /// Whether any block sibling of `me` has stealable work (used by idle
+    /// spinners to decide whether a full steal attempt is worthwhile). Not a
+    /// lock-free peek: it takes each sibling's mirror lock in turn, one at a
+    /// time, on every idle spin that reaches it.
     fn any_local_victim(&self, me: usize) -> bool {
         let block = me / self.warps_per_block;
         let base = block * self.warps_per_block;

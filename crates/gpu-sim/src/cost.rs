@@ -1,13 +1,14 @@
 //! The cost table: what every simulated charge costs, in one place.
 //!
 //! A kernel adds SIMT instructions to its warp only through
-//! [`Warp::charge`], which prices one [`Cost`] entry and books it to one
-//! [`Site`] of the [`WarpMetrics`](crate::WarpMetrics) split — so
+//! [`Warp::charge`], which prices one [`Cost`] entry and books it, with the
+//! lane slots it issued and kept active, to one [`Site`] of the
+//! [`WarpMetrics`](crate::WarpMetrics) split — so
 //! `set_op + claim + count_pass + transfer == simt_instructions` holds by
-//! construction. While a simt-check checker listens, a stream also fires
-//! the hooks of its scan, waves and ballots one by one at the caller's site
-//! (occupancy, mask tracking, the ballot's epoch tick); the price is the
-//! closed form either way.
+//! construction, and so does each lane counter's split. While a simt-check
+//! checker listens, a stream also fires the hooks of its scan, waves and
+//! ballots one by one at the caller's site (occupancy, mask tracking, the
+//! ballot's epoch tick); the price is the closed form either way.
 
 use crate::warp::{Warp, WARP_SIZE};
 use simt_check::diverge;
@@ -17,8 +18,8 @@ use simt_check::diverge;
 pub enum Site {
     /// `set_op_instructions`: size scans, element and bitmap word streams.
     SetOp,
-    /// `claim_instructions`: validity waves of claims, fused tails and the
-    /// comparators' extension steps.
+    /// `claim_instructions`: the validity waves of the claims that still
+    /// test candidates one wave at a time, and fused tails.
     Claim,
     /// `count_pass_instructions`: last-level count passes and tail key waves.
     CountPass,
@@ -38,6 +39,31 @@ pub enum Burst {
     Device,
 }
 
+/// How each wave of a [`Cost::Stream`] closes: the ballots it issues.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Close {
+    /// None: the survivors are only counted, in lane-private tallies (Fig. 3
+    /// line 16 adds `|C|`, it never iterates it).
+    Counted,
+    /// One ballot, whose mask compacts the wave's survivors.
+    Compacted,
+    /// Two: the compacting ballot, and one of `member ∧ valid` handed to the
+    /// claim that iterates the set — which other readers keep the first from
+    /// carrying.
+    Masked,
+}
+
+impl Close {
+    /// Ballots per wave.
+    pub const fn ballots(self) -> u64 {
+        match self {
+            Close::Counted => 0,
+            Close::Compacted => 1,
+            Close::Masked => 2,
+        }
+    }
+}
+
 /// One entry of the cost table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Cost {
@@ -46,13 +72,12 @@ pub enum Cost {
     /// Fig. 8's combined set operation over `slots` slots and `lanes`
     /// elements: a size scan mapping lanes to `(slot, offset)` iff
     /// `slots > 1` (`log₂ 32` shuffle steps, every lane active), then
-    /// `⌈lanes/32⌉` waves, each closed by the ballot that compacts its
-    /// survivors — none when they are only `counted` (lane-private tallies:
-    /// Fig. 3 line 16 adds `|C|`, it never iterates it). Free at `lanes == 0`.
+    /// `⌈lanes/32⌉` waves, each closed by the ballots of its [`Close`].
+    /// Free at `lanes == 0`.
     Stream {
         slots: usize,
         lanes: usize,
-        counted: bool,
+        close: Close,
     },
     /// A fixed burst; it occupies no lane slots.
     Transfer(Burst),
@@ -75,14 +100,14 @@ impl Cost {
             Cost::Stream {
                 slots,
                 lanes,
-                counted,
+                close,
             } => {
                 // The scan maps one slot per lane; `EngineConfig::validate`
                 // bounds unroll at the warp width for this reason.
                 assert!(slots <= WARP_SIZE, "more slots than scan lanes");
                 let waves = lanes.div_ceil(WARP_SIZE) as u64;
                 let scan = if slots > 1 { SCAN_STEPS } else { 0 };
-                let ballots = if counted { 0 } else { waves };
+                let ballots = close.ballots() * waves;
                 let active = scan * warp + lanes as u64;
                 (scan + waves + ballots, (scan + waves) * warp, active)
             }
@@ -94,8 +119,9 @@ impl Cost {
 }
 
 impl Warp {
-    /// Charges `cost` to this warp, books it to `site` and returns the
-    /// instructions it issued. The simt-check site is the caller's.
+    /// Charges `cost` to this warp, books it — instructions, issued and
+    /// active lane slots — to `site` and returns the instructions it issued.
+    /// The simt-check site is the caller's.
     #[inline]
     #[track_caller]
     pub fn charge(&mut self, site: Site, cost: Cost) -> u64 {
@@ -108,9 +134,21 @@ impl Warp {
         m.issued_lane_slots += issued;
         m.active_lane_slots += active;
         match site {
-            Site::SetOp => m.set_op_instructions += n,
-            Site::Claim => m.claim_instructions += n,
-            Site::CountPass => m.count_pass_instructions += n,
+            Site::SetOp => {
+                m.set_op_instructions += n;
+                m.set_op_issued_lane_slots += issued;
+                m.set_op_active_lane_slots += active;
+            }
+            Site::Claim => {
+                m.claim_instructions += n;
+                m.claim_issued_lane_slots += issued;
+                m.claim_active_lane_slots += active;
+            }
+            Site::CountPass => {
+                m.count_pass_instructions += n;
+                m.count_pass_issued_lane_slots += issued;
+                m.count_pass_active_lane_slots += active;
+            }
             Site::Transfer => {}
         }
         n
@@ -119,15 +157,16 @@ impl Warp {
     /// A stream's hooks, in issue order. The scan is warp-cooperative: a
     /// hard diagnostic while diverged. Each wave narrows the warp's mask to
     /// its lanes and records the site's occupancy (sustained sub-warp
-    /// occupancy is a warning); its ballot checks the `__ballot_sync` mask
-    /// contract, reconverges and ticks the race checker's epoch. A counted
-    /// stream reconverges after its last wave without an instruction.
+    /// occupancy is a warning); each of its ballots checks the
+    /// `__ballot_sync` mask contract, reconverges and ticks the race
+    /// checker's epoch. A counted stream reconverges after its last wave
+    /// without an instruction.
     #[track_caller]
     fn fire_hooks(&mut self, cost: Cost) {
         let Cost::Stream {
             slots,
             lanes: lanes @ 1..,
-            counted,
+            close,
         } = cost
         else {
             return;
@@ -143,7 +182,7 @@ impl Warp {
                 diverge::on_wave(at, active, id);
                 self.div_mask = active;
             }
-            if !counted {
+            for _ in 0..close.ballots() {
                 if divergence {
                     diverge::on_ballot(at, active, self.div_mask, id);
                 }
@@ -158,25 +197,14 @@ impl Warp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WarpMetrics;
 
     const SITES: [Site; 4] = [Site::SetOp, Site::Claim, Site::CountPass, Site::Transfer];
 
-    /// The split field `site` books to (`None`: the remainder).
-    fn booked(m: &WarpMetrics, site: Site) -> Option<u64> {
-        match site {
-            Site::SetOp => Some(m.set_op_instructions),
-            Site::Claim => Some(m.claim_instructions),
-            Site::CountPass => Some(m.count_pass_instructions),
-            Site::Transfer => None,
-        }
-    }
-
-    fn stream(slots: usize, lanes: usize, counted: bool) -> Cost {
+    fn stream(slots: usize, lanes: usize, close: Close) -> Cost {
         Cost::Stream {
             slots,
             lanes,
-            counted,
+            close,
         }
     }
 
@@ -192,60 +220,64 @@ mod tests {
             (Cost::Transfer(Burst::Global), [256, 0, 0]),
             (Cost::Transfer(Burst::Device), [512, 0, 0]),
         ];
-        // Slots 0 and 1 price alike: no scan.
+        // Slots 0 and 1 price alike: no scan. Each ballot is an instruction
+        // that issues no lane slot.
         for slots in [0, 1] {
             rows.extend([
-                (stream(slots, 0, false), [0, 0, 0]),
-                (stream(slots, 1, false), [2, 32, 1]),
-                (stream(slots, 31, false), [2, 32, 31]),
-                (stream(slots, 32, false), [2, 32, 32]),
-                (stream(slots, 33, false), [4, 64, 33]),
-                (stream(slots, 0, true), [0, 0, 0]),
-                (stream(slots, 1, true), [1, 32, 1]),
-                (stream(slots, 31, true), [1, 32, 31]),
-                (stream(slots, 32, true), [1, 32, 32]),
-                (stream(slots, 33, true), [2, 64, 33]),
+                (stream(slots, 0, Close::Compacted), [0, 0, 0]),
+                (stream(slots, 1, Close::Compacted), [2, 32, 1]),
+                (stream(slots, 31, Close::Compacted), [2, 32, 31]),
+                (stream(slots, 32, Close::Compacted), [2, 32, 32]),
+                (stream(slots, 33, Close::Compacted), [4, 64, 33]),
+                (stream(slots, 0, Close::Counted), [0, 0, 0]),
+                (stream(slots, 1, Close::Counted), [1, 32, 1]),
+                (stream(slots, 31, Close::Counted), [1, 32, 31]),
+                (stream(slots, 32, Close::Counted), [1, 32, 32]),
+                (stream(slots, 33, Close::Counted), [2, 64, 33]),
+                (stream(slots, 0, Close::Masked), [0, 0, 0]),
+                (stream(slots, 1, Close::Masked), [3, 32, 1]),
+                (stream(slots, 32, Close::Masked), [3, 32, 32]),
+                (stream(slots, 33, Close::Masked), [6, 64, 33]),
             ]);
         }
         rows.extend([
-            (stream(2, 0, false), [0, 0, 0]),
-            (stream(2, 1, false), [7, 192, 161]),
-            (stream(2, 31, false), [7, 192, 191]),
-            (stream(2, 32, false), [7, 192, 192]),
-            (stream(2, 33, false), [9, 224, 193]),
-            (stream(2, 0, true), [0, 0, 0]),
-            (stream(2, 1, true), [6, 192, 161]),
-            (stream(2, 31, true), [6, 192, 191]),
-            (stream(2, 32, true), [6, 192, 192]),
-            (stream(2, 33, true), [7, 224, 193]),
+            (stream(2, 0, Close::Compacted), [0, 0, 0]),
+            (stream(2, 1, Close::Compacted), [7, 192, 161]),
+            (stream(2, 31, Close::Compacted), [7, 192, 191]),
+            (stream(2, 32, Close::Compacted), [7, 192, 192]),
+            (stream(2, 33, Close::Compacted), [9, 224, 193]),
+            (stream(2, 0, Close::Counted), [0, 0, 0]),
+            (stream(2, 1, Close::Counted), [6, 192, 161]),
+            (stream(2, 31, Close::Counted), [6, 192, 191]),
+            (stream(2, 32, Close::Counted), [6, 192, 192]),
+            (stream(2, 33, Close::Counted), [7, 224, 193]),
+            (stream(2, 33, Close::Masked), [11, 224, 193]),
         ]);
         rows
     }
 
     #[test]
     fn the_table_is_the_cost_model() {
-        for (cost, [instr, issued, active]) in table() {
+        for (cost, price) in table() {
+            let [instr, issued, active] = price;
             assert_eq!(cost.price(), (instr, issued, active), "{cost:?}");
             for site in SITES {
                 let mut w = Warp::new(0, 0, 0);
                 assert_eq!(w.charge(site, cost), instr, "{cost:?} at {site:?}");
                 let m = *w.metrics();
                 assert_eq!(
-                    (
+                    [
                         m.simt_instructions,
                         m.issued_lane_slots,
                         m.active_lane_slots
-                    ),
-                    (instr, issued, active),
+                    ],
+                    price,
                     "{cost:?} at {site:?}"
                 );
+                // All of it at `site`, lanes and instructions alike.
                 for other in SITES {
-                    let want = if other == site { instr } else { 0 };
-                    assert_eq!(
-                        booked(&m, other).unwrap_or(want),
-                        want,
-                        "{cost:?} at {site:?}"
-                    );
+                    let want = if other == site { price } else { [0; 3] };
+                    assert_eq!(m.at(other), want, "{cost:?} at {site:?}");
                 }
             }
         }

@@ -212,7 +212,7 @@ fn gather(
 enum Job {
     Run(
         &'static (dyn Fn(&mut Warp) + Sync),
-        std::sync::mpsc::Sender<(usize, WarpResult)>,
+        std::sync::mpsc::SyncSender<(usize, WarpResult)>,
     ),
     Exit,
 }
@@ -287,7 +287,10 @@ impl WarmGrid {
         // Launch fork point, as in Grid::launch_contained: everything the
         // launching thread did so far happens-before every warp body.
         simt_check::launch_begin();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        // Bounded at one result per warp, so no send ever blocks; the
+        // buffer is sized once here, where an unbounded channel allocates a
+        // 31-result block (or two, if two first senders race) per launch.
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(total);
         // SAFETY: the workers only hold this reference while executing the
         // Job we send below, and this function does not return until every
         // worker has sent its completion message for this launch — each

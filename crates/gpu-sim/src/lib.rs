@@ -8,8 +8,8 @@
 //!   vector waves with per-lane activity accounting.
 //! * [`cost`] — the cost table: every simulated instruction is a [`Cost`]
 //!   entry charged through [`Warp::charge`] and booked to one [`Site`] —
-//!   lane waves, Fig. 8's combined set operation (size scan, waves, one
-//!   ballot per wave) and fixed transfer bursts.
+//!   lane waves, Fig. 8's combined set operation (size scan, waves, the
+//!   ballots that close each wave) and fixed transfer bursts.
 //! * Threadblocks group warps around a byte-budgeted shared-memory arena
 //!   ([`SharedBudget`]); exceeding it fails the launch, exactly like CUDA —
 //!   which is what motivates the paper's merged multi-label sets.
@@ -29,7 +29,7 @@ pub mod memory;
 pub mod metrics;
 pub mod warp;
 
-pub use cost::{Burst, Cost, Site};
+pub use cost::{Burst, Close, Cost, Site};
 pub use grid::{describe_panic, Grid, GridConfig, LaunchError, WarmGrid, WarpPanic};
 pub use memory::{MemoryBudget, OutOfMemory, SharedBudget};
 pub use metrics::{GridMetrics, WarpMetrics};

@@ -1,5 +1,7 @@
 //! Instrumentation: per-warp counters and grid-level aggregation.
 
+use crate::cost::Site;
+
 /// Counters accumulated by one warp during a kernel.
 ///
 /// The SIMT counters are maintained by [`crate::Warp::charge`] alone; the
@@ -11,16 +13,25 @@ pub struct WarpMetrics {
     /// The share of `simt_instructions` issued by set operations: size
     /// scans, element streams with their ballots, bitmap word waves.
     pub set_op_instructions: u64,
-    /// The share issued by the validity waves of shallow and deep claims.
+    /// The share issued by the validity waves of the claims that still test
+    /// candidates wave by wave, and by fused tails.
     pub claim_instructions: u64,
-    /// The share issued by last-level count passes. What the three shares
-    /// leave of `simt_instructions` is transfer charges
-    /// ([`Site::Transfer`](crate::Site::Transfer)).
+    /// The share issued by last-level count passes and key waves. What the
+    /// three shares leave of `simt_instructions` is transfer charges
+    /// ([`Site::Transfer`]).
     pub count_pass_instructions: u64,
     /// Lane slots issued (`32 ×` waves).
     pub issued_lane_slots: u64,
     /// Lane slots that did useful work.
     pub active_lane_slots: u64,
+    /// The lane counters split like the instructions, so a utilization move
+    /// is attributed to a site ([`WarpMetrics::at`]).
+    pub set_op_issued_lane_slots: u64,
+    pub set_op_active_lane_slots: u64,
+    pub claim_issued_lane_slots: u64,
+    pub claim_active_lane_slots: u64,
+    pub count_pass_issued_lane_slots: u64,
+    pub count_pass_active_lane_slots: u64,
     /// Local (intra-block) steal attempts.
     pub local_steal_attempts: u64,
     /// Successful local steals.
@@ -44,6 +55,12 @@ pub struct WarpMetrics {
     pub bitmap_merge_words: u64,
     /// SIMT waves issued by word-parallel merges (32 words per wave).
     pub bitmap_merge_waves: u64,
+    /// Lanes of the combining set operations' element streams: one per
+    /// streamed element, of whichever side of its slot streams.
+    pub element_lanes: u64,
+    /// The share of `element_lanes` whose slots streamed their (shorter)
+    /// operand against the input's bitmap row.
+    pub operand_lanes: u64,
     /// Candidate-list slab overflows that spilled to the heap.
     pub spill_events: u64,
     /// High-water mark of live candidate cells in the warp's stack arena.
@@ -71,6 +88,38 @@ impl WarpMetrics {
         }
     }
 
+    /// What was booked to `site`: `[instructions, issued lane slots, active
+    /// lane slots]`. [`Site::Transfer`] holds what the other three sites
+    /// leave of the totals.
+    pub fn at(&self, site: Site) -> [u64; 3] {
+        match site {
+            Site::SetOp => [
+                self.set_op_instructions,
+                self.set_op_issued_lane_slots,
+                self.set_op_active_lane_slots,
+            ],
+            Site::Claim => [
+                self.claim_instructions,
+                self.claim_issued_lane_slots,
+                self.claim_active_lane_slots,
+            ],
+            Site::CountPass => [
+                self.count_pass_instructions,
+                self.count_pass_issued_lane_slots,
+                self.count_pass_active_lane_slots,
+            ],
+            Site::Transfer => {
+                let sites = [Site::SetOp, Site::Claim, Site::CountPass].map(|s| self.at(s));
+                let left = |i: usize, total: u64| total - sites.iter().map(|s| s[i]).sum::<u64>();
+                [
+                    left(0, self.simt_instructions),
+                    left(1, self.issued_lane_slots),
+                    left(2, self.active_lane_slots),
+                ]
+            }
+        }
+    }
+
     /// Merges another warp's counters into this one.
     pub fn merge(&mut self, other: &WarpMetrics) {
         self.simt_instructions += other.simt_instructions;
@@ -79,6 +128,12 @@ impl WarpMetrics {
         self.count_pass_instructions += other.count_pass_instructions;
         self.issued_lane_slots += other.issued_lane_slots;
         self.active_lane_slots += other.active_lane_slots;
+        self.set_op_issued_lane_slots += other.set_op_issued_lane_slots;
+        self.set_op_active_lane_slots += other.set_op_active_lane_slots;
+        self.claim_issued_lane_slots += other.claim_issued_lane_slots;
+        self.claim_active_lane_slots += other.claim_active_lane_slots;
+        self.count_pass_issued_lane_slots += other.count_pass_issued_lane_slots;
+        self.count_pass_active_lane_slots += other.count_pass_active_lane_slots;
         self.local_steal_attempts += other.local_steal_attempts;
         self.local_steals += other.local_steals;
         self.global_steal_pushes += other.global_steal_pushes;
@@ -89,6 +144,8 @@ impl WarpMetrics {
         self.bitmap_probe_words += other.bitmap_probe_words;
         self.bitmap_merge_words += other.bitmap_merge_words;
         self.bitmap_merge_waves += other.bitmap_merge_waves;
+        self.element_lanes += other.element_lanes;
+        self.operand_lanes += other.operand_lanes;
         self.spill_events += other.spill_events;
         self.peak_slab_cells = self.peak_slab_cells.max(other.peak_slab_cells);
         self.tail_streams += other.tail_streams;
@@ -251,21 +308,27 @@ mod tests {
     #[test]
     fn merge_accumulates_the_instruction_split() {
         let mut a = WarpMetrics {
+            simt_instructions: 20,
+            issued_lane_slots: 400,
+            active_lane_slots: 300,
             set_op_instructions: 5,
+            set_op_issued_lane_slots: 160,
+            set_op_active_lane_slots: 150,
             claim_instructions: 2,
+            claim_issued_lane_slots: 64,
+            claim_active_lane_slots: 3,
             count_pass_instructions: 7,
+            count_pass_issued_lane_slots: 96,
+            count_pass_active_lane_slots: 90,
             ..WarpMetrics::default()
         };
         let b = a;
         a.merge(&b);
-        assert_eq!(
-            (
-                a.set_op_instructions,
-                a.claim_instructions,
-                a.count_pass_instructions
-            ),
-            (10, 4, 14)
-        );
+        assert_eq!(a.at(Site::SetOp), [10, 320, 300]);
+        assert_eq!(a.at(Site::Claim), [4, 128, 6]);
+        assert_eq!(a.at(Site::CountPass), [14, 192, 180]);
+        // Transfer is the remainder.
+        assert_eq!(a.at(Site::Transfer), [12, 160, 114]);
     }
 
     #[test]

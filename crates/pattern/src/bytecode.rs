@@ -21,8 +21,10 @@
 //!
 //! Streams are validated at lower time by the walk behind
 //! [`PlanBytecode::verify`] (which also derives each level's injectivity
-//! mask, [`LevelMeta::inj`], and the positions whose neighbor lists are
-//! re-read as lifted intersection inputs, [`PlanBytecode::marked`]) — a
+//! mask, [`LevelMeta::inj`], the positions whose neighbor lists are
+//! re-read as lifted intersection inputs, [`PlanBytecode::marked`], and the
+//! levels whose candidate set nothing else reads,
+//! [`PlanBytecode::claim_only`]) — a
 //! malformed stream (out-of-range set ids,
 //! forward dependencies, chains past [`MAX_PATTERN_SIZE`]) is rejected with
 //! a named [`BytecodeError`] instead of debug-asserting inside the
@@ -212,6 +214,8 @@ pub enum BytecodeError {
     InjMismatch { level: usize },
     /// The recorded marked-position mask is not the one the stream derives.
     MarkedMismatch,
+    /// The recorded claim-only level mask is not the one the stream derives.
+    ClaimOnlyMismatch,
 }
 
 impl std::fmt::Display for BytecodeError {
@@ -292,6 +296,12 @@ impl std::fmt::Display for BytecodeError {
                     "bytecode: records a marked-position mask its stream does not derive"
                 )
             }
+            BytecodeError::ClaimOnlyMismatch => {
+                write!(
+                    f,
+                    "bytecode: records a claim-only level mask its stream does not derive"
+                )
+            }
         }
     }
 }
@@ -323,6 +333,17 @@ pub struct PlanBytecode {
     /// `p`. Derived from the stream, never from the pattern, and re-derived
     /// by [`PlanBytecode::verify`].
     marked: u8,
+    /// Bit `l` is set when level `l`'s candidate set is computed at `l` and
+    /// read by nothing but level `l` itself. Derived and re-derived like
+    /// `marked`.
+    claim_only: u8,
+}
+
+/// What [`PlanBytecode::walk`] derives from a structurally valid stream.
+struct Derived {
+    inj: [u8; MAX_PATTERN_SIZE],
+    marked: u8,
+    claim_only: u8,
 }
 
 impl PlanBytecode {
@@ -433,19 +454,21 @@ impl PlanBytecode {
             bound_ptr,
             num_sets: plan.num_sets() as u16,
             marked: 0,
+            claim_only: 0,
         };
         bc.rederive()?;
         Ok(bc)
     }
 
-    /// Records the injectivity masks and the marked positions the
-    /// (validated) stream derives.
+    /// Records the injectivity masks, the marked positions and the
+    /// claim-only levels the (validated) stream derives.
     fn rederive(&mut self) -> Result<(), BytecodeError> {
-        let (inj, marked) = self.walk()?;
-        for (meta, inj) in self.levels.iter_mut().zip(inj) {
+        let derived = self.walk()?;
+        for (meta, inj) in self.levels.iter_mut().zip(derived.inj) {
             meta.inj = inj;
         }
-        self.marked = marked;
+        self.marked = derived.marked;
+        self.claim_only = derived.claim_only;
         Ok(())
     }
 
@@ -460,6 +483,7 @@ impl PlanBytecode {
             bound_ptr: Vec::new(),
             num_sets: 0,
             marked: 0,
+            claim_only: 0,
         }
     }
 
@@ -485,23 +509,28 @@ impl PlanBytecode {
     /// Validates the stream with a small abstract machine: walks every level
     /// tracking the open-chain state and the set of already-written slabs,
     /// rejecting the first structural violation by name, and holds every
-    /// level's recorded [`LevelMeta::inj`] and the recorded
-    /// [`PlanBytecode::marked`] to the masks the walk derives.
+    /// level's recorded [`LevelMeta::inj`], the recorded
+    /// [`PlanBytecode::marked`] and [`PlanBytecode::claim_only`] to the masks
+    /// the walk derives.
     pub fn verify(&self) -> Result<(), BytecodeError> {
-        let (inj, marked) = self.walk()?;
+        let derived = self.walk()?;
+        let inj = derived.inj;
         if let Some(level) = (0..self.levels.len()).find(|&l| self.levels[l].inj != inj[l]) {
             return Err(BytecodeError::InjMismatch { level });
         }
-        if self.marked != marked {
+        if self.marked != derived.marked {
             return Err(BytecodeError::MarkedMismatch);
+        }
+        if self.claim_only != derived.claim_only {
+            return Err(BytecodeError::ClaimOnlyMismatch);
         }
         Ok(())
     }
 
     /// The abstract machine behind [`PlanBytecode::verify`]; a structurally
-    /// valid stream yields its per-level injectivity masks and its
-    /// marked-position mask.
-    fn walk(&self) -> Result<([u8; MAX_PATTERN_SIZE], u8), BytecodeError> {
+    /// valid stream yields its per-level injectivity masks, its
+    /// marked-position mask and its claim-only level mask.
+    fn walk(&self) -> Result<Derived, BytecodeError> {
         let k = self.levels.len();
         let num_sets = self.num_sets as usize;
         if self.level_ptr.len() != k + 1
@@ -529,12 +558,18 @@ impl PlanBytecode {
             /// list the set's program starts from or intersects, plus those
             /// of the set it reads. A difference only shrinks the slab.
             within: u8,
+            /// Some `ApplyFromSet` reads the slab.
+            read: bool,
+            /// The levels whose candidate the set is.
+            iterated: u8,
         }
         let mut slabs = vec![
             Slab {
                 written: None,
                 pure: NO_POS,
                 within: 0,
+                read: false,
+                iterated: 0,
             };
             num_sets
         ];
@@ -621,6 +656,7 @@ impl PlanBytecode {
                                 });
                             }
                             acc = slabs[dep].within;
+                            slabs[dep].read = true;
                             if ins.kind == OpKind::Intersect {
                                 acc |= 1 << ins.pos;
                             }
@@ -672,8 +708,18 @@ impl PlanBytecode {
             }
             let bounded = self.bounds(l).iter().fold(0u8, |m, &(pos, _)| m | 1 << pos);
             inj[l] = ((1u8 << l) - 1) & !slabs[cand].within & !bounded;
+            slabs[cand].iterated |= 1 << l;
         }
-        Ok((inj, marked))
+        let claim_only = (1..k).fold(0u8, |mask, l| {
+            let (meta, slab) = (self.levels[l], slabs[self.levels[l].cand as usize]);
+            let alone = meta.cand_level as usize == l && !slab.read && slab.iterated == 1 << l;
+            mask | u8::from(alone) << l
+        });
+        Ok(Derived {
+            inj,
+            marked,
+            claim_only,
+        })
     }
 
     /// The instructions to execute when entering `level`.
@@ -725,6 +771,16 @@ impl PlanBytecode {
     #[inline]
     pub fn marked(&self) -> u8 {
         self.marked
+    }
+
+    /// The levels whose candidate set is computed at the level and read by
+    /// nothing but the level itself — no instruction's input, no other
+    /// level's candidate (bit `l` ⇔ level `l`): a claim there is the set's
+    /// only reader, so the ballot that compacts the set may compact exactly
+    /// the valid candidates.
+    #[inline]
+    pub fn claim_only(&self) -> u8 {
+        self.claim_only
     }
 
     /// How wide each level claims and how many arena slots each set owns
@@ -1194,6 +1250,26 @@ mod tests {
         let (_, mut bc) = lower_query(8);
         bc.marked = 0b10;
         assert_eq!(bc.verify(), Err(BytecodeError::MarkedMismatch));
+    }
+
+    #[test]
+    fn claim_only_names_the_levels_nothing_else_reads() {
+        // q1, the 5-path: level 2's N(v1) is read by its own claims alone;
+        // level 1's N(v0) is level 3's candidate too, and level 3's list is
+        // level 4's. Levels 3 and 4 compute none of their own.
+        let (_, bc) = lower_query(1);
+        assert_eq!(bc.claim_only(), 0b100);
+        // q3, the house: level 1's N(v0) is an input of levels 2 and 4, and
+        // level 2 computes level 3's list beside its own.
+        let (_, bc) = lower_query(3);
+        assert_eq!(bc.claim_only(), 0b1_0100);
+        // A clique's every list is the next level's input: only the last is
+        // read by its level alone.
+        assert_eq!(lower_query(8).1.claim_only(), 0b1_0000);
+        // The verifier holds the recorded mask to the stream's.
+        let (_, mut bc) = lower_query(3);
+        bc.claim_only = 0b1_0110;
+        assert_eq!(bc.verify(), Err(BytecodeError::ClaimOnlyMismatch));
     }
 
     #[test]

@@ -79,57 +79,57 @@ fn run(cfg: EngineConfig, g: &Graph, q: &Pattern) -> Fingerprint {
 const PINNED: [[Fingerprint; 24]; 2] = [
     // unlabeled
     [
-        (119531, 7547, 140372, 188832),
-        (5176, 9845, 240500, 298592),
-        (9200, 5530, 123405, 163776),
-        (34587, 8617, 174956, 223584),
-        (1486, 2688, 29192, 66912),
-        (2884, 5794, 128359, 172224),
-        (88, 1385, 11257, 34848),
-        (4, 1397, 9927, 35232),
-        (915277, 67844, 1442560, 1773280),
-        (31430, 57683, 1513161, 1779776),
-        (967, 15808, 301890, 439264),
-        (258862, 81347, 1861516, 2206592),
-        (155617, 3010, 48257, 80928),
-        (621, 6849, 112891, 184960),
-        (3, 1456, 10907, 36608),
-        (0, 1434, 9954, 35904),
-        (6605944, 606109, 13083532, 16114208),
-        (186933, 339730, 9089608, 10521248),
-        (1783390, 746775, 17441410, 20635424),
-        (129, 9201, 144779, 247904),
-        (1294, 13591, 254093, 373376),
-        (78, 20187, 328566, 537024),
-        (0, 1438, 9954, 35904),
-        (0, 1438, 9954, 35904),
+        (119531, 6867, 136262, 165536),
+        (5176, 7227, 190300, 213280),
+        (9200, 4017, 91678, 113824),
+        (34587, 7295, 160776, 190848),
+        (1486, 2486, 27532, 47264),
+        (2884, 4002, 90427, 113344),
+        (88, 1139, 9875, 19616),
+        (4, 1156, 8429, 18048),
+        (915277, 63078, 1404900, 1619232),
+        (31430, 43005, 1201986, 1308544),
+        (967, 12393, 278827, 344800),
+        (258862, 70811, 1733790, 1961056),
+        (155617, 2509, 44736, 63360),
+        (621, 5400, 102034, 130240),
+        (3, 1215, 9409, 19424),
+        (0, 1192, 8436, 18176),
+        (6605944, 561940, 12762216, 14699264),
+        (186933, 252786, 7175420, 7737504),
+        (1783390, 657744, 16401054, 18503520),
+        (129, 6952, 123300, 160736),
+        (1294, 10442, 228884, 272928),
+        (78, 16065, 294805, 392864),
+        (0, 1196, 8436, 18176),
+        (0, 1200, 8436, 18176),
     ],
     // labeled
     [
-        (92, 254, 2877, 6592),
-        (0, 170, 1103, 4416),
-        (0, 85, 111, 2400),
-        (12, 124, 411, 3200),
-        (0, 142, 286, 3392),
-        (7, 138, 792, 3776),
-        (0, 104, 203, 2752),
-        (0, 104, 164, 2752),
-        (4, 127, 763, 3392),
-        (2, 127, 945, 3520),
-        (0, 145, 852, 3776),
-        (14, 139, 961, 3712),
-        (3, 129, 447, 3232),
-        (0, 91, 121, 2528),
-        (0, 110, 144, 2880),
-        (0, 108, 202, 2816),
-        (0, 86, 142, 2432),
-        (0, 113, 713, 3168),
-        (12, 471, 6034, 12128),
+        (92, 228, 2825, 5760),
+        (0, 144, 1057, 3584),
+        (0, 84, 110, 2368),
+        (12, 116, 401, 2944),
+        (0, 136, 280, 3200),
+        (7, 126, 781, 3392),
+        (0, 100, 198, 2624),
+        (0, 100, 160, 2624),
+        (4, 120, 750, 3168),
+        (2, 120, 932, 3296),
+        (0, 138, 841, 3552),
+        (14, 132, 950, 3488),
+        (3, 123, 440, 3040),
+        (0, 88, 118, 2432),
+        (0, 104, 138, 2688),
+        (0, 104, 198, 2688),
+        (0, 84, 140, 2368),
+        (0, 107, 704, 2976),
+        (12, 394, 5851, 9664),
         (0, 88, 139, 2432),
-        (0, 85, 117, 2400),
-        (0, 101, 179, 2656),
-        (0, 103, 157, 2784),
-        (0, 103, 245, 2720),
+        (0, 84, 116, 2368),
+        (0, 100, 178, 2624),
+        (0, 96, 150, 2560),
+        (0, 100, 242, 2624),
     ],
 ];
 

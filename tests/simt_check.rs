@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use simt_check::{CheckConfig, Diagnostic, Severity};
 use stmatch_core::steal::{mutation, Board};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
-use stmatch_gpusim::{Cost, Grid, GridConfig, SharedBudget, Site};
+use stmatch_gpusim::{Close, Cost, Grid, GridConfig, SharedBudget, Site};
 use stmatch_graph::gen;
 use stmatch_pattern::catalog;
 
@@ -225,8 +225,8 @@ fn skewed_fixture_trips_subwarp_lint_at_setops_site() {
     );
 }
 
-/// A counting stream (`Cost::Stream` with `counted`: no ballot closes its
-/// waves) is seen wave by wave at the site that charged it, and the warp
+/// A counting stream (`Cost::Stream` closed `Close::Counted`: no ballot
+/// closes its waves) is seen wave by wave at the site that charged it, and the warp
 /// reconverges after it without a charged instruction — so the scan that
 /// opens the next stream is not issued while diverged, and no error fires.
 #[test]
@@ -251,7 +251,7 @@ fn a_counting_stream_reports_its_site_and_reconverges() {
             let counted = Cost::Stream {
                 slots,
                 lanes: 1,
-                counted: true,
+                close: Close::Counted,
             };
             w.charge(Site::SetOp, counted);
         }
