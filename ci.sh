@@ -223,12 +223,13 @@ run "smoke:delta" "${CHECK[@]}" delta
 # compiles it and a break of the call surface it stands on (its README
 # lists it) would otherwise surface only at the benchmark pipeline. Build
 # it, run its unit tests (which also hold BENCHMARK.json equal to its
-# spec), and smoke both declared workloads: exit 0 means every count of the
-# run was checked against the independent oracle.
+# spec), and smoke both declared workloads plus `clique_dense` (unlisted, and
+# the one whose slots binary-search a large share of their elements): exit 0
+# means every count of the run was checked against the independent oracle.
 BENCH=(--release --offline --manifest-path benchmark/Cargo.toml)
 run "bench:build" cargo build "${BENCH[@]}"
 run "bench:test"  cargo test -q "${BENCH[@]}"
-for w in census_sparse resident_tick; do
+for w in census_sparse resident_tick clique_dense; do
     run "bench:smoke(${w})" cargo run --quiet "${BENCH[@]}" -- \
         --workload "${w}" --quick --seconds 10 --trace 0
 done
@@ -284,6 +285,22 @@ if [ -n "${builds}" ]; then
     exit 1
 fi
 echo "==> lint:index: OK"
+
+# Set-op knob lint: each slot's host loop follows from its shape (DESIGN.md
+# §4), so the inert `SetOpTuning` / `SetOpAlgo` names and `EngineConfig::setops`
+# (kept only for `benchmark/`) must not be read again. Allowed: their
+# definitions and test in config.rs, and the one re-export in setops.rs.
+echo "==> lint:setops: scanning for uses of the inert set-op knob"
+knobs=$(grep -rnE '\b(SetOpTuning|SetOpAlgo)\b|\bcfg\.setops\b' crates src tests examples \
+    | grep -v '^crates/core/src/config\.rs:' \
+    | grep -vxE 'crates/core/src/setops\.rs:[0-9]+:pub use crate::config::\{SetOpAlgo, SetOpTuning\};' \
+    || true)
+if [ -n "${knobs}" ]; then
+    echo "${knobs}"
+    echo "==> lint:setops: FAILED — a slot's shape picks its host loop (setops::apply_op_into)"
+    exit 1
+fi
+echo "==> lint:setops: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

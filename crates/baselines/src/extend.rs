@@ -2,7 +2,7 @@
 //! (`cuts_like`, `gsi_like`), charged through the cost table, and the
 //! validity test every comparator applies.
 
-use stmatch_core::setops::{self, SetOpTuning};
+use stmatch_core::setops;
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::plan::Base;
@@ -78,7 +78,6 @@ pub(crate) fn step(
             &[None],
             op.kind,
             mask,
-            SetOpTuning::default(),
             close(final_op),
             std::slice::from_mut(out),
         );

@@ -1,7 +1,6 @@
 //! Engine configuration and the paper's ablation presets.
 
 use crate::recover::RecoveryPolicy;
-use crate::setops::SetOpTuning;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
 
 /// Largest supported unroll size, and the widest claim a level's slot
@@ -53,13 +52,7 @@ pub struct EngineConfig {
     /// a candidate list outgrows them, like the paper's CPU-memory
     /// overflow for hubs (see `arena`).
     pub max_degree_slab: usize,
-    /// Pins every set operation to one algorithm (`force`; tests and
-    /// ablations). Unforced, the size ratios
-    /// `setops::{MERGE_RATIO, GALLOP_RATIO, BITMAP_RATIO}` pick between
-    /// linear merge, binary search, galloping search and — on a graph that
-    /// carries a hub-bitmap index — the bitmap probe/merge paths. Forcing
-    /// never changes results; only the bitmap-merge paths change simulator
-    /// metrics.
+    /// Inert; see [`SetOpTuning`].
     pub setops: SetOpTuning,
     /// Inert; see [`HubBitmapTuning`].
     pub hub_bitmap: HubBitmapTuning,
@@ -97,7 +90,7 @@ impl Default for EngineConfig {
             symmetry_breaking: true,
             induced: false,
             max_degree_slab: 4096,
-            setops: SetOpTuning::default(),
+            setops: SetOpTuning,
             hub_bitmap: HubBitmapTuning::default(),
             recovery: RecoveryPolicy::default(),
             compile: CompileTuning::default(),
@@ -213,6 +206,30 @@ impl Default for HubBitmapTuning {
     fn default() -> Self {
         HubBitmapTuning { hub_threshold: 32 }
     }
+}
+
+/// Inert, kept for `benchmark/`: no engine path reads it, and a forced
+/// tuning equals the default. Each set-operation slot's host loop follows
+/// from its shape — the lengths, which sides carry a bitmap row and the op
+/// kind (`setops` module docs, DESIGN.md §4) — and the simulated charge
+/// never read it. Deleted with the benchmark's `setops.*_run_ms_p50` legs by
+/// ROADMAP item 1.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SetOpTuning;
+
+impl SetOpTuning {
+    /// Inert: the default tuning, whatever `algo` names.
+    pub fn forced(_algo: SetOpAlgo) -> Self {
+        SetOpTuning
+    }
+}
+
+/// Inert names of the host loops [`SetOpTuning::forced`] used to pin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetOpAlgo {
+    BinarySearch,
+    Merge,
+    Gallop,
 }
 
 impl EngineConfig {
@@ -359,6 +376,9 @@ mod tests {
         assert_eq!(c.compile.tier_up_after, 4096);
         assert!(c.compile.specialize);
         assert!(c.with_compile(true).compile.enabled);
+        for algo in [SetOpAlgo::BinarySearch, SetOpAlgo::Merge, SetOpAlgo::Gallop] {
+            assert_eq!(SetOpTuning::forced(algo), c.setops);
+        }
         // One shard by default (the service then stays on the single-grid
         // route), with the balancing features armed for wider runs.
         assert_eq!(c.shard.shards, 1);

@@ -916,7 +916,6 @@ impl<'a> WarpKernel<'a> {
         debug_assert!(m >= 1 && m <= self.slots.width(level - 1));
         let g = self.g;
         let hubs = self.hubs;
-        let tuning = self.cfg.setops;
         // Small copy of the matched prefix so no closure needs `self`.
         let matched = self.matched;
         let vertex_at = |pos: usize, u: usize| -> VertexId {
@@ -969,7 +968,6 @@ impl<'a> WarpKernel<'a> {
                         operand_rows.as_ref().map_or(&no_bits[..m], |r| &r[..m]),
                         ins.kind,
                         ins.mask,
-                        tuning,
                         close,
                         $out,
                     )

@@ -26,48 +26,44 @@
 //! charges its stream once, through [`Warp::charge`] at [`Site::SetOp`].
 //! The host moves the data separately, one tight membership loop per slot
 //! writing survivors straight into the slot's output ([`SetSink::lend`] /
-//! [`SetSink::commit`]), and is free to pick the cheapest real algorithm per
-//! slot without perturbing any simulator metric:
+//! [`SetSink::commit`]).
 //!
-//! * [`SetOpAlgo::BinarySearch`] — `O(log |B|)` per element; the
-//!   always-correct default for mid-range size ratios.
-//! * [`SetOpAlgo::Merge`] — a monotone cursor walked linearly; `O(|A|+|B|)`
-//!   total, best when `|B|` is comparable to `|A|`. Correct because each
-//!   slot's elements are visited in ascending order.
-//! * [`SetOpAlgo::Gallop`] — exponential search from the monotone cursor,
-//!   then binary search inside the bracket; best when `|B| ≫ |A|`.
+//! **The slot's shape picks its host loop.** A slot may bring a bitmap row
+//! for either side: rows of the graph's
+//! [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex) and sealed arena result
+//! rows when the launch routes an index, or — with no index — the kernel's
+//! per-warp *marker* row of a loop-invariant neighbor list that a lifted
+//! intersection re-reads (DESIGN.md §4c; marker rows only ever sit on the
+//! input side). The lengths `|A|` (input) and `|B|` (operand), the rows
+//! present and the op kind decide the route, first match wins:
 //!
-//! [`choose_algo`] picks per slot from the size ratio ([`MERGE_RATIO`],
-//! [`GALLOP_RATIO`]) unless [`SetOpTuning::force`] pins one (an
-//! [`EngineConfig`](crate::config::EngineConfig) knob). An empty operand
-//! short-circuits the probe entirely: intersection drops every element,
-//! difference keeps every element.
+//! | slot shape | host route | streams |
+//! |---|---|---|
+//! | both rows, `stride ≤ \|A\|+\|B\|` | word merge | words |
+//! | operand row, `\|B\| ≥ \|A\|` | probe the operand's row | `A` |
+//! | input row, `∩`, `\|B\| < \|A\|` | probe the input's row | `B` |
+//! | `\|B\| ≤ 4·\|A\|` | merge | `A` |
+//! | otherwise | binary search | `A` |
 //!
-//! **Bitmap-row paths.** A slot may bring a bitmap row for either side:
-//! rows of the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
-//! and sealed arena result rows when the launch routes an index, or — with
-//! no index — the kernel's per-warp *marker* row of a loop-invariant
-//! neighbor list that a lifted intersection re-reads (DESIGN.md §4c; marker
-//! rows only ever sit on the input side). Two further algorithms become
-//! available through [`choose_algo_hub`]:
-//!
-//! * [`SetOpAlgo::BitmapProbe`] — one O(1) word probe per streamed element,
-//!   streaming the *shorter* side against the other side's row: the input
+//! * The two probes are one O(1) word probe per streamed element: the input
 //!   against the operand's row (`bitmap_probe_words` counts these, `|A|` per
-//!   slot), or, for an intersection whose operand is shorter than its input,
-//!   the operand against the input's row ([`streams_operand`]). Either way
-//!   this is still an element-domain slot of one lane per streamed element.
-//!   Which side streams is decided from the lengths, the input row's
-//!   presence and the op kind alone — never from the tuning — so the classic
-//!   paths charge the same slot the same lanes: the operand's `|B|` for an
-//!   intersection whose input has a row and whose operand is shorter, the
-//!   input's `|A|` otherwise. Only the host cost changes.
-//! * [`SetOpAlgo::BitmapMerge`] — both sides are bitmap rows; the op is a
-//!   stream of word ANDs, 32 words per wave, survivors extracted from the
-//!   result words. This path deliberately changes the simulated wave
-//!   structure (`ceil(stride/32)` waves instead of `ceil(|A|/32)`), which
-//!   is the Fig. 8 win it models; `bitmap_merge_words`/`_waves` account
-//!   for it.
+//!   slot), or the shorter operand of an intersection against the input's
+//!   row ([`streams_operand`]; `operand_lanes` counts these).
+//! * Merge walks a monotone operand cursor, `O(|A|+|B|)`; binary search is
+//!   `O(log |B|)` per element. Both are correct because each slot's
+//!   elements are visited in ascending order.
+//! * An empty operand short-circuits the probe entirely: intersection drops
+//!   every element, difference keeps every element.
+//!
+//! Every route but the word merge is an element-domain slot of one lane per
+//! streamed element, and which side streams is decided from the lengths,
+//! the input row's presence and the op kind alone: the operand's `|B|` for
+//! an intersection whose input has a row and whose operand is shorter, the
+//! input's `|A|` otherwise. Merge and binary search differ only in host
+//! cost. The word merge ANDs the two rows, 32 words per wave, and extracts
+//! survivors from the result words: it deliberately changes the simulated
+//! wave structure (`ceil(stride/32)` waves instead of `ceil(|A|/32)`), the
+//! Fig. 8 win it models; `bitmap_merge_words`/`_waves` account for it.
 //!
 //! [`apply_chain_bits_into`] fuses a whole op chain in the bitmap domain
 //! when every operand of a slot is a hub, ping/ponging intermediate rows
@@ -161,138 +157,51 @@ impl SetSink for [Vec<VertexId>] {
     }
 }
 
-/// Host-side membership algorithm for one slot of a combined set op.
+/// Inert names, kept for `benchmark/`; defined in `config`.
+pub use crate::config::{SetOpAlgo, SetOpTuning};
+
+/// Host loop of one slot of a combined set op, picked by [`route`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SetOpAlgo {
+enum Route {
+    /// Word-parallel row ∩/∖ row, 32 words per wave.
+    WordMerge,
+    /// The input streams against the operand's row.
+    ProbeOperandRow,
+    /// The (shorter) operand of an intersection streams against the
+    /// input's row.
+    ProbeInputRow,
+    /// A monotone operand cursor advanced element by element.
+    Merge,
     /// Full-range binary search per streamed element.
     BinarySearch,
-    /// Linear merge: a monotone operand cursor advanced element by element.
-    Merge,
-    /// Galloping (exponential) search from the monotone cursor.
-    Gallop,
-    /// O(1) word probe of each streamed element against the other side's
-    /// bitmap row: the input against the operand's row, or the (shorter)
-    /// operand of an intersection against the input's row. Chosen by
-    /// [`choose_algo_hub`] only.
-    BitmapProbe,
-    /// Word-parallel bitmap ∩/∖ bitmap, 32 words per wave. Requires bits
-    /// on both sides; chosen by [`choose_algo_hub`] only.
-    BitmapMerge,
 }
 
-/// [`choose_algo`] merges when the operand is at most this many times as
-/// long as the input.
-pub const MERGE_RATIO: usize = 4;
-/// [`choose_algo`] gallops when the operand is at least this many times as
-/// long as the input, and binary-searches between the two ratios.
-pub const GALLOP_RATIO: usize = 64;
-/// [`choose_algo_hub`] probes an operand's hub-bitmap row when
-/// `|B| ≥ BITMAP_RATIO·|A|`: whenever the operand is at least as long as
-/// the input.
-pub const BITMAP_RATIO: usize = 1;
+/// Merge when the operand is at most this many times as long as the input.
+const MERGE_RATIO: usize = 4;
 
-/// Host-side algorithm choice for [`choose_algo`] / [`choose_algo_hub`]:
-/// the size-ratio rules, or `force`d to one algorithm for every slot
-/// (tests, ablations).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SetOpTuning {
-    pub force: Option<SetOpAlgo>,
-}
-
-impl SetOpTuning {
-    /// A tuning that pins every slot to `algo` (bypasses the ratio test).
-    pub fn forced(algo: SetOpAlgo) -> Self {
-        SetOpTuning { force: Some(algo) }
-    }
-}
-
-/// Picks the membership algorithm for one slot from the input/operand
-/// size ratio. The exact crossovers, with `|A| = input_len` and
-/// `|B| = operand_len` (asserted verbatim by the table-driven test
-/// `choose_algo_crossovers_match_docs`):
-///
-/// * `force` set: that algorithm, unconditionally. Prefer
-///   [`choose_algo_hub`] for the bitmap variants — it degrades a forced
-///   bitmap choice to what the available rows actually support.
-/// * `|B| ≤ MERGE_RATIO · |A|` → [`SetOpAlgo::Merge`]. The bound is
-///   **inclusive**: with `MERGE_RATIO = 4`, `(100, 400)` merges and
-///   `(100, 401)` binary-searches.
-/// * `|B| ≥ GALLOP_RATIO · |A|` → [`SetOpAlgo::Gallop`], also inclusive:
-///   with `GALLOP_RATIO = 64`, `(100, 6399)` binary-searches and
-///   `(100, 6400)` gallops.
-/// * otherwise → [`SetOpAlgo::BinarySearch`].
-///
-/// Products saturate rather than wrap. An empty input (`|A| = 0`)
-/// classifies as `Merge` when `|B| = 0` and `Gallop` otherwise — vacuous
-/// either way, since nothing streams.
-#[inline]
-pub fn choose_algo(input_len: usize, operand_len: usize, t: SetOpTuning) -> SetOpAlgo {
-    if let Some(f) = t.force {
-        return f;
-    }
-    if operand_len <= input_len.saturating_mul(MERGE_RATIO) {
-        SetOpAlgo::Merge
-    } else if operand_len >= input_len.saturating_mul(GALLOP_RATIO) {
-        SetOpAlgo::Gallop
-    } else {
-        SetOpAlgo::BinarySearch
-    }
-}
-
-/// [`choose_algo`] extended with the bitmap-row paths. `stride_words` is
-/// the bitmap row length in words; `has_input_bits` / `has_operand_bits`
-/// say which side of the op has a row available. Exact rules (asserted by
-/// `choose_algo_hub_crossovers_match_docs`):
-///
-/// * A forced bitmap algorithm degrades to what the rows support:
-///   [`SetOpAlgo::BitmapMerge`] needs both rows, falling back to
-///   [`SetOpAlgo::BitmapProbe`] with only an operand row and to the
-///   classic ladder (force cleared) with neither; a forced `BitmapProbe`
-///   needs an operand row. Forced classic algorithms pass through. A forced
-///   algorithm is host-only: it never streams the operand, and the slot is
-///   charged what [`streams_operand`] decides all the same.
-/// * Both rows present and `stride_words ≤ |A| + |B|` → `BitmapMerge`:
-///   word-ANDing the rows touches no more words than the lists have
-///   elements.
-/// * Operand row present and `|B| ≥ BITMAP_RATIO · |A|` (inclusive,
-///   saturating) → `BitmapProbe`: the input streams against the operand's
-///   row.
-/// * Input row present, `kind` is `Intersect` and `|B| < |A|` →
-///   `BitmapProbe` too, the other way round ([`streams_operand`]): an
-///   intersection is symmetric, so the shorter operand streams and the
-///   input only answers probes. A difference must visit every input
-///   element and stays on the ladder.
-/// * Otherwise → the classic [`choose_algo`] ladder.
-pub fn choose_algo_hub(
+/// The host loop for one slot, from its shape alone (the module docs'
+/// table, first match wins): `|A| = input_len`, `|B| = operand_len`,
+/// `stride` the rows' length in words, `input_row` / `operand_row` which
+/// sides carry a row. The bounds are inclusive and the product saturates:
+/// `(100, 400)` merges, `(100, 401)` binary-searches.
+fn route(
     input_len: usize,
     operand_len: usize,
-    stride_words: usize,
-    has_input_bits: bool,
-    has_operand_bits: bool,
+    stride: usize,
+    input_row: bool,
+    operand_row: bool,
     kind: OpKind,
-    t: SetOpTuning,
-) -> SetOpAlgo {
-    if let Some(f) = t.force {
-        return match f {
-            SetOpAlgo::BitmapMerge if has_input_bits && has_operand_bits => f,
-            SetOpAlgo::BitmapMerge | SetOpAlgo::BitmapProbe => {
-                if has_operand_bits {
-                    SetOpAlgo::BitmapProbe
-                } else {
-                    choose_algo(input_len, operand_len, SetOpTuning::default())
-                }
-            }
-            _ => f,
-        };
-    }
-    if has_input_bits && has_operand_bits && stride_words <= input_len + operand_len {
-        SetOpAlgo::BitmapMerge
-    } else if (has_operand_bits && operand_len >= input_len.saturating_mul(BITMAP_RATIO))
-        || streams_operand(input_len, operand_len, has_input_bits, kind)
-    {
-        SetOpAlgo::BitmapProbe
+) -> Route {
+    if input_row && operand_row && stride <= input_len + operand_len {
+        Route::WordMerge
+    } else if operand_row && operand_len >= input_len {
+        Route::ProbeOperandRow
+    } else if streams_operand(input_len, operand_len, input_row, kind) {
+        Route::ProbeInputRow
+    } else if operand_len <= input_len.saturating_mul(MERGE_RATIO) {
+        Route::Merge
     } else {
-        choose_algo(input_len, operand_len, t)
+        Route::BinarySearch
     }
 }
 
@@ -301,8 +210,8 @@ pub fn choose_algo_hub(
 /// intersection whose operand is the shorter list and whose input has a row
 /// (a bitmap probe is one word load, the price of any lane's membership
 /// test). Decided from the lengths, the row's presence and the kind alone:
-/// the slot is charged `|B|` lanes when true, `|A|` otherwise, whichever
-/// algorithm the host runs. An unforced host streams the same side.
+/// the slot is charged `|B|` lanes when true, `|A|` otherwise, and the host
+/// streams the same side.
 #[inline]
 pub fn streams_operand(
     input_len: usize,
@@ -311,31 +220,6 @@ pub fn streams_operand(
     kind: OpKind,
 ) -> bool {
     has_input_bits && kind == OpKind::Intersect && operand_len < input_len
-}
-
-/// First index `i ≥ lo` with `ops[i] ≥ value`, found by exponential
-/// probing from `lo` followed by binary search inside the bracket.
-/// Amortized `O(log gap)` across a monotone scan.
-#[inline]
-fn gallop_to(ops: &[VertexId], lo: usize, value: VertexId) -> usize {
-    let n = ops.len();
-    if lo >= n || ops[lo] >= value {
-        return lo;
-    }
-    // Invariant: ops[base] < value; limit is exclusive upper bound.
-    let mut step = 1usize;
-    let mut base = lo;
-    let mut limit = n;
-    while base + step < n {
-        if ops[base + step] < value {
-            base += step;
-            step <<= 1;
-        } else {
-            limit = base + step;
-            break;
-        }
-    }
-    base + 1 + ops[base + 1..limit].partition_point(|&x| x < value)
 }
 
 /// Copies `sources[u]` into slot `u` of `out` keeping only vertices admitted
@@ -375,23 +259,22 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
 /// `close` says (module docs). Inputs and operands must be sorted ascending;
 /// outputs are sorted ascending.
 ///
-/// The algorithm choice is per slot and purely host-side: the simulated
-/// cost is charged from the lengths of the side each slot streams
+/// The host loop is per slot ([`route`], from the slot's shape): the
+/// simulated cost is charged from the lengths of the side each slot streams
 /// ([`streams_operand`]) — the simulated probe costs one lane instruction
-/// whichever way the host resolves it — so simulator metrics are
-/// bit-identical regardless of tuning.
+/// whichever loop the host runs it in.
 ///
 /// `input_bits[u]` / `operand_bits[u]`, when `Some`, must denote exactly
 /// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
 /// rows from the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
 /// only for lists that *are* hub neighborhoods, sealed arena rows, or its
-/// own marker of the list the input equals). [`choose_algo_hub`] picks
-/// per slot; each element-domain slot (everything but `BitmapMerge`) runs
-/// its own membership loop and together they are charged as one combined
-/// Fig. 8 stream over their streamed sides' lengths, and `BitmapMerge` slots
-/// stream their words as a separate combined word stream (scan + 32-word
-/// waves + ballots), mirroring the element stream one level up. `close`
-/// closes the waves of both streams.
+/// own marker of the list the input equals). Each element-domain slot
+/// (every route but the word merge) runs its own membership loop and
+/// together they are charged as one combined Fig. 8 stream over their
+/// streamed sides' lengths, and word-merge slots stream their words as a
+/// separate combined word stream (scan + 32-word waves + ballots),
+/// mirroring the element stream one level up. `close` closes the waves of
+/// both streams.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_op_into<S: SetSink + ?Sized>(
     warp: &mut Warp,
@@ -402,7 +285,6 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     operand_bits: &[Option<&[u64]>],
     kind: OpKind,
     mask: LabelMask,
-    tuning: SetOpTuning,
     close: Close,
     out: &mut S,
 ) {
@@ -410,7 +292,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     debug_assert_eq!(inputs.len(), input_bits.len());
     debug_assert_eq!(inputs.len(), operand_bits.len());
     debug_assert!(inputs.len() <= WARP_SIZE);
-    let mut algo = [SetOpAlgo::BinarySearch; WARP_SIZE];
+    let mut word_merge = [false; WARP_SIZE];
     let mut any_merge = false;
     // The element stream: its slots, its lanes and the lanes of slots that
     // stream their operand.
@@ -422,22 +304,22 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
     for (u, (&inp, &ops)) in inputs.iter().zip(operands).enumerate() {
         out.begin(u, inp.len());
         let stride = input_bits[u].map_or(usize::MAX, <[u64]>::len);
-        algo[u] = choose_algo_hub(
+        let has_input_bits = input_bits[u].is_some();
+        let route = route(
             inp.len(),
             ops.len(),
             stride,
-            input_bits[u].is_some(),
+            has_input_bits,
             operand_bits[u].is_some(),
             kind,
-            tuning,
         );
-        if algo[u] == SetOpAlgo::BitmapMerge {
+        if route == Route::WordMerge {
+            word_merge[u] = true;
             any_merge = true;
             continue;
         }
-        let short = streams_operand(inp.len(), ops.len(), input_bits[u].is_some(), kind);
         slots += 1;
-        if short {
+        if streams_operand(inp.len(), ops.len(), has_input_bits, kind) {
             lanes += ops.len();
             operand_lanes += ops.len();
         } else {
@@ -451,11 +333,11 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
             }
             continue;
         }
-        match algo[u] {
-            SetOpAlgo::BinarySearch => {
+        match route {
+            Route::BinarySearch => {
                 filter_slot(out, u, inp, |v| pass(v, ops.binary_search(&v).is_ok()))
             }
-            SetOpAlgo::Merge => {
+            Route::Merge => {
                 // ∩ keeps nothing past the operand's last element: stop
                 // there instead of walking the rest of the input.
                 let last = ops[ops.len() - 1];
@@ -471,25 +353,18 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
                     pass(v, c < ops.len() && ops[c] == v)
                 })
             }
-            SetOpAlgo::Gallop => {
-                let mut c = 0usize;
-                filter_slot(out, u, inp, |v| {
-                    c = gallop_to(ops, c, v);
-                    pass(v, c < ops.len() && ops[c] == v)
-                })
-            }
-            SetOpAlgo::BitmapProbe if short && tuning.force.is_none() => {
+            Route::ProbeInputRow => {
                 // A ∩ B = B ∩ A: the shorter operand streams, ascending,
                 // against the input's row.
                 let bits = input_bits[u].expect("streams_operand implies an input row");
                 filter_slot(out, u, ops, |v| pass(v, word_probe(bits, v)))
             }
-            SetOpAlgo::BitmapProbe => {
-                let bits = operand_bits[u].expect("probe requires operand bits");
+            Route::ProbeOperandRow => {
+                let bits = operand_bits[u].expect("the route requires an operand row");
                 warp.metrics_mut().bitmap_probe_words += inp.len() as u64;
                 filter_slot(out, u, inp, |v| pass(v, word_probe(bits, v)))
             }
-            SetOpAlgo::BitmapMerge => unreachable!("merge slots stream words, not elements"),
+            Route::WordMerge => unreachable!("merge slots stream words, not elements"),
         }
     }
     warp.charge(
@@ -509,7 +384,7 @@ pub fn apply_op_into<S: SetSink + ?Sized>(
             g,
             input_bits,
             operand_bits,
-            &algo,
+            &word_merge,
             kind,
             mask,
             close,
@@ -549,7 +424,7 @@ fn filter_slot<S: SetSink + ?Sized>(
     }
 }
 
-/// Streams the `BitmapMerge` slots of one combined op as a word stream:
+/// Streams the word-merge slots of one combined op as a word stream:
 /// a prefix scan over word counts (when more than one merge slot), waves
 /// of 32 words with low-bit-contiguous active masks, closed as `close`
 /// says, survivors extracted in ascending order from each result word.
@@ -559,17 +434,17 @@ fn merge_bitmap_slots<S: SetSink + ?Sized>(
     g: &Graph,
     input_bits: &[Option<&[u64]>],
     operand_bits: &[Option<&[u64]>],
-    algo: &[SetOpAlgo; WARP_SIZE],
+    word_merge: &[bool; WARP_SIZE],
     kind: OpKind,
     mask: LabelMask,
     close: Close,
     out: &mut S,
 ) {
-    let merged = || (0..input_bits.len()).filter(|&u| algo[u] == SetOpAlgo::BitmapMerge);
+    let merged = || (0..input_bits.len()).filter(|&u| word_merge[u]);
     let (mut slots, mut lanes) = (0, 0);
     for u in merged() {
-        let a = input_bits[u].expect("BitmapMerge requires input bits");
-        let b = operand_bits[u].expect("BitmapMerge requires operand bits");
+        let a = input_bits[u].expect("a word merge requires input bits");
+        let b = operand_bits[u].expect("a word merge requires operand bits");
         debug_assert_eq!(a.len(), b.len());
         // One word AND (or ANDN) per lane.
         for (w, (&x, &y)) in a.iter().zip(b).enumerate() {
@@ -701,23 +576,6 @@ mod tests {
     const NO_ROWS: [Option<&[u64]>; WARP_SIZE] = [None; WARP_SIZE];
 
     /// One compacting combined operation into heap vectors, no bitmap rows.
-    fn apply_op_tuned(
-        warp: &mut Warp,
-        g: &Graph,
-        (inputs, operands): (&[&[VertexId]], &[&[VertexId]]),
-        kind: OpKind,
-        mask: LabelMask,
-        tuning: SetOpTuning,
-        outs: &mut [Vec<VertexId>],
-    ) {
-        let rows = &NO_ROWS[..inputs.len()];
-        let close = Close::Compacted;
-        apply_op_into(
-            warp, g, inputs, rows, operands, rows, kind, mask, tuning, close, outs,
-        )
-    }
-
-    /// [`apply_op_tuned`] with the default tuning.
     fn apply_op(
         warp: &mut Warp,
         g: &Graph,
@@ -727,8 +585,11 @@ mod tests {
         mask: LabelMask,
         outs: &mut [Vec<VertexId>],
     ) {
-        let tuning = SetOpTuning::default();
-        apply_op_tuned(warp, g, (inputs, operands), kind, mask, tuning, outs)
+        let rows = &NO_ROWS[..inputs.len()];
+        let close = Close::Compacted;
+        apply_op_into(
+            warp, g, inputs, rows, operands, rows, kind, mask, close, outs,
+        )
     }
 
     // Helper that runs `f` on a real warp inside a 1-warp grid launch and
@@ -867,17 +728,18 @@ mod tests {
     #[test]
     fn a_counted_operation_issues_no_ballot_and_moves_the_same_data() {
         // Three slots of 20, 30 and 0 elements, each with a row, against a
-        // 14-element operand: the shorter side streams, 14 + 14 + 0 lanes —
-        // a scan and one wave. A word stream over the 1-word rows: a scan and
-        // one wave of 3 words. Each wave closes with no ballot when counted,
-        // one when compacted, two when masked: same lanes, same output.
+        // 14-element operand without a row: the shorter side streams against
+        // the input rows, 14 + 14 + 0 lanes — a scan and one wave. With an
+        // operand row too, a word stream over the 1-word rows: a scan and one
+        // wave of 3 words. Each wave closes with no ballot when counted, one
+        // when compacted, two when masked: same lanes, same output.
         let g = gen::complete(2);
         let ins: Vec<Vec<VertexId>> = vec![(0..40).step_by(2).collect(), (0..30).collect(), vec![]];
         let ops: Vec<VertexId> = (0..40).step_by(3).collect();
         let stride = 40usize.div_ceil(64);
         let rows: Vec<Vec<u64>> = ins.iter().map(|s| bits_of(s, stride)).collect();
         let op_row = bits_of(&ops, stride);
-        for (algo, lanes) in [(SetOpAlgo::BinarySearch, 28), (SetOpAlgo::BitmapMerge, 3)] {
+        for (words, lanes) in [(false, 28), (true, 3)] {
             let run = |close: Close| {
                 let out = std::sync::Mutex::new(Vec::new());
                 let m = with_warp(|w| {
@@ -890,10 +752,9 @@ mod tests {
                         &in_refs,
                         &in_bits,
                         &[&ops[..]; 3],
-                        &[Some(&op_row[..]); 3],
+                        &[words.then_some(&op_row[..]); 3],
                         OpKind::Intersect,
                         LabelMask::ALL,
-                        SetOpTuning::forced(algo),
                         close,
                         &mut outs[..],
                     );
@@ -902,29 +763,25 @@ mod tests {
                 (out.into_inner().unwrap(), m)
             };
             let (want, c) = run(Close::Compacted);
-            assert_eq!(c.active_lane_slots, 5 * 32 + lanes, "{algo:?}");
-            let element = if algo == SetOpAlgo::BitmapMerge {
-                0
-            } else {
-                lanes
-            };
+            assert_eq!(c.active_lane_slots, 5 * 32 + lanes, "words {words}");
+            let element = if words { 0 } else { lanes };
             assert_eq!((c.element_lanes, c.operand_lanes), (element, element));
             for (close, ballots) in [(Close::Counted, 0), (Close::Masked, 2)] {
                 let (outs, m) = run(close);
-                assert_eq!(outs, want, "{algo:?} {close:?}: host output");
-                assert_eq!(m.simt_instructions, 5 + 1 + ballots, "{algo:?} {close:?}");
+                assert_eq!(outs, want, "words {words} {close:?}: host output");
+                assert_eq!(m.simt_instructions, 5 + 1 + ballots, "{words} {close:?}");
                 assert_eq!(m.set_op_instructions, m.simt_instructions);
                 assert_eq!(
                     (m.active_lane_slots, m.issued_lane_slots),
                     (c.active_lane_slots, c.issued_lane_slots),
-                    "{algo:?} {close:?}: lanes"
+                    "words {words} {close:?}: lanes"
                 );
                 assert_eq!(
                     (m.bitmap_merge_words, m.bitmap_merge_waves),
                     (c.bitmap_merge_words, c.bitmap_merge_waves)
                 );
             }
-            assert_eq!(c.simt_instructions, 5 + 1 + 1, "{algo:?}");
+            assert_eq!(c.simt_instructions, 5 + 1 + 1, "words {words}");
         }
     }
 
@@ -950,132 +807,77 @@ mod tests {
     }
 
     #[test]
-    fn choose_algo_crossovers_match_docs() {
-        // Table-driven mirror of the `choose_algo` rustdoc: every row is a
-        // crossover the docs promise. Ratio edits that move a boundary must
-        // update both places.
-        use SetOpAlgo::*;
-        let t = SetOpTuning::default(); // merge ≤ 4×, gallop ≥ 64×, both inclusive
-        const TABLE: &[(usize, usize, SetOpAlgo)] = &[
-            (100, 0, Merge),   // |B| = 0 ≤ 4·|A|
-            (100, 100, Merge), // equal sizes merge
-            (100, 399, Merge), // just under the merge bound
-            (100, 400, Merge), // inclusive upper merge crossover
-            (100, 401, BinarySearch),
-            (100, 6399, BinarySearch), // just under the gallop bound
-            (100, 6400, Gallop),       // inclusive lower gallop crossover
-            (100, 6401, Gallop),
-            (1, 4, Merge), // crossovers scale with |A|
-            (1, 5, BinarySearch),
-            (1, 64, Gallop),
-            (0, 0, Merge), // empty input: vacuous classifications
-            (0, 1, Gallop),
-        ];
-        for &(a, b, want) in TABLE {
-            assert_eq!(choose_algo(a, b, t), want, "choose_algo({a}, {b})");
-        }
-        // Products saturate rather than wrap: a huge input still merges.
-        assert_eq!(choose_algo(usize::MAX / 2, usize::MAX, t), Merge);
-        // Forces pass through verbatim.
-        assert_eq!(choose_algo(1, 1_000_000, SetOpTuning::forced(Merge)), Merge);
-    }
-
-    #[test]
-    fn choose_algo_hub_crossovers_match_docs() {
+    fn route_crossovers_match_docs() {
+        // Table-driven mirror of the module docs' route table: every row is
+        // a crossover the docs promise, first match wins.
         use OpKind::{Difference, Intersect};
-        use SetOpAlgo::*;
-        let t = SetOpTuning::default(); // BITMAP_RATIO = 1
-        type Row = (usize, usize, usize, bool, bool, OpKind, SetOpAlgo);
-        // (|A|, |B|, stride, in_bits, op_bits, kind, expected)
-        const TABLE: &[Row] = &[
-            // Both rows: merge iff stride ≤ |A| + |B| (inclusive).
-            (60, 60, 120, true, true, Intersect, BitmapMerge),
-            (60, 60, 121, true, true, Intersect, BitmapProbe), // stride too wide; probe still wins
-            // Operand row only: probe iff |B| ≥ BITMAP_RATIO·|A| (inclusive).
-            (50, 50, 10, false, true, Intersect, BitmapProbe),
-            (50, 50, 10, false, true, Difference, BitmapProbe),
-            (50, 49, 10, false, true, Intersect, Merge), // |B| < |A| falls to the classic ladder
-            // No rows: the classic ladder verbatim.
-            (100, 400, 10, false, false, Intersect, Merge),
-            (100, 401, 10, false, false, Intersect, BinarySearch),
-            (100, 6400, 10, false, false, Intersect, Gallop),
-            // Input row only: an intersection with a shorter operand streams
-            // the operand against it; a difference cannot, and neither can an
+        use Route::*;
+        // (|A|, |B|, stride, input row, operand row, kind, expected)
+        const TABLE: &[(usize, usize, usize, bool, bool, OpKind, Route)] = &[
+            // Both rows: a word merge iff stride ≤ |A| + |B| (inclusive).
+            (60, 60, 120, true, true, Intersect, WordMerge),
+            (60, 60, 121, true, true, Intersect, ProbeOperandRow),
+            // Operand row: probe it iff |B| ≥ |A| (inclusive).
+            (50, 50, 10, false, true, Intersect, ProbeOperandRow),
+            (50, 50, 10, false, true, Difference, ProbeOperandRow),
+            (50, 49, 10, false, true, Intersect, Merge),
+            // Input row: an intersection with a shorter operand streams the
+            // operand against it; a difference cannot, and neither can an
             // operand at least as long as the input.
-            (50, 49, 2, true, false, Intersect, BitmapProbe),
+            (50, 49, 2, true, false, Intersect, ProbeInputRow),
+            (50, 1, 2, true, false, Intersect, ProbeInputRow),
             (50, 49, 2, true, false, Difference, Merge),
             (50, 50, 2, true, false, Intersect, Merge),
-            (50, 1, 2, true, false, Intersect, BitmapProbe),
+            // No rows: merge iff |B| ≤ 4·|A| (inclusive), binary search above,
+            // however long the operand.
+            (100, 0, 0, false, false, Intersect, Merge),
+            (100, 400, 0, false, false, Intersect, Merge),
+            (100, 401, 0, false, false, Difference, BinarySearch),
+            (100, 6400, 0, false, false, Intersect, BinarySearch),
+            (1, 4, 0, false, false, Intersect, Merge),
+            (1, 5, 0, false, false, Intersect, BinarySearch),
+            (0, 0, 0, false, false, Intersect, Merge),
+            (0, 1, 0, false, false, Intersect, BinarySearch),
+            // The product saturates rather than wraps.
+            (
+                usize::MAX / 2,
+                usize::MAX,
+                0,
+                false,
+                false,
+                Intersect,
+                Merge,
+            ),
         ];
         for &(a, b, s, ib, ob, kind, want) in TABLE {
-            assert_eq!(
-                choose_algo_hub(a, b, s, ib, ob, kind, t),
-                want,
-                "choose_algo_hub({a}, {b}, {s}, {ib}, {ob}, {kind:?})"
-            );
+            let got = route(a, b, s, ib, ob, kind);
+            assert_eq!(got, want, "route({a}, {b}, {s}, {ib}, {ob}, {kind:?})");
+            // The input row is probed exactly where the operand streams.
+            let probe_input = got == ProbeInputRow;
+            assert!(got == WordMerge || probe_input == streams_operand(a, b, ib, kind));
         }
-        // Only an intersection with an input row and a shorter operand
-        // streams the operand.
-        assert!(streams_operand(50, 49, true, Intersect));
-        assert!(!streams_operand(50, 49, false, Intersect));
-        assert!(!streams_operand(50, 49, true, Difference));
-        assert!(!streams_operand(50, 50, true, Intersect));
-        // Forced bitmap choices degrade to what the rows support.
-        let hub = |a, b, s, ib, ob, t| choose_algo_hub(a, b, s, ib, ob, Intersect, t);
-        let fm = SetOpTuning::forced(BitmapMerge);
-        assert_eq!(hub(9, 9, 500, true, true, fm), BitmapMerge);
-        assert_eq!(hub(9, 9, 500, false, true, fm), BitmapProbe);
-        assert_eq!(hub(9, 9, 500, false, false, fm), Merge);
-        let fp = SetOpTuning::forced(BitmapProbe);
-        assert_eq!(hub(9, 9, 1, true, true, fp), BitmapProbe);
-        assert_eq!(hub(9, 900, 1, true, false, fp), Gallop);
-        // Forced classic algorithms ignore available rows, and no forced
-        // algorithm streams the operand on the host (the slot is charged as
-        // `streams_operand` says all the same).
-        let fg = SetOpTuning::forced(Gallop);
-        assert_eq!(hub(9, 9, 1, true, true, fg), Gallop);
-        assert_eq!(
-            hub(50, 49, 2, true, false, SetOpTuning::forced(Merge)),
-            Merge
-        );
-        assert_eq!(hub(50, 49, 2, true, false, fp), Merge);
     }
 
     #[test]
-    fn forced_algos_agree_and_keep_metrics_identical() {
+    fn merge_and_binary_search_agree_and_charge_the_same() {
+        // The same 67-element input against a 100-element operand (merge)
+        // and a 1000-element one with the same members below 200 (binary
+        // search): same outputs, same simulated cost.
         let g = gen::complete(2);
         let a: Vec<VertexId> = (0..200).step_by(3).collect();
-        let b: Vec<VertexId> = (0..200).step_by(2).collect();
-        let mut results: Vec<(Vec<VertexId>, u64, u64)> = Vec::new();
-        for algo in [SetOpAlgo::BinarySearch, SetOpAlgo::Merge, SetOpAlgo::Gallop] {
-            for kind in [OpKind::Intersect, OpKind::Difference] {
-                let (a, b, g) = (a.clone(), b.clone(), g.clone());
+        for kind in [OpKind::Intersect, OpKind::Difference] {
+            let runs = [200, 2000].map(|n| {
+                let b: Vec<VertexId> = (0..n).step_by(2).collect();
                 let out = std::sync::Mutex::new(Vec::new());
                 let m = with_warp(|w| {
                     let mut outs = vec![Vec::new()];
-                    let tuning = SetOpTuning::forced(algo);
-                    apply_op_tuned(
-                        w,
-                        &g,
-                        (&[&a], &[&b]),
-                        kind,
-                        LabelMask::ALL,
-                        tuning,
-                        &mut outs,
-                    );
+                    apply_op(w, &g, &[&a], &[&b], kind, LabelMask::ALL, &mut outs);
                     *out.lock().unwrap() = outs.remove(0);
                 });
-                results.push((
-                    out.into_inner().unwrap(),
-                    m.simt_instructions,
-                    m.issued_lane_slots,
-                ));
-            }
-        }
-        // All three algorithms: same outputs, same simulated cost.
-        for pair in results.chunks(2).skip(1) {
-            assert_eq!(pair[0], results[0], "intersect path diverged");
-            assert_eq!(pair[1], results[1], "difference path diverged");
+                let out = out.into_inner().unwrap();
+                (out, m.simt_instructions, m.issued_lane_slots)
+            });
+            assert_eq!(runs[0], runs[1], "{kind:?}");
         }
     }
 
@@ -1108,18 +910,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn gallop_to_finds_lower_bounds() {
-        let ops: Vec<VertexId> = vec![1, 3, 5, 7, 9, 11, 13];
-        assert_eq!(gallop_to(&ops, 0, 0), 0);
-        assert_eq!(gallop_to(&ops, 0, 1), 0);
-        assert_eq!(gallop_to(&ops, 0, 2), 1);
-        assert_eq!(gallop_to(&ops, 0, 13), 6);
-        assert_eq!(gallop_to(&ops, 0, 14), 7);
-        assert_eq!(gallop_to(&ops, 3, 8), 4);
-        assert_eq!(gallop_to(&ops, 7, 99), 7);
-    }
-
     /// Encodes a sorted vertex list as a `stride`-word bitmap row.
     fn bits_of(vals: &[VertexId], stride: usize) -> Vec<u64> {
         let mut bits = vec![0u64; stride];
@@ -1131,8 +921,9 @@ mod tests {
 
     #[test]
     fn bitmap_probe_agrees_and_keeps_metrics_identical() {
-        // The probe is an element-stream algorithm: identical outputs AND
-        // an identical (simt, issued, active) tuple vs. binary search —
+        // An operand row at least as long as the input is probed, an
+        // element-stream route: identical outputs AND an identical (simt,
+        // issued, active) tuple vs. the same slot without the row (a merge) —
         // only the host cost and the probe counter differ.
         let g = gen::complete(2);
         let a: Vec<VertexId> = (0..200).step_by(3).collect();
@@ -1146,11 +937,6 @@ mod tests {
                 let out = std::sync::Mutex::new(Vec::new());
                 let m = with_warp(|w| {
                     let mut outs = vec![Vec::new()];
-                    let tuning = SetOpTuning::forced(if probe {
-                        SetOpAlgo::BitmapProbe
-                    } else {
-                        SetOpAlgo::BinarySearch
-                    });
                     let op_bits = if probe { Some(b_bits.as_slice()) } else { None };
                     apply_op_into(
                         w,
@@ -1161,7 +947,6 @@ mod tests {
                         &[op_bits],
                         kind,
                         LabelMask::ALL,
-                        tuning,
                         Close::Compacted,
                         &mut outs[..],
                     );
@@ -1204,7 +989,6 @@ mod tests {
                     &[Some(b_bits.as_slice())],
                     kind,
                     LabelMask::ALL,
-                    SetOpTuning::forced(SetOpAlgo::BitmapMerge),
                     Close::Compacted,
                     &mut merged[..],
                 );
@@ -1237,7 +1021,6 @@ mod tests {
                 &[Some(b_bits.as_slice()), Some(b_bits.as_slice())],
                 OpKind::Intersect,
                 LabelMask::ALL,
-                SetOpTuning::forced(SetOpAlgo::BitmapMerge),
                 Close::Compacted,
                 &mut outs[..],
             );
@@ -1253,8 +1036,8 @@ mod tests {
 
     #[test]
     fn mixed_element_and_merge_slots_agree() {
-        // Slot 0 has rows on both sides (auto → BitmapMerge), slot 1 has
-        // none (classic); outputs must match per-slot classic results.
+        // Slot 0 has rows on both sides (a word merge), slot 1 has none (a
+        // merge); outputs must match per-slot element results.
         let g = gen::complete(2);
         let a0: Vec<VertexId> = (0..120).step_by(2).collect();
         let b0: Vec<VertexId> = (0..120).step_by(5).collect();
@@ -1283,7 +1066,6 @@ mod tests {
                 &[Some(b0_bits.as_slice()), None],
                 OpKind::Intersect,
                 LabelMask::ALL,
-                SetOpTuning::default(),
                 Close::Compacted,
                 &mut hub[..],
             );
@@ -1311,7 +1093,6 @@ mod tests {
                 &[Some(b_bits.as_slice())],
                 OpKind::Intersect,
                 LabelMask::single(1),
-                SetOpTuning::forced(SetOpAlgo::BitmapMerge),
                 Close::Compacted,
                 &mut outs[..],
             );

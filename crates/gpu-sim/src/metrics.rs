@@ -47,10 +47,10 @@ pub struct WarpMetrics {
     pub shard_steal_receives: u64,
     /// Matches emitted by this warp.
     pub matches_found: u64,
-    /// Hub-bitmap membership probes (one O(1) word test per streamed
-    /// element routed through `BitmapProbe`).
+    /// Hub-bitmap membership probes of an operand's row (one O(1) word test
+    /// per input element a slot streams against it).
     pub bitmap_probe_words: u64,
-    /// Bitmap words streamed by word-parallel merges (`BitmapMerge` and
+    /// Bitmap words streamed by word-parallel merges (word-merge slots and
     /// fused bitmap chains): one per word AND/ANDN.
     pub bitmap_merge_words: u64,
     /// SIMT waves issued by word-parallel merges (32 words per wave).

@@ -94,34 +94,56 @@ impl MaxId {
     }
 }
 
+/// Feeds `f` each line of `reader` with its 1-based number (the terminator
+/// included; callers trim). A line that is not UTF-8 is a parse error at
+/// that line, not an I/O error.
+fn for_each_line<R: Read>(
+    reader: R,
+    mut f: impl FnMut(usize, &str) -> Result<(), IoError>,
+) -> Result<(), IoError> {
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    for line in 1.. {
+        buf.clear();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        let text = std::str::from_utf8(&buf).map_err(|e| IoError::Parse {
+            line,
+            message: format!("not UTF-8: {e}"),
+        })?;
+        f(line, text)?;
+    }
+    Ok(())
+}
+
 /// Parses a SNAP-style edge list from a reader.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let reader = BufReader::new(reader);
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_id = MaxId::default();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
+    for_each_line(reader, |line, text| {
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            continue;
+            return Ok(());
         }
         let mut it = trimmed.split_whitespace();
         let parse = |tok: Option<&str>, what: &str| -> Result<VertexId, IoError> {
             tok.ok_or_else(|| IoError::Parse {
-                line: idx + 1,
+                line,
                 message: format!("missing {what}"),
             })?
             .parse::<VertexId>()
             .map_err(|e| IoError::Parse {
-                line: idx + 1,
+                line,
                 message: format!("bad {what}: {e}"),
             })
         };
         let u = parse(it.next(), "source vertex")?;
         let v = parse(it.next(), "target vertex")?;
-        max_id.see(u.max(v), idx + 1);
+        max_id.see(u.max(v), line);
         edges.push((u, v));
-    }
+        Ok(())
+    })?;
     max_id.build(Vec::new(), edges)
 }
 
@@ -133,21 +155,16 @@ pub fn load_edge_list(path: impl AsRef<Path>) -> Result<Graph, IoError> {
 
 /// Parses an `.lg` labeled graph from a reader.
 pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let reader = BufReader::new(reader);
     let mut labels: Vec<(VertexId, Label)> = Vec::new();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_id = MaxId::default();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
+    for_each_line(reader, |line, text| {
+        let trimmed = text.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('t') {
-            continue;
+            return Ok(());
         }
         let toks: Vec<&str> = trimmed.split_whitespace().collect();
-        let bad = |message: String| IoError::Parse {
-            line: idx + 1,
-            message,
-        };
+        let bad = |message: String| IoError::Parse { line, message };
         match toks[0] {
             "v" => {
                 if toks.len() < 3 {
@@ -163,7 +180,7 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
                          (labels must stay below {label}: the count is the largest label + 1)"
                     )));
                 }
-                max_id.see(id, idx + 1);
+                max_id.see(id, line);
                 labels.push((id, label));
             }
             "e" => {
@@ -172,12 +189,13 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
                 }
                 let u: VertexId = toks[1].parse().map_err(|e| bad(format!("bad u: {e}")))?;
                 let v: VertexId = toks[2].parse().map_err(|e| bad(format!("bad v: {e}")))?;
-                max_id.see(u.max(v), idx + 1);
+                max_id.see(u.max(v), line);
                 edges.push((u, v));
             }
             other => return Err(bad(format!("unknown record type `{other}`"))),
         }
-    }
+        Ok(())
+    })?;
     max_id.build(labels, edges)
 }
 
@@ -275,6 +293,22 @@ mod tests {
         let g = read_lg("v 0 4294967294\ne 0 1\n".as_bytes()).unwrap();
         assert_eq!(g.num_labels(), u32::MAX);
         assert!(g.is_labeled());
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_parse_error_at_that_line() {
+        for err in [
+            read_lg(&b"v 0 1\ne 0 \xff1\ne 0 1\n"[..]).unwrap_err(),
+            read_edge_list(&b"0 1\n0 \xc3\n"[..]).unwrap_err(),
+        ] {
+            match err {
+                IoError::Parse { line, message } => {
+                    assert_eq!(line, 2);
+                    assert!(message.contains("UTF-8"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other}"),
+            }
+        }
     }
 
     #[test]

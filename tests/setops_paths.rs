@@ -1,35 +1,33 @@
-//! Property tests for the adaptive set-operation kernels: every host-side
-//! membership algorithm (binary search, linear merge, galloping search,
-//! bitmap probe) plus the ratio-driven auto selection must produce exactly
-//! the output of a scalar reference — for both op kinds, with and without a
-//! label mask, into every kind of sink — and charge exactly the closed form
-//! of the streamed sides' lengths, whatever moved the data: the contract
-//! *data per slot, cost from lengths* (DESIGN.md §4c).
+//! Property tests for the adaptive set-operation kernels: every host route a
+//! slot's shape picks — linear merge, binary search, a probe of the
+//! operand's or of the input's bitmap row, a word merge of both rows — must
+//! produce exactly the output of a scalar reference — for both op kinds,
+//! with and without a label mask, into every kind of sink — and the element
+//! routes must charge exactly the closed form of the streamed sides'
+//! lengths, whatever moved the data: the contract *data per slot, cost from
+//! lengths* (DESIGN.md §4c).
 //!
 //! The sinks are plain vectors, an arena whose slabs hold every input (the
 //! in-place `lend`/`commit` path) and an arena whose slab capacity is below
 //! the input lengths (the lend is declined: per-element `push`, and the
 //! spill migration once survivors outgrow the slab).
 //!
-//! `BitmapMerge` and the auto hub routing ride the same harness but must
-//! match outputs only (their wave structure differs by design — see
-//! DESIGN.md §4f).
+//! Slots with rows on both sides ride the same harness but must match
+//! outputs only where the closed form of elements is asked for: the word
+//! merge restructures waves by design (DESIGN.md §4f).
 //!
 //! The symmetric leg: with a row on the *input* side, an intersection whose
 //! operand is the shorter list streams the operand against that row — same
 //! output, and the closed form of the *operand's* length for that slot. A
-//! forced algorithm never takes that route on the host; the harness proves
-//! it by handing the forced legs input rows that are all zeroes (an op that
-//! read them would keep nothing), and holds them to the same charge all the
-//! same: which side streams is decided by lengths, rows and kind, never by
-//! the tuning. On failure the testkit harness shrinks the case and prints a
-//! seeded reproduce line.
+//! difference, or an operand at least as long as the input, never reads that
+//! row; the harness proves it by handing such slots input rows that are all
+//! zeroes (an op that read them would keep nothing). On failure the testkit
+//! harness shrinks the case and prints a seeded reproduce line.
 
 use std::sync::Mutex;
 
 use stmatch_core::arena::StackArena;
-use stmatch_core::setops::{apply_op_into, choose_algo, choose_algo_hub, streams_operand};
-use stmatch_core::setops::{SetOpAlgo, SetOpTuning, GALLOP_RATIO, MERGE_RATIO};
+use stmatch_core::setops::{apply_op_into, streams_operand};
 use stmatch_gpusim::{Close, Cost, Grid, GridConfig, Warp, WarpMetrics};
 use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{Graph, Label, VertexId};
@@ -96,14 +94,47 @@ enum Sink {
     Arena { cap: usize },
 }
 
-/// Which bitmap rows a run attaches (all slots alike).
-#[derive(Clone, Copy, Debug, Default)]
+/// Which bitmap rows a slot attaches.
+#[derive(Clone, Copy, Debug)]
 struct Rows {
     input: bool,
     operand: bool,
-    /// The input rows are attached but hold no bits: whoever reads one
-    /// keeps nothing. Only for legs that must not read them.
+    /// The input row is attached but holds no bits: whoever reads it keeps
+    /// nothing. Only for slots that must not read it.
     poisoned_input: bool,
+}
+
+const NO_ROWS: Rows = Rows {
+    input: false,
+    operand: false,
+    poisoned_input: false,
+};
+const INPUT_ROW: Rows = Rows {
+    input: true,
+    ..NO_ROWS
+};
+const OPERAND_ROW: Rows = Rows {
+    operand: true,
+    ..NO_ROWS
+};
+const BOTH_ROWS: Rows = Rows {
+    input: true,
+    operand: true,
+    ..NO_ROWS
+};
+
+/// Every row shape a slot can have, named.
+const SHAPES: [(&str, Rows); 4] = [
+    ("no-rows", NO_ROWS),
+    ("input-row", INPUT_ROW),
+    ("operand-row", OPERAND_ROW),
+    ("both-rows", BOTH_ROWS),
+];
+
+/// Whether a slot of this shape merges its rows word by word (the only
+/// route off the element stream).
+fn word_merges(a: &[VertexId], b: &[VertexId], r: Rows) -> bool {
+    r.input && r.operand && STRIDE <= a.len() + b.len()
 }
 
 type Slots = [(Vec<VertexId>, Vec<VertexId>)];
@@ -115,12 +146,10 @@ fn run(
     slots: &Slots,
     kind: OpKind,
     mask: LabelMask,
-    tuning: SetOpTuning,
     rows: Rows,
     sink: Sink,
 ) -> (Vec<Vec<VertexId>>, WarpMetrics) {
-    let rows = vec![rows; slots.len()];
-    run_rows(g, slots, kind, mask, tuning, &rows, sink)
+    run_rows(g, slots, kind, mask, &vec![rows; slots.len()], sink)
 }
 
 /// [`run`] with each slot's own rows.
@@ -129,7 +158,6 @@ fn run_rows(
     slots: &Slots,
     kind: OpKind,
     mask: LabelMask,
-    tuning: SetOpTuning,
     rows: &[Rows],
     sink: Sink,
 ) -> (Vec<Vec<VertexId>>, WarpMetrics) {
@@ -164,7 +192,6 @@ fn run_rows(
                     &operand_bits,
                     kind,
                     mask,
-                    tuning,
                     Close::Compacted,
                     $sink,
                 )
@@ -228,26 +255,24 @@ fn closed_form(slots: &Slots, input_row: bool, kind: OpKind) -> (u64, u64, u64) 
     (scan + 2 * waves, 32 * (scan + waves), 32 * scan + total)
 }
 
-fn tuning(force: Option<SetOpAlgo>) -> SetOpTuning {
-    SetOpTuning { force }
+fn charged(m: &WarpMetrics) -> (u64, u64, u64) {
+    (
+        m.simt_instructions,
+        m.issued_lane_slots,
+        m.active_lane_slots,
+    )
 }
-
-const TUNINGS: [(&str, Option<SetOpAlgo>); 4] = [
-    ("auto", None),
-    ("bsearch", Some(SetOpAlgo::BinarySearch)),
-    ("merge", Some(SetOpAlgo::Merge)),
-    ("gallop", Some(SetOpAlgo::Gallop)),
-];
 
 /// Slab capacity that holds every generated input (the lend is granted) and
 /// one below most of them (declined; survivors beyond it spill).
 const SINKS: [Sink; 3] = [Sink::Vecs, Sink::Arena { cap: 64 }, Sink::Arena { cap: 2 }];
 
-/// Every element-domain algorithm agrees with the scalar reference and
-/// charges the closed form of the streamed sides' lengths — on random
-/// multi-slot workloads spanning the size ratios that trigger each algorithm
-/// (empty, ≈1×, ≈8×, ≈200×, shorter), for both kinds, masked or not, into
-/// every sink. Every leg that attaches the same input rows charges the same.
+/// Every row shape agrees with the scalar reference, and the shapes that
+/// keep every slot in the element stream charge the closed form of the
+/// streamed sides' lengths — on random multi-slot workloads spanning the size
+/// ratios that pick each route (empty, ≈1×, ≈8×, ≈200×, shorter), for both
+/// kinds, masked or not, into every sink. The poisoned leg hands every slot
+/// that must not read its input row a row with no bits.
 #[test]
 fn all_paths_match_scalar_reference() {
     let g = labeled_universe();
@@ -258,7 +283,7 @@ fn all_paths_match_scalar_reference() {
             (0..nslots)
                 .map(|_| {
                     let a_len = rng.gen_range(0u64..40) as usize;
-                    // Ratio class drives which algorithm `auto` picks; the
+                    // The ratio class drives which route a shape picks; the
                     // short class puts the operand on the short side.
                     let b_len = match rng.gen_range(0u64..5) {
                         0 => 0,
@@ -282,89 +307,36 @@ fn all_paths_match_scalar_reference() {
                 .map(|(a, b)| (normalize(a), normalize(b)))
                 .collect();
             for kind in [OpKind::Intersect, OpKind::Difference] {
-                for mask in [LabelMask::ALL, LabelMask::single(1)] {
-                    let want: Vec<Vec<VertexId>> = slots
-                        .iter()
-                        .map(|(a, b)| reference(&g, a, b, kind, mask))
-                        .collect();
-                    // (name, forced algorithm, rows, element-domain?) — the
-                    // probe is an element-domain algorithm, so it owes the
-                    // closed form too; merge deliberately restructures
-                    // waves (word wavefronts), and auto routing with rows on
-                    // both sides picks merge or probe per slot: outputs only.
-                    let operand_rows = Rows {
-                        operand: true,
-                        ..Rows::default()
-                    };
-                    let both_rows = Rows {
-                        input: true,
-                        operand: true,
-                        ..Rows::default()
-                    };
-                    let input_rows = Rows {
-                        input: true,
-                        ..Rows::default()
-                    };
-                    let poisoned = Rows {
-                        poisoned_input: true,
-                        ..input_rows
-                    };
-                    let classic = TUNINGS.map(|(n, f)| (n, f, Rows::default(), true));
-                    // An input row: auto streams whichever side is shorter
-                    // (∩ only) and owes the closed form of that side; forced
-                    // algorithms ignore the row on the host and owe the same.
-                    let symmetric = [
-                        ("input-row-auto", None, input_rows, true),
-                        (
-                            "input-row-bsearch",
-                            Some(SetOpAlgo::BinarySearch),
-                            poisoned,
-                            true,
-                        ),
-                        ("input-row-merge", Some(SetOpAlgo::Merge), poisoned, true),
-                        ("input-row-gallop", Some(SetOpAlgo::Gallop), poisoned, true),
-                        (
-                            "input-row-probe",
-                            Some(SetOpAlgo::BitmapProbe),
-                            Rows {
-                                operand: true,
-                                ..poisoned
-                            },
-                            true,
-                        ),
-                    ];
-                    let hub = [
-                        (
-                            "bitmap-probe",
-                            Some(SetOpAlgo::BitmapProbe),
-                            operand_rows,
-                            true,
-                        ),
-                        (
-                            "bitmap-merge",
-                            Some(SetOpAlgo::BitmapMerge),
-                            both_rows,
-                            false,
-                        ),
-                        ("bitmap-auto", None, both_rows, false),
-                    ];
-                    let legs = classic.into_iter().chain(symmetric).chain(hub);
-                    for (name, force, rows, element_domain) in legs {
+                // Input rows: exact where the operand streams against them,
+                // poisoned everywhere else.
+                let poisoned: Vec<Rows> = slots
+                    .iter()
+                    .map(|(a, b)| Rows {
+                        poisoned_input: !streams_operand(a.len(), b.len(), true, kind),
+                        ..INPUT_ROW
+                    })
+                    .collect();
+                let legs = SHAPES
+                    .map(|(name, r)| (name, vec![r; slots.len()], !r.operand || !r.input))
+                    .into_iter()
+                    .chain([("poisoned-input-row", poisoned, true)]);
+                for (name, rows, element_domain) in legs {
+                    for mask in [LabelMask::ALL, LabelMask::single(1)] {
+                        let want: Vec<Vec<VertexId>> = slots
+                            .iter()
+                            .map(|(a, b)| reference(&g, a, b, kind, mask))
+                            .collect();
                         for sink in SINKS {
-                            let (outs, m) = run(&g, &slots, kind, mask, tuning(force), rows, sink);
+                            let (outs, m) = run_rows(&g, &slots, kind, mask, &rows, sink);
                             let leg = format!("{name} {kind:?} {mask:?} {sink:?}");
                             if outs != want {
                                 return Err(format!("{leg}: got {outs:?}, want {want:?}"));
                             }
-                            let charged = (
-                                m.simt_instructions,
-                                m.issued_lane_slots,
-                                m.active_lane_slots,
-                            );
-                            let cost = closed_form(&slots, rows.input, kind);
-                            if element_domain && charged != cost {
+                            let cost = closed_form(&slots, rows[0].input, kind);
+                            if element_domain && charged(&m) != cost {
                                 return Err(format!(
-                                    "{leg}: charged {charged:?}, closed form {cost:?}"
+                                    "{leg}: charged {:?}, closed form {cost:?}",
+                                    charged(&m)
                                 ));
                             }
                         }
@@ -376,39 +348,119 @@ fn all_paths_match_scalar_reference() {
     );
 }
 
-/// Each classic algorithm, forced or reached by an operand at its size-ratio
-/// crossover, is the one routed, and the routed result still matches.
+/// What only one route moves: the operand-row probe's `bitmap_probe_words`,
+/// the input-row probe's `operand_lanes`, the word merge's
+/// `bitmap_merge_words`; merge and binary search move none of them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Moves {
+    OperandRowProbe,
+    InputRowProbe,
+    WordMerge,
+    Nothing,
+}
+
+/// Each of the five routes, reached from its shape alone, moves what only it
+/// moves, and matches the scalar reference — including either side of the
+/// `4·|A|` merge crossover and a `64·|A|` operand (binary search, however
+/// long the operand). Every route but the word merge charges the closed
+/// form of its streamed side.
 #[test]
-fn threshold_extremes_route_every_algorithm() {
+fn every_route_is_reached_by_its_shape() {
+    use Moves::*;
+    use OpKind::{Difference, Intersect};
     let g = labeled_universe();
-    let a: Vec<VertexId> = (0..60).step_by(3).collect();
-    let operand = |len: usize| -> Vec<VertexId> { (0..len as VertexId).collect() };
-    for (b_len, expect) in [
-        (MERGE_RATIO * a.len(), SetOpAlgo::Merge),
-        (MERGE_RATIO * a.len() + 1, SetOpAlgo::BinarySearch),
-        (GALLOP_RATIO * a.len(), SetOpAlgo::Gallop),
-    ] {
-        let b = operand(b_len);
-        let forced = tuning(Some(expect));
-        assert_eq!(
-            choose_algo(a.len(), b.len(), SetOpTuning::default()),
-            expect
-        );
-        assert_eq!(choose_algo(a.len(), 0, forced), expect);
-        for kind in [OpKind::Intersect, OpKind::Difference] {
-            let slots = [(a.clone(), b.clone())];
+    // (route, kind, |A|, |B|, rows, what it moves); STRIDE is 32 words.
+    let table = [
+        ("word merge", Intersect, 20, 20, BOTH_ROWS, WordMerge),
+        (
+            "word merge at stride = |A|+|B|",
+            Difference,
+            20,
+            12,
+            BOTH_ROWS,
+            WordMerge,
+        ),
+        (
+            "rows too wide to merge",
+            Intersect,
+            10,
+            12,
+            BOTH_ROWS,
+            OperandRowProbe,
+        ),
+        (
+            "operand-row probe",
+            Difference,
+            20,
+            20,
+            OPERAND_ROW,
+            OperandRowProbe,
+        ),
+        (
+            "operand row, |B| < |A|",
+            Intersect,
+            20,
+            19,
+            OPERAND_ROW,
+            Nothing,
+        ),
+        (
+            "input-row probe",
+            Intersect,
+            20,
+            19,
+            INPUT_ROW,
+            InputRowProbe,
+        ),
+        ("input row, −", Difference, 20, 19, INPUT_ROW, Nothing),
+        (
+            "input row, |B| = |A|",
+            Intersect,
+            20,
+            20,
+            INPUT_ROW,
+            Nothing,
+        ),
+        ("merge at 4·|A|", Intersect, 20, 80, NO_ROWS, Nothing),
+        (
+            "binary search at 4·|A|+1",
+            Intersect,
+            20,
+            81,
+            NO_ROWS,
+            Nothing,
+        ),
+        (
+            "binary search at 64·|A|",
+            Difference,
+            20,
+            1280,
+            NO_ROWS,
+            Nothing,
+        ),
+    ];
+    for (name, kind, a_len, b_len, rows, moves) in table {
+        let a: Vec<VertexId> = (0..3 * a_len).step_by(3).collect();
+        let b: Vec<VertexId> = (0..b_len).collect();
+        let slots = [(a.clone(), b.clone())];
+        for sink in SINKS {
             let all = LabelMask::ALL;
-            let (outs, _) = run(&g, &slots, kind, all, forced, Rows::default(), Sink::Vecs);
-            assert_eq!(
-                outs[0],
-                reference(&g, &a, &b, kind, all),
-                "{expect:?} {kind:?}"
-            );
+            let (outs, m) = run(&g, &slots, kind, all, rows, sink);
+            let leg = format!("{name} {kind:?} {sink:?}");
+            assert_eq!(outs[0], reference(&g, &a, &b, kind, all), "{leg}");
+            let probed = if moves == OperandRowProbe { a.len() } else { 0 };
+            assert_eq!(m.bitmap_probe_words, probed as u64, "{leg}");
+            let operand = if moves == InputRowProbe { b.len() } else { 0 };
+            assert_eq!(m.operand_lanes, operand as u64, "{leg}");
+            assert_eq!(m.bitmap_merge_words > 0, moves == WordMerge, "{leg}");
+            if moves != WordMerge {
+                assert_eq!(charged(&m), closed_form(&slots, rows.input, kind), "{leg}");
+            }
         }
     }
 }
 
-/// Empty operands short-circuit identically on every path, including when
+/// Empty operands short-circuit identically on every shape, including when
 /// mixed with non-empty slots in the same combined stream.
 #[test]
 fn empty_operand_mixed_slots_agree() {
@@ -419,17 +471,9 @@ fn empty_operand_mixed_slots_agree() {
         (vec![5, 6, 7], vec![6]),
     ];
     for kind in [OpKind::Intersect, OpKind::Difference] {
-        for (name, force) in TUNINGS {
+        for (name, rows) in SHAPES {
             let all = LabelMask::ALL;
-            let (outs, _) = run(
-                &g,
-                &slots,
-                kind,
-                all,
-                tuning(force),
-                Rows::default(),
-                Sink::Vecs,
-            );
+            let (outs, _) = run(&g, &slots, kind, all, rows, Sink::Vecs);
             for (u, (a, b)) in slots.iter().enumerate() {
                 assert_eq!(
                     outs[u],
@@ -441,13 +485,11 @@ fn empty_operand_mixed_slots_agree() {
     }
 }
 
-/// The symmetric route is taken exactly where the docs say: an unforced
-/// intersection whose operand is shorter than an input that has a row. A
-/// row that holds no bits makes the route observable (whoever reads it keeps
-/// nothing), and `bitmap_probe_words` keeps counting operand-row probes
-/// only. The charge follows the side `streams_operand` names, not the route
-/// the host took: the shorter operand's lanes wherever the input has a row,
-/// forced algorithms included.
+/// The symmetric route is taken exactly where the docs say: an intersection
+/// whose operand is shorter than an input that has a row. A row that holds
+/// no bits makes the route observable (whoever reads it keeps nothing), and
+/// `bitmap_probe_words` keeps counting operand-row probes only. The charge
+/// follows the side `streams_operand` names.
 #[test]
 fn a_shorter_operand_streams_against_the_input_row() {
     let g = labeled_universe();
@@ -455,29 +497,17 @@ fn a_shorter_operand_streams_against_the_input_row() {
     let short: Vec<VertexId> = vec![3, 10, 59, 70];
     let long: Vec<VertexId> = (0..120).step_by(2).collect();
     let all = LabelMask::ALL;
-    let exact = Rows {
-        input: true,
-        ..Rows::default()
-    };
     let poisoned = Rows {
         poisoned_input: true,
-        ..exact
+        ..INPUT_ROW
     };
-    let auto = SetOpTuning::default();
     use OpKind::{Difference, Intersect};
 
-    let charged = |m: &WarpMetrics| {
-        (
-            m.simt_instructions,
-            m.issued_lane_slots,
-            m.active_lane_slots,
-        )
-    };
     // Taken: same output, the closed form of |B| = 4 lanes, no probe words.
     let slots = [(a.clone(), short.clone())];
     assert_eq!(closed_form(&slots, true, Intersect), (2, 32, 4));
     for sink in SINKS {
-        let (outs, m) = run(&g, &slots, Intersect, all, auto, exact, sink);
+        let (outs, m) = run(&g, &slots, Intersect, all, INPUT_ROW, sink);
         assert_eq!(outs[0], [3, 10, 59], "{sink:?}");
         assert_eq!(
             charged(&m),
@@ -487,56 +517,25 @@ fn a_shorter_operand_streams_against_the_input_row() {
         assert_eq!((m.element_lanes, m.operand_lanes), (4, 4), "{sink:?}");
         assert_eq!(m.bitmap_probe_words, 0);
     }
-    let (outs, _) = run(&g, &slots, Intersect, all, auto, poisoned, Sink::Vecs);
+    let (outs, _) = run(&g, &slots, Intersect, all, poisoned, Sink::Vecs);
     assert!(outs[0].is_empty(), "the input row was not what answered");
 
-    // Not taken: a difference, an operand at least as long as the input, and
-    // every forced algorithm leave the input row unread — each charged what
-    // `streams_operand` names, so a forced ∩ with the shorter operand still
-    // pays its 4 lanes.
-    let unread = [
-        (Difference, short.clone(), auto),
-        (Intersect, long.clone(), auto),
-        (Intersect, a.clone(), auto),
-        (Intersect, short.clone(), tuning(Some(SetOpAlgo::Merge))),
-        (
-            Intersect,
-            short.clone(),
-            tuning(Some(SetOpAlgo::BinarySearch)),
-        ),
-        (Intersect, short.clone(), tuning(Some(SetOpAlgo::Gallop))),
-        (
-            Intersect,
-            short.clone(),
-            tuning(Some(SetOpAlgo::BitmapProbe)),
-        ),
-        (
-            Intersect,
-            short.clone(),
-            tuning(Some(SetOpAlgo::BitmapMerge)),
-        ),
-    ];
-    for (kind, b, t) in unread {
+    // Not taken: a difference and an operand at least as long as the input
+    // leave the input row unread, each charged the input's lanes.
+    for (kind, b) in [(Difference, &short), (Intersect, &long), (Intersect, &a)] {
         let slots = [(a.clone(), b.clone())];
-        let (outs, m) = run(&g, &slots, kind, all, t, poisoned, Sink::Vecs);
-        assert_eq!(outs[0], reference(&g, &a, &b, kind, all), "{kind:?} {t:?}");
-        let merged = t.force == Some(SetOpAlgo::BitmapMerge);
-        if !merged {
-            assert_eq!(
-                charged(&m),
-                closed_form(&slots, true, kind),
-                "{kind:?} {t:?}"
-            );
-        }
+        let (outs, m) = run(&g, &slots, kind, all, poisoned, Sink::Vecs);
+        assert_eq!(outs[0], reference(&g, &a, b, kind, all), "{kind:?} {b:?}");
+        assert_eq!(charged(&m), closed_form(&slots, true, kind), "{kind:?}");
+        assert_eq!(m.operand_lanes, 0, "{kind:?}");
     }
 }
 
-/// Every forced algorithm, and auto, on random slots each with or without
-/// an input and an operand row: the same outputs, and the charge the cost
-/// table gives the slots' streamed sides — `Σ_u (streams_u ? |B_u| :
-/// |A_u|)` lanes in one element stream, plus one word stream over the slots
-/// that merge rows (`choose_algo_hub`). The element lanes and their operand
-/// share are what `WarpMetrics` reports.
+/// Every row shape, for all slots alike and mixed per slot at random: the
+/// same outputs, and the charge the cost table gives the slots' streamed
+/// sides — `Σ_u (streams_u ? |B_u| : |A_u|)` lanes in one element stream,
+/// plus one word stream over the slots that merge rows. The element lanes
+/// and their operand share are what `WarpMetrics` reports.
 #[test]
 fn every_algorithm_charges_the_streamed_side() {
     let g = labeled_universe();
@@ -567,36 +566,29 @@ fn every_algorithm_charges_the_streamed_side() {
                 .iter()
                 .map(|(a, b, _, _)| (normalize(a), normalize(b)))
                 .collect();
-            let rows: Vec<Rows> = raw
+            let mixed: Vec<Rows> = raw
                 .iter()
                 .map(|&(_, _, input, operand)| Rows {
                     input,
                     operand,
-                    ..Rows::default()
+                    ..NO_ROWS
                 })
                 .collect();
-            let forces = [
-                None,
-                Some(SetOpAlgo::BinarySearch),
-                Some(SetOpAlgo::Merge),
-                Some(SetOpAlgo::Gallop),
-                Some(SetOpAlgo::BitmapProbe),
-                Some(SetOpAlgo::BitmapMerge),
-            ];
-            for kind in [OpKind::Intersect, OpKind::Difference] {
-                let all = LabelMask::ALL;
-                let want: Vec<Vec<VertexId>> = slots
-                    .iter()
-                    .map(|(a, b)| reference(&g, a, b, kind, all))
-                    .collect();
-                for force in forces {
-                    let t = tuning(force);
+            let legs = SHAPES
+                .map(|(name, r)| (name, vec![r; slots.len()]))
+                .into_iter()
+                .chain([("mixed", mixed)]);
+            for (name, rows) in legs {
+                for kind in [OpKind::Intersect, OpKind::Difference] {
+                    let all = LabelMask::ALL;
+                    let want: Vec<Vec<VertexId>> = slots
+                        .iter()
+                        .map(|(a, b)| reference(&g, a, b, kind, all))
+                        .collect();
                     let (mut elements, mut lanes, mut operand_lanes) = (0, 0, 0);
                     let mut merged = 0;
-                    for ((a, b), r) in slots.iter().zip(&rows) {
-                        let algo =
-                            choose_algo_hub(a.len(), b.len(), STRIDE, r.input, r.operand, kind, t);
-                        if algo == SetOpAlgo::BitmapMerge {
+                    for ((a, b), &r) in slots.iter().zip(&rows) {
+                        if word_merges(a, b, r) {
                             merged += 1;
                             continue;
                         }
@@ -619,23 +611,20 @@ fn every_algorithm_charges_the_streamed_side() {
                         stream(merged, (merged * STRIDE) as u64),
                     );
                     let cost = (e.0 + w.0, e.1 + w.1, e.2 + w.2);
-                    let (outs, m) = run_rows(&g, &slots, kind, all, t, &rows, Sink::Vecs);
-                    let leg = format!("{force:?} {kind:?} rows {rows:?}");
+                    let (outs, m) = run_rows(&g, &slots, kind, all, &rows, Sink::Vecs);
+                    let leg = format!("{name} {kind:?} rows {rows:?}");
                     if outs != want {
                         return Err(format!("{leg}: got {outs:?}, want {want:?}"));
                     }
-                    let charged = (
-                        m.simt_instructions,
-                        m.issued_lane_slots,
-                        m.active_lane_slots,
-                    );
-                    if charged != cost
+                    if charged(&m) != cost
                         || (m.element_lanes, m.operand_lanes) != (lanes, operand_lanes)
                     {
                         return Err(format!(
-                            "{leg}: charged {charged:?} over {} / {} lanes, want {cost:?} over \
+                            "{leg}: charged {:?} over {} / {} lanes, want {cost:?} over \
                              {lanes} / {operand_lanes}",
-                            m.element_lanes, m.operand_lanes
+                            charged(&m),
+                            m.element_lanes,
+                            m.operand_lanes
                         ));
                     }
                 }
