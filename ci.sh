@@ -127,10 +127,13 @@ hotpath q2 Plain: OK .* count_pass=0@- steal=0 tail=0/0 streamed=[1-9][0-9]*/[0-
 # must land the same counts, and instruction, probe-word, merge-word and
 # merge-wave totals equal to the rows pinned in the bin — rows are routed
 # by the one stream interpreter, so any drift in which operand, input or
-# fused chain gets a row shows here. The grep wants nonzero probe and
-# merge traffic.
+# fused chain gets a row shows here. The greps want nonzero probe and
+# merge traffic, and a nonzero operand share on q3's on leg: an index adds
+# hub rows beside the marker rows of non-hub lifted lists, it does not
+# switch them off.
 run_and_grep "smoke:bitmap" \
-    "bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
+    "bitmap q3 on: .* streamed=[1-9][0-9]*/[0-9]+
+bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
     "${CHECK[@]}" bitmap
 
 # Fault-tolerance gate: q1/q6 under a seeded fault plan (one warp panic +
@@ -285,6 +288,19 @@ if [ -n "${builds}" ]; then
     exit 1
 fi
 echo "==> lint:index: OK"
+
+# Row lint: a slot's bitmap rows come from one provider, `kernel/rows.rs`
+# (DESIGN.md §4f, "Where the rows come from"), so no other kernel file reads
+# the graph's hub index.
+echo "==> lint:rows: scanning the kernel for hub-index reads outside kernel/rows.rs"
+reads=$(grep -rnE 'hub_bitmap\(\)|HubBitmapIndex' crates/core/src/kernel.rs crates/core/src/kernel \
+    | grep -v '^crates/core/src/kernel/rows\.rs:' || true)
+if [ -n "${reads}" ]; then
+    echo "${reads}"
+    echo "==> lint:rows: FAILED — ask kernel::rows::Rows for the rows"
+    exit 1
+fi
+echo "==> lint:rows: OK"
 
 # Set-op knob lint: each slot's host loop follows from its shape (DESIGN.md
 # §4), so the inert `SetOpTuning` / `SetOpAlgo` names and `EngineConfig::setops`

@@ -1,16 +1,17 @@
 //! `check bitmap` (`ci.sh` phase `smoke:bitmap`), the gate for hub-bitmap
-//! routing: runs q1/q6 on the hotpath
-//! graph, the 5-clique query on the dense ER clique workload, and the
-//! same query on `K_32` (whose `C(32, 5)` count is closed-form) — there
-//! also without code motion, so that every level is a multi-op chain on
-//! hubs and runs fused — once on the plain graph (**off**: no index, so
-//! no hub rows) and once on the same graph carrying a hub-bitmap index
-//! (**on**: the index a graph carries is the routing decision), and fails
-//! unless
+//! routing: runs q1/q6/q3 on the hotpath graph — q6 also without code
+//! motion, where no input is a lifted list with a marker row, so short
+//! inputs probe the hub rows of their operands — the 5-clique query on the
+//! dense ER clique workload, and the same query on `K_32` (whose
+//! `C(32, 5)` count is closed-form) — there also without code motion, so
+//! that every level is a multi-op chain on hubs and runs fused — once on
+//! the plain graph (**off**: no index, so no hub rows) and once on the same
+//! graph carrying a hub-bitmap index (**on**: the index a graph carries is
+//! the routing decision), and fails unless
 //!
-//! * the off legs reproduce the pinned behaviour exactly — for q1/q6 the
+//! * the off legs reproduce the pinned behaviour exactly — for q1/q6/q3 the
 //!   full [`stmatch_bench::hotpath::GOLDEN`] row (count, instructions,
-//!   utilization), for the clique legs their pinned/analytic counts — with
+//!   utilization), for the other legs their pinned/analytic counts — with
 //!   zero bitmap counters;
 //! * the on legs produce the identical match counts;
 //! * the on legs reproduce their pinned [`ROUTED`] rows to the word:
@@ -24,8 +25,12 @@
 //!   materializations with no intersect/difference ops for a bitmap to
 //!   serve).
 //!
-//! The final `bitmap_check totals:` line is grepped by `ci.sh`'s
-//! `smoke:bitmap` phase.
+//! Every leg prints a `bitmap <name> off:` / `bitmap <name> on:` line,
+//! each with the lanes its intersections streamed
+//! (`streamed=operand/element`, as `check hotpath` prints them). `ci.sh`'s
+//! `smoke:bitmap` phase greps the q3 on-leg's nonzero operand share (the
+//! marker rows of non-hub lifted lists) and the final `bitmap_check
+//! totals:` line.
 
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
@@ -33,12 +38,14 @@ use stmatch_core::Engine;
 use stmatch_graph::{gen, Graph};
 
 /// Pinned on-leg behaviour per workload: `(total instructions, probe
-/// words, merge words, merge waves)`. Regenerate from the `bitmap <name>:`
+/// words, merge words, merge waves)`. Regenerate from the `bitmap <name> on:`
 /// lines this gate prints — only for an intentional cost-model or routing
 /// change, and say so in the commit message.
-const ROUTED: [(u64, u64, u64, u64); 5] = [
+const ROUTED: [(u64, u64, u64, u64); 7] = [
     (542_793, 0, 0, 0),
-    (266_087, 99_498, 854_959, 33_059),
+    (272_942, 0, 914_200, 37_189),
+    (197_871, 0, 741_118, 28_018),
+    (1_833_400, 99_498, 854_959, 122_137),
     (1_096_890, 0, 3_268_120, 234_366),
     (34_346, 0, 41_416, 6_256),
     (200_728, 0, 118_296, 118_296),
@@ -53,9 +60,11 @@ pub fn run(args: &[String]) -> ExitCode {
     let k32 = gen::complete(32);
     // (name, graph, query, pinned count (None = GOLDEN row), code
     // motion), in `ROUTED` order.
-    let suite: [(&str, &Graph, usize, Option<u64>, bool); 5] = [
+    let suite: [(&str, &Graph, usize, Option<u64>, bool); 7] = [
         ("q1", &pa, 1, None, true),
         ("q6", &pa, 6, None, true),
+        ("q3", &pa, 3, None, true),
+        ("q6-chains", &pa, 6, Some(hotpath::GOLDEN[1].count), false),
         ("clique", &er, 8, Some(hotpath::CLIQUE_COUNT), true),
         ("k32", &k32, 8, Some(201_376), true), // C(32, 5)
         ("k32-chains", &k32, 8, Some(201_376), false),
@@ -114,16 +123,20 @@ pub fn run(args: &[String]) -> ExitCode {
         probe_words += t.bitmap_probe_words;
         merge_words += t.bitmap_merge_words;
         merge_waves += t.bitmap_merge_waves;
-        println!(
-            "bitmap {name}: count={} off_instr={} on_instr={} probe_words={} \
-             merge_words={} merge_waves={}",
-            on.count,
-            off.total_instructions(),
-            on.total_instructions(),
-            t.bitmap_probe_words,
-            t.bitmap_merge_words,
-            t.bitmap_merge_waves
-        );
+        for (leg, out) in [("off", &off), ("on", &on)] {
+            let t = out.metrics.total();
+            println!(
+                "bitmap {name} {leg}: count={} instr={} probe_words={} merge_words={} \
+                 merge_waves={} streamed={}/{}",
+                out.count,
+                out.total_instructions(),
+                t.bitmap_probe_words,
+                t.bitmap_merge_words,
+                t.bitmap_merge_waves,
+                t.operand_lanes,
+                t.element_lanes
+            );
+        }
     }
     println!(
         "bitmap_check totals: probe_words={probe_words} merge_words={merge_words} \

@@ -447,10 +447,12 @@ impl Engine {
                     edges.len() <= (VertexId::MAX / 2) as usize,
                     "batch side too wide"
                 );
-                assert!(
-                    graph.hub_bitmap().is_none(),
-                    "stage views carry no hub index"
-                );
+                if let Some(hx) = graph.hub_bitmap() {
+                    panic!(
+                        "stage views carry no hub index; this one has {} hubs",
+                        hx.num_hubs()
+                    );
+                }
                 (2 * edges.len(), Level0Map::Staged { edges, views }, None)
             }
         };
@@ -540,8 +542,8 @@ impl Engine {
         // --- Global memory: fixed stack slabs (paper §VIII-A). ---
         let num_warps = cfg.grid.total_warps();
         let stack_bytes = plan.num_sets() * cfg.unroll * cfg.max_degree_slab * 4 * num_warps;
-        // Beside them, the rows every warp holds (marker rows on an
-        // unrouted launch, the rank row of a lifted last level);
+        // Beside them, the rows every warp holds (the marker rows of the
+        // plan's marked positions, the rank row of a lifted last level);
         // `MatchOutcome::stack_bytes` stays the paper's formula.
         let reserved = stack_bytes + r.env.row_bytes(stop) * num_warps;
         self.memory.try_alloc(reserved)?;
@@ -912,28 +914,45 @@ mod tests {
 
     #[test]
     fn memory_budget_covers_marker_rows() {
-        // q3 marks a position, so every warp of an unrouted launch holds a
-        // marker row beside its stack slabs: a budget of the slabs alone
-        // must refuse the launch (no ladder rung shrinks a marker row).
-        let g = gen::erdos_renyi(200, 800, 3);
+        // q3 marks a position, so every warp holds a marker row beside its
+        // stack slabs, whether or not the graph carries a hub index: a
+        // budget of the slabs alone must refuse the launch (no ladder rung
+        // shrinks a marker row).
+        let plain = gen::erdos_renyi(200, 800, 3);
         let p = catalog::paper_query(3);
         let mut cfg = EngineConfig::default().with_grid(small_grid());
         cfg.recovery = crate::recover::RecoveryPolicy::disabled();
         let engine = Engine::new(cfg);
         let plan = engine.compile(&p);
         assert_ne!(plan.bytecode().marked(), 0);
-        let free = engine.run_plan(&g, &plan).unwrap();
-        let rows = plan.bytecode().marked().count_ones() as usize;
-        let marker_bytes = rows * g.num_vertices().div_ceil(64) * 8 * cfg.grid.total_warps();
-        match Engine::with_memory_budget(cfg, free.stack_bytes).run_plan(&g, &plan) {
-            Err(LaunchError::GlobalMemory(_)) => {}
-            other => panic!("expected OOM, got {other:?}"),
+        for g in [plain.clone(), plain.with_hub_bitmap(8)] {
+            let free = engine.run_plan(&g, &plan).unwrap();
+            let rows = plan.bytecode().marked().count_ones() as usize;
+            let marker_bytes = rows * g.num_vertices().div_ceil(64) * 8 * cfg.grid.total_warps();
+            match Engine::with_memory_budget(cfg, free.stack_bytes).run_plan(&g, &plan) {
+                Err(LaunchError::GlobalMemory(_)) => {}
+                other => panic!("expected OOM, got {other:?}"),
+            }
+            let fits = Engine::with_memory_budget(cfg, free.stack_bytes + marker_bytes)
+                .run_plan(&g, &plan)
+                .unwrap();
+            assert_eq!(fits.count, free.count);
+            assert_eq!(fits.stack_bytes, free.stack_bytes);
         }
-        let fits = Engine::with_memory_budget(cfg, free.stack_bytes + marker_bytes)
-            .run_plan(&g, &plan)
-            .unwrap();
-        assert_eq!(fits.count, free.count);
-        assert_eq!(fits.stack_bytes, free.stack_bytes);
+    }
+
+    #[test]
+    fn an_oversized_block_fails_the_launch() {
+        let grid = GridConfig {
+            num_blocks: 1,
+            warps_per_block: 33,
+            ..GridConfig::default()
+        };
+        let engine = Engine::new(EngineConfig::default().with_grid(grid));
+        match engine.run(&gen::complete(5), &catalog::triangle()) {
+            Err(LaunchError::BadGeometry(m)) => assert!(m.contains("limit of 32"), "{m}"),
+            other => panic!("expected BadGeometry, got {other:?}"),
+        }
     }
 
     #[test]

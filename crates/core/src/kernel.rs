@@ -52,22 +52,22 @@
 //! through a commit watermark (`emit_mark`).
 
 mod last_level;
-mod marker;
 mod rank;
+mod rows;
 
 use self::last_level::{closed_form, count_valid_sorted, Against, Clip, TailSlot};
-use self::marker::Marker;
 use self::rank::RankRow;
+use self::rows::Rows;
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
 use crate::setops::{self, materialize_base_into};
 use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::{Close, Cost, Site, Warp};
-use stmatch_graph::{Graph, HubBitmapIndex, VertexId};
-use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS, NO_POS};
+use stmatch_graph::{Graph, VertexId};
+use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS};
 use stmatch_pattern::symmetry::Bound;
-use stmatch_pattern::{MatchPlan, OpKind, MAX_PATTERN_SIZE};
+use stmatch_pattern::{MatchPlan, MAX_PATTERN_SIZE};
 
 /// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
 /// and reclaimed payloads stay in virtual index space, so they are portable
@@ -117,27 +117,14 @@ pub struct KernelEnv<'a> {
 }
 
 impl KernelEnv<'_> {
-    /// The positions whose [`Marker`] rows each warp of this launch holds
-    /// and the length of one row in words. With an index routed, input rows
-    /// come from it (hub rows, sealed result rows); the marker serves the
-    /// launches that carry no rows at all.
-    fn marker_rows(&self) -> (u8, usize) {
-        let marked = if self.graph.hub_bitmap().is_none() {
-            self.plan.bytecode().marked()
-        } else {
-            0
-        };
-        (marked, self.graph.num_vertices().div_ceil(64))
-    }
-
     /// Global-memory bytes of rows per warp under StopLevel `stop` — marker
     /// rows and the rank row — which the launch budget reserves beside the
     /// stack slabs.
     pub fn row_bytes(&self, stop: usize) -> usize {
-        let (marked, stride) = self.marker_rows();
-        let ranked = self.last_levels(stop).1 != Row::None;
-        marked.count_ones() as usize * stride * 8
-            + usize::from(ranked) * RankRow::cells(self.graph.num_vertices()) * 4
+        let ranked = usize::from(self.last_levels(stop).1 != Row::None);
+        let marked = self.plan.bytecode().marked().count_ones() as usize;
+        let n = self.graph.num_vertices();
+        marked * n.div_ceil(64) * 8 + ranked * RankRow::cells(n) * 4
     }
 
     /// Whether levels `k − 2` and `k − 1` run fused under StopLevel `stop`
@@ -279,9 +266,8 @@ pub struct WarpKernel<'a> {
     /// ([`SlotTable::staged`]), none for a chain-free plan.
     ping: Vec<Vec<VertexId>>,
     pong: Vec<Vec<VertexId>>,
-    /// Bitmap rows of the loop-invariant neighbor lists that lifted
-    /// intersections re-read (see [`Marker`]).
-    marker: Marker<'a>,
+    /// Where every set operation's bitmap rows come from.
+    rows: Rows<'a>,
     /// The rank row of a lifted last level's counts, its cells lent by
     /// `storage`; `row` says which list it holds.
     rank: RankRow,
@@ -323,10 +309,6 @@ pub struct WarpKernel<'a> {
     /// Injected fault plan, if any (testing/chaos only; `None` on every
     /// production path).
     faults: Option<&'a FaultPlan>,
-    /// The launch graph's hub-bitmap index, if it carries one: its rows are
-    /// routed into the interpreter's set operations. `None` keeps every set
-    /// operation on the classic element paths.
-    hubs: Option<&'a HubBitmapIndex>,
 }
 
 impl<'a> WarpKernel<'a> {
@@ -346,11 +328,8 @@ impl<'a> WarpKernel<'a> {
             graph: g,
             plan,
             cfg,
-            slab_caps,
             ..
         } = *env;
-        // Hub rows follow the graph: routed iff it carries an index.
-        let hubs = g.hub_bitmap();
         let k = plan.num_levels();
         let bc = plan.bytecode();
         let stop = board.stop();
@@ -368,7 +347,7 @@ impl<'a> WarpKernel<'a> {
         // single new spill — a set either fit its bound (≤ shaped cap) or
         // would have spilled at `cap` anyway.
         let mut set_caps = [cap; MAX_SETS];
-        if let Some(caps) = slab_caps.filter(|_| hubs.is_none()) {
+        if let Some(caps) = env.shaped_caps() {
             for (shaped, &bound) in set_caps.iter_mut().zip(caps) {
                 *shaped = (bound as usize).clamp(1, cap);
             }
@@ -386,14 +365,7 @@ impl<'a> WarpKernel<'a> {
             }
             None => StackArena::new_shaped(&slots, set_caps, row_cells),
         };
-        if let Some(hx) = hubs {
-            // Result-row storage so bitmap-domain results cascade to
-            // dependent sets; sized here (construction) to keep the claim
-            // path allocation-free.
-            storage.enable_set_bits(hx.stride());
-        }
-        let (marked, stride) = env.marker_rows();
-        let words = storage.take_marker_words(marked.count_ones() as usize * stride);
+        let rows = Rows::new(env, &mut storage);
         WarpKernel {
             g,
             plan,
@@ -412,7 +384,7 @@ impl<'a> WarpKernel<'a> {
             entry: 0,
             ping: vec![Vec::new(); slots.staged()],
             pong: vec![Vec::new(); slots.staged()],
-            marker: Marker::new(marked, stride, words),
+            rows,
             rank: RankRow::default(),
             row,
             tail,
@@ -431,7 +403,6 @@ impl<'a> WarpKernel<'a> {
             inflight: None,
             installing: None,
             faults,
-            hubs,
         }
     }
 
@@ -548,8 +519,7 @@ impl<'a> WarpKernel<'a> {
     /// leaving a zero-capacity placeholder behind. Call only when the
     /// kernel is done running.
     pub fn take_arena(&mut self) -> StackArena {
-        self.storage
-            .put_marker_words(std::mem::take(&mut self.marker).words);
+        self.rows.park(&mut self.storage);
         std::mem::replace(
             &mut self.storage,
             StackArena::new(&SlotTable::with_slots(&[]), 0),
@@ -598,7 +568,7 @@ impl<'a> WarpKernel<'a> {
     pub fn install(&mut self, warp: &mut Warp, p: &StealPayload) {
         debug_assert_eq!(p.matched.len(), p.target);
         self.installing = Some(p.clone());
-        self.marker.begin_item();
+        self.rows.begin_item();
         self.matched[..p.target].copy_from_slice(&p.matched);
         if p.target >= 1 {
             self.matched[0] = self.enter_level0(p.matched[0] as usize);
@@ -874,22 +844,9 @@ impl<'a> WarpKernel<'a> {
     /// arena slab via [`StackArena::split_for_write`], which the stream's
     /// dependencies-precede-dependents order makes alias-free.
     ///
-    /// With a hub index attached, the same calls carry bitmap rows: an
-    /// operand that is a hub brings its row; an `ApplyFromSet` input brings
-    /// the hub row of the vertex whose neighbor list its dependency slab
-    /// equals ([`Instr::dep_pos`](stmatch_pattern::Instr)) or, failing that,
-    /// the slab's own sealed result row; and the slots of a neighbor-based
-    /// chain whose base and every step operand are hubs skip the element
-    /// stream and run the whole chain fused in the bitmap domain once its
-    /// last step has landed.
-    ///
-    /// Without an index the only rows are the kernel's own: an intersection
-    /// whose input is a lifted verbatim neighbor list
-    /// ([`Instr::lifted_list_pos`](stmatch_pattern::Instr::lifted_list_pos))
-    /// brings that list's [`Marker`] row as the input row of every slot, so
-    /// slots whose operand is the shorter side stream it against the row —
-    /// and are charged its lanes — instead of walking the long list again.
-    /// Every other call is the classic element-path call.
+    /// Every call carries the bitmap rows [`Rows`] provides for it (DESIGN.md
+    /// §4f), and the slots of a chain whose operands are all hubs run the
+    /// whole chain fused in the bitmap domain once its last step has landed.
     ///
     /// The one place that decides how a set operation's waves close
     /// ([`Close`]): a counting launch's last-level candidate only counts (no
@@ -915,7 +872,6 @@ impl<'a> WarpKernel<'a> {
         let m = bat.len();
         debug_assert!(m >= 1 && m <= self.slots.width(level - 1));
         let g = self.g;
-        let hubs = self.hubs;
         // Small copy of the matched prefix so no closure needs `self`.
         let matched = self.matched;
         let vertex_at = |pos: usize, u: usize| -> VertexId {
@@ -926,23 +882,11 @@ impl<'a> WarpKernel<'a> {
             }
         };
         const EMPTY: &[VertexId] = &[];
-        const NO_BITS: Option<&[u64]> = None;
-        let no_bits = [NO_BITS; MAX_UNROLL];
-        // Hub rows of the vertices at `pos`, one per slot.
-        let rows_at = |hx: &'a HubBitmapIndex, pos: usize| -> [Option<&'a [u64]>; MAX_UNROLL] {
-            std::array::from_fn(|u| {
-                if u < m {
-                    hx.row(vertex_at(pos, u))
-                } else {
-                    None
-                }
-            })
-        };
+        let no_bits = [None; MAX_UNROLL];
         // The open neighbor-based chain: where it began and which slots run
         // it fused (set by `BeginChain`, consumed by the chain's last step).
         let mut chain_at = 0usize;
         let mut fused = [false; MAX_UNROLL];
-        let mut fused_any = false;
         for (i, ins) in prog.iter().enumerate() {
             let pos = ins.pos as usize;
             let dst = ins.dst as usize;
@@ -955,10 +899,10 @@ impl<'a> WarpKernel<'a> {
             for (u, l) in lists.iter_mut().enumerate().take(m) {
                 *l = g.neighbors(vertex_at(pos, u));
             }
+            let operand_rows = self.rows.operands(m, |u| vertex_at(pos, u));
             // Combines `inputs` with the neighbor lists at `pos` into `$out`.
             macro_rules! apply {
-                ($inputs:expr, $input_bits:expr, $out:expr) => {{
-                    let operand_rows = hubs.map(|hx| rows_at(hx, pos));
+                ($inputs:expr, $input_bits:expr, $out:expr) => {
                     setops::apply_op_into(
                         warp,
                         g,
@@ -971,7 +915,7 @@ impl<'a> WarpKernel<'a> {
                         close,
                         $out,
                     )
-                }};
+                };
             }
             match ins.code {
                 OpCode::MaterializeBase => {
@@ -980,20 +924,11 @@ impl<'a> WarpKernel<'a> {
                 }
                 OpCode::BeginChain => {
                     chain_at = i;
-                    fused_any = false;
-                    if let Some(hx) = hubs {
-                        let steps = prog[i + 1..]
-                            .iter()
-                            .take_while(|s| s.code == OpCode::ChainStep);
-                        for (u, f) in fused.iter_mut().enumerate().take(m) {
-                            *f = hx.is_hub(vertex_at(pos, u))
-                                && steps
-                                    .clone()
-                                    .all(|s| hx.is_hub(vertex_at(s.pos as usize, u)));
-                            if *f {
-                                lists[u] = EMPTY;
-                                fused_any = true;
-                            }
+                    for (u, l) in lists.iter_mut().enumerate().take(m) {
+                        let at = |pos| vertex_at(pos, u);
+                        fused[u] = self.rows.chain(&prog[i..], at).is_some();
+                        if fused[u] {
+                            *l = EMPTY;
                         }
                     }
                     materialize_base_into(
@@ -1006,55 +941,14 @@ impl<'a> WarpKernel<'a> {
                     );
                 }
                 OpCode::ApplyFromSet => {
-                    fused_any = false;
-                    let dep = ins.dep as usize;
-                    let dep_level = ins.dep_level as usize;
+                    fused = [false; MAX_UNROLL];
                     // Split even when the result is staged: the split is
                     // also the shadow-store write event for `dst`, and
                     // dependency slots are read through its read view.
                     let (read, mut sink) = self.storage.split_for_write(dst, m);
-                    let mut inputs = [EMPTY; MAX_UNROLL];
-                    // One lifted list serves the whole batch: its marker
-                    // row is every slot's input row (no index routed).
-                    let mut input_rows = match ins.lifted_list_pos(level) {
-                        Some(p) if hubs.is_none() => {
-                            let list = g.neighbors(matched[p]);
-                            debug_assert_eq!(
-                                read.slot(dep, self.uiter[dep_level]),
-                                list,
-                                "dep_pos names another list"
-                            );
-                            Some([Some(self.marker.row(warp, p, list)); MAX_UNROLL])
-                        }
-                        _ => hubs.map(|_| no_bits),
-                    };
-                    for (u, inp) in inputs.iter_mut().enumerate().take(m) {
-                        let slot = if dep_level == level {
-                            u
-                        } else {
-                            self.uiter[dep_level]
-                        };
-                        *inp = read.slot(dep, slot);
-                        let (Some(hx), Some(rows)) = (hubs, input_rows.as_mut()) else {
-                            continue;
-                        };
-                        if ins.dep_pos != NO_POS {
-                            let v = vertex_at(ins.dep_pos as usize, u);
-                            debug_assert_eq!(*inp, g.neighbors(v), "dep_pos names another list");
-                            rows[u] = hx.row(v);
-                        }
-                        // No hub row? A sealed arena row (the slot was
-                        // itself produced by a bitmap merge) serves the
-                        // same role, cascading word-parallel ops down whole
-                        // dependency chains — the deep levels of
-                        // clique-like queries.
-                        if rows[u].is_none() {
-                            rows[u] = read.slot_bits(dep, slot);
-                            debug_assert!(rows[u].is_none_or(|bits| inp.len()
-                                == bits.iter().map(|w| w.count_ones() as usize).sum::<usize>()));
-                        }
-                    }
-                    let input_bits = input_rows.as_ref().unwrap_or(&no_bits);
+                    let (inputs, input_bits) =
+                        self.rows
+                            .inputs(warp, g, (ins, level, m), &read, &self.uiter, vertex_at);
                     if ins.last {
                         apply!(inputs, input_bits, &mut sink);
                     } else {
@@ -1077,31 +971,25 @@ impl<'a> WarpKernel<'a> {
                         let (_, mut sink) = self.storage.split_for_write(dst, m);
                         apply!(inputs, no_bits, &mut sink);
                     }
-                    if !fused_any {
+                    if !fused.contains(&true) {
                         continue;
                     }
                     // Fused slots: the whole chain in the bitmap domain,
                     // ping/pong word scratch lent by the arena, final op
                     // extracted straight into the slot (re-`begin`s it
                     // after the empty element leg above).
-                    let hx = hubs.expect("fused slots imply an index");
-                    let base_pos = prog[chain_at].pos as usize;
-                    let steps = &prog[chain_at + 1..=i];
-                    const NO_ROW: &[u64] = &[];
-                    let mut chain = [(OpKind::Intersect, NO_ROW); MAX_PATTERN_SIZE];
+                    let (steps, stride) = (&prog[chain_at..=i], g.num_vertices().div_ceil(64));
                     let (_, mut sink, bits_ping, bits_pong) =
-                        self.storage.split_for_write_bits(dst, m, hx.stride());
+                        self.storage.split_for_write_bits(dst, m, stride);
                     for u in (0..m).filter(|&u| fused[u]) {
-                        let row = |pos: usize| hx.row(vertex_at(pos, u)).expect("fused on hubs");
-                        for (c, s) in chain.iter_mut().zip(steps) {
-                            *c = (s.kind, row(s.pos as usize));
-                        }
+                        let at = |pos| vertex_at(pos, u);
+                        let (base, chain) = self.rows.chain(steps, at).expect("fused on hubs");
                         setops::apply_chain_bits_into(
                             warp,
                             g,
                             u,
-                            row(base_pos),
-                            &chain[..steps.len()],
+                            base,
+                            &chain[..steps.len() - 1],
                             ins.mask,
                             close,
                             bits_ping,

@@ -267,6 +267,9 @@ struct Request {
 struct AdmissionQueue {
     high: VecDeque<Request>,
     normal: VecDeque<Request>,
+    /// The last one-slot drain served the high lane while normals waited,
+    /// so the next one serves the oldest normal.
+    owe_normal: bool,
 }
 
 impl AdmissionQueue {
@@ -284,17 +287,22 @@ impl AdmissionQueue {
 
     /// Removes up to `max` requests: high lane first, but when the normal
     /// lane is non-empty one slot of the batch is reserved for its oldest
-    /// request — the starvation-freedom invariant (`max >= 1` always
-    /// holds; `ServiceConfig::batch_max` is clamped).
+    /// request — the starvation-freedom invariant. A batch of one has no
+    /// slot to spare, so it alternates instead: a drain that served the
+    /// high lane while normals waited is followed by one that serves the
+    /// oldest normal. `max >= 1` always holds (`MatchService::new` clamps
+    /// `ServiceConfig::batch_max`).
     fn drain(&mut self, max: usize) -> Vec<Request> {
+        debug_assert!(max >= 1, "a drain serves at least one request");
         let mut batch = Vec::new();
-        let high_cap = if self.normal.is_empty() { max } else { max - 1 };
-        while batch.len() < high_cap {
+        let reserved = !self.normal.is_empty() && (max > 1 || self.owe_normal);
+        while batch.len() < max - usize::from(reserved) {
             match self.high.pop_front() {
                 Some(r) => batch.push(r),
                 None => break,
             }
         }
+        self.owe_normal = max == 1 && !batch.is_empty() && !self.normal.is_empty();
         while batch.len() < max {
             match self.normal.pop_front() {
                 Some(r) => batch.push(r),
@@ -543,6 +551,8 @@ impl MatchService {
     /// With [`EngineConfig::delta`] enabled, `graph` must be a plain CSR
     /// (not a patched view): the delta overlay folds batches against it.
     pub fn new(graph: Arc<Graph>, cfg: ServiceConfig) -> MatchService {
+        // The fields are public: clamp them as the builders do.
+        let cfg = cfg.with_workers(cfg.workers).with_batch_max(cfg.batch_max);
         cfg.engine.validate();
         let dynamic = cfg.engine.delta.enabled.then(|| {
             let mut overlay = DeltaOverlay::new((*graph).clone());
@@ -573,7 +583,7 @@ impl MatchService {
             diags: AtomicU64::new(0),
             dynamic,
         });
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
@@ -1001,11 +1011,63 @@ mod tests {
         // reserved slot.
         let batch = q.drain(2);
         assert_eq!(batch.iter().map(tag).collect::<Vec<_>>(), vec![0, 100]);
-        // A batch of one never deadlocks the reservation arithmetic.
-        q.push(tagged_request(Priority::High, 1));
+    }
+
+    /// `batch_max` 1: the high lane still goes first, and the lanes then
+    /// alternate while both wait, so neither starves.
+    #[test]
+    fn one_slot_drains_alternate_the_lanes() {
+        let mut q = AdmissionQueue::default();
+        q.push(tagged_request(Priority::Normal, 100));
         q.push(tagged_request(Priority::Normal, 101));
-        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![101]);
-        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![1]);
+        for t in 0..3 {
+            q.push(tagged_request(Priority::High, t));
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.drain(1).first().map(tag)).collect();
+        assert_eq!(order, vec![0, 100, 1, 101, 2]);
+        // A high request admitted after a normal one is still served first.
+        q.push(tagged_request(Priority::Normal, 102));
+        q.push(tagged_request(Priority::High, 3));
+        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![102]);
+        assert!(q.is_empty());
+    }
+
+    /// `batch_max` 0 and 1 set on the public field: the service clamps 0 to
+    /// 1, and every ticket resolves in both.
+    #[test]
+    fn tiny_batches_serve_every_ticket() {
+        let graph = Arc::new(gen::complete(6));
+        for batch_max in [0, 1] {
+            let mut cfg = small_cfg().with_workers(1);
+            cfg.batch_max = batch_max;
+            let svc = MatchService::new(Arc::clone(&graph), cfg);
+            assert_eq!(svc.inner.cfg.batch_max, 1, "batch_max {batch_max}");
+            let tickets: Vec<Ticket> = [Priority::Normal, Priority::High, Priority::Normal]
+                .into_iter()
+                .map(|priority| {
+                    let opts = QueryOptions {
+                        priority,
+                        ..QueryOptions::default()
+                    };
+                    svc.enqueue(&catalog::triangle(), opts)
+                })
+                .collect();
+            for t in tickets {
+                assert_eq!(t.wait().unwrap().count, 20, "batch_max {batch_max}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_oversized_block_fails_the_query() {
+        let mut cfg = small_cfg();
+        cfg.engine.grid.warps_per_block = 33;
+        let svc = MatchService::new(Arc::new(gen::complete(6)), cfg);
+        match svc.submit(&catalog::triangle(), QueryOptions::default()) {
+            Err(ServiceError::Launch(e)) => assert!(e.to_string().contains("limit of 32"), "{e}"),
+            other => panic!("expected a launch error, got {other:?}"),
+        }
     }
 
     #[test]

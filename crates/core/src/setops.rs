@@ -29,13 +29,14 @@
 //! [`SetSink::commit`]).
 //!
 //! **The slot's shape picks its host loop.** A slot may bring a bitmap row
-//! for either side: rows of the graph's
-//! [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex) and sealed arena result
-//! rows when the launch routes an index, or — with no index — the kernel's
-//! per-warp *marker* row of a loop-invariant neighbor list that a lifted
-//! intersection re-reads (DESIGN.md §4c; marker rows only ever sit on the
-//! input side). The lengths `|A|` (input) and `|B|` (operand), the rows
-//! present and the op kind decide the route, first match wins:
+//! for either side, from the kernel's one row provider (DESIGN.md §4f,
+//! "Where the rows come from"): the hub row of a neighbor list, from the
+//! graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex) when it carries
+//! one, on either side; on the input side, else the kernel's per-warp
+//! *marker* row of a loop-invariant neighbor list that a lifted
+//! intersection re-reads (§4c), else a sealed arena result row. The lengths
+//! `|A|` (input) and `|B|` (operand), the rows present and the op kind
+//! decide the route, first match wins:
 //!
 //! | slot shape | host route | streams |
 //! |---|---|---|
@@ -265,16 +266,16 @@ pub fn materialize_base_into<S: SetSink + ?Sized>(
 /// whichever loop the host runs it in.
 ///
 /// `input_bits[u]` / `operand_bits[u]`, when `Some`, must denote exactly
-/// the same vertex set as `inputs[u]` / `operands[u]` (the caller attaches
-/// rows from the graph's [`HubBitmapIndex`](stmatch_graph::HubBitmapIndex)
-/// only for lists that *are* hub neighborhoods, sealed arena rows, or its
-/// own marker of the list the input equals). Each element-domain slot
-/// (every route but the word merge) runs its own membership loop and
-/// together they are charged as one combined Fig. 8 stream over their
-/// streamed sides' lengths, and word-merge slots stream their words as a
-/// separate combined word stream (scan + 32-word waves + ballots),
-/// mirroring the element stream one level up. `close` closes the waves of
-/// both streams.
+/// the same vertex set as `inputs[u]` / `operands[u]`: the kernel's row
+/// provider attaches a hub row only to a list that *is* a hub's neighbor
+/// list, and an input row is that, else the marker row of the lifted list
+/// the input equals, else the input slab's sealed result row. Each
+/// element-domain slot (every route but the word merge) runs its own
+/// membership loop and together they are charged as one combined Fig. 8
+/// stream over their streamed sides' lengths, and word-merge slots stream
+/// their words as a separate combined word stream (scan + 32-word waves +
+/// ballots), mirroring the element stream one level up. `close` closes the
+/// waves of both streams.
 #[allow(clippy::too_many_arguments)]
 pub fn apply_op_into<S: SetSink + ?Sized>(
     warp: &mut Warp,

@@ -63,7 +63,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use stmatch_gpusim::{Burst, Cost, Site, Warp, WarpMetrics};
+use stmatch_gpusim::{Burst, Cost, Site, Warp, WarpMetrics, MAX_WARPS_PER_BLOCK};
 use stmatch_graph::VertexId;
 
 /// Upper bound on `StopLevel` (how deep the stealable region may reach).
@@ -533,7 +533,10 @@ impl Board {
         assert!(chunk_size >= 1);
         assert!(start <= end);
         let total = num_blocks * warps_per_block;
-        assert!(warps_per_block <= 32, "is_idle bitmap holds 32 warps");
+        assert!(
+            warps_per_block <= MAX_WARPS_PER_BLOCK,
+            "is_idle bitmap holds {MAX_WARPS_PER_BLOCK} warps (Grid::new rejects more)"
+        );
         let check_id = simt_check::next_object_id();
         Board {
             check_id,

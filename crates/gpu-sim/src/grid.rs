@@ -5,6 +5,10 @@ use crate::metrics::{GridMetrics, WarpMetrics};
 use crate::warp::Warp;
 use std::time::Instant;
 
+/// Most warps one threadblock holds: CUDA's 1024 threads per block, and the
+/// width of a block's idle bitmap.
+pub const MAX_WARPS_PER_BLOCK: usize = 32;
+
 /// Grid geometry for a kernel launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GridConfig {
@@ -44,7 +48,8 @@ pub enum LaunchError {
     SharedMemory(SharedOverflow),
     /// Device global memory was exhausted while preparing the launch.
     GlobalMemory(crate::memory::OutOfMemory),
-    /// The grid geometry is unusable (zero blocks/warps).
+    /// The grid geometry is unusable (zero blocks/warps, or more than
+    /// [`MAX_WARPS_PER_BLOCK`] warps per block).
     BadGeometry(String),
 }
 
@@ -92,6 +97,12 @@ impl Grid {
             return Err(LaunchError::BadGeometry(format!(
                 "grid {}x{} has no warps",
                 config.num_blocks, config.warps_per_block
+            )));
+        }
+        if config.warps_per_block > MAX_WARPS_PER_BLOCK {
+            return Err(LaunchError::BadGeometry(format!(
+                "{} warps per block exceed the limit of {MAX_WARPS_PER_BLOCK}",
+                config.warps_per_block
             )));
         }
         Ok(Grid { config })
@@ -482,6 +493,22 @@ mod tests {
             shared_mem_per_block: 0,
         })
         .is_err());
+    }
+
+    #[test]
+    fn blocks_hold_at_most_32_warps() {
+        let block = |warps_per_block| GridConfig {
+            num_blocks: 1,
+            warps_per_block,
+            shared_mem_per_block: 0,
+        };
+        assert!(Grid::new(block(MAX_WARPS_PER_BLOCK)).is_ok());
+        for err in [Grid::new(block(33)).err(), WarmGrid::new(block(33)).err()] {
+            match err {
+                Some(LaunchError::BadGeometry(m)) => assert!(m.contains("limit of 32"), "{m}"),
+                other => panic!("expected BadGeometry, got {other:?}"),
+            }
+        }
     }
 
     #[test]

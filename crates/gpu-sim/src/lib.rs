@@ -30,7 +30,9 @@ pub mod metrics;
 pub mod warp;
 
 pub use cost::{Burst, Close, Cost, Site};
-pub use grid::{describe_panic, Grid, GridConfig, LaunchError, WarmGrid, WarpPanic};
+pub use grid::{
+    describe_panic, Grid, GridConfig, LaunchError, WarmGrid, WarpPanic, MAX_WARPS_PER_BLOCK,
+};
 pub use memory::{MemoryBudget, OutOfMemory, SharedBudget};
 pub use metrics::{GridMetrics, WarpMetrics};
 pub use warp::{Warp, WARP_SIZE};

@@ -181,6 +181,39 @@ fn counts_survive_hub_bitmap_without_code_motion() {
     }
 }
 
+/// An index with no hub rows routes exactly what no index routes: every row
+/// an index adds is a hub's, beside the marker rows every launch holds. So
+/// q3 and q6 on the census generator graph (PA(420, 6, 7), degree-ordered)
+/// carrying an index at its maximum degree reproduce the plain run bit for
+/// bit — count, instructions, and the lanes their intersections streamed,
+/// operand-side and all — on a steal-free grid.
+#[test]
+fn an_index_without_hubs_changes_nothing() {
+    let plain = gen::preferential_attachment(420, 6, 7).degree_ordered();
+    let empty = plain.clone().with_hub_bitmap(plain.max_degree());
+    assert_eq!(empty.hub_bitmap().map(|hx| hx.num_hubs()), Some(0));
+    let mut cfg = EngineConfig::default().with_grid(GridConfig {
+        num_blocks: 1,
+        warps_per_block: 2,
+        shared_mem_per_block: 100 * 1024,
+    });
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    for qi in [3, 6] {
+        let q = catalog::paper_query(qi);
+        let [off, on] = [&plain, &empty].map(|g| {
+            let out = Engine::new(cfg).run(g, &q).unwrap();
+            let t = out.metrics.total();
+            let streamed = (t.operand_lanes, t.element_lanes);
+            (out.count, t.simt_instructions, streamed)
+        });
+        assert_eq!(
+            on, off,
+            "q{qi}: (count, instructions, (operand, element lanes))"
+        );
+        assert!(off.2 .0 > 0, "q{qi} streams operands against marker rows");
+    }
+}
+
 /// Hub rows follow the graph: under `EngineConfig::default()`, with no knob
 /// naming the index, every route runs the bitmap paths on the fixture that
 /// carries one — a cold launch, a warm slot, a sharded run, a static
