@@ -171,9 +171,18 @@ done
 # Sharded-execution gate: a plain run nobody sharded lands the goldens with
 # zero rail metrics; a clean 4-shard run and the seeded 1-of-4 / 3-of-4
 # shard-kill legs must land the exact goldens with the dead shards' work
-# recovered over the rail and a deterministic FAULT_SEED reproduce line on
-# every report.
-run "smoke:shard" "${CHECK[@]}" shard
+# recovered and a deterministic FAULT_SEED reproduce line on every report.
+# `--scaling` adds the 1..16-shard bottleneck-cycle sweep of both static
+# splits (seconds); the gate fails if counts drift or the work-aware split
+# loses to the contiguous one at 16 shards, and the greps hold that every
+# row of the sweep ran.
+run_and_grep "smoke:shard" \
+    "scaling x1: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
+scaling x2: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
+scaling x4: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
+scaling x8: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
+scaling x16: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency" \
+    "${CHECK[@]}" shard --scaling
 
 # Resident-service gate: cold/cache-hit submissions must reproduce the
 # golden counts, a naive-schedule cache hit must be metric-exact against
@@ -317,6 +326,22 @@ if [ -n "${knobs}" ]; then
     exit 1
 fi
 echo "==> lint:setops: OK"
+
+# Shard-steal lint: shards split statically (DESIGN.md §4i), so the inert
+# `ShardTuning::cross_steal` and `RailStats::cross_steals` (kept only for
+# `benchmark/`) must not be read or written again, and `Source::RailSteal`
+# must not come back. Allowed: the two definitions and the default's field.
+echo "==> lint:shard: scanning for uses of the inert cross-shard steal names"
+steals=$(grep -rnwE 'cross_steals?|RailSteal' crates src tests examples \
+    | grep -vxE 'crates/core/src/config\.rs:[0-9]+: +(pub )?cross_steal: (bool|false),' \
+    | grep -vxE 'crates/core/src/steal\.rs:[0-9]+: +pub cross_steals: u64,' \
+    || true)
+if [ -n "${steals}" ]; then
+    echo "${steals}"
+    echo "==> lint:shard: FAILED — a shard works only its own slice (steal::ShardRail::claim)"
+    exit 1
+fi
+echo "==> lint:shard: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

@@ -10,14 +10,15 @@
 //! * **on** — a clean 4-shard `run_sharded` must land the same goldens
 //!   with nothing left on the rail;
 //! * **kill** — seeded whole-shard deaths (1-of-4 and 3-of-4) must keep
-//!   counts exact, fully recover the dead shards' work over the rail
-//!   (nonzero requeue/steal traffic), and print the deterministic
-//!   `FAULT_SEED=0x…` reproduce line.
+//!   counts exact, fully recover the dead shards' work (nonzero requeue
+//!   traffic over the rail), and print the deterministic `FAULT_SEED=0x…`
+//!   reproduce line.
 //!
 //! `--scaling` additionally runs the 1/2/4/8/16-shard sweep on a larger
 //! skewed preferential-attachment fixture and prints the bottleneck-cycle
-//! curve, failing if counts drift across shard counts or the work-aware
-//! split loses to the contiguous baseline on bottleneck time.
+//! curve of both static splits, failing if counts drift across shard
+//! counts or the work-aware split (the shipping one) loses to the
+//! contiguous baseline on bottleneck time at 16 shards.
 //!
 //! Reproduce a kill-leg failure locally with the printed `FAULT_SEED=0x…`
 //! line: the seed fully determines which shards die and when.
@@ -71,8 +72,8 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
             let out = Engine::new(off_cfg)
                 .run(&g, &q)
                 .expect("single-grid launch");
-            if out.metrics.total().shard_steal_receives != 0 {
-                errs.push("shard-rail metric nonzero on a single-grid run".to_string());
+            if out.metrics.total().requeue_claims != 0 {
+                errs.push("requeue claims on a clean single-grid run".to_string());
             }
             if out.fault.is_some() {
                 errs.push("fault bookkeeping attached to a clean run".to_string());
@@ -108,12 +109,7 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
         if out.rail.shard_deaths != 0 {
             errs.push("shard deaths on a clean run".to_string());
         }
-        ok &= report(qi, "on", &errs, || {
-            format!(
-                "count {}, {} cross-steals",
-                out.outcome.count, out.rail.cross_steals
-            )
-        });
+        ok &= report(qi, "on", &errs, || format!("count {}", out.outcome.count));
     }
 
     // --- Kill legs: seeded shard deaths must recover exactly. ---
@@ -153,9 +149,7 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
                 None => 0,
             };
             deaths_total += deaths;
-            requeue_total += out.rail.requeue_pushes
-                + out.rail.requeue_claims
-                + out.outcome.metrics.total().shard_steal_receives;
+            requeue_total += out.rail.requeue_pushes + out.rail.requeue_claims;
             ok &= report(qi, &format!("kill{kills}"), &errs, || {
                 format!(
                     "count {}, {deaths} deaths, {} shard-deaths, {} requeue-claims, \
@@ -182,12 +176,11 @@ fn report(qi: usize, leg: &str, errs: &[String], detail: impl Fn() -> String) ->
 
 /// One scaling measurement: `(count, bottleneck cycles)` of a sharded
 /// triangle count on one-block, two-warp shard grids.
-fn measure(g: &Graph, shards: usize, work_aware: bool, cross_steal: bool) -> (u64, u64) {
+fn measure(g: &Graph, shards: usize, work_aware: bool) -> (u64, u64) {
     let mut cfg = EngineConfig::default()
         .with_grid(crate::grid(1, 2))
         .with_shards(shards);
     cfg.shard.work_aware = work_aware;
-    cfg.shard.cross_steal = cross_steal;
     let out = Engine::new(cfg)
         .run_sharded(g, &catalog::triangle())
         .expect("scaling launch");
@@ -199,24 +192,16 @@ fn measure(g: &Graph, shards: usize, work_aware: bool, cross_steal: bool) -> (u6
 /// — so the curve measures load balance, not host scheduling noise.
 fn run_scaling() -> bool {
     let g = gen::preferential_attachment(256, 4, 9).degree_ordered();
-    let base_count = measure(&g, 1, true, true).0;
+    let (base_count, base_cycles) = measure(&g, 1, false);
     let mut ok = base_count > 0;
-    let base_cycles = measure(&g, 1, false, false).1;
     let mut aware_16 = 0u64;
     let mut contig_16 = 0u64;
     for shards in [1usize, 2, 4, 8, 16] {
-        // Pure partition comparison: cross-steal off, so the bottleneck
-        // is exactly the heaviest shard's work.
-        let (c_contig, cyc_contig) = measure(&g, shards, false, false);
-        let (c_aware, cyc_aware) = measure(&g, shards, true, false);
-        // Shipping config: work-aware + cross-steal, for the efficiency
-        // curve the rail actually delivers.
-        let (c_ship, cyc_ship) = measure(&g, shards, true, true);
-        for (label, c) in [
-            ("contiguous", c_contig),
-            ("aware", c_aware),
-            ("ship", c_ship),
-        ] {
+        // Both splits are static, so each bottleneck is exactly the
+        // heaviest shard's work.
+        let (c_contig, cyc_contig) = measure(&g, shards, false);
+        let (c_aware, cyc_aware) = measure(&g, shards, true);
+        for (label, c) in [("contiguous", c_contig), ("aware", c_aware)] {
             if c != base_count {
                 eprintln!("scaling x{shards} {label}: count {c} != baseline {base_count}");
                 ok = false;
@@ -229,7 +214,7 @@ fn run_scaling() -> bool {
         let efficiency = base_cycles as f64 / (shards as f64 * cyc_aware as f64);
         println!(
             "scaling x{shards}: contiguous {cyc_contig} cyc, work-aware {cyc_aware} cyc, \
-             +steal {cyc_ship} cyc, efficiency {efficiency:.3}"
+             efficiency {efficiency:.3}"
         );
     }
     if aware_16 >= contig_16 {

@@ -94,7 +94,7 @@ fn run_clean_gate(cfg: CheckConfig) -> ExitCode {
     }
     // Sharded sweep: four grids trading work over the ShardRail (rank 8),
     // clean and under a seeded whole-shard kill. The checker must stay
-    // silent while the cross-shard steal and requeue paths run hot.
+    // silent while the rail's claim and requeue paths run hot.
     let scfg = EngineConfig::full().with_grid(grid).with_shards(4);
     let kill = FaultPlan::seeded_shard_kill(SHARD_KILL_SEED, 4, 1);
     for (qi, golden) in GOLDEN {
@@ -175,7 +175,7 @@ fn run_mutation(which: &str, cfg: CheckConfig) -> ExitCode {
             // deleted. As with lock-drop, thread join is invisible to the
             // checker, so only the rail lock could have ordered the two
             // accesses to the `rail[id]` shadow cell.
-            let rail = ShardRail::new(&[0, 50, 100], 10, true);
+            let rail = ShardRail::new(&[0, 50, 100], 10);
             std::thread::scope(|s| {
                 s.spawn(|| {
                     let _ = rail.claim(0);

@@ -16,10 +16,9 @@ use stmatch_pattern::catalog;
 
 /// Fig. 11: multi-device scaling. Labeled and unlabeled size-6 queries on
 /// the LiveJournal/Orkut/MiCo stand-ins, 1/2/4 devices — one shard grid
-/// per device over the static work-aware split of the outermost loop
-/// (cross-device stealing off, as in the paper); speedup is the
-/// single-device simulated time over the bottleneck device's simulated
-/// time.
+/// per device over the static work-aware split of the outermost loop,
+/// as in the paper; speedup is the single-device simulated time over the
+/// bottleneck device's simulated time.
 pub fn fig11(p: &RunParams, queries: &[usize]) {
     for labeled in [false, true] {
         for ds in [Dataset::LiveJournal, Dataset::Orkut, Dataset::MiCo] {
@@ -35,7 +34,6 @@ pub fn fig11(p: &RunParams, queries: &[usize]) {
                     q = q.with_random_labels(NUM_LABELS, qi as u64);
                 }
                 let mut cfg = harness::default_stmatch_cfg(false, p);
-                cfg.shard.cross_steal = false;
                 let mut cycles = Vec::new();
                 let mut counts = Vec::new();
                 let mut timed_out = false;

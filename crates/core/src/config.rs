@@ -1,6 +1,7 @@
 //! Engine configuration and the paper's ablation presets.
 
 use crate::recover::RecoveryPolicy;
+use crate::steal::MAX_STOP;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
 
 /// Largest supported unroll size, and the widest claim a level's slot
@@ -26,7 +27,8 @@ pub struct EngineConfig {
     /// [`MAX_UNROLL`] where the claimed batch writes no set. 1 disables
     /// unrolling at every level.
     pub unroll: usize,
-    /// Levels `< stop_level` are stealable (Algorithm 2's `StopLevel`).
+    /// Levels `< stop_level` are stealable (Algorithm 2's `StopLevel`); at
+    /// most [`MAX_STOP`], the depth of the stealable mirror.
     pub stop_level: usize,
     /// Busy warps test for idle blocks when claiming work at a level
     /// `< detect_level` (§V-B's `DetectLevel`). Meaningful values are
@@ -63,9 +65,9 @@ pub struct EngineConfig {
     pub recovery: RecoveryPolicy,
     /// Inert; see [`CompileTuning`].
     pub compile: CompileTuning,
-    /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i):
-    /// work-aware partitioning of the level-0 domain, cross-shard range
-    /// stealing, and shard-level fault recovery. Calling
+    /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i): a
+    /// static, work-aware split of the level-0 domain and shard-level
+    /// fault recovery. Calling
     /// `Engine::run_plan_sharded` is the request; the resident service
     /// routes its queries there iff `shards > 1`.
     pub shard: ShardTuning,
@@ -142,7 +144,8 @@ impl Default for DeltaTuning {
 }
 
 /// Sharding tuning: how many concurrently running grids ("shards") a
-/// sharded run is split over, and which balancing features are on.
+/// sharded run is split over, and how the level-0 domain is split. The
+/// split is static, as in the paper: each shard works only its own slice.
 ///
 /// Sharding never changes match results — the shards partition the level-0
 /// domain exactly, and shard-death recovery is count-invariant (see
@@ -156,8 +159,8 @@ pub struct ShardTuning {
     /// (degree/intersection skew) instead of contiguous equal slices
     /// (default `true`).
     pub work_aware: bool,
-    /// Let idle shards steal level-0 ranges from loaded ones over the
-    /// cross-shard rail (default `true`).
+    /// Inert, kept for `benchmark/`: no engine path reads it. Shards never
+    /// steal from each other, whatever it says.
     pub cross_steal: bool,
 }
 
@@ -166,7 +169,7 @@ impl Default for ShardTuning {
         ShardTuning {
             shards: 1,
             work_aware: true,
-            cross_steal: true,
+            cross_steal: false,
         }
     }
 }
@@ -340,6 +343,12 @@ impl EngineConfig {
             self.detect_level,
             self.stop_level
         );
+        assert!(
+            self.stop_level <= MAX_STOP,
+            "stop_level ({}) must not exceed MAX_STOP ({MAX_STOP}), the depth of \
+             the stealable mirror",
+            self.stop_level
+        );
         assert!(self.max_degree_slab >= 1, "max_degree_slab must be >= 1");
         assert!(self.chunk_size >= 1, "chunk_size must be >= 1");
         assert!(self.shard.shards >= 1, "shard count must be >= 1");
@@ -380,10 +389,9 @@ mod tests {
             assert_eq!(SetOpTuning::forced(algo), c.setops);
         }
         // One shard by default (the service then stays on the single-grid
-        // route), with the balancing features armed for wider runs.
+        // route), with the work-aware split armed for wider runs.
         assert_eq!(c.shard.shards, 1);
         assert!(c.shard.work_aware);
-        assert!(c.shard.cross_steal);
         assert_eq!(c.with_shards(8).shard.shards, 8);
         // A resident service keeps no overlay by default; anchored delta
         // launches run on a one-warp grid.
@@ -442,6 +450,16 @@ mod tests {
     fn validate_rejects_detect_above_stop() {
         let mut c = EngineConfig::default();
         c.detect_level = c.stop_level + 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "stop_level (5) must not exceed MAX_STOP (4)")]
+    fn validate_rejects_stop_level_beyond_max_stop() {
+        let c = EngineConfig {
+            stop_level: MAX_STOP + 1,
+            ..EngineConfig::default()
+        };
         c.validate();
     }
 }

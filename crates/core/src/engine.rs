@@ -646,9 +646,9 @@ impl Engine {
                     rail.push_requeue(leftovers);
                 }
                 if report.deaths.len() >= cfg.grid.total_warps() {
-                    // The whole shard died; record it on the rail so the
-                    // driver knows a recovery round may be needed even if
-                    // siblings steal the orphaned range meanwhile.
+                    // The whole shard died; record it on the rail. Its
+                    // unclaimed slice stays in its queue for the driver's
+                    // recovery rounds.
                     rail.mark_shard_dead(shard);
                 }
                 break;

@@ -15,16 +15,14 @@
 //!   position, so a skew-heavy graph does not hand one shard all the
 //!   hubs. [`ShardPlan::contiguous`] keeps the positional split for
 //!   comparison.
-//! * **Cross-shard stealing**: a shard that drains its own slice steals
-//!   half the largest remaining slice over the rail
-//!   ([`ShardRail::claim`]), at a fixed +512 SIMT-instruction receive
-//!   cost per stolen chunk (the device-to-device copy analogue). With
-//!   `cross_steal` off the split is static, as in the paper.
+//! * **A static split**: a shard claims only its own slice
+//!   ([`ShardRail::claim`]) and stops when it is drained, as in the paper;
+//!   shards never steal from each other.
 //! * **Shard-death recovery**: when a whole shard grid dies (injected
 //!   via [`FaultPlan::shard_kill_at`](crate::fault::FaultPlan) or real),
-//!   its reclaimed payloads land back on the rail for live siblings; the
-//!   slice it never claimed was on the rail all along. Whatever survives
-//!   the join is relaunched through a bounded, count-invariant ladder
+//!   its reclaimed payloads land on the rail's requeue for live siblings;
+//!   the slice it never claimed stays in its queue. Whatever the join
+//!   leaves behind is relaunched through a bounded, count-invariant ladder
 //!   ([`ShardStep`]): halve the shard count per round
 //!   ([`RecoveryPolicy::shard_retries`](crate::RecoveryPolicy) rounds,
 //!   injection off), then one cold single-grid pass.
@@ -48,8 +46,8 @@ use stmatch_pattern::{MatchPlan, Pattern};
 /// of the vertices plus cut points. Shard `s` owns the virtual indices
 /// `cuts[s]..cuts[s+1]` of `order`; the kernel maps a virtual index `i`
 /// back to the data vertex `order[i]`. Keeping chunk ranges virtual is
-/// what makes them portable across shards (steals and requeues never
-/// re-translate).
+/// what makes them portable across shards (requeues and recovery rounds
+/// never re-translate).
 #[derive(Clone, Debug)]
 pub struct ShardPlan {
     /// `order[virtual_index] = vertex_id`.
@@ -191,8 +189,8 @@ pub struct ShardedOutcome {
     pub per_shard: Vec<MatchOutcome>,
     /// Shard count of round 0.
     pub shards: usize,
-    /// Rail traffic accumulated over all rounds: cross-shard steals,
-    /// requeue pushes/claims, shard deaths observed.
+    /// Rail traffic accumulated over all rounds: requeue pushes/claims,
+    /// shard deaths observed.
     pub rail: RailStats,
     /// Recovery rounds run after the initial join (0 for clean runs).
     pub recovery_rounds: u32,
@@ -276,11 +274,7 @@ impl Engine {
             tuning.work_aware
         );
 
-        let rail = Arc::new(ShardRail::new(
-            &splan.cuts,
-            cfg.chunk_size,
-            tuning.cross_steal,
-        ));
+        let rail = Arc::new(ShardRail::new(&splan.cuts, cfg.chunk_size));
         let per_shard = self.shard_round(graph, plan, &splan.order, &rail, true)?;
         let mut rail_stats = rail.stats();
         let mut merged = merge_round(&per_shard, reproduce.clone());
@@ -320,7 +314,6 @@ impl Engine {
             live_rail = Arc::new(ShardRail::from_parts(
                 next,
                 cfg.chunk_size,
-                tuning.cross_steal,
                 ranges,
                 payloads,
             ));
@@ -358,9 +351,8 @@ impl Engine {
     }
 
     /// One round: a driver thread per shard, each running its grid
-    /// against the shared rail. Joins all shards before returning
-    /// (shards that drain early keep stealing until the rail has nothing
-    /// claimable for them).
+    /// against the shared rail. Joins all shards before returning (a shard
+    /// exits once its own slice and the rail's requeue are empty).
     fn shard_round(
         &self,
         graph: &Graph,
@@ -416,7 +408,6 @@ fn report_mut(o: &mut MatchOutcome) -> &mut FaultReport {
 
 /// Field-wise sum of two rail-traffic snapshots.
 fn accumulate(into: &mut RailStats, s: RailStats) {
-    into.cross_steals += s.cross_steals;
     into.requeue_pushes += s.requeue_pushes;
     into.requeue_claims += s.requeue_claims;
     into.shard_deaths += s.shard_deaths;
@@ -576,16 +567,11 @@ mod tests {
         let p = catalog::paper_query(6);
         let base = Engine::new(EngineConfig::default().with_grid(small_grid()));
         let expected = base.run(&g, &p).unwrap().count;
-        let mut cfg = EngineConfig::default()
+        let cfg = EngineConfig::default()
             .with_grid(small_grid())
             .with_shards(4);
-        // The victim's slice stays its own: with cross-shard stealing on,
-        // siblings could take all of it before its warps reach the kill
-        // ordinal (claim 6 of shard 0 for this seed; about one run in four
-        // on a 2-vCPU box), and then nobody dies. Its reclaimed payloads
-        // still cross the rail's requeue, its unclaimed ranges go to a
-        // recovery round.
-        cfg.shard.cross_steal = false;
+        // The victim's reclaimed payloads cross the rail's requeue; its
+        // unclaimed ranges go to a recovery round.
         let plan = FaultPlan::seeded_shard_kill(0x5eed, 4, 1);
         let out = Engine::new(cfg)
             .with_fault_plan(plan)
@@ -598,8 +584,8 @@ mod tests {
         assert!(report.reproduce.is_some(), "seeded plans carry a line");
         assert_eq!(out.rail.shard_deaths, 1);
         assert!(
-            out.rail.requeue_pushes > 0 || out.rail.cross_steals > 0,
-            "a killed shard's work must move somewhere"
+            out.rail.requeue_pushes > 0,
+            "a killed shard's reclaimed stacks must cross the rail's requeue"
         );
     }
 
@@ -634,10 +620,9 @@ mod tests {
         // Kill every shard so the join is guaranteed to leave work; the
         // first recovery round must be FewerShards under the default
         // retry budget.
-        let mut cfg = EngineConfig::default()
+        let cfg = EngineConfig::default()
             .with_grid(small_grid())
             .with_shards(4);
-        cfg.shard.cross_steal = false; // no live sibling can absorb it
         let plan = FaultPlan::new()
             .shard_kill_at(0, 1)
             .shard_kill_at(1, 1)

@@ -24,6 +24,11 @@
 //! is a [`StealPayload`] tagged with its [`Source`], whose
 //! [`cost`](Source::cost) is the fixed cost model of moving it.
 //!
+//! Shards do not steal from each other. A sharded run's grids share a
+//! [`ShardRail`] that serves each shard its own static slice of the
+//! level-0 domain, as the paper's multi-GPU split does (§VIII-B); the only
+//! work that crosses it is a dead shard's reclaimed stacks.
+//!
 //! # Lock hierarchy (declared, checked by simt-check)
 //!
 //! Every lock in the stealing/containment machinery has a class and a
@@ -37,7 +42,7 @@
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
 //! | 6    | `ServiceArenaPool` | `pool::ArenaPool` (reusable warp arenas) | — (never held across engine locks) |
-//! | 8    | `ShardRail`  | `ShardRail::state` (cross-shard work rail) | — (leaf: queried from claim loops holding nothing; the death path releases every board lock before pushing to the rail) |
+//! | 8    | `ShardRail`  | `ShardRail::state` (per-shard slices + dead shards' requeue) | — (leaf: queried from claim loops holding nothing; the death path releases every board lock before pushing to the rail) |
 //! | 10   | `GlobalSlot` | `Board::slots[b]` (per-block steal slot)   | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |
 //! | 30   | `Mirror`     | `Mirror::state` (per-warp stealable stack) | `GlobalSlot`        |
@@ -206,8 +211,6 @@ pub enum Source {
     /// A level-0 chunk off the board's dispenser or the warp's own shard
     /// queue: free, uncounted.
     Chunk,
-    /// A level-0 chunk the rail served by stealing from another shard.
-    RailSteal,
     /// A dead warp's stack (or a salvage preload) off the board's requeue.
     Requeue,
     /// A dead sibling *shard*'s stack off the rail.
@@ -231,7 +234,7 @@ impl Source {
             Source::Chunk => None,
             Source::LocalSteal => Some(Burst::Block),
             Source::Requeue | Source::GlobalSteal | Source::GlobalPush => Some(Burst::Global),
-            Source::RailSteal | Source::RailRequeue => Some(Burst::Device),
+            Source::RailRequeue => Some(Burst::Device),
         }
     }
 
@@ -244,12 +247,7 @@ impl Source {
         let m = warp.metrics_mut();
         match self {
             Source::Chunk => {}
-            Source::RailSteal => m.shard_steal_receives += 1,
-            Source::Requeue => m.requeue_claims += 1,
-            Source::RailRequeue => {
-                m.requeue_claims += 1;
-                m.shard_steal_receives += 1;
-            }
+            Source::Requeue | Source::RailRequeue => m.requeue_claims += 1,
             Source::LocalSteal => m.local_steals += 1,
             Source::GlobalSteal => m.global_steal_receives += 1,
             Source::GlobalPush => m.global_steal_pushes += 1,
@@ -260,8 +258,8 @@ impl Source {
 /// Counters published by the rail, read after the sharded run joins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RailStats {
-    /// Cross-shard range steals (an idle shard took half of a loaded
-    /// shard's unclaimed tail).
+    /// Inert, always 0: shards never steal from each other. Kept because
+    /// `benchmark/` reads it.
     pub cross_steals: u64,
     /// Reclaimed payloads pushed onto the rail by dying shards.
     pub requeue_pushes: u64,
@@ -272,41 +270,38 @@ pub struct RailStats {
 }
 
 struct RailState {
-    /// Per-shard unclaimed level-0 ranges (virtual indices). A shard owns
-    /// the front of its own queue; cross-shard steals move the tail half of
-    /// a victim's last range.
+    /// Per-shard unclaimed level-0 ranges (virtual indices); only shard
+    /// `s` claims from `queues[s]`.
     queues: Vec<VecDeque<(usize, usize)>>,
     /// Payloads reclaimed from dead shards, claimable by any survivor.
     requeue: Vec<StealPayload>,
     /// Shards whose grids died entirely (bookkeeping for reports; a dead
-    /// shard's unclaimed ranges stay in its queue, stealable by survivors
-    /// or drained by the driver's recovery rounds).
+    /// shard's unclaimed ranges stay in its queue until the driver's
+    /// recovery rounds drain them).
     dead: Vec<bool>,
     stats: RailStats,
 }
 
-/// The cross-shard work rail: one shared queue of level-0 ranges and
-/// reclaimed payloads connecting the per-shard [`Board`]s of a sharded run.
+/// The rail connecting the per-shard [`Board`]s of a sharded run: one
+/// level-0 dispenser per shard, each serving only its own static slice,
+/// plus a shared requeue that carries a dead shard's reclaimed stacks to
+/// its live siblings.
 ///
 /// One mutex guards the whole rail (class `ShardRail`, rank 8 — below every
-/// board lock, see the module hierarchy table). A single lock avoids
-/// same-class nested acquisition when a steal touches two shard queues, and
-/// the rail is far off any per-iteration hot path: it is consulted once per
-/// level-0 chunk, not per candidate.
+/// board lock, see the module hierarchy table). The rail is far off any
+/// per-iteration hot path: it is consulted once per level-0 chunk, not per
+/// candidate.
 pub struct ShardRail {
     /// Process-unique instance id (shadow-cell identity for the race
     /// checker).
     check_id: u32,
     chunk_size: usize,
-    /// Whether idle shards may steal ranges from loaded ones. Off, the rail
-    /// degenerates to per-shard dispensers plus the shared requeue.
-    cross_steal: bool,
     state: Mutex<RailState>,
 }
 
 impl ShardRail {
     /// Builds a rail whose shard `s` owns the range `[cuts[s], cuts[s+1])`.
-    pub fn new(cuts: &[usize], chunk_size: usize, cross_steal: bool) -> ShardRail {
+    pub fn new(cuts: &[usize], chunk_size: usize) -> ShardRail {
         assert!(cuts.len() >= 2, "need at least one shard");
         assert!(chunk_size >= 1);
         assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must be sorted");
@@ -320,7 +315,7 @@ impl ShardRail {
                 }
             })
             .collect::<Vec<_>>();
-        Self::with_queues(queues, Vec::new(), chunk_size, cross_steal)
+        Self::with_queues(queues, Vec::new(), chunk_size)
     }
 
     /// Builds a rail from leftover work of a previous round (recovery
@@ -328,7 +323,6 @@ impl ShardRail {
     pub fn from_parts(
         shards: usize,
         chunk_size: usize,
-        cross_steal: bool,
         ranges: Vec<(usize, usize)>,
         payloads: Vec<StealPayload>,
     ) -> ShardRail {
@@ -338,20 +332,18 @@ impl ShardRail {
         for (i, r) in ranges.into_iter().filter(|r| r.0 < r.1).enumerate() {
             queues[i % shards].push_back(r);
         }
-        Self::with_queues(queues, payloads, chunk_size, cross_steal)
+        Self::with_queues(queues, payloads, chunk_size)
     }
 
     fn with_queues(
         queues: Vec<VecDeque<(usize, usize)>>,
         requeue: Vec<StealPayload>,
         chunk_size: usize,
-        cross_steal: bool,
     ) -> ShardRail {
         let shards = queues.len();
         ShardRail {
             check_id: simt_check::next_object_id(),
             chunk_size,
-            cross_steal,
             state: Mutex::new(RailState {
                 queues,
                 requeue,
@@ -388,37 +380,12 @@ impl ShardRail {
         Some((lo, mid))
     }
 
-    /// Claims the next chunk for `shard`: its own queue first, then (when
-    /// cross-shard stealing is on) the tail half of the most-loaded other
-    /// shard's last range — Fig. 5's divide-and-copy lifted one level up,
-    /// between grids instead of between warps ([`Source::RailSteal`]).
+    /// Claims the next chunk of `shard`'s own slice, or `None` once it is
+    /// drained. A dead shard's untouched ranges stay in its queue for the
+    /// driver's recovery rounds ([`ShardRail::drain_remaining`]).
     pub fn claim(&self, shard: usize) -> Option<(StealPayload, Source)> {
-        let mut st = self.lock_state();
-        if let Some((lo, hi)) = Self::carve(&mut st.queues[shard], self.chunk_size) {
-            return Some((StealPayload::chunk(lo, hi), Source::Chunk));
-        }
-        if !self.cross_steal {
-            return None;
-        }
-        // Victim: the shard with the most unclaimed vertices. Dead shards'
-        // queues stay claimable — stealing them *is* the live recovery path.
-        let victim = (0..st.queues.len())
-            .filter(|&v| v != shard && !st.queues[v].is_empty())
-            .max_by_key(|&v| st.queues[v].iter().map(|&(lo, hi)| hi - lo).sum::<usize>())?;
-        let (lo, hi) = st.queues[victim]
-            .pop_back()
-            .expect("victim checked non-empty");
-        // The victim keeps the front half; tiny ranges move whole.
-        let keep = (hi - lo) / 2;
-        let mid = lo + keep;
-        if keep > 0 {
-            st.queues[victim].push_back((lo, mid));
-        }
-        st.queues[shard].push_back((mid, hi));
-        st.stats.cross_steals += 1;
-        let (lo, hi) =
-            Self::carve(&mut st.queues[shard], self.chunk_size).expect("just moved a range here");
-        Some((StealPayload::chunk(lo, hi), Source::RailSteal))
+        let (lo, hi) = Self::carve(&mut self.lock_state().queues[shard], self.chunk_size)?;
+        Some((StealPayload::chunk(lo, hi), Source::Chunk))
     }
 
     /// Claims one reclaimed payload off the rail.
@@ -451,15 +418,12 @@ impl ShardRail {
     }
 
     /// True while `shard`'s warps could still obtain work from the rail:
-    /// its own queue, the shared requeue, or (with stealing on) any other
-    /// shard's queue. Drives `Board::chunks_remain` — and through it the
-    /// per-board termination test — for rail-attached boards.
+    /// its own queue or the shared requeue. Drives `Board::chunks_remain` —
+    /// and through it the per-board termination test — for rail-attached
+    /// boards.
     pub fn has_claimable(&self, shard: usize) -> bool {
         let st = self.lock_state();
-        if !st.requeue.is_empty() || !st.queues[shard].is_empty() {
-            return true;
-        }
-        self.cross_steal && st.queues.iter().any(|q| !q.is_empty())
+        !st.requeue.is_empty() || !st.queues[shard].is_empty()
     }
 
     /// Post-join drain for the driver's recovery rounds: every unclaimed
@@ -642,8 +606,8 @@ impl Board {
     /// steal levels off — level 0 exhausted). First hit wins; the warp is
     /// *busy* through step 4 and again once a step-6/7 claim succeeds:
     ///
-    /// 1. a level-0 chunk — own dispenser, or the rail (own shard queue,
-    ///    else a cross-shard range steal);
+    /// 1. a level-0 chunk — own dispenser, or the rail's queue for this
+    ///    board's shard;
     /// 2. a stack on the board's requeue (dead warps, salvage preload);
     /// 3. a stack on the rail's requeue (dead sibling shards);
     /// 4. `local_steal`: half of a block sibling's shallowest range;
@@ -754,9 +718,9 @@ impl Board {
     /// True while unclaimed level-0 chunks remain.
     fn chunks_remain(&self) -> bool {
         if let Some((rail, shard)) = &self.rail {
-            // Rail work (own queue, stealable victims, reclaimed payloads)
-            // is not counted in `pending`; the termination test sees it
-            // through this branch instead.
+            // Rail work (own queue, reclaimed payloads) is not counted in
+            // `pending`; the termination test sees it through this branch
+            // instead.
             return rail.has_claimable(*shard);
         }
         // Relaxed: the cursor is monotone, so a stale read can only claim
@@ -1150,11 +1114,11 @@ pub mod mutation {
         false
     }
 
-    /// Mutation **rail-drop**: a cross-shard rail claim with the
-    /// `ShardRail::lock_state` acquisition deleted. No acquire event
-    /// reaches the checker, so the access carries no happens-before edge to
-    /// any tracked rail access — the race detector must report it, naming
-    /// the `rail[id]` cell and both sites.
+    /// Mutation **rail-drop**: a rail claim with the `ShardRail::lock_state`
+    /// acquisition deleted. No acquire event reaches the checker, so the
+    /// access carries no happens-before edge to any tracked rail access —
+    /// the race detector must report it, naming the `rail[id]` cell and
+    /// both sites.
     pub fn rail_claim_without_lock(rail: &ShardRail) -> Option<(usize, usize)> {
         let mut st = rail.state.lock().unwrap_or_else(PoisonError::into_inner);
         // The access event fires at *this* line (the mutation site).
@@ -1285,19 +1249,18 @@ mod tests {
 
     #[test]
     fn source_table_is_the_cost_model() {
-        // (source, burst, counters bumped: [shard_steal_receives,
-        // requeue_claims, local_steals, global_steal_receives,
-        // global_steal_pushes]) — the whole fixed cost model, with the
-        // bursts' amounts pinned by the cost table's own test; a schedule
-        // that charges in simulated cycles inherits exactly this.
+        // (source, burst, counters bumped: [requeue_claims, local_steals,
+        // global_steal_receives, global_steal_pushes]) — the whole fixed
+        // cost model, with the bursts' amounts pinned by the cost table's
+        // own test; a schedule that charges in simulated cycles inherits
+        // exactly this.
         let table = [
-            (Source::Chunk, None, [0, 0, 0, 0, 0]),
-            (Source::RailSteal, Some(Burst::Device), [1, 0, 0, 0, 0]),
-            (Source::Requeue, Some(Burst::Global), [0, 1, 0, 0, 0]),
-            (Source::RailRequeue, Some(Burst::Device), [1, 1, 0, 0, 0]),
-            (Source::LocalSteal, Some(Burst::Block), [0, 0, 1, 0, 0]),
-            (Source::GlobalSteal, Some(Burst::Global), [0, 0, 0, 1, 0]),
-            (Source::GlobalPush, Some(Burst::Global), [0, 0, 0, 0, 1]),
+            (Source::Chunk, None, [0, 0, 0, 0]),
+            (Source::Requeue, Some(Burst::Global), [1, 0, 0, 0]),
+            (Source::RailRequeue, Some(Burst::Device), [1, 0, 0, 0]),
+            (Source::LocalSteal, Some(Burst::Block), [0, 1, 0, 0]),
+            (Source::GlobalSteal, Some(Burst::Global), [0, 0, 1, 0]),
+            (Source::GlobalPush, Some(Burst::Global), [0, 0, 0, 1]),
         ];
         let grid = stmatch_gpusim::Grid::new(stmatch_gpusim::GridConfig {
             num_blocks: 1,
@@ -1305,11 +1268,10 @@ mod tests {
             shared_mem_per_block: 0,
         })
         .unwrap();
-        for (src, burst, [rail, requeue, local, receive, push]) in table {
+        for (src, burst, [requeue, local, receive, push]) in table {
             let got = grid.launch(|w| src.note(w)).warps[0];
             let want = WarpMetrics {
                 simt_instructions: burst.map_or(0, |b| Cost::Transfer(b).price().0),
-                shard_steal_receives: rail,
                 requeue_claims: requeue,
                 local_steals: local,
                 global_steal_receives: receive,
@@ -1480,48 +1442,31 @@ mod tests {
     }
 
     #[test]
-    fn rail_serves_own_range_then_steals() {
-        let rail = ShardRail::new(&[0, 50, 100], 10, true);
-        // Shard 0 drains its own range first, chunk by chunk.
-        for lo in (0..50).step_by(10) {
-            assert_eq!(grant(&rail, 0), Some((lo, lo + 10, Source::Chunk)));
-        }
-        // Next claim steals the tail half of shard 1's untouched range.
-        assert_eq!(grant(&rail, 0), Some((75, 85, Source::RailSteal)));
-        // The follow-up claim continues from the moved range, un-stolen.
-        assert_eq!(grant(&rail, 0), Some((85, 95, Source::Chunk)));
-        assert_eq!(rail.stats().cross_steals, 1);
-        // Everything is eventually claimed exactly once.
-        let mut covered = [false; 100];
-        for (lo, hi) in [(0, 50), (75, 95)] {
-            covered[lo..hi].fill(true);
-        }
-        for shard in [0, 1] {
-            while let Some((lo, hi, _)) = grant(&rail, shard) {
-                for c in covered.iter_mut().take(hi).skip(lo) {
-                    assert!(!*c, "claimed twice");
-                    *c = true;
-                }
+    fn a_shard_claims_exactly_its_own_slice() {
+        let cuts = [0, 23, 100];
+        for (me, sibling) in [(0, 1), (1, 0)] {
+            let rail = ShardRail::new(&cuts, 10);
+            let mut tiled = Vec::new();
+            while let Some((lo, hi, src)) = grant(&rail, me) {
+                assert_eq!(src, Source::Chunk);
+                tiled.push((lo, hi));
             }
+            // Adjacent nonempty chunks from the first cut to the next.
+            assert_eq!(tiled.first().map(|r| r.0), Some(cuts[me]));
+            assert!(tiled.iter().all(|&(lo, hi)| lo < hi && hi - lo <= 10));
+            assert!(tiled.windows(2).all(|w| w[0].1 == w[1].0));
+            assert_eq!(tiled.last().map(|r| r.1), Some(cuts[me + 1]));
+            // The sibling's slice is whole, and none of it is ours to claim.
+            assert!(!rail.has_claimable(me));
+            assert!(rail.has_claimable(sibling));
+            let whole = vec![(cuts[sibling], cuts[sibling + 1])];
+            assert_eq!(rail.drain_remaining(), (whole, Vec::new()));
         }
-        assert!(covered.iter().all(|&c| c));
-        assert!(!rail.has_claimable(0));
-    }
-
-    #[test]
-    fn rail_without_cross_steal_keeps_shards_apart() {
-        let rail = ShardRail::new(&[0, 50, 100], 10, false);
-        while rail.claim(0).is_some() {}
-        assert!(!rail.has_claimable(0), "no stealing: shard 0 is done");
-        assert!(rail.has_claimable(1));
-        let (ranges, payloads) = rail.drain_remaining();
-        assert_eq!(ranges, vec![(50, 100)]);
-        assert!(payloads.is_empty());
     }
 
     #[test]
     fn rail_requeue_blocks_termination_and_roundtrips() {
-        let rail = ShardRail::new(&[0, 10], 10, true);
+        let rail = ShardRail::new(&[0, 10], 10);
         while rail.claim(0).is_some() {}
         assert!(!rail.has_claimable(0));
         rail.mark_shard_dead(0);
@@ -1540,31 +1485,29 @@ mod tests {
         // Shard 0 of 2, warp 0 driving; warp 1's mirror is stealable from
         // the start and a dead sibling's payload already sits on the rail.
         let mut m = WarpMetrics::default();
-        let rail = Arc::new(ShardRail::new(&[0, 10, 30], 10, true));
+        let rail = Arc::new(ShardRail::new(&[0, 10, 30], 10));
         rail.push_requeue(vec![StealPayload::chunk(70, 80)]);
         let mut b = Board::new(1, 2, 2, (0, 0), 10);
         b.attach_rail(rail.clone(), 0);
         b.mirror(1).lock().size[0] = 8;
         assert_eq!(serve(&b, 0, &mut m), Some((Source::Chunk, 0, 10)));
-        // Own queue drained: the grant is the tail half of shard 1's range.
-        assert_eq!(serve(&b, 0, &mut m), Some((Source::RailSteal, 20, 30)));
-        while rail.claim(1).is_some() {}
+        // Own queue drained: shard 1's slice is not ours, the payload is.
         assert!(b.chunks_remain(), "rail payload must block termination");
         assert_eq!(serve(&b, 0, &mut m), Some((Source::RailRequeue, 70, 80)));
-        assert!(!b.chunks_remain());
+        assert!(!b.chunks_remain(), "shard 1's full queue is not claimable");
         assert_eq!(serve(&b, 0, &mut m), Some((Source::LocalSteal, 4, 8)));
         b.mirror(1).lock().size[0] = 0;
         b.mark_idle(1);
         assert!(!b.finished());
         assert_eq!(serve(&b, 0, &mut m), None);
         assert!(b.finished());
-        let stats = rail.stats();
-        assert_eq!((stats.cross_steals, stats.requeue_claims), (1, 1));
+        assert_eq!(rail.stats().requeue_claims, 1);
+        assert_eq!(rail.drain_remaining().0, vec![(10, 30)]);
     }
 
     #[test]
     fn rail_from_parts_distributes_leftovers() {
-        let rail = ShardRail::from_parts(2, 5, false, vec![(0, 5), (7, 9), (9, 9)], Vec::new());
+        let rail = ShardRail::from_parts(2, 5, vec![(0, 5), (7, 9), (9, 9)], Vec::new());
         assert_eq!(rail.num_shards(), 2);
         assert_eq!(grant(&rail, 0), Some((0, 5, Source::Chunk)));
         assert_eq!(grant(&rail, 1), Some((7, 9, Source::Chunk)));

@@ -42,9 +42,6 @@ pub struct WarpMetrics {
     pub global_steal_receives: u64,
     /// Work items reclaimed from dead warps (fault recovery path).
     pub requeue_claims: u64,
-    /// Chunk ranges or reclaimed payloads pulled over the cross-shard work
-    /// rail from another shard (sharded execution only).
-    pub shard_steal_receives: u64,
     /// Matches emitted by this warp.
     pub matches_found: u64,
     /// Hub-bitmap membership probes of an operand's row (one O(1) word test
@@ -139,7 +136,6 @@ impl WarpMetrics {
         self.global_steal_pushes += other.global_steal_pushes;
         self.global_steal_receives += other.global_steal_receives;
         self.requeue_claims += other.requeue_claims;
-        self.shard_steal_receives += other.shard_steal_receives;
         self.matches_found += other.matches_found;
         self.bitmap_probe_words += other.bitmap_probe_words;
         self.bitmap_merge_words += other.bitmap_merge_words;

@@ -20,11 +20,10 @@ fn main() {
     );
 
     // --- Multi-device scaling (Fig. 11) ---
-    // One shard grid per device over a static split of the outermost loop
-    // (no cross-device stealing, as in the paper).
+    // One shard grid per device over a static split of the outermost loop,
+    // as in the paper.
     let sharded = |devices: usize| {
-        let mut cfg = EngineConfig::default().with_shards(devices);
-        cfg.shard.cross_steal = false;
+        let cfg = EngineConfig::default().with_shards(devices);
         let out = Engine::new(cfg)
             .run_sharded(&graph, &query)
             .expect("launch");

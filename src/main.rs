@@ -186,9 +186,8 @@ fn engine_config(opts: &Opts) -> EngineConfig {
         grid.warps_per_block = w;
     }
     // `--devices N`: one shard grid per device over the paper's static
-    // split of the outermost loop (§VIII-B) — no cross-device stealing.
+    // split of the outermost loop (§VIII-B).
     cfg.shard.shards = opts.devices.max(1);
-    cfg.shard.cross_steal = false;
     cfg.with_grid(grid)
 }
 

@@ -4,9 +4,10 @@
 //! (1-of-4 and 3-of-4 victims), through the shard recovery ladder, and
 //! as the static multi-device split `--devices N` runs (DESIGN.md §4i).
 //!
-//! The contract under test: a dying shard's reclaimed work lands on the
-//! shared [`ShardRail`] and is re-executed by survivors (or by the
-//! fewer-shards / cold single-grid fallback rounds) — no match lost, none
+//! The contract under test: each shard works only its own slice; a dying
+//! shard's reclaimed stacks land on the shared rail's requeue and are
+//! re-executed by survivors, and the slice it never claimed by the
+//! fewer-shards / cold single-grid recovery rounds — no match lost, none
 //! counted twice, and every shard-death report carries a deterministic
 //! reproduce line.
 
@@ -26,8 +27,8 @@ fn labeled_graph() -> Graph {
 }
 
 /// Per-shard grid: 2 blocks x 2 warps, so a 4-shard run drives 16 warp
-/// threads total — enough for real cross-shard traffic, small enough
-/// that 24-query sweeps stay fast.
+/// threads total — enough for real rail traffic, small enough that
+/// 24-query sweeps stay fast.
 fn grid_2x2() -> GridConfig {
     GridConfig {
         num_blocks: 2,
@@ -89,14 +90,15 @@ fn queries(labeled: bool) -> Vec<(usize, Pattern, u64)> {
 }
 
 /// Runs the full q1..q24 sweep on both fixtures with `kills` of 4 shards
-/// seeded to die, asserting every count against the golden columns.
+/// seeded to die, asserting every count against the golden columns, and
+/// on a clean sweep that every round-0 shard did work on its own slice.
 /// Returns accumulated (warp deaths, shard deaths, requeue pushes+claims,
-/// cross-shard steal receives) for the caller's vacuity guards.
+/// rail requeue receives) for the caller's vacuity guards.
 fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
     let mut deaths = 0usize;
     let mut shard_deaths = 0u64;
     let mut requeues = 0u64;
-    let mut steal_receives = 0u64;
+    let mut rail_receives = 0u64;
     for (graph, labeled) in [(unlabeled_graph(), false), (labeled_graph(), true)] {
         for (qi, q, want) in queries(labeled) {
             let mut engine = Engine::new(sharded_cfg(4));
@@ -119,6 +121,12 @@ fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
                 out.unfinished.is_empty(),
                 "q{qi}: nothing may stay on the rail after recovery"
             );
+            if kills == 0 {
+                assert!(
+                    out.per_shard.iter().all(|s| s.total_instructions() > 0),
+                    "q{qi} labeled={labeled}: a round-0 shard did no work"
+                );
+            }
             if let Some(report) = &out.outcome.fault {
                 deaths += report.deaths.len();
                 assert_eq!(report.escaped_panics, 0, "q{qi}: containment must hold");
@@ -138,62 +146,82 @@ fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
             }
             shard_deaths += out.rail.shard_deaths;
             requeues += out.rail.requeue_pushes + out.rail.requeue_claims;
-            steal_receives += out.outcome.metrics.total().shard_steal_receives;
+            rail_receives += out.rail.requeue_claims;
         }
     }
-    (deaths, shard_deaths, requeues, steal_receives)
+    (deaths, shard_deaths, requeues, rail_receives)
 }
 
 /// Clean 4-shard sweep: every golden number exact on both fixtures, no
-/// fault bookkeeping, and the cross-shard rail demonstrably in use (the
-/// fixtures are skewed, so some shard always drains early and steals).
+/// fault bookkeeping, and every shard at work on its own slice.
 #[test]
 fn clean_sharded_sweep_matches_golden_on_both_fixtures() {
-    let (deaths, shard_deaths, _requeues, steal_receives) = sweep(0, 0);
+    let (deaths, shard_deaths, _requeues, _rail_receives) = sweep(0, 0);
     assert_eq!(deaths, 0, "clean sweep must not report deaths");
     assert_eq!(shard_deaths, 0);
-    assert!(
-        steal_receives > 0,
-        "cross-shard stealing never fired — the sweep is vacuous as a rail test"
-    );
 }
 
-/// One of four shards dies mid-run on every query; survivors steal the
-/// dead shard's unclaimed ranges and re-run its reclaimed subtrees.
+/// One of four shards dies mid-run on every query; survivors re-run its
+/// reclaimed subtrees, and recovery rounds its unclaimed ranges.
 #[test]
 fn one_of_four_shard_death_keeps_counts_exact() {
-    let (deaths, shard_deaths, requeues, steal_receives) = sweep(1, 0x5eed_0001);
+    let (deaths, shard_deaths, requeues, rail_receives) = sweep(1, 0x5eed_0001);
     // A kill at claim ordinal N cannot fire on queries that finish
     // earlier, but across 48 runs the victim must have died many times —
     // otherwise the sweep proves nothing.
     assert!(deaths >= 16, "only {deaths} warp deaths across the sweep");
     assert!(shard_deaths >= 4, "only {shard_deaths} whole-shard deaths");
     assert!(requeues > 0, "no reclaimed work ever crossed the rail");
-    assert!(steal_receives > 0, "survivors never received rail work");
+    assert!(rail_receives > 0, "survivors never received rail work");
 }
 
-/// Three of four shards die; the lone survivor (plus recovery rounds when
-/// the deaths outrun the rail) must still land every golden number.
+/// Three of four shards die; the lone survivor (plus recovery rounds for
+/// what the dead shards left) must still land every golden number.
 #[test]
 fn three_of_four_shard_death_keeps_counts_exact() {
-    let (deaths, shard_deaths, requeues, steal_receives) = sweep(3, 0x5eed_0003);
+    let (deaths, shard_deaths, requeues, rail_receives) = sweep(3, 0x5eed_0003);
     assert!(deaths >= 48, "only {deaths} warp deaths across the sweep");
     assert!(shard_deaths >= 12, "only {shard_deaths} whole-shard deaths");
     assert!(requeues > 0, "no reclaimed work ever crossed the rail");
-    assert!(steal_receives > 0, "survivors never received rail work");
+    assert!(rail_receives > 0, "survivors never received rail work");
 }
 
-/// Every shard dies and cross-steal is off, so round 0 strands the whole
-/// rail: the ladder must halve the shard count, then (with the retry
-/// budget exhausted) fall back to the cold single grid — and the count
-/// must still be exact, with a deterministic `SHARD_KILLS=` line naming
-/// the hand-built kills.
+/// A shard killed at its first claim leaves the rest of its slice
+/// untouched, and no sibling may take it: a recovery round must finish it,
+/// count-exact.
+#[test]
+fn a_dead_shards_untouched_slice_is_finished_by_a_recovery_round() {
+    let g = unlabeled_graph();
+    let q = catalog::paper_query(6);
+    // One warp per shard over equal slices (12 roots, three chunks): the
+    // victim claims one chunk, dies, and never touches the rest.
+    let mut cfg = sharded_cfg(4);
+    cfg.grid.num_blocks = 1;
+    cfg.grid.warps_per_block = 1;
+    cfg.shard.work_aware = false;
+    let out = Engine::new(cfg)
+        .with_fault_plan(FaultPlan::new().shard_kill_at(0, 1))
+        .run_sharded(&g, &q)
+        .unwrap();
+    assert_eq!(out.outcome.count, 2_884);
+    assert_eq!(out.rail.shard_deaths, 1);
+    assert!(
+        !out.degradations.is_empty(),
+        "the untouched slice needs a recovery round"
+    );
+    assert!(out.outcome.fault.as_ref().unwrap().fully_recovered());
+    assert!(out.unfinished.is_empty());
+}
+
+/// Every shard dies, so round 0 strands the whole rail: the ladder must
+/// halve the shard count, then (with the retry budget exhausted) fall back
+/// to the cold single grid — and the count must still be exact, with a
+/// deterministic `SHARD_KILLS=` line naming the hand-built kills.
 #[test]
 fn recovery_ladder_reaches_single_grid_and_stays_exact() {
     let g = unlabeled_graph();
     let q = catalog::paper_query(6);
-    let mut cfg = sharded_cfg(4);
-    cfg.shard.cross_steal = false;
+    let cfg = sharded_cfg(4);
     let kill_all = FaultPlan::new()
         .shard_kill_at(0, 1)
         .shard_kill_at(1, 1)
@@ -220,7 +248,6 @@ fn recovery_ladder_reaches_single_grid_and_stays_exact() {
     // With the retry budget zeroed the ladder skips straight to the cold
     // single-grid fallback.
     let mut cold = sharded_cfg(4);
-    cold.shard.cross_steal = false;
     cold.recovery = RecoveryPolicy {
         shard_retries: 0,
         ..RecoveryPolicy::default()
@@ -254,22 +281,20 @@ fn contiguous_partitioning_is_count_invariant() {
     }
 }
 
-/// The multi-device configuration (`--devices 4`: one shard per device,
-/// cross-device stealing off) is exact, reports every device, and stays
-/// exact with a reproduce line when a device dies — with no live thief,
-/// the dead device's slice is drained by the recovery ladder.
+/// The multi-device configuration (`--devices 4`: one shard per device
+/// over the static split) is exact, reports every device, and stays exact
+/// with a reproduce line when a device dies — the dead device's slice is
+/// drained by the recovery ladder.
 #[test]
 fn static_multi_device_split_is_exact_and_recovers() {
     let g = unlabeled_graph();
     let q = catalog::paper_query(6);
-    let mut cfg = sharded_cfg(4);
-    cfg.shard.cross_steal = false;
+    let cfg = sharded_cfg(4);
 
     let out = Engine::new(cfg).run_sharded(&g, &q).unwrap();
     assert_eq!(out.outcome.count, 2_884);
     assert_eq!(out.per_shard.len(), 4);
     assert!(out.unfinished.is_empty());
-    assert_eq!(out.rail.cross_steals, 0, "the split is static");
 
     let out = Engine::new(cfg)
         .with_fault_plan(FaultPlan::seeded_shard_kill(0xfade, 4, 1))
@@ -304,7 +329,6 @@ fn timed_out_sharded_run_lists_unfinished_ranges() {
     let mut cfg = sharded_cfg(4);
     cfg.grid.num_blocks = 1;
     cfg.grid.warps_per_block = 1;
-    cfg.shard.cross_steal = false;
     let out = Engine::new(cfg)
         .with_timeout(std::time::Duration::ZERO)
         .run_sharded(&g, &q)

@@ -117,7 +117,6 @@ fn device_partitioning_is_exact_for_many_device_counts() {
     for devices in [1usize, 2, 3, 5, 8] {
         for work_aware in [false, true] {
             let mut cfg = cfg.with_shards(devices);
-            cfg.shard.cross_steal = false;
             cfg.shard.work_aware = work_aware;
             let out = Engine::new(cfg).run_sharded(&g, &p).unwrap();
             assert_eq!(
