@@ -148,8 +148,7 @@ run "smoke:faults" "${CHECK[@]}" faults
 # grep for the expected diagnostic (a timeout kill must not pass as a
 # catch).
 run "smoke:check" "${CHECK[@]}" simt
-for mut in lock-drop:"data race" lock-invert:"cycle" cache-drop:"data race" \
-           rail-drop:"data race on rail"; do
+for mut in lock-drop:"data race" lock-invert:"cycle" cache-drop:"data race"; do
     name=${mut%%:*}; expect=${mut#*:}
     echo "==> smoke:check(mutate=${name}): expecting a caught mutation"
     log=$(mktemp)
@@ -169,15 +168,19 @@ for mut in lock-drop:"data race" lock-invert:"cycle" cache-drop:"data race" \
 done
 
 # Sharded-execution gate: a plain run nobody sharded lands the goldens with
-# zero rail metrics; a clean 4-shard run and the seeded 1-of-4 / 3-of-4
+# no requeue claims; a clean 4-shard run and the seeded 1-of-4 / 3-of-4
 # shard-kill legs must land the exact goldens with the dead shards' work
 # recovered and a deterministic FAULT_SEED reproduce line on every report.
-# `--scaling` adds the 1..16-shard bottleneck-cycle sweep of both static
-# splits (seconds); the gate fails if counts drift or the work-aware split
-# loses to the contiguous one at 16 shards, and the greps hold that every
-# row of the sweep ran.
+# A dead shard finishes its own slice in a salvage pass: the gate fails if
+# no kill-leg run salvaged under the default seed, and the greps hold that
+# both kill legs printed one (`salvage=N`). `--scaling` adds the 1..16-shard
+# bottleneck-cycle sweep of both static splits (seconds); the gate fails if
+# counts drift or the work-aware split loses to the contiguous one at 16
+# shards, and the greps hold that every row of the sweep ran.
 run_and_grep "smoke:shard" \
-    "scaling x1: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
+    "shard q[0-9]+ kill1: OK .* salvage=[1-9]
+shard q[0-9]+ kill3: OK .* salvage=[1-9]
+scaling x1: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
 scaling x2: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
 scaling x4: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
 scaling x8: contiguous [0-9]+ cyc, work-aware [0-9]+ cyc, efficiency
@@ -327,18 +330,22 @@ if [ -n "${knobs}" ]; then
 fi
 echo "==> lint:setops: OK"
 
-# Shard-steal lint: shards split statically (DESIGN.md §4i), so the inert
-# `ShardTuning::cross_steal` and `RailStats::cross_steals` (kept only for
-# `benchmark/`) must not be read or written again, and `Source::RailSteal`
-# must not come back. Allowed: the two definitions and the default's field.
-echo "==> lint:shard: scanning for uses of the inert cross-shard steal names"
-steals=$(grep -rnwE 'cross_steals?|RailSteal' crates src tests examples \
+# Shard lint: a shard is one launch over its own slice (DESIGN.md §4i), so
+# the inert `ShardTuning::cross_steal`, `RailStats::cross_steals` and
+# `ShardedOutcome::degradations` (kept only for `benchmark/`) must not be
+# read or written again, and neither the cross-shard rail nor the shard
+# recovery ladder may come back. Allowed: the definitions and the default's
+# field.
+echo "==> lint:shard: scanning for the inert shard names and the deleted rail"
+steals=$( (grep -rnwE 'cross_steals?|RailSteal' crates src tests examples; \
+    grep -rnE '\b(ShardRail|RailRequeue|attach_rail|shard_retries|ShardStep|recovery_rounds)\b|Burst::Device|\.degradations\b' \
+        crates src tests examples) \
     | grep -vxE 'crates/core/src/config\.rs:[0-9]+: +(pub )?cross_steal: (bool|false),' \
-    | grep -vxE 'crates/core/src/steal\.rs:[0-9]+: +pub cross_steals: u64,' \
+    | grep -vxE 'crates/core/src/shard\.rs:[0-9]+: +pub cross_steals: u64,' \
     || true)
 if [ -n "${steals}" ]; then
     echo "${steals}"
-    echo "==> lint:shard: FAILED — a shard works only its own slice (steal::ShardRail::claim)"
+    echo "==> lint:shard: FAILED — a shard is one launch over its own slice (shard::ShardPlan)"
     exit 1
 fi
 echo "==> lint:shard: OK"

@@ -6,9 +6,9 @@
 //! and exits 1 if an error-severity finding fires or a count drifts: the
 //! zero-false-positive contract, enforced on every CI run.
 //!
-//! `--mutate=lock-drop` / `--mutate=lock-invert` / `--mutate=rail-drop`
-//! replay the seeded concurrency bugs of `stmatch_core::steal::mutation`,
-//! and `--mutate=cache-drop` replays `stmatch_core::service::mutation`'s
+//! `--mutate=lock-drop` / `--mutate=lock-invert` replay the seeded
+//! concurrency bugs of `stmatch_core::steal::mutation`, and
+//! `--mutate=cache-drop` replays `stmatch_core::service::mutation`'s
 //! untracked plan-cache insert; each exits **1 when the checker catches
 //! the bug** (printing the diagnostics and their reproduce lines) and 0
 //! if the mutation escaped. CI inverts the exit code: a silent checker
@@ -21,7 +21,7 @@
 use crate::{fixture, GOLDEN};
 use simt_check::{CheckConfig, Diagnostic, Severity};
 use std::process::ExitCode;
-use stmatch_core::steal::{mutation, Board, ShardRail};
+use stmatch_core::steal::{mutation, Board};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
 use stmatch_pattern::catalog;
 
@@ -30,11 +30,10 @@ use stmatch_pattern::catalog;
 const FAULT_SEED: u64 = 0x16c8;
 const SHARD_KILL_SEED: u64 = 0x1d;
 
-const MUTATIONS: [&str; 4] = [
+const MUTATIONS: [&str; 3] = [
     "--mutate=lock-drop",
     "--mutate=lock-invert",
     "--mutate=cache-drop",
-    "--mutate=rail-drop",
 ];
 
 pub fn run(args: &[String]) -> ExitCode {
@@ -92,9 +91,10 @@ fn run_clean_gate(cfg: CheckConfig) -> ExitCode {
             }
         }
     }
-    // Sharded sweep: four grids trading work over the ShardRail (rank 8),
-    // clean and under a seeded whole-shard kill. The checker must stay
-    // silent while the rail's claim and requeue paths run hot.
+    // Sharded sweep: four concurrent grids, each over its own slice, clean
+    // and under a seeded whole-shard kill whose victim salvages itself. The
+    // checker must stay silent across the concurrent boards and the dead
+    // shard's containment and salvage paths.
     let scfg = EngineConfig::full().with_grid(grid).with_shards(4);
     let kill = FaultPlan::seeded_shard_kill(SHARD_KILL_SEED, 4, 1);
     for (qi, golden) in GOLDEN {
@@ -168,20 +168,6 @@ fn run_mutation(which: &str, cfg: CheckConfig) -> ExitCode {
             assert!(board.try_claim_global(1).is_some());
             board.mark_idle(1);
             let _ = mutation::push_global_inverted(&board, 0);
-        }
-        "rail-drop" => {
-            // A worker claims from the rail under the tracked lock
-            // (rank 8); the host thread then claims with the acquisition
-            // deleted. As with lock-drop, thread join is invisible to the
-            // checker, so only the rail lock could have ordered the two
-            // accesses to the `rail[id]` shadow cell.
-            let rail = ShardRail::new(&[0, 50, 100], 10);
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _ = rail.claim(0);
-                });
-            });
-            let _ = mutation::rail_claim_without_lock(&rail);
         }
         "cache-drop" => {
             // A blocking submit makes a service worker write the plan

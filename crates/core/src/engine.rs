@@ -12,10 +12,10 @@
 //!   reclaim_on_death`]) and requeued on the [`Board`] for survivors, so
 //!   counts stay exact. Deaths are recorded in a [`FaultReport`] on the
 //!   outcome.
-//! * **Stranded work** (all warps of a launch died, or naive mode had no
-//!   idle phase left to absorb a late requeue): bounded *salvage
-//!   relaunches* drain leftover payloads and unclaimed chunks with fault
-//!   injection disabled.
+//! * **Stranded work** (all warps of a launch died — a whole shard of a
+//!   sharded run included — or naive mode had no idle phase left to absorb
+//!   a late requeue): bounded *salvage relaunches* drain leftover payloads
+//!   and unclaimed chunks with fault injection disabled.
 //! * **Launch-planning failures** (shared-memory overflow, global-memory
 //!   OOM): a bounded retry loop walks the count-invariant degradation
 //!   ladder of [`recover::degrade`] and records each rung taken in
@@ -26,9 +26,9 @@ use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
 use crate::recover::{self, DowngradeStep};
-use crate::steal::{Board, ShardRail, StealPayload};
+use crate::steal::{Board, StealPayload};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
@@ -206,17 +206,10 @@ pub(crate) enum Level0<'a> {
     /// Every vertex of the graph, identity-mapped, off the grid's own
     /// chunk dispenser.
     Whole,
-    /// One shard of a sharded run ([`crate::shard`]): the grid owns no
-    /// local range — every level-0 index comes off the cross-shard `rail`
-    /// as grid `shard`, and `order[virtual_index]` is the data vertex. Such
-    /// a launch runs exactly one pass: stranded work goes back to the rail
-    /// (for sibling shards or the driver's recovery rounds) instead of a
-    /// local salvage relaunch.
-    Rail {
-        rail: &'a Arc<ShardRail>,
-        shard: usize,
-        order: &'a [VertexId],
-    },
+    /// One shard of a sharded run ([`crate::shard`]): the shard's slice of
+    /// the level-0 order, off the grid's own dispenser, with
+    /// `slice[virtual_index]` the data vertex.
+    Slice(&'a [VertexId]),
     /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
     /// the update set itself, two virtual indices per stage — the endpoints
     /// of `edges[s]`, each matched on `views[s]` with level 1 pinned to the
@@ -241,8 +234,6 @@ struct Resolved<'a> {
     collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Level-0 virtual indices the grid's own dispenser hands out.
     l0_len: usize,
-    /// The cross-shard rail and this grid's index on it, for sharded runs.
-    rail: Option<(&'a Arc<ShardRail>, usize)>,
 }
 
 impl Engine {
@@ -430,14 +421,11 @@ impl Engine {
         // certificate shrinks one, and is audited after the run below.
         let slab_caps = req.verified.and_then(Verification::footprint_caps);
         // The one place the level-0 domain is decided: how many virtual
-        // indices the grid's own dispenser hands out, how the kernel maps
-        // an index to a data vertex, and the rail a sharded grid draws from
-        // instead.
-        let (l0_len, l0, rail) = match req.domain {
-            Level0::Whole => (graph.num_vertices(), Level0Map::Identity, None),
-            Level0::Rail { rail, shard, order } => {
-                (0, Level0Map::Order(order), Some((rail, shard)))
-            }
+        // indices the grid's dispenser hands out, and how the kernel maps an
+        // index to a data vertex.
+        let (l0_len, l0) = match req.domain {
+            Level0::Whole => (graph.num_vertices(), Level0Map::Identity),
+            Level0::Slice(slice) => (slice.len(), Level0Map::Order(slice)),
             // Anchored launches enumerate from the update edges' endpoints
             // only — the whole point of O(batch) delta cost.
             Level0::Anchored { edges, views } => {
@@ -453,7 +441,7 @@ impl Engine {
                         hx.num_hubs()
                     );
                 }
-                (2 * edges.len(), Level0Map::Staged { edges, views }, None)
+                (2 * edges.len(), Level0Map::Staged { edges, views })
             }
         };
         let mut downgrades: Vec<DowngradeStep> = Vec::new();
@@ -472,7 +460,6 @@ impl Engine {
                 warm: req.warm.filter(|w| w.grid_config() == cfg.grid),
                 collector: req.collector,
                 l0_len,
-                rail,
             };
             // Planning failures happen before any warp runs, so retrying
             // here can never double-count (and never touches `collector`).
@@ -601,9 +588,6 @@ impl Engine {
                 (cursor, r.l0_len),
                 cfg.chunk_size,
             );
-            if let Some((rail, shard)) = r.rail {
-                board.attach_rail(Arc::clone(rail), shard);
-            }
             if !preload.is_empty() {
                 board.preload(std::mem::take(&mut preload));
             }
@@ -634,25 +618,6 @@ impl Engine {
             timed_out = timed_out || aborted;
             cursor = board.chunk_cursor();
             let leftovers = board.take_leftovers();
-            if let Some((rail, shard)) = r.rail {
-                // Sharded grids run exactly one pass: stranded payloads go
-                // back to the rail, where live sibling shards (or the
-                // driver's recovery rounds, see `crate::shard`) pick them
-                // up. A timed-out run is partial by contract and keeps the
-                // plain-engine accounting instead.
-                if aborted {
-                    report.unrecovered += leftovers.len();
-                } else if !leftovers.is_empty() {
-                    rail.push_requeue(leftovers);
-                }
-                if report.deaths.len() >= cfg.grid.total_warps() {
-                    // The whole shard died; record it on the rail. Its
-                    // unclaimed slice stays in its queue for the driver's
-                    // recovery rounds.
-                    rail.mark_shard_dead(shard);
-                }
-                break;
-            }
             let work_remains = !leftovers.is_empty() || cursor < r.l0_len;
             if aborted || !work_remains {
                 // Timed-out (or containment-failed) runs are partial by

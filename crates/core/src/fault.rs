@@ -232,6 +232,24 @@ impl FaultPlan {
         (!kills.is_empty()).then(|| format!("SHARD_KILLS={}", kills.join(",")))
     }
 
+    /// Rejects a plan that kills a shard a `shards`-shard run does not
+    /// have: such a kill could never fire, and a test built on it would
+    /// prove nothing.
+    ///
+    /// # Panics
+    ///
+    /// Naming the shard and the run's shard count.
+    pub(crate) fn check_shard_kills(&self, shards: usize) {
+        for f in &self.faults {
+            if let FaultKind::ShardKill { shard, .. } = f.kind {
+                assert!(
+                    shard < shards,
+                    "shard kill names shard {shard}, but the run has {shards} shard(s)"
+                );
+            }
+        }
+    }
+
     /// True when the plan contains shard-kill faults (meaningful only on
     /// the sharded route).
     pub fn kills_shards(&self) -> bool {

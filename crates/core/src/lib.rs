@@ -57,11 +57,10 @@ pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
 pub use pool::{ArenaPool, WarmSlot};
-pub use recover::{DowngradeStep, RecoveryPolicy, ShardStep};
+pub use recover::{DowngradeStep, RecoveryPolicy};
 pub use service::{
     CacheStats, MatchService, Priority, QueryOptions, ServiceConfig, ServiceError, Ticket,
     WatchEvent, WatchId,
 };
-pub use shard::{ShardPlan, ShardedOutcome};
-pub use steal::RailStats;
+pub use shard::{RailStats, ShardPlan, ShardedOutcome};
 pub use stmatch_gpusim::LaunchError;

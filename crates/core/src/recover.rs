@@ -37,13 +37,9 @@ pub struct RecoveryPolicy {
     pub backoff: Duration,
     /// Maximum salvage relaunches draining work requeued from dead warps
     /// after the main launch returned (naive mode has no idle phase to
-    /// absorb a late requeue; an all-warps-dead grid leaves everything).
+    /// absorb a late requeue; an all-warps-dead grid — a whole dead shard
+    /// of a sharded run — leaves everything).
     pub salvage_relaunches: u32,
-    /// Maximum sharded recovery rounds after a sharded run joins with
-    /// unfinished rail work (shard deaths the live survivors did not fully
-    /// drain). Each round halves the shard count; past the budget the
-    /// driver falls back to one cold single-grid pass (see `shard`).
-    pub shard_retries: u32,
 }
 
 impl Default for RecoveryPolicy {
@@ -52,22 +48,19 @@ impl Default for RecoveryPolicy {
             max_downgrades: 12,
             backoff: Duration::from_millis(1),
             salvage_relaunches: 2,
-            shard_retries: 2,
         }
     }
 }
 
 impl RecoveryPolicy {
     /// No automatic recovery: launch errors surface immediately and
-    /// leftover requeued work is abandoned (reported as `unrecovered`).
-    /// Sharded runs skip the halving rounds and go straight to the cold
-    /// single-grid fallback, which stays count-exact.
+    /// leftover requeued work is abandoned (reported as `unrecovered`) —
+    /// on a sharded run, a dead shard's work included.
     pub fn disabled() -> Self {
         RecoveryPolicy {
             max_downgrades: 0,
             backoff: Duration::ZERO,
             salvage_relaunches: 0,
-            shard_retries: 0,
         }
     }
 }
@@ -109,33 +102,6 @@ impl std::fmt::Display for DowngradeStep {
             DowngradeStep::WarpsPerBlock { from, to } => {
                 write!(f, "warps_per_block {from} -> {to}")
             }
-        }
-    }
-}
-
-/// One rung of the *shard* degradation ladder, recorded in
-/// [`ShardedOutcome::degradations`](crate::shard::ShardedOutcome). Separate
-/// from [`DowngradeStep`]: these rungs change how many grids run, not the
-/// per-grid geometry, and only sharded runs can take them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardStep {
-    /// A recovery round relaunched the leftover work on fewer shards.
-    FewerShards {
-        /// Shard count of the round that left work behind.
-        from: usize,
-        /// Shard count of the recovery round.
-        to: usize,
-    },
-    /// The retry budget ran out; leftovers were finished by one cold
-    /// single-grid pass through the plain engine path.
-    SingleGrid,
-}
-
-impl std::fmt::Display for ShardStep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardStep::FewerShards { from, to } => write!(f, "shards {from} -> {to}"),
-            ShardStep::SingleGrid => write!(f, "cold single-grid fallback"),
         }
     }
 }

@@ -1115,8 +1115,8 @@ mod tests {
         // A shard kill injected per query recovers exactly, and the
         // worker survives to serve the next query. Both shards are marked,
         // and neither can take the other's slice: each works its own until
-        // its warps reach their fatal claim, and the recovery rounds finish
-        // what the dead shards left.
+        // its warps reach their fatal claim, and each dead shard's own
+        // salvage pass finishes the rest of its slice.
         let opts = QueryOptions {
             fault_plan: Some(FaultPlan::seeded_shard_kill(0x7a, 2, 2)),
             ..QueryOptions::default()
@@ -1125,7 +1125,17 @@ mod tests {
         assert_eq!(faulted.count, expected);
         let report = faulted.fault.expect("a shard died");
         assert!(report.fully_recovered());
+        assert!(report.salvage_launches > 0, "a dead shard salvages itself");
         assert!(report.reproduce.is_some());
+        // A kill naming a shard the run does not have fails that query.
+        let opts = QueryOptions {
+            fault_plan: Some(FaultPlan::new().shard_kill_at(7, 1)),
+            ..QueryOptions::default()
+        };
+        match svc.submit(&q, opts) {
+            Err(ServiceError::QueryPanicked(m)) => assert!(m.contains("shard 7"), "{m}"),
+            other => panic!("expected QueryPanicked, got {other:?}"),
+        }
         assert_eq!(
             svc.submit(&q, QueryOptions::default()).unwrap().count,
             expected

@@ -24,10 +24,10 @@
 //! is a [`StealPayload`] tagged with its [`Source`], whose
 //! [`cost`](Source::cost) is the fixed cost model of moving it.
 //!
-//! Shards do not steal from each other. A sharded run's grids share a
-//! [`ShardRail`] that serves each shard its own static slice of the
-//! level-0 domain, as the paper's multi-GPU split does (§VIII-B); the only
-//! work that crosses it is a dead shard's reclaimed stacks.
+//! Every board belongs to one launch. A sharded run is one launch per
+//! shard over that shard's own slice of the level-0 domain, as the paper's
+//! multi-GPU split does (§VIII-B; [`crate::shard`]): shards share no board
+//! state and never steal from each other.
 //!
 //! # Lock hierarchy (declared, checked by simt-check)
 //!
@@ -42,7 +42,6 @@
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
 //! | 6    | `ServiceArenaPool` | `pool::ArenaPool` (reusable warp arenas) | — (never held across engine locks) |
-//! | 8    | `ShardRail`  | `ShardRail::state` (per-shard slices + dead shards' requeue) | — (leaf: queried from claim loops holding nothing; the death path releases every board lock before pushing to the rail) |
 //! | 10   | `GlobalSlot` | `Board::slots[b]` (per-block steal slot)   | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |
 //! | 30   | `Mirror`     | `Mirror::state` (per-warp stealable stack) | `GlobalSlot`        |
@@ -64,9 +63,8 @@
 //! engine's recovery/collection locks are leaves acquired with nothing
 //! held.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Burst, Cost, Site, Warp, WarpMetrics, MAX_WARPS_PER_BLOCK};
 use stmatch_graph::VertexId;
@@ -208,13 +206,10 @@ impl StealPayload {
 /// counter records it. The charges exist nowhere else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Source {
-    /// A level-0 chunk off the board's dispenser or the warp's own shard
-    /// queue: free, uncounted.
+    /// A level-0 chunk off the board's dispenser: free, uncounted.
     Chunk,
     /// A dead warp's stack (or a salvage preload) off the board's requeue.
     Requeue,
-    /// A dead sibling *shard*'s stack off the rail.
-    RailRequeue,
     /// Half of a block sibling's shallowest range (§V-A).
     LocalSteal,
     /// A stack pushed into this block's global slot (§V-B), received.
@@ -227,14 +222,13 @@ pub enum Source {
 impl Source {
     /// The transfer burst the move costs (`None`: free): a short one for an
     /// intra-block stack copy, a longer one for a stack through global
-    /// memory (either side), dearest for a device-to-device copy over the
-    /// rail. The amounts are the cost table's ([`Cost::Transfer`]).
+    /// memory (either side). The amounts are the cost table's
+    /// ([`Cost::Transfer`]).
     pub const fn cost(self) -> Option<Burst> {
         match self {
             Source::Chunk => None,
             Source::LocalSteal => Some(Burst::Block),
             Source::Requeue | Source::GlobalSteal | Source::GlobalPush => Some(Burst::Global),
-            Source::RailRequeue => Some(Burst::Device),
         }
     }
 
@@ -247,197 +241,11 @@ impl Source {
         let m = warp.metrics_mut();
         match self {
             Source::Chunk => {}
-            Source::Requeue | Source::RailRequeue => m.requeue_claims += 1,
+            Source::Requeue => m.requeue_claims += 1,
             Source::LocalSteal => m.local_steals += 1,
             Source::GlobalSteal => m.global_steal_receives += 1,
             Source::GlobalPush => m.global_steal_pushes += 1,
         }
-    }
-}
-
-/// Counters published by the rail, read after the sharded run joins.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RailStats {
-    /// Inert, always 0: shards never steal from each other. Kept because
-    /// `benchmark/` reads it.
-    pub cross_steals: u64,
-    /// Reclaimed payloads pushed onto the rail by dying shards.
-    pub requeue_pushes: u64,
-    /// Rail payloads claimed by surviving shards.
-    pub requeue_claims: u64,
-    /// Whole-shard deaths recorded this run.
-    pub shard_deaths: u64,
-}
-
-struct RailState {
-    /// Per-shard unclaimed level-0 ranges (virtual indices); only shard
-    /// `s` claims from `queues[s]`.
-    queues: Vec<VecDeque<(usize, usize)>>,
-    /// Payloads reclaimed from dead shards, claimable by any survivor.
-    requeue: Vec<StealPayload>,
-    /// Shards whose grids died entirely (bookkeeping for reports; a dead
-    /// shard's unclaimed ranges stay in its queue until the driver's
-    /// recovery rounds drain them).
-    dead: Vec<bool>,
-    stats: RailStats,
-}
-
-/// The rail connecting the per-shard [`Board`]s of a sharded run: one
-/// level-0 dispenser per shard, each serving only its own static slice,
-/// plus a shared requeue that carries a dead shard's reclaimed stacks to
-/// its live siblings.
-///
-/// One mutex guards the whole rail (class `ShardRail`, rank 8 — below every
-/// board lock, see the module hierarchy table). The rail is far off any
-/// per-iteration hot path: it is consulted once per level-0 chunk, not per
-/// candidate.
-pub struct ShardRail {
-    /// Process-unique instance id (shadow-cell identity for the race
-    /// checker).
-    check_id: u32,
-    chunk_size: usize,
-    state: Mutex<RailState>,
-}
-
-impl ShardRail {
-    /// Builds a rail whose shard `s` owns the range `[cuts[s], cuts[s+1])`.
-    pub fn new(cuts: &[usize], chunk_size: usize) -> ShardRail {
-        assert!(cuts.len() >= 2, "need at least one shard");
-        assert!(chunk_size >= 1);
-        assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must be sorted");
-        let queues = cuts
-            .windows(2)
-            .map(|w| {
-                if w[0] < w[1] {
-                    VecDeque::from([(w[0], w[1])])
-                } else {
-                    VecDeque::new()
-                }
-            })
-            .collect::<Vec<_>>();
-        Self::with_queues(queues, Vec::new(), chunk_size)
-    }
-
-    /// Builds a rail from leftover work of a previous round (recovery
-    /// relaunch): `ranges` are distributed round-robin over `shards`.
-    pub fn from_parts(
-        shards: usize,
-        chunk_size: usize,
-        ranges: Vec<(usize, usize)>,
-        payloads: Vec<StealPayload>,
-    ) -> ShardRail {
-        assert!(shards >= 1);
-        let mut queues: Vec<VecDeque<(usize, usize)>> =
-            (0..shards).map(|_| VecDeque::new()).collect();
-        for (i, r) in ranges.into_iter().filter(|r| r.0 < r.1).enumerate() {
-            queues[i % shards].push_back(r);
-        }
-        Self::with_queues(queues, payloads, chunk_size)
-    }
-
-    fn with_queues(
-        queues: Vec<VecDeque<(usize, usize)>>,
-        requeue: Vec<StealPayload>,
-        chunk_size: usize,
-    ) -> ShardRail {
-        let shards = queues.len();
-        ShardRail {
-            check_id: simt_check::next_object_id(),
-            chunk_size,
-            state: Mutex::new(RailState {
-                queues,
-                requeue,
-                dead: vec![false; shards],
-                stats: RailStats::default(),
-            }),
-        }
-    }
-
-    /// Number of shards this rail coordinates.
-    pub fn num_shards(&self) -> usize {
-        self.lock_state().queues.len()
-    }
-
-    /// Locks the rail state (class `ShardRail`, rank 8). Counts as a write
-    /// access to the `rail` shadow cell at the caller's line.
-    #[track_caller]
-    fn lock_state(&self) -> simt_check::Tracked<'_, RailState> {
-        let guard = simt_check::tracked_lock(&self.state, simt_check::LockClass::ShardRail, 0);
-        simt_check::note_write_at(
-            simt_check::Cell::rail(self.check_id),
-            std::panic::Location::caller(),
-        );
-        guard
-    }
-
-    /// Pops one chunk off the front range of `q`.
-    fn carve(q: &mut VecDeque<(usize, usize)>, chunk: usize) -> Option<(usize, usize)> {
-        let (lo, hi) = q.pop_front()?;
-        let mid = (lo + chunk).min(hi);
-        if mid < hi {
-            q.push_front((mid, hi));
-        }
-        Some((lo, mid))
-    }
-
-    /// Claims the next chunk of `shard`'s own slice, or `None` once it is
-    /// drained. A dead shard's untouched ranges stay in its queue for the
-    /// driver's recovery rounds ([`ShardRail::drain_remaining`]).
-    pub fn claim(&self, shard: usize) -> Option<(StealPayload, Source)> {
-        let (lo, hi) = Self::carve(&mut self.lock_state().queues[shard], self.chunk_size)?;
-        Some((StealPayload::chunk(lo, hi), Source::Chunk))
-    }
-
-    /// Claims one reclaimed payload off the rail.
-    pub fn pop_requeue(&self) -> Option<StealPayload> {
-        let mut st = self.lock_state();
-        let p = st.requeue.pop()?;
-        st.stats.requeue_claims += 1;
-        Some(p)
-    }
-
-    /// Returns work reclaimed from a dead shard to the rail. Called by the
-    /// shard driver after that shard's grid joined — never from inside a
-    /// warp, so no board lock is ever held across this acquisition.
-    pub fn push_requeue(&self, payloads: Vec<StealPayload>) {
-        if payloads.is_empty() {
-            return;
-        }
-        let mut st = self.lock_state();
-        st.stats.requeue_pushes += payloads.len() as u64;
-        st.requeue.extend(payloads);
-    }
-
-    /// Records the death of a whole shard (every warp of its grid died).
-    pub fn mark_shard_dead(&self, shard: usize) {
-        let mut st = self.lock_state();
-        if !st.dead[shard] {
-            st.dead[shard] = true;
-            st.stats.shard_deaths += 1;
-        }
-    }
-
-    /// True while `shard`'s warps could still obtain work from the rail:
-    /// its own queue or the shared requeue. Drives `Board::chunks_remain` —
-    /// and through it the per-board termination test — for rail-attached
-    /// boards.
-    pub fn has_claimable(&self, shard: usize) -> bool {
-        let st = self.lock_state();
-        !st.requeue.is_empty() || !st.queues[shard].is_empty()
-    }
-
-    /// Post-join drain for the driver's recovery rounds: every unclaimed
-    /// range and every unclaimed payload still on the rail.
-    pub fn drain_remaining(&self) -> (Vec<(usize, usize)>, Vec<StealPayload>) {
-        let mut st = self.lock_state();
-        let ranges: Vec<(usize, usize)> = st.queues.iter_mut().flat_map(std::mem::take).collect();
-        let payloads = std::mem::take(&mut st.requeue);
-        (ranges, payloads)
-    }
-
-    /// Rail counters (read after the run joins).
-    pub fn stats(&self) -> RailStats {
-        self.lock_state().stats
     }
 }
 
@@ -476,16 +284,12 @@ pub struct Board {
     abort: AtomicBool,
     /// Optional wall-clock deadline for the launch.
     deadline: Option<Instant>,
-    /// Cross-shard attachment `(rail, my shard)`. When set, level-0 chunks
-    /// come from the shared rail instead of this board's own dispenser
-    /// (construct the board with an empty `(0, 0)` range).
-    rail: Option<(Arc<ShardRail>, usize)>,
 }
 
 impl Board {
     /// Creates the board for a grid of `num_blocks × warps_per_block` warps
-    /// over the level-0 vertex range `[start, end)` (a full graph uses
-    /// `(0, num_vertices)`; sharded grids pass `(0, 0)` and draw from the rail).
+    /// over the level-0 range `[start, end)` of virtual indices (a fresh
+    /// launch passes `(0, len)`, a salvage pass resumes at the cursor).
     pub fn new(
         num_blocks: usize,
         warps_per_block: usize,
@@ -521,20 +325,7 @@ impl Board {
             chunk_size,
             abort: AtomicBool::new(false),
             deadline: None,
-            rail: None,
         }
-    }
-
-    /// Attaches this board to a cross-shard rail as shard `shard`. The
-    /// board must have been built with an empty level-0 range — the rail
-    /// replaces the local dispenser entirely.
-    pub fn attach_rail(&mut self, rail: Arc<ShardRail>, shard: usize) {
-        assert!(
-            // Relaxed: `&mut self` means no concurrent dispenser traffic.
-            self.chunk_next.load(Ordering::Relaxed) >= self.num_vertices,
-            "rail-attached boards must not own a local level-0 range"
-        );
-        self.rail = Some((rail, shard));
     }
 
     /// Sets a wall-clock deadline; warps poll it via [`Board::check_deadline`]
@@ -604,18 +395,16 @@ impl Board {
     /// `me` owns a work item and returns it with its [`Source`], or `None`
     /// when the warp should exit (launch finished or cancelled, or — both
     /// steal levels off — level 0 exhausted). First hit wins; the warp is
-    /// *busy* through step 4 and again once a step-6/7 claim succeeds:
+    /// *busy* through step 3 and again once a step-5/6 claim succeeds:
     ///
-    /// 1. a level-0 chunk — own dispenser, or the rail's queue for this
-    ///    board's shard;
+    /// 1. a level-0 chunk off the board's dispenser;
     /// 2. a stack on the board's requeue (dead warps, salvage preload);
-    /// 3. a stack on the rail's requeue (dead sibling shards);
-    /// 4. `local_steal`: half of a block sibling's shallowest range;
-    /// 5. both steal levels off: exit. Otherwise mark idle and poll:
+    /// 3. `local_steal`: half of a block sibling's shallowest range;
+    /// 4. both steal levels off: exit. Otherwise mark idle and poll:
     ///    `finished()` or the deadline → exit; chunks remain or a local
     ///    victim appeared → mark busy, restart from 1;
-    /// 6. `global_steal`: a stack pushed to the block's global slot;
-    /// 7. the board's requeue again (a death can land work after step 2).
+    /// 5. `global_steal`: a stack pushed to the block's global slot;
+    /// 6. the board's requeue again (a death can land work after step 2).
     ///
     /// `m` gets what belongs to acquiring, not to the item acquired:
     /// `local_steal_attempts` and `idle_nanos`. Charging the item is the
@@ -637,11 +426,6 @@ impl Board {
             }
             if let Some(p) = self.claim_requeued_busy() {
                 return Some((p, Source::Requeue));
-            }
-            // Rail payloads are outside this board's `pending` count; the
-            // termination test sees them through `chunks_remain`.
-            if let Some(p) = self.rail.as_ref().and_then(|(rail, _)| rail.pop_requeue()) {
-                return Some((p, Source::RailRequeue));
             }
             if local_steal {
                 m.local_steal_attempts += 1;
@@ -686,12 +470,8 @@ impl Board {
     }
 
     /// Claims the next chunk of the level-0 domain (Fig. 4's
-    /// `getCandidates` at level 0): off the rail when attached, else off
-    /// the board's own dispenser.
+    /// `getCandidates` at level 0) off the board's dispenser.
     fn claim_chunk(&self) -> Option<(StealPayload, Source)> {
-        if let Some((rail, shard)) = &self.rail {
-            return rail.claim(*shard);
-        }
         loop {
             // Relaxed CAS loop: the dispenser is a pure counter — chunk
             // ownership is established by the CAS itself and the claimed
@@ -717,12 +497,6 @@ impl Board {
 
     /// True while unclaimed level-0 chunks remain.
     fn chunks_remain(&self) -> bool {
-        if let Some((rail, shard)) = &self.rail {
-            // Rail work (own queue, reclaimed payloads) is not counted in
-            // `pending`; the termination test sees it through this branch
-            // instead.
-            return rail.has_claimable(*shard);
-        }
         // Relaxed: the cursor is monotone, so a stale read can only claim
         // "chunks remain" when they are already gone — the caller then
         // issues a real `claim_chunk` (CAS) and learns the truth; spurious
@@ -882,33 +656,19 @@ impl Board {
         false
     }
 
-    /// Claims a payload pushed to `block`'s slot, transitioning the caller
-    /// busy in the same critical section.
-    ///
-    /// Plain grids serve only the caller's own block: `finished()` is
-    /// stable there, so a pushed payload always has a live claimant in its
-    /// target block. Rail-attached grids widen the scan to every block
-    /// (own block first): a late rail requeue can leave a single warp in
-    /// the loop after its siblings exited with their idle bits still set —
-    /// the push detector then targets an *exited* block, and a payload
-    /// parked on that slot would strand `pending` above zero forever,
-    /// spinning the last warp on a termination test that can never pass.
+    /// Claims a payload pushed to the caller's block slot, transitioning
+    /// the caller busy in the same critical section. Only the caller's own
+    /// block is served: `finished()` is stable, so a pushed payload always
+    /// has a live claimant in its target block.
     pub fn try_claim_global(&self, me: usize) -> Option<StealPayload> {
-        let my_block = me / self.warps_per_block;
-        let blocks = self.is_idle.len();
-        let widen = self.rail.is_some();
-        for b in std::iter::once(my_block).chain((0..blocks).filter(|&b| widen && b != my_block)) {
-            let mut slot = self.lock_slot(b);
-            if let Some(payload) = slot.take() {
-                // Become busy *before* decrementing pending (SeqCst both)
-                // so `finished()` can never observe both counters at zero
-                // while work is in flight.
-                self.mark_busy(me);
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                return Some(payload);
-            }
-        }
-        None
+        let mut slot = self.lock_slot(me / self.warps_per_block);
+        let payload = slot.take()?;
+        // Become busy *before* decrementing pending (SeqCst both) so
+        // `finished()` can never observe both counters at zero while work
+        // is in flight.
+        self.mark_busy(me);
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+        Some(payload)
     }
 
     // --- Fault containment and recovery ------------------------------
@@ -1113,19 +873,6 @@ pub mod mutation {
         }
         false
     }
-
-    /// Mutation **rail-drop**: a rail claim with the `ShardRail::lock_state`
-    /// acquisition deleted. No acquire event reaches the checker, so the
-    /// access carries no happens-before edge to any tracked rail access —
-    /// the race detector must report it, naming the `rail[id]` cell and
-    /// both sites.
-    pub fn rail_claim_without_lock(rail: &ShardRail) -> Option<(usize, usize)> {
-        let mut st = rail.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // The access event fires at *this* line (the mutation site).
-        simt_check::note_write(simt_check::Cell::rail(rail.check_id));
-        let q = st.queues.iter_mut().find(|q| !q.is_empty())?;
-        ShardRail::carve(q, rail.chunk_size)
-    }
 }
 
 #[cfg(test)]
@@ -1241,6 +988,10 @@ mod tests {
             assert!(b.try_push_global(0), "wpb={wpb}");
             // Slot now full; a second push is refused.
             assert!(!b.try_push_global(0));
+            assert!(
+                b.try_claim_global(0).is_none(),
+                "a block-0 warp cannot claim block 1's slot"
+            );
             let p = b.try_claim_global(wpb).unwrap();
             assert_eq!((p.lo, p.hi), (20, 40));
             assert!(b.try_claim_global(wpb + 1).is_none());
@@ -1257,7 +1008,6 @@ mod tests {
         let table = [
             (Source::Chunk, None, [0, 0, 0, 0]),
             (Source::Requeue, Some(Burst::Global), [1, 0, 0, 0]),
-            (Source::RailRequeue, Some(Burst::Device), [1, 0, 0, 0]),
             (Source::LocalSteal, Some(Burst::Block), [0, 1, 0, 0]),
             (Source::GlobalSteal, Some(Burst::Global), [0, 0, 1, 0]),
             (Source::GlobalPush, Some(Burst::Global), [0, 0, 0, 1]),
@@ -1434,84 +1184,6 @@ mod tests {
         assert!(b2.claim_requeued_busy().is_some());
         assert!(b2.claim_requeued_busy().is_some());
         assert!(b2.claim_requeued_busy().is_none());
-    }
-
-    /// One rail claim as `(lo, hi, source)`.
-    fn grant(rail: &ShardRail, shard: usize) -> Option<(usize, usize, Source)> {
-        rail.claim(shard).map(|(p, src)| (p.lo, p.hi, src))
-    }
-
-    #[test]
-    fn a_shard_claims_exactly_its_own_slice() {
-        let cuts = [0, 23, 100];
-        for (me, sibling) in [(0, 1), (1, 0)] {
-            let rail = ShardRail::new(&cuts, 10);
-            let mut tiled = Vec::new();
-            while let Some((lo, hi, src)) = grant(&rail, me) {
-                assert_eq!(src, Source::Chunk);
-                tiled.push((lo, hi));
-            }
-            // Adjacent nonempty chunks from the first cut to the next.
-            assert_eq!(tiled.first().map(|r| r.0), Some(cuts[me]));
-            assert!(tiled.iter().all(|&(lo, hi)| lo < hi && hi - lo <= 10));
-            assert!(tiled.windows(2).all(|w| w[0].1 == w[1].0));
-            assert_eq!(tiled.last().map(|r| r.1), Some(cuts[me + 1]));
-            // The sibling's slice is whole, and none of it is ours to claim.
-            assert!(!rail.has_claimable(me));
-            assert!(rail.has_claimable(sibling));
-            let whole = vec![(cuts[sibling], cuts[sibling + 1])];
-            assert_eq!(rail.drain_remaining(), (whole, Vec::new()));
-        }
-    }
-
-    #[test]
-    fn rail_requeue_blocks_termination_and_roundtrips() {
-        let rail = ShardRail::new(&[0, 10], 10);
-        while rail.claim(0).is_some() {}
-        assert!(!rail.has_claimable(0));
-        rail.mark_shard_dead(0);
-        rail.push_requeue(vec![StealPayload::chunk(3, 7)]);
-        assert!(rail.has_claimable(0), "requeued payload must be claimable");
-        let p = rail.pop_requeue().unwrap();
-        assert_eq!((p.lo, p.hi), (3, 7));
-        let s = rail.stats();
-        assert_eq!(s.requeue_pushes, 1);
-        assert_eq!(s.requeue_claims, 1);
-        assert_eq!(s.shard_deaths, 1);
-    }
-
-    #[test]
-    fn acquire_serves_a_rail_attached_board_through_the_rail() {
-        // Shard 0 of 2, warp 0 driving; warp 1's mirror is stealable from
-        // the start and a dead sibling's payload already sits on the rail.
-        let mut m = WarpMetrics::default();
-        let rail = Arc::new(ShardRail::new(&[0, 10, 30], 10));
-        rail.push_requeue(vec![StealPayload::chunk(70, 80)]);
-        let mut b = Board::new(1, 2, 2, (0, 0), 10);
-        b.attach_rail(rail.clone(), 0);
-        b.mirror(1).lock().size[0] = 8;
-        assert_eq!(serve(&b, 0, &mut m), Some((Source::Chunk, 0, 10)));
-        // Own queue drained: shard 1's slice is not ours, the payload is.
-        assert!(b.chunks_remain(), "rail payload must block termination");
-        assert_eq!(serve(&b, 0, &mut m), Some((Source::RailRequeue, 70, 80)));
-        assert!(!b.chunks_remain(), "shard 1's full queue is not claimable");
-        assert_eq!(serve(&b, 0, &mut m), Some((Source::LocalSteal, 4, 8)));
-        b.mirror(1).lock().size[0] = 0;
-        b.mark_idle(1);
-        assert!(!b.finished());
-        assert_eq!(serve(&b, 0, &mut m), None);
-        assert!(b.finished());
-        assert_eq!(rail.stats().requeue_claims, 1);
-        assert_eq!(rail.drain_remaining().0, vec![(10, 30)]);
-    }
-
-    #[test]
-    fn rail_from_parts_distributes_leftovers() {
-        let rail = ShardRail::from_parts(2, 5, vec![(0, 5), (7, 9), (9, 9)], Vec::new());
-        assert_eq!(rail.num_shards(), 2);
-        assert_eq!(grant(&rail, 0), Some((0, 5, Source::Chunk)));
-        assert_eq!(grant(&rail, 1), Some((7, 9, Source::Chunk)));
-        assert!(rail.claim(0).is_none(), "empty range was dropped");
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub enum Burst {
     Block,
     /// A stack through global memory (a requeue, a global steal or its push).
     Global,
-    /// A device-to-device copy over the cross-shard rail.
-    Device,
 }
 
 /// How each wave of a [`Cost::Stream`] closes: the ballots it issues.
@@ -113,7 +111,6 @@ impl Cost {
             }
             Cost::Transfer(Burst::Block) => (32, 0, 0),
             Cost::Transfer(Burst::Global) => (256, 0, 0),
-            Cost::Transfer(Burst::Device) => (512, 0, 0),
         }
     }
 }
@@ -218,7 +215,6 @@ mod tests {
             (Cost::Lanes(33), [2, 64, 33]),
             (Cost::Transfer(Burst::Block), [32, 0, 0]),
             (Cost::Transfer(Burst::Global), [256, 0, 0]),
-            (Cost::Transfer(Burst::Device), [512, 0, 0]),
         ];
         // Slots 0 and 1 price alike: no scan. Each ballot is an instruction
         // that issues no lane slot.

@@ -47,12 +47,6 @@ pub enum LockClass {
     ServicePlanCache,
     /// A pool worker's reusable-arena pool (`pool::ArenaPool`).
     ServiceArenaPool,
-    /// The cross-shard work rail (`shard::ShardRail::state`). Ranked below
-    /// every per-board lock: a shard queries the rail from its claim loop
-    /// holding nothing, and the death path releases the local requeue guard
-    /// before pushing reclaimed payloads onto the rail — so the rail is
-    /// never requested while a board lock is held.
-    ShardRail,
     /// Per-block global steal slot (`Board::slots[b]`).
     GlobalSlot,
     /// The engine-wide reclaimed-work queue (`Board::requeue`).
@@ -73,7 +67,6 @@ impl LockClass {
             LockClass::ServiceAdmission => 2,
             LockClass::ServicePlanCache => 4,
             LockClass::ServiceArenaPool => 6,
-            LockClass::ShardRail => 8,
             LockClass::GlobalSlot => 10,
             LockClass::Requeue => 20,
             LockClass::Mirror => 30,
@@ -89,7 +82,6 @@ impl LockClass {
             LockClass::ServiceAdmission => "ServiceAdmission",
             LockClass::ServicePlanCache => "ServicePlanCache",
             LockClass::ServiceArenaPool => "ServiceArenaPool",
-            LockClass::ShardRail => "ShardRail",
             LockClass::GlobalSlot => "GlobalSlot",
             LockClass::Requeue => "Requeue",
             LockClass::Mirror => "Mirror",
@@ -98,13 +90,12 @@ impl LockClass {
         }
     }
 
-    fn all() -> [LockClass; 10] {
+    fn all() -> [LockClass; 9] {
         [
             LockClass::ServiceGraph,
             LockClass::ServiceAdmission,
             LockClass::ServicePlanCache,
             LockClass::ServiceArenaPool,
-            LockClass::ShardRail,
             LockClass::GlobalSlot,
             LockClass::Requeue,
             LockClass::Mirror,
@@ -117,7 +108,7 @@ impl LockClass {
 /// The declared hierarchy, lowest rank first — rendered into diagnostics so
 /// a violation message carries the rule it broke.
 pub const DECLARED_HIERARCHY: &str = "ServiceGraph(1) < ServiceAdmission(2) < \
-     ServicePlanCache(4) < ServiceArenaPool(6) < ShardRail(8) < GlobalSlot(10) < \
+     ServicePlanCache(4) < ServiceArenaPool(6) < GlobalSlot(10) < \
      Requeue(20) < Mirror(30) < DeathLog(40) < Collector(50)";
 
 thread_local! {

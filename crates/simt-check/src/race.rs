@@ -16,7 +16,6 @@
 //! | `board[i].requeue`   | board instance `i`'s reclaimed-work queue |
 //! | `arena[a].set[s]` | set slab `s` of stack-arena instance `a`     |
 //! | `plan-cache[s]` | the canonical-form plan cache of service instance `s` |
-//! | `rail[r]`       | the cross-shard work rail of sharded run instance `r` |
 //!
 //! Board/arena/service instance ids come from [`crate::next_object_id`],
 //! so two concurrently live boards (e.g. two service pool workers
@@ -42,7 +41,6 @@ enum CellKind {
     Requeue,
     ArenaSet,
     PlanCache,
-    Rail,
 }
 
 impl Cell {
@@ -93,16 +91,6 @@ impl Cell {
             b: 0,
         }
     }
-
-    /// The cross-shard work rail of sharded run instance `rail_id`
-    /// (from [`crate::next_object_id`]).
-    pub fn rail(rail_id: u32) -> Cell {
-        Cell {
-            kind: CellKind::Rail,
-            a: rail_id,
-            b: 0,
-        }
-    }
 }
 
 impl std::fmt::Display for Cell {
@@ -113,7 +101,6 @@ impl std::fmt::Display for Cell {
             CellKind::Requeue => write!(f, "board[{}].requeue", self.a),
             CellKind::ArenaSet => write!(f, "arena[{}].set[{}]", self.a, self.b),
             CellKind::PlanCache => write!(f, "plan-cache[{}]", self.a),
-            CellKind::Rail => write!(f, "rail[{}]", self.a),
         }
     }
 }

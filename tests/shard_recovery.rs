@@ -1,17 +1,16 @@
 //! Sharded-execution golden sweep: the q1..q24 paper evaluation set must
 //! produce *exact* golden counts on both pinned fixture graphs when the
 //! domain is split across shard grids — clean, under whole-shard death
-//! (1-of-4 and 3-of-4 victims), through the shard recovery ladder, and
-//! as the static multi-device split `--devices N` runs (DESIGN.md §4i).
+//! (1-of-4 and 3-of-4 victims, and every shard), and as the static
+//! multi-device split `--devices N` runs (DESIGN.md §4i).
 //!
-//! The contract under test: each shard works only its own slice; a dying
-//! shard's reclaimed stacks land on the shared rail's requeue and are
-//! re-executed by survivors, and the slice it never claimed by the
-//! fewer-shards / cold single-grid recovery rounds — no match lost, none
-//! counted twice, and every shard-death report carries a deterministic
-//! reproduce line.
+//! The contract under test: each shard is one launch over its own slice;
+//! a shard whose warps all die finishes its reclaimed stacks and the rest
+//! of its slice in its own injection-free salvage pass — no match lost,
+//! none counted twice, and every shard-death report carries a
+//! deterministic reproduce line.
 
-use stmatch_core::{Engine, EngineConfig, FaultPlan, RecoveryPolicy, ShardStep};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchOutcome};
 use stmatch_gpusim::{GridConfig, SharedBudget};
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -27,8 +26,8 @@ fn labeled_graph() -> Graph {
 }
 
 /// Per-shard grid: 2 blocks x 2 warps, so a 4-shard run drives 16 warp
-/// threads total — enough for real rail traffic, small enough that
-/// 24-query sweeps stay fast.
+/// threads total — enough for stealing inside each shard, small enough
+/// that 24-query sweeps stay fast.
 fn grid_2x2() -> GridConfig {
     GridConfig {
         num_blocks: 2,
@@ -66,6 +65,14 @@ const GOLDEN: &[(usize, u64, u64)] = &[
     (24, 0, 0),
 ];
 
+/// True when every warp of the shard's grid died: the whole shard did.
+fn whole_shard_died(shard: &MatchOutcome) -> bool {
+    shard
+        .fault
+        .as_ref()
+        .is_some_and(|f| f.deaths.len() >= grid_2x2().total_warps())
+}
+
 fn sharded_cfg(shards: usize) -> EngineConfig {
     EngineConfig::default()
         .with_grid(grid_2x2())
@@ -91,14 +98,13 @@ fn queries(labeled: bool) -> Vec<(usize, Pattern, u64)> {
 
 /// Runs the full q1..q24 sweep on both fixtures with `kills` of 4 shards
 /// seeded to die, asserting every count against the golden columns, and
-/// on a clean sweep that every round-0 shard did work on its own slice.
-/// Returns accumulated (warp deaths, shard deaths, requeue pushes+claims,
-/// rail requeue receives) for the caller's vacuity guards.
-fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
+/// on a clean sweep that every shard did work on its own slice. Returns
+/// accumulated (warp deaths, whole-shard deaths, salvage launches) for the
+/// caller's vacuity guards.
+fn sweep(kills: usize, seed: u64) -> (usize, usize, u32) {
     let mut deaths = 0usize;
-    let mut shard_deaths = 0u64;
-    let mut requeues = 0u64;
-    let mut rail_receives = 0u64;
+    let mut shard_deaths = 0usize;
+    let mut salvages = 0u32;
     for (graph, labeled) in [(unlabeled_graph(), false), (labeled_graph(), true)] {
         for (qi, q, want) in queries(labeled) {
             let mut engine = Engine::new(sharded_cfg(4));
@@ -112,23 +118,17 @@ fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
             );
             assert!(!out.outcome.timed_out, "q{qi}: sharded run must terminate");
             assert_eq!(out.shards, 4);
-            assert_eq!(
-                out.per_shard.len(),
-                4,
-                "q{qi}: round 0 must report every shard"
-            );
-            assert!(
-                out.unfinished.is_empty(),
-                "q{qi}: nothing may stay on the rail after recovery"
-            );
+            assert_eq!(out.per_shard.len(), 4, "q{qi}: must report every shard");
             if kills == 0 {
                 assert!(
                     out.per_shard.iter().all(|s| s.total_instructions() > 0),
-                    "q{qi} labeled={labeled}: a round-0 shard did no work"
+                    "q{qi} labeled={labeled}: a shard did no work"
                 );
             }
+            let dead = out.per_shard.iter().filter(|s| whole_shard_died(s)).count();
             if let Some(report) = &out.outcome.fault {
                 deaths += report.deaths.len();
+                salvages += report.salvage_launches;
                 assert_eq!(report.escaped_panics, 0, "q{qi}: containment must hold");
                 assert!(report.fully_recovered(), "q{qi}: work left stranded");
                 if !report.deaths.is_empty() {
@@ -142,55 +142,51 @@ fn sweep(kills: usize, seed: u64) -> (usize, u64, u64, u64) {
                     );
                 }
             } else {
-                assert_eq!(out.rail.shard_deaths, 0, "q{qi}: deaths without a report");
+                assert_eq!(dead, 0, "q{qi}: deaths without a report");
             }
-            shard_deaths += out.rail.shard_deaths;
-            requeues += out.rail.requeue_pushes + out.rail.requeue_claims;
-            rail_receives += out.rail.requeue_claims;
+            shard_deaths += dead;
         }
     }
-    (deaths, shard_deaths, requeues, rail_receives)
+    (deaths, shard_deaths, salvages)
 }
 
 /// Clean 4-shard sweep: every golden number exact on both fixtures, no
 /// fault bookkeeping, and every shard at work on its own slice.
 #[test]
 fn clean_sharded_sweep_matches_golden_on_both_fixtures() {
-    let (deaths, shard_deaths, _requeues, _rail_receives) = sweep(0, 0);
+    let (deaths, shard_deaths, _salvages) = sweep(0, 0);
     assert_eq!(deaths, 0, "clean sweep must not report deaths");
     assert_eq!(shard_deaths, 0);
 }
 
-/// One of four shards dies mid-run on every query; survivors re-run its
-/// reclaimed subtrees, and recovery rounds its unclaimed ranges.
+/// One of four shards dies mid-run on every query; its own salvage pass
+/// re-runs its reclaimed subtrees and the rest of its slice.
 #[test]
 fn one_of_four_shard_death_keeps_counts_exact() {
-    let (deaths, shard_deaths, requeues, rail_receives) = sweep(1, 0x5eed_0001);
+    let (deaths, shard_deaths, salvages) = sweep(1, 0x5eed_0001);
     // A kill at claim ordinal N cannot fire on queries that finish
     // earlier, but across 48 runs the victim must have died many times —
     // otherwise the sweep proves nothing.
     assert!(deaths >= 16, "only {deaths} warp deaths across the sweep");
     assert!(shard_deaths >= 4, "only {shard_deaths} whole-shard deaths");
-    assert!(requeues > 0, "no reclaimed work ever crossed the rail");
-    assert!(rail_receives > 0, "survivors never received rail work");
+    assert!(salvages > 0, "no dead shard ever ran a salvage pass");
 }
 
-/// Three of four shards die; the lone survivor (plus recovery rounds for
-/// what the dead shards left) must still land every golden number.
+/// Three of four shards die; each salvages itself beside the lone
+/// survivor, and every golden number must still land.
 #[test]
 fn three_of_four_shard_death_keeps_counts_exact() {
-    let (deaths, shard_deaths, requeues, rail_receives) = sweep(3, 0x5eed_0003);
+    let (deaths, shard_deaths, salvages) = sweep(3, 0x5eed_0003);
     assert!(deaths >= 48, "only {deaths} warp deaths across the sweep");
     assert!(shard_deaths >= 12, "only {shard_deaths} whole-shard deaths");
-    assert!(requeues > 0, "no reclaimed work ever crossed the rail");
-    assert!(rail_receives > 0, "survivors never received rail work");
+    assert!(salvages > 0, "no dead shard ever ran a salvage pass");
 }
 
 /// A shard killed at its first claim leaves the rest of its slice
-/// untouched, and no sibling may take it: a recovery round must finish it,
-/// count-exact.
+/// untouched, and no sibling may take it: the dead shard's own salvage
+/// pass must finish it, count-exact, while the other shards run clean.
 #[test]
-fn a_dead_shards_untouched_slice_is_finished_by_a_recovery_round() {
+fn a_dead_shard_finishes_its_own_slice_in_a_salvage_pass() {
     let g = unlabeled_graph();
     let q = catalog::paper_query(6);
     // One warp per shard over equal slices (12 roots, three chunks): the
@@ -204,61 +200,46 @@ fn a_dead_shards_untouched_slice_is_finished_by_a_recovery_round() {
         .run_sharded(&g, &q)
         .unwrap();
     assert_eq!(out.outcome.count, 2_884);
-    assert_eq!(out.rail.shard_deaths, 1);
+    let victim = out.per_shard[0].fault.as_ref().expect("shard 0 died");
+    assert_eq!(victim.deaths.len(), 1, "its one warp died");
     assert!(
-        !out.degradations.is_empty(),
-        "the untouched slice needs a recovery round"
+        victim.salvage_launches > 0,
+        "the untouched slice needs a salvage pass"
     );
-    assert!(out.outcome.fault.as_ref().unwrap().fully_recovered());
-    assert!(out.unfinished.is_empty());
+    assert!(victim.fully_recovered());
+    assert!(
+        out.per_shard[1..].iter().all(|s| s.fault.is_none()),
+        "the other three shards run clean"
+    );
 }
 
-/// Every shard dies, so round 0 strands the whole rail: the ladder must
-/// halve the shard count, then (with the retry budget exhausted) fall back
-/// to the cold single grid — and the count must still be exact, with a
-/// deterministic `SHARD_KILLS=` line naming the hand-built kills.
+/// Every shard dies, so no live grid is left to take anything: each shard
+/// must salvage itself, the count must still be exact, and a deterministic
+/// `SHARD_KILLS=` line must name the hand-built kills.
 #[test]
-fn recovery_ladder_reaches_single_grid_and_stays_exact() {
+fn every_dead_shard_salvages_itself_and_stays_exact() {
     let g = unlabeled_graph();
     let q = catalog::paper_query(6);
-    let cfg = sharded_cfg(4);
     let kill_all = FaultPlan::new()
         .shard_kill_at(0, 1)
         .shard_kill_at(1, 1)
         .shard_kill_at(2, 1)
         .shard_kill_at(3, 1);
-
-    let out = Engine::new(cfg)
-        .with_fault_plan(kill_all.clone())
+    let out = Engine::new(sharded_cfg(4))
+        .with_fault_plan(kill_all)
         .run_sharded(&g, &q)
         .unwrap();
     assert_eq!(out.outcome.count, 2_884, "q6 must survive total shard loss");
-    assert!(out.recovery_rounds >= 1);
-    assert_eq!(
-        out.degradations.first(),
-        Some(&ShardStep::FewerShards { from: 4, to: 2 }),
-        "ladder must halve before falling back"
-    );
+    for (s, shard) in out.per_shard.iter().enumerate() {
+        assert!(whole_shard_died(shard), "shard {s} must die");
+        let report = shard.fault.as_ref().unwrap();
+        assert!(report.salvage_launches > 0, "shard {s} must salvage itself");
+    }
     assert!(out.outcome.fault.as_ref().unwrap().fully_recovered());
     let line = out
         .reproduce
         .expect("hand-built kills need a reproduce line");
     assert!(line.contains("SHARD_KILLS="), "got {line:?}");
-
-    // With the retry budget zeroed the ladder skips straight to the cold
-    // single-grid fallback.
-    let mut cold = sharded_cfg(4);
-    cold.recovery = RecoveryPolicy {
-        shard_retries: 0,
-        ..RecoveryPolicy::default()
-    };
-    let out = Engine::new(cold)
-        .with_fault_plan(kill_all)
-        .run_sharded(&g, &q)
-        .unwrap();
-    assert_eq!(out.outcome.count, 2_884);
-    assert_eq!(out.degradations, vec![ShardStep::SingleGrid]);
-    assert_eq!(out.recovery_rounds, 1);
 }
 
 /// Partitioning mode is count-invariant: contiguous splits (including a
@@ -284,7 +265,7 @@ fn contiguous_partitioning_is_count_invariant() {
 /// The multi-device configuration (`--devices 4`: one shard per device
 /// over the static split) is exact, reports every device, and stays exact
 /// with a reproduce line when a device dies — the dead device's slice is
-/// drained by the recovery ladder.
+/// finished by its own salvage pass.
 #[test]
 fn static_multi_device_split_is_exact_and_recovers() {
     let g = unlabeled_graph();
@@ -294,14 +275,12 @@ fn static_multi_device_split_is_exact_and_recovers() {
     let out = Engine::new(cfg).run_sharded(&g, &q).unwrap();
     assert_eq!(out.outcome.count, 2_884);
     assert_eq!(out.per_shard.len(), 4);
-    assert!(out.unfinished.is_empty());
 
     let out = Engine::new(cfg)
         .with_fault_plan(FaultPlan::seeded_shard_kill(0xfade, 4, 1))
         .run_sharded(&g, &q)
         .unwrap();
     assert_eq!(out.outcome.count, 2_884);
-    assert!(out.unfinished.is_empty());
     if let Some(report) = &out.outcome.fault {
         assert!(report.fully_recovered());
         if !report.deaths.is_empty() {
@@ -310,16 +289,15 @@ fn static_multi_device_split_is_exact_and_recovers() {
     }
 }
 
-/// A sharded run cut short by its deadline is partial but auditable: it
-/// returns `Ok` flagged `timed_out`, counts no more than the full run, and
-/// lists the level-0 ranges it never claimed — disjoint, inside the
-/// domain.
+/// A sharded run cut short by its deadline keeps the single-grid
+/// partial-count contract: it returns `Ok` flagged `timed_out`, counts no
+/// more than the full run, and still reports every shard.
 #[test]
-fn timed_out_sharded_run_lists_unfinished_ranges() {
+fn timed_out_sharded_run_keeps_the_partial_count_contract() {
     // Warps read the clock every 4096 claims, so even a zero budget lets
     // each warp work through its first claims: the domain must be wide
     // enough (8000 roots, >= 7 claims each, against 4 single-warp grids)
-    // that most of it is still on the rail when the deadline is noticed.
+    // that the deadline is noticed before the slices drain.
     let g = gen::preferential_attachment(8000, 3, 5).degree_ordered();
     let q = catalog::triangle();
     let full = Engine::new(EngineConfig::default().with_grid(grid_2x2()))
@@ -335,10 +313,5 @@ fn timed_out_sharded_run_lists_unfinished_ranges() {
         .unwrap();
     assert!(out.outcome.timed_out);
     assert!(out.outcome.count <= full);
-    assert!(!out.unfinished.is_empty(), "the rail cannot have drained");
-    let mut ranges = out.unfinished.clone();
-    ranges.sort_unstable();
-    assert!(ranges.iter().all(|&(lo, hi)| lo < hi));
-    assert!(ranges.windows(2).all(|w| w[0].1 <= w[1].0), "{ranges:?}");
-    assert!(ranges.last().unwrap().1 <= g.num_vertices());
+    assert_eq!(out.per_shard.len(), 4);
 }
