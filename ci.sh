@@ -350,6 +350,23 @@ if [ -n "${steals}" ]; then
 fi
 echo "==> lint:shard: OK"
 
+# Overlay gate: a delta overlay's state is its current rows (DESIGN.md §4k),
+# so the side arrays' merge iterator and fold helpers may not come back, and
+# every vertex-keyed map of the graph crate goes through the one `RowMap`
+# alias and its vertex hasher — a SipHash map on a view's row lookup is the
+# cost this removed. Allowed: the alias itself.
+echo "==> lint:overlay: scanning for the deleted side arrays and SipHash vertex maps"
+overlay=$( (grep -rnwE 'MergedNeighbors|fold_insert|fold_delete|overlay_edges' crates src tests examples; \
+    grep -rn 'HashMap<VertexId' crates/graph/src) \
+    | grep -vxE 'crates/graph/src/csr\.rs:[0-9]+:pub\(crate\) type RowMap = HashMap<VertexId, .*' \
+    || true)
+if [ -n "${overlay}" ]; then
+    echo "${overlay}"
+    echo "==> lint:overlay: FAILED — the overlay holds rows; vertex maps are graph::csr::RowMap"
+    exit 1
+fi
+echo "==> lint:overlay: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true
@@ -360,10 +377,10 @@ echo "==> tree: OK (git status unchanged)"
 # ROADMAP aim 2's success metric, from the gate's own log: `.rs` lines of the
 # engine crate, of the workspace outside `benchmark/`, of the kernel with its
 # modules (`kernel.rs` + `kernel/*.rs`, so code moved into a module cannot
-# hide growth) and of the simulator crate's sources, and the `.enabled` sites
+# hide growth), of the simulator crate's and the graph crate's sources, and the `.enabled` sites
 # left in the engine crate (ROADMAP item 1's count).
 rs_lines() { find "$@" -name '*.rs' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l; }
 enabled_sites=$(cat crates/core/src/*.rs | grep -c '\.enabled' || true)
-echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .) kernel=$(rs_lines crates/core/src/kernel.rs crates/core/src/kernel) gpu-sim=$(rs_lines crates/gpu-sim/src) enabled-sites=${enabled_sites}"
+echo "ci.sh: rs-lines crates/core/src=$(rs_lines crates/core/src) workspace-outside-benchmark=$(rs_lines .) kernel=$(rs_lines crates/core/src/kernel.rs crates/core/src/kernel) gpu-sim=$(rs_lines crates/gpu-sim/src) crates/graph/src=$(rs_lines crates/graph/src) enabled-sites=${enabled_sites}"
 
 echo "ci.sh: all phases passed"

@@ -6,7 +6,8 @@
 //! batch touched. A patched graph ("view") answers every query through the
 //! same API — `neighbors` consults the patch first — so the whole engine
 //! stack runs on views unchanged, while constructing one costs O(touched),
-//! not O(graph). Views are produced by [`crate::delta::DeltaOverlay`],
+//! not O(graph), and finding a row costs one multiply-rotate hash of the
+//! vertex id (`RowMap`). Views are produced by [`crate::delta::DeltaOverlay`],
 //! [`Graph::without_edges`] and — a whole family sharing one versioned row
 //! table — [`Graph::staged_without_edges`]; graphs built normally never
 //! carry a patch.
@@ -14,18 +15,57 @@
 use crate::bitmap::HubBitmapIndex;
 use crate::Label;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Vertex identifier. `u32` keeps the warp stacks compact (the paper stores
 /// candidate sets as 32-bit node ids in GPU global memory).
 pub type VertexId = u32;
 
+/// Hashes a vertex id for [`RowMap`]: one multiply by an odd 64-bit
+/// constant, then a rotate that brings the product's mixed high bits down
+/// to the low bits, where the table takes its bucket index. (A bare
+/// multiply keys buckets on the id's low bits, so strided ids collide;
+/// std's default SipHash costs a dozen rounds on a view's hottest lookup.)
+/// Keys are ids below the graph's fixed vertex count, one entry per
+/// vertex, and the multiply-rotate is a bijection on `u64`: ids chosen to
+/// share buckets lengthen probes, they never merge entries.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct VertexHasher(u64);
+
+impl VertexHasher {
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const ROT: u32 = 41;
+}
+
+impl Hasher for VertexHasher {
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(Self::MUL);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(Self::ROT)
+    }
+}
+
+/// Vertex → its fully merged, sorted row: the one vertex-keyed table a
+/// view reads.
+pub(crate) type RowMap = HashMap<VertexId, Arc<[VertexId]>, BuildHasherDefault<VertexHasher>>;
+
 /// Materialized replacement rows for the vertices an edge batch touched,
 /// plus the patched global aggregates. Shared by every clone of a view.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct GraphPatch {
     /// Fully merged, sorted neighbor list per touched vertex.
-    pub(crate) rows: HashMap<VertexId, Arc<[VertexId]>>,
+    pub(crate) rows: RowMap,
     /// Undirected edge count of the patched graph.
     pub(crate) num_edges: usize,
     /// Upper bound on the patched graph's maximum degree (exact unless a
@@ -211,15 +251,15 @@ impl Graph {
 
     /// A view sharing this graph's arrays, with `patch` rows overriding the
     /// touched vertices, stamped `version`, and (when this graph carries a
-    /// hub index) `patched_index` attached in its place. O(1) beyond what
-    /// the caller already materialized.
+    /// hub index) `patched_index` attached in its place. O(1): the patch is
+    /// shared, not copied.
     pub(crate) fn with_patch(
         &self,
-        patch: GraphPatch,
+        patch: Arc<GraphPatch>,
         version: u64,
         patched_index: Option<HubBitmapIndex>,
     ) -> Graph {
-        self.with_patch_of(Patch::Rows(Arc::new(patch)), version, patched_index)
+        self.with_patch_of(Patch::Rows(patch), version, patched_index)
     }
 
     fn with_patch_of(
@@ -255,12 +295,14 @@ impl Graph {
         if edges.is_empty() {
             return self.clone();
         }
-        let mut removed: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
+        // (vertex, lost neighbor), both directions, grouped by vertex.
+        let mut lost: Vec<(VertexId, VertexId)> = Vec::with_capacity(2 * edges.len());
         for &(u, v) in edges {
             debug_assert_ne!(u, v, "self-loop in without_edges");
-            removed.entry(u).or_default().push(v);
-            removed.entry(v).or_default().push(u);
+            lost.push((u, v));
+            lost.push((v, u));
         }
+        lost.sort_unstable();
         // Start from the existing patch (if any) so rows overridden by an
         // earlier view survive; removal rows then overwrite the touched
         // vertices.
@@ -269,12 +311,13 @@ impl Graph {
             .as_ref()
             .map(|p| p.as_rows().rows.clone())
             .unwrap_or_default();
-        for (v, gone) in removed {
+        for gone in lost.chunk_by(|a, b| a.0 == b.0) {
+            let v = gone[0].0;
             let row: Arc<[VertexId]> = self
                 .neighbors(v)
                 .iter()
                 .copied()
-                .filter(|u| !gone.contains(u))
+                .filter(|&u| gone.binary_search(&(v, u)).is_err())
                 .collect();
             debug_assert_eq!(
                 row.len() + gone.len(),
@@ -290,7 +333,7 @@ impl Graph {
             // for slab sizing.
             max_degree: self.max_degree(),
         };
-        self.with_patch(patch, self.version, None)
+        self.with_patch(Arc::new(patch), self.version, None)
     }
 
     /// One view per edge of an ordered batch side: element `s` is this graph
@@ -948,6 +991,20 @@ mod tests {
                 assert_eq!(again.neighbors(v), want.neighbors(v), "re-patched row {v}");
             }
         }
+    }
+
+    #[test]
+    fn the_vertex_hasher_spreads_strided_ids_over_the_bucket_bits() {
+        use std::hash::BuildHasher;
+        let hasher = std::hash::BuildHasherDefault::<super::VertexHasher>::default();
+        let buckets: std::collections::HashSet<u64> = (0..4096u32)
+            .map(|k| hasher.hash_one(k * 1024) & 0xfff)
+            .collect();
+        assert!(
+            buckets.len() >= 3000,
+            "ids k·1024 fill only {} of 4096 buckets",
+            buckets.len()
+        );
     }
 
     #[test]

@@ -5,32 +5,31 @@
 //! fraud-ring alerting) instead stream edge inserts/deletes and want each
 //! batch applied for O(batch) work, not an O(graph) rebuild. Following the
 //! batch-dynamic literature (see PAPERS.md), [`DeltaOverlay`] keeps the
-//! base CSR untouched and maintains **sorted per-vertex side arrays** of
-//! inserted and deleted neighbors:
+//! base CSR untouched and holds the **current sorted row** of every vertex
+//! whose row differs from the base's, in the one shared table its views
+//! read:
 //!
 //! * [`DeltaOverlay::apply`] normalizes a batch against the current state
 //!   (re-deleting an absent edge or re-inserting a present one nets to
-//!   nothing, insert-then-delete inside one batch cancels), folds the net
-//!   edges into the side arrays, bumps the version, and returns the net
-//!   [`AppliedBatch`] — the exact edge set incremental matching anchors on;
-//! * [`DeltaOverlay::neighbors`] merges `base ∪ inserts ∖ deletes` on the
-//!   fly in one sorted pass;
-//! * [`DeltaOverlay::snapshot`] materializes an O(touched) [`Graph`] *view*
-//!   (patched rows for touched vertices only, hub-bitmap rows word-patched
-//!   in place) that the whole engine stack consumes unchanged;
-//! * [`DeltaOverlay::compact`] folds everything into a fresh CSR once the
+//!   nothing, insert-then-delete inside one batch cancels), rebuilds the
+//!   row of each vertex the net edges touch once, bumps the version, and
+//!   returns the net [`AppliedBatch`] — the exact edge set incremental
+//!   matching anchors on;
+//! * [`DeltaOverlay::neighbors`] is a vertex's current row: the table's,
+//!   else the base's;
+//! * [`DeltaOverlay::snapshot`] is that table behind an `Arc` clone,
+//!   stamped as a [`Graph`] *view* the whole engine stack consumes
+//!   unchanged; a base hub-bitmap index is word-patched with each batch's
+//!   net edges as the batch applies, so a snapshot only clones it;
+//! * [`DeltaOverlay::compact`] folds the rows into a fresh CSR once the
 //!   overlay grows past taste, re-indexing any vertices that became hubs.
 //!
 //! The vertex set is fixed at overlay creation; only edges change.
 
-use crate::csr::{Graph, GraphPatch, VertexId};
+use crate::bitmap::HubBitmapIndex;
+use crate::csr::{Graph, GraphPatch, RowMap, VertexId};
 use crate::stats;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Sorted `(u, v)` pairs with `u < v` — the normal form for a batch's
-/// net edge list.
-type EdgeList = Vec<(VertexId, VertexId)>;
 
 /// One edge insert or delete. Endpoints are unordered (the graph is
 /// undirected); self-loops are rejected at [`DeltaOverlay::apply`] time.
@@ -92,7 +91,7 @@ impl AppliedBatch {
     }
 }
 
-/// Sorted per-vertex insert/delete side arrays over a base [`Graph`].
+/// The current rows of a base [`Graph`] under a stream of edge batches.
 ///
 /// See the module docs for the lifecycle. Not `Sync`-shared: a service
 /// serializes `apply`/`snapshot` behind one lock and hands out snapshot
@@ -100,18 +99,27 @@ impl AppliedBatch {
 #[derive(Clone, Debug)]
 pub struct DeltaOverlay {
     base: Graph,
-    /// `v → sorted neighbors added to v`. Disjoint from `base.neighbors(v)`
-    /// and from `deletes[v]` — `apply` maintains both invariants.
-    inserts: BTreeMap<VertexId, Vec<VertexId>>,
-    /// `v → sorted neighbors removed from v`; always ⊆ `base.neighbors(v)`.
-    deletes: BTreeMap<VertexId, Vec<VertexId>>,
-    /// Undirected edge count of the current (post-overlay) graph.
-    num_edges: usize,
+    /// The current row of every vertex whose row differs from the base's,
+    /// the current edge count and a running upper bound on the degree.
+    /// Shared with every snapshot still alive; `apply` copies the table
+    /// only while one is.
+    patch: Arc<GraphPatch>,
+    /// The base's hub-bitmap index patched through the last batch.
+    index: Option<HubBitmapIndex>,
     /// Bumped once per `apply`; snapshots and patched hub indexes carry it.
     version: u64,
     /// Incrementally maintained `stats::level0_weights` of the current
     /// graph, when [`DeltaOverlay::track_weights`] enabled it.
     weights: Option<Vec<u64>>,
+}
+
+/// A patch with no rows over `base`: its edge count and degree bound.
+fn no_rows(base: &Graph) -> Arc<GraphPatch> {
+    Arc::new(GraphPatch {
+        rows: RowMap::default(),
+        num_edges: base.num_edges(),
+        max_degree: base.max_degree(),
+    })
 }
 
 impl DeltaOverlay {
@@ -124,10 +132,9 @@ impl DeltaOverlay {
         );
         DeltaOverlay {
             version: base.version(),
-            num_edges: base.num_edges(),
+            patch: no_rows(&base),
+            index: base.hub_bitmap().cloned(),
             base,
-            inserts: BTreeMap::new(),
-            deletes: BTreeMap::new(),
             weights: None,
         }
     }
@@ -150,58 +157,39 @@ impl DeltaOverlay {
 
     /// Undirected edge count of the current graph.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.patch.num_edges
     }
 
     /// Degree of `v` in the current graph.
     pub fn degree(&self, v: VertexId) -> usize {
-        self.base.degree(v) + self.side_len(&self.inserts, v) - self.side_len(&self.deletes, v)
+        self.neighbors(v).len()
     }
 
-    fn side_len(&self, side: &BTreeMap<VertexId, Vec<VertexId>>, v: VertexId) -> usize {
-        side.get(&v).map_or(0, Vec::len)
-    }
-
-    fn side(side: &BTreeMap<VertexId, Vec<VertexId>>, v: VertexId) -> &[VertexId] {
-        side.get(&v).map_or(&[], Vec::as_slice)
-    }
-
-    /// Edge test against the current graph: deletes shadow the base, then
-    /// inserts, then the base CSR answers.
+    /// Edge test against the current graph: a binary search of `u`'s
+    /// current row.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if Self::side(&self.deletes, u).binary_search(&v).is_ok() {
-            return false;
-        }
-        if Self::side(&self.inserts, u).binary_search(&v).is_ok() {
-            return true;
-        }
-        self.base.has_edge(u, v)
+        self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// The current sorted neighbor list of `v`, merged lazily: one sorted
-    /// pass over `base.neighbors(v) ∪ inserts[v] ∖ deletes[v]` with no
-    /// allocation.
-    pub fn neighbors(&self, v: VertexId) -> MergedNeighbors<'_> {
-        MergedNeighbors {
-            base: self.base.neighbors(v),
-            ins: Self::side(&self.inserts, v),
-            del: Self::side(&self.deletes, v),
-            bi: 0,
-            ii: 0,
-            di: 0,
+    /// The current sorted neighbor list of `v`.
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        match self.patch.rows.get(&v) {
+            Some(row) => row,
+            None => self.base.neighbors(v),
         }
     }
 
     /// Applies `ops` in order and returns the batch's net effect. Cost is
-    /// O(batch × log + Σ touched-row lengths) — independent of graph size.
+    /// O(batch × log + Σ rows of the net edges' endpoints), one allocation
+    /// per endpoint, plus one copy of the row table while an earlier
+    /// snapshot is alive — independent of graph size.
     ///
     /// # Panics
     /// Panics on self-loops or out-of-range endpoints (the vertex set is
     /// fixed at overlay creation).
     pub fn apply(&mut self, ops: &[EdgeOp]) -> AppliedBatch {
         let n = self.num_vertices() as u32;
-        // Pre/post membership per distinct edge the batch names.
-        let mut fate: BTreeMap<(VertexId, VertexId), (bool, bool)> = BTreeMap::new();
+        let mut named: Vec<(VertexId, VertexId, bool)> = Vec::with_capacity(ops.len());
         for op in ops {
             assert!(op.u != op.v, "self-loop {}-{} in edge batch", op.u, op.v);
             assert!(
@@ -210,39 +198,36 @@ impl DeltaOverlay {
                 op.u,
                 op.v
             );
-            let e = (op.u.min(op.v), op.u.max(op.v));
-            let entry = fate
-                .entry(e)
-                .or_insert_with(|| (self.has_edge(e.0, e.1), false));
-            entry.1 = op.insert;
+            named.push((op.u.min(op.v), op.u.max(op.v), op.insert));
         }
-        let mut inserts = Vec::new();
-        let mut deletes = Vec::new();
-        for (&(u, v), &(pre, post)) in &fate {
-            match (pre, post) {
+        // Stable: each edge's ops keep their batch order, so its last op
+        // decides whether the edge is present after the batch.
+        named.sort_by_key(|&(u, v, _)| (u, v));
+        let mut inserts = Vec::with_capacity(named.len());
+        let mut deletes = Vec::with_capacity(named.len());
+        for ops in named.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (u, v, post) = ops[ops.len() - 1];
+            match (self.has_edge(u, v), post) {
                 (false, true) => inserts.push((u, v)),
                 (true, false) => deletes.push((u, v)),
                 _ => {}
             }
         }
-        // Weight maintenance needs the pre-batch view; capture it before
-        // mutating (O(touched) thanks to the patched snapshot).
+        let changed = !(inserts.is_empty() && deletes.is_empty());
+        // Weight maintenance needs the pre-batch view: an `Arc` clone.
         let pre_view = self
             .weights
             .as_ref()
-            .filter(|_| !(inserts.is_empty() && deletes.is_empty()))
+            .filter(|_| changed)
             .map(|_| self.snapshot());
-        for &(u, v) in &inserts {
-            self.fold_insert(u, v);
-            self.fold_insert(v, u);
-            self.num_edges += 1;
-        }
-        for &(u, v) in &deletes {
-            self.fold_delete(u, v);
-            self.fold_delete(v, u);
-            self.num_edges -= 1;
+        if changed {
+            self.fold(&inserts, &deletes);
         }
         self.version += 1;
+        self.index = self
+            .index
+            .as_ref()
+            .map(|idx| idx.patched(self.version, &inserts, &deletes));
         let applied = AppliedBatch {
             inserts,
             deletes,
@@ -256,124 +241,73 @@ impl DeltaOverlay {
         applied
     }
 
-    /// Folds a net insert of neighbor `t` into `o`'s side arrays: a
-    /// re-insert of a base edge cancels its pending delete, anything else
-    /// lands in the insert array.
-    fn fold_insert(&mut self, o: VertexId, t: VertexId) {
-        if let Some(del) = self.deletes.get_mut(&o) {
-            if let Ok(i) = del.binary_search(&t) {
-                del.remove(i);
-                if del.is_empty() {
-                    self.deletes.remove(&o);
-                }
-                return;
+    /// Rebuilds the row of every endpoint of the net edges once: its
+    /// current row merged with its sorted net inserts and deletes in one
+    /// scratch buffer, then one `Arc` per row. A row that lands back on its
+    /// base row leaves the table.
+    fn fold(&mut self, inserts: &[(VertexId, VertexId)], deletes: &[(VertexId, VertexId)]) {
+        // (endpoint, neighbor, insert) in both directions, sorted by
+        // endpoint then neighbor.
+        let mut ends = Vec::with_capacity(2 * (inserts.len() + deletes.len()));
+        for (edges, insert) in [(inserts, true), (deletes, false)] {
+            for &(u, v) in edges {
+                ends.push((u, v, insert));
+                ends.push((v, u, insert));
             }
         }
-        let ins = self.inserts.entry(o).or_default();
-        let i = ins.binary_search(&t).expect_err("edge absent by netting");
-        ins.insert(i, t);
-    }
-
-    /// Folds a net delete of neighbor `t` out of `o`'s side arrays: a
-    /// delete of a pending insert cancels it, a base edge lands in the
-    /// delete array.
-    fn fold_delete(&mut self, o: VertexId, t: VertexId) {
-        if let Some(ins) = self.inserts.get_mut(&o) {
-            if let Ok(i) = ins.binary_search(&t) {
-                ins.remove(i);
-                if ins.is_empty() {
-                    self.inserts.remove(&o);
+        ends.sort_unstable();
+        let patch = Arc::make_mut(&mut self.patch);
+        patch.num_edges = patch.num_edges + inserts.len() - deletes.len();
+        // No merged row outgrows the degree bound plus its own inserts.
+        let mut buf: Vec<VertexId> = Vec::with_capacity(patch.max_degree + ends.len());
+        for changes in ends.chunk_by(|a, b| a.0 == b.0) {
+            let x = changes[0].0;
+            let base = self.base.neighbors(x);
+            let mut rest = patch.rows.get(&x).map_or(base, |row| row);
+            buf.clear();
+            for &(_, t, insert) in changes {
+                let at = rest.partition_point(|&u| u < t);
+                buf.extend_from_slice(&rest[..at]);
+                rest = &rest[at..];
+                if insert {
+                    debug_assert_ne!(rest.first(), Some(&t), "edge absent by netting");
+                    buf.push(t);
+                } else {
+                    debug_assert_eq!(rest.first(), Some(&t), "edge present by netting");
+                    rest = &rest[1..];
                 }
-                return;
             }
-        }
-        let del = self.deletes.entry(o).or_default();
-        let i = del.binary_search(&t).expect_err("edge present by netting");
-        del.insert(i, t);
-    }
-
-    /// Sorted, deduplicated vertices with non-empty side arrays.
-    fn touched_vertices(&self) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = self
-            .inserts
-            .keys()
-            .chain(self.deletes.keys())
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Net overlay edges (`u < v`, sorted) currently held in the side
-    /// arrays, split (inserts, deletes).
-    fn overlay_edges(&self) -> (EdgeList, EdgeList) {
-        let collect = |side: &BTreeMap<VertexId, Vec<VertexId>>| {
-            side.iter()
-                .flat_map(|(&u, ts)| ts.iter().map(move |&v| (u, v)))
-                .filter(|&(u, v)| u < v)
-                .collect::<Vec<_>>()
-        };
-        (collect(&self.inserts), collect(&self.deletes))
-    }
-
-    /// Materializes the current graph as an O(touched) patched *view* of
-    /// the base: replacement rows only for touched vertices, the base's
-    /// hub-bitmap index (when attached) word-patched in place, version
-    /// stamped. The whole engine stack runs on the view unchanged.
-    pub fn snapshot(&self) -> Graph {
-        if self.inserts.is_empty() && self.deletes.is_empty() {
-            return if self.version == self.base.version() {
-                self.base.clone()
+            buf.extend_from_slice(rest);
+            if buf == base {
+                patch.rows.remove(&x);
             } else {
-                // Batches all netted out: topology equals the base, but the
-                // stamp must advance so stale-index checks stay honest.
-                let (ins, del) = (Vec::new(), Vec::new());
-                let idx = self
-                    .base
-                    .hub_bitmap()
-                    .map(|i| i.patched(self.version, &ins, &del));
-                self.base.with_patch(
-                    GraphPatch {
-                        rows: Default::default(),
-                        num_edges: self.num_edges,
-                        max_degree: self.base.max_degree(),
-                    },
-                    self.version,
-                    idx,
-                )
-            };
+                patch.max_degree = patch.max_degree.max(buf.len());
+                patch.rows.insert(x, Arc::from(&buf[..]));
+            }
         }
-        let mut rows = std::collections::HashMap::new();
-        let mut max_touched = 0usize;
-        for v in self.touched_vertices() {
-            let row: Arc<[VertexId]> = self.neighbors(v).collect::<Vec<_>>().into();
-            max_touched = max_touched.max(row.len());
-            rows.insert(v, row);
-        }
-        let patch = GraphPatch {
-            rows,
-            num_edges: self.num_edges,
-            max_degree: self.base.max_degree().max(max_touched),
-        };
-        let (ins, del) = self.overlay_edges();
-        let idx = self
-            .base
-            .hub_bitmap()
-            .map(|i| i.patched(self.version, &ins, &del));
-        self.base.with_patch(patch, self.version, idx)
     }
 
-    /// Folds the overlay into a fresh CSR: O(n + m). The new base carries
+    /// The current graph as a patched *view* of the base: the overlay's
+    /// row table and hub index shared, version stamped — O(1). The whole
+    /// engine stack runs on the view unchanged.
+    pub fn snapshot(&self) -> Graph {
+        if self.version == self.base.version() {
+            return self.base.clone();
+        }
+        self.base
+            .with_patch(Arc::clone(&self.patch), self.version, self.index.clone())
+    }
+
+    /// Folds the rows into a fresh CSR: O(n + m). The new base carries
     /// the current version, and — when the old base was hub-indexed — a
     /// rebuilt index at the same threshold, which is where vertices that
     /// *became* hubs under inserts finally get rows.
     pub fn compact(&mut self) {
         let n = self.num_vertices();
-        let mut b = crate::GraphBuilder::with_capacity(n, self.num_edges);
+        let mut b = crate::GraphBuilder::with_capacity(n, self.num_edges());
         for v in 0..n as VertexId {
             b.set_label(v, self.base.label(v));
-            for u in self.neighbors(v) {
+            for &u in self.neighbors(v) {
                 if v < u {
                     b.add_edge(v, u);
                 }
@@ -387,8 +321,8 @@ impl DeltaOverlay {
             Some(idx) => g.with_hub_bitmap(idx.threshold()),
             None => g,
         };
-        self.inserts.clear();
-        self.deletes.clear();
+        self.patch = no_rows(&self.base);
+        self.index = self.base.hub_bitmap().cloned();
     }
 
     /// Starts maintaining `stats::level0_weights` incrementally: the full
@@ -407,51 +341,11 @@ impl DeltaOverlay {
     }
 }
 
-/// Lazy sorted merge `base ∪ ins ∖ del` over three sorted slices.
-/// Invariants from the overlay: `ins` is disjoint from `base` and `del`;
-/// `del ⊆ base`.
-pub struct MergedNeighbors<'a> {
-    base: &'a [VertexId],
-    ins: &'a [VertexId],
-    del: &'a [VertexId],
-    bi: usize,
-    ii: usize,
-    di: usize,
-}
-
-impl Iterator for MergedNeighbors<'_> {
-    type Item = VertexId;
-
-    fn next(&mut self) -> Option<VertexId> {
-        loop {
-            let b = self.base.get(self.bi).copied();
-            let i = self.ins.get(self.ii).copied();
-            match (b, i) {
-                (None, None) => return None,
-                (Some(bv), iv) if iv.is_none() || bv < iv.unwrap() => {
-                    self.bi += 1;
-                    // Deleted base neighbors are skipped; `del` is sorted
-                    // in lockstep with `base`, so one cursor suffices.
-                    if self.del.get(self.di) == Some(&bv) {
-                        self.di += 1;
-                        continue;
-                    }
-                    return Some(bv);
-                }
-                (_, Some(iv)) => {
-                    self.ii += 1;
-                    return Some(iv);
-                }
-                _ => unreachable!("both cursors exhausted is handled above"),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use std::collections::BTreeSet;
 
     fn path4() -> Graph {
         // 0-1-2-3
@@ -478,8 +372,8 @@ mod tests {
         assert_eq!(o.num_edges(), 3);
         assert!(o.has_edge(0, 3) && o.has_edge(3, 0));
         assert!(!o.has_edge(1, 2));
-        assert_eq!(o.neighbors(0).collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(o.neighbors(1).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(o.neighbors(0), [1, 3]);
+        assert_eq!(o.neighbors(1), [0]);
         assert_eq!(o.degree(2), 1);
     }
 
@@ -504,51 +398,109 @@ mod tests {
         let batch = o.apply(&[EdgeOp::insert(2, 1)]);
         assert_eq!(batch.inserts, vec![(1, 2)]);
         assert!(o.has_edge(1, 2));
-        // The side arrays are empty again: snapshot degenerates to a
+        // Both rows are their base rows again: the snapshot is a
         // version-stamped view with no replacement rows.
+        assert!(o.patch.rows.is_empty());
         let view = o.snapshot();
         assert_eq!(view.num_edges(), 3);
         assert_eq!(view.version(), 2);
         assert_eq!(view.neighbors(1), path4().neighbors(1));
     }
 
+    /// The graph on `n` vertices with exactly `edges`, built from scratch.
+    fn scratch(n: usize, edges: &BTreeSet<(VertexId, VertexId)>) -> Graph {
+        let mut b = crate::GraphBuilder::new(n);
+        for &(u, v) in edges {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
+
     #[test]
     fn snapshot_views_agree_with_scratch_rebuild() {
-        let g = gen::preferential_attachment(64, 4, 7).degree_ordered();
-        let mut o = DeltaOverlay::new(g.clone());
-        let mut rng = 0x9e3779b97f4a7c15u64;
-        let mut next = move |m: u32| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % m as u64) as u32
-        };
-        for _ in 0..6 {
-            let mut ops = Vec::new();
-            for _ in 0..10 {
-                let (u, v) = (next(64), next(64));
-                if u == v {
-                    continue;
+        for threshold in [None, Some(6)] {
+            let g = gen::preferential_attachment(64, 4, 7).degree_ordered();
+            let g = threshold.map_or(g.clone(), |t| g.with_hub_bitmap(t));
+            let mut o = DeltaOverlay::new(g.clone());
+            let mut edges: BTreeSet<(VertexId, VertexId)> = g.edges().collect();
+            // An absent edge that batch 0 inserts and batch 2 deletes; no
+            // other op touches its endpoints, so their rows return to base.
+            let (a, b) = (0..64)
+                .rev()
+                .flat_map(|u| (0..u).rev().map(move |v| (v, u)))
+                .find(|&(v, u)| !g.has_edge(v, u))
+                .unwrap();
+            let mut rng = 0x9e3779b97f4a7c15u64;
+            let mut next = move |m: u32| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % m as u64) as u32
+            };
+            for round in 0..8 {
+                let mut ops = Vec::new();
+                for _ in 0..10 {
+                    let (u, v) = (next(64), next(64));
+                    if u == v || [u, v].iter().any(|x| [a, b].contains(x)) {
+                        continue;
+                    }
+                    ops.push(if next(2) == 0 {
+                        EdgeOp::insert(u, v)
+                    } else {
+                        EdgeOp::delete(u, v)
+                    });
                 }
-                ops.push(if next(2) == 0 {
-                    EdgeOp::insert(u, v)
-                } else {
-                    EdgeOp::delete(u, v)
-                });
-            }
-            o.apply(&ops);
-            let view = o.snapshot();
-            assert_eq!(view.num_edges(), o.num_edges());
-            for v in view.vertices() {
-                let merged: Vec<_> = o.neighbors(v).collect();
-                assert_eq!(view.neighbors(v), merged.as_slice(), "row {v}");
-                assert!(merged.windows(2).all(|w| w[0] < w[1]), "sorted row {v}");
-                assert_eq!(view.degree(v), o.degree(v));
-            }
-            assert!(view.max_degree() >= view.vertices().map(|v| view.degree(v)).max().unwrap());
-            for u in view.vertices() {
+                match round {
+                    0 => ops.push(EdgeOp::insert(a, b)),
+                    2 => ops.push(EdgeOp::delete(b, a)),
+                    4 => o.compact(),
+                    _ => {}
+                }
+                o.apply(&ops);
+                for op in &ops {
+                    let e = (op.u.min(op.v), op.u.max(op.v));
+                    if op.insert {
+                        edges.insert(e);
+                    } else {
+                        edges.remove(&e);
+                    }
+                }
+                if round == 2 {
+                    for x in [a, b] {
+                        assert!(!o.patch.rows.contains_key(&x), "row {x} is its base row");
+                        assert_eq!(o.neighbors(x), g.neighbors(x), "row {x}");
+                    }
+                }
+                let want = scratch(64, &edges);
+                let view = o.snapshot();
+                assert_eq!(view.num_edges(), want.num_edges(), "round {round}");
+                assert_eq!(o.num_edges(), want.num_edges(), "round {round}");
                 for v in view.vertices() {
-                    assert_eq!(view.has_edge(u, v), o.has_edge(u, v), "({u},{v})");
+                    assert_eq!(
+                        view.neighbors(v),
+                        want.neighbors(v),
+                        "round {round} row {v}"
+                    );
+                    assert_eq!(o.neighbors(v), want.neighbors(v), "round {round} row {v}");
+                    assert_eq!(view.degree(v), o.degree(v));
+                }
+                assert!(view.max_degree() >= want.max_degree());
+                for u in view.vertices() {
+                    for v in view.vertices() {
+                        assert_eq!(view.has_edge(u, v), want.has_edge(u, v), "({u},{v})");
+                        assert_eq!(o.has_edge(u, v), want.has_edge(u, v), "({u},{v})");
+                    }
+                }
+                // The index patched batch by batch answers every hub row
+                // exactly.
+                assert_eq!(view.hub_bitmap().is_some(), threshold.is_some());
+                if let Some(idx) = view.hub_bitmap() {
+                    assert_eq!(idx.version(), view.version());
+                    for h in view.vertices().filter(|&h| idx.is_hub(h)) {
+                        for x in view.vertices() {
+                            assert_eq!(idx.contains(h, x), Some(o.has_edge(h, x)), "({h},{x})");
+                        }
+                    }
                 }
             }
         }

@@ -20,10 +20,10 @@
 //! * [`datasets`] — the registry of scaled-down stand-ins for the paper's
 //!   SNAP graphs (WikiVote, Enron, MiCo, Youtube, LiveJournal, Orkut,
 //!   Friendster).
-//! * [`delta`] — batch-dynamic edge updates: a [`delta::DeltaOverlay`] of
-//!   sorted per-vertex insert/delete side arrays over the immutable CSR,
-//!   with O(touched) snapshot views and hub-bitmap rows patched word-wise
-//!   (DESIGN.md §4k).
+//! * [`delta`] — batch-dynamic edge updates: a [`delta::DeltaOverlay`]
+//!   holding the current rows of updated vertices over the immutable CSR,
+//!   with O(1) snapshot views and hub-bitmap rows patched word-wise per
+//!   batch (DESIGN.md §4k).
 
 pub mod bitmap;
 pub mod builder;

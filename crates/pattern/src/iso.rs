@@ -1,12 +1,16 @@
 //! Pattern-level isomorphism utilities.
 //!
 //! Patterns are at most [`crate::MAX_PATTERN_SIZE`] vertices, so exact
-//! brute-force isomorphism (≤ 8! = 40320 permutations) is instant. These
-//! helpers back the catalog's distinctness checks and give users a way to
-//! canonicalize and deduplicate query sets — e.g. when enumerating all
+//! brute force over vertex permutations (≤ 8! = 40320) is affordable, if
+//! not free: [`canonical_form`] only permutes vertices within their
+//! `(label, degree)` class and builds each candidate on the stack, which
+//! leaves milliseconds only for an 8-vertex pattern whose vertices share
+//! one class (e.g. the 8-cycle). These helpers back the catalog's
+//! distinctness checks, key the service's plan cache, and give users a way
+//! to canonicalize and deduplicate query sets — e.g. when enumerating all
 //! motifs of a size class.
 
-use crate::Pattern;
+use crate::{Pattern, MAX_PATTERN_SIZE};
 
 /// Tests whether two patterns are isomorphic (labels must correspond too).
 pub fn isomorphic(a: &Pattern, b: &Pattern) -> bool {
@@ -68,42 +72,73 @@ pub(crate) fn next_permutation(p: &mut [usize]) -> bool {
     true
 }
 
-/// A canonical form for a pattern: the lexicographically smallest
-/// `(label vector, adjacency bitmask vector)` over all vertex
-/// permutations. Two patterns are isomorphic iff their canonical forms are
-/// equal, so this key can deduplicate motif sets in hash maps.
+/// A canonical form for a pattern: over every vertex order that lists the
+/// vertices in blocks of ascending `(label, degree)` class, the
+/// lexicographically smallest `(label vector, adjacency bitmask vector)`.
+/// The class is an isomorphism invariant, so two patterns are isomorphic
+/// iff their canonical forms are equal, and this key can deduplicate motif
+/// sets in hash maps. The orders tried are the product of the classes'
+/// permutations; the two `Vec`s are the only allocations.
 pub fn canonical_form(p: &Pattern) -> (Vec<u32>, Vec<u8>) {
     let n = p.size();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best: Option<(Vec<u32>, Vec<u8>)> = None;
+    let class = |u: usize| (p.label(u), p.degree(u));
+    // order[i] = the vertex at position i; each block starts ascending.
+    let mut order: [usize; MAX_PATTERN_SIZE] = std::array::from_fn(|i| i);
+    let order = &mut order[..n];
+    order.sort_unstable_by_key(|&u| (class(u), u));
+    // Block b is order[bounds[b]..bounds[b + 1]].
+    let mut bounds = [0usize; MAX_PATTERN_SIZE + 1];
+    let mut blocks = 0;
+    for i in 1..=n {
+        if i == n || class(order[i]) != class(order[i - 1]) {
+            blocks += 1;
+            bounds[blocks] = i;
+        }
+    }
+    let bounds = &bounds[..=blocks];
+    let mut labels = [0u32; MAX_PATTERN_SIZE];
+    for (label, &u) in labels.iter_mut().zip(order.iter()) {
+        *label = p.label(u);
+    }
+    // No vertex is its own neighbor, so no real row is all ones and the
+    // first candidate replaces this.
+    let mut best = [u8::MAX; MAX_PATTERN_SIZE];
     loop {
-        let mut labels = vec![0u32; n];
-        let mut adj = vec![0u8; n];
-        // inverse[original] = position under perm
-        let mut inverse = vec![0usize; n];
-        for (new, &old) in perm.iter().enumerate() {
-            inverse[old] = new;
+        let mut at = [0usize; MAX_PATTERN_SIZE];
+        for (pos, &u) in order.iter().enumerate() {
+            at[u] = pos;
         }
-        for old in 0..n {
-            let new = inverse[old];
-            labels[new] = p.label(old);
-            let mut mask = 0u8;
-            for (other, &inv) in inverse.iter().enumerate() {
-                if p.has_edge(old, other) {
-                    mask |= 1 << inv;
-                }
+        let mut adj = [0u8; MAX_PATTERN_SIZE];
+        for (row, &u) in adj.iter_mut().zip(order.iter()) {
+            let mut rest = p.adj_mask(u);
+            while rest != 0 {
+                *row |= 1 << at[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
             }
-            adj[new] = mask;
         }
-        let key = (labels, adj);
-        if best.as_ref().is_none_or(|b| key < *b) {
-            best = Some(key);
+        if adj[..n] < best[..n] {
+            best = adj;
         }
-        if !next_permutation(&mut perm) {
+        if !next_within_blocks(order, bounds) {
             break;
         }
     }
-    best.expect("non-empty pattern")
+    (labels[..n].to_vec(), best[..n].to_vec())
+}
+
+/// Steps `order` to its next arrangement that moves vertices only within
+/// their blocks, odometer-style from the last block; false (every block
+/// back at its first, ascending arrangement) once all have been seen.
+fn next_within_blocks(order: &mut [usize], bounds: &[usize]) -> bool {
+    for block in bounds.windows(2).rev() {
+        let block = &mut order[block[0]..block[1]];
+        if next_permutation(block) {
+            return true;
+        }
+        // The last permutation is descending: reversed, it is the first.
+        block.reverse();
+    }
+    false
 }
 
 /// Enumerates all connected unlabeled patterns of `n` vertices, up to
@@ -169,6 +204,8 @@ fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
 mod tests {
     use super::*;
     use crate::catalog;
+    use stmatch_testkit::prop::forall;
+    use stmatch_testkit::rng::{Rng, SmallRng};
 
     #[test]
     fn paths_are_isomorphic_under_relabeling() {
@@ -223,6 +260,109 @@ mod tests {
         assert_eq!(all_connected_motifs(3).len(), 2);
         assert_eq!(all_connected_motifs(4).len(), 6);
         assert_eq!(all_connected_motifs(5).len(), 21);
+    }
+
+    /// The canonical form as first written — the smallest key over all n!
+    /// permutations, three `Vec`s per candidate — kept as the reference
+    /// the class-blocked form must induce the same equality as.
+    fn reference_form(p: &Pattern) -> (Vec<u32>, Vec<u8>) {
+        let n = p.size();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut best: Option<(Vec<u32>, Vec<u8>)> = None;
+        loop {
+            let mut labels = vec![0u32; n];
+            let mut adj = vec![0u8; n];
+            let mut inverse = vec![0usize; n];
+            for (new, &old) in perm.iter().enumerate() {
+                inverse[old] = new;
+            }
+            for old in 0..n {
+                let new = inverse[old];
+                labels[new] = p.label(old);
+                let mut mask = 0u8;
+                for (other, &inv) in inverse.iter().enumerate() {
+                    if p.has_edge(old, other) {
+                        mask |= 1 << inv;
+                    }
+                }
+                adj[new] = mask;
+            }
+            let key = (labels, adj);
+            if best.as_ref().is_none_or(|b| key < *b) {
+                best = Some(key);
+            }
+            if !next_permutation(&mut perm) {
+                break;
+            }
+        }
+        best.expect("non-empty pattern")
+    }
+
+    /// A connected pattern on `n` vertices: a random spanning tree plus the
+    /// pairs `extra` selects, labeled from `0..labels`.
+    fn random_pattern(n: usize, extra: u64, labels: u32, seed: u64) -> Pattern {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (rng.gen_range(0..v), v)).collect();
+        let pairs = (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v)));
+        for (i, e) in pairs.enumerate() {
+            if extra >> i & 1 == 1 && !edges.contains(&e) {
+                edges.push(e);
+            }
+        }
+        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..labels)).collect();
+        Pattern::new(n, &edges).with_labels(&labels)
+    }
+
+    /// `p` with vertex `u` renamed `perm[u]`, labels carried along.
+    fn renamed(p: &Pattern, perm: &[usize]) -> Pattern {
+        let n = p.size();
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| ((u + 1)..n).map(move |v| (u, v)))
+            .filter(|&(u, v)| p.has_edge(u, v))
+            .map(|(u, v)| (perm[u], perm[v]))
+            .collect();
+        let mut labels = vec![0u32; n];
+        for u in 0..n {
+            labels[perm[u]] = p.label(u);
+        }
+        Pattern::new(n, &edges).with_labels(&labels)
+    }
+
+    #[test]
+    fn canonical_forms_are_invariant_and_agree_with_the_reference() {
+        forall(
+            "canonical_forms_are_invariant_and_agree_with_the_reference",
+            |rng| {
+                (
+                    rng.gen_range(2usize..=8),
+                    rng.gen::<u64>(),
+                    rng.gen::<u64>(),
+                    rng.gen_range(1u32..=3),
+                    rng.gen::<u64>(),
+                )
+            },
+            |&(n, extra, other, labels, seed)| {
+                let n = n.clamp(2, 8);
+                let labels = labels.max(1);
+                // Sparse extras keep classes apart, dense ones merge them.
+                let p = random_pattern(n, extra & other, labels, seed);
+                let q = random_pattern(n, other & (extra >> 7), labels, seed ^ 1);
+                let mut perm: Vec<usize> = (0..n).collect();
+                SmallRng::seed_from_u64(seed).shuffle(&mut perm);
+                let form = canonical_form(&p);
+                if canonical_form(&renamed(&p, &perm)) != form {
+                    return Err(format!("relabeling by {perm:?} moved the form"));
+                }
+                let same = form == canonical_form(&q);
+                if same != isomorphic(&p, &q) {
+                    return Err(format!("forms equal: {same}, isomorphic: {}", !same));
+                }
+                if same != (reference_form(&p) == reference_form(&q)) {
+                    return Err(format!("forms equal: {same}, reference forms: {}", !same));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
