@@ -367,6 +367,26 @@ if [ -n "${overlay}" ]; then
 fi
 echo "==> lint:overlay: OK"
 
+# Recover lint: a launch is planned once, at its configured geometry
+# (DESIGN.md §4d), and one that does not fit fails with the LaunchError
+# naming what overflowed. The degradation ladder's module, its rungs, its
+# two knobs and reads of the inert `MatchOutcome::downgrades` (kept only for
+# `benchmark/`) must not come back.
+echo "==> lint:recover: scanning for the deleted degradation ladder"
+if [ -e crates/core/src/recover.rs ]; then
+    echo "crates/core/src/recover.rs exists"
+    echo "==> lint:recover: FAILED — a launch is planned once; it fits or fails (Engine::launch)"
+    exit 1
+fi
+ladder=$(grep -rnE '\b(DowngradeStep|max_downgrades|SLAB_FLOOR)\b|recover::|\bdegrade\(|recovery\.backoff|\.downgrades\b' \
+    crates src tests examples || true)
+if [ -n "${ladder}" ]; then
+    echo "${ladder}"
+    echo "==> lint:recover: FAILED — a launch is planned once; it fits or fails (Engine::launch)"
+    exit 1
+fi
+echo "==> lint:recover: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true

@@ -61,8 +61,8 @@ pub struct StackArena {
     live_cells: u64,
     peak_cells: u64,
     /// Slab-overflow migrations since construction (observability: the
-    /// engine surfaces the total as `MatchOutcome::spill_events`, and the
-    /// degradation ladder's slab-shrink rung leans on this path).
+    /// engine surfaces the total as `MatchOutcome::spill_events`; hub lists
+    /// longer than a slab take this path, the paper's CPU-memory spill).
     events: u64,
     /// Word-aligned ping/pong scratch rows for fused bitmap op chains
     /// (`setops::apply_chain_bits_into`). Grown to the graph's row stride

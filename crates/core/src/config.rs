@@ -1,6 +1,6 @@
 //! Engine configuration and the paper's ablation presets.
 
-use crate::recover::RecoveryPolicy;
+use crate::fault::RecoveryPolicy;
 use crate::steal::MAX_STOP;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
 
@@ -58,10 +58,8 @@ pub struct EngineConfig {
     pub setops: SetOpTuning,
     /// Inert; see [`HubBitmapTuning`].
     pub hub_bitmap: HubBitmapTuning,
-    /// Bounds on automatic fault recovery: the degradation ladder taken on
-    /// launch-planning failures and the salvage relaunches draining work
-    /// requeued from dead warps (see `recover` and DESIGN.md §4d).
-    /// [`RecoveryPolicy::disabled`] restores fail-fast launches.
+    /// The bound on the salvage relaunches draining work requeued from
+    /// dead warps (DESIGN.md §4d); [`RecoveryPolicy::disabled`] runs none.
     pub recovery: RecoveryPolicy,
     /// Inert; see [`CompileTuning`].
     pub compile: CompileTuning,
@@ -374,9 +372,8 @@ mod tests {
         assert_eq!(c.detect_level, 2);
         assert_eq!(c.max_degree_slab, 4096);
         assert!(c.code_motion);
-        // Recovery is on by default, fault injection is not (plans attach
+        // Salvage is on by default, fault injection is not (plans attach
         // to the Engine, never to the config).
-        assert!(c.recovery.max_downgrades > 0);
         assert!(c.recovery.salvage_relaunches > 0);
         // Inert, but `benchmark/` builds its legs from these defaults.
         assert_eq!(c.hub_bitmap.hub_threshold, 32);

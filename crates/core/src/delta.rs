@@ -47,7 +47,6 @@
 //! induced embeddings that contain no update edge at all, which no
 //! anchored enumeration can see.
 
-use crate::config::EngineConfig;
 use crate::engine::{Engine, Launch, Level0};
 use crate::pool::WarmSlot;
 use stmatch_gpusim::{GridMetrics, LaunchError};
@@ -156,10 +155,9 @@ impl StagedBatch {
         // Right-size the launches: a level-0 domain of 2 × batch indices
         // has no use for a service-sized grid. Stage views carry no hub
         // index, so the launches interpret the anchored plans' own streams
-        // on the element paths.
-        let mut dcfg: EngineConfig = *cfg;
-        dcfg.grid = cfg.delta.grid;
-        let mut sub = Engine::new(dcfg);
+        // on the element paths. The sub-engine keeps the memory limit and
+        // the fault plan, and never a timeout (see `Engine::with_timeout`).
+        let mut sub = engine.for_grid(cfg.delta.grid);
         if let Some(plan) = engine.fault_plan() {
             sub = sub.with_fault_plan(plan.clone());
         }
@@ -167,7 +165,7 @@ impl StagedBatch {
             sub,
             // One warm slot amortizes warp-thread spawn and arena
             // allocation across every launch of the batch.
-            warm: WarmSlot::new(dcfg.grid)?,
+            warm: WarmSlot::new(cfg.delta.grid)?,
             removed: StagedSide::new(pre, batch.deletes.clone()),
             added: StagedSide::new(post, batch.inserts.iter().rev().copied().collect()),
         }))
@@ -272,7 +270,7 @@ impl Engine {
     ///
     /// Requires edge-induced matching (see the module docs for why
     /// vertex-induced deltas cannot be anchored); launches run on
-    /// [`EngineConfig::delta`]`.grid`.
+    /// [`EngineConfig::delta`](crate::EngineConfig::delta)`.grid`.
     pub fn run_delta_plans_metered(
         &self,
         pre: &Graph,
@@ -291,6 +289,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
     use crate::fault::FaultPlan;
     use std::collections::BTreeSet;
     use stmatch_graph::{gen, DeltaOverlay, EdgeOp};
@@ -390,6 +389,17 @@ mod tests {
             catalog::path(4).with_random_labels(4, 9),
         ] {
             check_against_recompute(g.clone(), &ops, &q);
+        }
+    }
+
+    #[test]
+    fn a_batch_plans_against_the_engines_memory_limit() {
+        let g = fixture();
+        let (pre, post, batch) = apply(g.clone(), &[EdgeOp::delete(g.neighbors(0)[0], 0)]);
+        let tight = Engine::with_memory_budget(EngineConfig::default(), 1024);
+        match tight.run_delta(&pre, &post, &batch, &catalog::triangle()) {
+            Err(LaunchError::GlobalMemory(oom)) => assert_eq!(oom.limit, 1024),
+            other => panic!("expected OOM, got {other:?}"),
         }
     }
 

@@ -3,7 +3,7 @@
 //!
 //! ## Fault-tolerant execution
 //!
-//! The engine survives three failure classes without giving up the run
+//! The engine survives two failure classes without giving up the run
 //! (see DESIGN.md §4d):
 //!
 //! * **Warp deaths** (injected via [`FaultPlan`] or real panics): every
@@ -16,21 +16,23 @@
 //!   sharded run included — or naive mode had no idle phase left to absorb
 //!   a late requeue): bounded *salvage relaunches* drain leftover payloads
 //!   and unclaimed chunks with fault injection disabled.
-//! * **Launch-planning failures** (shared-memory overflow, global-memory
-//!   OOM): a bounded retry loop walks the count-invariant degradation
-//!   ladder of [`recover::degrade`] and records each rung taken in
-//!   [`MatchOutcome::downgrades`].
+//!
+//! A launch is planned once, at its configured geometry, as the paper sizes
+//! its stacks once. One that does not fit fails before any warp runs, with
+//! the [`LaunchError`] that names what overflowed: the shared-memory
+//! reservation that did not fit the block, or the global stacks that did
+//! not fit the device budget.
 
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
-use crate::recover::{self, DowngradeStep};
 use crate::steal::{Board, StealPayload};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
+use stmatch_gpusim::{Grid, GridConfig, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
@@ -69,12 +71,12 @@ pub struct MatchOutcome {
     /// work, salvage relaunches. `None` for clean runs; when present and
     /// [`FaultReport::fully_recovered`], the count is still exact.
     pub fault: Option<FaultReport>,
-    /// Degradation-ladder rungs taken to make the launch fit its budgets
-    /// (empty for runs that launched at the configured settings).
-    pub downgrades: Vec<DowngradeStep>,
+    /// Inert, empty by type: a launch runs at its configured settings or
+    /// fails. Kept for `benchmark/`; deleted by ROADMAP item 1.
+    pub downgrades: Vec<Infallible>,
     /// The kernel counters of `metrics.total()`, kept as fields for
     /// `benchmark/`. Candidate-list slab overflows that spilled to the heap
-    /// (see `arena`); nonzero after slab-shrinking downgrades on dense graphs.
+    /// (see `arena`): hub lists longer than `max_degree_slab`.
     pub spill_events: u64,
     /// Largest per-warp high-water mark of live candidate cells across
     /// the run's stack arenas (see `arena`). When the launch carries a
@@ -169,8 +171,8 @@ pub struct Launch<'a> {
     pub plan: &'a MatchPlan,
     /// Parked warp threads and recycled stack arenas to run on instead of
     /// spawning/allocating per launch. Counts, metrics and fault semantics
-    /// are identical to a cold launch; if a degradation rung changes the
-    /// grid geometry away from the slot's, that attempt runs cold.
+    /// are identical to a cold launch. A slot built for another grid than
+    /// the engine's is not used: that launch runs cold.
     pub warm: Option<&'a WarmSlot>,
     /// A static verification of `plan` against `graph`
     /// ([`Engine::verify`]; the service attaches its cached verdict). The
@@ -225,11 +227,11 @@ pub(crate) enum Level0<'a> {
     },
 }
 
-/// A [`Launch`] resolved for one rung of the degradation ladder.
+/// A [`Launch`] resolved against the engine's configuration.
 struct Resolved<'a> {
-    /// What every warp's kernel borrows (the rung's config included).
+    /// What every warp's kernel borrows (the config included).
     env: KernelEnv<'a>,
-    /// The request's warm slot, if it serves this rung's geometry.
+    /// The request's warm slot, if it was built for the engine's grid.
     warm: Option<&'a WarmSlot>,
     collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Level-0 virtual indices the grid's own dispenser hands out.
@@ -248,7 +250,8 @@ impl Engine {
         }
     }
 
-    /// Creates an engine with a device-memory budget (bytes).
+    /// Creates an engine with a device-memory budget (bytes). Each grid of
+    /// a sharded run or a delta batch plans against the same limit.
     pub fn with_memory_budget(cfg: EngineConfig, bytes: usize) -> Engine {
         Engine {
             cfg,
@@ -260,7 +263,8 @@ impl Engine {
 
     /// Sets a wall-clock budget after which the run is cancelled
     /// cooperatively; a cancelled outcome has `timed_out == true` and a
-    /// partial count.
+    /// partial count. Delta batches never carry one: a partial count of an
+    /// anchored launch would be a wrong delta, not a lower bound.
     pub fn with_timeout(mut self, timeout: std::time::Duration) -> Engine {
         self.timeout = Some(timeout);
         self
@@ -277,6 +281,20 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// An engine for another grid of this engine's runs (a shard, a delta
+    /// batch): this configuration on `grid`, and a fresh device budget at
+    /// this engine's limit — each grid is its own device, as in the paper's
+    /// multi-GPU split. It carries no timeout and no fault plan; the caller
+    /// adds its own.
+    pub(crate) fn for_grid(&self, grid: GridConfig) -> Engine {
+        Engine {
+            cfg: EngineConfig { grid, ..self.cfg },
+            memory: MemoryBudget::new(self.memory.limit()),
+            timeout: None,
+            faults: None,
+        }
     }
 
     /// The fault plan attached via [`Engine::with_fault_plan`], if any
@@ -409,14 +427,11 @@ impl Engine {
 
     /// Runs one [`Launch`] request — the single way into the kernel.
     /// Resolves the request's optional resources against this engine's
-    /// configuration, then drives the degradation ladder: attempts the
-    /// launch at the configured settings, and on a planning failure
-    /// retries (with backoff, bounded by the recovery policy) at the next
-    /// rung of [`recover::degrade`]'s count-invariant ladder.
+    /// configuration, plans the shared and global budgets once, and runs.
+    /// A launch that does not fit fails before any warp runs.
     pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
-        let (graph, plan) = (req.graph, req.plan);
-        self.cfg.validate();
-        let mut cfg = self.cfg;
+        let (graph, plan, cfg) = (req.graph, req.plan, &self.cfg);
+        cfg.validate();
         // A verdict the caller attached shapes the slabs wherever its clean
         // certificate shrinks one, and is audited after the run below.
         let slab_caps = req.verified.and_then(Verification::footprint_caps);
@@ -444,70 +459,21 @@ impl Engine {
                 (2 * edges.len(), Level0Map::Staged { edges, views })
             }
         };
-        let mut downgrades: Vec<DowngradeStep> = Vec::new();
-        loop {
-            let resolved = Resolved {
-                env: KernelEnv {
-                    graph,
-                    plan,
-                    cfg: &cfg,
-                    slab_caps: slab_caps.as_deref(),
-                    l0,
-                    enumerate: req.collector.is_some(),
-                },
-                // A warm slot only serves launches at its exact geometry;
-                // after a geometry-changing downgrade the attempt runs cold.
-                warm: req.warm.filter(|w| w.grid_config() == cfg.grid),
-                collector: req.collector,
-                l0_len,
-            };
-            // Planning failures happen before any warp runs, so retrying
-            // here can never double-count (and never touches `collector`).
-            match self.attempt(&resolved) {
-                Ok(mut outcome) => {
-                    outcome.downgrades = downgrades;
-                    // Runtime audit of the static certificate: the launch
-                    // ran at the certified slab capacity (no downgrades),
-                    // so a spill under a spill-free cert — or a peak above
-                    // the abstract bound — is a verifier soundness bug (or
-                    // a verdict attached to the wrong plan or graph).
-                    if let Some(v) = req.verified.filter(|_| outcome.downgrades.is_empty()) {
-                        if v.cert.spill_free {
-                            debug_assert_eq!(
-                                outcome.spill_events, 0,
-                                "certificate claims spill-freedom but the run spilled"
-                            );
-                        }
-                        debug_assert!(
-                            outcome.peak_slab_cells <= v.cert.peak_cells(&self.slot_table(plan)),
-                            "runtime peak {} exceeds certified bound {}",
-                            outcome.peak_slab_cells,
-                            v.cert.peak_cells(&self.slot_table(plan))
-                        );
-                    }
-                    return Ok(outcome);
-                }
-                Err(err) => {
-                    if downgrades.len() as u32 >= cfg.recovery.max_downgrades {
-                        return Err(err);
-                    }
-                    let Some((next, step)) = recover::degrade(&cfg, &err) else {
-                        return Err(err);
-                    };
-                    downgrades.push(step);
-                    if !cfg.recovery.backoff.is_zero() {
-                        std::thread::sleep(cfg.recovery.backoff);
-                    }
-                    cfg = next;
-                }
-            }
-        }
-    }
-
-    /// One launch attempt at a specific configuration: budget planning,
-    /// then the (containment-wrapped, possibly multi-pass) launch.
-    fn attempt(&self, r: &Resolved<'_>) -> Result<MatchOutcome, LaunchError> {
-        let KernelEnv { plan, cfg, .. } = r.env;
+        let r = Resolved {
+            env: KernelEnv {
+                graph,
+                plan,
+                cfg,
+                slab_caps: slab_caps.as_deref(),
+                l0,
+                enumerate: req.collector.is_some(),
+            },
+            // The guard against a caller's slot built for another grid: it
+            // only serves launches at its exact geometry.
+            warm: req.warm.filter(|w| w.grid_config() == cfg.grid),
+            collector: req.collector,
+            l0_len,
+        };
         let grid = Grid::new(cfg.grid)?;
         let k = plan.num_levels();
         let stop = cfg.effective_stop(k);
@@ -534,10 +500,10 @@ impl Engine {
         // `MatchOutcome::stack_bytes` stays the paper's formula.
         let reserved = stack_bytes + r.env.row_bytes(stop) * num_warps;
         self.memory.try_alloc(reserved)?;
-        let stats = self.run_passes(r, &grid, stop);
+        let stats = self.run_passes(&r, &grid, stop);
         self.memory.free(reserved);
         let total = stats.metrics.total();
-        Ok(MatchOutcome {
+        let outcome = MatchOutcome {
             count: total.matches_found,
             metrics: stats.metrics,
             shared_bytes_per_block: shared_bytes,
@@ -554,7 +520,26 @@ impl Engine {
             peak_slab_cells: total.peak_slab_cells,
             tail: [total.tail_streams, total.tail_survivors],
             served_tier: None,
-        })
+        };
+        // Runtime audit of the static certificate: the launch ran at the
+        // certified slab capacity, so a spill under a spill-free cert — or a
+        // peak above the abstract bound — is a verifier soundness bug (or a
+        // verdict attached to the wrong plan or graph).
+        if let Some(v) = req.verified {
+            if v.cert.spill_free {
+                debug_assert_eq!(
+                    outcome.spill_events, 0,
+                    "certificate claims spill-freedom but the run spilled"
+                );
+            }
+            debug_assert!(
+                outcome.peak_slab_cells <= v.cert.peak_cells(&self.slot_table(plan)),
+                "runtime peak {} exceeds certified bound {}",
+                outcome.peak_slab_cells,
+                v.cert.peak_cells(&self.slot_table(plan))
+            );
+        }
+        Ok(outcome)
     }
 
     /// Runs the grid over the resolved level-0 domain: one pass, plus
@@ -866,13 +851,18 @@ mod tests {
 
     #[test]
     fn memory_budget_oom_fails_launch() {
-        // 1 KiB cannot hold the stacks even at the bottom of the
-        // degradation ladder (unroll 1, slab at its floor, 1 warp/block),
-        // so the error must eventually surface.
+        // 1 KiB cannot hold the configured stacks, and the error reports
+        // what the configured launch asked for.
         let g = gen::complete(5);
+        let free = Engine::new(EngineConfig::default())
+            .run(&g, &catalog::triangle())
+            .unwrap();
         let engine = Engine::with_memory_budget(EngineConfig::default(), 1024);
         match engine.run(&g, &catalog::triangle()) {
-            Err(LaunchError::GlobalMemory(_)) => {}
+            Err(LaunchError::GlobalMemory(oom)) => {
+                assert!(oom.requested >= free.stack_bytes, "{oom}");
+                assert_eq!(oom.limit, 1024);
+            }
             other => panic!("expected OOM, got {other:?}"),
         }
     }
@@ -881,12 +871,10 @@ mod tests {
     fn memory_budget_covers_marker_rows() {
         // q3 marks a position, so every warp holds a marker row beside its
         // stack slabs, whether or not the graph carries a hub index: a
-        // budget of the slabs alone must refuse the launch (no ladder rung
-        // shrinks a marker row).
+        // budget of the slabs alone must refuse the launch.
         let plain = gen::erdos_renyi(200, 800, 3);
         let p = catalog::paper_query(3);
-        let mut cfg = EngineConfig::default().with_grid(small_grid());
-        cfg.recovery = crate::recover::RecoveryPolicy::disabled();
+        let cfg = EngineConfig::default().with_grid(small_grid());
         let engine = Engine::new(cfg);
         let plan = engine.compile(&p);
         assert_ne!(plan.bytecode().marked(), 0);
@@ -927,7 +915,7 @@ mod tests {
             grid: GridConfig {
                 num_blocks: 1,
                 warps_per_block: 2,
-                shared_mem_per_block: 64, // absurdly small, below any rung
+                shared_mem_per_block: 64, // absurdly small
             },
             ..EngineConfig::default()
         };
@@ -938,30 +926,22 @@ mod tests {
     }
 
     #[test]
-    fn degradation_ladder_recovers_tight_shared_budget() {
+    fn a_block_one_byte_short_fails_the_launch() {
         let g = gen::erdos_renyi(60, 240, 5);
         let p = catalog::paper_query(6); // bowtie
         let full = Engine::new(EngineConfig::default().with_grid(small_grid()))
             .run(&g, &p)
             .unwrap();
-        assert!(full.downgrades.is_empty());
-        // One byte below what the full config needs: the ladder must give
-        // something up, and the first shared-memory rung is the unroll.
+        // One byte below what the configured launch needs: it is planned
+        // once, at that geometry, and fails naming the block's capacity.
         let mut cfg = EngineConfig::default().with_grid(small_grid());
         cfg.grid.shared_mem_per_block = full.shared_bytes_per_block - 1;
-        let degraded = Engine::new(cfg).run(&g, &p).unwrap();
-        assert_eq!(degraded.count, full.count, "downgrades are count-invariant");
-        assert!(!degraded.downgrades.is_empty());
-        assert!(matches!(
-            degraded.downgrades[0],
-            DowngradeStep::Unroll { from: 8, .. }
-        ));
-        assert!(degraded.shared_bytes_per_block < full.shared_bytes_per_block);
-        // With recovery disabled the same config fails fast.
-        cfg.recovery = crate::recover::RecoveryPolicy::disabled();
         match Engine::new(cfg).run(&g, &p) {
-            Err(LaunchError::SharedMemory(_)) => {}
-            other => panic!("expected fail-fast overflow, got {other:?}"),
+            Err(LaunchError::SharedMemory(o)) => {
+                assert_eq!(o.capacity, full.shared_bytes_per_block - 1, "{o}");
+                assert!(o.used + o.requested > o.capacity, "{o}");
+            }
+            other => panic!("expected shared-memory overflow, got {other:?}"),
         }
     }
 

@@ -22,9 +22,11 @@
 //!
 //! On top of the paper's design the engine is **fault tolerant**: warp
 //! panics are contained per warp and the dead warp's unfinished work is
-//! requeued for survivors ([`fault`]), launch-planning failures walk a
-//! count-invariant degradation ladder ([`recover`]), and a deterministic
-//! fault-injection plan ([`FaultPlan`]) makes all of it testable.
+//! requeued for survivors ([`fault`]), and a deterministic fault-injection
+//! plan ([`FaultPlan`]) makes it testable. A launch is planned once, at its
+//! configured geometry: one that does not fit its shared or global budget
+//! fails before any warp runs, with the [`LaunchError`] naming what
+//! overflowed.
 //!
 //! ## Quick start
 //!
@@ -46,7 +48,6 @@ pub mod engine;
 pub mod fault;
 pub mod kernel;
 pub mod pool;
-pub mod recover;
 pub mod service;
 pub mod setops;
 pub mod shard;
@@ -55,9 +56,8 @@ pub mod steal;
 pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning};
 pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
-pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
+pub use fault::{FaultKind, FaultPlan, FaultReport, RecoveryPolicy, WarpDeath};
 pub use pool::{ArenaPool, WarmSlot};
-pub use recover::{DowngradeStep, RecoveryPolicy};
 pub use service::{
     CacheStats, MatchService, Priority, QueryOptions, ServiceConfig, ServiceError, Ticket,
     WatchEvent, WatchId,

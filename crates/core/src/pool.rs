@@ -31,7 +31,7 @@ use stmatch_gpusim::{GridConfig, LaunchError, WarmGrid};
 /// `checkout` hands an arena to a warp (or `None` when the list is dry —
 /// the warp then builds a fresh one); `give_back` returns it after the
 /// launch. The pool is capped at the grid's warp count: arenas beyond the
-/// cap (possible after a downgrade shrank the grid) are simply dropped.
+/// cap are simply dropped.
 pub struct ArenaPool {
     /// Distinct lock index for the hierarchy checker, so concurrent
     /// services' pools never alias in the lock-order graph.
@@ -101,8 +101,9 @@ impl WarmSlot {
     }
 
     /// The geometry this slot's threads were spawned for. The engine only
-    /// routes a launch here when its (possibly downgraded) config matches
-    /// exactly; otherwise it falls back to a cold grid.
+    /// routes a launch here when its config's grid matches exactly;
+    /// otherwise (a slot built for another grid) it falls back to a cold
+    /// grid.
     pub fn grid_config(&self) -> GridConfig {
         self.grid.config()
     }

@@ -40,9 +40,8 @@
 use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta, StagedBatch};
 use crate::engine::{Engine, Launch, MatchOutcome};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::pool::WarmSlot;
-use crate::recover::RecoveryPolicy;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,7 +98,8 @@ pub enum ServiceError {
         /// The partial outcome of a mid-run cancellation.
         partial: Option<Box<MatchOutcome>>,
     },
-    /// Launch planning failed even after the degradation ladder.
+    /// The launch did not fit its shared or global budget at the
+    /// configured geometry (the error names what overflowed).
     Launch(LaunchError),
     /// The run panicked past containment; the panic was caught at the
     /// query boundary, so the worker and its warm slot survive.

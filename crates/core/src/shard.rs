@@ -28,7 +28,7 @@
 
 use crate::engine::{Engine, Launch, Level0, MatchOutcome};
 use crate::fault::{FaultPlan, FaultReport};
-use crate::recover::DowngradeStep;
+use std::convert::Infallible;
 use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{stats, Graph, VertexId};
 use stmatch_pattern::{MatchPlan, Pattern};
@@ -188,9 +188,8 @@ pub struct ShardedOutcome {
     pub shards: usize,
     /// Inert, always zero: kept for `benchmark/`.
     pub rail: RailStats,
-    /// Inert, always empty: kept for `benchmark/`. A shard's own
-    /// downgrades are in its [`MatchOutcome::downgrades`].
-    pub degradations: Vec<DowngradeStep>,
+    /// Inert, empty by type: kept for `benchmark/`.
+    pub degradations: Vec<Infallible>,
     /// Reproduce line of the active fault plan, if any (`FAULT_SEED=…`
     /// for seeded plans, `SHARD_KILLS=…` for hand-built kills).
     pub reproduce: Option<String>,
@@ -303,10 +302,10 @@ impl Engine {
                 .map(|(sh, cut)| {
                     let slice = &splan.order[cut[0]..cut[1]];
                     scope.spawn(move || {
-                        // Per-shard engine: same config and timeout; the
-                        // fault plan is re-scoped so a shard kill only
-                        // reaches its victim grid.
-                        let mut e = Engine::new(*self.config());
+                        // Per-shard engine: same config, memory limit and
+                        // timeout; the fault plan is re-scoped so a shard
+                        // kill only reaches its victim grid.
+                        let mut e = self.for_grid(self.config().grid);
                         if let Some(t) = self.timeout_budget() {
                             e = e.with_timeout(t);
                         }
@@ -367,7 +366,6 @@ fn merge(shards: &[MatchOutcome], reproduce: Option<String>) -> MatchOutcome {
         merged.metrics.contained_panics += o.metrics.contained_panics;
         merged.metrics.elapsed_nanos = merged.metrics.elapsed_nanos.max(o.metrics.elapsed_nanos);
         merged.timed_out |= o.timed_out;
-        merged.downgrades.extend(o.downgrades.iter().copied());
         if let Some(f) = &o.fault {
             let r = report_mut(&mut merged);
             r.deaths.extend(f.deaths.iter().cloned());
@@ -474,6 +472,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shards_plan_against_the_engines_memory_limit() {
+        let g = gen::complete(5);
+        let t = catalog::triangle();
+        let cfg = EngineConfig::default().with_shards(2);
+        let reserved = match Engine::with_memory_budget(cfg, 1024).run_sharded(&g, &t) {
+            Err(LaunchError::GlobalMemory(oom)) => oom.requested,
+            other => panic!("expected OOM, got {:?}", other.map(|o| o.outcome.count)),
+        };
+        // Each shard is its own device: a limit that fits the single-grid
+        // launch fits every shard's launch, whichever runs first.
+        let single = Engine::with_memory_budget(EngineConfig::default(), reserved)
+            .run(&g, &t)
+            .unwrap();
+        let sharded = Engine::with_memory_budget(cfg, reserved)
+            .run_sharded(&g, &t)
+            .unwrap();
+        assert_eq!(sharded.outcome.count, single.count);
+        assert_eq!(sharded.outcome.count, 10);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end fault-tolerance tests: injected warp deaths, poisoned steal
-//! mirrors, stranded-work salvage, and the launch-planning degradation
-//! ladder must all preserve *exact* match counts (DESIGN.md §4d).
+//! mirrors and stranded-work salvage must all preserve *exact* match counts
+//! (DESIGN.md §4d), and a launch that does not fit its budgets fails at
+//! planning, before any warp runs.
 //!
 //! The contract under test: a warp death rolls back the dead warp's open
 //! counting transaction (`WarpKernel::reclaim_on_death`), requeues its
@@ -9,7 +10,7 @@
 //! twice.
 
 use std::time::Duration;
-use stmatch_core::{DowngradeStep, Engine, EngineConfig, FaultPlan, LaunchError, RecoveryPolicy};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError};
 use stmatch_gpusim::{GridConfig, SharedBudget};
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::catalog;
@@ -225,9 +226,10 @@ fn enumeration_survives_warp_death_with_identical_embeddings() {
         .unwrap_or(true));
 }
 
-/// A shared-memory budget one byte short of the requirement recovers
-/// through the degradation ladder with identical counts; with recovery
-/// disabled the same config fails fast with the original error.
+/// A launch is planned once, at its configured geometry, with no
+/// degradation ladder behind it: a block exactly at q16's footprint runs
+/// with the full count, and a block one byte short fails at planning with
+/// the overflow named.
 #[test]
 fn degradation_ladder_end_to_end() {
     let g = fixture();
@@ -236,27 +238,22 @@ fn degradation_ladder_end_to_end() {
         .run(&g, &q)
         .unwrap();
     let mut cfg = EngineConfig::full().with_grid(grid_2x4());
+    cfg.grid.shared_mem_per_block = full.shared_bytes_per_block;
+    let exact = Engine::new(cfg).run(&g, &q).unwrap();
+    assert_eq!(exact.count, full.count);
+    assert_eq!(exact.shared_bytes_per_block, full.shared_bytes_per_block);
     cfg.grid.shared_mem_per_block = full.shared_bytes_per_block - 1;
-    let degraded = Engine::new(cfg).run(&g, &q).unwrap();
-    assert_eq!(degraded.count, full.count);
-    assert!(!degraded.downgrades.is_empty());
-    for step in &degraded.downgrades {
-        assert!(matches!(
-            step,
-            DowngradeStep::Unroll { .. }
-                | DowngradeStep::WarpsPerBlock { .. }
-                | DowngradeStep::MaxDegreeSlab { .. }
-        ));
-    }
-    cfg.recovery = RecoveryPolicy::disabled();
     match Engine::new(cfg).run(&g, &q) {
-        Err(LaunchError::SharedMemory(_)) => {}
-        other => panic!("expected fail-fast, got {other:?}"),
+        Err(LaunchError::SharedMemory(o)) => {
+            assert_eq!(o.capacity, full.shared_bytes_per_block - 1, "{o}");
+        }
+        other => panic!("expected a shared-memory overflow, got {other:?}"),
     }
 }
 
-/// Downgrades compose with fault injection: a tight budget *and* a warp
-/// death in the same run still produce the exact count.
+/// A tight budget and a warp death compose: at exactly q6's footprint a
+/// run with a death still produces the exact count, and one byte short the
+/// launch fails at planning, before any warp (or fault) runs.
 #[test]
 fn downgraded_run_with_warp_death_stays_exact() {
     let g = fixture();
@@ -264,14 +261,44 @@ fn downgraded_run_with_warp_death_stays_exact() {
     let full = Engine::new(EngineConfig::full().with_grid(grid_2x4()))
         .run(&g, &q)
         .unwrap();
+    let plan = FaultPlan::new().panic_at(2, 3);
     let mut cfg = EngineConfig::full().with_grid(grid_2x4());
-    cfg.grid.shared_mem_per_block = full.shared_bytes_per_block - 1;
+    cfg.grid.shared_mem_per_block = full.shared_bytes_per_block;
     let got = Engine::new(cfg)
-        .with_fault_plan(FaultPlan::new().panic_at(2, 3))
+        .with_fault_plan(plan.clone())
         .run(&g, &q)
         .unwrap();
     assert_eq!(got.count, full.count);
-    assert!(!got.downgrades.is_empty());
+    assert!(got.fault.map(|r| r.fully_recovered()).unwrap_or(true));
+    cfg.grid.shared_mem_per_block = full.shared_bytes_per_block - 1;
+    match Engine::new(cfg).with_fault_plan(plan).run(&g, &q) {
+        Err(LaunchError::SharedMemory(o)) => {
+            assert_eq!(o.capacity, full.shared_bytes_per_block - 1, "{o}");
+        }
+        other => panic!("expected a shared-memory overflow, got {other:?}"),
+    }
+}
+
+/// The shipped geometries fit with room to spare, so no launch at them
+/// comes near the planning failure above: every paper query at the default
+/// configuration plans within an eighth of an RTX 3090 block, at 4 and at
+/// 32 (the most allowed) warps per block. The footprint depends only on the
+/// plan and the geometry, so a tiny graph serves.
+#[test]
+fn the_shipped_geometries_fit_an_eighth_of_a_block() {
+    let g = gen::complete(4);
+    for warps_per_block in [4, 32] {
+        let engine = Engine::new(EngineConfig::default().with_grid(GridConfig {
+            num_blocks: 1,
+            warps_per_block,
+            shared_mem_per_block: SharedBudget::RTX3090_BYTES / 8,
+        }));
+        for i in 1..=24 {
+            if let Err(e) = engine.run(&g, &catalog::paper_query(i)) {
+                panic!("q{i} at {warps_per_block} warps/block: {e}");
+            }
+        }
+    }
 }
 
 /// Fault injection is strictly opt-in: engines without a plan never
@@ -283,6 +310,5 @@ fn no_plan_means_no_fault_reports() {
     for i in [1, 6, 8, 16] {
         let out = engine.run(&g, &catalog::paper_query(i)).unwrap();
         assert!(out.fault.is_none(), "q{i}");
-        assert!(out.downgrades.is_empty(), "q{i}");
     }
 }

@@ -192,6 +192,5 @@ fn cache_hit_path_is_metric_exact_against_cold_engine() {
         assert_eq!(warm.spill_events, oracle.spill_events, "q{qi} spills");
         assert_eq!(warm.metrics.kernel_launches, oracle.metrics.kernel_launches);
         assert!(warm.fault.is_none() && !warm.timed_out);
-        assert!(warm.downgrades.is_empty());
     }
 }
