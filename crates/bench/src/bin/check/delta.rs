@@ -12,11 +12,15 @@
 //! * **service** — a delta-enabled [`MatchService`] must deliver exact
 //!   per-batch deltas to a watcher through `apply_batch` while one-shot
 //!   submissions against the moving graph stay exact;
-//! * **work** — an interleaved delta-vs-recompute stream on the
+//! * **work** — interleaved delta-vs-recompute streams on the
 //!   1024-vertex preferential-attachment fixture, compared in **simulated
-//!   SIMT instructions** (the simulator's work measure): fails if the
-//!   amortized per-batch delta work is not at least 10x below one full
-//!   recount at batch size 16.
+//!   SIMT instructions** (the simulator's work measure), for the triangle,
+//!   C5 (q2), the tailed C4 (q4) and the bowtie (q6), each row with its
+//!   launches per batch
+//!   (`2 × num_plans`, one plan per edge orbit): fails if the amortized
+//!   per-batch triangle delta work is not at least 10x below one full
+//!   recount at batch size 16, or if a triangle batch takes more than 2
+//!   launches.
 //!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
@@ -37,6 +41,10 @@ const STREAM_SEED: u64 = 0xd17a_00c1;
 
 /// Minimum amortized instruction speedup over recompute at batch 16.
 const SPEEDUP_FLOOR: f64 = 10.0;
+
+/// Most launches a triangle batch may take: its three edges are one orbit,
+/// so one anchored plan per batch side.
+const TRIANGLE_LAUNCHES: usize = 2;
 
 fn grid() -> GridConfig {
     crate::grid(2, 2)
@@ -238,37 +246,56 @@ fn measure_stream(
 }
 
 /// Work leg on the 1024-vertex PA fixture: amortized per-batch delta work
-/// vs one full recount, at batch sizes 1 / 16 / 256. (Per-edge delta cost
-/// is a small constant plus the touched endpoints' degrees; the fixture is
-/// sized so one full recount dwarfs a 16-edge batch, the regime the
-/// O(batch)-vs-O(graph) claim is about. At batch 256 on this graph the
-/// batch is a sizable fraction of the edge set and recompute catches up —
-/// the printed curve shows that crossover honestly.)
+/// vs one full recount — for the triangle at batch sizes 1 / 16 / 256, for
+/// q2, q4 and q6 at 16. (Per-edge delta cost is a small constant plus
+/// the touched endpoints' degrees; the fixture is sized so one full recount
+/// dwarfs a 16-edge batch, the regime the O(batch)-vs-O(graph) claim is
+/// about. At batch 256 on this graph the batch is a sizable fraction of the
+/// edge set and recompute catches up — the printed curve shows that
+/// crossover honestly.)
 fn run_work() -> bool {
     let g = gen::preferential_attachment(1024, 4, 9).degree_ordered();
     let engine = Engine::new(EngineConfig::default().with_grid(grid()));
-    let q = catalog::triangle();
-    let plans = engine.compile_delta(&q);
+    let rows: [(Pattern, &[(usize, usize)]); 4] = [
+        (catalog::triangle(), &[(1, 12), (16, 6), (256, 2)]),
+        (catalog::paper_query(2), &[(16, 3)]),
+        (catalog::paper_query(4), &[(16, 3)]),
+        (catalog::paper_query(6), &[(16, 3)]),
+    ];
     let mut ok = true;
-    for (batch_size, batches) in [(1usize, 12usize), (16, 6), (256, 2)] {
-        match measure_stream(&g, &engine, &q, &plans, batch_size, batches) {
-            Ok((delta, full)) => {
-                let speedup = full / delta.max(1.0);
-                println!(
-                    "delta work batch={batch_size}: {delta:.0} delta instr vs {full:.0} full \
-                     instr per batch ({speedup:.1}x work reduction)"
-                );
-                if batch_size == 16 && speedup < SPEEDUP_FLOOR {
-                    eprintln!(
-                        "delta work DRIFT: batch-16 speedup {speedup:.1}x below the \
-                         {SPEEDUP_FLOOR}x floor — delta work no longer scales with the batch"
+    for (q, sizes) in rows {
+        let plans = engine.compile_delta(&q);
+        let launches = 2 * plans.num_plans();
+        let triangle = q.name() == catalog::triangle().name();
+        if triangle && launches > TRIANGLE_LAUNCHES {
+            eprintln!(
+                "delta work DRIFT: a triangle batch takes {launches} launches, more than \
+                 {TRIANGLE_LAUNCHES} — its edges are one orbit"
+            );
+            ok = false;
+        }
+        for &(batch_size, batches) in sizes {
+            match measure_stream(&g, &engine, &q, &plans, batch_size, batches) {
+                Ok((delta, full)) => {
+                    let speedup = full / delta.max(1.0);
+                    println!(
+                        "delta work {} batch={batch_size}: {delta:.0} delta instr vs {full:.0} \
+                         full instr per batch ({speedup:.1}x work reduction, {launches} \
+                         launches per batch)",
+                        q.name()
                     );
+                    if triangle && batch_size == 16 && speedup < SPEEDUP_FLOOR {
+                        eprintln!(
+                            "delta work DRIFT: batch-16 speedup {speedup:.1}x below the \
+                             {SPEEDUP_FLOOR}x floor — delta work no longer scales with the batch"
+                        );
+                        ok = false;
+                    }
+                }
+                Err(e) => {
+                    eprintln!("delta work DRIFT: {} {e}", q.name());
                     ok = false;
                 }
-            }
-            Err(e) => {
-                eprintln!("delta work DRIFT: {e}");
-                ok = false;
             }
         }
     }

@@ -106,8 +106,8 @@ impl Default for EngineConfig {
 /// No engine path reads `enabled`: calling `Engine::run_delta` is the
 /// request. Delta mode is exact (oracle-tested against full
 /// recomputation), but it is a *different* workload: level-0 domains of
-/// update-edge endpoints on small grids, with symmetry breaking replaced by
-/// automorphism division.
+/// update-edge endpoints on small grids, with each anchored plan breaking
+/// only its anchor edge's stabilizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaTuning {
     /// Service only: keep a delta overlay over the resident graph, so the
@@ -115,10 +115,11 @@ pub struct DeltaTuning {
     /// the graph is immutable and shared as is).
     pub enabled: bool,
     /// Grid geometry for anchored delta launches. A launch's level-0 domain
-    /// is one side of the batch — two indices per update edge, claimed as
-    /// chunks off the ordinary dispenser — and a batch makes two launches
-    /// per pattern edge, so the default is a single warp: a service-sized
-    /// grid would park dozens of warps on a few hundred indices. Wider
+    /// is one side of the batch — one index per update edge where the plan
+    /// orients its anchor, two where it does not, claimed as chunks off the
+    /// ordinary dispenser — and a batch makes two launches per edge orbit of
+    /// the pattern, so the default is a single warp: a service-sized grid
+    /// would park dozens of warps on a few hundred indices. Wider
     /// grids are exact too (stolen and requeued work carries its stage).
     pub grid: GridConfig,
     /// Service only: fold the overlay into a fresh CSR after this many

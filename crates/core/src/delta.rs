@@ -1,32 +1,39 @@
 //! Batch-dynamic incremental matching (DESIGN.md §4k).
 //!
 //! Instead of recounting a pattern against the whole graph after every
-//! update batch, the delta engine enumerates only the embeddings that the
+//! update batch, the delta engine enumerates only the subgraphs that the
 //! batch created or destroyed. The decomposition:
 //!
-//! * `removed` = embeddings of the **pre**-batch graph containing at least
+//! * `removed` = subgraphs of the **pre**-batch graph containing at least
 //!   one net-deleted edge;
-//! * `added`   = embeddings of the **post**-batch graph containing at least
+//! * `added`   = subgraphs of the **post**-batch graph containing at least
 //!   one net-inserted edge.
 //!
-//! Each side is counted exactly once via two disciplines layered on the
-//! ordinary warp kernel, and costs one launch per pattern edge — the update
-//! set *is* the launch's level-0 domain, following the batch-dynamic GPU
-//! matchers (PAPERS.md):
+//! Each side counts every changed subgraph exactly once via two
+//! disciplines layered on the ordinary warp kernel, and costs one launch
+//! per edge orbit of the pattern — the update set *is* the launch's level-0
+//! domain, following the batch-dynamic GPU matchers (PAPERS.md):
 //!
-//! 1. **Anchoring.** For every unordered pattern edge `{p, q}` we compile
-//!    an anchored plan ([`MatchPlan::compile_anchored`]) whose matching
-//!    order starts `[p, q, ...]`. A launch of that plan over one batch side
-//!    has two level-0 indices per update edge `{a, b}` — its endpoints —
-//!    and pins level 1 to the other endpoint, so it counts exactly the
-//!    embeddings mapping `{p, q}` onto a batch edge. Injectivity means at
-//!    most one pattern edge can land on a given data edge, so summing over
-//!    the pattern's edges counts each embedding that *uses* `{a, b}`
-//!    exactly once. Warps claim the indices as chunks off the ordinary
+//! 1. **Anchoring.** The pattern's edges fall into orbits under `Aut(P)`
+//!    ([`symmetry::edge_orbits`]). For each orbit's representative
+//!    `{p, q}` we compile an anchored plan
+//!    ([`MatchPlan::compile_anchored`]) whose matching order starts
+//!    `[p, q, ...]` and whose bounds break the setwise stabilizer of
+//!    `{p, q}`. A launch of that plan over one batch side pins levels 0/1 to
+//!    each update edge `{a, b}`. When the stabilizer swaps `p` and `q`, the
+//!    plan's orientation bound `m[q] < m[p]` leaves one level-0 index per
+//!    update edge (its higher endpoint, level 1 pinned to the lower: on a
+//!    degree-ordered graph level 1 then walks the shorter row); otherwise
+//!    there are two, one per endpoint. Why it is exact: take a
+//!    subgraph S and an update edge `e` in S. The pattern edges some
+//!    embedding of S maps onto `e` form exactly one orbit, so exactly one
+//!    plan can see S through `e`, and of the embeddings that map its
+//!    representative onto `e` — a coset of the stabilizer — its bounds keep
+//!    exactly one. Warps claim the indices as chunks off the ordinary
 //!    dispenser and steal from each other as in any launch.
-//! 2. **Staged views.** Within a batch, an embedding may contain several
+//! 2. **Staged views.** Within a batch, a subgraph may contain several
 //!    update edges. Order the net deletes `d_0..d_{m-1}`; stage `i`
-//!    enumerates `d_i` against `pre ∖ {d_0..d_{i-1}}`, so an embedding
+//!    enumerates `d_i` against `pre ∖ {d_0..d_{i-1}}`, so a subgraph
 //!    containing several deleted edges is counted only at its
 //!    lowest-indexed one. Inserts run symmetrically against
 //!    `post ∖ {e_{i+1}..}`, counting at the highest-indexed insert. The
@@ -36,12 +43,9 @@
 //!    ([`Graph::staged_without_edges`]): two materialized rows per update
 //!    edge, never a copy of the graph or of its patch.
 //!
-//! Anchored plans are compiled with symmetry breaking off (a pinned edge
-//! is incompatible with a global partial order on pattern vertices), so
-//! stage counts are *embedding* counts; when the engine is configured for
-//! canonical counting the totals divide by the automorphism group order —
-//! the group acts freely on embeddings and preserves the set of data edges
-//! used, so both deltas are exactly divisible.
+//! So the stage counts are *subgraph* counts. An engine configured without
+//! symmetry breaking counts embeddings, and every subgraph has exactly
+//! `|Aut(P)|` of them: its deltas are the subgraph counts times `|Aut(P)|`.
 //!
 //! Vertex-induced mode is rejected outright: deleting an edge can *create*
 //! induced embeddings that contain no update edge at all, which no
@@ -69,16 +73,17 @@ impl MatchDelta {
     }
 }
 
-/// Anchored plans for one pattern: one per unordered pattern edge, plus
-/// the bookkeeping needed to convert embedding counts back to the
-/// engine's counting convention. Compile once ([`Engine::compile_delta`]),
-/// reuse across every batch.
+/// Anchored plans for one pattern: one per edge orbit of `Aut(P)`, plus
+/// `|Aut(P)|` to turn their subgraph counts into embedding counts when the
+/// engine asks for those. Compile once ([`Engine::compile_delta`]), reuse
+/// across every batch.
 pub struct DeltaPlans {
     k: usize,
-    /// `|Aut(P)|`: divisor when the engine counts canonical matches.
+    /// `|Aut(P)|`: multiplier when the engine counts embeddings.
     aut: u64,
-    /// `(p, q, plan)` with the plan's order starting `[p, q, ...]`.
-    anchored: Vec<(usize, usize, MatchPlan)>,
+    /// One plan per edge orbit, its order starting with the orbit's
+    /// representative.
+    anchored: Vec<MatchPlan>,
 }
 
 impl DeltaPlans {
@@ -87,14 +92,15 @@ impl DeltaPlans {
         self.k
     }
 
-    /// Number of anchored plans (= the pattern's edge count).
+    /// Number of anchored plans (= the pattern's edge orbits under
+    /// `Aut(P)`); a batch costs `2 × num_plans()` launches.
     pub fn num_plans(&self) -> usize {
         self.anchored.len()
     }
 
-    /// The anchored plans, one per pattern edge.
+    /// The anchored plans, one per edge orbit.
     pub fn plans(&self) -> impl Iterator<Item = &MatchPlan> {
-        self.anchored.iter().map(|(_, _, plan)| plan)
+        self.anchored.iter()
     }
 }
 
@@ -171,17 +177,23 @@ impl StagedBatch {
         }))
     }
 
-    /// Counts the embeddings of `plans`' pattern the batch destroyed and
+    /// Counts the matches of `plans`' pattern the batch destroyed and
     /// created: one launch per (non-empty side × anchored plan). Also
     /// returns the launches' merged metrics.
     pub(crate) fn run(&self, plans: &DeltaPlans) -> Result<(MatchDelta, GridMetrics), LaunchError> {
         let mut metrics = GridMetrics::default();
+        // Subgraph counts; embedding counts when the engine breaks no symmetry.
+        let scale = if self.sub.config().symmetry_breaking {
+            1
+        } else {
+            plans.aut
+        };
         let mut count = |side: &StagedSide| -> Result<u64, LaunchError> {
             let Some(first) = side.views.first() else {
                 return Ok(0);
             };
             let mut total = 0u64;
-            for (_, _, plan) in &plans.anchored {
+            for plan in &plans.anchored {
                 let out = self.sub.launch(&Launch {
                     warm: Some(&self.warm),
                     domain: Level0::Anchored {
@@ -193,51 +205,30 @@ impl StagedBatch {
                 total += out.count;
                 metrics.merge(&out.metrics);
             }
-            Ok(total)
+            Ok(total * scale)
         };
-        let mut removed = count(&self.removed)?;
-        let mut added = count(&self.added)?;
-        if self.sub.config().symmetry_breaking {
-            // Not a debug_assert: a release build would otherwise truncate a
-            // wrong embedding total into a plausible canonical delta.
-            assert!(
-                added.is_multiple_of(plans.aut) && removed.is_multiple_of(plans.aut),
-                "delta not divisible by |Aut(P)|: anchored embedding totals \
-                 added {added} / removed {removed} must both divide |Aut| = {} \
-                 (a launch lost or double-counted embeddings)\n  reproduce: \
-                 Engine::run_delta_plans_metered with deletes {:?}, inserts \
-                 (reversed) {:?} on a {}-level pattern",
-                plans.aut,
-                self.removed.edges,
-                self.added.edges,
-                plans.k,
-            );
-            added /= plans.aut;
-            removed /= plans.aut;
-        }
+        let removed = count(&self.removed)?;
+        let added = count(&self.added)?;
         Ok((MatchDelta { added, removed }, metrics))
     }
 }
 
 impl Engine {
     /// Compiles the anchored plan set for incremental matching of
-    /// `pattern` under this engine's options (vertex-induced mode is
-    /// rejected at [`Engine::run_delta_plans_metered`] time).
+    /// `pattern` under this engine's options: one plan per edge orbit,
+    /// anchored on its representative (vertex-induced mode is rejected at
+    /// [`Engine::run_delta_plans_metered`] time).
     pub fn compile_delta(&self, pattern: &Pattern) -> DeltaPlans {
         let opts = PlanOptions {
             induced: false,
             code_motion: self.config().code_motion,
-            // compile_anchored forces this off; spelled out for clarity.
-            symmetry_breaking: false,
+            // compile_anchored breaks the anchor's stabilizer regardless.
+            symmetry_breaking: true,
         };
-        let mut anchored = Vec::new();
-        for p in 0..pattern.size() {
-            for q in p + 1..pattern.size() {
-                if pattern.has_edge(p, q) {
-                    anchored.push((p, q, MatchPlan::compile_anchored(pattern, (p, q), opts)));
-                }
-            }
-        }
+        let anchored = symmetry::edge_orbits(pattern)
+            .iter()
+            .map(|orbit| MatchPlan::compile_anchored(pattern, orbit.rep, opts))
+            .collect();
         DeltaPlans {
             k: pattern.size(),
             aut: symmetry::automorphism_count(pattern) as u64,
@@ -475,24 +466,18 @@ mod tests {
         gen::preferential_attachment(256, 4, 9).degree_ordered()
     }
 
-    /// The batch is the level-0 domain, not a launch loop: the simulated
-    /// work of three fixed cases was recorded from the per-(edge × plan)
-    /// launches this route replaced and matched to the instruction. The
-    /// totals follow the kernel's cost model (re-recorded, from this test's
-    /// own failure output, when DESIGN.md §4c's last-level rule dropped the
-    /// count passes over lists computed at the last level, and the two
-    /// four-vertex totals again when their anchored plans' lifted last levels
-    /// became fused tails, all three when a counting last level stopped
-    /// issuing ballots, and all three again when an intersection was charged
-    /// its streamed side and a claim stopped re-testing what its producing
-    /// stream had tested); the deltas are the invariant.
+    /// The batch is the level-0 domain, not a launch loop, and each changed
+    /// subgraph is enumerated once: the simulated work of three fixed
+    /// cases, pinned to the instruction. The totals follow the kernel's cost
+    /// model (re-record them from this test's own failure output when it
+    /// moves); the deltas are the invariant.
     #[test]
-    fn instruction_totals_match_the_per_edge_launches_they_replaced() {
+    fn instruction_totals_of_one_plan_per_edge_orbit() {
         let small = gen::preferential_attachment(48, 4, 3).degree_ordered();
         let labeled = gen::assign_random_labels(&gen::rmat(7, 4, 11).degree_ordered(), 3, 2022);
         let cases = [
-            (small, 16, 1, catalog::triangle(), (8, 11), 588),
-            (wide_fixture(), 128, 2, catalog::diamond(), (124, 80), 10691),
+            (small, 16, 1, catalog::triangle(), (8, 11), 96),
+            (wide_fixture(), 128, 2, catalog::diamond(), (124, 80), 2963),
             (
                 labeled,
                 32,
@@ -518,11 +503,14 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_costs_two_launches_per_pattern_edge_at_any_width() {
+    fn a_batch_costs_two_launches_per_edge_orbit_at_any_width() {
         let g = wide_fixture();
         let e = engine();
-        for q in [catalog::triangle(), catalog::diamond()] {
+        // The triangle's three edges are one orbit; the diamond's diagonal
+        // is an orbit of its own beside the four rim edges.
+        for (q, orbits) in [(catalog::triangle(), 1), (catalog::diamond(), 2)] {
             let plans = e.compile_delta(&q);
+            assert_eq!(plans.num_plans(), orbits, "{}", q.name());
             for n in [16, 128, 256] {
                 let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, n as u64));
                 assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
@@ -577,18 +565,6 @@ mod tests {
             metrics.total().requeue_claims > 0,
             "no dead warp's work was requeued: the fault plan never fired"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "delta not divisible by |Aut(P)|")]
-    fn indivisible_totals_are_rejected_in_every_build() {
-        let g = fixture();
-        let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, 8, 5));
-        let e = engine();
-        let mut plans = e.compile_delta(&catalog::triangle());
-        // 7 divides neither side's embedding total.
-        plans.aut = 7;
-        let _ = e.run_delta_plans_metered(&pre, &post, &batch, &plans);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridConfig, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
+use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
 
@@ -213,14 +214,17 @@ pub(crate) enum Level0<'a> {
     /// `slice[virtual_index]` the data vertex.
     Slice(&'a [VertexId]),
     /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
-    /// the update set itself, two virtual indices per stage — the endpoints
-    /// of `edges[s]`, each matched on `views[s]` with level 1 pinned to the
-    /// other ([`Level0Map::Staged`]) — so one launch counts every embedding
-    /// that places the plan's first two order positions on a batch edge,
-    /// each against its own stage graph, and the warps claim stages as
-    /// chunks off the ordinary dispenser. `Launch::graph` is stage 0's view
-    /// (the side's graph, row for row); it only sizes the slabs. Stage views
-    /// carry no hub index, so these launches never route hub rows.
+    /// the update set itself — per stage, the endpoints of `edges[s]`
+    /// matched on `views[s]` with level 1 pinned to the other endpoint
+    /// ([`Level0Map::Staged`]) — so one launch counts every match that
+    /// places the plan's first two order positions on a batch edge, each
+    /// against its own stage graph, and the warps claim stages as chunks
+    /// off the ordinary dispenser. A stage has one virtual index when the
+    /// plan orients its anchor (level 1 bounded below level 0: only the
+    /// higher endpoint can start a match), two otherwise. `Launch::graph`
+    /// is stage 0's view (the side's graph, row for row); it only sizes the
+    /// slabs. Stage views carry no hub index, so these launches never route
+    /// hub rows.
     Anchored {
         edges: &'a [(VertexId, VertexId)],
         views: &'a [Graph],
@@ -445,6 +449,10 @@ impl Engine {
             // only — the whole point of O(batch) delta cost.
             Level0::Anchored { edges, views } => {
                 assert_eq!(edges.len(), views.len(), "one stage view per update edge");
+                debug_assert!(
+                    edges.iter().all(|&(lo, hi)| lo < hi),
+                    "update edges are (lo, hi)"
+                );
                 // Level-0 indices travel in stolen prefixes as `VertexId`s.
                 assert!(
                     edges.len() <= (VertexId::MAX / 2) as usize,
@@ -456,7 +464,16 @@ impl Engine {
                         hx.num_hubs()
                     );
                 }
-                (2 * edges.len(), Level0Map::Staged { edges, views })
+                // The orientation bound admits only the higher endpoint at
+                // level 0: the lower one's index could never match.
+                let oriented = plan.bytecode().bounds(1).contains(&(0, Bound::Less));
+                let per_stage = if oriented { 1 } else { 2 };
+                let map = Level0Map::Staged {
+                    edges,
+                    views,
+                    oriented,
+                };
+                (per_stage * edges.len(), map)
             }
         };
         let r = Resolved {

@@ -78,16 +78,19 @@ pub enum Level0Map<'a> {
     Identity,
     /// Index `i` is vertex `order[i]` (a sharded run's permutation).
     Order(&'a [VertexId]),
-    /// One side of a delta batch: index `i` is endpoint `i % 2` of update
-    /// edge `edges[i / 2]`, matched on that stage's graph `views[i / 2]`
-    /// with level 1 pinned to the edge's other endpoint — so the run counts
-    /// exactly the embeddings whose first two matched positions are a batch
-    /// edge, in both orientations, each on its own stage view. The pin is
-    /// keyed by the index, not the vertex: one vertex may end many batch
-    /// edges.
+    /// One side of a delta batch: index `i` names a stage `s` and one
+    /// endpoint of update edge `edges[s]` (each `(lo, hi)`, `lo < hi`),
+    /// matched on that stage's graph `views[s]` with level 1 pinned to the
+    /// edge's other endpoint — so the run counts exactly the matches whose
+    /// first two matched positions are a batch edge, each on its own stage
+    /// view. `oriented`: the plan bounds level 1 below level 0, so stage
+    /// `s = i` starts at `hi` only; otherwise `s = i / 2` and `i % 2` picks
+    /// the endpoint, both orientations. The pin is keyed by the index, not
+    /// the vertex: one vertex may end many batch edges.
     Staged {
         edges: &'a [(VertexId, VertexId)],
         views: &'a [Graph],
+        oriented: bool,
     },
 }
 
@@ -449,14 +452,19 @@ impl<'a> WarpKernel<'a> {
         match self.l0 {
             Level0Map::Identity => idx as VertexId,
             Level0Map::Order(order) => order[idx],
-            Level0Map::Staged { edges, views } => {
-                let (a, b) = edges[idx / 2];
-                let (v, pin) = if idx.is_multiple_of(2) {
-                    (a, b)
+            Level0Map::Staged {
+                edges,
+                views,
+                oriented,
+            } => {
+                let (s, from_hi) = if oriented {
+                    (idx, true)
                 } else {
-                    (b, a)
+                    (idx / 2, idx % 2 == 1)
                 };
-                self.g = &views[idx / 2];
+                let (lo, hi) = edges[s];
+                let (v, pin) = if from_hi { (hi, lo) } else { (lo, hi) };
+                self.g = &views[s];
                 self.pin = Some(pin);
                 v
             }

@@ -120,9 +120,11 @@ impl MirrorState {
     }
 }
 
-/// A lockable mirror. Cache-line padding is deliberately omitted: mirrors
-/// are locked a handful of times per shallow iteration, far off any hot
-/// path.
+/// A lockable mirror. Every warp locks its own mirror at each shallow claim
+/// and publish, so these locks sit on the claim path. Mirrors are still not
+/// padded to a cache line: 128-byte padding won `resident_tick`'s wall time
+/// in only 7 of 10 alternating pairs (2-vCPU x86-64) and grew both
+/// benchmark workloads' allocated bytes.
 pub struct Mirror {
     /// Board instance this mirror belongs to (shadow-cell identity for the
     /// race checker — two concurrently live boards never alias cells).

@@ -155,6 +155,9 @@ pub struct MatchPlan {
     cand: Vec<Option<u16>>,
     /// Per-level symmetry bounds (empty when symmetry breaking is off).
     bounds: Vec<Vec<(usize, Bound)>>,
+    /// The pattern edge an anchored plan matches at levels 0/1
+    /// ([`MatchPlan::compile_anchored`]); `None` for whole-graph plans.
+    anchor: Option<(usize, usize)>,
     /// Required data-vertex label per level (None when unlabeled).
     level_labels: Vec<Option<Label>>,
     /// The executable form of everything above, lowered once by
@@ -170,20 +173,21 @@ impl MatchPlan {
     }
 
     /// Compiles an edge-anchored plan for incremental (delta) matching:
-    /// the matching order is [`MatchOrder::anchored`] on `edge`, and
-    /// symmetry breaking is forced **off** — anchored runs count
-    /// *embeddings* through a pinned data edge, and the delta engine
-    /// divides by `symmetry::automorphism_count` afterwards (the
-    /// symmetry bounds assume the free greedy order and would miscount
-    /// under pinned levels).
+    /// the matching order is [`MatchOrder::anchored`] on `edge = (p, q)`,
+    /// and symmetry breaking is forced **on** for the anchor's setwise
+    /// stabilizer ([`symmetry::anchored_bounds`]), whatever `options` says.
+    /// If the stabilizer swaps `p` and `q`, level 1 carries the orientation
+    /// bound `m[1] < m[0]`; the pointwise stabilizer of `p` and `q` bounds
+    /// the later levels. A launch that pins levels 0/1 to a data edge then
+    /// counts each subgraph that maps `edge`'s orbit onto it exactly once.
     pub fn compile_anchored(
         pattern: &Pattern,
         edge: (usize, usize),
         mut options: PlanOptions,
     ) -> MatchPlan {
-        options.symmetry_breaking = false;
+        options.symmetry_breaking = true;
         let order = MatchOrder::anchored(pattern, edge);
-        Self::compile_with_order(pattern, order, options)
+        Self::compile_inner(pattern, order, options, Some(edge))
     }
 
     /// Compiles `pattern` with an explicit matching order.
@@ -191,6 +195,15 @@ impl MatchPlan {
         pattern: &Pattern,
         order: MatchOrder,
         options: PlanOptions,
+    ) -> MatchPlan {
+        Self::compile_inner(pattern, order, options, None)
+    }
+
+    fn compile_inner(
+        pattern: &Pattern,
+        order: MatchOrder,
+        options: PlanOptions,
+        anchor: Option<(usize, usize)>,
     ) -> MatchPlan {
         let k = pattern.size();
         debug_assert_eq!(order.len(), k);
@@ -282,7 +295,9 @@ impl MatchPlan {
             level_ptr[l + 1] += level_ptr[l];
         }
 
-        let bounds = if options.symmetry_breaking {
+        let bounds = if anchor.is_some() {
+            symmetry::anchored_bounds(pattern, &order)
+        } else if options.symmetry_breaking {
             symmetry::bounds_for_order(pattern, &order)
         } else {
             vec![Vec::new(); k]
@@ -296,6 +311,7 @@ impl MatchPlan {
             level_ptr,
             cand,
             bounds,
+            anchor,
             level_labels,
             bytecode: PlanBytecode::unlowered(),
         };
@@ -520,6 +536,15 @@ impl MatchPlan {
     #[inline]
     pub fn bounds(&self, level: usize) -> &[(usize, Bound)] {
         &self.bounds[level]
+    }
+
+    /// The anchor edge `(p, q)` of a plan compiled by
+    /// [`MatchPlan::compile_anchored`], whose bounds break that edge's
+    /// setwise stabilizer instead of the whole automorphism group; `None`
+    /// for a whole-graph plan.
+    #[inline]
+    pub fn anchor(&self) -> Option<(usize, usize)> {
+        self.anchor
     }
 
     /// Required data-vertex label at `level` (None when unlabeled).

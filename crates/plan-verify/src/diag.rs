@@ -34,16 +34,16 @@ pub enum DiagKind {
     /// The chain subtracts position `pos` although the pattern *has* that
     /// edge (or the plan is edge-induced and must not difference at all).
     SpuriousDifference { level: usize, pos: usize },
-    /// The automorphism group requires bound `(pos, dir)` at `level` but the
-    /// plan does not carry it — some subgraphs would be counted more than
-    /// once.
+    /// The automorphism group (an anchored plan: its anchor's setwise
+    /// stabilizer) requires bound `(pos, dir)` at `level` but the plan does
+    /// not carry it — some subgraphs would be counted more than once.
     MissingSymmetryBound {
         level: usize,
         pos: usize,
         dir: Bound,
     },
-    /// The plan carries a bound at `level` the automorphism group does not
-    /// justify — some subgraphs would never be counted.
+    /// The plan carries a bound at `level` its group does not justify —
+    /// some subgraphs would never be counted.
     ExtraSymmetryBound {
         level: usize,
         pos: usize,

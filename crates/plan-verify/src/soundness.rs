@@ -11,8 +11,9 @@
 //!   level is disconnected from the matched prefix entirely.
 //! * **Symmetry-break completeness** — the per-level bounds the plan
 //!   carries must equal (as multisets) the bounds the orbit–stabilizer
-//!   construction derives from the pattern's automorphism group for the
-//!   plan's own matching order. A dropped bound multiplies counts by an
+//!   construction derives for the plan's own matching order: from the
+//!   pattern's automorphism group, or for an anchored plan from its anchor
+//!   edge's setwise stabilizer. A dropped bound multiplies counts by an
 //!   orbit factor; an invented one silently discards subgraphs.
 //! * **Shard coverage** — the virtual cuts of a `ShardPlan` must tile the
 //!   level-0 domain exactly once: cuts monotone from `0` to `n`, and the
@@ -122,14 +123,24 @@ pub fn check_adjacency(plan: &MatchPlan, repro: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Checks the plan's symmetry bounds against the automorphism group.
-/// Skipped (empty result) when the plan was compiled without symmetry
-/// breaking — all-embedding counting carries no bounds by design.
+/// Checks the plan's symmetry bounds against the automorphism group, or,
+/// for a plan that records an anchor, against that anchor's setwise
+/// stabilizer. Skipped (empty result) when the plan was compiled without
+/// symmetry breaking — all-embedding counting carries no bounds by design.
 pub fn check_symmetry(plan: &MatchPlan, repro: &str) -> Vec<Diagnostic> {
     if !plan.options().symmetry_breaking {
         return Vec::new();
     }
-    let expected = symmetry::bounds_for_order(plan.pattern(), plan.order());
+    let (expected, group) = match plan.anchor() {
+        Some(_) => (
+            symmetry::anchored_bounds(plan.pattern(), plan.order()),
+            "anchor's stabilizer",
+        ),
+        None => (
+            symmetry::bounds_for_order(plan.pattern(), plan.order()),
+            "automorphism group",
+        ),
+    };
     let mut diags = Vec::new();
     for (l, level_bounds) in expected.iter().enumerate().take(plan.num_levels()) {
         let mut want = level_bounds.clone();
@@ -143,8 +154,8 @@ pub fn check_symmetry(plan: &MatchPlan, repro: &str) -> Vec<Diagnostic> {
                     DiagKind::MissingSymmetryBound { level: l, pos, dir },
                     format!(
                         "plan-verify: level {l} drops the symmetry bound against \
-                         position {pos} ({dir:?}) required by the automorphism \
-                         group (duplicate counting)"
+                         position {pos} ({dir:?}) required by the {group} \
+                         (duplicate counting)"
                     ),
                     repro,
                 ));
@@ -294,6 +305,46 @@ mod tests {
                 diags[0].kind,
                 DiagKind::MissingSymmetryBound { level: l, pos: p, .. } if l == level && p == pos
             ),
+            "{:?}",
+            diags[0]
+        );
+    }
+
+    #[test]
+    fn anchored_plans_are_sound_for_every_edge_orbit() {
+        for q in catalog::all_paper_queries() {
+            for orbit in symmetry::edge_orbits(&q) {
+                let plan = MatchPlan::compile_anchored(&q, orbit.rep, PlanOptions::default());
+                let s = check_symmetry(&plan, "test");
+                assert!(
+                    s.is_empty(),
+                    "{} anchored on {:?}: {:?}",
+                    q.name(),
+                    orbit.rep,
+                    s
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_stabilizer_bound_is_named() {
+        let bowtie = catalog::paper_query(6);
+        let mut plan = MatchPlan::compile_anchored(&bowtie, (0, 1), PlanOptions::default());
+        let (level, pos) =
+            mutation::drop_symmetry_bound(&mut plan).expect("the {0,1} stabilizer has bounds");
+        let diags = check_symmetry(&plan, "test");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(
+            matches!(
+                diags[0].kind,
+                DiagKind::MissingSymmetryBound { level: l, pos: p, .. } if l == level && p == pos
+            ),
+            "{:?}",
+            diags[0]
+        );
+        assert!(
+            diags[0].message.contains("anchor's stabilizer"),
             "{:?}",
             diags[0]
         );

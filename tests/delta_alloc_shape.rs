@@ -1,7 +1,7 @@
 //! Host allocations of a delta batch grow with the batch, not with batch ×
-//! stages: one launch per (batch side × pattern edge) over stage views that
-//! share one versioned row table, so doubling the batch may not much more
-//! than double the allocations. (Per-edge launches on per-stage
+//! stages: one launch per (batch side × edge orbit of the pattern; one for
+//! the triangle) over stage views that share one versioned row table, so
+//! doubling the batch may not much more than double the allocations. (Per-edge launches on per-stage
 //! `without_edges` views — each re-merging the rows of every earlier stage —
 //! took 3.26× on this fixture: 62 503 → 203 946.)
 //!

@@ -4,14 +4,16 @@
 //! delta must equal, on its own, the matches of the pre/post graph that use
 //! an update edge. Runs the paper's full q1..q24 catalog on both golden
 //! fixture graphs (the same seeded generators `tests/golden_counts.rs`
-//! pins), plus adversarial batch shapes and a shrinking property over
-//! arbitrary graphs and streams.
+//! pins), plus adversarial batch shapes and two shrinking properties: one
+//! over arbitrary graphs and streams, one over random connected patterns,
+//! with symmetry breaking on (subgraph counts) and off (embedding counts)
+//! and under a seeded fault plan.
 
 use std::collections::BTreeSet;
 use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchDelta};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, AppliedBatch, DeltaOverlay, EdgeOp, Graph};
-use stmatch_pattern::{catalog, Pattern};
+use stmatch_pattern::{catalog, symmetry, Pattern};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::{Rng, SplitMix64};
 
@@ -399,4 +401,129 @@ fn delta_work_scales_with_batch_not_graph() {
     // degree, far below the graph's triangle count.
     assert!(delta.added <= post.degree(absent.0).min(post.degree(absent.1)) as u64);
     assert_eq!(delta.removed, 0);
+}
+
+/// A connected pattern of `k` vertices drawn from `seed`: a random spanning
+/// tree plus each other pair with probability 1/3, its vertices labeled
+/// from two labels when `labeled`. Covers orbits of mixed sizes, and
+/// anchors whose stabilizer does and does not swap their endpoints.
+fn random_pattern(k: usize, seed: u64, labeled: bool) -> Pattern {
+    let mut rng = SplitMix64::new(seed);
+    let mut edges: Vec<(usize, usize)> = (1..k)
+        .map(|v| ((rng.next_u64() % v as u64) as usize, v))
+        .collect();
+    for v in 1..k {
+        for u in 0..v {
+            if !edges.contains(&(u, v)) && rng.next_u64().is_multiple_of(3) {
+                edges.push((u, v));
+            }
+        }
+    }
+    let p = Pattern::new(k, &edges).with_name(format!("random{k}-{seed:#x}"));
+    if labeled {
+        p.with_random_labels(2, seed)
+    } else {
+        p
+    }
+}
+
+/// `ops` distinct net updates on `g`: deletes of present edges alternating
+/// with inserts of absent pairs.
+fn mixed_batch(g: &Graph, rng: &mut SplitMix64, ops: usize) -> Vec<EdgeOp> {
+    let n = g.num_vertices() as u64;
+    let mut seen = BTreeSet::new();
+    let mut out = Vec::with_capacity(ops);
+    while out.len() < ops {
+        let u = (rng.next_u64() % n) as u32;
+        let delete = out.len() % 2 == 0;
+        let v = if delete {
+            if g.degree(u) == 0 {
+                continue;
+            }
+            g.neighbors(u)[(rng.next_u64() % g.degree(u) as u64) as usize]
+        } else {
+            (rng.next_u64() % n) as u32
+        };
+        if u == v || g.has_edge(u, v) != delete || !seen.insert((u.min(v), u.max(v))) {
+            continue;
+        }
+        out.push(if delete {
+            EdgeOp::delete(u, v)
+        } else {
+            EdgeOp::insert(u, v)
+        });
+    }
+    out
+}
+
+/// Shrinking property over random connected patterns of 2–6 vertices,
+/// labeled and unlabeled, and a mixed batch on a small PA graph: each side
+/// of the delta equals the matches using an update edge, counted by full
+/// enumeration — subgraphs with symmetry breaking on, embeddings (subgraphs
+/// × |Aut|) with it off, and subgraphs again on a four-warp delta grid
+/// under a seeded warp death. A failure shrinks to a minimal
+/// `(k, pattern seed, labeled, graph seed)` and prints its `reproduce:`
+/// line.
+#[test]
+fn prop_each_side_counts_the_matches_using_its_updates() {
+    forall(
+        "each delta side equals the matches using an update edge",
+        |rng| {
+            (
+                rng.gen_range(2usize..=6),
+                rng.gen_range(0u64..1 << 20),
+                rng.gen::<bool>(),
+                rng.gen_range(0u64..1 << 20),
+            )
+        },
+        |&(k, pattern_seed, labeled, graph_seed)| {
+            let q = random_pattern(k.clamp(2, 6), pattern_seed, labeled);
+            let mut g = gen::preferential_attachment(40, 3, graph_seed).degree_ordered();
+            if labeled {
+                g = gen::assign_random_labels(&g, 2, graph_seed);
+            }
+            let ops = mixed_batch(&g, &mut SplitMix64::new(graph_seed ^ 0xba7c), 10);
+            let mut overlay = DeltaOverlay::new(g);
+            let pre = overlay.snapshot();
+            let batch = overlay.apply(&ops);
+            let post = overlay.snapshot();
+
+            let subgraphs = engine();
+            let mut cfg = *subgraphs.config();
+            cfg.symmetry_breaking = false;
+            let embeddings = Engine::new(cfg);
+            let mut cfg = *subgraphs.config();
+            cfg.delta.grid.warps_per_block = 4;
+            let faulty = Engine::new(cfg).with_fault_plan(FaultPlan::seeded(graph_seed, 4, 1, 0));
+            let want = |e: &Engine| MatchDelta {
+                added: matches_using(e, &post, &q, &batch.inserts),
+                removed: matches_using(e, &pre, &q, &batch.deletes),
+            };
+            let (want_sub, want_emb) = (want(&subgraphs), want(&embeddings));
+            let aut = symmetry::automorphism_count(&q) as u64;
+            if (want_emb.added, want_emb.removed) != (want_sub.added * aut, want_sub.removed * aut)
+            {
+                return Err(format!(
+                    "oracle: embeddings {want_emb:?} are not subgraphs {want_sub:?} x |Aut| {aut}"
+                ));
+            }
+            for (mode, e, want) in [
+                ("symmetry on", &subgraphs, want_sub),
+                ("symmetry off", &embeddings, want_emb),
+                ("FAULT_SEED", &faulty, want_sub),
+            ] {
+                let got = e
+                    .run_delta(&pre, &post, &batch, &q)
+                    .map_err(|err| format!("{mode}: {err}"))?;
+                if got != want {
+                    return Err(format!(
+                        "{mode}: {} (|Aut| {aut}) delta {got:?}, matches using the batch \
+                         {want:?}, batch {batch:?}",
+                        q.name()
+                    ));
+                }
+            }
+            Ok(())
+        },
+    );
 }

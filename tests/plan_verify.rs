@@ -199,6 +199,35 @@ fn mutation_dropped_symmetry_bound_is_caught_by_name() {
     );
 }
 
+/// Kill test 2b: an anchored delta plan breaks only its anchor's setwise
+/// stabilizer. The bowtie's plan anchored on its wing edge `{0,1}` verifies
+/// clean; with one stabilizer bound deleted, the diagnostic names it.
+#[test]
+fn mutation_dropped_stabilizer_bound_is_caught_by_name() {
+    let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
+    let profile = GraphProfile::of(&g);
+    let bowtie = catalog::paper_query(6);
+    let mut plan = MatchPlan::compile_anchored(&bowtie, (0, 1), PlanOptions::default());
+    let clean = verify_plan(&plan, &profile, 4096, "tests/plan_verify.rs anchored");
+    assert!(clean.diagnostics.is_empty(), "{:?}", clean.diagnostics);
+    let (level, pos) = mutation::drop_symmetry_bound(&mut plan)
+        .expect("the {0,1} stabilizer leaves bounds to drop");
+    let v = verify_plan(
+        &plan,
+        &profile,
+        4096,
+        "tests/plan_verify.rs drop-stabilizer-bound",
+    );
+    assert!(
+        v.diagnostics.iter().any(|d| matches!(
+            d.kind,
+            DiagKind::MissingSymmetryBound { level: l, pos: p, .. } if l == level && p == pos
+        ) && d.message.contains("anchor's stabilizer")),
+        "dropped stabilizer bound at level {level} pos {pos} not named in {:?}",
+        v.diagnostics
+    );
+}
+
 /// Kill test 3: corrupting a shard cut so one vertex is owned twice and
 /// another by nobody must name both vertices.
 #[test]
