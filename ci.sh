@@ -387,6 +387,21 @@ if [ -n "${ladder}" ]; then
 fi
 echo "==> lint:recover: OK"
 
+# Launch lint: `Engine::launch` is the one place a request becomes grids
+# (DESIGN.md §4i) — it splits a sharded request and routes a delta batch to
+# its grid — so the deleted drivers and sub-engines must not come back, and
+# nothing outside `benchmark/` calls the four forwards kept for it (their
+# `fn` definitions are allowed), so removing them edits `benchmark/` alone.
+echo "==> lint:launch: scanning for the deleted launch drivers and the benchmark's forwards"
+drivers=$(grep -rnE 'run_sharded|run_delta\(|run_plan_sharded_weighted|for_grid|timeout_budget|per_shard|\.(run_plan|run_plan_warm|run_plan_sharded|run_delta_plans_metered)\(' \
+    crates src tests examples || true)
+if [ -n "${drivers}" ]; then
+    echo "${drivers}"
+    echo "==> lint:launch: FAILED — launch a request (Engine::launch, Engine::run, DeltaPlans::count)"
+    exit 1
+fi
+echo "==> lint:launch: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true

@@ -5,10 +5,10 @@
 //! fixture plus a larger scaling fixture:
 //!
 //! * **stream** — seeded update streams on a default-config engine
-//!   (calling `run_delta*` is the request; no knob arms it) must reconcile
-//!   exactly: the running count seeded from a full run and folded through
-//!   each batch's [`MatchDelta`](stmatch_core::MatchDelta) equals full
-//!   recomputation on the post-batch snapshot after every batch;
+//!   (calling `DeltaPlans::count` is the request; no knob arms it) must
+//!   reconcile exactly: the running count seeded from a full run and folded
+//!   through each batch's [`MatchDelta`](stmatch_core::MatchDelta) equals
+//!   full recomputation on the post-batch snapshot after every batch;
 //! * **service** — a delta-enabled [`MatchService`] must deliver exact
 //!   per-batch deltas to a watcher through `apply_batch` while one-shot
 //!   submissions against the moving graph stay exact;
@@ -117,10 +117,9 @@ fn run_stream() -> bool {
                 overlay.compact();
             }
             let post = overlay.snapshot();
-            let delta = engine
-                .run_delta_plans_metered(&pre, &post, &batch, &plans)
-                .expect("delta launch")
-                .0;
+            let (delta, _) = plans
+                .count(&engine, &pre, &post, &batch)
+                .expect("delta launch");
             running += delta.net();
             let full = engine.run(&post, &q).expect("recompute").count as i64;
             if running != full {
@@ -222,10 +221,10 @@ fn measure_stream(
         let ops = seeded_batch(&overlay, &mut rng, batch_size);
         let batch = overlay.apply(&ops);
         let post = overlay.snapshot();
-        let (delta, instr) = engine
-            .run_delta_plans_metered(&pre, &post, &batch, plans)
+        let (delta, metrics) = plans
+            .count(engine, &pre, &post, &batch)
             .map_err(|e| format!("delta launch: {e}"))?;
-        d_instr += instr;
+        d_instr += metrics.total().simt_instructions;
         running += delta.net();
         let full = engine
             .run(&post, q)

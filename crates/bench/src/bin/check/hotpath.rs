@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 use stmatch_bench::hotpath;
-use stmatch_core::MatchOutcome;
+use stmatch_core::{Launch, MatchOutcome};
 use stmatch_gpusim::Site;
 use stmatch_pattern::SlotTable;
 
@@ -73,7 +73,7 @@ pub fn run(args: &[String]) -> ExitCode {
             eprintln!("hotpath DRIFT: q{qi} {leg:?} slots {table:?} exceed their budget");
             ok = false;
         }
-        let out = engine.run_plan(&g, &plan).unwrap();
+        let out = engine.launch(&Launch::new(&g, &plan)).unwrap();
         if print {
             println!(
                 "    // {}\n    Golden {{\n        query: {qi},\n        leg: Leg::{leg:?},\n        \

@@ -7,8 +7,8 @@
 //! * **single** — a plain `Engine::run` (nobody asked for shards) lands the
 //!   goldens across repeated runs with no requeue claims and no fault
 //!   bookkeeping;
-//! * **on** — a clean 4-shard `run_sharded` must land the same goldens
-//!   with no fault bookkeeping;
+//! * **on** — a clean `Engine::run` on a 4-shard configuration must land
+//!   the same goldens over four grids with no fault bookkeeping;
 //! * **kill** — seeded whole-shard deaths (1-of-4 and 3-of-4) must keep
 //!   counts exact, fully recover the dead shards' work (each dead shard
 //!   finishes its own slice in a salvage pass, printed as `salvage=N`),
@@ -93,20 +93,18 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
     let on_cfg = EngineConfig::default().with_grid(grid()).with_shards(4);
     for (qi, golden) in GOLDEN {
         let q = catalog::paper_query(qi);
-        let out = Engine::new(on_cfg)
-            .run_sharded(&g, &q)
-            .expect("on-leg launch");
+        let out = Engine::new(on_cfg).run(&g, &q).expect("on-leg launch");
         let mut errs = Vec::new();
-        if out.outcome.count != golden {
-            errs.push(format!(
-                "sharded count {} != golden {golden}",
-                out.outcome.count
-            ));
+        if out.count != golden {
+            errs.push(format!("sharded count {} != golden {golden}", out.count));
         }
-        if out.outcome.fault.is_some() {
+        if out.shards.len() != 4 {
+            errs.push(format!("{} shard outcomes, not 4", out.shards.len()));
+        }
+        if out.fault.is_some() {
             errs.push("fault bookkeeping attached to a clean sharded run".to_string());
         }
-        ok &= report(qi, "on", &errs, || format!("count {}", out.outcome.count));
+        ok &= report(qi, "on", &errs, || format!("count {}", out.count));
     }
 
     // --- Kill legs: seeded shard deaths must recover exactly. ---
@@ -121,16 +119,16 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
             let q = catalog::paper_query(qi);
             let out = Engine::new(on_cfg)
                 .with_fault_plan(plan.clone())
-                .run_sharded(&g, &q)
+                .run(&g, &q)
                 .expect("kill-leg launch");
             let mut errs = Vec::new();
-            if out.outcome.count != golden {
-                errs.push(format!("count {} != golden {golden}", out.outcome.count));
+            if out.count != golden {
+                errs.push(format!("count {} != golden {golden}", out.count));
             }
-            if out.outcome.timed_out {
+            if out.timed_out {
                 errs.push("kill-leg run marked timed_out".to_string());
             }
-            let (deaths, salvage) = match &out.outcome.fault {
+            let (deaths, salvage) = match &out.fault {
                 Some(r) => {
                     if !r.fully_recovered() {
                         errs.push(format!(
@@ -138,7 +136,7 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
                             r.unrecovered, r.escaped_panics
                         ));
                     }
-                    if !r.deaths.is_empty() && out.reproduce.is_none() {
+                    if !r.deaths.is_empty() && r.reproduce.is_none() {
                         errs.push("shard-death report lacks a reproduce line".to_string());
                     }
                     (r.deaths.len(), r.salvage_launches)
@@ -147,7 +145,7 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
             };
             // A shard is dead when every warp of its grid died.
             let shard_deaths = out
-                .per_shard
+                .shards
                 .iter()
                 .filter(|s| {
                     s.fault
@@ -161,7 +159,7 @@ fn run_gate(seed: u64, default_seed: bool) -> bool {
                 format!(
                     "count {}, {deaths} deaths, {shard_deaths} shard-deaths, salvage={salvage}, \
                      {reproduce}",
-                    out.outcome.count
+                    out.count
                 )
             });
         }
@@ -189,9 +187,9 @@ fn measure(g: &Graph, shards: usize, work_aware: bool) -> (u64, u64) {
         .with_shards(shards);
     cfg.shard.work_aware = work_aware;
     let out = Engine::new(cfg)
-        .run_sharded(g, &catalog::triangle())
+        .run(g, &catalog::triangle())
         .expect("scaling launch");
-    (out.outcome.count, out.outcome.simulated_cycles())
+    (out.count, out.simulated_cycles())
 }
 
 /// 1/2/4/8/16-shard efficiency sweep on a 256-vertex skewed fixture.

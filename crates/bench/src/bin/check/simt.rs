@@ -104,11 +104,11 @@ fn run_clean_gate(cfg: CheckConfig) -> ExitCode {
             if let Some(p) = fault {
                 engine = engine.with_fault_plan(p);
             }
-            let out = engine.run_sharded(&g, &q).expect("sharded launch");
-            if out.outcome.count != golden {
+            let out = engine.run(&g, &q).expect("sharded launch");
+            if out.count != golden {
                 eprintln!(
                     "check q{qi} {label}: count {} != golden {golden}",
-                    out.outcome.count
+                    out.count
                 );
                 failed = true;
             }

@@ -10,7 +10,7 @@ use crate::tables::{LABEL_SEED, NUM_LABELS};
 /// labeled matching, with enough surviving candidates per level for the
 /// load-balance effects the figure is about.
 pub const ABLATION_LABELS: u32 = 2;
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_graph::datasets::Dataset;
 use stmatch_pattern::catalog;
 
@@ -40,11 +40,11 @@ pub fn fig11(p: &RunParams, queries: &[usize]) {
                 for devices in [1usize, 2, 4] {
                     cfg.shard.shards = devices;
                     let engine = Engine::new(cfg).with_timeout(p.timeout);
-                    match engine.run_sharded(&g, &q) {
+                    match engine.run(&g, &q) {
                         Ok(out) => {
-                            timed_out |= out.outcome.timed_out;
-                            cycles.push(out.outcome.simulated_cycles());
-                            counts.push(out.outcome.count);
+                            timed_out |= out.timed_out;
+                            cycles.push(out.simulated_cycles());
+                            counts.push(out.count);
                         }
                         Err(_) => {
                             cycles.push(0);
@@ -152,7 +152,7 @@ pub fn fig13(p: &RunParams, queries: &[usize]) {
         for unroll in FIG13_UNROLLS {
             let cfg = harness::default_stmatch_cfg(false, p).with_unroll(unroll);
             let engine = Engine::new(cfg).with_timeout(p.timeout);
-            match engine.run_plan(&g, &plans.motion) {
+            match engine.launch(&Launch::new(&g, &plans.motion)) {
                 Ok(out) => row.push(format!("{:.1}%", out.metrics.lane_utilization() * 100.0)),
                 Err(_) => row.push("-".into()),
             }

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 use stmatch_baselines::{cuts, dryadic, gsi};
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::Graph;
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
@@ -179,7 +179,7 @@ pub fn run_stmatch_cfg(g: &Graph, plans: &QueryPlans, cfg: EngineConfig, p: &Run
     } else {
         &plans.naive
     };
-    match engine.run_plan(g, plan) {
+    match engine.launch(&Launch::new(g, plan)) {
         Ok(out) => {
             let mc = out.simulated_cycles() as f64 / 1e6;
             Cell {

@@ -64,13 +64,13 @@ pub struct EngineConfig {
     /// Inert; see [`CompileTuning`].
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i): a
-    /// static, work-aware split of the level-0 domain and shard-level
-    /// fault recovery. Calling
-    /// `Engine::run_plan_sharded` is the request; the resident service
-    /// routes its queries there iff `shards > 1`.
+    /// static, work-aware split of the level-0 domain. The shard count is
+    /// the route: `Engine::launch` splits every whole-graph request —
+    /// `run`, `enumerate`, the resident service's queries — iff
+    /// `shards > 1`.
     pub shard: ShardTuning,
     /// Batch-dynamic incremental matching (see `delta` and DESIGN.md §4k):
-    /// how `Engine::run_delta`'s anchored launches are shaped, and whether
+    /// the grid `DeltaPlans::count`'s anchored launches run on, and whether
     /// a `MatchService` keeps a mutable overlay
     /// (`apply_batch`/`submit_watch`).
     pub delta: DeltaTuning,
@@ -103,7 +103,7 @@ impl Default for EngineConfig {
 /// Incremental-matching tuning: how delta launches are shaped, and whether
 /// a resident service keeps a mutable overlay.
 ///
-/// No engine path reads `enabled`: calling `Engine::run_delta` is the
+/// No engine path reads `enabled`: calling `DeltaPlans::count` is the
 /// request. Delta mode is exact (oracle-tested against full
 /// recomputation), but it is a *different* workload: level-0 domains of
 /// update-edge endpoints on small grids, with each anchored plan breaking
@@ -143,16 +143,17 @@ impl Default for DeltaTuning {
 }
 
 /// Sharding tuning: how many concurrently running grids ("shards") a
-/// sharded run is split over, and how the level-0 domain is split. The
-/// split is static, as in the paper: each shard works only its own slice.
+/// whole-graph launch is split over, and how the level-0 domain is split.
+/// The split is static, as in the paper: each shard works only its own
+/// slice.
 ///
 /// Sharding never changes match results — the shards partition the level-0
 /// domain exactly, and shard-death recovery is count-invariant (see
 /// `shard` and DESIGN.md §4i).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardTuning {
-    /// Number of shards (concurrent grids) per sharded run (default 1).
-    /// The resident service serves queries sharded iff this exceeds 1.
+    /// Number of shards (concurrent grids) per whole-graph launch (default
+    /// 1: one grid). Every route splits iff this exceeds 1.
     pub shards: usize,
     /// Partition the level-0 domain by per-vertex work weights
     /// (degree/intersection skew) instead of contiguous equal slices

@@ -1,8 +1,9 @@
 //! Batch-dynamic incremental matching (DESIGN.md §4k).
 //!
 //! Instead of recounting a pattern against the whole graph after every
-//! update batch, the delta engine enumerates only the subgraphs that the
-//! batch created or destroyed. The decomposition:
+//! update batch, [`DeltaPlans::count`] enumerates only the subgraphs that
+//! the batch created or destroyed, in anchored launches that
+//! [`Engine::launch`] runs on the delta grid. The decomposition:
 //!
 //! * `removed` = subgraphs of the **pre**-batch graph containing at least
 //!   one net-deleted edge;
@@ -121,10 +122,9 @@ impl StagedSide {
 }
 
 /// One update batch staged for anchored enumeration: both sides' stage
-/// views plus the right-sized engine and warm slot their launches run on.
-/// Built once per batch; every watcher's plans run on the same one.
+/// views plus the warm slot their launches run on. Built once per batch;
+/// every watcher's plans run on the same one.
 pub(crate) struct StagedBatch {
-    sub: Engine,
     warm: WarmSlot,
     /// Net deletes in batch order over `pre`: an embedding is counted at
     /// its lowest-indexed deleted edge.
@@ -137,11 +137,8 @@ pub(crate) struct StagedBatch {
 
 impl StagedBatch {
     /// Stages `batch` between `pre` (the graph before it) and `post` (the
-    /// graph after). `None` when the batch netted out: nothing to launch.
-    ///
-    /// Requires edge-induced matching (see the module docs for why
-    /// vertex-induced deltas cannot be anchored). `engine`'s fault plan, if
-    /// any, applies to every launch.
+    /// graph after) for `engine`'s delta grid. `None` when the batch netted
+    /// out: nothing to launch. Requires edge-induced matching.
     pub(crate) fn new(
         engine: &Engine,
         pre: &Graph,
@@ -158,17 +155,7 @@ impl StagedBatch {
         if batch.is_empty() {
             return Ok(None);
         }
-        // Right-size the launches: a level-0 domain of 2 × batch indices
-        // has no use for a service-sized grid. Stage views carry no hub
-        // index, so the launches interpret the anchored plans' own streams
-        // on the element paths. The sub-engine keeps the memory limit and
-        // the fault plan, and never a timeout (see `Engine::with_timeout`).
-        let mut sub = engine.for_grid(cfg.delta.grid);
-        if let Some(plan) = engine.fault_plan() {
-            sub = sub.with_fault_plan(plan.clone());
-        }
         Ok(Some(StagedBatch {
-            sub,
             // One warm slot amortizes warp-thread spawn and arena
             // allocation across every launch of the batch.
             warm: WarmSlot::new(cfg.delta.grid)?,
@@ -178,12 +165,16 @@ impl StagedBatch {
     }
 
     /// Counts the matches of `plans`' pattern the batch destroyed and
-    /// created: one launch per (non-empty side × anchored plan). Also
-    /// returns the launches' merged metrics.
-    pub(crate) fn run(&self, plans: &DeltaPlans) -> Result<(MatchDelta, GridMetrics), LaunchError> {
+    /// created: one `engine` launch per (non-empty side × anchored plan).
+    /// Also returns the launches' merged metrics.
+    pub(crate) fn run(
+        &self,
+        engine: &Engine,
+        plans: &DeltaPlans,
+    ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
         let mut metrics = GridMetrics::default();
         // Subgraph counts; embedding counts when the engine breaks no symmetry.
-        let scale = if self.sub.config().symmetry_breaking {
+        let scale = if engine.config().symmetry_breaking {
             1
         } else {
             plans.aut
@@ -194,7 +185,7 @@ impl StagedBatch {
             };
             let mut total = 0u64;
             for plan in &plans.anchored {
-                let out = self.sub.launch(&Launch {
+                let out = engine.launch(&Launch {
                     warm: Some(&self.warm),
                     domain: Level0::Anchored {
                         edges: &side.edges,
@@ -213,11 +204,32 @@ impl StagedBatch {
     }
 }
 
+impl DeltaPlans {
+    /// Counts the matches `batch` destroyed (enumerated against `pre`, the
+    /// graph before the batch) and created (against `post`, the graph
+    /// after) in `2 × num_plans()` launches of `engine` on its delta grid:
+    /// O(batch × affected neighborhoods) work. Also returns the launches'
+    /// merged metrics. Requires edge-induced matching (see the module
+    /// docs).
+    pub fn count(
+        &self,
+        engine: &Engine,
+        pre: &Graph,
+        post: &Graph,
+        batch: &AppliedBatch,
+    ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
+        match StagedBatch::new(engine, pre, post, batch)? {
+            Some(staged) => staged.run(engine, self),
+            None => Ok((MatchDelta::default(), GridMetrics::default())),
+        }
+    }
+}
+
 impl Engine {
     /// Compiles the anchored plan set for incremental matching of
     /// `pattern` under this engine's options: one plan per edge orbit,
     /// anchored on its representative (vertex-induced mode is rejected at
-    /// [`Engine::run_delta_plans_metered`] time).
+    /// [`DeltaPlans::count`] time).
     pub fn compile_delta(&self, pattern: &Pattern) -> DeltaPlans {
         let opts = PlanOptions {
             induced: false,
@@ -236,32 +248,8 @@ impl Engine {
         }
     }
 
-    /// [`Engine::run_delta_plans_metered`] with one-shot plan compilation,
-    /// returning only the delta.
-    pub fn run_delta(
-        &self,
-        pre: &Graph,
-        post: &Graph,
-        batch: &AppliedBatch,
-        pattern: &Pattern,
-    ) -> Result<MatchDelta, LaunchError> {
-        let plans = self.compile_delta(pattern);
-        Ok(self.run_delta_plans_metered(pre, post, batch, &plans)?.0)
-    }
-
-    /// Counts the embeddings `batch` destroyed (enumerated against `pre`,
-    /// the graph before the batch) and created (against `post`, the graph
-    /// after), in O(batch × affected neighborhoods) work and
-    /// `2 × plans.num_plans()` launches — the graph size only enters
-    /// through the degrees of the touched vertices.
-    ///
-    /// Also returns the total simulated SIMT instructions the anchored
-    /// launches executed — the work measure the `smoke:delta` bench gate
-    /// compares against full recomputation.
-    ///
-    /// Requires edge-induced matching (see the module docs for why
-    /// vertex-induced deltas cannot be anchored); launches run on
-    /// [`EngineConfig::delta`](crate::EngineConfig::delta)`.grid`.
+    /// [`DeltaPlans::count`] with only the launches' simulated
+    /// instructions. Kept for `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_delta_plans_metered(
         &self,
         pre: &Graph,
@@ -269,11 +257,9 @@ impl Engine {
         batch: &AppliedBatch,
         plans: &DeltaPlans,
     ) -> Result<(MatchDelta, u64), LaunchError> {
-        let Some(staged) = StagedBatch::new(self, pre, post, batch)? else {
-            return Ok((MatchDelta::default(), 0));
-        };
-        let (delta, metrics) = staged.run(plans)?;
-        Ok((delta, metrics.total().simt_instructions))
+        plans
+            .count(self, pre, post, batch)
+            .map(|(delta, metrics)| (delta, metrics.total().simt_instructions))
     }
 }
 
@@ -299,7 +285,7 @@ mod tests {
         let before = e.run(&base, pattern).expect("pre count").count;
         let (pre, post, batch) = apply(base, ops);
         let after = e.run(&post, pattern).expect("post count").count;
-        let delta = e.run_delta(&pre, &post, &batch, pattern).expect("delta");
+        let delta = delta(&e, &pre, &post, &batch, pattern);
         assert_eq!(
             before as i64 + delta.net(),
             after as i64,
@@ -311,6 +297,18 @@ mod tests {
         if batch.deletes.is_empty() {
             assert_eq!(delta.removed, 0, "insert-only batch removed matches");
         }
+    }
+
+    /// `pattern`'s delta under `batch` on `e`.
+    fn delta(
+        e: &Engine,
+        pre: &Graph,
+        post: &Graph,
+        batch: &AppliedBatch,
+        pattern: &Pattern,
+    ) -> MatchDelta {
+        let plans = e.compile_delta(pattern);
+        plans.count(e, pre, post, batch).expect("delta").0
     }
 
     fn fixture() -> Graph {
@@ -388,7 +386,10 @@ mod tests {
         let g = fixture();
         let (pre, post, batch) = apply(g.clone(), &[EdgeOp::delete(g.neighbors(0)[0], 0)]);
         let tight = Engine::with_memory_budget(EngineConfig::default(), 1024);
-        match tight.run_delta(&pre, &post, &batch, &catalog::triangle()) {
+        match tight
+            .compile_delta(&catalog::triangle())
+            .count(&tight, &pre, &post, &batch)
+        {
             Err(LaunchError::GlobalMemory(oom)) => assert_eq!(oom.limit, 1024),
             other => panic!("expected OOM, got {other:?}"),
         }
@@ -422,10 +423,8 @@ mod tests {
         ]);
         assert!(batch.is_empty(), "in-batch cancellation nets to nothing");
         let post = overlay.snapshot();
-        let delta = e
-            .run_delta(&pre, &post, &batch, &catalog::triangle())
-            .expect("delta");
-        assert_eq!(delta, MatchDelta::default());
+        let got = delta(&e, &pre, &post, &batch, &catalog::triangle());
+        assert_eq!(got, MatchDelta::default());
     }
 
     /// A seeded batch of `n` distinct edge toggles, alternating between a
@@ -490,11 +489,12 @@ mod tests {
         for (g, n, seed, q, (added, removed), instructions) in cases {
             let e = engine();
             let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, seed));
-            let got = e
-                .run_delta_plans_metered(&pre, &post, &batch, &e.compile_delta(&q))
+            let (got, metrics) = e
+                .compile_delta(&q)
+                .count(&e, &pre, &post, &batch)
                 .expect("delta");
             assert_eq!(
-                got,
+                (got, metrics.total().simt_instructions),
                 (MatchDelta { added, removed }, instructions),
                 "{} on a {n}-op batch",
                 q.name()
@@ -514,10 +514,7 @@ mod tests {
             for n in [16, 128, 256] {
                 let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, n as u64));
                 assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
-                let staged = StagedBatch::new(&e, &pre, &post, &batch)
-                    .expect("staging")
-                    .expect("non-empty batch");
-                let (_, metrics) = staged.run(&plans).expect("delta");
+                let (_, metrics) = plans.count(&e, &pre, &post, &batch).expect("delta");
                 assert_eq!(
                     metrics.kernel_launches,
                     2 * plans.num_plans() as u64,
@@ -549,17 +546,17 @@ mod tests {
         );
         let (pre, post, batch) = apply(g, &ops);
         let q = catalog::triangle();
-        let want = engine().run_delta(&pre, &post, &batch, &q).expect("delta");
+        let want = delta(&engine(), &pre, &post, &batch, &q);
         assert!(want.added > 0 && want.removed > 0, "fixture is non-trivial");
 
         let mut cfg = EngineConfig::default();
         cfg.delta.grid.warps_per_block = 4;
         let deaths = (0..4).fold(FaultPlan::new(), |plan, w| plan.panic_at(w, 3));
         let e = Engine::new(cfg).with_fault_plan(deaths);
-        let staged = StagedBatch::new(&e, &pre, &post, &batch)
-            .expect("staging")
-            .expect("non-empty batch");
-        let (got, metrics) = staged.run(&e.compile_delta(&q)).expect("delta");
+        let (got, metrics) = e
+            .compile_delta(&q)
+            .count(&e, &pre, &post, &batch)
+            .expect("delta");
         assert_eq!(got, want);
         assert!(
             metrics.total().requeue_claims > 0,
@@ -576,12 +573,14 @@ mod tests {
         let pre = overlay.snapshot();
         let batch = overlay.apply(&[EdgeOp::delete(overlay.base().neighbors(0)[0], 0)]);
         let post = overlay.snapshot();
-        let _ = e.run_delta(&pre, &post, &batch, &catalog::triangle());
+        let _ = e
+            .compile_delta(&catalog::triangle())
+            .count(&e, &pre, &post, &batch);
     }
 
     #[test]
     fn a_default_config_engine_serves_deltas() {
-        // Calling `run_delta` is the request: `engine()` is
+        // Calling `DeltaPlans::count` is the request: `engine()` is
         // `EngineConfig::default()`, and no knob arms it.
         check_against_recompute(fixture(), &[EdgeOp::insert(0, 31)], &catalog::triangle());
     }

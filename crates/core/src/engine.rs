@@ -12,12 +12,12 @@
 //!   reclaim_on_death`]) and requeued on the [`Board`] for survivors, so
 //!   counts stay exact. Deaths are recorded in a [`FaultReport`] on the
 //!   outcome.
-//! * **Stranded work** (all warps of a launch died — a whole shard of a
-//!   sharded run included — or naive mode had no idle phase left to absorb
-//!   a late requeue): bounded *salvage relaunches* drain leftover payloads
-//!   and unclaimed chunks with fault injection disabled.
+//! * **Stranded work** (all warps of a grid died — a whole shard included —
+//!   or naive mode had no idle phase left to absorb a late requeue):
+//!   bounded *salvage relaunches* drain leftover payloads and unclaimed
+//!   chunks with fault injection disabled.
 //!
-//! A launch is planned once, at its configured geometry, as the paper sizes
+//! A grid is planned once, at its configured geometry, as the paper sizes
 //! its stacks once. One that does not fit fails before any warp runs, with
 //! the [`LaunchError`] that names what overflowed: the shared-memory
 //! reservation that did not fit the block, or the global stacks that did
@@ -27,12 +27,13 @@ use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
 use crate::pool::{ArenaPool, WarmSlot};
+use crate::shard;
 use crate::steal::{Board, StealPayload};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use stmatch_gpusim::{Grid, GridConfig, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
+use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
@@ -72,9 +73,9 @@ pub struct MatchOutcome {
     /// work, salvage relaunches. `None` for clean runs; when present and
     /// [`FaultReport::fully_recovered`], the count is still exact.
     pub fault: Option<FaultReport>,
-    /// Inert, empty by type: a launch runs at its configured settings or
+    /// Inert, empty by type and zero-sized: a launch runs as configured or
     /// fails. Kept for `benchmark/`; deleted by ROADMAP item 1.
-    pub downgrades: Vec<Infallible>,
+    pub downgrades: [Infallible; 0],
     /// The kernel counters of `metrics.total()`, kept as fields for
     /// `benchmark/`. Candidate-list slab overflows that spilled to the heap
     /// (see `arena`): hub lists longer than `max_degree_slab`.
@@ -93,6 +94,9 @@ pub struct MatchOutcome {
     /// `benchmark/`'s `compile.served_tier` leg; deleted with
     /// [`CompileTuning`](crate::config::CompileTuning) by ROADMAP item 1.
     pub served_tier: Option<u8>,
+    /// A split launch's per-shard outcomes, indexed by shard (a dead shard's
+    /// salvage shows in its own fault report); empty when one grid ran.
+    pub shards: Vec<MatchOutcome>,
 }
 
 impl MatchOutcome {
@@ -140,18 +144,11 @@ pub struct Engine {
     faults: Option<FaultPlan>,
 }
 
-/// Everything one (possibly multi-pass) launch produced.
-struct LaunchStats {
-    metrics: GridMetrics,
-    timed_out: bool,
-    report: FaultReport,
-}
-
 /// One launch request: what to match, on which graph, and which resident
 /// resources to reuse. Every route — one-shot runs, enumeration, the
-/// service's cached queries, each shard of a sharded run, each (batch side
-/// × anchored plan) of a delta batch — builds one of these and hands it to
-/// [`Engine::launch`].
+/// service's cached queries, each (batch side × anchored plan) of a delta
+/// batch — builds one of these and hands it to [`Engine::launch`], which
+/// picks the grids it runs on.
 ///
 /// ```
 /// use stmatch_core::{Engine, EngineConfig, Launch};
@@ -173,7 +170,8 @@ pub struct Launch<'a> {
     /// Parked warp threads and recycled stack arenas to run on instead of
     /// spawning/allocating per launch. Counts, metrics and fault semantics
     /// are identical to a cold launch. A slot built for another grid than
-    /// the engine's is not used: that launch runs cold.
+    /// the one the launch runs on is not used, and a launch split across
+    /// shards uses none: those grids run cold.
     pub warm: Option<&'a WarmSlot>,
     /// A static verification of `plan` against `graph`
     /// ([`Engine::verify`]; the service attaches its cached verdict). The
@@ -186,6 +184,9 @@ pub struct Launch<'a> {
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
     pub(crate) domain: Level0<'a>,
+    /// Level-0 weights for a work-aware shard split (the service's
+    /// overlay-tracked vector); `None` recomputes them from the graph.
+    pub(crate) weights: Option<&'a [u64]>,
 }
 
 impl<'a> Launch<'a> {
@@ -198,6 +199,7 @@ impl<'a> Launch<'a> {
             verified: None,
             collector: None,
             domain: Level0::Whole,
+            weights: None,
         }
     }
 }
@@ -207,10 +209,10 @@ impl<'a> Launch<'a> {
 #[derive(Clone, Copy)]
 pub(crate) enum Level0<'a> {
     /// Every vertex of the graph, identity-mapped, off the grid's own
-    /// chunk dispenser.
+    /// chunk dispenser (one `Slice` per shard when the launch splits).
     Whole,
-    /// One shard of a sharded run ([`crate::shard`]): the shard's slice of
-    /// the level-0 order, off the grid's own dispenser, with
+    /// One shard's grid ([`crate::shard`]): the shard's slice of the
+    /// level-0 order, off the grid's own dispenser, with
     /// `slice[virtual_index]` the data vertex.
     Slice(&'a [VertexId]),
     /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
@@ -231,15 +233,18 @@ pub(crate) enum Level0<'a> {
     },
 }
 
-/// A [`Launch`] resolved against the engine's configuration.
+/// A [`Launch`] resolved against one grid of it.
 struct Resolved<'a> {
-    /// What every warp's kernel borrows (the config included).
+    /// What every warp's kernel borrows (the grid's config included).
     env: KernelEnv<'a>,
-    /// The request's warm slot, if it was built for the engine's grid.
+    /// The request's warm slot, if it was built for this grid.
     warm: Option<&'a WarmSlot>,
     collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Level-0 virtual indices the grid's own dispenser hands out.
     l0_len: usize,
+    deadline: Option<Instant>,
+    /// The engine's fault plan scoped to this grid, if any of it reaches it.
+    faults: Option<&'a FaultPlan>,
 }
 
 impl Engine {
@@ -254,8 +259,8 @@ impl Engine {
         }
     }
 
-    /// Creates an engine with a device-memory budget (bytes). Each grid of
-    /// a sharded run or a delta batch plans against the same limit.
+    /// Creates an engine with a device-memory budget (bytes); each shard
+    /// and delta grid plans against a fresh budget at the same limit.
     pub fn with_memory_budget(cfg: EngineConfig, bytes: usize) -> Engine {
         Engine {
             cfg,
@@ -276,7 +281,9 @@ impl Engine {
 
     /// Attaches a deterministic [`FaultPlan`] to every subsequent launch
     /// (testing/chaos engineering; injection is off unless this is
-    /// called). Salvage relaunches always run with injection disabled.
+    /// called). Each grid of a launch runs the plan scoped to it
+    /// ([`FaultPlan::for_shard`]; see [`FaultKind::ShardKill`](crate::fault::FaultKind)).
+    /// Salvage relaunches always run with injection disabled.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Engine {
         self.faults = Some(plan);
         self
@@ -285,31 +292,6 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
-    }
-
-    /// An engine for another grid of this engine's runs (a shard, a delta
-    /// batch): this configuration on `grid`, and a fresh device budget at
-    /// this engine's limit — each grid is its own device, as in the paper's
-    /// multi-GPU split. It carries no timeout and no fault plan; the caller
-    /// adds its own.
-    pub(crate) fn for_grid(&self, grid: GridConfig) -> Engine {
-        Engine {
-            cfg: EngineConfig { grid, ..self.cfg },
-            memory: MemoryBudget::new(self.memory.limit()),
-            timeout: None,
-            faults: None,
-        }
-    }
-
-    /// The fault plan attached via [`Engine::with_fault_plan`], if any
-    /// (the sharding driver re-scopes it per shard grid).
-    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
-    /// The wall-clock budget attached via [`Engine::with_timeout`], if any.
-    pub(crate) fn timeout_budget(&self) -> Option<std::time::Duration> {
-        self.timeout
     }
 
     /// Compiles the plan for `pattern` under this engine's options.
@@ -369,8 +351,7 @@ impl Engine {
 
     /// Matches `pattern` in `graph` and returns the count plus metrics.
     pub fn run(&self, graph: &Graph, pattern: &Pattern) -> Result<MatchOutcome, LaunchError> {
-        let plan = self.compile(pattern);
-        self.run_plan(graph, &plan)
+        self.launch(&Launch::new(graph, &self.compile(pattern)))
     }
 
     /// Matches `pattern` and materializes every embedding (Fig. 3's
@@ -408,15 +389,14 @@ impl Engine {
         })
     }
 
-    /// Matches a pre-compiled plan: [`Engine::launch`] of a cold whole-graph
-    /// request (used by the bench harness to reuse compilation across
-    /// runs).
+    /// [`Engine::launch`] of a cold whole-graph request. Kept for
+    /// `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_plan(&self, graph: &Graph, plan: &MatchPlan) -> Result<MatchOutcome, LaunchError> {
         self.launch(&Launch::new(graph, plan))
     }
 
-    /// [`Engine::run_plan`] on a [`WarmSlot`]'s parked resources (see
-    /// [`Launch::warm`]).
+    /// [`Engine::launch`] of a whole-graph request on a [`WarmSlot`]'s
+    /// parked resources. Kept for `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_plan_warm(
         &self,
         graph: &Graph,
@@ -429,13 +409,71 @@ impl Engine {
         })
     }
 
-    /// Runs one [`Launch`] request — the single way into the kernel.
-    /// Resolves the request's optional resources against this engine's
-    /// configuration, plans the shared and global budgets once, and runs.
-    /// A launch that does not fit fails before any warp runs.
+    /// Runs one [`Launch`] request — the single way into the kernel, and
+    /// the one place a request becomes grids: one per shard of a
+    /// whole-graph request when [`EngineConfig::shard`] asks for more than
+    /// one (merged), [`EngineConfig::delta`]`.grid` with no deadline for a
+    /// delta batch side (see [`Engine::with_timeout`]), else
+    /// [`EngineConfig::grid`]. A grid that does not fit its budget fails
+    /// the launch before its warps run.
     pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
-        let (graph, plan, cfg) = (req.graph, req.plan, &self.cfg);
+        let cfg = &self.cfg;
         cfg.validate();
+        let split = matches!(req.domain, Level0::Whole) && cfg.shard.shards > 1;
+        if let Some(plan) = &self.faults {
+            plan.check_shard_kills(if split { cfg.shard.shards } else { 1 });
+        }
+        let deadline = self.timeout.map(|t| Instant::now() + t);
+        let device = || MemoryBudget::new(self.memory.limit());
+        match req.domain {
+            Level0::Whole if split => {
+                let splan = shard::split(req.graph, cfg.shard, req.weights);
+                let run_shard = |s| {
+                    let mut slice = *req;
+                    slice.warm = None;
+                    slice.domain = Level0::Slice(splan.slice(s));
+                    self.launch_grid(&slice, s, cfg, &device(), deadline)
+                };
+                let shards = std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..splan.num_shards())
+                        .map(|s| scope.spawn(move || run_shard(s)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("shard driver thread panicked"))
+                        .collect::<Result<_, _>>()
+                })?;
+                Ok(shard::merge(shards))
+            }
+            Level0::Anchored { .. } => {
+                let delta = EngineConfig {
+                    grid: cfg.delta.grid,
+                    ..*cfg
+                };
+                self.launch_grid(req, 0, &delta, &device(), None)
+            }
+            _ => self.launch_grid(req, 0, cfg, &self.memory, deadline),
+        }
+    }
+
+    /// Runs `req` as shard `shard`'s grid, at `cfg.grid`: resolves the
+    /// request's optional resources and the fault plan's scope, plans the
+    /// shared budget and the global one (`memory`) once, and runs until the
+    /// grid's work is done, `deadline` passes or salvage gives up.
+    fn launch_grid(
+        &self,
+        req: &Launch<'_>,
+        shard: usize,
+        cfg: &EngineConfig,
+        memory: &MemoryBudget,
+        deadline: Option<Instant>,
+    ) -> Result<MatchOutcome, LaunchError> {
+        let (graph, plan, grid) = (req.graph, req.plan, cfg.grid);
+        let faults = self
+            .faults
+            .as_ref()
+            .map(|p| p.for_shard(shard, grid.total_warps()))
+            .filter(|p| !p.is_empty());
         // A verdict the caller attached shapes the slabs wherever its clean
         // certificate shrinks one, and is audited after the run below.
         let slab_caps = req.verified.and_then(Verification::footprint_caps);
@@ -487,11 +525,13 @@ impl Engine {
             },
             // The guard against a caller's slot built for another grid: it
             // only serves launches at its exact geometry.
-            warm: req.warm.filter(|w| w.grid_config() == cfg.grid),
+            warm: req.warm.filter(|w| w.grid_config() == grid),
             collector: req.collector,
             l0_len,
+            deadline,
+            faults: faults.as_ref(),
         };
-        let grid = Grid::new(cfg.grid)?;
+        let sim = Grid::new(grid)?;
         let k = plan.num_levels();
         let stop = cfg.effective_stop(k);
 
@@ -516,27 +556,24 @@ impl Engine {
         // plan's marked positions, the rank row of a lifted last level);
         // `MatchOutcome::stack_bytes` stays the paper's formula.
         let reserved = stack_bytes + r.env.row_bytes(stop) * num_warps;
-        self.memory.try_alloc(reserved)?;
-        let stats = self.run_passes(&r, &grid, stop);
-        self.memory.free(reserved);
-        let total = stats.metrics.total();
+        memory.try_alloc(reserved)?;
+        let (metrics, timed_out, report) = self.run_passes(&r, &sim, stop);
+        memory.free(reserved);
+        let total = metrics.total();
         let outcome = MatchOutcome {
             count: total.matches_found,
-            metrics: stats.metrics,
+            metrics,
             shared_bytes_per_block: shared_bytes,
             stack_bytes,
             num_sets: plan.num_sets(),
-            timed_out: stats.timed_out,
-            fault: if stats.report.is_clean() {
-                None
-            } else {
-                Some(stats.report)
-            },
-            downgrades: Vec::new(),
+            timed_out,
+            fault: (!report.is_clean()).then_some(report),
+            downgrades: [],
             spill_events: total.spill_events,
             peak_slab_cells: total.peak_slab_cells,
             tail: [total.tail_streams, total.tail_survivors],
             served_tier: None,
+            shards: Vec::new(),
         };
         // Runtime audit of the static certificate: the launch ran at the
         // certified slab capacity, so a spill under a spill-free cert — or a
@@ -560,19 +597,25 @@ impl Engine {
     }
 
     /// Runs the grid over the resolved level-0 domain: one pass, plus
-    /// bounded salvage relaunches for work stranded by warp deaths.
-    fn run_passes(&self, r: &Resolved<'_>, grid: &Grid, stop: usize) -> LaunchStats {
+    /// bounded salvage relaunches for work stranded by warp deaths. Returns
+    /// the passes' metrics, whether the deadline cut them short, and what
+    /// the fault layer saw.
+    fn run_passes(
+        &self,
+        r: &Resolved<'_>,
+        grid: &Grid,
+        stop: usize,
+    ) -> (GridMetrics, bool, FaultReport) {
         let cfg = r.env.cfg;
-        let deadline = self.timeout.map(|t| Instant::now() + t);
-        let active_plan = self.faults.as_ref().filter(|p| !p.is_empty());
         // While a plan can kill warps, swallow the default panic-hook
         // output for injected payloads (real panics still print).
-        let _quiet = active_plan
+        let _quiet = r
+            .faults
             .filter(|p| p.injects_panics())
             .map(|_| crate::fault::silence_fault_panics());
 
         let mut report = FaultReport {
-            reproduce: active_plan.and_then(|p| p.reproduce_line().map(String::from)),
+            reproduce: r.faults.and_then(|p| p.reproduce_line().map(String::from)),
             ..FaultReport::default()
         };
         let mut metrics = GridMetrics::default();
@@ -581,7 +624,7 @@ impl Engine {
         // stops and which reclaimed payloads are still unfinished.
         let mut cursor = 0usize;
         let mut preload: Vec<StealPayload> = Vec::new();
-        let mut faults = active_plan;
+        let mut faults = r.faults;
         loop {
             let mut board = Board::new(
                 cfg.grid.num_blocks,
@@ -593,7 +636,7 @@ impl Engine {
             if !preload.is_empty() {
                 board.preload(std::mem::take(&mut preload));
             }
-            if let Some(d) = deadline {
+            if let Some(d) = r.deadline {
                 board.set_deadline(d);
             }
             let deaths: Mutex<Vec<WarpDeath>> = Mutex::new(Vec::new());
@@ -638,11 +681,7 @@ impl Engine {
             preload = leftovers;
             faults = None;
         }
-        LaunchStats {
-            metrics,
-            timed_out,
-            report,
-        }
+        (metrics, timed_out, report)
     }
 
     /// One warp's driver loop, wrapped in the containment protocol: on
@@ -896,15 +935,16 @@ mod tests {
         let plan = engine.compile(&p);
         assert_ne!(plan.bytecode().marked(), 0);
         for g in [plain.clone(), plain.with_hub_bitmap(8)] {
-            let free = engine.run_plan(&g, &plan).unwrap();
+            let free = engine.launch(&Launch::new(&g, &plan)).unwrap();
             let rows = plan.bytecode().marked().count_ones() as usize;
             let marker_bytes = rows * g.num_vertices().div_ceil(64) * 8 * cfg.grid.total_warps();
-            match Engine::with_memory_budget(cfg, free.stack_bytes).run_plan(&g, &plan) {
+            match Engine::with_memory_budget(cfg, free.stack_bytes).launch(&Launch::new(&g, &plan))
+            {
                 Err(LaunchError::GlobalMemory(_)) => {}
                 other => panic!("expected OOM, got {other:?}"),
             }
             let fits = Engine::with_memory_budget(cfg, free.stack_bytes + marker_bytes)
-                .run_plan(&g, &plan)
+                .launch(&Launch::new(&g, &plan))
                 .unwrap();
             assert_eq!(fits.count, free.count);
             assert_eq!(fits.stack_bytes, free.stack_bytes);

@@ -53,10 +53,10 @@ pub enum FaultKind {
         /// 1-based publish ordinal that triggers the poisoned panic.
         at_publish: u64,
     },
-    /// Kill an entire shard of a sharded run: the shard driver expands this
-    /// into a panic at claim `at_claim` for *every* warp of shard `shard`'s
-    /// grid (see [`FaultPlan::for_shard`]). The warp-level hooks ignore it,
-    /// so a plan carrying only shard kills is inert on single-grid runs.
+    /// Kill a whole grid: [`FaultPlan::for_shard`] expands this into a
+    /// panic at claim `at_claim` for every warp of shard `shard`'s grid.
+    /// Every grid a launch builds is a shard (a one-grid launch is shard 0
+    /// of 1), and a kill naming a shard the launch lacks panics it.
     ShardKill {
         /// Shard index whose grid dies.
         shard: usize,
@@ -150,9 +150,9 @@ impl FaultPlan {
     }
 
     /// Schedules the death of whole shard `shard` at claim ordinal
-    /// `at_claim` (1-based): every warp of that shard's grid panics there.
-    /// Only the sharded driver interprets this (the `warp` field of the
-    /// stored fault is unused); single-grid runs ignore it.
+    /// `at_claim` (1-based): every warp of that shard's grid panics there
+    /// (see [`FaultKind::ShardKill`]; the `warp` field of the stored fault
+    /// is unused).
     pub fn shard_kill_at(mut self, shard: usize, at_claim: u64) -> FaultPlan {
         assert!(at_claim >= 1, "claim ordinals are 1-based");
         self.faults.push(Fault {
@@ -166,8 +166,7 @@ impl FaultPlan {
     /// shards of a `shards`-shard run die, each at a claim ordinal in the
     /// first handful of claims (so survivors inherit real unfinished
     /// work). Deterministic per `(seed, shards, kills)`; the reproduce
-    /// line `FAULT_SEED=0x…` travels in the resulting [`FaultReport`] and
-    /// the sharded outcome.
+    /// line `FAULT_SEED=0x…` travels in the resulting [`FaultReport`].
     pub fn seeded_shard_kill(seed: u64, shards: usize, kills: usize) -> FaultPlan {
         assert!(shards >= 1);
         assert!(kills <= shards, "cannot kill more shards than the run has");
@@ -185,15 +184,16 @@ impl FaultPlan {
         plan
     }
 
-    /// Restricts this plan to shard `shard` of a sharded run whose grids
-    /// have `total_warps` warps each: warp-level faults apply to every
-    /// shard's grid verbatim (each grid numbers its warps from 0), and a
-    /// matching [`FaultKind::ShardKill`] expands into a panic for every
-    /// warp of the shard. The reproduce line travels with each sub-plan.
+    /// Restricts this plan to shard `shard` of a launch whose grids have
+    /// `total_warps` warps each: warp-level faults apply to every shard's
+    /// grid verbatim (each grid numbers its warps from 0), and a matching
+    /// [`FaultKind::ShardKill`] expands into a panic for every warp of the
+    /// shard. The plan's reproduce line
+    /// ([`FaultPlan::shard_reproduce_line`]) travels with each sub-plan.
     pub fn for_shard(&self, shard: usize, total_warps: usize) -> FaultPlan {
         let mut out = FaultPlan {
             faults: Vec::new(),
-            reproduce: self.reproduce.clone(),
+            reproduce: self.shard_reproduce_line(),
         };
         for f in &self.faults {
             match f.kind {
@@ -212,7 +212,7 @@ impl FaultPlan {
         out
     }
 
-    /// A deterministic reproduce line for a sharded run: the seeded
+    /// A deterministic reproduce line for a launch: the seeded
     /// `FAULT_SEED=0x…` line when present, otherwise a literal rendering
     /// of the plan's shard kills (`SHARD_KILLS=shard@claim,…` — a
     /// hand-built plan is its own reproduction recipe). `None` when the
@@ -232,13 +232,9 @@ impl FaultPlan {
         (!kills.is_empty()).then(|| format!("SHARD_KILLS={}", kills.join(",")))
     }
 
-    /// Rejects a plan that kills a shard a `shards`-shard run does not
-    /// have: such a kill could never fire, and a test built on it would
-    /// prove nothing.
-    ///
-    /// # Panics
-    ///
-    /// Naming the shard and the run's shard count.
+    /// Panics, naming the shard, when the plan kills a shard a
+    /// `shards`-shard launch does not have: such a kill could never fire,
+    /// and a test built on it would prove nothing.
     pub(crate) fn check_shard_kills(&self, shards: usize) {
         for f in &self.faults {
             if let FaultKind::ShardKill { shard, .. } = f.kind {
@@ -248,14 +244,6 @@ impl FaultPlan {
                 );
             }
         }
-    }
-
-    /// True when the plan contains shard-kill faults (meaningful only on
-    /// the sharded route).
-    pub fn kills_shards(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f.kind, FaultKind::ShardKill { .. }))
     }
 
     /// Derives a plan from a single seed: `panics` warp deaths and
@@ -308,7 +296,9 @@ impl FaultPlan {
             .any(|f| !matches!(f.kind, FaultKind::Stall { .. }))
     }
 
-    /// The `FAULT_SEED=0x…` reproduce line of seeded plans.
+    /// The reproduce line: `FAULT_SEED=0x…` for seeded plans, and the
+    /// `SHARD_KILLS=…` rendering for a [`FaultPlan::for_shard`] scope of a
+    /// hand-built plan that kills shards.
     pub fn reproduce_line(&self) -> Option<&str> {
         self.reproduce.as_deref()
     }
@@ -408,7 +398,8 @@ pub struct FaultReport {
     /// Panics that escaped the engine's containment layer (caught only by
     /// the grid backstop); when nonzero the count is a lower bound.
     pub escaped_panics: usize,
-    /// Reproduce line (`FAULT_SEED=0x…`) when a seeded plan was active.
+    /// Reproduce line when a seeded plan (`FAULT_SEED=0x…`) or a
+    /// hand-built shard kill (`SHARD_KILLS=…`) was active.
     pub reproduce: Option<String>,
 }
 
@@ -552,10 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_kill_expands_per_shard_and_is_inert_at_warp_level() {
+    fn shard_kill_expands_to_every_warp_of_its_grid() {
         let plan = FaultPlan::seeded_shard_kill(0xabc, 4, 2);
         assert_eq!(plan, FaultPlan::seeded_shard_kill(0xabc, 4, 2));
-        assert!(plan.kills_shards());
         assert_eq!(plan.reproduce_line(), Some("FAULT_SEED=0xabc"));
         // Distinct victim shards.
         let mut victims: Vec<usize> = plan
@@ -585,6 +575,11 @@ mod tests {
         let mixed = FaultPlan::new().panic_at(1, 3).shard_kill_at(0, 2);
         assert_eq!(mixed.for_shard(1, 4).faults().len(), 1);
         assert_eq!(mixed.for_shard(0, 4).faults().len(), 5);
+        // A hand-built kill is its own reproduction recipe.
+        assert_eq!(
+            mixed.for_shard(1, 4).reproduce_line(),
+            Some("SHARD_KILLS=0@2")
+        );
     }
 
     #[test]

@@ -486,24 +486,15 @@ impl Inner {
         if let Some(f) = opts.fault_plan.clone() {
             engine = engine.with_fault_plan(f);
         }
+        // A sharded launch splits by the overlay's tracked weights, if any,
+        // skipping their O(graph) recompute per query.
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            if cfg.shard.shards > 1 {
-                // Sharded route: the driver builds one grid per shard, so
-                // the worker's single-grid warm slot cannot serve it; the
-                // merged outcome keeps the service's count/metrics shape.
-                // A delta overlay that tracks weights hands the split its
-                // incrementally adjusted vector, skipping the O(graph)
-                // recompute per query.
-                engine
-                    .run_plan_sharded_weighted(&graph, plan, weights.as_deref())
-                    .map(|s| s.outcome)
-            } else {
-                engine.launch(&Launch {
-                    warm,
-                    verified: entry.verification.get().map(Arc::as_ref),
-                    ..Launch::new(&graph, plan)
-                })
-            }
+            engine.launch(&Launch {
+                warm,
+                verified: entry.verification.get().map(Arc::as_ref),
+                weights: weights.as_deref(),
+                ..Launch::new(&graph, plan)
+            })
         }));
         match ran {
             Err(payload) => Err(ServiceError::QueryPanicked(crate::fault::describe_payload(
@@ -718,16 +709,18 @@ impl MatchService {
             }
         }
         // Stage each batch side once: every watcher's plans run on the same
-        // stage views, delta engine and warm slot.
+        // stage views and warm slot.
+        let engine = Engine::new(inner.cfg.engine);
         let staged = if watchers.is_empty() {
             Ok(None)
         } else {
-            let engine = Engine::new(inner.cfg.engine);
             contained(|| StagedBatch::new(&engine, &pre, &post, &batch))
         };
         for w in &watchers {
             let delta = match &staged {
-                Ok(Some(staged)) => contained(|| staged.run(&w.plans)).map(|(delta, _)| delta),
+                Ok(Some(staged)) => {
+                    contained(|| staged.run(&engine, &w.plans)).map(|(delta, _)| delta)
+                }
                 Ok(None) => Ok(MatchDelta::default()),
                 Err(e) => Err(e.clone()),
             };

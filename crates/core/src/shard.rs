@@ -1,11 +1,12 @@
-//! Sharded multi-grid execution (DESIGN.md §4i).
+//! Sharded multi-grid execution (DESIGN.md §4i): the partition and the
+//! fold.
 //!
 //! A *shard* is one independent grid working a static slice of the level-0
 //! domain — the paper's multi-GPU scheme (§VIII-B: "duplicating the input
 //! graph and dividing the outermost loop iterations across GPUs"), and the
 //! only multi-device path: `shards` is the device count. The slices cut one
 //! global *permutation* of the level-0 vertices ([`ShardPlan`]), and each
-//! shard is one ordinary [`Launch`](crate::Launch) over its own slice (the
+//! shard is one grid of [`Engine::launch`] over its own slice (the
 //! crate-private `Level0::Slice` domain). Shards share no state and never
 //! steal from each other.
 //!
@@ -21,17 +22,18 @@
 //!   injection-free salvage pass every launch has
 //!   ([`RecoveryPolicy::salvage_relaunches`](crate::RecoveryPolicy)).
 //!
-//! Calling [`Engine::run_plan_sharded`] is the request; it reads the shard
-//! count and balancing features from
-//! [`EngineConfig::shard`](crate::EngineConfig), and the resident service
-//! routes queries here iff that count exceeds 1.
+//! The shard count is the route: [`Engine::launch`] splits every
+//! whole-graph request — [`Engine::run`], [`Engine::enumerate`], the
+//! resident service's queries — iff
+//! [`EngineConfig::shard`](crate::EngineConfig)`.shards` exceeds 1.
 
-use crate::engine::{Engine, Launch, Level0, MatchOutcome};
-use crate::fault::{FaultPlan, FaultReport};
+use crate::config::ShardTuning;
+use crate::engine::{Engine, Launch, MatchOutcome};
+use crate::fault::FaultReport;
 use std::convert::Infallible;
 use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{stats, Graph, VertexId};
-use stmatch_pattern::{MatchPlan, Pattern};
+use stmatch_pattern::MatchPlan;
 
 /// How the level-0 domain is split across shards: one global permutation
 /// of the vertices plus cut points. Shard `s` owns the virtual indices
@@ -113,16 +115,16 @@ impl ShardPlan {
         self.cuts.len() - 1
     }
 
+    /// Shard `s`'s slice of the level-0 order.
+    pub fn slice(&self, s: usize) -> &[VertexId] {
+        &self.order[self.cuts[s]..self.cuts[s + 1]]
+    }
+
     /// Total weight each shard was assigned under `weights` (used by the
     /// bench harness to report split balance).
     pub fn shard_loads(&self, weights: &[u64]) -> Vec<u64> {
         (0..self.num_shards())
-            .map(|s| {
-                self.order[self.cuts[s]..self.cuts[s + 1]]
-                    .iter()
-                    .map(|&v| weights[v as usize])
-                    .sum()
-            })
+            .map(|s| self.slice(s).iter().map(|&v| weights[v as usize]).sum())
             .collect()
     }
 
@@ -172,220 +174,102 @@ pub struct RailStats {
     pub cross_steals: u64,
 }
 
-/// Result of a sharded run: the merged outcome plus the per-shard ones.
+/// The split [`Engine::launch`] runs a sharded request over:
+/// `tuning.shards` slices, work-aware by `weights` (recomputed from the
+/// graph when `None`) or contiguous.
+pub(crate) fn split(graph: &Graph, tuning: ShardTuning, weights: Option<&[u64]>) -> ShardPlan {
+    let shards = tuning.shards;
+    let splan = match (tuning.work_aware, weights) {
+        (true, Some(w)) => ShardPlan::work_aware_with_weights(graph, shards, w),
+        (true, None) => ShardPlan::work_aware(graph, shards),
+        (false, _) => ShardPlan::contiguous(graph, shards),
+    };
+    // Both built-in partitioners tile the domain by construction, so a
+    // coverage diagnostic (DESIGN.md §4j) is a partitioning bug: fail
+    // loudly in debug builds before a wrong count escapes.
+    debug_assert!(
+        splan
+            .verify_cover(graph.num_vertices(), "shard::split")
+            .is_empty(),
+        "shard plan ({shards} shards, work_aware={}) fails exactly-once coverage",
+        tuning.work_aware
+    );
+    splan
+}
+
+/// Result of [`Engine::run_plan_sharded`]: the launch's outcome (its
+/// [`shards`](MatchOutcome::shards) holds the per-shard ones).
 #[derive(Clone, Debug)]
 pub struct ShardedOutcome {
-    /// Merged outcome. `count` sums the shards; `metrics.warps` is the
-    /// *concatenation* of all per-warp counters, so
-    /// [`simulated_cycles`](MatchOutcome::simulated_cycles) is the true
-    /// global bottleneck (the slowest warp of any shard), not a per-slot
-    /// sum.
+    /// The launch's outcome.
     pub outcome: MatchOutcome,
-    /// Per-shard outcomes, indexed by shard; a dead shard's salvage pass
-    /// shows in its own fault report.
-    pub per_shard: Vec<MatchOutcome>,
-    /// Shard count.
-    pub shards: usize,
     /// Inert, always zero: kept for `benchmark/`.
     pub rail: RailStats,
     /// Inert, empty by type: kept for `benchmark/`.
     pub degradations: Vec<Infallible>,
-    /// Reproduce line of the active fault plan, if any (`FAULT_SEED=…`
-    /// for seeded plans, `SHARD_KILLS=…` for hand-built kills).
-    pub reproduce: Option<String>,
 }
 
 impl Engine {
-    /// Sharded run of `pattern`: compiles and calls
-    /// [`Engine::run_plan_sharded`].
-    pub fn run_sharded(
-        &self,
-        graph: &Graph,
-        pattern: &Pattern,
-    ) -> Result<ShardedOutcome, LaunchError> {
-        let plan = self.compile(pattern);
-        self.run_plan_sharded(graph, &plan)
-    }
-
-    /// Runs `plan` as one launch per shard of
-    /// [`EngineConfig::shard`](crate::EngineConfig)`.shards`, each over its
-    /// own slice, and merges them. Counts are exact whenever the merged
-    /// report says [`fully_recovered`](FaultReport::fully_recovered) — the
-    /// same contract as the single-grid fault path.
-    ///
-    /// An attached [`FaultPlan`](crate::FaultPlan) is re-scoped per
-    /// shard: shard kills expand to every warp of the victim grid, and
-    /// warp-level faults replicate to each shard.
-    ///
-    /// # Panics
-    ///
-    /// When the fault plan kills a shard the run does not have (it could
-    /// never fire), like
-    /// [`EngineConfig::validate`](crate::EngineConfig::validate).
+    /// [`Engine::launch`] of a cold whole-graph request. Kept for
+    /// `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_plan_sharded(
         &self,
         graph: &Graph,
         plan: &MatchPlan,
     ) -> Result<ShardedOutcome, LaunchError> {
-        self.run_plan_sharded_weighted(graph, plan, None)
+        self.launch(&Launch::new(graph, plan))
+            .map(|outcome| ShardedOutcome {
+                outcome,
+                rail: RailStats::default(),
+                degradations: Vec::new(),
+            })
     }
-
-    /// [`Engine::run_plan_sharded`] with caller-maintained level-0
-    /// weights for the work-aware split (see
-    /// [`ShardPlan::work_aware_with_weights`]); `None` recomputes them
-    /// from the graph.
-    pub(crate) fn run_plan_sharded_weighted(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        weights: Option<&[u64]>,
-    ) -> Result<ShardedOutcome, LaunchError> {
-        let cfg = *self.config();
-        cfg.validate();
-        let tuning = cfg.shard;
-        let shards = tuning.shards;
-        if let Some(fp) = self.fault_plan() {
-            fp.check_shard_kills(shards);
-        }
-        let splan = if tuning.work_aware {
-            match weights {
-                Some(w) => ShardPlan::work_aware_with_weights(graph, shards, w),
-                None => ShardPlan::work_aware(graph, shards),
-            }
-        } else {
-            ShardPlan::contiguous(graph, shards)
-        };
-        let reproduce = self.fault_plan().and_then(FaultPlan::shard_reproduce_line);
-        // Both built-in partitioners tile the domain by construction, so a
-        // coverage diagnostic (DESIGN.md §4j) is a partitioning bug: fail
-        // loudly in debug builds before a wrong count escapes.
-        debug_assert!(
-            splan
-                .verify_cover(graph.num_vertices(), "Engine::run_plan_sharded")
-                .is_empty(),
-            "shard plan ({shards} shards, work_aware={}) fails exactly-once coverage",
-            tuning.work_aware
-        );
-
-        let per_shard = self.shard_launches(graph, plan, &splan)?;
-        let merged = merge(&per_shard, reproduce.clone());
-        if let Some(f) = merged.fault.as_ref() {
-            debug_assert!(
-                f.reproduce.is_some() || self.fault_plan().is_none_or(|p| !p.kills_shards()),
-                "shard-death reports must carry a reproduce line"
-            );
-        }
-        Ok(ShardedOutcome {
-            outcome: merged,
-            per_shard,
-            shards,
-            rail: RailStats::default(),
-            degradations: Vec::new(),
-            reproduce,
-        })
-    }
-
-    /// One launch per shard over its slice, each on its own driver thread;
-    /// joins them all.
-    fn shard_launches(
-        &self,
-        graph: &Graph,
-        plan: &MatchPlan,
-        splan: &ShardPlan,
-    ) -> Result<Vec<MatchOutcome>, LaunchError> {
-        let total_warps = self.config().grid.total_warps();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = splan
-                .cuts
-                .windows(2)
-                .enumerate()
-                .map(|(sh, cut)| {
-                    let slice = &splan.order[cut[0]..cut[1]];
-                    scope.spawn(move || {
-                        // Per-shard engine: same config, memory limit and
-                        // timeout; the fault plan is re-scoped so a shard
-                        // kill only reaches its victim grid.
-                        let mut e = self.for_grid(self.config().grid);
-                        if let Some(t) = self.timeout_budget() {
-                            e = e.with_timeout(t);
-                        }
-                        if let Some(fp) = self.fault_plan() {
-                            let scoped = fp.for_shard(sh, total_warps);
-                            if !scoped.is_empty() {
-                                e = e.with_fault_plan(scoped);
-                            }
-                        }
-                        e.launch(&Launch {
-                            domain: Level0::Slice(slice),
-                            ..Launch::new(graph, plan)
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard driver thread panicked"))
-                .collect()
-        })
-    }
-}
-
-/// Ensures the merged outcome carries a fault report and returns it.
-fn report_mut(o: &mut MatchOutcome) -> &mut FaultReport {
-    o.fault.get_or_insert_with(FaultReport::default)
 }
 
 /// Merges the per-shard outcomes: counts and traffic sum, warp metric
 /// vectors concatenate (not summed pairwise: the merged
 /// `simulated_cycles` must be the max over *all* warps of *all* shards,
 /// the quantity the scaling bench calls bottleneck time), and wall time
-/// is the slowest shard's, since shards run in parallel.
-fn merge(shards: &[MatchOutcome], reproduce: Option<String>) -> MatchOutcome {
-    let first = shards.first().expect("at least one shard");
-    let mut merged = MatchOutcome {
-        count: 0,
-        metrics: GridMetrics::default(),
-        shared_bytes_per_block: first.shared_bytes_per_block,
-        stack_bytes: first.stack_bytes,
-        num_sets: first.num_sets,
-        timed_out: false,
-        fault: None,
-        downgrades: Vec::new(),
-        spill_events: 0,
-        peak_slab_cells: 0,
-        tail: [0; 2],
-        served_tier: None,
-    };
-    if let Some(r) = reproduce {
-        report_mut(&mut merged).reproduce = Some(r);
-    }
-    for o in shards {
-        merged.count += o.count;
-        merged.metrics.warps.extend(o.metrics.warps.iter().copied());
-        merged.metrics.kernel_launches += o.metrics.kernel_launches;
-        merged.metrics.contained_panics += o.metrics.contained_panics;
-        merged.metrics.elapsed_nanos = merged.metrics.elapsed_nanos.max(o.metrics.elapsed_nanos);
-        merged.timed_out |= o.timed_out;
+/// is the slowest shard's, since shards run in parallel. The shards' own
+/// outcomes move into [`MatchOutcome::shards`].
+pub(crate) fn merge(shards: Vec<MatchOutcome>) -> MatchOutcome {
+    let mut metrics = GridMetrics::default();
+    let mut fault: Option<FaultReport> = None;
+    for o in &shards {
+        metrics.warps.extend_from_slice(&o.metrics.warps);
+        metrics.kernel_launches += o.metrics.kernel_launches;
+        metrics.contained_panics += o.metrics.contained_panics;
+        metrics.elapsed_nanos = metrics.elapsed_nanos.max(o.metrics.elapsed_nanos);
         if let Some(f) = &o.fault {
-            let r = report_mut(&mut merged);
-            r.deaths.extend(f.deaths.iter().cloned());
+            let r = fault.get_or_insert_with(FaultReport::default);
+            r.deaths.extend_from_slice(&f.deaths);
             r.requeued += f.requeued;
             r.salvage_launches += f.salvage_launches;
             r.unrecovered += f.unrecovered;
             r.escaped_panics += f.escaped_panics;
+            // Every shard's scoped plan carries the launch's one line.
+            r.reproduce = r.reproduce.take().or_else(|| f.reproduce.clone());
         }
     }
     // Over every warp of every shard: spills and tails sum, the peak is the
     // worst warp's.
-    let total = merged.metrics.total();
-    merged.spill_events = total.spill_events;
-    merged.peak_slab_cells = total.peak_slab_cells;
-    merged.tail = [total.tail_streams, total.tail_survivors];
-    // A clean merge should not pin a report just for the reproduce line.
-    if merged.fault.as_ref().is_some_and(FaultReport::is_clean) {
-        merged.fault = None;
+    let total = metrics.total();
+    let first = shards.first().expect("at least one shard");
+    MatchOutcome {
+        count: shards.iter().map(|o| o.count).sum(),
+        metrics,
+        shared_bytes_per_block: first.shared_bytes_per_block,
+        stack_bytes: first.stack_bytes,
+        num_sets: first.num_sets,
+        timed_out: shards.iter().any(|o| o.timed_out),
+        fault,
+        downgrades: [],
+        spill_events: total.spill_events,
+        peak_slab_cells: total.peak_slab_cells,
+        tail: [total.tail_streams, total.tail_survivors],
+        served_tier: None,
+        shards,
     }
-    merged
 }
 
 #[cfg(test)]
@@ -449,28 +333,57 @@ mod tests {
         );
     }
 
+    /// Every verb splits a whole-graph launch iff the configuration asks
+    /// for more than one shard, and lands the single-grid count. The merged
+    /// outcome concatenates the shards' warps, so its bottleneck is the
+    /// slowest shard's.
     #[test]
-    fn sharded_counts_match_single_grid() {
+    fn the_shard_count_is_the_route_for_every_verb() {
         let g = skewed();
-        let base = Engine::new(EngineConfig::default().with_grid(small_grid()));
+        let single = Engine::new(EngineConfig::default().with_grid(small_grid()));
+        let warps = small_grid().total_warps();
         for q in [1, 6, 8] {
             let p = catalog::paper_query(q);
-            let expected = base.run(&g, &p).unwrap().count;
+            let one = single.run(&g, &p).unwrap();
+            assert!(one.shards.is_empty(), "one grid ran");
             for shards in [1, 2, 4] {
                 for work_aware in [false, true] {
                     let mut cfg = EngineConfig::default()
                         .with_grid(small_grid())
                         .with_shards(shards);
                     cfg.shard.work_aware = work_aware;
-                    let out = Engine::new(cfg).run_sharded(&g, &p).unwrap();
-                    assert_eq!(
-                        out.outcome.count, expected,
-                        "q{q} shards={shards} work_aware={work_aware}"
-                    );
-                    assert!(out.outcome.fault.is_none());
-                    assert_eq!(out.per_shard.len(), shards);
+                    let out = Engine::new(cfg).run(&g, &p).unwrap();
+                    let case = format!("q{q} shards={shards} work_aware={work_aware}");
+                    assert_eq!(out.count, one.count, "{case}");
+                    assert!(out.fault.is_none(), "{case}");
+                    assert_eq!(out.metrics.warps.len(), shards * warps, "{case}");
+                    // A one-shard run is one grid.
+                    let grids = if shards > 1 { shards } else { 0 };
+                    assert_eq!(out.shards.len(), grids, "{case}");
+                    if let Some(slowest) =
+                        out.shards.iter().map(MatchOutcome::simulated_cycles).max()
+                    {
+                        assert_eq!(out.simulated_cycles(), slowest, "{case}");
+                    }
                 }
             }
+        }
+        let p = catalog::paper_query(6);
+        let sharded = Engine::new(
+            EngineConfig::default()
+                .with_grid(small_grid())
+                .with_shards(4),
+        );
+        let launched = sharded
+            .launch(&Launch::new(&g, &sharded.compile(&p)))
+            .unwrap();
+        let enumerated = sharded.enumerate(&g, &p).unwrap();
+        let want = single.enumerate(&g, &p).unwrap();
+        assert_eq!(enumerated.embeddings, want.embeddings);
+        for out in [&launched, &enumerated.outcome] {
+            assert_eq!(out.count, want.outcome.count);
+            assert_eq!(out.shards.len(), 4);
+            assert_eq!(out.metrics.warps.len(), 4 * warps);
         }
     }
 
@@ -479,9 +392,9 @@ mod tests {
         let g = gen::complete(5);
         let t = catalog::triangle();
         let cfg = EngineConfig::default().with_shards(2);
-        let reserved = match Engine::with_memory_budget(cfg, 1024).run_sharded(&g, &t) {
+        let reserved = match Engine::with_memory_budget(cfg, 1024).run(&g, &t) {
             Err(LaunchError::GlobalMemory(oom)) => oom.requested,
-            other => panic!("expected OOM, got {:?}", other.map(|o| o.outcome.count)),
+            other => panic!("expected OOM, got {:?}", other.map(|o| o.count)),
         };
         // Each shard is its own device: a limit that fits the single-grid
         // launch fits every shard's launch, whichever runs first.
@@ -489,10 +402,10 @@ mod tests {
             .run(&g, &t)
             .unwrap();
         let sharded = Engine::with_memory_budget(cfg, reserved)
-            .run_sharded(&g, &t)
+            .run(&g, &t)
             .unwrap();
-        assert_eq!(sharded.outcome.count, single.count);
-        assert_eq!(sharded.outcome.count, 10);
+        assert_eq!(sharded.count, single.count);
+        assert_eq!(sharded.count, 10);
     }
 
     #[test]
@@ -507,17 +420,14 @@ mod tests {
         // Every warp of the victim dies; its salvage pass finishes the
         // reclaimed stacks and the slice it never claimed.
         let plan = FaultPlan::seeded_shard_kill(0x5eed, 4, 1);
-        let out = Engine::new(cfg)
-            .with_fault_plan(plan)
-            .run_sharded(&g, &p)
-            .unwrap();
-        assert_eq!(out.outcome.count, expected);
-        let report = out.outcome.fault.as_ref().expect("deaths were injected");
+        let out = Engine::new(cfg).with_fault_plan(plan).run(&g, &p).unwrap();
+        assert_eq!(out.count, expected);
+        let report = out.fault.as_ref().expect("deaths were injected");
         assert!(report.fully_recovered());
         assert!(report.reproduce.is_some(), "seeded plans carry a line");
         let salvaged: Vec<usize> = (0..4)
             .filter(|&s| {
-                out.per_shard[s].fault.as_ref().is_some_and(|f| {
+                out.shards[s].fault.as_ref().is_some_and(|f| {
                     f.deaths.len() >= small_grid().total_warps() && f.salvage_launches > 0
                 })
             })
@@ -537,27 +447,6 @@ mod tests {
             .with_shards(4);
         let _ = Engine::new(cfg)
             .with_fault_plan(FaultPlan::new().shard_kill_at(7, 1))
-            .run_sharded(&skewed(), &catalog::paper_query(1));
-    }
-
-    #[test]
-    fn merged_cycles_are_global_bottleneck() {
-        let g = skewed();
-        let p = catalog::paper_query(6);
-        let cfg = EngineConfig::default()
-            .with_grid(small_grid())
-            .with_shards(2);
-        let out = Engine::new(cfg).run_sharded(&g, &p).unwrap();
-        let per_shard_max = out
-            .per_shard
-            .iter()
-            .map(MatchOutcome::simulated_cycles)
-            .max()
-            .unwrap();
-        assert_eq!(out.outcome.simulated_cycles(), per_shard_max);
-        assert_eq!(
-            out.outcome.metrics.warps.len(),
-            2 * small_grid().total_warps()
-        );
+            .run(&skewed(), &catalog::paper_query(1));
     }
 }

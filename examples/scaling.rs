@@ -24,10 +24,7 @@ fn main() {
     // as in the paper.
     let sharded = |devices: usize| {
         let cfg = EngineConfig::default().with_shards(devices);
-        let out = Engine::new(cfg)
-            .run_sharded(&graph, &query)
-            .expect("launch");
-        out.outcome
+        Engine::new(cfg).run(&graph, &query).expect("launch")
     };
     let single = sharded(1);
     println!("multi-device scaling (simulated bottleneck time):");

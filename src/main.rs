@@ -224,19 +224,6 @@ fn count(opts: &Opts) {
         );
         return;
     }
-    if opts.devices > 1 {
-        let out = engine.run_sharded(&g, &p).unwrap_or_else(|e| {
-            eprintln!("launch failed: {e}");
-            exit(1);
-        });
-        println!("{}", out.outcome.count);
-        eprintln!(
-            "{} devices, bottleneck {:.2} Mcycles",
-            opts.devices,
-            out.outcome.simulated_cycles() as f64 / 1e6
-        );
-        return;
-    }
     let out = engine.run(&g, &p).unwrap_or_else(|e| {
         eprintln!("launch failed: {e}");
         exit(1);

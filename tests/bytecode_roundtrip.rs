@@ -21,7 +21,7 @@
 //! `BYTECODE_ROUNDTRIP_PRINT=1 cargo test --test bytecode_roundtrip pinned -- --nocapture`.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig, MatchOutcome, WarmSlot};
+use stmatch_core::{Engine, EngineConfig, Launch, MatchOutcome, WarmSlot};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::bytecode::mutation;
@@ -205,7 +205,7 @@ fn seeded_opcode_swap_is_caught_by_golden_counts() {
                      PA(48,4,3) degree-ordered fixture";
     let engine = Engine::new(deterministic_cfg());
     let mut plan = engine.compile(&catalog::paper_query(8));
-    let baseline = engine.run_plan(&g, &plan).unwrap().count;
+    let baseline = engine.launch(&Launch::new(&g, &plan)).unwrap().count;
     assert_eq!(baseline, 4, "golden q8 count on the unlabeled fixture");
 
     assert!(
@@ -215,7 +215,7 @@ fn seeded_opcode_swap_is_caught_by_golden_counts() {
     plan.bytecode()
         .verify()
         .expect("the mutant is well-formed — only its semantics are wrong");
-    let got = engine.run_plan(&g, &plan).unwrap().count;
+    let got = engine.launch(&Launch::new(&g, &plan)).unwrap().count;
     assert_ne!(
         got, baseline,
         "opcode swap escaped the golden count check ({reproduce})"
@@ -232,8 +232,10 @@ fn launch_resources_are_metric_identical() {
     let slot = WarmSlot::new(cfg.grid).unwrap();
     for qi in [1, 6, 8] {
         let plan = engine.compile(&catalog::paper_query(qi));
-        let base = engine.run_plan(&g, &plan).unwrap();
-        let out = engine.run_plan_warm(&g, &plan, &slot).unwrap();
+        let base = engine.launch(&Launch::new(&g, &plan)).unwrap();
+        let mut warm = Launch::new(&g, &plan);
+        warm.warm = Some(&slot);
+        let out = engine.launch(&warm).unwrap();
         assert_eq!(out.count, base.count, "q{qi} warm");
         assert_eq!(
             out.total_instructions(),

@@ -29,7 +29,7 @@
 //! does everywhere else.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig, MatchOutcome};
+use stmatch_core::{Engine, EngineConfig, Launch, MatchOutcome};
 use stmatch_gpusim::{GridConfig, Site, WarpMetrics};
 use stmatch_graph::datasets::Dataset;
 use stmatch_graph::{gen, Graph};
@@ -85,7 +85,10 @@ fn every_route_agrees_with_the_oracle_and_with_enumeration() {
                     let engine = Engine::new(cfg);
                     let plan = engine.compile(&pattern);
                     let leg = format!("q{q} on {} unroll {unroll} stealing {stealing}", g.name());
-                    let counted = engine.run_plan(g, &plan).expect("count run").count;
+                    let counted = engine
+                        .launch(&Launch::new(g, &plan))
+                        .expect("count run")
+                        .count;
                     assert_eq!(counted, want, "{leg}: closed form vs oracle");
                     let listed = engine.enumerate_plan(g, &plan).expect("enumeration");
                     assert_eq!(
@@ -124,7 +127,7 @@ fn counting_drops_only_the_last_levels_ballots_where_no_tail_forms() {
             let pattern = catalog::paper_query(q);
             let leg = format!("q{q} on {}", g.name());
             let plan = engine.compile(&pattern);
-            let counted = engine.run_plan(g, &plan).expect("count run");
+            let counted = engine.launch(&Launch::new(g, &plan)).expect("count run");
             let listed = engine
                 .enumerate_plan(g, &plan)
                 .expect("enumeration")

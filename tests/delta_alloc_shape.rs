@@ -55,7 +55,7 @@ fn exchange_batch(g: &Graph, n: usize) -> Vec<EdgeOp> {
         .collect()
 }
 
-/// Allocations of one `run_delta_plans_metered` over an `n`-edge batch.
+/// Allocations of one `DeltaPlans::count` over an `n`-edge batch.
 fn batch_allocs(e: &Engine, base: &Graph, n: usize) -> u64 {
     let mut overlay = DeltaOverlay::new(base.clone());
     let pre = overlay.snapshot();
@@ -68,9 +68,7 @@ fn batch_allocs(e: &Engine, base: &Graph, n: usize) -> u64 {
     let post = overlay.snapshot();
     let plans = e.compile_delta(&catalog::triangle());
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (delta, _) = e
-        .run_delta_plans_metered(&pre, &post, &batch, &plans)
-        .expect("delta");
+    let (delta, _) = plans.count(e, &pre, &post, &batch).expect("delta");
     let after = ALLOCS.load(Ordering::Relaxed);
     assert!(delta.removed > 0, "the batch destroyed triangles");
     after - before

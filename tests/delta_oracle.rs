@@ -10,7 +10,7 @@
 //! and under a seeded fault plan.
 
 use std::collections::BTreeSet;
-use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchDelta};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError, MatchDelta};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{catalog, symmetry, Pattern};
@@ -32,6 +32,18 @@ fn engine() -> Engine {
 /// The two golden fixture graphs (same derivation as
 /// `tests/golden_counts.rs` — if those shapes change, these streams
 /// change with them).
+/// `q`'s delta under `batch` on `e`: its anchored plans, counted on both
+/// sides.
+fn delta_of(
+    e: &Engine,
+    pre: &Graph,
+    post: &Graph,
+    batch: &AppliedBatch,
+    q: &Pattern,
+) -> Result<MatchDelta, LaunchError> {
+    Ok(e.compile_delta(q).count(e, pre, post, batch)?.0)
+}
+
 fn unlabeled_graph() -> Graph {
     gen::preferential_attachment(48, 4, 3).degree_ordered()
 }
@@ -129,10 +141,7 @@ fn check_stream(base: Graph, queries: &[Pattern], seed: u64, batches: usize, ops
         }
         let post = overlay.snapshot();
         for (i, q) in queries.iter().enumerate() {
-            let delta = e
-                .run_delta_plans_metered(&pre, &post, &batch, &plans[i])
-                .expect("delta run")
-                .0;
+            let (delta, _) = plans[i].count(&e, &pre, &post, &batch).expect("delta run");
             running[i] += delta.net();
             let full = e.run(&post, q).expect("recompute").count;
             assert_eq!(
@@ -181,7 +190,7 @@ fn delete_only_stream_reports_no_additions() {
         let ops: Vec<EdgeOp> = chunk.iter().map(|&v| EdgeOp::delete(hub, v)).collect();
         let batch = overlay.apply(&ops);
         let post = overlay.snapshot();
-        let delta = e.run_delta(&pre, &post, &batch, &q).unwrap();
+        let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
         assert_eq!(delta.added, 0, "deletes cannot add edge-induced matches");
         running += delta.net();
         assert_eq!(running, e.run(&post, &q).unwrap().count as i64);
@@ -228,7 +237,7 @@ fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
             if let Some(seed) = seed {
                 e = e.with_fault_plan(FaultPlan::seeded(seed, 4, 1, 0));
             }
-            let delta = e.run_delta(&pre, &post, &batch, &q).expect("delta");
+            let delta = delta_of(&e, &pre, &post, &batch, &q).expect("delta");
             assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
         }
     }
@@ -268,13 +277,36 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
             "{}: no anchored plan re-reads a lifted neighbor list",
             q.name()
         );
-        let delta = e
-            .run_delta_plans_metered(&pre, &post, &batch, &plans)
-            .expect("delta")
-            .0;
+        let (delta, _) = plans.count(&e, &pre, &post, &batch).expect("delta");
         assert_eq!(delta.added, 0);
         assert_sides_exact(&e, &q, (&pre, &post), &batch, delta);
     }
+}
+
+/// `Engine::launch` runs a delta launch on `delta.grid`, whatever the
+/// engine's own grid, and never under the engine's deadline: a partial
+/// anchored count would be a wrong delta, not a lower bound.
+#[test]
+fn delta_launches_run_on_the_delta_grid_without_a_deadline() {
+    let mut cfg = EngineConfig::default().with_grid(grid());
+    cfg.delta.grid.warps_per_block = 2;
+    let mut overlay = DeltaOverlay::new(unlabeled_graph());
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&seeded_batch(&overlay, &mut SplitMix64::new(5), 32));
+    let post = overlay.snapshot();
+    // q9's launches run past the kernel's periodic deadline poll.
+    let q = catalog::paper_query(9);
+    let untimed = Engine::new(EngineConfig::default());
+    let want = delta_of(&untimed, &pre, &post, &batch, &q).unwrap();
+    assert!(want.added > 0 && want.removed > 0, "{want:?}");
+    let timed = Engine::new(cfg).with_timeout(std::time::Duration::from_nanos(1));
+    assert_eq!(delta_of(&timed, &pre, &post, &batch, &q).unwrap(), want);
+    let plans = timed.compile_delta(&q);
+    let (got, metrics) = plans.count(&Engine::new(cfg), &pre, &post, &batch).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(metrics.kernel_launches, 2 * plans.num_plans() as u64);
+    // Launches merge warp by warp: each ran `delta.grid`'s two warps.
+    assert_eq!(metrics.warps.len(), cfg.delta.grid.total_warps());
 }
 
 /// In-batch cancellation: inserting and deleting the same edge within
@@ -303,7 +335,7 @@ fn insert_then_delete_same_edge_within_a_batch_cancels() {
     assert_eq!(batch.inserts, vec![(a.min(b), a.max(b))]);
     assert!(batch.deletes.is_empty());
     let post = overlay.snapshot();
-    let delta = e.run_delta(&pre, &post, &batch, &q).unwrap();
+    let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
     assert_eq!(delta.removed, 0);
     assert_eq!(
         before + delta.net(),
@@ -349,10 +381,9 @@ fn prop_random_streams_reconcile() {
                 let ops = seeded_batch(&overlay, &mut rng, 5);
                 let batch = overlay.apply(&ops);
                 let post = overlay.snapshot();
-                let delta = e
-                    .run_delta_plans_metered(&pre, &post, &batch, &plans)
-                    .map_err(|e| e.to_string())?
-                    .0;
+                let (delta, _) = plans
+                    .count(&e, &pre, &post, &batch)
+                    .map_err(|e| e.to_string())?;
                 running += delta.net();
                 let full = e.run(&post, &q).map_err(|e| e.to_string())?.count;
                 if running != full as i64 {
@@ -390,7 +421,7 @@ fn delta_work_scales_with_batch_not_graph() {
     // them through the same API and summing the outcome metrics is not
     // exposed; instead bound wall-clock-free work via the recompute on
     // the big graph, which must dwarf the small-graph recount.
-    let delta = e.run_delta(&pre, &post, &batch, &q).unwrap();
+    let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
     let full_big = e.run(&post, &q).unwrap().metrics.total().simt_instructions;
     assert!(
         full_big > full_small,
@@ -512,9 +543,8 @@ fn prop_each_side_counts_the_matches_using_its_updates() {
                 ("symmetry off", &embeddings, want_emb),
                 ("FAULT_SEED", &faulty, want_sub),
             ] {
-                let got = e
-                    .run_delta(&pre, &post, &batch, &q)
-                    .map_err(|err| format!("{mode}: {err}"))?;
+                let got =
+                    delta_of(e, &pre, &post, &batch, &q).map_err(|err| format!("{mode}: {err}"))?;
                 if got != want {
                     return Err(format!(
                         "{mode}: {} (|Aut| {aut}) delta {got:?}, matches using the batch \

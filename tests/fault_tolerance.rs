@@ -9,10 +9,11 @@
 //! re-execute exactly the dropped subtrees — no match lost, none counted
 //! twice.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError};
 use stmatch_gpusim::{GridConfig, SharedBudget};
-use stmatch_graph::{gen, Graph};
+use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::catalog;
 
 /// The faults fixture: hub-heavy enough that shallow mirrors hold real
@@ -299,6 +300,53 @@ fn the_shipped_geometries_fit_an_eighth_of_a_block() {
             }
         }
     }
+}
+
+/// Every grid a launch builds is a shard, so a one-grid run and a delta
+/// launch are each shard 0 of 1: shard 0's kill takes every warp of the
+/// grid, whose salvage pass keeps the count exact, and a kill naming shard
+/// 7 panics the launch.
+#[test]
+fn a_shard_kill_reaches_every_single_grid_launch() {
+    let g = gen::preferential_attachment(120, 4, 7).degree_ordered();
+    let q = catalog::paper_query(6);
+    let cfg = EngineConfig::default();
+    let kill = |shard| Engine::new(cfg).with_fault_plan(FaultPlan::new().shard_kill_at(shard, 1));
+    let got = kill(0).run(&g, &q).unwrap();
+    assert_eq!(got.count, 5_503);
+    let report = got.fault.expect("shard 0's kill must take the grid");
+    assert_eq!(report.deaths.len(), cfg.grid.total_warps(), "{report:?}");
+    assert!(report.salvage_launches > 0, "{report:?}");
+    assert!(report.fully_recovered(), "{report:?}");
+    assert_eq!(report.reproduce.as_deref(), Some("SHARD_KILLS=0@1"));
+
+    let mut overlay = DeltaOverlay::new(g.clone());
+    let pre = overlay.snapshot();
+    let ops: Vec<EdgeOp> = g.neighbors(0)[..4]
+        .iter()
+        .map(|&v| EdgeOp::delete(0, v))
+        .collect();
+    let batch = overlay.apply(&ops);
+    let post = overlay.snapshot();
+    let plans = kill(0).compile_delta(&catalog::triangle());
+    let (want, _) = plans.count(&Engine::new(cfg), &pre, &post, &batch).unwrap();
+    assert!(want.removed > 0, "the batch destroyed triangles");
+    let (delta, metrics) = plans.count(&kill(0), &pre, &post, &batch).unwrap();
+    assert_eq!(delta, want);
+    assert!(
+        metrics.total().requeue_claims > 0,
+        "the kill never reached the delta grid"
+    );
+
+    let missing = |launch: &dyn Fn(&Engine)| {
+        let engine = kill(7);
+        let panic = catch_unwind(AssertUnwindSafe(|| launch(&engine)));
+        let message = panic.expect_err("a one-grid launch has no shard 7");
+        let message = message.downcast::<String>().expect("a formatted panic");
+        assert!(message.contains("shard kill names shard 7, but the run has 1 shard(s)"));
+    };
+    missing(&|e| drop(e.run(&g, &q)));
+    missing(&|e| drop(plans.count(e, &pre, &post, &batch)));
 }
 
 /// Fault injection is strictly opt-in: engines without a plan never

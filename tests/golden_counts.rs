@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::{
-    Engine, EngineConfig, MatchOutcome, MatchService, QueryOptions, ServiceConfig, WarmSlot,
+    Engine, EngineConfig, Launch, MatchOutcome, MatchService, QueryOptions, ServiceConfig, WarmSlot,
 };
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
@@ -244,16 +244,14 @@ fn hub_rows_follow_the_graph_on_every_route() {
     };
     for (g, routed) in [(&plain, false), (&indexed, true)] {
         let warm = WarmSlot::new(cfg.grid).unwrap();
-        let sharded = Engine::new(cfg.with_shards(2)).run_plan_sharded(g, &plan);
+        let mut warm_req = Launch::new(g, &plan);
+        warm_req.warm = Some(&warm);
+        let sharded = Engine::new(cfg.with_shards(2)).launch(&Launch::new(g, &plan));
         let service = MatchService::new(Arc::new(g.clone()), ServiceConfig::new(cfg));
         let mut routes = vec![
-            ("cold", engine.run_plan(g, &plan).unwrap(), want),
-            (
-                "warm slot",
-                engine.run_plan_warm(g, &plan, &warm).unwrap(),
-                want,
-            ),
-            ("sharded", sharded.unwrap().outcome, want),
+            ("cold", engine.launch(&Launch::new(g, &plan)).unwrap(), want),
+            ("warm slot", engine.launch(&warm_req).unwrap(), want),
+            ("sharded", sharded.unwrap(), want),
             (
                 "service",
                 service.submit(&q, QueryOptions::default()).unwrap(),
@@ -284,7 +282,10 @@ fn hub_rows_follow_the_graph_on_every_route() {
     let mut overlay = DeltaOverlay::new(indexed.clone());
     let batch = overlay.apply(&ops);
     let post = overlay.snapshot();
-    let delta = engine.run_delta(&indexed, &post, &batch, &q).unwrap();
+    let (delta, _) = engine
+        .compile_delta(&q)
+        .count(&engine, &indexed, &post, &batch)
+        .unwrap();
     let recount = engine.run(&post, &q).unwrap().count;
     assert_eq!(want as i64 + delta.net(), recount as i64);
 }

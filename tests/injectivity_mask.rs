@@ -13,7 +13,7 @@
 //!   oracle's count itself, so the interpreter is the stream's semantics).
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph, VertexId};
 use stmatch_pattern::bytecode::{OpCode, PlanBytecode};
@@ -138,7 +138,10 @@ fn inj_covers_every_collision_and_counts_stay_exact() {
                     });
                     cfg.induced = induced;
                     cfg.symmetry_breaking = symmetry_breaking;
-                    let got = Engine::new(cfg).run_plan(&g, &plan).unwrap().count;
+                    let got = Engine::new(cfg)
+                        .launch(&Launch::new(&g, &plan))
+                        .unwrap()
+                        .count;
                     if got != want {
                         return Err(format!("{leg}: engine {got} != oracle {want}"));
                     }

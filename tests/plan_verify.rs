@@ -379,7 +379,11 @@ fn capacity_hints_shape_the_arena() {
         let slot = WarmSlot::new(grid()).unwrap();
         let out = match attached {
             Some(v) => launch_verified(&engine, &g, &plan, v, Some(&slot)),
-            None => engine.run_plan_warm(&g, &plan, &slot),
+            None => {
+                let mut request = Launch::new(&g, &plan);
+                request.warm = Some(&slot);
+                engine.launch(&request)
+            }
         }
         .unwrap();
         assert_eq!(out.count, want);

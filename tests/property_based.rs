@@ -11,7 +11,7 @@
 //! and the `TESTKIT_SEED=... TESTKIT_CASES=1` line that replays it.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -241,8 +241,8 @@ fn alternative_matching_orders_agree() {
             let engine = Engine::new(EngineConfig::default().with_grid(grid(2, 2)));
             let greedy = MatchPlan::compile_with_order(&q, MatchOrder::greedy(&q), opts);
             let degen = MatchPlan::compile_with_order(&q, MatchOrder::degeneracy(&q), opts);
-            let a = engine.run_plan(&g, &greedy).unwrap().count;
-            let b = engine.run_plan(&g, &degen).unwrap().count;
+            let a = engine.launch(&Launch::new(&g, &greedy)).unwrap().count;
+            let b = engine.launch(&Launch::new(&g, &degen)).unwrap().count;
             if a == b {
                 Ok(())
             } else {

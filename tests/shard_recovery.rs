@@ -4,10 +4,10 @@
 //! (1-of-4 and 3-of-4 victims, and every shard), and as the static
 //! multi-device split `--devices N` runs (DESIGN.md §4i).
 //!
-//! The contract under test: each shard is one launch over its own slice;
-//! a shard whose warps all die finishes its reclaimed stacks and the rest
-//! of its slice in its own injection-free salvage pass — no match lost,
-//! none counted twice, and every shard-death report carries a
+//! The contract under test: each shard is one grid of the launch, over
+//! its own slice; a shard whose warps all die finishes its reclaimed stacks
+//! and the rest of its slice in its own injection-free salvage pass — no
+//! match lost, none counted twice, and every shard-death report carries a
 //! deterministic reproduce line.
 
 use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchOutcome};
@@ -111,34 +111,30 @@ fn sweep(kills: usize, seed: u64) -> (usize, usize, u32) {
             if kills > 0 {
                 engine = engine.with_fault_plan(FaultPlan::seeded_shard_kill(seed, 4, kills));
             }
-            let out = engine.run_sharded(&graph, &q).unwrap();
+            let out = engine.run(&graph, &q).unwrap();
             assert_eq!(
-                out.outcome.count, want,
+                out.count, want,
                 "q{qi} labeled={labeled} kills={kills}: sharded count drifted from golden"
             );
-            assert!(!out.outcome.timed_out, "q{qi}: sharded run must terminate");
-            assert_eq!(out.shards, 4);
-            assert_eq!(out.per_shard.len(), 4, "q{qi}: must report every shard");
+            assert!(!out.timed_out, "q{qi}: sharded run must terminate");
+            assert_eq!(out.shards.len(), 4, "q{qi}: must report every shard");
             if kills == 0 {
                 assert!(
-                    out.per_shard.iter().all(|s| s.total_instructions() > 0),
+                    out.shards.iter().all(|s| s.total_instructions() > 0),
                     "q{qi} labeled={labeled}: a shard did no work"
                 );
             }
-            let dead = out.per_shard.iter().filter(|s| whole_shard_died(s)).count();
-            if let Some(report) = &out.outcome.fault {
+            let dead = out.shards.iter().filter(|s| whole_shard_died(s)).count();
+            if let Some(report) = &out.fault {
                 deaths += report.deaths.len();
                 salvages += report.salvage_launches;
                 assert_eq!(report.escaped_panics, 0, "q{qi}: containment must hold");
                 assert!(report.fully_recovered(), "q{qi}: work left stranded");
                 if !report.deaths.is_empty() {
+                    let line = report.reproduce.as_deref();
                     assert!(
-                        out.reproduce.is_some(),
-                        "q{qi}: shard-death report lacks a reproduce line"
-                    );
-                    assert!(
-                        out.reproduce.as_deref().unwrap().contains("FAULT_SEED"),
-                        "q{qi}: seeded kill must reproduce by seed"
+                        line.is_some_and(|l| l.contains("FAULT_SEED")),
+                        "q{qi}: a seeded kill must reproduce by seed, got {line:?}"
                     );
                 }
             } else {
@@ -197,10 +193,10 @@ fn a_dead_shard_finishes_its_own_slice_in_a_salvage_pass() {
     cfg.shard.work_aware = false;
     let out = Engine::new(cfg)
         .with_fault_plan(FaultPlan::new().shard_kill_at(0, 1))
-        .run_sharded(&g, &q)
+        .run(&g, &q)
         .unwrap();
-    assert_eq!(out.outcome.count, 2_884);
-    let victim = out.per_shard[0].fault.as_ref().expect("shard 0 died");
+    assert_eq!(out.count, 2_884);
+    let victim = out.shards[0].fault.as_ref().expect("shard 0 died");
     assert_eq!(victim.deaths.len(), 1, "its one warp died");
     assert!(
         victim.salvage_launches > 0,
@@ -208,7 +204,7 @@ fn a_dead_shard_finishes_its_own_slice_in_a_salvage_pass() {
     );
     assert!(victim.fully_recovered());
     assert!(
-        out.per_shard[1..].iter().all(|s| s.fault.is_none()),
+        out.shards[1..].iter().all(|s| s.fault.is_none()),
         "the other three shards run clean"
     );
 }
@@ -227,16 +223,17 @@ fn every_dead_shard_salvages_itself_and_stays_exact() {
         .shard_kill_at(3, 1);
     let out = Engine::new(sharded_cfg(4))
         .with_fault_plan(kill_all)
-        .run_sharded(&g, &q)
+        .run(&g, &q)
         .unwrap();
-    assert_eq!(out.outcome.count, 2_884, "q6 must survive total shard loss");
-    for (s, shard) in out.per_shard.iter().enumerate() {
+    assert_eq!(out.count, 2_884, "q6 must survive total shard loss");
+    for (s, shard) in out.shards.iter().enumerate() {
         assert!(whole_shard_died(shard), "shard {s} must die");
         let report = shard.fault.as_ref().unwrap();
         assert!(report.salvage_launches > 0, "shard {s} must salvage itself");
     }
-    assert!(out.outcome.fault.as_ref().unwrap().fully_recovered());
-    let line = out
+    let report = out.fault.expect("every shard died");
+    assert!(report.fully_recovered());
+    let line = report
         .reproduce
         .expect("hand-built kills need a reproduce line");
     assert!(line.contains("SHARD_KILLS="), "got {line:?}");
@@ -256,8 +253,8 @@ fn contiguous_partitioning_is_count_invariant() {
         for shards in [3, 4] {
             let mut cfg = sharded_cfg(shards);
             cfg.shard.work_aware = false;
-            let out = Engine::new(cfg).run_sharded(&g, &q).unwrap();
-            assert_eq!(out.outcome.count, want, "q{qi} contiguous x{shards}");
+            let out = Engine::new(cfg).run(&g, &q).unwrap();
+            assert_eq!(out.count, want, "q{qi} contiguous x{shards}");
         }
     }
 }
@@ -272,19 +269,19 @@ fn static_multi_device_split_is_exact_and_recovers() {
     let q = catalog::paper_query(6);
     let cfg = sharded_cfg(4);
 
-    let out = Engine::new(cfg).run_sharded(&g, &q).unwrap();
-    assert_eq!(out.outcome.count, 2_884);
-    assert_eq!(out.per_shard.len(), 4);
+    let out = Engine::new(cfg).run(&g, &q).unwrap();
+    assert_eq!(out.count, 2_884);
+    assert_eq!(out.shards.len(), 4);
 
     let out = Engine::new(cfg)
         .with_fault_plan(FaultPlan::seeded_shard_kill(0xfade, 4, 1))
-        .run_sharded(&g, &q)
+        .run(&g, &q)
         .unwrap();
-    assert_eq!(out.outcome.count, 2_884);
-    if let Some(report) = &out.outcome.fault {
+    assert_eq!(out.count, 2_884);
+    if let Some(report) = &out.fault {
         assert!(report.fully_recovered());
         if !report.deaths.is_empty() {
-            assert!(out.reproduce.is_some());
+            assert!(report.reproduce.is_some());
         }
     }
 }
@@ -309,9 +306,9 @@ fn timed_out_sharded_run_keeps_the_partial_count_contract() {
     cfg.grid.warps_per_block = 1;
     let out = Engine::new(cfg)
         .with_timeout(std::time::Duration::ZERO)
-        .run_sharded(&g, &q)
+        .run(&g, &q)
         .unwrap();
-    assert!(out.outcome.timed_out);
-    assert!(out.outcome.count <= full);
-    assert_eq!(out.per_shard.len(), 4);
+    assert!(out.timed_out);
+    assert!(out.count <= full);
+    assert_eq!(out.shards.len(), 4);
 }

@@ -3,7 +3,7 @@
 //! results must be deterministic run-to-run even though steal timing is
 //! scheduler-dependent.
 
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -118,12 +118,11 @@ fn device_partitioning_is_exact_for_many_device_counts() {
         for work_aware in [false, true] {
             let mut cfg = cfg.with_shards(devices);
             cfg.shard.work_aware = work_aware;
-            let out = Engine::new(cfg).run_sharded(&g, &p).unwrap();
-            assert_eq!(
-                out.outcome.count, want,
-                "devices={devices} work_aware={work_aware}"
-            );
-            assert_eq!(out.per_shard.len(), devices);
+            let out = Engine::new(cfg).run(&g, &p).unwrap();
+            assert_eq!(out.count, want, "devices={devices} work_aware={work_aware}");
+            // A one-shard run is one grid.
+            let grids = if devices > 1 { devices } else { 0 };
+            assert_eq!(out.shards.len(), grids);
         }
     }
 }
@@ -165,7 +164,7 @@ fn stack_bytes_follow_the_paper_formula() {
     cfg.max_degree_slab = 128;
     let engine = Engine::new(cfg);
     let plan = engine.compile(&p);
-    let out = engine.run_plan(&g, &plan).unwrap();
+    let out = engine.launch(&Launch::new(&g, &plan)).unwrap();
     assert_eq!(
         out.stack_bytes,
         plan.num_sets() * 4 * 128 * 4 * 6,
