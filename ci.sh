@@ -402,6 +402,21 @@ if [ -n "${drivers}" ]; then
 fi
 echo "==> lint:launch: OK"
 
+# Reach lint: no caller set the salvage bound or the drain width, no
+# benchmark or gate ran the overlay's tracked shard weights, and two helpers
+# had no caller, so all were deleted (DESIGN.md §4d, §4g, §4k): a grid
+# salvages at most twice, a worker pops one request per admission-lock
+# acquisition, and a work-aware split weighs the snapshot its query runs on.
+echo "==> lint:reach: scanning for the deleted knobs and helpers"
+reach=$(grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count)\b' \
+    crates src tests examples || true)
+if [ -n "${reach}" ]; then
+    echo "${reach}"
+    echo "==> lint:reach: FAILED — these names were deleted with no caller; do not bring them back"
+    exit 1
+fi
+echo "==> lint:reach: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true

@@ -1,6 +1,5 @@
 //! Engine configuration and the paper's ablation presets.
 
-use crate::fault::RecoveryPolicy;
 use crate::steal::MAX_STOP;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
 
@@ -58,9 +57,6 @@ pub struct EngineConfig {
     pub setops: SetOpTuning,
     /// Inert; see [`HubBitmapTuning`].
     pub hub_bitmap: HubBitmapTuning,
-    /// The bound on the salvage relaunches draining work requeued from
-    /// dead warps (DESIGN.md §4d); [`RecoveryPolicy::disabled`] runs none.
-    pub recovery: RecoveryPolicy,
     /// Inert; see [`CompileTuning`].
     pub compile: CompileTuning,
     /// Sharded multi-grid execution (see `shard` and DESIGN.md §4i): a
@@ -92,7 +88,6 @@ impl Default for EngineConfig {
             max_degree_slab: 4096,
             setops: SetOpTuning,
             hub_bitmap: HubBitmapTuning::default(),
-            recovery: RecoveryPolicy::default(),
             compile: CompileTuning::default(),
             shard: ShardTuning::default(),
             delta: DeltaTuning::default(),
@@ -374,9 +369,6 @@ mod tests {
         assert_eq!(c.detect_level, 2);
         assert_eq!(c.max_degree_slab, 4096);
         assert!(c.code_motion);
-        // Salvage is on by default, fault injection is not (plans attach
-        // to the Engine, never to the config).
-        assert!(c.recovery.salvage_relaunches > 0);
         // Inert, but `benchmark/` builds its legs from these defaults.
         assert_eq!(c.hub_bitmap.hub_threshold, 32);
         assert_eq!(c.with_hub_bitmap(true), c);

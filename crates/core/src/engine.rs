@@ -14,7 +14,7 @@
 //!   outcome.
 //! * **Stranded work** (all warps of a grid died — a whole shard included —
 //!   or naive mode had no idle phase left to absorb a late requeue):
-//!   bounded *salvage relaunches* drain leftover payloads and unclaimed
+//!   at most two *salvage relaunches* drain leftover payloads and unclaimed
 //!   chunks with fault injection disabled.
 //!
 //! A grid is planned once, at its configured geometry, as the paper sizes
@@ -38,6 +38,10 @@ use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
+
+/// The most salvage relaunches one grid runs after its main pass (see
+/// [`FaultReport::salvage_launches`]).
+const SALVAGE_PASSES: u32 = 2;
 
 /// Result of an enumeration run: the embeddings plus the usual outcome.
 #[derive(Clone, Debug)]
@@ -184,9 +188,6 @@ pub struct Launch<'a> {
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
     pub(crate) domain: Level0<'a>,
-    /// Level-0 weights for a work-aware shard split (the service's
-    /// overlay-tracked vector); `None` recomputes them from the graph.
-    pub(crate) weights: Option<&'a [u64]>,
 }
 
 impl<'a> Launch<'a> {
@@ -199,7 +200,6 @@ impl<'a> Launch<'a> {
             verified: None,
             collector: None,
             domain: Level0::Whole,
-            weights: None,
         }
     }
 }
@@ -427,7 +427,7 @@ impl Engine {
         let device = || MemoryBudget::new(self.memory.limit());
         match req.domain {
             Level0::Whole if split => {
-                let splan = shard::split(req.graph, cfg.shard, req.weights);
+                let splan = shard::split(req.graph, cfg.shard);
                 let run_shard = |s| {
                     let mut slice = *req;
                     slice.warm = None;
@@ -670,7 +670,7 @@ impl Engine {
                 report.unrecovered += leftovers.len();
                 break;
             }
-            if report.salvage_launches >= cfg.recovery.salvage_relaunches {
+            if report.salvage_launches >= SALVAGE_PASSES {
                 report.unrecovered += leftovers.len();
                 break;
             }

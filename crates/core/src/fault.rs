@@ -389,8 +389,10 @@ pub struct FaultReport {
     pub deaths: Vec<WarpDeath>,
     /// Total work items requeued from dead warps.
     pub requeued: usize,
-    /// Salvage relaunches performed to drain leftover requeued work, at
-    /// most [`RecoveryPolicy::salvage_relaunches`].
+    /// Salvage relaunches performed to drain leftover requeued work: at
+    /// most two per grid, injection-free, after its main pass (naive mode
+    /// has no idle phase to absorb a late requeue; an all-warps-dead grid —
+    /// a whole dead shard of a sharded run — leaves everything).
     pub salvage_launches: u32,
     /// Work items abandoned after the salvage budget ran out; when
     /// nonzero the count is a lower bound.
@@ -418,36 +420,6 @@ impl FaultReport {
     /// was completed — the count is exact despite the deaths.
     pub fn fully_recovered(&self) -> bool {
         self.unrecovered == 0 && self.escaped_panics == 0
-    }
-}
-
-/// The bound on the engine's salvage pass. Lives on
-/// [`EngineConfig`](crate::EngineConfig) (and is `Copy` like it); the
-/// default is permissive enough that fixture-scale runs recover fully.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Maximum salvage relaunches draining work requeued from dead warps
-    /// after the main launch returned (naive mode has no idle phase to
-    /// absorb a late requeue; an all-warps-dead grid — a whole dead shard
-    /// of a sharded run — leaves everything).
-    pub salvage_relaunches: u32,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            salvage_relaunches: 2,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// No salvage pass: leftover requeued work is abandoned (reported as
-    /// `unrecovered`) — on a sharded run, a dead shard's work included.
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            salvage_relaunches: 0,
-        }
     }
 }
 

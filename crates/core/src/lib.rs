@@ -56,7 +56,7 @@ pub mod steal;
 pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning};
 pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
-pub use fault::{FaultKind, FaultPlan, FaultReport, RecoveryPolicy, WarpDeath};
+pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
 pub use pool::{ArenaPool, WarmSlot};
 pub use service::{
     CacheStats, MatchService, Priority, QueryOptions, ServiceConfig, ServiceError, Ticket,

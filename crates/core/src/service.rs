@@ -16,9 +16,9 @@
 //!   the same entry (counts are isomorphism-invariant). Compilation runs
 //!   *outside* the cache lock; racing compiles of the same form collapse
 //!   to one entry through the entry API.
-//! * **Batched admission** — clients [`submit`](MatchService::submit)
-//!   from any number of threads; worker threads drain the admission
-//!   queue in batches and serve each batch back-to-back on a warm slot
+//! * **Admission** — clients [`submit`](MatchService::submit) from any
+//!   number of threads; each worker thread pops one request per
+//!   admission-lock acquisition and serves it on its warm slot
 //!   ([`WarmSlot`]: parked warp threads + recycled stack arenas).
 //! * **Fault isolation** — each query runs under its own containment:
 //!   injected warp deaths, launch failures, expired deadlines, and even
@@ -40,7 +40,7 @@
 use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta, StagedBatch};
 use crate::engine::{Engine, Launch, MatchOutcome};
-use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::fault::FaultPlan;
 use crate::pool::WarmSlot;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -54,20 +54,23 @@ use stmatch_pattern::{iso, MatchPlan, Pattern, PlanOptions};
 use stmatch_plan_verify::Verification;
 
 /// Admission lane of a query. High-priority requests dequeue ahead of
-/// every queued normal request, with one guardrail: a drain that would
-/// fill its whole batch from the high lane while normal requests wait
-/// reserves one slot for the *oldest* normal request. A sustained
-/// high-priority flood therefore delays the normal lane, but can never
-/// starve it — every drain makes normal-lane progress.
+/// every queued normal request, with one guardrail: after seven high
+/// requests in a row while a normal request waits, the *oldest* normal
+/// request goes next. A sustained high-priority flood
+/// therefore delays the normal lane, but can never starve it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Priority {
     /// The default lane.
     #[default]
     Normal,
     /// Dequeues ahead of queued normal requests (bounded by the
-    /// starvation reservation above).
+    /// starvation guardrail above).
     High,
 }
+
+/// The most high requests served in a row while a normal request waits:
+/// one normal in eight.
+const HIGH_RUN: u32 = 7;
 
 /// Per-query options carried through admission.
 #[derive(Clone, Debug, Default)]
@@ -77,8 +80,6 @@ pub struct QueryOptions {
     /// expires mid-run is cancelled cooperatively and returns
     /// [`ServiceError::DeadlineExceeded`] with the partial outcome.
     pub deadline: Option<Duration>,
-    /// Overrides the service engine's recovery policy for this query.
-    pub recovery: Option<RecoveryPolicy>,
     /// Deterministic fault injection for this query only (testing/chaos).
     pub fault_plan: Option<FaultPlan>,
     /// Overrides the service engine's `induced` semantics for this query.
@@ -126,41 +127,27 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Service sizing: the engine template plus worker/batch knobs.
+/// Service sizing: the engine template plus the worker count.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Template configuration for every query (per-query options may
-    /// override `induced` and `recovery`). Also fixes the warm-slot grid
-    /// geometry and the plan options baked into cache entries.
+    /// override `induced`). Also fixes the warm-slot grid geometry and the
+    /// plan options baked into cache entries.
     pub engine: EngineConfig,
     /// Worker threads, each owning one warm slot. Minimum 1.
     pub workers: usize,
-    /// Most queries a worker drains per admission-lock acquisition.
-    /// Bounds tail latency under a flood without a lock round-trip per
-    /// query. Minimum 1.
-    pub batch_max: usize,
 }
 
 impl ServiceConfig {
-    /// Two workers, batches of eight — small enough for tests, enough
-    /// parallelism to exercise the shared structures.
+    /// Two workers — small enough for tests, enough parallelism to
+    /// exercise the shared structures.
     pub fn new(engine: EngineConfig) -> ServiceConfig {
-        ServiceConfig {
-            engine,
-            workers: 2,
-            batch_max: 8,
-        }
+        ServiceConfig { engine, workers: 2 }
     }
 
     /// Sets the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> ServiceConfig {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Sets the per-drain batch bound (clamped to at least 1).
-    pub fn with_batch_max(mut self, batch_max: usize) -> ServiceConfig {
-        self.batch_max = batch_max.max(1);
         self
     }
 }
@@ -262,14 +249,13 @@ struct Request {
 }
 
 /// The two-lane admission queue (see [`Priority`]). Both lanes are FIFO;
-/// the starvation guardrail lives in [`AdmissionQueue::drain`].
+/// the starvation guardrail lives in [`AdmissionQueue::pop`].
 #[derive(Default)]
 struct AdmissionQueue {
     high: VecDeque<Request>,
     normal: VecDeque<Request>,
-    /// The last one-slot drain served the high lane while normals waited,
-    /// so the next one serves the oldest normal.
-    owe_normal: bool,
+    /// High requests served in a row while a normal request waited.
+    high_run: u32,
 }
 
 impl AdmissionQueue {
@@ -280,36 +266,18 @@ impl AdmissionQueue {
         }
     }
 
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.high.is_empty() && self.normal.is_empty()
-    }
-
-    /// Removes up to `max` requests: high lane first, but when the normal
-    /// lane is non-empty one slot of the batch is reserved for its oldest
-    /// request — the starvation-freedom invariant. A batch of one has no
-    /// slot to spare, so it alternates instead: a drain that served the
-    /// high lane while normals waited is followed by one that serves the
-    /// oldest normal. `max >= 1` always holds (`MatchService::new` clamps
-    /// `ServiceConfig::batch_max`).
-    fn drain(&mut self, max: usize) -> Vec<Request> {
-        debug_assert!(max >= 1, "a drain serves at least one request");
-        let mut batch = Vec::new();
-        let reserved = !self.normal.is_empty() && (max > 1 || self.owe_normal);
-        while batch.len() < max - usize::from(reserved) {
-            match self.high.pop_front() {
-                Some(r) => batch.push(r),
-                None => break,
+    /// Removes the next request: the high lane's oldest, unless
+    /// [`HIGH_RUN`] high requests in a row have passed a waiting normal
+    /// request — then the normal lane's oldest.
+    fn pop(&mut self) -> Option<Request> {
+        if self.normal.is_empty() || self.high_run < HIGH_RUN {
+            if let Some(r) = self.high.pop_front() {
+                self.high_run += u32::from(!self.normal.is_empty());
+                return Some(r);
             }
         }
-        self.owe_normal = max == 1 && !batch.is_empty() && !self.normal.is_empty();
-        while batch.len() < max {
-            match self.normal.pop_front() {
-                Some(r) => batch.push(r),
-                None => break,
-            }
-        }
-        batch
+        self.high_run = 0;
+        self.normal.pop_front()
     }
 }
 
@@ -397,16 +365,12 @@ impl Inner {
         })
     }
 
-    /// The graph a query should run against right now (and, when the
-    /// overlay tracks them, the level-0 weights for the sharded split):
-    /// the current delta snapshot, or the immutable shared graph.
-    fn resolve_graph(&self) -> (Arc<Graph>, Option<Vec<u64>>) {
+    /// The graph a query should run against right now: the current delta
+    /// snapshot, or the immutable shared graph.
+    fn resolve_graph(&self) -> Arc<Graph> {
         match self.lock_graph() {
-            Some(state) => (
-                Arc::clone(&state.current),
-                state.overlay.weights().map(<[u64]>::to_vec),
-            ),
-            None => (Arc::clone(&self.graph), None),
+            Some(state) => Arc::clone(&state.current),
+            None => Arc::clone(&self.graph),
         }
     }
 
@@ -473,12 +437,9 @@ impl Inner {
         // Resolve the topology once, up front (rank-1 lock, released
         // immediately): the query runs against this snapshot even if a
         // batch lands mid-flight.
-        let (graph, weights) = self.resolve_graph();
+        let graph = self.resolve_graph();
         let mut cfg = self.cfg.engine;
         cfg.induced = induced;
-        if let Some(r) = opts.recovery {
-            cfg.recovery = r;
-        }
         let mut engine = Engine::new(cfg);
         if let Some(r) = remaining {
             engine = engine.with_timeout(r);
@@ -486,13 +447,10 @@ impl Inner {
         if let Some(f) = opts.fault_plan.clone() {
             engine = engine.with_fault_plan(f);
         }
-        // A sharded launch splits by the overlay's tracked weights, if any,
-        // skipping their O(graph) recompute per query.
         let ran = catch_unwind(AssertUnwindSafe(|| {
             engine.launch(&Launch {
                 warm,
                 verified: entry.verification.get().map(Arc::as_ref),
-                weights: weights.as_deref(),
                 ..Launch::new(&graph, plan)
             })
         }));
@@ -542,20 +500,13 @@ impl MatchService {
     /// With [`EngineConfig::delta`] enabled, `graph` must be a plain CSR
     /// (not a patched view): the delta overlay folds batches against it.
     pub fn new(graph: Arc<Graph>, cfg: ServiceConfig) -> MatchService {
-        // The fields are public: clamp them as the builders do.
-        let cfg = cfg.with_workers(cfg.workers).with_batch_max(cfg.batch_max);
+        // The field is public: clamp it as the builder does.
+        let cfg = cfg.with_workers(cfg.workers);
         cfg.engine.validate();
         let dynamic = cfg.engine.delta.enabled.then(|| {
-            let mut overlay = DeltaOverlay::new((*graph).clone());
-            if cfg.engine.shard.shards > 1 && cfg.engine.shard.work_aware {
-                // Sharded queries split by level-0 weights; track them on
-                // the overlay so each batch adjusts the touched vertices
-                // instead of recomputing O(graph) per query.
-                overlay.track_weights();
-            }
             Mutex::new(GraphState {
                 current: Arc::clone(&graph),
-                overlay,
+                overlay: DeltaOverlay::new((*graph).clone()),
                 watchers: Vec::new(),
                 next_watch: 0,
                 batches_since_compact: 0,
@@ -590,12 +541,6 @@ impl MatchService {
     /// result. Deadlines start now.
     pub fn enqueue(&self, pattern: &Pattern, opts: QueryOptions) -> Ticket {
         let (reply, rx) = mpsc::channel();
-        // Acquire: pairs with the Release store in Drop, so a client that
-        // observes shutdown also observes every effect sequenced before it.
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-            return Ticket { rx };
-        }
         let req = Request {
             pattern: pattern.clone(),
             opts,
@@ -787,7 +732,7 @@ impl MatchService {
     /// The graph queries currently run against: the latest delta snapshot
     /// for delta-enabled services, the shared immutable graph otherwise.
     pub fn current_graph(&self) -> Arc<Graph> {
-        self.inner.resolve_graph().0
+        self.inner.resolve_graph()
     }
 
     /// The shared graph the service was built with (for delta-enabled
@@ -807,8 +752,8 @@ impl Drop for MatchService {
     /// Graceful shutdown: workers drain the queue (every admitted query
     /// gets a reply), then exit and are joined.
     fn drop(&mut self) {
-        // Release: publishes everything before shutdown to the Acquire
-        // loads in `enqueue` and the worker loop.
+        // Release: publishes everything before shutdown to the worker
+        // loop's Acquire load.
         self.inner.shutdown.store(true, Ordering::Release);
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -816,29 +761,26 @@ impl Drop for MatchService {
     }
 }
 
-/// Worker: drain up to `batch_max` requests per admission-lock
-/// acquisition, serve them back-to-back on this worker's warm slot, park
-/// briefly when idle. Exits when shutdown is flagged *and* the queue is
-/// empty, so pending clients always hear back.
+/// Worker: pop one request per admission-lock acquisition, serve it on
+/// this worker's warm slot, park briefly when idle. Exits when shutdown is
+/// flagged *and* the queue is empty, so pending clients always hear back.
 fn worker_loop(inner: &Inner) {
     let warm = WarmSlot::new(inner.cfg.engine.grid).ok();
     loop {
-        let batch = inner.lock_queue().drain(inner.cfg.batch_max);
-        if batch.is_empty() {
+        let next = inner.lock_queue().pop();
+        let Some(req) = next else {
             // Acquire: pairs with Drop's Release store; checked only after
-            // an empty drain so every admitted query still gets a reply.
+            // an empty pop so every admitted query still gets a reply.
             if inner.shutdown.load(Ordering::Acquire) {
                 break;
             }
             std::thread::yield_now();
             std::thread::sleep(Duration::from_micros(200));
             continue;
-        }
-        for req in batch {
-            let result = inner.execute(warm.as_ref(), &req.pattern, &req.opts, req.admitted);
-            // A client that dropped its ticket is not an error.
-            let _ = req.reply.send(result);
-        }
+        };
+        let result = inner.execute(warm.as_ref(), &req.pattern, &req.opts, req.admitted);
+        // A client that dropped its ticket is not an error.
+        let _ = req.reply.send(result);
     }
 }
 
@@ -969,90 +911,26 @@ mod tests {
         r.opts.deadline.unwrap().as_secs()
     }
 
+    /// The high lane goes first, but never more than `HIGH_RUN` high
+    /// requests in a row while a normal one waits.
     #[test]
-    fn full_batch_reserves_a_slot_for_the_normal_lane() {
+    fn admission_serves_high_first_without_starving_normal() {
         let mut q = AdmissionQueue::default();
-        for t in 0..6 {
+        for t in 0..10 {
             q.push(tagged_request(Priority::High, t));
         }
         for t in 100..103 {
             q.push(tagged_request(Priority::Normal, t));
         }
-        // A drain the high lane could fill alone must still carry the
-        // oldest normal request — the starvation-freedom invariant.
-        let batch = q.drain(4);
-        assert_eq!(
-            batch.iter().map(tag).collect::<Vec<_>>(),
-            vec![0, 1, 2, 100],
-            "three high (FIFO) plus the oldest normal"
-        );
-        // Next drain: the remaining high requests, then the reserve again.
-        let batch = q.drain(4);
-        assert_eq!(
-            batch.iter().map(tag).collect::<Vec<_>>(),
-            vec![3, 4, 5, 101]
-        );
-        // High lane empty: the normal lane gets the whole batch.
-        let batch = q.drain(4);
-        assert_eq!(batch.iter().map(tag).collect::<Vec<_>>(), vec![102]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn high_lane_dequeues_ahead_of_earlier_normals() {
-        let mut q = AdmissionQueue::default();
-        q.push(tagged_request(Priority::Normal, 100));
-        q.push(tagged_request(Priority::High, 0));
-        // Admitted later, served first; the waiting normal keeps the
-        // reserved slot.
-        let batch = q.drain(2);
-        assert_eq!(batch.iter().map(tag).collect::<Vec<_>>(), vec![0, 100]);
-    }
-
-    /// `batch_max` 1: the high lane still goes first, and the lanes then
-    /// alternate while both wait, so neither starves.
-    #[test]
-    fn one_slot_drains_alternate_the_lanes() {
-        let mut q = AdmissionQueue::default();
-        q.push(tagged_request(Priority::Normal, 100));
-        q.push(tagged_request(Priority::Normal, 101));
-        for t in 0..3 {
-            q.push(tagged_request(Priority::High, t));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.drain(1).first().map(tag)).collect();
-        assert_eq!(order, vec![0, 100, 1, 101, 2]);
-        // A high request admitted after a normal one is still served first.
-        q.push(tagged_request(Priority::Normal, 102));
-        q.push(tagged_request(Priority::High, 3));
-        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(q.drain(1).iter().map(tag).collect::<Vec<_>>(), vec![102]);
-        assert!(q.is_empty());
-    }
-
-    /// `batch_max` 0 and 1 set on the public field: the service clamps 0 to
-    /// 1, and every ticket resolves in both.
-    #[test]
-    fn tiny_batches_serve_every_ticket() {
-        let graph = Arc::new(gen::complete(6));
-        for batch_max in [0, 1] {
-            let mut cfg = small_cfg().with_workers(1);
-            cfg.batch_max = batch_max;
-            let svc = MatchService::new(Arc::clone(&graph), cfg);
-            assert_eq!(svc.inner.cfg.batch_max, 1, "batch_max {batch_max}");
-            let tickets: Vec<Ticket> = [Priority::Normal, Priority::High, Priority::Normal]
-                .into_iter()
-                .map(|priority| {
-                    let opts = QueryOptions {
-                        priority,
-                        ..QueryOptions::default()
-                    };
-                    svc.enqueue(&catalog::triangle(), opts)
-                })
-                .collect();
-            for t in tickets {
-                assert_eq!(t.wait().unwrap().count, 20, "batch_max {batch_max}");
-            }
-        }
+        let order = |q: &mut AdmissionQueue| {
+            std::iter::from_fn(|| q.pop().as_ref().map(tag)).collect::<Vec<_>>()
+        };
+        assert_eq!(order(&mut q), [0, 1, 2, 3, 4, 5, 6, 100, 7, 8, 9, 101, 102]);
+        // A high request admitted after a waiting normal one is still
+        // served first.
+        q.push(tagged_request(Priority::Normal, 103));
+        q.push(tagged_request(Priority::High, 10));
+        assert_eq!(order(&mut q), [10, 103]);
     }
 
     #[test]
@@ -1069,7 +947,7 @@ mod tests {
     #[test]
     fn mixed_priority_flood_completes_everything() {
         let graph = Arc::new(gen::erdos_renyi(40, 160, 7));
-        let cfg = small_cfg().with_workers(1).with_batch_max(2);
+        let cfg = small_cfg().with_workers(1);
         let expected = Engine::new(cfg.engine)
             .run(&graph, &catalog::triangle())
             .unwrap()
@@ -1133,6 +1011,52 @@ mod tests {
             svc.submit(&q, QueryOptions::default()).unwrap().count,
             expected
         );
+    }
+
+    /// A sharded, work-aware, delta-enabled service splits each query by
+    /// the weights of the snapshot it runs on: after every seeded mixed
+    /// batch, each count equals a one-grid run on the current graph.
+    #[test]
+    fn sharded_delta_service_counts_the_current_snapshot() {
+        let graph = Arc::new(gen::preferential_attachment(80, 4, 9).degree_ordered());
+        let mut cfg = delta_cfg();
+        cfg.engine = cfg.engine.with_shards(3);
+        assert!(cfg.engine.shard.work_aware);
+        let svc = MatchService::new(Arc::clone(&graph), cfg);
+        let single = Engine::new(small_cfg().engine);
+        let queries = [1, 4, 6].map(catalog::paper_query);
+        let mut rng = 0x5eed_cafe_u64;
+        let mut next = move |m: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % m as u64) as u32
+        };
+        for round in 0..5 {
+            let g = svc.current_graph();
+            let mut ops = Vec::new();
+            for _ in 0..8 {
+                let (u, v) = (next(80), next(80));
+                if u != v {
+                    ops.push(EdgeOp::insert(u, v));
+                }
+                let x = next(80);
+                let row = g.neighbors(x);
+                if !row.is_empty() {
+                    ops.push(EdgeOp::delete(x, row[next(row.len()) as usize]));
+                }
+            }
+            let batch = svc.apply_batch(&ops);
+            assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
+            let g = svc.current_graph();
+            assert_eq!(g.version(), batch.version);
+            for q in &queries {
+                let out = svc.submit(q, QueryOptions::default()).unwrap();
+                let want = single.run(&g, q).unwrap().count;
+                assert_eq!(out.count, want, "round {round} {}", q.name());
+                assert_eq!(out.shards.len(), 3, "round {round} {}", q.name());
+            }
+        }
     }
 
     #[test]
@@ -1262,7 +1186,7 @@ mod tests {
     #[test]
     fn watch_deltas_never_starve_the_one_shot_lane() {
         let graph = Arc::new(gen::preferential_attachment(40, 3, 5).degree_ordered());
-        let cfg = delta_cfg().with_workers(1).with_batch_max(2);
+        let cfg = delta_cfg().with_workers(1);
         let svc = Arc::new(MatchService::new(Arc::clone(&graph), cfg));
         let expected = Engine::new(delta_cfg().engine)
             .run(&graph, &catalog::triangle())

@@ -19,8 +19,8 @@
 //! * **Shard-death recovery is the launch's own**: a shard whose warps all
 //!   die (injected via [`FaultPlan::shard_kill_at`](crate::fault::FaultPlan)
 //!   or real) finishes its own slice and reclaimed stacks in the
-//!   injection-free salvage pass every launch has
-//!   ([`RecoveryPolicy::salvage_relaunches`](crate::RecoveryPolicy)).
+//!   injection-free salvage pass every launch has (at most two; see
+//!   [`FaultReport::salvage_launches`]).
 //!
 //! The shard count is the route: [`Engine::launch`] splits every
 //! whole-graph request — [`Engine::run`], [`Engine::enumerate`], the
@@ -73,20 +73,12 @@ impl ShardPlan {
     /// (heaviest first, each to the currently lightest shard) under the
     /// per-root weight proxy of [`stats::level0_weights`] — degree plus
     /// bounded intersection work, the dominant cost of expanding that
-    /// root. Deterministic: ties break on vertex id, then lowest shard.
+    /// root — computed from `graph` itself, so a delta service's split
+    /// follows the snapshot its query runs on. Deterministic: ties break
+    /// on vertex id, then lowest shard.
     pub fn work_aware(graph: &Graph, shards: usize) -> ShardPlan {
-        ShardPlan::work_aware_with_weights(graph, shards, &stats::level0_weights(graph))
-    }
-
-    /// [`ShardPlan::work_aware`] with caller-supplied per-root weights —
-    /// the incremental-service path: a tracked
-    /// [`stmatch_graph::DeltaOverlay`] keeps the weight vector adjusted
-    /// per batch ([`stats::adjust_level0_weights`], touched vertices
-    /// only), so sharded queries between batches skip the O(graph)
-    /// recompute. `weights[v]` must cover every vertex of `graph`.
-    pub fn work_aware_with_weights(graph: &Graph, shards: usize, weights: &[u64]) -> ShardPlan {
         assert!(shards >= 1);
-        assert_eq!(weights.len(), graph.num_vertices(), "one weight per vertex");
+        let weights = stats::level0_weights(graph);
         let mut verts: Vec<VertexId> = graph.vertices().collect();
         verts.sort_by(|&a, &b| {
             weights[b as usize]
@@ -175,14 +167,13 @@ pub struct RailStats {
 }
 
 /// The split [`Engine::launch`] runs a sharded request over:
-/// `tuning.shards` slices, work-aware by `weights` (recomputed from the
-/// graph when `None`) or contiguous.
-pub(crate) fn split(graph: &Graph, tuning: ShardTuning, weights: Option<&[u64]>) -> ShardPlan {
+/// `tuning.shards` slices of `graph`, work-aware or contiguous.
+pub(crate) fn split(graph: &Graph, tuning: ShardTuning) -> ShardPlan {
     let shards = tuning.shards;
-    let splan = match (tuning.work_aware, weights) {
-        (true, Some(w)) => ShardPlan::work_aware_with_weights(graph, shards, w),
-        (true, None) => ShardPlan::work_aware(graph, shards),
-        (false, _) => ShardPlan::contiguous(graph, shards),
+    let splan = if tuning.work_aware {
+        ShardPlan::work_aware(graph, shards)
+    } else {
+        ShardPlan::contiguous(graph, shards)
     };
     // Both built-in partitioners tile the domain by construction, so a
     // coverage diagnostic (DESIGN.md §4j) is a partitioning bug: fail

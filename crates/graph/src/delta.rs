@@ -28,7 +28,6 @@
 
 use crate::bitmap::HubBitmapIndex;
 use crate::csr::{Graph, GraphPatch, RowMap, VertexId};
-use crate::stats;
 use std::sync::Arc;
 
 /// One edge insert or delete. Endpoints are unordered (the graph is
@@ -108,9 +107,6 @@ pub struct DeltaOverlay {
     index: Option<HubBitmapIndex>,
     /// Bumped once per `apply`; snapshots and patched hub indexes carry it.
     version: u64,
-    /// Incrementally maintained `stats::level0_weights` of the current
-    /// graph, when [`DeltaOverlay::track_weights`] enabled it.
-    weights: Option<Vec<u64>>,
 }
 
 /// A patch with no rows over `base`: its edge count and degree bound.
@@ -135,7 +131,6 @@ impl DeltaOverlay {
             patch: no_rows(&base),
             index: base.hub_bitmap().cloned(),
             base,
-            weights: None,
         }
     }
 
@@ -213,14 +208,7 @@ impl DeltaOverlay {
                 _ => {}
             }
         }
-        let changed = !(inserts.is_empty() && deletes.is_empty());
-        // Weight maintenance needs the pre-batch view: an `Arc` clone.
-        let pre_view = self
-            .weights
-            .as_ref()
-            .filter(|_| changed)
-            .map(|_| self.snapshot());
-        if changed {
+        if !(inserts.is_empty() && deletes.is_empty()) {
             self.fold(&inserts, &deletes);
         }
         self.version += 1;
@@ -228,17 +216,11 @@ impl DeltaOverlay {
             .index
             .as_ref()
             .map(|idx| idx.patched(self.version, &inserts, &deletes));
-        let applied = AppliedBatch {
+        AppliedBatch {
             inserts,
             deletes,
             version: self.version,
-        };
-        if let Some(pre) = pre_view {
-            let post = self.snapshot();
-            let weights = self.weights.as_mut().expect("tracking enabled");
-            stats::adjust_level0_weights(weights, &pre, &post, &applied.touched());
         }
-        applied
     }
 
     /// Rebuilds the row of every endpoint of the net edges once: its
@@ -323,21 +305,6 @@ impl DeltaOverlay {
         };
         self.patch = no_rows(&self.base);
         self.index = self.base.hub_bitmap().cloned();
-    }
-
-    /// Starts maintaining `stats::level0_weights` incrementally: the full
-    /// O(graph) computation runs once now, then every `apply` adjusts only
-    /// the touched vertices and their neighbors. Used by work-aware shard
-    /// partitioning under update streams.
-    pub fn track_weights(&mut self) {
-        if self.weights.is_none() {
-            self.weights = Some(stats::level0_weights(&self.snapshot()));
-        }
-    }
-
-    /// The maintained level-0 weights, when tracking is enabled.
-    pub fn weights(&self) -> Option<&[u64]> {
-        self.weights.as_deref()
     }
 }
 
@@ -541,43 +508,6 @@ mod tests {
         let b2 = o.apply(&[EdgeOp::delete(leaf, ops[0].v)]);
         assert_eq!(b2.version, 2);
         assert!(!o.has_edge(leaf, ops[0].v));
-    }
-
-    #[test]
-    fn tracked_weights_match_scratch_recompute() {
-        // Satellite: incremental weight adjustment over touched vertices
-        // only must equal the full O(graph) recompute after every batch.
-        let g = gen::preferential_attachment(72, 4, 13).degree_ordered();
-        let mut o = DeltaOverlay::new(g);
-        o.track_weights();
-        let mut rng = 0xdeadbeefcafef00du64;
-        let mut next = move |m: u32| {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            (rng % m as u64) as u32
-        };
-        for round in 0..8 {
-            let ops: Vec<EdgeOp> = (0..12)
-                .filter_map(|_| {
-                    let (u, v) = (next(72), next(72));
-                    (u != v).then(|| {
-                        if next(3) == 0 {
-                            EdgeOp::delete(u, v)
-                        } else {
-                            EdgeOp::insert(u, v)
-                        }
-                    })
-                })
-                .collect();
-            o.apply(&ops);
-            let scratch = stats::level0_weights(&o.snapshot());
-            assert_eq!(
-                o.weights().expect("tracking on"),
-                scratch.as_slice(),
-                "incremental weights diverged at round {round}"
-            );
-        }
     }
 
     #[test]

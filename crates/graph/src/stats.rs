@@ -73,37 +73,6 @@ pub fn level0_weights(g: &Graph) -> Vec<u64> {
         .collect()
 }
 
-/// Incrementally repairs [`level0_weights`] after an edge batch moved the
-/// graph from `pre` to `post`, touching only `touched` (the endpoints of
-/// the net edges) — O(local neighborhood), not O(graph).
-///
-/// `weight(v)` depends on `v`'s adjacency and its neighbors' degrees, so it
-/// can change only for `v ∈ touched` (adjacency changed) or
-/// `v ∈ N_pre(touched) ∪ N_post(touched)` (a neighbor's degree changed —
-/// the pre-side set matters because a deleted neighbor still contributes to
-/// `v`'s old weight). Everything in that affected set is recomputed from
-/// `post` with the exact closed form.
-pub fn adjust_level0_weights(weights: &mut [u64], pre: &Graph, post: &Graph, touched: &[u32]) {
-    debug_assert_eq!(weights.len(), post.num_vertices());
-    let mut affected: Vec<u32> = Vec::new();
-    for &v in touched {
-        affected.push(v);
-        affected.extend_from_slice(pre.neighbors(v));
-        affected.extend_from_slice(post.neighbors(v));
-    }
-    affected.sort_unstable();
-    affected.dedup();
-    for v in affected {
-        let dv = post.degree(v) as u64;
-        let isect: u64 = post
-            .neighbors(v)
-            .iter()
-            .map(|&u| (post.degree(u) as u64).min(dv))
-            .sum();
-        weights[v as usize] = 1 + dv + isect;
-    }
-}
-
 /// The `min(k, n)` largest vertex degrees, descending.
 ///
 /// This is the degree summary the static plan verifier's abstract

@@ -203,11 +203,6 @@ pub fn all_paper_queries() -> Vec<Pattern> {
     (1..=24).map(paper_query).collect()
 }
 
-/// The size-6 queries `q9..q16` used in Fig. 11 and Fig. 12.
-pub fn size6_queries() -> Vec<Pattern> {
-    (9..=16).map(paper_query).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -210,7 +210,6 @@ fn reset_state() {
     let mut sink = SINK.lock().unwrap();
     sink.diags.clear();
     sink.seen.clear();
-    sink.errors = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +256,6 @@ struct Sink {
     diags: Vec<Diagnostic>,
     /// Dedup keys so a hot loop reports each distinct finding once.
     seen: std::collections::HashSet<String>,
-    errors: usize,
     reproduce: Option<String>,
 }
 
@@ -265,7 +263,6 @@ static SINK: std::sync::LazyLock<Mutex<Sink>> = std::sync::LazyLock::new(|| {
     Mutex::new(Sink {
         diags: Vec::new(),
         seen: std::collections::HashSet::new(),
-        errors: 0,
         reproduce: None,
     })
 });
@@ -283,9 +280,6 @@ pub(crate) fn report(severity: Severity, code: &'static str, dedup_key: String, 
     if !sink.seen.insert(format!("{code}:{dedup_key}")) {
         return;
     }
-    if severity == Severity::Error {
-        sink.errors += 1;
-    }
     let reproduce = sink.reproduce.clone();
     sink.diags.push(Diagnostic {
         severity,
@@ -299,12 +293,6 @@ pub(crate) fn report(severity: Severity, code: &'static str, dedup_key: String, 
 /// budget's underflow guard).
 pub fn report_misuse(code: &'static str, message: String) {
     report(Severity::Error, code, message.clone(), message);
-}
-
-/// Number of error-severity diagnostics filed since the last
-/// [`enable`]/[`drain`].
-pub fn error_count() -> usize {
-    SINK.lock().unwrap().errors
 }
 
 /// Removes and returns all pending diagnostics, appending sub-warp
@@ -333,7 +321,6 @@ pub fn drain() -> Vec<Diagnostic> {
         }
     }
     let mut sink = SINK.lock().unwrap();
-    sink.errors = 0;
     sink.seen.clear();
     std::mem::take(&mut sink.diags)
 }

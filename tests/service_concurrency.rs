@@ -96,9 +96,7 @@ fn concurrent_isomorphic_submissions_are_deterministic() {
             let oracle = &oracle;
             let svc = MatchService::new(
                 Arc::new(fixture_graph()),
-                ServiceConfig::new(engine_cfg)
-                    .with_workers(2)
-                    .with_batch_max(4),
+                ServiceConfig::new(engine_cfg).with_workers(2),
             );
             // Pre-derive each client's submissions so the property is a
             // pure function of the case input (thread interleaving only

@@ -424,9 +424,7 @@ fn service_concurrent_submissions_produce_no_diagnostics() {
     simt_check::enable(CheckConfig::all());
     let svc = stmatch_core::MatchService::new(
         std::sync::Arc::new(fixture()),
-        stmatch_core::ServiceConfig::new(EngineConfig::full().with_grid(grid()))
-            .with_workers(2)
-            .with_batch_max(4),
+        stmatch_core::ServiceConfig::new(EngineConfig::full().with_grid(grid())).with_workers(2),
     );
     // Edge-induced goldens from tests/golden_counts.rs (cheap queries).
     const GOLDEN: &[(usize, u64)] = &[(1, 119531), (6, 2884), (8, 4)];
