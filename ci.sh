@@ -408,7 +408,7 @@ echo "==> lint:launch: OK"
 # salvages at most twice, a worker pops one request per admission-lock
 # acquisition, and a work-aware split weighs the snapshot its query runs on.
 echo "==> lint:reach: scanning for the deleted knobs and helpers"
-reach=$(grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count)\b' \
+reach=$(grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b' \
     crates src tests examples || true)
 if [ -n "${reach}" ]; then
     echo "${reach}"
@@ -416,6 +416,27 @@ if [ -n "${reach}" ]; then
     exit 1
 fi
 echo "==> lint:reach: OK"
+
+# Threads lint: gpu-sim has one warp runner (DESIGN.md §1), the parked warp
+# threads behind `Grid::launch_contained`, so its sources hold one
+# thread-creation site. `WarmGrid`, the name kept for `benchmark/`, appears
+# nowhere but its definition (`grid.rs`, whose tests check it) and its
+# re-export, so removing it edits `benchmark/` alone.
+echo "==> lint:threads: scanning for a second warp runner"
+spawns=$(grep -rnE 'thread::(spawn|scope|Builder)' crates/gpu-sim/src || true)
+if [ "$(printf '%s' "${spawns}" | grep -c .)" -gt 1 ]; then
+    echo "${spawns}"
+    echo "==> lint:threads: FAILED — run warps on the parked threads (Grid::launch_contained)"
+    exit 1
+fi
+warm=$(grep -rnw 'WarmGrid' crates src tests examples \
+    | grep -vE '^crates/gpu-sim/src/(grid|lib)\.rs:' || true)
+if [ -n "${warm}" ]; then
+    echo "${warm}"
+    echo "==> lint:threads: FAILED — launch on a Grid; WarmGrid is an inert name"
+    exit 1
+fi
+echo "==> lint:threads: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

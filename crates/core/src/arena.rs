@@ -153,7 +153,8 @@ impl Geometry {
 impl StackArena {
     /// Allocates the slab for `slots`' slots of `cap` vertices each. This
     /// is the *only* allocation of the arena's lifetime (absent spills); it
-    /// happens once per warp per launch.
+    /// happens once per warp per launch, unless the launch recycles the
+    /// arena from a [`WarmSlot`](crate::WarmSlot) instead.
     pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
         Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()], 0)
     }

@@ -122,8 +122,8 @@ impl StagedSide {
 }
 
 /// One update batch staged for anchored enumeration: both sides' stage
-/// views plus the warm slot their launches run on. Built once per batch;
-/// every watcher's plans run on the same one.
+/// views plus the arena free-list their launches recycle. Built once per
+/// batch; every watcher's plans run on the same one.
 pub(crate) struct StagedBatch {
     warm: WarmSlot,
     /// Net deletes in batch order over `pre`: an embedding is counted at
@@ -156,8 +156,8 @@ impl StagedBatch {
             return Ok(None);
         }
         Ok(Some(StagedBatch {
-            // One warm slot amortizes warp-thread spawn and arena
-            // allocation across every launch of the batch.
+            // One warm slot amortizes arena allocation across every launch
+            // of the batch.
             warm: WarmSlot::new(cfg.delta.grid)?,
             removed: StagedSide::new(pre, batch.deletes.clone()),
             added: StagedSide::new(post, batch.inserts.iter().rev().copied().collect()),

@@ -26,7 +26,7 @@
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
 use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
-use crate::pool::{ArenaPool, WarmSlot};
+use crate::pool::WarmSlot;
 use crate::shard;
 use crate::steal::{Board, StealPayload};
 use std::convert::Infallible;
@@ -171,11 +171,10 @@ pub struct Launch<'a> {
     pub graph: &'a Graph,
     /// The compiled matching plan.
     pub plan: &'a MatchPlan,
-    /// Parked warp threads and recycled stack arenas to run on instead of
-    /// spawning/allocating per launch. Counts, metrics and fault semantics
-    /// are identical to a cold launch. A slot built for another grid than
-    /// the one the launch runs on is not used, and a launch split across
-    /// shards uses none: those grids run cold.
+    /// Recycled stack arenas to run on instead of allocating per launch.
+    /// Counts, metrics and fault semantics are identical to a cold launch.
+    /// A recycled arena is reshaped to the launch's grid and plan, so a
+    /// slot serves any grid; a launch split across shards uses none.
     pub warm: Option<&'a WarmSlot>,
     /// A static verification of `plan` against `graph`
     /// ([`Engine::verify`]; the service attaches its cached verdict). The
@@ -237,7 +236,7 @@ pub(crate) enum Level0<'a> {
 struct Resolved<'a> {
     /// What every warp's kernel borrows (the grid's config included).
     env: KernelEnv<'a>,
-    /// The request's warm slot, if it was built for this grid.
+    /// The request's warm slot, if any.
     warm: Option<&'a WarmSlot>,
     collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Level-0 virtual indices the grid's own dispenser hands out.
@@ -396,7 +395,7 @@ impl Engine {
     }
 
     /// [`Engine::launch`] of a whole-graph request on a [`WarmSlot`]'s
-    /// parked resources. Kept for `benchmark/`; ROADMAP item 1 deletes it.
+    /// recycled arenas. Kept for `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_plan_warm(
         &self,
         graph: &Graph,
@@ -523,9 +522,7 @@ impl Engine {
                 l0,
                 enumerate: req.collector.is_some(),
             },
-            // The guard against a caller's slot built for another grid: it
-            // only serves launches at its exact geometry.
-            warm: req.warm.filter(|w| w.grid_config() == grid),
+            warm: req.warm,
             collector: req.collector,
             l0_len,
             deadline,
@@ -643,10 +640,7 @@ impl Engine {
             let body = |warp: &mut stmatch_gpusim::Warp| {
                 self.warp_body(r, &board, faults, &deaths, warp);
             };
-            let (pass_metrics, escaped) = match r.warm {
-                Some(w) => w.grid().launch_contained(&body),
-                None => grid.launch_contained(body),
-            };
+            let (pass_metrics, escaped) = grid.launch_contained(&body);
             // The first pass's metrics are the run's, moved rather than
             // merged into an empty copy; a salvage pass adds to them.
             if metrics.warps.is_empty() {
@@ -697,13 +691,12 @@ impl Engine {
         warp: &mut stmatch_gpusim::Warp,
     ) {
         let cfg = r.env.cfg;
-        let arenas = r.warm.map(WarmSlot::arenas);
         let me = warp.id();
         let mut kernel: Option<WarpKernel> = None;
         let caught = catch_unwind(AssertUnwindSafe(|| {
             // Warm path: recycle a parked arena (reset, not reallocated)
             // instead of building fresh slabs for this query.
-            let recycled = arenas.and_then(ArenaPool::checkout);
+            let recycled = r.warm.and_then(WarmSlot::checkout);
             let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
             while let Some((work, src)) =
                 board.acquire(me, cfg.local_steal, cfg.global_steal, warp.metrics_mut())
@@ -757,14 +750,14 @@ impl Engine {
             m.spill_events = k.spill_events();
             m.peak_slab_cells = k.peak_slab_cells();
             [m.tail_streams, m.tail_survivors] = k.tail_stats();
-            if let Some(p) = arenas {
+            if let Some(slot) = r.warm {
                 // Return the arena for the next query on this slot — after
                 // its counters are read above, before the collector leaf
                 // lock below (both respect the declared hierarchy: the
                 // pool lock ranks below every engine lock and is never
                 // held across one). Dead warps return theirs too: the
                 // reset at the next checkout makes torn state irrelevant.
-                p.give_back(k.take_arena());
+                slot.give_back(k.take_arena());
             }
             if let Some(c) = r.collector {
                 // Poison recovery as in steal.rs (tracked_lock applies it):

@@ -57,7 +57,7 @@ pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, Shar
 pub use delta::{DeltaPlans, MatchDelta};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
-pub use pool::{ArenaPool, WarmSlot};
+pub use pool::WarmSlot;
 pub use service::{
     CacheStats, MatchService, Priority, QueryOptions, ServiceConfig, ServiceError, Ticket,
     WatchEvent, WatchId,

@@ -1,17 +1,16 @@
-//! Warm execution resources for the resident match service: a persistent
-//! warp-thread pool plus recyclable stack arenas.
+//! Warm execution resources for the resident match service: recyclable
+//! stack arenas.
 //!
-//! A cold [`Engine::run`](crate::Engine::run) pays two fixed costs per
-//! query: spawning one OS thread per warp (the sim's warp model) and
-//! allocating the fixed `NUM_SETS × UNROLL × MAX_DEGREE` stack slabs. A
-//! [`WarmSlot`] amortizes both across queries — the [`WarmGrid`] keeps its
-//! warp threads parked between launches, and the [`ArenaPool`] recycles
-//! each warp's [`StackArena`] (reset, not reallocated) for the next query
-//! whose geometry matches.
+//! A cold [`Engine::run`](crate::Engine::run) allocates the fixed
+//! `NUM_SETS × UNROLL × MAX_DEGREE` stack slabs per query. A [`WarmSlot`]
+//! keeps the arenas a launch's warps ran on for the next launch's warps,
+//! which reset them to their own geometry, so one slot serves any grid.
+//! Arenas stay with the request; the warp threads are the simulator's
+//! (`stmatch_gpusim::Grid`), parked between launches for every caller.
 //!
 //! ## Concurrency contract
 //!
-//! The arena pool is shared by all warps of one slot's grid, so checkout /
+//! The free-list is shared by all warps of a launch, so checkout /
 //! give-back go through a [`tracked_lock`](simt_check::tracked_lock) of
 //! class `ServiceArenaPool` (rank 6): *below* every engine lock in the
 //! declared hierarchy, because a warp returns its arena only after the
@@ -24,130 +23,86 @@
 
 use crate::arena::StackArena;
 use std::sync::Mutex;
-use stmatch_gpusim::{GridConfig, LaunchError, WarmGrid};
+use stmatch_gpusim::{Grid, GridConfig, LaunchError};
 
-/// A bounded free-list of recyclable [`StackArena`]s.
-///
-/// `checkout` hands an arena to a warp (or `None` when the list is dry —
-/// the warp then builds a fresh one); `give_back` returns it after the
-/// launch. The pool is capped at the grid's warp count: arenas beyond the
-/// cap are simply dropped.
-pub struct ArenaPool {
+/// A bounded free-list of recyclable [`StackArena`]s, one per service
+/// worker and one per delta batch. `checkout` hands an arena to a warp (or
+/// `None` when the list is dry — the warp then builds a fresh one);
+/// `give_back` returns it after the launch. The list is capped at the warp
+/// count of the grid the slot was built for; arenas beyond it are dropped.
+pub struct WarmSlot {
     /// Distinct lock index for the hierarchy checker, so concurrent
-    /// services' pools never alias in the lock-order graph.
+    /// slots never alias in the lock-order graph.
     check_index: usize,
-    pool: Mutex<Vec<StackArena>>,
+    arenas: Mutex<Vec<StackArena>>,
     cap: usize,
 }
 
-impl ArenaPool {
-    /// Creates an empty pool holding at most `cap` arenas.
-    pub fn new(cap: usize) -> ArenaPool {
-        ArenaPool {
+impl WarmSlot {
+    /// An empty free-list capped at `config`'s warp count; fails on a
+    /// geometry no grid can launch.
+    pub fn new(config: GridConfig) -> Result<WarmSlot, LaunchError> {
+        Grid::new(config)?;
+        Ok(WarmSlot {
             check_index: simt_check::next_object_id() as usize,
-            pool: Mutex::new(Vec::new()),
-            cap,
-        }
+            arenas: Mutex::new(Vec::new()),
+            cap: config.total_warps(),
+        })
     }
 
-    /// Takes a recycled arena, or `None` when the pool is empty.
-    pub fn checkout(&self) -> Option<StackArena> {
+    #[track_caller]
+    fn lock(&self) -> simt_check::Tracked<'_, Vec<StackArena>> {
         simt_check::tracked_lock(
-            &self.pool,
+            &self.arenas,
             simt_check::LockClass::ServiceArenaPool,
             self.check_index,
         )
-        .pop()
+    }
+
+    /// Takes a recycled arena, or `None` when the list is empty.
+    pub fn checkout(&self) -> Option<StackArena> {
+        self.lock().pop()
     }
 
     /// Returns an arena for reuse; arenas beyond the cap are dropped.
     pub fn give_back(&self, arena: StackArena) {
-        let mut pool = simt_check::tracked_lock(
-            &self.pool,
-            simt_check::LockClass::ServiceArenaPool,
-            self.check_index,
-        );
-        if pool.len() < self.cap {
-            pool.push(arena);
+        let mut arenas = self.lock();
+        if arenas.len() < self.cap {
+            arenas.push(arena);
         }
     }
 
-    /// Number of arenas currently parked in the pool.
+    /// Number of arenas currently parked in the list.
     pub fn parked(&self) -> usize {
-        simt_check::tracked_lock(
-            &self.pool,
-            simt_check::LockClass::ServiceArenaPool,
-            self.check_index,
-        )
-        .len()
-    }
-}
-
-/// One warm execution slot: a parked warp-thread pool plus its arena
-/// free-list. A service worker owns one slot and serves its batch of
-/// queries on it back-to-back.
-pub struct WarmSlot {
-    grid: WarmGrid,
-    arenas: ArenaPool,
-}
-
-impl WarmSlot {
-    /// Spawns the warp threads for `config` and an empty arena pool
-    /// capped at the grid's warp count.
-    pub fn new(config: GridConfig) -> Result<WarmSlot, LaunchError> {
-        let grid = WarmGrid::new(config)?;
-        let arenas = ArenaPool::new(config.total_warps());
-        Ok(WarmSlot { grid, arenas })
-    }
-
-    /// The geometry this slot's threads were spawned for. The engine only
-    /// routes a launch here when its config's grid matches exactly;
-    /// otherwise (a slot built for another grid) it falls back to a cold
-    /// grid.
-    pub fn grid_config(&self) -> GridConfig {
-        self.grid.config()
-    }
-
-    /// The parked warp-thread pool.
-    pub fn grid(&self) -> &WarmGrid {
-        &self.grid
-    }
-
-    /// The recyclable arena free-list.
-    pub fn arenas(&self) -> &ArenaPool {
-        &self.arenas
+        self.lock().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmatch_gpusim::SharedBudget;
     use stmatch_pattern::SlotTable;
 
     #[test]
     fn arena_pool_caps_and_recycles() {
-        let pool = ArenaPool::new(2);
-        assert!(pool.checkout().is_none());
-        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
-        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
-        pool.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8)); // beyond cap: dropped
-        assert_eq!(pool.parked(), 2);
-        let a = pool.checkout().unwrap();
-        assert_eq!(pool.parked(), 1);
-        pool.give_back(a);
-        assert_eq!(pool.parked(), 2);
-    }
-
-    #[test]
-    fn warm_slot_reports_config() {
-        let cfg = GridConfig {
+        let grid = |warps_per_block| GridConfig {
             num_blocks: 1,
-            warps_per_block: 2,
-            shared_mem_per_block: SharedBudget::RTX3090_BYTES,
+            warps_per_block,
+            shared_mem_per_block: 0,
         };
-        let slot = WarmSlot::new(cfg).unwrap();
-        assert_eq!(slot.grid_config(), cfg);
-        assert_eq!(slot.arenas().parked(), 0);
+        assert!(
+            WarmSlot::new(grid(0)).is_err(),
+            "a slot checks its geometry"
+        );
+        let slot = WarmSlot::new(grid(2)).unwrap();
+        assert!(slot.checkout().is_none());
+        slot.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
+        slot.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
+        slot.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8)); // beyond cap: dropped
+        assert_eq!(slot.parked(), 2);
+        let a = slot.checkout().unwrap();
+        assert_eq!(slot.parked(), 1);
+        slot.give_back(a);
+        assert_eq!(slot.parked(), 2);
     }
 }

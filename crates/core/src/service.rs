@@ -2,9 +2,9 @@
 //! and batched admission onto warm execution slots.
 //!
 //! [`Engine::run`] is the one-shot API: it compiles the pattern, builds a
-//! grid (spawning one OS thread per simulated warp), allocates the stack
-//! slabs, runs, and tears everything down. A workload that answers many
-//! pattern queries against the *same* graph repays none of that setup.
+//! grid, allocates the stack slabs, runs, and drops them. A workload that
+//! answers many pattern queries against the *same* graph repays none of
+//! that setup.
 //! [`MatchService`] keeps the expensive state resident (DESIGN.md §4g):
 //!
 //! * **Shared graph** — the service holds an immutable `Arc<Graph>`. A
@@ -19,7 +19,8 @@
 //! * **Admission** — clients [`submit`](MatchService::submit) from any
 //!   number of threads; each worker thread pops one request per
 //!   admission-lock acquisition and serves it on its warm slot
-//!   ([`WarmSlot`]: parked warp threads + recycled stack arenas).
+//!   ([`WarmSlot`]: recycled stack arenas). Warp threads are the
+//!   simulator's, parked between launches for every caller alike.
 //! * **Fault isolation** — each query runs under its own containment:
 //!   injected warp deaths, launch failures, expired deadlines, and even
 //!   escaped panics produce a per-query [`ServiceError`] without
@@ -30,11 +31,11 @@
 //!
 //! The service adds three classes *below* every engine lock (see
 //! `simt_check::LockClass`): `ServiceAdmission(2)` (the queue),
-//! `ServicePlanCache(4)`, and `ServiceArenaPool(6)`. None is ever held
-//! across an engine launch, and the cache lock is never held while
-//! compiling. The plan cache carries a shadow cell
-//! (`Cell::plan_cache(id)`) so the race checker can prove every access
-//! goes through the tracked lock — and kill the seeded
+//! `ServicePlanCache(4)`, and `ServiceArenaPool(6)` (a [`WarmSlot`]'s
+//! arena free-list). None is ever held across an engine launch, and the
+//! cache lock is never held while compiling. The plan cache carries a
+//! shadow cell (`Cell::plan_cache(id)`) so the race checker can prove
+//! every access goes through the tracked lock — and kill the seeded
 //! [`mutation::cache_insert_without_lock`] by name.
 
 use crate::config::EngineConfig;
@@ -1080,7 +1081,7 @@ mod tests {
                 .execute(Some(&slot), &q, &QueryOptions::default(), Instant::now())
                 .unwrap();
             assert_eq!(out.count, expected, "{shards} shard(s)");
-            assert_eq!(slot.arenas().parked() > 0, single_grid, "{shards} shard(s)");
+            assert_eq!(slot.parked() > 0, single_grid, "{shards} shard(s)");
             assert_eq!(out.metrics.total().requeue_claims, 0, "{shards} shard(s)");
         }
     }

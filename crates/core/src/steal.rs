@@ -41,7 +41,7 @@
 //! | 1    | `ServiceGraph` | `service::Inner::dynamic` (delta graph state, PR 10) | — (outermost; held only to fold a batch or clone out the current snapshot/watcher list, never across a launch, a compile, or another lock) |
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
-//! | 6    | `ServiceArenaPool` | `pool::ArenaPool` (reusable warp arenas) | — (never held across engine locks) |
+//! | 6    | `ServiceArenaPool` | `pool::WarmSlot` (reusable warp arenas) | — (never held across engine locks) |
 //! | 10   | `GlobalSlot` | `Board::slots[b]` (per-block steal slot)   | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |
 //! | 30   | `Mirror`     | `Mirror::state` (per-warp stealable stack) | `GlobalSlot`        |
@@ -62,6 +62,11 @@
 //! other (the steal scans drop each guard before locking the next), and the
 //! engine's recovery/collection locks are leaves acquired with nothing
 //! held.
+//!
+//! The simulator's parked warp-thread list (`stmatch_gpusim::Grid`) and
+//! each parked thread's hand-off cell sit outside the hierarchy: a launch
+//! holds one only to pop or push threads, or to write a job or read a
+//! result, with nothing else held, and no kernel code runs under either.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

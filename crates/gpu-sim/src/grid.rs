@@ -1,8 +1,9 @@
-//! Grid launch: mapping warps onto OS threads.
+//! Grid launch: mapping warps onto the process's parked OS threads.
 
 use crate::memory::SharedOverflow;
 use crate::metrics::{GridMetrics, WarpMetrics};
 use crate::warp::Warp;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Most warps one threadblock holds: CUDA's 1024 threads per block, and the
@@ -80,11 +81,14 @@ impl From<crate::memory::OutOfMemory> for LaunchError {
 /// A launchable grid.
 ///
 /// [`Grid::launch`] runs one kernel closure per warp, each on its own OS
-/// thread, and aggregates per-warp metrics. The closure receives a mutable
-/// [`Warp`] carrying its identity and counters; all cross-warp state (warp
-/// stacks, idle bitmaps, global steal slots) lives in the engine and is
-/// shared through the closure's environment, mirroring how a CUDA kernel
-/// addresses shared and global memory.
+/// thread, and aggregates per-warp metrics. The threads are the process's
+/// parked warp threads: a launch checks out one per warp, spawning only the
+/// shortfall, and parks them again when it returns — the paper's persistent
+/// warps, created once and reused by every launch. The closure receives a
+/// mutable [`Warp`] carrying its identity and counters; all cross-warp
+/// state (warp stacks, idle bitmaps, global steal slots) lives in the
+/// engine and is shared through the closure's environment, mirroring how a
+/// CUDA kernel addresses shared and global memory.
 #[derive(Clone, Copy, Debug)]
 pub struct Grid {
     config: GridConfig,
@@ -118,13 +122,13 @@ impl Grid {
     /// counter in the returned metrics is 1).
     ///
     /// A panicking warp propagates: the launch itself panics once every
-    /// warp thread has been joined. Fault-tolerant callers should use
+    /// warp has finished. Fault-tolerant callers should use
     /// [`Grid::launch_contained`] instead.
     pub fn launch<F>(&self, kernel: F) -> GridMetrics
     where
         F: Fn(&mut Warp) + Sync,
     {
-        let (metrics, panics) = self.launch_contained(kernel);
+        let (metrics, panics) = self.launch_contained(&kernel);
         if let Some(p) = panics.first() {
             panic!("warp thread panicked: warp {}: {}", p.warp, p.message);
         }
@@ -138,47 +142,77 @@ impl Grid {
     /// faulting without resetting the device. The returned [`WarpPanic`]
     /// records (one per dead warp, in warp-id order) carry the panic
     /// payload rendered as a string; `GridMetrics::contained_panics`
-    /// counts them.
+    /// counts them. A contained panic never costs the pool its thread.
     ///
     /// Containment is a backstop, not a recovery protocol: any cross-warp
     /// state the closure shares (queues, counters, locks) is the caller's
     /// responsibility to repair — see `stmatch-core`'s engine, which
     /// performs its own containment with work requeue *inside* the
     /// closure and uses this layer only against escaped panics.
-    pub fn launch_contained<F>(&self, kernel: F) -> (GridMetrics, Vec<WarpPanic>)
-    where
-        F: Fn(&mut Warp) + Sync,
-    {
+    pub fn launch_contained(
+        &self,
+        kernel: &(dyn Fn(&mut Warp) + Sync),
+    ) -> (GridMetrics, Vec<WarpPanic>) {
         let start = Instant::now();
         let total = self.config.total_warps();
         let wpb = self.config.warps_per_block;
+        // Every thread is in hand before the first job goes out, so a
+        // failed spawn unwinds with no job in flight.
+        let threads = checkout(total);
         // Launch fork point for the race checker: everything the launching
         // thread did so far happens-before every warp body.
         simt_check::launch_begin();
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..total)
-                .map(|id| {
-                    let kernel = &kernel;
-                    scope.spawn(move || run_warp(id, wpb, kernel))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("warp thread died outside catch_unwind"))
-                .collect::<Vec<_>>()
-        });
+        // SAFETY: a thread holds this reference only while it runs the job
+        // handed to it below, and stores its result after its last use of
+        // it. Handing a job out (and awaiting its pickup) cannot fail: it
+        // writes the thread's own cell, and the threads were all checked
+        // out above. The loop after it waits for the result of every job
+        // handed out, and nothing in it unwinds (`take` returns only what
+        // its predicate accepts). So no job holding the erased reference is
+        // in flight when this function returns or unwinds.
+        let kernel: &'static (dyn Fn(&mut Warp) + Sync) = unsafe { std::mem::transmute(kernel) };
+        // Warp 0 runs before the rest get their jobs, as when a launch
+        // spawned its warps in id order: with fewer cores than warps, the
+        // first to run can drain a small launch (`check faults` kills warp 0
+        // and needs it to claim).
+        for (id, t) in threads.iter().enumerate() {
+            t.hand(Slot::Job { id, wpb, kernel });
+            if id == 0 {
+                t.await_pickup();
+            }
+        }
+        let mut warps = Vec::with_capacity(total);
+        let mut panics = Vec::new();
+        for t in &threads {
+            let Slot::Done((m, p)) = t.take(|s| matches!(s, Slot::Done(_))) else {
+                unreachable!("`take` returns what `ready` accepts");
+            };
+            warps.push(m);
+            panics.extend(p);
+        }
         // Join point: every warp's history happens-before whatever the
         // launching thread does next (leftover preload, metrics, goldens).
         simt_check::launch_end();
-        gather(start, results.into_iter())
+        park(threads);
+        let metrics = GridMetrics {
+            warps,
+            elapsed_nanos: start.elapsed().as_nanos() as u64,
+            kernel_launches: 1,
+            contained_panics: panics.len() as u64,
+        };
+        (metrics, panics)
     }
 }
+
+/// A [`Grid`] under the name it had when it alone kept its warp threads
+/// parked. Kept for `benchmark/`; ROADMAP item 1 deletes it.
+pub type WarmGrid = Grid;
 
 /// What one warp reports back from a launch.
 type WarpResult = (WarpMetrics, Option<WarpPanic>);
 
-/// One warp's share of a launch, on whichever thread hosts it: registers
-/// the warp with the race checker, runs `kernel` under `catch_unwind`, and
+/// One warp's share of a launch, on the thread that hosts it: registers the
+/// warp with the race checker, runs `kernel` under `catch_unwind`, and
 /// returns the warp's counters — kept up to the panic if it died — with the
 /// panic record, if any.
 fn run_warp(id: usize, wpb: usize, kernel: &(dyn Fn(&mut Warp) + Sync)) -> WarpResult {
@@ -196,149 +230,113 @@ fn run_warp(id: usize, wpb: usize, kernel: &(dyn Fn(&mut Warp) + Sync)) -> WarpR
     (warp.into_metrics(), panic)
 }
 
-/// A launch's result: per-warp results in warp-id order folded into the
-/// grid metrics and the panic records.
-fn gather(
-    start: Instant,
-    results: impl ExactSizeIterator<Item = WarpResult>,
-) -> (GridMetrics, Vec<WarpPanic>) {
-    let mut warps = Vec::with_capacity(results.len());
-    let mut panics = Vec::new();
-    for (m, p) in results {
-        warps.push(m);
-        panics.extend(p);
+/// Most warp threads kept parked between launches (the rest exit when their
+/// launch returns): a parked thread holds its stack, so this bounds what a
+/// burst of concurrent launches leaves behind, yet covers the most the
+/// workspace runs at once (service workers' and shard drivers' grids).
+const MAX_PARKED: usize = 256;
+
+/// The parked warp threads. Its lock is held only to pop or push threads,
+/// with nothing else held, so it sits outside the engine's lock hierarchy.
+static PARKED: Mutex<Vec<Arc<WarpThread>>> = Mutex::new(Vec::new());
+
+/// Takes `n` parked threads, spawning the shortfall.
+fn checkout(n: usize) -> Vec<Arc<WarpThread>> {
+    let mut parked = PARKED.lock().unwrap_or_else(PoisonError::into_inner);
+    let keep = parked.len().saturating_sub(n);
+    let mut threads: Vec<_> = parked.drain(keep..).collect();
+    drop(parked);
+    while threads.len() < n {
+        match WarpThread::spawn() {
+            Ok(t) => threads.push(t),
+            Err(e) => {
+                park(threads);
+                panic!("failed to spawn a warp thread: {e}");
+            }
+        }
     }
-    let metrics = GridMetrics {
-        warps,
-        elapsed_nanos: start.elapsed().as_nanos() as u64,
-        kernel_launches: 1,
-        contained_panics: panics.len() as u64,
-    };
-    (metrics, panics)
+    threads
 }
 
-/// One launch's work order for a warm worker: the kernel to run plus the
-/// channel to report completion on. The kernel reference is lifetime-erased
-/// (see the safety argument in [`WarmGrid::launch_contained`]).
-enum Job {
-    Run(
-        &'static (dyn Fn(&mut Warp) + Sync),
-        std::sync::mpsc::SyncSender<(usize, WarpResult)>,
-    ),
+/// Parks idle `threads` again, up to [`MAX_PARKED`]; the rest exit.
+fn park(mut threads: Vec<Arc<WarpThread>>) {
+    let surplus = {
+        let mut parked = PARKED.lock().unwrap_or_else(PoisonError::into_inner);
+        let room = MAX_PARKED.saturating_sub(parked.len());
+        let surplus = threads.split_off(room.min(threads.len()));
+        parked.append(&mut threads);
+        surplus
+    };
+    for t in surplus {
+        t.hand(Slot::Exit);
+    }
+}
+
+/// A warp thread's hand-off cell, allocated once at spawn: the launcher puts
+/// a job in, the thread puts its result back. One condvar serves both ways,
+/// as only one side waits at a time; no kernel runs under the lock.
+struct WarpThread {
+    slot: Mutex<Slot>,
+    wake: Condvar,
+}
+
+#[allow(clippy::large_enum_variant)] // boxing `Done` would allocate per warp per launch
+enum Slot {
+    Idle,
+    /// Run warp `id` of a grid with `wpb` warps per block. The kernel
+    /// reference is lifetime-erased (see [`Grid::launch_contained`]).
+    Job {
+        id: usize,
+        wpb: usize,
+        kernel: &'static (dyn Fn(&mut Warp) + Sync),
+    },
+    Done(WarpResult),
     Exit,
 }
 
-/// A grid with a persistent thread pool: one OS thread per warp, kept warm
-/// across launches.
-///
-/// [`Grid::launch_contained`] spawns and joins `total_warps` OS threads on
-/// every call — fine for a one-shot run, pure overhead for a resident
-/// service that launches thousands of kernels against the same geometry.
-/// `WarmGrid` pays the spawn cost once; each launch is a message round-trip
-/// per warp. The launch contract is identical to
-/// [`Grid::launch_contained`]: per-warp panic containment, per-warp metrics
-/// in warp-id order, and the same race-checker fork/join events (each
-/// worker re-registers its warp identity per launch).
-pub struct WarmGrid {
-    config: GridConfig,
-    senders: Vec<std::sync::mpsc::Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WarmGrid {
-    /// Spawns the worker pool for `config` (one thread per warp).
-    pub fn new(config: GridConfig) -> Result<WarmGrid, LaunchError> {
-        // Same geometry validation as Grid::new.
-        let _ = Grid::new(config)?;
-        let total = config.total_warps();
-        let wpb = config.warps_per_block;
-        let mut senders = Vec::with_capacity(total);
-        let mut handles = Vec::with_capacity(total);
-        for id in 0..total {
-            let (tx, rx) = std::sync::mpsc::channel::<Job>();
-            let handle = std::thread::Builder::new()
-                .name(format!("warm-warp-{id}"))
-                .spawn(move || {
-                    for job in rx {
-                        match job {
-                            Job::Run(kernel, done) => {
-                                // A dropped receiver means the launcher is
-                                // gone (poisoned/unwinding); nothing to do.
-                                let _ = done.send((id, run_warp(id, wpb, kernel)));
-                            }
-                            Job::Exit => break,
-                        }
-                    }
-                })
-                .expect("failed to spawn warm warp thread");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Ok(WarmGrid {
-            config,
-            senders,
-            handles,
-        })
+impl WarpThread {
+    fn spawn() -> std::io::Result<Arc<WarpThread>> {
+        let t = Arc::new(WarpThread {
+            slot: Mutex::new(Slot::Idle),
+            wake: Condvar::new(),
+        });
+        let me = Arc::clone(&t);
+        std::thread::Builder::new()
+            .name("gpusim-warp".into())
+            .spawn(move || me.serve())?;
+        Ok(t)
     }
 
-    /// The grid geometry.
-    pub fn config(&self) -> GridConfig {
-        self.config
+    /// The thread's loop: runs each job handed to it until told to exit.
+    fn serve(&self) {
+        let ready = |s: &Slot| matches!(s, Slot::Job { .. } | Slot::Exit);
+        while let Slot::Job { id, wpb, kernel } = self.take(ready) {
+            self.hand(Slot::Done(run_warp(id, wpb, kernel)));
+        }
     }
 
-    /// Runs `kernel` once per warp on the warm pool and blocks until every
-    /// warp has reported back. Same contract as
-    /// [`Grid::launch_contained`].
-    pub fn launch_contained(
-        &self,
-        kernel: &(dyn Fn(&mut Warp) + Sync),
-    ) -> (GridMetrics, Vec<WarpPanic>) {
-        let start = Instant::now();
-        let total = self.config.total_warps();
-        // Launch fork point, as in Grid::launch_contained: everything the
-        // launching thread did so far happens-before every warp body.
-        simt_check::launch_begin();
-        // Bounded at one result per warp, so no send ever blocks; the
-        // buffer is sized once here, where an unbounded channel allocates a
-        // 31-result block (or two, if two first senders race) per launch.
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(total);
-        // SAFETY: the workers only hold this reference while executing the
-        // Job we send below, and this function does not return until every
-        // worker has sent its completion message for this launch — each
-        // worker sends *after* its last use of the reference, and the
-        // `recv` loop below blocks on exactly `total` such messages. So the
-        // erased reference never outlives the borrow it came from.
-        let kernel: &'static (dyn Fn(&mut Warp) + Sync) = unsafe { std::mem::transmute(kernel) };
-        for tx in &self.senders {
-            tx.send(Job::Run(kernel, done_tx.clone()))
-                .expect("warm warp worker exited prematurely");
+    /// Yields until the thread has taken the job handed to it.
+    fn await_pickup(&self) {
+        while matches!(*self.lock(), Slot::Job { .. }) {
+            std::thread::yield_now();
         }
-        drop(done_tx);
-        let mut results: Vec<Option<WarpResult>> = (0..total).map(|_| None).collect();
-        for _ in 0..total {
-            let (id, r) = done_rx
-                .recv()
-                .expect("warm warp worker died outside catch_unwind");
-            results[id] = Some(r);
-        }
-        // Join point, as in Grid::launch_contained.
-        simt_check::launch_end();
-        let results = results
-            .into_iter()
-            .map(|r| r.expect("every warp reports exactly once"));
-        gather(start, results)
     }
-}
 
-impl Drop for WarmGrid {
-    fn drop(&mut self) {
-        for tx in &self.senders {
-            // A worker that already exited (send fails) needs no Exit.
-            let _ = tx.send(Job::Exit);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Puts `order` in the cell and wakes the other side.
+    fn hand(&self, order: Slot) {
+        *self.lock() = order;
+        self.wake.notify_one();
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until the cell holds what `ready` accepts, and takes it out.
+    fn take(&self, ready: fn(&Slot) -> bool) -> Slot {
+        let wait = self.wake.wait_while(self.lock(), |s| !ready(s));
+        let mut slot = wait.unwrap_or_else(PoisonError::into_inner);
+        std::mem::replace(&mut *slot, Slot::Idle)
     }
 }
 
@@ -369,24 +367,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    fn geometry(num_blocks: usize, warps_per_block: usize) -> GridConfig {
+        GridConfig {
+            num_blocks,
+            warps_per_block,
+            shared_mem_per_block: 0,
+        }
+    }
+
     #[test]
     fn rejects_empty_geometry() {
-        assert!(Grid::new(GridConfig {
-            num_blocks: 0,
-            warps_per_block: 4,
-            shared_mem_per_block: 0,
-        })
-        .is_err());
+        assert!(Grid::new(geometry(0, 4)).is_err());
     }
 
     #[test]
     fn launch_runs_every_warp_once() {
-        let grid = Grid::new(GridConfig {
-            num_blocks: 3,
-            warps_per_block: 2,
-            shared_mem_per_block: 1024,
-        })
-        .unwrap();
+        let grid = Grid::new(geometry(3, 2)).unwrap();
         let counter = AtomicU64::new(0);
         let metrics = grid.launch(|warp| {
             counter.fetch_add(1, Ordering::Relaxed);
@@ -400,12 +396,7 @@ mod tests {
 
     #[test]
     fn warp_identities_are_consistent() {
-        let grid = Grid::new(GridConfig {
-            num_blocks: 2,
-            warps_per_block: 3,
-            shared_mem_per_block: 1024,
-        })
-        .unwrap();
+        let grid = Grid::new(geometry(2, 3)).unwrap();
         grid.launch(|warp| {
             assert_eq!(warp.block(), warp.id() / 3);
             assert_eq!(warp.index_in_block(), warp.id() % 3);
@@ -414,13 +405,8 @@ mod tests {
 
     #[test]
     fn contained_launch_survives_warp_panics_and_keeps_metrics() {
-        let grid = Grid::new(GridConfig {
-            num_blocks: 2,
-            warps_per_block: 2,
-            shared_mem_per_block: 0,
-        })
-        .unwrap();
-        let (metrics, panics) = grid.launch_contained(|warp| {
+        let grid = Grid::new(geometry(2, 2)).unwrap();
+        let (metrics, panics) = grid.launch_contained(&|warp| {
             warp.metrics_mut().matches_found = 10 + warp.id() as u64;
             if warp.id() == 2 {
                 panic!("injected: warp {} down", warp.id());
@@ -437,12 +423,7 @@ mod tests {
 
     #[test]
     fn plain_launch_propagates_warp_panics() {
-        let grid = Grid::new(GridConfig {
-            num_blocks: 1,
-            warps_per_block: 2,
-            shared_mem_per_block: 0,
-        })
-        .unwrap();
+        let grid = Grid::new(geometry(1, 2)).unwrap();
         let res = std::panic::catch_unwind(|| {
             grid.launch(|warp| {
                 if warp.id() == 1 {
@@ -455,19 +436,14 @@ mod tests {
 
     #[test]
     fn warm_grid_matches_cold_launch_semantics() {
-        let cfg = GridConfig {
-            num_blocks: 2,
-            warps_per_block: 2,
-            shared_mem_per_block: 1024,
-        };
-        let warm = WarmGrid::new(cfg).unwrap();
-        // Several launches on the same pool: every warp runs once per
+        let grid = Grid::new(geometry(2, 2)).unwrap();
+        // Several launches on the parked threads: every warp runs once per
         // launch, metrics arrive in warp-id order, panics are contained.
         for round in 0..3u64 {
-            let (metrics, panics) = warm.launch_contained(&|warp: &mut Warp| {
+            let (metrics, panics) = grid.launch_contained(&|warp| {
                 warp.metrics_mut().matches_found = round * 100 + warp.id() as u64;
                 if round == 1 && warp.id() == 3 {
-                    panic!("injected: warm warp down");
+                    panic!("injected: parked warp down");
                 }
             });
             assert_eq!(metrics.warps.len(), 4);
@@ -486,24 +462,32 @@ mod tests {
     }
 
     #[test]
-    fn warm_grid_rejects_empty_geometry() {
-        assert!(WarmGrid::new(GridConfig {
-            num_blocks: 1,
-            warps_per_block: 0,
-            shared_mem_per_block: 0,
-        })
-        .is_err());
+    fn a_warp_can_launch_a_nested_grid() {
+        let grid = Grid::new(geometry(1, 2)).unwrap();
+        let outer = Mutex::new(Vec::new());
+        let inner = Mutex::new(Vec::new());
+        let metrics = grid.launch(|warp| {
+            outer.lock().unwrap().push(std::thread::current().id());
+            let nested = grid.launch(|w| {
+                inner.lock().unwrap().push(std::thread::current().id());
+                w.metrics_mut().matches_found = 1;
+            });
+            warp.metrics_mut().matches_found = nested.matches();
+        });
+        assert_eq!(metrics.matches(), 4);
+        // A checked-out thread is never handed a second job: no inner warp
+        // ran on a thread still hosting an outer one.
+        let (outer, inner) = (outer.into_inner().unwrap(), inner.into_inner().unwrap());
+        assert!(inner.iter().all(|t| !outer.contains(t)));
     }
 
     #[test]
     fn blocks_hold_at_most_32_warps() {
-        let block = |warps_per_block| GridConfig {
-            num_blocks: 1,
-            warps_per_block,
-            shared_mem_per_block: 0,
-        };
-        assert!(Grid::new(block(MAX_WARPS_PER_BLOCK)).is_ok());
-        for err in [Grid::new(block(33)).err(), WarmGrid::new(block(33)).err()] {
+        assert!(Grid::new(geometry(1, MAX_WARPS_PER_BLOCK)).is_ok());
+        for err in [
+            Grid::new(geometry(1, 33)).err(),
+            WarmGrid::new(geometry(1, 33)).err(),
+        ] {
             match err {
                 Some(LaunchError::BadGeometry(m)) => assert!(m.contains("limit of 32"), "{m}"),
                 other => panic!("expected BadGeometry, got {other:?}"),
@@ -515,12 +499,7 @@ mod tests {
     fn warps_run_concurrently() {
         // All warps must be alive at once (spin-wait semantics depend on
         // it): have every warp wait until all warps have arrived.
-        let grid = Grid::new(GridConfig {
-            num_blocks: 2,
-            warps_per_block: 2,
-            shared_mem_per_block: 0,
-        })
-        .unwrap();
+        let grid = Grid::new(geometry(2, 2)).unwrap();
         let arrived = AtomicU64::new(0);
         grid.launch(|_warp| {
             arrived.fetch_add(1, Ordering::SeqCst);

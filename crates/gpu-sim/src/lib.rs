@@ -15,7 +15,9 @@
 //!   which is what motivates the paper's merged multi-label sets.
 //! * [`Grid`] — maps every warp onto its own OS thread, so inter-warp load
 //!   imbalance, spin-waiting and work-stealing traffic are *measured*, not
-//!   modelled.
+//!   modelled. The threads are one process-wide pool of parked warp
+//!   threads: a launch checks out one per warp, spawning only the
+//!   shortfall, and parks them again when it returns.
 //! * [`MemoryBudget`] — global-memory accounting with hard out-of-memory
 //!   failures, used to reproduce the subgraph-centric baselines' OOM
 //!   behaviour ('×' entries of Table II).

@@ -252,17 +252,18 @@ mod tests {
 
     #[test]
     fn concurrent_allocs_respect_limit() {
-        let b = std::sync::Arc::new(MemoryBudget::new(1000));
-        let successes: usize = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let b = b.clone();
-                    s.spawn(move || (0..100).filter(|_| b.try_alloc(10).is_ok()).count())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        // Eight warps, each on its own thread, race for the budget.
+        let b = MemoryBudget::new(1000);
+        let eight_warps = crate::GridConfig {
+            num_blocks: 2,
+            ..Default::default()
+        };
+        let grid = crate::Grid::new(eight_warps).unwrap();
+        let metrics = grid.launch(|warp| {
+            warp.metrics_mut().matches_found =
+                (0..100).filter(|_| b.try_alloc(10).is_ok()).count() as u64;
         });
-        assert_eq!(successes, 100); // exactly 1000/10 allocations succeed
+        assert_eq!(metrics.matches(), 100); // exactly 1000/10 allocations succeed
         assert_eq!(b.in_use(), 1000);
     }
 

@@ -389,10 +389,7 @@ fn capacity_hints_shape_the_arena() {
         assert_eq!(out.count, want);
         assert_eq!(out.spill_events, 0);
         assert!(out.peak_slab_cells <= verdict.cert.peak_cells(&engine.slot_table(&plan)));
-        let arena = slot
-            .arenas()
-            .checkout()
-            .expect("the launch parked its arenas");
+        let arena = slot.checkout().expect("the launch parked its arenas");
         arena.slab_cells()
     };
     let uniform = cells_after(None);

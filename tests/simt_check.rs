@@ -411,8 +411,8 @@ fn mutation_lock_invert_is_caught_as_cycle() {
 
 /// All checkers over the resident service's concurrent-submission path:
 /// multiple client threads racing into the admission queue, two workers
-/// draining batches onto warm slots (parked warp threads + recycled
-/// arenas), plan-cache hits and misses, a fault-injected query, a
+/// draining batches onto warm slots (recycled arenas) and the parked warp
+/// threads, plan-cache hits and misses, a fault-injected query, a
 /// queued-deadline expiry and `cache_stats` sweeps — all while the race
 /// detector watches the service's shadow state (`plan-cache[id]`,
 /// per-instance boards, recycled arena cells). Zero error diagnostics
