@@ -51,22 +51,23 @@
 //! subtree, nothing more. Emitted embeddings follow the same protocol
 //! through a commit watermark (`emit_mark`).
 
+mod interp;
 mod last_level;
 mod rank;
 mod rows;
+mod validity;
 
 use self::last_level::{closed_form, count_valid_sorted, Against, Clip, TailSlot};
 use self::rank::RankRow;
 use self::rows::Rows;
+use self::validity::{ClaimCost, Validity};
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
-use crate::setops::{self, materialize_base_into};
 use crate::steal::{Board, Source, StealPayload};
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
-use stmatch_pattern::bytecode::{OpCode, PlanBytecode, SlotTable, MAX_SETS};
-use stmatch_pattern::symmetry::Bound;
+use stmatch_pattern::bytecode::{PlanBytecode, SlotTable, MAX_SETS};
 use stmatch_pattern::{MatchPlan, MAX_PATTERN_SIZE};
 
 /// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
@@ -174,52 +175,6 @@ enum Row {
     Parent,
     /// The lifted last-level list W.
     Last,
-}
-
-/// What the levels that claim are charged for the validity of what they
-/// claim (DESIGN.md §4c, "Claims"), as level masks. A claim tests its
-/// candidates on the host either way; this is only who pays on the device.
-struct ClaimCost {
-    /// A validity wave per claim: level 0, shallow lifted levels and lifted
-    /// levels with a residual label.
-    waves: u8,
-    /// Deep lifted levels without a residual label: one key wave per batch
-    /// places each slot's window and exclusions in the lifted list, and the
-    /// claims read valid candidates off them.
-    keyed: u8,
-    /// Levels whose candidate set is computed at the level but read by more
-    /// than the level's claims: the set's final stream closes each wave with
-    /// a second ballot, of its lanes' validity ([`Close::Masked`]). Where the
-    /// claims are the set's only reader ([`PlanBytecode::claim_only`]) its
-    /// one ballot compacts exactly the valid candidates, for nothing.
-    masked: u8,
-}
-
-impl ClaimCost {
-    /// Classifies the levels that claim under StopLevel `stop`: every level
-    /// but the last and, where a fused tail forms (`tail`), the level it
-    /// counts instead.
-    fn new(bc: &PlanBytecode, stop: usize, tail: bool) -> ClaimCost {
-        let k = bc.num_levels();
-        let mut c = ClaimCost {
-            waves: 1,
-            keyed: 0,
-            masked: 0,
-        };
-        for l in (1..k - 1).filter(|&l| !(tail && l == k - 2)) {
-            let bit = 1 << l;
-            if bc.candidate(l).1 == l {
-                if bc.claim_only() & bit == 0 {
-                    c.masked |= bit;
-                }
-            } else if l >= stop && bc.level_meta(l).resid.is_none() {
-                c.keyed |= bit;
-            } else {
-                c.waves |= bit;
-            }
-        }
-        c
-    }
 }
 
 /// Per-warp kernel state.
@@ -757,259 +712,6 @@ impl<'a> WarpKernel<'a> {
         }
     }
 
-    /// Enters level `l`: resets its cursors, fixes `matched[l-1]` to the
-    /// first slot, computes all of the level's sets for every slot, charges
-    /// the batch's key wave where the level is [`ClaimCost::keyed`], and
-    /// publishes the stealable state when `l` is shallow.
-    fn begin_level(&mut self, warp: &mut Warp, l: usize) {
-        debug_assert!(self.batch[l].len != 0);
-        self.uiter[l] = 0;
-        self.iter[l] = 0;
-        self.matched[l - 1] = self.batch[l].slots[0];
-        self.compute_sets(warp, l);
-        if self.claim_cost.keyed >> l & 1 == 1 && !self.candidate_list(l, 0).is_empty() {
-            // Per slot, the window the bounds leave of the lifted list and
-            // the places of the `inj` positions' vertices in it: what the
-            // claims then read valid candidates off, wave-free.
-            let vy = self.validity(l);
-            let keys = vy.bounds.len() + vy.inj.count_ones() as usize;
-            warp.charge(Site::CountPass, Cost::Lanes(self.batch[l].len * keys));
-        }
-        // One mirror lock publishes the whole stealable view of the level:
-        // `matched[l-1]`, plus level `l`'s iteration range when `l` itself
-        // is shallow. Publishing after `compute_sets` is safe: a stealer
-        // targeting level `l` needs `size[l] - iter[l] >= 2`, and until
-        // this store lands the previous range at `l` is fully drained
-        // (`iter == size`), so no stealer can observe a half-updated view.
-        if l - 1 < self.stop {
-            let size = if l < self.stop {
-                let (cid, slot) = self.candidate_location(l, 0);
-                Some(self.storage.slot(cid, slot).len())
-            } else {
-                None
-            };
-            let mut m = self.board.mirror(self.warp_id).lock();
-            // Level 0 is published as its virtual index, the form a stolen
-            // prefix travels in.
-            m.matched[l - 1] = if l == 1 {
-                self.l0_index as VertexId
-            } else {
-                self.batch[l].slots[0]
-            };
-            if let Some(size) = size {
-                m.iter[l] = 0;
-                m.size[l] = size;
-                // The published range now describes the in-flight claim's
-                // entire subtree; requeueing both on death would double
-                // count, so the marker dies with the publish. (When `l ==
-                // stop` no range is published and the marker survives until
-                // the subtree commits.)
-                self.inflight = None;
-            }
-            self.publishes = self.publishes.wrapping_add(1);
-            if let Some(f) = self.faults {
-                // Publish-ordinal injection point: a panic here unwinds
-                // while holding the mirror lock, poisoning it — exactly the
-                // torn-publish failure `Mirror::lock`'s recovery contract
-                // covers. The tracked guard's release token still fires
-                // during the unwind (before the mutex unlocks), so the
-                // race checker sees a clean release even on this path —
-                // see `FaultPlan::at_publish`.
-                f.at_publish(self.warp_id, self.publishes);
-            }
-        }
-    }
-
-    /// Resolves the (set id, storage slot) of the candidate list for
-    /// position `l`, slot `u`, honoring lifted (code-moved) candidate sets:
-    /// a set computed at an earlier level is indexed by that level's
-    /// current unroll slot.
-    #[inline]
-    fn candidate_location(&self, l: usize, u: usize) -> (usize, usize) {
-        let (cid, def_level) = self.bc.candidate(l);
-        let slot = if def_level == l {
-            u
-        } else {
-            self.uiter[def_level]
-        };
-        (cid, slot)
-    }
-
-    /// The candidate list for position `l`, slot `u`.
-    #[inline]
-    fn candidate_list(&self, l: usize, u: usize) -> &[VertexId] {
-        let (cid, slot) = self.candidate_location(l, u);
-        self.storage.slot(cid, slot)
-    }
-
-    /// Computes every set of `level` for all slots of its batch, as combined
-    /// warp-wide operations (Fig. 8) streaming straight into the arena: one
-    /// set-operation call per instruction of the plan's lowered stream.
-    ///
-    /// Slot source/input/operand slices live in fixed stack arrays (no
-    /// per-set `Vec` collects), and only multi-op chains touch the
-    /// ping/pong scratch — a set's final instruction always lands in its
-    /// arena slab via [`StackArena::split_for_write`], which the stream's
-    /// dependencies-precede-dependents order makes alias-free.
-    ///
-    /// Every call carries the bitmap rows [`Rows`] provides for it (DESIGN.md
-    /// §4f), and the slots of a chain whose operands are all hubs run the
-    /// whole chain fused in the bitmap domain once its last step has landed.
-    ///
-    /// The one place that decides how a set operation's waves close
-    /// ([`Close`]): a counting launch's last-level candidate only counts (no
-    /// ballots) — Fig. 3 line 16 adds its survivors up and never iterates
-    /// them; the candidate of a [`ClaimCost::masked`] level adds a validity
-    /// ballot; every other write compacts.
-    fn compute_sets(&mut self, warp: &mut Warp, level: usize) {
-        let prog = self.bc.instrs_at(level);
-        if prog.is_empty() {
-            // The level's candidate was lifted to an earlier level.
-            return;
-        }
-        let cand = self.bc.candidate(level).0;
-        let last_close = if self.emit.is_none() && level == self.k - 1 {
-            Close::Counted
-        } else if self.claim_cost.masked >> level & 1 == 1 {
-            Close::Masked
-        } else {
-            Close::Compacted
-        };
-        let batch = self.batch[level];
-        let bat = batch.as_slice();
-        let m = bat.len();
-        debug_assert!(m >= 1 && m <= self.slots.width(level - 1));
-        let g = self.g;
-        // Small copy of the matched prefix so no closure needs `self`.
-        let matched = self.matched;
-        let vertex_at = |pos: usize, u: usize| -> VertexId {
-            if pos == level - 1 {
-                bat[u]
-            } else {
-                matched[pos]
-            }
-        };
-        const EMPTY: &[VertexId] = &[];
-        let no_bits = [None; MAX_UNROLL];
-        // The open neighbor-based chain: where it began and which slots run
-        // it fused (set by `BeginChain`, consumed by the chain's last step).
-        let mut chain_at = 0usize;
-        let mut fused = [false; MAX_UNROLL];
-        for (i, ins) in prog.iter().enumerate() {
-            let pos = ins.pos as usize;
-            let dst = ins.dst as usize;
-            let close = if ins.last && dst == cand {
-                last_close
-            } else {
-                Close::Compacted
-            };
-            let mut lists = [EMPTY; MAX_UNROLL];
-            for (u, l) in lists.iter_mut().enumerate().take(m) {
-                *l = g.neighbors(vertex_at(pos, u));
-            }
-            let operand_rows = self.rows.operands(m, |u| vertex_at(pos, u));
-            // Combines `inputs` with the neighbor lists at `pos` into `$out`.
-            macro_rules! apply {
-                ($inputs:expr, $input_bits:expr, $out:expr) => {
-                    setops::apply_op_into(
-                        warp,
-                        g,
-                        &$inputs[..m],
-                        &$input_bits[..m],
-                        &lists[..m],
-                        operand_rows.as_ref().map_or(&no_bits[..m], |r| &r[..m]),
-                        ins.kind,
-                        ins.mask,
-                        close,
-                        $out,
-                    )
-                };
-            }
-            match ins.code {
-                OpCode::MaterializeBase => {
-                    let (_, mut sink) = self.storage.split_for_write(dst, m);
-                    materialize_base_into(warp, g, &lists[..m], ins.mask, close, &mut sink);
-                }
-                OpCode::BeginChain => {
-                    chain_at = i;
-                    for (u, l) in lists.iter_mut().enumerate().take(m) {
-                        let at = |pos| vertex_at(pos, u);
-                        fused[u] = self.rows.chain(&prog[i..], at).is_some();
-                        if fused[u] {
-                            *l = EMPTY;
-                        }
-                    }
-                    materialize_base_into(
-                        warp,
-                        g,
-                        &lists[..m],
-                        ins.mask,
-                        Close::Compacted,
-                        &mut self.ping[..m],
-                    );
-                }
-                OpCode::ApplyFromSet => {
-                    fused = [false; MAX_UNROLL];
-                    // Split even when the result is staged: the split is
-                    // also the shadow-store write event for `dst`, and
-                    // dependency slots are read through its read view.
-                    let (read, mut sink) = self.storage.split_for_write(dst, m);
-                    let (inputs, input_bits) =
-                        self.rows
-                            .inputs(warp, g, (ins, level, m), &read, &self.uiter, vertex_at);
-                    if ins.last {
-                        apply!(inputs, input_bits, &mut sink);
-                    } else {
-                        apply!(inputs, input_bits, &mut self.ping[..m]);
-                    }
-                }
-                // Inputs are scratch lists, so never rows; hub operands
-                // still upgrade the membership probes.
-                OpCode::ChainStep => {
-                    let mut inputs = [EMPTY; MAX_UNROLL];
-                    for (u, inp) in inputs.iter_mut().enumerate().take(m) {
-                        *inp = self.ping[u].as_slice();
-                    }
-                    if !ins.last {
-                        apply!(inputs, no_bits, &mut self.pong[..m]);
-                        std::mem::swap(&mut self.ping, &mut self.pong);
-                        continue;
-                    }
-                    {
-                        let (_, mut sink) = self.storage.split_for_write(dst, m);
-                        apply!(inputs, no_bits, &mut sink);
-                    }
-                    if !fused.contains(&true) {
-                        continue;
-                    }
-                    // Fused slots: the whole chain in the bitmap domain,
-                    // ping/pong word scratch lent by the arena, final op
-                    // extracted straight into the slot (re-`begin`s it
-                    // after the empty element leg above).
-                    let (steps, stride) = (&prog[chain_at..=i], g.num_vertices().div_ceil(64));
-                    let (_, mut sink, bits_ping, bits_pong) =
-                        self.storage.split_for_write_bits(dst, m, stride);
-                    for u in (0..m).filter(|&u| fused[u]) {
-                        let at = |pos| vertex_at(pos, u);
-                        let (base, chain) = self.rows.chain(steps, at).expect("fused on hubs");
-                        setops::apply_chain_bits_into(
-                            warp,
-                            g,
-                            u,
-                            base,
-                            &chain[..steps.len() - 1],
-                            ins.mask,
-                            close,
-                            bits_ping,
-                            bits_pong,
-                            &mut sink,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Last level: counts (or, when enumerating, outputs) the valid
     /// candidates of every slot instead of iterating them (Fig. 3 line 16).
     ///
@@ -1196,78 +898,6 @@ fn charge_tail(
         slots = 1;
     }
     streamed.div_ceil(span) as u64
-}
-
-/// Per-level validity context: the residual-label requirement, the
-/// injectivity mask and the symmetry-bound list, resolved once per
-/// claim/count pass instead of per candidate element (these lookups sit
-/// inside million-element loops).
-#[derive(Clone, Copy)]
-struct Validity<'p> {
-    resid: Option<stmatch_graph::Label>,
-    /// [`LevelMeta::inj`](stmatch_pattern::bytecode::LevelMeta::inj): the
-    /// positions a candidate can collide with.
-    inj: u8,
-    bounds: &'p [(usize, Bound)],
-    /// The level-1 pin of a staged run's current stage (see
-    /// [`Level0Map::Staged`]); `None` everywhere else.
-    pin: Option<VertexId>,
-}
-
-/// The positions named by an injectivity mask, ascending.
-#[inline]
-fn positions(mut mask: u8) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let pos = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            pos
-        })
-    })
-}
-
-impl<'p> Validity<'p> {
-    #[inline]
-    fn new(bc: &'p PlanBytecode, l: usize) -> Self {
-        let meta = bc.level_meta(l);
-        Validity {
-            resid: meta.resid,
-            inj: meta.inj,
-            bounds: bc.bounds(l),
-            pin: None,
-        }
-    }
-
-    /// Injectivity, residual-label and symmetry-bound check against the
-    /// matched prefix.
-    #[inline]
-    fn check(&self, g: &Graph, matched: &[VertexId], v: VertexId) -> bool {
-        if let Some(lbl) = self.resid {
-            if g.label(v) != lbl {
-                return false;
-            }
-        }
-        if positions(self.inj).any(|pos| matched[pos] == v) {
-            return false;
-        }
-        for &(pos, bound) in self.bounds {
-            let ok = match bound {
-                Bound::Less => v < matched[pos],
-                Bound::Greater => v > matched[pos],
-            };
-            if !ok {
-                return false;
-            }
-        }
-        // Staged delta run: level 1 admits only the other endpoint of the
-        // update edge level 0 was claimed from.
-        self.pin.is_none_or(|pin| v == pin)
-    }
-
-    /// The elements of `cl` that pass [`Validity::check`].
-    fn count(&self, g: &Graph, matched: &[VertexId], cl: &[VertexId]) -> u64 {
-        cl.iter().filter(|&&v| self.check(g, matched, v)).count() as u64
-    }
 }
 
 /// One level's claimed unroll slots: up to `MAX_UNROLL` vertices, in place.

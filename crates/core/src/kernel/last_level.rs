@@ -4,7 +4,7 @@
 //! row.
 
 use super::rank::Ranks;
-use super::{positions, Validity};
+use super::validity::{positions, Validity};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::MAX_PATTERN_SIZE;
