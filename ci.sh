@@ -438,6 +438,22 @@ if [ -n "${warm}" ]; then
 fi
 echo "==> lint:threads: OK"
 
+# Step lint: a warp's body is a loop over `WarpKernel::step`, and no step
+# blocks (DESIGN.md §4): the board's `poll` makes one pass and returns, and
+# the engine's warp driver holds the one idle spin. The blocking
+# `Board::acquire` and the run-to-exhaustion `WarpKernel::run` must not come
+# back, and neither may a spin in the steal or kernel code.
+echo "==> lint:step: scanning for a blocking acquire, a run loop or a spin below the driver"
+blocking=$(grep -rnE 'fn acquire\b|\.acquire\(' crates/core/src crates/bench/src || true)
+spins=$(grep -rn 'yield_now' crates/core/src/steal.rs crates/core/src/kernel* || true)
+runs=$(grep -rnE 'kernel\.run\(' crates src tests examples || true)
+if [ -n "${blocking}${spins}${runs}" ]; then
+    printf '%s\n' "${blocking}" "${spins}" "${runs}" | grep . || true
+    echo "==> lint:step: FAILED — poll the board (Board::poll) and step the kernel (WarpKernel::step); only the driver spins"
+    exit 1
+fi
+echo "==> lint:step: OK"
+
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"
     diff <(echo "${TREE_BEFORE}") <(tree_state) || true

@@ -1,5 +1,5 @@
-//! The STMatch engine: launch planning, the per-warp driver loop, and the
-//! public matching API.
+//! The STMatch engine: launch planning, the per-warp driver (a loop over
+//! [`WarpKernel::step`] that holds the one idle spin), and the matching API.
 //!
 //! ## Fault-tolerant execution
 //!
@@ -25,7 +25,7 @@
 
 use crate::config::EngineConfig;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
-use crate::kernel::{KernelEnv, Level0Map, WarpKernel};
+use crate::kernel::{KernelEnv, Level0Map, Step, WarpKernel};
 use crate::pool::WarmSlot;
 use crate::shard;
 use crate::steal::{Board, StealPayload};
@@ -678,10 +678,10 @@ impl Engine {
         (metrics, timed_out, report)
     }
 
-    /// One warp's driver loop, wrapped in the containment protocol: on
-    /// panic, the kernel's unfinished work is reclaimed and requeued, the
-    /// board's liveness bookkeeping is repaired, and the death is
-    /// recorded — survivors finish the traversal with exact counts.
+    /// One warp's driver loop over [`WarpKernel::step`], wrapped in the
+    /// containment protocol: on panic, the kernel's unfinished work is
+    /// reclaimed and requeued, the board's liveness bookkeeping is repaired,
+    /// and the death is recorded — survivors finish with exact counts.
     fn warp_body(
         &self,
         r: &Resolved<'_>,
@@ -690,7 +690,6 @@ impl Engine {
         deaths: &Mutex<Vec<WarpDeath>>,
         warp: &mut stmatch_gpusim::Warp,
     ) {
-        let cfg = r.env.cfg;
         let me = warp.id();
         let mut kernel: Option<WarpKernel> = None;
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -698,14 +697,13 @@ impl Engine {
             // instead of building fresh slabs for this query.
             let recycled = r.warm.and_then(WarmSlot::checkout);
             let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
-            while let Some((work, src)) =
-                board.acquire(me, cfg.local_steal, cfg.global_steal, warp.metrics_mut())
-            {
-                src.note(warp);
-                let t = Instant::now();
-                kernel.install(warp, &work);
-                kernel.run(warp);
-                warp.metrics_mut().busy_nanos += t.elapsed().as_nanos() as u64;
+            // The one idle spin of the kernel and steal path: no step blocks.
+            loop {
+                match kernel.step(warp) {
+                    Step::Claimed => {}
+                    Step::Idle => std::thread::yield_now(),
+                    Step::Done => break,
+                }
             }
         }));
         if let Err(payload) = caught {
@@ -746,13 +744,10 @@ impl Engine {
             }
         }
         if let Some(k) = kernel.as_mut() {
-            let m = warp.metrics_mut();
-            m.spill_events = k.spill_events();
-            m.peak_slab_cells = k.peak_slab_cells();
-            [m.tail_streams, m.tail_survivors] = k.tail_stats();
+            k.finish(warp);
             if let Some(slot) = r.warm {
                 // Return the arena for the next query on this slot — after
-                // its counters are read above, before the collector leaf
+                // `finish` read its counters, before the collector leaf
                 // lock below (both respect the declared hierarchy: the
                 // pool lock ranks below every engine lock and is never
                 // held across one). Dead warps return theirs too: the

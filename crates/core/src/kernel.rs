@@ -1,7 +1,7 @@
 //! The stack-based matching kernel (Fig. 3, unrolled per Fig. 7).
 //!
-//! One [`WarpKernel`] instance runs per warp. Its state is the explicit
-//! call stack of the paper:
+//! One [`WarpKernel`] runs per warp, a [`WarpKernel::step`] at a time. Its
+//! state is the paper's explicit call stack, so a step can stop at any claim:
 //!
 //! * `storage` — the candidate sets `C[NUM_SETS][·][·]`, one flat
 //!   pre-sized slab per warp with a slot per set and batch member ("global
@@ -30,8 +30,8 @@
 //! All per-claim scratch (the unroll batches, ping/pong chain buffers, the
 //! emit tail) is owned by the kernel and reused, and
 //! set-operation outputs stream straight into the arena slabs — after the
-//! first passes warm the scratch capacities, the steady-state claim loop
-//! performs no heap allocation (see `tests/alloc_free.rs`).
+//! first passes warm the scratch capacities, the steady-state steps perform
+//! no heap allocation (see `tests/alloc_free.rs`).
 
 //! ## Fault containment (transactional counting)
 //!
@@ -64,7 +64,8 @@ use self::validity::{ClaimCost, Validity};
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::fault::FaultPlan;
-use crate::steal::{Board, Source, StealPayload};
+use crate::steal::{Board, Poll, Source, StealPayload};
+use std::time::Instant;
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::bytecode::{PlanBytecode, SlotTable, MAX_SETS};
@@ -177,6 +178,17 @@ enum Row {
     Last,
 }
 
+/// What one [`WarpKernel::step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Installed a work item, or claimed (or ran out of) the installed one's.
+    Claimed,
+    /// The board had nothing to hand out yet.
+    Idle,
+    /// The board says exit.
+    Done,
+}
+
 /// Per-warp kernel state.
 pub struct WarpKernel<'a> {
     /// The graph being matched: the launch's, or — in a staged run — the
@@ -211,6 +223,10 @@ pub struct WarpKernel<'a> {
     /// Level at which the current work item entered (0 for chunks,
     /// `payload.target` for stolen work).
     entry: usize,
+    /// Level of the next claim; `None` once the item is exhausted.
+    level: Option<usize>,
+    /// Start of the current item (`[0]`) and idle episode (`[1]`, [`Board::poll`]).
+    since: [Option<Instant>; 2],
     /// See [`KernelEnv::l0`].
     l0: Level0Map<'a>,
     /// The level-0 virtual index `matched[0]` was resolved from; published
@@ -340,6 +356,8 @@ impl<'a> WarpKernel<'a> {
             iter: [0; MAX_PATTERN_SIZE + 1],
             matched: [0; MAX_PATTERN_SIZE],
             entry: 0,
+            level: None,
+            since: [None; 2],
             ping: vec![Vec::new(); slots.staged()],
             pong: vec![Vec::new(); slots.staged()],
             rows,
@@ -385,14 +403,16 @@ impl<'a> WarpKernel<'a> {
         emb[base + order.vertex_at(k - 1)] = v;
     }
 
-    /// Per-level validity context, including the level-1 pin of a staged
-    /// run's current stage. Pins exist only at level 1, so every other
-    /// level resolves exactly as before.
+    /// Per-level validity context, with the level-1 pin of a staged run's
+    /// current stage and level 0's label as a residual one (deeper candidates
+    /// come from label-filtered sets).
     #[inline]
     fn validity(&self, l: usize) -> Validity<'a> {
         let mut vy = Validity::new(self.bc, l);
-        if l == 1 {
-            vy.pin = self.pin;
+        match l {
+            0 => vy.resid = self.bc.level_meta(0).label,
+            1 => vy.pin = self.pin,
+            _ => {}
         }
         vy
     }
@@ -461,21 +481,13 @@ impl<'a> WarpKernel<'a> {
         self.inflight = None;
     }
 
-    /// Candidate-list spill events (slab overflows) observed so far.
-    pub fn spill_events(&self) -> u64 {
-        self.storage.spill_events()
-    }
-
-    /// High-water mark of live candidate cells across this warp's arena —
-    /// the runtime observable audited against the static certificate's
-    /// `ResourceCert::peak_cells` bound.
-    pub fn peak_slab_cells(&self) -> u64 {
-        self.storage.peak_slab_cells()
-    }
-
-    /// Tail streams issued and survivors counted ([`WarpKernel::count_tail`]).
-    pub fn tail_stats(&self) -> [u64; 2] {
-        self.tail_stats
+    /// Writes the kernel's own counters into the warp's metrics at exit:
+    /// spill events, peak slab cells and [`WarpKernel::count_tail`]'s stats.
+    pub fn finish(&self, warp: &mut Warp) {
+        let m = warp.metrics_mut();
+        m.spill_events = self.storage.spill_events();
+        m.peak_slab_cells = self.storage.peak_slab_cells();
+        [m.tail_streams, m.tail_survivors] = self.tail_stats;
     }
 
     /// Surrenders the kernel's arena for recycling (warm-pool path),
@@ -549,75 +561,72 @@ impl<'a> WarpKernel<'a> {
         m.iter[p.target] = p.lo;
         m.size[p.target] = p.hi;
         self.entry = p.target;
+        self.level = Some(p.target);
         self.installing = None;
     }
 
-    /// Runs the installed work item to exhaustion, adding matches to the
-    /// warp's counters.
-    pub fn run(&mut self, warp: &mut Warp) {
-        if self.k == 1 {
-            // Degenerate single-vertex pattern: count valid level-0
-            // candidates directly.
-            while let Some(v) = self.claim_shallow(warp, 0) {
-                self.pending_matches += 1;
-                if let Some(emb) = self.emit.as_mut() {
-                    emb.push(v);
+    /// One step of the warp's body; it never blocks. With the installed
+    /// item exhausted, polls the board and installs what it hands out.
+    /// Otherwise makes one claim at the current level and does what follows
+    /// it: descend, count the last level or the fused tail — or, the level
+    /// exhausted, pop it, and at the entry level commit and close the item.
+    pub fn step(&mut self, warp: &mut Warp) -> Step {
+        let Some(l) = self.level else {
+            let steal = (self.cfg.local_steal, self.cfg.global_steal);
+            let m = warp.metrics_mut();
+            return match self.board.poll(self.warp_id, steal, &mut self.since[1], m) {
+                Poll::Work(p, src) => {
+                    src.note(warp);
+                    self.since[0] = Some(Instant::now());
+                    self.install(warp, &p);
+                    Step::Claimed
                 }
-            }
+                Poll::Idle => Step::Idle,
+                Poll::Exit => Step::Done,
+            };
+        };
+        let claimed = if l < self.stop {
+            self.claim_shallow(warp, l)
+        } else {
+            self.claim_deep(warp, l)
+        };
+        if !claimed && l == self.entry {
             self.commit(warp);
-            return;
-        }
-        let mut l = self.entry;
-        loop {
-            if !self.claim(warp, l) {
-                if l == self.entry {
-                    self.commit(warp);
-                    return;
-                }
-                l -= 1;
-                continue;
+            self.level = None;
+            let t = self.since[0].take();
+            warp.metrics_mut().busy_nanos += t.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        } else if !claimed {
+            self.level = Some(l - 1);
+        } else if l + 1 == self.k {
+            // A single-vertex pattern: every valid candidate is a match.
+            self.pending_matches += 1;
+            if let Some(emb) = self.emit.as_mut() {
+                emb.push(self.batch[1].slots[0]);
             }
-            // `claim` filled `batch[l + 1]` with valid candidates for
-            // position `l`.
+        } else {
             self.begin_level(warp, l + 1);
             if l + 1 == self.k - 1 {
                 self.count_last_level(warp);
-                // Stay at level l; keep claiming.
             } else if self.tail && l + 1 == self.k - 2 {
                 self.count_tail(warp);
             } else {
-                l += 1;
+                self.level = Some(l + 1);
             }
         }
+        Step::Claimed
     }
 
-    /// Claims the next batch of valid candidates for position `l` into
-    /// `batch[l + 1]`. Returns false when level `l` is exhausted.
-    fn claim(&mut self, warp: &mut Warp, l: usize) -> bool {
-        if l < self.stop {
-            match self.claim_shallow(warp, l) {
-                Some(v) => {
-                    self.batch[l + 1].clear();
-                    self.batch[l + 1].push(v);
-                    true
-                }
-                None => false,
-            }
-        } else {
-            self.claim_deep(warp, l)
-        }
-    }
-
-    /// Shallow claim: one validity-checked candidate through the mirror
-    /// (charged a validity wave only where [`ClaimCost::waves`] says).
-    fn claim_shallow(&mut self, warp: &mut Warp, l: usize) -> Option<VertexId> {
+    /// Shallow claim: one validity-checked candidate through the mirror into
+    /// `batch[l + 1]` (charged a validity wave only where [`ClaimCost::waves`]
+    /// says). Returns false when level `l` is exhausted.
+    fn claim_shallow(&mut self, warp: &mut Warp, l: usize) -> bool {
         // Claim boundary: the previously claimed iteration's subtree (if
         // any) is fully explored, and everything not yet started lives in
         // the mirror — commit the open transaction.
         self.commit(warp);
         loop {
             if self.cancelled() {
-                return None;
+                return false;
             }
             let idx = {
                 // This acquisition is the race checker's canonical "locked
@@ -626,20 +635,19 @@ impl<'a> WarpKernel<'a> {
                 // `steal::mutation::claim_shallow_without_lock`) and the
                 // detector must name this site as the racing partner.
                 let mut m = self.board.mirror(self.warp_id).lock();
-                if m.iter[l] < m.size[l] {
-                    let i = m.iter[l];
-                    m.iter[l] += 1;
-                    // Record the in-flight iteration under the same lock
-                    // that claims it: from here until the child range is
-                    // published (or the subtree commits), this index exists
-                    // nowhere else — on death it is requeued verbatim.
-                    self.inflight = Some((l, i));
-                    self.unpolled += 1;
-                    Some(i)
-                } else {
-                    None
+                if m.iter[l] >= m.size[l] {
+                    return false;
                 }
-            }?;
+                let i = m.iter[l];
+                m.iter[l] += 1;
+                // Record the in-flight iteration under the same lock that
+                // claims it: from here until the child range is published
+                // (or the subtree commits), this index exists nowhere else —
+                // on death it is requeued verbatim.
+                self.inflight = Some((l, i));
+                self.unpolled += 1;
+                i
+            };
             // §V-B detection hook: when claiming at a level below
             // DetectLevel, a busy warp offers work to fully-idle blocks.
             if self.cfg.global_steal
@@ -656,8 +664,10 @@ impl<'a> WarpKernel<'a> {
             if self.claim_cost.waves >> l & 1 == 1 {
                 warp.charge(Site::Claim, Cost::Lanes(1));
             }
-            if self.valid(l, v) {
-                return Some(v);
+            if self.validity(l).check(self.g, &self.matched, v) {
+                self.batch[l + 1].clear();
+                self.batch[l + 1].push(v);
+                return true;
             }
         }
     }
@@ -836,21 +846,6 @@ impl<'a> WarpKernel<'a> {
         self.tail_stats[1] += survivors;
         self.pending_matches += total;
     }
-
-    /// Validity of candidate `v` at position `l`: label (level 0 only —
-    /// deeper candidates come from label-filtered sets), injectivity, and
-    /// symmetry bounds.
-    #[inline]
-    fn valid(&self, l: usize, v: VertexId) -> bool {
-        if l == 0 {
-            if let Some(lbl) = self.bc.level_meta(0).label {
-                if self.g.label(v) != lbl {
-                    return false;
-                }
-            }
-        }
-        self.validity(l).check(self.g, &self.matched, v)
-    }
 }
 
 /// The simulated cost of one parent batch's fused tail
@@ -945,13 +940,12 @@ mod tests {
             warps_per_block: 1,
             shared_mem_per_block: 100 * 1024,
         });
-        cfg.local_steal = false;
-        cfg.global_steal = false;
+        (cfg.local_steal, cfg.global_steal) = (false, false);
         cfg
     }
 
     /// Runs `body` with warp 0's kernel for `plan` on `g` under `cfg` (a
-    /// [`one_warp`] config) and returns the warp's counters.
+    /// [`one_warp`] config, no level-0 range) and returns the warp's counters.
     fn with_kernel(
         g: &Graph,
         plan: &MatchPlan,
@@ -959,7 +953,7 @@ mod tests {
         body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
     ) -> WarpMetrics {
         let stop = cfg.effective_stop(plan.num_levels());
-        let board = Board::new(1, 1, stop, (0, g.num_vertices()), cfg.chunk_size);
+        let board = Board::new(1, 1, stop, (0, 0), cfg.chunk_size);
         let env = KernelEnv {
             graph: g,
             plan,
@@ -976,12 +970,16 @@ mod tests {
         metrics.total()
     }
 
+    /// Installs `p` and steps until the (empty) board says exit.
+    fn drain(kernel: &mut WarpKernel<'_>, warp: &mut Warp, p: &StealPayload) {
+        kernel.install(warp, p);
+        while kernel.step(warp) != Step::Done {}
+    }
+
     /// Runs the whole of `g` through one kernel.
     fn whole_graph(g: &Graph, plan: &MatchPlan, cfg: EngineConfig) -> WarpMetrics {
-        with_kernel(g, plan, cfg, |kernel, warp| {
-            kernel.install(warp, &StealPayload::chunk(0, g.num_vertices()));
-            kernel.run(warp);
-        })
+        let whole = StealPayload::chunk(0, g.num_vertices());
+        with_kernel(g, plan, cfg, |kernel, warp| drain(kernel, warp, &whole))
     }
 
     /// Marker rows and the rank row outlive a work item, so a kernel that is
@@ -1026,8 +1024,7 @@ mod tests {
                         kernel.install(warp, &stolen(0, 0));
                         let len = kernel.candidate_list(1, 0).len();
                         for (lo, hi) in [(len / 2, len), (0, len / 2)] {
-                            kernel.install(warp, &stolen(lo, hi));
-                            kernel.run(warp);
+                            drain(kernel, warp, &stolen(lo, hi));
                         }
                     }
                 });
@@ -1082,9 +1079,8 @@ mod tests {
             let wedge = Engine::new(cfg).compile(&catalog::wedge());
             assert_eq!(wedge.bytecode().candidate(2).1, 1, "lifted to level 1");
             assert_eq!(wedge.bytecode().slot_table(unroll, 1).widths(), widths);
-            let m = with_kernel(&star, &wedge, cfg, |kernel, warp| {
-                kernel.install(warp, &StealPayload::chunk(0, 1));
-                kernel.run(warp);
+            let m = with_kernel(&star, &wedge, cfg, |k, w| {
+                drain(k, w, &StealPayload::chunk(0, 1))
             });
             assert_eq!(
                 (m.matches_found, sites(&m)),
@@ -1131,9 +1127,8 @@ mod tests {
         // survivors, all under slot 2, counted in their own lanes, and a key
         // wave per tail (the last level's `inj` names position 1).
         let hub = with_kernel(&g, &plan, cfg, |kernel, warp| {
-            kernel.install(warp, &StealPayload::chunk(0, 1));
-            kernel.run(warp);
-            assert_eq!(kernel.tail_stats(), [3, 38]);
+            drain(kernel, warp, &StealPayload::chunk(0, 1));
+            assert_eq!(kernel.tail_stats, [3, 38]);
         });
         let tails = ((5 + 2) + 2 * (5 + 1), 1 + 1 + 1);
         assert_eq!(sites(&hub), (1 + tails.0, tails.1));
@@ -1254,8 +1249,7 @@ mod tests {
                 warps_per_block: warps,
                 shared_mem_per_block: 100 * 1024,
             });
-            cfg.local_steal = stealing;
-            cfg.global_steal = stealing;
+            (cfg.local_steal, cfg.global_steal) = (stealing, stealing);
             for q in [1, 3, 6] {
                 let out = Engine::new(cfg).run(&g, &catalog::paper_query(q)).unwrap();
                 let t = out.metrics.total();

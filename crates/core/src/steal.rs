@@ -14,15 +14,16 @@
 //!   and takes half the remaining iterations at the shallowest level
 //!   (divide-and-copy, Fig. 5).
 //! * **Global stealing** (§V-B, push): an idle warp marks its bit in the
-//!   per-block `is_idle` bitmap and spins; busy warps test for fully-idle
+//!   per-block `is_idle` bitmap and polls; busy warps test for fully-idle
 //!   blocks when claiming work at a level below `DetectLevel` and push half
 //!   of their shallowest remaining range into the target block's
 //!   `global_stks` slot (Fig. 6).
 //!
 //! A warp's whole acquisition order — level-0 chunk, requeued and stolen
-//! stacks, the idle wait — is [`Board::acquire`]; every item it hands out
-//! is a [`StealPayload`] tagged with its [`Source`], whose
-//! [`cost`](Source::cost) is the fixed cost model of moving it.
+//! stacks, the idle wait — is [`Board::poll`], which never blocks: an idle
+//! warp's poll makes one pass of the wait, and the driver steps again (the
+//! one idle spin). Every item it hands out is a [`StealPayload`] tagged with
+//! its [`Source`], whose [`cost`](Source::cost) is the cost of moving it.
 //!
 //! Every board belongs to one launch. A sharded run is one launch per
 //! shard over that shard's own slice of the level-0 domain, as the paper's
@@ -78,7 +79,7 @@ use stmatch_graph::VertexId;
 pub const MAX_STOP: usize = 4;
 
 /// The stealable shallow state of one warp's stack.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MirrorState {
     /// Next unclaimed iteration index per shallow level. At level 0 these
     /// are level-0 *virtual indices* of the warp's current chunk (resolved
@@ -93,14 +94,6 @@ pub struct MirrorState {
 }
 
 impl MirrorState {
-    fn new() -> Self {
-        MirrorState {
-            iter: [0; MAX_STOP],
-            size: [0; MAX_STOP],
-            matched: [0; MAX_STOP],
-        }
-    }
-
     /// Remaining unclaimed iterations at `level`.
     #[inline]
     pub fn remaining(&self, level: usize) -> usize {
@@ -144,7 +137,7 @@ impl Mirror {
         Mirror {
             board,
             id,
-            state: Mutex::new(MirrorState::new()),
+            state: Mutex::new(MirrorState::default()),
         }
     }
 
@@ -256,6 +249,17 @@ impl Source {
     }
 }
 
+/// What [`Board::poll`] hands a warp.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Poll {
+    /// A work item, and where it came from.
+    Work(StealPayload, Source),
+    /// Nothing to take yet: poll again.
+    Idle,
+    /// The warp exits.
+    Exit,
+}
+
 /// Grid-wide coordination state shared by all warps of one launch.
 pub struct Board {
     /// Process-unique instance id (shadow-cell identity: a resident
@@ -276,8 +280,6 @@ pub struct Board {
     /// Live warps per block; a block whose count hits zero can never claim
     /// its global slot again, so [`Board::mark_dead`] drains it.
     alive: Vec<AtomicUsize>,
-    /// Total contained warp deaths this launch.
-    deaths: AtomicUsize,
     /// Work reclaimed from dead warps (and salvage preloads), claimable by
     /// any warp. Counted in `pending` so `finished()` cannot fire while a
     /// dead warp's work sits unclaimed.
@@ -325,7 +327,6 @@ impl Board {
             alive: (0..num_blocks)
                 .map(|_| AtomicUsize::new(warps_per_block))
                 .collect(),
-            deaths: AtomicUsize::new(0),
             requeue: Mutex::new(Vec::new()),
             chunk_next: AtomicUsize::new(start),
             num_vertices: end,
@@ -398,82 +399,76 @@ impl Board {
         self.stop
     }
 
-    /// The per-warp driver's one acquisition point (§V): blocks until warp
-    /// `me` owns a work item and returns it with its [`Source`], or `None`
-    /// when the warp should exit (launch finished or cancelled, or — both
-    /// steal levels off — level 0 exhausted). First hit wins; the warp is
-    /// *busy* through step 3 and again once a step-5/6 claim succeeds:
+    /// The per-warp driver's one acquisition point (§V); it never blocks.
+    /// Warp `me` gets a work item with its [`Source`], [`Poll::Idle`] or
+    /// [`Poll::Exit`] (launch finished or cancelled, or — both steal levels
+    /// off — level 0 exhausted); first hit wins. A busy warp runs steps 1–4
+    /// once, a warp whose own `is_idle` bit is set one pass of 5–8 instead:
     ///
     /// 1. a level-0 chunk off the board's dispenser;
     /// 2. a stack on the board's requeue (dead warps, salvage preload);
     /// 3. `local_steal`: half of a block sibling's shallowest range;
-    /// 4. both steal levels off: exit. Otherwise mark idle and poll:
-    ///    `finished()` or the deadline → exit; chunks remain or a local
-    ///    victim appeared → mark busy, restart from 1;
-    /// 5. `global_steal`: a stack pushed to the block's global slot;
-    /// 6. the board's requeue again (a death can land work after step 2).
+    /// 4. both steal levels off: exit. Otherwise mark idle, once per idle
+    ///    episode (timed from `idle`), and poll again;
+    /// 5. `finished()` or the deadline → exit;
+    /// 6. chunks remain or a local victim appeared → mark busy, go to 1;
+    /// 7. `global_steal`: a stack pushed to the block's global slot;
+    /// 8. the board's requeue again (a death can land work after step 2).
     ///
     /// `m` gets what belongs to acquiring, not to the item acquired:
-    /// `local_steal_attempts` and `idle_nanos`. Charging the item is the
-    /// caller's [`Source::note`].
-    pub fn acquire(
+    /// `local_steal_attempts`, and `idle_nanos` when an idle episode ends.
+    /// Charging the item is the caller's [`Source::note`].
+    pub fn poll(
         &self,
         me: usize,
-        local_steal: bool,
-        global_steal: bool,
+        (local_steal, global_steal): (bool, bool),
+        idle: &mut Option<Instant>,
         m: &mut WarpMetrics,
-    ) -> Option<(StealPayload, Source)> {
-        'outer: loop {
-            if self.aborted() {
-                return None;
-            }
-            // --- Busy phase: acquire work. ---
-            if let Some(chunk) = self.claim_chunk() {
-                return Some(chunk);
-            }
-            if let Some(p) = self.claim_requeued_busy() {
-                return Some((p, Source::Requeue));
-            }
-            if local_steal {
-                m.local_steal_attempts += 1;
-                if let Some(p) = self.try_local_steal(me) {
-                    return Some((p, Source::LocalSteal));
-                }
-            }
-            if !local_steal && !global_steal {
-                return None; // naive mode: exit on chunk exhaustion
-            }
-            // --- Idle phase: spin for stealable or pushed work. ---
-            self.mark_idle(me);
-            let idle_start = Instant::now();
-            loop {
-                // Poll the deadline here too: with every busy warp
-                // stalled or dead, kernel-side polling alone would
-                // leave idle spinners waiting out the hang.
-                if self.finished() || self.check_deadline() {
-                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                    return None;
-                }
-                if self.chunks_remain() || (local_steal && self.any_local_victim(me)) {
-                    self.mark_busy(me);
-                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                    continue 'outer;
-                }
-                if global_steal {
-                    // try_claim_global marks us busy.
-                    if let Some(p) = self.try_claim_global(me) {
-                        m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                        return Some((p, Source::GlobalSteal));
-                    }
-                }
-                // try_claim_requeued marks us busy.
-                if let Some(p) = self.try_claim_requeued(me) {
-                    m.idle_nanos += idle_start.elapsed().as_nanos() as u64;
-                    return Some((p, Source::Requeue));
-                }
-                std::thread::yield_now();
+    ) -> Poll {
+        // SeqCst, as every idle-bit access; only this warp flips its own bit.
+        let bit = 1u32 << (me % self.warps_per_block);
+        if self.is_idle[me / self.warps_per_block].load(Ordering::SeqCst) & bit != 0 {
+            // Poll the deadline here too: with every busy warp stalled or
+            // dead, kernel-side polling alone would leave idle warps
+            // waiting out the hang.
+            let got = if self.finished() || self.check_deadline() {
+                Some(Poll::Exit)
+            } else if self.chunks_remain() || (local_steal && self.any_local_victim(me)) {
+                self.mark_busy(me);
+                None
+            } else if let Some(p) = global_steal.then(|| self.try_claim_global(me)).flatten() {
+                Some(Poll::Work(p, Source::GlobalSteal)) // marks us busy
+            } else if let Some(p) = self.try_claim_requeued(me) {
+                Some(Poll::Work(p, Source::Requeue)) // marks us busy
+            } else {
+                return Poll::Idle;
+            };
+            m.idle_nanos += idle.take().map_or(0, |t| t.elapsed().as_nanos() as u64);
+            if let Some(got) = got {
+                return got;
             }
         }
+        if self.aborted() {
+            return Poll::Exit;
+        }
+        if let Some((p, src)) = self.claim_chunk() {
+            return Poll::Work(p, src);
+        }
+        if let Some(p) = self.claim_requeued_busy() {
+            return Poll::Work(p, Source::Requeue);
+        }
+        if local_steal {
+            m.local_steal_attempts += 1;
+            if let Some(p) = self.try_local_steal(me) {
+                return Poll::Work(p, Source::LocalSteal);
+            }
+        }
+        if !local_steal && !global_steal {
+            return Poll::Exit; // naive mode: exit on chunk exhaustion
+        }
+        self.mark_idle(me);
+        *idle = Some(Instant::now());
+        Poll::Idle
     }
 
     /// Claims the next chunk of the level-0 domain (Fig. 4's
@@ -507,7 +502,7 @@ impl Board {
         // Relaxed: the cursor is monotone, so a stale read can only claim
         // "chunks remain" when they are already gone — the caller then
         // issues a real `claim_chunk` (CAS) and learns the truth; spurious
-        // non-termination for one spin iteration, never missed work.
+        // non-termination for one idle poll, never missed work.
         self.chunk_next.load(Ordering::Relaxed) < self.num_vertices
     }
 
@@ -550,9 +545,9 @@ impl Board {
     }
 
     /// Whether any block sibling of `me` has stealable work (used by idle
-    /// spinners to decide whether a full steal attempt is worthwhile). Not a
+    /// polls to decide whether a full steal attempt is worthwhile). Not a
     /// lock-free peek: it takes each sibling's mirror lock in turn, one at a
-    /// time, on every idle spin that reaches it.
+    /// time, on every idle poll that reaches it.
     fn any_local_victim(&self, me: usize) -> bool {
         let block = me / self.warps_per_block;
         let base = block * self.warps_per_block;
@@ -709,7 +704,6 @@ impl Board {
         // as the idle/busy/pending protocol (a dead warp must never read
         // as idle or busy to the termination test or the push detector).
         let was_busy = self.is_idle[block].load(Ordering::SeqCst) & bit == 0;
-        self.deaths.fetch_add(1, Ordering::SeqCst);
         self.alive[block].fetch_sub(1, Ordering::SeqCst);
         if was_busy {
             self.busy.fetch_sub(1, Ordering::SeqCst);
@@ -726,13 +720,6 @@ impl Board {
                 self.lock_requeue().push(p);
             }
         }
-    }
-
-    /// Contained warp deaths so far.
-    pub fn death_count(&self) -> usize {
-        // SeqCst: read by post-launch reporting; cheap and consistent with
-        // the writer side.
-        self.deaths.load(Ordering::SeqCst)
     }
 
     /// Claims a requeued work item from the busy phase (the caller already
@@ -940,14 +927,9 @@ mod tests {
         let b = board();
         {
             let mut m = b.mirror(1).lock();
-            m.iter[1] = 0;
             m.size[1] = 100; // lots of deep work
             m.matched[0] = 7;
-        }
-        {
             // Warp 1 also has a little level-0 work — that must win.
-            let mut m = b.mirror(1).lock();
-            m.iter[0] = 0;
             m.size[0] = 4;
         }
         let p = b.try_local_steal(0).unwrap();
@@ -1039,14 +1021,20 @@ mod tests {
         }
     }
 
-    /// One `acquire` with both steal levels on: `(source, lo, hi)` served.
+    /// Polls (both steal levels on) until warp `me` is served `(source, lo, hi)`.
     fn serve(b: &Board, me: usize, m: &mut WarpMetrics) -> Option<(Source, usize, usize)> {
-        let (p, src) = b.acquire(me, true, true, m)?;
-        Some((src, p.lo, p.hi))
+        let mut idle = None;
+        loop {
+            match b.poll(me, (true, true), &mut idle, m) {
+                Poll::Work(p, src) => return Some((src, p.lo, p.hi)),
+                Poll::Idle => {}
+                Poll::Exit => return None,
+            }
+        }
     }
 
     #[test]
-    fn acquire_serves_a_plain_board_in_protocol_order() {
+    fn poll_serves_a_plain_board_in_protocol_order() {
         // Warp 0 drives; warps 1 and 3 are parked idle, and warp 1's mirror
         // holds stealable work from the start — so each earlier source wins
         // *although* a later one is available.
@@ -1073,8 +1061,14 @@ mod tests {
         assert_eq!(serve(&b, 2, &mut m2), Some((Source::GlobalSteal, 20, 40)));
         assert_eq!(m2.local_steal_attempts, 1, "busy phase ran first");
         // Warp 2 parks again; nothing is left anywhere, so warp 0 goes idle
-        // last and is the one warp that observes termination.
+        // last and is the one warp that observes termination. Until then
+        // an idle warp's polls find nothing and mark nothing (SeqCst reads).
         b.mark_idle(2);
+        let busy = b.busy.load(Ordering::SeqCst);
+        for _ in 0..2 {
+            assert_eq!(b.poll(2, (true, true), &mut None, &mut m2), Poll::Idle);
+        }
+        assert_eq!(b.busy.load(Ordering::SeqCst), busy);
         assert!(!b.finished());
         assert_eq!(serve(&b, 0, &mut m), None);
         assert!(b.finished());
@@ -1113,7 +1107,6 @@ mod tests {
         b.mark_busy(0);
         b.requeue_dead(vec![StealPayload::chunk(3, 7)]);
         b.mark_dead(0);
-        assert_eq!(b.death_count(), 1);
         assert!(!b.finished(), "requeued work must block termination");
         let p = b.try_claim_requeued(1).expect("claimable");
         assert_eq!((p.lo, p.hi), (3, 7));
