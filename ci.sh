@@ -407,9 +407,13 @@ echo "==> lint:launch: OK"
 # had no caller, so all were deleted (DESIGN.md §4d, §4g, §4k): a grid
 # salvages at most twice, a worker pops one request per admission-lock
 # acquisition, and a work-aware split weighs the snapshot its query runs on.
+# Two per-launch allocations nobody read went the same way: the shared
+# budget's log of successful reservations (`SharedBudget::allocations`), and
+# the service's unbounded reply channel, which allocated a 31-slot block per
+# ticket for its one message (`mpsc::sync_channel(1)` replaced it).
 echo "==> lint:reach: scanning for the deleted knobs and helpers"
-reach=$(grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b' \
-    crates src tests examples || true)
+reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b' \
+    crates src tests examples; grep -HnF 'mpsc::channel()' crates/core/src/service.rs) || true)
 if [ -n "${reach}" ]; then
     echo "${reach}"
     echo "==> lint:reach: FAILED — these names were deleted with no caller; do not bring them back"

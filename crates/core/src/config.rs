@@ -109,13 +109,15 @@ pub struct DeltaTuning {
     /// service accepts `apply_batch` / `submit_watch` (default `false`:
     /// the graph is immutable and shared as is).
     pub enabled: bool,
-    /// Grid geometry for anchored delta launches. A launch's level-0 domain
-    /// is one side of the batch — one index per update edge where the plan
-    /// orients its anchor, two where it does not, claimed as chunks off the
-    /// ordinary dispenser — and a batch makes two launches per edge orbit of
-    /// the pattern, so the default is a single warp: a service-sized grid
-    /// would park dozens of warps on a few hundred indices. Wider
-    /// grids are exact too (stolen and requeued work carries its stage).
+    /// Grid geometry for the anchored delta launches of watchers and of
+    /// [`DeltaPlans::count`](crate::DeltaPlans::count); a service's
+    /// maintained counts advance on [`EngineConfig::grid`], the grid their
+    /// recounts would have used. A launch's level-0 domain is one side of the
+    /// batch (one or two indices per update edge) and a batch makes two
+    /// launches per edge orbit of the pattern, so the default is a single
+    /// warp: a service-sized grid would park dozens of warps on a few hundred
+    /// indices. Wider grids are exact too (stolen and requeued work carries
+    /// its stage).
     pub grid: GridConfig,
     /// Service only: fold the overlay into a fresh CSR after this many
     /// applied batches (0 = never compact). Compaction re-indexes vertices

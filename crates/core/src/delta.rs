@@ -122,10 +122,9 @@ impl StagedSide {
 }
 
 /// One update batch staged for anchored enumeration: both sides' stage
-/// views plus the arena free-list their launches recycle. Built once per
-/// batch; every watcher's plans run on the same one.
+/// views. Built once per batch; a service runs every watcher's plans and
+/// every maintained count's on the same one.
 pub(crate) struct StagedBatch {
-    warm: WarmSlot,
     /// Net deletes in batch order over `pre`: an embedding is counted at
     /// its lowest-indexed deleted edge.
     removed: StagedSide,
@@ -137,40 +136,38 @@ pub(crate) struct StagedBatch {
 
 impl StagedBatch {
     /// Stages `batch` between `pre` (the graph before it) and `post` (the
-    /// graph after) for `engine`'s delta grid. `None` when the batch netted
-    /// out: nothing to launch. Requires edge-induced matching.
+    /// graph after) for `engine`. `None` when the batch netted out: nothing
+    /// to launch. Requires edge-induced matching.
     pub(crate) fn new(
         engine: &Engine,
         pre: &Graph,
         post: &Graph,
         batch: &AppliedBatch,
-    ) -> Result<Option<StagedBatch>, LaunchError> {
-        let cfg = engine.config();
+    ) -> Option<StagedBatch> {
         assert!(
-            !cfg.induced,
+            !engine.config().induced,
             "incremental matching is edge-induced only: deleting an edge can \
              create vertex-induced embeddings containing no update edge, which \
              anchored enumeration cannot see"
         );
         if batch.is_empty() {
-            return Ok(None);
+            return None;
         }
-        Ok(Some(StagedBatch {
-            // One warm slot amortizes arena allocation across every launch
-            // of the batch.
-            warm: WarmSlot::new(cfg.delta.grid)?,
+        Some(StagedBatch {
             removed: StagedSide::new(pre, batch.deletes.clone()),
             added: StagedSide::new(post, batch.inserts.iter().rev().copied().collect()),
-        }))
+        })
     }
 
     /// Counts the matches of `plans`' pattern the batch destroyed and
-    /// created: one `engine` launch per (non-empty side × anchored plan).
-    /// Also returns the launches' merged metrics.
+    /// created: one `engine` launch per (non-empty side × anchored plan),
+    /// each recycling arenas through `warm`. Also returns the launches'
+    /// merged metrics.
     pub(crate) fn run(
         &self,
         engine: &Engine,
         plans: &DeltaPlans,
+        warm: Option<&WarmSlot>,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
         let mut metrics = GridMetrics::default();
         // Subgraph counts; embedding counts when the engine breaks no symmetry.
@@ -186,7 +183,7 @@ impl StagedBatch {
             let mut total = 0u64;
             for plan in &plans.anchored {
                 let out = engine.launch(&Launch {
-                    warm: Some(&self.warm),
+                    warm,
                     domain: Level0::Anchored {
                         edges: &side.edges,
                         views: &side.views,
@@ -194,7 +191,7 @@ impl StagedBatch {
                     ..Launch::new(first, plan)
                 })?;
                 total += out.count;
-                metrics.merge(&out.metrics);
+                metrics.absorb(out.metrics);
             }
             Ok(total * scale)
         };
@@ -208,7 +205,8 @@ impl DeltaPlans {
     /// Counts the matches `batch` destroyed (enumerated against `pre`, the
     /// graph before the batch) and created (against `post`, the graph
     /// after) in `2 × num_plans()` launches of `engine` on its delta grid:
-    /// O(batch × affected neighborhoods) work. Also returns the launches'
+    /// O(batch × affected neighborhoods) work. The launches recycle arenas
+    /// through one free-list of the call's own. Also returns the launches'
     /// merged metrics. Requires edge-induced matching (see the module
     /// docs).
     pub fn count(
@@ -218,8 +216,11 @@ impl DeltaPlans {
         post: &Graph,
         batch: &AppliedBatch,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        match StagedBatch::new(engine, pre, post, batch)? {
-            Some(staged) => staged.run(engine, self),
+        match StagedBatch::new(engine, pre, post, batch) {
+            Some(staged) => {
+                let warm = WarmSlot::new(engine.config().delta.grid)?;
+                staged.run(engine, self, Some(&warm))
+            }
             None => Ok((MatchDelta::default(), GridMetrics::default())),
         }
     }

@@ -55,6 +55,12 @@ pub struct Enumeration {
 }
 
 /// Result of one matching run.
+///
+/// A delta-enabled [`MatchService`](crate::MatchService) may answer from a
+/// count it maintains, with no launch: then `metrics` are the merged metrics
+/// of the delta launches that advanced the count since the previous answer
+/// (none on a second answer for the same snapshot), `shards` is empty,
+/// `fault` is `None`, and every other field is the last recount's.
 #[derive(Clone, Debug)]
 pub struct MatchOutcome {
     /// Number of matches (subgraphs with symmetry breaking on, embeddings
@@ -643,11 +649,7 @@ impl Engine {
             let (pass_metrics, escaped) = grid.launch_contained(&body);
             // The first pass's metrics are the run's, moved rather than
             // merged into an empty copy; a salvage pass adds to them.
-            if metrics.warps.is_empty() {
-                metrics = pass_metrics;
-            } else {
-                metrics.merge(&pass_metrics);
-            }
+            metrics.absorb(pass_metrics);
             report.escaped_panics += escaped.len();
             for d in deaths.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 report.requeued += d.requeued;

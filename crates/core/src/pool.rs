@@ -25,11 +25,13 @@ use crate::arena::StackArena;
 use std::sync::Mutex;
 use stmatch_gpusim::{Grid, GridConfig, LaunchError};
 
-/// A bounded free-list of recyclable [`StackArena`]s, one per service
-/// worker and one per delta batch. `checkout` hands an arena to a warp (or
-/// `None` when the list is dry — the warp then builds a fresh one);
-/// `give_back` returns it after the launch. The list is capped at the warp
-/// count of the grid the slot was built for; arenas beyond it are dropped.
+/// A bounded free-list of recyclable [`StackArena`]s: one per resident
+/// service, shared by its workers' queries and its batches' delta launches
+/// (and one per [`DeltaPlans::count`](crate::DeltaPlans::count) call
+/// outside a service). `checkout` hands an arena to a warp (or `None` when
+/// the list is dry — the warp then builds a fresh one); `give_back` returns
+/// it after the launch. The list is capped at the warp count of the grid
+/// the slot was built for; arenas beyond it are dropped.
 pub struct WarmSlot {
     /// Distinct lock index for the hierarchy checker, so concurrent
     /// slots never alias in the lock-order graph.

@@ -18,9 +18,17 @@
 //!   to one entry through the entry API.
 //! * **Admission** — clients [`submit`](MatchService::submit) from any
 //!   number of threads; each worker thread pops one request per
-//!   admission-lock acquisition and serves it on its warm slot
-//!   ([`WarmSlot`]: recycled stack arenas). Warp threads are the
+//!   admission-lock acquisition and serves it on the service's warm slot
+//!   ([`WarmSlot`]: one free-list of recycled stack arenas, shared by the
+//!   workers and the batches' delta launches). Warp threads are the
 //!   simulator's, parked between launches for every caller alike.
+//! * **Maintained counts** (DESIGN.md §4k) — on a delta-enabled service,
+//!   each cached edge-induced plan keeps its last exact count, and every
+//!   [`apply_batch`](MatchService::apply_batch) advances the counts read
+//!   since the last one by its [`MatchDelta`] (the rest drop, and recount
+//!   when next asked). A query on that snapshot, unless vertex-induced or
+//!   carrying a `fault_plan`, is answered without a launch: see
+//!   [`MatchOutcome`] for what such an answer holds.
 //! * **Fault isolation** — each query runs under its own containment:
 //!   injected warp deaths, launch failures, expired deadlines, and even
 //!   escaped panics produce a per-query [`ServiceError`] without
@@ -31,9 +39,12 @@
 //!
 //! The service adds three classes *below* every engine lock (see
 //! `simt_check::LockClass`): `ServiceAdmission(2)` (the queue),
-//! `ServicePlanCache(4)`, and `ServiceArenaPool(6)` (a [`WarmSlot`]'s
-//! arena free-list). None is ever held across an engine launch, and the
-//! cache lock is never held while compiling. The plan cache carries a
+//! `ServicePlanCache(4)` (plans and maintained counts), and
+//! `ServiceArenaPool(6)` (a [`WarmSlot`]'s arena free-list). None is ever
+//! held across an engine launch, and the cache lock is never held while
+//! compiling: a batch reads the counts to advance under it, releases it
+//! for the launches, and commits each only if it is still at the
+//! pre-batch version. The plan cache carries a
 //! shadow cell (`Cell::plan_cache(id)`) so the race checker can prove
 //! every access goes through the tracked lock — and kill the seeded
 //! [`mutation::cache_insert_without_lock`] by name.
@@ -49,7 +60,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-use stmatch_gpusim::LaunchError;
+use stmatch_gpusim::{GridConfig, GridMetrics, LaunchError};
 use stmatch_graph::{AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{iso, MatchPlan, Pattern, PlanOptions};
 use stmatch_plan_verify::Verification;
@@ -104,7 +115,7 @@ pub enum ServiceError {
     /// configured geometry (the error names what overflowed).
     Launch(LaunchError),
     /// The run panicked past containment; the panic was caught at the
-    /// query boundary, so the worker and its warm slot survive.
+    /// query boundary, so the worker and the warm slot survive.
     QueryPanicked(String),
     /// The service is shutting down; the query was not run.
     ShuttingDown,
@@ -135,7 +146,7 @@ pub struct ServiceConfig {
     /// override `induced`). Also fixes the warm-slot grid geometry and the
     /// plan options baked into cache entries.
     pub engine: EngineConfig,
-    /// Worker threads, each owning one warm slot. Minimum 1.
+    /// Worker threads, sharing the service's warm slot. Minimum 1.
     pub workers: usize,
 }
 
@@ -176,6 +187,8 @@ pub struct CacheStats {
     /// Total diagnostics those verifications raised (0 = every cached
     /// plan is certified clean).
     pub diagnostics: u64,
+    /// Answers served from a maintained count, without a launch.
+    pub maintained: u64,
 }
 
 /// Identifier of a watcher registered with
@@ -246,7 +259,7 @@ struct Request {
     pattern: Pattern,
     opts: QueryOptions,
     admitted: Instant,
-    reply: mpsc::Sender<Result<MatchOutcome, ServiceError>>,
+    reply: mpsc::SyncSender<Result<MatchOutcome, ServiceError>>,
 }
 
 /// The two-lane admission queue (see [`Priority`]). Both lanes are FIFO;
@@ -313,7 +326,28 @@ struct CachedPlan {
     /// resident, so the certificate stays valid for the service's
     /// lifetime). Every later launch of the entry carries it.
     verification: Arc<OnceLock<Arc<Verification>>>,
+    /// The anchored plans that advance the entry's count (delta-enabled
+    /// services, edge-induced entries), compiled with the entry so that a
+    /// workload's first op pays for them, not its ticks.
+    delta: Option<Arc<DeltaPlans>>,
 }
+
+/// The plan cache: each entry's plan and the count it maintains.
+type PlanCache = HashMap<PlanKey, (CachedPlan, Option<Maintained>)>;
+
+/// An entry's exact count at one snapshot (see the module docs).
+struct Maintained {
+    version: u64,
+    /// The last recount's outcome, its count advanced by every batch since
+    /// and its metrics the delta launches' since the last answer.
+    answer: MatchOutcome,
+    /// Answered since its last advance: only such a count advances.
+    read: bool,
+}
+
+/// An entry's delta over one batch, with the entry's plans (which identify
+/// it).
+type Advance = (Result<(MatchDelta, GridMetrics), String>, Arc<DeltaPlans>);
 
 /// State shared between clients and workers.
 struct Inner {
@@ -323,7 +357,7 @@ struct Inner {
     /// shadow cell, so concurrent services never alias in the checker.
     check_id: u32,
     queue: Mutex<AdmissionQueue>,
-    cache: Mutex<HashMap<PlanKey, CachedPlan>>,
+    cache: Mutex<PlanCache>,
     shutdown: AtomicBool,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -331,6 +365,10 @@ struct Inner {
     /// once per canonical entry; see `CachedPlan::verification`).
     verified: AtomicU64,
     diags: AtomicU64,
+    maintained: AtomicU64,
+    /// The arena free-list of every launch the service makes; `None` on a
+    /// geometry no grid can launch (each query then fails by name).
+    warm: Option<WarmSlot>,
     /// The mutable topology — `Some` iff `EngineConfig::delta` is
     /// enabled. Without it the service is the classic immutable-graph
     /// resident service, bit for bit.
@@ -346,7 +384,7 @@ impl Inner {
         )
     }
 
-    fn lock_cache(&self) -> simt_check::Tracked<'_, HashMap<PlanKey, CachedPlan>> {
+    fn lock_cache(&self) -> simt_check::Tracked<'_, PlanCache> {
         simt_check::tracked_lock(
             &self.cache,
             simt_check::LockClass::ServicePlanCache,
@@ -375,16 +413,33 @@ impl Inner {
         }
     }
 
-    /// Cached-or-compiled plan for `pattern`. The fast path is one lock
-    /// acquisition and a map probe; the miss path compiles outside the lock
-    /// and inserts through the entry API, so two racers compiling the same
-    /// canonical form still land exactly one entry.
-    fn plan_for(&self, pattern: &Pattern, induced: bool) -> CachedPlan {
-        let key = PlanKey::new(pattern, induced);
+    /// The count `key`'s entry maintains at snapshot `at`, if it keeps one,
+    /// with the metrics of the delta launches since its last answer moved
+    /// out.
+    fn answer(&self, key: &PlanKey, at: u64) -> Option<MatchOutcome> {
+        let mut cache = self.lock_cache();
+        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
+        let m = cache.get_mut(key)?.1.as_mut().filter(|m| m.version == at)?;
+        m.read = true;
+        // Relaxed: pure statistic, ordered by the tracked lock above.
+        self.maintained.fetch_add(1, Ordering::Relaxed);
+        let metrics = std::mem::take(&mut m.answer.metrics);
+        Some(MatchOutcome {
+            metrics,
+            ..m.answer.clone()
+        })
+    }
+
+    /// Cached-or-compiled plan for `pattern` (its canonical `key`). The
+    /// fast path is one lock acquisition and a map probe; the miss path
+    /// compiles outside the lock and inserts through the entry API, so two
+    /// racers compiling the same canonical form still land exactly one
+    /// entry.
+    fn plan_for(&self, pattern: &Pattern, key: &PlanKey) -> CachedPlan {
         {
             let cache = self.lock_cache();
             simt_check::note_read(simt_check::Cell::plan_cache(self.check_id));
-            if let Some(entry) = cache.get(&key) {
+            if let Some((entry, _)) = cache.get(key) {
                 // Relaxed: pure statistic, no ordering with cache state
                 // (which the tracked lock above already serializes).
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -394,23 +449,93 @@ impl Inner {
         let plan = Arc::new(MatchPlan::compile(
             pattern,
             PlanOptions {
-                induced,
+                induced: key.induced,
                 code_motion: self.cfg.engine.code_motion,
                 symmetry_breaking: self.cfg.engine.symmetry_breaking,
             },
         ));
+        let delta = (self.dynamic.is_some() && !key.induced)
+            .then(|| Arc::new(Engine::new(self.cfg.engine).compile_delta(pattern)));
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock_cache();
         simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        match cache.entry(key) {
-            Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(slot) => slot
-                .insert(CachedPlan {
+        match cache.entry(key.clone()) {
+            Entry::Occupied(e) => e.get().0.clone(),
+            Entry::Vacant(slot) => {
+                let entry = CachedPlan {
                     plan,
                     verification: Arc::default(),
-                })
-                .clone(),
+                    delta,
+                };
+                slot.insert((entry, None)).0.clone()
+            }
+        }
+    }
+
+    /// Keeps a recount's exact `outcome` as `key`'s count at snapshot
+    /// `version`, unless the entry already holds one as new.
+    fn store(&self, key: &PlanKey, version: u64, outcome: &MatchOutcome) {
+        let mut cache = self.lock_cache();
+        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
+        let Some((_, kept)) = cache.get_mut(key) else {
+            return;
+        };
+        if !matches!(kept, Some(m) if m.version >= version) {
+            *kept = Some(Maintained {
+                version,
+                answer: MatchOutcome {
+                    metrics: GridMetrics::default(),
+                    fault: None,
+                    shards: Vec::new(),
+                    ..*outcome
+                },
+                read: true,
+            });
+        }
+    }
+
+    /// The plans of the counts to advance over a batch from snapshot `pre`:
+    /// those at `pre` answered since their last advance. Every other count
+    /// drops, unless a recount already stored a newer one.
+    fn advancing(&self, pre: u64) -> Vec<Arc<DeltaPlans>> {
+        let mut cache = self.lock_cache();
+        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
+        let mut out = Vec::new();
+        for (entry, maintained) in cache.values_mut() {
+            match (&maintained, &entry.delta) {
+                (Some(m), Some(delta)) if m.read && m.version == pre => out.push(Arc::clone(delta)),
+                (Some(m), _) if m.version > pre => {}
+                _ => *maintained = None,
+            }
+        }
+        out
+    }
+
+    /// Commits the advances of a batch `pre → post`: a count still at `pre`
+    /// moves to `post`, or drops if its advance failed.
+    fn commit(&self, pre: u64, post: u64, advances: Vec<Advance>) {
+        let mut cache = self.lock_cache();
+        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
+        for (ran, delta) in advances {
+            let mine = |e: &&mut (CachedPlan, _)| {
+                e.0.delta.as_ref().is_some_and(|d| Arc::ptr_eq(d, &delta))
+            };
+            let Some((_, maintained)) = cache.values_mut().find(mine) else {
+                continue;
+            };
+            let Some(m) = maintained.as_mut().filter(|m| m.version == pre) else {
+                continue;
+            };
+            match ran {
+                Ok((d, metrics)) => {
+                    m.version = post;
+                    m.read = false;
+                    m.answer.count = m.answer.count + d.added - d.removed;
+                    m.answer.metrics.absorb(metrics);
+                }
+                Err(_) => *maintained = None,
+            }
         }
     }
 
@@ -418,7 +543,6 @@ impl Inner {
     /// per-query error; nothing here can take the worker down.
     fn execute(
         &self,
-        warm: Option<&WarmSlot>,
         pattern: &Pattern,
         opts: &QueryOptions,
         admitted: Instant,
@@ -433,12 +557,19 @@ impl Inner {
             },
             None => None,
         };
-        let entry = self.plan_for(pattern, induced);
-        let plan = &entry.plan;
         // Resolve the topology once, up front (rank-1 lock, released
         // immediately): the query runs against this snapshot even if a
         // batch lands mid-flight.
         let graph = self.resolve_graph();
+        // Only these may take (and leave) a maintained count.
+        let at = (self.dynamic.is_some() && !induced && opts.fault_plan.is_none())
+            .then(|| graph.version());
+        let key = PlanKey::new(pattern, induced);
+        if let Some(answer) = at.and_then(|v| self.answer(&key, v)) {
+            return Ok(answer);
+        }
+        let entry = self.plan_for(pattern, &key);
+        let plan = &entry.plan;
         let mut cfg = self.cfg.engine;
         cfg.induced = induced;
         let mut engine = Engine::new(cfg);
@@ -450,7 +581,7 @@ impl Inner {
         }
         let ran = catch_unwind(AssertUnwindSafe(|| {
             engine.launch(&Launch {
-                warm,
+                warm: self.warm.as_ref(),
                 verified: entry.verification.get().map(Arc::as_ref),
                 ..Launch::new(&graph, plan)
             })
@@ -466,6 +597,9 @@ impl Inner {
                         partial: Some(Box::new(outcome)),
                     })
                 } else {
+                    if let (Some(version), None) = (at, &outcome.fault) {
+                        self.store(&key, version, &outcome);
+                    }
                     Ok(outcome)
                 }
             }
@@ -494,9 +628,9 @@ pub struct MatchService {
 }
 
 impl MatchService {
-    /// Starts the worker threads; each builds its own warm slot at the
-    /// configured grid geometry (falling back to cold per-query grids if
-    /// that fails, e.g. on a degenerate geometry).
+    /// Builds the service's warm slot at the configured grid geometry
+    /// (falling back to cold per-query grids if that fails, e.g. on a
+    /// degenerate geometry) and starts the worker threads.
     /// # Panics
     /// With [`EngineConfig::delta`] enabled, `graph` must be a plain CSR
     /// (not a patched view): the delta overlay folds batches against it.
@@ -524,6 +658,14 @@ impl MatchService {
             misses: AtomicU64::new(0),
             verified: AtomicU64::new(0),
             diags: AtomicU64::new(0),
+            maintained: AtomicU64::new(0),
+            // A slot holds one grid's arenas: room for every worker's launch
+            // and one batch's at once.
+            warm: WarmSlot::new(GridConfig {
+                num_blocks: cfg.engine.grid.num_blocks * (cfg.workers + 1),
+                ..cfg.engine.grid
+            })
+            .ok(),
             dynamic,
         });
         let workers = (0..cfg.workers)
@@ -541,7 +683,8 @@ impl MatchService {
     /// Admits a query without blocking; the [`Ticket`] delivers the
     /// result. Deadlines start now.
     pub fn enqueue(&self, pattern: &Pattern, opts: QueryOptions) -> Ticket {
-        let (reply, rx) = mpsc::channel();
+        // One message: one slot (an unbounded channel allocates 31).
+        let (reply, rx) = mpsc::sync_channel(1);
         let req = Request {
             pattern: pattern.clone(),
             opts,
@@ -566,7 +709,7 @@ impl MatchService {
     /// the calling thread.
     pub fn cache_stats(&self) -> CacheStats {
         let entries = self.inner.lock_cache().len();
-        // Relaxed: all four counters are pure statistics; the tracked
+        // Relaxed: all five counters are pure statistics; the tracked
         // cache lock above already ordered this thread after the workers'
         // cache (and counter) updates.
         CacheStats {
@@ -577,6 +720,7 @@ impl MatchService {
             // Relaxed: statistics snapshot; the tracked cache lock above
             // already ordered us after every entry that landed.
             diagnostics: self.inner.diags.load(Ordering::Relaxed),
+            maintained: self.inner.maintained.load(Ordering::Relaxed),
         }
     }
 
@@ -593,7 +737,8 @@ impl MatchService {
         if inner.dynamic.is_some() {
             return None;
         }
-        let entry = inner.plan_for(pattern, inner.cfg.engine.induced);
+        let key = PlanKey::new(pattern, inner.cfg.engine.induced);
+        let entry = inner.plan_for(pattern, &key);
         let verdict = entry.verification.get_or_init(|| {
             let v = Engine::new(inner.cfg.engine).verify(&inner.graph, &entry.plan);
             // Relaxed: pure statistics, ticked once per entry (the OnceLock
@@ -619,7 +764,9 @@ impl MatchService {
     /// thread*, after the graph lock is released — a slow watcher delays
     /// only its own `apply_batch` caller, never the admission or query
     /// lanes, and a panicking one is contained: the batch still returns
-    /// and every other watcher still gets its event.
+    /// and every other watcher still gets its event. The maintained counts
+    /// (see the module docs) advance on the same thread, over the same
+    /// staged batch, on the service's own grid.
     ///
     /// # Panics
     /// Panics if the service was not built with
@@ -654,22 +801,24 @@ impl MatchService {
                 Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
             }
         }
-        // Stage each batch side once: every watcher's plans run on the same
-        // stage views and warm slot.
+        // Watchers run on the delta grid; a maintained count advances on the
+        // grid its recount would have used.
+        let advances = inner.advancing(pre.version());
         let engine = Engine::new(inner.cfg.engine);
-        let staged = if watchers.is_empty() {
-            Ok(None)
-        } else {
-            contained(|| StagedBatch::new(&engine, &pre, &post, &batch))
+        let mut cfg = inner.cfg.engine;
+        (cfg.induced, cfg.delta.grid) = (false, cfg.grid);
+        let advance = Engine::new(cfg);
+        // Stage each batch side once: every watcher's and every advancing
+        // count's plans run on the same stage views and the service's arenas.
+        let staged = (!watchers.is_empty() || !advances.is_empty())
+            .then(|| StagedBatch::new(&advance, &pre, &post, &batch))
+            .flatten();
+        let run = |engine: &Engine, plans: &DeltaPlans| match &staged {
+            Some(staged) => contained(|| staged.run(engine, plans, inner.warm.as_ref())),
+            None => Ok(Default::default()),
         };
         for w in &watchers {
-            let delta = match &staged {
-                Ok(Some(staged)) => {
-                    contained(|| staged.run(&engine, &w.plans)).map(|(delta, _)| delta)
-                }
-                Ok(None) => Ok(MatchDelta::default()),
-                Err(e) => Err(e.clone()),
-            };
+            let delta = run(&engine, &w.plans).map(|(delta, _)| delta);
             let event = WatchEvent {
                 watch: w.id,
                 version: batch.version,
@@ -683,6 +832,8 @@ impl MatchService {
             // dropped.
             let _ = catch_unwind(AssertUnwindSafe(|| (w.cb)(event)));
         }
+        let advanced = advances.into_iter().map(|d| (run(&advance, &d), d));
+        inner.commit(pre.version(), batch.version, advanced.collect());
         batch
     }
 
@@ -763,10 +914,9 @@ impl Drop for MatchService {
 }
 
 /// Worker: pop one request per admission-lock acquisition, serve it on
-/// this worker's warm slot, park briefly when idle. Exits when shutdown is
+/// the service's warm slot, park briefly when idle. Exits when shutdown is
 /// flagged *and* the queue is empty, so pending clients always hear back.
 fn worker_loop(inner: &Inner) {
-    let warm = WarmSlot::new(inner.cfg.engine.grid).ok();
     loop {
         let next = inner.lock_queue().pop();
         let Some(req) = next else {
@@ -779,7 +929,7 @@ fn worker_loop(inner: &Inner) {
             std::thread::sleep(Duration::from_micros(200));
             continue;
         };
-        let result = inner.execute(warm.as_ref(), &req.pattern, &req.opts, req.admitted);
+        let result = inner.execute(&req.pattern, &req.opts, req.admitted);
         // A client that dropped its ticket is not an error.
         let _ = req.reply.send(result);
     }
@@ -821,10 +971,14 @@ pub mod mutation {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(
                 key,
-                CachedPlan {
-                    plan,
-                    verification: Arc::default(),
-                },
+                (
+                    CachedPlan {
+                        plan,
+                        verification: Arc::default(),
+                        delta: None,
+                    },
+                    None,
+                ),
             );
     }
 }
@@ -832,7 +986,7 @@ pub mod mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmatch_gpusim::{GridConfig, SharedBudget};
+    use stmatch_gpusim::SharedBudget;
     use stmatch_graph::gen;
     use stmatch_pattern::catalog;
 
@@ -895,7 +1049,7 @@ mod tests {
     /// Builds a throwaway request whose deadline seconds act as an id tag
     /// (never executed — only pushed through the admission queue).
     fn tagged_request(priority: Priority, tag: u64) -> Request {
-        let (reply, _rx) = mpsc::channel();
+        let (reply, _rx) = mpsc::sync_channel(1);
         Request {
             pattern: catalog::triangle(),
             opts: QueryOptions {
@@ -1014,9 +1168,11 @@ mod tests {
         );
     }
 
-    /// A sharded, work-aware, delta-enabled service splits each query by
-    /// the weights of the snapshot it runs on: after every seeded mixed
-    /// batch, each count equals a one-grid run on the current graph.
+    /// A sharded, work-aware, delta-enabled service splits each recount by
+    /// the weights of the snapshot it runs on (three shards) and maintains
+    /// the counts asked every round (no launch, no shards): after every
+    /// seeded mixed batch, each count equals a one-grid run on the current
+    /// graph.
     #[test]
     fn sharded_delta_service_counts_the_current_snapshot() {
         let graph = Arc::new(gen::preferential_attachment(80, 4, 9).degree_ordered());
@@ -1051,13 +1207,21 @@ mod tests {
             assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
             let g = svc.current_graph();
             assert_eq!(g.version(), batch.version);
-            for q in &queries {
+            // One pattern first asked this round: a sharded recount.
+            let fresh = catalog::paper_query([2, 3, 5, 7, 8][round]);
+            for q in queries.iter().chain([&fresh]) {
                 let out = svc.submit(q, QueryOptions::default()).unwrap();
                 let want = single.run(&g, q).unwrap().count;
                 assert_eq!(out.count, want, "round {round} {}", q.name());
-                assert_eq!(out.shards.len(), 3, "round {round} {}", q.name());
+                let shards = if round == 0 || std::ptr::eq(q, &fresh) {
+                    3
+                } else {
+                    0
+                };
+                assert_eq!(out.shards.len(), shards, "round {round} {}", q.name());
             }
         }
+        assert_eq!(svc.cache_stats().maintained, 3 * 4);
     }
 
     #[test]
@@ -1068,18 +1232,14 @@ mod tests {
             .run(&graph, &q)
             .unwrap()
             .count;
-        // Serve on a slot of our own to watch it: the single-grid route
-        // parks its arenas there, the sharded driver builds its own grids
-        // and leaves it untouched.
+        // The single-grid route parks its arenas on the service's slot, the
+        // sharded driver builds its own grids and leaves it untouched.
         for (shards, single_grid) in [(1, true), (2, false)] {
             let mut cfg = small_cfg();
             cfg.engine = cfg.engine.with_shards(shards);
             let svc = MatchService::new(Arc::clone(&graph), cfg);
-            let slot = WarmSlot::new(cfg.engine.grid).unwrap();
-            let out = svc
-                .inner
-                .execute(Some(&slot), &q, &QueryOptions::default(), Instant::now())
-                .unwrap();
+            let out = svc.submit(&q, QueryOptions::default()).unwrap();
+            let slot = svc.inner.warm.as_ref().unwrap();
             assert_eq!(out.count, expected, "{shards} shard(s)");
             assert_eq!(slot.parked() > 0, single_grid, "{shards} shard(s)");
             assert_eq!(out.metrics.total().requeue_claims, 0, "{shards} shard(s)");

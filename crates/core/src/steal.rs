@@ -43,7 +43,7 @@
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
 //! | 6    | `ServiceArenaPool` | `pool::WarmSlot` (reusable warp arenas) | — (never held across engine locks) |
-//! | 10   | `GlobalSlot` | `Board::slots[b]` (per-block steal slot)   | — (outermost engine lock) |
+//! | 10   | `GlobalSlot` | `Board::blocks[b].slot` (per-block slot)  | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |
 //! | 30   | `Mirror`     | `Mirror::state` (per-warp stealable stack) | `GlobalSlot`        |
 //! | 40   | `DeathLog`   | engine death records (recovery path)       | — (leaf)            |
@@ -260,6 +260,17 @@ pub enum Poll {
     Exit,
 }
 
+/// One threadblock's share of the [`Board`].
+struct Block {
+    /// Bitmap of idle warps (bit = warp index within block).
+    is_idle: AtomicU32,
+    /// Global-steal slot (`global_stks` of Fig. 6).
+    slot: Mutex<Option<StealPayload>>,
+    /// Live warps; a block whose count hits zero can never claim its global
+    /// slot again, so [`Board::mark_dead`] drains it.
+    alive: AtomicUsize,
+}
+
 /// Grid-wide coordination state shared by all warps of one launch.
 pub struct Board {
     /// Process-unique instance id (shadow-cell identity: a resident
@@ -269,17 +280,12 @@ pub struct Board {
     mirrors: Vec<Mirror>,
     warps_per_block: usize,
     stop: usize,
-    /// Per-block bitmap of idle warps (bit = warp index within block).
-    is_idle: Vec<AtomicU32>,
-    /// Per-block global-steal slot (`global_stks` of Fig. 6).
-    slots: Vec<Mutex<Option<StealPayload>>>,
+    /// Per-block state, one allocation for the grid.
+    blocks: Vec<Block>,
     /// Number of warps currently busy (grid starts all-busy).
     busy: AtomicUsize,
     /// Number of pushed-but-unclaimed payloads (global slots + requeue).
     pending: AtomicUsize,
-    /// Live warps per block; a block whose count hits zero can never claim
-    /// its global slot again, so [`Board::mark_dead`] drains it.
-    alive: Vec<AtomicUsize>,
     /// Work reclaimed from dead warps (and salvage preloads), claimable by
     /// any warp. Counted in `pending` so `finished()` cannot fire while a
     /// dead warp's work sits unclaimed.
@@ -320,13 +326,15 @@ impl Board {
             mirrors: (0..total).map(|w| Mirror::new(check_id, w)).collect(),
             warps_per_block,
             stop,
-            is_idle: (0..num_blocks).map(|_| AtomicU32::new(0)).collect(),
-            slots: (0..num_blocks).map(|_| Mutex::new(None)).collect(),
+            blocks: (0..num_blocks)
+                .map(|_| Block {
+                    is_idle: AtomicU32::new(0),
+                    slot: Mutex::new(None),
+                    alive: AtomicUsize::new(warps_per_block),
+                })
+                .collect(),
             busy: AtomicUsize::new(total),
             pending: AtomicUsize::new(0),
-            alive: (0..num_blocks)
-                .map(|_| AtomicUsize::new(warps_per_block))
-                .collect(),
             requeue: Mutex::new(Vec::new()),
             chunk_next: AtomicUsize::new(start),
             num_vertices: end,
@@ -374,7 +382,8 @@ impl Board {
     /// a write access to the `slot[b]` shadow cell at the caller's line.
     #[track_caller]
     fn lock_slot(&self, b: usize) -> simt_check::Tracked<'_, Option<StealPayload>> {
-        let guard = simt_check::tracked_lock(&self.slots[b], simt_check::LockClass::GlobalSlot, b);
+        let guard =
+            simt_check::tracked_lock(&self.blocks[b].slot, simt_check::LockClass::GlobalSlot, b);
         simt_check::note_write_at(
             simt_check::Cell::global_slot(self.check_id, b),
             std::panic::Location::caller(),
@@ -427,7 +436,12 @@ impl Board {
     ) -> Poll {
         // SeqCst, as every idle-bit access; only this warp flips its own bit.
         let bit = 1u32 << (me % self.warps_per_block);
-        if self.is_idle[me / self.warps_per_block].load(Ordering::SeqCst) & bit != 0 {
+        if self.blocks[me / self.warps_per_block]
+            .is_idle
+            .load(Ordering::SeqCst)
+            & bit
+            != 0
+        {
             // Poll the deadline here too: with every busy warp stalled or
             // dead, kernel-side polling alone would leave idle warps
             // waiting out the hang.
@@ -517,7 +531,7 @@ impl Board {
         // *different* atomics (idle-bit set vs busy decrement vs pending
         // increment). Acquire/release alone does not order independent
         // variables; SeqCst buys the total order the proofs below rely on.
-        self.is_idle[block].fetch_or(bit, Ordering::SeqCst);
+        self.blocks[block].is_idle.fetch_or(bit, Ordering::SeqCst);
         self.busy.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -529,7 +543,7 @@ impl Board {
         // transition must look busy to `finished()` (fail-safe direction —
         // see the claim-ordering comments in try_claim_global).
         self.busy.fetch_add(1, Ordering::SeqCst);
-        self.is_idle[block].fetch_and(!bit, Ordering::SeqCst);
+        self.blocks[block].is_idle.fetch_and(!bit, Ordering::SeqCst);
     }
 
     /// Termination test for idle warps: nothing busy, nothing pending,
@@ -618,11 +632,11 @@ impl Board {
     pub fn try_push_global(&self, me: usize) -> bool {
         let my_block = me / self.warps_per_block;
         let full = self.full_idle_mask();
-        for b in 0..self.is_idle.len() {
+        for b in 0..self.blocks.len() {
             // SeqCst: the idle-bitmap read must sit in the same total
             // order as mark_idle/mark_busy so a block observed fully idle
             // really had all warps past their busy decrement.
-            if b == my_block || self.is_idle[b].load(Ordering::SeqCst) != full {
+            if b == my_block || self.blocks[b].is_idle.load(Ordering::SeqCst) != full {
                 continue;
             }
             let mut slot = self.lock_slot(b);
@@ -634,7 +648,7 @@ impl Board {
             // (`mark_dead` drains the slot in the same lock order, so one
             // of the two always sees the other's effect). SeqCst: ordered
             // against mark_dead's alive decrement.
-            if self.alive[b].load(Ordering::SeqCst) == 0 {
+            if self.blocks[b].alive.load(Ordering::SeqCst) == 0 {
                 continue;
             }
             // Split our own mirror. Mirror lock (rank 30) nests inside the
@@ -703,13 +717,13 @@ impl Board {
         // SeqCst throughout: death bookkeeping joins the same total order
         // as the idle/busy/pending protocol (a dead warp must never read
         // as idle or busy to the termination test or the push detector).
-        let was_busy = self.is_idle[block].load(Ordering::SeqCst) & bit == 0;
-        self.alive[block].fetch_sub(1, Ordering::SeqCst);
+        let was_busy = self.blocks[block].is_idle.load(Ordering::SeqCst) & bit == 0;
+        self.blocks[block].alive.fetch_sub(1, Ordering::SeqCst);
         if was_busy {
             self.busy.fetch_sub(1, Ordering::SeqCst);
         }
-        self.is_idle[block].fetch_and(!bit, Ordering::SeqCst);
-        if self.alive[block].load(Ordering::SeqCst) == 0 {
+        self.blocks[block].is_idle.fetch_and(!bit, Ordering::SeqCst);
+        if self.blocks[block].alive.load(Ordering::SeqCst) == 0 {
             // Last live warp of the block: drain the global slot (pushers
             // re-check `alive` under this same lock, so no new payload can
             // land after the drain). Slot (rank 10) then requeue (rank 20)
@@ -766,7 +780,7 @@ impl Board {
             let mut q = self.lock_requeue();
             std::mem::take(&mut *q)
         };
-        for b in 0..self.is_idle.len() {
+        for b in 0..self.blocks.len() {
             if let Some(p) = self.lock_slot(b).take() {
                 out.push(p);
             }
@@ -844,15 +858,15 @@ pub mod mutation {
         // WRONG: mirror lock (rank 30) taken first and held across the
         // slot acquisition (rank 10).
         let mut m = board.mirrors[me].lock();
-        for b in 0..board.is_idle.len() {
+        for b in 0..board.blocks.len() {
             // SeqCst loads/increment below: same termination-protocol
             // orderings as the correct push_global — only the lock order
             // is the seeded defect here.
-            if b == my_block || board.is_idle[b].load(Ordering::SeqCst) != full {
+            if b == my_block || board.blocks[b].is_idle.load(Ordering::SeqCst) != full {
                 continue;
             }
             let mut slot = board.lock_slot(b);
-            if slot.is_some() || board.alive[b].load(Ordering::SeqCst) == 0 {
+            if slot.is_some() || board.blocks[b].alive.load(Ordering::SeqCst) == 0 {
                 continue;
             }
             let payload = match (0..board.stop).find(|&l| m.remaining(l) >= 2) {

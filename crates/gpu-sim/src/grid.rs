@@ -3,6 +3,7 @@
 use crate::memory::SharedOverflow;
 use crate::metrics::{GridMetrics, WarpMetrics};
 use crate::warp::Warp;
+use std::cell::Cell;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -157,8 +158,10 @@ impl Grid {
         let total = self.config.total_warps();
         let wpb = self.config.warps_per_block;
         // Every thread is in hand before the first job goes out, so a
-        // failed spawn unwinds with no job in flight.
-        let threads = checkout(total);
+        // failed spawn unwinds with no job in flight. The list is this
+        // thread's buffer from its last launch, so a launch allocates none.
+        let mut threads = LAUNCHING.take();
+        checkout(&mut threads, total);
         // Launch fork point for the race checker: everything the launching
         // thread did so far happens-before every warp body.
         simt_check::launch_begin();
@@ -193,7 +196,8 @@ impl Grid {
         // Join point: every warp's history happens-before whatever the
         // launching thread does next (leftover preload, metrics, goldens).
         simt_check::launch_end();
-        park(threads);
+        park(&mut threads);
+        LAUNCHING.set(threads);
         let metrics = GridMetrics {
             warps,
             elapsed_nanos: start.elapsed().as_nanos() as u64,
@@ -240,11 +244,18 @@ const MAX_PARKED: usize = 256;
 /// with nothing else held, so it sits outside the engine's lock hierarchy.
 static PARKED: Mutex<Vec<Arc<WarpThread>>> = Mutex::new(Vec::new());
 
-/// Takes `n` parked threads, spawning the shortfall.
-fn checkout(n: usize) -> Vec<Arc<WarpThread>> {
+thread_local! {
+    /// The launching thread's list of its launch's warp threads, empty
+    /// between launches and kept for its capacity. A nested launch runs on
+    /// a warp thread, so it uses that thread's own list.
+    static LAUNCHING: Cell<Vec<Arc<WarpThread>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Moves `n` parked threads into the empty `threads`, spawning the shortfall.
+fn checkout(threads: &mut Vec<Arc<WarpThread>>, n: usize) {
     let mut parked = PARKED.lock().unwrap_or_else(PoisonError::into_inner);
     let keep = parked.len().saturating_sub(n);
-    let mut threads: Vec<_> = parked.drain(keep..).collect();
+    threads.extend(parked.drain(keep..));
     drop(parked);
     while threads.len() < n {
         match WarpThread::spawn() {
@@ -255,19 +266,17 @@ fn checkout(n: usize) -> Vec<Arc<WarpThread>> {
             }
         }
     }
-    threads
 }
 
-/// Parks idle `threads` again, up to [`MAX_PARKED`]; the rest exit.
-fn park(mut threads: Vec<Arc<WarpThread>>) {
-    let surplus = {
+/// Parks the idle `threads` again, up to [`MAX_PARKED`], and tells the rest
+/// to exit; leaves `threads` empty.
+fn park(threads: &mut Vec<Arc<WarpThread>>) {
+    {
         let mut parked = PARKED.lock().unwrap_or_else(PoisonError::into_inner);
-        let room = MAX_PARKED.saturating_sub(parked.len());
-        let surplus = threads.split_off(room.min(threads.len()));
-        parked.append(&mut threads);
-        surplus
-    };
-    for t in surplus {
+        let room = MAX_PARKED.saturating_sub(parked.len()).min(threads.len());
+        parked.extend(threads.drain(..room));
+    }
+    for t in threads.drain(..) {
         t.hand(Slot::Exit);
     }
 }

@@ -154,11 +154,13 @@ impl MemoryBudget {
 /// metadata) against this budget; overflow aborts the launch like CUDA's
 /// `cudaErrorLaunchOutOfResources`. The default capacity matches the 100 KB
 /// opt-in maximum of the RTX 3090 the paper evaluates on.
+///
+/// A reservation is a counter bump: nothing is recorded per structure, so
+/// planning a launch allocates nothing unless it overflows.
 #[derive(Clone, Debug)]
 pub struct SharedBudget {
     capacity: usize,
     used: usize,
-    allocations: Vec<(String, usize)>,
 }
 
 /// Shared-memory overflow at launch time.
@@ -188,14 +190,11 @@ impl SharedBudget {
 
     /// A budget with the given capacity.
     pub fn new(capacity: usize) -> SharedBudget {
-        SharedBudget {
-            capacity,
-            used: 0,
-            allocations: Vec::new(),
-        }
+        SharedBudget { capacity, used: 0 }
     }
 
-    /// Reserves `bytes` for a named structure.
+    /// Reserves `bytes` for a named structure; the name is kept only in the
+    /// overflow error.
     pub fn try_alloc(&mut self, what: &str, bytes: usize) -> Result<(), SharedOverflow> {
         if self.used + bytes > self.capacity {
             return Err(SharedOverflow {
@@ -206,7 +205,6 @@ impl SharedBudget {
             });
         }
         self.used += bytes;
-        self.allocations.push((what.to_string(), bytes));
         Ok(())
     }
 
@@ -218,11 +216,6 @@ impl SharedBudget {
     /// Capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The named allocations made so far (for diagnostics).
-    pub fn allocations(&self) -> &[(String, usize)] {
-        &self.allocations
     }
 }
 
@@ -296,8 +289,8 @@ mod tests {
         let mut s = SharedBudget::new(64);
         s.try_alloc("Csize", 40).unwrap();
         let err = s.try_alloc("iter", 40).unwrap_err();
-        assert_eq!(err.used, 40);
-        assert_eq!(s.allocations().len(), 1);
+        assert_eq!((err.what.as_str(), err.used), ("iter", 40));
+        assert_eq!(s.used(), 40, "a failed reservation reserves nothing");
         s.try_alloc("iter", 24).unwrap();
         assert_eq!(s.used(), 64);
     }

@@ -212,6 +212,17 @@ impl GridMetrics {
         }
     }
 
+    /// [`GridMetrics::merge`] of another launch's metrics taken by value:
+    /// while `self` holds no warps (a fresh default) `other` moves in whole,
+    /// so nothing is copied or allocated.
+    pub fn absorb(&mut self, other: GridMetrics) {
+        if self.warps.is_empty() {
+            *self = other;
+        } else {
+            self.merge(&other);
+        }
+    }
+
     /// Merges metrics from another launch (for multi-launch baselines and
     /// multi-device runs).
     pub fn merge(&mut self, other: &GridMetrics) {

@@ -47,7 +47,7 @@ pub enum LockClass {
     ServicePlanCache,
     /// A warm slot's reusable-arena free-list (`pool::WarmSlot`).
     ServiceArenaPool,
-    /// Per-block global steal slot (`Board::slots[b]`).
+    /// Per-block global steal slot (`Board::blocks[b].slot`).
     GlobalSlot,
     /// The engine-wide reclaimed-work queue (`Board::requeue`).
     Requeue,
