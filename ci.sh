@@ -229,9 +229,10 @@ done
 # Incremental-matching gate (DESIGN.md §4k). Stream and service legs:
 # cumulative MatchDeltas over seeded update streams must reconcile exactly
 # with full recomputation after every batch, through both a default-config
-# engine's run_delta API and MatchService::apply_batch/submit_watch. Work
-# leg: fails if the amortized per-batch delta work at batch 16 is not
-# >= 10x below one full recount (simulated instructions).
+# engine's DeltaPlans::count and MatchService::apply_batch/submit_watch.
+# Work leg: fails if any of the triangle's, q2's, q4's or q6's amortized
+# per-batch delta work at batch 16 rises above its recorded ceiling, or the
+# triangle's is not >= 10x below one full recount (simulated instructions).
 run "smoke:delta" "${CHECK[@]}" delta
 
 # Benchmark gate: `benchmark/` is its own workspace, so nothing above

@@ -17,10 +17,11 @@
 //!   SIMT instructions** (the simulator's work measure), for the triangle,
 //!   C5 (q2), the tailed C4 (q4) and the bowtie (q6), each row with its
 //!   launches per batch
-//!   (`2 × num_plans`, one plan per edge orbit): fails if the amortized
-//!   per-batch triangle delta work is not at least 10x below one full
-//!   recount at batch size 16, or if a triangle batch takes more than 2
-//!   launches.
+//!   (`2 × num_plans`, one plan per edge orbit): fails if any query's
+//!   amortized per-batch delta work at batch size 16 rises above its
+//!   recorded ceiling (exact: the delta grid is 1 × 1), if the triangle's is
+//!   not at least 10x below one full recount, or if a triangle batch takes
+//!   more than 2 launches.
 //!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
@@ -244,9 +245,16 @@ fn measure_stream(
     ))
 }
 
+/// A work-leg row: the query, its `(batch size, batches)` streams and its
+/// batch-16 delta ceiling in instructions per batch (exact on the default
+/// 1 × 1 delta grid; re-record it from the `delta work` line when the cost
+/// model moves on purpose).
+type WorkRow = (Pattern, &'static [(usize, usize)], f64);
+
 /// Work leg on the 1024-vertex PA fixture: amortized per-batch delta work
 /// vs one full recount — for the triangle at batch sizes 1 / 16 / 256, for
-/// q2, q4 and q6 at 16. (Per-edge delta cost is a small constant plus
+/// q2, q4 and q6 at 16, each batch-16 mean held to its row's ceiling.
+/// (Per-edge delta cost is a small constant plus
 /// the touched endpoints' degrees; the fixture is sized so one full recount
 /// dwarfs a 16-edge batch, the regime the O(batch)-vs-O(graph) claim is
 /// about. At batch 256 on this graph the batch is a sizable fraction of the
@@ -255,14 +263,14 @@ fn measure_stream(
 fn run_work() -> bool {
     let g = gen::preferential_attachment(1024, 4, 9).degree_ordered();
     let engine = Engine::new(EngineConfig::default().with_grid(grid()));
-    let rows: [(Pattern, &[(usize, usize)]); 4] = [
-        (catalog::triangle(), &[(1, 12), (16, 6), (256, 2)]),
-        (catalog::paper_query(2), &[(16, 3)]),
-        (catalog::paper_query(4), &[(16, 3)]),
-        (catalog::paper_query(6), &[(16, 3)]),
+    let rows: [WorkRow; 4] = [
+        (catalog::triangle(), &[(1, 12), (16, 6), (256, 2)], 96.0),
+        (catalog::paper_query(2), &[(16, 3)], 1443.0),
+        (catalog::paper_query(4), &[(16, 3)], 6717.0),
+        (catalog::paper_query(6), &[(16, 3)], 593.0),
     ];
     let mut ok = true;
-    for (q, sizes) in rows {
+    for (q, sizes, ceiling) in rows {
         let plans = engine.compile_delta(&q);
         let launches = 2 * plans.num_plans();
         let triangle = q.name() == catalog::triangle().name();
@@ -283,6 +291,16 @@ fn run_work() -> bool {
                          launches per batch)",
                         q.name()
                     );
+                    if batch_size == 16 && delta.round() > ceiling {
+                        eprintln!(
+                            "delta work DRIFT: {} batch-16 delta work {delta:.0} instr is above \
+                             its {ceiling} ceiling — if the cost model moved on purpose, \
+                             re-record the ceiling in `run_work` (crates/bench/src/bin/check/\
+                             delta.rs) from this line",
+                            q.name()
+                        );
+                        ok = false;
+                    }
                     if triangle && batch_size == 16 && speedup < SPEEDUP_FLOOR {
                         eprintln!(
                             "delta work DRIFT: batch-16 speedup {speedup:.1}x below the \

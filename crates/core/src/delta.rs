@@ -21,11 +21,13 @@
 //!    ([`MatchPlan::compile_anchored`]) whose matching order starts
 //!    `[p, q, ...]` and whose bounds break the setwise stabilizer of
 //!    `{p, q}`. A launch of that plan over one batch side pins levels 0/1 to
-//!    each update edge `{a, b}`. When the stabilizer swaps `p` and `q`, the
-//!    plan's orientation bound `m[q] < m[p]` leaves one level-0 index per
-//!    update edge (its higher endpoint, level 1 pinned to the lower: on a
-//!    degree-ordered graph level 1 then walks the shorter row); otherwise
-//!    there are two, one per endpoint. Why it is exact: take a
+//!    each update edge `{a, b}`; level 1 finds its pin with one search of
+//!    level 0's row. When the stabilizer swaps `p` and `q`, the plan's
+//!    orientation bound leaves one level-0 index per update edge, and puts
+//!    the edge's higher endpoint (on a degree-ordered graph, the one with
+//!    the shorter row) where level 2 expands from: at position 1 if level
+//!    2's vertex is adjacent to `q` only, else at position 0. Otherwise
+//!    there are two indices, one per endpoint. Why it is exact: take a
 //!    subgraph S and an update edge `e` in S. The pattern edges some
 //!    embedding of S maps onto `e` form exactly one orbit, so exactly one
 //!    plan can see S through `e`, and of the embeddings that map its
@@ -356,7 +358,9 @@ mod tests {
             catalog::triangle(),
             catalog::path(3),
             catalog::clique(4),
+            catalog::paper_query(2),
             catalog::paper_query(5),
+            catalog::paper_query(10),
         ] {
             check_against_recompute(g.clone(), &ops, &q);
         }

@@ -35,7 +35,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
-use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, Pattern, PlanOptions, SlotTable};
 use stmatch_plan_verify::Verification;
 
@@ -227,8 +226,8 @@ pub(crate) enum Level0<'a> {
     /// places the plan's first two order positions on a batch edge, each
     /// against its own stage graph, and the warps claim stages as chunks
     /// off the ordinary dispenser. A stage has one virtual index when the
-    /// plan orients its anchor (level 1 bounded below level 0: only the
-    /// higher endpoint can start a match), two otherwise. `Launch::graph`
+    /// plan orients its anchor (a level-1 bound against level 0: only one
+    /// endpoint can start a match), two otherwise. `Launch::graph`
     /// is stage 0's view (the side's graph, row for row); it only sizes the
     /// slabs. Stage views carry no hub index, so these launches never route
     /// hub rows.
@@ -507,14 +506,15 @@ impl Engine {
                         hx.num_hubs()
                     );
                 }
-                // The orientation bound admits only the higher endpoint at
-                // level 0: the lower one's index could never match.
-                let oriented = plan.bytecode().bounds(1).contains(&(0, Bound::Less));
-                let per_stage = if oriented { 1 } else { 2 };
+                // An orientation bound admits one endpoint at level 0 (the
+                // higher under `Less`, the lower under `Greater`): the other
+                // one's index could never match.
+                let orient = plan.bytecode().bounds(1).first().map(|&(_, b)| b);
+                let per_stage = if orient.is_some() { 1 } else { 2 };
                 let map = Level0Map::Staged {
                     edges,
                     views,
-                    oriented,
+                    orient,
                 };
                 (per_stage * edges.len(), map)
             }

@@ -69,6 +69,7 @@ use std::time::Instant;
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::bytecode::{PlanBytecode, SlotTable, MAX_SETS};
+use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, MAX_PATTERN_SIZE};
 
 /// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
@@ -85,14 +86,16 @@ pub enum Level0Map<'a> {
     /// matched on that stage's graph `views[s]` with level 1 pinned to the
     /// edge's other endpoint — so the run counts exactly the matches whose
     /// first two matched positions are a batch edge, each on its own stage
-    /// view. `oriented`: the plan bounds level 1 below level 0, so stage
-    /// `s = i` starts at `hi` only; otherwise `s = i / 2` and `i % 2` picks
-    /// the endpoint, both orientations. The pin is keyed by the index, not
-    /// the vertex: one vertex may end many batch edges.
+    /// view. `orient`: the plan's level-1 bound against level 0, if it has
+    /// one — only one endpoint can start a match, so stage `s = i` starts
+    /// at `hi` under [`Bound::Less`] and at `lo` under [`Bound::Greater`];
+    /// otherwise `s = i / 2` and `i % 2` picks the endpoint, both
+    /// orientations. The pin is keyed by the index, not the vertex: one
+    /// vertex may end many batch edges.
     Staged {
         edges: &'a [(VertexId, VertexId)],
         views: &'a [Graph],
-        oriented: bool,
+        orient: Option<Bound>,
     },
 }
 
@@ -430,12 +433,11 @@ impl<'a> WarpKernel<'a> {
             Level0Map::Staged {
                 edges,
                 views,
-                oriented,
+                orient,
             } => {
-                let (s, from_hi) = if oriented {
-                    (idx, true)
-                } else {
-                    (idx / 2, idx % 2 == 1)
+                let (s, from_hi) = match orient {
+                    Some(bound) => (idx, bound == Bound::Less),
+                    None => (idx / 2, idx % 2 == 1),
                 };
                 let (lo, hi) = edges[s];
                 let (v, pin) = if from_hi { (hi, lo) } else { (lo, hi) };
@@ -635,11 +637,26 @@ impl<'a> WarpKernel<'a> {
                 // `steal::mutation::claim_shallow_without_lock`) and the
                 // detector must name this site as the racing partner.
                 let mut m = self.board.mirror(self.warp_id).lock();
-                if m.iter[l] >= m.size[l] {
+                let (lo, hi) = (m.iter[l], m.size[l]);
+                if lo >= hi {
                     return false;
                 }
-                let i = m.iter[l];
-                m.iter[l] += 1;
+                let i = match self.pin.filter(|_| l == 1) {
+                    // A staged run's level 1 has one valid candidate, the
+                    // pin: one search of the sorted list finds it in the
+                    // claimed range, which is consumed whole.
+                    Some(pin) => {
+                        m.iter[l] = hi;
+                        match self.candidate_list(l, 0)[lo..hi].binary_search(&pin) {
+                            Ok(j) => lo + j,
+                            Err(_) => return false,
+                        }
+                    }
+                    None => {
+                        m.iter[l] += 1;
+                        lo
+                    }
+                };
                 // Record the in-flight iteration under the same lock that
                 // claims it: from here until the child range is published
                 // (or the subtree commits), this index exists nowhere else —
@@ -699,7 +716,12 @@ impl<'a> WarpKernel<'a> {
                 continue;
             }
             let start = self.iter[l];
-            let take = (cl_len - start).min(self.slots.width(l));
+            // A pinned level 1 (see `claim_shallow`) takes the rest of its
+            // slot and searches it once for the pin.
+            let take = match vy.pin {
+                Some(_) => cl_len - start,
+                None => (cl_len - start).min(self.slots.width(l)),
+            };
             self.iter[l] += take;
             self.unpolled += take;
             // Validity filtering straight from the slab (disjoint fields:
@@ -709,6 +731,12 @@ impl<'a> WarpKernel<'a> {
             }
             let (g, matched) = (self.g, &self.matched);
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
+            let claimed = match vy.pin {
+                Some(pin) => claimed
+                    .binary_search(&pin)
+                    .map_or(&[][..], |j| &claimed[j..=j]),
+                None => claimed,
+            };
             let next = &mut self.batch[l + 1];
             next.clear();
             for &v in claimed {

@@ -159,21 +159,27 @@ pub fn bounds_for_order(p: &Pattern, order: &MatchOrder) -> Vec<Vec<(usize, Boun
 }
 
 /// Per-level bounds of an anchored plan, whose order starts with its anchor
-/// edge `[p, q, …]`: they break the anchor's setwise stabilizer, visiting
-/// `[q, p, …]` — the matching order with the anchor's two ends swapped. If
-/// the stabilizer swaps `p` and `q`, the first bound is the orientation
-/// bound `q < p`, at level 1 against level 0; the rest come from the
-/// pointwise stabilizer of `p` and `q`. Of the embeddings of one subgraph
-/// that map `{p, q}` onto one given data edge, exactly one satisfies them.
+/// edge `[p, q, …]`: they break the anchor's setwise stabilizer. If the
+/// stabilizer swaps `p` and `q`, the first bound is the orientation bound
+/// at level 1 against level 0; the rest come from the pointwise stabilizer
+/// of `p` and `q`, and are the same in either orientation. Of the
+/// embeddings of one subgraph that map `{p, q}` onto one given data edge,
+/// exactly one satisfies them.
 ///
-/// Visiting `q` first puts the higher-numbered end of a data edge at level
-/// 0. On a degree-ordered graph that is the end with the shorter row, which
-/// is the list level 1's pinned claims walk.
+/// The orientation puts the lower-degree end of a data edge (on a
+/// degree-ordered graph, the higher-numbered one) where level 2 expands
+/// from: `m[1] > m[0]` (visiting `[p, q, …]`) when level 2's vertex is
+/// adjacent to `q` only, so the row it streams is position 1's; `m[1] <
+/// m[0]` (visiting `[q, p, …]`) otherwise, so it is position 0's.
 pub fn anchored_bounds(p: &Pattern, order: &MatchOrder) -> Vec<Vec<(usize, Bound)>> {
     let anchor = (order.vertex_at(0), order.vertex_at(1));
     let stabilizer = setwise_stabilizer(&automorphisms(p), anchor);
     let mut visit: Vec<usize> = (0..order.len()).map(|l| order.vertex_at(l)).collect();
-    visit.swap(0, 1);
+    let from_q =
+        order.len() > 2 && p.has_edge(visit[2], anchor.1) && !p.has_edge(visit[2], anchor.0);
+    if !from_q {
+        visit.swap(0, 1);
+    }
     level_bounds(&breaking_constraints(&stabilizer, &visit), order)
 }
 
@@ -371,5 +377,27 @@ mod tests {
             let bounds = anchored_bounds(&t4, &MatchOrder::anchored(&t4, o.rep));
             assert!(bounds[1].is_empty(), "{:?}", o.rep);
         }
+    }
+
+    #[test]
+    fn anchored_plans_orient_by_where_level_2_expands() {
+        // Level 1 of every edge orbit's anchored plan, for `q`.
+        let level1 = |q: &Pattern| -> Vec<Vec<(usize, Bound)>> {
+            edge_orbits(q)
+                .iter()
+                .map(|o| anchored_bounds(q, &MatchOrder::anchored(q, o.rep))[1].clone())
+                .collect()
+        };
+        // C5 and C6: level 2 hangs off position 1 alone, so position 1 takes
+        // the lower-degree end.
+        for q in [2, 10] {
+            let bounds = level1(&catalog::paper_query(q));
+            assert_eq!(bounds, vec![vec![(0, Bound::Greater)]], "q{q}");
+        }
+        // The triangle's and the bowtie wing's level 2 is adjacent to both.
+        assert_eq!(level1(&catalog::triangle()), vec![vec![(0, Bound::Less)]]);
+        assert_eq!(level1(&catalog::paper_query(6))[0], vec![(0, Bound::Less)]);
+        // Tailed C4: no stabilizer swaps its anchors.
+        assert!(level1(&catalog::paper_query(4)).iter().all(Vec::is_empty));
     }
 }

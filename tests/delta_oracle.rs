@@ -283,6 +283,28 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
     }
 }
 
+/// StopLevel 1 makes level 1 deep, so a pinned level 1 is claimed by the
+/// deep claim — under C5's, C6's and the tailed C4's plans; the triangle's
+/// level 1 is counted in its fused tail instead.
+#[test]
+fn a_deep_pinned_level_1_is_exact() {
+    let mut cfg = EngineConfig::default();
+    (cfg.stop_level, cfg.detect_level) = (1, 1);
+    let e = Engine::new(cfg);
+    let mut overlay = DeltaOverlay::new(unlabeled_graph());
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&seeded_batch(&overlay, &mut SplitMix64::new(0x5701), 24));
+    let post = overlay.snapshot();
+    for q in [2, 4, 10]
+        .map(catalog::paper_query)
+        .into_iter()
+        .chain([catalog::triangle()])
+    {
+        let delta = delta_of(&e, &pre, &post, &batch, &q).expect("delta");
+        assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
+    }
+}
+
 /// `Engine::launch` runs a delta launch on `delta.grid`, whatever the
 /// engine's own grid, and never under the engine's deadline: a partial
 /// anchored count would be a wrong delta, not a lower bound.
@@ -401,14 +423,18 @@ fn prop_random_streams_reconcile() {
 
 /// The per-batch cost must scale with the batch, not the graph: a
 /// single-edge delta on a 4x larger graph does strictly less simulated
-/// work than one full recount on the small graph.
+/// work than one full recount on the small graph. Stealing is off, so
+/// every instruction total repeats.
 #[test]
 fn delta_work_scales_with_batch_not_graph() {
     let small = unlabeled_graph();
     let big = gen::preferential_attachment(192, 4, 9).degree_ordered();
     let q = catalog::triangle();
-    let e = engine();
-    let full_small = e.run(&small, &q).unwrap().metrics.total().simt_instructions;
+    let mut cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    let e = Engine::new(cfg);
+    let instr = |g: &Graph| e.run(g, &q).unwrap().metrics.total().simt_instructions;
+    let full_small = instr(&small);
     let absent = (0..192u32)
         .flat_map(|u| (u + 1..192).map(move |v| (u, v)))
         .find(|&(u, v)| !big.has_edge(u, v))
@@ -417,15 +443,16 @@ fn delta_work_scales_with_batch_not_graph() {
     let pre = overlay.snapshot();
     let batch = overlay.apply(&[EdgeOp::insert(absent.0, absent.1)]);
     let post = overlay.snapshot();
-    // Count instructions across the delta's anchored launches by running
-    // them through the same API and summing the outcome metrics is not
-    // exposed; instead bound wall-clock-free work via the recompute on
-    // the big graph, which must dwarf the small-graph recount.
-    let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
-    let full_big = e.run(&post, &q).unwrap().metrics.total().simt_instructions;
+    let (delta, metrics) = e.compile_delta(&q).count(&e, &pre, &post, &batch).unwrap();
+    let delta_instr = metrics.total().simt_instructions;
     assert!(
-        full_big > full_small,
+        instr(&post) > full_small,
         "sanity: the big graph costs more to recount"
+    );
+    assert!(
+        delta_instr < full_small,
+        "a single-edge delta ({delta_instr} instr) must cost less than one \
+         small-graph recount ({full_small} instr)"
     );
     // The delta of a single inserted edge touches two endpoints'
     // neighborhoods; its added count is bounded by the smaller endpoint
