@@ -411,9 +411,11 @@ echo "==> lint:launch: OK"
 # Two per-launch allocations nobody read went the same way: the shared
 # budget's log of successful reservations (`SharedBudget::allocations`), and
 # the service's unbounded reply channel, which allocated a 31-slot block per
-# ticket for its one message (`mpsc::sync_channel(1)` replaced it).
+# ticket for its one message (`mpsc::sync_channel(1)` replaced it). The
+# delta grid went too: every anchored launch runs on `EngineConfig::grid`
+# (DESIGN.md §4i), so `DeltaTuning::grid` may not come back as a second one.
 echo "==> lint:reach: scanning for the deleted knobs and helpers"
-reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b' \
+reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b|\bdelta\.grid\b|DeltaTuning::grid' \
     crates src tests examples; grep -HnF 'mpsc::channel()' crates/core/src/service.rs) || true)
 if [ -n "${reach}" ]; then
     echo "${reach}"

@@ -19,9 +19,10 @@
 //!   launches per batch
 //!   (`2 × num_plans`, one plan per edge orbit): fails if any query's
 //!   amortized per-batch delta work at batch size 16 rises above its
-//!   recorded ceiling (exact: the delta grid is 1 × 1), if the triangle's is
-//!   not at least 10x below one full recount, or if a triangle batch takes
-//!   more than 2 launches.
+//!   recorded ceiling (exact: the deltas are metered on a 1 × 1 grid, where
+//!   no steal moves them; the recounts run on the leg's 2 × 2 grid), if the
+//!   triangle's is not at least 10x below one full recount, or if a
+//!   triangle batch takes more than 2 launches.
 //!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
@@ -199,12 +200,12 @@ fn run_service() -> bool {
 }
 
 /// One interleaved stream at a given batch size: every batch is processed
-/// twice — once through the delta engine (metered) and once by full
-/// recomputation (the exactness oracle *and* the work baseline). Returns
-/// the per-batch `(delta, full)` simulated instruction means.
+/// twice — once through `metered`'s delta launches and once by `engine`'s
+/// full recomputation (the exactness oracle *and* the work baseline).
+/// Returns the per-batch `(delta, full)` simulated instruction means.
 fn measure_stream(
     g: &Graph,
-    engine: &Engine,
+    (metered, engine): (&Engine, &Engine),
     q: &Pattern,
     plans: &DeltaPlans,
     batch_size: usize,
@@ -223,7 +224,7 @@ fn measure_stream(
         let batch = overlay.apply(&ops);
         let post = overlay.snapshot();
         let (delta, metrics) = plans
-            .count(engine, &pre, &post, &batch)
+            .count(metered, &pre, &post, &batch)
             .map_err(|e| format!("delta launch: {e}"))?;
         d_instr += metrics.total().simt_instructions;
         running += delta.net();
@@ -246,8 +247,8 @@ fn measure_stream(
 }
 
 /// A work-leg row: the query, its `(batch size, batches)` streams and its
-/// batch-16 delta ceiling in instructions per batch (exact on the default
-/// 1 × 1 delta grid; re-record it from the `delta work` line when the cost
+/// batch-16 delta ceiling in instructions per batch (exact on the 1 × 1
+/// metering grid; re-record it from the `delta work` line when the cost
 /// model moves on purpose).
 type WorkRow = (Pattern, &'static [(usize, usize)], f64);
 
@@ -263,6 +264,7 @@ type WorkRow = (Pattern, &'static [(usize, usize)], f64);
 fn run_work() -> bool {
     let g = gen::preferential_attachment(1024, 4, 9).degree_ordered();
     let engine = Engine::new(EngineConfig::default().with_grid(grid()));
+    let metered = Engine::new(EngineConfig::default().with_grid(crate::grid(1, 1)));
     let rows: [WorkRow; 4] = [
         (catalog::triangle(), &[(1, 12), (16, 6), (256, 2)], 96.0),
         (catalog::paper_query(2), &[(16, 3)], 1443.0),
@@ -282,7 +284,7 @@ fn run_work() -> bool {
             ok = false;
         }
         for &(batch_size, batches) in sizes {
-            match measure_stream(&g, &engine, &q, &plans, batch_size, batches) {
+            match measure_stream(&g, (&metered, &engine), &q, &plans, batch_size, batches) {
                 Ok((delta, full)) => {
                     let speedup = full / delta.max(1.0);
                     println!(

@@ -66,9 +66,9 @@ pub struct EngineConfig {
     /// `shards > 1`.
     pub shard: ShardTuning,
     /// Batch-dynamic incremental matching (see `delta` and DESIGN.md §4k):
-    /// the grid `DeltaPlans::count`'s anchored launches run on, and whether
-    /// a `MatchService` keeps a mutable overlay
-    /// (`apply_batch`/`submit_watch`).
+    /// whether a `MatchService` keeps a mutable overlay
+    /// (`apply_batch`/`submit_watch`), and how often it compacts. Anchored
+    /// delta launches run on [`EngineConfig::grid`], like every launch.
     pub delta: DeltaTuning,
 }
 
@@ -95,30 +95,20 @@ impl Default for EngineConfig {
     }
 }
 
-/// Incremental-matching tuning: how delta launches are shaped, and whether
-/// a resident service keeps a mutable overlay.
+/// Incremental-matching tuning: whether a resident service keeps a mutable
+/// overlay, and how often it folds it.
 ///
 /// No engine path reads `enabled`: calling `DeltaPlans::count` is the
 /// request. Delta mode is exact (oracle-tested against full
 /// recomputation), but it is a *different* workload: level-0 domains of
-/// update-edge endpoints on small grids, with each anchored plan breaking
-/// only its anchor edge's stabilizer.
+/// update-edge endpoints, with each anchored plan breaking only its anchor
+/// edge's stabilizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DeltaTuning {
     /// Service only: keep a delta overlay over the resident graph, so the
     /// service accepts `apply_batch` / `submit_watch` (default `false`:
     /// the graph is immutable and shared as is).
     pub enabled: bool,
-    /// Grid geometry for the anchored delta launches of watchers and of
-    /// [`DeltaPlans::count`](crate::DeltaPlans::count); a service's
-    /// maintained counts advance on [`EngineConfig::grid`], the grid their
-    /// recounts would have used. A launch's level-0 domain is one side of the
-    /// batch (one or two indices per update edge) and a batch makes two
-    /// launches per edge orbit of the pattern, so the default is a single
-    /// warp: a service-sized grid would park dozens of warps on a few hundred
-    /// indices. Wider grids are exact too (stolen and requeued work carries
-    /// its stage).
-    pub grid: GridConfig,
     /// Service only: fold the overlay into a fresh CSR after this many
     /// applied batches (0 = never compact). Compaction re-indexes vertices
     /// that became hubs and resets per-query patch-lookup overhead.
@@ -129,11 +119,6 @@ impl Default for DeltaTuning {
     fn default() -> Self {
         DeltaTuning {
             enabled: false,
-            grid: GridConfig {
-                num_blocks: 1,
-                warps_per_block: 1,
-                ..GridConfig::default()
-            },
             compact_every: 64,
         }
     }
@@ -349,10 +334,6 @@ impl EngineConfig {
         assert!(self.max_degree_slab >= 1, "max_degree_slab must be >= 1");
         assert!(self.chunk_size >= 1, "chunk_size must be >= 1");
         assert!(self.shard.shards >= 1, "shard count must be >= 1");
-        assert!(
-            self.delta.grid.num_blocks >= 1 && self.delta.grid.warps_per_block >= 1,
-            "delta grid must have at least one warp"
-        );
         // Malformed *streams* are rejected when the plan is compiled, by
         // `PlanBytecode::verify` with a named BytecodeError (same fail-loud
         // boundary as the unroll assertion above).
@@ -386,11 +367,8 @@ mod tests {
         assert_eq!(c.shard.shards, 1);
         assert!(c.shard.work_aware);
         assert_eq!(c.with_shards(8).shard.shards, 8);
-        // A resident service keeps no overlay by default; anchored delta
-        // launches run on a one-warp grid.
+        // A resident service keeps no overlay by default.
         assert!(!c.delta.enabled);
-        assert_eq!(c.delta.grid.num_blocks, 1);
-        assert_eq!(c.delta.grid.warps_per_block, 1);
         assert_eq!(c.delta.compact_every, 64);
         assert!(c.with_delta(true).delta.enabled);
     }

@@ -3,7 +3,8 @@
 //! Instead of recounting a pattern against the whole graph after every
 //! update batch, [`DeltaPlans::count`] enumerates only the subgraphs that
 //! the batch created or destroyed, in anchored launches that
-//! [`Engine::launch`] runs on the delta grid. The decomposition:
+//! [`Engine::launch`] runs on the engine's own grid, with no deadline. The
+//! decomposition:
 //!
 //! * `removed` = subgraphs of the **pre**-batch graph containing at least
 //!   one net-deleted edge;
@@ -124,8 +125,8 @@ impl StagedSide {
 }
 
 /// One update batch staged for anchored enumeration: both sides' stage
-/// views. Built once per batch; a service runs every watcher's plans and
-/// every maintained count's on the same one.
+/// views. Built once per batch; a service runs each distinct plan set of
+/// its watchers and maintained counts on the same one.
 pub(crate) struct StagedBatch {
     /// Net deletes in batch order over `pre`: an embedding is counted at
     /// its lowest-indexed deleted edge.
@@ -138,39 +139,31 @@ pub(crate) struct StagedBatch {
 
 impl StagedBatch {
     /// Stages `batch` between `pre` (the graph before it) and `post` (the
-    /// graph after) for `engine`. `None` when the batch netted out: nothing
-    /// to launch. Requires edge-induced matching.
-    pub(crate) fn new(
-        engine: &Engine,
-        pre: &Graph,
-        post: &Graph,
-        batch: &AppliedBatch,
-    ) -> Option<StagedBatch> {
-        assert!(
-            !engine.config().induced,
-            "incremental matching is edge-induced only: deleting an edge can \
-             create vertex-induced embeddings containing no update edge, which \
-             anchored enumeration cannot see"
-        );
-        if batch.is_empty() {
-            return None;
-        }
-        Some(StagedBatch {
+    /// graph after). A batch that netted out stages two empty sides:
+    /// nothing to launch.
+    pub(crate) fn new(pre: &Graph, post: &Graph, batch: &AppliedBatch) -> StagedBatch {
+        StagedBatch {
             removed: StagedSide::new(pre, batch.deletes.clone()),
             added: StagedSide::new(post, batch.inserts.iter().rev().copied().collect()),
-        })
+        }
     }
 
     /// Counts the matches of `plans`' pattern the batch destroyed and
     /// created: one `engine` launch per (non-empty side × anchored plan),
     /// each recycling arenas through `warm`. Also returns the launches'
-    /// merged metrics.
+    /// merged metrics. Requires edge-induced matching.
     pub(crate) fn run(
         &self,
         engine: &Engine,
         plans: &DeltaPlans,
         warm: Option<&WarmSlot>,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
+        assert!(
+            !engine.config().induced,
+            "incremental matching is edge-induced only: deleting an edge can \
+             create vertex-induced embeddings containing no update edge, which \
+             anchored enumeration cannot see"
+        );
         let mut metrics = GridMetrics::default();
         // Subgraph counts; embedding counts when the engine breaks no symmetry.
         let scale = if engine.config().symmetry_breaking {
@@ -206,11 +199,11 @@ impl StagedBatch {
 impl DeltaPlans {
     /// Counts the matches `batch` destroyed (enumerated against `pre`, the
     /// graph before the batch) and created (against `post`, the graph
-    /// after) in `2 × num_plans()` launches of `engine` on its delta grid:
+    /// after) in `2 × num_plans()` launches of `engine` on its grid:
     /// O(batch × affected neighborhoods) work. The launches recycle arenas
-    /// through one free-list of the call's own. Also returns the launches'
-    /// merged metrics. Requires edge-induced matching (see the module
-    /// docs).
+    /// through one free-list of the call's own, sized for that grid. Also
+    /// returns the launches' merged metrics. Requires edge-induced matching
+    /// (see the module docs).
     pub fn count(
         &self,
         engine: &Engine,
@@ -218,13 +211,8 @@ impl DeltaPlans {
         post: &Graph,
         batch: &AppliedBatch,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        match StagedBatch::new(engine, pre, post, batch) {
-            Some(staged) => {
-                let warm = WarmSlot::new(engine.config().delta.grid)?;
-                staged.run(engine, self, Some(&warm))
-            }
-            None => Ok((MatchDelta::default(), GridMetrics::default())),
-        }
+        let warm = WarmSlot::new(engine.config().grid)?;
+        StagedBatch::new(pre, post, batch).run(engine, self, Some(&warm))
     }
 }
 
@@ -472,9 +460,10 @@ mod tests {
 
     /// The batch is the level-0 domain, not a launch loop, and each changed
     /// subgraph is enumerated once: the simulated work of three fixed
-    /// cases, pinned to the instruction. The totals follow the kernel's cost
-    /// model (re-record them from this test's own failure output when it
-    /// moves); the deltas are the invariant.
+    /// cases, pinned to the instruction on a one-warp grid, where no steal
+    /// moves them. The totals follow the kernel's cost model (re-record them
+    /// from this test's own failure output when it moves); the deltas are
+    /// the invariant.
     #[test]
     fn instruction_totals_of_one_plan_per_edge_orbit() {
         let small = gen::preferential_attachment(48, 4, 3).degree_ordered();
@@ -491,8 +480,10 @@ mod tests {
                 799,
             ),
         ];
+        let mut cfg = EngineConfig::default();
+        (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
+        let e = Engine::new(cfg);
         for (g, n, seed, q, (added, removed), instructions) in cases {
-            let e = engine();
             let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, seed));
             let (got, metrics) = e
                 .compile_delta(&q)
@@ -533,8 +524,8 @@ mod tests {
     /// One hub in 16 deletes and 16 inserts: its vertex alone names 16
     /// stages per side, so work requeued below level 0 finds its stage's
     /// view and pin only through the level-0 index it carries. Every warp
-    /// of a 1×4 delta grid dies at its third claim — with a level-1 range
-    /// open — and the salvage pass must still land the exact delta.
+    /// of a 1×4 grid dies at its third claim — with a level-1 range open —
+    /// and the salvage pass must still land the exact delta.
     #[test]
     fn requeued_work_restores_its_stage() {
         let g = wide_fixture();
@@ -555,7 +546,7 @@ mod tests {
         assert!(want.added > 0 && want.removed > 0, "fixture is non-trivial");
 
         let mut cfg = EngineConfig::default();
-        cfg.delta.grid.warps_per_block = 4;
+        (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 4);
         let deaths = (0..4).fold(FaultPlan::new(), |plan, w| plan.panic_at(w, 3));
         let e = Engine::new(cfg).with_fault_plan(deaths);
         let (got, metrics) = e

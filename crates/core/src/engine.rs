@@ -224,8 +224,9 @@ pub(crate) enum Level0<'a> {
     /// matched on `views[s]` with level 1 pinned to the other endpoint
     /// ([`Level0Map::Staged`]) — so one launch counts every match that
     /// places the plan's first two order positions on a batch edge, each
-    /// against its own stage graph, and the warps claim stages as chunks
-    /// off the ordinary dispenser. A stage has one virtual index when the
+    /// against its own stage graph, and the warps of
+    /// [`EngineConfig::grid`] claim stages as chunks off the ordinary
+    /// dispenser, as in any launch. A stage has one virtual index when the
     /// plan orients its anchor (a level-1 bound against level 0: only one
     /// endpoint can start a match), two otherwise. `Launch::graph`
     /// is stage 0's view (the side's graph, row for row); it only sizes the
@@ -264,7 +265,8 @@ impl Engine {
     }
 
     /// Creates an engine with a device-memory budget (bytes); each shard
-    /// and delta grid plans against a fresh budget at the same limit.
+    /// and each anchored delta launch plans against a fresh budget at the
+    /// same limit.
     pub fn with_memory_budget(cfg: EngineConfig, bytes: usize) -> Engine {
         Engine {
             cfg,
@@ -416,10 +418,10 @@ impl Engine {
     /// Runs one [`Launch`] request — the single way into the kernel, and
     /// the one place a request becomes grids: one per shard of a
     /// whole-graph request when [`EngineConfig::shard`] asks for more than
-    /// one (merged), [`EngineConfig::delta`]`.grid` with no deadline for a
-    /// delta batch side (see [`Engine::with_timeout`]), else
-    /// [`EngineConfig::grid`]. A grid that does not fit its budget fails
-    /// the launch before its warps run.
+    /// one (merged), else one. Every grid is [`EngineConfig::grid`]; a delta
+    /// batch side runs with no deadline (see [`Engine::with_timeout`]). A
+    /// grid that does not fit its budget fails the launch before its warps
+    /// run.
     pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
         let cfg = &self.cfg;
         cfg.validate();
@@ -436,7 +438,7 @@ impl Engine {
                     let mut slice = *req;
                     slice.warm = None;
                     slice.domain = Level0::Slice(splan.slice(s));
-                    self.launch_grid(&slice, s, cfg, &device(), deadline)
+                    self.launch_grid(&slice, s, &device(), deadline)
                 };
                 let shards = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..splan.num_shards())
@@ -449,18 +451,12 @@ impl Engine {
                 })?;
                 Ok(shard::merge(shards))
             }
-            Level0::Anchored { .. } => {
-                let delta = EngineConfig {
-                    grid: cfg.delta.grid,
-                    ..*cfg
-                };
-                self.launch_grid(req, 0, &delta, &device(), None)
-            }
-            _ => self.launch_grid(req, 0, cfg, &self.memory, deadline),
+            Level0::Anchored { .. } => self.launch_grid(req, 0, &device(), None),
+            _ => self.launch_grid(req, 0, &self.memory, deadline),
         }
     }
 
-    /// Runs `req` as shard `shard`'s grid, at `cfg.grid`: resolves the
+    /// Runs `req` as shard `shard`'s grid, at [`EngineConfig::grid`]: resolves the
     /// request's optional resources and the fault plan's scope, plans the
     /// shared budget and the global one (`memory`) once, and runs until the
     /// grid's work is done, `deadline` passes or salvage gives up.
@@ -468,10 +464,10 @@ impl Engine {
         &self,
         req: &Launch<'_>,
         shard: usize,
-        cfg: &EngineConfig,
         memory: &MemoryBudget,
         deadline: Option<Instant>,
     ) -> Result<MatchOutcome, LaunchError> {
+        let cfg = &self.cfg;
         let (graph, plan, grid) = (req.graph, req.plan, cfg.grid);
         let faults = self
             .faults

@@ -28,7 +28,10 @@
 //!   since the last one by its [`MatchDelta`] (the rest drop, and recount
 //!   when next asked). A query on that snapshot, unless vertex-induced or
 //!   carrying a `fault_plan`, is answered without a launch: see
-//!   [`MatchOutcome`] for what such an answer holds.
+//!   [`MatchOutcome`] for what such an answer holds. A watcher
+//!   ([`submit_watch`](MatchService::submit_watch)) is the same entry's
+//!   delta plans plus a callback, so a batch runs each plan set once for
+//!   its watchers and its count alike.
 //! * **Fault isolation** — each query runs under its own containment:
 //!   injected warp deaths, launch failures, expired deadlines, and even
 //!   escaped panics produce a per-query [`ServiceError`] without
@@ -216,8 +219,8 @@ pub struct WatchEvent {
 
 type WatchCallback = Arc<dyn Fn(WatchEvent) + Send + Sync>;
 
-/// One registered watcher: anchored plans compiled once at registration,
-/// reused for every batch.
+/// One registered watcher: its callback and its pattern's plan-cache entry's
+/// own delta plans, which that pattern's queries share.
 #[derive(Clone)]
 struct WatchEntry {
     id: WatchId,
@@ -326,9 +329,9 @@ struct CachedPlan {
     /// resident, so the certificate stays valid for the service's
     /// lifetime). Every later launch of the entry carries it.
     verification: Arc<OnceLock<Arc<Verification>>>,
-    /// The anchored plans that advance the entry's count (delta-enabled
-    /// services, edge-induced entries), compiled with the entry so that a
-    /// workload's first op pays for them, not its ticks.
+    /// The anchored plans that advance the entry's count and that its
+    /// watchers run (delta-enabled services, edge-induced entries), compiled
+    /// with the entry so that a workload's first op pays for them.
     delta: Option<Arc<DeltaPlans>>,
 }
 
@@ -345,8 +348,8 @@ struct Maintained {
     read: bool,
 }
 
-/// An entry's delta over one batch, with the entry's plans (which identify
-/// it).
+/// A plan set's delta over one batch, with the plan set (which identifies
+/// its cache entry and its watchers).
 type Advance = (Result<(MatchDelta, GridMetrics), String>, Arc<DeltaPlans>);
 
 /// State shared between clients and workers.
@@ -495,10 +498,11 @@ impl Inner {
         }
     }
 
-    /// The plans of the counts to advance over a batch from snapshot `pre`:
-    /// those at `pre` answered since their last advance. Every other count
-    /// drops, unless a recount already stored a newer one.
-    fn advancing(&self, pre: u64) -> Vec<Arc<DeltaPlans>> {
+    /// The distinct plan sets a batch from snapshot `pre` runs, each once
+    /// (by `Arc::ptr_eq`): those of the counts to advance — the counts at
+    /// `pre` answered since their last advance — and those of `watchers`.
+    /// Every other count drops, unless a recount already stored a newer one.
+    fn batch_plans(&self, pre: u64, watchers: &[WatchEntry]) -> Vec<Arc<DeltaPlans>> {
         let mut cache = self.lock_cache();
         simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
         let mut out = Vec::new();
@@ -509,11 +513,16 @@ impl Inner {
                 _ => *maintained = None,
             }
         }
+        for w in watchers {
+            if !out.iter().any(|p| Arc::ptr_eq(p, &w.plans)) {
+                out.push(Arc::clone(&w.plans));
+            }
+        }
         out
     }
 
-    /// Commits the advances of a batch `pre → post`: a count still at `pre`
-    /// moves to `post`, or drops if its advance failed.
+    /// Commits the deltas of a batch `pre → post`: a count still at `pre`
+    /// moves to `post`, or drops if its delta failed.
     fn commit(&self, pre: u64, post: u64, advances: Vec<Advance>) {
         let mut cache = self.lock_cache();
         simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
@@ -760,13 +769,14 @@ impl MatchService {
     /// into a fresh CSR. Queries admitted before the call finish against
     /// the old snapshot; queries admitted after see the new one.
     ///
-    /// Watcher deltas are computed and delivered *on the caller's
-    /// thread*, after the graph lock is released — a slow watcher delays
-    /// only its own `apply_batch` caller, never the admission or query
-    /// lanes, and a panicking one is contained: the batch still returns
-    /// and every other watcher still gets its event. The maintained counts
-    /// (see the module docs) advance on the same thread, over the same
-    /// staged batch, on the service's own grid.
+    /// Deltas are computed and delivered *on the caller's thread*, after
+    /// the graph lock is released — a slow watcher delays only its own
+    /// `apply_batch` caller, never the admission or query lanes, and a
+    /// panicking one is contained: the batch still returns and every other
+    /// watcher still gets its event. One engine at the service's grid runs
+    /// each distinct plan set once — every watcher's and every advancing
+    /// maintained count's (see the module docs) — so a watched pattern that
+    /// is also queried costs one delta.
     ///
     /// # Panics
     /// Panics if the service was not built with
@@ -792,38 +802,42 @@ impl MatchService {
             state.current = Arc::clone(&post);
             (pre, post, batch, state.watchers.clone())
         };
-        // A delta step run contained: a launch error or a panic becomes the
-        // `Err` its watchers' events carry.
-        fn contained<T>(step: impl FnOnce() -> Result<T, LaunchError>) -> Result<T, String> {
-            match catch_unwind(AssertUnwindSafe(step)) {
-                Ok(Ok(v)) => Ok(v),
-                Ok(Err(e)) => Err(format!("launch failed: {e}")),
-                Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
-            }
+        let plans = inner.batch_plans(pre.version(), &watchers);
+        if plans.is_empty() {
+            return batch;
         }
-        // Watchers run on the delta grid; a maintained count advances on the
-        // grid its recount would have used.
-        let advances = inner.advancing(pre.version());
-        let engine = Engine::new(inner.cfg.engine);
         let mut cfg = inner.cfg.engine;
-        (cfg.induced, cfg.delta.grid) = (false, cfg.grid);
-        let advance = Engine::new(cfg);
-        // Stage each batch side once: every watcher's and every advancing
-        // count's plans run on the same stage views and the service's arenas.
-        let staged = (!watchers.is_empty() || !advances.is_empty())
-            .then(|| StagedBatch::new(&advance, &pre, &post, &batch))
-            .flatten();
-        let run = |engine: &Engine, plans: &DeltaPlans| match &staged {
-            Some(staged) => contained(|| staged.run(engine, plans, inner.warm.as_ref())),
-            None => Ok(Default::default()),
-        };
+        cfg.induced = false;
+        let engine = Engine::new(cfg);
+        // Stage each batch side once: every plan set runs on the same stage
+        // views and the service's arenas, contained — a launch error or a
+        // panic becomes the `Err` its watchers' events carry.
+        let staged = StagedBatch::new(&pre, &post, &batch);
+        let ran: Vec<Advance> = plans
+            .into_iter()
+            .map(|plans| {
+                let run = || staged.run(&engine, &plans, inner.warm.as_ref());
+                let delta = match catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(Ok(v)) => Ok(v),
+                    Ok(Err(e)) => Err(format!("launch failed: {e}")),
+                    Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
+                };
+                (delta, plans)
+            })
+            .collect();
         for w in &watchers {
-            let delta = run(&engine, &w.plans).map(|(delta, _)| delta);
+            let (delta, _) = ran
+                .iter()
+                .find(|(_, plans)| Arc::ptr_eq(plans, &w.plans))
+                .expect("every watcher's plan set ran");
             let event = WatchEvent {
                 watch: w.id,
                 version: batch.version,
                 batch: batch.clone(),
-                delta,
+                delta: delta
+                    .as_ref()
+                    .map(|&(delta, _)| delta)
+                    .map_err(String::clone),
             };
             // Contained like the launch above: one bad subscriber must not
             // unwind into the updater (the graph is already swapped) or
@@ -832,15 +846,15 @@ impl MatchService {
             // dropped.
             let _ = catch_unwind(AssertUnwindSafe(|| (w.cb)(event)));
         }
-        let advanced = advances.into_iter().map(|d| (run(&advance, &d), d));
-        inner.commit(pre.version(), batch.version, advanced.collect());
+        inner.commit(pre.version(), batch.version, ran);
         batch
     }
 
     /// Registers a pattern watcher: `cb` receives one [`WatchEvent`] per
     /// subsequent [`MatchService::apply_batch`], carrying the pattern's
-    /// exact match-count delta under that batch. Anchored plans compile
-    /// here, once, outside the graph lock.
+    /// exact match-count delta under that batch. The anchored plans are the
+    /// plan cache's entry for the pattern (edge-induced), compiled with it
+    /// outside the graph lock on a miss and shared with its queries.
     ///
     /// # Panics
     /// Panics unless the service is delta-enabled and edge-induced.
@@ -858,7 +872,11 @@ impl MatchService {
             !inner.cfg.engine.induced,
             "incremental watching is edge-induced only (see stmatch_core::delta)"
         );
-        let plans = Arc::new(Engine::new(inner.cfg.engine).compile_delta(pattern));
+        let key = PlanKey::new(pattern, false);
+        let plans = inner
+            .plan_for(pattern, &key)
+            .delta
+            .expect("delta mode checked above");
         let mut state = inner.lock_graph().expect("delta mode checked above");
         let id = WatchId(state.next_watch);
         state.next_watch += 1;
@@ -870,7 +888,10 @@ impl MatchService {
         id
     }
 
-    /// Unregisters a watcher; returns whether it was still registered.
+    /// Unregisters a watcher; returns whether it was still registered. A
+    /// batch that swapped its graph before this call can still deliver one
+    /// event after it returns: `apply_batch` takes its watcher list under
+    /// the graph lock and delivers after releasing it.
     pub fn cancel_watch(&self, id: WatchId) -> bool {
         let mut state = self
             .inner
@@ -1313,7 +1334,20 @@ mod tests {
         let events: Arc<Mutex<Vec<WatchEvent>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
         let id = svc.submit_watch(&q, move |e| sink.lock().unwrap().push(e));
-        let mut running = svc.submit(&q, QueryOptions::default()).unwrap().count as i64;
+        // The watcher runs the plan cache's entry: a relabeled triangle's
+        // query hits it, and one plan set serves both in the next batch.
+        let tri = Pattern::new(3, &[(2, 1), (1, 0), (0, 2)]);
+        let mut running = svc.submit(&tri, QueryOptions::default()).unwrap().count as i64;
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+        let watchers = svc.inner.lock_graph().unwrap().watchers.clone();
+        let cached = svc.inner.lock_cache()[&PlanKey::new(&q, false)]
+            .0
+            .delta
+            .clone();
+        assert!(Arc::ptr_eq(&watchers[0].plans, cached.as_ref().unwrap()));
+        let plans = svc.inner.batch_plans(0, &watchers);
+        assert!(matches!(&plans[..], [p] if Arc::ptr_eq(p, &watchers[0].plans)));
         let absent: Vec<(u32, u32)> = (0..40u32)
             .flat_map(|u| (u + 1..40).map(move |v| (u, v)))
             .filter(|&(u, v)| !graph.has_edge(u, v))

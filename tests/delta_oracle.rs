@@ -201,8 +201,8 @@ fn delete_only_stream_reports_no_additions() {
 /// One hub in 16 deletes and 16 inserts, among updates elsewhere: the hub
 /// names 16 stages per side, so a range stolen (or requeued from a dead
 /// warp) below level 0 is only exact if it carries its stage along. Run on
-/// a 1×4 delta grid with local stealing on, clean and under a seeded warp
-/// death mid-launch.
+/// a 1×4 grid with local stealing on, clean and under a seeded warp death
+/// mid-launch.
 #[test]
 fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
     let base = gen::preferential_attachment(96, 4, 9).degree_ordered();
@@ -226,7 +226,7 @@ fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
     assert!(hub_edges(&batch.deletes) >= 16 && hub_edges(&batch.inserts) >= 16);
 
     let mut cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
-    cfg.delta.grid.warps_per_block = 4;
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 4);
     assert!(
         cfg.local_steal && cfg.stop_level >= 2,
         "level 1 is stealable"
@@ -243,8 +243,8 @@ fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
     }
 }
 
-/// Deletes that share an endpoint, on the default one-warp delta grid: the
-/// stages of one side run back to back on one kernel, each on its own view,
+/// Deletes that share an endpoint, on a one-warp grid: the stages of one
+/// side run back to back on one kernel, each on its own view,
 /// so the shared endpoint is the same matched vertex with a different
 /// neighbor row from one stage to the next — and wherever an anchored plan
 /// re-reads that row as a lifted intersection input, the kernel's marker has
@@ -263,8 +263,9 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
     let post = overlay.snapshot();
     assert_eq!(batch.deletes.len(), 6);
     assert!(batch.deletes.iter().all(|e| e.0 == hub || e.1 == hub));
-    let e = engine();
-    assert_eq!(e.config().delta.grid.total_warps(), 1);
+    let mut cfg = EngineConfig::default().with_grid(grid());
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
+    let e = Engine::new(cfg);
     for q in [
         catalog::triangle(),
         catalog::diamond(),
@@ -305,13 +306,12 @@ fn a_deep_pinned_level_1_is_exact() {
     }
 }
 
-/// `Engine::launch` runs a delta launch on `delta.grid`, whatever the
-/// engine's own grid, and never under the engine's deadline: a partial
-/// anchored count would be a wrong delta, not a lower bound.
+/// `Engine::launch` runs a delta launch on the engine's own grid, like any
+/// launch, but never under the engine's deadline: a partial anchored count
+/// would be a wrong delta, not a lower bound.
 #[test]
-fn delta_launches_run_on_the_delta_grid_without_a_deadline() {
-    let mut cfg = EngineConfig::default().with_grid(grid());
-    cfg.delta.grid.warps_per_block = 2;
+fn delta_launches_run_on_the_engine_grid_without_a_deadline() {
+    let cfg = EngineConfig::default().with_grid(grid());
     let mut overlay = DeltaOverlay::new(unlabeled_graph());
     let pre = overlay.snapshot();
     let batch = overlay.apply(&seeded_batch(&overlay, &mut SplitMix64::new(5), 32));
@@ -327,8 +327,8 @@ fn delta_launches_run_on_the_delta_grid_without_a_deadline() {
     let (got, metrics) = plans.count(&Engine::new(cfg), &pre, &post, &batch).unwrap();
     assert_eq!(got, want);
     assert_eq!(metrics.kernel_launches, 2 * plans.num_plans() as u64);
-    // Launches merge warp by warp: each ran `delta.grid`'s two warps.
-    assert_eq!(metrics.warps.len(), cfg.delta.grid.total_warps());
+    // Launches merge warp by warp: each ran the engine grid's four warps.
+    assert_eq!(metrics.warps.len(), cfg.grid.total_warps());
 }
 
 /// In-batch cancellation: inserting and deleting the same edge within
@@ -518,7 +518,7 @@ fn mixed_batch(g: &Graph, rng: &mut SplitMix64, ops: usize) -> Vec<EdgeOp> {
 /// labeled and unlabeled, and a mixed batch on a small PA graph: each side
 /// of the delta equals the matches using an update edge, counted by full
 /// enumeration — subgraphs with symmetry breaking on, embeddings (subgraphs
-/// × |Aut|) with it off, and subgraphs again on a four-warp delta grid
+/// × |Aut|) with it off, and subgraphs again on a one-block four-warp grid
 /// under a seeded warp death. A failure shrinks to a minimal
 /// `(k, pattern seed, labeled, graph seed)` and prints its `reproduce:`
 /// line.
@@ -551,7 +551,7 @@ fn prop_each_side_counts_the_matches_using_its_updates() {
             cfg.symmetry_breaking = false;
             let embeddings = Engine::new(cfg);
             let mut cfg = *subgraphs.config();
-            cfg.delta.grid.warps_per_block = 4;
+            (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 4);
             let faulty = Engine::new(cfg).with_fault_plan(FaultPlan::seeded(graph_seed, 4, 1, 0));
             let want = |e: &Engine| MatchDelta {
                 added: matches_using(e, &post, &q, &batch.inserts),
