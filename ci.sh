@@ -235,6 +235,14 @@ done
 # triangle's is not >= 10x below one full recount (simulated instructions).
 run "smoke:delta" "${CHECK[@]}" delta
 
+# Anchored-plan choice gate (DESIGN.md §4k, "Compile"): on the benchmark's
+# resident_tick instance, every orbit of the triangle and q1..q14 compiled by
+# Engine::compile_delta_on must cost no more than today's graph-free order
+# over four 64 + 64 exchange batches, and those of the triangle, q2, q4 and
+# q6 no more than 1.10x the best connected anchored order (for the rest of
+# q1..q14 that test prints as an ungated survey).
+run "smoke:plans" "${CHECK[@]}" plans
+
 # Benchmark gate: `benchmark/` is its own workspace, so nothing above
 # compiles it and a break of the call surface it stands on (its README
 # lists it) would otherwise surface only at the benchmark pipeline. Build

@@ -11,6 +11,7 @@ mod bitmap;
 mod delta;
 mod faults;
 mod hotpath;
+mod plans;
 mod service;
 mod shard;
 mod simt;
@@ -91,7 +92,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((gate, flags)) = args.split_first() else {
         eprintln!(
-            "usage: check <bitmap|delta|faults|hotpath|service|shard|simt|verify> \
+            "usage: check <bitmap|delta|faults|hotpath|plans|service|shard|simt|verify> \
              [--mutate=<name>] [--scaling] [--print]"
         );
         return ExitCode::from(2);
@@ -101,6 +102,7 @@ fn main() -> ExitCode {
         "delta" => delta::run,
         "faults" => faults::run,
         "hotpath" => hotpath::run,
+        "plans" => plans::run,
         "service" => service::run,
         "shard" => shard::run,
         "simt" => simt::run,

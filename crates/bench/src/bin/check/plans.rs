@@ -1,0 +1,274 @@
+//! `check plans` (`ci.sh` phase `smoke:plans`), the gate for anchored delta
+//! plans chosen on a graph (`Engine::compile_delta_on`, what a
+//! delta-enabled service compiles at a plan-cache miss).
+//!
+//! The fixture is tick-like: a seeded half of PA(1024, 8, 9)'s edges,
+//! degree-ordered, then seeded exchange batches of 64 deletes of present
+//! edges and 64 inserts of absent ones. Batch 0 moves the graph to the
+//! snapshot the plans are chosen on; batches 1–4 measure them. Per edge
+//! orbit of the triangle and q1–q14, every connected order anchored on the
+//! orbit's representative (either direction) runs over both sides of every
+//! measured batch, on a 1 × 2 grid with stealing off: the exact simulated
+//! instructions those batches cost that orbit's launches.
+//!
+//! Each orbit prints today's graph-free order (`MatchOrder::anchored`), the
+//! pick, the exhaustive best and their instructions, plus the estimator's
+//! sampled instructions for today's order and the pick, and what all
+//! candidates cost on the sample, what the estimate runs. Fails if any
+//! pick costs more than today's order, or if a pick of the tick's own
+//! queries (the triangle, q2, q4, q6) costs more than [`BEST_SLACK`] × the
+//! best. For the other queries that second test is a survey: its misses
+//! print, and do not fail the gate — how many there are moves with the
+//! sample's size and edges (ROADMAP item 17).
+
+use crate::{grid, report};
+use std::process::ExitCode;
+use stmatch_core::estimate::Estimator;
+use stmatch_core::{Engine, EngineConfig};
+use stmatch_graph::builder::graph_from_edges;
+use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph, VertexId};
+use stmatch_pattern::order::MatchOrder;
+use stmatch_pattern::{catalog, symmetry, MatchPlan, Pattern};
+use stmatch_testkit::rng::{Rng, SmallRng};
+
+/// Seed of the instance: the benchmark's `INSTANCE_SEED`.
+const SEED: u64 = 0x57a7_10a2;
+
+/// Deletes (and as many inserts) per batch, as in the benchmark's tick.
+const PER_SIDE: usize = 64;
+
+/// Batches measured after the one the plans are chosen behind.
+const MEASURED: usize = 4;
+
+/// A pick may cost at most this much more than the exhaustive best.
+const BEST_SLACK: f64 = 1.10;
+
+type Edge = (VertexId, VertexId);
+
+pub fn run(args: &[String]) -> ExitCode {
+    if let Err(code) = crate::flag("plans", args, &[]) {
+        return code;
+    }
+    let mut rng = SmallRng::seed_from_u64(SEED);
+    let (start, mut present, mut absent) = fixture(&mut rng);
+    let engine = Engine::new(EngineConfig::default().with_grid(grid(1, 2)));
+    let mut overlay = DeltaOverlay::new(start);
+    overlay.apply(&exchange(&mut present, &mut absent, &mut rng));
+    let chosen_on = overlay.snapshot();
+    // Each measured batch side, staged as the delta route stages it.
+    let mut sides = Vec::new();
+    for _ in 0..MEASURED {
+        let pre = overlay.snapshot();
+        let batch = overlay.apply(&exchange(&mut present, &mut absent, &mut rng));
+        let post = overlay.snapshot();
+        sides.push(Estimator::over(&engine, &pre, batch.deletes));
+        sides.push(Estimator::over(
+            &engine,
+            &post,
+            batch.inserts.into_iter().rev().collect(),
+        ));
+    }
+    let sampled = Estimator::new(&engine, &chosen_on);
+    let cost = |plan: &MatchPlan| -> Result<u64, String> {
+        sides.iter().map(|side| full_cost(side, plan)).sum()
+    };
+    let tick = [2, 4, 6].map(catalog::paper_query);
+    let survey = [1, 3, 5, 7, 8, 9, 10, 11, 12, 13, 14].map(catalog::paper_query);
+    let gated = std::iter::once(catalog::triangle()).chain(tick);
+    let (mut errs, mut misses) = (Vec::new(), Vec::new());
+    let mut totals = [(0u64, 0u64); 2];
+    for (q, gate) in gated.map(|q| (q, true)).chain(survey.map(|q| (q, false))) {
+        let plans = engine.compile_delta_on(&q, &chosen_on);
+        for (orbit, pick) in symmetry::edge_orbits(&q).iter().zip(plans.plans()) {
+            let name = format!("{} {:?}", q.name(), orbit.rep);
+            let m = match measure(&q, orbit.rep, pick, &cost, &sampled) {
+                Ok(m) => m,
+                Err(e) => {
+                    errs.push(format!("{name}: {e}"));
+                    continue;
+                }
+            };
+            let leg = if gate { "plans" } else { "plans survey" };
+            println!("{leg} {name}: {}", m.line());
+            let total = &mut totals[usize::from(!gate)];
+            total.0 += m.today.1;
+            total.1 += m.pick.1;
+            if m.pick.1 > m.today.1 {
+                errs.push(format!("{name}: pick {:?} costs more than today's", m.pick));
+            }
+            let found = if gate { &mut errs } else { &mut misses };
+            if m.pick.1 as f64 > BEST_SLACK * m.best.1 as f64 {
+                found.push(format!(
+                    "{name}: pick {:?} costs more than {BEST_SLACK}x the best {:?}",
+                    m.pick, m.best
+                ));
+            }
+        }
+    }
+    let ratio = |(today, pick): (u64, u64)| pick as f64 / today.max(1) as f64;
+    for miss in &misses {
+        println!("plans survey miss: {miss}");
+    }
+    println!(
+        "plans survey: {} misses; picks cost {:.3} of today's instructions",
+        misses.len(),
+        ratio(totals[1])
+    );
+    let ok = report("plans", &errs, || {
+        format!(
+            "no pick costs more than today's order and the tick's are within \
+             {BEST_SLACK}x of the best; they cost {:.3} of today's instructions",
+            ratio(totals[0])
+        )
+    });
+    crate::exit_code(ok)
+}
+
+/// One orbit's measurement: `(order, instructions over the measured
+/// batches)` of today's order, the pick and the best connected order, with
+/// the estimator's sampled instructions.
+struct Measured {
+    today: (Vec<usize>, u64),
+    pick: (Vec<usize>, u64),
+    best: (Vec<usize>, u64),
+    /// Sampled instructions of today's order and of the pick.
+    sampled: (u64, u64),
+    /// Sampled instructions of every candidate (what the estimate runs),
+    /// and their number.
+    estimate: (u64, usize),
+}
+
+impl Measured {
+    fn line(&self) -> String {
+        let ratio = |c: u64| c as f64 / self.today.1.max(1) as f64;
+        format!(
+            "today {:?} {} | pick {:?} {} ({:.3}) | best {:?} {} ({:.3}) | \
+             sampled {} -> {}, all {} candidates {}",
+            self.today.0,
+            self.today.1,
+            self.pick.0,
+            self.pick.1,
+            ratio(self.pick.1),
+            self.best.0,
+            self.best.1,
+            ratio(self.best.1),
+            self.sampled.0,
+            self.sampled.1,
+            self.estimate.1,
+            self.estimate.0,
+        )
+    }
+}
+
+fn measure(
+    q: &Pattern,
+    rep: (usize, usize),
+    pick: &MatchPlan,
+    cost: &impl Fn(&MatchPlan) -> Result<u64, String>,
+    sampled: &Estimator,
+) -> Result<Measured, String> {
+    let opts = pick.options();
+    let compile = |order: MatchOrder| MatchPlan::compile_anchored(q, order, opts);
+    let sample = |plan: &MatchPlan| full_cost(sampled, plan);
+    let today = compile(MatchOrder::anchored(q, rep));
+    let mut estimate = (0, 0);
+    for order in MatchOrder::anchored_candidates(q, rep) {
+        estimate.0 += sample(&compile(order))?;
+        estimate.1 += 1;
+    }
+    let mut best: Option<(Vec<usize>, u64)> = None;
+    for order in connected_orders(q, rep) {
+        let c = cost(&compile(MatchOrder::from_order(q, order.clone())))?;
+        if best.as_ref().is_none_or(|b| c < b.1) {
+            best = Some((order, c));
+        }
+    }
+    let entry = |plan: &MatchPlan| cost(plan).map(|c| (plan.order().as_slice().to_vec(), c));
+    Ok(Measured {
+        today: entry(&today)?,
+        pick: entry(pick)?,
+        best: best.expect("an anchored order exists"),
+        sampled: (sample(&today)?, sample(pick)?),
+        estimate,
+    })
+}
+
+/// What `plan` costs over `est`'s edges (the gate's estimators have no
+/// timeout, so none runs out of time).
+fn full_cost(est: &Estimator, plan: &MatchPlan) -> Result<u64, String> {
+    est.cost(plan)
+        .map_err(|e| e.to_string())?
+        .ok_or_else(|| "an estimate without a timeout ran out of time".to_string())
+}
+
+/// Every connected order of `q` starting `[p, q, …]` or `[q, p, …]`.
+fn connected_orders(q: &Pattern, (a, b): (usize, usize)) -> Vec<Vec<usize>> {
+    fn extend(q: &Pattern, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if prefix.len() == q.size() {
+            out.push(prefix.clone());
+            return;
+        }
+        for u in 0..q.size() {
+            if !prefix.contains(&u) && prefix.iter().any(|&v| q.has_edge(u, v)) {
+                prefix.push(u);
+                extend(q, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for start in [[a, b], [b, a]] {
+        extend(q, &mut start.to_vec(), &mut out);
+    }
+    out
+}
+
+/// The benchmark's `resident_tick` instance, rebuilt with its generator:
+/// a seeded half of PA(1024, 8, 9)'s edges, renamed so the graph is
+/// degree-ordered, with its present and absent edges in those names.
+fn fixture(rng: &mut SmallRng) -> (Graph, Vec<Edge>, Vec<Edge>) {
+    let universe = gen::preferential_attachment(1024, 8, 9);
+    let mut edges: Vec<Edge> = universe.edges().collect();
+    rng.shuffle(&mut edges);
+    let half = edges.len() / 2;
+    let start = graph_from_edges(universe.num_vertices(), &edges[..half]);
+    // Graph::degree_ordered's renaming, applied to both halves.
+    let mut order: Vec<VertexId> = start.vertices().collect();
+    order.sort_by(|&x, &y| start.degree(y).cmp(&start.degree(x)).then(x.cmp(&y)));
+    let mut rank = vec![0 as VertexId; order.len()];
+    for (new, &old) in order.iter().enumerate() {
+        rank[old as usize] = new as VertexId;
+    }
+    let rename = |&(u, v): &Edge| {
+        let (x, y) = (rank[u as usize], rank[v as usize]);
+        (x.min(y), x.max(y))
+    };
+    let present: Vec<Edge> = edges[..half].iter().map(rename).collect();
+    let absent: Vec<Edge> = edges[half..].iter().map(rename).collect();
+    let graph = graph_from_edges(universe.num_vertices(), &present);
+    assert!(
+        graph.degree_ordered() == graph,
+        "the renamed fixture is degree-ordered"
+    );
+    (graph, present, absent)
+}
+
+/// One exchange batch: [`PER_SIDE`] uniformly drawn present edges deleted
+/// and as many absent ones inserted; the two lists trade them.
+fn exchange(present: &mut [Edge], absent: &mut [Edge], rng: &mut SmallRng) -> Vec<EdgeOp> {
+    for i in 0..PER_SIDE {
+        let j = rng.gen_range(i..present.len());
+        present.swap(i, j);
+        let j = rng.gen_range(i..absent.len());
+        absent.swap(i, j);
+    }
+    let deletes = present[..PER_SIDE]
+        .iter()
+        .map(|&(u, v)| EdgeOp::delete(u, v));
+    let inserts = absent[..PER_SIDE]
+        .iter()
+        .map(|&(u, v)| EdgeOp::insert(u, v));
+    let ops = deletes.chain(inserts).collect();
+    present[..PER_SIDE].swap_with_slice(&mut absent[..PER_SIDE]);
+    ops
+}

@@ -20,10 +20,13 @@
 //!    ([`symmetry::edge_orbits`]). For each orbit's representative
 //!    `{p, q}` we compile an anchored plan
 //!    ([`MatchPlan::compile_anchored`]) whose matching order starts
-//!    `[p, q, ...]` and whose bounds break the setwise stabilizer of
-//!    `{p, q}`. A launch of that plan over one batch side pins levels 0/1 to
-//!    each update edge `{a, b}`; level 1 finds its pin with one search of
-//!    level 0's row. When the stabilizer swaps `p` and `q`, the plan's
+//!    `[p, q, ...]` or `[q, p, ...]` and whose bounds break the setwise
+//!    stabilizer of `{p, q}`. [`Engine::compile_delta`] takes
+//!    [`MatchOrder::anchored`]; [`Engine::compile_delta_on`] takes the
+//!    cheapest of [`MatchOrder::anchored_candidates`] on a sample of a
+//!    graph ([`crate::estimate`]). A launch of that plan over one batch
+//!    side pins levels 0/1 to each update edge `{a, b}`; level 1 finds its
+//!    pin with one search of level 0's row. When the stabilizer swaps `p` and `q`, the plan's
 //!    orientation bound leaves one level-0 index per update edge, and puts
 //!    the edge's higher endpoint (on a degree-ordered graph, the one with
 //!    the shorter row) where level 2 expands from: at position 1 if level
@@ -55,11 +58,15 @@
 //! induced embeddings that contain no update edge at all, which no
 //! anchored enumeration can see.
 
-use crate::engine::{Engine, Launch, Level0};
+use crate::engine::{Engine, Launch, Level0, MatchOutcome};
+use crate::estimate::Estimator;
 use crate::pool::WarmSlot;
+use std::time::Instant;
 use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{AppliedBatch, Graph, VertexId};
-use stmatch_pattern::{symmetry, MatchPlan, Pattern, PlanOptions};
+use stmatch_pattern::order::MatchOrder;
+use stmatch_pattern::symmetry::{self, EdgeOrbit};
+use stmatch_pattern::{MatchPlan, Pattern, PlanOptions};
 
 /// Net effect of one update batch on a pattern's match count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,8 +92,10 @@ pub struct DeltaPlans {
     k: usize,
     /// `|Aut(P)|`: multiplier when the engine counts embeddings.
     aut: u64,
+    /// The pattern's edge orbits under `Aut(P)`.
+    orbits: Vec<EdgeOrbit>,
     /// One plan per edge orbit, its order starting with the orbit's
-    /// representative.
+    /// representative in either direction.
     anchored: Vec<MatchPlan>,
 }
 
@@ -106,21 +115,63 @@ impl DeltaPlans {
     pub fn plans(&self) -> impl Iterator<Item = &MatchPlan> {
         self.anchored.iter()
     }
+
+    /// These plans with orbit `orbit`'s compiled from `order` instead —
+    /// for a caller that chose the order itself, e.g. among
+    /// [`MatchOrder::anchored_candidates`] of the orbit's representative.
+    ///
+    /// # Panics
+    /// Panics if `order` does not start with an edge of that orbit.
+    #[doc(hidden)]
+    pub fn with_order(mut self, orbit: usize, order: MatchOrder) -> DeltaPlans {
+        let (a, b) = (order.vertex_at(0), order.vertex_at(1));
+        assert!(
+            self.orbits[orbit].edges.contains(&(a.min(b), a.max(b))),
+            "{order:?} does not start with an edge of orbit {orbit}"
+        );
+        let old = &self.anchored[orbit];
+        self.anchored[orbit] = MatchPlan::compile_anchored(old.pattern(), order, old.options());
+        self
+    }
 }
 
 /// One side of a batch, staged: stage `s` matches update edge `edges[s]`
 /// on `views[s]`.
-struct StagedSide {
-    edges: Vec<(VertexId, VertexId)>,
+pub(crate) struct StagedSide {
+    pub(crate) edges: Vec<(VertexId, VertexId)>,
     views: Vec<Graph>,
 }
 
 impl StagedSide {
     /// Stages `edges` in the given order over `graph`: stage `s` sees
     /// `graph` without `edges[..s]`.
-    fn new(graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> StagedSide {
+    pub(crate) fn new(graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> StagedSide {
         let views = graph.staged_without_edges(&edges);
         StagedSide { edges, views }
+    }
+
+    /// One `engine` launch of the anchored `plan` over every stage,
+    /// recycling arenas through `warm` and given up at a `deadline` and
+    /// instruction `cap` (see [`Launch`]); `None` for an empty side.
+    pub(crate) fn launch(
+        &self,
+        engine: &Engine,
+        plan: &MatchPlan,
+        warm: Option<&WarmSlot>,
+        deadline: Option<Instant>,
+        cap: Option<u64>,
+    ) -> Option<Result<MatchOutcome, LaunchError>> {
+        let first = self.views.first()?;
+        Some(engine.launch(&Launch {
+            warm,
+            domain: Level0::Anchored {
+                edges: &self.edges,
+                views: &self.views,
+            },
+            deadline,
+            cap,
+            ..Launch::new(first, plan)
+        }))
     }
 }
 
@@ -172,19 +223,12 @@ impl StagedBatch {
             plans.aut
         };
         let mut count = |side: &StagedSide| -> Result<u64, LaunchError> {
-            let Some(first) = side.views.first() else {
-                return Ok(0);
-            };
             let mut total = 0u64;
             for plan in &plans.anchored {
-                let out = engine.launch(&Launch {
-                    warm,
-                    domain: Level0::Anchored {
-                        edges: &side.edges,
-                        views: &side.views,
-                    },
-                    ..Launch::new(first, plan)
-                })?;
+                let Some(out) = side.launch(engine, plan, warm, None, None) else {
+                    break;
+                };
+                let out = out?;
                 total += out.count;
                 metrics.absorb(out.metrics);
             }
@@ -201,9 +245,9 @@ impl DeltaPlans {
     /// graph before the batch) and created (against `post`, the graph
     /// after) in `2 × num_plans()` launches of `engine` on its grid:
     /// O(batch × affected neighborhoods) work. The launches recycle arenas
-    /// through one free-list of the call's own, sized for that grid. Also
-    /// returns the launches' merged metrics. Requires edge-induced matching
-    /// (see the module docs).
+    /// through the engine's own free-list, sized for that grid and kept
+    /// across calls. Also returns the launches' merged metrics. Requires
+    /// edge-induced matching (see the module docs).
     pub fn count(
         &self,
         engine: &Engine,
@@ -211,16 +255,18 @@ impl DeltaPlans {
         post: &Graph,
         batch: &AppliedBatch,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        let warm = WarmSlot::new(engine.config().grid)?;
-        StagedBatch::new(pre, post, batch).run(engine, self, Some(&warm))
+        let warm = engine.arenas()?;
+        StagedBatch::new(pre, post, batch).run(engine, self, Some(warm))
     }
 }
 
 impl Engine {
     /// Compiles the anchored plan set for incremental matching of
     /// `pattern` under this engine's options: one plan per edge orbit,
-    /// anchored on its representative (vertex-induced mode is rejected at
-    /// [`DeltaPlans::count`] time).
+    /// anchored on its representative with [`MatchOrder::anchored`]'s
+    /// order. Graph-free, so the same on every graph; see
+    /// [`Engine::compile_delta_on`] for orders chosen on one
+    /// (vertex-induced mode is rejected at [`DeltaPlans::count`] time).
     pub fn compile_delta(&self, pattern: &Pattern) -> DeltaPlans {
         let opts = PlanOptions {
             induced: false,
@@ -228,15 +274,49 @@ impl Engine {
             // compile_anchored breaks the anchor's stabilizer regardless.
             symmetry_breaking: true,
         };
-        let anchored = symmetry::edge_orbits(pattern)
+        let orbits = symmetry::edge_orbits(pattern);
+        let anchored = orbits
             .iter()
-            .map(|orbit| MatchPlan::compile_anchored(pattern, orbit.rep, opts))
+            .map(|orbit| {
+                MatchPlan::compile_anchored(pattern, MatchOrder::anchored(pattern, orbit.rep), opts)
+            })
             .collect();
         DeltaPlans {
             k: pattern.size(),
             aut: symmetry::automorphism_count(pattern) as u64,
+            orbits,
             anchored,
         }
+    }
+
+    /// [`Engine::compile_delta`] with each orbit's order chosen on
+    /// `graph`: the candidates are [`MatchOrder::anchored_candidates`] of
+    /// its representative, and [`Estimator::pick`] keeps the graph-free
+    /// order unless another costs clearly less on `graph`'s sample.
+    /// Deterministic: the same graph gives the same plans. The estimate
+    /// runs under this engine's timeout ([`Engine::with_timeout`]), counted
+    /// from the call; an orbit whose estimate fails to launch or runs out
+    /// of that time keeps the graph-free order, as does every orbit after
+    /// the time has run out.
+    pub fn compile_delta_on(&self, pattern: &Pattern, graph: &Graph) -> DeltaPlans {
+        let mut plans = self.compile_delta(pattern);
+        let mut estimator = None;
+        for i in 0..plans.num_plans() {
+            let candidates = MatchOrder::anchored_candidates(pattern, plans.orbits[i].rep);
+            if candidates.len() < 2 {
+                continue;
+            }
+            let opts = plans.anchored[i].options();
+            let mut compiled: Vec<MatchPlan> = candidates
+                .into_iter()
+                .map(|order| MatchPlan::compile_anchored(pattern, order, opts))
+                .collect();
+            let estimator = estimator.get_or_insert_with(|| Estimator::new(self, graph));
+            if let Ok(best) = estimator.pick(&compiled) {
+                plans.anchored[i] = compiled.swap_remove(best);
+            }
+        }
+        plans
     }
 
     /// [`DeltaPlans::count`] with only the launches' simulated

@@ -31,7 +31,7 @@ use crate::shard;
 use crate::steal::{Board, StealPayload};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
@@ -151,6 +151,10 @@ pub struct Engine {
     memory: MemoryBudget,
     timeout: Option<std::time::Duration>,
     faults: Option<FaultPlan>,
+    /// The arena free-list of this engine's own delta batches
+    /// ([`DeltaPlans::count`](crate::DeltaPlans::count)), built at the
+    /// first one, so repeated calls recycle their warps' arenas.
+    arenas: OnceLock<WarmSlot>,
 }
 
 /// One launch request: what to match, on which graph, and which resident
@@ -192,6 +196,15 @@ pub struct Launch<'a> {
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
     pub(crate) domain: Level0<'a>,
+    /// When an anchored launch gives up (a timed-out outcome). Delta
+    /// batches leave it `None` — a partial delta is a wrong one, so they
+    /// never run under the engine's timeout — and a cost estimate sets it
+    /// ([`crate::estimate`]).
+    pub(crate) deadline: Option<Instant>,
+    /// Gives the launch up (a timed-out outcome) once its warps have
+    /// charged this many simulated instructions between them: a cost
+    /// estimate past it is out of the running ([`crate::estimate`]).
+    pub(crate) cap: Option<u64>,
 }
 
 impl<'a> Launch<'a> {
@@ -204,6 +217,8 @@ impl<'a> Launch<'a> {
             verified: None,
             collector: None,
             domain: Level0::Whole,
+            deadline: None,
+            cap: None,
         }
     }
 }
@@ -248,6 +263,8 @@ struct Resolved<'a> {
     /// Level-0 virtual indices the grid's own dispenser hands out.
     l0_len: usize,
     deadline: Option<Instant>,
+    /// See [`Launch`]'s field of the name.
+    cap: Option<u64>,
     /// The engine's fault plan scoped to this grid, if any of it reaches it.
     faults: Option<&'a FaultPlan>,
 }
@@ -261,6 +278,7 @@ impl Engine {
             memory: MemoryBudget::unlimited(),
             timeout: None,
             faults: None,
+            arenas: OnceLock::new(),
         }
     }
 
@@ -273,6 +291,7 @@ impl Engine {
             memory: MemoryBudget::new(bytes),
             timeout: None,
             faults: None,
+            arenas: OnceLock::new(),
         }
     }
 
@@ -280,6 +299,7 @@ impl Engine {
     /// cooperatively; a cancelled outcome has `timed_out == true` and a
     /// partial count. Delta batches never carry one: a partial count of an
     /// anchored launch would be a wrong delta, not a lower bound.
+    /// [`Engine::compile_delta_on`] bounds its estimate by it.
     pub fn with_timeout(mut self, timeout: std::time::Duration) -> Engine {
         self.timeout = Some(timeout);
         self
@@ -295,9 +315,24 @@ impl Engine {
         self
     }
 
+    /// The budget [`Engine::with_timeout`] set, if any.
+    pub(crate) fn timeout(&self) -> Option<std::time::Duration> {
+        self.timeout
+    }
+
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// The engine's own arena free-list, sized for its grid and built on
+    /// first use; fails on a geometry no grid can launch.
+    pub(crate) fn arenas(&self) -> Result<&WarmSlot, LaunchError> {
+        if let Some(slot) = self.arenas.get() {
+            return Ok(slot);
+        }
+        let slot = WarmSlot::new(self.cfg.grid)?;
+        Ok(self.arenas.get_or_init(|| slot))
     }
 
     /// Compiles the plan for `pattern` under this engine's options.
@@ -418,8 +453,9 @@ impl Engine {
     /// Runs one [`Launch`] request — the single way into the kernel, and
     /// the one place a request becomes grids: one per shard of a
     /// whole-graph request when [`EngineConfig::shard`] asks for more than
-    /// one (merged), else one. Every grid is [`EngineConfig::grid`]; a delta
-    /// batch side runs with no deadline (see [`Engine::with_timeout`]). A
+    /// one (merged), else one. Every grid is [`EngineConfig::grid`]; an
+    /// anchored launch runs under its own `Launch::deadline`, never the
+    /// engine's (see [`Engine::with_timeout`]). A
     /// grid that does not fit its budget fails the launch before its warps
     /// run.
     pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
@@ -451,7 +487,7 @@ impl Engine {
                 })?;
                 Ok(shard::merge(shards))
             }
-            Level0::Anchored { .. } => self.launch_grid(req, 0, &device(), None),
+            Level0::Anchored { .. } => self.launch_grid(req, 0, &device(), req.deadline),
             _ => self.launch_grid(req, 0, &self.memory, deadline),
         }
     }
@@ -528,6 +564,7 @@ impl Engine {
             collector: req.collector,
             l0_len,
             deadline,
+            cap: req.cap,
             faults: faults.as_ref(),
         };
         let sim = Grid::new(grid)?;
@@ -638,6 +675,9 @@ impl Engine {
             if let Some(d) = r.deadline {
                 board.set_deadline(d);
             }
+            if let Some(cap) = r.cap {
+                board.set_cap(cap);
+            }
             let deaths: Mutex<Vec<WarpDeath>> = Mutex::new(Vec::new());
             let body = |warp: &mut stmatch_gpusim::Warp| {
                 self.warp_body(r, &board, faults, &deaths, warp);
@@ -690,6 +730,8 @@ impl Engine {
     ) {
         let me = warp.id();
         let mut kernel: Option<WarpKernel> = None;
+        // Instructions this warp has charged to the board's cap so far.
+        let mut charged = 0;
         let caught = catch_unwind(AssertUnwindSafe(|| {
             // Warm path: recycle a parked arena (reset, not reallocated)
             // instead of building fresh slabs for this query.
@@ -698,7 +740,11 @@ impl Engine {
             // The one idle spin of the kernel and steal path: no step blocks.
             loop {
                 match kernel.step(warp) {
-                    Step::Claimed => {}
+                    Step::Claimed => {
+                        let now = warp.metrics().simt_instructions;
+                        board.charge(now - charged);
+                        charged = now;
+                    }
                     Step::Idle => std::thread::yield_now(),
                     Step::Done => break,
                 }

@@ -45,6 +45,9 @@ pub mod arena;
 pub mod config;
 pub mod delta;
 pub mod engine;
+/// Public only for the `check plans` gate; see [`Engine::compile_delta_on`].
+#[doc(hidden)]
+pub mod estimate;
 pub mod fault;
 pub mod kernel;
 pub mod pool;

@@ -27,8 +27,9 @@ use stmatch_gpusim::{Grid, GridConfig, LaunchError};
 
 /// A bounded free-list of recyclable [`StackArena`]s: one per resident
 /// service, shared by its workers' queries and its batches' delta launches
-/// (and one per [`DeltaPlans::count`](crate::DeltaPlans::count) call
-/// outside a service). `checkout` hands an arena to a warp (or `None` when
+/// (and one per engine that runs
+/// [`DeltaPlans::count`](crate::DeltaPlans::count) outside a service, kept
+/// across its calls). `checkout` hands an arena to a warp (or `None` when
 /// the list is dry — the warp then builds a fresh one); `give_back` returns
 /// it after the launch. The list is capped at the warp count of the grid
 /// the slot was built for; arenas beyond it are dropped.

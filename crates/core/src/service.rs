@@ -437,8 +437,17 @@ impl Inner {
     /// fast path is one lock acquisition and a map probe; the miss path
     /// compiles outside the lock and inserts through the entry API, so two
     /// racers compiling the same canonical form still land exactly one
-    /// entry.
-    fn plan_for(&self, pattern: &Pattern, key: &PlanKey) -> CachedPlan {
+    /// entry. On a miss, the delta plans' orders are chosen on `graph`,
+    /// the snapshot the caller resolved ([`Engine::compile_delta_on`]),
+    /// within `budget` if the caller has one: orbits the budget leaves
+    /// unchosen keep the graph-free order, and the entry caches them so.
+    fn plan_for(
+        &self,
+        pattern: &Pattern,
+        key: &PlanKey,
+        graph: &Graph,
+        budget: Option<Duration>,
+    ) -> CachedPlan {
         {
             let cache = self.lock_cache();
             simt_check::note_read(simt_check::Cell::plan_cache(self.check_id));
@@ -457,8 +466,13 @@ impl Inner {
                 symmetry_breaking: self.cfg.engine.symmetry_breaking,
             },
         ));
-        let delta = (self.dynamic.is_some() && !key.induced)
-            .then(|| Arc::new(Engine::new(self.cfg.engine).compile_delta(pattern)));
+        let delta = (self.dynamic.is_some() && !key.induced).then(|| {
+            let mut engine = Engine::new(self.cfg.engine);
+            if let Some(budget) = budget {
+                engine = engine.with_timeout(budget);
+            }
+            Arc::new(engine.compile_delta_on(pattern, graph))
+        });
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock_cache();
@@ -558,14 +572,16 @@ impl Inner {
     ) -> Result<MatchOutcome, ServiceError> {
         let induced = opts.induced.unwrap_or(self.cfg.engine.induced);
         // The deadline clock starts at admission: time spent queued
-        // behind other queries counts against the budget.
-        let remaining = match opts.deadline {
+        // behind other queries counts against the budget, and so does a
+        // plan-cache miss's compile.
+        let remaining = || match opts.deadline {
             Some(d) => match d.checked_sub(admitted.elapsed()) {
-                Some(r) if !r.is_zero() => Some(r),
-                _ => return Err(ServiceError::DeadlineExceeded { partial: None }),
+                Some(r) if !r.is_zero() => Ok(Some(r)),
+                _ => Err(ServiceError::DeadlineExceeded { partial: None }),
             },
-            None => None,
+            None => Ok(None),
         };
+        remaining()?;
         // Resolve the topology once, up front (rank-1 lock, released
         // immediately): the query runs against this snapshot even if a
         // batch lands mid-flight.
@@ -577,12 +593,12 @@ impl Inner {
         if let Some(answer) = at.and_then(|v| self.answer(&key, v)) {
             return Ok(answer);
         }
-        let entry = self.plan_for(pattern, &key);
+        let entry = self.plan_for(pattern, &key, &graph, remaining()?);
         let plan = &entry.plan;
         let mut cfg = self.cfg.engine;
         cfg.induced = induced;
         let mut engine = Engine::new(cfg);
-        if let Some(r) = remaining {
+        if let Some(r) = remaining()? {
             engine = engine.with_timeout(r);
         }
         if let Some(f) = opts.fault_plan.clone() {
@@ -747,7 +763,7 @@ impl MatchService {
             return None;
         }
         let key = PlanKey::new(pattern, inner.cfg.engine.induced);
-        let entry = inner.plan_for(pattern, &key);
+        let entry = inner.plan_for(pattern, &key, &inner.graph, None);
         let verdict = entry.verification.get_or_init(|| {
             let v = Engine::new(inner.cfg.engine).verify(&inner.graph, &entry.plan);
             // Relaxed: pure statistics, ticked once per entry (the OnceLock
@@ -874,7 +890,7 @@ impl MatchService {
         );
         let key = PlanKey::new(pattern, false);
         let plans = inner
-            .plan_for(pattern, &key)
+            .plan_for(pattern, &key, &inner.resolve_graph(), None)
             .delta
             .expect("delta mode checked above");
         let mut state = inner.lock_graph().expect("delta mode checked above");
@@ -1372,6 +1388,64 @@ mod tests {
             4,
             "cancelled watcher is quiet"
         );
+    }
+
+    /// A delta-enabled service's cache miss chooses each orbit's anchored
+    /// order on the snapshot it resolved: two services on one graph choose
+    /// the same orders, whether a watcher or a query missed; a chosen
+    /// plan's sampled cost is never above the graph-free plan's; the
+    /// watcher runs the cache entry's own plans; and a miss out of time
+    /// keeps the graph-free orders.
+    #[test]
+    fn a_cache_miss_chooses_anchored_orders_on_its_snapshot() {
+        let graph = Arc::new(gen::preferential_attachment(256, 4, 9).degree_ordered());
+        let q = catalog::paper_query(4);
+        let key = PlanKey::new(&q, false);
+        let cached = |svc: &MatchService| -> Arc<DeltaPlans> {
+            let cache = svc.inner.lock_cache();
+            Arc::clone(cache[&key].0.delta.as_ref().expect("delta plans"))
+        };
+        let orders = |plans: &DeltaPlans| -> Vec<Vec<usize>> {
+            plans
+                .plans()
+                .map(|p| p.order().as_slice().to_vec())
+                .collect()
+        };
+        let watched = MatchService::new(Arc::clone(&graph), delta_cfg());
+        watched.submit_watch(&q, |_| {});
+        let queried = MatchService::new(Arc::clone(&graph), delta_cfg());
+        queried.submit(&q, QueryOptions::default()).unwrap();
+        let chosen = cached(&watched);
+        assert_eq!(orders(&chosen), orders(&cached(&queried)));
+
+        let engine = Engine::new(delta_cfg().engine);
+        let today = engine.compile_delta(&q);
+        let sample = crate::estimate::Estimator::new(&engine, &graph);
+        for (pick, default) in chosen.plans().zip(today.plans()) {
+            let (pick_cost, default_cost) = (
+                sample.cost(pick).unwrap().unwrap(),
+                sample.cost(default).unwrap().unwrap(),
+            );
+            assert!(
+                pick_cost <= default_cost,
+                "{:?} costs {pick_cost} on the sample, {:?} {default_cost}",
+                pick.order(),
+                default.order()
+            );
+        }
+        assert_ne!(
+            orders(&chosen),
+            orders(&today),
+            "no orbit moved on this graph"
+        );
+
+        let watchers = watched.inner.lock_graph().unwrap().watchers.clone();
+        assert!(Arc::ptr_eq(&watchers[0].plans, &chosen));
+
+        // A miss with no time left keeps every graph-free order.
+        let late = MatchService::new(Arc::clone(&graph), delta_cfg());
+        let entry = late.inner.plan_for(&q, &key, &graph, Some(Duration::ZERO));
+        assert_eq!(orders(&entry.delta.unwrap()), orders(&today));
     }
 
     /// Satellite starvation guarantee: a stream of `apply_batch` calls

@@ -69,7 +69,7 @@
 //! holds one only to pop or push threads, or to write a job or read a
 //! result, with nothing else held, and no kernel code runs under either.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Burst, Cost, Site, Warp, WarpMetrics, MAX_WARPS_PER_BLOCK};
@@ -299,6 +299,10 @@ pub struct Board {
     abort: AtomicBool,
     /// Optional wall-clock deadline for the launch.
     deadline: Option<Instant>,
+    /// Optional instruction cap for the launch, and the instructions its
+    /// warps have charged against it ([`Board::charge`]).
+    cap: Option<u64>,
+    spent: AtomicU64,
 }
 
 impl Board {
@@ -341,6 +345,8 @@ impl Board {
             chunk_size,
             abort: AtomicBool::new(false),
             deadline: None,
+            cap: None,
+            spent: AtomicU64::new(0),
         }
     }
 
@@ -350,7 +356,26 @@ impl Board {
         self.deadline = Some(deadline);
     }
 
-    /// True once the launch was cancelled (deadline passed).
+    /// Sets an instruction cap: the launch is cancelled, as at a deadline,
+    /// once its warps have charged that many simulated instructions.
+    pub fn set_cap(&mut self, cap: u64) {
+        self.cap = Some(cap);
+    }
+
+    /// Adds `n` instructions a warp charged to the launch's total and
+    /// cancels the launch once that reaches the cap; a no-op without one.
+    #[inline]
+    pub fn charge(&self, n: u64) {
+        if let Some(cap) = self.cap {
+            // Relaxed: a running total read only against the cap, and the
+            // abort latch is advisory (see `aborted`).
+            if self.spent.fetch_add(n, Ordering::Relaxed) + n >= cap {
+                self.abort.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// True once the launch was cancelled (deadline passed or cap reached).
     #[inline]
     pub fn aborted(&self) -> bool {
         // Relaxed: `abort` is a one-way advisory latch polled on claim

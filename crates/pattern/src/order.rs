@@ -8,6 +8,27 @@
 //! and then by vertex id for determinism.
 
 use crate::Pattern;
+use std::collections::HashSet;
+
+/// Calls `visit` with every completion of `prefix` that places, at each
+/// level, one of the unplaced vertices with the most placed neighbors, in
+/// ascending vertex order at every branch.
+fn extend_max_back(p: &Pattern, prefix: &mut Vec<usize>, visit: &mut impl FnMut(&[usize])) {
+    let n = p.size();
+    if prefix.len() == n {
+        visit(prefix);
+        return;
+    }
+    let back = |u: usize| prefix.iter().filter(|&&v| p.has_edge(u, v)).count();
+    let open: Vec<usize> = (0..n).filter(|u| !prefix.contains(u)).collect();
+    let most = open.iter().map(|&u| back(u)).max().unwrap_or(0);
+    let ties: Vec<usize> = open.into_iter().filter(|&u| back(u) == most).collect();
+    for u in ties {
+        prefix.push(u);
+        extend_max_back(p, prefix, visit);
+        prefix.pop();
+    }
+}
 
 /// A matching order `π` over the pattern's vertices.
 ///
@@ -96,6 +117,11 @@ impl MatchOrder {
     /// every embedding counted through this order uses that edge — the
     /// anchor discipline of delta decomposition (DESIGN.md §4k).
     ///
+    /// This is the graph-free default, and the first of
+    /// [`MatchOrder::anchored_candidates`]: a caller with a graph at hand
+    /// (a delta-enabled service's plan-cache miss) keeps it unless a
+    /// sampled estimate finds another candidate cheaper.
+    ///
     /// # Panics
     /// Panics if `(p, q)` is not an edge of the pattern.
     pub fn anchored(p: &Pattern, edge: (usize, usize)) -> MatchOrder {
@@ -122,6 +148,46 @@ impl MatchOrder {
             in_order[next] = true;
         }
         MatchOrder::from_order(p, order)
+    }
+
+    /// The anchored orders worth measuring for the edge orbit of `(p, q)`:
+    /// [`MatchOrder::anchored`] first, then every connected order that
+    /// starts `[p, q, …]` or `[q, p, …]` and places, at each level, a
+    /// vertex with the most already-placed neighbors (ties stay open
+    /// instead of falling to degree and id). Orders that an automorphism
+    /// fixing `{p, q}` maps onto an earlier one are dropped: their plans
+    /// are the same plan relabeled, at the same cost. Anchoring on another
+    /// edge of the orbit would only give automorphic images too.
+    ///
+    /// # Panics
+    /// Panics if `(p, q)` is not an edge of the pattern.
+    pub fn anchored_candidates(p: &Pattern, edge: (usize, usize)) -> Vec<MatchOrder> {
+        let first = MatchOrder::anchored(p, edge);
+        let stabilizer: Vec<Vec<usize>> = crate::symmetry::automorphisms(p)
+            .into_iter()
+            .filter(|g| {
+                let image = (g[edge.0], g[edge.1]);
+                image == edge || image == (edge.1, edge.0)
+            })
+            .collect();
+        // Every image of a kept order: a later order among them is a
+        // relabeling of one already kept.
+        let mut seen: HashSet<Vec<usize>> = HashSet::new();
+        let mut kept: Vec<MatchOrder> = Vec::new();
+        let mut keep = |order: &[usize]| {
+            if seen.contains(order) {
+                return;
+            }
+            for g in &stabilizer {
+                seen.insert(order.iter().map(|&u| g[u]).collect());
+            }
+            kept.push(MatchOrder::from_order(p, order.to_vec()));
+        };
+        keep(first.as_slice());
+        for start in [[edge.0, edge.1], [edge.1, edge.0]] {
+            extend_max_back(p, &mut start.to_vec(), &mut keep);
+        }
+        kept
     }
 
     /// Wraps an explicit order, validating the connectivity invariant.
@@ -296,6 +362,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn anchored_candidates_start_with_todays_order_and_keep_max_back_edges() {
+        for q in catalog::all_paper_queries().into_iter().take(14) {
+            for orbit in crate::symmetry::edge_orbits(&q) {
+                let (a, b) = orbit.rep;
+                let candidates = MatchOrder::anchored_candidates(&q, orbit.rep);
+                assert_eq!(candidates[0], MatchOrder::anchored(&q, orbit.rep));
+                for o in &candidates {
+                    let start = (o.vertex_at(0), o.vertex_at(1));
+                    assert!(start == (a, b) || start == (b, a), "{}: {o:?}", q.name());
+                    for l in 2..o.len() {
+                        let back =
+                            |u: usize| (0..l).filter(|&j| q.has_edge(u, o.vertex_at(j))).count();
+                        let most = (0..q.size())
+                            .filter(|&u| o.position_of(u) >= l)
+                            .map(back)
+                            .max()
+                            .unwrap();
+                        assert_eq!(back(o.vertex_at(l)), most, "{}: {o:?} level {l}", q.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_candidates_drop_images_under_the_anchors_stabilizer() {
+        // Every order of a clique is an image of every other under the
+        // edge's stabilizer; the triangle's `[1, 0, 2]` is `[0, 1, 2]` with
+        // the anchor swapped.
+        assert_eq!(
+            MatchOrder::anchored_candidates(&catalog::clique(5), (0, 1)).len(),
+            1
+        );
+        assert_eq!(
+            MatchOrder::anchored_candidates(&catalog::triangle(), (0, 1)).len(),
+            1
+        );
+        // The tailed C4's rim edge {0, 1} has a trivial stabilizer: both
+        // directions stay, each with its open ties.
+        let q4 = catalog::paper_query(4);
+        let rim = MatchOrder::anchored_candidates(&q4, (0, 1));
+        assert!(rim.iter().any(|o| o.vertex_at(0) == 1), "{rim:?}");
+        let distinct: HashSet<&[usize]> = rim.iter().map(MatchOrder::as_slice).collect();
+        assert_eq!(distinct.len(), rim.len());
     }
 
     #[test]

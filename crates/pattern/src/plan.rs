@@ -172,21 +172,29 @@ impl MatchPlan {
         Self::compile_with_order(pattern, order, options)
     }
 
-    /// Compiles an edge-anchored plan for incremental (delta) matching:
-    /// the matching order is [`MatchOrder::anchored`] on `edge = (p, q)`,
-    /// and symmetry breaking is forced **on** for the anchor's setwise
-    /// stabilizer ([`symmetry::anchored_bounds`]), whatever `options` says.
-    /// If the stabilizer swaps `p` and `q`, level 1 carries the orientation
-    /// bound `m[1] < m[0]`; the pointwise stabilizer of `p` and `q` bounds
-    /// the later levels. A launch that pins levels 0/1 to a data edge then
-    /// counts each subgraph that maps `edge`'s orbit onto it exactly once.
+    /// Compiles an edge-anchored plan for incremental (delta) matching
+    /// with `order`, whose first two positions are the anchor edge
+    /// `(p, q)` — [`MatchOrder::anchored`], or any of
+    /// [`MatchOrder::anchored_candidates`]. Symmetry breaking is forced
+    /// **on** for the anchor's setwise stabilizer
+    /// ([`symmetry::anchored_bounds`]), whatever `options` says. If the
+    /// stabilizer swaps `p` and `q`, level 1 carries the orientation bound
+    /// against level 0; the pointwise stabilizer of `p` and `q` bounds the
+    /// later levels. A launch that pins levels 0/1 to a data edge then
+    /// counts each subgraph that maps the anchor's orbit onto it exactly
+    /// once.
+    ///
+    /// # Panics
+    /// Panics if `order` has fewer than two positions.
     pub fn compile_anchored(
         pattern: &Pattern,
-        edge: (usize, usize),
+        order: MatchOrder,
         mut options: PlanOptions,
     ) -> MatchPlan {
         options.symmetry_breaking = true;
-        let order = MatchOrder::anchored(pattern, edge);
+        assert!(order.len() >= 2, "an anchored order starts with an edge");
+        // `MatchOrder` keeps position 1 adjacent to position 0.
+        let edge = (order.vertex_at(0), order.vertex_at(1));
         Self::compile_inner(pattern, order, options, Some(edge))
     }
 

@@ -269,8 +269,8 @@ pub fn check_shard_cover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmatch_pattern::catalog;
     use stmatch_pattern::plan::{mutation, MatchPlan, PlanOptions};
+    use stmatch_pattern::{catalog, order::MatchOrder};
 
     #[test]
     fn paper_queries_are_sound_in_every_mode() {
@@ -314,15 +314,17 @@ mod tests {
     fn anchored_plans_are_sound_for_every_edge_orbit() {
         for q in catalog::all_paper_queries() {
             for orbit in symmetry::edge_orbits(&q) {
-                let plan = MatchPlan::compile_anchored(&q, orbit.rep, PlanOptions::default());
-                let s = check_symmetry(&plan, "test");
-                assert!(
-                    s.is_empty(),
-                    "{} anchored on {:?}: {:?}",
-                    q.name(),
-                    orbit.rep,
-                    s
-                );
+                for order in MatchOrder::anchored_candidates(&q, orbit.rep) {
+                    let plan = MatchPlan::compile_anchored(&q, order, PlanOptions::default());
+                    let s = check_symmetry(&plan, "test");
+                    assert!(
+                        s.is_empty(),
+                        "{} anchored as {:?}: {:?}",
+                        q.name(),
+                        plan.order(),
+                        s
+                    );
+                }
             }
         }
     }
@@ -330,7 +332,8 @@ mod tests {
     #[test]
     fn a_dropped_stabilizer_bound_is_named() {
         let bowtie = catalog::paper_query(6);
-        let mut plan = MatchPlan::compile_anchored(&bowtie, (0, 1), PlanOptions::default());
+        let order = MatchOrder::anchored(&bowtie, (0, 1));
+        let mut plan = MatchPlan::compile_anchored(&bowtie, order, PlanOptions::default());
         let (level, pos) =
             mutation::drop_symmetry_bound(&mut plan).expect("the {0,1} stabilizer has bounds");
         let diags = check_symmetry(&plan, "test");

@@ -13,7 +13,9 @@ use std::collections::BTreeSet;
 use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError, MatchDelta};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, AppliedBatch, DeltaOverlay, EdgeOp, Graph};
+use stmatch_pattern::order::MatchOrder;
 use stmatch_pattern::{catalog, symmetry, Pattern};
+use stmatch_plan_verify::{verify_plan, GraphProfile};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::{Rng, SplitMix64};
 
@@ -172,6 +174,114 @@ fn update_stream_reconciles_q1_to_q24_on_the_labeled_fixture() {
         .map(|i| catalog::paper_query(i).with_random_labels(10, i as u64))
         .collect();
     check_stream(labeled_graph(), &queries, 0xd17a_0002, 3, 6);
+}
+
+/// Every candidate order of every edge orbit (`MatchOrder::anchored_candidates`,
+/// what `Engine::compile_delta_on` chooses among) counts the same
+/// `MatchDelta` as today's graph-free plan, on seeded mixed batches over
+/// both fixtures, and every candidate plan verifies clean.
+#[test]
+fn every_candidate_anchored_order_counts_todays_delta() {
+    let e = engine();
+    let queries = std::iter::once(catalog::triangle()).chain((1..=14).map(catalog::paper_query));
+    let fixtures = [
+        (unlabeled_graph(), 0xd17a_0c01),
+        (labeled_graph(), 0xd17a_0c02),
+    ];
+    let mut streams = Vec::new();
+    for (base, seed) in fixtures {
+        let mut overlay = DeltaOverlay::new(base);
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..2 {
+            let pre = overlay.snapshot();
+            let profile = GraphProfile::of(&pre);
+            let ops = seeded_batch(&overlay, &mut rng, 8);
+            let batch = overlay.apply(&ops);
+            streams.push((pre, overlay.snapshot(), batch, profile));
+        }
+    }
+    let mut checked = 0;
+    for q in queries {
+        let today = e.compile_delta(&q);
+        let want: Vec<MatchDelta> = streams
+            .iter()
+            .map(|(pre, post, batch, _)| today.count(&e, pre, post, batch).unwrap().0)
+            .collect();
+        for (i, orbit) in symmetry::edge_orbits(&q).iter().enumerate() {
+            for order in MatchOrder::anchored_candidates(&q, orbit.rep) {
+                let label = format!("{} orbit {:?} as {order:?}", q.name(), orbit.rep);
+                let plans = e.compile_delta(&q).with_order(i, order);
+                for ((pre, post, batch, profile), want) in streams.iter().zip(&want) {
+                    for plan in plans.plans() {
+                        let v = verify_plan(plan, profile, 4096, &label);
+                        assert!(v.diagnostics.is_empty(), "{label}: {:?}", v.diagnostics);
+                    }
+                    let got = plans.count(&e, pre, post, batch).unwrap().0;
+                    assert_eq!(got, *want, "{label} under {batch:?}");
+                }
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 40, "only {checked} candidate orders checked");
+}
+
+/// Off the benchmark's instance, a chosen order is no costlier than the
+/// graph-free one: on each golden fixture, every orbit of the triangle and
+/// q1–q14 whose order `Engine::compile_delta_on` moves costs no more
+/// simulated instructions over seeded mixed batches than
+/// `MatchOrder::anchored`'s (stealing off, so totals are exact).
+#[test]
+fn a_chosen_order_costs_no_more_than_todays_on_the_golden_fixtures() {
+    let mut cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
+    cfg.local_steal = false;
+    cfg.global_steal = false;
+    let e = Engine::new(cfg);
+    let fixtures = [
+        (unlabeled_graph(), 0xd17a_0c03),
+        (labeled_graph(), 0xd17a_0c04),
+    ];
+    let mut moved = 0;
+    for (base, seed) in fixtures {
+        let chosen_on = base.clone();
+        let mut overlay = DeltaOverlay::new(base);
+        let mut rng = SplitMix64::new(seed);
+        let mut batches = Vec::new();
+        for _ in 0..4 {
+            let pre = overlay.snapshot();
+            let ops = seeded_batch(&overlay, &mut rng, 16);
+            let batch = overlay.apply(&ops);
+            batches.push((pre, overlay.snapshot(), batch));
+        }
+        let cost = |plans: &stmatch_core::DeltaPlans| -> u64 {
+            batches
+                .iter()
+                .map(|(pre, post, batch)| {
+                    let metrics = plans.count(&e, pre, post, batch).unwrap().1;
+                    metrics.total().simt_instructions
+                })
+                .sum()
+        };
+        for q in std::iter::once(catalog::triangle()).chain((1..=14).map(catalog::paper_query)) {
+            let today = e.compile_delta(&q);
+            let chosen = e.compile_delta_on(&q, &chosen_on);
+            let base_cost = cost(&today);
+            for (i, (pick, default)) in chosen.plans().zip(today.plans()).enumerate() {
+                if pick.order() == default.order() {
+                    continue;
+                }
+                let order = pick.order().clone();
+                let label = format!("{} orbit {i}: {:?} -> {order:?}", q.name(), default.order());
+                let with_pick = cost(&e.compile_delta(&q).with_order(i, order));
+                assert!(
+                    with_pick <= base_cost,
+                    "{label} costs {with_pick} > {base_cost}"
+                );
+                moved += 1;
+            }
+        }
+    }
+    assert!(moved > 0, "no orbit moved off the graph-free order");
 }
 
 /// Delete-only stream: strip a hub vertex bare one batch at a time. The

@@ -35,8 +35,8 @@ use stmatch_core::{
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{gen, Graph};
-use stmatch_pattern::catalog;
 use stmatch_pattern::plan::{mutation, MatchPlan, PlanOptions};
+use stmatch_pattern::{catalog, order::MatchOrder};
 use stmatch_plan_verify::{verify_plan, DiagKind, GraphProfile, Verification};
 use stmatch_testkit::prop::forall;
 use stmatch_testkit::rng::Rng;
@@ -207,7 +207,8 @@ fn mutation_dropped_stabilizer_bound_is_caught_by_name() {
     let g = gen::preferential_attachment(48, 4, 3).degree_ordered();
     let profile = GraphProfile::of(&g);
     let bowtie = catalog::paper_query(6);
-    let mut plan = MatchPlan::compile_anchored(&bowtie, (0, 1), PlanOptions::default());
+    let order = MatchOrder::anchored(&bowtie, (0, 1));
+    let mut plan = MatchPlan::compile_anchored(&bowtie, order, PlanOptions::default());
     let clean = verify_plan(&plan, &profile, 4096, "tests/plan_verify.rs anchored");
     assert!(clean.diagnostics.is_empty(), "{:?}", clean.diagnostics);
     let (level, pos) = mutation::drop_symmetry_bound(&mut plan)
