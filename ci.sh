@@ -422,9 +422,12 @@ echo "==> lint:launch: OK"
 # ticket for its one message (`mpsc::sync_channel(1)` replaced it). The
 # delta grid went too: every anchored launch runs on `EngineConfig::grid`
 # (DESIGN.md §4i), so `DeltaTuning::grid` may not come back as a second one.
+# And the caller-owned arenas: every launch recycles through its engine's
+# own free-list (DESIGN.md §4i), so no request carries a slot (`.warm =`,
+# `warm: Some(`) and no slot is built outside `pool.rs` and `benchmark/`.
 echo "==> lint:reach: scanning for the deleted knobs and helpers"
-reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b|\bdelta\.grid\b|DeltaTuning::grid' \
-    crates src tests examples; grep -HnF 'mpsc::channel()' crates/core/src/service.rs) || true)
+reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b|\bdelta\.grid\b|DeltaTuning::grid|\.warm = |warm: Some\(' \
+    crates src tests examples; grep -rnF 'WarmSlot::new(' crates src tests examples | grep -v '^crates/core/src/pool\.rs:'; grep -HnF 'mpsc::channel()' crates/core/src/service.rs) || true)
 if [ -n "${reach}" ]; then
     echo "${reach}"
     echo "==> lint:reach: FAILED — these names were deleted with no caller; do not bring them back"

@@ -153,8 +153,9 @@ impl Geometry {
 impl StackArena {
     /// Allocates the slab for `slots`' slots of `cap` vertices each. This
     /// is the *only* allocation of the arena's lifetime (absent spills); it
-    /// happens once per warp per launch, unless the launch recycles the
-    /// arena from a [`WarmSlot`](crate::WarmSlot) instead.
+    /// happens once per warp whose launch finds its engine's free-list
+    /// ([`WarmSlot`](crate::WarmSlot)) dry; otherwise the warp recycles a
+    /// parked arena instead.
     pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
         Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()], 0)
     }

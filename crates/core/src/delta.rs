@@ -60,7 +60,6 @@
 
 use crate::engine::{Engine, Launch, Level0, MatchOutcome};
 use crate::estimate::Estimator;
-use crate::pool::WarmSlot;
 use std::time::Instant;
 use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{AppliedBatch, Graph, VertexId};
@@ -150,20 +149,18 @@ impl StagedSide {
         StagedSide { edges, views }
     }
 
-    /// One `engine` launch of the anchored `plan` over every stage,
-    /// recycling arenas through `warm` and given up at a `deadline` and
-    /// instruction `cap` (see [`Launch`]); `None` for an empty side.
+    /// One `engine` launch of the anchored `plan` over every stage, given
+    /// up at a `deadline` and instruction `cap` (see [`Launch`]); `None` for
+    /// an empty side.
     pub(crate) fn launch(
         &self,
         engine: &Engine,
         plan: &MatchPlan,
-        warm: Option<&WarmSlot>,
         deadline: Option<Instant>,
         cap: Option<u64>,
     ) -> Option<Result<MatchOutcome, LaunchError>> {
         let first = self.views.first()?;
         Some(engine.launch(&Launch {
-            warm,
             domain: Level0::Anchored {
                 edges: &self.edges,
                 views: &self.views,
@@ -200,21 +197,14 @@ impl StagedBatch {
     }
 
     /// Counts the matches of `plans`' pattern the batch destroyed and
-    /// created: one `engine` launch per (non-empty side × anchored plan),
-    /// each recycling arenas through `warm`. Also returns the launches'
-    /// merged metrics. Requires edge-induced matching.
+    /// created: one `engine` launch per (non-empty side × anchored plan).
+    /// Also returns the launches' merged metrics. `plans` are edge-induced
+    /// by construction, whatever `engine`'s default semantics.
     pub(crate) fn run(
         &self,
         engine: &Engine,
         plans: &DeltaPlans,
-        warm: Option<&WarmSlot>,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        assert!(
-            !engine.config().induced,
-            "incremental matching is edge-induced only: deleting an edge can \
-             create vertex-induced embeddings containing no update edge, which \
-             anchored enumeration cannot see"
-        );
         let mut metrics = GridMetrics::default();
         // Subgraph counts; embedding counts when the engine breaks no symmetry.
         let scale = if engine.config().symmetry_breaking {
@@ -225,7 +215,7 @@ impl StagedBatch {
         let mut count = |side: &StagedSide| -> Result<u64, LaunchError> {
             let mut total = 0u64;
             for plan in &plans.anchored {
-                let Some(out) = side.launch(engine, plan, warm, None, None) else {
+                let Some(out) = side.launch(engine, plan, None, None) else {
                     break;
                 };
                 let out = out?;
@@ -244,10 +234,10 @@ impl DeltaPlans {
     /// Counts the matches `batch` destroyed (enumerated against `pre`, the
     /// graph before the batch) and created (against `post`, the graph
     /// after) in `2 × num_plans()` launches of `engine` on its grid:
-    /// O(batch × affected neighborhoods) work. The launches recycle arenas
-    /// through the engine's own free-list, sized for that grid and kept
-    /// across calls. Also returns the launches' merged metrics. Requires
-    /// edge-induced matching (see the module docs).
+    /// O(batch × affected neighborhoods) work. The launches recycle the
+    /// engine's arenas, as every launch does. Also returns the launches'
+    /// merged metrics. Requires an edge-induced engine (see the module
+    /// docs).
     pub fn count(
         &self,
         engine: &Engine,
@@ -255,8 +245,13 @@ impl DeltaPlans {
         post: &Graph,
         batch: &AppliedBatch,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        let warm = engine.arenas()?;
-        StagedBatch::new(pre, post, batch).run(engine, self, Some(warm))
+        assert!(
+            !engine.config().induced,
+            "incremental matching is edge-induced only: deleting an edge can \
+             create vertex-induced embeddings containing no update edge, which \
+             anchored enumeration cannot see"
+        );
+        StagedBatch::new(pre, post, batch).run(engine, self)
     }
 }
 
@@ -299,6 +294,17 @@ impl Engine {
     /// of that time keeps the graph-free order, as does every orbit after
     /// the time has run out.
     pub fn compile_delta_on(&self, pattern: &Pattern, graph: &Graph) -> DeltaPlans {
+        self.compile_delta_until(pattern, graph, self.deadline())
+    }
+
+    /// [`Engine::compile_delta_on`] with the estimate given up at
+    /// `deadline` instead of the engine's timeout.
+    pub(crate) fn compile_delta_until(
+        &self,
+        pattern: &Pattern,
+        graph: &Graph,
+        deadline: Option<Instant>,
+    ) -> DeltaPlans {
         let mut plans = self.compile_delta(pattern);
         let mut estimator = None;
         for i in 0..plans.num_plans() {
@@ -311,7 +317,8 @@ impl Engine {
                 .into_iter()
                 .map(|order| MatchPlan::compile_anchored(pattern, order, opts))
                 .collect();
-            let estimator = estimator.get_or_insert_with(|| Estimator::new(self, graph));
+            let estimator =
+                estimator.get_or_insert_with(|| Estimator::sampled(self, graph, deadline));
             if let Ok(best) = estimator.pick(&compiled) {
                 plans.anchored[i] = compiled.swap_remove(best);
             }

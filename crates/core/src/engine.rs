@@ -31,7 +31,7 @@ use crate::shard;
 use crate::steal::{Board, StealPayload};
 use std::convert::Infallible;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use stmatch_gpusim::{Grid, GridMetrics, LaunchError, MemoryBudget, SharedBudget};
 use stmatch_graph::{Graph, VertexId};
@@ -151,17 +151,17 @@ pub struct Engine {
     memory: MemoryBudget,
     timeout: Option<std::time::Duration>,
     faults: Option<FaultPlan>,
-    /// The arena free-list of this engine's own delta batches
-    /// ([`DeltaPlans::count`](crate::DeltaPlans::count)), built at the
-    /// first one, so repeated calls recycle their warps' arenas.
-    arenas: OnceLock<WarmSlot>,
+    /// The stack arenas every launch of this engine runs on: each warp
+    /// checks one out and gives it back (see [`crate::pool`]).
+    arenas: WarmSlot,
 }
 
-/// One launch request: what to match, on which graph, and which resident
-/// resources to reuse. Every route — one-shot runs, enumeration, the
+/// One launch request: what to match, on which graph, and under which
+/// limits. Every route — one-shot runs, enumeration, the
 /// service's cached queries, each (batch side × anchored plan) of a delta
 /// batch — builds one of these and hands it to [`Engine::launch`], which
-/// picks the grids it runs on.
+/// picks the grids it runs on. The warps' stack arenas are the engine's,
+/// recycled from one launch to the next.
 ///
 /// ```
 /// use stmatch_core::{Engine, EngineConfig, Launch};
@@ -180,11 +180,6 @@ pub struct Launch<'a> {
     pub graph: &'a Graph,
     /// The compiled matching plan.
     pub plan: &'a MatchPlan,
-    /// Recycled stack arenas to run on instead of allocating per launch.
-    /// Counts, metrics and fault semantics are identical to a cold launch.
-    /// A recycled arena is reshaped to the launch's grid and plan, so a
-    /// slot serves any grid; a launch split across shards uses none.
-    pub warm: Option<&'a WarmSlot>,
     /// A static verification of `plan` against `graph`
     /// ([`Engine::verify`]; the service attaches its cached verdict). The
     /// launch runs on certificate-shaped slabs whenever the verdict's
@@ -196,11 +191,15 @@ pub struct Launch<'a> {
     pub(crate) collector: Option<&'a Mutex<Vec<VertexId>>>,
     /// Where level-0 work comes from.
     pub(crate) domain: Level0<'a>,
-    /// When an anchored launch gives up (a timed-out outcome). Delta
-    /// batches leave it `None` — a partial delta is a wrong one, so they
-    /// never run under the engine's timeout — and a cost estimate sets it
-    /// ([`crate::estimate`]).
+    /// When the launch gives up (a timed-out outcome): a service query's
+    /// deadline, a cost estimate's ([`crate::estimate`]). Left `None`, a
+    /// whole-graph launch takes [`Engine::with_timeout`]'s and an anchored
+    /// one runs to the end — a partial delta is a wrong one, not a lower
+    /// bound.
     pub(crate) deadline: Option<Instant>,
+    /// The launch's fault plan (a service query's own); left `None`, the
+    /// engine's ([`Engine::with_fault_plan`]).
+    pub(crate) faults: Option<&'a FaultPlan>,
     /// Gives the launch up (a timed-out outcome) once its warps have
     /// charged this many simulated instructions between them: a cost
     /// estimate past it is out of the running ([`crate::estimate`]).
@@ -213,11 +212,11 @@ impl<'a> Launch<'a> {
         Launch {
             graph,
             plan,
-            warm: None,
             verified: None,
             collector: None,
             domain: Level0::Whole,
             deadline: None,
+            faults: None,
             cap: None,
         }
     }
@@ -257,16 +256,11 @@ pub(crate) enum Level0<'a> {
 struct Resolved<'a> {
     /// What every warp's kernel borrows (the grid's config included).
     env: KernelEnv<'a>,
-    /// The request's warm slot, if any.
-    warm: Option<&'a WarmSlot>,
-    collector: Option<&'a Mutex<Vec<VertexId>>>,
+    /// The request, its limits resolved by [`Engine::launch`] and its fault
+    /// plan scoped to this grid (`None` if none of it reaches it).
+    req: Launch<'a>,
     /// Level-0 virtual indices the grid's own dispenser hands out.
     l0_len: usize,
-    deadline: Option<Instant>,
-    /// See [`Launch`]'s field of the name.
-    cap: Option<u64>,
-    /// The engine's fault plan scoped to this grid, if any of it reaches it.
-    faults: Option<&'a FaultPlan>,
 }
 
 impl Engine {
@@ -278,7 +272,7 @@ impl Engine {
             memory: MemoryBudget::unlimited(),
             timeout: None,
             faults: None,
-            arenas: OnceLock::new(),
+            arenas: WarmSlot::empty(),
         }
     }
 
@@ -287,27 +281,26 @@ impl Engine {
     /// same limit.
     pub fn with_memory_budget(cfg: EngineConfig, bytes: usize) -> Engine {
         Engine {
-            cfg,
             memory: MemoryBudget::new(bytes),
-            timeout: None,
-            faults: None,
-            arenas: OnceLock::new(),
+            ..Engine::new(cfg)
         }
     }
 
-    /// Sets a wall-clock budget after which the run is cancelled
-    /// cooperatively; a cancelled outcome has `timed_out == true` and a
-    /// partial count. Delta batches never carry one: a partial count of an
-    /// anchored launch would be a wrong delta, not a lower bound.
-    /// [`Engine::compile_delta_on`] bounds its estimate by it.
+    /// Sets a wall-clock budget after which a whole-graph run that carries
+    /// no deadline of its own is cancelled cooperatively; a cancelled
+    /// outcome has `timed_out == true` and a partial count. Delta batches
+    /// never take it: a partial count of an anchored launch would be a
+    /// wrong delta, not a lower bound. [`Engine::compile_delta_on`] bounds
+    /// its estimate by it.
     pub fn with_timeout(mut self, timeout: std::time::Duration) -> Engine {
         self.timeout = Some(timeout);
         self
     }
 
     /// Attaches a deterministic [`FaultPlan`] to every subsequent launch
-    /// (testing/chaos engineering; injection is off unless this is
-    /// called). Each grid of a launch runs the plan scoped to it
+    /// that carries none of its own (testing/chaos engineering; injection
+    /// is off unless this is called or a service query carries a plan).
+    /// Each grid of a launch runs the plan scoped to it
     /// ([`FaultPlan::for_shard`]; see [`FaultKind::ShardKill`](crate::fault::FaultKind)).
     /// Salvage relaunches always run with injection disabled.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Engine {
@@ -315,9 +308,10 @@ impl Engine {
         self
     }
 
-    /// The budget [`Engine::with_timeout`] set, if any.
-    pub(crate) fn timeout(&self) -> Option<std::time::Duration> {
-        self.timeout
+    /// When a run started now would pass [`Engine::with_timeout`]'s
+    /// budget, if it set one that a clock can reach.
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.timeout.and_then(|t| Instant::now().checked_add(t))
     }
 
     /// The engine's configuration.
@@ -325,14 +319,11 @@ impl Engine {
         &self.cfg
     }
 
-    /// The engine's own arena free-list, sized for its grid and built on
-    /// first use; fails on a geometry no grid can launch.
-    pub(crate) fn arenas(&self) -> Result<&WarmSlot, LaunchError> {
-        if let Some(slot) = self.arenas.get() {
-            return Ok(slot);
-        }
-        let slot = WarmSlot::new(self.cfg.grid)?;
-        Ok(self.arenas.get_or_init(|| slot))
+    /// The free-list this engine's launches recycle their warps' arenas
+    /// through. Public for tests that read what a launch left parked.
+    #[doc(hidden)]
+    pub fn arenas(&self) -> &WarmSlot {
+        &self.arenas
     }
 
     /// Compiles the plan for `pattern` under this engine's options.
@@ -436,45 +427,48 @@ impl Engine {
         self.launch(&Launch::new(graph, plan))
     }
 
-    /// [`Engine::launch`] of a whole-graph request on a [`WarmSlot`]'s
-    /// recycled arenas. Kept for `benchmark/`; ROADMAP item 1 deletes it.
+    /// [`Engine::launch`] of a whole-graph request; `_warm` is ignored,
+    /// since every launch recycles the engine's own arenas. Kept for
+    /// `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_plan_warm(
         &self,
         graph: &Graph,
         plan: &MatchPlan,
-        warm: &WarmSlot,
+        _warm: &WarmSlot,
     ) -> Result<MatchOutcome, LaunchError> {
-        self.launch(&Launch {
-            warm: Some(warm),
-            ..Launch::new(graph, plan)
-        })
+        self.launch(&Launch::new(graph, plan))
     }
 
     /// Runs one [`Launch`] request — the single way into the kernel, and
     /// the one place a request becomes grids: one per shard of a
     /// whole-graph request when [`EngineConfig::shard`] asks for more than
-    /// one (merged), else one. Every grid is [`EngineConfig::grid`]; an
-    /// anchored launch runs under its own `Launch::deadline`, never the
-    /// engine's (see [`Engine::with_timeout`]). A
-    /// grid that does not fit its budget fails the launch before its warps
-    /// run.
+    /// one (merged), else one. Every grid is [`EngineConfig::grid`], and its
+    /// warps run on the engine's recycled arenas. A limit the request leaves
+    /// unset is the engine's ([`Engine::with_timeout`],
+    /// [`Engine::with_fault_plan`]), except that an anchored request never
+    /// takes the engine's timeout. A grid that does not fit its budget fails
+    /// the launch before its warps run.
     pub fn launch(&self, req: &Launch<'_>) -> Result<MatchOutcome, LaunchError> {
         let cfg = &self.cfg;
         cfg.validate();
-        let split = matches!(req.domain, Level0::Whole) && cfg.shard.shards > 1;
-        if let Some(plan) = &self.faults {
+        let whole = matches!(req.domain, Level0::Whole);
+        let split = whole && cfg.shard.shards > 1;
+        let mut req = *req;
+        req.faults = req.faults.or(self.faults.as_ref());
+        if whole {
+            req.deadline = req.deadline.or_else(|| self.deadline());
+        }
+        if let Some(plan) = req.faults {
             plan.check_shard_kills(if split { cfg.shard.shards } else { 1 });
         }
-        let deadline = self.timeout.map(|t| Instant::now() + t);
         let device = || MemoryBudget::new(self.memory.limit());
         match req.domain {
             Level0::Whole if split => {
                 let splan = shard::split(req.graph, cfg.shard);
                 let run_shard = |s| {
-                    let mut slice = *req;
-                    slice.warm = None;
+                    let mut slice = req;
                     slice.domain = Level0::Slice(splan.slice(s));
-                    self.launch_grid(&slice, s, &device(), deadline)
+                    self.launch_grid(&slice, s, &device())
                 };
                 let shards = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..splan.num_shards())
@@ -487,27 +481,25 @@ impl Engine {
                 })?;
                 Ok(shard::merge(shards))
             }
-            Level0::Anchored { .. } => self.launch_grid(req, 0, &device(), req.deadline),
-            _ => self.launch_grid(req, 0, &self.memory, deadline),
+            Level0::Anchored { .. } => self.launch_grid(&req, 0, &device()),
+            _ => self.launch_grid(&req, 0, &self.memory),
         }
     }
 
     /// Runs `req` as shard `shard`'s grid, at [`EngineConfig::grid`]: resolves the
-    /// request's optional resources and the fault plan's scope, plans the
+    /// request's optional resources and its fault plan's scope, plans the
     /// shared budget and the global one (`memory`) once, and runs until the
-    /// grid's work is done, `deadline` passes or salvage gives up.
+    /// grid's work is done, its deadline passes or salvage gives up.
     fn launch_grid(
         &self,
         req: &Launch<'_>,
         shard: usize,
         memory: &MemoryBudget,
-        deadline: Option<Instant>,
     ) -> Result<MatchOutcome, LaunchError> {
         let cfg = &self.cfg;
         let (graph, plan, grid) = (req.graph, req.plan, cfg.grid);
-        let faults = self
+        let faults = req
             .faults
-            .as_ref()
             .map(|p| p.for_shard(shard, grid.total_warps()))
             .filter(|p| !p.is_empty());
         // A verdict the caller attached shapes the slabs wherever its clean
@@ -560,12 +552,11 @@ impl Engine {
                 l0,
                 enumerate: req.collector.is_some(),
             },
-            warm: req.warm,
-            collector: req.collector,
+            req: Launch {
+                faults: faults.as_ref(),
+                ..*req
+            },
             l0_len,
-            deadline,
-            cap: req.cap,
-            faults: faults.as_ref(),
         };
         let sim = Grid::new(grid)?;
         let k = plan.num_levels();
@@ -645,13 +636,13 @@ impl Engine {
         let cfg = r.env.cfg;
         // While a plan can kill warps, swallow the default panic-hook
         // output for injected payloads (real panics still print).
-        let _quiet = r
-            .faults
+        let mut faults = r.req.faults;
+        let _quiet = faults
             .filter(|p| p.injects_panics())
             .map(|_| crate::fault::silence_fault_panics());
 
         let mut report = FaultReport {
-            reproduce: r.faults.and_then(|p| p.reproduce_line().map(String::from)),
+            reproduce: faults.and_then(|p| p.reproduce_line().map(String::from)),
             ..FaultReport::default()
         };
         let mut metrics = GridMetrics::default();
@@ -660,7 +651,6 @@ impl Engine {
         // stops and which reclaimed payloads are still unfinished.
         let mut cursor = 0usize;
         let mut preload: Vec<StealPayload> = Vec::new();
-        let mut faults = r.faults;
         loop {
             let mut board = Board::new(
                 cfg.grid.num_blocks,
@@ -672,10 +662,10 @@ impl Engine {
             if !preload.is_empty() {
                 board.preload(std::mem::take(&mut preload));
             }
-            if let Some(d) = r.deadline {
+            if let Some(d) = r.req.deadline {
                 board.set_deadline(d);
             }
-            if let Some(cap) = r.cap {
+            if let Some(cap) = r.req.cap {
                 board.set_cap(cap);
             }
             let deaths: Mutex<Vec<WarpDeath>> = Mutex::new(Vec::new());
@@ -733,9 +723,9 @@ impl Engine {
         // Instructions this warp has charged to the board's cap so far.
         let mut charged = 0;
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            // Warm path: recycle a parked arena (reset, not reallocated)
-            // instead of building fresh slabs for this query.
-            let recycled = r.warm.and_then(WarmSlot::checkout);
+            // Recycle a parked arena (reset, not reallocated); only a dry
+            // list builds fresh slabs.
+            let recycled = self.arenas.checkout();
             let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
             // The one idle spin of the kernel and steal path: no step blocks.
             loop {
@@ -789,16 +779,14 @@ impl Engine {
         }
         if let Some(k) = kernel.as_mut() {
             k.finish(warp);
-            if let Some(slot) = r.warm {
-                // Return the arena for the next query on this slot — after
-                // `finish` read its counters, before the collector leaf
-                // lock below (both respect the declared hierarchy: the
-                // pool lock ranks below every engine lock and is never
-                // held across one). Dead warps return theirs too: the
-                // reset at the next checkout makes torn state irrelevant.
-                slot.give_back(k.take_arena());
-            }
-            if let Some(c) = r.collector {
+            // Return the arena for the engine's next launch — after `finish`
+            // read its counters, before the collector leaf lock below (both
+            // respect the declared hierarchy: the pool lock ranks below
+            // every engine lock and is never held across one). Dead warps
+            // return theirs too: the reset at the next checkout makes torn
+            // state irrelevant.
+            self.arenas.give_back(k.take_arena());
+            if let Some(c) = r.req.collector {
                 // Poison recovery as in steal.rs (tracked_lock applies it):
                 // embeddings are appended atomically per warp, so a
                 // panicking sibling cannot tear this vector. A dead warp's

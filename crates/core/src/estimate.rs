@@ -13,8 +13,9 @@
 //! unless another is at least [`MARGIN_PERCENT`] % cheaper.
 //!
 //! The whole estimate runs under the engine's timeout
-//! ([`Engine::with_timeout`]), counted from [`Estimator::new`]: once it
-//! passes, every pick keeps the first candidate.
+//! ([`Engine::with_timeout`]), counted from [`Estimator::new`], or under
+//! the deadline its caller gives it: once that passes, every pick keeps
+//! the first candidate.
 
 use crate::delta::StagedSide;
 use crate::engine::Engine;
@@ -39,8 +40,8 @@ const MARGIN_PERCENT: u64 = 5;
 
 /// Measures anchored plans over one staged sample of a graph.
 pub struct Estimator {
-    /// The caller's configuration with stealing off, edge-induced; every
-    /// measurement recycles the arenas of its own free-list.
+    /// The caller's configuration with stealing off; its launches recycle
+    /// the arenas of this engine's own free-list.
     engine: Engine,
     /// When the estimate's time runs out, if it has a budget.
     deadline: Option<Instant>,
@@ -51,6 +52,12 @@ impl Estimator {
     /// An estimator for `engine`'s configuration and timeout over
     /// `graph`'s sample: a stride of [`SAMPLE_EDGES`] of its edges.
     pub fn new(engine: &Engine, graph: &Graph) -> Estimator {
+        Estimator::sampled(engine, graph, engine.deadline())
+    }
+
+    /// [`Estimator::new`] given up at `deadline` instead of the engine's
+    /// timeout.
+    pub(crate) fn sampled(engine: &Engine, graph: &Graph, deadline: Option<Instant>) -> Estimator {
         let m = graph.num_edges();
         let n = SAMPLE_EDGES.min(m);
         // The middle edge of each of n equal stretches of the edge list.
@@ -62,7 +69,7 @@ impl Estimator {
             .map(|(_, e)| e)
             .take(n)
             .collect();
-        Estimator::over(engine, graph, sample)
+        Estimator::staged(engine, graph, sample, deadline)
     }
 
     /// An estimator over `edges` of `graph`, staged in the given order as a
@@ -71,11 +78,18 @@ impl Estimator {
     /// it, its inserts in reverse over the graph after), [`Estimator::cost`]
     /// is exactly what that side's launch of a plan costs.
     pub fn over(engine: &Engine, graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> Estimator {
-        let deadline = engine.timeout().map(|t| Instant::now() + t);
+        Estimator::staged(engine, graph, edges, engine.deadline())
+    }
+
+    /// An estimator over `edges` of `graph`, given up at `deadline`.
+    fn staged(
+        engine: &Engine,
+        graph: &Graph,
+        edges: Vec<(VertexId, VertexId)>,
+        deadline: Option<Instant>,
+    ) -> Estimator {
         let mut cfg = *engine.config();
-        cfg.local_steal = false;
-        cfg.global_steal = false;
-        cfg.induced = false;
+        (cfg.local_steal, cfg.global_steal) = (false, false);
         Estimator {
             engine: Engine::new(cfg),
             deadline,
@@ -132,11 +146,7 @@ impl Estimator {
         if self.out_of_time() {
             return Ok(None);
         }
-        let warm = self.engine.arenas()?;
-        match self
-            .sample
-            .launch(&self.engine, plan, Some(warm), self.deadline, cap)
-        {
+        match self.sample.launch(&self.engine, plan, self.deadline, cap) {
             None => Ok(Some(0)),
             Some(out) => {
                 let out = out?;

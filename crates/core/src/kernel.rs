@@ -290,7 +290,7 @@ pub struct WarpKernel<'a> {
 
 impl<'a> WarpKernel<'a> {
     /// Builds warp `warp_id`'s kernel for one launch. A recycled
-    /// [`StackArena`] (from a warm slot's pool) is reset to this kernel's
+    /// [`StackArena`] (from its engine's free-list) is reset to this kernel's
     /// geometry before use, reusing its heap blocks — the warm-pool path
     /// that amortizes the per-warp slab allocation across queries; `None`
     /// allocates fresh.

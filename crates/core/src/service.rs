@@ -1,5 +1,5 @@
 //! The resident match service: one shared graph, a canonical plan cache,
-//! and batched admission onto warm execution slots.
+//! and batched admission onto one resident engine.
 //!
 //! [`Engine::run`] is the one-shot API: it compiles the pattern, builds a
 //! grid, allocates the stack slabs, runs, and drops them. A workload that
@@ -18,9 +18,10 @@
 //!   to one entry through the entry API.
 //! * **Admission** — clients [`submit`](MatchService::submit) from any
 //!   number of threads; each worker thread pops one request per
-//!   admission-lock acquisition and serves it on the service's warm slot
-//!   ([`WarmSlot`]: one free-list of recycled stack arenas, shared by the
-//!   workers and the batches' delta launches). Warp threads are the
+//!   admission-lock acquisition and serves it on the service's one
+//!   [`Engine`], whose arena free-list every query and every batch's delta
+//!   launches recycle through ([`crate::pool`]). A query's deadline and
+//!   fault plan travel on its [`Launch`]. Warp threads are the
 //!   simulator's, parked between launches for every caller alike.
 //! * **Maintained counts** (DESIGN.md §4k) — on a delta-enabled service,
 //!   each cached edge-induced plan keeps its last exact count, and every
@@ -43,7 +44,7 @@
 //! The service adds three classes *below* every engine lock (see
 //! `simt_check::LockClass`): `ServiceAdmission(2)` (the queue),
 //! `ServicePlanCache(4)` (plans and maintained counts), and
-//! `ServiceArenaPool(6)` (a [`WarmSlot`]'s arena free-list). None is ever
+//! `ServiceArenaPool(6)` (the engine's arena free-list). None is ever
 //! held across an engine launch, and the cache lock is never held while
 //! compiling: a batch reads the counts to advance under it, releases it
 //! for the launches, and commits each only if it is still at the
@@ -56,14 +57,13 @@ use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta, StagedBatch};
 use crate::engine::{Engine, Launch, MatchOutcome};
 use crate::fault::FaultPlan;
-use crate::pool::WarmSlot;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-use stmatch_gpusim::{GridConfig, GridMetrics, LaunchError};
+use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{iso, MatchPlan, Pattern, PlanOptions};
 use stmatch_plan_verify::Verification;
@@ -105,7 +105,7 @@ pub struct QueryOptions {
 }
 
 /// Why a query failed. Always per-query: no variant implies anything
-/// about the health of the service or its warm pool.
+/// about the health of the service or its engine.
 #[derive(Debug)]
 pub enum ServiceError {
     /// The deadline expired — in the queue (`partial == None`) or mid-run
@@ -118,7 +118,7 @@ pub enum ServiceError {
     /// configured geometry (the error names what overflowed).
     Launch(LaunchError),
     /// The run panicked past containment; the panic was caught at the
-    /// query boundary, so the worker and the warm slot survive.
+    /// query boundary, so the worker and the engine survive.
     QueryPanicked(String),
     /// The service is shutting down; the query was not run.
     ShuttingDown,
@@ -146,10 +146,10 @@ impl std::error::Error for ServiceError {}
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Template configuration for every query (per-query options may
-    /// override `induced`). Also fixes the warm-slot grid geometry and the
-    /// plan options baked into cache entries.
+    /// override `induced`): the configuration of the service's one engine,
+    /// and the plan options baked into cache entries.
     pub engine: EngineConfig,
-    /// Worker threads, sharing the service's warm slot. Minimum 1.
+    /// Worker threads, sharing the service's engine. Minimum 1.
     pub workers: usize,
 }
 
@@ -369,9 +369,10 @@ struct Inner {
     verified: AtomicU64,
     diags: AtomicU64,
     maintained: AtomicU64,
-    /// The arena free-list of every launch the service makes; `None` on a
-    /// geometry no grid can launch (each query then fails by name).
-    warm: Option<WarmSlot>,
+    /// The engine every query and batch runs on, and every cache miss's
+    /// cost estimate derives its steal-free engine from. On a geometry no
+    /// grid can launch, each query fails by name.
+    engine: Engine,
     /// The mutable topology — `Some` iff `EngineConfig::delta` is
     /// enabled. Without it the service is the classic immutable-graph
     /// resident service, bit for bit.
@@ -439,14 +440,14 @@ impl Inner {
     /// racers compiling the same canonical form still land exactly one
     /// entry. On a miss, the delta plans' orders are chosen on `graph`,
     /// the snapshot the caller resolved ([`Engine::compile_delta_on`]),
-    /// within `budget` if the caller has one: orbits the budget leaves
-    /// unchosen keep the graph-free order, and the entry caches them so.
+    /// by `deadline` if the caller has one: orbits left unchosen at the
+    /// deadline keep the graph-free order, and the entry caches them so.
     fn plan_for(
         &self,
         pattern: &Pattern,
         key: &PlanKey,
         graph: &Graph,
-        budget: Option<Duration>,
+        deadline: Option<Instant>,
     ) -> CachedPlan {
         {
             let cache = self.lock_cache();
@@ -466,13 +467,8 @@ impl Inner {
                 symmetry_breaking: self.cfg.engine.symmetry_breaking,
             },
         ));
-        let delta = (self.dynamic.is_some() && !key.induced).then(|| {
-            let mut engine = Engine::new(self.cfg.engine);
-            if let Some(budget) = budget {
-                engine = engine.with_timeout(budget);
-            }
-            Arc::new(engine.compile_delta_on(pattern, graph))
-        });
+        let delta = (self.dynamic.is_some() && !key.induced)
+            .then(|| Arc::new(self.engine.compile_delta_until(pattern, graph, deadline)));
         // Relaxed: pure statistic, see the hit counter above.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.lock_cache();
@@ -574,14 +570,12 @@ impl Inner {
         // The deadline clock starts at admission: time spent queued
         // behind other queries counts against the budget, and so does a
         // plan-cache miss's compile.
-        let remaining = || match opts.deadline {
-            Some(d) => match d.checked_sub(admitted.elapsed()) {
-                Some(r) if !r.is_zero() => Ok(Some(r)),
-                _ => Err(ServiceError::DeadlineExceeded { partial: None }),
-            },
-            None => Ok(None),
+        let deadline = opts.deadline.and_then(|d| admitted.checked_add(d));
+        let live = || match deadline {
+            Some(d) if d <= Instant::now() => Err(ServiceError::DeadlineExceeded { partial: None }),
+            _ => Ok(()),
         };
-        remaining()?;
+        live()?;
         // Resolve the topology once, up front (rank-1 lock, released
         // immediately): the query runs against this snapshot even if a
         // batch lands mid-flight.
@@ -593,22 +587,14 @@ impl Inner {
         if let Some(answer) = at.and_then(|v| self.answer(&key, v)) {
             return Ok(answer);
         }
-        let entry = self.plan_for(pattern, &key, &graph, remaining()?);
-        let plan = &entry.plan;
-        let mut cfg = self.cfg.engine;
-        cfg.induced = induced;
-        let mut engine = Engine::new(cfg);
-        if let Some(r) = remaining()? {
-            engine = engine.with_timeout(r);
-        }
-        if let Some(f) = opts.fault_plan.clone() {
-            engine = engine.with_fault_plan(f);
-        }
+        let entry = self.plan_for(pattern, &key, &graph, deadline);
+        live()?;
         let ran = catch_unwind(AssertUnwindSafe(|| {
-            engine.launch(&Launch {
-                warm: self.warm.as_ref(),
+            self.engine.launch(&Launch {
                 verified: entry.verification.get().map(Arc::as_ref),
-                ..Launch::new(&graph, plan)
+                deadline,
+                faults: opts.fault_plan.as_ref(),
+                ..Launch::new(&graph, &entry.plan)
             })
         }));
         match ran {
@@ -653,9 +639,9 @@ pub struct MatchService {
 }
 
 impl MatchService {
-    /// Builds the service's warm slot at the configured grid geometry
-    /// (falling back to cold per-query grids if that fails, e.g. on a
-    /// degenerate geometry) and starts the worker threads.
+    /// Builds the service's one engine at the configured geometry (on one
+    /// no grid can launch, every query fails by name) and starts the worker
+    /// threads.
     /// # Panics
     /// With [`EngineConfig::delta`] enabled, `graph` must be a plain CSR
     /// (not a patched view): the delta overlay folds batches against it.
@@ -684,13 +670,7 @@ impl MatchService {
             verified: AtomicU64::new(0),
             diags: AtomicU64::new(0),
             maintained: AtomicU64::new(0),
-            // A slot holds one grid's arenas: room for every worker's launch
-            // and one batch's at once.
-            warm: WarmSlot::new(GridConfig {
-                num_blocks: cfg.engine.grid.num_blocks * (cfg.workers + 1),
-                ..cfg.engine.grid
-            })
-            .ok(),
+            engine: Engine::new(cfg.engine),
             dynamic,
         });
         let workers = (0..cfg.workers)
@@ -765,7 +745,7 @@ impl MatchService {
         let key = PlanKey::new(pattern, inner.cfg.engine.induced);
         let entry = inner.plan_for(pattern, &key, &inner.graph, None);
         let verdict = entry.verification.get_or_init(|| {
-            let v = Engine::new(inner.cfg.engine).verify(&inner.graph, &entry.plan);
+            let v = inner.engine.verify(&inner.graph, &entry.plan);
             // Relaxed: pure statistics, ticked once per entry (the OnceLock
             // runs one initializer) and read by cache_stats only.
             inner.verified.fetch_add(1, Ordering::Relaxed);
@@ -789,8 +769,8 @@ impl MatchService {
     /// the graph lock is released — a slow watcher delays only its own
     /// `apply_batch` caller, never the admission or query lanes, and a
     /// panicking one is contained: the batch still returns and every other
-    /// watcher still gets its event. One engine at the service's grid runs
-    /// each distinct plan set once — every watcher's and every advancing
+    /// watcher still gets its event. The service's engine runs each
+    /// distinct plan set once — every watcher's and every advancing
     /// maintained count's (see the module docs) — so a watched pattern that
     /// is also queried costs one delta.
     ///
@@ -822,17 +802,14 @@ impl MatchService {
         if plans.is_empty() {
             return batch;
         }
-        let mut cfg = inner.cfg.engine;
-        cfg.induced = false;
-        let engine = Engine::new(cfg);
         // Stage each batch side once: every plan set runs on the same stage
-        // views and the service's arenas, contained — a launch error or a
+        // views and the service's engine, contained — a launch error or a
         // panic becomes the `Err` its watchers' events carry.
         let staged = StagedBatch::new(&pre, &post, &batch);
         let ran: Vec<Advance> = plans
             .into_iter()
             .map(|plans| {
-                let run = || staged.run(&engine, &plans, inner.warm.as_ref());
+                let run = || staged.run(&inner.engine, &plans);
                 let delta = match catch_unwind(AssertUnwindSafe(run)) {
                     Ok(Ok(v)) => Ok(v),
                     Ok(Err(e)) => Err(format!("launch failed: {e}")),
@@ -951,7 +928,7 @@ impl Drop for MatchService {
 }
 
 /// Worker: pop one request per admission-lock acquisition, serve it on
-/// the service's warm slot, park briefly when idle. Exits when shutdown is
+/// the service's engine, park briefly when idle. Exits when shutdown is
 /// flagged *and* the queue is empty, so pending clients always hear back.
 fn worker_loop(inner: &Inner) {
     loop {
@@ -1023,7 +1000,7 @@ pub mod mutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmatch_gpusim::SharedBudget;
+    use stmatch_gpusim::{GridConfig, SharedBudget};
     use stmatch_graph::gen;
     use stmatch_pattern::catalog;
 
@@ -1175,6 +1152,7 @@ mod tests {
         let svc = MatchService::new(Arc::clone(&graph), cfg);
         let clean = svc.submit(&q, QueryOptions::default()).unwrap();
         assert_eq!(clean.count, expected);
+        assert_eq!(clean.metrics.total().requeue_claims, 0);
         // A shard kill injected per query recovers exactly, and the
         // worker survives to serve the next query. Both shards are marked,
         // and neither can take the other's slice: each works its own until
@@ -1199,10 +1177,10 @@ mod tests {
             Err(ServiceError::QueryPanicked(m)) => assert!(m.contains("shard 7"), "{m}"),
             other => panic!("expected QueryPanicked, got {other:?}"),
         }
-        assert_eq!(
-            svc.submit(&q, QueryOptions::default()).unwrap().count,
-            expected
-        );
+        // The next clean query runs on the arenas the faulted ones parked.
+        let after = svc.submit(&q, QueryOptions::default()).unwrap();
+        assert_eq!(after.count, expected);
+        assert_eq!(after.metrics.total().requeue_claims, 0);
     }
 
     /// A sharded, work-aware, delta-enabled service splits each recount by
@@ -1261,26 +1239,37 @@ mod tests {
         assert_eq!(svc.cache_stats().maintained, 3 * 4);
     }
 
+    /// The service runs one engine: after concurrent queries and a batch
+    /// on a two-worker delta service, every count is exact and the engine
+    /// holds no more arenas than were out at once — one grid's per worker
+    /// and one for the batch. No clean query, some of them on recycled
+    /// arenas, requeues a claim (`sharded_route_serves_exact_counts` holds
+    /// the same on two shards).
     #[test]
-    fn the_shard_count_is_the_route() {
+    fn one_engine_serves_every_query_and_batch() {
         let graph = Arc::new(gen::preferential_attachment(100, 4, 5).degree_ordered());
-        let q = catalog::paper_query(6);
-        let expected = Engine::new(small_cfg().engine)
-            .run(&graph, &q)
-            .unwrap()
-            .count;
-        // The single-grid route parks its arenas on the service's slot, the
-        // sharded driver builds its own grids and leaves it untouched.
-        for (shards, single_grid) in [(1, true), (2, false)] {
-            let mut cfg = small_cfg();
-            cfg.engine = cfg.engine.with_shards(shards);
-            let svc = MatchService::new(Arc::clone(&graph), cfg);
-            let out = svc.submit(&q, QueryOptions::default()).unwrap();
-            let slot = svc.inner.warm.as_ref().unwrap();
-            assert_eq!(out.count, expected, "{shards} shard(s)");
-            assert_eq!(slot.parked() > 0, single_grid, "{shards} shard(s)");
-            assert_eq!(out.metrics.total().requeue_claims, 0, "{shards} shard(s)");
+        let cfg = delta_cfg();
+        let svc = MatchService::new(Arc::clone(&graph), cfg);
+        svc.submit_watch(&catalog::triangle(), |_| {});
+        let queries = [1, 4, 6].map(catalog::paper_query);
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|q| svc.enqueue(q, QueryOptions::default()))
+            .collect();
+        let absent = (1..100).find(|&v| !graph.has_edge(0, v)).unwrap();
+        svc.apply_batch(&[EdgeOp::insert(0, absent)]);
+        let post = svc.current_graph();
+        let single = Engine::new(cfg.engine);
+        for (q, t) in queries.iter().zip(tickets) {
+            let out = t.wait().unwrap();
+            let want = |g: &Graph| single.run(g, q).unwrap().count;
+            let got = out.count;
+            assert!(got == want(&graph) || got == want(&post), "{}", q.name());
+            assert_eq!(out.metrics.total().requeue_claims, 0, "{}", q.name());
         }
+        let parked = svc.inner.engine.arenas().parked();
+        let most = (cfg.workers + 1) * cfg.engine.grid.total_warps();
+        assert!(parked > 0 && parked <= most, "{parked} arenas parked");
     }
 
     fn delta_cfg() -> ServiceConfig {
@@ -1444,7 +1433,7 @@ mod tests {
 
         // A miss with no time left keeps every graph-free order.
         let late = MatchService::new(Arc::clone(&graph), delta_cfg());
-        let entry = late.inner.plan_for(&q, &key, &graph, Some(Duration::ZERO));
+        let entry = late.inner.plan_for(&q, &key, &graph, Some(Instant::now()));
         assert_eq!(orders(&entry.delta.unwrap()), orders(&today));
     }
 

@@ -42,7 +42,7 @@
 //! | 1    | `ServiceGraph` | `service::Inner::dynamic` (delta graph state, PR 10) | — (outermost; held only to fold a batch or clone out the current snapshot/watcher list, never across a launch, a compile, or another lock) |
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
 //! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
-//! | 6    | `ServiceArenaPool` | `pool::WarmSlot` (reusable warp arenas) | — (never held across engine locks) |
+//! | 6    | `ServiceArenaPool` | `pool::WarmSlot`: every engine's arena free-list, which each warp of each launch checks out of and gives back to | — (never held across engine locks) |
 //! | 10   | `GlobalSlot` | `Board::blocks[b].slot` (per-block slot)  | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |
 //! | 30   | `Mirror`     | `Mirror::state` (per-warp stealable stack) | `GlobalSlot`        |

@@ -45,7 +45,7 @@ pub enum LockClass {
     ServiceAdmission,
     /// The match service's canonical-form plan cache (`service::Inner::cache`).
     ServicePlanCache,
-    /// A warm slot's reusable-arena free-list (`pool::WarmSlot`).
+    /// An engine's reusable-arena free-list (`pool::WarmSlot`).
     ServiceArenaPool,
     /// Per-block global steal slot (`Board::blocks[b].slot`).
     GlobalSlot,

@@ -21,7 +21,7 @@
 //! `BYTECODE_ROUNDTRIP_PRINT=1 cargo test --test bytecode_roundtrip pinned -- --nocapture`.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::{Engine, EngineConfig, Launch, MatchOutcome, WarmSlot};
+use stmatch_core::{Engine, EngineConfig, Launch, MatchOutcome};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, Graph};
 use stmatch_pattern::bytecode::mutation;
@@ -222,20 +222,20 @@ fn seeded_opcode_swap_is_caught_by_golden_counts() {
     );
 }
 
-/// A [`WarmSlot`] is behaviorally invisible: the same count and — under
-/// the steal-free schedule — the same instruction total as a cold launch.
+/// Recycled arenas are behaviorally invisible: a launch on arenas an
+/// earlier launch of the engine left parked has the same count and — under
+/// the steal-free schedule — the same instruction total as a fresh engine's
+/// first launch.
 #[test]
 fn launch_resources_are_metric_identical() {
     let g = unlabeled_graph();
     let cfg = deterministic_cfg();
     let engine = Engine::new(cfg);
-    let slot = WarmSlot::new(cfg.grid).unwrap();
     for qi in [1, 6, 8] {
         let plan = engine.compile(&catalog::paper_query(qi));
-        let base = engine.launch(&Launch::new(&g, &plan)).unwrap();
-        let mut warm = Launch::new(&g, &plan);
-        warm.warm = Some(&slot);
-        let out = engine.launch(&warm).unwrap();
+        let base = Engine::new(cfg).launch(&Launch::new(&g, &plan)).unwrap();
+        engine.launch(&Launch::new(&g, &plan)).unwrap();
+        let out = engine.launch(&Launch::new(&g, &plan)).unwrap();
         assert_eq!(out.count, base.count, "q{qi} warm");
         assert_eq!(
             out.total_instructions(),

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::{
-    Engine, EngineConfig, Launch, MatchOutcome, MatchService, QueryOptions, ServiceConfig, WarmSlot,
+    Engine, EngineConfig, Launch, MatchOutcome, MatchService, QueryOptions, ServiceConfig,
 };
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
@@ -216,7 +216,7 @@ fn an_index_without_hubs_changes_nothing() {
 
 /// Hub rows follow the graph: under `EngineConfig::default()`, with no knob
 /// naming the index, every route runs the bitmap paths on the fixture that
-/// carries one — a cold launch, a warm slot, a sharded run, a static
+/// carries one — a cold launch, a recycled one, a sharded run, a static
 /// service, and a delta service's snapshot after one batch and after a
 /// compaction — and the element paths on the same fixture without one, at
 /// the same exact count. An anchored delta over the indexed base (whose
@@ -243,14 +243,18 @@ fn hub_rows_follow_the_graph_on_every_route() {
         t.bitmap_probe_words + t.bitmap_merge_words + t.bitmap_merge_waves
     };
     for (g, routed) in [(&plain, false), (&indexed, true)] {
-        let warm = WarmSlot::new(cfg.grid).unwrap();
-        let mut warm_req = Launch::new(g, &plan);
-        warm_req.warm = Some(&warm);
+        // The engine's second launch runs on the arenas its first parked.
+        engine.launch(&Launch::new(g, &plan)).unwrap();
+        let recycled = engine.launch(&Launch::new(g, &plan)).unwrap();
         let sharded = Engine::new(cfg.with_shards(2)).launch(&Launch::new(g, &plan));
         let service = MatchService::new(Arc::new(g.clone()), ServiceConfig::new(cfg));
         let mut routes = vec![
-            ("cold", engine.launch(&Launch::new(g, &plan)).unwrap(), want),
-            ("warm slot", engine.launch(&warm_req).unwrap(), want),
+            (
+                "cold",
+                Engine::new(cfg).launch(&Launch::new(g, &plan)).unwrap(),
+                want,
+            ),
+            ("recycled", recycled, want),
             ("sharded", sharded.unwrap(), want),
             (
                 "service",

@@ -22,9 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use stmatch_core::{
-    Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WarmSlot,
-};
+use stmatch_core::{Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, EdgeOp, Graph};
 use stmatch_pattern::catalog;
@@ -87,18 +85,14 @@ fn exchange(g: &Graph, n: usize) -> Vec<EdgeOp> {
 fn a_warm_launch_allocates_what_it_returns_and_a_maintained_answer_launches_nothing() {
     let graph = gen::preferential_attachment(256, 4, 9).degree_ordered();
 
-    // A warm launch, stealing off so that no warp splits a range (a stolen
+    // A warm launch — the engine's arenas are recycled from its earlier
+    // launches — stealing off so that no warp splits a range (a stolen
     // range is a payload of its own).
     let mut cfg = config();
     (cfg.local_steal, cfg.global_steal) = (false, false);
     let engine = Engine::new(cfg);
     let plan = engine.compile(&catalog::paper_query(4));
-    let slot = WarmSlot::new(cfg.grid).unwrap();
-    let launch = || {
-        let mut request = Launch::new(&graph, &plan);
-        request.warm = Some(&slot);
-        engine.launch(&request).unwrap()
-    };
+    let launch = || engine.launch(&Launch::new(&graph, &plan)).unwrap();
     let want = launch().count;
     for _ in 0..3 {
         launch();

@@ -29,9 +29,7 @@
 use std::sync::Arc;
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::shard::{self, ShardPlan};
-use stmatch_core::{
-    Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WarmSlot,
-};
+use stmatch_core::{Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::builder::graph_from_edges;
 use stmatch_graph::{gen, Graph};
@@ -69,17 +67,15 @@ fn make_pattern(idx: usize) -> stmatch_pattern::Pattern {
     }
 }
 
-/// One launch of `plan` carrying `verdict`, on `warm` when given.
+/// One launch of `plan` carrying `verdict`.
 fn launch_verified(
     engine: &Engine,
     g: &Graph,
     plan: &MatchPlan,
     verdict: &Verification,
-    warm: Option<&WarmSlot>,
 ) -> Result<stmatch_core::MatchOutcome, stmatch_core::LaunchError> {
     let mut request = Launch::new(g, plan);
     request.verified = Some(verdict);
-    request.warm = warm;
     engine.launch(&request)
 }
 
@@ -118,7 +114,7 @@ fn runtime_peak_never_exceeds_certified_bound() {
                     v.diagnostics[0]
                 ));
             }
-            let out = launch_verified(&engine, &g, &plan, &v, None).map_err(|e| e.to_string())?;
+            let out = launch_verified(&engine, &g, &plan, &v).map_err(|e| e.to_string())?;
             let bound = v.cert.peak_cells(&engine.slot_table(&plan));
             if out.peak_slab_cells > bound {
                 return Err(format!(
@@ -353,7 +349,7 @@ fn a_set_wider_than_unroll_is_bounded_by_its_own_slots() {
     let uniform: u64 = v.cert.set_bounds.iter().map(|&b| 2 * b as u64).sum();
     let bound = v.cert.peak_cells(&table);
     // The launch audits its own peak against `bound` (debug builds).
-    let out = launch_verified(&engine, &g, &plan, &v, None).unwrap();
+    let out = launch_verified(&engine, &g, &plan, &v).unwrap();
     assert_eq!(out.count, reference::count(&g, &q, RefOptions::default()));
     assert!(
         uniform < out.peak_slab_cells && out.peak_slab_cells <= bound,
@@ -364,34 +360,32 @@ fn a_set_wider_than_unroll_is_bounded_by_its_own_slots() {
 
 /// An attached verdict needs no knob: the launch packs its arenas to the
 /// certificate's per-set bounds — strictly fewer slab cells than the
-/// uniform geometry — and stays spill-free on the exact count. The warm
-/// slot is only the window: it hands back the arenas the launch ran on.
+/// uniform geometry — and stays spill-free on the exact count. A fresh
+/// engine's free-list is only the window: it holds the arenas the launch
+/// ran on.
 #[test]
 fn capacity_hints_shape_the_arena() {
     // K5 cascade on a skewed graph: deeper sets certify well below Δ.
     let g = gen::rmat(6, 4, 11).degree_ordered();
     let q = catalog::paper_query(8);
     let want = reference::count(&g, &q, RefOptions::default());
-    let engine = Engine::new(EngineConfig::default().with_grid(grid()));
+    let cfg = EngineConfig::default().with_grid(grid());
+    let engine = Engine::new(cfg);
     let plan = engine.compile(&q);
     let verdict = engine.verify(&g, &plan);
     assert!(verdict.cert.spill_free);
     let cells_after = |attached: Option<&Verification>| {
-        let slot = WarmSlot::new(grid()).unwrap();
+        let engine = Engine::new(cfg);
         let out = match attached {
-            Some(v) => launch_verified(&engine, &g, &plan, v, Some(&slot)),
-            None => {
-                let mut request = Launch::new(&g, &plan);
-                request.warm = Some(&slot);
-                engine.launch(&request)
-            }
+            Some(v) => launch_verified(&engine, &g, &plan, v),
+            None => engine.launch(&Launch::new(&g, &plan)),
         }
         .unwrap();
         assert_eq!(out.count, want);
         assert_eq!(out.spill_events, 0);
         assert!(out.peak_slab_cells <= verdict.cert.peak_cells(&engine.slot_table(&plan)));
-        let arena = slot.checkout().expect("the launch parked its arenas");
-        arena.slab_cells()
+        let arena = engine.arenas().checkout();
+        arena.expect("the launch parked its arenas").slab_cells()
     };
     let uniform = cells_after(None);
     let hinted = cells_after(Some(&verdict));
@@ -418,7 +412,7 @@ fn a_verdict_for_another_graph_never_miscounts() {
             "{}: the foreign certificate shapes nothing, the leg is vacuous",
             q.name()
         );
-        let out = launch_verified(&engine, &g, &plan, &foreign, None).unwrap();
+        let out = launch_verified(&engine, &g, &plan, &foreign).unwrap();
         assert_eq!(
             out.count,
             reference::count(&g, &q, RefOptions::default()),

@@ -1,6 +1,6 @@
 //! Fault isolation on the resident service: queries carrying injected
 //! warp deaths or expired deadlines fail (or recover) *per query*, while
-//! concurrently admitted healthy queries on the same warm pool keep
+//! concurrently admitted healthy queries on the same engine keep
 //! returning exact counts — the shared grids, arenas, and plan cache are
 //! never poisoned by a neighbour's death.
 
@@ -83,9 +83,30 @@ fn injected_deaths_are_contained_per_query() {
     assert!(after.fault.is_none());
 }
 
+/// A deadline no clock can reach is no deadline: on a delta service the
+/// query runs to its exact count, its cache miss's estimate included, and
+/// the worker survives to serve the next query.
+#[test]
+fn an_unreachable_deadline_is_none() {
+    let graph = gen::preferential_attachment(40, 3, 5).degree_ordered();
+    let cfg = EngineConfig::default().with_grid(grid()).with_delta(true);
+    let svc = MatchService::new(
+        Arc::new(graph.clone()),
+        ServiceConfig::new(cfg).with_workers(1),
+    );
+    let opts = QueryOptions {
+        deadline: Some(Duration::MAX),
+        ..QueryOptions::default()
+    };
+    for q in [catalog::triangle(), catalog::paper_query(4)] {
+        let want = Engine::new(cfg).run(&graph, &q).unwrap().count;
+        assert_eq!(svc.submit(&q, opts.clone()).unwrap().count, want);
+    }
+}
+
 /// A deadline that expires while the query is stalled mid-run cancels
 /// cooperatively: the query reports `DeadlineExceeded` with a partial
-/// outcome, and the *same* warm slot then serves an exact healthy query.
+/// outcome, and the same engine then serves an exact healthy query.
 #[test]
 fn mid_run_deadline_returns_timeout_without_poisoning_pool() {
     let (svc, oracle) = service();
