@@ -361,17 +361,17 @@ echo "==> lint:shard: OK"
 
 # Overlay gate: a delta overlay's state is its current rows (DESIGN.md §4k),
 # so the side arrays' merge iterator and fold helpers may not come back, and
-# every vertex-keyed map of the graph crate goes through the one `RowMap`
-# alias and its vertex hasher — a SipHash map on a view's row lookup is the
-# cost this removed. Allowed: the alias itself.
+# every vertex-keyed map of the graph crate goes through the one
+# `VertexMap<T>` alias and its vertex hasher — a SipHash map on a view's row
+# lookup is the cost this removed. Allowed: the alias itself.
 echo "==> lint:overlay: scanning for the deleted side arrays and SipHash vertex maps"
 overlay=$( (grep -rnwE 'MergedNeighbors|fold_insert|fold_delete|overlay_edges' crates src tests examples; \
     grep -rn 'HashMap<VertexId' crates/graph/src) \
-    | grep -vxE 'crates/graph/src/csr\.rs:[0-9]+:pub\(crate\) type RowMap = HashMap<VertexId, .*' \
+    | grep -vxE 'crates/graph/src/csr\.rs:[0-9]+:pub\(crate\) type VertexMap<T> = HashMap<VertexId, T, .*' \
     || true)
 if [ -n "${overlay}" ]; then
     echo "${overlay}"
-    echo "==> lint:overlay: FAILED — the overlay holds rows; vertex maps are graph::csr::RowMap"
+    echo "==> lint:overlay: FAILED — the overlay holds rows; vertex maps are graph::csr::VertexMap"
     exit 1
 fi
 echo "==> lint:overlay: OK"
@@ -471,6 +471,18 @@ if [ -n "${blocking}${spins}${runs}" ]; then
     exit 1
 fi
 echo "==> lint:step: OK"
+
+# Admission lint: an idle service worker parks until an admission or the
+# service's drop wakes it (DESIGN.md §4g), so nothing in the service may
+# sleep, time out a park, or yield: a poll loop there is what this replaced.
+echo "==> lint:admission: scanning the service for a polling wait"
+polls=$(grep -nE 'thread::sleep|park_timeout|yield_now' crates/core/src/service.rs || true)
+if [ -n "${polls}" ]; then
+    echo "${polls}"
+    echo "==> lint:admission: FAILED — an idle worker parks until enqueue unparks it (AdmissionQueue::idle)"
+    exit 1
+fi
+echo "==> lint:admission: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

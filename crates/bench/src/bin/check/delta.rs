@@ -24,6 +24,10 @@
 //!   triangle's is not at least 10x below one full recount, or if a
 //!   triangle batch takes more than 2 launches.
 //!
+//! One more line, ungated, attributes the delta layer's host time: the
+//! host nanoseconds per `Graph::neighbors` call on a plain CSR, an overlay
+//! snapshot and a stage view of a `resident_tick`-sized fixture.
+//!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
 
@@ -59,6 +63,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut ok = run_stream();
     ok &= run_service();
     ok &= run_work();
+    report_lookups();
     if ok {
         println!("delta: all legs OK");
     } else {
@@ -319,4 +324,67 @@ fn run_work() -> bool {
         }
     }
     ok
+}
+
+/// Prints host ns per `neighbors()` call, ungated (a time, not a count):
+/// every vertex of a plain CSR, of an overlay snapshot one 128-edge
+/// exchange batch on, and of each stage view of a 64-edge delete side
+/// staged over that snapshot — the fixture, batch and sides of
+/// `resident_tick`. Best of a few rounds.
+fn report_lookups() {
+    use std::hint::black_box;
+    use std::time::Instant;
+    const ROUNDS: usize = 20;
+    const SIDE: usize = 64;
+    let plain = gen::preferential_attachment(1024, 8, 9).degree_ordered();
+    let nv = plain.num_vertices() as u32;
+    let deletes: Vec<(u32, u32)> = plain
+        .edges()
+        .step_by(plain.num_edges() / SIDE)
+        .take(SIDE)
+        .collect();
+    let inserts = (0..nv)
+        .map(|u| (u, (u + nv / 2) % nv))
+        .filter(|&(u, v)| u < v && !plain.has_edge(u, v))
+        .take(SIDE);
+    let mut overlay = DeltaOverlay::new(plain.clone());
+    let ops: Vec<EdgeOp> = deletes
+        .iter()
+        .map(|&(u, v)| EdgeOp::delete(u, v))
+        .chain(inserts.map(|(u, v)| EdgeOp::insert(u, v)))
+        .collect();
+    overlay.apply(&ops);
+    let snapshot = overlay.snapshot();
+    let stride = snapshot.num_edges() / SIDE;
+    let next: Vec<(u32, u32)> = snapshot
+        .edges()
+        .skip(stride / 2)
+        .step_by(stride)
+        .take(SIDE)
+        .collect();
+    let stages = snapshot.staged_without_edges(&next);
+    let ns_per_call = |graphs: &[Graph]| {
+        let calls = graphs.len() * nv as usize;
+        let best = (0..ROUNDS)
+            .map(|_| {
+                let t = Instant::now();
+                for g in graphs {
+                    for v in 0..nv {
+                        black_box(g.neighbors(black_box(v)));
+                    }
+                }
+                t.elapsed().as_nanos() as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        best / calls as f64
+    };
+    println!(
+        "delta lookup: {:.1} ns per neighbors() on a plain CSR, {:.1} on an overlay snapshot, \
+         {:.1} on a stage view (PA(1024,8,9), one {}-edge exchange batch, {SIDE} stages; \
+         ungated)",
+        ns_per_call(std::slice::from_ref(&plain)),
+        ns_per_call(std::slice::from_ref(&snapshot)),
+        ns_per_call(&stages),
+        ops.len(),
+    );
 }

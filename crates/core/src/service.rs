@@ -17,8 +17,10 @@
 //!   *outside* the cache lock; racing compiles of the same form collapse
 //!   to one entry through the entry API.
 //! * **Admission** — clients [`submit`](MatchService::submit) from any
-//!   number of threads; each worker thread pops one request per
-//!   admission-lock acquisition and serves it on the service's one
+//!   number of threads; each admission wakes one idle worker (an idle
+//!   worker parks until then, and never polls); each worker thread pops
+//!   one request per admission-lock acquisition and serves it on the
+//!   service's one
 //!   [`Engine`], whose arena free-list every query and every batch's delta
 //!   launches recycle through ([`crate::pool`]). A query's deadline and
 //!   fault plan travel on its [`Launch`]. Warp threads are the
@@ -62,6 +64,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use stmatch_gpusim::{GridMetrics, LaunchError};
 use stmatch_graph::{AppliedBatch, DeltaOverlay, EdgeOp, Graph};
@@ -273,6 +276,9 @@ struct AdmissionQueue {
     normal: VecDeque<Request>,
     /// High requests served in a row while a normal request waited.
     high_run: u32,
+    /// Workers that found both lanes empty and parked: each admission
+    /// takes one and unparks it.
+    idle: Vec<Thread>,
 }
 
 impl AdmissionQueue {
@@ -696,7 +702,16 @@ impl MatchService {
             admitted: Instant::now(),
             reply,
         };
-        self.inner.lock_queue().push(req);
+        let idle = {
+            let mut queue = self.inner.lock_queue();
+            queue.push(req);
+            queue.idle.pop()
+        };
+        // Outside the lock, so the woken worker does not block on it. An
+        // unpark that lands before its `park` is kept as the thread's token.
+        if let Some(worker) = idle {
+            worker.unpark();
+        }
         Ticket { rx }
     }
 
@@ -921,26 +936,43 @@ impl Drop for MatchService {
         // Release: publishes everything before shutdown to the worker
         // loop's Acquire load.
         self.inner.shutdown.store(true, Ordering::Release);
+        // Every worker, idle or not: one that read the flag clear and is
+        // about to park finds the token and sees the flag on its next pass.
+        for h in &self.workers {
+            h.thread().unpark();
+        }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Worker: pop one request per admission-lock acquisition, serve it on
-/// the service's engine, park briefly when idle. Exits when shutdown is
+/// Worker: pop one request per admission-lock acquisition and serve it on
+/// the service's engine; with both lanes empty, register as idle and park
+/// until an admission (or shutdown) wakes it. Exits when shutdown is
 /// flagged *and* the queue is empty, so pending clients always hear back.
 fn worker_loop(inner: &Inner) {
+    let me = std::thread::current();
     loop {
-        let next = inner.lock_queue().pop();
-        let Some(req) = next else {
+        let next = {
+            let mut queue = inner.lock_queue();
+            // A worker holding the lock is awake: drop a registration a
+            // spurious wake-up left behind, so an admission never spends
+            // its wake on a busy worker.
+            queue.idle.retain(|t| t.id() != me.id());
+            let next = queue.pop();
             // Acquire: pairs with Drop's Release store; checked only after
             // an empty pop so every admitted query still gets a reply.
-            if inner.shutdown.load(Ordering::Acquire) {
-                break;
+            if next.is_none() {
+                if inner.shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                queue.idle.push(me.clone());
             }
-            std::thread::yield_now();
-            std::thread::sleep(Duration::from_micros(200));
+            next
+        };
+        let Some(req) = next else {
+            std::thread::park();
             continue;
         };
         let result = inner.execute(&req.pattern, &req.opts, req.admitted);

@@ -93,7 +93,7 @@ impl GraphBuilder {
         for v in 0..n {
             col_idx[row_ptr[v]..row_ptr[v + 1]].sort_unstable();
         }
-        Graph::from_parts(row_ptr, col_idx, self.labels, String::new())
+        Graph::from_parts(row_ptr, col_idx, self.labels)
     }
 }
 

@@ -56,9 +56,13 @@ impl Hasher for VertexHasher {
     }
 }
 
+/// A vertex-keyed map hashed by [`VertexHasher`]: every vertex-keyed table
+/// of the graph crate is one.
+pub(crate) type VertexMap<T> = HashMap<VertexId, T, BuildHasherDefault<VertexHasher>>;
+
 /// Vertex → its fully merged, sorted row: the one vertex-keyed table a
 /// view reads.
-pub(crate) type RowMap = HashMap<VertexId, Arc<[VertexId]>, BuildHasherDefault<VertexHasher>>;
+pub(crate) type RowMap = VertexMap<Arc<[VertexId]>>;
 
 /// Materialized replacement rows for the vertices an edge batch touched,
 /// plus the patched global aggregates. Shared by every clone of a view.
@@ -75,15 +79,14 @@ pub(crate) struct GraphPatch {
     pub(crate) max_degree: usize,
 }
 
-/// One materialized row of a staged view family: `vertex`'s neighbor list
-/// as seen by every stage from `from_stage` up to its next version.
+/// One materialized row of a staged view family: its vertex's neighbor
+/// list as seen by every stage from `from_stage` up to the vertex's next
+/// version. The row is `pool[start..]` up to the next version's `start`
+/// (the pool's end for the last): versions fill the pool in order.
 #[derive(Debug, PartialEq, Eq)]
 struct RowVersion {
-    vertex: VertexId,
     from_stage: u32,
-    /// `pool[start..end]` is the row.
-    start: usize,
-    end: usize,
+    start: u32,
 }
 
 /// The versioned row table shared by every view of one
@@ -96,8 +99,12 @@ pub(crate) struct StagedRows {
     /// vertex with no version at or below the asking stage. Shared, never
     /// copied.
     under: Option<Arc<GraphPatch>>,
-    /// Sorted by `(vertex, from_stage)`: stage `s` reads the last version
-    /// of the vertex with `from_stage <= s`.
+    /// Each touched vertex's run of `versions`, as `(first, len)`: one
+    /// probe finds it, and an untouched vertex misses in one probe. Built
+    /// from the batch alone, O(touched) whatever the graph's size.
+    index: VertexMap<(u32, u32)>,
+    /// Grouped by vertex, each run in ascending `from_stage`: stage `s`
+    /// reads the last version of its run with `from_stage <= s`.
     versions: Vec<RowVersion>,
     /// Every version's row, concatenated.
     pool: Vec<VertexId>,
@@ -108,15 +115,26 @@ pub(crate) struct StagedRows {
 }
 
 impl StagedRows {
+    /// `v`'s row at `stage` if the family rewrote it by then. A run is
+    /// one version per batch edge at `v`: one or two but at a hub the
+    /// batch keeps returning to.
+    #[inline]
+    fn version(&self, v: VertexId, stage: u32) -> Option<&[VertexId]> {
+        let &(first, len) = self.index.get(&v)?;
+        let first = first as usize;
+        let run = &self.versions[first..first + len as usize];
+        let i = first + run.iter().rposition(|r| r.from_stage <= stage)?;
+        let end = self
+            .versions
+            .get(i + 1)
+            .map_or(self.pool.len(), |next| next.start as usize);
+        Some(&self.pool[self.versions[i].start as usize..end])
+    }
+
     #[inline]
     fn row(&self, v: VertexId, stage: u32) -> Option<&[VertexId]> {
-        let after = self
-            .versions
-            .partition_point(|r| (r.vertex, r.from_stage) <= (v, stage));
-        match after.checked_sub(1).map(|i| &self.versions[i]) {
-            Some(r) if r.vertex == v => Some(&self.pool[r.start..r.end]),
-            _ => self.under.as_ref()?.rows.get(&v).map(|row| &**row),
-        }
+        self.version(v, stage)
+            .or_else(|| self.under.as_ref()?.rows.get(&v).map(|row| &**row))
     }
 }
 
@@ -165,10 +183,10 @@ impl Patch {
                     .as_ref()
                     .map(|p| p.rows.clone())
                     .unwrap_or_default();
-                // Ascending (vertex, from_stage): a later insert is the
-                // newer version and overwrites the older.
-                for r in rows.versions.iter().filter(|r| r.from_stage <= *stage) {
-                    flat.insert(r.vertex, rows.pool[r.start..r.end].into());
+                for &v in rows.index.keys() {
+                    if let Some(row) = rows.version(v, *stage) {
+                        flat.insert(v, row.into());
+                    }
                 }
                 Arc::new(GraphPatch {
                     rows: flat,
@@ -200,8 +218,10 @@ pub struct Graph {
     labels: Arc<Vec<Label>>,
     /// Number of distinct labels in use (at least 1).
     num_labels: u32,
-    /// Human-readable name (dataset id), used by the bench harness.
-    name: String,
+    /// Human-readable name (dataset id), used by the bench harness;
+    /// `None` for ad-hoc graphs. Shared by every clone and view, so a view
+    /// of a named graph copies no string.
+    name: Option<Arc<str>>,
     /// Topology version: 0 for freshly built graphs, bumped by every
     /// applied [`crate::delta::DeltaOverlay`] batch. A hub-bitmap index is
     /// stamped with the version it was built (or patched) for, and every
@@ -233,7 +253,6 @@ impl Graph {
         row_ptr: Vec<usize>,
         col_idx: Vec<VertexId>,
         labels: Vec<Label>,
-        name: String,
     ) -> Self {
         debug_assert_eq!(row_ptr.len(), labels.len() + 1);
         let num_labels = label_count(&labels);
@@ -242,7 +261,7 @@ impl Graph {
             col_idx: Arc::new(col_idx),
             labels: Arc::new(labels),
             num_labels,
-            name,
+            name: None,
             version: 0,
             patch: None,
             hub_bitmap: None,
@@ -360,41 +379,55 @@ impl Graph {
             lost.push((v, s as u32 + 1, u));
         }
         lost.sort_unstable();
+        // Every pool offset is at most `cells`, and so is every version
+        // index (each lost edge is a cell of its vertex's row).
+        let cells: usize = lost.iter().map(|&(v, ..)| self.degree(v)).sum();
+        assert!(
+            u32::try_from(cells).is_ok(),
+            "staged_without_edges: {cells} row cells overflow the u32 offsets"
+        );
         let mut versions: Vec<RowVersion> = Vec::with_capacity(lost.len());
-        let mut pool: Vec<VertexId> =
-            Vec::with_capacity(lost.iter().map(|&(v, ..)| self.degree(v)).sum());
-        for &(vertex, from_stage, gone) in &lost {
-            let start = pool.len();
-            let before = match versions.last() {
-                // The vertex's previous version is the row to shrink.
-                Some(prev) if prev.vertex == vertex => {
-                    for i in prev.start..prev.end {
-                        if pool[i] != gone {
-                            pool.push(pool[i]);
+        let mut pool: Vec<VertexId> = Vec::with_capacity(cells);
+        let runs = || lost.chunk_by(|a, b| a.0 == b.0);
+        let mut index = VertexMap::with_capacity_and_hasher(runs().count(), Default::default());
+        for run in runs() {
+            let vertex = run[0].0;
+            index.insert(vertex, (versions.len() as u32, run.len() as u32));
+            // The first version shrinks the vertex's row in this graph; each
+            // later one shrinks the version before it.
+            let mut prev = None;
+            for &(_, from_stage, gone) in run {
+                let start = pool.len();
+                let before = match prev {
+                    Some((from, to)) => {
+                        for i in from..to {
+                            if pool[i] != gone {
+                                pool.push(pool[i]);
+                            }
                         }
+                        to - from
                     }
-                    prev.end - prev.start
-                }
-                _ => {
-                    let row = self.neighbors(vertex);
-                    pool.extend(row.iter().copied().filter(|&u| u != gone));
-                    row.len()
-                }
-            };
-            debug_assert_eq!(
-                pool.len() - start + 1,
-                before,
-                "staged_without_edges: edge {vertex}-{gone} is absent or duplicated"
-            );
-            versions.push(RowVersion {
-                vertex,
-                from_stage,
-                start,
-                end: pool.len(),
-            });
+                    None => {
+                        let row = self.neighbors(vertex);
+                        pool.extend(row.iter().copied().filter(|&u| u != gone));
+                        row.len()
+                    }
+                };
+                debug_assert_eq!(
+                    pool.len() - start + 1,
+                    before,
+                    "staged_without_edges: edge {vertex}-{gone} is absent or duplicated"
+                );
+                versions.push(RowVersion {
+                    from_stage,
+                    start: start as u32,
+                });
+                prev = Some((start, pool.len()));
+            }
         }
         let rows = Arc::new(StagedRows {
             under: self.patch.as_ref().map(Patch::as_rows),
+            index,
             versions,
             pool,
             num_edges: self.num_edges(),
@@ -454,12 +487,19 @@ impl Graph {
     /// The graph's dataset name (empty for ad-hoc graphs).
     #[inline]
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.as_deref().unwrap_or("")
     }
 
     /// Renames the graph (used by the dataset registry).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
+        let name = name.into();
+        self.name = (!name.is_empty()).then(|| name.into());
+        self
+    }
+
+    /// Takes `other`'s name, shared rather than copied.
+    pub(crate) fn with_name_of(mut self, other: &Graph) -> Self {
+        self.name = other.name.clone();
         self
     }
 
@@ -524,7 +564,7 @@ impl Graph {
                  version-{} index to a version-{} view, e.g. \
                  stmatch_graph::mutation::attach_stale_index, then call \
                  has_edge/hub_bits",
-                self.name,
+                self.name(),
                 idx.version(),
                 self.version,
                 idx.version(),
@@ -675,7 +715,7 @@ impl Graph {
         for (u, v) in self.edges() {
             builder.add_edge(rank[u as usize], rank[v as usize]);
         }
-        let g = builder.build().with_name(self.name.clone());
+        let g = builder.build().with_name_of(self);
         // Vertex ids changed, so a carried index must be rebuilt (same
         // threshold) rather than copied.
         match &self.hub_bitmap {
@@ -883,36 +923,55 @@ mod tests {
         );
     }
 
+    /// `Err` with the message unless `cond` holds.
+    macro_rules! ensure {
+        ($cond:expr, $($msg:tt)+) => {
+            if !$cond {
+                return Err(format!($($msg)+));
+            }
+        };
+    }
+
     /// `views[s]` of `base.staged_without_edges(edges)` must be row for row
     /// the `base.without_edges(&edges[..s])` it replaces.
-    fn assert_stages_equal_prefix_views(base: &crate::Graph, edges: &[(u32, u32)]) {
+    fn check_stages_equal_prefix_views(
+        base: &crate::Graph,
+        edges: &[(u32, u32)],
+    ) -> Result<(), String> {
         let views = base.staged_without_edges(edges);
-        assert_eq!(views.len(), edges.len(), "one view per edge");
+        ensure!(views.len() == edges.len(), "one view per edge");
         for (s, view) in views.iter().enumerate() {
             let want = base.without_edges(&edges[..s]);
-            assert_eq!(view.num_edges(), want.num_edges(), "stage {s}");
-            assert_eq!(
-                view.version(),
-                base.version(),
+            ensure!(view.num_edges() == want.num_edges(), "stage {s} edges");
+            ensure!(
+                view.version() == base.version(),
                 "stage {s} keeps the version"
             );
-            assert!(
+            ensure!(
                 view.hub_bitmap().is_none(),
                 "stage views carry no hub index"
             );
-            assert!(view.max_degree() >= view.vertices().map(|v| view.degree(v)).max().unwrap());
+            ensure!(
+                view.max_degree() >= view.vertices().map(|v| view.degree(v)).max().unwrap(),
+                "stage {s} degree bound"
+            );
             for v in base.vertices() {
-                assert_eq!(view.neighbors(v), want.neighbors(v), "stage {s} row {v}");
-                assert_eq!(view.degree(v), want.degree(v), "stage {s} degree {v}");
+                ensure!(
+                    view.neighbors(v) == want.neighbors(v),
+                    "stage {s} row {v}: {:?} != {:?}",
+                    view.neighbors(v),
+                    want.neighbors(v)
+                );
+                ensure!(view.degree(v) == want.degree(v), "stage {s} degree {v}");
                 for u in base.vertices() {
-                    assert_eq!(
-                        view.has_edge(u, v),
-                        want.has_edge(u, v),
+                    ensure!(
+                        view.has_edge(u, v) == want.has_edge(u, v),
                         "stage {s} ({u},{v})"
                     );
                 }
             }
         }
+        Ok(())
     }
 
     /// A seeded batch side over `g`: every edge at the heaviest vertex (a
@@ -942,11 +1001,11 @@ mod tests {
             let (hub, edges) = hub_heavy_edges(&g, seed);
             let touches = edges.iter().filter(|e| e.0 == hub || e.1 == hub).count();
             assert!(touches >= 8, "fixture hub is in {touches} batch edges");
-            assert_stages_equal_prefix_views(&g, &edges);
+            check_stages_equal_prefix_views(&g, &edges).unwrap();
         }
         let g = triangle_plus_tail();
         assert!(g.staged_without_edges(&[]).is_empty());
-        assert_stages_equal_prefix_views(&g, &[(2, 3)]);
+        check_stages_equal_prefix_views(&g, &[(2, 3)]).unwrap();
     }
 
     #[test]
@@ -970,7 +1029,7 @@ mod tests {
             assert!(post.is_view(), "the base is itself patched");
             let (hub, inserts) = hub_heavy_edges(&post, seed);
             assert!(inserts.iter().filter(|e| e.0 == hub || e.1 == hub).count() >= 8);
-            assert_stages_equal_prefix_views(&post, &inserts);
+            check_stages_equal_prefix_views(&post, &inserts).unwrap();
             // The insert side of a delta batch stages the reversed list:
             // insert `i` is matched against `post` minus every later insert.
             let reversed: Vec<(u32, u32)> = inserts.iter().rev().copied().collect();
@@ -991,6 +1050,80 @@ mod tests {
                 assert_eq!(again.neighbors(v), want.neighbors(v), "re-patched row {v}");
             }
         }
+    }
+
+    /// Stage views over a long-lived overlay: twelve folded batches, every
+    /// odd one undoing its predecessor (so rows land back on their base
+    /// rows and leave the overlay's table) on top of fresh ops, and one
+    /// `compact` after the fifth. Both sides of every batch — the deletes
+    /// over the graph before it, the reversed inserts over the graph after —
+    /// stage exactly as the prefix views they replace.
+    #[test]
+    fn prop_stage_views_over_a_long_lived_overlay() {
+        use crate::delta::{DeltaOverlay, EdgeOp};
+        use stmatch_testkit::prop::forall;
+        use stmatch_testkit::rng::{Rng, SmallRng};
+        const BATCHES: usize = 12;
+        const COMPACT_AT: usize = 5;
+        forall(
+            "stage_views_over_a_long_lived_overlay",
+            |rng| {
+                (
+                    rng.gen_range(12usize..36),
+                    rng.gen_range(1usize..7),
+                    rng.gen::<u64>(),
+                )
+            },
+            |&(n, per_side, seed)| {
+                let n = n.max(6);
+                let base = crate::gen::preferential_attachment(n, 3, seed).degree_ordered();
+                let mut overlay = DeltaOverlay::new(base);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut undo: Vec<EdgeOp> = Vec::new();
+                let mut returned = 0;
+                for b in 0..BATCHES {
+                    if b == COMPACT_AT {
+                        overlay.compact();
+                    }
+                    let pre = overlay.snapshot();
+                    let mut ops = if b % 2 == 1 {
+                        std::mem::take(&mut undo)
+                    } else {
+                        Vec::new()
+                    };
+                    let present: Vec<(u32, u32)> = pre.edges().collect();
+                    for _ in 0..per_side {
+                        let &(u, v) = rng.choose(&present).expect("the graph has edges");
+                        ops.push(EdgeOp::delete(u, v));
+                        let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                        if u != v && !pre.has_edge(u, v) {
+                            ops.push(EdgeOp::insert(u, v));
+                        }
+                    }
+                    let batch = overlay.apply(&ops);
+                    let post = overlay.snapshot();
+                    returned += batch
+                        .touched()
+                        .iter()
+                        .filter(|&&v| pre.neighbors(v) != overlay.base().neighbors(v))
+                        .filter(|&&v| post.neighbors(v) == overlay.base().neighbors(v))
+                        .count();
+                    undo = batch
+                        .deletes
+                        .iter()
+                        .map(|&(u, v)| EdgeOp::insert(u, v))
+                        .chain(batch.inserts.iter().map(|&(u, v)| EdgeOp::delete(u, v)))
+                        .collect();
+                    let reversed: Vec<(u32, u32)> = batch.inserts.iter().rev().copied().collect();
+                    check_stages_equal_prefix_views(&pre, &batch.deletes)
+                        .map_err(|e| format!("batch {b}, deletes: {e}"))?;
+                    check_stages_equal_prefix_views(&post, &reversed)
+                        .map_err(|e| format!("batch {b}, inserts: {e}"))?;
+                }
+                ensure!(returned > 0, "no row returned to its base row");
+                Ok(())
+            },
+        );
     }
 
     #[test]

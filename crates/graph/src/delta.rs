@@ -297,7 +297,7 @@ impl DeltaOverlay {
         }
         let g = b
             .build()
-            .with_name(self.base.name().to_string())
+            .with_name_of(&self.base)
             .with_version(self.version);
         self.base = match self.base.hub_bitmap() {
             Some(idx) => g.with_hub_bitmap(idx.threshold()),

@@ -6,11 +6,14 @@
 //! took 3.26× on this fixture: 62 503 → 203 946.)
 //!
 //! A counting `#[global_allocator]` tallies every `alloc`/`realloc`, warp
-//! threads included; as in `tests/alloc_free.rs`, this file holds a single
-//! `#[test]` so nothing else runs between the reset and the snapshot.
+//! threads included. The file's tests take one lock for their whole body,
+//! so no other test allocates between a reading and the next; the test
+//! harness itself may still allocate between tests, so an exact comparison
+//! is taken as the least of a few paired readings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use stmatch_core::{Engine, EngineConfig};
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
@@ -38,6 +41,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// `n` net updates on `g`, half deletes spread over its edge list and half
 /// inserts of absent pairs.
@@ -76,6 +82,7 @@ fn batch_allocs(e: &Engine, base: &Graph, n: usize) -> u64 {
 
 #[test]
 fn doubling_the_batch_at_most_doubles_and_a_half_the_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let base = gen::preferential_attachment(1024, 8, 9).degree_ordered();
     let e = Engine::new(EngineConfig::default().with_delta(true));
     // Warm-up: first-use allocations (thread-locals, lazy statics) are not
@@ -86,5 +93,27 @@ fn doubling_the_batch_at_most_doubles_and_a_half_the_allocations() {
     assert!(
         wide as f64 <= 2.5 * narrow as f64,
         "a 256-edge batch allocated {wide} times, a 128-edge batch {narrow}: more than 2.5×"
+    );
+}
+
+/// A graph's name is shared by its views, not copied into each: a batch on
+/// a named graph allocates exactly as often as on the same graph unnamed
+/// (a per-view copy made one allocation per stage view, ~128 here).
+#[test]
+fn a_named_graph_costs_a_batch_no_allocations() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let unnamed = gen::preferential_attachment(1024, 8, 9).degree_ordered();
+    assert_eq!(unnamed.name(), "");
+    let named = unnamed.clone().with_name("PA(1024,8,9)");
+    let e = Engine::new(EngineConfig::default().with_delta(true));
+    batch_allocs(&e, &named, 16);
+    let (mut plain, mut with_name) = (u64::MAX, u64::MAX);
+    for _ in 0..3 {
+        plain = plain.min(batch_allocs(&e, &unnamed, 128));
+        with_name = with_name.min(batch_allocs(&e, &named, 128));
+    }
+    assert_eq!(
+        with_name, plain,
+        "a batch allocated {with_name} times on a named graph, {plain} unnamed"
     );
 }

@@ -183,3 +183,80 @@ fn relabeling_preserves_canonical_form() {
     let sq = iso::canonical_form(&catalog::square());
     assert_ne!(tri, sq);
 }
+
+/// The wake path: an idle worker sleeps until an admission wakes it, so a
+/// lost wake-up strands a request. Clients submit bursts to a 4-worker
+/// service, each burst after an idle gap long enough for every worker to
+/// park; every ticket must resolve. The clients run detached and report
+/// over a channel, so a stranded request fails the test by timeout
+/// instead of hanging it.
+#[test]
+fn bursts_after_idle_gaps_all_resolve() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const CLIENTS: usize = 3;
+    const BURSTS: usize = 6;
+    const PER_BURST: usize = 4;
+    let graph = fixture_graph();
+    let engine_cfg = EngineConfig::default().with_grid(grid());
+    let want = Engine::new(engine_cfg)
+        .run(&graph, &catalog::triangle())
+        .unwrap()
+        .count;
+    let svc = Arc::new(MatchService::new(
+        Arc::new(graph),
+        ServiceConfig::new(engine_cfg).with_workers(4),
+    ));
+    let (done, results) = mpsc::channel();
+    for c in 0..CLIENTS {
+        let (svc, done) = (Arc::clone(&svc), done.clone());
+        std::thread::spawn(move || {
+            let mut counts = Vec::new();
+            for b in 0..BURSTS {
+                // Staggered gaps: clients' bursts sometimes overlap, and
+                // between them every worker goes idle.
+                std::thread::sleep(Duration::from_millis(15 + 5 * ((b + c) % 3) as u64));
+                let tickets: Vec<_> = (0..PER_BURST)
+                    .map(|_| svc.enqueue(&catalog::triangle(), QueryOptions::default()))
+                    .collect();
+                counts.extend(tickets.into_iter().map(|t| t.wait().map(|o| o.count)));
+            }
+            let _ = done.send(counts);
+        });
+    }
+    for c in 0..CLIENTS {
+        let counts = results
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("client {c} of {CLIENTS} never heard back: a lost wake-up"));
+        assert_eq!(counts.len(), BURSTS * PER_BURST);
+        for count in counts {
+            assert_eq!(count.expect("query failed"), want);
+        }
+    }
+}
+
+/// Dropping a service whose workers are all parked wakes and joins every
+/// one of them promptly.
+#[test]
+fn dropping_an_idle_service_joins_its_workers_promptly() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+    let svc = MatchService::new(
+        Arc::new(fixture_graph()),
+        ServiceConfig::new(EngineConfig::default().with_grid(grid())).with_workers(4),
+    );
+    svc.submit(&catalog::triangle(), QueryOptions::default())
+        .unwrap();
+    // Long enough for all four workers to find the queue empty and park.
+    std::thread::sleep(Duration::from_millis(50));
+    let (done, joined) = mpsc::channel();
+    std::thread::spawn(move || {
+        let t = Instant::now();
+        drop(svc);
+        let _ = done.send(t.elapsed());
+    });
+    let took = joined
+        .recv_timeout(Duration::from_secs(30))
+        .expect("drop never joined its parked workers");
+    assert!(took < Duration::from_secs(2), "drop took {took:?}");
+}
