@@ -419,7 +419,7 @@ echo "==> lint:launch: OK"
 # Two per-launch allocations nobody read went the same way: the shared
 # budget's log of successful reservations (`SharedBudget::allocations`), and
 # the service's unbounded reply channel, which allocated a 31-slot block per
-# ticket for its one message (`mpsc::sync_channel(1)` replaced it). The
+# ticket for its one message (a one-shot reply slot replaced it). The
 # delta grid went too: every anchored launch runs on `EngineConfig::grid`
 # (DESIGN.md §4i), so `DeltaTuning::grid` may not come back as a second one.
 # And the caller-owned arenas: every launch recycles through its engine's
@@ -483,6 +483,23 @@ if [ -n "${polls}" ]; then
     exit 1
 fi
 echo "==> lint:admission: OK"
+
+# Registry lint: a plan-cache entry is the resident service's one record per
+# canonical pattern (DESIGN.md §4g): it owns the plan, the verdict, the
+# anchored plans, the maintained count and the watchers, and the cache
+# statistics sit beside the entries under the cache lock. So, outside its test
+# module, the service declares no atomic counter and no channel (a ticket
+# waits on a one-shot slot), and the graph state holds no watcher list.
+echo "==> lint:registry: scanning the service for a second registry"
+service_src=$(sed '/^#\[cfg(test)\]$/,$d' crates/core/src/service.rs)
+registry=$( (printf '%s\n' "${service_src}" | grep -nE '\bAtomicU64\b|\bmpsc\b'; \
+    printf '%s\n' "${service_src}" | awk '/^(pub(\(crate\))? )?struct GraphState[ {]/,/^}/' | grep -ni 'watch') || true)
+if [ -n "${registry}" ]; then
+    echo "${registry}"
+    echo "==> lint:registry: FAILED — keep per-pattern state and statistics on the plan-cache entry (service::Entry, PlanCache)"
+    exit 1
+fi
+echo "==> lint:registry: OK"
 
 if [ "$(tree_state)" != "${TREE_BEFORE}" ]; then
     echo "==> tree: FAILED — ci.sh changed the work tree:"

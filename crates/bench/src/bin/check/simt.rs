@@ -172,8 +172,9 @@ fn run_mutation(which: &str, cfg: CheckConfig) -> ExitCode {
         "cache-drop" => {
             // A blocking submit makes a service worker write the plan
             // cache under the tracked lock; the untracked insert that
-            // follows has no happens-before edge to it (the mpsc reply is
-            // invisible to the checker) — a data race on plan-cache[id].
+            // follows has no happens-before edge to it (the ticket's reply
+            // slot is invisible to the checker) — a data race on
+            // plan-cache[id].
             let svc = stmatch_core::MatchService::new(
                 std::sync::Arc::new(fixture()),
                 stmatch_core::ServiceConfig::new(EngineConfig::full().with_grid(crate::grid(2, 4)))

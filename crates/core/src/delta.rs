@@ -87,6 +87,7 @@ impl MatchDelta {
 /// `|Aut(P)|` to turn their subgraph counts into embedding counts when the
 /// engine asks for those. Compile once ([`Engine::compile_delta`]), reuse
 /// across every batch.
+#[derive(Clone)]
 pub struct DeltaPlans {
     k: usize,
     /// `|Aut(P)|`: multiplier when the engine counts embeddings.
@@ -131,6 +132,13 @@ impl DeltaPlans {
         let old = &self.anchored[orbit];
         self.anchored[orbit] = MatchPlan::compile_anchored(old.pattern(), order, old.options());
         self
+    }
+
+    /// Replaces each picked orbit's plan ([`Engine::anchored_picks`]).
+    pub(crate) fn take_picks(&mut self, picks: Vec<(usize, MatchPlan)>) {
+        for (orbit, plan) in picks {
+            self.anchored[orbit] = plan;
+        }
     }
 }
 
@@ -294,36 +302,42 @@ impl Engine {
     /// of that time keeps the graph-free order, as does every orbit after
     /// the time has run out.
     pub fn compile_delta_on(&self, pattern: &Pattern, graph: &Graph) -> DeltaPlans {
-        self.compile_delta_until(pattern, graph, self.deadline())
+        let mut plans = self.compile_delta(pattern);
+        let picks = self.anchored_picks(&plans, graph, self.deadline());
+        plans.take_picks(picks);
+        plans
     }
 
-    /// [`Engine::compile_delta_on`] with the estimate given up at
-    /// `deadline` instead of the engine's timeout.
-    pub(crate) fn compile_delta_until(
+    /// The orbits of the graph-free `plans` whose order
+    /// [`Engine::compile_delta_on`]'s estimate moves on `graph`, each with
+    /// its chosen plan; the estimate is given up at `deadline` instead of
+    /// the engine's timeout.
+    pub(crate) fn anchored_picks(
         &self,
-        pattern: &Pattern,
+        plans: &DeltaPlans,
         graph: &Graph,
         deadline: Option<Instant>,
-    ) -> DeltaPlans {
-        let mut plans = self.compile_delta(pattern);
+    ) -> Vec<(usize, MatchPlan)> {
+        let mut picks = Vec::new();
         let mut estimator = None;
-        for i in 0..plans.num_plans() {
-            let candidates = MatchOrder::anchored_candidates(pattern, plans.orbits[i].rep);
+        for (i, (orbit, today)) in plans.orbits.iter().zip(&plans.anchored).enumerate() {
+            let pattern = today.pattern();
+            let candidates = MatchOrder::anchored_candidates(pattern, orbit.rep);
             if candidates.len() < 2 {
                 continue;
             }
-            let opts = plans.anchored[i].options();
             let mut compiled: Vec<MatchPlan> = candidates
                 .into_iter()
-                .map(|order| MatchPlan::compile_anchored(pattern, order, opts))
+                .map(|order| MatchPlan::compile_anchored(pattern, order, today.options()))
                 .collect();
             let estimator =
                 estimator.get_or_insert_with(|| Estimator::sampled(self, graph, deadline));
-            if let Ok(best) = estimator.pick(&compiled) {
-                plans.anchored[i] = compiled.swap_remove(best);
+            // The first candidate is today's order: keeping it moves nothing.
+            if let Ok(best @ 1..) = estimator.pick(&compiled) {
+                picks.push((i, compiled.swap_remove(best)));
             }
         }
-        plans
+        picks
     }
 
     /// [`DeltaPlans::count`] with only the launches' simulated

@@ -27,14 +27,14 @@
 //!   simulator's, parked between launches for every caller alike.
 //! * **Maintained counts** (DESIGN.md §4k) — on a delta-enabled service,
 //!   each cached edge-induced plan keeps its last exact count, and every
-//!   [`apply_batch`](MatchService::apply_batch) advances the counts read
-//!   since the last one by its [`MatchDelta`] (the rest drop, and recount
-//!   when next asked). A query on that snapshot, unless vertex-induced or
-//!   carrying a `fault_plan`, is answered without a launch: see
-//!   [`MatchOutcome`] for what such an answer holds. A watcher
-//!   ([`submit_watch`](MatchService::submit_watch)) is the same entry's
-//!   delta plans plus a callback, so a batch runs each plan set once for
-//!   its watchers and its count alike.
+//!   [`apply_batch`](MatchService::apply_batch) advances the counts that
+//!   were read since the last one, or are watched, by its [`MatchDelta`]
+//!   (the rest drop, and recount when next asked). A query on that
+//!   snapshot, unless vertex-induced or carrying a `fault_plan`, is
+//!   answered without a launch: see [`MatchOutcome`] for what such an
+//!   answer holds. A watcher ([`submit_watch`](MatchService::submit_watch))
+//!   is a callback subscribed to the same entry, so a batch runs each
+//!   entry's plan set once for its watchers and its count alike.
 //! * **Fault isolation** — each query runs under its own containment:
 //!   injected warp deaths, launch failures, expired deadlines, and even
 //!   escaped panics produce a per-query [`ServiceError`] without
@@ -45,25 +45,27 @@
 //!
 //! The service adds three classes *below* every engine lock (see
 //! `simt_check::LockClass`): `ServiceAdmission(2)` (the queue),
-//! `ServicePlanCache(4)` (plans and maintained counts), and
-//! `ServiceArenaPool(6)` (the engine's arena free-list). None is ever
-//! held across an engine launch, and the cache lock is never held while
-//! compiling: a batch reads the counts to advance under it, releases it
-//! for the launches, and commits each only if it is still at the
-//! pre-batch version. The plan cache carries a
-//! shadow cell (`Cell::plan_cache(id)`) so the race checker can prove
-//! every access goes through the tracked lock — and kill the seeded
-//! [`mutation::cache_insert_without_lock`] by name.
+//! `ServicePlanCache(4)` (the registry: one entry per canonical pattern,
+//! holding its plan, verdict, anchored plans, maintained count and
+//! watchers, plus the cache statistics), and `ServiceArenaPool(6)` (the
+//! engine's arena free-list). A delta-enabled service's `ServiceGraph(1)`
+//! lock may take the cache lock inside it: a batch picks the entries it
+//! runs, and a watcher registers, under both. None is ever held across an
+//! engine launch, and the cache lock is never held while compiling: a
+//! batch picks its entries under it, releases it for the launches, and
+//! commits each count only if it is still at the pre-batch version. The
+//! plan cache carries a shadow cell (`Cell::plan_cache(id)`) so the race
+//! checker can prove every access goes through the tracked lock — and
+//! kill the seeded [`mutation::cache_insert_without_lock`] by name.
 
 use crate::config::EngineConfig;
 use crate::delta::{DeltaPlans, MatchDelta, StagedBatch};
 use crate::engine::{Engine, Launch, MatchOutcome};
 use crate::fault::FaultPlan;
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 use stmatch_gpusim::{GridMetrics, LaunchError};
@@ -176,13 +178,13 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Plan-cache hit/miss/occupancy counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Plan-cache hit/miss/occupancy counters, kept under the cache lock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Lookups served from the cache (a racer whose compile lost to
+    /// another's entry is served from it too).
     pub hits: u64,
-    /// Lookups that compiled (the racing-compile case counts one miss per
-    /// racer even though only one entry lands).
+    /// Lookups that landed an entry: one per entry.
     pub misses: u64,
     /// Entries resident — at most one per (canonical form, induced).
     pub entries: usize,
@@ -220,43 +222,67 @@ pub struct WatchEvent {
     pub delta: Result<MatchDelta, String>,
 }
 
-type WatchCallback = Arc<dyn Fn(WatchEvent) + Send + Sync>;
-
-/// One registered watcher: its callback and its pattern's plan-cache entry's
-/// own delta plans, which that pattern's queries share.
-#[derive(Clone)]
-struct WatchEntry {
-    id: WatchId,
-    plans: Arc<DeltaPlans>,
-    cb: WatchCallback,
-}
+/// A registered watcher: its id and its callback.
+type Watcher = (WatchId, Arc<dyn Fn(WatchEvent) + Send + Sync>);
 
 /// The mutable topology of a delta-enabled service, guarded by the
-/// rank-1 `ServiceGraph` lock: held only to fold a batch and clone out
-/// snapshots/watchers — never across a launch, a compile, or a watcher
-/// callback, so batch application structurally cannot starve the
-/// admission or query lanes.
+/// rank-1 `ServiceGraph` lock: held only to fold a batch and pick its
+/// entries, or to register a watcher — never across a launch, a compile,
+/// or a watcher callback, so batch application structurally cannot
+/// starve the admission or query lanes.
 struct GraphState {
     overlay: DeltaOverlay,
     /// Snapshot of the current topology; queries resolve this `Arc` at
     /// execute time and run against it unlocked.
     current: Arc<Graph>,
-    watchers: Vec<WatchEntry>,
-    next_watch: u64,
-    batches_since_compact: u32,
+}
+
+/// A query's result.
+type Outcome = Result<MatchOutcome, ServiceError>;
+
+/// The one-shot slot a ticket waits on, filled once by its [`Reply`].
+#[derive(Default)]
+struct ReplySlot {
+    result: Mutex<Option<Outcome>>,
+    filled: Condvar,
 }
 
 /// A pending reply: hold it and [`wait`](Ticket::wait) when the result is
 /// needed, so a client can overlap submissions.
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<MatchOutcome, ServiceError>>,
+    slot: Arc<ReplySlot>,
 }
 
 impl Ticket {
     /// Blocks until the query finishes. A service dropped with the query
     /// still queued reports [`ServiceError::ShuttingDown`].
-    pub fn wait(self) -> Result<MatchOutcome, ServiceError> {
-        self.rx.recv().unwrap_or(Err(ServiceError::ShuttingDown))
+    pub fn wait(self) -> Outcome {
+        let ReplySlot { result, filled } = &*self.slot;
+        let result = result.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut result = filled
+            .wait_while(result, |r| r.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        result.take().expect("filled")
+    }
+}
+
+/// The worker's end of a ticket's slot. Dropped unfilled — a request the
+/// service never ran — it fills the slot with
+/// [`ServiceError::ShuttingDown`].
+struct Reply(Option<Arc<ReplySlot>>);
+
+impl Reply {
+    fn fill(&mut self, result: Outcome) {
+        if let Some(slot) = self.0.take() {
+            *slot.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            slot.filled.notify_one();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        self.fill(Err(ServiceError::ShuttingDown));
     }
 }
 
@@ -265,7 +291,7 @@ struct Request {
     pattern: Pattern,
     opts: QueryOptions,
     admitted: Instant,
-    reply: mpsc::SyncSender<Result<MatchOutcome, ServiceError>>,
+    reply: Reply,
 }
 
 /// The two-lane admission queue (see [`Priority`]). Both lanes are FIFO;
@@ -325,10 +351,9 @@ impl PlanKey {
     }
 }
 
-/// One plan-cache entry: the canonical plan (with the stream every query
-/// on it interprets) and its verdict.
-#[derive(Clone)]
-struct CachedPlan {
+/// The service's one record per canonical pattern.
+struct Entry {
+    /// The canonical plan, with the stream every query on it interprets.
     plan: Arc<MatchPlan>,
     /// Static verification verdict, filled at most once per canonical
     /// entry, by the first [`MatchService::verification`] ask (the graph is
@@ -336,13 +361,25 @@ struct CachedPlan {
     /// lifetime). Every later launch of the entry carries it.
     verification: Arc<OnceLock<Arc<Verification>>>,
     /// The anchored plans that advance the entry's count and that its
-    /// watchers run (delta-enabled services, edge-induced entries), compiled
-    /// with the entry so that a workload's first op pays for them.
+    /// watchers run (delta-enabled services, edge-induced entries): they
+    /// land graph-free with the entry, and the miss that landed it swaps in
+    /// the orders its estimate chose.
     delta: Option<Arc<DeltaPlans>>,
+    /// The entry's exact count at one snapshot, if it keeps one.
+    count: Option<Maintained>,
+    /// Watchers subscribed to the entry's deltas.
+    watchers: Vec<Watcher>,
 }
 
-/// The plan cache: each entry's plan and the count it maintains.
-type PlanCache = HashMap<PlanKey, (CachedPlan, Option<Maintained>)>;
+/// The registry: the entries, and the statistics kept with them.
+#[derive(Default)]
+struct PlanCache {
+    entries: HashMap<PlanKey, Entry>,
+    /// Every counter but `entries`, which is read off the map.
+    stats: CacheStats,
+    /// The id of the next watcher to register.
+    next_watch: u64,
+}
 
 /// An entry's exact count at one snapshot (see the module docs).
 struct Maintained {
@@ -350,13 +387,14 @@ struct Maintained {
     /// The last recount's outcome, its count advanced by every batch since
     /// and its metrics the delta launches' since the last answer.
     answer: MatchOutcome,
-    /// Answered since its last advance: only such a count advances.
+    /// Answered since its last advance: an unwatched count advances only
+    /// if it was.
     read: bool,
 }
 
-/// A plan set's delta over one batch, with the plan set (which identifies
-/// its cache entry and its watchers).
-type Advance = (Result<(MatchDelta, GridMetrics), String>, Arc<DeltaPlans>);
+/// An entry a batch runs, as the batch picked it: the entry's plan (which
+/// identifies it), its delta plans and its watchers.
+type Run = (Arc<MatchPlan>, Arc<DeltaPlans>, Vec<Watcher>);
 
 /// State shared between clients and workers.
 struct Inner {
@@ -368,13 +406,6 @@ struct Inner {
     queue: Mutex<AdmissionQueue>,
     cache: Mutex<PlanCache>,
     shutdown: AtomicBool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Cache entries verified / diagnostics raised (verification runs
-    /// once per canonical entry; see `CachedPlan::verification`).
-    verified: AtomicU64,
-    diags: AtomicU64,
-    maintained: AtomicU64,
     /// The engine every query and batch runs on, and every cache miss's
     /// cost estimate derives its steal-free engine from. On a geometry no
     /// grid can launch, each query fails by name.
@@ -394,16 +425,21 @@ impl Inner {
         )
     }
 
+    /// The registry, noted as written: every access but
+    /// [`MatchService::cache_stats`] writes at least a counter.
     fn lock_cache(&self) -> simt_check::Tracked<'_, PlanCache> {
-        simt_check::tracked_lock(
+        let cache = simt_check::tracked_lock(
             &self.cache,
             simt_check::LockClass::ServicePlanCache,
             self.check_id as usize,
-        )
+        );
+        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
+        cache
     }
 
-    /// The graph-state lock, rank 1 — acquired before (never while
-    /// holding) any other tracked lock. `None` when delta mode is off.
+    /// The graph-state lock, rank 1 — acquired before any other tracked
+    /// lock; only the cache lock is ever taken inside it. `None` when
+    /// delta mode is off.
     fn lock_graph(&self) -> Option<simt_check::Tracked<'_, GraphState>> {
         self.dynamic.as_ref().map(|m| {
             simt_check::tracked_lock(
@@ -428,67 +464,90 @@ impl Inner {
     /// out.
     fn answer(&self, key: &PlanKey, at: u64) -> Option<MatchOutcome> {
         let mut cache = self.lock_cache();
-        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        let m = cache.get_mut(key)?.1.as_mut().filter(|m| m.version == at)?;
+        let m = cache.entries.get_mut(key)?.count.as_mut();
+        let m = m.filter(|m| m.version == at)?;
         m.read = true;
-        // Relaxed: pure statistic, ordered by the tracked lock above.
-        self.maintained.fetch_add(1, Ordering::Relaxed);
         let metrics = std::mem::take(&mut m.answer.metrics);
-        Some(MatchOutcome {
+        let answer = MatchOutcome {
             metrics,
             ..m.answer.clone()
-        })
+        };
+        cache.stats.maintained += 1;
+        Some(answer)
     }
 
-    /// Cached-or-compiled plan for `pattern` (its canonical `key`). The
-    /// fast path is one lock acquisition and a map probe; the miss path
-    /// compiles outside the lock and inserts through the entry API, so two
-    /// racers compiling the same canonical form still land exactly one
-    /// entry. On a miss, the delta plans' orders are chosen on `graph`,
-    /// the snapshot the caller resolved ([`Engine::compile_delta_on`]),
-    /// by `deadline` if the caller has one: orbits left unchosen at the
-    /// deadline keep the graph-free order, and the entry caches them so.
+    /// Cached-or-compiled plan for `pattern` (its canonical `key`), with
+    /// its verdict cell. The fast path is one lock acquisition and a map
+    /// probe; the miss path compiles outside the lock and inserts through
+    /// the entry API, so two racers compiling the same canonical form
+    /// still land exactly one entry, and only the one that landed it
+    /// counts a miss. That racer then chooses the delta plans' orders on
+    /// `graph`, the snapshot it resolved ([`Engine::compile_delta_on`]),
+    /// by `deadline` if it has one (orbits left unchosen at the deadline
+    /// keep the graph-free order), and swaps them into the entry; until
+    /// then the entry serves its graph-free orders, and no other racer
+    /// waits for the estimate or repeats it.
     fn plan_for(
         &self,
         pattern: &Pattern,
         key: &PlanKey,
         graph: &Graph,
         deadline: Option<Instant>,
-    ) -> CachedPlan {
+    ) -> (Arc<MatchPlan>, Arc<OnceLock<Arc<Verification>>>) {
+        let found = |e: &Entry| (Arc::clone(&e.plan), Arc::clone(&e.verification));
         {
-            let cache = self.lock_cache();
-            simt_check::note_read(simt_check::Cell::plan_cache(self.check_id));
-            if let Some((entry, _)) = cache.get(key) {
-                // Relaxed: pure statistic, no ordering with cache state
-                // (which the tracked lock above already serializes).
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.clone();
+            let mut cache = self.lock_cache();
+            if let Some(got) = cache.entries.get(key).map(found) {
+                cache.stats.hits += 1;
+                return got;
             }
         }
-        let plan = Arc::new(MatchPlan::compile(
-            pattern,
-            PlanOptions {
-                induced: key.induced,
-                code_motion: self.cfg.engine.code_motion,
-                symmetry_breaking: self.cfg.engine.symmetry_breaking,
-            },
-        ));
-        let delta = (self.dynamic.is_some() && !key.induced)
-            .then(|| Arc::new(self.engine.compile_delta_until(pattern, graph, deadline)));
-        // Relaxed: pure statistic, see the hit counter above.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut cache = self.lock_cache();
-        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        match cache.entry(key.clone()) {
-            Entry::Occupied(e) => e.get().0.clone(),
-            Entry::Vacant(slot) => {
-                let entry = CachedPlan {
-                    plan,
-                    verification: Arc::default(),
-                    delta,
-                };
-                slot.insert((entry, None)).0.clone()
+        let entry = self.compile(pattern, key);
+        let (got, landed) = {
+            let mut guard = self.lock_cache();
+            let cache = &mut *guard;
+            match cache.entries.entry(key.clone()) {
+                hash_map::Entry::Occupied(e) => {
+                    cache.stats.hits += 1;
+                    (found(e.get()), None)
+                }
+                hash_map::Entry::Vacant(slot) => {
+                    cache.stats.misses += 1;
+                    let entry = slot.insert(entry);
+                    (found(entry), entry.delta.clone())
+                }
             }
+        };
+        if let Some(plans) = landed {
+            let picks = self.engine.anchored_picks(&plans, graph, deadline);
+            drop(plans);
+            if !picks.is_empty() {
+                let mut cache = self.lock_cache();
+                if let Some(delta) = cache.entries.get_mut(key).and_then(|e| e.delta.as_mut()) {
+                    Arc::make_mut(delta).take_picks(picks);
+                }
+            }
+        }
+        got
+    }
+
+    /// A fresh entry for `pattern` (its canonical `key`): its plan, and on a
+    /// delta-enabled service an edge-induced entry's graph-free anchored
+    /// plans.
+    fn compile(&self, pattern: &Pattern, key: &PlanKey) -> Entry {
+        let options = PlanOptions {
+            induced: key.induced,
+            code_motion: self.cfg.engine.code_motion,
+            symmetry_breaking: self.cfg.engine.symmetry_breaking,
+        };
+        let delta = (self.dynamic.is_some() && !key.induced)
+            .then(|| Arc::new(self.engine.compile_delta(pattern)));
+        Entry {
+            plan: Arc::new(MatchPlan::compile(pattern, options)),
+            verification: Arc::default(),
+            delta,
+            count: None,
+            watchers: Vec::new(),
         }
     }
 
@@ -496,12 +555,11 @@ impl Inner {
     /// `version`, unless the entry already holds one as new.
     fn store(&self, key: &PlanKey, version: u64, outcome: &MatchOutcome) {
         let mut cache = self.lock_cache();
-        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        let Some((_, kept)) = cache.get_mut(key) else {
+        let Some(entry) = cache.entries.get_mut(key) else {
             return;
         };
-        if !matches!(kept, Some(m) if m.version >= version) {
-            *kept = Some(Maintained {
+        if !matches!(&entry.count, Some(m) if m.version >= version) {
+            entry.count = Some(Maintained {
                 version,
                 answer: MatchOutcome {
                     metrics: GridMetrics::default(),
@@ -514,53 +572,56 @@ impl Inner {
         }
     }
 
-    /// The distinct plan sets a batch from snapshot `pre` runs, each once
-    /// (by `Arc::ptr_eq`): those of the counts to advance — the counts at
-    /// `pre` answered since their last advance — and those of `watchers`.
-    /// Every other count drops, unless a recount already stored a newer one.
-    fn batch_plans(&self, pre: u64, watchers: &[WatchEntry]) -> Vec<Arc<DeltaPlans>> {
+    /// The entries a batch from snapshot `pre` runs: those with watchers,
+    /// and those whose count is at `pre` and was read since its last
+    /// advance. Every other count drops, unless a recount already stored a
+    /// newer one.
+    fn pick(&self, pre: u64) -> Vec<Run> {
         let mut cache = self.lock_cache();
-        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        let mut out = Vec::new();
-        for (entry, maintained) in cache.values_mut() {
-            match (&maintained, &entry.delta) {
-                (Some(m), Some(delta)) if m.read && m.version == pre => out.push(Arc::clone(delta)),
-                (Some(m), _) if m.version > pre => {}
-                _ => *maintained = None,
+        let mut runs = Vec::new();
+        for e in cache.entries.values_mut() {
+            let watched = !e.watchers.is_empty();
+            let kept =
+                |m: &Maintained| m.version > pre || (m.version == pre && (m.read || watched));
+            if !e.count.as_ref().is_some_and(kept) {
+                e.count = None;
+            }
+            let advances = e.count.as_ref().is_some_and(|m| m.version == pre);
+            if let (Some(delta), true) = (&e.delta, watched || advances) {
+                runs.push((Arc::clone(&e.plan), Arc::clone(delta), e.watchers.clone()));
             }
         }
-        for w in watchers {
-            if !out.iter().any(|p| Arc::ptr_eq(p, &w.plans)) {
-                out.push(Arc::clone(&w.plans));
-            }
-        }
-        out
+        runs
     }
 
-    /// Commits the deltas of a batch `pre → post`: a count still at `pre`
-    /// moves to `post`, or drops if its delta failed.
-    fn commit(&self, pre: u64, post: u64, advances: Vec<Advance>) {
+    /// Commits an entry's delta over a batch `pre → post`: its count, if
+    /// still at `pre`, moves to `post`, or drops if the delta failed.
+    fn commit(
+        &self,
+        plan: &Arc<MatchPlan>,
+        pre: u64,
+        post: u64,
+        ran: Result<(MatchDelta, GridMetrics), String>,
+    ) {
         let mut cache = self.lock_cache();
-        simt_check::note_write(simt_check::Cell::plan_cache(self.check_id));
-        for (ran, delta) in advances {
-            let mine = |e: &&mut (CachedPlan, _)| {
-                e.0.delta.as_ref().is_some_and(|d| Arc::ptr_eq(d, &delta))
-            };
-            let Some((_, maintained)) = cache.values_mut().find(mine) else {
-                continue;
-            };
-            let Some(m) = maintained.as_mut().filter(|m| m.version == pre) else {
-                continue;
-            };
-            match ran {
-                Ok((d, metrics)) => {
-                    m.version = post;
-                    m.read = false;
-                    m.answer.count = m.answer.count + d.added - d.removed;
-                    m.answer.metrics.absorb(metrics);
-                }
-                Err(_) => *maintained = None,
+        let Some(entry) = cache
+            .entries
+            .values_mut()
+            .find(|e| Arc::ptr_eq(&e.plan, plan))
+        else {
+            return;
+        };
+        let Some(m) = entry.count.as_mut().filter(|m| m.version == pre) else {
+            return;
+        };
+        match ran {
+            Ok((d, metrics)) => {
+                m.version = post;
+                m.read = false;
+                m.answer.count = m.answer.count + d.added - d.removed;
+                m.answer.metrics.absorb(metrics);
             }
+            Err(_) => entry.count = None,
         }
     }
 
@@ -593,14 +654,14 @@ impl Inner {
         if let Some(answer) = at.and_then(|v| self.answer(&key, v)) {
             return Ok(answer);
         }
-        let entry = self.plan_for(pattern, &key, &graph, deadline);
+        let (plan, verification) = self.plan_for(pattern, &key, &graph, deadline);
         live()?;
         let ran = catch_unwind(AssertUnwindSafe(|| {
             self.engine.launch(&Launch {
-                verified: entry.verification.get().map(Arc::as_ref),
+                verified: verification.get().map(Arc::as_ref),
                 deadline,
                 faults: opts.fault_plan.as_ref(),
-                ..Launch::new(&graph, &entry.plan)
+                ..Launch::new(&graph, &plan)
             })
         }));
         match ran {
@@ -659,9 +720,6 @@ impl MatchService {
             Mutex::new(GraphState {
                 current: Arc::clone(&graph),
                 overlay: DeltaOverlay::new((*graph).clone()),
-                watchers: Vec::new(),
-                next_watch: 0,
-                batches_since_compact: 0,
             })
         });
         let inner = Arc::new(Inner {
@@ -669,13 +727,8 @@ impl MatchService {
             cfg,
             check_id: simt_check::next_object_id(),
             queue: Mutex::new(AdmissionQueue::default()),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::default(),
             shutdown: AtomicBool::new(false),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            verified: AtomicU64::new(0),
-            diags: AtomicU64::new(0),
-            maintained: AtomicU64::new(0),
             engine: Engine::new(cfg.engine),
             dynamic,
         });
@@ -694,13 +747,12 @@ impl MatchService {
     /// Admits a query without blocking; the [`Ticket`] delivers the
     /// result. Deadlines start now.
     pub fn enqueue(&self, pattern: &Pattern, opts: QueryOptions) -> Ticket {
-        // One message: one slot (an unbounded channel allocates 31).
-        let (reply, rx) = mpsc::sync_channel(1);
+        let slot = Arc::new(ReplySlot::default());
         let req = Request {
             pattern: pattern.clone(),
             opts,
             admitted: Instant::now(),
-            reply,
+            reply: Reply(Some(Arc::clone(&slot))),
         };
         let idle = {
             let mut queue = self.inner.lock_queue();
@@ -712,7 +764,7 @@ impl MatchService {
         if let Some(worker) = idle {
             worker.unpark();
         }
-        Ticket { rx }
+        Ticket { slot }
     }
 
     /// Admits a query and blocks for its result.
@@ -728,19 +780,10 @@ impl MatchService {
     /// tracked cache lock, which publishes the workers' cache history to
     /// the calling thread.
     pub fn cache_stats(&self) -> CacheStats {
-        let entries = self.inner.lock_cache().len();
-        // Relaxed: all five counters are pure statistics; the tracked
-        // cache lock above already ordered this thread after the workers'
-        // cache (and counter) updates.
+        let cache = self.inner.lock_cache();
         CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            entries,
-            verified: self.inner.verified.load(Ordering::Relaxed),
-            // Relaxed: statistics snapshot; the tracked cache lock above
-            // already ordered us after every entry that landed.
-            diagnostics: self.inner.diags.load(Ordering::Relaxed),
-            maintained: self.inner.maintained.load(Ordering::Relaxed),
+            entries: cache.entries.len(),
+            ..cache.stats
         }
     }
 
@@ -758,15 +801,14 @@ impl MatchService {
             return None;
         }
         let key = PlanKey::new(pattern, inner.cfg.engine.induced);
-        let entry = inner.plan_for(pattern, &key, &inner.graph, None);
-        let verdict = entry.verification.get_or_init(|| {
-            let v = inner.engine.verify(&inner.graph, &entry.plan);
-            // Relaxed: pure statistics, ticked once per entry (the OnceLock
-            // runs one initializer) and read by cache_stats only.
-            inner.verified.fetch_add(1, Ordering::Relaxed);
-            inner
-                .diags
-                .fetch_add(v.diagnostics.len() as u64, Ordering::Relaxed);
+        let (plan, verification) = inner.plan_for(pattern, &key, &inner.graph, None);
+        // Counted once per entry: the `OnceLock` runs one initializer, and
+        // no thread waiting on it holds the cache lock.
+        let verdict = verification.get_or_init(|| {
+            let v = inner.engine.verify(&inner.graph, &plan);
+            let mut cache = inner.lock_cache();
+            cache.stats.verified += 1;
+            cache.stats.diagnostics += v.diagnostics.len() as u64;
             Arc::new(v)
         });
         Some(Arc::clone(verdict))
@@ -784,10 +826,11 @@ impl MatchService {
     /// the graph lock is released — a slow watcher delays only its own
     /// `apply_batch` caller, never the admission or query lanes, and a
     /// panicking one is contained: the batch still returns and every other
-    /// watcher still gets its event. The service's engine runs each
-    /// distinct plan set once — every watcher's and every advancing
-    /// maintained count's (see the module docs) — so a watched pattern that
-    /// is also queried costs one delta.
+    /// watcher still gets its event. The service's engine runs each picked
+    /// entry's plan set once — the entries with watchers and those whose
+    /// count was read since the last batch (see the module docs) — so a
+    /// watched pattern that is also queried costs one delta, and its count
+    /// advances with it.
     ///
     /// # Panics
     /// Panics if the service was not built with
@@ -795,74 +838,65 @@ impl MatchService {
     /// (self-loops, out-of-range endpoints).
     pub fn apply_batch(&self, ops: &[EdgeOp]) -> AppliedBatch {
         let inner = &self.inner;
-        let (pre, post, batch, watchers) = {
+        let (pre, post, batch, runs) = {
             let mut state = inner
                 .lock_graph()
                 .expect("apply_batch requires EngineConfig::with_delta(true)");
             let pre = Arc::clone(&state.current);
             let batch = state.overlay.apply(ops);
-            let every = inner.cfg.engine.delta.compact_every;
-            if every > 0 {
-                state.batches_since_compact += 1;
-                if state.batches_since_compact >= every {
-                    state.overlay.compact();
-                    state.batches_since_compact = 0;
-                }
+            // The overlay's version counts the batches since the service
+            // began (at least one, so `compact_every = 0` never compacts).
+            let batches = batch.version - inner.graph.version();
+            if batches.is_multiple_of(u64::from(inner.cfg.engine.delta.compact_every)) {
+                state.overlay.compact();
             }
             let post = Arc::new(state.overlay.snapshot());
             state.current = Arc::clone(&post);
-            (pre, post, batch, state.watchers.clone())
+            // Under the graph lock: a watcher that registers after this
+            // batch's fold first sees the next one.
+            let runs = inner.pick(pre.version());
+            (pre, post, batch, runs)
         };
-        let plans = inner.batch_plans(pre.version(), &watchers);
-        if plans.is_empty() {
+        if runs.is_empty() {
             return batch;
         }
         // Stage each batch side once: every plan set runs on the same stage
         // views and the service's engine, contained — a launch error or a
         // panic becomes the `Err` its watchers' events carry.
         let staged = StagedBatch::new(&pre, &post, &batch);
-        let ran: Vec<Advance> = plans
-            .into_iter()
-            .map(|plans| {
-                let run = || staged.run(&inner.engine, &plans);
-                let delta = match catch_unwind(AssertUnwindSafe(run)) {
-                    Ok(Ok(v)) => Ok(v),
-                    Ok(Err(e)) => Err(format!("launch failed: {e}")),
-                    Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
-                };
-                (delta, plans)
-            })
-            .collect();
-        for w in &watchers {
-            let (delta, _) = ran
-                .iter()
-                .find(|(_, plans)| Arc::ptr_eq(plans, &w.plans))
-                .expect("every watcher's plan set ran");
-            let event = WatchEvent {
-                watch: w.id,
-                version: batch.version,
-                batch: batch.clone(),
-                delta: delta
-                    .as_ref()
-                    .map(|&(delta, _)| delta)
-                    .map_err(String::clone),
+        for (plan, delta, watchers) in runs {
+            let launches = || staged.run(&inner.engine, &delta);
+            let ran = match catch_unwind(AssertUnwindSafe(launches)) {
+                Ok(Ok(v)) => Ok(v),
+                Ok(Err(e)) => Err(format!("launch failed: {e}")),
+                Err(payload) => Err(crate::fault::describe_payload(payload.as_ref())),
             };
-            // Contained like the launch above: one bad subscriber must not
-            // unwind into the updater (the graph is already swapped) or
-            // starve the later watchers of this batch. The watcher stays
-            // registered; its panic has no ticket to be reported on and is
-            // dropped.
-            let _ = catch_unwind(AssertUnwindSafe(|| (w.cb)(event)));
+            for (watch, cb) in &watchers {
+                let event = WatchEvent {
+                    watch: *watch,
+                    version: batch.version,
+                    batch: batch.clone(),
+                    delta: ran.as_ref().map(|&(delta, _)| delta).map_err(String::clone),
+                };
+                // Contained like the launch above: one bad subscriber must
+                // not unwind into the updater (the graph is already
+                // swapped) or starve the later watchers of this batch. The
+                // watcher stays registered; its panic has no ticket to be
+                // reported on and is dropped.
+                let _ = catch_unwind(AssertUnwindSafe(|| cb(event)));
+            }
+            inner.commit(&plan, pre.version(), batch.version, ran);
         }
-        inner.commit(pre.version(), batch.version, ran);
         batch
     }
 
     /// Registers a pattern watcher: `cb` receives one [`WatchEvent`] per
     /// subsequent [`MatchService::apply_batch`], carrying the pattern's
-    /// exact match-count delta under that batch. The anchored plans are the
-    /// plan cache's entry for the pattern (edge-induced), compiled with it
-    /// outside the graph lock on a miss and shared with its queries.
+    /// exact match-count delta under that batch. The watcher subscribes to
+    /// the plan cache's entry for the pattern (edge-induced), compiled
+    /// outside every lock on a miss, and registers under the graph lock,
+    /// so the first batch it sees is the first folded after this call.
+    /// While it is registered, the entry's count advances with every batch.
     ///
     /// # Panics
     /// Panics unless the service is delta-enabled and edge-induced.
@@ -881,33 +915,35 @@ impl MatchService {
             "incremental watching is edge-induced only (see stmatch_core::delta)"
         );
         let key = PlanKey::new(pattern, false);
-        let plans = inner
-            .plan_for(pattern, &key, &inner.resolve_graph(), None)
-            .delta
-            .expect("delta mode checked above");
-        let mut state = inner.lock_graph().expect("delta mode checked above");
-        let id = WatchId(state.next_watch);
-        state.next_watch += 1;
-        state.watchers.push(WatchEntry {
-            id,
-            plans,
-            cb: Arc::new(cb),
-        });
+        inner.plan_for(pattern, &key, &inner.resolve_graph(), None);
+        let _state = inner.lock_graph().expect("delta mode checked above");
+        let mut cache = inner.lock_cache();
+        let id = WatchId(cache.next_watch);
+        cache.next_watch += 1;
+        let entry = cache
+            .entries
+            .get_mut(&key)
+            .expect("the cache keeps every entry");
+        entry.watchers.push((id, Arc::new(cb)));
         id
     }
 
     /// Unregisters a watcher; returns whether it was still registered. A
-    /// batch that swapped its graph before this call can still deliver one
-    /// event after it returns: `apply_batch` takes its watcher list under
-    /// the graph lock and delivers after releasing it.
+    /// batch that picked its entries before this call can still deliver
+    /// one event after it returns: `apply_batch` takes each entry's
+    /// watchers when it picks the entry and delivers after releasing every
+    /// lock.
     pub fn cancel_watch(&self, id: WatchId) -> bool {
-        let mut state = self
-            .inner
-            .lock_graph()
-            .expect("cancel_watch requires EngineConfig::with_delta(true)");
-        let before = state.watchers.len();
-        state.watchers.retain(|w| w.id != id);
-        state.watchers.len() != before
+        assert!(
+            self.inner.dynamic.is_some(),
+            "cancel_watch requires EngineConfig::with_delta(true)"
+        );
+        let mut cache = self.inner.lock_cache();
+        cache.entries.values_mut().any(|e| {
+            let before = e.watchers.len();
+            e.watchers.retain(|&(w, _)| w != id);
+            e.watchers.len() != before
+        })
     }
 
     /// The graph queries currently run against: the latest delta snapshot
@@ -971,13 +1007,13 @@ fn worker_loop(inner: &Inner) {
             }
             next
         };
-        let Some(req) = next else {
+        let Some(mut req) = next else {
             std::thread::park();
             continue;
         };
         let result = inner.execute(&req.pattern, &req.opts, req.admitted);
         // A client that dropped its ticket is not an error.
-        let _ = req.reply.send(result);
+        req.reply.fill(result);
     }
 }
 
@@ -1000,38 +1036,18 @@ pub mod mutation {
     /// after the workers, hiding the race.
     pub fn cache_insert_without_lock(svc: &MatchService, pattern: &Pattern) {
         let inner = &svc.inner;
-        let induced = inner.cfg.engine.induced;
-        let key = PlanKey::new(pattern, induced);
-        let plan = Arc::new(MatchPlan::compile(
-            pattern,
-            PlanOptions {
-                induced,
-                code_motion: inner.cfg.engine.code_motion,
-                symmetry_breaking: inner.cfg.engine.symmetry_breaking,
-            },
-        ));
+        let key = PlanKey::new(pattern, inner.cfg.engine.induced);
+        let entry = inner.compile(pattern, &key);
         simt_check::note_write(simt_check::Cell::plan_cache(inner.check_id));
-        inner
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(
-                key,
-                (
-                    CachedPlan {
-                        plan,
-                        verification: Arc::default(),
-                        delta: None,
-                    },
-                    None,
-                ),
-            );
+        let mut cache = inner.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        cache.entries.insert(key, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
     use stmatch_gpusim::{GridConfig, SharedBudget};
     use stmatch_graph::gen;
     use stmatch_pattern::catalog;
@@ -1095,7 +1111,6 @@ mod tests {
     /// Builds a throwaway request whose deadline seconds act as an id tag
     /// (never executed — only pushed through the admission queue).
     fn tagged_request(priority: Priority, tag: u64) -> Request {
-        let (reply, _rx) = mpsc::sync_channel(1);
         Request {
             pattern: catalog::triangle(),
             opts: QueryOptions {
@@ -1104,7 +1119,7 @@ mod tests {
                 ..QueryOptions::default()
             },
             admitted: Instant::now(),
-            reply,
+            reply: Reply(None),
         }
     }
 
@@ -1377,14 +1392,14 @@ mod tests {
         let mut running = svc.submit(&tri, QueryOptions::default()).unwrap().count as i64;
         let stats = svc.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
-        let watchers = svc.inner.lock_graph().unwrap().watchers.clone();
-        let cached = svc.inner.lock_cache()[&PlanKey::new(&q, false)]
-            .0
-            .delta
-            .clone();
-        assert!(Arc::ptr_eq(&watchers[0].plans, cached.as_ref().unwrap()));
-        let plans = svc.inner.batch_plans(0, &watchers);
-        assert!(matches!(&plans[..], [p] if Arc::ptr_eq(p, &watchers[0].plans)));
+        let cached = {
+            let cache = svc.inner.lock_cache();
+            let entry = &cache.entries[&PlanKey::new(&q, false)];
+            assert!(matches!(&entry.watchers[..], [(w, _)] if *w == id));
+            entry.delta.clone().unwrap()
+        };
+        let runs = svc.inner.pick(0);
+        assert!(matches!(&runs[..], [(_, d, w)] if Arc::ptr_eq(d, &cached) && w.len() == 1));
         let absent: Vec<(u32, u32)> = (0..40u32)
             .flat_map(|u| (u + 1..40).map(move |v| (u, v)))
             .filter(|&(u, v)| !graph.has_edge(u, v))
@@ -1424,7 +1439,7 @@ mod tests {
         let key = PlanKey::new(&q, false);
         let cached = |svc: &MatchService| -> Arc<DeltaPlans> {
             let cache = svc.inner.lock_cache();
-            Arc::clone(cache[&key].0.delta.as_ref().expect("delta plans"))
+            Arc::clone(cache.entries[&key].delta.as_ref().expect("delta plans"))
         };
         let orders = |plans: &DeltaPlans| -> Vec<Vec<usize>> {
             plans
@@ -1460,13 +1475,103 @@ mod tests {
             "no orbit moved on this graph"
         );
 
-        let watchers = watched.inner.lock_graph().unwrap().watchers.clone();
-        assert!(Arc::ptr_eq(&watchers[0].plans, &chosen));
+        let runs = watched.inner.pick(0);
+        assert!(matches!(&runs[..], [(_, d, w)] if Arc::ptr_eq(d, &chosen) && w.len() == 1));
 
         // A miss with no time left keeps every graph-free order.
         let late = MatchService::new(Arc::clone(&graph), delta_cfg());
-        let entry = late.inner.plan_for(&q, &key, &graph, Some(Instant::now()));
-        assert_eq!(orders(&entry.delta.unwrap()), orders(&today));
+        late.inner.plan_for(&q, &key, &graph, Some(Instant::now()));
+        assert_eq!(orders(&cached(&late)), orders(&today));
+    }
+
+    /// Misses racing on one cold key land one entry and run one estimate:
+    /// one miss, and the entry holds the orders `compile_delta_on` chooses.
+    #[test]
+    fn racing_misses_land_one_entry_with_the_chosen_orders() {
+        let graph = Arc::new(gen::preferential_attachment(256, 4, 9).degree_ordered());
+        let q = catalog::paper_query(4);
+        let svc = MatchService::new(Arc::clone(&graph), delta_cfg().with_workers(4));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    svc.submit(&q, QueryOptions::default()).unwrap()
+                });
+            }
+        });
+        let stats = svc.cache_stats();
+        assert_eq!(
+            (stats.misses, stats.entries, stats.hits),
+            (1, 1, 3),
+            "{stats:?}"
+        );
+        let orders = |plans: &DeltaPlans| -> Vec<Vec<usize>> {
+            plans
+                .plans()
+                .map(|p| p.order().as_slice().to_vec())
+                .collect()
+        };
+        let cache = svc.inner.lock_cache();
+        let entry = &cache.entries[&PlanKey::new(&q, false)];
+        let chosen = Engine::new(delta_cfg().engine).compile_delta_on(&q, &graph);
+        assert_eq!(orders(entry.delta.as_ref().unwrap()), orders(&chosen));
+    }
+
+    /// A watched count advances with its watchers' delta even when nobody
+    /// read it: left unread across two batches, it still answers without a
+    /// launch, carrying both batches' delta launches.
+    #[test]
+    fn a_watched_count_advances_while_unread() {
+        let graph = Arc::new(gen::preferential_attachment(40, 3, 5).degree_ordered());
+        let svc = MatchService::new(Arc::clone(&graph), delta_cfg());
+        let q = catalog::triangle();
+        svc.submit_watch(&q, |_| {});
+        svc.submit(&q, QueryOptions::default()).unwrap();
+        let absent = (0..40u32)
+            .flat_map(|u| (u + 1..40).map(move |v| (u, v)))
+            .filter(|&(u, v)| !graph.has_edge(u, v));
+        for (u, v) in absent.take(2) {
+            svc.apply_batch(&[EdgeOp::insert(u, v)]);
+        }
+        let before = svc.cache_stats().maintained;
+        let out = svc.submit(&q, QueryOptions::default()).unwrap();
+        assert_eq!(
+            svc.cache_stats().maintained,
+            before + 1,
+            "answered by a launch"
+        );
+        assert_eq!(
+            out.metrics.kernel_launches, 2,
+            "one insert-side launch a batch"
+        );
+        let want = Engine::new(small_cfg().engine)
+            .run(&svc.current_graph(), &q)
+            .unwrap()
+            .count;
+        assert_eq!(out.count, want);
+    }
+
+    /// A watcher registered after `apply_batch` returns gets no event for
+    /// that batch, and one for the next.
+    #[test]
+    fn a_watcher_sees_only_batches_after_it_registered() {
+        let graph = Arc::new(gen::preferential_attachment(40, 3, 5).degree_ordered());
+        let svc = MatchService::new(Arc::clone(&graph), delta_cfg());
+        let absent: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|u| (u + 1..40).map(move |v| (u, v)))
+            .filter(|&(u, v)| !graph.has_edge(u, v))
+            .take(2)
+            .collect();
+        svc.apply_batch(&[EdgeOp::insert(absent[0].0, absent[0].1)]);
+        let versions = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&versions);
+        svc.submit_watch(&catalog::triangle(), move |e| {
+            sink.lock().unwrap().push(e.version)
+        });
+        assert!(versions.lock().unwrap().is_empty());
+        svc.apply_batch(&[EdgeOp::insert(absent[1].0, absent[1].1)]);
+        assert_eq!(*versions.lock().unwrap(), [2]);
     }
 
     /// Satellite starvation guarantee: a stream of `apply_batch` calls

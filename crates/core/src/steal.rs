@@ -39,9 +39,9 @@
 //!
 //! | rank | class        | lock                                       | nests inside        |
 //! |------|--------------|--------------------------------------------|---------------------|
-//! | 1    | `ServiceGraph` | `service::Inner::dynamic` (delta graph state, PR 10) | — (outermost; held only to fold a batch or clone out the current snapshot/watcher list, never across a launch, a compile, or another lock) |
+//! | 1    | `ServiceGraph` | `service::Inner::dynamic` (delta graph state) | — (outermost; held only to fold a batch and pick its plan-cache entries, to register a watcher, or to clone out the current snapshot — never across a launch or a compile; it may take the plan-cache lock, to choose a batch's entries or register a watcher on one, and no other) |
 //! | 2    | `ServiceAdmission` | `service::Inner::queue` (admission queue) | — (outermost) |
-//! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache) | — (never held across engine locks) |
+//! | 4    | `ServicePlanCache` | `service::Inner::cache` (canonical plan cache: the service's one record per pattern) | `ServiceGraph` (a batch's pick, a watcher's registration); never held across engine locks |
 //! | 6    | `ServiceArenaPool` | `pool::WarmSlot`: every engine's arena free-list, which each warp of each launch checks out of and gives back to | — (never held across engine locks) |
 //! | 10   | `GlobalSlot` | `Board::blocks[b].slot` (per-block slot)  | — (outermost engine lock) |
 //! | 20   | `Requeue`    | `Board::requeue` (reclaimed-work queue)    | `GlobalSlot`        |

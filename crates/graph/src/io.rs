@@ -153,14 +153,23 @@ pub fn load_edge_list(path: impl AsRef<Path>) -> Result<Graph, IoError> {
     read_edge_list(file)
 }
 
-/// Parses an `.lg` labeled graph from a reader.
+/// Parses an `.lg` labeled graph from a reader. A `t # <name>` header
+/// names the graph (an empty name leaves it unnamed); other `t` lines are
+/// skipped.
 pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
     let mut labels: Vec<(VertexId, Label)> = Vec::new();
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_id = MaxId::default();
+    let mut name = String::new();
     for_each_line(reader, |line, text| {
         let trimmed = text.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('t') {
+        if let Some(header) = trimmed.strip_prefix('t') {
+            if let Some(named) = header.trim_start().strip_prefix('#') {
+                name = named.trim().to_string();
+            }
+            return Ok(());
+        }
+        if trimmed.is_empty() || trimmed.starts_with('#') {
             return Ok(());
         }
         let toks: Vec<&str> = trimmed.split_whitespace().collect();
@@ -196,7 +205,7 @@ pub fn read_lg<R: Read>(reader: R) -> Result<Graph, IoError> {
         }
         Ok(())
     })?;
-    max_id.build(labels, edges)
+    Ok(max_id.build(labels, edges)?.with_name(name))
 }
 
 /// Loads an `.lg` file.
@@ -244,10 +253,15 @@ mod tests {
         let g = read_lg(text.as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.label(1), 2);
+        assert_eq!(g.name(), "demo");
         let mut out = Vec::new();
         write_lg(&g, &mut out).unwrap();
         let g2 = read_lg(out.as_slice()).unwrap();
         assert_eq!(g, g2);
+        assert_eq!(g2.name(), "demo");
+        // An empty header name leaves the graph unnamed.
+        let unnamed = read_lg("t #\nv 0 0\n".as_bytes()).unwrap();
+        assert_eq!(unnamed.name(), "");
     }
 
     #[test]

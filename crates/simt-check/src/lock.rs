@@ -32,18 +32,21 @@ use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 /// code-adjacent copy) and DESIGN.md §4e.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LockClass {
-    /// The match service's mutable graph state (`service::Inner::delta`):
-    /// the delta overlay, current snapshot, and watcher registry. Ranked
-    /// below everything: `apply_batch` holds it only to fold a batch and
-    /// clone out snapshots/watchers (never across a launch), and workers
-    /// take it alone to fetch the current snapshot before admission work.
+    /// The match service's mutable graph state (`service::Inner::dynamic`):
+    /// the delta overlay and current snapshot. Ranked below everything:
+    /// `apply_batch` holds it to fold a batch and pick the plan-cache
+    /// entries it runs, `submit_watch` to register a watcher on an entry —
+    /// both take the plan-cache lock inside it, never across a launch — and
+    /// workers take it alone to fetch the current snapshot.
     ServiceGraph,
     /// The match service's admission queue (`service::Inner::queue`).
     /// Service locks rank *below* every engine lock: they are never held
     /// across a kernel launch, while engine locks are taken deep inside
     /// one — so "service before engine" is the only safe order.
     ServiceAdmission,
-    /// The match service's canonical-form plan cache (`service::Inner::cache`).
+    /// The match service's canonical-form plan cache (`service::Inner::cache`):
+    /// one entry per pattern — plan, verdict, anchored plans, maintained
+    /// count and watchers — plus the cache statistics.
     ServicePlanCache,
     /// An engine's reusable-arena free-list (`pool::WarmSlot`).
     ServiceArenaPool,

@@ -5,6 +5,10 @@
 //! `without_edges` views — each re-merging the rows of every earlier stage —
 //! took 3.26× on this fixture: 62 503 → 203 946.)
 //!
+//! A resident service's reply allocates the same whether its ticket is
+//! waited on before or after the worker answers: the worker fills a slot
+//! allocated at admission, and a wait that blocks registers nothing.
+//!
 //! A counting `#[global_allocator]` tallies every `alloc`/`realloc`, warp
 //! threads included. The file's tests take one lock for their whole body,
 //! so no other test allocates between a reading and the next; the test
@@ -13,9 +17,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchService, QueryOptions, ServiceConfig};
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::catalog;
 
@@ -115,5 +120,47 @@ fn a_named_graph_costs_a_batch_no_allocations() {
     assert_eq!(
         with_name, plain,
         "a batch allocated {with_name} times on a named graph, {plain} unnamed"
+    );
+}
+
+/// A ticket waited on after its reply and one waited on before it (the
+/// query stalls its one warp, so that wait surely blocks) allocate the
+/// same: the reply is a one-shot slot, and a blocking wait adds nothing.
+#[test]
+fn a_reply_allocates_the_same_whether_or_not_its_wait_blocks() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut cfg = EngineConfig::default();
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
+    let svc = MatchService::new(
+        Arc::new(gen::complete(8)),
+        ServiceConfig::new(cfg).with_workers(1),
+    );
+    let q = catalog::triangle();
+    let stall = Duration::from_millis(20);
+    let stalled = || QueryOptions {
+        fault_plan: Some(FaultPlan::new().stall_at(0, 1, stall)),
+        ..QueryOptions::default()
+    };
+    let ask = |wait_after_reply: bool| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let ticket = svc.enqueue(&q, stalled());
+        if wait_after_reply {
+            std::thread::sleep(20 * stall);
+        }
+        let out = ticket.wait().expect("stalled query");
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(out.count, 56, "C(8, 3)");
+        after - before
+    };
+    // Warm-up: the cache entry, the worker's idle registration.
+    ask(true);
+    let (mut after_reply, mut blocked) = (u64::MAX, u64::MAX);
+    for _ in 0..3 {
+        after_reply = after_reply.min(ask(true));
+        blocked = blocked.min(ask(false));
+    }
+    assert_eq!(
+        blocked, after_reply,
+        "a blocking wait allocated {blocked} times, a wait after the reply {after_reply}"
     );
 }

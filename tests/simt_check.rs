@@ -22,7 +22,7 @@ use simt_check::{CheckConfig, Diagnostic, Severity};
 use stmatch_core::steal::{mutation, Board};
 use stmatch_core::{Engine, EngineConfig, FaultPlan};
 use stmatch_gpusim::{Close, Cost, Grid, GridConfig, SharedBudget, Site};
-use stmatch_graph::gen;
+use stmatch_graph::{gen, DeltaOverlay, EdgeOp};
 use stmatch_pattern::catalog;
 
 /// Checker state is process-global; tests enabling it must not overlap.
@@ -415,9 +415,12 @@ fn mutation_lock_invert_is_caught_as_cycle() {
 /// threads, plan-cache hits and misses, a fault-injected query, a
 /// queued-deadline expiry and `cache_stats` sweeps — all while the race
 /// detector watches the service's shadow state (`plan-cache[id]`,
-/// per-instance boards, recycled arena cells). Zero error diagnostics
-/// allowed, and every count must stay at the golden value under
-/// instrumentation.
+/// per-instance boards, recycled arena cells). Then a delta-enabled
+/// service: one thread applies batches while another registers and
+/// cancels watchers and a third queries, so the graph lock takes the cache
+/// lock inside it (a batch picks its entries, a watcher registers) beside
+/// the workers' cache accesses. Zero error diagnostics allowed, and every
+/// count must stay at the golden value under instrumentation.
 #[test]
 fn service_concurrent_submissions_produce_no_diagnostics() {
     let _g = serial();
@@ -469,6 +472,56 @@ fn service_concurrent_submissions_produce_no_diagnostics() {
         });
     });
     drop(svc); // graceful shutdown is part of the checked surface
+
+    let delta_cfg = EngineConfig::full().with_grid(grid()).with_delta(true);
+    let svc = stmatch_core::MatchService::new(
+        std::sync::Arc::new(fixture()),
+        stmatch_core::ServiceConfig::new(delta_cfg).with_workers(2),
+    );
+    let g = fixture();
+    let (u, v) = (1..48u32)
+        .map(|v| (0, v))
+        .find(|&(u, v)| !g.has_edge(u, v))
+        .expect("vertex 0 has a non-neighbour");
+    let triangle = catalog::triangle();
+    let mut overlay = DeltaOverlay::new(fixture());
+    overlay.apply(&[EdgeOp::insert(u, v)]);
+    let engine = Engine::new(delta_cfg);
+    let counts = [&g, &overlay.snapshot()].map(|g| engine.run(g, &triangle).unwrap().count);
+    let (svc_ref, triangle) = (&svc, &triangle);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for i in 0..6 {
+                let op = if i % 2 == 0 {
+                    EdgeOp::insert(u, v)
+                } else {
+                    EdgeOp::delete(u, v)
+                };
+                svc_ref.apply_batch(&[op]);
+            }
+        });
+        s.spawn(move || {
+            for _ in 0..6 {
+                let id = svc_ref.submit_watch(triangle, |e| {
+                    e.delta.expect("watched delta");
+                });
+                assert!(svc_ref.cancel_watch(id));
+            }
+        });
+        s.spawn(move || {
+            for _ in 0..4 {
+                let out = svc_ref
+                    .submit(triangle, Default::default())
+                    .expect("query beside batches");
+                assert!(
+                    counts.contains(&out.count),
+                    "{} not in {counts:?}",
+                    out.count
+                );
+            }
+        });
+    });
+    drop(svc);
     let diags = simt_check::drain();
     simt_check::disable();
     let errs = errors(&diags);
@@ -483,7 +536,7 @@ fn service_concurrent_submissions_produce_no_diagnostics() {
 /// `cache_insert_without_lock` inserts a plan through the raw mutex,
 /// bypassing the tracked `ServicePlanCache` lock. A prior blocking submit
 /// guarantees a worker has already written the cache *under* the tracked
-/// lock, and the mpsc reply channel is invisible to the checker — so the
+/// lock, and the ticket's reply slot is invisible to the checker — so the
 /// untracked insert has no happens-before edge to the worker's write and
 /// must be reported as a data race naming the `plan-cache` cell.
 #[test]
