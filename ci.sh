@@ -243,6 +243,20 @@ run "smoke:delta" "${CHECK[@]}" delta
 # q1..q14 that test prints as an ungated survey).
 run "smoke:plans" "${CHECK[@]}" plans
 
+# Counter gate: the benchmark's engine ops (census_sparse's q1 + q3 + q6 on
+# PA(420,6,7), clique_dense's q8 on ER(192,7200,5)) and a resident_tick
+# replica (a triangle watcher and q2, q4, q6 maintained over eight 64 + 64
+# exchange batches), rebuilt from the crates on the benchmark's 1 x 2 grid
+# with stealing off: each leg's instructions, lane slots and matches are
+# pinned exactly. A drift fails its leg by name and prints the re-bless
+# command (`check counters --print`). The greps want every leg's OK line,
+# the tick's with its per-entry split.
+run_and_grep "smoke:counters" \
+    "counters census_sparse: OK \([0-9]+ instr, util [0-9.]+, [0-9]+ matches; q1 .* q3 .* q6 
+counters clique_dense: OK \([0-9]+ instr, util [0-9.]+, [0-9]+ matches; q8 
+counters tick: OK \([0-9]+ instr, util [0-9.]+, [0-9]+ matches; [0-9]+ batches: triangle .* q2 .* q4 .* q6 " \
+    "${CHECK[@]}" counters
+
 # Benchmark gate: `benchmark/` is its own workspace, so nothing above
 # compiles it and a break of the call surface it stands on (its README
 # lists it) would otherwise surface only at the benchmark pipeline. Build

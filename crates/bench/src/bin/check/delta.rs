@@ -24,23 +24,26 @@
 //!   triangle's is not at least 10x below one full recount, or if a
 //!   triangle batch takes more than 2 launches.
 //!
-//! One more line, ungated, attributes the delta layer's host time: the
+//! Two more lines, ungated, attribute the delta layer's host time: the
 //! host nanoseconds per `Graph::neighbors` call on a plain CSR, an overlay
-//! snapshot and a stage view of a `resident_tick`-sized fixture.
+//! snapshot and a stage view of a `resident_tick`-sized fixture; and the
+//! host nanoseconds per simulated instruction of the tick's anchored
+//! launches against a whole-graph launch on the same snapshot.
 //!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
 
-use crate::{fixture, report, GOLDEN};
+use crate::{fixture, plans, report, GOLDEN};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use stmatch_core::{
-    DeltaPlans, Engine, EngineConfig, MatchService, QueryOptions, ServiceConfig, WatchEvent,
+    DeltaPlans, Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WatchEvent,
 };
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::{catalog, Pattern};
-use stmatch_testkit::rng::SplitMix64;
+use stmatch_testkit::rng::{SmallRng, SplitMix64};
 
 /// Stream seed for the exactness legs, printed on failure.
 const STREAM_SEED: u64 = 0xd17a_00c1;
@@ -64,6 +67,7 @@ pub fn run(args: &[String]) -> ExitCode {
     ok &= run_service();
     ok &= run_work();
     report_lookups();
+    report_host_cost();
     if ok {
         println!("delta: all legs OK");
     } else {
@@ -333,7 +337,6 @@ fn run_work() -> bool {
 /// `resident_tick`. Best of a few rounds.
 fn report_lookups() {
     use std::hint::black_box;
-    use std::time::Instant;
     const ROUNDS: usize = 20;
     const SIDE: usize = 64;
     let plain = gen::preferential_attachment(1024, 8, 9).degree_ordered();
@@ -386,5 +389,56 @@ fn report_lookups() {
         ns_per_call(std::slice::from_ref(&snapshot)),
         ns_per_call(&stages),
         ops.len(),
+    );
+}
+
+/// Prints host ns per simulated instruction, ungated (a time, not a count):
+/// both anchored launches of each of the tick's entries (the triangle, q2,
+/// q4 and q6, with the plans a delta service compiles on the snapshot) over
+/// one 64 + 64 exchange batch, against a whole-graph q4 on the post-batch
+/// snapshot — `check plans`' `resident_tick` instance, one warp, stealing
+/// off. Best of a few rounds.
+fn report_host_cost() {
+    const ROUNDS: usize = 5;
+    let mut cfg = EngineConfig::default().with_grid(crate::grid(1, 1));
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    let engine = Engine::new(cfg);
+    let mut rng = SmallRng::seed_from_u64(plans::SEED);
+    let (start, mut present, mut absent) = plans::fixture(&mut rng);
+    let mut overlay = DeltaOverlay::new(start);
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&plans::exchange(&mut present, &mut absent, &mut rng));
+    let post = overlay.snapshot();
+    // Best host ns per simulated instruction of `launch`, which returns the
+    // instructions it ran.
+    let ns_per_instr = |launch: &dyn Fn() -> u64| {
+        (0..ROUNDS)
+            .map(|_| {
+                let t = Instant::now();
+                let instr = launch();
+                t.elapsed().as_nanos() as f64 / instr.max(1) as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let anchored: Vec<String> = std::iter::once(catalog::triangle())
+        .chain([2, 4, 6].map(catalog::paper_query))
+        .map(|q| {
+            let plans = engine.compile_delta_on(&q, &pre);
+            let ns = ns_per_instr(&|| {
+                let (_, metrics) = plans.count(&engine, &pre, &post, &batch).expect("delta");
+                metrics.total().simt_instructions
+            });
+            format!("{} {ns:.0}", q.name())
+        })
+        .collect();
+    let q4 = engine.compile(&catalog::paper_query(4));
+    let whole = ns_per_instr(&|| {
+        let out = engine.launch(&Launch::new(&post, &q4)).expect("recount");
+        out.total_instructions()
+    });
+    println!(
+        "delta host cost: ns per simulated instruction, anchored {} vs whole-graph q4 {whole:.0} \
+         (resident_tick's instance, one 128-edge exchange batch, one snapshot, one warp; ungated)",
+        anchored.join(", ")
     );
 }

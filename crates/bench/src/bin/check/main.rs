@@ -8,6 +8,7 @@
 //! anything.
 
 mod bitmap;
+mod counters;
 mod delta;
 mod faults;
 mod hotpath;
@@ -92,13 +93,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((gate, flags)) = args.split_first() else {
         eprintln!(
-            "usage: check <bitmap|delta|faults|hotpath|plans|service|shard|simt|verify> \
+            "usage: check <bitmap|counters|delta|faults|hotpath|plans|service|shard|simt|verify> \
              [--mutate=<name>] [--scaling] [--print]"
         );
         return ExitCode::from(2);
     };
     let run = match gate.as_str() {
         "bitmap" => bitmap::run,
+        "counters" => counters::run,
         "delta" => delta::run,
         "faults" => faults::run,
         "hotpath" => hotpath::run,

@@ -32,7 +32,7 @@ use stmatch_pattern::{catalog, symmetry, MatchPlan, Pattern};
 use stmatch_testkit::rng::{Rng, SmallRng};
 
 /// Seed of the instance: the benchmark's `INSTANCE_SEED`.
-const SEED: u64 = 0x57a7_10a2;
+pub(crate) const SEED: u64 = 0x57a7_10a2;
 
 /// Deletes (and as many inserts) per batch, as in the benchmark's tick.
 const PER_SIDE: usize = 64;
@@ -226,7 +226,7 @@ fn connected_orders(q: &Pattern, (a, b): (usize, usize)) -> Vec<Vec<usize>> {
 /// The benchmark's `resident_tick` instance, rebuilt with its generator:
 /// a seeded half of PA(1024, 8, 9)'s edges, renamed so the graph is
 /// degree-ordered, with its present and absent edges in those names.
-fn fixture(rng: &mut SmallRng) -> (Graph, Vec<Edge>, Vec<Edge>) {
+pub(crate) fn fixture(rng: &mut SmallRng) -> (Graph, Vec<Edge>, Vec<Edge>) {
     let universe = gen::preferential_attachment(1024, 8, 9);
     let mut edges: Vec<Edge> = universe.edges().collect();
     rng.shuffle(&mut edges);
@@ -255,7 +255,11 @@ fn fixture(rng: &mut SmallRng) -> (Graph, Vec<Edge>, Vec<Edge>) {
 
 /// One exchange batch: [`PER_SIDE`] uniformly drawn present edges deleted
 /// and as many absent ones inserted; the two lists trade them.
-fn exchange(present: &mut [Edge], absent: &mut [Edge], rng: &mut SmallRng) -> Vec<EdgeOp> {
+pub(crate) fn exchange(
+    present: &mut [Edge],
+    absent: &mut [Edge],
+    rng: &mut SmallRng,
+) -> Vec<EdgeOp> {
     for i in 0..PER_SIDE {
         let j = rng.gen_range(i..present.len());
         present.swap(i, j);

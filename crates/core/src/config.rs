@@ -2,6 +2,7 @@
 
 use crate::steal::MAX_STOP;
 use stmatch_gpusim::{GridConfig, WARP_SIZE};
+use stmatch_pattern::MatchPlan;
 
 /// Largest supported unroll size, and the widest claim a level's slot
 /// table may grant. The combined set operations map one unroll slot's size
@@ -255,10 +256,14 @@ impl EngineConfig {
         Self::default()
     }
 
-    /// Effective stop level for a pattern of `k` levels: stealing below the
-    /// last level only.
-    pub fn effective_stop(&self, k: usize) -> usize {
-        self.stop_level.min(k.saturating_sub(1)).max(1)
+    /// The StopLevel `plan`'s launches run under: stealing below the last
+    /// level only — and, for an anchored plan, from level 2 on where it has
+    /// one, so that a stage's level 1 (its pin, one candidate) is claimed
+    /// through the mirror like any shallow level.
+    pub fn effective_stop(&self, plan: &MatchPlan) -> usize {
+        let floor = if plan.anchor().is_some() { 2 } else { 1 };
+        let k = plan.num_levels();
+        self.stop_level.max(floor).min(k.saturating_sub(1)).max(1)
     }
 
     /// Returns a copy with the given induced mode.
@@ -385,10 +390,23 @@ mod tests {
 
     #[test]
     fn effective_stop_clamps_to_pattern_depth() {
-        let c = EngineConfig::default();
-        assert_eq!(c.effective_stop(7), 2);
-        assert_eq!(c.effective_stop(2), 1);
-        assert_eq!(c.effective_stop(3), 2);
+        use stmatch_pattern::{catalog, order::MatchOrder, PlanOptions};
+        let opts = PlanOptions::default();
+        let whole = |k| MatchPlan::compile(&catalog::path(k), opts);
+        let anchored = |k| {
+            let p = catalog::path(k);
+            MatchPlan::compile_anchored(&p, MatchOrder::anchored(&p, (0, 1)), opts)
+        };
+        let mut c = EngineConfig::default();
+        assert_eq!(c.effective_stop(&whole(7)), 2);
+        assert_eq!(c.effective_stop(&whole(2)), 1);
+        assert_eq!(c.effective_stop(&whole(3)), 2);
+        // An anchored plan claims level 1 through the mirror wherever it
+        // has a level 2.
+        c.stop_level = 1;
+        assert_eq!(c.effective_stop(&whole(4)), 1);
+        assert_eq!(c.effective_stop(&anchored(4)), 2);
+        assert_eq!(c.effective_stop(&anchored(2)), 1);
     }
 
     #[test]

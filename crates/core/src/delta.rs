@@ -25,8 +25,10 @@
 //!    [`MatchOrder::anchored`]; [`Engine::compile_delta_on`] takes the
 //!    cheapest of [`MatchOrder::anchored_candidates`] on a sample of a
 //!    graph ([`crate::estimate`]). A launch of that plan over one batch
-//!    side pins levels 0/1 to each update edge `{a, b}`; level 1 finds its
-//!    pin with one search of level 0's row. When the stabilizer swaps `p` and `q`, the plan's
+//!    side pins levels 0/1 to each update edge `{a, b}`: entering level 1,
+//!    one search of level 0's row finds the other endpoint, and level 1's
+//!    range is that one element, claimed like any shallow index and never
+//!    split by a thief. When the stabilizer swaps `p` and `q`, the plan's
 //!    orientation bound leaves one level-0 index per update edge, and puts
 //!    the edge's higher endpoint (on a degree-ordered graph, the one with
 //!    the shorter row) where level 2 expands from: at position 1 if level

@@ -235,7 +235,7 @@ pub(crate) enum Level0<'a> {
     Slice(&'a [VertexId]),
     /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
     /// the update set itself — per stage, the endpoints of `edges[s]`
-    /// matched on `views[s]` with level 1 pinned to the other endpoint
+    /// matched on `views[s]`, level 1 held to the other endpoint
     /// ([`Level0Map::Staged`]) — so one launch counts every match that
     /// places the plan's first two order positions on a batch edge, each
     /// against its own stage graph, and the warps of
@@ -377,7 +377,7 @@ impl Engine {
     /// [`peak_cells`](stmatch_plan_verify::ResourceCert::peak_cells) is
     /// taken over.
     pub fn slot_table(&self, plan: &MatchPlan) -> SlotTable {
-        let stop = self.cfg.effective_stop(plan.num_levels());
+        let stop = self.cfg.effective_stop(plan);
         plan.bytecode().slot_table(self.cfg.unroll, stop)
     }
 
@@ -560,7 +560,7 @@ impl Engine {
         };
         let sim = Grid::new(grid)?;
         let k = plan.num_levels();
-        let stop = cfg.effective_stop(k);
+        let stop = cfg.effective_stop(plan);
 
         // --- Launch planning: shared-memory budget (per block). ---
         let mut shared = SharedBudget::new(cfg.grid.shared_mem_per_block);

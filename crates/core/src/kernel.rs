@@ -83,15 +83,15 @@ pub enum Level0Map<'a> {
     Order(&'a [VertexId]),
     /// One side of a delta batch: index `i` names a stage `s` and one
     /// endpoint of update edge `edges[s]` (each `(lo, hi)`, `lo < hi`),
-    /// matched on that stage's graph `views[s]` with level 1 pinned to the
-    /// edge's other endpoint — so the run counts exactly the matches whose
-    /// first two matched positions are a batch edge, each on its own stage
-    /// view. `orient`: the plan's level-1 bound against level 0, if it has
-    /// one — only one endpoint can start a match, so stage `s = i` starts
-    /// at `hi` under [`Bound::Less`] and at `lo` under [`Bound::Greater`];
-    /// otherwise `s = i / 2` and `i % 2` picks the endpoint, both
-    /// orientations. The pin is keyed by the index, not the vertex: one
-    /// vertex may end many batch edges.
+    /// matched on that stage's graph `views[s]`, and level 1's range is the
+    /// edge's other endpoint alone — so the run counts exactly the matches
+    /// whose first two matched positions are a batch edge, each on its own
+    /// stage view. `orient`: the plan's level-1 bound against level 0, if it
+    /// has one — only one endpoint can start a match, so stage `s = i`
+    /// starts at `hi` under [`Bound::Less`] and at `lo` under
+    /// [`Bound::Greater`]; otherwise `s = i / 2` and `i % 2` picks the
+    /// endpoint, both orientations. The stage is keyed by the index, not the
+    /// vertex: one vertex may end many batch edges.
     Staged {
         edges: &'a [(VertexId, VertexId)],
         views: &'a [Graph],
@@ -142,8 +142,8 @@ impl KernelEnv<'_> {
     /// the one of W and the parent's list V defined at the shallower level
     /// (W on a tie), so it is rebuilt for fewer slots — but V only while its
     /// valid elements are a window less exclusions, without a residual label
-    /// or a staged pin to test element by element. V and W the same slot of
-    /// one set need no row (DESIGN.md §4c).
+    /// to test element by element. V and W the same slot of one set need no
+    /// row (DESIGN.md §4c).
     fn last_levels(&self, stop: usize) -> (bool, Row) {
         let bc = self.plan.bytecode();
         let last = self.plan.num_levels() - 1;
@@ -155,8 +155,7 @@ impl KernelEnv<'_> {
             return (false, Row::Last);
         }
         let (v_set, v_def) = bc.candidate(last - 1);
-        let pinned = last == 2 && matches!(self.l0, Level0Map::Staged { .. });
-        let row = if bc.level_meta(last - 1).resid.is_some() || pinned {
+        let row = if bc.level_meta(last - 1).resid.is_some() {
             Row::Last
         } else if v_set == w_set {
             Row::None
@@ -235,7 +234,8 @@ pub struct WarpKernel<'a> {
     /// The level-0 virtual index `matched[0]` was resolved from; published
     /// and stolen in its place (see [`StealPayload::matched`]).
     l0_index: usize,
-    /// The level-1 pin of the current stage (staged runs only).
+    /// The current stage's other endpoint, level 1's one candidate (staged
+    /// runs only; see [`WarpKernel::window`]).
     pin: Option<VertexId>,
     /// Ping/pong scratch for multi-op set chains; the final chain op
     /// writes straight into the arena, so these only hold intermediates:
@@ -406,22 +406,19 @@ impl<'a> WarpKernel<'a> {
         emb[base + order.vertex_at(k - 1)] = v;
     }
 
-    /// Per-level validity context, with the level-1 pin of a staged run's
-    /// current stage and level 0's label as a residual one (deeper candidates
-    /// come from label-filtered sets).
+    /// Per-level validity context, with level 0's label as a residual one
+    /// (deeper candidates come from label-filtered sets).
     #[inline]
     fn validity(&self, l: usize) -> Validity<'a> {
         let mut vy = Validity::new(self.bc, l);
-        match l {
-            0 => vy.resid = self.bc.level_meta(0).label,
-            1 => vy.pin = self.pin,
-            _ => {}
+        if l == 0 {
+            vy.resid = self.bc.level_meta(0).label;
         }
         vy
     }
 
     /// The data vertex of level-0 virtual index `idx`. A staged run also
-    /// moves onto that stage's view and level-1 pin, which then hold for
+    /// moves onto that stage's view and other endpoint, which then hold for
     /// the index's whole subtree: level 0 is always shallow, so it is
     /// claimed one index at a time and every deeper batch shares the stage.
     #[inline]
@@ -539,7 +536,7 @@ impl<'a> WarpKernel<'a> {
     /// Installs a work item — a level-0 chunk (`target == 0`, empty prefix:
     /// only the mirror moves) or a stolen/requeued stack: restores the
     /// matched prefix (resolving its level-0 index — and with it a staged
-    /// run's view and pin), recomputes the candidate sets of every level up
+    /// run's stage), recomputes the candidate sets of every level up
     /// to the target (they are deterministic functions of the prefix), and
     /// points the mirror at the iteration range.
     pub fn install(&mut self, warp: &mut Warp, p: &StealPayload) {
@@ -637,26 +634,11 @@ impl<'a> WarpKernel<'a> {
                 // `steal::mutation::claim_shallow_without_lock`) and the
                 // detector must name this site as the racing partner.
                 let mut m = self.board.mirror(self.warp_id).lock();
-                let (lo, hi) = (m.iter[l], m.size[l]);
-                if lo >= hi {
+                let i = m.iter[l];
+                if i >= m.size[l] {
                     return false;
                 }
-                let i = match self.pin.filter(|_| l == 1) {
-                    // A staged run's level 1 has one valid candidate, the
-                    // pin: one search of the sorted list finds it in the
-                    // claimed range, which is consumed whole.
-                    Some(pin) => {
-                        m.iter[l] = hi;
-                        match self.candidate_list(l, 0)[lo..hi].binary_search(&pin) {
-                            Ok(j) => lo + j,
-                            Err(_) => return false,
-                        }
-                    }
-                    None => {
-                        m.iter[l] += 1;
-                        lo
-                    }
-                };
+                m.iter[l] += 1;
                 // Record the in-flight iteration under the same lock that
                 // claims it: from here until the child range is published
                 // (or the subtree commits), this index exists nowhere else —
@@ -716,12 +698,7 @@ impl<'a> WarpKernel<'a> {
                 continue;
             }
             let start = self.iter[l];
-            // A pinned level 1 (see `claim_shallow`) takes the rest of its
-            // slot and searches it once for the pin.
-            let take = match vy.pin {
-                Some(_) => cl_len - start,
-                None => (cl_len - start).min(self.slots.width(l)),
-            };
+            let take = (cl_len - start).min(self.slots.width(l));
             self.iter[l] += take;
             self.unpolled += take;
             // Validity filtering straight from the slab (disjoint fields:
@@ -731,12 +708,6 @@ impl<'a> WarpKernel<'a> {
             }
             let (g, matched) = (self.g, &self.matched);
             let claimed = &self.storage.slot(cid, slot)[start..start + take];
-            let claimed = match vy.pin {
-                Some(pin) => claimed
-                    .binary_search(&pin)
-                    .map_or(&[][..], |j| &claimed[j..=j]),
-                None => claimed,
-            };
             let next = &mut self.batch[l + 1];
             next.clear();
             for &v in claimed {
@@ -758,10 +729,10 @@ impl<'a> WarpKernel<'a> {
     /// matched vertices of the level's
     /// [`inj`](stmatch_pattern::bytecode::LevelMeta::inj) positions inside it.
     /// A list computed at this level is a fresh list per slot, searched per
-    /// slot ([`count_valid_sorted`]); a lifted one — here only under a shallow
-    /// parent level, a deep one runs [`WarpKernel::count_tail`] — is clipped
-    /// ([`Clip`]) at the slot's own vertex by one rank in the warp's
-    /// [`RankRow`] of it.
+    /// slot ([`count_valid_sorted`]) inside its [`WarpKernel::window`]; a
+    /// lifted one — here only under a shallow parent level, a deep one runs
+    /// [`WarpKernel::count_tail`] — is clipped ([`Clip`]) at the slot's own
+    /// vertex by one rank in the warp's [`RankRow`] of it.
     ///
     /// On the simulated machine a list computed at this level gets no pass:
     /// its survivors were lanes of the level's final set-operation stream — a
@@ -769,15 +740,15 @@ impl<'a> WarpKernel<'a> {
     /// and the validity predicate rides in that lane instruction. A lifted
     /// list costs count lanes (private tallies, no ballot): one per slot in
     /// closed form — the shallow parent claimed and checked the slot on its
-    /// own — and one per (slot, element) when `enumerate`, a residual label
-    /// or a pin has to touch every element.
+    /// own — and one per (slot, element) when `enumerate` or a residual label
+    /// has to touch every element.
     fn count_last_level(&mut self, warp: &mut Warp) {
         let l = self.k - 1;
         let slots = self.batch[l].len;
         let vy = self.validity(l);
         let def = self.bc.candidate(l).1;
         let lifted = def != l;
-        let closed = self.emit.is_none() && vy.resid.is_none() && vy.pin.is_none();
+        let closed = self.emit.is_none() && vy.resid.is_none();
         if lifted {
             let n = self.candidate_list(l, 0).len();
             let lanes = if closed { slots } else { slots * n };
@@ -788,10 +759,12 @@ impl<'a> WarpKernel<'a> {
             self.matched[l - 1] = self.batch[l].slots[u];
             let (cid, slot) = self.candidate_location(l, u);
             let g = self.g;
+            let cl = self.storage.slot(cid, slot);
+            let window = self.window(l, cl);
             if self.emit.is_some() {
                 let mut tail = std::mem::take(&mut self.emit_tail);
                 tail.clear();
-                let cl = self.storage.slot(cid, slot);
+                let cl = &cl[window];
                 tail.extend(cl.iter().filter(|&&v| vy.check(g, &self.matched, v)));
                 total += tail.len() as u64;
                 for &v in &tail {
@@ -799,10 +772,8 @@ impl<'a> WarpKernel<'a> {
                 }
                 self.emit_tail = tail;
             } else if !closed {
-                // Residual label checks — and the level-1 pin of a
-                // 2-vertex staged run, which the closed form below does
-                // not model — need a per-element probe.
-                total += vy.count(g, &self.matched, self.storage.slot(cid, slot));
+                // Residual label checks need a per-element probe.
+                total += vy.count(g, &self.matched, &cl[window]);
             } else if lifted {
                 debug_assert!(self.row == Row::Last);
                 let (read, cells) = self.storage.lists_and_row();
@@ -812,7 +783,7 @@ impl<'a> WarpKernel<'a> {
                 let n = Clip::new(cl.len(), matched, &vy, l - 1, |x| ranks.rank(x)).count(c, hit);
                 total += closed_form(n, l, matched, cl, || vy.count(g, matched, cl));
             } else {
-                let (cl, matched) = (self.storage.slot(cid, slot), &self.matched);
+                let (cl, matched) = (&cl[window], &self.matched);
                 let n = count_valid_sorted(cl, matched, &vy);
                 total += closed_form(n, l, matched, cl, || vy.count(g, matched, cl));
             }
@@ -980,7 +951,7 @@ mod tests {
         cfg: EngineConfig,
         body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
     ) -> WarpMetrics {
-        let stop = cfg.effective_stop(plan.num_levels());
+        let stop = cfg.effective_stop(plan);
         let board = Board::new(1, 1, stop, (0, 0), cfg.chunk_size);
         let env = KernelEnv {
             graph: g,

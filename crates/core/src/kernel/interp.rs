@@ -3,6 +3,7 @@
 use super::WarpKernel;
 use crate::config::MAX_UNROLL;
 use crate::setops::{self, materialize_base_into};
+use std::ops::Range;
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::VertexId;
 use stmatch_pattern::bytecode::OpCode;
@@ -33,12 +34,7 @@ impl WarpKernel<'_> {
         // this store lands the previous range at `l` is fully drained
         // (`iter == size`), so no stealer can observe a half-updated view.
         if l - 1 < self.stop {
-            let size = if l < self.stop {
-                let (cid, slot) = self.candidate_location(l, 0);
-                Some(self.storage.slot(cid, slot).len())
-            } else {
-                None
-            };
+            let range = (l < self.stop).then(|| self.window(l, self.candidate_list(l, 0)));
             let mut m = self.board.mirror(self.warp_id).lock();
             // Level 0 is published as its virtual index, the form a stolen
             // prefix travels in.
@@ -47,9 +43,9 @@ impl WarpKernel<'_> {
             } else {
                 self.batch[l].slots[0]
             };
-            if let Some(size) = size {
-                m.iter[l] = 0;
-                m.size[l] = size;
+            if let Some(range) = range {
+                m.iter[l] = range.start;
+                m.size[l] = range.end;
                 // The published range now describes the in-flight claim's
                 // entire subtree; requeueing both on death would double
                 // count, so the marker dies with the publish. (When `l ==
@@ -68,6 +64,23 @@ impl WarpKernel<'_> {
                 // see `FaultPlan::at_publish`.
                 f.at_publish(self.warp_id, self.publishes);
             }
+        }
+    }
+
+    /// The part of level `l`'s candidate list `cl` that its claims or its
+    /// count walk: all of it — except at a staged run's level 1, whose one
+    /// candidate is the stage's other endpoint: its place, found by one
+    /// search per stage, or nothing where the stage's list lacks it (a
+    /// label filters it out). So level 1 is published as a one-element range
+    /// and claimed like any other, and no thief can split a row that holds
+    /// one valid candidate.
+    pub(super) fn window(&self, l: usize, cl: &[VertexId]) -> Range<usize> {
+        match self.pin {
+            Some(pin) if l == 1 => match cl.binary_search(&pin) {
+                Ok(j) => j..j + 1,
+                Err(j) => j..j,
+            },
+            _ => 0..cl.len(),
         }
     }
 

@@ -352,8 +352,7 @@ mod tests {
     /// injectivity and nothing asked of position `l`, with and without
     /// exclusions in V and found elements in W (other positions' `inj` bits
     /// and bounds, matched vertices drawn from the lists), against V's row,
-    /// W's row and — V and W one list — the list itself. W's row also walks a
-    /// V filtered by a pin, which no window describes.
+    /// W's row and — V and W one list — the list itself.
     #[test]
     fn the_tail_sums_are_the_brute_force_sums() {
         const L: usize = 4;
@@ -396,13 +395,11 @@ mod tests {
                 resid: None,
                 inj: (rng.next_u64() % 16) as u8,
                 bounds: &vy_bounds,
-                pin: None,
             };
             let vz = Validity {
                 resid: None,
                 inj: (rng.next_u64() % 16) as u8 | u8::from(kind == 2) << L,
                 bounds: &vz_bounds,
-                pin: None,
             };
             // Positions 0..L, distinct, drawn from V, W or anywhere (past
             // both lists too) — but, as in a plan, V holds no prefix vertex its
@@ -456,22 +453,6 @@ mod tests {
                 let itself = slot.count(&g, &matched, Against::Itself);
                 assert_eq!(itself, (survivors, Some(want)), "one list, {what}");
             }
-            // A pinned V is walked against W's row.
-            if let Some(&pin) = v.get(case % v.len().max(1)) {
-                let slot = TailSlot {
-                    vy: Validity {
-                        pin: Some(pin),
-                        ..vy
-                    },
-                    ..slot
-                };
-                let want = (
-                    slot.vy.count(&g, &matched, &v),
-                    Some(slot.reference(&g, &matched)),
-                );
-                let on_w = Against::W(row.of(&mut cells, w, 1, case, &[]));
-                assert_eq!(slot.count(&g, &matched, on_w), want, "pinned, {what}");
-            }
         }
         assert!(cases.iter().all(|&c| c > 500), "{cases:?}");
     }
@@ -485,7 +466,6 @@ mod tests {
             resid: None,
             inj: 0b011,
             bounds: &[],
-            pin: None,
         };
         let (cl, matched) = ([5], [5, 5, 9, 0]);
         assert_eq!(count_valid_sorted(&cl, &matched, &vy), None);

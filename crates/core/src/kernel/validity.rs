@@ -61,9 +61,6 @@ pub(super) struct Validity<'p> {
     /// positions a candidate can collide with.
     pub(super) inj: u8,
     pub(super) bounds: &'p [(usize, Bound)],
-    /// The level-1 pin of a staged run's current stage (see
-    /// [`Level0Map::Staged`]); `None` everywhere else.
-    pub(super) pin: Option<VertexId>,
 }
 
 /// The positions named by an injectivity mask, ascending.
@@ -86,7 +83,6 @@ impl<'p> Validity<'p> {
             resid: meta.resid,
             inj: meta.inj,
             bounds: bc.bounds(l),
-            pin: None,
         }
     }
 
@@ -111,9 +107,7 @@ impl<'p> Validity<'p> {
                 return false;
             }
         }
-        // Staged delta run: level 1 admits only the other endpoint of the
-        // update edge level 0 was claimed from.
-        self.pin.is_none_or(|pin| v == pin)
+        true
     }
 
     /// The elements of `cl` that pass [`Validity::check`].

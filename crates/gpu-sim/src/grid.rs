@@ -174,10 +174,13 @@ impl Grid {
         // its predicate accepts). So no job holding the erased reference is
         // in flight when this function returns or unwinds.
         let kernel: &'static (dyn Fn(&mut Warp) + Sync) = unsafe { std::mem::transmute(kernel) };
-        // Warp 0 runs before the rest get their jobs, as when a launch
-        // spawned its warps in id order: with fewer cores than warps, the
-        // first to run can drain a small launch (`check faults` kills warp 0
-        // and needs it to claim).
+        // Warp 0's job is picked up before the other warps' jobs are handed
+        // out, as when a launch spawned its warps in id order. That orders
+        // the pickups only, not the claims: once its thread has the job,
+        // warp 0 races the rest to its first claim, and with fewer cores
+        // than warps another warp can drain a small launch first (`check
+        // faults` kills warp 0 and needs it to claim; its retries cover the
+        // race).
         for (id, t) in threads.iter().enumerate() {
             t.hand(Slot::Job { id, wpb, kernel });
             if id == 0 {

@@ -206,6 +206,7 @@ pub fn all_paper_queries() -> Vec<Pattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iso::next_permutation;
 
     #[test]
     fn sizes_match_paper_grouping() {
@@ -273,27 +274,6 @@ mod tests {
                 return false;
             }
         }
-    }
-
-    fn next_permutation(p: &mut [usize]) -> bool {
-        let n = p.len();
-        if n < 2 {
-            return false;
-        }
-        let mut i = n - 1;
-        while i > 0 && p[i - 1] >= p[i] {
-            i -= 1;
-        }
-        if i == 0 {
-            return false;
-        }
-        let mut j = n - 1;
-        while p[j] <= p[i - 1] {
-            j -= 1;
-        }
-        p.swap(i - 1, j);
-        p[i..].reverse();
-        true
     }
 
     #[test]

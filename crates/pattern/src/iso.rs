@@ -51,6 +51,8 @@ fn is_mapping(a: &Pattern, b: &Pattern, perm: &[usize]) -> bool {
     true
 }
 
+/// Steps `p` to its next permutation in lexicographic order; `false`, and
+/// `p` untouched, once it is the last (descending) one.
 pub(crate) fn next_permutation(p: &mut [usize]) -> bool {
     let n = p.len();
     if n < 2 {

@@ -8,6 +8,7 @@
 //! repeatedly pick the first vertex not fixed by the remaining group, order
 //! it below its orbit, and restrict the group to the stabilizer.
 
+use crate::iso::next_permutation;
 use crate::order::MatchOrder;
 use crate::Pattern;
 
@@ -27,27 +28,6 @@ pub fn automorphisms(p: &Pattern) -> Vec<Vec<usize>> {
         }
     }
     result
-}
-
-fn next_permutation(p: &mut [usize]) -> bool {
-    let n = p.len();
-    if n < 2 {
-        return false;
-    }
-    let mut i = n - 1;
-    while i > 0 && p[i - 1] >= p[i] {
-        i -= 1;
-    }
-    if i == 0 {
-        return false;
-    }
-    let mut j = n - 1;
-    while p[j] <= p[i - 1] {
-        j -= 1;
-    }
-    p.swap(i - 1, j);
-    p[i..].reverse();
-    true
 }
 
 /// A single symmetry-breaking constraint: the data vertex matched to pattern

@@ -73,10 +73,9 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     let plan = stmatch_core::Engine::new(cfg).compile(&pattern);
 
     let grid = Grid::new(cfg.grid).unwrap();
-    let k = plan.num_levels();
     // No level-0 range of its own: the kernel is handed its items, and its
     // last step of each pass polls the board to an exit.
-    let board = Board::new(1, 1, cfg.effective_stop(k), (0, 0), cfg.chunk_size);
+    let board = Board::new(1, 1, cfg.effective_stop(&plan), (0, 0), cfg.chunk_size);
 
     // Allocation count observed during the post-warmup run, and the match
     // count of that run (sanity: the steady-state pass did real work).

@@ -143,7 +143,7 @@ fn counting_drops_only_the_last_levels_ballots_where_no_tail_forms() {
             // parent level is deep — and only on a run free to count.
             let k = plan.num_levels();
             let lifted = plan.bytecode().candidate(k - 1).1 != k - 1;
-            let tail = lifted && k >= cfg.effective_stop(k) + 2;
+            let tail = lifted && k >= cfg.effective_stop(&plan) + 2;
             for out in [&counted, &masked] {
                 assert!(tail || out.tail == [0, 0], "{leg}: {:?}", out.tail);
                 assert!(!tail || out.count == 0 || out.tail[1] > 0, "{leg}");
@@ -160,7 +160,7 @@ fn counting_drops_only_the_last_levels_ballots_where_no_tail_forms() {
             // per batch, a count pass), the residual label cannot and leaves
             // each claim its own validity wave.
             let labeled = engine.compile(&relabeled(5));
-            let stop = cfg.effective_stop(k);
+            let stop = cfg.effective_stop(&plan);
             let keyed = (stop..k - 1).any(|lv| labeled.bytecode().candidate(lv).1 != lv);
             let r = residual.metrics.total();
             let same_rows = r.operand_lanes == 0;

@@ -394,11 +394,12 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
     }
 }
 
-/// StopLevel 1 makes level 1 deep, so a pinned level 1 is claimed by the
-/// deep claim — under C5's, C6's and the tailed C4's plans; the triangle's
-/// level 1 is counted in its fused tail instead.
+/// StopLevel 1 makes level 1 deep in a whole-graph plan, but an anchored
+/// plan with a level 2 still claims its level 1 — a stage's pin — through
+/// the mirror: its launches run at StopLevel 2, and C5's, C6's, the tailed
+/// C4's and the triangle's deltas stay exact.
 #[test]
-fn a_deep_pinned_level_1_is_exact() {
+fn a_stop_level_1_engine_claims_level_1_through_the_mirror() {
     let mut cfg = EngineConfig::default();
     (cfg.stop_level, cfg.detect_level) = (1, 1);
     let e = Engine::new(cfg);
@@ -411,6 +412,12 @@ fn a_deep_pinned_level_1_is_exact() {
         .into_iter()
         .chain([catalog::triangle()])
     {
+        let plans = e.compile_delta(&q);
+        assert!(
+            plans.plans().all(|p| cfg.effective_stop(p) == 2),
+            "{}",
+            q.name()
+        );
         let delta = delta_of(&e, &pre, &post, &batch, &q).expect("delta");
         assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
     }

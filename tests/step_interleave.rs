@@ -2,11 +2,10 @@
 //! board in turn, with both steal levels on, and the run counts exactly,
 //! steals both ways and repeats itself to the instruction. A kernel whose
 //! idle wait blocked could not be driven like this at all: its first idle
-//! step would never hand the thread back. Stepping also places a steal at
-//! a chosen claim: a staged delta launch's pinned level-1 range is split
-//! before its owner's first claim of it.
+//! step would never hand the thread back. Stepping also shows what a thief
+//! finds in a staged delta launch: a stage's level-1 range is its pin
+//! alone, so a thief takes a stage, never half a row.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::kernel::{KernelEnv, Level0Map, Step, WarpKernel};
 use stmatch_core::steal::Board;
@@ -34,7 +33,7 @@ fn interleaved(g: &Graph, q: usize) -> WarpMetrics {
     cfg.chunk_size = 32;
     assert!(cfg.local_steal && cfg.global_steal);
     let plan = Engine::new(cfg).compile(&catalog::paper_query(q));
-    let stop = cfg.effective_stop(plan.num_levels());
+    let stop = cfg.effective_stop(&plan);
     let board = Board::new(2, 2, stop, (0, g.num_vertices()), cfg.chunk_size);
     let env = KernelEnv {
         graph: g,
@@ -80,22 +79,23 @@ fn four_warps_stepped_on_one_thread_count_exactly_and_steal_deterministically() 
     }
 }
 
-/// The C5 (q2) matches of `g` that use its edge `(0, v)`, counted by one
-/// staged launch of q2's anchored plan on a 1 × 2 board stepped on one
-/// thread. Vertex 0 is the degree-ordered graph's hub, and C5's plan starts
-/// at an edge's lower endpoint: warp 0 claims the hub at level 0 and
-/// publishes its level-1 range, then warp 1 steals half of that range
-/// before warp 0's first level-1 claim. Returns the count, the steals, and
-/// whether the pin sat in the stolen half.
-fn stolen_pinned_range(g: &Graph, v: VertexId) -> (u64, u64, bool) {
+/// The C5 (q2) matches of `g` that use one of the hub's edges `(0, v)` for
+/// `v` in `pins`, counted by one staged launch of q2's anchored plan on a
+/// 1 × 2 board stepped on one thread, one stage per level-0 chunk. Vertex 0
+/// is the degree-ordered graph's hub, and C5's plan starts at an edge's
+/// lower endpoint: warp 0 claims stage 0's hub at level 0 and publishes its
+/// level-1 range, then warp 1 steps before warp 0's first level-1 claim.
+/// Returns the count, the steals, the level-1 range warp 0 published, and
+/// what warp 1's first step did.
+fn staged_hub_edges(g: &Graph, pins: &[VertexId]) -> (u64, u64, (usize, usize), Step) {
     let mut cfg = EngineConfig::default().with_grid(grid(1, 2));
     (cfg.local_steal, cfg.global_steal) = (true, false);
     let plans = Engine::new(cfg).compile_delta(&catalog::paper_query(2));
     let plan = plans.plans().next().expect("C5 has one edge orbit");
     assert_eq!(plan.bytecode().bounds(1), [(0, Bound::Greater)]);
-    let edges = [(0, v)];
+    let edges: Vec<_> = pins.iter().map(|&v| (0, v)).collect();
     let views = g.staged_without_edges(&edges);
-    let stop = cfg.effective_stop(plan.num_levels());
+    let stop = cfg.effective_stop(plan);
     let board = Board::new(1, 2, stop, (0, edges.len()), 1);
     let env = KernelEnv {
         graph: &views[0],
@@ -109,20 +109,22 @@ fn stolen_pinned_range(g: &Graph, v: VertexId) -> (u64, u64, bool) {
         },
         enumerate: false,
     };
-    let kept = AtomicUsize::new(0);
+    let seen = std::sync::Mutex::new(None);
     let metrics = Grid::new(grid(1, 1)).unwrap().launch(|warp| {
         let mut kernels: Vec<_> = (0..2)
             .map(|id| WarpKernel::new(&env, &board, id, None, None))
             .collect();
-        // Warp 0 installs the one level-0 index and claims it, publishing
-        // the hub's row as its level-1 range.
+        // Warp 0 installs stage 0 and claims its level-0 index, publishing
+        // its level-1 range; warp 1 then finds that range too short to
+        // steal from and takes the next stage off the dispenser.
         assert_eq!(kernels[0].step(warp), Step::Claimed);
         assert_eq!(kernels[0].step(warp), Step::Claimed);
-        let published = board.mirror(0).lock().size[1];
-        assert_eq!(published, g.degree(0), "level 1 walks the hub's row");
-        // Warp 1 finds no chunk and steals the tail half.
-        assert_eq!(kernels[1].step(warp), Step::Claimed);
-        kept.store(board.mirror(0).lock().size[1], Ordering::Relaxed);
+        let published = {
+            let m = board.mirror(0).lock();
+            (m.iter[1], m.size[1])
+        };
+        let first = kernels[1].step(warp);
+        *seen.lock().unwrap() = Some((published, first));
         let mut done = [false; 2];
         while done.contains(&false) {
             for (kernel, done) in kernels.iter_mut().zip(&mut done) {
@@ -130,32 +132,27 @@ fn stolen_pinned_range(g: &Graph, v: VertexId) -> (u64, u64, bool) {
             }
         }
     });
-    let kept = kept.into_inner();
-    assert!(
-        kept < g.degree(0),
-        "warp 1 stole no part of the level-1 range"
-    );
+    let (published, first) = seen.into_inner().unwrap().expect("warp 0 published");
     let m = &metrics.warps[0];
-    let stolen_pin = g.neighbors(0).binary_search(&v).unwrap() >= kept;
-    (m.matches_found, m.local_steals, stolen_pin)
+    (m.matches_found, m.local_steals, published, first)
 }
 
 #[test]
-fn a_stolen_pinned_range_finds_its_pin_in_either_half() {
+fn a_stage_publishes_its_pin_alone_so_a_thief_takes_a_stage() {
     let g = gen::preferential_attachment(240, 4, 7).degree_ordered();
     let q = catalog::paper_query(2);
     let e = Engine::new(EngineConfig::default());
     let hub_row = g.neighbors(0);
-    for (v, in_stolen_half) in [(hub_row[hub_row.len() - 1], true), (hub_row[0], false)] {
-        let without = g.without_edges(&[(0, v)]);
-        let want = e.run(&g, &q).unwrap().count - e.run(&without, &q).unwrap().count;
-        assert!(want > 0, "edge (0, {v}) lies on no C5");
-        let (got, steals, stolen_pin) = stolen_pinned_range(&g, v);
-        assert_eq!(stolen_pin, in_stolen_half, "edge (0, {v})");
-        assert_eq!(steals, 1, "edge (0, {v})");
-        assert_eq!(
-            got, want,
-            "edge (0, {v}): the delta is the recount difference"
-        );
-    }
+    // Stage 0 ends at the hub's last neighbour, so its one-element range
+    // sits at the far end of the row; stage 1 is what warp 1 takes.
+    let pins = [hub_row[hub_row.len() - 1], hub_row[0]];
+    let edges: Vec<_> = pins.iter().map(|&v| (0, v)).collect();
+    let want = e.run(&g, &q).unwrap().count - e.run(&g.without_edges(&edges), &q).unwrap().count;
+    assert!(want > 0, "the hub's edges {edges:?} lie on no C5");
+    let (got, steals, published, first) = staged_hub_edges(&g, &pins);
+    let j = hub_row.len() - 1;
+    assert_eq!(published, (j, j + 1), "level 1 publishes its pin alone");
+    assert_eq!(first, Step::Claimed, "warp 1 installs stage 1");
+    assert_eq!(steals, 0, "nothing shallow is long enough to split");
+    assert_eq!(got, want, "the delta is the recount difference");
 }
