@@ -415,12 +415,15 @@ echo "==> lint:recover: OK"
 # its grid — so the deleted drivers and sub-engines must not come back, and
 # nothing outside `benchmark/` calls the four forwards kept for it (their
 # `fn` definitions are allowed), so removing them edits `benchmark/` alone.
+# A grid's launch is resolved once, by `KernelEnv::new`, and `Level0` is the
+# one level-0 domain enum: the second enum (`Level0Map`) and the engine's
+# intermediate `struct Resolved` must not come back either.
 echo "==> lint:launch: scanning for the deleted launch drivers and the benchmark's forwards"
-drivers=$(grep -rnE 'run_sharded|run_delta\(|run_plan_sharded_weighted|for_grid|timeout_budget|per_shard|\.(run_plan|run_plan_warm|run_plan_sharded|run_delta_plans_metered)\(' \
+drivers=$(grep -rnE 'run_sharded|run_delta\(|run_plan_sharded_weighted|for_grid|timeout_budget|per_shard|\.(run_plan|run_plan_warm|run_plan_sharded|run_delta_plans_metered)\(|\bLevel0Map\b|struct Resolved\b' \
     crates src tests examples || true)
 if [ -n "${drivers}" ]; then
     echo "${drivers}"
-    echo "==> lint:launch: FAILED — launch a request (Engine::launch, Engine::run, DeltaPlans::count)"
+    echo "==> lint:launch: FAILED — launch a request (Engine::launch, Engine::run, DeltaPlans::count); a grid resolves once (KernelEnv::new)"
     exit 1
 fi
 echo "==> lint:launch: OK"

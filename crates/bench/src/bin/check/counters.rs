@@ -22,9 +22,9 @@
 //! the leg by name and prints the re-bless command; `--print` prints the
 //! current values as `PINS` rows.
 
-use crate::plans::{exchange, fixture, SEED};
 use crate::{grid, report};
 use std::process::ExitCode;
+use stmatch_bench::tick::{exchange, fixture, SEED};
 use stmatch_core::{Engine, EngineConfig};
 use stmatch_gpusim::WarpMetrics;
 use stmatch_graph::{gen, DeltaOverlay, Graph};

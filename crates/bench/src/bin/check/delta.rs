@@ -24,19 +24,22 @@
 //!   triangle's is not at least 10x below one full recount, or if a
 //!   triangle batch takes more than 2 launches.
 //!
-//! Two more lines, ungated, attribute the delta layer's host time: the
+//! Three more lines, ungated, attribute the delta layer's host cost: the
 //! host nanoseconds per `Graph::neighbors` call on a plain CSR, an overlay
-//! snapshot and a stage view of a `resident_tick`-sized fixture; and the
-//! host nanoseconds per simulated instruction of the tick's anchored
-//! launches against a whole-graph launch on the same snapshot.
+//! snapshot and a stage view of a `resident_tick`-sized fixture; the host
+//! nanoseconds per simulated instruction of the tick's anchored launches
+//! against a whole-graph launch on the same snapshot; and the allocations
+//! and bytes of one tick batch, split by the step that made them.
 //!
 //! Every stream is seeded; a failure prints the stream seed so the exact
 //! batch sequence replays locally.
 
-use crate::{fixture, plans, report, GOLDEN};
+use crate::{fixture, report, GOLDEN};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use stmatch_bench::tick;
+use stmatch_core::delta::StagedSide;
 use stmatch_core::{
     DeltaPlans, Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WatchEvent,
 };
@@ -68,6 +71,7 @@ pub fn run(args: &[String]) -> ExitCode {
     ok &= run_work();
     report_lookups();
     report_host_cost();
+    report_allocs();
     if ok {
         println!("delta: all legs OK");
     } else {
@@ -403,11 +407,11 @@ fn report_host_cost() {
     let mut cfg = EngineConfig::default().with_grid(crate::grid(1, 1));
     (cfg.local_steal, cfg.global_steal) = (false, false);
     let engine = Engine::new(cfg);
-    let mut rng = SmallRng::seed_from_u64(plans::SEED);
-    let (start, mut present, mut absent) = plans::fixture(&mut rng);
+    let mut rng = SmallRng::seed_from_u64(tick::SEED);
+    let (start, mut present, mut absent) = tick::fixture(&mut rng);
     let mut overlay = DeltaOverlay::new(start);
     let pre = overlay.snapshot();
-    let batch = overlay.apply(&plans::exchange(&mut present, &mut absent, &mut rng));
+    let batch = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
     let post = overlay.snapshot();
     // Best host ns per simulated instruction of `launch`, which returns the
     // instructions it ran.
@@ -440,5 +444,61 @@ fn report_host_cost() {
         "delta host cost: ns per simulated instruction, anchored {} vs whole-graph q4 {whole:.0} \
          (resident_tick's instance, one 128-edge exchange batch, one snapshot, one warp; ungated)",
         anchored.join(", ")
+    );
+}
+
+/// Prints the allocations and bytes of one 128-edge exchange batch of the
+/// tick instance (`check plans`' fixture), ungated, by the step that made
+/// them: `DeltaOverlay::apply`, `snapshot`, staging both sides as a delta
+/// batch stages them, and each of the tick's entries' `DeltaPlans::count`
+/// (the triangle, q2, q4 and q6, plans chosen on the snapshot before the
+/// batch) — which stages the batch again, so its figure includes the
+/// staging one. The engine is the service's 1 × 2 grid with stealing off,
+/// warmed by counting every entry over the batch before, so its arenas are
+/// parked, as a service's are between ticks.
+fn report_allocs() {
+    let mut cfg = EngineConfig::default().with_grid(crate::grid(1, 2));
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    let engine = Engine::new(cfg);
+    let mut rng = SmallRng::seed_from_u64(tick::SEED);
+    let (start, mut present, mut absent) = tick::fixture(&mut rng);
+    let mut overlay = DeltaOverlay::new(start);
+    let before = overlay.snapshot();
+    let warm = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
+    let pre = overlay.snapshot();
+    let entries = std::iter::once(catalog::triangle()).chain([2, 4, 6].map(catalog::paper_query));
+    let plans: Vec<(String, DeltaPlans)> = entries
+        .map(|q| (q.name().to_string(), engine.compile_delta_on(&q, &pre)))
+        .collect();
+    for (_, p) in &plans {
+        p.count(&engine, &before, &pre, &warm)
+            .expect("warm-up delta");
+    }
+    let ops = tick::exchange(&mut present, &mut absent, &mut rng);
+    let kib = |(n, bytes): (u64, u64)| format!("{n} / {:.1} KiB", bytes as f64 / 1024.0);
+    let (batch, apply) = crate::allocs(|| overlay.apply(&ops));
+    let (post, snapshot) = crate::allocs(|| overlay.snapshot());
+    let (_, staging) = crate::allocs(|| {
+        let inserts = batch.inserts.iter().rev().copied().collect();
+        (
+            StagedSide::new(&pre, batch.deletes.clone()),
+            StagedSide::new(&post, inserts),
+        )
+    });
+    let counts: Vec<String> = plans
+        .iter()
+        .map(|(name, p)| {
+            let (_, n) = crate::allocs(|| p.count(&engine, &pre, &post, &batch).expect("delta"));
+            format!("{name} {}", kib(n))
+        })
+        .collect();
+    println!(
+        "delta allocs: apply {}, snapshot {}, staging {}, count {} (allocations / bytes of one \
+         {}-op exchange batch of resident_tick's instance, warm 1 x 2 steal-free engine; ungated)",
+        kib(apply),
+        kib(snapshot),
+        kib(staging),
+        counts.join(", "),
+        ops.len(),
     );
 }

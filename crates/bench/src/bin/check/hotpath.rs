@@ -68,7 +68,7 @@ pub fn run(args: &[String]) -> ExitCode {
     for (qi, leg) in hotpath::SUITE {
         let (g, q, engine) = hotpath::entry(qi, leg);
         let plan = engine.compile(&q);
-        let table = engine.slot_table(&plan);
+        let table = engine.slot_table(&Launch::new(&g, &plan));
         if table.total() > table.budget() {
             eprintln!("hotpath DRIFT: q{qi} {leg:?} slots {table:?} exceed their budget");
             ok = false;

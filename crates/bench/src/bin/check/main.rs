@@ -18,9 +18,65 @@ mod shard;
 mod simt;
 mod verify;
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use stmatch_gpusim::{GridConfig, SharedBudget};
 use stmatch_graph::{gen, Graph};
+
+/// Counts every allocation of the process and the bytes it asked for, so a
+/// gate can attribute host allocations ([`allocs`]); it gates nothing.
+struct CountingAlloc;
+
+// Relaxed: statistics, read after the counted work has returned.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged; the
+// counters never touch the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// What `work` returns, and the allocations and bytes every thread of the
+/// process made while it ran.
+fn allocs<T>(work: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let read = || {
+        (
+            ALLOCS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        )
+    };
+    let before = read();
+    let out = work();
+    let after = read();
+    (out, (after.0 - before.0, after.1 - before.1))
+}
 
 /// `(query, pinned clean count)` of q1 and q6 on [`fixture`] — regenerate
 /// only with an intentional fixture change, and say so in the commit

@@ -96,7 +96,10 @@ fn run_clean() -> bool {
                 if v.liveness.is_none() {
                     errs.push(format!("induced={induced}: liveness pass missing"));
                 }
-                bound = bound.max(v.cert.peak_cells(&engine.slot_table(&plan)));
+                bound = bound.max(
+                    v.cert
+                        .peak_cells(&engine.slot_table(&Launch::new(g, &plan))),
+                );
             }
             ok &= report(&format!("verify q{qi} {fname} clean"), &errs, || {
                 format!("0 diagnostics, peak bound {bound} cells over the unroll-8 slot table")
@@ -135,7 +138,9 @@ fn run_dynamic() -> bool {
                 out.spill_events
             ));
         }
-        let bound = v.cert.peak_cells(&engine.slot_table(&plan));
+        let bound = v
+            .cert
+            .peak_cells(&engine.slot_table(&Launch::new(&g, &plan)));
         if out.peak_slab_cells > bound {
             errs.push(format!(
                 "runtime peak {} exceeds certified bound {bound}",

@@ -17,6 +17,13 @@
 //! the workspace's x86-64-v3): a profile or a before/after pair compares
 //! only between builds at one level.
 //!
+//! `probe --delta [--rounds N] [--lines N] [--each]` profiles the delta route
+//! instead: each round is one `DeltaPlans::count` of q4 over the next 64 + 64
+//! exchange batch of the `resident_tick` instance (`check plans`' fixture,
+//! plans chosen on its first snapshot by `compile_delta_on`), on a 1 × 2
+//! grid with stealing off; `--each` also runs the triangle, q2 and q6, one
+//! table per query. The batches are applied before the sampler starts.
+//!
 //! The sampler is `setitimer(ITIMER_PROF)` asking for 1 kHz of process CPU
 //! time (the kernel tick caps it, typically at 250 Hz); the handler stores
 //! the interrupted RIP in a fixed static buffer (nothing else is
@@ -133,7 +140,7 @@ fn main() -> std::process::ExitCode {
     let mut queries: Vec<usize> = Vec::new();
     let mut rounds = 20usize;
     let mut lines = 3usize;
-    let mut each = false;
+    let (mut each, mut delta) = (false, false);
     let mut it = args.iter();
     let mut usage_ok = true;
     while let Some(a) = it.next() {
@@ -146,6 +153,10 @@ fn main() -> std::process::ExitCode {
                 each = true;
                 Some(())
             }
+            "--delta" => {
+                delta = true;
+                Some(())
+            }
             _ => a
                 .split(',')
                 .map(|q| q.trim_start_matches('q').parse().ok())
@@ -155,35 +166,85 @@ fn main() -> std::process::ExitCode {
         };
         usage_ok &= parsed.is_some();
     }
-    if !usage_ok || queries.is_empty() {
+    if !usage_ok || queries.is_empty() != delta {
         eprintln!(
-            "usage: probe <q,...> [--rounds N] [--lines N] [--each]   (paper queries 1..=24)"
+            "usage: probe <q,...> [--rounds N] [--lines N] [--each]   (paper queries 1..=24)\n       \
+             probe --delta [--rounds N] [--lines N] [--each]"
         );
         return ExitCode::from(2);
     }
 
+    // Each leg: its name and one round of its work, given the round.
+    type Leg<'a> = (String, Box<dyn Fn(usize) + 'a>);
     let g = hotpath::graph();
     let engine = Engine::new(hotpath::config());
-    // Per query (by its place in `queries`), every round's wall in ms.
-    let mut walls = vec![Vec::with_capacity(rounds); queries.len()];
-    let mut run = |i: usize| {
+    let tick_engine = tick_engine();
+    let batches = if delta {
+        tick_batches(rounds)
+    } else {
+        Vec::new()
+    };
+    let legs: Vec<Leg> = if delta {
+        let named = if each {
+            vec![
+                stmatch_pattern::catalog::triangle(),
+                hotpath::query(2),
+                hotpath::query(4),
+                hotpath::query(6),
+            ]
+        } else {
+            vec![hotpath::query(4)]
+        };
+        let chosen_on = &batches[0].0;
+        named
+            .into_iter()
+            .map(|q| {
+                let plans = tick_engine.compile_delta_on(&q, chosen_on);
+                let (engine, batches) = (&tick_engine, &batches);
+                let round = move |r: usize| {
+                    let (pre, post, batch) = &batches[r];
+                    let (d, _) = plans.count(engine, pre, post, batch).expect("delta runs");
+                    std::hint::black_box(d);
+                };
+                (
+                    format!("{} delta", q.name()),
+                    Box::new(round) as Box<dyn Fn(usize)>,
+                )
+            })
+            .collect()
+    } else {
+        let (g, engine) = (&g, &engine);
+        queries
+            .iter()
+            .map(|&qi| {
+                let round = move |_| {
+                    let out = engine
+                        .run(g, &hotpath::query(qi))
+                        .expect("hotpath query runs");
+                    std::hint::black_box(out.count);
+                };
+                (format!("q{qi}"), Box::new(round) as Box<dyn Fn(usize)>)
+            })
+            .collect()
+    };
+    // Per leg, every round's wall in ms.
+    let mut walls = vec![Vec::with_capacity(rounds); legs.len()];
+    let mut run = |i: usize, r: usize| {
         let start = std::time::Instant::now();
-        let out = engine
-            .run(&g, &hotpath::query(queries[i]))
-            .expect("hotpath query runs");
+        (legs[i].1)(r);
         walls[i].push(start.elapsed().as_secs_f64() * 1e3);
-        std::hint::black_box(out.count);
     };
     let mut tables = Vec::new();
     if each {
-        for (i, &qi) in queries.iter().enumerate() {
-            let (ips, dropped) = sampler::sample(|| (0..rounds).for_each(|_| run(i)));
-            tables.push((ips, dropped, format!("{rounds} round(s) of q{qi}")));
+        for (i, (name, _)) in legs.iter().enumerate() {
+            let (ips, dropped) = sampler::sample(|| (0..rounds).for_each(|r| run(i, r)));
+            tables.push((ips, dropped, format!("{rounds} round(s) of {name}")));
         }
     } else {
         let (ips, dropped) =
-            sampler::sample(|| (0..rounds).for_each(|_| (0..queries.len()).for_each(&mut run)));
-        tables.push((ips, dropped, format!("{rounds} round(s) of q{queries:?}")));
+            sampler::sample(|| (0..rounds).for_each(|r| (0..legs.len()).for_each(|i| run(i, r))));
+        let names: Vec<&str> = legs.iter().map(|l| l.0.as_str()).collect();
+        tables.push((ips, dropped, format!("{rounds} round(s) of {names:?}")));
     }
     let sampled: f64 = walls.iter().flatten().sum();
     // The codegen level: walls and shares compare only between builds at one
@@ -197,16 +258,58 @@ fn main() -> std::process::ExitCode {
     .map(|(name, on)| format!("{}{name}", if on { '+' } else { '-' }))
     .collect();
     println!("probe: built for: {}", built_for.join(" "));
-    println!("probe: wall per query over {rounds} round(s) — best, share of the sampled wall");
-    for (qi, w) in queries.iter().zip(&walls) {
+    println!("probe: wall per leg over {rounds} round(s) — best, share of the sampled wall");
+    for ((name, _), w) in legs.iter().zip(&walls) {
         let best = w.iter().copied().fold(f64::INFINITY, f64::min);
         let share = 100.0 * w.iter().sum::<f64>() / sampled.max(f64::MIN_POSITIVE);
-        println!("  q{qi:<3} {best:9.3} ms  {share:5.1} %");
+        println!("  {name:<16} {best:9.3} ms  {share:5.1} %");
     }
     for (ips, dropped, what) in &tables {
         report(ips, *dropped, what, lines);
     }
     ExitCode::SUCCESS
+}
+
+/// The engine of `--delta`'s legs: the default configuration on a 1 × 2
+/// grid, stealing off, so every round of a leg does the same work.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn tick_engine() -> stmatch_core::Engine {
+    use stmatch_core::EngineConfig;
+    use stmatch_gpusim::{GridConfig, SharedBudget};
+    let mut cfg = EngineConfig::default().with_grid(GridConfig {
+        num_blocks: 1,
+        warps_per_block: 2,
+        shared_mem_per_block: SharedBudget::RTX3090_BYTES,
+    });
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    stmatch_core::Engine::new(cfg)
+}
+
+/// `rounds` consecutive exchange batches of the `resident_tick` instance,
+/// each as `(pre, post, batch)`, after the one that moves the instance to
+/// the snapshot the delta plans are chosen on — that snapshot is the first
+/// batch's `pre`.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn tick_batches(
+    rounds: usize,
+) -> Vec<(
+    stmatch_graph::Graph,
+    stmatch_graph::Graph,
+    stmatch_graph::AppliedBatch,
+)> {
+    use stmatch_bench::tick;
+    use stmatch_testkit::rng::SmallRng;
+    let mut rng = SmallRng::seed_from_u64(tick::SEED);
+    let (start, mut present, mut absent) = tick::fixture(&mut rng);
+    let mut overlay = stmatch_graph::DeltaOverlay::new(start);
+    overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
+    (0..rounds.max(1))
+        .map(|_| {
+            let pre = overlay.snapshot();
+            let batch = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
+            (pre, overlay.snapshot(), batch)
+        })
+        .collect()
 }
 
 /// Symbolises one sample set and prints its table: the 30 hottest functions,
@@ -272,6 +375,8 @@ fn report(ips: &[usize], dropped: usize, what: &str, lines: usize) {
         *entry.1.entry(at.to_string()).or_default() += n;
     };
     match symbolised {
+        // No sample landed in the image: nothing to name.
+        _ if offsets.is_empty() => {}
         Ok(text) if !text.is_empty() => {
             // Per address: "0x…", then (function, file:line) pairs,
             // innermost first. A sample is charged to the innermost named

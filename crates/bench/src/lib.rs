@@ -21,3 +21,4 @@ pub mod figures;
 pub mod harness;
 pub mod hotpath;
 pub mod tables;
+pub mod tick;

@@ -145,18 +145,49 @@ impl DeltaPlans {
 }
 
 /// One side of a batch, staged: stage `s` matches update edge `edges[s]`
-/// on `views[s]`.
-pub(crate) struct StagedSide {
+/// on `views[s]` — an anchored launch's level-0 domain. Public for tests
+/// that step a staged launch's kernels ([`StagedSide::request`]).
+#[doc(hidden)]
+pub struct StagedSide {
     pub(crate) edges: Vec<(VertexId, VertexId)>,
-    views: Vec<Graph>,
+    pub(crate) views: Vec<Graph>,
 }
 
 impl StagedSide {
     /// Stages `edges` in the given order over `graph`: stage `s` sees
-    /// `graph` without `edges[..s]`.
-    pub(crate) fn new(graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> StagedSide {
+    /// `graph` without `edges[..s]`. Checks once what every anchored launch
+    /// over the side relies on: one view per edge, each edge `(lo, hi)` with
+    /// `lo < hi`, at most `VertexId::MAX / 2` edges (level-0 indices travel
+    /// in stolen prefixes as `VertexId`s), and stage views that carry no hub
+    /// index, so these launches never route hub rows.
+    pub fn new(graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> StagedSide {
         let views = graph.staged_without_edges(&edges);
+        assert_eq!(edges.len(), views.len(), "one stage view per update edge");
+        debug_assert!(
+            edges.iter().all(|&(lo, hi)| lo < hi),
+            "update edges are (lo, hi)"
+        );
+        assert!(
+            edges.len() <= (VertexId::MAX / 2) as usize,
+            "batch side too wide"
+        );
+        if let Some(hx) = views.iter().find_map(Graph::hub_bitmap) {
+            panic!(
+                "stage views carry no hub index; this one has {} hubs",
+                hx.num_hubs()
+            );
+        }
         StagedSide { edges, views }
+    }
+
+    /// The anchored request of `plan` over every stage; `None` for an empty
+    /// side. Its graph is stage 0's view, which sizes the slabs.
+    pub fn request<'a>(&'a self, plan: &'a MatchPlan) -> Option<Launch<'a>> {
+        let first = self.views.first()?;
+        Some(Launch {
+            domain: Level0::Anchored(self),
+            ..Launch::new(first, plan)
+        })
     }
 
     /// One `engine` launch of the anchored `plan` over every stage, given
@@ -169,15 +200,11 @@ impl StagedSide {
         deadline: Option<Instant>,
         cap: Option<u64>,
     ) -> Option<Result<MatchOutcome, LaunchError>> {
-        let first = self.views.first()?;
+        let req = self.request(plan)?;
         Some(engine.launch(&Launch {
-            domain: Level0::Anchored {
-                edges: &self.edges,
-                views: &self.views,
-            },
             deadline,
             cap,
-            ..Launch::new(first, plan)
+            ..req
         }))
     }
 }

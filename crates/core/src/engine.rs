@@ -24,8 +24,9 @@
 //! not fit the device budget.
 
 use crate::config::EngineConfig;
+use crate::delta::StagedSide;
 use crate::fault::{FaultPlan, FaultReport, WarpDeath};
-use crate::kernel::{KernelEnv, Level0Map, Step, WarpKernel};
+use crate::kernel::{KernelEnv, Step, WarpKernel};
 use crate::pool::WarmSlot;
 use crate::shard;
 use crate::steal::{Board, StealPayload};
@@ -223,44 +224,35 @@ impl<'a> Launch<'a> {
 }
 
 /// The level-0 domain of a launch: which outermost-loop iterations it owns
-/// and how a claimed virtual index becomes a data vertex.
+/// and how a claimed virtual index becomes a data vertex
+/// ([`WarpKernel`]'s `enter_level0`). Chunk ranges and reclaimed payloads
+/// stay in virtual index space, so they are portable across every grid of
+/// one domain.
 #[derive(Clone, Copy)]
 pub(crate) enum Level0<'a> {
-    /// Every vertex of the graph, identity-mapped, off the grid's own
-    /// chunk dispenser (one `Slice` per shard when the launch splits).
+    /// Every vertex of the graph: index `i` is vertex `i`, off the grid's
+    /// own chunk dispenser (one `Slice` per shard when the launch splits).
     Whole,
     /// One shard's grid ([`crate::shard`]): the shard's slice of the
     /// level-0 order, off the grid's own dispenser, with
     /// `slice[virtual_index]` the data vertex.
     Slice(&'a [VertexId]),
     /// One side of a delta batch ([`crate::delta`]): the level-0 domain is
-    /// the update set itself — per stage, the endpoints of `edges[s]`
-    /// matched on `views[s]`, level 1 held to the other endpoint
-    /// ([`Level0Map::Staged`]) — so one launch counts every match that
-    /// places the plan's first two order positions on a batch edge, each
-    /// against its own stage graph, and the warps of
-    /// [`EngineConfig::grid`] claim stages as chunks off the ordinary
-    /// dispenser, as in any launch. A stage has one virtual index when the
-    /// plan orients its anchor (a level-1 bound against level 0: only one
-    /// endpoint can start a match), two otherwise. `Launch::graph`
+    /// the update set itself. Index `i` names a stage `s` and one endpoint
+    /// of update edge `edges[s]` (each `(lo, hi)`, `lo < hi`), matched on
+    /// that stage's graph `views[s]`, and level 1's range is the edge's
+    /// other endpoint alone — so one launch counts every match that places
+    /// the plan's first two order positions on a batch edge, each against
+    /// its own stage graph, and the warps of [`EngineConfig::grid`] claim
+    /// stages as chunks off the ordinary dispenser, as in any launch. When
+    /// the plan orients its anchor (a level-1 bound against level 0) only
+    /// one endpoint can start a match: stage `s = i` starts at `hi` under
+    /// `Bound::Less` and at `lo` under `Bound::Greater`. Otherwise `s = i /
+    /// 2` and `i % 2` picks the endpoint. The stage is keyed by the index,
+    /// not the vertex: one vertex may end many batch edges. `Launch::graph`
     /// is stage 0's view (the side's graph, row for row); it only sizes the
-    /// slabs. Stage views carry no hub index, so these launches never route
-    /// hub rows.
-    Anchored {
-        edges: &'a [(VertexId, VertexId)],
-        views: &'a [Graph],
-    },
-}
-
-/// A [`Launch`] resolved against one grid of it.
-struct Resolved<'a> {
-    /// What every warp's kernel borrows (the grid's config included).
-    env: KernelEnv<'a>,
-    /// The request, its limits resolved by [`Engine::launch`] and its fault
-    /// plan scoped to this grid (`None` if none of it reaches it).
-    req: Launch<'a>,
-    /// Level-0 virtual indices the grid's own dispenser hands out.
-    l0_len: usize,
+    /// slabs.
+    Anchored(&'a StagedSide),
 }
 
 impl Engine {
@@ -372,13 +364,13 @@ impl Engine {
         )
     }
 
-    /// The claim widths and per-set arena slots `plan`'s kernels run with
-    /// under this engine's configuration: what a certificate's
+    /// The claim widths and per-set arena slots `req`'s kernels run with
+    /// under this engine's configuration (its [`KernelEnv`]'s): what a
+    /// certificate's
     /// [`peak_cells`](stmatch_plan_verify::ResourceCert::peak_cells) is
     /// taken over.
-    pub fn slot_table(&self, plan: &MatchPlan) -> SlotTable {
-        let stop = self.cfg.effective_stop(plan);
-        plan.bytecode().slot_table(self.cfg.unroll, stop)
+    pub fn slot_table(&self, req: &Launch<'_>) -> SlotTable {
+        *KernelEnv::new(*req, &self.cfg).slot_table()
     }
 
     /// Matches `pattern` in `graph` and returns the count plus metrics.
@@ -481,15 +473,16 @@ impl Engine {
                 })?;
                 Ok(shard::merge(shards))
             }
-            Level0::Anchored { .. } => self.launch_grid(&req, 0, &device()),
+            Level0::Anchored(_) => self.launch_grid(&req, 0, &device()),
             _ => self.launch_grid(&req, 0, &self.memory),
         }
     }
 
-    /// Runs `req` as shard `shard`'s grid, at [`EngineConfig::grid`]: resolves the
-    /// request's optional resources and its fault plan's scope, plans the
-    /// shared budget and the global one (`memory`) once, and runs until the
-    /// grid's work is done, its deadline passes or salvage gives up.
+    /// Runs `req` as shard `shard`'s grid, at [`EngineConfig::grid`]: scopes
+    /// the request's fault plan to the grid, resolves the launch once
+    /// ([`KernelEnv::new`]), plans the shared budget and the global one
+    /// (`memory`) from it, and runs until the grid's work is done, its
+    /// deadline passes or salvage gives up.
     fn launch_grid(
         &self,
         req: &Launch<'_>,
@@ -497,70 +490,20 @@ impl Engine {
         memory: &MemoryBudget,
     ) -> Result<MatchOutcome, LaunchError> {
         let cfg = &self.cfg;
-        let (graph, plan, grid) = (req.graph, req.plan, cfg.grid);
         let faults = req
             .faults
-            .map(|p| p.for_shard(shard, grid.total_warps()))
+            .map(|p| p.for_shard(shard, cfg.grid.total_warps()))
             .filter(|p| !p.is_empty());
-        // A verdict the caller attached shapes the slabs wherever its clean
-        // certificate shrinks one, and is audited after the run below.
-        let slab_caps = req.verified.and_then(Verification::footprint_caps);
-        // The one place the level-0 domain is decided: how many virtual
-        // indices the grid's dispenser hands out, and how the kernel maps an
-        // index to a data vertex.
-        let (l0_len, l0) = match req.domain {
-            Level0::Whole => (graph.num_vertices(), Level0Map::Identity),
-            Level0::Slice(slice) => (slice.len(), Level0Map::Order(slice)),
-            // Anchored launches enumerate from the update edges' endpoints
-            // only — the whole point of O(batch) delta cost.
-            Level0::Anchored { edges, views } => {
-                assert_eq!(edges.len(), views.len(), "one stage view per update edge");
-                debug_assert!(
-                    edges.iter().all(|&(lo, hi)| lo < hi),
-                    "update edges are (lo, hi)"
-                );
-                // Level-0 indices travel in stolen prefixes as `VertexId`s.
-                assert!(
-                    edges.len() <= (VertexId::MAX / 2) as usize,
-                    "batch side too wide"
-                );
-                if let Some(hx) = graph.hub_bitmap() {
-                    panic!(
-                        "stage views carry no hub index; this one has {} hubs",
-                        hx.num_hubs()
-                    );
-                }
-                // An orientation bound admits one endpoint at level 0 (the
-                // higher under `Less`, the lower under `Greater`): the other
-                // one's index could never match.
-                let orient = plan.bytecode().bounds(1).first().map(|&(_, b)| b);
-                let per_stage = if orient.is_some() { 1 } else { 2 };
-                let map = Level0Map::Staged {
-                    edges,
-                    views,
-                    orient,
-                };
-                (per_stage * edges.len(), map)
-            }
-        };
-        let r = Resolved {
-            env: KernelEnv {
-                graph,
-                plan,
-                cfg,
-                slab_caps: slab_caps.as_deref(),
-                l0,
-                enumerate: req.collector.is_some(),
-            },
-            req: Launch {
+        let env = KernelEnv::new(
+            Launch {
                 faults: faults.as_ref(),
                 ..*req
             },
-            l0_len,
-        };
-        let sim = Grid::new(grid)?;
+            cfg,
+        );
+        let sim = Grid::new(cfg.grid)?;
+        let plan = req.plan;
         let k = plan.num_levels();
-        let stop = cfg.effective_stop(plan);
 
         // --- Launch planning: shared-memory budget (per block). ---
         let mut shared = SharedBudget::new(cfg.grid.shared_mem_per_block);
@@ -573,7 +516,7 @@ impl Engine {
         // pointer per level (plus the end) and a 4-byte op triple per set.
         shared.try_alloc("set_ops+row_ptr", (k + 1 + plan.num_sets()) * 4)?;
         // Steal mirrors: cursors + matched prefix for the stealable levels.
-        shared.try_alloc("steal mirrors", (3 * stop * 8 + 8) * wpb)?;
+        shared.try_alloc("steal mirrors", (3 * env.stop() * 8 + 8) * wpb)?;
         let shared_bytes = shared.used();
 
         // --- Global memory: fixed stack slabs (paper §VIII-A). ---
@@ -582,9 +525,9 @@ impl Engine {
         // Beside them, the rows every warp holds (the marker rows of the
         // plan's marked positions, the rank row of a lifted last level);
         // `MatchOutcome::stack_bytes` stays the paper's formula.
-        let reserved = stack_bytes + r.env.row_bytes(stop) * num_warps;
+        let reserved = stack_bytes + env.row_bytes() * num_warps;
         memory.try_alloc(reserved)?;
-        let (metrics, timed_out, report) = self.run_passes(&r, &sim, stop);
+        let (metrics, timed_out, report) = self.run_passes(&env, &sim);
         memory.free(reserved);
         let total = metrics.total();
         let outcome = MatchOutcome {
@@ -613,11 +556,11 @@ impl Engine {
                     "certificate claims spill-freedom but the run spilled"
                 );
             }
+            let bound = v.cert.peak_cells(env.slot_table());
             debug_assert!(
-                outcome.peak_slab_cells <= v.cert.peak_cells(&self.slot_table(plan)),
-                "runtime peak {} exceeds certified bound {}",
+                outcome.peak_slab_cells <= bound,
+                "runtime peak {} exceeds certified bound {bound}",
                 outcome.peak_slab_cells,
-                v.cert.peak_cells(&self.slot_table(plan))
             );
         }
         Ok(outcome)
@@ -627,16 +570,11 @@ impl Engine {
     /// bounded salvage relaunches for work stranded by warp deaths. Returns
     /// the passes' metrics, whether the deadline cut them short, and what
     /// the fault layer saw.
-    fn run_passes(
-        &self,
-        r: &Resolved<'_>,
-        grid: &Grid,
-        stop: usize,
-    ) -> (GridMetrics, bool, FaultReport) {
-        let cfg = r.env.cfg;
+    fn run_passes(&self, env: &KernelEnv<'_>, grid: &Grid) -> (GridMetrics, bool, FaultReport) {
+        let (cfg, req) = (env.cfg, &env.launch);
         // While a plan can kill warps, swallow the default panic-hook
         // output for injected payloads (real panics still print).
-        let mut faults = r.req.faults;
+        let mut faults = req.faults;
         let _quiet = faults
             .filter(|p| p.injects_panics())
             .map(|_| crate::fault::silence_fault_panics());
@@ -655,22 +593,22 @@ impl Engine {
             let mut board = Board::new(
                 cfg.grid.num_blocks,
                 cfg.grid.warps_per_block,
-                stop,
-                (cursor, r.l0_len),
+                env.stop(),
+                (cursor, env.l0_len()),
                 cfg.chunk_size,
             );
             if !preload.is_empty() {
                 board.preload(std::mem::take(&mut preload));
             }
-            if let Some(d) = r.req.deadline {
+            if let Some(d) = req.deadline {
                 board.set_deadline(d);
             }
-            if let Some(cap) = r.req.cap {
+            if let Some(cap) = req.cap {
                 board.set_cap(cap);
             }
             let deaths: Mutex<Vec<WarpDeath>> = Mutex::new(Vec::new());
             let body = |warp: &mut stmatch_gpusim::Warp| {
-                self.warp_body(r, &board, faults, &deaths, warp);
+                self.warp_body(env, &board, faults, &deaths, warp);
             };
             let (pass_metrics, escaped) = grid.launch_contained(&body);
             // The first pass's metrics are the run's, moved rather than
@@ -685,7 +623,7 @@ impl Engine {
             timed_out = timed_out || aborted;
             cursor = board.chunk_cursor();
             let leftovers = board.take_leftovers();
-            let work_remains = !leftovers.is_empty() || cursor < r.l0_len;
+            let work_remains = !leftovers.is_empty() || cursor < env.l0_len();
             if aborted || !work_remains {
                 // Timed-out (or containment-failed) runs are partial by
                 // contract; completed runs have nothing left to salvage.
@@ -712,7 +650,7 @@ impl Engine {
     /// and the death is recorded — survivors finish with exact counts.
     fn warp_body(
         &self,
-        r: &Resolved<'_>,
+        env: &KernelEnv<'_>,
         board: &Board,
         faults: Option<&FaultPlan>,
         deaths: &Mutex<Vec<WarpDeath>>,
@@ -726,7 +664,7 @@ impl Engine {
             // Recycle a parked arena (reset, not reallocated); only a dry
             // list builds fresh slabs.
             let recycled = self.arenas.checkout();
-            let kernel = kernel.insert(WarpKernel::new(&r.env, board, me, faults, recycled));
+            let kernel = kernel.insert(WarpKernel::new(env, board, me, faults, recycled));
             // The one idle spin of the kernel and steal path: no step blocks.
             loop {
                 match kernel.step(warp) {
@@ -786,7 +724,7 @@ impl Engine {
             // return theirs too: the reset at the next checkout makes torn
             // state irrelevant.
             self.arenas.give_back(k.take_arena());
-            if let Some(c) = r.req.collector {
+            if let Some(c) = env.launch.collector {
                 // Poison recovery as in steal.rs (tracked_lock applies it):
                 // embeddings are appended atomically per warp, so a
                 // panicking sibling cannot tear this vector. A dead warp's
@@ -947,14 +885,17 @@ mod tests {
     fn memory_budget_covers_marker_rows() {
         // q3 marks a position, so every warp holds a marker row beside its
         // stack slabs, whether or not the graph carries a hub index: a
-        // budget of the slabs alone must refuse the launch.
+        // budget of the slabs alone must refuse the launch. q1 marks none,
+        // but its lifted last level has every warp hold a rank row: a budget
+        // one byte below the env's stack and row bytes refuses the launch,
+        // and that exact budget runs it to the same count.
         let plain = gen::erdos_renyi(200, 800, 3);
         let p = catalog::paper_query(3);
         let cfg = EngineConfig::default().with_grid(small_grid());
         let engine = Engine::new(cfg);
         let plan = engine.compile(&p);
         assert_ne!(plan.bytecode().marked(), 0);
-        for g in [plain.clone(), plain.with_hub_bitmap(8)] {
+        for g in [plain.clone(), plain.clone().with_hub_bitmap(8)] {
             let free = engine.launch(&Launch::new(&g, &plan)).unwrap();
             let rows = plan.bytecode().marked().count_ones() as usize;
             let marker_bytes = rows * g.num_vertices().div_ceil(64) * 8 * cfg.grid.total_warps();
@@ -969,6 +910,21 @@ mod tests {
             assert_eq!(fits.count, free.count);
             assert_eq!(fits.stack_bytes, free.stack_bytes);
         }
+        let q1 = engine.compile(&catalog::paper_query(1));
+        assert_eq!(q1.bytecode().marked(), 0);
+        let req = Launch::new(&plain, &q1);
+        let rows = KernelEnv::new(req, &cfg).row_bytes();
+        assert!(rows > 0, "q1's warps hold a rank row");
+        let free = engine.launch(&req).unwrap();
+        let reserved = free.stack_bytes + rows * cfg.grid.total_warps();
+        match Engine::with_memory_budget(cfg, reserved - 1).launch(&req) {
+            Err(LaunchError::GlobalMemory(oom)) => assert_eq!(oom.requested, reserved, "{oom}"),
+            other => panic!("expected OOM, got {other:?}"),
+        }
+        let fits = Engine::with_memory_budget(cfg, reserved)
+            .launch(&req)
+            .unwrap();
+        assert_eq!(fits.count, free.count);
     }
 
     #[test]

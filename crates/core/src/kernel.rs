@@ -63,6 +63,7 @@ use self::rows::Rows;
 use self::validity::{ClaimCost, Validity};
 use crate::arena::StackArena;
 use crate::config::{EngineConfig, MAX_UNROLL};
+use crate::engine::{Launch, Level0};
 use crate::fault::FaultPlan;
 use crate::steal::{Board, Poll, Source, StealPayload};
 use std::time::Instant;
@@ -71,104 +72,162 @@ use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::bytecode::{PlanBytecode, SlotTable, MAX_SETS};
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, MAX_PATTERN_SIZE};
+use stmatch_plan_verify::Verification;
 
-/// How a claimed level-0 virtual index becomes a data vertex. Chunk ranges
-/// and reclaimed payloads stay in virtual index space, so they are portable
-/// across every grid sharing the same map.
-#[derive(Clone, Copy)]
-pub enum Level0Map<'a> {
-    /// Index `i` is vertex `i`.
-    Identity,
-    /// Index `i` is vertex `order[i]` (a sharded run's permutation).
-    Order(&'a [VertexId]),
-    /// One side of a delta batch: index `i` names a stage `s` and one
-    /// endpoint of update edge `edges[s]` (each `(lo, hi)`, `lo < hi`),
-    /// matched on that stage's graph `views[s]`, and level 1's range is the
-    /// edge's other endpoint alone — so the run counts exactly the matches
-    /// whose first two matched positions are a batch edge, each on its own
-    /// stage view. `orient`: the plan's level-1 bound against level 0, if it
-    /// has one — only one endpoint can start a match, so stage `s = i`
-    /// starts at `hi` under [`Bound::Less`] and at `lo` under
-    /// [`Bound::Greater`]; otherwise `s = i / 2` and `i % 2` picks the
-    /// endpoint, both orientations. The stage is keyed by the index, not the
-    /// vertex: one vertex may end many batch edges.
-    Staged {
-        edges: &'a [(VertexId, VertexId)],
-        views: &'a [Graph],
-        orient: Option<Bound>,
-    },
-}
-
-/// What every warp kernel of one launch attempt shares: the request
-/// resolved against one configuration (see `Engine::launch`).
-#[derive(Clone, Copy)]
+/// One grid's launch, resolved once (`Engine::launch` builds one per grid):
+/// the request every warp kernel of the grid reads, and what it decided —
+/// the level-0 length, the StopLevel, the slot table, the slab caps, the
+/// rank-row routing, the claim costs and the row bytes. Each warp's
+/// [`WarpKernel::new`] only sizes its arena to these and builds its rows.
 pub struct KernelEnv<'a> {
-    /// The data graph (a staged run's warps move on to the stage views of
-    /// [`KernelEnv::l0`]; this one sizes the slabs).
-    pub graph: &'a Graph,
-    /// The plan whose own stream ([`MatchPlan::bytecode`]) the kernel
-    /// interprets.
-    pub plan: &'a MatchPlan,
-    pub cfg: &'a EngineConfig,
-    /// Per-set slab-capacity bounds of a clean static verification
-    /// (`Verification::footprint_caps`), present iff the launch carries a
-    /// verdict (`Launch::verified`) whose certificate offers some: the
-    /// arena is shaped to them. Ignored when the graph carries a hub index
-    /// (set-bit rows assume uniform geometry).
-    pub slab_caps: Option<&'a [u32]>,
-    /// Level-0 translation.
-    pub l0: Level0Map<'a>,
-    /// Materialize every match as a pattern-vertex-indexed embedding
-    /// (Fig. 3's `Output`) instead of only counting; drain with
-    /// [`WarpKernel::take_emitted`] after the run.
-    pub enumerate: bool,
+    /// The request, its fault plan scoped to the grid (`None` if none of it
+    /// reaches it); salvage passes run with injection off instead.
+    pub(crate) launch: Launch<'a>,
+    /// The engine's configuration; every grid is its `grid`.
+    pub(crate) cfg: &'a EngineConfig,
+    /// Level-0 virtual indices the grid's dispenser hands out.
+    l0_len: usize,
+    /// An anchored domain's orientation: the plan's level-1 bound against
+    /// level 0, if it has one ([`Level0::Anchored`]).
+    orient: Option<Bound>,
+    /// The StopLevel (stealable shallow depth).
+    stop: usize,
+    /// How many raw iterations each level claims at once, and the arena
+    /// slots that affords each set.
+    slots: SlotTable,
+    /// Per-set slab capacity: the graph's max degree within
+    /// `max_degree_slab`, each clamped to the bound of a clean static
+    /// verification where the launch carries one (`Launch::verified`) whose
+    /// certificate offers some — but uniform when the launch routes hub rows
+    /// ([`Rows::routed`]).
+    set_caps: [usize; MAX_SETS],
+    /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
+    /// last level counts a lifted list in closed form, its parent is deep.
+    tail: bool,
+    /// Which list a warp's [`RankRow`] holds ([`last_levels`]), and its cells.
+    row: Row,
+    row_cells: usize,
+    /// Global-memory bytes of rows per warp — marker rows and the rank row —
+    /// which the launch budget reserves beside the stack slabs.
+    row_bytes: usize,
+    /// What the levels that claim are charged for validity.
+    claim_cost: ClaimCost,
 }
 
-impl KernelEnv<'_> {
-    /// Global-memory bytes of rows per warp under StopLevel `stop` — marker
-    /// rows and the rank row — which the launch budget reserves beside the
-    /// stack slabs.
-    pub fn row_bytes(&self, stop: usize) -> usize {
-        let ranked = usize::from(self.last_levels(stop).1 != Row::None);
-        let marked = self.plan.bytecode().marked().count_ones() as usize;
-        let n = self.graph.num_vertices();
-        marked * n.div_ceil(64) * 8 + ranked * RankRow::cells(n) * 4
-    }
-
-    /// Whether levels `k − 2` and `k − 1` run fused under StopLevel `stop`
-    /// ([`WarpKernel::count_tail`]: the last level counts a lifted list in
-    /// closed form and its parent is deep), and which list the warp's rank
-    /// row holds. Under a shallow parent it is the lifted list W. In a tail,
-    /// the one of W and the parent's list V defined at the shallower level
-    /// (W on a tie), so it is rebuilt for fewer slots — but V only while its
-    /// valid elements are a window less exclusions, without a residual label
-    /// to test element by element. V and W the same slot of one set need no
-    /// row (DESIGN.md §4c).
-    fn last_levels(&self, stop: usize) -> (bool, Row) {
-        let bc = self.plan.bytecode();
-        let last = self.plan.num_levels() - 1;
-        let (w_set, w_def) = bc.candidate(last);
-        if self.enumerate || w_def == last || bc.level_meta(last).resid.is_some() {
-            return (false, Row::None);
-        }
-        if last < stop + 1 {
-            return (false, Row::Last);
-        }
-        let (v_set, v_def) = bc.candidate(last - 1);
-        let row = if bc.level_meta(last - 1).resid.is_some() {
-            Row::Last
-        } else if v_set == w_set {
-            Row::None
-        } else if v_def < w_def {
-            Row::Parent
-        } else {
-            Row::Last
+impl<'a> KernelEnv<'a> {
+    /// Resolves `launch` against `cfg`: the one place a grid's level-0
+    /// domain, StopLevel and geometry are decided.
+    pub fn new(launch: Launch<'a>, cfg: &'a EngineConfig) -> KernelEnv<'a> {
+        let (graph, plan) = (launch.graph, launch.plan);
+        let bc = plan.bytecode();
+        let (l0_len, orient) = match launch.domain {
+            Level0::Whole => (graph.num_vertices(), None),
+            Level0::Slice(slice) => (slice.len(), None),
+            // Anchored launches enumerate from the update edges' endpoints
+            // only — the whole point of O(batch) delta cost. An orientation
+            // bound admits one endpoint at level 0 (the higher under `Less`,
+            // the lower under `Greater`): the other one's index could never
+            // match.
+            Level0::Anchored(side) => {
+                let orient = bc.bounds(1).first().map(|&(_, b)| b);
+                let per_stage = if orient.is_some() { 1 } else { 2 };
+                (per_stage * side.edges.len(), orient)
+            }
         };
-        (true, row)
+        let stop = cfg.effective_stop(plan);
+        let slots = bc.slot_table(cfg.unroll, stop);
+        // Tight slab capacity: every candidate list descends from some
+        // neighbor list through shrinking ops, so no list outgrows the
+        // graph's max degree. Budget accounting still reserves the paper's
+        // fixed `max_degree_slab` per slot; allocating tighter just packs
+        // the slabs densely for the cache. A clean certificate's per-set
+        // bounds are sound upper bounds on candidate-list sizes, so clamping
+        // each slab to `min(bound, cap)` introduces no new spill.
+        let cap = cfg.max_degree_slab.min(graph.max_degree().max(1));
+        let mut set_caps = [cap; MAX_SETS];
+        let shaped = launch.verified.and_then(Verification::footprint_caps);
+        if let Some(caps) = shaped.filter(|_| !Rows::routed(graph)) {
+            for (shaped, &bound) in set_caps.iter_mut().zip(&caps) {
+                *shaped = (bound as usize).clamp(1, cap);
+            }
+        }
+        let (tail, row) = last_levels(plan, stop, launch.collector.is_some());
+        let n = graph.num_vertices();
+        let row_cells = match row {
+            Row::None => 0,
+            _ => RankRow::cells(n),
+        };
+        let marked = bc.marked().count_ones() as usize;
+        KernelEnv {
+            launch,
+            cfg,
+            l0_len,
+            orient,
+            stop,
+            slots,
+            set_caps,
+            tail,
+            row,
+            row_cells,
+            row_bytes: marked * n.div_ceil(64) * 8 + row_cells * 4,
+            claim_cost: ClaimCost::new(bc, stop, tail),
+        }
+    }
+
+    /// Level-0 virtual indices the grid's dispenser hands out.
+    pub fn l0_len(&self) -> usize {
+        self.l0_len
+    }
+
+    /// The StopLevel the grid's board and kernels run under.
+    pub fn stop(&self) -> usize {
+        self.stop
+    }
+
+    /// Each level's claim width and each set's arena slots.
+    pub(crate) fn slot_table(&self) -> &SlotTable {
+        &self.slots
+    }
+
+    /// Global-memory bytes of rows per warp (marker rows and the rank row).
+    pub(crate) fn row_bytes(&self) -> usize {
+        self.row_bytes
     }
 }
 
-/// The list a warp's [`RankRow`] holds ([`KernelEnv::last_levels`]).
+/// Whether levels `k − 2` and `k − 1` of `plan` run fused under StopLevel
+/// `stop` ([`WarpKernel::count_tail`]: the last level counts a lifted list in
+/// closed form and its parent is deep), and which list the warp's rank row
+/// holds. Under a shallow parent it is the lifted list W. In a tail, the one
+/// of W and the parent's list V defined at the shallower level (W on a tie),
+/// so it is rebuilt for fewer slots — but V only while its valid elements
+/// are a window less exclusions, without a residual label to test element by
+/// element. V and W the same slot of one set need no row (DESIGN.md §4c).
+/// Nothing is counted in closed form when `enumerate`.
+fn last_levels(plan: &MatchPlan, stop: usize, enumerate: bool) -> (bool, Row) {
+    let bc = plan.bytecode();
+    let last = plan.num_levels() - 1;
+    let (w_set, w_def) = bc.candidate(last);
+    if enumerate || w_def == last || bc.level_meta(last).resid.is_some() {
+        return (false, Row::None);
+    }
+    if last < stop + 1 {
+        return (false, Row::Last);
+    }
+    let (v_set, v_def) = bc.candidate(last - 1);
+    let row = if bc.level_meta(last - 1).resid.is_some() {
+        Row::Last
+    } else if v_set == w_set {
+        Row::None
+    } else if v_def < w_def {
+        Row::Parent
+    } else {
+        Row::Last
+    };
+    (true, row)
+}
+
+/// The list a warp's [`RankRow`] holds ([`last_levels`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Row {
     /// None: nothing lifted is counted in closed form, or a tail's two lists
@@ -193,22 +252,17 @@ pub enum Step {
 
 /// Per-warp kernel state.
 pub struct WarpKernel<'a> {
+    /// The launch this kernel runs, resolved for its grid.
+    env: &'a KernelEnv<'a>,
     /// The graph being matched: the launch's, or — in a staged run — the
     /// view of the stage the current level-0 index belongs to.
     g: &'a Graph,
-    plan: &'a MatchPlan,
-    /// `plan`'s lowered stream and side tables: all the claim loop reads.
+    /// The plan's lowered stream and side tables: all the claim loop reads.
     bc: &'a PlanBytecode,
-    cfg: &'a EngineConfig,
     board: &'a Board,
     warp_id: usize,
     /// Pattern size (number of levels).
     k: usize,
-    /// Effective stop level (stealable shallow depth).
-    stop: usize,
-    /// How many raw iterations each level claims at once, and the arena
-    /// slots that affords each set (`bc.slot_table(cfg.unroll, stop)`).
-    slots: SlotTable,
     /// The warp's flat candidate-set slab (the paper's `C` array).
     storage: StackArena,
     /// `batch[l]` = candidate vertices claimed for position `l-1` (the
@@ -229,8 +283,6 @@ pub struct WarpKernel<'a> {
     level: Option<usize>,
     /// Start of the current item (`[0]`) and idle episode (`[1]`, [`Board::poll`]).
     since: [Option<Instant>; 2],
-    /// See [`KernelEnv::l0`].
-    l0: Level0Map<'a>,
     /// The level-0 virtual index `matched[0]` was resolved from; published
     /// and stolen in its place (see [`StealPayload::matched`]).
     l0_index: usize,
@@ -246,14 +298,8 @@ pub struct WarpKernel<'a> {
     /// Where every set operation's bitmap rows come from.
     rows: Rows<'a>,
     /// The rank row of a lifted last level's counts, its cells lent by
-    /// `storage`; `row` says which list it holds.
+    /// `storage`; the env's `row` says which list it holds.
     rank: RankRow,
-    row: Row,
-    /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
-    /// last level counts a lifted list in closed form, its parent is deep.
-    tail: bool,
-    /// What the levels that claim are charged for validity.
-    claim_cost: ClaimCost,
     /// Tail streams issued and the survivors they counted (`check hotpath`).
     tail_stats: [u64; 2],
     /// Valid last-level candidates scratch (enumeration only).
@@ -289,70 +335,37 @@ pub struct WarpKernel<'a> {
 }
 
 impl<'a> WarpKernel<'a> {
-    /// Builds warp `warp_id`'s kernel for one launch. A recycled
-    /// [`StackArena`] (from its engine's free-list) is reset to this kernel's
+    /// Builds warp `warp_id`'s kernel for `env`'s launch. A recycled
+    /// [`StackArena`] (from its engine's free-list) is reset to the launch's
     /// geometry before use, reusing its heap blocks — the warm-pool path
     /// that amortizes the per-warp slab allocation across queries; `None`
     /// allocates fresh.
     pub fn new(
-        env: &KernelEnv<'a>,
+        env: &'a KernelEnv<'a>,
         board: &'a Board,
         warp_id: usize,
         faults: Option<&'a FaultPlan>,
         recycle: Option<StackArena>,
     ) -> Self {
-        let KernelEnv {
-            graph: g,
-            plan,
-            cfg,
-            ..
-        } = *env;
-        let k = plan.num_levels();
-        let bc = plan.bytecode();
-        let stop = board.stop();
-        let slots = bc.slot_table(cfg.unroll, stop);
-        // Tight slab capacity: every candidate list descends from some
-        // neighbor list through shrinking ops, so no list outgrows the
-        // graph's max degree. Budget accounting still reserves the paper's
-        // fixed `max_degree_slab` per slot (see `Engine::attempt`); allocating
-        // tighter just packs the slabs densely for the cache.
-        let cap = cfg.max_degree_slab.min(g.max_degree().max(1));
-        // Certificate-shaped slabs: the launch may carry per-set capacity
-        // bounds from a clean static verification. They are sound upper
-        // bounds on candidate-list sizes, so clamping each slab to
-        // `min(bound, cap)` packs the arena tighter without introducing a
-        // single new spill — a set either fit its bound (≤ shaped cap) or
-        // would have spilled at `cap` anyway.
-        let mut set_caps = [cap; MAX_SETS];
-        if let Some(caps) = env.shaped_caps() {
-            for (shaped, &bound) in set_caps.iter_mut().zip(caps) {
-                *shaped = (bound as usize).clamp(1, cap);
-            }
-        }
-        let set_caps = &set_caps[..slots.num_sets()];
-        let (tail, row) = env.last_levels(stop);
-        let row_cells = match row {
-            Row::None => 0,
-            _ => RankRow::cells(g.num_vertices()),
-        };
+        debug_assert_eq!(board.stop(), env.stop, "the board runs the env's StopLevel");
+        let slots = &env.slots;
+        let set_caps = &env.set_caps[..slots.num_sets()];
         let mut storage = match recycle {
             Some(mut arena) => {
-                arena.reset(&slots, set_caps, row_cells);
+                arena.reset(slots, set_caps, env.row_cells);
                 arena
             }
-            None => StackArena::new_shaped(&slots, set_caps, row_cells),
+            None => StackArena::new_shaped(slots, set_caps, env.row_cells),
         };
         let rows = Rows::new(env, &mut storage);
+        let plan = env.launch.plan;
         WarpKernel {
-            g,
-            plan,
-            bc,
-            cfg,
+            env,
+            g: env.launch.graph,
+            bc: plan.bytecode(),
             board,
             warp_id,
-            k,
-            stop,
-            slots,
+            k: plan.num_levels(),
             storage,
             batch: [Batch::EMPTY; MAX_PATTERN_SIZE + 1],
             uiter: [0; MAX_PATTERN_SIZE + 1],
@@ -365,18 +378,14 @@ impl<'a> WarpKernel<'a> {
             pong: vec![Vec::new(); slots.staged()],
             rows,
             rank: RankRow::default(),
-            row,
-            tail,
-            claim_cost: ClaimCost::new(bc, stop, tail),
             tail_stats: [0; 2],
             emit_tail: Vec::new(),
             claims: 0,
             unpolled: 0,
             publishes: 0,
-            l0: env.l0,
             l0_index: 0,
             pin: None,
-            emit: env.enumerate.then(Vec::new),
+            emit: env.launch.collector.map(|_| Vec::new()),
             pending_matches: 0,
             emit_mark: 0,
             inflight: None,
@@ -385,8 +394,8 @@ impl<'a> WarpKernel<'a> {
         }
     }
 
-    /// Drains the embeddings collected under [`KernelEnv::enumerate`], as a
-    /// flat buffer of `k`-strided records.
+    /// Drains the embeddings collected when the launch has a collector
+    /// (Fig. 3's `Output`), as a flat buffer of `k`-strided records.
     pub fn take_emitted(&mut self) -> Vec<VertexId> {
         self.emit_mark = 0;
         self.emit.as_mut().map(std::mem::take).unwrap_or_default()
@@ -396,7 +405,7 @@ impl<'a> WarpKernel<'a> {
     /// order to pattern vertex ids, as one more `k`-strided record.
     fn emit_match(&mut self, v: VertexId) {
         let k = self.k;
-        let order = self.plan.order();
+        let order = self.env.launch.plan.order();
         let emb = self.emit.as_mut().expect("enumeration enabled");
         let base = emb.len();
         emb.resize(base + k, 0);
@@ -424,21 +433,17 @@ impl<'a> WarpKernel<'a> {
     #[inline]
     fn enter_level0(&mut self, idx: usize) -> VertexId {
         self.l0_index = idx;
-        match self.l0 {
-            Level0Map::Identity => idx as VertexId,
-            Level0Map::Order(order) => order[idx],
-            Level0Map::Staged {
-                edges,
-                views,
-                orient,
-            } => {
-                let (s, from_hi) = match orient {
+        match self.env.launch.domain {
+            Level0::Whole => idx as VertexId,
+            Level0::Slice(order) => order[idx],
+            Level0::Anchored(side) => {
+                let (s, from_hi) = match self.env.orient {
                     Some(bound) => (idx, bound == Bound::Less),
                     None => (idx / 2, idx % 2 == 1),
                 };
-                let (lo, hi) = edges[s];
+                let (lo, hi) = side.edges[s];
                 let (v, pin) = if from_hi { (hi, lo) } else { (lo, hi) };
-                self.g = &views[s];
+                self.g = &side.views[s];
                 self.pin = Some(pin);
                 v
             }
@@ -521,7 +526,7 @@ impl<'a> WarpKernel<'a> {
             out.push(p);
             return out;
         }
-        for l in 0..self.stop {
+        for l in 0..self.env.stop {
             if m.iter[l] < m.size[l] {
                 out.push(m.payload(l, m.iter[l], m.size[l]));
             }
@@ -571,7 +576,7 @@ impl<'a> WarpKernel<'a> {
     /// exhausted, pop it, and at the entry level commit and close the item.
     pub fn step(&mut self, warp: &mut Warp) -> Step {
         let Some(l) = self.level else {
-            let steal = (self.cfg.local_steal, self.cfg.global_steal);
+            let steal = (self.env.cfg.local_steal, self.env.cfg.global_steal);
             let m = warp.metrics_mut();
             return match self.board.poll(self.warp_id, steal, &mut self.since[1], m) {
                 Poll::Work(p, src) => {
@@ -584,7 +589,7 @@ impl<'a> WarpKernel<'a> {
                 Poll::Exit => Step::Done,
             };
         };
-        let claimed = if l < self.stop {
+        let claimed = if l < self.env.stop {
             self.claim_shallow(warp, l)
         } else {
             self.claim_deep(warp, l)
@@ -606,7 +611,7 @@ impl<'a> WarpKernel<'a> {
             self.begin_level(warp, l + 1);
             if l + 1 == self.k - 1 {
                 self.count_last_level(warp);
-            } else if self.tail && l + 1 == self.k - 2 {
+            } else if self.env.tail && l + 1 == self.k - 2 {
                 self.count_tail(warp);
             } else {
                 self.level = Some(l + 1);
@@ -649,8 +654,8 @@ impl<'a> WarpKernel<'a> {
             };
             // §V-B detection hook: when claiming at a level below
             // DetectLevel, a busy warp offers work to fully-idle blocks.
-            if self.cfg.global_steal
-                && l < self.cfg.detect_level
+            if self.env.cfg.global_steal
+                && l < self.env.cfg.detect_level
                 && self.board.try_push_global(self.warp_id)
             {
                 Source::GlobalPush.note(warp);
@@ -660,7 +665,7 @@ impl<'a> WarpKernel<'a> {
             } else {
                 self.candidate_list(l, 0)[idx]
             };
-            if self.claim_cost.waves >> l & 1 == 1 {
+            if self.env.claim_cost.waves >> l & 1 == 1 {
                 warp.charge(Site::Claim, Cost::Lanes(1));
             }
             if self.validity(l).check(self.g, &self.matched, v) {
@@ -698,12 +703,12 @@ impl<'a> WarpKernel<'a> {
                 continue;
             }
             let start = self.iter[l];
-            let take = (cl_len - start).min(self.slots.width(l));
+            let take = (cl_len - start).min(self.env.slots.width(l));
             self.iter[l] += take;
             self.unpolled += take;
             // Validity filtering straight from the slab (disjoint fields:
             // storage vs batch).
-            if self.claim_cost.waves >> l & 1 == 1 {
+            if self.env.claim_cost.waves >> l & 1 == 1 {
                 warp.charge(Site::Claim, Cost::Lanes(take));
             }
             let (g, matched) = (self.g, &self.matched);
@@ -775,7 +780,7 @@ impl<'a> WarpKernel<'a> {
                 // Residual label checks need a per-element probe.
                 total += vy.count(g, &self.matched, &cl[window]);
             } else if lifted {
-                debug_assert!(self.row == Row::Last);
+                debug_assert!(self.env.row == Row::Last);
                 let (read, cells) = self.storage.lists_and_row();
                 let (cl, matched) = (read.slot(cid, slot), &self.matched);
                 let mut ranks = self.rank.of(cells, cl, cid, self.l0_index, &matched[..def]);
@@ -804,7 +809,7 @@ impl<'a> WarpKernel<'a> {
     fn count_tail(&mut self, warp: &mut Warp) {
         let l = self.k - 2;
         let (vy, vz) = (self.validity(l), self.validity(l + 1));
-        let width = self.slots.width(l);
+        let width = self.env.slots.width(l);
         let m = self.batch[l].len;
         let (v_def, w_def) = (self.bc.candidate(l).1, self.bc.candidate(l + 1).1);
         let (mut streamed, mut survivors, mut total) = (0usize, 0u64, 0u64);
@@ -826,7 +831,7 @@ impl<'a> WarpKernel<'a> {
             let (read, cells) = self.storage.lists_and_row();
             let (v, w) = (read.slot(v_cid, v_slot), read.slot(w_cid, w_slot));
             let matched = &self.matched;
-            let against = match self.row {
+            let against = match self.env.row {
                 Row::Parent => {
                     Against::V(self.rank.of(cells, v, v_cid, l0_index, &matched[..v_def]))
                 }
@@ -951,16 +956,8 @@ mod tests {
         cfg: EngineConfig,
         body: impl Fn(&mut WarpKernel<'_>, &mut Warp) + Sync,
     ) -> WarpMetrics {
-        let stop = cfg.effective_stop(plan);
-        let board = Board::new(1, 1, stop, (0, 0), cfg.chunk_size);
-        let env = KernelEnv {
-            graph: g,
-            plan,
-            cfg: &cfg,
-            slab_caps: None,
-            l0: Level0Map::Identity,
-            enumerate: false,
-        };
+        let env = KernelEnv::new(Launch::new(g, plan), &cfg);
+        let board = Board::new(1, 1, env.stop(), (0, 0), cfg.chunk_size);
         let grid = Grid::new(cfg.grid).unwrap();
         let metrics = grid.launch(|warp| {
             let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);

@@ -19,7 +19,7 @@ impl WarpKernel<'_> {
         self.iter[l] = 0;
         self.matched[l - 1] = self.batch[l].slots[0];
         self.compute_sets(warp, l);
-        if self.claim_cost.keyed >> l & 1 == 1 && !self.candidate_list(l, 0).is_empty() {
+        if self.env.claim_cost.keyed >> l & 1 == 1 && !self.candidate_list(l, 0).is_empty() {
             // Per slot, the window the bounds leave of the lifted list and
             // the places of the `inj` positions' vertices in it: what the
             // claims then read valid candidates off, wave-free.
@@ -33,8 +33,8 @@ impl WarpKernel<'_> {
         // targeting level `l` needs `size[l] - iter[l] >= 2`, and until
         // this store lands the previous range at `l` is fully drained
         // (`iter == size`), so no stealer can observe a half-updated view.
-        if l - 1 < self.stop {
-            let range = (l < self.stop).then(|| self.window(l, self.candidate_list(l, 0)));
+        if l - 1 < self.env.stop {
+            let range = (l < self.env.stop).then(|| self.window(l, self.candidate_list(l, 0)));
             let mut m = self.board.mirror(self.warp_id).lock();
             // Level 0 is published as its virtual index, the form a stolen
             // prefix travels in.
@@ -134,7 +134,7 @@ impl WarpKernel<'_> {
         let cand = self.bc.candidate(level).0;
         let last_close = if self.emit.is_none() && level == self.k - 1 {
             Close::Counted
-        } else if self.claim_cost.masked >> level & 1 == 1 {
+        } else if self.env.claim_cost.masked >> level & 1 == 1 {
             Close::Masked
         } else {
             Close::Compacted
@@ -142,7 +142,7 @@ impl WarpKernel<'_> {
         let batch = self.batch[level];
         let bat = batch.as_slice();
         let m = bat.len();
-        debug_assert!(m >= 1 && m <= self.slots.width(level - 1));
+        debug_assert!(m >= 1 && m <= self.env.slots.width(level - 1));
         let g = self.g;
         // Small copy of the matched prefix so no closure needs `self`.
         let matched = self.matched;

@@ -115,7 +115,7 @@ impl Clip {
 }
 
 /// What a tail slot ranks against
-/// ([`KernelEnv::last_levels`](super::KernelEnv::last_levels)): the row of V,
+/// ([`last_levels`](super::last_levels)): the row of V,
 /// the row of W, or — V and W being one list — that list itself.
 pub(super) enum Against<'r> {
     V(Ranks<'r>),

@@ -18,14 +18,6 @@ pub(super) type PerSlot<'r> = [Option<&'r [u64]>; MAX_UNROLL];
 /// A fused chain's base row and its steps' ops and operand rows.
 pub(super) type Chain<'a> = (&'a [u64], [(OpKind, &'a [u64]); MAX_PATTERN_SIZE]);
 
-impl<'a> KernelEnv<'a> {
-    /// The per-set slab bounds the arena is shaped to: none when the graph
-    /// carries a hub index (set-bit rows assume uniform geometry).
-    pub(super) fn shaped_caps(&self) -> Option<&'a [u32]> {
-        self.graph.hub_bitmap().map_or(self.slab_caps, |_| None)
-    }
-}
-
 /// One warp's row provider: the graph's hub index, if it carries one, and
 /// the warp's **marker** rows, which every launch holds — per marked
 /// position `p` ([`PlanBytecode::marked`](stmatch_pattern::PlanBytecode::marked)),
@@ -51,17 +43,25 @@ pub(super) struct Rows<'a> {
 }
 
 impl<'a> Rows<'a> {
+    /// Whether a launch on `graph` routes hub rows. Its sealed result rows
+    /// then assume uniform slab geometry, so the launch's slabs are never
+    /// certificate-shaped.
+    pub(super) fn routed(graph: &Graph) -> bool {
+        graph.hub_bitmap().is_some()
+    }
+
     /// The rows of one warp of `env`'s launch. The marker words are lent by
     /// `storage` (give them back with [`Rows::park`]); with an index,
     /// `storage` also sizes its sealed result rows here, at construction, so
     /// the claim path stays allocation-free.
     pub(super) fn new(env: &KernelEnv<'a>, storage: &mut StackArena) -> Rows<'a> {
-        let hubs = env.graph.hub_bitmap();
-        let stride = env.graph.num_vertices().div_ceil(64);
+        let graph = env.launch.graph;
+        let hubs = graph.hub_bitmap();
+        let stride = graph.num_vertices().div_ceil(64);
         if hubs.is_some() {
             storage.enable_set_bits(stride);
         }
-        let positions = env.plan.bytecode().marked();
+        let positions = env.launch.plan.bytecode().marked();
         let words = storage.take_marker_words(positions.count_ones() as usize * stride);
         Rows {
             hubs,

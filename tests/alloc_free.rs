@@ -10,9 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use stmatch_core::kernel::{KernelEnv, Level0Map, Step, WarpKernel};
+use stmatch_core::kernel::{KernelEnv, Step, WarpKernel};
 use stmatch_core::steal::{Board, StealPayload};
-use stmatch_core::EngineConfig;
+use stmatch_core::{EngineConfig, Launch};
 use stmatch_gpusim::{Grid, GridConfig};
 use stmatch_graph::gen;
 use stmatch_pattern::catalog;
@@ -73,9 +73,10 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     let plan = stmatch_core::Engine::new(cfg).compile(&pattern);
 
     let grid = Grid::new(cfg.grid).unwrap();
+    let env = KernelEnv::new(Launch::new(&g, &plan), &cfg);
     // No level-0 range of its own: the kernel is handed its items, and its
     // last step of each pass polls the board to an exit.
-    let board = Board::new(1, 1, cfg.effective_stop(&plan), (0, 0), cfg.chunk_size);
+    let board = Board::new(1, 1, env.stop(), (0, 0), cfg.chunk_size);
 
     // Allocation count observed during the post-warmup run, and the match
     // count of that run (sanity: the steady-state pass did real work).
@@ -83,14 +84,6 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     static STEADY_MATCHES: AtomicU64 = AtomicU64::new(0);
 
     let metrics = grid.launch(|warp| {
-        let env = KernelEnv {
-            graph: &g,
-            plan: &plan,
-            cfg: &cfg,
-            slab_caps: None,
-            l0: Level0Map::Identity,
-            enumerate: false,
-        };
         let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
         // The whole level-0 domain as one work item, the shape every chunk
         // reaches the kernel in (allocation-free to build, and so is the

@@ -115,7 +115,9 @@ fn runtime_peak_never_exceeds_certified_bound() {
                 ));
             }
             let out = launch_verified(&engine, &g, &plan, &v).map_err(|e| e.to_string())?;
-            let bound = v.cert.peak_cells(&engine.slot_table(&plan));
+            let bound = v
+                .cert
+                .peak_cells(&engine.slot_table(&Launch::new(&g, &plan)));
             if out.peak_slab_cells > bound {
                 return Err(format!(
                     "{}: runtime peak {} cells exceeds certified bound {bound}",
@@ -341,7 +343,7 @@ fn a_set_wider_than_unroll_is_bounded_by_its_own_slots() {
     let engine = Engine::new(cfg);
     let q = catalog::tailed_triangle();
     let plan = engine.compile(&q);
-    let table = engine.slot_table(&plan);
+    let table = engine.slot_table(&Launch::new(&g, &plan));
     assert_eq!(table.widths(), [1, 1, 4]);
     assert_eq!((table.total(), table.budget()), (6, 6));
     let v = engine.verify(&g, &plan);
@@ -383,7 +385,12 @@ fn capacity_hints_shape_the_arena() {
         .unwrap();
         assert_eq!(out.count, want);
         assert_eq!(out.spill_events, 0);
-        assert!(out.peak_slab_cells <= verdict.cert.peak_cells(&engine.slot_table(&plan)));
+        assert!(
+            out.peak_slab_cells
+                <= verdict
+                    .cert
+                    .peak_cells(&engine.slot_table(&Launch::new(&g, &plan)))
+        );
         let arena = engine.arenas().checkout();
         arena.expect("the launch parked its arenas").slab_cells()
     };

@@ -7,9 +7,10 @@
 //! alone, so a thief takes a stage, never half a row.
 
 use stmatch_baselines::reference::{self, RefOptions};
-use stmatch_core::kernel::{KernelEnv, Level0Map, Step, WarpKernel};
+use stmatch_core::delta::StagedSide;
+use stmatch_core::kernel::{KernelEnv, Step, WarpKernel};
 use stmatch_core::steal::Board;
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, Launch};
 use stmatch_gpusim::{Grid, GridConfig, WarpMetrics};
 use stmatch_graph::{gen, Graph, VertexId};
 use stmatch_pattern::catalog;
@@ -33,16 +34,8 @@ fn interleaved(g: &Graph, q: usize) -> WarpMetrics {
     cfg.chunk_size = 32;
     assert!(cfg.local_steal && cfg.global_steal);
     let plan = Engine::new(cfg).compile(&catalog::paper_query(q));
-    let stop = cfg.effective_stop(&plan);
-    let board = Board::new(2, 2, stop, (0, g.num_vertices()), cfg.chunk_size);
-    let env = KernelEnv {
-        graph: g,
-        plan: &plan,
-        cfg: &cfg,
-        slab_caps: None,
-        l0: Level0Map::Identity,
-        enumerate: false,
-    };
+    let env = KernelEnv::new(Launch::new(g, &plan), &cfg);
+    let board = Board::new(2, 2, env.stop(), (0, env.l0_len()), cfg.chunk_size);
     let metrics = Grid::new(grid(1, 1)).unwrap().launch(|warp| {
         let mut kernels: Vec<_> = (0..4)
             .map(|id| WarpKernel::new(&env, &board, id, None, None))
@@ -93,22 +86,11 @@ fn staged_hub_edges(g: &Graph, pins: &[VertexId]) -> (u64, u64, (usize, usize), 
     let plans = Engine::new(cfg).compile_delta(&catalog::paper_query(2));
     let plan = plans.plans().next().expect("C5 has one edge orbit");
     assert_eq!(plan.bytecode().bounds(1), [(0, Bound::Greater)]);
-    let edges: Vec<_> = pins.iter().map(|&v| (0, v)).collect();
-    let views = g.staged_without_edges(&edges);
-    let stop = cfg.effective_stop(plan);
-    let board = Board::new(1, 2, stop, (0, edges.len()), 1);
-    let env = KernelEnv {
-        graph: &views[0],
-        plan,
-        cfg: &cfg,
-        slab_caps: None,
-        l0: Level0Map::Staged {
-            edges: &edges,
-            views: &views,
-            orient: Some(Bound::Greater),
-        },
-        enumerate: false,
-    };
+    let side = StagedSide::new(g, pins.iter().map(|&v| (0, v)).collect());
+    let env = KernelEnv::new(side.request(plan).expect("a stage per pin"), &cfg);
+    // The plan orients its anchor: one level-0 index per stage.
+    assert_eq!(env.l0_len(), pins.len());
+    let board = Board::new(1, 2, env.stop(), (0, env.l0_len()), 1);
     let seen = std::sync::Mutex::new(None);
     let metrics = Grid::new(grid(1, 1)).unwrap().launch(|warp| {
         let mut kernels: Vec<_> = (0..2)
