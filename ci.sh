@@ -130,9 +130,11 @@ hotpath q2 Plain: OK .* count_pass=0@- steal=0 tail=0/0 streamed=[1-9][0-9]*/[0-
 # fused chain gets a row shows here. The greps want nonzero probe and
 # merge traffic, and a nonzero operand share on q3's on leg: an index adds
 # hub rows beside the marker rows of non-hub lifted lists, it does not
-# switch them off.
+# switch them off. The induced q2 leg must merge: its difference chains fuse
+# under default code motion, and no edge-induced on leg pins that.
 run_and_grep "smoke:bitmap" \
     "bitmap q3 on: .* streamed=[1-9][0-9]*/[0-9]+
+bitmap q2-induced on: .* merge_words=[1-9][0-9]* merge_waves=[1-9][0-9]* streamed=
 bitmap_check totals: probe_words=[0-9]*[1-9][0-9]* merge_words=[0-9]*[1-9][0-9]*" \
     "${CHECK[@]}" bitmap
 
@@ -417,13 +419,18 @@ echo "==> lint:recover: OK"
 # `fn` definitions are allowed), so removing them edits `benchmark/` alone.
 # A grid's launch is resolved once, by `KernelEnv::new`, and `Level0` is the
 # one level-0 domain enum: the second enum (`Level0Map`) and the engine's
-# intermediate `struct Resolved` must not come back either.
-echo "==> lint:launch: scanning for the deleted launch drivers and the benchmark's forwards"
-drivers=$(grep -rnE 'run_sharded|run_delta\(|run_plan_sharded_weighted|for_grid|timeout_budget|per_shard|\.(run_plan|run_plan_warm|run_plan_sharded|run_delta_plans_metered)\(|\bLevel0Map\b|struct Resolved\b' \
-    crates src tests examples || true)
+# intermediate `struct Resolved` must not come back either. A batch is
+# staged once, by `StagedBatch::new`, the one place that orders its sides
+# (DESIGN.md §4k): no side is staged by hand outside `delta.rs`, the
+# estimator's sample (`estimate.rs`) and the test that steps a kernel over a
+# side it builds (`tests/step_interleave.rs`).
+echo "==> lint:launch: scanning for the deleted launch drivers, the benchmark's forwards and hand-staged sides"
+drivers=$( (grep -rnE 'run_sharded|run_delta\(|run_plan_sharded_weighted|for_grid|timeout_budget|per_shard|\.(run_plan|run_plan_warm|run_plan_sharded|run_delta_plans_metered)\(|\bLevel0Map\b|struct Resolved\b' \
+    crates src tests examples; grep -rnF 'StagedSide::new(' crates src tests examples \
+    | grep -vE '^(crates/core/src/(delta|estimate)\.rs|tests/step_interleave\.rs):') || true)
 if [ -n "${drivers}" ]; then
     echo "${drivers}"
-    echo "==> lint:launch: FAILED — launch a request (Engine::launch, Engine::run, DeltaPlans::count); a grid resolves once (KernelEnv::new)"
+    echo "==> lint:launch: FAILED — launch a request (Engine::launch, Engine::run, DeltaPlans::count over a StagedBatch::new); a grid resolves once (KernelEnv::new)"
     exit 1
 fi
 echo "==> lint:launch: OK"

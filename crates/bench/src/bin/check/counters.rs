@@ -11,11 +11,12 @@
 //! * **clique_dense** — an `Engine::run` of q8 on degree-ordered
 //!   ER(192, 7200, 5);
 //! * **tick** — a `resident_tick` replica: `check plans`' half of
-//!   PA(1024, 8, 9), [`TICKS`] 64 + 64 exchange batches, and per batch
-//!   `DeltaPlans::count` of the triangle (the watcher) and of q2, q4 and q6
-//!   (the maintained counts), each with the anchored plans a delta service
-//!   compiles at its cache miss (`Engine::compile_delta_on` the starting
-//!   graph). Its per-entry split prints beside the totals.
+//!   PA(1024, 8, 9), [`TICKS`] 64 + 64 exchange batches, each staged once
+//!   (`StagedBatch::new`), and per batch `DeltaPlans::count` over it of the
+//!   triangle (the watcher) and of q2, q4 and q6 (the maintained counts),
+//!   each with the anchored plans a delta service compiles at its cache
+//!   miss (`Engine::compile_delta_on` the starting graph). Its per-entry
+//!   split prints beside the totals.
 //!
 //! Each leg pins its instructions, active and issued lane slots and matches
 //! (for the tick, the deltas' added plus removed) in [`PINS`]. A drift fails
@@ -25,7 +26,7 @@
 use crate::{grid, report};
 use std::process::ExitCode;
 use stmatch_bench::tick::{exchange, fixture, SEED};
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, StagedBatch};
 use stmatch_gpusim::WarpMetrics;
 use stmatch_graph::{gen, DeltaOverlay, Graph};
 use stmatch_pattern::{catalog, Pattern};
@@ -193,10 +194,11 @@ fn tick(engine: &Engine) -> Result<(Counters, String), String> {
     for _ in 0..TICKS {
         let pre = overlay.snapshot();
         let batch = overlay.apply(&exchange(&mut present, &mut absent, &mut rng));
-        let post = overlay.snapshot();
+        // Staged once, as the service stages a batch for all its entries.
+        let staged = StagedBatch::new(&pre, &overlay.snapshot(), &batch);
         for ((q, plans), (entry, launches)) in entries.iter().zip(&plans).zip(&mut per_entry) {
             let (delta, metrics) = plans
-                .count(engine, &pre, &post, &batch)
+                .count(engine, &staged)
                 .map_err(|e| format!("{}: {e}", q.name()))?;
             let t = metrics.total();
             let matches = delta.added + delta.removed;

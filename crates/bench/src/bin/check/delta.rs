@@ -39,9 +39,9 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use stmatch_bench::tick;
-use stmatch_core::delta::StagedSide;
 use stmatch_core::{
-    DeltaPlans, Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig, WatchEvent,
+    DeltaPlans, Engine, EngineConfig, Launch, MatchService, QueryOptions, ServiceConfig,
+    StagedBatch, WatchEvent,
 };
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
@@ -133,7 +133,7 @@ fn run_stream() -> bool {
             }
             let post = overlay.snapshot();
             let (delta, _) = plans
-                .count(&engine, &pre, &post, &batch)
+                .count(&engine, &StagedBatch::new(&pre, &post, &batch))
                 .expect("delta launch");
             running += delta.net();
             let full = engine.run(&post, &q).expect("recompute").count as i64;
@@ -237,7 +237,7 @@ fn measure_stream(
         let batch = overlay.apply(&ops);
         let post = overlay.snapshot();
         let (delta, metrics) = plans
-            .count(metered, &pre, &post, &batch)
+            .count(metered, &StagedBatch::new(&pre, &post, &batch))
             .map_err(|e| format!("delta launch: {e}"))?;
         d_instr += metrics.total().simt_instructions;
         running += delta.net();
@@ -413,6 +413,7 @@ fn report_host_cost() {
     let pre = overlay.snapshot();
     let batch = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
     let post = overlay.snapshot();
+    let staged = StagedBatch::new(&pre, &post, &batch);
     // Best host ns per simulated instruction of `launch`, which returns the
     // instructions it ran.
     let ns_per_instr = |launch: &dyn Fn() -> u64| {
@@ -429,7 +430,7 @@ fn report_host_cost() {
         .map(|q| {
             let plans = engine.compile_delta_on(&q, &pre);
             let ns = ns_per_instr(&|| {
-                let (_, metrics) = plans.count(&engine, &pre, &post, &batch).expect("delta");
+                let (_, metrics) = plans.count(&engine, &staged).expect("delta");
                 metrics.total().simt_instructions
             });
             format!("{} {ns:.0}", q.name())
@@ -449,13 +450,13 @@ fn report_host_cost() {
 
 /// Prints the allocations and bytes of one 128-edge exchange batch of the
 /// tick instance (`check plans`' fixture), ungated, by the step that made
-/// them: `DeltaOverlay::apply`, `snapshot`, staging both sides as a delta
-/// batch stages them, and each of the tick's entries' `DeltaPlans::count`
-/// (the triangle, q2, q4 and q6, plans chosen on the snapshot before the
-/// batch) — which stages the batch again, so its figure includes the
-/// staging one. The engine is the service's 1 × 2 grid with stealing off,
-/// warmed by counting every entry over the batch before, so its arenas are
-/// parked, as a service's are between ticks.
+/// them: `DeltaOverlay::apply`, `snapshot`, staging the batch once
+/// (`StagedBatch::new`), and each of the tick's entries' `DeltaPlans::count`
+/// over it (the triangle, q2, q4 and q6, plans chosen on the snapshot
+/// before the batch) — its launches alone, as in a service. The engine is
+/// the service's 1 × 2 grid with stealing off, warmed by counting every
+/// entry over the batch before, so its arenas are parked, as a service's
+/// are between ticks.
 fn report_allocs() {
     let mut cfg = EngineConfig::default().with_grid(crate::grid(1, 2));
     (cfg.local_steal, cfg.global_steal) = (false, false);
@@ -470,25 +471,19 @@ fn report_allocs() {
     let plans: Vec<(String, DeltaPlans)> = entries
         .map(|q| (q.name().to_string(), engine.compile_delta_on(&q, &pre)))
         .collect();
+    let warm = StagedBatch::new(&before, &pre, &warm);
     for (_, p) in &plans {
-        p.count(&engine, &before, &pre, &warm)
-            .expect("warm-up delta");
+        p.count(&engine, &warm).expect("warm-up delta");
     }
     let ops = tick::exchange(&mut present, &mut absent, &mut rng);
     let kib = |(n, bytes): (u64, u64)| format!("{n} / {:.1} KiB", bytes as f64 / 1024.0);
     let (batch, apply) = crate::allocs(|| overlay.apply(&ops));
     let (post, snapshot) = crate::allocs(|| overlay.snapshot());
-    let (_, staging) = crate::allocs(|| {
-        let inserts = batch.inserts.iter().rev().copied().collect();
-        (
-            StagedSide::new(&pre, batch.deletes.clone()),
-            StagedSide::new(&post, inserts),
-        )
-    });
+    let (staged, staging) = crate::allocs(|| StagedBatch::new(&pre, &post, &batch));
     let counts: Vec<String> = plans
         .iter()
         .map(|(name, p)| {
-            let (_, n) = crate::allocs(|| p.count(&engine, &pre, &post, &batch).expect("delta"));
+            let (_, n) = crate::allocs(|| p.count(&engine, &staged).expect("delta"));
             format!("{name} {}", kib(n))
         })
         .collect();

@@ -25,7 +25,7 @@ use crate::{grid, report};
 use std::process::ExitCode;
 use stmatch_bench::tick::{exchange, fixture, SEED};
 use stmatch_core::estimate::Estimator;
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, StagedBatch};
 use stmatch_graph::DeltaOverlay;
 use stmatch_pattern::order::MatchOrder;
 use stmatch_pattern::{catalog, symmetry, MatchPlan, Pattern};
@@ -52,13 +52,12 @@ pub fn run(args: &[String]) -> ExitCode {
     for _ in 0..MEASURED {
         let pre = overlay.snapshot();
         let batch = overlay.apply(&exchange(&mut present, &mut absent, &mut rng));
-        let post = overlay.snapshot();
-        sides.push(Estimator::over(&engine, &pre, batch.deletes));
-        sides.push(Estimator::over(
-            &engine,
-            &post,
-            batch.inserts.into_iter().rev().collect(),
-        ));
+        let staged = StagedBatch::new(&pre, &overlay.snapshot(), &batch);
+        sides.extend(
+            staged
+                .into_sides()
+                .map(|side| Estimator::over(&engine, side)),
+        );
     }
     let sampled = Estimator::new(&engine, &chosen_on);
     let cost = |plan: &MatchPlan| -> Result<u64, String> {

@@ -22,7 +22,9 @@
 //! exchange batch of the `resident_tick` instance (`check plans`' fixture,
 //! plans chosen on its first snapshot by `compile_delta_on`), on a 1 × 2
 //! grid with stealing off; `--each` also runs the triangle, q2 and q6, one
-//! table per query. The batches are applied before the sampler starts.
+//! table per query. The batches are applied and staged (`StagedBatch::new`)
+//! before the sampler starts, so a round is the entry's launches alone, as
+//! in a service.
 //!
 //! The sampler is `setitimer(ITIMER_PROF)` asking for 1 kHz of process CPU
 //! time (the kernel tick caps it, typically at 250 Hz); the handler stores
@@ -179,12 +181,8 @@ fn main() -> std::process::ExitCode {
     let g = hotpath::graph();
     let engine = Engine::new(hotpath::config());
     let tick_engine = tick_engine();
-    let batches = if delta {
-        tick_batches(rounds)
-    } else {
-        Vec::new()
-    };
-    let legs: Vec<Leg> = if delta {
+    let tick = delta.then(|| tick_batches(rounds));
+    let legs: Vec<Leg> = if let Some((chosen_on, batches)) = &tick {
         let named = if each {
             vec![
                 stmatch_pattern::catalog::triangle(),
@@ -195,15 +193,13 @@ fn main() -> std::process::ExitCode {
         } else {
             vec![hotpath::query(4)]
         };
-        let chosen_on = &batches[0].0;
         named
             .into_iter()
             .map(|q| {
                 let plans = tick_engine.compile_delta_on(&q, chosen_on);
-                let (engine, batches) = (&tick_engine, &batches);
+                let engine = &tick_engine;
                 let round = move |r: usize| {
-                    let (pre, post, batch) = &batches[r];
-                    let (d, _) = plans.count(engine, pre, post, batch).expect("delta runs");
+                    let (d, _) = plans.count(engine, &batches[r]).expect("delta runs");
                     std::hint::black_box(d);
                 };
                 (
@@ -285,31 +281,26 @@ fn tick_engine() -> stmatch_core::Engine {
     stmatch_core::Engine::new(cfg)
 }
 
-/// `rounds` consecutive exchange batches of the `resident_tick` instance,
-/// each as `(pre, post, batch)`, after the one that moves the instance to
-/// the snapshot the delta plans are chosen on — that snapshot is the first
-/// batch's `pre`.
+/// The snapshot of the `resident_tick` instance one exchange batch on,
+/// which the delta plans are chosen on, and the `rounds` consecutive
+/// exchange batches after it, each staged as the service stages a batch.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn tick_batches(
-    rounds: usize,
-) -> Vec<(
-    stmatch_graph::Graph,
-    stmatch_graph::Graph,
-    stmatch_graph::AppliedBatch,
-)> {
+fn tick_batches(rounds: usize) -> (stmatch_graph::Graph, Vec<stmatch_core::StagedBatch>) {
     use stmatch_bench::tick;
     use stmatch_testkit::rng::SmallRng;
     let mut rng = SmallRng::seed_from_u64(tick::SEED);
     let (start, mut present, mut absent) = tick::fixture(&mut rng);
     let mut overlay = stmatch_graph::DeltaOverlay::new(start);
     overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
-    (0..rounds.max(1))
+    let chosen_on = overlay.snapshot();
+    let batches = (0..rounds.max(1))
         .map(|_| {
             let pre = overlay.snapshot();
             let batch = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
-            (pre, overlay.snapshot(), batch)
+            stmatch_core::StagedBatch::new(&pre, &overlay.snapshot(), &batch)
         })
-        .collect()
+        .collect();
+    (chosen_on, batches)
 }
 
 /// Symbolises one sample set and prints its table: the 30 hottest functions,

@@ -210,9 +210,11 @@ impl StagedSide {
 }
 
 /// One update batch staged for anchored enumeration: both sides' stage
-/// views. Built once per batch; a service runs each distinct plan set of
-/// its watchers and maintained counts on the same one.
-pub(crate) struct StagedBatch {
+/// views, the unit every delta is counted over. Build it once per batch
+/// with [`StagedBatch::new`], the one place that knows the staging order,
+/// and count each plan set over it ([`DeltaPlans::count`]): a service runs
+/// every watcher's and maintained count's plan set on the same one.
+pub struct StagedBatch {
     /// Net deletes in batch order over `pre`: an embedding is counted at
     /// its lowest-indexed deleted edge.
     removed: StagedSide,
@@ -226,32 +228,61 @@ impl StagedBatch {
     /// Stages `batch` between `pre` (the graph before it) and `post` (the
     /// graph after). A batch that netted out stages two empty sides:
     /// nothing to launch.
-    pub(crate) fn new(pre: &Graph, post: &Graph, batch: &AppliedBatch) -> StagedBatch {
+    pub fn new(pre: &Graph, post: &Graph, batch: &AppliedBatch) -> StagedBatch {
         StagedBatch {
             removed: StagedSide::new(pre, batch.deletes.clone()),
             added: StagedSide::new(post, batch.inserts.iter().rev().copied().collect()),
         }
     }
 
-    /// Counts the matches of `plans`' pattern the batch destroyed and
-    /// created: one `engine` launch per (non-empty side × anchored plan).
-    /// Also returns the launches' merged metrics. `plans` are edge-induced
-    /// by construction, whatever `engine`'s default semantics.
-    pub(crate) fn run(
+    /// The removed side, then the added one — for a caller that measures
+    /// one side at a time ([`Estimator::over`]).
+    #[doc(hidden)]
+    pub fn into_sides(self) -> [StagedSide; 2] {
+        [self.removed, self.added]
+    }
+}
+
+impl DeltaPlans {
+    /// Counts the matches `staged`'s batch destroyed (enumerated against
+    /// the graph before it) and created (against the graph after) in one
+    /// `engine` launch per (non-empty side × anchored plan) on its grid:
+    /// O(batch × affected neighborhoods) work. The launches recycle the
+    /// engine's arenas, as every launch does. Also returns the launches'
+    /// merged metrics. Requires an edge-induced engine (see the module
+    /// docs).
+    pub fn count(
         &self,
         engine: &Engine,
-        plans: &DeltaPlans,
+        staged: &StagedBatch,
+    ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
+        assert!(
+            !engine.config().induced,
+            "incremental matching is edge-induced only: deleting an edge can \
+             create vertex-induced embeddings containing no update edge, which \
+             anchored enumeration cannot see"
+        );
+        self.count_edge_induced(engine, staged)
+    }
+
+    /// [`DeltaPlans::count`] whatever `engine`'s default semantics: the
+    /// plans are edge-induced by construction. For the service, which
+    /// counts its edge-induced entries on its one engine.
+    pub(crate) fn count_edge_induced(
+        &self,
+        engine: &Engine,
+        staged: &StagedBatch,
     ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
         let mut metrics = GridMetrics::default();
         // Subgraph counts; embedding counts when the engine breaks no symmetry.
         let scale = if engine.config().symmetry_breaking {
             1
         } else {
-            plans.aut
+            self.aut
         };
         let mut count = |side: &StagedSide| -> Result<u64, LaunchError> {
             let mut total = 0u64;
-            for plan in &plans.anchored {
+            for plan in &self.anchored {
                 let Some(out) = side.launch(engine, plan, None, None) else {
                     break;
                 };
@@ -261,34 +292,9 @@ impl StagedBatch {
             }
             Ok(total * scale)
         };
-        let removed = count(&self.removed)?;
-        let added = count(&self.added)?;
+        let removed = count(&staged.removed)?;
+        let added = count(&staged.added)?;
         Ok((MatchDelta { added, removed }, metrics))
-    }
-}
-
-impl DeltaPlans {
-    /// Counts the matches `batch` destroyed (enumerated against `pre`, the
-    /// graph before the batch) and created (against `post`, the graph
-    /// after) in `2 × num_plans()` launches of `engine` on its grid:
-    /// O(batch × affected neighborhoods) work. The launches recycle the
-    /// engine's arenas, as every launch does. Also returns the launches'
-    /// merged metrics. Requires an edge-induced engine (see the module
-    /// docs).
-    pub fn count(
-        &self,
-        engine: &Engine,
-        pre: &Graph,
-        post: &Graph,
-        batch: &AppliedBatch,
-    ) -> Result<(MatchDelta, GridMetrics), LaunchError> {
-        assert!(
-            !engine.config().induced,
-            "incremental matching is edge-induced only: deleting an edge can \
-             create vertex-induced embeddings containing no update edge, which \
-             anchored enumeration cannot see"
-        );
-        StagedBatch::new(pre, post, batch).run(engine, self)
     }
 }
 
@@ -360,7 +366,7 @@ impl Engine {
                 .map(|order| MatchPlan::compile_anchored(pattern, order, today.options()))
                 .collect();
             let estimator =
-                estimator.get_or_insert_with(|| Estimator::sampled(self, graph, deadline));
+                estimator.get_or_insert_with(|| Estimator::new(self, graph).until(deadline));
             // The first candidate is today's order: keeping it moves nothing.
             if let Ok(best @ 1..) = estimator.pick(&compiled) {
                 picks.push((i, compiled.swap_remove(best)));
@@ -369,8 +375,9 @@ impl Engine {
         picks
     }
 
-    /// [`DeltaPlans::count`] with only the launches' simulated
-    /// instructions. Kept for `benchmark/`; ROADMAP item 1 deletes it.
+    /// [`DeltaPlans::count`] over `batch` staged between `pre` and `post`,
+    /// with only the launches' simulated instructions. Kept for
+    /// `benchmark/`; ROADMAP item 1 deletes it.
     pub fn run_delta_plans_metered(
         &self,
         pre: &Graph,
@@ -379,7 +386,7 @@ impl Engine {
         plans: &DeltaPlans,
     ) -> Result<(MatchDelta, u64), LaunchError> {
         plans
-            .count(self, pre, post, batch)
+            .count(self, &StagedBatch::new(pre, post, batch))
             .map(|(delta, metrics)| (delta, metrics.total().simt_instructions))
     }
 }
@@ -404,9 +411,9 @@ mod tests {
     fn check_against_recompute(base: Graph, ops: &[EdgeOp], pattern: &Pattern) {
         let e = engine();
         let before = e.run(&base, pattern).expect("pre count").count;
-        let (pre, post, batch) = apply(base, ops);
+        let (staged, post, batch) = apply(base, ops);
         let after = e.run(&post, pattern).expect("post count").count;
-        let delta = delta(&e, &pre, &post, &batch, pattern);
+        let delta = delta(&e, &staged, pattern);
         assert_eq!(
             before as i64 + delta.net(),
             after as i64,
@@ -420,16 +427,9 @@ mod tests {
         }
     }
 
-    /// `pattern`'s delta under `batch` on `e`.
-    fn delta(
-        e: &Engine,
-        pre: &Graph,
-        post: &Graph,
-        batch: &AppliedBatch,
-        pattern: &Pattern,
-    ) -> MatchDelta {
-        let plans = e.compile_delta(pattern);
-        plans.count(e, pre, post, batch).expect("delta").0
+    /// `pattern`'s delta under the `staged` batch on `e`.
+    fn delta(e: &Engine, staged: &StagedBatch, pattern: &Pattern) -> MatchDelta {
+        e.compile_delta(pattern).count(e, staged).expect("delta").0
     }
 
     fn fixture() -> Graph {
@@ -507,11 +507,11 @@ mod tests {
     #[test]
     fn a_batch_plans_against_the_engines_memory_limit() {
         let g = fixture();
-        let (pre, post, batch) = apply(g.clone(), &[EdgeOp::delete(g.neighbors(0)[0], 0)]);
+        let (staged, _, _) = apply(g.clone(), &[EdgeOp::delete(g.neighbors(0)[0], 0)]);
         let tight = Engine::with_memory_budget(EngineConfig::default(), 1024);
         match tight
             .compile_delta(&catalog::triangle())
-            .count(&tight, &pre, &post, &batch)
+            .count(&tight, &staged)
         {
             Err(LaunchError::GlobalMemory(oom)) => assert_eq!(oom.limit, 1024),
             other => panic!("expected OOM, got {other:?}"),
@@ -546,7 +546,8 @@ mod tests {
         ]);
         assert!(batch.is_empty(), "in-batch cancellation nets to nothing");
         let post = overlay.snapshot();
-        let got = delta(&e, &pre, &post, &batch, &catalog::triangle());
+        let staged = StagedBatch::new(&pre, &post, &batch);
+        let got = delta(&e, &staged, &catalog::triangle());
         assert_eq!(got, MatchDelta::default());
     }
 
@@ -576,12 +577,14 @@ mod tests {
         ops
     }
 
-    /// `(pre, post, batch)` of `ops` applied to `base`.
-    fn apply(base: Graph, ops: &[EdgeOp]) -> (Graph, Graph, AppliedBatch) {
+    /// `ops` applied to `base`: the batch staged, the graph after it and
+    /// the batch.
+    fn apply(base: Graph, ops: &[EdgeOp]) -> (StagedBatch, Graph, AppliedBatch) {
         let mut overlay = DeltaOverlay::new(base);
         let pre = overlay.snapshot();
         let batch = overlay.apply(ops);
-        (pre, overlay.snapshot(), batch)
+        let post = overlay.snapshot();
+        (StagedBatch::new(&pre, &post, &batch), post, batch)
     }
 
     fn wide_fixture() -> Graph {
@@ -614,11 +617,8 @@ mod tests {
         (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
         let e = Engine::new(cfg);
         for (g, n, seed, q, (added, removed), instructions) in cases {
-            let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, seed));
-            let (got, metrics) = e
-                .compile_delta(&q)
-                .count(&e, &pre, &post, &batch)
-                .expect("delta");
+            let (staged, _, _) = apply(g.clone(), &toggle_batch(&g, n, seed));
+            let (got, metrics) = e.compile_delta(&q).count(&e, &staged).expect("delta");
             assert_eq!(
                 (got, metrics.total().simt_instructions),
                 (MatchDelta { added, removed }, instructions),
@@ -638,9 +638,9 @@ mod tests {
             let plans = e.compile_delta(&q);
             assert_eq!(plans.num_plans(), orbits, "{}", q.name());
             for n in [16, 128, 256] {
-                let (pre, post, batch) = apply(g.clone(), &toggle_batch(&g, n, n as u64));
+                let (staged, _, batch) = apply(g.clone(), &toggle_batch(&g, n, n as u64));
                 assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
-                let (_, metrics) = plans.count(&e, &pre, &post, &batch).expect("delta");
+                let (_, metrics) = plans.count(&e, &staged).expect("delta");
                 assert_eq!(
                     metrics.kernel_launches,
                     2 * plans.num_plans() as u64,
@@ -670,19 +670,16 @@ mod tests {
                 .take(16)
                 .map(|v| EdgeOp::insert(hub, v)),
         );
-        let (pre, post, batch) = apply(g, &ops);
+        let (staged, _, _) = apply(g, &ops);
         let q = catalog::triangle();
-        let want = delta(&engine(), &pre, &post, &batch, &q);
+        let want = delta(&engine(), &staged, &q);
         assert!(want.added > 0 && want.removed > 0, "fixture is non-trivial");
 
         let mut cfg = EngineConfig::default();
         (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 4);
         let deaths = (0..4).fold(FaultPlan::new(), |plan, w| plan.panic_at(w, 3));
         let e = Engine::new(cfg).with_fault_plan(deaths);
-        let (got, metrics) = e
-            .compile_delta(&q)
-            .count(&e, &pre, &post, &batch)
-            .expect("delta");
+        let (got, metrics) = e.compile_delta(&q).count(&e, &staged).expect("delta");
         assert_eq!(got, want);
         assert!(
             metrics.total().requeue_claims > 0,
@@ -701,7 +698,7 @@ mod tests {
         let post = overlay.snapshot();
         let _ = e
             .compile_delta(&catalog::triangle())
-            .count(&e, &pre, &post, &batch);
+            .count(&e, &StagedBatch::new(&pre, &post, &batch));
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::delta::StagedSide;
 use crate::engine::Engine;
 use std::time::Instant;
 use stmatch_gpusim::LaunchError;
-use stmatch_graph::{Graph, VertexId};
+use stmatch_graph::Graph;
 use stmatch_pattern::MatchPlan;
 
 /// Edges in an [`Estimator::new`] sample. On the `resident_tick` fixture
@@ -50,14 +50,9 @@ pub struct Estimator {
 
 impl Estimator {
     /// An estimator for `engine`'s configuration and timeout over
-    /// `graph`'s sample: a stride of [`SAMPLE_EDGES`] of its edges.
+    /// `graph`'s sample: a stride of [`SAMPLE_EDGES`] of its edges, staged
+    /// as a batch's deleted side.
     pub fn new(engine: &Engine, graph: &Graph) -> Estimator {
-        Estimator::sampled(engine, graph, engine.deadline())
-    }
-
-    /// [`Estimator::new`] given up at `deadline` instead of the engine's
-    /// timeout.
-    pub(crate) fn sampled(engine: &Engine, graph: &Graph, deadline: Option<Instant>) -> Estimator {
         let m = graph.num_edges();
         let n = SAMPLE_EDGES.min(m);
         // The middle edge of each of n equal stretches of the edge list.
@@ -69,32 +64,28 @@ impl Estimator {
             .map(|(_, e)| e)
             .take(n)
             .collect();
-        Estimator::staged(engine, graph, sample, deadline)
+        Estimator::over(engine, StagedSide::new(graph, sample))
     }
 
-    /// An estimator over `edges` of `graph`, staged in the given order as a
-    /// batch's deleted side: stage `s` sees `graph` without `edges[..s]`.
-    /// Over one side of a real batch (its deletes over the graph before
-    /// it, its inserts in reverse over the graph after), [`Estimator::cost`]
-    /// is exactly what that side's launch of a plan costs.
-    pub fn over(engine: &Engine, graph: &Graph, edges: Vec<(VertexId, VertexId)>) -> Estimator {
-        Estimator::staged(engine, graph, edges, engine.deadline())
-    }
-
-    /// An estimator over `edges` of `graph`, given up at `deadline`.
-    fn staged(
-        engine: &Engine,
-        graph: &Graph,
-        edges: Vec<(VertexId, VertexId)>,
-        deadline: Option<Instant>,
-    ) -> Estimator {
+    /// An estimator for `engine`'s configuration and timeout over `side`,
+    /// one side of a [`StagedBatch`](crate::StagedBatch)
+    /// ([`into_sides`](crate::StagedBatch::into_sides)):
+    /// [`Estimator::cost`] is exactly what that side's launch of a plan
+    /// costs.
+    pub fn over(engine: &Engine, side: StagedSide) -> Estimator {
         let mut cfg = *engine.config();
         (cfg.local_steal, cfg.global_steal) = (false, false);
         Estimator {
             engine: Engine::new(cfg),
-            deadline,
-            sample: StagedSide::new(graph, edges),
+            deadline: engine.deadline(),
+            sample: side,
         }
+    }
+
+    /// This estimator given up at `deadline` instead of the engine's
+    /// timeout.
+    pub(crate) fn until(self, deadline: Option<Instant>) -> Estimator {
+        Estimator { deadline, ..self }
     }
 
     /// Simulated instructions of one launch of the anchored `plan` over the

@@ -57,7 +57,7 @@ pub mod shard;
 pub mod steal;
 
 pub use config::{CompileTuning, DeltaTuning, EngineConfig, HubBitmapTuning, ShardTuning};
-pub use delta::{DeltaPlans, MatchDelta};
+pub use delta::{DeltaPlans, MatchDelta, StagedBatch};
 pub use engine::{Engine, Enumeration, Launch, MatchOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultReport, WarpDeath};
 pub use pool::WarmSlot;

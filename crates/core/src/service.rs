@@ -865,7 +865,7 @@ impl MatchService {
         // panic becomes the `Err` its watchers' events carry.
         let staged = StagedBatch::new(&pre, &post, &batch);
         for (plan, delta, watchers) in runs {
-            let launches = || staged.run(&inner.engine, &delta);
+            let launches = || delta.count_edge_induced(&inner.engine, &staged);
             let ran = match catch_unwind(AssertUnwindSafe(launches)) {
                 Ok(Ok(v)) => Ok(v),
                 Ok(Err(e)) => Err(format!("launch failed: {e}")),

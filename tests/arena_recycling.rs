@@ -3,7 +3,7 @@
 //! the route. The free-list is read through `Engine::arenas`, which exists
 //! for tests like this one.
 
-use stmatch_core::{Engine, EngineConfig};
+use stmatch_core::{Engine, EngineConfig, StagedBatch};
 use stmatch_gpusim::{GridConfig, GridMetrics};
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp};
 use stmatch_pattern::catalog;
@@ -42,6 +42,7 @@ fn one_engine_every_route() {
     let batch = overlay.apply(&ops);
     let post = overlay.snapshot();
     assert!(!batch.inserts.is_empty() && !batch.deletes.is_empty());
+    let staged = StagedBatch::new(&pre, &post, &batch);
     let plans = Engine::new(cfg).compile_delta(&q);
 
     type Route<'r> = &'r dyn Fn(&Engine) -> ([u64; 2], GridMetrics);
@@ -55,7 +56,7 @@ fn one_engine_every_route() {
         ([en.outcome.count, listed], en.outcome.metrics)
     };
     let delta = |e: &Engine| {
-        let (d, metrics) = plans.count(e, &pre, &post, &batch).unwrap();
+        let (d, metrics) = plans.count(e, &staged).unwrap();
         ([d.added, d.removed], metrics)
     };
     let one_grid = Engine::new(cfg);

@@ -5,6 +5,9 @@
 //! `without_edges` views — each re-merging the rows of every earlier stage —
 //! took 3.26× on this fixture: 62 503 → 203 946.)
 //!
+//! A batch is staged once (`StagedBatch`), and a second pattern counted over
+//! it allocates only its launches.
+//!
 //! A resident service's reply allocates the same whether its ticket is
 //! waited on before or after the worker answers: the worker fills a slot
 //! allocated at admission, and a wait that blocks registers nothing.
@@ -20,9 +23,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use stmatch_core::{Engine, EngineConfig, FaultPlan, MatchService, QueryOptions, ServiceConfig};
+use stmatch_bench::tick;
+use stmatch_core::{
+    Engine, EngineConfig, FaultPlan, MatchService, QueryOptions, ServiceConfig, StagedBatch,
+};
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::catalog;
+use stmatch_testkit::rng::SmallRng;
 
 struct CountingAlloc;
 
@@ -66,7 +73,8 @@ fn exchange_batch(g: &Graph, n: usize) -> Vec<EdgeOp> {
         .collect()
 }
 
-/// Allocations of one `DeltaPlans::count` over an `n`-edge batch.
+/// Allocations of staging an `n`-edge batch and counting the triangle
+/// over it.
 fn batch_allocs(e: &Engine, base: &Graph, n: usize) -> u64 {
     let mut overlay = DeltaOverlay::new(base.clone());
     let pre = overlay.snapshot();
@@ -79,7 +87,9 @@ fn batch_allocs(e: &Engine, base: &Graph, n: usize) -> u64 {
     let post = overlay.snapshot();
     let plans = e.compile_delta(&catalog::triangle());
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (delta, _) = plans.count(e, &pre, &post, &batch).expect("delta");
+    let (delta, _) = plans
+        .count(e, &StagedBatch::new(&pre, &post, &batch))
+        .expect("delta");
     let after = ALLOCS.load(Ordering::Relaxed);
     assert!(delta.removed > 0, "the batch destroyed triangles");
     after - before
@@ -98,6 +108,61 @@ fn doubling_the_batch_at_most_doubles_and_a_half_the_allocations() {
     assert!(
         wide as f64 <= 2.5 * narrow as f64,
         "a 256-edge batch allocated {wide} times, a 128-edge batch {narrow}: more than 2.5×"
+    );
+}
+
+/// A batch is staged once for every pattern counted over it. On the
+/// `resident_tick` instance's 128-edge exchange batch, on the service's
+/// 1 × 2 steal-free grid with its arenas parked: building the
+/// `StagedBatch` allocates `STAGING_ALLOCS` times (the `staging` figure
+/// of `check delta`'s `delta allocs:` line), and counting a second pattern
+/// over the same batch allocates only its launches, `LAUNCH_ALLOCS`
+/// each — nothing is restaged.
+#[test]
+fn a_batch_is_staged_once_and_a_second_count_allocates_only_its_launches() {
+    const STAGING_ALLOCS: u64 = 14;
+    const LAUNCH_ALLOCS: u64 = 3;
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = SmallRng::seed_from_u64(tick::SEED);
+    let (start, mut present, mut absent) = tick::fixture(&mut rng);
+    let mut overlay = DeltaOverlay::new(start);
+    let pre = overlay.snapshot();
+    let batch = overlay.apply(&tick::exchange(&mut present, &mut absent, &mut rng));
+    let post = overlay.snapshot();
+    let mut cfg = EngineConfig::default();
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 2);
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    let e = Engine::new(cfg);
+    let (first, second) = (
+        e.compile_delta(&catalog::triangle()),
+        e.compile_delta(&catalog::paper_query(2)),
+    );
+    // Warm-up: the engine's arenas, parked as a service's are between ticks.
+    let warm = StagedBatch::new(&pre, &post, &batch);
+    first.count(&e, &warm).expect("warm-up delta");
+    second.count(&e, &warm).expect("warm-up delta");
+    let (mut staging, mut counted, mut launches) = (u64::MAX, u64::MAX, 0);
+    for _ in 0..3 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let staged = StagedBatch::new(&pre, &post, &batch);
+        let built = ALLOCS.load(Ordering::Relaxed);
+        first.count(&e, &staged).expect("first delta");
+        let between = ALLOCS.load(Ordering::Relaxed);
+        let (_, metrics) = second.count(&e, &staged).expect("second delta");
+        let after = ALLOCS.load(Ordering::Relaxed);
+        staging = staging.min(built - before);
+        counted = counted.min(after - between);
+        launches = metrics.kernel_launches;
+    }
+    assert_eq!(
+        staging, STAGING_ALLOCS,
+        "staging a 128-edge batch allocated {staging} times"
+    );
+    assert_eq!(launches, 2 * second.num_plans() as u64, "both sides launch");
+    assert_eq!(
+        counted,
+        LAUNCH_ALLOCS * launches,
+        "a second count over the staged batch allocated {counted} times for {launches} launches"
     );
 }
 

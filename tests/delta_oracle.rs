@@ -10,7 +10,7 @@
 //! and under a seeded fault plan.
 
 use std::collections::BTreeSet;
-use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError, MatchDelta};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError, MatchDelta, StagedBatch};
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, AppliedBatch, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::order::MatchOrder;
@@ -36,14 +36,8 @@ fn engine() -> Engine {
 /// change with them).
 /// `q`'s delta under `batch` on `e`: its anchored plans, counted on both
 /// sides.
-fn delta_of(
-    e: &Engine,
-    pre: &Graph,
-    post: &Graph,
-    batch: &AppliedBatch,
-    q: &Pattern,
-) -> Result<MatchDelta, LaunchError> {
-    Ok(e.compile_delta(q).count(e, pre, post, batch)?.0)
+fn delta_of(e: &Engine, staged: &StagedBatch, q: &Pattern) -> Result<MatchDelta, LaunchError> {
+    Ok(e.compile_delta(q).count(e, staged)?.0)
 }
 
 fn unlabeled_graph() -> Graph {
@@ -142,8 +136,9 @@ fn check_stream(base: Graph, queries: &[Pattern], seed: u64, batches: usize, ops
             overlay.compact();
         }
         let post = overlay.snapshot();
+        let staged = StagedBatch::new(&pre, &post, &batch);
         for (i, q) in queries.iter().enumerate() {
-            let (delta, _) = plans[i].count(&e, &pre, &post, &batch).expect("delta run");
+            let (delta, _) = plans[i].count(&e, &staged).expect("delta run");
             running[i] += delta.net();
             let full = e.run(&post, q).expect("recompute").count;
             assert_eq!(
@@ -197,7 +192,8 @@ fn every_candidate_anchored_order_counts_todays_delta() {
             let profile = GraphProfile::of(&pre);
             let ops = seeded_batch(&overlay, &mut rng, 8);
             let batch = overlay.apply(&ops);
-            streams.push((pre, overlay.snapshot(), batch, profile));
+            let staged = StagedBatch::new(&pre, &overlay.snapshot(), &batch);
+            streams.push((staged, batch, profile));
         }
     }
     let mut checked = 0;
@@ -205,18 +201,18 @@ fn every_candidate_anchored_order_counts_todays_delta() {
         let today = e.compile_delta(&q);
         let want: Vec<MatchDelta> = streams
             .iter()
-            .map(|(pre, post, batch, _)| today.count(&e, pre, post, batch).unwrap().0)
+            .map(|(staged, _, _)| today.count(&e, staged).unwrap().0)
             .collect();
         for (i, orbit) in symmetry::edge_orbits(&q).iter().enumerate() {
             for order in MatchOrder::anchored_candidates(&q, orbit.rep) {
                 let label = format!("{} orbit {:?} as {order:?}", q.name(), orbit.rep);
                 let plans = e.compile_delta(&q).with_order(i, order);
-                for ((pre, post, batch, profile), want) in streams.iter().zip(&want) {
+                for ((staged, batch, profile), want) in streams.iter().zip(&want) {
                     for plan in plans.plans() {
                         let v = verify_plan(plan, profile, 4096, &label);
                         assert!(v.diagnostics.is_empty(), "{label}: {:?}", v.diagnostics);
                     }
-                    let got = plans.count(&e, pre, post, batch).unwrap().0;
+                    let got = plans.count(&e, staged).unwrap().0;
                     assert_eq!(got, *want, "{label} under {batch:?}");
                 }
                 checked += 1;
@@ -251,13 +247,13 @@ fn a_chosen_order_costs_no_more_than_todays_on_the_golden_fixtures() {
             let pre = overlay.snapshot();
             let ops = seeded_batch(&overlay, &mut rng, 16);
             let batch = overlay.apply(&ops);
-            batches.push((pre, overlay.snapshot(), batch));
+            batches.push(StagedBatch::new(&pre, &overlay.snapshot(), &batch));
         }
         let cost = |plans: &stmatch_core::DeltaPlans| -> u64 {
             batches
                 .iter()
-                .map(|(pre, post, batch)| {
-                    let metrics = plans.count(&e, pre, post, batch).unwrap().1;
+                .map(|staged| {
+                    let metrics = plans.count(&e, staged).unwrap().1;
                     metrics.total().simt_instructions
                 })
                 .sum()
@@ -300,7 +296,7 @@ fn delete_only_stream_reports_no_additions() {
         let ops: Vec<EdgeOp> = chunk.iter().map(|&v| EdgeOp::delete(hub, v)).collect();
         let batch = overlay.apply(&ops);
         let post = overlay.snapshot();
-        let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
+        let delta = delta_of(&e, &StagedBatch::new(&pre, &post, &batch), &q).unwrap();
         assert_eq!(delta.added, 0, "deletes cannot add edge-induced matches");
         running += delta.net();
         assert_eq!(running, e.run(&post, &q).unwrap().count as i64);
@@ -341,13 +337,14 @@ fn star_heavy_batch_is_exact_under_stealing_and_warp_death() {
         cfg.local_steal && cfg.stop_level >= 2,
         "level 1 is stealable"
     );
+    let staged = StagedBatch::new(&pre, &post, &batch);
     for q in [catalog::triangle(), catalog::diamond(), catalog::path(4)] {
         for seed in [None, Some(0x1d), Some(0xabc)] {
             let mut e = Engine::new(cfg);
             if let Some(seed) = seed {
                 e = e.with_fault_plan(FaultPlan::seeded(seed, 4, 1, 0));
             }
-            let delta = delta_of(&e, &pre, &post, &batch, &q).expect("delta");
+            let delta = delta_of(&e, &staged, &q).expect("delta");
             assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
         }
     }
@@ -376,6 +373,7 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
     let mut cfg = EngineConfig::default().with_grid(grid());
     (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
     let e = Engine::new(cfg);
+    let staged = StagedBatch::new(&pre, &post, &batch);
     for q in [
         catalog::triangle(),
         catalog::diamond(),
@@ -388,7 +386,7 @@ fn deletes_sharing_an_endpoint_give_one_vertex_a_row_per_stage() {
             "{}: no anchored plan re-reads a lifted neighbor list",
             q.name()
         );
-        let (delta, _) = plans.count(&e, &pre, &post, &batch).expect("delta");
+        let (delta, _) = plans.count(&e, &staged).expect("delta");
         assert_eq!(delta.added, 0);
         assert_sides_exact(&e, &q, (&pre, &post), &batch, delta);
     }
@@ -407,6 +405,7 @@ fn a_stop_level_1_engine_claims_level_1_through_the_mirror() {
     let pre = overlay.snapshot();
     let batch = overlay.apply(&seeded_batch(&overlay, &mut SplitMix64::new(0x5701), 24));
     let post = overlay.snapshot();
+    let staged = StagedBatch::new(&pre, &post, &batch);
     for q in [2, 4, 10]
         .map(catalog::paper_query)
         .into_iter()
@@ -418,7 +417,7 @@ fn a_stop_level_1_engine_claims_level_1_through_the_mirror() {
             "{}",
             q.name()
         );
-        let delta = delta_of(&e, &pre, &post, &batch, &q).expect("delta");
+        let delta = delta_of(&e, &staged, &q).expect("delta");
         assert_sides_exact(&engine(), &q, (&pre, &post), &batch, delta);
     }
 }
@@ -436,12 +435,13 @@ fn delta_launches_run_on_the_engine_grid_without_a_deadline() {
     // q9's launches run past the kernel's periodic deadline poll.
     let q = catalog::paper_query(9);
     let untimed = Engine::new(EngineConfig::default());
-    let want = delta_of(&untimed, &pre, &post, &batch, &q).unwrap();
+    let staged = StagedBatch::new(&pre, &post, &batch);
+    let want = delta_of(&untimed, &staged, &q).unwrap();
     assert!(want.added > 0 && want.removed > 0, "{want:?}");
     let timed = Engine::new(cfg).with_timeout(std::time::Duration::from_nanos(1));
-    assert_eq!(delta_of(&timed, &pre, &post, &batch, &q).unwrap(), want);
+    assert_eq!(delta_of(&timed, &staged, &q).unwrap(), want);
     let plans = timed.compile_delta(&q);
-    let (got, metrics) = plans.count(&Engine::new(cfg), &pre, &post, &batch).unwrap();
+    let (got, metrics) = plans.count(&Engine::new(cfg), &staged).unwrap();
     assert_eq!(got, want);
     assert_eq!(metrics.kernel_launches, 2 * plans.num_plans() as u64);
     // Launches merge warp by warp: each ran the engine grid's four warps.
@@ -474,7 +474,7 @@ fn insert_then_delete_same_edge_within_a_batch_cancels() {
     assert_eq!(batch.inserts, vec![(a.min(b), a.max(b))]);
     assert!(batch.deletes.is_empty());
     let post = overlay.snapshot();
-    let delta = delta_of(&e, &pre, &post, &batch, &q).unwrap();
+    let delta = delta_of(&e, &StagedBatch::new(&pre, &post, &batch), &q).unwrap();
     assert_eq!(delta.removed, 0);
     assert_eq!(
         before + delta.net(),
@@ -521,7 +521,7 @@ fn prop_random_streams_reconcile() {
                 let batch = overlay.apply(&ops);
                 let post = overlay.snapshot();
                 let (delta, _) = plans
-                    .count(&e, &pre, &post, &batch)
+                    .count(&e, &StagedBatch::new(&pre, &post, &batch))
                     .map_err(|e| e.to_string())?;
                 running += delta.net();
                 let full = e.run(&post, &q).map_err(|e| e.to_string())?.count;
@@ -560,7 +560,10 @@ fn delta_work_scales_with_batch_not_graph() {
     let pre = overlay.snapshot();
     let batch = overlay.apply(&[EdgeOp::insert(absent.0, absent.1)]);
     let post = overlay.snapshot();
-    let (delta, metrics) = e.compile_delta(&q).count(&e, &pre, &post, &batch).unwrap();
+    let (delta, metrics) = e
+        .compile_delta(&q)
+        .count(&e, &StagedBatch::new(&pre, &post, &batch))
+        .unwrap();
     let delta_instr = metrics.total().simt_instructions;
     assert!(
         instr(&post) > full_small,
@@ -682,13 +685,13 @@ fn prop_each_side_counts_the_matches_using_its_updates() {
                     "oracle: embeddings {want_emb:?} are not subgraphs {want_sub:?} x |Aut| {aut}"
                 ));
             }
+            let staged = StagedBatch::new(&pre, &post, &batch);
             for (mode, e, want) in [
                 ("symmetry on", &subgraphs, want_sub),
                 ("symmetry off", &embeddings, want_emb),
                 ("FAULT_SEED", &faulty, want_sub),
             ] {
-                let got =
-                    delta_of(e, &pre, &post, &batch, &q).map_err(|err| format!("{mode}: {err}"))?;
+                let got = delta_of(e, &staged, &q).map_err(|err| format!("{mode}: {err}"))?;
                 if got != want {
                     return Err(format!(
                         "{mode}: {} (|Aut| {aut}) delta {got:?}, matches using the batch \

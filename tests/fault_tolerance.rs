@@ -11,7 +11,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
-use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError};
+use stmatch_core::{Engine, EngineConfig, FaultPlan, LaunchError, StagedBatch};
 use stmatch_gpusim::{GridConfig, SharedBudget};
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
 use stmatch_pattern::catalog;
@@ -329,9 +329,10 @@ fn a_shard_kill_reaches_every_single_grid_launch() {
     let batch = overlay.apply(&ops);
     let post = overlay.snapshot();
     let plans = kill(0).compile_delta(&catalog::triangle());
-    let (want, _) = plans.count(&Engine::new(cfg), &pre, &post, &batch).unwrap();
+    let staged = StagedBatch::new(&pre, &post, &batch);
+    let (want, _) = plans.count(&Engine::new(cfg), &staged).unwrap();
     assert!(want.removed > 0, "the batch destroyed triangles");
-    let (delta, metrics) = plans.count(&kill(0), &pre, &post, &batch).unwrap();
+    let (delta, metrics) = plans.count(&kill(0), &staged).unwrap();
     assert_eq!(delta, want);
     assert!(
         metrics.total().requeue_claims > 0,
@@ -346,7 +347,7 @@ fn a_shard_kill_reaches_every_single_grid_launch() {
         assert!(message.contains("shard kill names shard 7, but the run has 1 shard(s)"));
     };
     missing(&|e| drop(e.run(&g, &q)));
-    missing(&|e| drop(plans.count(e, &pre, &post, &batch)));
+    missing(&|e| drop(plans.count(e, &staged)));
 }
 
 /// Fault injection is strictly opt-in: engines without a plan never

@@ -18,6 +18,7 @@ use std::sync::Arc;
 use stmatch_baselines::reference::{self, RefOptions};
 use stmatch_core::{
     Engine, EngineConfig, Launch, MatchOutcome, MatchService, QueryOptions, ServiceConfig,
+    StagedBatch,
 };
 use stmatch_gpusim::GridConfig;
 use stmatch_graph::{gen, DeltaOverlay, EdgeOp, Graph};
@@ -288,7 +289,7 @@ fn hub_rows_follow_the_graph_on_every_route() {
     let post = overlay.snapshot();
     let (delta, _) = engine
         .compile_delta(&q)
-        .count(&engine, &indexed, &post, &batch)
+        .count(&engine, &StagedBatch::new(&indexed, &post, &batch))
         .unwrap();
     let recount = engine.run(&post, &q).unwrap().count;
     assert_eq!(want as i64 + delta.net(), recount as i64);
