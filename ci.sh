@@ -449,8 +449,12 @@ echo "==> lint:launch: OK"
 # And the caller-owned arenas: every launch recycles through its engine's
 # own free-list (DESIGN.md §4i), so no request carries a slot (`.warm =`,
 # `warm: Some(`) and no slot is built outside `pool.rs` and `benchmark/`.
+# A warp's arena is lent whole by warp id and borrowed by its kernel, so no
+# block of it is handed out and back (`take_arena`, `take_marker_words`,
+# `put_marker_words`) and nothing sizes it outside its one reset
+# (`new_shaped`, `enable_set_bits`).
 echo "==> lint:reach: scanning for the deleted knobs and helpers"
-reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool)\b|SharedBudget::allocations|fn allocations\b|\bdelta\.grid\b|DeltaTuning::grid|\.warm = |warm: Some\(' \
+reach=$( (grep -rnE '\b(RecoveryPolicy|salvage_relaunches|batch_max|track_weights|adjust_level0_weights|work_aware_with_weights|size6_queries|error_count|ArenaPool|take_arena|take_marker_words|put_marker_words|new_shaped|enable_set_bits)\b|SharedBudget::allocations|fn allocations\b|\bdelta\.grid\b|DeltaTuning::grid|\.warm = |warm: Some\(' \
     crates src tests examples; grep -rnF 'WarmSlot::new(' crates src tests examples | grep -v '^crates/core/src/pool\.rs:'; grep -HnF 'mpsc::channel()' crates/core/src/service.rs) || true)
 if [ -n "${reach}" ]; then
     echo "${reach}"

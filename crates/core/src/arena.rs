@@ -25,10 +25,17 @@
 //! slabs — size `EngineConfig::max_degree_slab` accordingly.
 //!
 //! **The rank row rides in the same block.** A kernel that counts a lifted
-//! last-level list in closed form asks for its rank row's cells at
-//! construction; they follow the slabs in `data`, so the row costs no heap
-//! block of its own and a warm pool recycles it with the slabs.
+//! last-level list in closed form asks for its rank row's cells; they follow
+//! the slabs in `data`, so the row costs no heap block of its own.
 //! [`StackArena::lists_and_row`] lends them beside a read view of every slot.
+//!
+//! **One arena per warp, lent by its engine.** A [`WarpArena`] is the
+//! stack plus every other buffer a warp kernel reuses across launches — its
+//! marker rows and its element and bitmap chain scratch. Its engine parks it
+//! under the warp's id between launches ([`WarmSlot`](crate::WarmSlot)),
+//! `WarpArena::reset` sizes all of it to a launch by `clear` + `resize`,
+//! and the kernel borrows it for the warp's run: once an arena has served a
+//! launch of a given size, no launch of that size allocates in it.
 //!
 //! Set-operation *outputs* never alias their inputs: a set's operands are
 //! sets with strictly smaller ids (dependencies precede dependents in the
@@ -36,6 +43,7 @@
 //! slots below the written set and a write sink over the written set's
 //! slots from one `split_at_mut`, with no copying and no locks.
 
+use crate::kernel::KernelEnv;
 use crate::setops::SetSink;
 use stmatch_graph::VertexId;
 use stmatch_pattern::bytecode::{SlotTable, MAX_SETS};
@@ -64,23 +72,12 @@ pub struct StackArena {
     /// engine surfaces the total as `MatchOutcome::spill_events`; hub lists
     /// longer than a slab take this path, the paper's CPU-memory spill).
     events: u64,
-    /// Word-aligned ping/pong scratch rows for fused bitmap op chains
-    /// (`setops::apply_chain_bits_into`). Grown to the graph's row stride
-    /// on first use (warmup), then reused: steady-state lends never
-    /// allocate.
-    bits_ping: Vec<u64>,
-    bits_pong: Vec<u64>,
-    /// The heap block behind the kernel's marker rows (`kernel::Marker`),
-    /// parked here between launches so a recycled arena brings it along:
-    /// [`StackArena::take_marker_words`] hands it out zeroed,
-    /// [`StackArena::put_marker_words`] takes it back.
-    marker_words: Vec<u64>,
     /// Per-slot result bitmap rows (`words_stride` words each), filled by
     /// the bitmap set-op paths through [`SetSink::put_word`] /
     /// [`SetSink::seal_bits`] so dependent sets can run in the bitmap
-    /// domain without re-deriving rows from elements. Empty until
-    /// [`StackArena::enable_set_bits`] sizes it (once, at kernel
-    /// construction): element-only configs pay nothing.
+    /// domain without re-deriving rows from elements. Sized by
+    /// [`StackArena::reset`] only when the launch routes hub rows:
+    /// element-only configs pay nothing.
     words: Vec<u64>,
     /// Whether slot `i`'s row in `words` denotes exactly its element list.
     /// Cleared on every rewrite ([`SetSink::begin`]); set only by
@@ -150,56 +147,58 @@ impl Geometry {
     }
 }
 
-impl StackArena {
-    /// Allocates the slab for `slots`' slots of `cap` vertices each. This
-    /// is the *only* allocation of the arena's lifetime (absent spills); it
-    /// happens once per warp whose launch finds its engine's free-list
-    /// ([`WarmSlot`](crate::WarmSlot)) dry; otherwise the warp recycles a
-    /// parked arena instead.
-    pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
-        Self::new_shaped(slots, &[cap; MAX_SETS][..slots.num_sets()], 0)
-    }
-
-    /// Allocates a *shaped* arena: each slot of set `s` gets `set_caps[s]`
-    /// cells instead of the uniform `cap`. This is the consumer of the
-    /// verifier's footprint hint — certified per-set bounds shrink the slab
-    /// below `NUM_SETS × UNROLL × MAX_DEGREE` without changing spill
-    /// behavior (a sound bound never overflows early). `row_cells` zeroed
-    /// cells follow the slabs in the same block (the kernel's rank row).
-    pub fn new_shaped(slots: &SlotTable, set_caps: &[usize], row_cells: usize) -> StackArena {
-        let (geo, cells) = Geometry::shaped(slots, set_caps);
-        let n = slots.total();
+impl Default for StackArena {
+    /// An arena of no slots, holding no heap block; its first
+    /// [`StackArena::reset`] sizes it.
+    fn default() -> StackArena {
         StackArena {
-            data: vec![0; cells + row_cells],
-            row_at: cells,
-            len: vec![0; n],
-            spill: vec![Vec::new(); n],
-            geo,
+            data: Vec::new(),
+            row_at: 0,
+            len: Vec::new(),
+            spill: Vec::new(),
+            geo: Geometry::shaped(&SlotTable::with_slots(&[]), &[]).0,
             live_cells: 0,
             peak_cells: 0,
             events: 0,
-            bits_ping: Vec::new(),
-            bits_pong: Vec::new(),
-            marker_words: Vec::new(),
             words: Vec::new(),
-            words_valid: vec![false; n],
+            words_valid: Vec::new(),
             words_stride: 0,
             check_id: simt_check::next_object_id(),
         }
     }
+}
 
-    /// Re-shapes a recycled arena for a new kernel's geometry, reusing the
-    /// existing heap blocks wherever they are large enough (a pool of
-    /// resident-service arenas cycles through queries of many shapes;
-    /// `clear` + `resize` only reallocates when the new geometry is
-    /// strictly larger than anything the arena has served before). The
-    /// arena's `check_id` is deliberately kept: for the race checker the
-    /// recycled arena *is* the same object, and the pool's tracked
-    /// checkout/give-back lock provides the happens-before edge between
-    /// its successive owners. Spill-event and set-bits state reset to the
+impl StackArena {
+    /// An arena for `slots`' slots of `cap` vertices each, without set-bit
+    /// rows or a rank row.
+    pub fn new(slots: &SlotTable, cap: usize) -> StackArena {
+        let mut arena = StackArena::default();
+        arena.reset(slots, &[cap; MAX_SETS][..slots.num_sets()], 0, 0);
+        arena
+    }
+
+    /// Shapes the arena for a kernel's geometry, reusing its heap blocks
+    /// wherever they are large enough: `clear` + `resize` only reallocates
+    /// when the new geometry is strictly larger than anything the arena has
+    /// served before. Each slot of set `s` gets `set_caps[s]` cells — the
+    /// verifier's certified per-set bounds shrink the slab below
+    /// `NUM_SETS × UNROLL × MAX_DEGREE` without changing spill behavior (a
+    /// sound bound never overflows early) — `row_cells` zeroed cells follow
+    /// the slabs in the same block (the kernel's rank row), and every slot
+    /// gets a `bits_stride`-word result bitmap row (none at 0). The arena's
+    /// `check_id` is deliberately kept: for the race checker a recycled
+    /// arena *is* the same object, and the engine's tracked checkout /
+    /// give-back lock provides the happens-before edge between its
+    /// successive owners. Spill-event and set-bits state reset to the
     /// post-construction state so a recycled kernel's metrics are
     /// indistinguishable from a cold one's.
-    pub fn reset(&mut self, slots: &SlotTable, set_caps: &[usize], row_cells: usize) {
+    pub fn reset(
+        &mut self,
+        slots: &SlotTable,
+        set_caps: &[usize],
+        row_cells: usize,
+        bits_stride: usize,
+    ) {
         let (geo, cells) = Geometry::shaped(slots, set_caps);
         let n = slots.total();
         self.data.clear();
@@ -217,34 +216,10 @@ impl StackArena {
         self.peak_cells = 0;
         self.events = 0;
         self.words.clear();
-        self.words_stride = 0;
+        self.words.resize(n * bits_stride, 0);
+        self.words_stride = bits_stride;
         self.words_valid.clear();
         self.words_valid.resize(n, false);
-    }
-
-    /// Sizes the per-slot result bitmap storage for rows of `stride` u64
-    /// words. Called once at kernel construction when the graph carries a
-    /// hub-bitmap index; like [`StackArena::new`] this is a construction-time
-    /// allocation, so the steady-state claim path stays allocation-free.
-    pub fn enable_set_bits(&mut self, stride: usize) {
-        self.words = vec![0; self.words_valid.len() * stride];
-        self.words_stride = stride;
-    }
-
-    /// Hands out the parked marker block as `words` zeroed words (a
-    /// construction-time allocation when the block is absent or too small,
-    /// none when a recycled arena brought one along; zero words never
-    /// allocates).
-    pub fn take_marker_words(&mut self, words: usize) -> Vec<u64> {
-        let mut block = std::mem::take(&mut self.marker_words);
-        block.clear();
-        block.resize(words, 0);
-        block
-    }
-
-    /// Parks a marker block for the arena's next kernel.
-    pub fn put_marker_words(&mut self, block: Vec<u64>) {
-        self.marker_words = block;
     }
 
     /// The sealed result bitmap row of slot `(set, u)`, if its last
@@ -314,36 +289,16 @@ impl StackArena {
 
     /// Splits the arena at `set`: a read view over every slot of sets
     /// `< set` (the only sets a plan allows as operands) and a write sink
-    /// over slots `(set, 0..m)`. Panics when the set owns fewer than `m`
-    /// slots (the sink would reach into the next set's).
+    /// over slots `(set, 0..m)`, from disjoint field borrows. Panics when
+    /// the set owns fewer than `m` slots (the sink would reach into the next
+    /// set's).
     #[track_caller]
     pub fn split_for_write(&mut self, set: usize, m: usize) -> (ArenaRead<'_>, ArenaWriter<'_>) {
-        let (r, w, _, _) = self.split_for_write_bits(set, m, 0);
-        (r, w)
-    }
-
-    /// [`StackArena::split_for_write`] plus the word-aligned ping/pong
-    /// bitmap scratch (`stride` words each) that fused bitmap chains
-    /// ping/pong intermediate rows through
-    /// (`setops::apply_chain_bits_into`). The scratch is grown on first
-    /// use and reused afterwards, so steady-state calls never allocate;
-    /// all four views come from disjoint field borrows and coexist.
-    #[track_caller]
-    pub fn split_for_write_bits(
-        &mut self,
-        set: usize,
-        m: usize,
-        stride: usize,
-    ) -> (ArenaRead<'_>, ArenaWriter<'_>, &mut [u64], &mut [u64]) {
         assert!(
             m >= 1 && m <= self.geo.slots.slots(set),
             "a batch of {m} does not fit set {set}'s {} slots",
             self.geo.slots.slots(set)
         );
-        if self.bits_ping.len() < stride {
-            self.bits_ping.resize(stride, 0);
-            self.bits_pong.resize(stride, 0);
-        }
         // One shadow write event covers the whole rewrite of `set`'s slots
         // (the writer half streams into them exclusively until dropped).
         simt_check::note_write(simt_check::Cell::arena(self.check_id, set));
@@ -377,9 +332,56 @@ impl StackArena {
                 words_valid: &mut wv[..m],
                 words_stride: ws_stride,
             },
-            &mut self.bits_ping[..stride],
-            &mut self.bits_pong[..stride],
         )
+    }
+}
+
+/// Every buffer one warp's kernel reuses from launch to launch: the one
+/// object its engine lends it by warp id ([`WarmSlot`](crate::WarmSlot)).
+/// The kernel borrows it for the warp's run; nothing in it is moved out and
+/// handed back.
+#[derive(Default)]
+pub struct WarpArena {
+    /// The candidate-set slabs, the rank row and the set-bit rows.
+    pub stack: StackArena,
+    /// The kernel's marker rows (`kernel::rows`): one `⌈n/64⌉`-word row per
+    /// marked position of the plan.
+    pub(crate) markers: Vec<u64>,
+    /// Ping/pong element rows of multi-op set chains, one per member of the
+    /// widest batch whose level stages one ([`SlotTable::staged`]).
+    pub(crate) ping: Vec<Vec<VertexId>>,
+    pub(crate) pong: Vec<Vec<VertexId>>,
+    /// Word-aligned ping/pong rows of fused bitmap chains
+    /// (`setops::apply_chain_bits_into`): `⌈n/64⌉` words each when the
+    /// launch routes hub rows and stages a chain, else empty.
+    pub(crate) bits: [Vec<u64>; 2],
+}
+
+impl WarpArena {
+    /// Sizes every buffer to `env`'s launch, zeroed, by `clear` + `resize`.
+    /// The chain rows are only ever added to: a row dropped here would
+    /// drop the capacity it grew.
+    pub(crate) fn reset(&mut self, env: &KernelEnv<'_>) {
+        let (graph, slots) = (env.launch.graph, &env.slots);
+        let stride = graph.num_vertices().div_ceil(64);
+        let routed = graph.hub_bitmap().is_some();
+        let set_bits = if routed { stride } else { 0 };
+        let set_caps = &env.set_caps[..slots.num_sets()];
+        self.stack.reset(slots, set_caps, env.row_cells, set_bits);
+        let marked = env.launch.plan.bytecode().marked().count_ones() as usize;
+        self.markers.clear();
+        self.markers.resize(marked * stride, 0);
+        let staged = slots.staged();
+        for rows in [&mut self.ping, &mut self.pong] {
+            if rows.len() < staged {
+                rows.resize_with(staged, Vec::new);
+            }
+        }
+        let chain_bits = if staged > 0 { set_bits } else { 0 };
+        for row in &mut self.bits {
+            row.clear();
+            row.resize(chain_bits, 0);
+        }
     }
 }
 
@@ -594,49 +596,11 @@ mod tests {
     }
 
     #[test]
-    fn bits_scratch_is_lent_alongside_the_split() {
-        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
-        {
-            let (_, mut w) = a.split_for_write(0, 1);
-            fill(&mut w, 0, &[1, 2]);
-        }
-        {
-            let (r, mut w, ping, pong) = a.split_for_write_bits(1, 1, 3);
-            assert_eq!(ping.len(), 3);
-            assert_eq!(pong.len(), 3);
-            ping[2] = 0xdead;
-            pong[0] = 0xbeef;
-            // Slots and scratch coexist: the read view still resolves.
-            assert_eq!(r.slot(0, 0), &[1, 2]);
-            fill(&mut w, 0, &[9]);
-        }
-        assert_eq!(a.slot(1, 0), &[9]);
-        // Scratch persists (it is reusable state, not per-call).
-        let (_, _, ping, _) = a.split_for_write_bits(1, 1, 3);
-        assert_eq!(ping[2], 0xdead);
-    }
-
-    #[test]
-    fn bits_scratch_grows_monotonically_and_never_shrinks() {
-        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 1]), 2);
-        {
-            let (_, _, ping, pong) = a.split_for_write_bits(0, 1, 5);
-            assert_eq!((ping.len(), pong.len()), (5, 5));
-        }
-        // A smaller stride lends a prefix of the existing buffer.
-        {
-            let (_, _, ping, _) = a.split_for_write_bits(0, 1, 2);
-            assert_eq!(ping.len(), 2);
-        }
-        assert_eq!(a.bits_ping.len(), 5);
-        assert_eq!(a.bits_pong.len(), 5);
-    }
-
-    #[test]
     fn sealed_set_bits_survive_until_the_next_rewrite() {
-        let mut a = StackArena::new(&SlotTable::with_slots(&[1; 2]), 4);
+        let table = SlotTable::with_slots(&[1; 2]);
+        let mut a = StackArena::new(&table, 4);
         assert_eq!(a.set_bits(0, 0), None); // storage off by default
-        a.enable_set_bits(2);
+        a.reset(&table, &[4; 2], 0, 2);
         {
             let (_, mut w) = a.split_for_write(0, 1);
             fill(&mut w, 0, &[1, 65]);
@@ -660,8 +624,8 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_construction() {
-        let mut a = StackArena::new(&SlotTable::with_slots(&[2; 2]), 3);
-        a.enable_set_bits(2);
+        let mut a = StackArena::default();
+        a.reset(&SlotTable::with_slots(&[2; 2]), &[3; 2], 0, 2);
         {
             let (_, mut w) = a.split_for_write(1, 2);
             fill(&mut w, 0, &[1, 2, 3, 4, 5]); // force a spill
@@ -670,7 +634,7 @@ mod tests {
         }
         assert_eq!(a.spill_events(), 1);
         let id_before = a.check_id;
-        a.reset(&SlotTable::with_slots(&[1; 3]), &[4; 3], 0);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4; 3], 0, 0);
         assert_eq!(a.check_id, id_before, "identity survives recycling");
         assert_eq!(a.spill_events(), 0);
         assert_eq!(a.set_bits(0, 0), None, "set-bits storage back off");
@@ -692,7 +656,8 @@ mod tests {
     #[test]
     fn the_row_rides_past_the_slabs() {
         let table = SlotTable::with_slots(&[1, 2]);
-        let mut a = StackArena::new_shaped(&table, &[3, 3], 8);
+        let mut a = StackArena::default();
+        a.reset(&table, &[3, 3], 8, 0);
         let block = a.data.as_ptr();
         assert_eq!(a.slab_cells(), 9);
         {
@@ -703,7 +668,7 @@ mod tests {
         row.fill(7);
         assert_eq!(r.slot(1, 1), &[4, 5, 6]);
         assert_eq!(row.len(), 8);
-        a.reset(&table, &[3, 3], 8);
+        a.reset(&table, &[3, 3], 8, 0);
         assert_eq!(a.data.as_ptr(), block, "no new block");
         assert_eq!(a.lists_and_row().1, &[0; 8]);
     }
@@ -719,9 +684,9 @@ mod tests {
     #[test]
     fn each_set_owns_its_own_number_of_slots() {
         let table = SlotTable::with_slots(&[1, 3, 1, 2]);
-        let mut a = StackArena::new(&table, 4);
+        let mut a = StackArena::default();
+        a.reset(&table, &[4; 4], 0, 1);
         assert_eq!(a.slab_cells(), 7 * 4);
-        a.enable_set_bits(1);
         // Every slot gets its own list and row, written out of order.
         for set in [3, 0, 2, 1] {
             let m = table.slots(set);
@@ -793,7 +758,7 @@ mod tests {
         let (before, cells) = (blocks(&a), a.data.capacity());
         // Fewer slots in another arrangement: the same blocks, re-cut.
         let table = SlotTable::with_slots(&[1, 4, 1, 4, 2]);
-        a.reset(&table, &[16; 5], 0);
+        a.reset(&table, &[16; 5], 0, 0);
         assert_eq!(blocks(&a), before);
         assert_eq!(a.data.capacity(), cells);
         assert_eq!(a.slab_cells(), 12 * 16);
@@ -830,13 +795,14 @@ mod tests {
             fill(&mut w, 0, &[1, 2, 3, 4, 5, 6]);
         }
         assert_eq!(a.peak_slab_cells(), 7);
-        a.reset(&SlotTable::with_slots(&[1; 2]), &[4; 2], 0);
+        a.reset(&SlotTable::with_slots(&[1; 2]), &[4; 2], 0, 0);
         assert_eq!(a.peak_slab_cells(), 0);
     }
 
     #[test]
     fn shaped_arena_packs_per_set_capacities() {
-        let mut a = StackArena::new_shaped(&SlotTable::with_slots(&[2; 2]), &[2, 5], 0);
+        let mut a = StackArena::default();
+        a.reset(&SlotTable::with_slots(&[2; 2]), &[2, 5], 0, 0);
         assert_eq!(a.slab_cells(), 2 * 2 + 5 * 2);
         {
             let (_, mut w) = a.split_for_write(0, 2);
@@ -861,7 +827,7 @@ mod tests {
         assert_eq!(a.slot(0, 0), &[1, 2, 3]);
         assert_eq!(a.spill_events(), 1);
         // A shaped reset recycles into a uniform geometry and back.
-        a.reset(&SlotTable::with_slots(&[1; 3]), &[4, 1, 3], 0);
+        a.reset(&SlotTable::with_slots(&[1; 3]), &[4, 1, 3], 0, 0);
         assert_eq!(a.slab_cells(), 8);
         assert_eq!(a.spill_events(), 0);
         {

@@ -152,8 +152,9 @@ pub struct Engine {
     memory: MemoryBudget,
     timeout: Option<std::time::Duration>,
     faults: Option<FaultPlan>,
-    /// The stack arenas every launch of this engine runs on: each warp
-    /// checks one out and gives it back (see [`crate::pool`]).
+    /// The arenas every launch of this engine runs on: each warp checks
+    /// out the one parked under its id and gives it back (see
+    /// [`crate::pool`]).
     arenas: WarmSlot,
 }
 
@@ -657,14 +658,15 @@ impl Engine {
         warp: &mut stmatch_gpusim::Warp,
     ) {
         let me = warp.id();
-        let mut kernel: Option<WarpKernel> = None;
+        // The arena parked under this warp's id (reset, not reallocated);
+        // only a warp with none parked builds a fresh one. Building the
+        // kernel injects no fault: its reset and rows are outside the claim
+        // loop the containment below covers.
+        let mut arena = self.arenas.checkout(me);
+        let mut kernel = WarpKernel::new(env, board, me, faults, &mut arena);
         // Instructions this warp has charged to the board's cap so far.
         let mut charged = 0;
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            // Recycle a parked arena (reset, not reallocated); only a dry
-            // list builds fresh slabs.
-            let recycled = self.arenas.checkout();
-            let kernel = kernel.insert(WarpKernel::new(env, board, me, faults, recycled));
             // The one idle spin of the kernel and steal path: no step blocks.
             loop {
                 match kernel.step(warp) {
@@ -684,10 +686,7 @@ impl Engine {
             // bookkeeping — all under a second catch so a failure here
             // cannot leave survivors spinning on broken counters.
             let contained = catch_unwind(AssertUnwindSafe(|| {
-                let reclaimed = kernel
-                    .as_mut()
-                    .map(WarpKernel::reclaim_on_death)
-                    .unwrap_or_default();
+                let reclaimed = kernel.reclaim_on_death();
                 let n = reclaimed.len();
                 board.requeue_dead(reclaimed);
                 board.mark_dead(me);
@@ -715,27 +714,24 @@ impl Engine {
                 }
             }
         }
-        if let Some(k) = kernel.as_mut() {
-            k.finish(warp);
-            // Return the arena for the engine's next launch — after `finish`
-            // read its counters, before the collector leaf lock below (both
-            // respect the declared hierarchy: the pool lock ranks below
-            // every engine lock and is never held across one). Dead warps
-            // return theirs too: the reset at the next checkout makes torn
-            // state irrelevant.
-            self.arenas.give_back(k.take_arena());
-            if let Some(c) = env.launch.collector {
-                // Poison recovery as in steal.rs (tracked_lock applies it):
-                // embeddings are appended atomically per warp, so a
-                // panicking sibling cannot tear this vector. A dead warp's
-                // own uncommitted records were truncated by
-                // `reclaim_on_death`; the committed prefix is exact and
-                // must still be collected. Tracked as class Collector
-                // (rank 50), a leaf lock acquired with nothing held.
-                simt_check::tracked_lock(c, simt_check::LockClass::Collector, 0)
-                    .append(&mut k.take_emitted());
-            }
+        kernel.finish(warp);
+        if let Some(c) = env.launch.collector {
+            // Poison recovery as in steal.rs (tracked_lock applies it):
+            // embeddings are appended atomically per warp, so a panicking
+            // sibling cannot tear this vector. A dead warp's own uncommitted
+            // records were truncated by `reclaim_on_death`; the committed
+            // prefix is exact and must still be collected. Tracked as class
+            // Collector (rank 50), a leaf lock acquired with nothing held.
+            simt_check::tracked_lock(c, simt_check::LockClass::Collector, 0)
+                .append(&mut kernel.take_emitted());
         }
+        // Park the arena under this warp's id for the engine's next launch,
+        // once the kernel that borrowed it is gone (the pool lock ranks
+        // below every engine lock and is taken with none held). Dead warps
+        // park theirs too: the next kernel's reset makes torn state
+        // irrelevant.
+        drop(kernel);
+        self.arenas.give_back(me, arena);
     }
 }
 

@@ -27,11 +27,13 @@
 //! shards and anchored delta launches alike, with or without hub-bitmap
 //! rows routed into the set operations.
 //!
-//! All per-claim scratch (the unroll batches, ping/pong chain buffers, the
-//! emit tail) is owned by the kernel and reused, and
-//! set-operation outputs stream straight into the arena slabs — after the
-//! first passes warm the scratch capacities, the steady-state steps perform
-//! no heap allocation (see `tests/alloc_free.rs`).
+//! The unroll batches and cursors are the kernel's own fixed arrays; every
+//! buffer it reuses across launches — the slabs, the rank row, the marker
+//! and set-bit rows, the ping/pong chain rows — is its warp's arena
+//! ([`WarpArena`]), borrowed for the run, and set-operation outputs stream
+//! straight into the arena slabs — after the first passes warm the chain
+//! rows' capacities, the steady-state steps perform no heap allocation (see
+//! `tests/alloc_free.rs`).
 
 //! ## Fault containment (transactional counting)
 //!
@@ -61,7 +63,7 @@ use self::last_level::{closed_form, count_valid_sorted, Against, Clip, TailSlot}
 use self::rank::RankRow;
 use self::rows::Rows;
 use self::validity::{ClaimCost, Validity};
-use crate::arena::StackArena;
+use crate::arena::{StackArena, WarpArena};
 use crate::config::{EngineConfig, MAX_UNROLL};
 use crate::engine::{Launch, Level0};
 use crate::fault::FaultPlan;
@@ -70,6 +72,7 @@ use std::time::Instant;
 use stmatch_gpusim::{Close, Cost, Site, Warp};
 use stmatch_graph::{Graph, VertexId};
 use stmatch_pattern::bytecode::{PlanBytecode, SlotTable, MAX_SETS};
+use stmatch_pattern::order::MatchOrder;
 use stmatch_pattern::symmetry::Bound;
 use stmatch_pattern::{MatchPlan, MAX_PATTERN_SIZE};
 use stmatch_plan_verify::Verification;
@@ -78,7 +81,8 @@ use stmatch_plan_verify::Verification;
 /// the request every warp kernel of the grid reads, and what it decided —
 /// the level-0 length, the StopLevel, the slot table, the slab caps, the
 /// rank-row routing, the claim costs and the row bytes. Each warp's
-/// [`WarpKernel::new`] only sizes its arena to these and builds its rows.
+/// [`WarpKernel::new`] only sizes its arena to these (`WarpArena::reset`)
+/// and builds its rows.
 pub struct KernelEnv<'a> {
     /// The request, its fault plan scoped to the grid (`None` if none of it
     /// reaches it); salvage passes run with injection off instead.
@@ -94,19 +98,19 @@ pub struct KernelEnv<'a> {
     stop: usize,
     /// How many raw iterations each level claims at once, and the arena
     /// slots that affords each set.
-    slots: SlotTable,
+    pub(crate) slots: SlotTable,
     /// Per-set slab capacity: the graph's max degree within
     /// `max_degree_slab`, each clamped to the bound of a clean static
     /// verification where the launch carries one (`Launch::verified`) whose
     /// certificate offers some — but uniform when the launch routes hub rows
     /// ([`Rows::routed`]).
-    set_caps: [usize; MAX_SETS],
+    pub(crate) set_caps: [usize; MAX_SETS],
     /// Levels `k - 2` and `k - 1` run fused ([`WarpKernel::count_tail`]): the
     /// last level counts a lifted list in closed form, its parent is deep.
     tail: bool,
     /// Which list a warp's [`RankRow`] holds ([`last_levels`]), and its cells.
     row: Row,
-    row_cells: usize,
+    pub(crate) row_cells: usize,
     /// Global-memory bytes of rows per warp — marker rows and the rank row —
     /// which the launch budget reserves beside the stack slabs.
     row_bytes: usize,
@@ -263,8 +267,9 @@ pub struct WarpKernel<'a> {
     warp_id: usize,
     /// Pattern size (number of levels).
     k: usize,
-    /// The warp's flat candidate-set slab (the paper's `C` array).
-    storage: StackArena,
+    /// The warp's flat candidate-set slab (the paper's `C` array), with its
+    /// rank row and set-bit rows: its arena's stack.
+    storage: &'a mut StackArena,
     /// `batch[l]` = candidate vertices claimed for position `l-1` (the
     /// unroll slots of level `l`); `batch[0]` unused. Like the cursors
     /// below, fixed arrays inside the kernel: the per-level state is the
@@ -289,12 +294,12 @@ pub struct WarpKernel<'a> {
     /// The current stage's other endpoint, level 1's one candidate (staged
     /// runs only; see [`WarpKernel::window`]).
     pin: Option<VertexId>,
-    /// Ping/pong scratch for multi-op set chains; the final chain op
-    /// writes straight into the arena, so these only hold intermediates:
-    /// one row per member of the widest batch whose level stages one
-    /// ([`SlotTable::staged`]), none for a chain-free plan.
-    ping: Vec<Vec<VertexId>>,
-    pong: Vec<Vec<VertexId>>,
+    /// The arena's ping/pong rows for multi-op set chains; the final chain
+    /// op writes straight into the slabs, so these only hold intermediates.
+    ping: &'a mut [Vec<VertexId>],
+    pong: &'a mut [Vec<VertexId>],
+    /// The arena's word rows for fused bitmap chains.
+    bits: [&'a mut [u64]; 2],
     /// Where every set operation's bitmap rows come from.
     rows: Rows<'a>,
     /// The rank row of a lifted last level's counts, its cells lent by
@@ -302,8 +307,6 @@ pub struct WarpKernel<'a> {
     rank: RankRow,
     /// Tail streams issued and the survivors they counted (`check hotpath`).
     tail_stats: [u64; 2],
-    /// Valid last-level candidates scratch (enumeration only).
-    emit_tail: Vec<VertexId>,
     /// Claims so far: the fault-injection ordinal ("die at the Nth claim").
     claims: u64,
     /// Raw iterations claimed since the clock was last read (see
@@ -335,29 +338,25 @@ pub struct WarpKernel<'a> {
 }
 
 impl<'a> WarpKernel<'a> {
-    /// Builds warp `warp_id`'s kernel for `env`'s launch. A recycled
-    /// [`StackArena`] (from its engine's free-list) is reset to the launch's
-    /// geometry before use, reusing its heap blocks — the warm-pool path
-    /// that amortizes the per-warp slab allocation across queries; `None`
-    /// allocates fresh.
+    /// Builds warp `warp_id`'s kernel for `env`'s launch on `arena`, which
+    /// it borrows for the run after sizing it to the launch
+    /// (`WarpArena::reset`): a recycled arena's heap blocks are reused.
     pub fn new(
         env: &'a KernelEnv<'a>,
         board: &'a Board,
         warp_id: usize,
         faults: Option<&'a FaultPlan>,
-        recycle: Option<StackArena>,
+        arena: &'a mut WarpArena,
     ) -> Self {
         debug_assert_eq!(board.stop(), env.stop, "the board runs the env's StopLevel");
-        let slots = &env.slots;
-        let set_caps = &env.set_caps[..slots.num_sets()];
-        let mut storage = match recycle {
-            Some(mut arena) => {
-                arena.reset(slots, set_caps, env.row_cells);
-                arena
-            }
-            None => StackArena::new_shaped(slots, set_caps, env.row_cells),
-        };
-        let rows = Rows::new(env, &mut storage);
+        arena.reset(env);
+        let WarpArena {
+            stack,
+            markers,
+            ping,
+            pong,
+            bits: [bits_ping, bits_pong],
+        } = arena;
         let plan = env.launch.plan;
         WarpKernel {
             env,
@@ -366,7 +365,7 @@ impl<'a> WarpKernel<'a> {
             board,
             warp_id,
             k: plan.num_levels(),
-            storage,
+            storage: stack,
             batch: [Batch::EMPTY; MAX_PATTERN_SIZE + 1],
             uiter: [0; MAX_PATTERN_SIZE + 1],
             iter: [0; MAX_PATTERN_SIZE + 1],
@@ -374,12 +373,12 @@ impl<'a> WarpKernel<'a> {
             entry: 0,
             level: None,
             since: [None; 2],
-            ping: vec![Vec::new(); slots.staged()],
-            pong: vec![Vec::new(); slots.staged()],
-            rows,
+            ping,
+            pong,
+            bits: [bits_ping, bits_pong],
+            rows: Rows::new(env, markers),
             rank: RankRow::default(),
             tail_stats: [0; 2],
-            emit_tail: Vec::new(),
             claims: 0,
             unpolled: 0,
             publishes: 0,
@@ -399,20 +398,6 @@ impl<'a> WarpKernel<'a> {
     pub fn take_emitted(&mut self) -> Vec<VertexId> {
         self.emit_mark = 0;
         self.emit.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Appends the embedding `matched[0..k-1] + v` remapped from matching
-    /// order to pattern vertex ids, as one more `k`-strided record.
-    fn emit_match(&mut self, v: VertexId) {
-        let k = self.k;
-        let order = self.env.launch.plan.order();
-        let emb = self.emit.as_mut().expect("enumeration enabled");
-        let base = emb.len();
-        emb.resize(base + k, 0);
-        for pos in 0..k - 1 {
-            emb[base + order.vertex_at(pos)] = self.matched[pos];
-        }
-        emb[base + order.vertex_at(k - 1)] = v;
     }
 
     /// Per-level validity context, with level 0's label as a residual one
@@ -492,17 +477,6 @@ impl<'a> WarpKernel<'a> {
         m.spill_events = self.storage.spill_events();
         m.peak_slab_cells = self.storage.peak_slab_cells();
         [m.tail_streams, m.tail_survivors] = self.tail_stats;
-    }
-
-    /// Surrenders the kernel's arena for recycling (warm-pool path),
-    /// leaving a zero-capacity placeholder behind. Call only when the
-    /// kernel is done running.
-    pub fn take_arena(&mut self) -> StackArena {
-        self.rows.park(&mut self.storage);
-        std::mem::replace(
-            &mut self.storage,
-            StackArena::new(&SlotTable::with_slots(&[]), 0),
-        )
     }
 
     /// Death reclaim: rolls the open transaction back (uncommitted tally
@@ -766,16 +740,12 @@ impl<'a> WarpKernel<'a> {
             let g = self.g;
             let cl = self.storage.slot(cid, slot);
             let window = self.window(l, cl);
-            if self.emit.is_some() {
-                let mut tail = std::mem::take(&mut self.emit_tail);
-                tail.clear();
-                let cl = &cl[window];
-                tail.extend(cl.iter().filter(|&&v| vy.check(g, &self.matched, v)));
-                total += tail.len() as u64;
-                for &v in &tail {
-                    self.emit_match(v);
+            if let Some(emb) = self.emit.as_mut() {
+                let (order, matched) = (self.env.launch.plan.order(), &self.matched);
+                for &v in cl[window].iter().filter(|&&v| vy.check(g, matched, v)) {
+                    emit_match(emb, order, &matched[..l], v);
+                    total += 1;
                 }
-                self.emit_tail = tail;
             } else if !closed {
                 // Residual label checks need a per-element probe.
                 total += vy.count(g, &self.matched, &cl[window]);
@@ -899,6 +869,17 @@ fn charge_tail(
     streamed.div_ceil(span) as u64
 }
 
+/// Appends the embedding `matched + v`, remapped from matching order to
+/// pattern vertex ids, to `emb` as one more `k`-strided record.
+fn emit_match(emb: &mut Vec<VertexId>, order: &MatchOrder, matched: &[VertexId], v: VertexId) {
+    let (base, k) = (emb.len(), matched.len() + 1);
+    emb.resize(base + k, 0);
+    for (pos, &u) in matched.iter().enumerate() {
+        emb[base + order.vertex_at(pos)] = u;
+    }
+    emb[base + order.vertex_at(k - 1)] = v;
+}
+
 /// One level's claimed unroll slots: up to `MAX_UNROLL` vertices, in place.
 #[derive(Clone, Copy)]
 struct Batch {
@@ -960,7 +941,8 @@ mod tests {
         let board = Board::new(1, 1, env.stop(), (0, 0), cfg.chunk_size);
         let grid = Grid::new(cfg.grid).unwrap();
         let metrics = grid.launch(|warp| {
-            let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
+            let mut arena = WarpArena::default();
+            let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, &mut arena);
             body(&mut kernel, warp);
         });
         metrics.total()

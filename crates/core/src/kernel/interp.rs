@@ -247,12 +247,12 @@ impl WarpKernel<'_> {
                         continue;
                     }
                     // Fused slots: the whole chain in the bitmap domain,
-                    // ping/pong word scratch lent by the arena, final op
-                    // extracted straight into the slot (re-`begin`s it
-                    // after the empty element leg above).
-                    let (steps, stride) = (&prog[chain_at..=i], g.num_vertices().div_ceil(64));
-                    let (_, mut sink, bits_ping, bits_pong) =
-                        self.storage.split_for_write_bits(dst, m, stride);
+                    // through the arena's word rows, final op extracted
+                    // straight into the slot (re-`begin`s it after the
+                    // empty element leg above).
+                    let steps = &prog[chain_at..=i];
+                    let (_, mut sink) = self.storage.split_for_write(dst, m);
+                    let [bits_ping, bits_pong] = &mut self.bits;
                     for u in (0..m).filter(|&u| fused[u]) {
                         let at = |pos| vertex_at(pos, u);
                         let (base, chain) = self.rows.chain(steps, at).expect("fused on hubs");

@@ -4,7 +4,7 @@
 //! rows and hands them to the set operations.
 
 use super::KernelEnv;
-use crate::arena::{ArenaRead, StackArena};
+use crate::arena::ArenaRead;
 use crate::config::MAX_UNROLL;
 use stmatch_gpusim::{Cost, Site, Warp};
 use stmatch_graph::bitmap::word_probe;
@@ -23,8 +23,8 @@ pub(super) type Chain<'a> = (&'a [u64], [(OpKind, &'a [u64]); MAX_PATTERN_SIZE])
 /// position `p` ([`PlanBytecode::marked`](stmatch_pattern::PlanBytecode::marked)),
 /// one `⌈n/64⌉`-word row of the non-hub list `N(matched[p])` that lifted
 /// intersections re-read, a loop invariant of every level below `p`'s. A
-/// marker row is rebuilt lazily ([`Rows::marker_row`]), in words lent by the
-/// warp's arena, and is a device object: a re-key costs the warp two lanes
+/// marker row is rebuilt lazily ([`Rows::marker_row`]), in the warp's
+/// arena's marker words, and is a device object: a re-key costs the warp two lanes
 /// per element of the new list (clear and set). Every work item begins with
 /// no row keyed ([`Rows::begin_item`]) and the charge reads only the new
 /// list, so what rows cost does not depend on which work the warp ran
@@ -32,7 +32,7 @@ pub(super) type Chain<'a> = (&'a [u64], [(OpKind, &'a [u64]); MAX_PATTERN_SIZE])
 pub(super) struct Rows<'a> {
     hubs: Option<&'a HubBitmapIndex>,
     /// One `stride`-word marker row per set bit of `positions`, in order.
-    words: Vec<u64>,
+    words: &'a mut [u64],
     stride: usize,
     positions: u8,
     /// `lists[p]`: the neighbor list whose bits position `p`'s row holds
@@ -50,32 +50,18 @@ impl<'a> Rows<'a> {
         graph.hub_bitmap().is_some()
     }
 
-    /// The rows of one warp of `env`'s launch. The marker words are lent by
-    /// `storage` (give them back with [`Rows::park`]); with an index,
-    /// `storage` also sizes its sealed result rows here, at construction, so
-    /// the claim path stays allocation-free.
-    pub(super) fn new(env: &KernelEnv<'a>, storage: &mut StackArena) -> Rows<'a> {
+    /// The rows of one warp of `env`'s launch, keyed in `words`: its
+    /// arena's marker words, zeroed and sized to the launch.
+    pub(super) fn new(env: &KernelEnv<'a>, words: &'a mut [u64]) -> Rows<'a> {
         let graph = env.launch.graph;
-        let hubs = graph.hub_bitmap();
-        let stride = graph.num_vertices().div_ceil(64);
-        if hubs.is_some() {
-            storage.enable_set_bits(stride);
-        }
-        let positions = env.launch.plan.bytecode().marked();
-        let words = storage.take_marker_words(positions.count_ones() as usize * stride);
         Rows {
-            hubs,
+            hubs: graph.hub_bitmap(),
             words,
-            stride,
-            positions,
+            stride: graph.num_vertices().div_ceil(64),
+            positions: env.launch.plan.bytecode().marked(),
             lists: [&[]; MAX_PATTERN_SIZE],
             keyed: 0,
         }
-    }
-
-    /// Returns the marker words to `storage` for its next kernel.
-    pub(super) fn park(&mut self, storage: &mut StackArena) {
-        storage.put_marker_words(std::mem::take(&mut self.words));
     }
 
     /// A work item begins: its first use of each marker row re-keys it on
@@ -226,7 +212,7 @@ mod tests {
             // Positions 0 and 2 marked: two rows, in position order.
             let mut m = Rows {
                 hubs: None,
-                words: vec![0; 2 * stride],
+                words: &mut vec![0; 2 * stride],
                 stride,
                 positions: 0b101,
                 lists: [&[]; MAX_PATTERN_SIZE],

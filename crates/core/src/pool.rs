@@ -1,9 +1,12 @@
-//! Recyclable stack arenas: the free-list every [`Engine`](crate::Engine)
+//! Recyclable warp arenas: the free-list every [`Engine`](crate::Engine)
 //! owns. The paper sizes each warp's `NUM_SETS × UNROLL × MAX_DEGREE`
-//! stack once and reuses it (§VIII-A); here every warp of every launch
-//! checks its arena out of its engine's [`WarmSlot`], resets it to its own
-//! geometry, and gives it back after the run. A fresh arena is built only
-//! when the list is dry, so the list never holds more arenas than were out
+//! stack once and reuses it (§VIII-A); here warp `i` of every launch checks
+//! out the [`WarpArena`] parked under `i` in its engine's [`WarmSlot`], its
+//! kernel resizes and borrows it for the run, and the warp parks it under
+//! `i` again. So which arena serves which warp never follows the order in
+//! which warps finish, and a fresh arena is built only where none is parked:
+//! one launch at a time leaves one arena per warp id, launches that overlap
+//! (a split run's shards, a service's workers) at most as many as were out
 //! at once.
 //!
 //! ## Concurrency contract
@@ -15,19 +18,22 @@
 //! collector locks, and checks one out before acquiring any. The tracked
 //! lock also gives the race checker the happens-before edge between
 //! successive owners of a recycled arena — the arena keeps its shadow-cell
-//! identity across [`StackArena::reset`], so without that edge every
-//! recycled write would (correctly!) look like a cross-thread race.
+//! identity across [`StackArena::reset`](crate::arena::StackArena::reset),
+//! so without that edge every recycled write would (correctly!) look like a
+//! cross-thread race.
 
-use crate::arena::StackArena;
+use crate::arena::WarpArena;
 use std::sync::Mutex;
 use stmatch_gpusim::{Grid, GridConfig, LaunchError};
 
-/// A free-list of recyclable [`StackArena`]s, owned by one engine.
+/// A free-list of recyclable [`WarpArena`]s keyed by warp id, owned by one
+/// engine.
 pub struct WarmSlot {
     /// Distinct lock index for the hierarchy checker, so concurrent
     /// slots never alias in the lock-order graph.
     check_index: usize,
-    arenas: Mutex<Vec<StackArena>>,
+    /// `arenas[i]`: the arenas parked under warp id `i`.
+    arenas: Mutex<Vec<Vec<WarpArena>>>,
 }
 
 impl WarmSlot {
@@ -48,7 +54,7 @@ impl WarmSlot {
     }
 
     #[track_caller]
-    fn lock(&self) -> simt_check::Tracked<'_, Vec<StackArena>> {
+    fn lock(&self) -> simt_check::Tracked<'_, Vec<Vec<WarpArena>>> {
         simt_check::tracked_lock(
             &self.arenas,
             simt_check::LockClass::ServiceArenaPool,
@@ -56,25 +62,32 @@ impl WarmSlot {
         )
     }
 
-    /// Takes a recycled arena, or `None` when the list is empty.
-    pub fn checkout(&self) -> Option<StackArena> {
-        self.lock().pop()
+    /// Takes an arena parked under warp `warp`, or a fresh empty one when
+    /// none is.
+    pub fn checkout(&self, warp: usize) -> WarpArena {
+        let parked = self.lock().get_mut(warp).and_then(Vec::pop);
+        parked.unwrap_or_default()
     }
 
-    /// Returns an arena for reuse.
-    pub fn give_back(&self, arena: StackArena) {
-        self.lock().push(arena);
+    /// Parks `arena` under warp `warp` for the next launch's warp `warp`.
+    pub fn give_back(&self, warp: usize, arena: WarpArena) {
+        let mut arenas = self.lock();
+        if arenas.len() <= warp {
+            arenas.resize_with(warp + 1, Vec::new);
+        }
+        arenas[warp].push(arena);
     }
 
     /// Number of arenas currently parked in the list.
     pub fn parked(&self) -> usize {
-        self.lock().len()
+        self.lock().iter().map(Vec::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::StackArena;
     use stmatch_pattern::SlotTable;
 
     #[test]
@@ -89,14 +102,21 @@ mod tests {
             "a slot checks its geometry"
         );
         let slot = WarmSlot::new(grid(2)).unwrap();
-        assert!(slot.checkout().is_none());
-        for _ in 0..3 {
-            slot.give_back(StackArena::new(&SlotTable::with_slots(&[2; 2]), 8));
+        let fresh = slot.checkout(1);
+        assert_eq!(slot.parked(), 0, "a dry id builds a fresh arena");
+        let arena = |cap| WarpArena {
+            stack: StackArena::new(&SlotTable::with_slots(&[2; 2]), cap),
+            ..WarpArena::default()
+        };
+        for (warp, cap) in [(0, 8), (1, 16), (1, 24)] {
+            slot.give_back(warp, arena(cap));
         }
-        assert_eq!(slot.parked(), 3, "no cap: every arena given back parks");
-        let a = slot.checkout().unwrap();
+        slot.give_back(3, fresh);
+        assert_eq!(slot.parked(), 4, "no cap: every arena given back parks");
+        // Each warp id gets back what was parked under it.
+        assert_eq!(slot.checkout(0).stack.slab_cells(), 4 * 8);
+        assert_eq!(slot.checkout(1).stack.slab_cells(), 4 * 24);
+        assert_eq!(slot.checkout(0).stack.slab_cells(), 0);
         assert_eq!(slot.parked(), 2);
-        slot.give_back(a);
-        assert_eq!(slot.parked(), 3);
     }
 }

@@ -254,8 +254,10 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Blocks until the query finishes. A service dropped with the query
-    /// still queued reports [`ServiceError::ShuttingDown`].
+    /// Blocks until the query finishes. Dropping the service does not cut
+    /// a query short: its workers drain the queue before they exit, so a
+    /// queued query still runs. [`ServiceError::ShuttingDown`] reaches only
+    /// a ticket whose reply was dropped unfilled.
     pub fn wait(self) -> Outcome {
         let ReplySlot { result, filled } = &*self.slot;
         let result = result.lock().unwrap_or_else(PoisonError::into_inner);

@@ -68,8 +68,8 @@
 //!
 //! [`apply_chain_bits_into`] fuses a whole op chain in the bitmap domain
 //! when every operand of a slot is a hub, ping/ponging intermediate rows
-//! through word-aligned arena scratch (see
-//! [`StackArena::split_for_write_bits`](crate::arena::StackArena::split_for_write_bits)).
+//! through word-aligned rows of the warp's arena (see
+//! [`WarpArena`](crate::arena::WarpArena)).
 //! See DESIGN.md §4f for the encoding and the accounting contract.
 //!
 //! **Sinks.** Outputs land through the [`SetSink`] trait so callers

@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use stmatch_core::arena::WarpArena;
 use stmatch_core::kernel::{KernelEnv, Step, WarpKernel};
 use stmatch_core::steal::{Board, StealPayload};
 use stmatch_core::{EngineConfig, Launch};
@@ -84,7 +85,8 @@ fn steady_state_case(bitmap: bool) -> (u64, u64, u64, u64) {
     static STEADY_MATCHES: AtomicU64 = AtomicU64::new(0);
 
     let metrics = grid.launch(|warp| {
-        let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, None);
+        let mut arena = WarpArena::default();
+        let mut kernel = WarpKernel::new(&env, &board, warp.id(), None, &mut arena);
         // The whole level-0 domain as one work item, the shape every chunk
         // reaches the kernel in (allocation-free to build, and so is the
         // clone `install` keeps while it runs).

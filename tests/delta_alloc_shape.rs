@@ -34,15 +34,18 @@ use stmatch_testkit::rng::SmallRng;
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -228,4 +231,53 @@ fn a_reply_allocates_the_same_whether_or_not_its_wait_blocks() {
         blocked, after_reply,
         "a blocking wait allocated {blocked} times, a wait after the reply {after_reply}"
     );
+}
+
+/// Allocations repeat exactly: fresh resident services on the
+/// `resident_tick` instance — 1 × 2 steal-free, one worker, a triangle
+/// watcher, q2, q4 and q6 — each run one uncounted tick and then four
+/// counted ones, and every pass counts the same allocations and bytes. Warp
+/// `i` of every launch runs on the arena its engine parked under `i`, so
+/// no block's first allocation follows the order in which warps finish.
+#[test]
+fn a_service_tick_allocates_the_same_every_pass() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut cfg = EngineConfig::default().with_delta(true);
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 2);
+    (cfg.local_steal, cfg.global_steal) = (false, false);
+    let queries = [2, 4, 6].map(catalog::paper_query);
+    let pass = || {
+        let mut rng = SmallRng::seed_from_u64(tick::SEED);
+        let (start, mut present, mut absent) = tick::fixture(&mut rng);
+        let svc = MatchService::new(Arc::new(start), ServiceConfig::new(cfg).with_workers(1));
+        svc.submit_watch(&catalog::triangle(), |_| {});
+        let mut tick = || {
+            svc.apply_batch(&tick::exchange(&mut present, &mut absent, &mut rng));
+            for q in &queries {
+                svc.submit(q, QueryOptions::default()).expect("tick query");
+            }
+        };
+        tick();
+        let before = (
+            ALLOCS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        );
+        for _ in 0..4 {
+            tick();
+        }
+        let after = (
+            ALLOCS.load(Ordering::Relaxed),
+            BYTES.load(Ordering::Relaxed),
+        );
+        (after.0 - before.0, after.1 - before.1)
+    };
+    pass();
+    let first = pass();
+    for i in 1..20 {
+        assert_eq!(
+            pass(),
+            first,
+            "pass {i} against pass 0 (allocations, bytes)"
+        );
+    }
 }

@@ -101,6 +101,33 @@ fn a_warm_launch_allocates_what_it_returns_and_a_maintained_answer_launches_noth
     assert_eq!(out.count, want);
     assert!(allocs <= 3, "a warm 1 × 2 launch made {allocs} allocations");
 
+    // Whatever a plan's shape — chains staged (q6 with code motion off),
+    // hub rows routed (q8 on an indexed graph), vertex-induced difference
+    // chains fused on hubs — a warm launch allocates what q4's does: every
+    // buffer its kernels reuse is their arenas'.
+    let clique = stmatch_bench::hotpath::clique_graph();
+    let indexed = clique.with_hub_bitmap(stmatch_bench::hotpath::BITMAP_THRESHOLD);
+    let mut no_motion = cfg;
+    no_motion.code_motion = false;
+    let induced = cfg.induced(true);
+    for (name, cfg, g, q) in [
+        ("q6 without code motion", no_motion, &graph, 6),
+        ("q8 on hub rows", cfg, &indexed, 8),
+        ("induced q2 on hub rows", induced, &indexed, 2),
+    ] {
+        let engine = Engine::new(cfg);
+        let plan = engine.compile(&catalog::paper_query(q));
+        let launch = || engine.launch(&Launch::new(g, &plan)).unwrap();
+        for _ in 0..2 {
+            launch();
+        }
+        let least = (0..3).map(|_| counted(launch).1).min().unwrap();
+        assert_eq!(
+            least, allocs,
+            "{name}: a warm launch made {least} allocations, q4's {allocs}"
+        );
+    }
+
     // A maintained answer.
     let svc = MatchService::new(
         Arc::new(graph.clone()),

@@ -391,8 +391,8 @@ fn capacity_hints_shape_the_arena() {
                     .cert
                     .peak_cells(&engine.slot_table(&Launch::new(&g, &plan)))
         );
-        let arena = engine.arenas().checkout();
-        arena.expect("the launch parked its arenas").slab_cells()
+        assert!(engine.arenas().parked() > 0, "the launch parked its arenas");
+        engine.arenas().checkout(0).stack.slab_cells()
     };
     let uniform = cells_after(None);
     let hinted = cells_after(Some(&verdict));

@@ -260,3 +260,38 @@ fn dropping_an_idle_service_joins_its_workers_promptly() {
         .expect("drop never joined its parked workers");
     assert!(took < Duration::from_secs(2), "drop took {took:?}");
 }
+
+/// Dropping a service resolves every ticket in flight: on one worker, a
+/// first query stalls its warp, more queue behind it, and the service is
+/// dropped. The workers drain the queue before they exit, so every ticket
+/// returns its exact count, none `ShuttingDown`, and the drop returns.
+#[test]
+fn dropping_a_busy_service_answers_every_queued_ticket() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use stmatch_core::FaultPlan;
+    let mut cfg = EngineConfig::default();
+    (cfg.grid.num_blocks, cfg.grid.warps_per_block) = (1, 1);
+    let svc = MatchService::new(
+        Arc::new(gen::complete(8)),
+        ServiceConfig::new(cfg).with_workers(1),
+    );
+    let q = catalog::triangle();
+    let stalled = QueryOptions {
+        fault_plan: Some(FaultPlan::new().stall_at(0, 1, Duration::from_millis(50))),
+        ..QueryOptions::default()
+    };
+    let mut tickets = vec![svc.enqueue(&q, stalled)];
+    tickets.extend((0..6).map(|_| svc.enqueue(&q, QueryOptions::default())));
+    let (done, dropped) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(svc);
+        let _ = done.send(());
+    });
+    for t in tickets {
+        assert_eq!(t.wait().expect("a queued query still runs").count, 56);
+    }
+    dropped
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the drop never returned");
+}

@@ -7,6 +7,7 @@
 //! alone, so a thief takes a stage, never half a row.
 
 use stmatch_baselines::reference::{self, RefOptions};
+use stmatch_core::arena::WarpArena;
 use stmatch_core::delta::StagedSide;
 use stmatch_core::kernel::{KernelEnv, Step, WarpKernel};
 use stmatch_core::steal::Board;
@@ -37,8 +38,9 @@ fn interleaved(g: &Graph, q: usize) -> WarpMetrics {
     let env = KernelEnv::new(Launch::new(g, &plan), &cfg);
     let board = Board::new(2, 2, env.stop(), (0, env.l0_len()), cfg.chunk_size);
     let metrics = Grid::new(grid(1, 1)).unwrap().launch(|warp| {
-        let mut kernels: Vec<_> = (0..4)
-            .map(|id| WarpKernel::new(&env, &board, id, None, None))
+        let mut arenas: Vec<WarpArena> = (0..4).map(|_| WarpArena::default()).collect();
+        let mut kernels: Vec<_> = (arenas.iter_mut().enumerate())
+            .map(|(id, arena)| WarpKernel::new(&env, &board, id, None, arena))
             .collect();
         let mut done = [false; 4];
         while done.contains(&false) {
@@ -93,8 +95,9 @@ fn staged_hub_edges(g: &Graph, pins: &[VertexId]) -> (u64, u64, (usize, usize), 
     let board = Board::new(1, 2, env.stop(), (0, env.l0_len()), 1);
     let seen = std::sync::Mutex::new(None);
     let metrics = Grid::new(grid(1, 1)).unwrap().launch(|warp| {
-        let mut kernels: Vec<_> = (0..2)
-            .map(|id| WarpKernel::new(&env, &board, id, None, None))
+        let mut arenas: Vec<WarpArena> = (0..2).map(|_| WarpArena::default()).collect();
+        let mut kernels: Vec<_> = (arenas.iter_mut().enumerate())
+            .map(|(id, arena)| WarpKernel::new(&env, &board, id, None, arena))
             .collect();
         // Warp 0 installs stage 0 and claims its level-0 index, publishing
         // its level-1 range; warp 1 then finds that range too short to
